@@ -1,0 +1,1 @@
+//! Declared by workspace crates but never imported; an empty stand-in resolves it offline.
