@@ -21,13 +21,12 @@
 //! Run: `cargo run --release -p gmg-bench --bin flame`.
 
 use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
-use gmg_core::level::fused_tile_cells;
 use gmg_mesh::{Array3, Box3, Point3};
 use gmg_metrics::MachineEnvelope;
 use gmg_prof::{KernelReport, Profile};
 use gmg_stencil::exec_array::apply_star7_array;
 use gmg_stencil::exec_brick::apply_star7_bricked;
-use gmg_stencil::exec_fused::fused_multismooth_bricked;
+use gmg_stencil::exec_fused::{fused_multismooth_bricked, layer_scratch_len};
 use gmg_trace::{Counters, Track};
 use std::path::Path;
 use std::sync::Arc;
@@ -125,7 +124,7 @@ pub fn run_pass(opts: &FlameOpts) -> FlamePass {
     let (alpha, beta) = (-6.0, 1.0);
     let gamma = -0.5 / 6.0 * (2.0 / 3.0);
     let depth = 3usize;
-    let tile = fused_tile_cells(bd);
+    let mut layer_ax = vec![0.0; layer_scratch_len(&layout)];
 
     let session = gmg_prof::start(Duration::from_micros(opts.interval_us));
     let mut fused_stats = None;
@@ -147,7 +146,7 @@ pub fn run_pass(opts: &FlameOpts) -> FlamePass {
                 gamma,
                 owned,
                 depth,
-                tile,
+                &mut layer_ax,
             ));
         });
         (bricked, array, fused)
@@ -164,8 +163,6 @@ pub fn run_pass(opts: &FlameOpts) -> FlamePass {
             .sum()
     };
     let stats = fused_stats.expect("fused kernel ran at least once");
-    let fused_dpp = (stats.doubles_read + stats.doubles_written) as f64
-        / (stats.points_updated as f64).max(1.0);
     let kernels = vec![
         KernelReport {
             label: format!("bricked applyOp (b={bd}, {n}^3)"),
@@ -191,7 +188,7 @@ pub fn run_pass(opts: &FlameOpts) -> FlamePass {
             seconds_per_call: median(&mut fused),
             calls: fused.len() as u64,
             points_per_call: stats.points_updated,
-            doubles_per_point: fused_dpp,
+            doubles_per_point: stats.doubles_per_point(),
             traced_share: Some(traced_secs(ph.fused_root) / wall),
         },
     ];
@@ -393,9 +390,9 @@ mod tests {
     fn inject_slowdown_flags_exactly_the_injected_phase() {
         // Determinism of attribution: a heavy slowdown planted in the
         // streamed-interior phase must dominate the diff, and the same
-        // for the fused executor's tile phase — the winner tracks the
+        // for the streamed smoother's `A·x` phase — the winner tracks the
         // injection exactly across two different kernels.
-        for target in ["interior@b8", "tile_smooth@b8"] {
+        for target in ["interior@b8", "layer_apply@b8"] {
             let clean = run_pass(&quick_opts());
             gmg_prof::set_slowdown(Some((target, 400.0)));
             let slowed = run_pass(&quick_opts());

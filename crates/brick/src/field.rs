@@ -109,6 +109,45 @@ impl BrickedField {
         self.data[slot as usize * bvol + off] = v;
     }
 
+    /// Visit the cells of `region` one x-row at a time (z outermost, as
+    /// [`Box3::for_each`] orders them), each row brick by brick in
+    /// increasing x: `visit(p, cells)` gets one brick's contiguous part of
+    /// the row and the global index `p` of its first cell. Brick and
+    /// in-brick coordinates advance incrementally, so a piece costs one
+    /// table lookup — the row-wise alternative to per-cell
+    /// [`BrickedField::get`]. Panics outside storage.
+    pub fn for_each_row_piece(&self, region: Box3, mut visit: impl FnMut(Point3, &[f64])) {
+        if region.is_empty() {
+            return;
+        }
+        let bd = self.layout.brick_dim();
+        let bvol = self.layout.brick_volume();
+        let bricks = region.coarsen(bd);
+        // (brick index, in-brick offset) of a coordinate, stepped by one.
+        let split = |c: i64| (c.div_euclid(bd), c.rem_euclid(bd));
+        let step = |(b, l): (i64, i64)| if l + 1 == bd { (b + 1, 0) } else { (b, l + 1) };
+        let mut bz = split(region.lo.z);
+        for z in region.lo.z..region.hi.z {
+            let mut by = split(region.lo.y);
+            for y in region.lo.y..region.hi.y {
+                for bx in bricks.lo.x..bricks.hi.x {
+                    let slot = self.layout.slot_of_brick(Point3::new(bx, by.0, bz.0));
+                    assert_ne!(slot, NO_BRICK, "{region:?} outside bricked storage");
+                    let x0 = region.lo.x.max(bx * bd);
+                    let x1 = region.hi.x.min((bx + 1) * bd);
+                    let base =
+                        slot as usize * bvol + ((bz.1 * bd + by.1) * bd + x0 - bx * bd) as usize;
+                    visit(
+                        Point3::new(x0, y, z),
+                        &self.data[base..base + (x1 - x0) as usize],
+                    );
+                }
+                by = step(by);
+            }
+            bz = step(bz);
+        }
+    }
+
     /// Fill all storage with `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
@@ -346,6 +385,31 @@ mod tests {
         l.storage_cell_box().for_each(|p| {
             assert_eq!(f.get(p), idx_fn(p), "at {p:?}");
         });
+    }
+
+    #[test]
+    fn row_pieces_cover_the_region_in_order() {
+        for bd in [1, 3, 4] {
+            let l = mk(4 * bd, bd, 1, BrickOrdering::SurfaceMajor);
+            let f = BrickedField::from_fn(l, idx_fn);
+            // From the ghost shell, across owned bricks, into the far shell.
+            let region = Box3::new(
+                Point3::new(-1, bd - 1, -bd),
+                Point3::new(4 * bd + 1, 2 * bd + 1, 2),
+            );
+            let mut cells = Vec::new();
+            f.for_each_row_piece(region, |p, piece| {
+                assert!(!piece.is_empty() && piece.len() <= bd as usize);
+                for (i, &v) in piece.iter().enumerate() {
+                    let q = Point3::new(p.x + i as i64, p.y, p.z);
+                    assert_eq!(v, idx_fn(q), "at {q:?} (bd={bd})");
+                    cells.push(q);
+                }
+            });
+            let mut expect = Vec::new();
+            region.for_each(|q| expect.push(q));
+            assert_eq!(cells, expect, "bd={bd}");
+        }
     }
 
     #[test]

@@ -4,18 +4,8 @@ use crate::problem::PoissonProblem;
 use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
 use gmg_mesh::{Box3, Decomposition, Point3};
 use gmg_stencil::exec_brick::{apply_star7_bricked, par_pointwise_mut1, par_pointwise_mut2};
-use gmg_stencil::exec_fused::{fused_multismooth_bricked, FusedStats};
+use gmg_stencil::exec_fused::{fused_multismooth_bricked, layer_scratch_len, FusedStats};
 use std::sync::Arc;
-
-/// Default cache-tile edge for the fused multi-smooth executor: whole
-/// bricks, ~64 cells a side. With the rolling-plane `A·x` buffer the
-/// per-tile scratch is 3 fields, so a depth-4 group's working set
-/// (`72³·3·8B ≈ 9 MB`) sits in a shared L3 slice while the halo
-/// redundancy drops to ~14% (vs ~30% at 32) — measured ~1.5× faster than
-/// 32-cell tiles for the perfgate multismooth shape.
-pub fn fused_tile_cells(brick_dim: i64) -> i64 {
-    (64 / brick_dim).max(1) * brick_dim
-}
 
 /// One level of the multigrid hierarchy on one rank: the four fields of the
 /// V-cycle (`x`, `b`, `Ax`, `r`) in bricked storage plus the level's
@@ -33,7 +23,8 @@ pub struct Level {
     pub x: BrickedField,
     /// Right-hand side.
     pub b: BrickedField,
-    /// Scratch `A·x`.
+    /// Scratch `A·x` of the split `applyOp` + `smooth` reference path and
+    /// the residual check.
     pub ax: BrickedField,
     /// Residual `b − A·x`.
     pub r: BrickedField,
@@ -48,6 +39,9 @@ pub struct Level {
     /// by an exchange; decremented by each smoothing step in
     /// communication-avoiding mode.
     pub margin: i64,
+    /// Rolling two-brick-layer `A·x` of [`Level::fused_multi_smooth`],
+    /// allocated once so the smoother never allocates.
+    layer_ax: Vec<f64>,
 }
 
 impl Level {
@@ -64,6 +58,7 @@ impl Level {
     ) -> Self {
         let owned = decomp.subdomain(rank);
         let layout = Arc::new(BrickLayout::new(owned, brick_dim, 1, ordering));
+        let layer_ax = vec![0.0; layer_scratch_len(&layout)];
         let x = BrickedField::new(layout.clone());
         let b = BrickedField::new(layout.clone());
         let ax = BrickedField::new(layout.clone());
@@ -81,6 +76,7 @@ impl Level {
             beta: problem.beta(index),
             gamma: problem.gamma(index),
             margin: 0,
+            layer_ax,
         }
     }
 
@@ -136,13 +132,14 @@ impl Level {
         );
     }
 
-    /// Apply `s` fused Jacobi-family smooth iterations over the shrinking
-    /// communication-avoiding schedule rooted at `region`, bit-identical
-    /// to `s` sequential `apply_op` + `smooth(_residual)` passes (see
+    /// Apply `s` Jacobi-family smooth iterations over the shrinking
+    /// communication-avoiding schedule rooted at `region`, each as one
+    /// streamed in-place pass over the bricks (4 doubles moved per point
+    /// with the residual, 3 without), bit-identical to `s` sequential
+    /// `apply_op` + `smooth(_residual)` passes (see
     /// [`gmg_stencil::exec_fused`]). Unlike the sweep path this leaves
-    /// `ax` untouched — every downstream reader refreshes it first, and
-    /// skipping it is part of the traffic saving. The caller accounts the
-    /// `s` margin cells consumed.
+    /// `ax` untouched — every downstream reader refreshes it first. The
+    /// caller accounts the `s` margin cells consumed.
     pub fn fused_multi_smooth(
         &mut self,
         region: Box3,
@@ -150,22 +147,16 @@ impl Level {
         gamma: f64,
         with_residual: bool,
     ) -> FusedStats {
-        let tile = fused_tile_cells(self.layout.brick_dim());
-        let r = if with_residual {
-            Some(&mut self.r)
-        } else {
-            None
-        };
         fused_multismooth_bricked(
             &mut self.x,
             &self.b,
-            r,
+            with_residual.then_some(&mut self.r),
             self.alpha,
             self.beta,
             gamma,
             region,
             s,
-            tile,
+            &mut self.layer_ax,
         )
     }
 
@@ -224,57 +215,94 @@ pub struct Checkpoint {
 /// Restriction (paper Algorithm 2 line 7): volume-average 8 fine residual
 /// cells into each coarse right-hand-side cell. No neighbor communication —
 /// only fine cells owned by this rank feed coarse cells owned by this rank.
+///
+/// Streams the fine rows under each coarse brick in `z → y → x` order, so
+/// every coarse cell still folds its eight fine cells from `0.0` in
+/// `dz → dy → dx` order, without a per-cell brick lookup.
 pub fn restriction(fine: &Level, coarse: &mut Level) {
     debug_assert_eq!(fine.owned.coarsen(2), coarse.owned);
     let clayout = coarse.layout.clone();
     let bd = clayout.brick_dim();
     let pieces = clayout.slots_intersecting(coarse.owned);
     let fine_r = &fine.r;
-    coarse.b.par_update_bricks(&pieces, |slot, sub, out| {
-        let cells = clayout.cells_of_slot(slot);
-        for cz in sub.lo.z..sub.hi.z {
-            for cy in sub.lo.y..sub.hi.y {
-                for cx in sub.lo.x..sub.hi.x {
-                    let mut sum = 0.0;
-                    for dz in 0..2 {
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                sum +=
-                                    fine_r.get(Point3::new(2 * cx + dx, 2 * cy + dy, 2 * cz + dz));
-                            }
-                        }
-                    }
-                    let l = Point3::new(cx, cy, cz) - cells.lo;
-                    out[((l.z * bd + l.y) * bd + l.x) as usize] = 0.125 * sum;
-                }
-            }
-        }
+    // `owned` is brick-aligned, so every piece is a whole brick.
+    coarse.b.par_update_bricks(&pieces, |_, cells, out| {
+        out.fill(0.0);
+        fine_r.for_each_row_piece(cells.refine(2), |p, f| {
+            let l = p.div_floor(Point3::splat(2)) - cells.lo;
+            let row = ((l.z * bd + l.y) * bd) as usize;
+            add_fine_piece(&mut out[row..], f, (p.x - 2 * cells.lo.x) as usize);
+        });
+        out.iter_mut().for_each(|v| *v *= 0.125);
     });
+}
+
+/// `sum[t / 2] += f[t − t0]` for every fine cell `t` of a row piece that
+/// starts at fine offset `t0`, in increasing `t`. Pairs inside the piece
+/// are the common case; a piece that starts or ends mid-pair (odd brick
+/// dims) contributes the single cell.
+fn add_fine_piece(sum: &mut [f64], f: &[f64], t0: usize) {
+    let (head, f) = f.split_at(t0 & 1);
+    if let [v] = head {
+        sum[t0 / 2] += v;
+    }
+    let sum = &mut sum[(t0 + 1) / 2..];
+    let pairs = f.chunks_exact(2);
+    if let [v] = pairs.remainder() {
+        sum[f.len() / 2] += v;
+    }
+    for (s, p) in sum.iter_mut().zip(pairs) {
+        *s = (*s + p[0]) + p[1];
+    }
 }
 
 /// Interpolation + increment (paper Algorithm 2 line 17): piecewise-constant
 /// prolongation of the coarse correction, added into the fine solution.
-/// No neighbor communication.
+/// No neighbor communication. Streams the coarse rows under each fine
+/// brick, without a per-cell brick lookup.
 pub fn interpolation_increment(coarse: &Level, fine: &mut Level) {
     debug_assert_eq!(fine.owned.coarsen(2), coarse.owned);
     let flayout = fine.layout.clone();
     let bd = flayout.brick_dim();
     let pieces = flayout.slots_intersecting(fine.owned);
     let coarse_x = &coarse.x;
-    fine.x.par_update_bricks(&pieces, |slot, sub, out| {
-        let cells = flayout.cells_of_slot(slot);
-        for fz in sub.lo.z..sub.hi.z {
-            for fy in sub.lo.y..sub.hi.y {
-                for fx in sub.lo.x..sub.hi.x {
-                    let c = Point3::new(fx, fy, fz).div_floor(Point3::splat(2));
-                    let l = Point3::new(fx, fy, fz) - cells.lo;
-                    out[((l.z * bd + l.y) * bd + l.x) as usize] += coarse_x.get(c);
+    // `owned` is brick-aligned, so every piece is a whole brick.
+    fine.x.par_update_bricks(&pieces, |_, cells, out| {
+        coarse_x.for_each_row_piece(cells.coarsen(2), |p, c| {
+            // The (up to) 2 × 2 fine rows of this brick over the coarse row.
+            for fz in (2 * p.z).max(cells.lo.z)..(2 * p.z + 2).min(cells.hi.z) {
+                for fy in (2 * p.y).max(cells.lo.y)..(2 * p.y + 2).min(cells.hi.y) {
+                    let row = (((fz - cells.lo.z) * bd + (fy - cells.lo.y)) * bd) as usize;
+                    let xs = &mut out[row..row + bd as usize];
+                    add_coarse_piece(xs, c, 2 * p.x - cells.lo.x);
                 }
             }
-        }
+        });
     });
     // The fine ghost shell was not incremented; x is only valid on owned.
     fine.margin = 0;
+}
+
+/// `xs[t] += c[(t − t0) / 2]` for every fine cell `t` of the row under a
+/// coarse row piece whose first cell covers fine offsets `t0, t0 + 1`.
+/// `t0 = −1` and a last coarse cell reaching past `xs` (a fine row that
+/// starts or ends mid-pair: odd brick dims) are clipped.
+fn add_coarse_piece(xs: &mut [f64], c: &[f64], t0: i64) {
+    let (c, xs) = if t0 < 0 {
+        xs[0] += c[0];
+        (&c[1..], &mut xs[1..])
+    } else {
+        (c, &mut xs[t0 as usize..])
+    };
+    let mut pairs = xs.chunks_exact_mut(2);
+    let whole = pairs.len();
+    for (p, v) in (&mut pairs).zip(c) {
+        p[0] += v;
+        p[1] += v;
+    }
+    if let ([x], Some(v)) = (pairs.into_remainder(), c.get(whole)) {
+        *x += v;
+    }
 }
 
 #[cfg(test)]
@@ -490,6 +518,62 @@ mod tests {
             assert!((fine.x.get(p) - expect).abs() < 1e-12, "at {p:?}");
         });
         assert_eq!(fine.margin, 0, "interpolation invalidates the ghost shell");
+    }
+
+    #[test]
+    fn inter_level_ops_bit_identical_to_per_cell_reference() {
+        // Every brick-dim pairing a hierarchy produces, plus odd bricks
+        // (fine pairs straddle brick boundaries): same bits as the
+        // per-cell `dz → dy → dx` fold / per-cell increment.
+        let f = |p: Point3| ((p.x * 7 + p.y * 3 - p.z * 5) % 13) as f64 / 3.0 + 0.1;
+        for (n, bd_f, bd_c) in [
+            (16, 8, 8),
+            (16, 4, 8),
+            (8, 8, 4),
+            (12, 3, 3),
+            (4, 1, 1),
+            (4, 2, 1),
+        ] {
+            let problem = PoissonProblem::new(n);
+            let decomp = Decomposition::single(Box3::cube(n));
+            let ord = BrickOrdering::SurfaceMajor;
+            let mut fine = Level::new(&problem, decomp.clone(), 0, 0, bd_f, ord);
+            let mut coarse = Level::new(&problem, decomp.coarsen(2), 0, 1, bd_c, ord);
+            fine.r = BrickedField::from_fn(fine.layout.clone(), f);
+            coarse.b.fill(f64::NAN);
+            restriction(&fine, &mut coarse);
+            coarse.owned.for_each(|c| {
+                let mut sum = 0.0;
+                for dz in 0..2 {
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            sum += fine.r.get(c * 2 + Point3::new(dx, dy, dz));
+                        }
+                    }
+                }
+                assert_eq!(
+                    coarse.b.get(c),
+                    0.125 * sum,
+                    "restriction {bd_f}->{bd_c} at {c:?}"
+                );
+            });
+            coarse.x = BrickedField::from_fn(coarse.layout.clone(), f);
+            fine.x = BrickedField::from_fn(fine.layout.clone(), |p| f(p) - 2.0);
+            let before = fine.x.clone();
+            interpolation_increment(&coarse, &mut fine);
+            fine.layout.storage_cell_box().for_each(|p| {
+                let expect = if fine.owned.contains(p) {
+                    before.get(p) + coarse.x.get(p.div_floor(Point3::splat(2)))
+                } else {
+                    before.get(p)
+                };
+                assert_eq!(
+                    fine.x.get(p),
+                    expect,
+                    "interpolation {bd_c}->{bd_f} at {p:?}"
+                );
+            });
+        }
     }
 
     #[test]

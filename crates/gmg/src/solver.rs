@@ -40,11 +40,12 @@ pub struct SolverConfig {
     /// Smoother (the paper uses point Jacobi; alternatives are the
     /// paper's stated future work).
     pub smoother: Smoother,
-    /// Maximum Jacobi-family smooth iterations fused into one
-    /// cache-resident tile pass (`gmg_stencil::exec_fused`); 0 or 1
-    /// selects the sweep-by-sweep schedule. Only effective in
-    /// communication-avoiding mode, bounded by the available ghost
-    /// margin, and bit-identical to the sweep path either way.
+    /// Maximum Jacobi-family smooth iterations grouped into one call of
+    /// the streamed in-place smoother (`gmg_stencil::exec_fused`, one
+    /// `fusedSmooth` timer row per group); 0 or 1 selects the split
+    /// `applyOp` + `smooth` sweep pair, the reference schedule. Only
+    /// effective in communication-avoiding mode, bounded by the available
+    /// ghost margin, and bit-identical to the sweep path either way.
     pub fused_smooths: usize,
     /// Cycle index γ: 1 = V-cycle (the paper), 2 = W-cycle.
     pub cycle_gamma: usize,
@@ -319,10 +320,10 @@ impl GmgSolver {
         );
     }
 
-    /// Record one fused multi-smooth group: an OpTimer `fusedSmooth` row
-    /// plus a trace span carrying the executor's *measured* counters —
-    /// the generic per-op tables can't price this op (its traffic depends
-    /// on tile geometry and fusion depth), so the kernel reports its own.
+    /// Record one streamed multi-smooth group: an OpTimer `fusedSmooth`
+    /// row plus a trace span carrying the kernel's own counters — the
+    /// generic per-op tables price one iteration, a group covers `s`
+    /// shrinking regions.
     fn record_fused_op(&mut self, level: usize, t0: Instant, t1: Instant, stats: &FusedStats) {
         let secs = (t1 - t0).as_secs_f64();
         self.timers.record(level, "fusedSmooth", secs);
@@ -360,10 +361,11 @@ impl GmgSolver {
     /// `exchange → applyOp → smooth(+residual)`, with the exchange elided
     /// while the communication-avoiding ghost margin lasts. Smoothers that
     /// make two neighbor-reading passes per iteration (red-black variants)
-    /// consume two margin cells per iteration. Jacobi-family iterations
-    /// are grouped `config.fused_smooths` at a time through the fused
-    /// cache-tile executor when the margin allows — same schedule, same
-    /// exchanges, bit-identical numerics, less memory traffic.
+    /// consume two margin cells per iteration. With `fused_smooths >= 2`
+    /// every communication-avoiding Jacobi-family iteration goes through
+    /// the streamed in-place smoother, in groups of up to `fused_smooths`
+    /// as the margin allows — same schedule, same exchanges, bit-identical
+    /// numerics, less memory traffic.
     fn smooth_pass(
         &mut self,
         ctx: &mut RankCtx,
@@ -399,7 +401,7 @@ impl GmgSolver {
                         .fused_smooths
                         .min(n - done)
                         .min(level.margin.max(0) as usize);
-                    if s >= 2 {
+                    if s >= 1 {
                         let region = level.owned.grow(level.margin - 1);
                         let _ph = gmg_prof::phase("fusedSmooth");
                         let t0 = Instant::now();
@@ -1037,11 +1039,14 @@ mod tests {
 
     #[test]
     fn timers_populated_per_level() {
-        // Default config: Jacobi iterations run through the fused
-        // cache-tile executor in groups of `fused_smooths` (bounded by
-        // the ghost depth), so the per-iteration applyOp/smooth rows are
-        // replaced by one `fusedSmooth` row per group.
+        // Default config: every Jacobi iteration runs through the
+        // streamed smoother in groups of `fused_smooths` (bounded by the
+        // ghost depth), so the per-iteration applyOp/smooth rows are
+        // replaced by one `fusedSmooth` row per group — including the
+        // leftover group of one that 9 = 4 + 4 + 1 and 49 = 12·4 + 1 leave.
         let mut cfg = SolverConfig::test_default();
+        cfg.max_smooths = 9;
+        cfg.bottom_smooths = 49;
         cfg.num_levels = 2;
         cfg.max_vcycles = 1;
         cfg.tolerance = 0.0;
@@ -1062,9 +1067,11 @@ mod tests {
                 groups_of(cfg.bottom_smooths)
             );
             // The sweep-by-sweep rows only appear when fusion is off.
-            assert_eq!(s.timers.count(0, "applyOp"), 0);
-            assert_eq!(s.timers.count(0, "smooth+residual"), 0);
-            assert_eq!(s.timers.count(1, "smooth"), 0);
+            for level in 0..2 {
+                for op in ["applyOp", "smooth", "smooth+residual"] {
+                    assert_eq!(s.timers.count(level, op), 0, "level {level} {op}");
+                }
+            }
             assert_eq!(s.timers.count(0, "restriction"), 1);
             assert_eq!(s.timers.count(0, "interpolation+increment"), 1);
             assert!(s.timers.count(0, "exchange") > 0);

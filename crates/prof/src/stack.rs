@@ -338,14 +338,12 @@ pub struct BrickPhases {
     pub apply_boundary: &'static str,
     /// Neighborhood construction + index arithmetic per brick.
     pub apply_index: &'static str,
-    /// Root phase of the fused multi-smooth tile closure.
+    /// Root phase of the streamed multi-smooth per-brick closures.
     pub fused_root: &'static str,
-    /// Tile staging: gathering bricked data into the dense scratch tile.
-    pub fused_stage: &'static str,
-    /// In-tile smooth iterations.
-    pub fused_smooth: &'static str,
-    /// Scatter of smoothed tile cores back into bricked storage.
-    pub fused_writeback: &'static str,
+    /// `A·x` of one brick into the rolling two-layer scratch.
+    pub fused_apply: &'static str,
+    /// In-place smooth(+residual) update of one brick from that scratch.
+    pub fused_update: &'static str,
 }
 
 macro_rules! brick_phase_set {
@@ -356,9 +354,8 @@ macro_rules! brick_phase_set {
             apply_boundary: concat!("brick_boundary@", $tag),
             apply_index: concat!("index@", $tag),
             fused_root: concat!("fused_multismooth@", $tag),
-            fused_stage: concat!("stage@", $tag),
-            fused_smooth: concat!("tile_smooth@", $tag),
-            fused_writeback: concat!("writeback@", $tag),
+            fused_apply: concat!("layer_apply@", $tag),
+            fused_update: concat!("layer_update@", $tag),
         }
     };
 }

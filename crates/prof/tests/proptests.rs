@@ -14,9 +14,8 @@ const NAMES: &[&str] = &[
     "brick_boundary@b8",
     "index@b4",
     "fused_multismooth@b8",
-    "stage@b8",
-    "tile_smooth@b2",
-    "writeback@b16",
+    "layer_apply@b2",
+    "layer_update@b16",
     "exchange",
     "smooth+residual",
     "restriction",

@@ -33,6 +33,7 @@
 //! residual histories stay bit-identical across executors.
 
 use gmg_brick::BrickFaces;
+use gmg_mesh::{Box3, Point3};
 
 const FACE: &str = "face brick missing: caller must guarantee region.grow(1) within storage";
 
@@ -70,6 +71,39 @@ pub(crate) struct RowBounds {
 }
 
 impl RowBounds {
+    /// Bounds of the cell box `sub` inside the brick whose low corner is
+    /// the cell `brick_lo`.
+    #[inline]
+    pub fn within(sub: Box3, brick_lo: Point3) -> Self {
+        let (lo, hi) = (sub.lo - brick_lo, sub.hi - brick_lo);
+        RowBounds {
+            x0: lo.x as usize,
+            x1: hi.x as usize,
+            y0: lo.y as usize,
+            y1: hi.y as usize,
+            z0: lo.z as usize,
+            z1: hi.z as usize,
+        }
+    }
+
+    /// Visit the bounded cells as index ranges into the brick's `b³`
+    /// storage, longest contiguous runs first: the whole brick in one
+    /// range when the bounds cover it, otherwise one x-row at a time.
+    /// Pointwise kernels loop over these slices so the compiler sees
+    /// plain unit-stride loops it can vectorize.
+    #[inline(always)]
+    pub fn for_each_span(&self, b: usize, mut f: impl FnMut(std::ops::Range<usize>)) {
+        if self.is_full(b) {
+            return f(0..b * b * b);
+        }
+        for lz in self.z0..self.z1 {
+            for ly in self.y0..self.y1 {
+                let row = (lz * b + ly) * b;
+                f(row + self.x0..row + self.x1);
+            }
+        }
+    }
+
     /// True iff the bounds cover the whole `b³` brick.
     #[inline]
     pub fn is_full(&self, b: usize) -> bool {

@@ -139,15 +139,7 @@ fn apply_star7_bricked_impl(
         let _kernel = gmg_prof::phase(ph.apply_root);
         let setup = gmg_prof::phase(ph.apply_index);
         let faces = BrickFaces::new(src, slot);
-        let cells = layout.cells_of_slot(slot);
-        let rb = RowBounds {
-            x0: (sub.lo.x - cells.lo.x) as usize,
-            x1: (sub.hi.x - cells.lo.x) as usize,
-            y0: (sub.lo.y - cells.lo.y) as usize,
-            y1: (sub.hi.y - cells.lo.y) as usize,
-            z0: (sub.lo.z - cells.lo.z) as usize,
-            z1: (sub.hi.z - cells.lo.z) as usize,
-        };
+        let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
         drop(setup);
         let _p = gmg_prof::phase(ph.apply_interior);
         match shape {
@@ -285,23 +277,14 @@ pub fn par_pointwise_mut1(
     f: impl Fn(&mut f64, f64, f64) + Sync,
 ) {
     let layout = out.layout().clone();
-    let b = layout.brick_dim();
-    let r1 = read1.as_slice();
-    let r2 = read2.as_slice();
-    let bvol = layout.brick_volume();
+    let b = layout.brick_dim() as usize;
     out.par_update_bricks(pieces, |slot, sub, o| {
-        let base = slot as usize * bvol;
-        let cells = layout.cells_of_slot(slot);
-        for z in sub.lo.z..sub.hi.z {
-            for y in sub.lo.y..sub.hi.y {
-                let row = (((z - cells.lo.z) * b + (y - cells.lo.y)) * b + (sub.lo.x - cells.lo.x))
-                    as usize;
-                let n = (sub.hi.x - sub.lo.x) as usize;
-                for i in row..row + n {
-                    f(&mut o[i], r1[base + i], r2[base + i]);
-                }
+        let (r1, r2) = (read1.brick(slot), read2.brick(slot));
+        RowBounds::within(sub, layout.cells_of_slot(slot).lo).for_each_span(b, |s| {
+            for ((o, &r1), &r2) in o[s.clone()].iter_mut().zip(&r1[s.clone()]).zip(&r2[s]) {
+                f(o, r1, r2);
             }
-        }
+        });
     });
 }
 
@@ -321,7 +304,7 @@ pub fn par_pointwise_mut2(
         std::sync::Arc::ptr_eq(&layout, out2.layout()),
         "layout mismatch"
     );
-    let b = layout.brick_dim();
+    let b = layout.brick_dim() as usize;
     let bvol = layout.brick_volume();
     let mut by_slot: Vec<Option<Box3>> = vec![None; layout.num_slots()];
     for (slot, sub) in pieces {
@@ -330,26 +313,20 @@ pub fn par_pointwise_mut2(
             "duplicate slot {slot}"
         );
     }
-    let r1 = read1.as_slice();
-    let r2 = read2.as_slice();
     out1.as_mut_slice()
         .par_chunks_exact_mut(bvol)
         .zip(out2.as_mut_slice().par_chunks_exact_mut(bvol))
         .enumerate()
         .for_each(|(slot, (o1, o2))| {
             if let Some(sub) = by_slot[slot] {
-                let base = slot * bvol;
-                let cells = layout.cells_of_slot(slot as u32);
-                for z in sub.lo.z..sub.hi.z {
-                    for y in sub.lo.y..sub.hi.y {
-                        let row = (((z - cells.lo.z) * b + (y - cells.lo.y)) * b
-                            + (sub.lo.x - cells.lo.x)) as usize;
-                        let n = (sub.hi.x - sub.lo.x) as usize;
-                        for i in row..row + n {
-                            f(&mut o1[i], &mut o2[i], r1[base + i], r2[base + i]);
-                        }
+                let slot = slot as u32;
+                let (r1, r2) = (read1.brick(slot), read2.brick(slot));
+                RowBounds::within(sub, layout.cells_of_slot(slot).lo).for_each_span(b, |s| {
+                    let outs = o1[s.clone()].iter_mut().zip(&mut o2[s.clone()]);
+                    for (((o1, o2), &r1), &r2) in outs.zip(&r1[s.clone()]).zip(&r2[s]) {
+                        f(o1, o2, r1, r2);
                     }
-                }
+                });
             }
         });
 }

@@ -1,276 +1,221 @@
-//! Fused communication-avoiding multi-smooth executors (paper Section V).
+//! Streamed communication-avoiding Jacobi smoother over bricks (paper
+//! Section V).
 //!
-//! The sweep-by-sweep CA schedule runs `s` Jacobi passes as `s` full-grid
-//! `applyOp` + `smooth(+residual)` pairs, each streaming every field
-//! through memory once (~7 doubles moved per point per iteration). The
-//! executors here instead apply all `s` iterations to one cache-resident
-//! *tile* of bricks before moving on: the tile's cells plus a shrinking
-//! halo are staged into scratch buffers, iterated locally, and written
-//! back once, so the DRAM-visible traffic per point drops to roughly
-//! `(fill + writeback) / s` — the memory-hierarchy benefit the paper
-//! attributes to fine-grain blocking.
+//! The sweep-by-sweep CA schedule runs one Jacobi iteration as a
+//! full-grid `applyOp` into a field-sized `A·x` followed by a full-grid
+//! `smooth(+residual)`: 7 doubles moved per point (plus 2 of
+//! write-allocate). The kernel here makes **one pass per iteration, in
+//! place**: it walks the region's brick layers in z, computes `A·x` for
+//! every brick of layer `bz` with the whole-brick SIMD kernels of
+//! `brick_rows` into a rolling two-layer scratch, then applies
+//! `r = b − Ax; x += γ(Ax − b)` to layer `bz − 1` — whose `A·x` is
+//! complete and whose old `x` no later operator application reads. The
+//! `A·x` working set shrinks from a field to two brick layers that stay
+//! cache-resident, so the compulsory traffic is 4 doubles per point per
+//! iteration (read `x`, `b`; write `x`, `r`), 3 without the residual.
 //!
-//! Bit-compatibility contract: iteration `k` of the sequential schedule
-//! updates the shrinking region `R_k = R_0.shrink(k)`. The tiled executor
-//! clips each local iteration to the same `R_k`, so the "staleness rings"
-//! (cells of `R_0 \ R_{k+1}` that keep their iteration-`k` value) are
-//! reproduced exactly, the halo cells it redundantly recomputes carry the
-//! values the sequential pass produced, and both the stencil and the
-//! pointwise update use the identical floating-point expressions — the
-//! result is bit-identical to `s` sequential passes (see the equivalence
-//! tests below). `ax` is *not* materialized: every downstream consumer of
-//! the operator application refreshes it first, and skipping it is part
-//! of the traffic saving.
+//! Bit-compatibility contract: iteration `k` updates the shrinking region
+//! `R_k = region.shrink(k)`, exactly as the sequential schedule does, and
+//! every cell sees the operands and floating-point expressions of
+//! `apply_star7_bricked` + the pointwise update — so `x` and `r` (staleness
+//! rings included) are bit-identical to `s` sequential passes over the
+//! whole storage, and cells outside `R_k` are never written (see the
+//! equivalence tests below). `ax` is *not* materialized.
+//!
+//! Bricks of a layer are independent in both phases and run under rayon;
+//! no value depends on the partition, so results do not depend on the
+//! pool width.
 
-use gmg_brick::{BrickLayout, BrickedField};
-use gmg_mesh::{Array3, Box3, Point3};
+use crate::brick_rows::{stream_star7_generic, stream_star7_spec, RowBounds};
+use gmg_brick::{BrickFaces, BrickLayout, BrickShape, BrickedField};
+use gmg_mesh::{Box3, Point3};
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Instrumentation from one fused multi-smooth invocation, in units the
-/// trace layer can convert to bytes/FLOPs. The traffic model counts the
-/// DRAM-visible movement only — scratch fills (reads), writeback (scratch
-/// reads + field writes) — and treats scratch-internal iteration traffic
-/// as cache-resident, which is the point of the executor.
+/// Instrumentation from one streamed multi-smooth invocation, in units
+/// the trace layer can convert to bytes/FLOPs. The traffic model counts
+/// the compulsory field movement only; the two-layer `A·x` scratch is
+/// written and re-read while cache-resident.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusedStats {
-    /// Points the schedule logically updated: `Σ_k |R_k|`, identical to
-    /// what the sweep-by-sweep path would report for the same schedule.
+    /// Points the schedule updated: `Σ_k |R_k|`, identical to what the
+    /// sweep-by-sweep path would report for the same schedule.
     pub points_updated: u64,
-    /// Points actually computed, including the redundant tile halos.
+    /// Points actually computed. The in-place kernel does no redundant
+    /// work, so this always equals `points_updated`.
     pub points_computed: u64,
-    /// Doubles read from the fields (scratch fills + writeback sources).
+    /// Doubles read from the fields (`x` and `b`).
     pub doubles_read: u64,
-    /// Doubles written back to the fields.
+    /// Doubles written to the fields (`x`, and `r` when requested).
     pub doubles_written: u64,
     /// Floating-point operations executed (8 per stencil point plus the
     /// pointwise update).
     pub flops: u64,
-    /// Tiles processed.
-    pub tiles: u64,
 }
 
 impl FusedStats {
-    /// Component-wise accumulate.
-    pub fn merge(&mut self, o: &FusedStats) {
-        self.points_updated += o.points_updated;
-        self.points_computed += o.points_computed;
-        self.doubles_read += o.doubles_read;
-        self.doubles_written += o.doubles_written;
-        self.flops += o.flops;
-        self.tiles += o.tiles;
-    }
-
-    /// DRAM-visible doubles moved per logically-updated point — the
-    /// number to compare against the sweep path's ~7 per iteration.
+    /// Compulsory doubles moved per updated point — 4 with the residual,
+    /// 3 without, against the sweep path's 7 per iteration.
     pub fn doubles_per_point(&self) -> f64 {
         (self.doubles_read + self.doubles_written) as f64 / self.points_updated.max(1) as f64
     }
 }
 
-/// Per-tile staging area: `bounds` is the cell box the buffers cover
-/// (`tile.grow(s) ∩ R_0.grow(1)`), linearized x-fastest.
-struct TileScratch {
-    bounds: Box3,
-    tile: Box3,
-    x: Vec<f64>,
-    b: Vec<f64>,
-    r: Vec<f64>,
-    stats: FusedStats,
+/// Length in doubles of the rolling `A·x` scratch
+/// [`fused_multismooth_bricked`] needs for any region of `layout`: two
+/// layers of the storage shell's `nbx · nby` bricks.
+pub fn layer_scratch_len(layout: &BrickLayout) -> usize {
+    let e = layout.storage_brick_box().extent();
+    2 * (e.x * e.y) as usize * layout.brick_volume()
 }
 
-#[inline]
-fn scratch_index(bounds: &Box3, p: Point3) -> usize {
-    let d = bounds.extent();
-    (((p.z - bounds.lo.z) * d.y + (p.y - bounds.lo.y)) * d.x + (p.x - bounds.lo.x)) as usize
+/// The constants of one pass, shared by both phases of every layer.
+struct Pass<'a> {
+    layout: &'a BrickLayout,
+    /// This iteration's region `R_k`.
+    region: Box3,
+    /// Brick box covering `region`; scratch chunk `j` of a layer holds
+    /// brick `(bricks.lo.x + j % nbx, bricks.lo.y + j / nbx)`.
+    bricks: Box3,
+    alpha: f64,
+    beta: f64,
+    gamma: f64,
 }
 
-impl TileScratch {
-    fn new(tile: Box3, region: Box3, s: usize, with_residual: bool) -> Self {
-        let bounds = tile.grow(s as i64).intersect(&region.grow(1));
-        let vol = bounds.volume();
-        Self {
-            bounds,
-            tile,
-            x: vec![0.0; vol],
-            b: vec![0.0; vol],
-            r: if with_residual {
-                vec![0.0; vol]
-            } else {
-                Vec::new()
-            },
-            stats: FusedStats {
-                tiles: 1,
-                ..FusedStats::default()
-            },
-        }
+impl Pass<'_> {
+    /// Brick-local bounds of `region` inside the brick at `slot`.
+    fn bounds(&self, slot: u32) -> RowBounds {
+        let cells = self.layout.cells_of_slot(slot);
+        RowBounds::within(cells.intersect(&self.region), cells.lo)
     }
 
-    /// Run `s` local Jacobi iterations on the staged buffers. Iteration
-    /// `k` covers `tile.grow(s−1−k) ∩ region.shrink(k)`: wide enough that
-    /// the halo feeds iteration `k+1` with fresh values, clipped so every
-    /// write matches what the sequential pass `k` would have written.
-    ///
-    /// Each iteration is a single sweep with a rolling two-plane `A·x`
-    /// buffer: at z-step `z` the operator is applied on plane `z` (reading
-    /// only pre-update x from planes `z−1..=z+1`), then the pointwise
-    /// update is applied to plane `z−1` (whose `A·x` values are complete
-    /// and whose old x is no longer read by any later application). Every
-    /// value is computed by the exact expression — and sees the exact
-    /// operands — of the two-full-pass formulation, so the result is
-    /// bit-identical, but the `A·x` working set shrinks from a full tile
-    /// buffer to two planes that stay cache-resident.
-    fn smooth(&mut self, region: Box3, s: usize, gamma: f64, alpha: f64, beta: f64) {
-        let d = self.bounds.extent();
-        let (dy, dz) = ((d.x) as usize, (d.x * d.y) as usize);
-        let with_residual = !self.r.is_empty();
-        let blo = self.bounds.lo;
-        let mut planes = vec![0.0f64; 2 * dz];
-        for k in 0..s {
-            let w = self
-                .tile
-                .grow((s - 1 - k) as i64)
-                .intersect(&region.shrink(k as i64));
-            if w.is_empty() {
-                continue;
-            }
-            let n = (w.hi.x - w.lo.x) as usize;
-            for zs in w.lo.z..=w.hi.z {
-                if zs < w.hi.z {
-                    // Apply the operator on plane `zs`, in the exact
-                    // expression order of `apply_star7_bricked`. The row
-                    // slices are split-borrowed locals so the compiler can
-                    // hoist the bounds checks and vectorize.
-                    let zoff = (zs - blo.z) as usize;
-                    let pz = (zoff & 1) * dz;
-                    let xs: &[f64] = &self.x;
-                    for y in w.lo.y..w.hi.y {
-                        let i0 = scratch_index(&self.bounds, Point3::new(w.lo.x, y, zs));
-                        let ip = pz + (i0 - zoff * dz);
-                        let (out, c) = (&mut planes[ip..ip + n], &xs[i0 - dz..i0 + n + dz]);
-                        for i in 0..n {
-                            out[i] = alpha * c[dz + i]
-                                + beta
-                                    * ((c[dz + i - 1] + c[dz + i + 1])
-                                        + (c[dz + i - dy] + c[dz + i + dy])
-                                        + (c[i] + c[dz + dz + i]));
-                        }
+    /// `out ← A·x` on every brick of layer `bz`.
+    fn apply_layer(&self, x: &BrickedField, out: &mut [f64], bz: i64) {
+        let nbx = self.bricks.extent().x;
+        let bd = self.layout.brick_dim();
+        let shape = self.layout.shape();
+        let ph = gmg_prof::brick_phases(bd);
+        let (alpha, beta) = (self.alpha, self.beta);
+        out.par_chunks_exact_mut(self.layout.brick_volume())
+            .enumerate()
+            .for_each(|(j, ax)| {
+                let _kernel = gmg_prof::phase(ph.fused_root);
+                let _p = gmg_prof::phase(ph.fused_apply);
+                let j = j as i64;
+                let brick = Point3::new(self.bricks.lo.x + j % nbx, self.bricks.lo.y + j / nbx, bz);
+                let slot = self.layout.slot_of_brick(brick);
+                let faces = BrickFaces::new(x, slot);
+                let rb = self.bounds(slot);
+                match shape {
+                    BrickShape::B4 => stream_star7_spec::<4>(&faces, ax, alpha, beta, &rb),
+                    BrickShape::B8 => stream_star7_spec::<8>(&faces, ax, alpha, beta, &rb),
+                    BrickShape::Generic(_) => {
+                        stream_star7_generic(bd as usize, &faces, ax, alpha, beta, &rb)
                     }
                 }
-                if zs > w.lo.z {
-                    // Pointwise update of plane `zs − 1`, matching
-                    // `smooth_residual` / `smooth` (residual of x *before*
-                    // the update).
-                    let z = zs - 1;
-                    let zoff = (z - blo.z) as usize;
-                    let pz = (zoff & 1) * dz;
-                    for y in w.lo.y..w.hi.y {
-                        let i0 = scratch_index(&self.bounds, Point3::new(w.lo.x, y, z));
-                        let ip = pz + (i0 - zoff * dz);
-                        let ax = &planes[ip..ip + n];
-                        let b = &self.b[i0..i0 + n];
-                        let x = &mut self.x[i0..i0 + n];
-                        if with_residual {
-                            let r = &mut self.r[i0..i0 + n];
-                            for i in 0..n {
-                                r[i] = b[i] - ax[i];
-                                x[i] += gamma * (ax[i] - b[i]);
-                            }
-                        } else {
-                            for i in 0..n {
-                                x[i] += gamma * (ax[i] - b[i]);
-                            }
-                        }
-                    }
-                }
+            });
+    }
+
+    /// `r ← b − Ax; x ← x + γ(Ax − b)` on every brick of layer `bz`, whose
+    /// `A·x` is `ax`. The layer's bricks sit at arbitrary slots, so the
+    /// slot-ordered storage is scanned and each slot asks whether it
+    /// belongs to the layer.
+    fn update_layer(
+        &self,
+        x: &mut BrickedField,
+        b: &BrickedField,
+        r: Option<&mut BrickedField>,
+        ax: &[f64],
+        bz: i64,
+    ) {
+        let bd = self.layout.brick_dim();
+        let bvol = self.layout.brick_volume();
+        let nbx = self.bricks.extent().x;
+        let ph = gmg_prof::brick_phases(bd);
+        let lo = self.bricks.lo;
+        let update = |slot: usize, xb: &mut [f64], rb: Option<&mut [f64]>| {
+            let slot = slot as u32;
+            let brick = self.layout.brick_of_slot(slot);
+            // z first: it rejects all but one layer's worth of slots.
+            if brick.z != bz || !self.bricks.contains(brick) {
+                return;
             }
-            let vol = w.volume() as u64;
-            self.stats.points_computed += vol;
-            self.stats.flops += vol * (8 + if with_residual { 4 } else { 3 });
+            let _kernel = gmg_prof::phase(ph.fused_root);
+            let _p = gmg_prof::phase(ph.fused_update);
+            let j = ((brick.y - lo.y) * nbx + (brick.x - lo.x)) as usize;
+            update_brick(
+                xb,
+                rb,
+                &ax[j * bvol..(j + 1) * bvol],
+                b.brick(slot),
+                self.gamma,
+                bd as usize,
+                &self.bounds(slot),
+            );
+        };
+        let xs = x.as_mut_slice().par_chunks_exact_mut(bvol);
+        match r {
+            Some(r) => xs
+                .zip(r.as_mut_slice().par_chunks_exact_mut(bvol))
+                .enumerate()
+                .for_each(|(slot, (xb, rb))| update(slot, xb, Some(rb))),
+            None => xs.enumerate().for_each(|(slot, xb)| update(slot, xb, None)),
         }
     }
 }
 
-/// Partition the brick box covering `region` into tile boxes of
-/// `tile_bricks` bricks per side (edge tiles may be smaller). Returns the
-/// tile cell boxes plus the (brick-box origin, tile-grid extent) needed to
-/// look a tile up from a brick coordinate.
-fn brick_tiles(region: Box3, bd: i64, tile_bricks: i64) -> (Vec<Box3>, Box3, Point3) {
-    let bb = region.coarsen(bd);
-    let e = bb.extent();
-    let text = Point3::new(
-        (e.x + tile_bricks - 1) / tile_bricks,
-        (e.y + tile_bricks - 1) / tile_bricks,
-        (e.z + tile_bricks - 1) / tile_bricks,
-    );
-    let mut tiles = Vec::with_capacity((text.x * text.y * text.z) as usize);
-    for tz in 0..text.z {
-        for ty in 0..text.y {
-            for tx in 0..text.x {
-                let lo = bb.lo + Point3::new(tx, ty, tz) * tile_bricks;
-                let hi = (lo + Point3::splat(tile_bricks)).min(bb.hi);
-                tiles.push(Box3::new(lo * bd, hi * bd));
-            }
-        }
-    }
-    (tiles, bb, text)
-}
-
-/// Copy `fill_box` rows of a bricked field into a scratch buffer.
-fn fill_from_bricked(
-    dst: &mut [f64],
-    bounds: &Box3,
-    src: &[f64],
-    layout: &BrickLayout,
-    fill_box: Box3,
+/// The pointwise update of one brick over `rb`, in the exact expressions
+/// of `smooth_residual` / `smooth` (residual of `x` *before* the update),
+/// as slice loops: under CA most ghost-shell bricks are clipped, so a
+/// per-cell path for them would dominate small levels.
+fn update_brick(
+    x: &mut [f64],
+    mut r: Option<&mut [f64]>,
+    ax: &[f64],
+    b: &[f64],
+    gamma: f64,
+    bd: usize,
+    rb: &RowBounds,
 ) {
-    let bd = layout.brick_dim();
-    let bvol = layout.brick_volume();
-    for (slot, sub) in layout.slots_intersecting(fill_box) {
-        let base = slot as usize * bvol;
-        let cl = layout.cells_of_slot(slot);
-        let n = (sub.hi.x - sub.lo.x) as usize;
-        for z in sub.lo.z..sub.hi.z {
-            for y in sub.lo.y..sub.hi.y {
-                let s0 = base
-                    + (((z - cl.lo.z) * bd + (y - cl.lo.y)) * bd + (sub.lo.x - cl.lo.x)) as usize;
-                let d0 = scratch_index(bounds, Point3::new(sub.lo.x, y, z));
-                dst[d0..d0 + n].copy_from_slice(&src[s0..s0 + n]);
+    rb.for_each_span(bd, |s| {
+        let (x, ax, b) = (&mut x[s.clone()], &ax[s.clone()], &b[s.clone()]);
+        match r.as_deref_mut() {
+            Some(r) => {
+                for (((x, r), ax), b) in x.iter_mut().zip(&mut r[s]).zip(ax).zip(b) {
+                    *r = b - ax;
+                    *x += gamma * (ax - b);
+                }
+            }
+            None => {
+                for ((x, ax), b) in x.iter_mut().zip(ax).zip(b) {
+                    *x += gamma * (ax - b);
+                }
             }
         }
-    }
+    });
 }
 
-/// Copy `sub` rows of a scratch buffer into one brick's storage.
-fn write_back_brick(out: &mut [f64], cl: Box3, bd: i64, sub: Box3, scr: &[f64], bounds: &Box3) {
-    let n = (sub.hi.x - sub.lo.x) as usize;
-    for z in sub.lo.z..sub.hi.z {
-        for y in sub.lo.y..sub.hi.y {
-            let d0 = (((z - cl.lo.z) * bd + (y - cl.lo.y)) * bd + (sub.lo.x - cl.lo.x)) as usize;
-            let s0 = scratch_index(bounds, Point3::new(sub.lo.x, y, z));
-            out[d0..d0 + n].copy_from_slice(&scr[s0..s0 + n]);
-        }
-    }
-}
-
-/// Apply `s` fused Jacobi iterations `x += γ(Ax − b)` over the shrinking
-/// communication-avoiding schedule `R_k = region.shrink(k)`, bit-identical
-/// to `s` sequential `apply_star7_bricked` + pointwise-update passes. With
-/// `r`, each iteration also records the pre-update residual `r = b − Ax`
-/// over its `R_k` (so `r` carries the same staleness rings the sequential
-/// `smooth_residual` leaves). Requires `x` valid on `region.grow(1)` and
-/// `region.shrink(s−1)` non-empty; `tile_cells` (a multiple of the brick
-/// side) sets the cache-tile edge.
+/// Apply `s` Jacobi iterations `x += γ(Ax − b)` over the shrinking
+/// communication-avoiding schedule `R_k = region.shrink(k)`, one streamed
+/// in-place pass per iteration, bit-identical to `s` sequential
+/// `apply_star7_bricked` + pointwise-update passes. With `r`, each
+/// iteration also records the pre-update residual `r = b − Ax` over its
+/// `R_k` (so `r` carries the same staleness rings the sequential
+/// `smooth_residual` leaves). Requires `x` valid on `region.grow(1)`,
+/// `region.shrink(s−1)` non-empty, and `scratch` at least
+/// [`layer_scratch_len`] doubles (its contents are irrelevant on entry
+/// and garbage on exit).
+#[allow(clippy::too_many_arguments)]
 pub fn fused_multismooth_bricked(
     x: &mut BrickedField,
     b: &BrickedField,
-    r: Option<&mut BrickedField>,
+    mut r: Option<&mut BrickedField>,
     alpha: f64,
     beta: f64,
     gamma: f64,
     region: Box3,
     s: usize,
-    tile_cells: i64,
+    scratch: &mut [f64],
 ) -> FusedStats {
     assert!(s >= 1, "fused multi-smooth needs s >= 1");
     let layout = x.layout().clone();
@@ -286,192 +231,54 @@ pub fn fused_multismooth_bricked(
         !region.shrink(s as i64 - 1).is_empty(),
         "region {region:?} too small for {s} fused iterations"
     );
-    let bd = layout.brick_dim();
     assert!(
-        tile_cells >= bd && tile_cells % bd == 0,
-        "tile_cells {tile_cells} must be a positive multiple of brick_dim {bd}"
+        scratch.len() >= layer_scratch_len(&layout),
+        "A·x scratch holds {} doubles, layout needs {}",
+        scratch.len(),
+        layer_scratch_len(&layout)
     );
-    let (tiles, bb, text) = brick_tiles(region, bd, tile_cells / bd);
-    let with_residual = r.is_some();
-    let ph = gmg_prof::brick_phases(bd);
 
-    // Phase 1: stage, iterate. Tiles only read the fields, so they run
-    // concurrently with no write hazards.
-    let xs = x.as_slice();
-    let bs = b.as_slice();
-    let scratches: Vec<TileScratch> = tiles
-        .par_iter()
-        .map(|&tile| {
-            let _kernel = gmg_prof::phase(ph.fused_root);
-            let stage = gmg_prof::phase(ph.fused_stage);
-            let mut scr = TileScratch::new(tile, region, s, with_residual);
-            let bounds = scr.bounds;
-            let fill_b = tile.grow(s as i64 - 1).intersect(&region);
-            scr.stats.doubles_read += (bounds.volume() + fill_b.volume()) as u64;
-            fill_from_bricked(&mut scr.x, &bounds, xs, &layout, bounds);
-            fill_from_bricked(&mut scr.b, &bounds, bs, &layout, fill_b);
-            drop(stage);
-            let _p = gmg_prof::phase(ph.fused_smooth);
-            scr.smooth(region, s, gamma, alpha, beta);
-            scr
-        })
-        .collect();
-
-    // Phase 2: write back. Cell ownership is by tile, so the copies are
-    // disjoint; `par_update_bricks` parallelizes over bricks.
-    let tg = tile_cells / bd;
-    let tile_of = |brick: Point3| -> usize {
-        let t = (brick - bb.lo).div_floor(Point3::splat(tg));
-        (t.x + text.x * (t.y + text.y * t.z)) as usize
-    };
-    let pieces = layout.slots_intersecting(region);
-    x.par_update_bricks(&pieces, |slot, sub, out| {
-        let _kernel = gmg_prof::phase(ph.fused_root);
-        let _p = gmg_prof::phase(ph.fused_writeback);
-        let scr = &scratches[tile_of(layout.brick_of_slot(slot))];
-        write_back_brick(
-            out,
-            layout.cells_of_slot(slot),
-            bd,
-            sub,
-            &scr.x,
-            &scr.bounds,
-        );
-    });
-    if let Some(rf) = r {
-        rf.par_update_bricks(&pieces, |slot, sub, out| {
-            let _kernel = gmg_prof::phase(ph.fused_root);
-            let _p = gmg_prof::phase(ph.fused_writeback);
-            let scr = &scratches[tile_of(layout.brick_of_slot(slot))];
-            write_back_brick(
-                out,
-                layout.cells_of_slot(slot),
-                bd,
-                sub,
-                &scr.r,
-                &scr.bounds,
-            );
-        });
-    }
-
-    let mut stats = FusedStats::default();
-    for scr in &scratches {
-        stats.merge(&scr.stats);
-    }
+    let mut points = 0u64;
     for k in 0..s {
-        stats.points_updated += region.shrink(k as i64).volume() as u64;
-    }
-    let wb = region.volume() as u64 * if with_residual { 2 } else { 1 };
-    stats.doubles_read += wb;
-    stats.doubles_written += wb;
-    stats
-}
-
-/// Copy `fill_box` rows of a conventional array into a scratch buffer.
-fn fill_from_array(dst: &mut [f64], bounds: &Box3, src: &Array3<f64>, fill_box: Box3) {
-    let ss = src.as_slice();
-    let n = (fill_box.hi.x - fill_box.lo.x) as usize;
-    for z in fill_box.lo.z..fill_box.hi.z {
-        for y in fill_box.lo.y..fill_box.hi.y {
-            let s0 = src.offset(Point3::new(fill_box.lo.x, y, z));
-            let d0 = scratch_index(bounds, Point3::new(fill_box.lo.x, y, z));
-            dst[d0..d0 + n].copy_from_slice(&ss[s0..s0 + n]);
-        }
-    }
-}
-
-/// Copy `wb` rows of a scratch buffer into a conventional array.
-fn write_back_array(dst: &mut Array3<f64>, wb: Box3, scr: &[f64], bounds: &Box3) {
-    let n = (wb.hi.x - wb.lo.x) as usize;
-    for z in wb.lo.z..wb.hi.z {
-        for y in wb.lo.y..wb.hi.y {
-            let d0 = dst.offset(Point3::new(wb.lo.x, y, z));
-            let s0 = scratch_index(bounds, Point3::new(wb.lo.x, y, z));
-            dst.as_mut_slice()[d0..d0 + n].copy_from_slice(&scr[s0..s0 + n]);
-        }
-    }
-}
-
-/// Conventional-layout counterpart of [`fused_multismooth_bricked`] (the
-/// fair Figure-4 baseline): same schedule, same scratch-tile algorithm and
-/// floating-point expressions, over lexicographic `Array3` storage. Tiles
-/// are `tile_cells` cubes anchored at `region.lo`.
-pub fn fused_multismooth_array(
-    x: &mut Array3<f64>,
-    b: &Array3<f64>,
-    mut r: Option<&mut Array3<f64>>,
-    alpha: f64,
-    beta: f64,
-    gamma: f64,
-    region: Box3,
-    s: usize,
-    tile_cells: i64,
-) -> FusedStats {
-    assert!(s >= 1, "fused multi-smooth needs s >= 1");
-    assert!(tile_cells >= 1, "tile_cells must be positive");
-    assert!(
-        x.storage_box().contains_box(&region.grow(1)),
-        "fused region {region:?} + halo exceeds x storage"
-    );
-    assert!(
-        b.storage_box().contains_box(&region),
-        "fused region {region:?} exceeds b storage"
-    );
-    assert!(
-        !region.shrink(s as i64 - 1).is_empty(),
-        "region {region:?} too small for {s} fused iterations"
-    );
-    let e = region.extent();
-    let nt = Point3::new(
-        (e.x + tile_cells - 1) / tile_cells,
-        (e.y + tile_cells - 1) / tile_cells,
-        (e.z + tile_cells - 1) / tile_cells,
-    );
-    let mut tiles = Vec::with_capacity((nt.x * nt.y * nt.z) as usize);
-    for tz in 0..nt.z {
-        for ty in 0..nt.y {
-            for tx in 0..nt.x {
-                let lo = region.lo + Point3::new(tx, ty, tz) * tile_cells;
-                let hi = (lo + Point3::splat(tile_cells)).min(region.hi);
-                tiles.push(Box3::new(lo, hi));
+        let rk = region.shrink(k as i64);
+        let bricks = rk.coarsen(layout.brick_dim());
+        let pass = Pass {
+            layout: &layout,
+            region: rk,
+            bricks,
+            alpha,
+            beta,
+            gamma,
+        };
+        let e = bricks.extent();
+        let per_layer = (e.x * e.y) as usize * layout.brick_volume();
+        let (even, odd) = scratch[..2 * per_layer].split_at_mut(per_layer);
+        // Step `bz` applies the operator on layer `bz` (reading only
+        // pre-update x from layers `bz−1..=bz+1`), then updates layer
+        // `bz − 1`.
+        for bz in bricks.lo.z..=bricks.hi.z {
+            let (cur, prev) = if bz & 1 == 0 {
+                (&mut *even, &*odd)
+            } else {
+                (&mut *odd, &*even)
+            };
+            if bz < bricks.hi.z {
+                pass.apply_layer(x, cur, bz);
+            }
+            if bz > bricks.lo.z {
+                pass.update_layer(x, b, r.as_deref_mut(), prev, bz - 1);
             }
         }
+        points += rk.volume() as u64;
     }
     let with_residual = r.is_some();
-
-    let xr = &*x;
-    let scratches: Vec<TileScratch> = tiles
-        .par_iter()
-        .map(|&tile| {
-            let mut scr = TileScratch::new(tile, region, s, with_residual);
-            let bounds = scr.bounds;
-            let fill_b = tile.grow(s as i64 - 1).intersect(&region);
-            scr.stats.doubles_read += (bounds.volume() + fill_b.volume()) as u64;
-            fill_from_array(&mut scr.x, &bounds, xr, bounds);
-            fill_from_array(&mut scr.b, &bounds, b, fill_b);
-            scr.smooth(region, s, gamma, alpha, beta);
-            scr
-        })
-        .collect();
-
-    for scr in &scratches {
-        write_back_array(x, scr.tile, &scr.x, &scr.bounds);
-        if let Some(rf) = r.as_mut() {
-            write_back_array(rf, scr.tile, &scr.r, &scr.bounds);
-        }
+    FusedStats {
+        points_updated: points,
+        points_computed: points,
+        doubles_read: 2 * points,
+        doubles_written: points * if with_residual { 2 } else { 1 },
+        flops: points * (8 + if with_residual { 4 } else { 3 }),
     }
-
-    let mut stats = FusedStats::default();
-    for scr in &scratches {
-        stats.merge(&scr.stats);
-    }
-    for k in 0..s {
-        stats.points_updated += region.shrink(k as i64).volume() as u64;
-    }
-    let wb = region.volume() as u64 * if with_residual { 2 } else { 1 };
-    stats.doubles_read += wb;
-    stats.doubles_written += wb;
-    stats
 }
 
 #[cfg(test)]
@@ -488,16 +295,11 @@ mod tests {
         ((p.x * 2 - p.y * 5 + p.z * 11) % 9) as f64 - 1.25
     }
 
-    fn mk_layout(n: i64, bd: i64) -> Arc<BrickLayout> {
-        Arc::new(BrickLayout::new(
-            Box3::cube(n),
-            bd,
-            1,
-            BrickOrdering::SurfaceMajor,
-        ))
+    fn mk_layout(n: Point3, bd: i64, ordering: BrickOrdering) -> Arc<BrickLayout> {
+        Arc::new(BrickLayout::new(Box3::from_extent(n), bd, 1, ordering))
     }
 
-    /// The sequential sweep-by-sweep CA reference the executor must match
+    /// The sequential sweep-by-sweep CA reference the kernel must match
     /// bit-for-bit.
     fn sweep_reference(
         x: &mut BrickedField,
@@ -534,139 +336,130 @@ mod tests {
         }
     }
 
+    /// Everything the solver feeds the kernel: brick dims down to the 1-
+    /// and 2-cell bricks of coarse two-rank levels, both slot orderings,
+    /// a non-cubic subdomain, every CA region `owned.grow(m)` (clipped on
+    /// all six sides for `m > 0`), every depth the margin allows, with and
+    /// without the residual. `x` and `r` must match the sweep reference
+    /// over the *whole* storage: cells outside `R_k` stay untouched.
     #[test]
-    fn bricked_bit_identical_to_sweep_with_residual() {
+    fn bit_identical_to_sweeps_over_whole_storage() {
         let coef = (-6.0 / 0.25, 1.0 / 0.25, 0.25 / 12.0);
-        for (n, bd) in [(16i64, 4i64), (16, 8), (12, 4)] {
-            let layout = mk_layout(n, bd);
-            for s in 1..=4usize {
-                for tile in [bd, 2 * bd, 4 * bd] {
-                    let grow = (bd - s as i64).max(0);
-                    let region = Box3::cube(n).grow(grow + s as i64 - 1);
-                    let mut x1 = BrickedField::from_fn(layout.clone(), idx_fn);
-                    let b = BrickedField::from_fn(layout.clone(), rhs_fn);
-                    let mut r1 = BrickedField::new(layout.clone());
-                    let mut x2 = x1.clone();
-                    let mut r2 = r1.clone();
-                    sweep_reference(&mut x1, &b, Some(&mut r1), coef, region, s);
-                    let stats = fused_multismooth_bricked(
-                        &mut x2,
-                        &b,
-                        Some(&mut r2),
-                        coef.0,
-                        coef.1,
-                        coef.2,
-                        region,
-                        s,
-                        tile,
-                    );
-                    assert_eq!(
-                        x1.as_slice(),
-                        x2.as_slice(),
-                        "x differs: n={n} bd={bd} s={s} tile={tile}"
-                    );
-                    assert_eq!(
-                        r1.as_slice(),
-                        r2.as_slice(),
-                        "r differs: n={n} bd={bd} s={s} tile={tile}"
-                    );
-                    let expect: u64 = (0..s)
-                        .map(|k| region.shrink(k as i64).volume() as u64)
-                        .sum();
-                    assert_eq!(stats.points_updated, expect);
-                    assert!(stats.points_computed >= expect);
-                    assert!(stats.tiles >= 1);
+        for bd in [1i64, 2, 4, 8] {
+            for ordering in [BrickOrdering::SurfaceMajor, BrickOrdering::Lexicographic] {
+                let layout = mk_layout(Point3::new(bd, 2 * bd, 3 * bd), bd, ordering);
+                let mut scratch = vec![f64::NAN; layer_scratch_len(&layout)];
+                for m in 0..bd {
+                    let region = layout.cell_box().grow(m);
+                    for s in 1..=bd as usize {
+                        if region.shrink(s as i64 - 1).is_empty() {
+                            continue;
+                        }
+                        for with_r in [true, false] {
+                            let mut x1 = BrickedField::from_fn(layout.clone(), idx_fn);
+                            let b = BrickedField::from_fn(layout.clone(), rhs_fn);
+                            let mut r1 = BrickedField::from_fn(layout.clone(), |p| idx_fn(p) - 7.0);
+                            let mut x2 = x1.clone();
+                            let mut r2 = r1.clone();
+                            sweep_reference(
+                                &mut x1,
+                                &b,
+                                with_r.then_some(&mut r1),
+                                coef,
+                                region,
+                                s,
+                            );
+                            let stats = fused_multismooth_bricked(
+                                &mut x2,
+                                &b,
+                                with_r.then_some(&mut r2),
+                                coef.0,
+                                coef.1,
+                                coef.2,
+                                region,
+                                s,
+                                &mut scratch,
+                            );
+                            let case = format!("bd={bd} {ordering:?} m={m} s={s} r={with_r}");
+                            assert_eq!(x1.as_slice(), x2.as_slice(), "x differs: {case}");
+                            assert_eq!(r1.as_slice(), r2.as_slice(), "r differs: {case}");
+                            let expect: u64 = (0..s)
+                                .map(|k| region.shrink(k as i64).volume() as u64)
+                                .sum();
+                            assert_eq!(stats.points_updated, expect, "{case}");
+                            assert_eq!(stats.points_computed, expect, "{case}");
+                            let dpp = if with_r { 4.0 } else { 3.0 };
+                            assert_eq!(stats.doubles_per_point(), dpp, "{case}");
+                        }
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn bricked_bit_identical_to_sweep_without_residual() {
+    fn bit_identical_at_any_pool_width() {
         let coef = (-24.0, 4.0, 1.0 / 48.0);
-        let layout = mk_layout(16, 4);
-        for s in [2usize, 3] {
-            let region = Box3::cube(16).grow(3);
-            let mut x1 = BrickedField::from_fn(layout.clone(), idx_fn);
-            let b = BrickedField::from_fn(layout.clone(), rhs_fn);
-            let mut x2 = x1.clone();
-            sweep_reference(&mut x1, &b, None, coef, region, s);
-            fused_multismooth_bricked(&mut x2, &b, None, coef.0, coef.1, coef.2, region, s, 8);
-            assert_eq!(x1.as_slice(), x2.as_slice(), "s={s}");
+        let layout = mk_layout(Point3::splat(16), 4, BrickOrdering::SurfaceMajor);
+        let region = layout.cell_box().grow(3);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            pool.install(|| {
+                let mut x = BrickedField::from_fn(layout.clone(), idx_fn);
+                let b = BrickedField::from_fn(layout.clone(), rhs_fn);
+                let mut r = BrickedField::new(layout.clone());
+                let mut scratch = vec![0.0; layer_scratch_len(&layout)];
+                fused_multismooth_bricked(
+                    &mut x,
+                    &b,
+                    Some(&mut r),
+                    coef.0,
+                    coef.1,
+                    coef.2,
+                    region,
+                    4,
+                    &mut scratch,
+                );
+                (x, r)
+            })
+        };
+        let (x1, r1) = run(1);
+        for threads in [2usize, 8] {
+            let (x, r) = run(threads);
+            assert_eq!(x.as_slice(), x1.as_slice(), "threads={threads}");
+            assert_eq!(r.as_slice(), r1.as_slice(), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn array_bit_identical_to_bricked() {
-        let coef = (-6.0 / 0.25, 1.0 / 0.25, 0.25 / 12.0);
-        let n = 16i64;
-        let layout = mk_layout(n, 4);
-        for s in 1..=3usize {
-            let region = Box3::cube(n).grow(2);
-            let mut xb = BrickedField::from_fn(layout.clone(), idx_fn);
-            let bb = BrickedField::from_fn(layout.clone(), rhs_fn);
-            let mut rb = BrickedField::new(layout.clone());
-            fused_multismooth_bricked(
-                &mut xb,
-                &bb,
-                Some(&mut rb),
-                coef.0,
-                coef.1,
-                coef.2,
-                region,
-                s,
-                8,
-            );
-            let mut xa = Array3::from_fn(Box3::cube(n), 4, idx_fn);
-            let ba = Array3::from_fn(Box3::cube(n), 4, rhs_fn);
-            let mut ra = Array3::new(Box3::cube(n), 4);
-            fused_multismooth_array(
-                &mut xa,
-                &ba,
-                Some(&mut ra),
-                coef.0,
-                coef.1,
-                coef.2,
-                region,
-                s,
-                11,
-            );
-            let mut ok = true;
-            region.for_each(|p| {
-                ok &= xa[p] == xb.get(p) && ra[p] == rb.get(p);
-            });
-            assert!(ok, "array/bricked mismatch at s={s}");
-        }
-    }
-
-    #[test]
-    fn traffic_model_beats_sweep_for_deep_fusion() {
-        // The whole point: for s=4 the modeled doubles/point/iteration
-        // must be well under the sweep path's ~7.
-        let layout = mk_layout(32, 8);
-        let region = Box3::cube(32).grow(3);
-        let mut x = BrickedField::from_fn(layout.clone(), idx_fn);
-        let b = BrickedField::from_fn(layout.clone(), rhs_fn);
-        let mut r = BrickedField::new(layout.clone());
-        let s = 4;
-        let stats =
-            fused_multismooth_bricked(&mut x, &b, Some(&mut r), -6.0, 1.0, 0.1, region, s, 32);
-        let per_iter = stats.doubles_per_point() * stats.points_updated as f64
-            / (0..s)
-                .map(|k| region.shrink(k as i64).volume() as f64)
-                .sum::<f64>();
-        assert!(
-            per_iter < 4.0,
-            "fused traffic {per_iter:.2} doubles/pt/iter should be well under 7"
-        );
     }
 
     #[test]
     #[should_panic(expected = "too small")]
     fn rejects_overdeep_fusion() {
-        let layout = mk_layout(8, 4);
+        let layout = mk_layout(Point3::splat(8), 4, BrickOrdering::SurfaceMajor);
         let mut x = BrickedField::new(layout.clone());
         let b = BrickedField::new(layout.clone());
-        fused_multismooth_bricked(&mut x, &b, None, 1.0, 1.0, 1.0, Box3::cube(8), 20, 4);
+        let mut scratch = vec![0.0; layer_scratch_len(&layout)];
+        fused_multismooth_bricked(
+            &mut x,
+            &b,
+            None,
+            1.0,
+            1.0,
+            1.0,
+            Box3::cube(8),
+            20,
+            &mut scratch,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scratch")]
+    fn rejects_short_scratch() {
+        let layout = mk_layout(Point3::splat(8), 4, BrickOrdering::SurfaceMajor);
+        let mut x = BrickedField::new(layout.clone());
+        let b = BrickedField::new(layout.clone());
+        fused_multismooth_bricked(&mut x, &b, None, 1.0, 1.0, 1.0, Box3::cube(8), 1, &mut []);
     }
 }

@@ -30,9 +30,10 @@
 //!   hand-specialized fast kernels that play the role of BrickLib's
 //!   generated code (tight per-brick inner loops with neighbor indirection
 //!   only on brick faces).
-//! * [`exec_fused`] — fused communication-avoiding multi-smooth executors:
-//!   temporal blocking of `s` Jacobi iterations over cache-resident brick
-//!   tiles, bit-identical to the sweep-by-sweep schedule.
+//! * [`exec_fused`] — the streamed communication-avoiding Jacobi smoother:
+//!   one in-place pass per iteration over the bricks with a rolling
+//!   two-brick-layer `A·x` (4 doubles moved per point instead of the sweep
+//!   pair's 7), bit-identical to the sweep-by-sweep schedule.
 //! * [`ops`] — the canonical V-cycle operator definitions and their traffic
 //!   metadata used by the performance models.
 

@@ -3,9 +3,10 @@
 use gmg_repro::prelude::*;
 use gmg_repro::stencil::exec_array::{apply_star7_array, run_stencil_array};
 use gmg_repro::stencil::exec_brick::{
-    apply_star7_bricked, apply_star7_bricked_generic, par_pointwise_mut2, run_stencil_bricked,
+    apply_star7_bricked, apply_star7_bricked_generic, par_pointwise_mut1, par_pointwise_mut2,
+    run_stencil_bricked,
 };
-use gmg_repro::stencil::exec_fused::fused_multismooth_bricked;
+use gmg_repro::stencil::exec_fused::{fused_multismooth_bricked, layer_scratch_len};
 use gmg_repro::stencil::expr::StencilDef;
 use gmg_stencil::expr::ExprHandle;
 use proptest::prelude::*;
@@ -158,28 +159,33 @@ proptest! {
         prop_assert!(oks.into_iter().all(|x| x));
     }
 
-    /// The fused multi-smooth executor is bit-identical to `s` sequential
-    /// smooth+residual sweeps for any depth, brick size, tile size and
-    /// field data — including the staleness rings of the shrinking
-    /// communication-avoiding schedule.
+    /// The streamed multi-smooth kernel is bit-identical to `s` sequential
+    /// smooth(+residual) sweeps over the whole storage — staleness rings
+    /// of the shrinking communication-avoiding schedule included, cells
+    /// outside it untouched — for everything the solver feeds it: brick
+    /// dims down to 1, both orderings, any region `owned.grow(m)` (clipped
+    /// on all six sides), any depth the margin allows, with and without
+    /// `r`, at any pool width.
     #[test]
     fn fused_multismooth_bit_identical_to_sweeps(
-        s in 1usize..5,
-        bd in prop::sample::select(vec![4i64, 8]),
-        tile_bricks in prop::sample::select(vec![1i64, 2, 3]),
+        bd in prop::sample::select(vec![1i64, 2, 4, 8]),
+        lex in any::<bool>(),
+        grow in 0i64..8,
+        depth in 0usize..8,
+        with_r in any::<bool>(),
+        threads in prop::sample::select(vec![1usize, 2, 8]),
         seed in any::<i64>(),
     ) {
         let n = 2 * bd;
-        let layout = Arc::new(BrickLayout::new(
-            Box3::cube(n), bd, 1, BrickOrdering::SurfaceMajor,
-        ));
-        // Deepest region the ghost shell supports: region.grow(1) must
-        // stay within the bd-cell ghost zone.
-        let region = Box3::cube(n).grow((s as i64 - 1).min(bd - 1));
+        let ord = if lex { BrickOrdering::Lexicographic } else { BrickOrdering::SurfaceMajor };
+        let layout = Arc::new(BrickLayout::new(Box3::cube(n), bd, 1, ord));
+        // `region.grow(1)` must stay within the bd-cell ghost shell.
+        let region = Box3::cube(n).grow(grow % bd);
+        let s = 1 + depth % bd as usize;
         let (alpha, beta, gamma) = (-6.0, 1.0, -0.5 / 6.0 * (2.0 / 3.0));
         let mut x1 = BrickedField::from_fn(layout.clone(), field_fn(seed));
         let b = BrickedField::from_fn(layout.clone(), field_fn(seed ^ 0x5a5a));
-        let mut r1 = BrickedField::new(layout.clone());
+        let mut r1 = BrickedField::from_fn(layout.clone(), field_fn(seed ^ 0x3c3c));
         let mut x2 = x1.clone();
         let mut r2 = r1.clone();
         // Sequential reference: sweep k updates region.shrink(k).
@@ -188,18 +194,27 @@ proptest! {
             let rk = region.shrink(k as i64);
             apply_star7_bricked(&mut ax, &x1, alpha, beta, rk);
             let pieces = layout.slots_intersecting(rk);
-            par_pointwise_mut2(&mut x1, &mut r1, &ax, &b, &pieces, move |x, r, ax, b| {
-                *r = b - ax;
-                *x += gamma * (ax - b);
-            });
+            if with_r {
+                par_pointwise_mut2(&mut x1, &mut r1, &ax, &b, &pieces, move |x, r, ax, b| {
+                    *r = b - ax;
+                    *x += gamma * (ax - b);
+                });
+            } else {
+                par_pointwise_mut1(&mut x1, &ax, &b, &pieces, move |x, ax, b| {
+                    *x += gamma * (ax - b);
+                });
+            }
         }
-        let stats = fused_multismooth_bricked(
-            &mut x2, &b, Some(&mut r2), alpha, beta, gamma, region, s, tile_bricks * bd,
-        );
+        let mut scratch = vec![0.0; layer_scratch_len(&layout)];
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+        let stats = pool.install(|| fused_multismooth_bricked(
+            &mut x2, &b, with_r.then_some(&mut r2), alpha, beta, gamma, region, s, &mut scratch,
+        ));
         prop_assert_eq!(x1.as_slice(), x2.as_slice());
         prop_assert_eq!(r1.as_slice(), r2.as_slice());
         let expect: u64 = (0..s).map(|k| region.shrink(k as i64).volume() as u64).sum();
         prop_assert_eq!(stats.points_updated, expect);
+        prop_assert_eq!(stats.points_computed, expect);
     }
 
     /// The bricked applyOp is bit-identical to the array executor on every
