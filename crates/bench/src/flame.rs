@@ -26,7 +26,7 @@ use gmg_metrics::MachineEnvelope;
 use gmg_prof::{KernelReport, Profile};
 use gmg_stencil::exec_array::apply_star7_array;
 use gmg_stencil::exec_brick::apply_star7_bricked;
-use gmg_stencil::exec_fused::{fused_multismooth_bricked, layer_scratch_len};
+use gmg_stencil::exec_fused::fused_multismooth_bricked;
 use gmg_trace::{Counters, Track};
 use std::path::Path;
 use std::sync::Arc;
@@ -124,7 +124,7 @@ pub fn run_pass(opts: &FlameOpts) -> FlamePass {
     let (alpha, beta) = (-6.0, 1.0);
     let gamma = -0.5 / 6.0 * (2.0 / 3.0);
     let depth = 3usize;
-    let mut layer_ax = vec![0.0; layer_scratch_len(&layout)];
+    let mut y = BrickedField::new(layout.clone());
 
     let session = gmg_prof::start(Duration::from_micros(opts.interval_us));
     let mut fused_stats = None;
@@ -146,7 +146,7 @@ pub fn run_pass(opts: &FlameOpts) -> FlamePass {
                 gamma,
                 owned,
                 depth,
-                &mut layer_ax,
+                &mut y,
             ));
         });
         (bricked, array, fused)
@@ -390,9 +390,9 @@ mod tests {
     fn inject_slowdown_flags_exactly_the_injected_phase() {
         // Determinism of attribution: a heavy slowdown planted in the
         // streamed-interior phase must dominate the diff, and the same
-        // for the streamed smoother's `A·x` phase — the winner tracks the
-        // injection exactly across two different kernels.
-        for target in ["interior@b8", "layer_apply@b8"] {
+        // for the one-pass smoother's per-brick phase — the winner tracks
+        // the injection exactly across two different kernels.
+        for target in ["interior@b8", "brick_smooth@b8"] {
             let clean = run_pass(&quick_opts());
             gmg_prof::set_slowdown(Some((target, 400.0)));
             let slowed = run_pass(&quick_opts());

@@ -4,7 +4,7 @@ use crate::problem::PoissonProblem;
 use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
 use gmg_mesh::{Box3, Decomposition, Point3};
 use gmg_stencil::exec_brick::{apply_star7_bricked, par_pointwise_mut1, par_pointwise_mut2};
-use gmg_stencil::exec_fused::{fused_multismooth_bricked, layer_scratch_len, FusedStats};
+use gmg_stencil::exec_fused::{fused_multismooth_bricked, FusedStats};
 use std::sync::Arc;
 
 /// One level of the multigrid hierarchy on one rank: the four fields of the
@@ -23,8 +23,9 @@ pub struct Level {
     pub x: BrickedField,
     /// Right-hand side.
     pub b: BrickedField,
-    /// Scratch `A·x` of the split `applyOp` + `smooth` reference path and
-    /// the residual check.
+    /// Scratch: `A·x` of the split `applyOp` + `smooth` reference path and
+    /// the residual check, and the buffer `x` alternates with inside
+    /// [`Level::fused_multi_smooth`]. Every reader refreshes it first.
     pub ax: BrickedField,
     /// Residual `b − A·x`.
     pub r: BrickedField,
@@ -39,9 +40,6 @@ pub struct Level {
     /// by an exchange; decremented by each smoothing step in
     /// communication-avoiding mode.
     pub margin: i64,
-    /// Rolling two-brick-layer `A·x` of [`Level::fused_multi_smooth`],
-    /// allocated once so the smoother never allocates.
-    layer_ax: Vec<f64>,
 }
 
 impl Level {
@@ -58,7 +56,6 @@ impl Level {
     ) -> Self {
         let owned = decomp.subdomain(rank);
         let layout = Arc::new(BrickLayout::new(owned, brick_dim, 1, ordering));
-        let layer_ax = vec![0.0; layer_scratch_len(&layout)];
         let x = BrickedField::new(layout.clone());
         let b = BrickedField::new(layout.clone());
         let ax = BrickedField::new(layout.clone());
@@ -76,7 +73,6 @@ impl Level {
             beta: problem.beta(index),
             gamma: problem.gamma(index),
             margin: 0,
-            layer_ax,
         }
     }
 
@@ -133,13 +129,12 @@ impl Level {
     }
 
     /// Apply `s` Jacobi-family smooth iterations over the shrinking
-    /// communication-avoiding schedule rooted at `region`, each as one
-    /// streamed in-place pass over the bricks (4 doubles moved per point
-    /// with the residual, 3 without), bit-identical to `s` sequential
-    /// `apply_op` + `smooth(_residual)` passes (see
-    /// [`gmg_stencil::exec_fused`]). Unlike the sweep path this leaves
-    /// `ax` untouched — every downstream reader refreshes it first. The
-    /// caller accounts the `s` margin cells consumed.
+    /// communication-avoiding schedule rooted at `region`, each as one pass
+    /// over the bricks (4 doubles moved per point with the residual, 3
+    /// without), bit-identical to `s` sequential `apply_op` +
+    /// `smooth(_residual)` passes (see [`gmg_stencil::exec_fused`]). `ax`
+    /// holds garbage afterwards. The caller accounts the `s` margin cells
+    /// consumed.
     pub fn fused_multi_smooth(
         &mut self,
         region: Box3,
@@ -156,7 +151,7 @@ impl Level {
             gamma,
             region,
             s,
-            &mut self.layer_ax,
+            &mut self.ax,
         )
     }
 

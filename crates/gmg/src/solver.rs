@@ -41,7 +41,7 @@ pub struct SolverConfig {
     /// paper's stated future work).
     pub smoother: Smoother,
     /// Maximum Jacobi-family smooth iterations grouped into one call of
-    /// the streamed in-place smoother (`gmg_stencil::exec_fused`, one
+    /// the one-pass smoother (`gmg_stencil::exec_fused`, one
     /// `fusedSmooth` timer row per group); 0 or 1 selects the split
     /// `applyOp` + `smooth` sweep pair, the reference schedule. Only
     /// effective in communication-avoiding mode, bounded by the available
@@ -320,7 +320,7 @@ impl GmgSolver {
         );
     }
 
-    /// Record one streamed multi-smooth group: an OpTimer `fusedSmooth`
+    /// Record one fused multi-smooth group: an OpTimer `fusedSmooth`
     /// row plus a trace span carrying the kernel's own counters — the
     /// generic per-op tables price one iteration, a group covers `s`
     /// shrinking regions.
@@ -363,7 +363,7 @@ impl GmgSolver {
     /// make two neighbor-reading passes per iteration (red-black variants)
     /// consume two margin cells per iteration. With `fused_smooths >= 2`
     /// every communication-avoiding Jacobi-family iteration goes through
-    /// the streamed in-place smoother, in groups of up to `fused_smooths`
+    /// the one-pass smoother, in groups of up to `fused_smooths`
     /// as the margin allows — same schedule, same exchanges, bit-identical
     /// numerics, less memory traffic.
     fn smooth_pass(
@@ -396,22 +396,21 @@ impl GmgSolver {
             if ca && self.config.fused_smooths >= 2 {
                 if let Some(gamma) = fused_gamma {
                     let level = &mut self.levels[li];
+                    // At least 1: the exchange above refilled an empty margin.
                     let s = self
                         .config
                         .fused_smooths
                         .min(n - done)
-                        .min(level.margin.max(0) as usize);
-                    if s >= 1 {
-                        let region = level.owned.grow(level.margin - 1);
-                        let _ph = gmg_prof::phase("fusedSmooth");
-                        let t0 = Instant::now();
-                        let stats = level.fused_multi_smooth(region, s, gamma, fused);
-                        let t1 = Instant::now();
-                        self.record_fused_op(li, t0, t1, &stats);
-                        self.levels[li].margin -= s as i64;
-                        done += s;
-                        continue;
-                    }
+                        .min(level.margin as usize);
+                    let region = level.owned.grow(level.margin - 1);
+                    let _ph = gmg_prof::phase("fusedSmooth");
+                    let t0 = Instant::now();
+                    let stats = level.fused_multi_smooth(region, s, gamma, fused);
+                    let t1 = Instant::now();
+                    self.record_fused_op(li, t0, t1, &stats);
+                    self.levels[li].margin -= s as i64;
+                    done += s;
+                    continue;
                 }
             }
             let level = &mut self.levels[li];
@@ -1040,7 +1039,7 @@ mod tests {
     #[test]
     fn timers_populated_per_level() {
         // Default config: every Jacobi iteration runs through the
-        // streamed smoother in groups of `fused_smooths` (bounded by the
+        // one-pass smoother in groups of `fused_smooths` (bounded by the
         // ghost depth), so the per-iteration applyOp/smooth rows are
         // replaced by one `fusedSmooth` row per group — including the
         // leftover group of one that 9 = 4 + 4 + 1 and 49 = 12·4 + 1 leave.

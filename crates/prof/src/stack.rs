@@ -338,12 +338,10 @@ pub struct BrickPhases {
     pub apply_boundary: &'static str,
     /// Neighborhood construction + index arithmetic per brick.
     pub apply_index: &'static str,
-    /// Root phase of the streamed multi-smooth per-brick closures.
+    /// Root phase of the one-pass multi-smooth per-brick closure.
     pub fused_root: &'static str,
-    /// `A·x` of one brick into the rolling two-layer scratch.
-    pub fused_apply: &'static str,
-    /// In-place smooth(+residual) update of one brick from that scratch.
-    pub fused_update: &'static str,
+    /// `A·x` + smooth(+residual) update of one brick, after index setup.
+    pub fused_brick: &'static str,
 }
 
 macro_rules! brick_phase_set {
@@ -354,8 +352,7 @@ macro_rules! brick_phase_set {
             apply_boundary: concat!("brick_boundary@", $tag),
             apply_index: concat!("index@", $tag),
             fused_root: concat!("fused_multismooth@", $tag),
-            fused_apply: concat!("layer_apply@", $tag),
-            fused_update: concat!("layer_update@", $tag),
+            fused_brick: concat!("brick_smooth@", $tag),
         }
     };
 }

@@ -14,8 +14,7 @@ const NAMES: &[&str] = &[
     "brick_boundary@b8",
     "index@b4",
     "fused_multismooth@b8",
-    "layer_apply@b2",
-    "layer_update@b16",
+    "brick_smooth@b2",
     "exchange",
     "smooth+residual",
     "restriction",

@@ -12,17 +12,19 @@
 //!
 //! The row body is one uniform loop: the ±x edge operands are chosen by an
 //! `x == 0` / `x + 1 == b` select instead of peeled pre/post scalar code.
-//! When the loop bounds are compile-time constants — the [`stream_full`]
-//! path taken for every region-interior brick under [`stream_star7_spec`] —
-//! LLVM fully unrolls the row, resolves the selects statically, and emits
-//! packed f64 SIMD for the whole brick (measured ~2× over a peeled
-//! edge/middle/edge formulation of the same arithmetic).
+//! With a compile-time brick dim ([`stream_star7_rows`]) every row is
+//! computed at its full const width, so LLVM unrolls it, resolves the
+//! selects statically and emits packed f64 SIMD (measured ~2× over a
+//! peeled edge/middle/edge formulation of the same arithmetic); for a
+//! full brick the row and plane loops are const too.
 //!
-//! Two entry points:
+//! Entry points:
 //!
-//! * [`stream_star7_spec`]`::<B>` — monomorphized for the brick dims the
-//!   perf gate exercises (4³, 8³); full bricks take the const-unrolled
-//!   [`stream_full`] body, clipped bricks the bounded one.
+//! * [`stream_star7_rows`]`::<B>` — monomorphized for the brick dims the
+//!   perf gate exercises (4³, 8³); hands each finished row of `A·x` to a
+//!   caller-supplied sink while it is still in registers (the one-pass
+//!   smoother of `exec_fused` updates `x` and `r` from it directly).
+//!   [`stream_star7_spec`] is the sink that stores it: plain `out ← A·x`.
 //! * [`stream_star7_generic`] — the runtime-dim fallback, executing the
 //!   *same* expression for every cell. Bit-identical results across the
 //!   two paths are test-enforced (see `tests/proptests.rs`).
@@ -87,16 +89,22 @@ impl RowBounds {
     }
 
     /// Visit the bounded cells as index ranges into the brick's `b³`
-    /// storage, longest contiguous runs first: the whole brick in one
-    /// range when the bounds cover it, otherwise one x-row at a time.
-    /// Pointwise kernels loop over these slices so the compiler sees
-    /// plain unit-stride loops it can vectorize.
+    /// storage, longest contiguous runs first: consecutive z-planes in one
+    /// range when x and y are unclipped (the whole brick if z is too),
+    /// consecutive rows of a plane when only x is unclipped, otherwise
+    /// one x-row at a time. Pointwise kernels loop over these slices so
+    /// the compiler sees plain unit-stride loops it can vectorize.
     #[inline(always)]
     pub fn for_each_span(&self, b: usize, mut f: impl FnMut(std::ops::Range<usize>)) {
-        if self.is_full(b) {
-            return f(0..b * b * b);
+        let full_x = self.x0 == 0 && self.x1 == b;
+        if full_x && self.y0 == 0 && self.y1 == b {
+            return f(self.z0 * b * b..self.z1 * b * b);
         }
         for lz in self.z0..self.z1 {
+            if full_x {
+                f((lz * b + self.y0) * b..(lz * b + self.y1) * b);
+                continue;
+            }
             for ly in self.y0..self.y1 {
                 let row = (lz * b + ly) * b;
                 f(row + self.x0..row + self.x1);
@@ -148,22 +156,84 @@ fn row7(
     }
 }
 
-/// Whole-brick fast path: every loop bound is the const `B`, so the row
-/// loop unrolls completely and the six face unwraps hoist to the top (a
-/// full brick's update touches all six faces, which exist under the
+/// Const-dim row streamer: computes `A·x` for rows `zs × ys` of the brick
+/// at their full const width `B` — so the row loop unrolls completely and
+/// LLVM emits packed SIMD — and hands each finished row (its offset into
+/// the brick and its `B` values, still in registers) to `sink`. The ±x
+/// face operands are read only when the caller's bounds reach that brick
+/// edge (`edge_xm` / `edge_xp`); otherwise the edge cells of the row see
+/// `0.0` and the caller discards them. The `.expect()`s never fire under
+/// the validity precondition (`region.grow(1)` inside the storage cell
+/// box): a missing face is only dereferenced for rows whose neighbor row
+/// would lie outside storage.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn stream_rows<const B: usize>(
+    faces: &BrickFaces<'_>,
+    alpha: f64,
+    beta: f64,
+    zs: std::ops::Range<usize>,
+    ys: std::ops::Range<usize>,
+    edge_xm: bool,
+    edge_xp: bool,
+    mut sink: impl FnMut(usize, &[f64; B]),
+) {
+    let c = faces.center;
+    for lz in zs {
+        let plane = lz * B * B;
+        let zm: &[f64] = if lz > 0 {
+            &c[plane - B * B..plane]
+        } else {
+            &faces.zm.expect(FACE)[(B - 1) * B * B..]
+        };
+        let zp: &[f64] = if lz + 1 < B {
+            &c[plane + B * B..]
+        } else {
+            faces.zp.expect(FACE)
+        };
+        for ly in ys.clone() {
+            let row = plane + ly * B;
+            let ym: &[f64] = if ly > 0 {
+                &c[row - B..row]
+            } else {
+                &faces.ym.expect(FACE)[row + (B - 1) * B..][..B]
+            };
+            let yp: &[f64] = if ly + 1 < B {
+                &c[row + B..row + 2 * B]
+            } else {
+                &faces.yp.expect(FACE)[plane..][..B]
+            };
+            let (zm, zp) = (&zm[ly * B..][..B], &zp[ly * B..][..B]);
+            let xml = if edge_xm {
+                faces.xm.expect(FACE)[row + B - 1]
+            } else {
+                0.0
+            };
+            let xpr = if edge_xp {
+                faces.xp.expect(FACE)[row]
+            } else {
+                0.0
+            };
+            let mut ax = [0.0; B];
+            let crow = &c[row..row + B];
+            row7(crow, ym, yp, zm, zp, xml, xpr, &mut ax, alpha, beta, 0, B);
+            sink(row, &ax);
+        }
+    }
+}
+
+/// Touch every cross-brick line a whole-brick update will read before
+/// streaming it: one ±y row per z-plane, the ±z contact planes, and the
+/// per-row ±x edge cells (all six faces exist for a full brick under the
 /// caller's `region.grow(1)` validity precondition).
 #[inline(always)]
-fn stream_full<const B: usize>(faces: &BrickFaces<'_>, out: &mut [f64], alpha: f64, beta: f64) {
-    let c = faces.center;
+fn prefetch_faces<const B: usize>(faces: &BrickFaces<'_>) {
     let xm = faces.xm.expect(FACE);
     let xp = faces.xp.expect(FACE);
     let ymf = faces.ym.expect(FACE);
     let ypf = faces.yp.expect(FACE);
     let zmf = faces.zm.expect(FACE);
     let zpf = faces.zp.expect(FACE);
-    // Touch every cross-brick line this brick will read before streaming:
-    // one ±y row per z-plane, the ±z contact planes, and the per-row ±x
-    // edge cells.
     for lz in 0..B {
         prefetch(ymf[(lz * B + (B - 1)) * B..].as_ptr());
         prefetch(ypf[lz * B * B..].as_ptr());
@@ -178,53 +248,79 @@ fn stream_full<const B: usize>(faces: &BrickFaces<'_>, out: &mut [f64], alpha: f
         prefetch(zmf[(B - 1) * B * B + i..].as_ptr());
         prefetch(zpf[i..].as_ptr());
     }
-    for lz in 0..B {
-        for ly in 0..B {
-            let row = (lz * B + ly) * B;
-            let crow = &c[row..row + B];
-            let ym = if ly > 0 {
-                &c[row - B..row]
-            } else {
-                &ymf[(lz * B + (B - 1)) * B..][..B]
-            };
-            let yp = if ly + 1 < B {
-                &c[row + B..row + 2 * B]
-            } else {
-                &ypf[lz * B * B..][..B]
-            };
-            let zm = if lz > 0 {
-                &c[row - B * B..row - B * B + B]
-            } else {
-                &zmf[((B - 1) * B + ly) * B..][..B]
-            };
-            let zp = if lz + 1 < B {
-                &c[row + B * B..row + B * B + B]
-            } else {
-                &zpf[ly * B..][..B]
-            };
-            let (xml, xpr) = (xm[row + B - 1], xp[row]);
-            row7(
-                crow,
-                ym,
-                yp,
-                zm,
-                zp,
-                xml,
-                xpr,
-                &mut out[row..row + B],
-                alpha,
-                beta,
-                0,
-                B,
-            );
-        }
+}
+
+/// Monomorphized brick streamer: `sink(row, xs, ax)` receives every
+/// in-bounds row's offset into the brick, its in-bounds cell range and
+/// its `A·x`. Full bricks (the common case for brick-aligned regions) run
+/// with every loop bound the const `B`, fully unrolled, after prefetching
+/// their faces; clipped bricks run the same rows over runtime y/z bounds.
+/// Both evaluate the identical expression per cell, so the split is
+/// invisible in the output.
+#[inline(always)]
+pub(crate) fn stream_star7_rows<const B: usize>(
+    faces: &BrickFaces<'_>,
+    alpha: f64,
+    beta: f64,
+    rb: &RowBounds,
+    mut sink: impl FnMut(usize, std::ops::Range<usize>, &[f64; B]),
+) {
+    if rb.is_full(B) {
+        prefetch_faces::<B>(faces);
+        stream_rows::<B>(
+            faces,
+            alpha,
+            beta,
+            0..B,
+            0..B,
+            true,
+            true,
+            #[inline(always)]
+            |row, ax| sink(row, 0..B, ax),
+        );
+    } else {
+        let (x0, x1) = (rb.x0, rb.x1);
+        let (zs, ys) = (rb.z0..rb.z1, rb.y0..rb.y1);
+        stream_rows::<B>(
+            faces,
+            alpha,
+            beta,
+            zs,
+            ys,
+            x0 == 0,
+            x1 == B,
+            #[inline(always)]
+            |row, ax| sink(row, x0..x1, ax),
+        );
     }
 }
 
-/// Region-clipped body: same per-cell expression as [`stream_full`], with
-/// runtime row bounds. `b` is the brick dim — a const when reached through
-/// [`stream_star7_spec`], a runtime value through [`stream_star7_generic`];
-/// `#[inline(always)]` lets the const propagate into every bound below.
+/// Monomorphized `out ← A·x` over `rb` (see [`stream_star7_rows`]).
+#[inline]
+pub(crate) fn stream_star7_spec<const B: usize>(
+    faces: &BrickFaces<'_>,
+    out: &mut [f64],
+    alpha: f64,
+    beta: f64,
+    rb: &RowBounds,
+) {
+    stream_star7_rows::<B>(
+        faces,
+        alpha,
+        beta,
+        rb,
+        #[inline(always)]
+        |row, xs, ax| {
+            let out = &mut out[row..row + B];
+            for x in xs {
+                out[x] = ax[x];
+            }
+        },
+    );
+}
+
+/// Runtime-dim fallback: same per-cell expression as [`stream_rows`], with
+/// runtime row bounds and brick dim `b`.
 ///
 /// Per row `(lz, ly)` the ±y/±z source rows are selected once: the center
 /// brick at `±b`/`±b²` offsets while in-brick, otherwise the matching row
@@ -232,8 +328,8 @@ fn stream_full<const B: usize>(faces: &BrickFaces<'_>, out: &mut [f64], alpha: f
 /// caller's validity precondition (`region.grow(1)` inside the storage
 /// cell box): a missing face is only dereferenced for cells whose
 /// neighbor would lie outside storage.
-#[inline(always)]
-fn stream_body(
+#[inline]
+pub(crate) fn stream_star7_generic(
     b: usize,
     faces: &BrickFaces<'_>,
     out: &mut [f64],
@@ -301,38 +397,6 @@ fn stream_body(
     }
 }
 
-/// Monomorphized entry: the brick dim is the const `B`. Full bricks (the
-/// common case for brick-aligned regions) take the fully unrolled
-/// [`stream_full`] body; clipped bricks the bounded one. Both evaluate the
-/// identical expression per cell, so the split is invisible in the output.
-#[inline]
-pub(crate) fn stream_star7_spec<const B: usize>(
-    faces: &BrickFaces<'_>,
-    out: &mut [f64],
-    alpha: f64,
-    beta: f64,
-    rb: &RowBounds,
-) {
-    if rb.is_full(B) {
-        stream_full::<B>(faces, out, alpha, beta);
-    } else {
-        stream_body(B, faces, out, alpha, beta, rb);
-    }
-}
-
-/// Runtime-dim fallback with expression-identical arithmetic.
-#[inline]
-pub(crate) fn stream_star7_generic(
-    b: usize,
-    faces: &BrickFaces<'_>,
-    out: &mut [f64],
-    alpha: f64,
-    beta: f64,
-    rb: &RowBounds,
-) {
-    stream_body(b, faces, out, alpha, beta, rb);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,7 +440,7 @@ mod tests {
     }
 
     #[test]
-    fn full_brick_fast_path_bit_identical_to_clipped_body() {
+    fn full_brick_fast_path_bit_identical_to_generic_body() {
         let (l, src) = mk();
         let slot = l.slot_of_brick(Point3::splat(1));
         let faces = BrickFaces::new(&src, slot);
@@ -391,7 +455,7 @@ mod tests {
         assert!(rb.is_full(4));
         let mut a = vec![0.0; l.brick_volume()];
         let mut b = vec![0.0; l.brick_volume()];
-        // spec takes stream_full; the generic entry takes stream_body.
+        // spec takes the const-bound loops; generic the runtime ones.
         stream_star7_spec::<4>(&faces, &mut a, -6.0, 1.0, &rb);
         stream_star7_generic(4, &faces, &mut b, -6.0, 1.0, &rb);
         assert_eq!(a, b);

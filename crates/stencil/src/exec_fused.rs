@@ -1,48 +1,46 @@
-//! Streamed communication-avoiding Jacobi smoother over bricks (paper
+//! One-pass communication-avoiding Jacobi smoother over bricks (paper
 //! Section V).
 //!
 //! The sweep-by-sweep CA schedule runs one Jacobi iteration as a
 //! full-grid `applyOp` into a field-sized `A·x` followed by a full-grid
 //! `smooth(+residual)`: 7 doubles moved per point (plus 2 of
-//! write-allocate). The kernel here makes **one pass per iteration, in
-//! place**: it walks the region's brick layers in z, computes `A·x` for
-//! every brick of layer `bz` with the whole-brick SIMD kernels of
-//! `brick_rows` into a rolling two-layer scratch, then applies
-//! `r = b − Ax; x += γ(Ax − b)` to layer `bz − 1` — whose `A·x` is
-//! complete and whose old `x` no later operator application reads. The
-//! `A·x` working set shrinks from a field to two brick layers that stay
-//! cache-resident, so the compulsory traffic is 4 doubles per point per
-//! iteration (read `x`, `b`; write `x`, `r`), 3 without the residual.
+//! write-allocate), two passes over the bricks. The kernel here makes
+//! **one pass per iteration**: for every brick, each row's `A·x` goes
+//! from the SIMD row kernels of `brick_rows` — still in registers —
+//! straight into `r = b − Ax` and `y = x + γ(Ax − b)`, the brick's place
+//! in a second field `y`. No brick waits on another (the operator reads
+//! only the old iterate), so there is no `A·x` field, no lag and no
+//! scratch; `x` and `y` swap roles after each pass. Compulsory traffic is
+//! 4 doubles per point per iteration (read `x`, `b`; write `y`, `r`), 3
+//! without the residual.
 //!
 //! Bit-compatibility contract: iteration `k` updates the shrinking region
 //! `R_k = region.shrink(k)`, exactly as the sequential schedule does, and
 //! every cell sees the operands and floating-point expressions of
-//! `apply_star7_bricked` + the pointwise update — so `x` and `r` (staleness
-//! rings included) are bit-identical to `s` sequential passes over the
-//! whole storage, and cells outside `R_k` are never written (see the
+//! `apply_star7_bricked` + the pointwise update; cells outside `R_k` are
+//! carried over unchanged. So `x` and `r` (staleness rings included) are
+//! bit-identical to `s` sequential passes over the whole storage (see the
 //! equivalence tests below). `ax` is *not* materialized.
 //!
-//! Bricks of a layer are independent in both phases and run under rayon;
-//! no value depends on the partition, so results do not depend on the
-//! pool width.
+//! Bricks are independent and run under rayon; no value depends on the
+//! partition, so results do not depend on the pool width.
 
-use crate::brick_rows::{stream_star7_generic, stream_star7_spec, RowBounds};
-use gmg_brick::{BrickFaces, BrickLayout, BrickShape, BrickedField};
-use gmg_mesh::{Box3, Point3};
+use crate::brick_rows::{stream_star7_generic, stream_star7_rows, RowBounds};
+use gmg_brick::{BrickFaces, BrickShape, BrickedField};
+use gmg_mesh::Box3;
 use rayon::prelude::*;
 use std::sync::Arc;
 
-/// Instrumentation from one streamed multi-smooth invocation, in units
-/// the trace layer can convert to bytes/FLOPs. The traffic model counts
-/// the compulsory field movement only; the two-layer `A·x` scratch is
-/// written and re-read while cache-resident.
+/// Instrumentation from one multi-smooth invocation, in units the trace
+/// layer can convert to bytes/FLOPs. The traffic model counts the
+/// compulsory field movement only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FusedStats {
     /// Points the schedule updated: `Σ_k |R_k|`, identical to what the
     /// sweep-by-sweep path would report for the same schedule.
     pub points_updated: u64,
-    /// Points actually computed. The in-place kernel does no redundant
-    /// work, so this always equals `points_updated`.
+    /// Points actually computed. The kernel does no redundant work, so
+    /// this always equals `points_updated`.
     pub points_computed: u64,
     /// Doubles read from the fields (`x` and `b`).
     pub doubles_read: u64,
@@ -61,134 +59,146 @@ impl FusedStats {
     }
 }
 
-/// Length in doubles of the rolling `A·x` scratch
-/// [`fused_multismooth_bricked`] needs for any region of `layout`: two
-/// layers of the storage shell's `nbx · nby` bricks.
-pub fn layer_scratch_len(layout: &BrickLayout) -> usize {
-    let e = layout.storage_brick_box().extent();
-    2 * (e.x * e.y) as usize * layout.brick_volume()
-}
-
-/// The constants of one pass, shared by both phases of every layer.
-struct Pass<'a> {
-    layout: &'a BrickLayout,
-    /// This iteration's region `R_k`.
-    region: Box3,
-    /// Brick box covering `region`; scratch chunk `j` of a layer holds
-    /// brick `(bricks.lo.x + j % nbx, bricks.lo.y + j / nbx)`.
-    bricks: Box3,
-    alpha: f64,
-    beta: f64,
-    gamma: f64,
-}
-
-impl Pass<'_> {
-    /// Brick-local bounds of `region` inside the brick at `slot`.
-    fn bounds(&self, slot: u32) -> RowBounds {
-        let cells = self.layout.cells_of_slot(slot);
-        RowBounds::within(cells.intersect(&self.region), cells.lo)
-    }
-
-    /// `out ← A·x` on every brick of layer `bz`.
-    fn apply_layer(&self, x: &BrickedField, out: &mut [f64], bz: i64) {
-        let nbx = self.bricks.extent().x;
-        let bd = self.layout.brick_dim();
-        let shape = self.layout.shape();
-        let ph = gmg_prof::brick_phases(bd);
-        let (alpha, beta) = (self.alpha, self.beta);
-        out.par_chunks_exact_mut(self.layout.brick_volume())
-            .enumerate()
-            .for_each(|(j, ax)| {
-                let _kernel = gmg_prof::phase(ph.fused_root);
-                let _p = gmg_prof::phase(ph.fused_apply);
-                let j = j as i64;
-                let brick = Point3::new(self.bricks.lo.x + j % nbx, self.bricks.lo.y + j / nbx, bz);
-                let slot = self.layout.slot_of_brick(brick);
-                let faces = BrickFaces::new(x, slot);
-                let rb = self.bounds(slot);
-                match shape {
-                    BrickShape::B4 => stream_star7_spec::<4>(&faces, ax, alpha, beta, &rb),
-                    BrickShape::B8 => stream_star7_spec::<8>(&faces, ax, alpha, beta, &rb),
-                    BrickShape::Generic(_) => {
-                        stream_star7_generic(bd as usize, &faces, ax, alpha, beta, &rb)
-                    }
+/// Iteration `k` of the schedule, out of place: every brick that meets
+/// `R_k` is written to `dst` whole — `src + γ(A·src − b)` (and
+/// `r ← b − A·src`) on `R_k`, `src` elsewhere. A brick that misses `R_k`
+/// is read by no later iteration, so it is left alone until the last one,
+/// which copies it over unless the iteration that last wrote it already
+/// put it in this buffer.
+fn jacobi_pass(
+    dst: &mut BrickedField,
+    src: &BrickedField,
+    b: &BrickedField,
+    r: Option<&mut BrickedField>,
+    coef: (f64, f64, f64),
+    (region, k, s): (Box3, usize, usize),
+) {
+    let layout = src.layout().clone();
+    let bd = layout.brick_dim() as usize;
+    let bvol = layout.brick_volume();
+    let shape = layout.shape();
+    let ph = gmg_prof::brick_phases(bd as i64);
+    let brick = |slot: usize, new: &mut [f64], r: Option<&mut [f64]>| {
+        let _kernel = gmg_prof::phase(ph.fused_root);
+        let slot = slot as u32;
+        let old = src.brick(slot);
+        let cells = layout.cells_of_slot(slot);
+        let sub = |k: usize| cells.intersect(&region.shrink(k as i64));
+        if sub(k).is_empty() {
+            if k + 1 == s {
+                // Iterations `0..n` met this brick and wrote it into
+                // alternating buffers, so its value already sits in `dst`
+                // iff `k − n` is odd (`n = 0`: it never left the caller's
+                // `x`, the buffer odd iterations write).
+                let n = (0..k)
+                    .rev()
+                    .find(|&j| !sub(j).is_empty())
+                    .map_or(0, |j| j + 1);
+                if (k - n) % 2 == 0 {
+                    new.copy_from_slice(old);
                 }
-            });
-    }
-
-    /// `r ← b − Ax; x ← x + γ(Ax − b)` on every brick of layer `bz`, whose
-    /// `A·x` is `ax`. The layer's bricks sit at arbitrary slots, so the
-    /// slot-ordered storage is scanned and each slot asks whether it
-    /// belongs to the layer.
-    fn update_layer(
-        &self,
-        x: &mut BrickedField,
-        b: &BrickedField,
-        r: Option<&mut BrickedField>,
-        ax: &[f64],
-        bz: i64,
-    ) {
-        let bd = self.layout.brick_dim();
-        let bvol = self.layout.brick_volume();
-        let nbx = self.bricks.extent().x;
-        let ph = gmg_prof::brick_phases(bd);
-        let lo = self.bricks.lo;
-        let update = |slot: usize, xb: &mut [f64], rb: Option<&mut [f64]>| {
-            let slot = slot as u32;
-            let brick = self.layout.brick_of_slot(slot);
-            // z first: it rejects all but one layer's worth of slots.
-            if brick.z != bz || !self.bricks.contains(brick) {
-                return;
             }
-            let _kernel = gmg_prof::phase(ph.fused_root);
-            let _p = gmg_prof::phase(ph.fused_update);
-            let j = ((brick.y - lo.y) * nbx + (brick.x - lo.x)) as usize;
-            update_brick(
-                xb,
-                rb,
-                &ax[j * bvol..(j + 1) * bvol],
-                b.brick(slot),
-                self.gamma,
-                bd as usize,
-                &self.bounds(slot),
-            );
-        };
-        let xs = x.as_mut_slice().par_chunks_exact_mut(bvol);
-        match r {
-            Some(r) => xs
-                .zip(r.as_mut_slice().par_chunks_exact_mut(bvol))
-                .enumerate()
-                .for_each(|(slot, (xb, rb))| update(slot, xb, Some(rb))),
-            None => xs.enumerate().for_each(|(slot, xb)| update(slot, xb, None)),
+            return;
         }
+        let rb = RowBounds::within(sub(k), cells.lo);
+        let faces = BrickFaces::new(src, slot);
+        let bb = b.brick(slot);
+        let _p = gmg_prof::phase(ph.fused_brick);
+        if !rb.is_full(bd) {
+            // The kernels below write the in-bounds cells only.
+            new.copy_from_slice(old);
+        }
+        match shape {
+            BrickShape::B4 => smooth_brick::<4>(&faces, new, r, bb, coef, &rb),
+            BrickShape::B8 => smooth_brick::<8>(&faces, new, r, bb, coef, &rb),
+            BrickShape::Generic(_) => {
+                stream_star7_generic(bd, &faces, new, coef.0, coef.1, &rb);
+                update_brick(new, r, old, bb, coef.2, bd, &rb);
+            }
+        }
+    };
+    let news = dst.as_mut_slice().par_chunks_exact_mut(bvol);
+    match r {
+        Some(r) => news
+            .zip(r.as_mut_slice().par_chunks_exact_mut(bvol))
+            .enumerate()
+            .for_each(|(slot, (new, r))| brick(slot, new, Some(r))),
+        None => news
+            .enumerate()
+            .for_each(|(slot, new)| brick(slot, new, None)),
     }
 }
 
-/// The pointwise update of one brick over `rb`, in the exact expressions
-/// of `smooth_residual` / `smooth` (residual of `x` *before* the update),
-/// as slice loops: under CA most ghost-shell bricks are clipped, so a
-/// per-cell path for them would dominate small levels.
-fn update_brick(
-    x: &mut [f64],
+/// One brick of the pass at a const brick dim: each row's `A·x` goes from
+/// the stencil straight into the update while still in registers — the
+/// exact expressions of `smooth_residual` / `smooth` (residual of `x`
+/// *before* the update).
+#[inline(always)]
+fn smooth_brick<const B: usize>(
+    faces: &BrickFaces<'_>,
+    new: &mut [f64],
     mut r: Option<&mut [f64]>,
-    ax: &[f64],
+    b: &[f64],
+    (alpha, beta, gamma): (f64, f64, f64),
+    rb: &RowBounds,
+) {
+    let old = faces.center;
+    stream_star7_rows::<B>(
+        faces,
+        alpha,
+        beta,
+        rb,
+        #[inline(always)]
+        |row, xs, ax| {
+            let (new, old, b) = (&mut new[row..row + B], &old[row..row + B], &b[row..row + B]);
+            // Whole rows into locals first — stores through `new`/`r` between
+            // the loads would keep LLVM from vectorizing the arithmetic — then
+            // `new` as one const-width store, cells outside `xs` carried over.
+            let (mut res, mut upd) = ([0.0; B], [0.0; B]);
+            for x in 0..B {
+                res[x] = b[x] - ax[x];
+                let keep = xs.contains(&x);
+                upd[x] = if keep {
+                    old[x] + gamma * (ax[x] - b[x])
+                } else {
+                    old[x]
+                };
+            }
+            new.copy_from_slice(&upd);
+            if let Some(r) = r.as_deref_mut() {
+                let r = &mut r[row..row + B];
+                for x in xs {
+                    r[x] = res[x];
+                }
+            }
+        },
+    );
+}
+
+/// The runtime-dim pointwise update of one brick over `rb`, with `new`
+/// holding `A·x` on entry; same expressions as [`smooth_brick`].
+fn update_brick(
+    new: &mut [f64],
+    mut r: Option<&mut [f64]>,
+    x: &[f64],
     b: &[f64],
     gamma: f64,
     bd: usize,
     rb: &RowBounds,
 ) {
     rb.for_each_span(bd, |s| {
-        let (x, ax, b) = (&mut x[s.clone()], &ax[s.clone()], &b[s.clone()]);
+        let (new, x, b) = (&mut new[s.clone()], &x[s.clone()], &b[s.clone()]);
         match r.as_deref_mut() {
             Some(r) => {
-                for (((x, r), ax), b) in x.iter_mut().zip(&mut r[s]).zip(ax).zip(b) {
+                for (((new, r), x), b) in new.iter_mut().zip(&mut r[s]).zip(x).zip(b) {
+                    let ax = *new;
                     *r = b - ax;
-                    *x += gamma * (ax - b);
+                    *new = x + gamma * (ax - b);
                 }
             }
             None => {
-                for ((x, ax), b) in x.iter_mut().zip(ax).zip(b) {
-                    *x += gamma * (ax - b);
+                for ((new, x), b) in new.iter_mut().zip(x).zip(b) {
+                    *new = x + gamma * (*new - b);
                 }
             }
         }
@@ -196,15 +206,15 @@ fn update_brick(
 }
 
 /// Apply `s` Jacobi iterations `x += γ(Ax − b)` over the shrinking
-/// communication-avoiding schedule `R_k = region.shrink(k)`, one streamed
-/// in-place pass per iteration, bit-identical to `s` sequential
+/// communication-avoiding schedule `R_k = region.shrink(k)`, one pass over
+/// the bricks per iteration, bit-identical to `s` sequential
 /// `apply_star7_bricked` + pointwise-update passes. With `r`, each
 /// iteration also records the pre-update residual `r = b − Ax` over its
 /// `R_k` (so `r` carries the same staleness rings the sequential
-/// `smooth_residual` leaves). Requires `x` valid on `region.grow(1)`,
-/// `region.shrink(s−1)` non-empty, and `scratch` at least
-/// [`layer_scratch_len`] doubles (its contents are irrelevant on entry
-/// and garbage on exit).
+/// `smooth_residual` leaves). Requires `x` valid on `region.grow(1)` and
+/// `region.shrink(s−1)` non-empty. `y` is the second buffer the iterate
+/// alternates with (its contents are irrelevant on entry and garbage on
+/// exit); the result is always left in `x`.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_multismooth_bricked(
     x: &mut BrickedField,
@@ -215,13 +225,15 @@ pub fn fused_multismooth_bricked(
     gamma: f64,
     region: Box3,
     s: usize,
-    scratch: &mut [f64],
+    y: &mut BrickedField,
 ) -> FusedStats {
     assert!(s >= 1, "fused multi-smooth needs s >= 1");
     let layout = x.layout().clone();
-    assert!(Arc::ptr_eq(&layout, b.layout()), "x/b layout mismatch");
-    if let Some(rf) = r.as_ref() {
-        assert!(Arc::ptr_eq(&layout, rf.layout()), "x/r layout mismatch");
+    for (name, f) in [("b", b), ("y", &*y)]
+        .into_iter()
+        .chain(r.as_deref().map(|r| ("r", r)))
+    {
+        assert!(Arc::ptr_eq(&layout, f.layout()), "x/{name} layout mismatch");
     }
     assert!(
         layout.storage_cell_box().contains_box(&region.grow(1)),
@@ -231,44 +243,19 @@ pub fn fused_multismooth_bricked(
         !region.shrink(s as i64 - 1).is_empty(),
         "region {region:?} too small for {s} fused iterations"
     );
-    assert!(
-        scratch.len() >= layer_scratch_len(&layout),
-        "A·x scratch holds {} doubles, layout needs {}",
-        scratch.len(),
-        layer_scratch_len(&layout)
-    );
 
     let mut points = 0u64;
     for k in 0..s {
         let rk = region.shrink(k as i64);
-        let bricks = rk.coarsen(layout.brick_dim());
-        let pass = Pass {
-            layout: &layout,
-            region: rk,
-            bricks,
-            alpha,
-            beta,
-            gamma,
-        };
-        let e = bricks.extent();
-        let per_layer = (e.x * e.y) as usize * layout.brick_volume();
-        let (even, odd) = scratch[..2 * per_layer].split_at_mut(per_layer);
-        // Step `bz` applies the operator on layer `bz` (reading only
-        // pre-update x from layers `bz−1..=bz+1`), then updates layer
-        // `bz − 1`.
-        for bz in bricks.lo.z..=bricks.hi.z {
-            let (cur, prev) = if bz & 1 == 0 {
-                (&mut *even, &*odd)
-            } else {
-                (&mut *odd, &*even)
-            };
-            if bz < bricks.hi.z {
-                pass.apply_layer(x, cur, bz);
-            }
-            if bz > bricks.lo.z {
-                pass.update_layer(x, b, r.as_deref_mut(), prev, bz - 1);
-            }
-        }
+        jacobi_pass(
+            y,
+            x,
+            b,
+            r.as_deref_mut(),
+            (alpha, beta, gamma),
+            (region, k, s),
+        );
+        std::mem::swap(x, y);
         points += rk.volume() as u64;
     }
     let with_residual = r.is_some();
@@ -285,7 +272,8 @@ pub fn fused_multismooth_bricked(
 mod tests {
     use super::*;
     use crate::exec_brick::{apply_star7_bricked, par_pointwise_mut1, par_pointwise_mut2};
-    use gmg_brick::BrickOrdering;
+    use gmg_brick::{BrickLayout, BrickOrdering};
+    use gmg_mesh::Point3;
 
     fn idx_fn(p: Point3) -> f64 {
         ((p.x * 7 + p.y * 3 - p.z * 5) % 13) as f64 + 0.5
@@ -348,7 +336,7 @@ mod tests {
         for bd in [1i64, 2, 4, 8] {
             for ordering in [BrickOrdering::SurfaceMajor, BrickOrdering::Lexicographic] {
                 let layout = mk_layout(Point3::new(bd, 2 * bd, 3 * bd), bd, ordering);
-                let mut scratch = vec![f64::NAN; layer_scratch_len(&layout)];
+                let mut y = BrickedField::from_fn(layout.clone(), |_| f64::NAN);
                 for m in 0..bd {
                     let region = layout.cell_box().grow(m);
                     for s in 1..=bd as usize {
@@ -378,7 +366,7 @@ mod tests {
                                 coef.2,
                                 region,
                                 s,
-                                &mut scratch,
+                                &mut y,
                             );
                             let case = format!("bd={bd} {ordering:?} m={m} s={s} r={with_r}");
                             assert_eq!(x1.as_slice(), x2.as_slice(), "x differs: {case}");
@@ -411,7 +399,7 @@ mod tests {
                 let mut x = BrickedField::from_fn(layout.clone(), idx_fn);
                 let b = BrickedField::from_fn(layout.clone(), rhs_fn);
                 let mut r = BrickedField::new(layout.clone());
-                let mut scratch = vec![0.0; layer_scratch_len(&layout)];
+                let mut y = BrickedField::new(layout.clone());
                 fused_multismooth_bricked(
                     &mut x,
                     &b,
@@ -421,7 +409,7 @@ mod tests {
                     coef.2,
                     region,
                     4,
-                    &mut scratch,
+                    &mut y,
                 );
                 (x, r)
             })
@@ -440,26 +428,7 @@ mod tests {
         let layout = mk_layout(Point3::splat(8), 4, BrickOrdering::SurfaceMajor);
         let mut x = BrickedField::new(layout.clone());
         let b = BrickedField::new(layout.clone());
-        let mut scratch = vec![0.0; layer_scratch_len(&layout)];
-        fused_multismooth_bricked(
-            &mut x,
-            &b,
-            None,
-            1.0,
-            1.0,
-            1.0,
-            Box3::cube(8),
-            20,
-            &mut scratch,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "scratch")]
-    fn rejects_short_scratch() {
-        let layout = mk_layout(Point3::splat(8), 4, BrickOrdering::SurfaceMajor);
-        let mut x = BrickedField::new(layout.clone());
-        let b = BrickedField::new(layout.clone());
-        fused_multismooth_bricked(&mut x, &b, None, 1.0, 1.0, 1.0, Box3::cube(8), 1, &mut []);
+        let mut y = BrickedField::new(layout.clone());
+        fused_multismooth_bricked(&mut x, &b, None, 1.0, 1.0, 1.0, Box3::cube(8), 20, &mut y);
     }
 }

@@ -30,10 +30,11 @@
 //!   hand-specialized fast kernels that play the role of BrickLib's
 //!   generated code (tight per-brick inner loops with neighbor indirection
 //!   only on brick faces).
-//! * [`exec_fused`] — the streamed communication-avoiding Jacobi smoother:
-//!   one in-place pass per iteration over the bricks with a rolling
-//!   two-brick-layer `A·x` (4 doubles moved per point instead of the sweep
-//!   pair's 7), bit-identical to the sweep-by-sweep schedule.
+//! * [`exec_fused`] — the one-pass communication-avoiding Jacobi smoother:
+//!   per iteration every brick's `A·x` goes row by row from the stencil
+//!   straight into `x` and `r` of a second buffer (4 doubles moved per
+//!   point instead of the sweep pair's 7, no `A·x` field), bit-identical
+//!   to the sweep-by-sweep schedule.
 //! * [`ops`] — the canonical V-cycle operator definitions and their traffic
 //!   metadata used by the performance models.
 
