@@ -549,19 +549,20 @@ mod tests {
         }
     }
 
-    /// The fused multi-smooth executor must compose with checkpoint /
-    /// rollback recovery: under the same seeded silent corruption and
-    /// lossy transport, the fused and sweep-by-sweep schedules both trip
-    /// the health guards, both recover, and — because the fused path is
-    /// bit-identical — leave identical residual histories.
+    /// The one-pass smoother must compose with checkpoint / rollback
+    /// recovery: under the same seeded silent corruption and lossy
+    /// transport, the default communication-avoiding schedule and the
+    /// exchange-every-smooth split schedule both trip the health guards,
+    /// both recover, and — because the two are bit-identical — leave
+    /// identical residual histories.
     #[test]
-    fn fused_smoothing_composes_with_rollback_recovery() {
-        let run = |fused_smooths: usize| {
+    fn one_pass_smoothing_composes_with_rollback_recovery() {
+        let run = |communication_avoiding: bool| {
             let mut cfg = chaos_solver_config();
             cfg.recovery = RecoveryPolicy::Rollback;
             cfg.checkpoint_interval = 1;
             cfg.max_vcycles = 25;
-            cfg.fused_smooths = fused_smooths;
+            cfg.communication_avoiding = communication_avoiding;
             let plan = FaultPlan::new(FaultConfig::lossy(0.01), 7);
             let decomp = chaos_decomp();
             let d = &decomp;
@@ -579,9 +580,9 @@ mod tests {
             })
             .expect("world survives the corruption")
         };
-        let fused = run(chaos_solver_config().fused_smooths);
-        let sweep = run(1);
-        for (f, s) in fused.iter().zip(&sweep) {
+        let one_pass = run(true);
+        let split = run(false);
+        for (f, s) in one_pass.iter().zip(&split) {
             assert!(f.converged && s.converged, "both schedules must converge");
             assert!(
                 f.recoveries >= 1 && s.recoveries >= 1,
@@ -589,7 +590,7 @@ mod tests {
             );
             assert_eq!(
                 f.residual_history, s.residual_history,
-                "fused and sweep recovery histories must be bit-identical"
+                "one-pass and split recovery histories must be bit-identical"
             );
         }
     }

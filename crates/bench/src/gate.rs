@@ -17,7 +17,6 @@
 //! | `multismooth_fused_vs_sweep` | one-pass multi-smooth (≥ [`MULTISMOOTH_FLOOR`] floor, at [`MULTISMOOTH_BLOCK`]³) | sweep-by-sweep CA |
 //! | `multismooth_fused_vs_sweep_stream` | same schedules at `--grid` (≥ [`MULTISMOOTH_STREAM_FLOOR`] floor) | sweep-by-sweep CA |
 //! | `exchange_packfree_vs_packed` | surface-major gather | lexicographic gather |
-//! | `vcycle_fused_vs_sweep`      | V-cycles with fusion | V-cycles without |
 //! | `live_shipper_overhead`      | V-cycles with a gmg-live shipper attached (≥ [`LIVE_OVERHEAD_FLOOR`] floor) | same V-cycles, no telemetry |
 //! | `sim_events_per_sec`         | gmg-scale 1000-rank V-cycle simulation (≥ 1.0× floor) | [`SIM_EVENT_BUDGET_NS`] ns/event budget |
 //!
@@ -50,10 +49,11 @@
 //! width) so trajectory comparisons can confirm medians were taken at
 //! like-for-like parallelism; CI pins `RAYON_NUM_THREADS` in the perf
 //! job for exactly this reason. Likewise every `extra` records the
-//! execution context's `transport` (`GMG_TRANSPORT`, default `thread`)
-//! and `ranks` (`GMG_PROC_NRANKS` when spawned into a process world,
-//! else 1), so entries taken under different transports never get
-//! compared as like-for-like silently.
+//! execution context's `transport` (what the rank world the benchmark ran
+//! reported, `thread` for the in-process kernel benchmarks) and `ranks`
+//! (`GMG_PROC_NRANKS` when spawned into a process world, else 1), so
+//! entries taken under different transports never get compared as
+//! like-for-like silently.
 //!
 //! Absolute medians — and, since schema 2, per-side p50/p90/p99 plus the
 //! full log-bucketed nanosecond sample histograms (mergeable across
@@ -372,10 +372,10 @@ fn applyop_at(
     let extra = if with_breakdown {
         let breakdown = applyop_phase_breakdown(&mut dst, &src, alpha, beta, owned);
         json!({ "grid": n, "brick_dim": 8i64, "rayon_threads": threads, "phase_breakdown": breakdown,
-                "transport": run_transport(), "ranks": run_ranks() })
+                "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() })
     } else {
         json!({ "grid": n, "brick_dim": 8i64, "rayon_threads": threads,
-                "transport": run_transport(), "ranks": run_ranks() })
+                "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() })
     };
     finish(
         id,
@@ -458,7 +458,7 @@ fn bench_smooth_residual(opts: &GateOpts) -> BenchOut {
         cand,
         None,
         json!({ "grid": n, "brick_dim": 8i64, "rayon_threads": threads,
-                "transport": run_transport(), "ranks": run_ranks() }),
+                "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() }),
         opts,
     )
 }
@@ -550,7 +550,7 @@ fn multismooth_at(n: i64, id: &'static str, floor: Option<f64>, opts: &GateOpts)
             "fused_doubles_per_point_per_iter": fused_dpp,
             "fused_redundant_points": stats.points_computed - stats.points_updated,
             "sweep_doubles_per_point_per_iter": 7.0f64,
-            "transport": run_transport(),
+            "transport": IN_PROCESS_TRANSPORT,
             "ranks": run_ranks(),
         }),
         opts,
@@ -609,45 +609,7 @@ fn bench_exchange(opts: &GateOpts) -> BenchOut {
         cand,
         None,
         json!({ "grid": n, "brick_dim": 8i64, "directions": 26u64, "rayon_threads": threads,
-                "transport": run_transport(), "ranks": run_ranks() }),
-        opts,
-    )
-}
-
-fn bench_vcycle(opts: &GateOpts) -> BenchOut {
-    let n = (opts.grid / 2).max(16);
-    let decomp = Decomposition::new(Box3::cube(n), Point3::splat(1));
-    let mut cfg = SolverConfig {
-        num_levels: 3,
-        tolerance: 0.0,
-        max_vcycles: 2,
-        brick_dim: 8,
-        ..SolverConfig::test_default()
-    };
-    let solve = |cfg: SolverConfig, samples: usize| {
-        let d = &decomp;
-        time_median(samples, || {
-            timed(|| {
-                RankWorld::run(1, move |mut ctx| {
-                    let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
-                    s.solve(&mut ctx);
-                });
-            })
-        })
-    };
-    let cand = solve(cfg, opts.samples);
-    cfg.fused_smooths = 1;
-    let base = solve(cfg, opts.samples);
-    let threads = rayon::current_num_threads() as u64;
-    finish(
-        "vcycle_fused_vs_sweep",
-        "V-cycle, sweep smoothing",
-        "V-cycle, fused smoothing",
-        base,
-        cand,
-        None,
-        json!({ "grid": n, "levels": 3u64, "vcycles": 2u64, "rayon_threads": threads,
-                "transport": run_transport(), "ranks": run_ranks() }),
+                "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() }),
         opts,
     )
 }
@@ -670,12 +632,15 @@ fn bench_live_overhead(opts: &GateOpts) -> BenchOut {
         ..SolverConfig::test_default()
     };
     let was_enabled = gmg_metrics::enable();
-    let solve = |with_live: bool, samples: usize| {
+    // What the world that ran says it speaks, not what the environment
+    // suggests it might.
+    let mut transport = "";
+    let mut solve = |with_live: bool, samples: usize| {
         let d = &decomp;
         time_median(samples, || {
             let collector = Collector::new(AlertConfig::default()).into_handle();
             timed(|| {
-                RankWorld::run(1, move |mut ctx| {
+                let kinds = RankWorld::run(1, move |mut ctx| {
                     let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
                     if with_live {
                         // Production cadence: a beacon every cycle (the
@@ -697,7 +662,9 @@ fn bench_live_overhead(opts: &GateOpts) -> BenchOut {
                         }));
                     }
                     s.solve(&mut ctx);
+                    ctx.transport_kind()
                 });
+                transport = kinds[0];
             })
         })
     };
@@ -719,7 +686,7 @@ fn bench_live_overhead(opts: &GateOpts) -> BenchOut {
         cand,
         Some(LIVE_OVERHEAD_FLOOR),
         json!({ "grid": n, "levels": 3u64, "vcycles": 2u64, "rayon_threads": threads,
-                "transport": run_transport(), "ranks": run_ranks() }),
+                "transport": transport, "ranks": run_ranks() }),
         opts,
     )
 }
@@ -750,7 +717,7 @@ fn bench_sim_throughput(opts: &GateOpts) -> BenchOut {
         Some(SIM_THROUGHPUT_FLOOR),
         json!({ "sim_ranks": 1000u64, "sim_events": events, "events_per_sec": events_per_sec,
                 "budget_ns_per_event": SIM_EVENT_BUDGET_NS, "rayon_threads": threads,
-                "transport": run_transport(), "ranks": run_ranks() }),
+                "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() }),
         opts,
     )
 }
@@ -759,13 +726,11 @@ fn bench_sim_throughput(opts: &GateOpts) -> BenchOut {
 /// measured time must be ≥ 1 — the simulator beats its budget).
 pub const SIM_THROUGHPUT_FLOOR: f64 = 1.0;
 
-/// Execution context recorded in every entry's extras: the comm transport
-/// this process rides (`GMG_TRANSPORT`, default the in-process `thread`
-/// world) and its world size (`GMG_PROC_NRANKS` when spawned as a
-/// process-world rank, else 1).
-fn run_transport() -> String {
-    std::env::var("GMG_TRANSPORT").unwrap_or_else(|_| "thread".to_string())
-}
+/// Execution context recorded in every entry's extras: the transport of
+/// the rank world the benchmark ran (the in-process kernel benchmarks run
+/// none, which is the `thread` context) and the world size
+/// (`GMG_PROC_NRANKS` when spawned as a process-world rank, else 1).
+const IN_PROCESS_TRANSPORT: &str = "thread";
 
 fn run_ranks() -> u64 {
     std::env::var("GMG_PROC_NRANKS")
@@ -816,7 +781,6 @@ pub fn run_suite(opts: &GateOpts) -> Vec<BenchOut> {
         ("multi-smooth", bench_multismooth),
         ("multi-smooth-stream", bench_multismooth_stream),
         ("exchange", bench_exchange),
-        ("vcycle", bench_vcycle),
         ("live-overhead", bench_live_overhead),
         ("sim-throughput", bench_sim_throughput),
     ] {
@@ -1014,6 +978,32 @@ mod tests {
         }
     }
 
+    /// A fixed outcome for gate-math tests: no timing, so the arithmetic
+    /// under test is exact.
+    fn fixed(
+        id: &'static str,
+        ratio: f64,
+        rel_mad: f64,
+        floor: Option<f64>,
+        extra: Value,
+    ) -> BenchOut {
+        BenchOut {
+            id,
+            baseline_label: "b",
+            candidate_label: "c",
+            baseline: Stats::synthetic(ratio, rel_mad),
+            candidate: Stats::synthetic(1.0, rel_mad),
+            ratio,
+            floor,
+            extra,
+        }
+    }
+
+    /// The multi-smooth entries' traffic extras at `dpp` doubles/point.
+    fn traffic(dpp: f64) -> Value {
+        json!({ "fused_doubles_per_point_per_iter": dpp, "fused_redundant_points": 0u64 })
+    }
+
     #[test]
     fn median_and_mad_are_robust() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
@@ -1027,13 +1017,14 @@ mod tests {
     fn suite_runs_and_produces_sane_ratios() {
         let opts = tiny_opts();
         let benches = run_suite(&opts);
-        assert_eq!(benches.len(), 9);
+        assert_eq!(benches.len(), 8);
         for b in &benches {
             assert!(b.ratio.is_finite() && b.ratio > 0.0, "{}: {:?}", b.id, b);
             assert!(b.baseline.median > 0.0 && b.candidate.median > 0.0);
-            // Every entry's extras must name the execution context
-            // (exact values depend on the harness environment).
-            assert!(b.extra["transport"].as_str().is_some(), "{}", b.id);
+            // Every entry's extras must name the execution context: the
+            // suite only ever runs in-process thread worlds, whatever the
+            // environment says (`ranks` depends on the harness).
+            assert_eq!(b.extra["transport"].as_str(), Some("thread"), "{}", b.id);
             assert!(b.extra["ranks"].as_u64().is_some(), "{}", b.id);
         }
         // The traffic invariant is deterministic at any size.
@@ -1066,23 +1057,22 @@ mod tests {
 
     #[test]
     fn injected_slowdown_trips_the_gate() {
-        // Synthetic benches: no timing noise, so the gate math is exact.
-        let mk = |ratio: f64, floor: Option<f64>| BenchOut {
-            id: "multismooth_fused_vs_sweep",
-            baseline_label: "b",
-            candidate_label: "c",
-            baseline: Stats::synthetic(ratio, 0.0),
-            candidate: Stats::synthetic(1.0, 0.0),
-            ratio,
-            floor,
-            extra: json!({ "fused_doubles_per_point_per_iter": 4.0f64, "fused_redundant_points": 0u64 }),
+        let mk = |ratio: f64| {
+            let floor = Some(MULTISMOOTH_FLOOR);
+            fixed(
+                "multismooth_fused_vs_sweep",
+                ratio,
+                0.0,
+                floor,
+                traffic(4.0),
+            )
         };
         // Healthy: above floor, matches trajectory.
-        let prev = entry_to_json(&tiny_opts(), 1, &[mk(1.3, Some(MULTISMOOTH_FLOOR))]);
-        assert!(check(&[mk(1.3, Some(MULTISMOOTH_FLOOR))], Some(&prev)).is_empty());
+        let prev = entry_to_json(&tiny_opts(), 1, &[mk(1.3)]);
+        assert!(check(&[mk(1.3)], Some(&prev)).is_empty());
         // A 30% injected slowdown divides the ratio by 1.3: floor AND
         // trajectory regression both fire.
-        let slowed = mk(1.3 / 1.3, Some(MULTISMOOTH_FLOOR));
+        let slowed = mk(1.3 / 1.3);
         let v = check(&[slowed], Some(&prev));
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v[0].what.contains("hard floor"));
@@ -1093,15 +1083,9 @@ mod tests {
     fn applyop_floor_fires_below_parity() {
         // The bricked kernel losing to the array kernel is a hard gate
         // violation regardless of trajectory history.
-        let mk = |ratio: f64| BenchOut {
-            id: "applyop_bricked_vs_array",
-            baseline_label: "b",
-            candidate_label: "c",
-            baseline: Stats::synthetic(ratio, 0.0),
-            candidate: Stats::synthetic(1.0, 0.0),
-            ratio,
-            floor: Some(APPLYOP_FLOOR),
-            extra: json!({}),
+        let mk = |ratio: f64| {
+            let floor = Some(APPLYOP_FLOOR);
+            fixed("applyop_bricked_vs_array", ratio, 0.0, floor, json!({}))
         };
         assert!(check(&[mk(1.2)], None).is_empty());
         let v = check(&[mk(0.9)], None);
@@ -1111,16 +1095,7 @@ mod tests {
 
     #[test]
     fn traffic_invariant_fires_when_model_regresses() {
-        let bad = BenchOut {
-            id: "multismooth_fused_vs_sweep",
-            baseline_label: "b",
-            candidate_label: "c",
-            baseline: Stats::synthetic(2.0, 0.0),
-            candidate: Stats::synthetic(1.0, 0.0),
-            ratio: 2.0,
-            floor: None,
-            extra: json!({ "fused_doubles_per_point_per_iter": 4.5f64, "fused_redundant_points": 0u64 }),
-        };
+        let bad = fixed("multismooth_fused_vs_sweep", 2.0, 0.0, None, traffic(4.5));
         let v = check(&[bad], None);
         assert_eq!(v.len(), 1);
         assert!(v[0].what.contains("doubles/pt"));
@@ -1128,16 +1103,7 @@ mod tests {
 
     #[test]
     fn noisy_samples_widen_the_tolerance() {
-        let noisy = BenchOut {
-            id: "vcycle_fused_vs_sweep",
-            baseline_label: "b",
-            candidate_label: "c",
-            baseline: Stats::synthetic(1.0, 0.08),
-            candidate: Stats::synthetic(1.0, 0.08),
-            ratio: 1.0,
-            floor: None,
-            extra: json!({}),
-        };
+        let noisy = fixed("exchange_packfree_vs_packed", 1.0, 0.08, None, json!({}));
         // 3·max(0.08, 0.08, 0.04) = 24% — above the 10% base tolerance,
         // but the components do not compound.
         assert!((tolerance(&noisy, 0.04) - 0.24).abs() < 1e-12);
@@ -1155,7 +1121,7 @@ mod tests {
             &tiny_opts(),
             1,
             &[BenchOut {
-                id: "vcycle_fused_vs_sweep",
+                id: "exchange_packfree_vs_packed",
                 baseline_label: "b",
                 candidate_label: "c",
                 baseline: s.clone(),
@@ -1196,19 +1162,10 @@ mod tests {
         // read it exactly as before.
         let prev: Value = serde_json::from_str(
             r#"{"schema":1,"entry":1,"benchmarks":[
-                {"id":"vcycle_fused_vs_sweep","ratio":1.2,"rel_mad":0.0}]}"#,
+                {"id":"exchange_packfree_vs_packed","ratio":1.2,"rel_mad":0.0}]}"#,
         )
         .unwrap();
-        let mk = |ratio: f64| BenchOut {
-            id: "vcycle_fused_vs_sweep",
-            baseline_label: "b",
-            candidate_label: "c",
-            baseline: Stats::synthetic(ratio, 0.0),
-            candidate: Stats::synthetic(1.0, 0.0),
-            ratio,
-            floor: None,
-            extra: json!({}),
-        };
+        let mk = |ratio: f64| fixed("exchange_packfree_vs_packed", ratio, 0.0, None, json!({}));
         assert!(check(&[mk(1.19)], Some(&prev)).is_empty());
         let v = check(&[mk(0.9)], Some(&prev));
         assert_eq!(v.len(), 1, "{v:?}");
@@ -1222,11 +1179,25 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         assert!(latest_entry(&dir).is_none());
         let opts = tiny_opts();
-        let b = run_suite(&GateOpts {
-            grid: 16,
-            samples: 7,
-            ..opts
-        });
+        // Fixed outcomes, not a timed run: what is under test is the file
+        // format and the gate arithmetic, not this host's speed.
+        let b = [
+            fixed(
+                "applyop_bricked_vs_array",
+                1.38,
+                0.02,
+                Some(APPLYOP_FLOOR),
+                json!({}),
+            ),
+            fixed(
+                "multismooth_fused_vs_sweep",
+                1.22,
+                0.02,
+                Some(MULTISMOOTH_FLOOR),
+                traffic(FUSED_DOUBLES_PER_POINT),
+            ),
+            fixed("exchange_packfree_vs_packed", 0.95, 0.02, None, json!({})),
+        ];
         for i in 1..=2u64 {
             let entry = entry_to_json(&opts, i, &b);
             let text = serde_json::to_string_pretty(&entry).unwrap();
@@ -1236,9 +1207,14 @@ mod tests {
         assert_eq!(i, 2);
         assert_eq!(v["entry"].as_u64(), Some(2));
         let rows = v["benchmarks"].as_array().unwrap();
-        assert_eq!(rows.len(), 9);
-        assert_eq!(rows[0]["id"].as_str(), Some("applyop_bricked_vs_array"));
-        // And the fresh run gates cleanly against its own entry.
+        assert_eq!(rows.len(), b.len());
+        for (row, bench) in rows.iter().zip(&b) {
+            assert_eq!(row["id"].as_str(), Some(bench.id));
+            assert_eq!(row["ratio"].as_f64(), Some(bench.ratio));
+            assert_eq!(row["rel_mad"].as_f64(), Some(0.02));
+            assert_eq!(row["floor"].as_f64(), Some(bench.floor.unwrap_or(0.0)));
+        }
+        // And the same outcomes gate cleanly against their own entry.
         let violations = check(&b, Some(&v));
         assert!(violations.is_empty(), "{violations:?}");
     }

@@ -53,8 +53,8 @@
 //! `GMG_METRICS=<path>` to write its final metrics snapshot as JSON.
 //!
 //! Each `run()` prints the same rows/series the paper reports and returns a
-//! JSON value; binaries also persist it under `results/`. Criterion
-//! micro-benchmarks of the *real* CPU kernels live in `benches/`.
+//! JSON value; binaries also persist it under `results/`. The *real* CPU
+//! kernels are timed by [`gate`] and by `gmgbench` (`benchmark/`).
 
 pub mod ablations;
 pub mod analyze;

@@ -34,6 +34,7 @@
 //! `--window A:B`).
 
 use gmg_machine::gpu::System;
+use gmg_machine::CpuModel;
 use gmg_metrics::analysis::{critical_path_with_edges, imbalance_from_seconds, utilization};
 use gmg_scale::{fit_scaling_model, simulate, RecordMode, ScaleConfig, ScaleResult, SweepPoint};
 use serde_json::{json, Value};
@@ -425,7 +426,7 @@ pub fn run(opts: &ScalingOpts) -> Value {
     for (g, o) in gpu_run.levels.iter().zip(&off_run.levels) {
         let gt = g.compute_mean_s + g.exchange_mean_s;
         let ot = o.compute_mean_s + o.exchange_mean_s;
-        let on_cpu = off_cfg.level_on_cpu(g.level);
+        let on_cpu = CpuModel::offloads(off_cfg.cpu_offload_below_cells, g.cells_per_rank);
         if on_cpu && ot < gt && crossover.is_none() {
             crossover = Some(g.level);
         }

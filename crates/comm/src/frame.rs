@@ -11,9 +11,9 @@
 //!
 //! Fragmentation keeps each frame under typical `SO_SNDBUF` datagram
 //! limits. Fragments of one message are sent back-to-back on one socket,
-//! so per-peer FIFO ordering (Unix datagram and TCP both provide it)
-//! means a [`Reassembler`] only tracks one partial message per sender; a
-//! torn sequence is dropped and the ARQ retransmit supplies a clean copy.
+//! so per-peer FIFO ordering (which Unix datagram sockets provide) means
+//! a [`Reassembler`] only tracks one partial message per sender; a torn
+//! sequence is dropped and the ARQ retransmit supplies a clean copy.
 
 use std::fmt;
 

@@ -24,8 +24,8 @@
 //! * [`transport`] / [`frame`] / [`socket`] / [`process`] — the runtime's
 //!   `Transport` abstraction and its two backends: the original
 //!   in-process channels (`ThreadTransport`) and a one-OS-process-per-rank
-//!   backend over Unix-domain-socket datagrams (TCP fallback, selected by
-//!   `GMG_TRANSPORT=uds|tcp`) with a checksummed, fragmenting frame codec.
+//!   backend over Unix-domain-socket datagrams with a checksummed,
+//!   fragmenting frame codec.
 //!   `process` adds the elastic-membership controller: heartbeat failure
 //!   detection, respawn, and checkpoint-based rank rejoin.
 

@@ -29,11 +29,6 @@
 //! (kind [`FrameKind::Control`], opcode in `tag`). The data plane
 //! (`d<r>.sock`) never carries control frames and vice versa.
 //!
-//! The TCP transport flavor works for plain process worlds but refuses
-//! elastic rejoin: a dead process takes its listener port with it,
-//! whereas a respawned rank can rebind its predecessor's Unix socket
-//! path.
-//!
 //! Failure-detector and membership health are exported through
 //! `gmg-metrics`: `heartbeat_rtt_ns` / `heartbeat_missed_total` per
 //! rank, `respawn_latency_ns`, `rejoin_epoch_ns`,
@@ -359,17 +354,11 @@ where
     let dir = PathBuf::from(std::env::var("GMG_PROC_DIR").expect("GMG_PROC_DIR"));
     let entry = std::env::var("GMG_PROC_ENTRY").expect("GMG_PROC_ENTRY");
     let args = std::env::var("GMG_PROC_ARGS").unwrap_or_default();
-    let kind = match std::env::var("GMG_PROC_TRANSPORT").as_deref() {
-        Ok("tcp") => SocketKind::Tcp,
-        _ => SocketKind::Uds,
-    };
     let rejoining = std::env::var("GMG_PROC_REJOIN").as_deref() == Ok("1");
     let plan = std::env::var("GMG_PROC_FAULTS")
         .ok()
         .and_then(|s| FaultPlan::from_env_string(&s));
-    let code = child_main(
-        rank, nranks, &dir, &entry, &args, kind, rejoining, plan, dispatch,
-    );
+    let code = child_main(rank, nranks, &dir, &entry, &args, rejoining, plan, dispatch);
     std::process::exit(code);
 }
 
@@ -380,7 +369,6 @@ fn child_main<F>(
     dir: &Path,
     entry: &str,
     args: &str,
-    kind: SocketKind,
     rejoining: bool,
     plan: Option<FaultPlan>,
     dispatch: F,
@@ -403,31 +391,11 @@ where
     spawn_heartbeat(rank, dir, progress.clone(), stop_hb.clone()).expect("heartbeat thread");
 
     // Data endpoint *before* HELLO, so no data frame can race the bind.
-    let mut uds_transport = None;
-    let mut tcp_listener = None;
-    let mut hello_payload = Vec::new();
-    match kind {
-        SocketKind::Uds => {
-            uds_transport = Some(SocketTransport::uds(rank, nranks, dir).expect("bind data socket"))
-        }
-        SocketKind::Tcp => {
-            let (l, port) = SocketTransport::tcp_listener().expect("tcp listener");
-            hello_payload = vec![bits(port as u64)];
-            tcp_listener = Some(l);
-        }
-    }
+    let mut transport = SocketTransport::uds(rank, nranks, dir).expect("bind data socket");
 
     let tx = UnixDatagram::unbound().expect("ctl send socket");
     let ctl_path = ctl_sock_path(dir);
-    let (epoch, ports) = hello_and_wait_go(&m_sock, &tx, &ctl_path, rank, hello_payload);
-
-    let mut transport = match kind {
-        SocketKind::Uds => uds_transport.take().unwrap(),
-        SocketKind::Tcp => {
-            let ports: Vec<u16> = ports.iter().map(|&p| p as u16).collect();
-            SocketTransport::tcp(rank, tcp_listener.take().unwrap(), &ports).expect("tcp mesh")
-        }
-    };
+    let epoch = hello_and_wait_go(&m_sock, &tx, &ctl_path, rank);
     transport.set_epoch(epoch);
 
     // The socket medium is genuinely unreliable (a dying peer absorbs
@@ -501,14 +469,13 @@ fn hello_and_wait_go(
     tx: &UnixDatagram,
     ctl_path: &Path,
     rank: usize,
-    hello_payload: Vec<f64>,
-) -> (u64, Vec<u64>) {
+) -> u64 {
     let deadline = Instant::now() + STARTUP_TIMEOUT;
     let mut last_hello = None::<Instant>;
     let mut buf = vec![0u8; MAX_FRAME_LEN];
     loop {
         if last_hello.map_or(true, |t| t.elapsed() >= HELLO_RESEND) {
-            let hello = ctl_frame(rank as u32, OP_HELLO, 0, 0, hello_payload.clone());
+            let hello = ctl_frame(rank as u32, OP_HELLO, 0, 0, Vec::new());
             let _ = tx.send_to(&hello, ctl_path);
             last_hello = Some(Instant::now());
         }
@@ -518,8 +485,7 @@ fn hello_and_wait_go(
         if let Ok(n) = m_sock.recv(&mut buf) {
             if let Ok(f) = Frame::decode(&buf[..n]) {
                 if f.kind == FrameKind::Control && f.tag == OP_GO {
-                    let ports = f.payload.iter().map(|v| v.to_bits()).collect();
-                    return (f.epoch, ports);
+                    return f.epoch;
                 }
             }
         }
@@ -557,7 +523,7 @@ pub struct ProcessReport {
     pub results: Vec<String>,
     /// Every rejoin epoch that happened, in order.
     pub rejoins: Vec<RejoinEvent>,
-    /// Transport flavor the world ran on (`"uds"` / `"tcp"`).
+    /// Transport flavor the world ran on (`"uds"`).
     pub transport: &'static str,
     /// Merged flight dump (all surviving ranks' rings), when any child
     /// dumped one.
@@ -567,7 +533,6 @@ pub struct ProcessReport {
 struct RankState {
     child: Child,
     said_hello: bool,
-    port: u64,
     last_beat: Instant,
     last_miss_mark: Instant,
     progress: u64,
@@ -580,7 +545,6 @@ pub struct ProcessWorld {
     nranks: usize,
     entry: String,
     args: String,
-    kind: SocketKind,
     plan: Option<FaultPlan>,
     child_exe: PathBuf,
     child_args: Vec<String>,
@@ -601,7 +565,6 @@ impl ProcessWorld {
             nranks,
             entry: entry.to_string(),
             args: String::new(),
-            kind: SocketKind::from_env(),
             plan: None,
             child_exe: std::env::current_exe().expect("current_exe"),
             child_args: Vec::new(),
@@ -618,9 +581,12 @@ impl ProcessWorld {
         self
     }
 
-    pub fn transport(mut self, kind: SocketKind) -> Self {
-        self.kind = kind;
-        self
+    /// Name the wire the ranks speak. There is one, so this only makes
+    /// the call site say so.
+    pub fn transport(self, kind: SocketKind) -> Self {
+        match kind {
+            SocketKind::Uds => self,
+        }
     }
 
     /// Run every rank under this seeded fault plan (same plan semantics
@@ -705,7 +671,6 @@ impl ProcessWorld {
                     match f.tag {
                         OP_HELLO => {
                             ranks[src].said_hello = true;
-                            ranks[src].port = unbits(&f.payload, 0);
                             ranks[src].last_beat = Instant::now();
                         }
                         OP_BEAT => self.handle_beat(&tx, dir, &mut ranks[src], &f),
@@ -723,12 +688,8 @@ impl ProcessWorld {
                 return Err("process world startup timed out waiting for HELLOs".into());
             }
         }
-        let ports: Vec<f64> = match self.kind {
-            SocketKind::Uds => Vec::new(),
-            SocketKind::Tcp => ranks.iter().map(|s| bits(s.port)).collect(),
-        };
         for r in 0..self.nranks {
-            let go = ctl_frame(u32::MAX, OP_GO, 0, 0, ports.clone());
+            let go = ctl_frame(u32::MAX, OP_GO, 0, 0, Vec::new());
             let _ = tx.send_to(&go, member_sock_path(dir, r));
         }
 
@@ -746,7 +707,7 @@ impl ProcessWorld {
                         OP_DONE => ranks[src].done = true,
                         // A GO lost to a race: the child keeps HELLOing.
                         OP_HELLO => {
-                            let go = ctl_frame(u32::MAX, OP_GO, 0, epoch, ports.clone());
+                            let go = ctl_frame(u32::MAX, OP_GO, 0, epoch, Vec::new());
                             let _ = tx.send_to(&go, member_sock_path(dir, src));
                         }
                         _ => {}
@@ -804,13 +765,6 @@ impl ProcessWorld {
                          cannot rejoin a world that is partially complete"
                     ));
                 }
-                if self.kind == SocketKind::Tcp {
-                    kill_all(&mut ranks);
-                    return Err(format!(
-                        "rank {r} died ({why}) under the tcp transport, which does not \
-                         support elastic rejoin (set GMG_TRANSPORT=uds)"
-                    ));
-                }
                 if rejoins.len() as u32 >= self.max_rejoins {
                     kill_all(&mut ranks);
                     return Err(format!(
@@ -848,7 +802,7 @@ impl ProcessWorld {
         Ok(ProcessReport {
             results,
             rejoins,
-            transport: self.kind.as_str(),
+            transport: SocketKind::Uds.as_str(),
             flight_dump,
         })
     }
@@ -992,8 +946,6 @@ impl ProcessWorld {
             .env("GMG_PROC_DIR", dir)
             .env("GMG_PROC_ENTRY", &self.entry)
             .env("GMG_PROC_ARGS", &self.args)
-            .env("GMG_PROC_TRANSPORT", self.kind.as_str())
-            .env("GMG_TRANSPORT", self.kind.as_str())
             // Children dump flight rings into the world dir, where the
             // controller finds and merges them.
             .env("GMG_FLIGHT_DIR", dir)
@@ -1018,7 +970,6 @@ fn new_rank_state(child: Child) -> RankState {
     RankState {
         child,
         said_hello: false,
-        port: 0,
         last_beat: Instant::now(),
         last_miss_mark: Instant::now()
             .checked_sub(Duration::from_secs(3600))
@@ -1225,21 +1176,6 @@ mod tests {
         assert!(report.rejoins.is_empty());
         for (me, r) in report.results.iter().enumerate() {
             let left = (me + 2) % 3;
-            assert_eq!(r, &format!("{}", left as f64 * 2.0), "rank {me}");
-        }
-    }
-
-    #[test]
-    fn process_world_runs_a_ring_over_tcp() {
-        let report = ProcessWorld::new(2, "ring")
-            .transport(SocketKind::Tcp)
-            .child_args(CHILD_ARGS)
-            .deadline(Duration::from_secs(60))
-            .run()
-            .expect("tcp process world");
-        assert_eq!(report.transport, "tcp");
-        for (me, r) in report.results.iter().enumerate() {
-            let left = (me + 1) % 2;
             assert_eq!(r, &format!("{}", left as f64 * 2.0), "rank {me}");
         }
     }

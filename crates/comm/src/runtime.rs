@@ -34,9 +34,9 @@
 
 use std::collections::HashMap;
 use std::collections::HashSet;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::unbounded;
 use gmg_brick::BrickedField;
 use gmg_mesh::ghost::{direction_index, DIRECTIONS_26};
 use gmg_mesh::{Array3, Box3, Decomposition, Point3};
@@ -128,8 +128,7 @@ impl RankCtx {
         }
     }
 
-    /// Which transport backend this rank speaks (`"thread"`, `"uds"`,
-    /// `"tcp"`).
+    /// Which transport backend this rank speaks (`"thread"` or `"uds"`).
     pub fn transport_kind(&self) -> &'static str {
         self.transport.kind()
     }
@@ -864,7 +863,6 @@ impl RankWorld {
     #[cfg(unix)]
     pub fn run_socket_with_faults<T: Send>(
         nranks: usize,
-        kind: crate::socket::SocketKind,
         plan: &FaultPlan,
         body: impl Fn(RankCtx) -> T + Sync,
     ) -> Result<Vec<T>, WorldFailure> {
@@ -874,15 +872,11 @@ impl RankWorld {
             SOCK_WORLD_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).expect("socket world dir");
-        let transports: Vec<Box<dyn Transport>> = match kind {
-            crate::socket::SocketKind::Uds => {
-                crate::socket::uds_world(&dir, nranks).expect("uds world")
-            }
-            crate::socket::SocketKind::Tcp => crate::socket::tcp_world(nranks).expect("tcp world"),
-        }
-        .into_iter()
-        .map(|t| Box::new(t) as Box<dyn Transport>)
-        .collect();
+        let transports: Vec<Box<dyn Transport>> = crate::socket::uds_world(&dir, nranks)
+            .expect("uds world")
+            .into_iter()
+            .map(|t| Box::new(t) as Box<dyn Transport>)
+            .collect();
         let out = Self::run_over(transports, Some(plan), body);
         let _ = std::fs::remove_dir_all(&dir);
         out
@@ -897,7 +891,7 @@ impl RankWorld {
         let mut senders = Vec::with_capacity(nranks);
         let mut receivers = Vec::with_capacity(nranks);
         for _ in 0..nranks {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = mpsc::channel();
             senders.push(tx);
             receivers.push(rx);
         }
@@ -1713,13 +1707,7 @@ mod tests {
             };
             let plan = FaultPlan::new(cfg, seed);
             let threads = RankWorld::run_with_faults(NRANKS, &plan, body).unwrap();
-            let sockets = RankWorld::run_socket_with_faults(
-                NRANKS,
-                crate::socket::SocketKind::Uds,
-                &plan,
-                body,
-            )
-            .unwrap();
+            let sockets = RankWorld::run_socket_with_faults(NRANKS, &plan, body).unwrap();
             assert_eq!(
                 threads, sockets,
                 "seed {seed}: both transports must deliver identical payload sequences"

@@ -1,21 +1,15 @@
 //! Datagram socket transport: one OS process (or thread, in tests) per
 //! rank, talking [`crate::frame`]-encoded messages.
 //!
-//! Two wire flavors, selected by `GMG_TRANSPORT` (`uds`, the default, or
-//! `tcp`):
+//! The wire is Unix-domain datagram sockets: each rank binds
+//! `d<rank>.sock` in the world directory; a send is one `sendto` per
+//! frame. The kernel preserves per-pair FIFO order but the medium is
+//! treated as unreliable: a vanished peer (`ECONNREFUSED`/`ENOENT`)
+//! absorbs the frame exactly like an injected drop, and the ARQ layer
+//! above retransmits. A respawned rank rebinds its predecessor's socket
+//! path, which is what makes elastic rejoin possible.
 //!
-//! * **Unix-domain datagram sockets** — each rank binds `d<rank>.sock`
-//!   in the world directory; a send is one `sendto` per frame. The
-//!   kernel preserves per-pair FIFO order but the medium is treated as
-//!   unreliable: a vanished peer (`ECONNREFUSED`/`ENOENT`) absorbs the
-//!   frame exactly like an injected drop, and the ARQ layer above
-//!   retransmits.
-//! * **TCP loopback** — length-prefixed frames over a full mesh
-//!   (rank *i* accepts from every *j > i*, connects to every *j < i*).
-//!   The fallback for platforms without datagram UDS; it does not
-//!   support elastic rejoin (listener ports die with their process).
-//!
-//! All sockets run nonblocking for sends with per-peer backlogs, so a
+//! The send socket runs nonblocking with per-peer backlogs, so a
 //! world whose ranks all send before receiving (the 26-neighbor
 //! exchange) cannot deadlock on full kernel buffers: un-sendable frames
 //! queue locally and drain during every subsequent send/recv/pump call.
@@ -26,8 +20,7 @@
 //! once this rank's own epoch catches up.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::ErrorKind;
 use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -35,29 +28,18 @@ use std::time::{Duration, Instant};
 use crate::frame::{self, Frame, FrameKind, Reassembler, MAX_FRAME_LEN};
 use crate::transport::{Transport, Wire};
 
-/// Which wire the socket transport rides on.
+/// Which wire the socket transport rides on. One variant: callers name
+/// it when they build a [`crate::ProcessWorld`], and reports carry it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SocketKind {
-    /// Unix-domain datagram sockets (the default).
+    /// Unix-domain datagram sockets.
     Uds,
-    /// TCP over loopback (fallback; no elastic rejoin).
-    Tcp,
 }
 
 impl SocketKind {
-    /// Honor the `GMG_TRANSPORT` env hook: `tcp` selects the fallback,
-    /// anything else (including unset) the Unix-datagram default.
-    pub fn from_env() -> SocketKind {
-        match std::env::var("GMG_TRANSPORT").as_deref() {
-            Ok("tcp") => SocketKind::Tcp,
-            _ => SocketKind::Uds,
-        }
-    }
-
     pub fn as_str(&self) -> &'static str {
         match self {
             SocketKind::Uds => "uds",
-            SocketKind::Tcp => "tcp",
         }
     }
 }
@@ -67,37 +49,17 @@ pub fn data_sock_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("d{rank}.sock"))
 }
 
-/// One TCP peer link with its read/write staging.
-struct TcpPeer {
-    stream: TcpStream,
-    rdbuf: Vec<u8>,
-    wrbuf: VecDeque<u8>,
-}
-
-enum Imp {
-    Uds {
-        recv_sock: UnixDatagram,
-        send_sock: UnixDatagram,
-        peer_paths: Vec<PathBuf>,
-    },
-    Tcp {
-        listener: TcpListener,
-        peers: Vec<Option<TcpPeer>>,
-        /// Inbound connections whose 4-byte rank handshake is still
-        /// partial.
-        pending: Vec<(TcpStream, Vec<u8>)>,
-    },
-}
-
 /// The socket-backed [`Transport`].
 pub struct SocketTransport {
     rank: usize,
     epoch: u64,
-    imp: Imp,
+    recv_sock: UnixDatagram,
+    send_sock: UnixDatagram,
+    peer_paths: Vec<PathBuf>,
     /// Un-sendable frames, per destination (nonblocking sends).
     backlog: Vec<VecDeque<Vec<u8>>>,
     reasm: Reassembler,
-    /// Wires decoded ahead of delivery (epoch replay, TCP batching).
+    /// Wires decoded ahead of delivery (epoch replay, batched polls).
     ready: VecDeque<Wire>,
     /// Frames from a future epoch, replayed at `set_epoch`.
     future: Vec<Frame>,
@@ -119,58 +81,9 @@ impl SocketTransport {
         Ok(SocketTransport {
             rank,
             epoch: 0,
-            imp: Imp::Uds {
-                recv_sock,
-                send_sock,
-                peer_paths: (0..nranks).map(|r| data_sock_path(dir, r)).collect(),
-            },
-            backlog: (0..nranks).map(|_| VecDeque::new()).collect(),
-            reasm: Reassembler::default(),
-            ready: VecDeque::new(),
-            future: Vec::new(),
-            frame_errors: 0,
-        })
-    }
-
-    /// Bind a loopback listener for the TCP flavor; the port goes to the
-    /// controller's address map.
-    pub fn tcp_listener() -> std::io::Result<(TcpListener, u16)> {
-        let l = TcpListener::bind("127.0.0.1:0")?;
-        let port = l.local_addr()?.port();
-        l.set_nonblocking(true)?;
-        Ok((l, port))
-    }
-
-    /// Assemble the TCP flavor from this rank's listener and everyone's
-    /// ports: connect to every lower rank (they accept us), accept from
-    /// every higher rank lazily during `pump`.
-    pub fn tcp(
-        rank: usize,
-        listener: TcpListener,
-        ports: &[u16],
-    ) -> std::io::Result<SocketTransport> {
-        let nranks = ports.len();
-        let mut peers: Vec<Option<TcpPeer>> = (0..nranks).map(|_| None).collect();
-        for (r, &port) in ports.iter().enumerate().take(rank) {
-            let addr = SocketAddr::from(([127, 0, 0, 1], port));
-            let mut stream = connect_with_retry(addr, Duration::from_secs(5))?;
-            stream.write_all(&(rank as u32).to_le_bytes())?;
-            stream.set_nonblocking(true)?;
-            stream.set_nodelay(true)?;
-            peers[r] = Some(TcpPeer {
-                stream,
-                rdbuf: Vec::new(),
-                wrbuf: VecDeque::new(),
-            });
-        }
-        Ok(SocketTransport {
-            rank,
-            epoch: 0,
-            imp: Imp::Tcp {
-                listener,
-                peers,
-                pending: Vec::new(),
-            },
+            recv_sock,
+            send_sock,
+            peer_paths: (0..nranks).map(|r| data_sock_path(dir, r)).collect(),
             backlog: (0..nranks).map(|_| VecDeque::new()).collect(),
             reasm: Reassembler::default(),
             ready: VecDeque::new(),
@@ -233,7 +146,7 @@ impl SocketTransport {
     fn drain_backlog(&mut self) {
         for to in 0..self.backlog.len() {
             while let Some(front) = self.backlog[to].front() {
-                match self.imp.try_send_raw(to, front) {
+                match self.try_send_raw(to, front) {
                     RawSend::Sent => {
                         self.backlog[to].pop_front();
                     }
@@ -249,116 +162,30 @@ impl SocketTransport {
 
     /// Ingest whatever is on the wire right now without blocking.
     fn poll_wire(&mut self) {
-        // Collect first, then ingest: ingest needs `&mut self` wholly.
-        let mut bufs: Vec<Vec<u8>> = Vec::new();
-        match &mut self.imp {
-            Imp::Uds { recv_sock, .. } => {
-                let mut buf = vec![0u8; MAX_FRAME_LEN];
-                recv_sock.set_nonblocking(true).ok();
-                while let Ok(n) = recv_sock.recv(&mut buf) {
-                    bufs.push(buf[..n].to_vec());
-                }
-                recv_sock.set_nonblocking(false).ok();
-            }
-            Imp::Tcp {
-                listener,
-                peers,
-                pending,
-            } => {
-                // Accept inbound links and finish their rank handshakes.
-                while let Ok((s, _)) = listener.accept() {
-                    s.set_nonblocking(true).ok();
-                    s.set_nodelay(true).ok();
-                    pending.push((s, Vec::new()));
-                }
-                let mut i = 0;
-                while i < pending.len() {
-                    let (s, hs) = &mut pending[i];
-                    let mut b = [0u8; 4];
-                    match s.read(&mut b[..4 - hs.len()]) {
-                        Ok(0) => {
-                            pending.swap_remove(i);
-                            continue;
-                        }
-                        Ok(n) => hs.extend_from_slice(&b[..n]),
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                        Err(_) => {
-                            pending.swap_remove(i);
-                            continue;
-                        }
-                    }
-                    if hs.len() == 4 {
-                        let (s, hs) = pending.swap_remove(i);
-                        let r = u32::from_le_bytes(hs.try_into().unwrap()) as usize;
-                        if r < peers.len() {
-                            peers[r] = Some(TcpPeer {
-                                stream: s,
-                                rdbuf: Vec::new(),
-                                wrbuf: VecDeque::new(),
-                            });
-                        }
-                        continue;
-                    }
-                    i += 1;
-                }
-                // Read frames off every live link.
-                for p in peers.iter_mut().flatten() {
-                    let mut chunk = [0u8; 16 * 1024];
-                    loop {
-                        match p.stream.read(&mut chunk) {
-                            Ok(0) => break,
-                            Ok(n) => p.rdbuf.extend_from_slice(&chunk[..n]),
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(_) => break,
-                        }
-                    }
-                    // Parse length-prefixed records.
-                    let mut at = 0;
-                    while p.rdbuf.len() >= at + 4 {
-                        let len =
-                            u32::from_le_bytes(p.rdbuf[at..at + 4].try_into().unwrap()) as usize;
-                        if len > MAX_FRAME_LEN {
-                            // Corrupt stream framing: resync by dropping
-                            // the buffer; ARQ retransmits the contents.
-                            at = p.rdbuf.len();
-                            break;
-                        }
-                        if p.rdbuf.len() < at + 4 + len {
-                            break;
-                        }
-                        bufs.push(p.rdbuf[at + 4..at + 4 + len].to_vec());
-                        at += 4 + len;
-                    }
-                    p.rdbuf.drain(..at);
-                }
-            }
+        let mut buf = vec![0u8; MAX_FRAME_LEN];
+        self.recv_sock.set_nonblocking(true).ok();
+        while let Ok(n) = self.recv_sock.recv(&mut buf) {
+            self.ingest(&buf[..n]);
         }
-        for b in bufs {
-            self.ingest(&b);
-        }
+        self.recv_sock.set_nonblocking(false).ok();
     }
 
     /// Block up to `slice` for at least one datagram, then ingest it.
     fn wait_wire(&mut self, slice: Duration) {
-        let mut got: Option<Vec<u8>> = None;
-        match &mut self.imp {
-            Imp::Uds { recv_sock, .. } => {
-                let mut buf = vec![0u8; MAX_FRAME_LEN];
-                recv_sock
-                    .set_read_timeout(Some(slice.max(Duration::from_micros(100))))
-                    .ok();
-                if let Ok(n) = recv_sock.recv(&mut buf) {
-                    buf.truncate(n);
-                    got = Some(buf);
-                }
-            }
-            Imp::Tcp { .. } => {
-                // Nonblocking streams: poll-and-nap.
-                std::thread::sleep(slice.min(Duration::from_millis(1)));
-            }
+        let mut buf = vec![0u8; MAX_FRAME_LEN];
+        self.recv_sock
+            .set_read_timeout(Some(slice.max(Duration::from_micros(100))))
+            .ok();
+        if let Ok(n) = self.recv_sock.recv(&mut buf) {
+            self.ingest(&buf[..n]);
         }
-        if let Some(b) = got {
-            self.ingest(&b);
+    }
+
+    fn try_send_raw(&self, to: usize, frame_bytes: &[u8]) -> RawSend {
+        match self.send_sock.send_to(frame_bytes, &self.peer_paths[to]) {
+            Ok(_) => RawSend::Sent,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => RawSend::Full,
+            Err(_) => RawSend::Gone,
         }
     }
 }
@@ -368,54 +195,6 @@ enum RawSend {
     Sent,
     Full,
     Gone,
-}
-
-impl Imp {
-    fn try_send_raw(&mut self, to: usize, frame_bytes: &[u8]) -> RawSend {
-        match self {
-            Imp::Uds {
-                send_sock,
-                peer_paths,
-                ..
-            } => match send_sock.send_to(frame_bytes, &peer_paths[to]) {
-                Ok(_) => RawSend::Sent,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => RawSend::Full,
-                Err(_) => RawSend::Gone,
-            },
-            Imp::Tcp { peers, .. } => {
-                let Some(slot) = peers.get_mut(to) else {
-                    return RawSend::Gone;
-                };
-                let Some(mut p) = slot.take() else {
-                    // Not yet connected: keep queueing until the peer's
-                    // handshake lands (or forever, if it died — the
-                    // world's failure handling owns that).
-                    return RawSend::Full;
-                };
-                // Stage length-prefixed, then flush as much as the kernel
-                // takes.
-                p.wrbuf
-                    .extend((frame_bytes.len() as u32).to_le_bytes().iter().copied());
-                p.wrbuf.extend(frame_bytes.iter().copied());
-                loop {
-                    let (head, _) = p.wrbuf.as_slices();
-                    if head.is_empty() {
-                        break;
-                    }
-                    match p.stream.write(head) {
-                        Ok(0) => return RawSend::Gone, // link dead; p drops
-                        Ok(n) => {
-                            p.wrbuf.drain(..n);
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(_) => return RawSend::Gone,
-                    }
-                }
-                *slot = Some(p);
-                RawSend::Sent
-            }
-        }
-    }
 }
 
 impl Transport for SocketTransport {
@@ -478,25 +257,7 @@ impl Transport for SocketTransport {
     }
 
     fn kind(&self) -> &'static str {
-        match self.imp {
-            Imp::Uds { .. } => "uds",
-            Imp::Tcp { .. } => "tcp",
-        }
-    }
-}
-
-fn connect_with_retry(addr: SocketAddr, budget: Duration) -> std::io::Result<TcpStream> {
-    let deadline = Instant::now() + budget;
-    loop {
-        match TcpStream::connect_timeout(&addr, Duration::from_millis(250)) {
-            Ok(s) => return Ok(s),
-            Err(e) => {
-                if Instant::now() >= deadline {
-                    return Err(e);
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
+        SocketKind::Uds.as_str()
     }
 }
 
@@ -506,21 +267,6 @@ fn connect_with_retry(addr: SocketAddr, budget: Duration) -> std::io::Result<Tcp
 pub(crate) fn uds_world(dir: &Path, nranks: usize) -> std::io::Result<Vec<SocketTransport>> {
     (0..nranks)
         .map(|r| SocketTransport::uds(r, nranks, dir))
-        .collect()
-}
-
-pub(crate) fn tcp_world(nranks: usize) -> std::io::Result<Vec<SocketTransport>> {
-    let mut listeners = Vec::with_capacity(nranks);
-    let mut ports = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (l, p) = SocketTransport::tcp_listener()?;
-        listeners.push(l);
-        ports.push(p);
-    }
-    listeners
-        .into_iter()
-        .enumerate()
-        .map(|(r, l)| SocketTransport::tcp(r, l, &ports))
         .collect()
 }
 
@@ -551,8 +297,7 @@ mod tests {
         )
         .unwrap();
         // A real world pumps each rank continuously from its own recv
-        // loop; the single-threaded test interleaves by hand (the TCP
-        // link to a higher rank is only accepted during `a`'s pump).
+        // loop; the single-threaded test interleaves by hand.
         let deadline = Instant::now() + Duration::from_secs(5);
         let w = loop {
             a.pump();
@@ -574,7 +319,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        // And the reverse direction (exercises TCP accept-side links).
+        // And the reverse direction.
         b.send(0, Wire::Ack { src: 1, seq: 7 }).unwrap();
         match a.recv(Some(Duration::from_secs(5))).unwrap().unwrap() {
             Wire::Ack { src, seq } => assert_eq!((src, seq), (1, 7)),
@@ -587,11 +332,6 @@ mod tests {
         let dir = scratch_dir("uds_rt");
         roundtrip_pair(uds_world(&dir, 2).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tcp_fragmented_roundtrip_both_directions() {
-        roundtrip_pair(tcp_world(2).unwrap());
     }
 
     #[test]

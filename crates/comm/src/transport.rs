@@ -5,20 +5,18 @@
 //! [`Transport`]: an unreliable, unordered-under-fault-injection pipe
 //! that moves [`Wire`]s between ranks. Two backends exist:
 //!
-//! * [`ThreadTransport`] — the original in-process crossbeam channels,
-//!   byte-for-byte the pre-trait behavior (blocking receives, channel
-//!   disconnection maps to a transport error).
+//! * [`ThreadTransport`] — in-process `std::sync::mpsc` channels
+//!   (blocking receives, channel disconnection maps to a transport
+//!   error).
 //! * [`crate::socket::SocketTransport`] — Unix-domain-socket datagrams
-//!   (TCP fallback) between one OS process per rank, framed by
-//!   [`crate::frame`].
+//!   between one OS process per rank, framed by [`crate::frame`].
 //!
 //! Transport errors are deliberately untyped (`()`): the ARQ layer owns
 //! the typed [`crate::CommError`] vocabulary and knows which peer it was
 //! talking to; the transport only knows "this pipe is gone".
 
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Duration;
-
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 
 /// What actually travels between ranks.
 #[derive(Clone, Debug)]
@@ -65,8 +63,8 @@ pub(crate) trait Transport: Send {
     fn kind(&self) -> &'static str;
 }
 
-/// The in-process backend: one crossbeam channel per rank, exactly as
-/// the pre-`Transport` runtime wired them.
+/// The in-process backend: one unbounded channel per rank, every rank
+/// holding a sender to each inbox.
 pub(crate) struct ThreadTransport {
     pub peers: Vec<Sender<Wire>>,
     pub inbox: Receiver<Wire>,

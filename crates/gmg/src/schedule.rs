@@ -1,21 +1,23 @@
 //! Schedule-level simulation of the V-cycle against the machine models.
 //!
-//! Executes the exact same operation schedule as [`crate::solver`]
-//! (Algorithm 2, including communication-avoiding margin tracking), but
-//! instead of computing numerics it prices every kernel with
-//! `gmg-machine`'s latency-throughput engine and every exchange with
-//! `gmg-comm`'s network model. This is how the paper-scale experiments
-//! (512³ per rank, 512 GPUs) are reproduced on a development machine:
-//! the *numerics* are validated at small scale by the real solver, and the
-//! *performance shape* is generated here from calibrated models.
+//! Walks the operation schedule of [`crate::solver`] (Algorithm 2,
+//! including communication-avoiding margin tracking — written once, in
+//! [`gmg_stencil::VcycleSchedule`]), but instead of computing numerics it
+//! prices every kernel with `gmg-machine`'s latency-throughput engine and
+//! every exchange with `gmg-comm`'s network model. This is how the
+//! paper-scale experiments (512³ per rank, 512 GPUs) are reproduced on a
+//! development machine: the *numerics* are validated at small scale by the
+//! real solver, and the *performance shape* is generated here from
+//! calibrated models.
 
 use gmg_brick::BrickOrdering;
 use gmg_comm::model::NetworkModel;
 use gmg_comm::plan::BrickExchangePlan;
 use gmg_machine::gpu::System;
 use gmg_machine::timing::KernelTiming;
+use gmg_machine::CpuModel;
 use gmg_mesh::Point3;
-use gmg_stencil::OpKind;
+use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -38,34 +40,9 @@ pub struct ScheduleConfig {
     /// Use GPU-aware MPI (overrides the system default when `Some`).
     pub gpu_aware_override: Option<bool>,
     /// Offload levels with at most this many cells per rank to the host
-    /// CPU — the strong-scaling remedy the paper's discussion proposes
-    /// ("solving small size problems on the CPU where latency/overhead
-    /// timings could be significantly less than the GPU ones"). `None`
-    /// keeps everything on the GPU (the paper's measured configuration).
+    /// CPU ([`CpuModel`]). `None` keeps everything on the GPU (the
+    /// paper's measured configuration).
     pub cpu_offload_below_cells: Option<usize>,
-}
-
-/// Host-CPU execution parameters for offloaded coarse levels (an EPYC-class
-/// socket: much lower launch overhead, much lower bandwidth than HBM).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct CpuModel {
-    pub kernel_overhead_us: f64,
-    pub dram_gbs: f64,
-    /// PCIe transfer bandwidth for migrating a level between device and
-    /// host (paid once per V-cycle per offloaded boundary).
-    pub pcie_gbs: f64,
-    pub pcie_latency_us: f64,
-}
-
-impl Default for CpuModel {
-    fn default() -> Self {
-        Self {
-            kernel_overhead_us: 0.5,
-            dram_gbs: 180.0,
-            pcie_gbs: 32.0,
-            pcie_latency_us: 10.0,
-        }
-    }
 }
 
 impl ScheduleConfig {
@@ -88,12 +65,18 @@ impl ScheduleConfig {
         }
     }
 
-    /// Whether level `li` runs on the host CPU under this config.
-    pub fn level_on_cpu(&self, li: usize) -> bool {
-        match self.cpu_offload_below_cells {
-            Some(t) => (self.extent_at(li).product() as usize) <= t,
-            None => false,
-        }
+    /// The V-cycle shape this config runs: per-level extents (halving),
+    /// ghost depths (the system's brick, clamped to the shrinking
+    /// subdomain) and smooth counts. Panics if a level's extent vanishes.
+    pub fn shape(&self) -> VcycleShape {
+        VcycleShape::halving(
+            self.sub_extent,
+            self.num_levels,
+            self.system.gpu().optimal_brick_dim,
+            self.smooths_per_level,
+            self.bottom_smooths,
+            self.communication_avoiding,
+        )
     }
 
     /// Total MPI ranks.
@@ -114,23 +97,6 @@ impl ScheduleConfig {
             None => base,
         };
         base.at_scale(self.nodes)
-    }
-
-    /// Brick dimension at level `li` (clamped to the shrinking subdomain).
-    pub fn brick_dim_at(&self, li: usize) -> i64 {
-        let e = self.extent_at(li);
-        let min_axis = e.x.min(e.y).min(e.z);
-        self.system.gpu().optimal_brick_dim.min(min_axis)
-    }
-
-    /// Per-rank extent at level `li`.
-    pub fn extent_at(&self, li: usize) -> Point3 {
-        let s = 1i64 << li;
-        Point3::new(
-            self.sub_extent.x / s,
-            self.sub_extent.y / s,
-            self.sub_extent.z / s,
-        )
     }
 }
 
@@ -184,33 +150,40 @@ impl SimResult {
     }
 }
 
-struct Sim<'a> {
-    cfg: &'a ScheduleConfig,
+/// The pricing half of the simulation: what each schedule step costs.
+struct Pricer {
     gpu: gmg_machine::GpuModel,
+    cpu: CpuModel,
     net: NetworkModel,
     plans: Vec<BrickExchangePlan>,
+    /// Whether each level runs on the host CPU.
+    on_cpu: Vec<bool>,
     acc: Vec<BTreeMap<String, f64>>,
     exchanges: Vec<usize>,
-    margins: Vec<i64>,
 }
 
-impl<'a> Sim<'a> {
-    fn new(cfg: &'a ScheduleConfig) -> Self {
-        let gpu = cfg.system.gpu();
-        let net = cfg.network();
-        let plans = (0..cfg.num_levels)
-            .map(|li| {
-                BrickExchangePlan::new(cfg.extent_at(li), cfg.brick_dim_at(li), 1, cfg.ordering)
-            })
-            .collect();
+impl Pricer {
+    fn new(cfg: &ScheduleConfig, shape: &VcycleShape) -> Self {
+        let levels = shape.extents.len();
         Self {
-            cfg,
-            gpu,
-            net,
-            plans,
-            acc: vec![BTreeMap::new(); cfg.num_levels],
-            exchanges: vec![0; cfg.num_levels],
-            margins: vec![0; cfg.num_levels],
+            gpu: cfg.system.gpu(),
+            cpu: CpuModel::default(),
+            net: cfg.network(),
+            plans: (0..levels)
+                .map(|li| {
+                    BrickExchangePlan::new(
+                        shape.extents[li],
+                        shape.ghost_depth[li],
+                        1,
+                        cfg.ordering,
+                    )
+                })
+                .collect(),
+            on_cpu: (0..levels)
+                .map(|li| CpuModel::offloads(cfg.cpu_offload_below_cells, shape.cells(li)))
+                .collect(),
+            acc: vec![BTreeMap::new(); levels],
+            exchanges: vec![0; levels],
         }
     }
 
@@ -219,11 +192,8 @@ impl<'a> Sim<'a> {
     }
 
     fn kernel(&mut self, li: usize, op: OpKind, points: usize) {
-        let t = if self.cfg.level_on_cpu(li) {
-            let cpu = CpuModel::default();
-            let traffic = op.traffic().per_fine_point();
-            cpu.kernel_overhead_us * 1e-6
-                + points as f64 * traffic.bytes_per_point() / (cpu.dram_gbs * 1e9)
+        let t = if self.on_cpu[li] {
+            self.cpu.kernel_time_s(op, points)
         } else {
             KernelTiming::model(&self.gpu, op, points).time_s
         };
@@ -231,7 +201,7 @@ impl<'a> Sim<'a> {
     }
 
     fn exchange(&mut self, li: usize) {
-        let t = if self.cfg.level_on_cpu(li) {
+        let t = if self.on_cpu[li] {
             // Host-resident data: no device staging, and the host path to
             // the NIC skips the GPU progress engine.
             let host_net = self.net.clone().with_gpu_aware(true);
@@ -243,110 +213,48 @@ impl<'a> Sim<'a> {
         self.exchanges[li] += 1;
     }
 
-    /// PCIe migration cost when the hierarchy crosses the device/host
-    /// boundary between levels `l` and `l+1` (restriction down, and the
-    /// matching interpolation back up).
-    fn offload_crossing(&mut self, fine: usize, coarse: usize) {
-        if self.cfg.level_on_cpu(coarse) && !self.cfg.level_on_cpu(fine) {
-            let cpu = CpuModel::default();
-            let bytes = self.cfg.extent_at(coarse).product() as f64 * 8.0;
-            let t = cpu.pcie_latency_us * 1e-6 + bytes / (cpu.pcie_gbs * 1e9);
-            // b down + x up: two crossings per V-cycle visit.
-            self.add(coarse, "pcie-migrate", 2.0 * t);
-        }
-    }
-
-    /// Region cell count for a smooth at the current margin.
-    fn region_points(&self, li: usize) -> usize {
-        let e = self.cfg.extent_at(li);
-        if self.cfg.communication_avoiding {
-            let m = self.margins[li];
-            let g = 2 * (m - 1);
-            ((e.x + g) * (e.y + g) * (e.z + g)) as usize
-        } else {
-            (e.x * e.y * e.z) as usize
-        }
-    }
-
-    fn smooth_pass(&mut self, li: usize, n: usize, fused: bool) {
-        let ca = self.cfg.communication_avoiding;
-        let ghost = self.cfg.brick_dim_at(li);
-        for _ in 0..n {
-            if !ca || self.margins[li] < 1 {
-                self.exchange(li);
-                self.margins[li] = ghost;
-            }
-            let points = self.region_points(li);
-            self.kernel(li, OpKind::ApplyOp, points);
-            self.kernel(
-                li,
-                if fused {
-                    OpKind::SmoothResidual
-                } else {
-                    OpKind::Smooth
-                },
-                points,
-            );
-            self.margins[li] -= 1;
-        }
-    }
-
+    /// `initZero` of level `li`, plus the PCIe migration when the
+    /// hierarchy crosses the device/host boundary right above it (the
+    /// restricted `b` going down and the correction `x` coming back up).
     fn init_zero(&mut self, li: usize) {
-        let cells =
-            self.plans[li].sub_extent.product() as f64 + self.plans[li].total_bytes() as f64 / 8.0; // owned + ghost shell
+        let owned = self.plans[li].sub_extent.product() as f64;
+        let cells = owned + self.plans[li].total_bytes() as f64 / 8.0; // owned + ghost shell
         let t = self.gpu.kernel_overhead_us * 1e-6 + cells * 8.0 / (self.gpu.hbm_gbs * 1e9);
         self.add(li, "initZero", t);
-        self.margins[li] = self.cfg.brick_dim_at(li);
+        if self.on_cpu[li] && !self.on_cpu[li - 1] {
+            let bytes = owned * 8.0;
+            let t = self.cpu.pcie_latency_us * 1e-6 + bytes / (self.cpu.pcie_gbs * 1e9);
+            self.add(li, "pcie-migrate", 2.0 * t);
+        }
     }
 
-    fn vcycle(&mut self) {
-        let top = self.cfg.num_levels - 1;
-        let smooths = self.cfg.smooths_per_level;
-        for l in 0..top {
-            self.smooth_pass(l, smooths, true);
-            // Restriction processes the fine level's cells.
-            let fine_points = self.cfg.extent_at(l).product() as usize;
-            self.kernel(l, OpKind::Restriction, fine_points);
-            self.init_zero(l + 1);
-            self.offload_crossing(l, l + 1);
-            if self.cfg.communication_avoiding {
-                self.exchange(l + 1); // b ghost after restriction
-            }
-        }
-        self.smooth_pass(top, self.cfg.bottom_smooths, false);
-        for l in (0..top).rev() {
-            let fine_points = self.cfg.extent_at(l).product() as usize;
-            self.kernel(l, OpKind::InterpolationIncrement, fine_points);
-            self.margins[l] = 0; // interpolation invalidates the ghost shell
-            self.smooth_pass(l, smooths, true);
+    fn price(&mut self, step: VcycleStep) {
+        match step {
+            VcycleStep::Exchange { level } => self.exchange(level),
+            VcycleStep::Kernel { level, op, points } => self.kernel(level, op, points),
+            VcycleStep::InitZero { level } => self.init_zero(level),
         }
     }
 }
 
 /// Run the simulation.
 pub fn simulate(cfg: &ScheduleConfig) -> SimResult {
-    assert!(cfg.num_levels >= 1);
-    for li in 0..cfg.num_levels {
-        let e = cfg.extent_at(li);
-        assert!(
-            e.x >= 1 && e.y >= 1 && e.z >= 1,
-            "level {li} extent {e:?} vanished; reduce num_levels"
-        );
-    }
-    let mut sim = Sim::new(cfg);
+    let shape = cfg.shape();
+    let mut pricer = Pricer::new(cfg, &shape);
+    let mut schedule = VcycleSchedule::new(shape);
     for _ in 0..cfg.vcycles {
-        sim.vcycle();
+        schedule.vcycle(|step| pricer.price(step));
     }
     let levels: Vec<SimLevelBreakdown> = (0..cfg.num_levels)
         .map(|li| {
-            let op_seconds = sim.acc[li].clone();
+            let op_seconds = pricer.acc[li].clone();
             let total_seconds: f64 = op_seconds.values().sum();
             SimLevelBreakdown {
                 level: li,
-                cells_per_rank: cfg.extent_at(li).product() as usize,
+                cells_per_rank: pricer.plans[li].sub_extent.product() as usize,
                 op_seconds,
                 total_seconds,
-                exchanges: sim.exchanges[li],
+                exchanges: pricer.exchanges[li],
             }
         })
         .collect();
@@ -378,9 +286,10 @@ mod tests {
     fn paper_config_shape() {
         let cfg = ScheduleConfig::paper_section6(System::Perlmutter);
         assert_eq!(cfg.nranks(), 8);
-        assert_eq!(cfg.extent_at(5), Point3::splat(16));
-        assert_eq!(cfg.brick_dim_at(0), 8);
-        assert_eq!(cfg.brick_dim_at(5), 8); // 16³ still fits 8³ bricks
+        let shape = cfg.shape();
+        assert_eq!(shape.extents[5], Point3::splat(16));
+        assert_eq!(shape.ghost_depth[0], 8);
+        assert_eq!(shape.ghost_depth[5], 8); // 16³ still fits 8³ bricks
     }
 
     #[test]
@@ -388,7 +297,7 @@ mod tests {
         let mut cfg = ScheduleConfig::paper_section6(System::Perlmutter);
         cfg.sub_extent = Point3::splat(64);
         cfg.num_levels = 5; // level 4 = 4³
-        assert_eq!(cfg.brick_dim_at(4), 4);
+        assert_eq!(cfg.shape().ghost_depth[4], 4);
     }
 
     #[test]
@@ -532,8 +441,10 @@ mod tests {
         gpu_only.num_levels = 5;
         let mut offload = gpu_only.clone();
         offload.cpu_offload_below_cells = Some(16 * 16 * 16);
-        assert!(offload.level_on_cpu(4)); // 8³ per rank
-        assert!(!offload.level_on_cpu(0));
+        let on_cpu =
+            |li| CpuModel::offloads(offload.cpu_offload_below_cells, offload.shape().cells(li));
+        assert!(on_cpu(4)); // 8³ per rank
+        assert!(!on_cpu(0));
         let g = simulate(&gpu_only);
         let o = simulate(&offload);
         let last = gpu_only.num_levels - 1;

@@ -18,6 +18,11 @@ use gmg_stencil::exec_fused::FusedStats;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
+/// Communication-avoiding Jacobi-family smooth iterations grouped into
+/// one call of the one-pass smoother (`gmg_stencil::exec_fused`, one
+/// `fusedSmooth` timer row per group), ghost margin permitting.
+const FUSED_GROUP: usize = 4;
+
 /// Solver configuration (the artifact's command-line parameters).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SolverConfig {
@@ -40,13 +45,6 @@ pub struct SolverConfig {
     /// Smoother (the paper uses point Jacobi; alternatives are the
     /// paper's stated future work).
     pub smoother: Smoother,
-    /// Maximum Jacobi-family smooth iterations grouped into one call of
-    /// the one-pass smoother (`gmg_stencil::exec_fused`, one
-    /// `fusedSmooth` timer row per group); 0 or 1 selects the split
-    /// `applyOp` + `smooth` sweep pair, the reference schedule. Only
-    /// effective in communication-avoiding mode, bounded by the available
-    /// ghost margin, and bit-identical to the sweep path either way.
-    pub fused_smooths: usize,
     /// Cycle index γ: 1 = V-cycle (the paper), 2 = W-cycle.
     pub cycle_gamma: usize,
     /// What to do when the health guards detect divergence or a
@@ -81,7 +79,6 @@ impl SolverConfig {
             brick_dim: 8,
             ordering: BrickOrdering::SurfaceMajor,
             smoother: Smoother::Jacobi,
-            fused_smooths: 4,
             cycle_gamma: 1,
             recovery: RecoveryPolicy::Abort,
             checkpoint_interval: 4,
@@ -102,7 +99,6 @@ impl SolverConfig {
             brick_dim: 4,
             ordering: BrickOrdering::SurfaceMajor,
             smoother: Smoother::Jacobi,
-            fused_smooths: 4,
             cycle_gamma: 1,
             recovery: RecoveryPolicy::Abort,
             checkpoint_interval: 1,
@@ -287,13 +283,22 @@ impl GmgSolver {
         }
     }
 
-    /// Record one timed op into both the scalar [`OpTimer`] and (when a
-    /// trace capture is active) the trace sink. Both consume the *same*
-    /// `[t0, t1]` measurement, so trace-derived per-op fractions agree
-    /// with `TimerReport::level_fractions` by construction. `points` is
-    /// the number of (coarse, for inter-level ops) points processed; it
-    /// expands to exact byte/FLOP counters via [`crate::trace`].
-    fn record_op(&mut self, level: usize, op: &'static str, t0: Instant, t1: Instant, points: u64) {
+    /// Record one timed op into the scalar [`OpTimer`], (when a trace
+    /// capture is active) the trace sink, the metrics histogram and the
+    /// flight ring. All consume the *same* `[t0, t1]` measurement, so
+    /// trace-derived per-op fractions agree with
+    /// `TimerReport::level_fractions` by construction. `points` is the
+    /// number of (coarse, for inter-level ops) points processed;
+    /// `counters` turns it into the span's byte/FLOP counters.
+    fn record_span(
+        &mut self,
+        level: usize,
+        op: &'static str,
+        t0: Instant,
+        t1: Instant,
+        points: u64,
+        counters: impl FnOnce() -> gmg_trace::Counters,
+    ) {
         let secs = (t1 - t0).as_secs_f64();
         self.timers.record(level, op, secs);
         if gmg_trace::enabled() {
@@ -304,7 +309,7 @@ impl GmgSolver {
                 gmg_trace::Track::Compute,
                 t0,
                 secs,
-                crate::trace::op_counters(op, points),
+                counters(),
             );
         }
         if gmg_metrics::enabled() {
@@ -320,52 +325,39 @@ impl GmgSolver {
         );
     }
 
-    /// Record one fused multi-smooth group: an OpTimer `fusedSmooth`
-    /// row plus a trace span carrying the kernel's own counters — the
-    /// generic per-op tables price one iteration, a group covers `s`
-    /// shrinking regions.
+    /// [`GmgSolver::record_span`] for the ops whose exact counters follow
+    /// from the point count via [`crate::trace`].
+    fn record_op(&mut self, level: usize, op: &'static str, t0: Instant, t1: Instant, points: u64) {
+        self.record_span(level, op, t0, t1, points, || {
+            crate::trace::op_counters(op, points)
+        });
+    }
+
+    /// Record one fused multi-smooth group: a `fusedSmooth` row whose span
+    /// carries the kernel's own counters — the generic per-op tables price
+    /// one iteration, a group covers `s` shrinking regions.
     fn record_fused_op(&mut self, level: usize, t0: Instant, t1: Instant, stats: &FusedStats) {
-        let secs = (t1 - t0).as_secs_f64();
-        self.timers.record(level, "fusedSmooth", secs);
-        if gmg_trace::enabled() {
-            gmg_trace::record_span_at(
-                self.rank,
-                level,
-                "fusedSmooth",
-                gmg_trace::Track::Compute,
-                t0,
-                secs,
-                gmg_trace::Counters {
-                    bytes_read: stats.doubles_read * 8,
-                    bytes_written: stats.doubles_written * 8,
-                    flops: stats.flops,
-                    stencil_points: stats.points_updated,
-                    ..Default::default()
-                },
-            );
-        }
-        if gmg_metrics::enabled() {
-            gmg_metrics::histogram("solver_op_ns", self.rank, Some(level), "fusedSmooth")
-                .record((secs * 1e9) as u64);
-        }
-        gmg_flight::record_compute(
-            level,
-            "fusedSmooth",
-            gmg_trace::instant_ns(t0),
-            (secs * 1e9) as u64,
-            stats.points_updated,
-        );
+        self.record_span(level, "fusedSmooth", t0, t1, stats.points_updated, || {
+            gmg_trace::Counters {
+                bytes_read: stats.doubles_read * 8,
+                bytes_written: stats.doubles_written * 8,
+                flops: stats.flops,
+                stencil_points: stats.points_updated,
+                ..Default::default()
+            }
+        });
     }
 
     /// One smoothing pass at level `li`: `n` iterations of
     /// `exchange → applyOp → smooth(+residual)`, with the exchange elided
     /// while the communication-avoiding ghost margin lasts. Smoothers that
     /// make two neighbor-reading passes per iteration (red-black variants)
-    /// consume two margin cells per iteration. With `fused_smooths >= 2`
-    /// every communication-avoiding Jacobi-family iteration goes through
-    /// the one-pass smoother, in groups of up to `fused_smooths`
-    /// as the margin allows — same schedule, same exchanges, bit-identical
-    /// numerics, less memory traffic.
+    /// consume two margin cells per iteration. Every
+    /// communication-avoiding Jacobi-family iteration goes through the
+    /// one-pass smoother, in groups of up to [`FUSED_GROUP`] as the margin
+    /// allows — the schedule, exchanges and numerics (bit for bit) of the
+    /// split `applyOp` + `smooth` pair, which remains the schedule without
+    /// communication avoiding, with less memory traffic.
     fn smooth_pass(
         &mut self,
         ctx: &mut RankCtx,
@@ -376,7 +368,9 @@ impl GmgSolver {
         let ca = self.config.communication_avoiding;
         let smoother = self.config.smoother;
         let need = smoother.margin_per_iteration();
-        let fused_gamma = smoother.fused_gamma(self.levels[li].gamma);
+        // The one-pass smoother runs the communication-avoiding schedule of
+        // the Jacobi family; everything else takes the split path below.
+        let one_pass_gamma = smoother.fused_gamma(self.levels[li].gamma).filter(|_| ca);
         let mut done = 0;
         while done < n {
             if !ca || self.levels[li].margin < need {
@@ -393,25 +387,19 @@ impl GmgSolver {
                 try_exchange_x(ctx, level, tag)?;
                 self.record_op(li, "exchange", t0, Instant::now(), 0);
             }
-            if ca && self.config.fused_smooths >= 2 {
-                if let Some(gamma) = fused_gamma {
-                    let level = &mut self.levels[li];
-                    // At least 1: the exchange above refilled an empty margin.
-                    let s = self
-                        .config
-                        .fused_smooths
-                        .min(n - done)
-                        .min(level.margin as usize);
-                    let region = level.owned.grow(level.margin - 1);
-                    let _ph = gmg_prof::phase("fusedSmooth");
-                    let t0 = Instant::now();
-                    let stats = level.fused_multi_smooth(region, s, gamma, fused);
-                    let t1 = Instant::now();
-                    self.record_fused_op(li, t0, t1, &stats);
-                    self.levels[li].margin -= s as i64;
-                    done += s;
-                    continue;
-                }
+            if let Some(gamma) = one_pass_gamma {
+                let level = &mut self.levels[li];
+                // At least 1: the exchange above refilled an empty margin.
+                let s = FUSED_GROUP.min(n - done).min(level.margin as usize);
+                let region = level.owned.grow(level.margin - 1);
+                let _ph = gmg_prof::phase("fusedSmooth");
+                let t0 = Instant::now();
+                let stats = level.fused_multi_smooth(region, s, gamma, fused);
+                let t1 = Instant::now();
+                self.record_fused_op(li, t0, t1, &stats);
+                self.levels[li].margin -= s as i64;
+                done += s;
+                continue;
             }
             let level = &mut self.levels[li];
             // CA mode works on the shrinking valid region; otherwise the
@@ -1001,21 +989,6 @@ mod tests {
     }
 
     #[test]
-    fn ca_and_non_ca_produce_identical_numerics() {
-        let mut ca = SolverConfig::test_default();
-        ca.num_levels = 2;
-        ca.max_vcycles = 4;
-        ca.tolerance = 0.0;
-        let mut plain = ca;
-        plain.communication_avoiding = false;
-        let a = solve_with(16, Point3::new(2, 1, 1), ca);
-        let b = solve_with(16, Point3::new(2, 1, 1), plain);
-        for (x, y) in a[0].0.residual_history.iter().zip(&b[0].0.residual_history) {
-            assert!((x - y).abs() <= 1e-10 * x.max(1e-30), "{x} vs {y}");
-        }
-    }
-
-    #[test]
     fn vcycle_beats_smoothing_alone() {
         // A 2-level V-cycle must reduce the residual much faster than the
         // same number of fine-grid smooths.
@@ -1039,7 +1012,7 @@ mod tests {
     #[test]
     fn timers_populated_per_level() {
         // Default config: every Jacobi iteration runs through the
-        // one-pass smoother in groups of `fused_smooths` (bounded by the
+        // one-pass smoother in groups of `FUSED_GROUP` (bounded by the
         // ghost depth), so the per-iteration applyOp/smooth rows are
         // replaced by one `fusedSmooth` row per group — including the
         // leftover group of one that 9 = 4 + 4 + 1 and 49 = 12·4 + 1 leave.
@@ -1055,7 +1028,7 @@ mod tests {
             let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
             s.solve(&mut ctx);
             // ghost depth (= brick_dim here) caps the fusion depth.
-            let group = cfg.fused_smooths.min(cfg.brick_dim as usize);
+            let group = FUSED_GROUP.min(cfg.brick_dim as usize);
             let groups_of = |n: usize| n.div_ceil(group);
             assert_eq!(
                 s.timers.count(0, "fusedSmooth"),
@@ -1065,7 +1038,7 @@ mod tests {
                 s.timers.count(1, "fusedSmooth"),
                 groups_of(cfg.bottom_smooths)
             );
-            // The sweep-by-sweep rows only appear when fusion is off.
+            // The split rows only appear without communication avoiding.
             for level in 0..2 {
                 for op in ["applyOp", "smooth", "smooth+residual"] {
                     assert_eq!(s.timers.count(level, op), 0, "level {level} {op}");
@@ -1079,13 +1052,14 @@ mod tests {
     }
 
     #[test]
-    fn timers_populated_per_level_sweep_schedule() {
-        // With fusion disabled the paper's split timer rows come back.
+    fn timers_populated_per_level_split_schedule() {
+        // Without communication avoiding the paper's split timer rows
+        // come back.
         let mut cfg = SolverConfig::test_default();
         cfg.num_levels = 2;
         cfg.max_vcycles = 1;
         cfg.tolerance = 0.0;
-        cfg.fused_smooths = 1;
+        cfg.communication_avoiding = false;
         let decomp = Decomposition::new(Box3::cube(16), Point3::splat(1));
         let d = &decomp;
         RankWorld::run(1, move |mut ctx| {
@@ -1103,23 +1077,30 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_sweep_produce_identical_histories() {
-        // The fused executor is bit-identical to the sweep-by-sweep CA
-        // schedule, so the residual histories must match exactly — no
-        // tolerance — on one rank and across a 2×1×1 decomposition.
-        let mut fused = SolverConfig::test_default();
-        fused.num_levels = 2;
-        fused.max_vcycles = 4;
-        fused.tolerance = 0.0;
-        assert!(fused.fused_smooths >= 2, "default must exercise fusion");
-        let mut sweep = fused;
-        sweep.fused_smooths = 1;
+    fn ca_one_pass_and_split_schedule_produce_identical_histories() {
+        // The default schedule (communication avoiding, one-pass smoother
+        // over shrinking regions) against the reference it replaces
+        // nothing of: an exchange before every split `applyOp` +
+        // `smooth(+residual)` over the owned box. Every owned cell sees
+        // the same arithmetic on the same inputs either way, so the
+        // residual histories must match exactly — no tolerance — on one
+        // rank and across a 2×1×1 decomposition.
+        let mut ca = SolverConfig::test_default();
+        ca.num_levels = 2;
+        ca.max_vcycles = 4;
+        ca.tolerance = 0.0;
+        assert!(
+            ca.communication_avoiding,
+            "default must exercise the one-pass smoother"
+        );
+        let mut plain = ca;
+        plain.communication_avoiding = false;
         for ranks in [Point3::splat(1), Point3::new(2, 1, 1)] {
-            let a = solve_with(16, ranks, fused);
-            let b = solve_with(16, ranks, sweep);
+            let a = solve_with(16, ranks, ca);
+            let b = solve_with(16, ranks, plain);
             assert_eq!(
                 a[0].0.residual_history, b[0].0.residual_history,
-                "fused vs sweep histories diverge at ranks {ranks:?}"
+                "CA one-pass vs split histories diverge at ranks {ranks:?}"
             );
         }
     }

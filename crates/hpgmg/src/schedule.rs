@@ -1,9 +1,9 @@
 //! Modeled HPGMG baseline for the Figure 4 comparison.
 //!
-//! Prices the same V-cycle schedule as `gmg-core::schedule`, but the
-//! conventional way: a depth-1 array exchange with pack/unpack staging
-//! before *every* smooth, no communication-avoiding, and stencil kernels
-//! derated by a per-system factor reflecting the conventional layout's
+//! Prices the same V-cycle schedule as `gmg-core::schedule`
+//! ([`gmg_stencil::VcycleSchedule`]), but the conventional way: a depth-1
+//! array exchange with pack/unpack staging before *every* smooth, no
+//! communication-avoiding, and stencil kernels derated by a per-system factor reflecting the conventional layout's
 //! extra address streams and data movement (calibrated so the bricked/
 //! baseline per-V-cycle ratio lands on the paper's measured 1.58× on
 //! Perlmutter and 1.46× on Frontier; HPGMG-CUDA itself is a tuned code, so
@@ -14,7 +14,7 @@ use gmg_comm::plan::ArrayExchangePlan;
 use gmg_machine::gpu::{GpuModel, System};
 use gmg_machine::timing::KernelTiming;
 use gmg_mesh::Point3;
-use gmg_stencil::OpKind;
+use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
 use serde::{Deserialize, Serialize};
 
 /// Fraction of the bricked kernels' sustained rate the conventional-layout
@@ -63,54 +63,37 @@ pub fn simulate_hpgmg(
         System::Sunspot => NetworkModel::sunspot(),
     }
     .at_scale(nodes);
+    // Depth-1 ghosts, exchanged before every smooth: the schedule with
+    // communication avoiding off.
+    let shape = VcycleShape::halving(
+        sub_extent,
+        num_levels,
+        1,
+        smooths_per_level,
+        bottom_smooths,
+        false,
+    );
     let mut kernel_s = 0.0;
     let mut exch_s = 0.0;
-    let extent_at = |li: usize| {
-        let s = 1i64 << li;
-        Point3::new(sub_extent.x / s, sub_extent.y / s, sub_extent.z / s)
-    };
-    let mut exchange = |li: usize| {
-        let plan = ArrayExchangePlan::new(extent_at(li), 1);
-        let wire = net.exchange_time_s(&plan.message_bytes);
-        // Pack + unpack kernels: each reads and writes the surface cells.
-        let pack_bytes = 2.0 * plan.total_bytes() as f64;
-        let pack = 2.0 * (gpu.kernel_overhead_us * 1e-6 + pack_bytes / (gpu.hbm_gbs * 1e9));
-        exch_s += wire + pack;
-    };
-    let smooth_pass =
-        |li: usize, n: usize, fused: bool, kernel_s: &mut f64, exchange: &mut dyn FnMut(usize)| {
-            let points = extent_at(li).product() as usize;
-            for _ in 0..n {
-                exchange(li);
-                *kernel_s += kernel_time(&gpu, system, OpKind::ApplyOp, points);
-                *kernel_s += kernel_time(
-                    &gpu,
-                    system,
-                    if fused {
-                        OpKind::SmoothResidual
-                    } else {
-                        OpKind::Smooth
-                    },
-                    points,
-                );
-            }
-        };
+    let mut schedule = VcycleSchedule::new(shape.clone());
     for _ in 0..vcycles {
-        let top = num_levels - 1;
-        for l in 0..top {
-            smooth_pass(l, smooths_per_level, true, &mut kernel_s, &mut exchange);
-            let fine_points = extent_at(l).product() as usize;
-            kernel_s += kernel_time(&gpu, system, OpKind::Restriction, fine_points);
-            // initZero on the coarse level.
-            let coarse_cells = extent_at(l + 1).product() as f64;
-            kernel_s += gpu.kernel_overhead_us * 1e-6 + coarse_cells * 8.0 / (gpu.hbm_gbs * 1e9);
-        }
-        smooth_pass(top, bottom_smooths, false, &mut kernel_s, &mut exchange);
-        for l in (0..top).rev() {
-            let fine_points = extent_at(l).product() as usize;
-            kernel_s += kernel_time(&gpu, system, OpKind::InterpolationIncrement, fine_points);
-            smooth_pass(l, smooths_per_level, true, &mut kernel_s, &mut exchange);
-        }
+        schedule.vcycle(|step| match step {
+            VcycleStep::Exchange { level } => {
+                let plan = ArrayExchangePlan::new(shape.extents[level], 1);
+                let wire = net.exchange_time_s(&plan.message_bytes);
+                // Pack + unpack kernels: each reads and writes the surface cells.
+                let pack_bytes = 2.0 * plan.total_bytes() as f64;
+                let pack = 2.0 * (gpu.kernel_overhead_us * 1e-6 + pack_bytes / (gpu.hbm_gbs * 1e9));
+                exch_s += wire + pack;
+            }
+            VcycleStep::Kernel { op, points, .. } => {
+                kernel_s += kernel_time(&gpu, system, op, points);
+            }
+            VcycleStep::InitZero { level } => {
+                let cells = shape.cells(level) as f64;
+                kernel_s += gpu.kernel_overhead_us * 1e-6 + cells * 8.0 / (gpu.hbm_gbs * 1e9);
+            }
+        });
     }
     let total = kernel_s + exch_s;
     HpgmgSimResult {

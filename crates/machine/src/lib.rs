@@ -24,6 +24,7 @@
 //! by the harnesses, so the models stay internally consistent.
 
 pub mod contention;
+pub mod cpu;
 pub mod gpu;
 pub mod microbench;
 pub mod model;
@@ -31,6 +32,7 @@ pub mod portability;
 pub mod timing;
 
 pub use contention::ContentionModel;
+pub use cpu::CpuModel;
 pub use gpu::{GpuModel, OpEfficiency, System};
 pub use microbench::HostRoofline;
 pub use model::LatencyThroughput;

@@ -5,8 +5,8 @@
 //! methodology applies to the machine this reproduction executes on: this
 //! module measures sustained memory bandwidth with a STREAM-style triad,
 //! fits the memcpy latency-throughput curve, and packages both as a
-//! [`HostRoofline`] so measured CPU kernel results (from the criterion
-//! benches) can be judged as a *fraction of this host's roofline* — the
+//! [`HostRoofline`] so measured CPU kernel results (perfgate, gmgbench)
+//! can be judged as a *fraction of this host's roofline* — the
 //! exact metric of the paper's Table III, applied honestly to the hardware
 //! we actually have.
 

@@ -1,10 +1,11 @@
 //! The discrete-event schedule simulator.
 //!
-//! Executes the same V-cycle operation schedule as `gmg-core`'s
-//! in-process simulator (descent smooths with communication-avoiding
-//! margin tracking, restriction, coarse init, bottom solve, ascent
-//! interpolation + smooths, and a per-cycle residual allreduce) — but
-//! with a **per-rank virtual clock** for 10k–100k ranks. The schedule
+//! Walks the same V-cycle operation schedule as `gmg-core`'s in-process
+//! simulator ([`VcycleSchedule`]: descent smooths with
+//! communication-avoiding margin tracking, restriction, coarse init,
+//! bottom solve, ascent interpolation + smooths), adds a per-cycle
+//! residual allreduce, and prices it with a **per-rank virtual clock**
+//! for 10k–100k ranks. The schedule
 //! is SPMD, so no event queue is needed: each collective phase advances
 //! every rank's clock in lockstep, and the only cross-rank coupling —
 //! ghost-exchange messages and the allreduce tree — is resolved with a
@@ -35,9 +36,9 @@ use gmg_flight::{SynthLog, NO_LEVEL};
 use gmg_machine::contention::ContentionModel;
 use gmg_machine::gpu::System;
 use gmg_machine::timing::KernelTiming;
-use gmg_machine::GpuModel;
+use gmg_machine::{CpuModel, GpuModel};
 use gmg_mesh::Point3;
-use gmg_stencil::OpKind;
+use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
 use serde::{Deserialize, Serialize};
 
 use crate::topology::{nodes_for, RankGrid, FACE_DIRS};
@@ -122,36 +123,20 @@ impl ScaleConfig {
         nodes_for(self.ranks, self.ranks_per_node)
     }
 
-    /// Per-rank extent at level `li`.
-    pub fn extent_at(&self, li: usize) -> Point3 {
-        let s = 1i64 << li;
-        Point3::new(
-            self.sub_extent.x / s,
-            self.sub_extent.y / s,
-            self.sub_extent.z / s,
+    /// The V-cycle shape this config runs: per-level extents (halving),
+    /// ghost depths (the system's brick, clamped to the shrinking extent)
+    /// and smooth counts. Panics if a level's extent vanishes.
+    pub fn shape(&self) -> VcycleShape {
+        VcycleShape::halving(
+            self.sub_extent,
+            self.num_levels,
+            self.system.gpu().optimal_brick_dim,
+            self.smooths_per_level,
+            self.bottom_smooths,
+            self.communication_avoiding,
         )
     }
-
-    /// Brick dimension at level `li` (clamped to the shrinking extent).
-    pub fn brick_dim_at(&self, li: usize) -> i64 {
-        let e = self.extent_at(li);
-        let min_axis = e.x.min(e.y).min(e.z);
-        self.system.gpu().optimal_brick_dim.min(min_axis)
-    }
-
-    /// Whether level `li` runs on the host CPU under this config.
-    pub fn level_on_cpu(&self, li: usize) -> bool {
-        match self.cpu_offload_below_cells {
-            Some(t) => (self.extent_at(li).product() as usize) <= t,
-            None => false,
-        }
-    }
 }
-
-/// Host-CPU constants for offloaded coarse levels — mirrors
-/// `gmg-core`'s schedule `CpuModel` (EPYC-class socket).
-const CPU_KERNEL_OVERHEAD_S: f64 = 0.5e-6;
-const CPU_DRAM_GBS: f64 = 180.0;
 
 /// Per-level decomposition of one simulated run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -282,15 +267,17 @@ struct LevelCost {
 struct Sim<'a> {
     cfg: &'a ScaleConfig,
     gpu: GpuModel,
+    cpu: CpuModel,
+    /// Owned cells per rank, per level.
+    cells: Vec<usize>,
+    /// Whether each level runs on the host CPU.
+    on_cpu: Vec<bool>,
     grid: RankGrid,
     neighbors: Vec<[usize; FACE_DIRS]>,
     costs: Vec<LevelCost>,
     /// One allreduce tree hop (contention hop + per-message software).
     allreduce_hop: f64,
     clock: Vec<f64>,
-    /// Per-level communication-avoiding ghost margin (SPMD: congruent
-    /// across ranks).
-    margins: Vec<i64>,
     /// Per-rank wire sequence counter (unique per sender).
     seq: Vec<u64>,
     logs: Option<Vec<SynthLog>>,
@@ -317,14 +304,19 @@ struct InMsg {
 }
 
 impl<'a> Sim<'a> {
-    fn new(cfg: &'a ScaleConfig) -> Self {
+    fn new(cfg: &'a ScaleConfig, shape: &VcycleShape) -> Self {
         let gpu = cfg.system.gpu();
+        let cells: Vec<usize> = (0..cfg.num_levels).map(|li| shape.cells(li)).collect();
+        let on_cpu: Vec<bool> = cells
+            .iter()
+            .map(|&c| CpuModel::offloads(cfg.cpu_offload_below_cells, c))
+            .collect();
         let grid = RankGrid::near_cubic(cfg.ranks);
         let neighbors = (0..cfg.ranks).map(|r| grid.face_neighbors(r)).collect();
         let net = cfg.system_network();
         let nodes = cfg.nodes();
         let costs = (0..cfg.num_levels)
-            .map(|li| cfg.level_cost(li, &net, nodes))
+            .map(|li| cfg.level_cost(shape, li, on_cpu[li], &net, nodes))
             .collect();
         let logs = match cfg.record {
             RecordMode::ClockOnly => None,
@@ -334,12 +326,14 @@ impl<'a> Sim<'a> {
         Sim {
             cfg,
             gpu,
+            cpu: CpuModel::default(),
+            cells,
+            on_cpu,
             grid,
             neighbors,
             costs,
             allreduce_hop,
             clock: vec![0.0; cfg.ranks],
-            margins: vec![0; cfg.num_levels],
             seq: vec![0; cfg.ranks],
             logs,
             phase: 0,
@@ -361,9 +355,8 @@ impl<'a> Sim<'a> {
 
     /// Modelled base time of one kernel at level `li` (no jitter).
     fn kernel_time(&self, li: usize, op: OpKind, points: usize) -> f64 {
-        if self.cfg.level_on_cpu(li) {
-            let bytes = op.traffic().per_fine_point().bytes_per_point();
-            CPU_KERNEL_OVERHEAD_S + points as f64 * bytes / (CPU_DRAM_GBS * 1e9)
+        if self.on_cpu[li] {
+            self.cpu.kernel_time_s(op, points)
         } else {
             KernelTiming::model(&self.gpu, op, points).time_s
         }
@@ -404,18 +397,6 @@ impl<'a> Sim<'a> {
             }
         }
         self.events += n as u64;
-    }
-
-    /// Region cell count for a smooth at the current CA margin.
-    fn region_points(&self, li: usize) -> usize {
-        let e = self.cfg.extent_at(li);
-        if self.cfg.communication_avoiding {
-            let m = self.margins[li];
-            let g = 2 * (m - 1);
-            ((e.x + g) * (e.y + g) * (e.z + g)) as usize
-        } else {
-            (e.x * e.y * e.z) as usize
-        }
     }
 
     /// One ghost exchange at level `li`: each rank posts its six face
@@ -506,38 +487,28 @@ impl<'a> Sim<'a> {
         self.events += n as u64 * (FACE_DIRS as u64) * 3;
     }
 
-    /// Coarse-level initialization (zero fill of owned cells + ghost
-    /// shell) — same for every rank; resets the CA margin.
+    /// Coarse-level initialization (zero fill of the owned cells) — same
+    /// for every rank.
     fn init_zero(&mut self, li: usize) {
-        let cells = self.cfg.extent_at(li).product() as f64;
-        let t = if self.cfg.level_on_cpu(li) {
-            CPU_KERNEL_OVERHEAD_S + cells * 8.0 / (CPU_DRAM_GBS * 1e9)
+        let cells = self.cells[li];
+        let bytes = cells as f64 * 8.0;
+        let t = if self.on_cpu[li] {
+            self.cpu.stream_time_s(bytes)
         } else {
-            self.gpu.kernel_overhead_us * 1e-6 + cells * 8.0 / (self.gpu.hbm_gbs * 1e9)
+            self.gpu.kernel_overhead_us * 1e-6 + bytes / (self.gpu.hbm_gbs * 1e9)
         };
-        self.compute_phase(li, "initZero", t, cells as usize);
-        self.margins[li] = self.cfg.brick_dim_at(li);
+        self.compute_phase(li, "initZero", t, cells);
     }
 
-    fn smooth_pass(&mut self, li: usize, n: usize, fused: bool) {
-        let ca = self.cfg.communication_avoiding;
-        let ghost = self.cfg.brick_dim_at(li);
-        for _ in 0..n {
-            if !ca || self.margins[li] < 1 {
-                self.exchange_phase(li);
-                self.margins[li] = ghost;
+    /// Advance every rank's clock through one schedule step.
+    fn run_step(&mut self, step: VcycleStep) {
+        match step {
+            VcycleStep::Exchange { level } => self.exchange_phase(level),
+            VcycleStep::Kernel { level, op, points } => {
+                let t = self.kernel_time(level, op, points);
+                self.compute_phase(level, op.name(), t, points);
             }
-            let points = self.region_points(li);
-            let apply_t = self.kernel_time(li, OpKind::ApplyOp, points);
-            self.compute_phase(li, OpKind::ApplyOp.name(), apply_t, points);
-            let smooth_op = if fused {
-                OpKind::SmoothResidual
-            } else {
-                OpKind::Smooth
-            };
-            let smooth_t = self.kernel_time(li, smooth_op, points);
-            self.compute_phase(li, smooth_op.name(), smooth_t, points);
-            self.margins[li] -= 1;
+            VcycleStep::InitZero { level } => self.init_zero(level),
         }
     }
 
@@ -643,30 +614,6 @@ impl<'a> Sim<'a> {
             self.clock[r] = end;
         }
     }
-
-    fn vcycle(&mut self) {
-        let top = self.cfg.num_levels - 1;
-        let smooths = self.cfg.smooths_per_level;
-        for l in 0..top {
-            self.smooth_pass(l, smooths, true);
-            let fine_points = self.cfg.extent_at(l).product() as usize;
-            let t = self.kernel_time(l, OpKind::Restriction, fine_points);
-            self.compute_phase(l, OpKind::Restriction.name(), t, fine_points);
-            self.init_zero(l + 1);
-            if self.cfg.communication_avoiding {
-                self.exchange_phase(l + 1); // b ghost after restriction
-            }
-        }
-        self.smooth_pass(top, self.cfg.bottom_smooths, false);
-        for l in (0..top).rev() {
-            let fine_points = self.cfg.extent_at(l).product() as usize;
-            let t = self.kernel_time(l, OpKind::InterpolationIncrement, fine_points);
-            self.compute_phase(l, OpKind::InterpolationIncrement.name(), t, fine_points);
-            self.margins[l] = 0; // interpolation invalidates the ghost shell
-            self.smooth_pass(l, smooths, true);
-        }
-        self.allreduce_phase();
-    }
 }
 
 impl ScaleConfig {
@@ -681,10 +628,17 @@ impl ScaleConfig {
         }
     }
 
-    fn level_cost(&self, li: usize, net: &NetworkModel, nodes: usize) -> LevelCost {
+    fn level_cost(
+        &self,
+        shape: &VcycleShape,
+        li: usize,
+        on_cpu: bool,
+        net: &NetworkModel,
+        nodes: usize,
+    ) -> LevelCost {
         let plan = BrickExchangePlan::new(
-            self.extent_at(li),
-            self.brick_dim_at(li),
+            shape.extents[li],
+            shape.ghost_depth[li],
             1,
             BrickOrdering::SurfaceMajor,
         );
@@ -698,7 +652,6 @@ impl ScaleConfig {
         } else {
             net.rdzv_handshake_s
         };
-        let on_cpu = self.level_on_cpu(li);
         let c = &self.contention;
         let (alpha_c, beta_gbs) = c.contended_alpha_beta(0.0, net.sustained_gbs, nodes);
         let mut transit_s = alpha_c + face_bytes / (beta_gbs * 1e9);
@@ -729,14 +682,8 @@ impl ScaleConfig {
 
 /// Run the simulation.
 pub fn simulate(cfg: &ScaleConfig) -> ScaleResult {
-    assert!(cfg.num_levels >= 1 && cfg.ranks >= 1 && cfg.vcycles >= 1);
-    for li in 0..cfg.num_levels {
-        let e = cfg.extent_at(li);
-        assert!(
-            e.x >= 1 && e.y >= 1 && e.z >= 1,
-            "level {li} extent {e:?} vanished; reduce num_levels"
-        );
-    }
+    assert!(cfg.ranks >= 1 && cfg.vcycles >= 1);
+    let shape = cfg.shape();
     if cfg.record == RecordMode::Events {
         let (lo, hi) = cfg.window;
         assert!(
@@ -744,16 +691,18 @@ pub fn simulate(cfg: &ScaleConfig) -> ScaleResult {
             "window {lo}..{hi} out of range"
         );
     }
-    let mut sim = Sim::new(cfg);
+    let mut sim = Sim::new(cfg, &shape);
+    let mut schedule = VcycleSchedule::new(shape);
     for _ in 0..cfg.vcycles {
-        sim.vcycle();
+        schedule.vcycle(|step| sim.run_step(step));
+        sim.allreduce_phase();
     }
     let n = cfg.ranks as f64;
     let mean = |v: &[f64]| v.iter().sum::<f64>() / n;
     let levels = (0..cfg.num_levels)
         .map(|li| LevelDecomp {
             level: li,
-            cells_per_rank: cfg.extent_at(li).product() as usize,
+            cells_per_rank: sim.cells[li],
             compute_mean_s: mean(&sim.compute_s[li]),
             compute_predicted_s: sim.predicted_s[li],
             exchange_mean_s: mean(&sim.exchange_s[li]),
@@ -904,7 +853,7 @@ mod tests {
         gpu_only.loss_rate = 0.0;
         let mut off = gpu_only.clone();
         off.cpu_offload_below_cells = Some(8 * 8 * 8);
-        assert!(off.level_on_cpu(2));
+        assert!(CpuModel::offloads(off.cpu_offload_below_cells, 8 * 8 * 8));
         let g = simulate(&gpu_only);
         let o = simulate(&off);
         let last = gpu_only.num_levels - 1;

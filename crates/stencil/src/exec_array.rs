@@ -125,67 +125,6 @@ pub fn apply_star7_array(
     });
 }
 
-/// Cache-blocked ("tiled") 7-point apply over conventional arrays: the
-/// classical tiling optimization the paper contrasts fine-grain data
-/// blocking against. Loops are blocked `tile³` in index space, but the
-/// storage layout stays lexicographic — so each tile still touches
-/// `O(tile²)` distinct address streams, which is precisely the data-
-/// movement disadvantage bricks remove.
-pub fn apply_star7_tiled_array(
-    dst: &mut Array3<f64>,
-    src: &Array3<f64>,
-    alpha: f64,
-    beta: f64,
-    region: Box3,
-    tile: i64,
-) {
-    assert!(tile >= 1);
-    assert!(
-        src.storage_box().contains_box(&region.grow(1)),
-        "src does not cover {:?}",
-        region.grow(1)
-    );
-    assert_eq!(src.storage_box(), dst.storage_box(), "layouts must match");
-    let [_, sy, sz] = src.strides();
-    let s = src.as_slice();
-    let lo = src.storage_box().lo;
-    let ext = src.storage_box().extent();
-    dst.par_for_each_slab(region, |slab, mut w| {
-        let mut tz = slab.lo.z;
-        while tz < slab.hi.z {
-            let z1 = (tz + tile).min(slab.hi.z);
-            let mut ty = slab.lo.y;
-            while ty < slab.hi.y {
-                let y1 = (ty + tile).min(slab.hi.y);
-                let mut tx = slab.lo.x;
-                while tx < slab.hi.x {
-                    let x1 = (tx + tile).min(slab.hi.x);
-                    for z in tz..z1 {
-                        for y in ty..y1 {
-                            let g =
-                                (((z - lo.z) * ext.y + (y - lo.y)) * ext.x + (tx - lo.x)) as usize;
-                            let n = (x1 - tx) as usize;
-                            let base = w.offset(Point3::new(tx, y, z));
-                            let out = &mut w.as_mut_slice()[base..base + n];
-                            for i in 0..n {
-                                let j = g + i;
-                                out[i] = alpha * s[j]
-                                    + beta
-                                        * ((s[j - 1] + s[j + 1])
-                                            + (s[j - sy] + s[j + sy])
-                                            + (s[j - sz] + s[j + sz]));
-                            }
-                        }
-                    }
-                    tx = x1;
-                }
-                ty = y1;
-            }
-            tz = z1;
-        }
-    });
-}
-
 /// Fast variable-coefficient 7-point apply over conventional arrays
 /// (face-averaged cell-centered β) — the array-layout twin of
 /// `gmg_stencil::exec_brick::apply_star7_var_bricked`.
@@ -276,19 +215,6 @@ mod tests {
                 assert_eq!(dst[p], 0.0);
             }
         });
-    }
-
-    #[test]
-    fn tiled_matches_untiled_for_all_tile_sizes() {
-        let v = Box3::cube(13); // awkward size exercises partial tiles
-        let src = Array3::from_fn(v, 1, idx_fn);
-        let mut plain = Array3::new(v, 1);
-        apply_star7_array(&mut plain, &src, -6.0, 1.0, v);
-        for tile in [1i64, 3, 4, 8, 32] {
-            let mut tiled = Array3::new(v, 1);
-            apply_star7_tiled_array(&mut tiled, &src, -6.0, 1.0, v, tile);
-            v.for_each(|p| assert_eq!(tiled[p], plain[p], "tile {tile} at {p:?}"));
-        }
     }
 
     #[test]

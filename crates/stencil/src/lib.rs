@@ -35,8 +35,9 @@
 //!   straight into `x` and `r` of a second buffer (4 doubles moved per
 //!   point instead of the sweep pair's 7, no `A·x` field), bit-identical
 //!   to the sweep-by-sweep schedule.
-//! * [`ops`] — the canonical V-cycle operator definitions and their traffic
-//!   metadata used by the performance models.
+//! * [`ops`] — the canonical V-cycle operator definitions, their traffic
+//!   metadata used by the performance models, and the V-cycle op schedule
+//!   ([`VcycleSchedule`]) those models walk.
 
 pub mod analysis;
 mod brick_rows;
@@ -48,4 +49,4 @@ pub mod ops;
 
 pub use analysis::StencilAnalysis;
 pub use expr::{Expr, StencilDef};
-pub use ops::{OpKind, OpTraffic, ALL_OPS};
+pub use ops::{OpKind, OpTraffic, VcycleSchedule, VcycleShape, VcycleStep, ALL_OPS};

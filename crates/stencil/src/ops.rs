@@ -18,8 +18,13 @@
 //! `restriction` and `interpolation+increment` counts are per *coarse*
 //! point (8 fine cells); their per-fine-point equivalents are provided by
 //! [`OpTraffic::per_fine_point`].
+//!
+//! The order those operators run in — Algorithm 2 with the Section V
+//! communication-avoiding margin — is [`VcycleSchedule`], the one place
+//! the schedule is written down for every performance simulator.
 
 use crate::expr::StencilDef;
+use gmg_mesh::Point3;
 use serde::{Deserialize, Serialize};
 
 /// The V-cycle operations the paper measures, in its reporting order.
@@ -139,6 +144,171 @@ impl OpTraffic {
             writes: self.writes / 8.0,
             flops: self.flops / 8.0,
             coarse_granularity: false,
+        }
+    }
+}
+
+/// Everything one rank's V-cycle op schedule depends on.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct VcycleShape {
+    /// Owned extent per level, finest first; the length is the level count.
+    pub extents: Vec<Point3>,
+    /// Ghost depth per level, in cells: the communication-avoiding margin
+    /// an exchange (or `initZero`) restores.
+    pub ghost_depth: Vec<i64>,
+    /// Smooths per level on the way down and again on the way up.
+    pub smooths: usize,
+    /// Smooths of the bottom solver.
+    pub bottom_smooths: usize,
+    /// Deep-ghost communication-avoiding smoothing (Section V); off means
+    /// an exchange before every smooth and none after restriction.
+    pub communication_avoiding: bool,
+}
+
+impl VcycleShape {
+    /// The hierarchy every configuration in this repo uses: the extent
+    /// halves per level and the ghost shell is one brick deep, with bricks
+    /// shrinking to fit the coarsest subdomains.
+    pub fn halving(
+        sub_extent: Point3,
+        num_levels: usize,
+        brick_dim: i64,
+        smooths: usize,
+        bottom_smooths: usize,
+        communication_avoiding: bool,
+    ) -> Self {
+        assert!(num_levels >= 1);
+        let extents: Vec<Point3> = (0..num_levels)
+            .map(|li| {
+                let s = 1i64 << li;
+                let e = Point3::new(sub_extent.x / s, sub_extent.y / s, sub_extent.z / s);
+                assert!(
+                    e.x >= 1 && e.y >= 1 && e.z >= 1,
+                    "level {li} extent {e:?} vanished; reduce num_levels"
+                );
+                e
+            })
+            .collect();
+        let ghost_depth = extents
+            .iter()
+            .map(|e| brick_dim.min(e.x).min(e.y).min(e.z))
+            .collect();
+        Self {
+            extents,
+            ghost_depth,
+            smooths,
+            bottom_smooths,
+            communication_avoiding,
+        }
+    }
+
+    /// Owned cells per rank at level `li`.
+    pub fn cells(&self, li: usize) -> usize {
+        self.extents[li].product() as usize
+    }
+}
+
+/// One step of the V-cycle schedule, as [`VcycleSchedule::vcycle`] yields
+/// them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VcycleStep {
+    /// Ghost exchange at `level` (of `x` before a smooth, of `b` right
+    /// after the restriction that filled it).
+    Exchange { level: usize },
+    /// One kernel over `points` cells of `level`. A smooth is two of them,
+    /// `applyOp` then `smooth` (`smooth+residual` on the way down and up),
+    /// over the owned box grown by what is left of the
+    /// communication-avoiding margin; restriction and
+    /// interpolation+increment cover the owned cells of their fine level.
+    Kernel {
+        level: usize,
+        op: OpKind,
+        points: usize,
+    },
+    /// Zero the iterate of `level`, ghost shell included.
+    InitZero { level: usize },
+}
+
+/// The V-cycle op schedule (Algorithm 2 plus the Section V
+/// communication-avoiding margin) as a pure walker. The performance
+/// simulators price the steps it yields; the real solvers execute the same
+/// schedule on data and are checked against it.
+#[derive(Clone, Debug)]
+pub struct VcycleSchedule {
+    shape: VcycleShape,
+    /// Valid ghost margin of `x` per level. It survives from one V-cycle
+    /// to the next, as it does in the solver's levels.
+    margins: Vec<i64>,
+}
+
+impl VcycleSchedule {
+    /// A schedule at its start: no ghost shell is valid yet.
+    pub fn new(shape: VcycleShape) -> Self {
+        assert!(!shape.extents.is_empty());
+        assert_eq!(shape.extents.len(), shape.ghost_depth.len());
+        let margins = vec![0; shape.extents.len()];
+        Self { shape, margins }
+    }
+
+    /// Walk one V-cycle, handing every step to `step` in execution order.
+    pub fn vcycle(&mut self, mut step: impl FnMut(VcycleStep)) {
+        let top = self.shape.extents.len() - 1;
+        let smooths = self.shape.smooths;
+        for l in 0..top {
+            self.smooth_steps(l, smooths, OpKind::SmoothResidual, &mut step);
+            step(VcycleStep::Kernel {
+                level: l,
+                op: OpKind::Restriction,
+                points: self.shape.cells(l),
+            });
+            step(VcycleStep::InitZero { level: l + 1 });
+            // A zero iterate is trivially valid through the ghost shell.
+            self.margins[l + 1] = self.shape.ghost_depth[l + 1];
+            if self.shape.communication_avoiding {
+                // Restriction fills b on owned cells only; CA smoothing
+                // reads it in the ghost shell.
+                step(VcycleStep::Exchange { level: l + 1 });
+            }
+        }
+        self.smooth_steps(top, self.shape.bottom_smooths, OpKind::Smooth, &mut step);
+        for l in (0..top).rev() {
+            step(VcycleStep::Kernel {
+                level: l,
+                op: OpKind::InterpolationIncrement,
+                points: self.shape.cells(l),
+            });
+            self.margins[l] = 0; // interpolation invalidates the ghost shell
+            self.smooth_steps(l, smooths, OpKind::SmoothResidual, &mut step);
+        }
+    }
+
+    /// `n` smooths at `li`: exchange when the margin is exhausted (always,
+    /// without communication avoiding), run `applyOp` and `smooth` over the
+    /// region the margin still covers, give up one margin cell.
+    fn smooth_steps(
+        &mut self,
+        li: usize,
+        n: usize,
+        smooth: OpKind,
+        step: &mut impl FnMut(VcycleStep),
+    ) {
+        let ca = self.shape.communication_avoiding;
+        let e = self.shape.extents[li];
+        for _ in 0..n {
+            if !ca || self.margins[li] < 1 {
+                step(VcycleStep::Exchange { level: li });
+                self.margins[li] = self.shape.ghost_depth[li];
+            }
+            let g = if ca { 2 * (self.margins[li] - 1) } else { 0 };
+            let points = ((e.x + g) * (e.y + g) * (e.z + g)) as usize;
+            for op in [OpKind::ApplyOp, smooth] {
+                step(VcycleStep::Kernel {
+                    level: li,
+                    op,
+                    points,
+                });
+            }
+            self.margins[li] -= 1;
         }
     }
 }

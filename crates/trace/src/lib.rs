@@ -11,7 +11,7 @@
 //!   monotonic timestamps from one process-wide epoch) and **counters**
 //!   (bytes read/written, FLOPs, stencil points, messages, message bytes).
 //!   Tracing is *zero-cost when disabled*: every record path starts with a
-//!   single relaxed atomic load, so criterion benches are unaffected.
+//!   single relaxed atomic load, so timed kernels are unaffected.
 //! * [`chrome`] — a Chrome trace-event / Perfetto JSON exporter (and
 //!   parser, for round-trip testing). One Perfetto process per rank, with
 //!   a dedicated `comm` thread track, so `RankWorld` send/recv intervals

@@ -4,7 +4,7 @@
 //!
 //! 1. **Zero-cost when disabled.** Every record path begins with
 //!    [`enabled`] — one relaxed atomic load — and bails before touching
-//!    clocks, thread-locals, or locks. Criterion benches with no active
+//!    clocks, thread-locals, or locks. Timed kernels with no active
 //!    capture pay only that load.
 //! 2. **Concurrent captures are isolated.** `cargo test` runs tests as
 //!    threads of one process; a process-global event buffer would let
