@@ -304,40 +304,73 @@ pub fn elastic_child(ctx: &mut gmg_comm::RankCtx, args: &str) -> String {
         .iter()
         .map(|r| format!("{:x}", r.to_bits()))
         .collect();
-    format!("{}|{}|{}", hist.join(","), st.rejoin_epochs, st.converged)
+    let arq = ctx.arq_stats();
+    format!(
+        "{}|{}|{}|{}|{}",
+        hist.join(","),
+        st.rejoin_epochs,
+        st.converged,
+        arq.first_sends,
+        arq.retransmits
+    )
 }
 
-/// Parse [`elastic_child`]'s result string: (history bits, rejoin
-/// epochs, converged).
+/// One rank's [`elastic_child`] result.
 #[cfg(unix)]
-fn parse_elastic(result: &str) -> (Vec<u64>, usize, bool) {
+struct ElasticResult {
+    history: Vec<u64>,
+    rejoin_epochs: usize,
+    converged: bool,
+    /// Messages this rank's reliable layer sent, and retransmissions on
+    /// top of them.
+    messages: u64,
+    retransmits: u64,
+}
+
+#[cfg(unix)]
+fn parse_elastic(result: &str) -> ElasticResult {
     let mut it = result.trim().split('|');
-    let hist = it
+    let history = it
         .next()
         .unwrap_or_default()
         .split(',')
         .map(|h| u64::from_str_radix(h, 16).expect("hex residual"))
         .collect();
-    let epochs = it.next().and_then(|s| s.parse().ok()).unwrap_or(0);
+    let rejoin_epochs = it.next().and_then(|s| s.parse().ok()).unwrap_or(0);
     let converged = it.next() == Some("true");
-    (hist, epochs, converged)
+    let mut count = || it.next().and_then(|s| s.parse().ok()).unwrap_or(0);
+    ElasticResult {
+        history,
+        rejoin_epochs,
+        converged,
+        messages: count(),
+        retransmits: count(),
+    }
 }
 
-/// One multi-process solve over the UDS datagram transport (plus seeded
-/// packet loss the ARQ layer must absorb), optionally SIGKILLing
-/// `kill` once its reported progress passes V-cycle 3. Verifies the
-/// per-rank histories against the thread-transport `baseline`
-/// bit-for-bit, and for a kill run writes the merged flight dump's
-/// postmortem naming the victim.
+/// One multi-process solve over the UDS datagram transport, with seeded
+/// packet loss at rate `loss` the ARQ layer must absorb, optionally
+/// SIGKILLing `kill` once its reported progress passes V-cycle 3.
+/// Verifies the per-rank histories against the thread-transport
+/// `baseline` bit-for-bit, and for a kill run writes the merged flight
+/// dump's postmortem naming the victim. A fault-free leg (`loss == 0`)
+/// must also be nearly retransmission-free: with nothing lost, every
+/// retransmission is the timer mistaking a busy peer for a lossy link.
 #[cfg(unix)]
-fn process_leg(seed: u64, kill: Option<usize>, child_args: &[&str], baseline: &[u64]) -> Value {
+fn process_leg(
+    seed: u64,
+    kill: Option<usize>,
+    loss: f64,
+    child_args: &[&str],
+    baseline: &[u64],
+) -> Value {
     use gmg_comm::{ProcessWorld, SocketKind};
     let nranks = chaos_decomp().num_ranks();
     let mut world = ProcessWorld::new(nranks, "elastic")
         .transport(SocketKind::Uds)
         .args(if kill.is_some() { "paced" } else { "fast" })
         .child_args(child_args)
-        .faults(FaultPlan::new(FaultConfig::lossy(0.005), seed))
+        .faults(FaultPlan::new(FaultConfig::lossy(loss), seed))
         .deadline(Duration::from_secs(180));
     if let Some(victim) = kill {
         world = world.kill_process_at(victim, 3);
@@ -353,12 +386,16 @@ fn process_leg(seed: u64, kill: Option<usize>, child_args: &[&str], baseline: &[
     let mut exact = true;
     let mut converged_all = true;
     let mut epochs: Vec<usize> = Vec::new();
+    let (mut messages, mut retransmits) = (0u64, 0u64);
     for res in &report.results {
-        let (hist, ep, conv) = parse_elastic(res);
-        exact &= hist == baseline;
-        converged_all &= conv;
-        epochs.push(ep);
+        let r = parse_elastic(res);
+        exact &= r.history == baseline;
+        converged_all &= r.converged;
+        epochs.push(r.rejoin_epochs);
+        messages += r.messages;
+        retransmits += r.retransmits;
     }
+    let timer_ok = loss > 0.0 || retransmits * 100 <= messages;
     let rejoined_once = report.rejoins.len() == 1
         && kill.map_or(false, |v| report.rejoins[0].rank == v)
         && epochs.iter().all(|&e| e == 1);
@@ -383,11 +420,15 @@ fn process_leg(seed: u64, kill: Option<usize>, child_args: &[&str], baseline: &[
                 .unwrap_or(false);
     }
 
-    let ok = exact && converged_all && culprit_named && (clean || rejoined_once);
+    let ok = exact && converged_all && culprit_named && timer_ok && (clean || rejoined_once);
     println!(
         "  {}  seed {seed}: exact={exact} converged={converged_all} rejoins={} epochs={epochs:?} \
-         culprit_named={culprit_named} → {}",
-        if kill.is_some() { "kill " } else { "clean" },
+         culprit_named={culprit_named} retransmits={retransmits}/{messages} → {}",
+        match (kill, loss > 0.0) {
+            (Some(_), _) => "kill      ",
+            (None, true) => "lossy     ",
+            (None, false) => "fault-free",
+        },
         report.rejoins.len(),
         if ok { "OK" } else { "NOT OK" }
     );
@@ -403,15 +444,18 @@ fn process_leg(seed: u64, kill: Option<usize>, child_args: &[&str], baseline: &[
         "resume_cycle": report.rejoins.first().map_or(-2, |e| e.resume_cycle),
         "culprit_named": culprit_named,
         "postmortem": postmortem_path,
+        "messages": messages,
+        "retransmits": retransmits,
         "ok": ok,
     })
 }
 
 /// The elastic multi-process campaign: every rank is a real OS process
-/// on the UDS datagram transport with seeded packet loss; one run is
-/// clean, and with `kill` one rank is SIGKILLed mid-solve, respawned,
-/// and rejoined from its durable checkpoints. Both runs must reproduce
-/// the thread-transport baseline bit-for-bit.
+/// on the UDS datagram transport. One run is fault-free (and must
+/// retransmit at most 1 % of its messages), one runs under seeded packet
+/// loss, and with `kill` one rank is SIGKILLed mid-solve, respawned, and
+/// rejoined from its durable checkpoints. Every run must reproduce the
+/// thread-transport baseline bit-for-bit.
 #[cfg(unix)]
 pub fn run_process_campaign(seed: u64, kill: Option<usize>) -> Value {
     run_process_campaign_with(seed, kill, &[])
@@ -450,16 +494,23 @@ pub fn run_process_campaign_with(seed: u64, kill: Option<usize>, child_args: &[&
         baseline[0].final_residual()
     );
 
-    println!("process transport (uds datagrams + seeded loss, thread equivalence):");
-    let clean = process_leg(seed, None, child_args, &base_hist);
+    const LOSS: f64 = 0.005;
+    println!(
+        "process transport (uds datagrams, thread equivalence; fault-free, then seeded loss):"
+    );
+    let fault_free = process_leg(seed, None, 0.0, child_args, &base_hist);
+    let clean = process_leg(seed, None, LOSS, child_args, &base_hist);
     let kill_leg = kill.map(|v| {
         println!("\nprocess kill + checkpoint rejoin (SIGKILL rank {v} at V-cycle 3):");
-        process_leg(seed, Some(v), child_args, &base_hist)
+        process_leg(seed, Some(v), LOSS, child_args, &base_hist)
     });
 
-    let ok = clean["ok"] == true && kill_leg.as_ref().map_or(true, |k| k["ok"] == true);
+    let ok = fault_free["ok"] == true
+        && clean["ok"] == true
+        && kill_leg.as_ref().map_or(true, |k| k["ok"] == true);
     println!(
-        "\nprocess chaos verdict: clean={} kill={} → {}",
+        "\nprocess chaos verdict: fault-free={} clean={} kill={} → {}",
+        fault_free["ok"],
         clean["ok"],
         kill_leg
             .as_ref()
@@ -475,6 +526,7 @@ pub fn run_process_campaign_with(seed: u64, kill: Option<usize>, child_args: &[&
         "seed": seed,
         "mode": "process",
         "baseline": baseline_v,
+        "fault_free": fault_free,
         "clean": clean,
         "kill": kill_leg.unwrap_or(Value::Null),
         "ok": ok,
@@ -536,7 +588,14 @@ mod tests {
     fn process_campaign_kill_and_rejoin_names_culprit() {
         let v = run_process_campaign_with(3, Some(3), CHILD_ARGS);
         assert_eq!(v["ok"], true, "{v}");
+        assert_eq!(v["fault_free"]["exact_match"], true, "{v}");
+        let ff = &v["fault_free"];
+        assert!(
+            ff["retransmits"].as_u64().unwrap() * 100 <= ff["messages"].as_u64().unwrap(),
+            "{v}"
+        );
         assert_eq!(v["clean"]["exact_match"], true, "{v}");
+        assert!(v["clean"]["retransmits"].as_u64().unwrap() > 0, "{v}");
         let kill = &v["kill"];
         assert_eq!(kill["exact_match"], true, "{v}");
         assert_eq!(kill["rejoins"].as_u64(), Some(1), "{v}");

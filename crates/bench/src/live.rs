@@ -55,19 +55,6 @@ pub(crate) fn live_solver_config() -> SolverConfig {
     cfg
 }
 
-/// Detector thresholds for the campaign worlds. These legs pace each
-/// V-cycle phase, leaving peers waiting in exchanges while a rank
-/// sleeps — and the ARQ layer's millisecond backoff retransmits through
-/// the whole wait, so a few thousand retransmits per rank are *routine*
-/// (the clean leg measures ~5k). The storm bar sits an order of
-/// magnitude above that; everything else is stock.
-fn live_alert_config() -> AlertConfig {
-    AlertConfig {
-        arq_storm_retransmits: 50_000,
-        ..AlertConfig::default()
-    }
-}
-
 /// Build the beacon for one solver progress observation, applying the
 /// planted observation-layer slowdown when this rank is the victim.
 fn beacon_for(
@@ -165,7 +152,7 @@ pub fn run_with_seed(seed: u64) -> Value {
         baseline[0].final_residual()
     );
 
-    let collector = Collector::new(live_alert_config()).into_handle();
+    let collector = Collector::new(AlertConfig::default()).into_handle();
     let decomp = live_decomp();
     let nranks = decomp.num_ranks();
     let d = &decomp;
@@ -347,7 +334,7 @@ fn process_leg(
         "gmg_live_status_{}_{seed}_{leg}",
         std::process::id()
     ));
-    let collector = Collector::new(live_alert_config())
+    let collector = Collector::new(AlertConfig::default())
         .with_status_file(status_base.clone(), Duration::from_millis(200))
         .into_handle();
     let server = match PromServer::start(Arc::clone(&collector)) {

@@ -289,7 +289,10 @@ impl FaultConfig {
 pub struct RetryPolicy {
     /// Total transmission attempts per message (first send included).
     pub max_attempts: u32,
-    /// Backoff before the first retransmission; doubles per attempt.
+    /// Floor of the wait before the first retransmission, which follows
+    /// the peer's measured round trip (`SRTT + 4·RTTVAR`) and doubles per
+    /// attempt; also the unit of the delay a reordering fate injects and
+    /// of a finishing rank's quiet window.
     pub backoff_base: Duration,
     /// Deadline for a blocking receive under fault injection (a fault-free
     /// world blocks indefinitely, exactly like the pre-fault runtime).
@@ -579,25 +582,83 @@ impl FaultInjector {
 // Checksums and bit flips
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over the message identity and payload bits. Order-dependent, so
-/// any single-bit payload flip (and most multi-bit ones) is detected.
-pub fn checksum(src: usize, tag: u64, seq: u64, payload: &[f64]) -> u64 {
+/// Word-wise FNV-1a in four independent lanes: each step folds one
+/// 64-bit word into one lane with a single multiply, and consecutive
+/// words go to different lanes so the multiplies overlap. Both message
+/// checksums (the ARQ one below, the frame one in [`crate::frame`]) are
+/// built on it.
+///
+/// Every lane step `h ← (h ^ w) · PRIME` is a bijection in `h` and in
+/// `w` (the prime is odd), [`LaneHash::finish`] folds the lanes with the
+/// same step and ends in a bijective avalanche — so two inputs of equal
+/// length that differ in exactly one word (any single-bit flip) never
+/// collide. Multi-word differences collide with probability ~2⁻⁶⁴.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneHash {
+    lanes: [u64; LaneHash::LANES],
+}
+
+impl LaneHash {
+    pub(crate) const LANES: usize = 4;
     const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    let mut eat = |w: u64| {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
+
+    /// Distinct `domain`s give unrelated checksums over the same words.
+    pub(crate) fn new(domain: u64) -> Self {
+        let mut lanes = [Self::OFFSET ^ domain; Self::LANES];
+        for (i, l) in lanes.iter_mut().enumerate() {
+            *l = Self::step(*l, i as u64);
         }
-    };
-    eat(src as u64);
-    eat(tag);
-    eat(seq);
-    eat(payload.len() as u64);
-    for v in payload {
-        eat(v.to_bits());
+        LaneHash { lanes }
     }
-    h
+
+    #[inline]
+    fn step(h: u64, w: u64) -> u64 {
+        (h ^ w).wrapping_mul(Self::PRIME)
+    }
+
+    /// Fold a run of words, [`LaneHash::LANES`] at a time; a tail shorter
+    /// than that goes to the leading lanes.
+    #[inline]
+    pub(crate) fn eat_words(&mut self, mut words: impl Iterator<Item = u64>) {
+        loop {
+            let mut group = [0u64; Self::LANES];
+            for i in 0..Self::LANES {
+                match words.next() {
+                    Some(w) => group[i] = w,
+                    None => {
+                        for (l, w) in self.lanes.iter_mut().zip(&group[..i]) {
+                            *l = Self::step(*l, *w);
+                        }
+                        return;
+                    }
+                }
+            }
+            for (l, w) in self.lanes.iter_mut().zip(group) {
+                *l = Self::step(*l, w);
+            }
+        }
+    }
+
+    pub(crate) fn finish(self) -> u64 {
+        let mut h = Self::OFFSET;
+        for l in self.lanes {
+            h = Self::step(h, l);
+        }
+        // Multiplies only carry upward; spread the top bits back down.
+        h ^= h >> 32;
+        h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 29)
+    }
+}
+
+/// The ARQ message checksum: `LaneHash` over the message identity and
+/// the payload bits. Any single-bit flip of any of them is detected.
+pub fn checksum(src: usize, tag: u64, seq: u64, payload: &[f64]) -> u64 {
+    let mut h = LaneHash::new(0xA59);
+    h.eat_words([src as u64, tag, seq, payload.len() as u64].into_iter());
+    h.eat_words(payload.iter().map(|v| v.to_bits()));
+    h.finish()
 }
 
 /// Flip one bit of one payload word, chosen by `entropy`. No-op on an
@@ -761,20 +822,42 @@ mod tests {
 
     #[test]
     fn checksum_detects_any_single_bit_flip() {
-        let payload: Vec<f64> = (0..32).map(|i| (i as f64).sin()).collect();
+        // Several words per lane plus a tail that leaves lanes uneven.
+        let payload: Vec<f64> = (0..4 * LaneHash::LANES + 3)
+            .map(|i| (i as f64).sin())
+            .collect();
         let h = checksum(1, 7, 42, &payload);
-        // Identity fields matter.
-        assert_ne!(h, checksum(2, 7, 42, &payload));
-        assert_ne!(h, checksum(1, 8, 42, &payload));
-        assert_ne!(h, checksum(1, 7, 43, &payload));
-        // Every flipped bit of every word changes the sum.
+        // Every bit of every identity field matters …
+        for bit in 0..64 {
+            assert_ne!(
+                h,
+                checksum(1 ^ (1 << bit), 7, 42, &payload),
+                "src bit {bit}"
+            );
+            assert_ne!(
+                h,
+                checksum(1, 7 ^ (1 << bit), 42, &payload),
+                "tag bit {bit}"
+            );
+            assert_ne!(
+                h,
+                checksum(1, 7, 42 ^ (1 << bit), &payload),
+                "seq bit {bit}"
+            );
+        }
+        // … and so does every bit of every payload word, and the length.
         for w in 0..payload.len() {
-            for bit in [0u32, 1, 31, 52, 63] {
+            for bit in 0..64 {
                 let mut p = payload.clone();
                 p[w] = f64::from_bits(p[w].to_bits() ^ (1u64 << bit));
                 assert_ne!(h, checksum(1, 7, 42, &p), "word {w} bit {bit}");
             }
+            assert_ne!(h, checksum(1, 7, 42, &payload[..w]), "length {w}");
         }
+        // Words that merely swap lanes are told apart too.
+        let mut swapped = payload.clone();
+        swapped.swap(0, 1);
+        assert_ne!(h, checksum(1, 7, 42, &swapped));
     }
 
     #[test]

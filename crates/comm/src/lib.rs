@@ -46,6 +46,6 @@ pub use model::{NetworkModel, Protocol};
 pub use plan::{ArrayExchangePlan, BrickExchangePlan};
 #[cfg(unix)]
 pub use process::{telemetry_sock_path, ProcessReport, ProcessWorld, RejoinEvent};
-pub use runtime::{exchange_array, exchange_bricked, RankCtx, RankWorld};
+pub use runtime::{exchange_array, exchange_bricked, ArqStats, RankCtx, RankWorld};
 #[cfg(unix)]
 pub use socket::{SocketKind, SocketTransport};

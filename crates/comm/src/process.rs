@@ -58,6 +58,10 @@ const OP_RESUME: u64 = 7;
 const OP_READY: u64 = 8;
 const OP_DONE: u64 = 9;
 
+/// Upper bound on an encoded control frame: the header and a handful of
+/// payload words (the longest, a heartbeat, carries two).
+const CTL_FRAME_MAX: usize = crate::frame::HEADER_LEN + 8 * 8;
+
 const BEAT_INTERVAL: Duration = Duration::from_millis(20);
 /// A gap longer than this counts as a missed beat (metrics only).
 const MISS_AFTER: Duration = Duration::from_millis(150);
@@ -208,8 +212,9 @@ impl MembershipClient {
     /// until the rank actually parks, so every comm call between the
     /// `PARK` arriving and the solver noticing fails fast.
     pub(crate) fn poll_park(&mut self) -> Option<u64> {
-        self.m_sock.set_nonblocking(true).ok();
-        let mut buf = vec![0u8; MAX_FRAME_LEN];
+        // The inbox stays nonblocking between parks, and a control frame
+        // is a header plus a word or two: no mode switch, no allocation.
+        let mut buf = [0u8; CTL_FRAME_MAX];
         while let Ok(n) = self.m_sock.recv(&mut buf) {
             if let Ok(f) = Frame::decode(&buf[..n]) {
                 if f.kind == FrameKind::Control && f.tag == OP_PARK && f.epoch > self.epoch {
@@ -217,7 +222,6 @@ impl MembershipClient {
                 }
             }
         }
-        self.m_sock.set_nonblocking(false).ok();
         self.parked
     }
 
@@ -277,6 +281,7 @@ impl MembershipClient {
                             self.epoch = f.epoch;
                             self.parked = None;
                             self.rejoining = false;
+                            self.m_sock.set_nonblocking(true).ok();
                             return (f.epoch, f.seq);
                         }
                         _ => {}
@@ -397,6 +402,10 @@ where
     let ctl_path = ctl_sock_path(dir);
     let epoch = hello_and_wait_go(&m_sock, &tx, &ctl_path, rank);
     transport.set_epoch(epoch);
+    // From here on the inbox is only ever polled, until a park.
+    m_sock
+        .set_nonblocking(true)
+        .expect("nonblocking membership socket");
 
     // The socket medium is genuinely unreliable (a dying peer absorbs
     // in-flight frames), so the ARQ layer always engages here — a

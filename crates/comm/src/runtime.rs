@@ -13,8 +13,9 @@
 //! transport. When a [`FaultPlan`] is installed (`RankWorld::run_with_faults`),
 //! every payload message carries a sequence number and an FNV checksum,
 //! receivers ACK and deduplicate, and senders retransmit unACKed messages
-//! with exponential backoff — so injected drops, reorderings, duplicates,
-//! and detectable corruption are absorbed without the solver noticing.
+//! on a per-peer round-trip estimate with exponential backoff — so
+//! injected drops, reorderings, duplicates, and detectable corruption are
+//! absorbed without the solver noticing.
 //! Failures that *cannot* be absorbed (a killed rank, exhausted retries, a
 //! receive deadline) surface as typed [`CommError`]s from the `try_*` API;
 //! the panicking convenience wrappers (`send`/`recv`) are thin
@@ -35,6 +36,7 @@
 use std::collections::HashMap;
 use std::collections::HashSet;
 use std::sync::mpsc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gmg_brick::BrickedField;
@@ -56,10 +58,95 @@ struct PendingSend {
     to: usize,
     tag: u64,
     seq: u64,
-    payload: Vec<f64>,
+    payload: Arc<Vec<f64>>,
+    /// [`checksum`] of the clean payload, computed once.
+    checksum: u64,
     /// Transmissions so far.
     attempts: u32,
-    next_retry: Instant,
+    /// Whether the latest transmission has left, which decides its timer.
+    departure: Departure,
+}
+
+/// Where the latest copy of a [`PendingSend`] is. Only a copy that has left
+/// this rank runs a retransmission timer: time spent held back locally
+/// says nothing about the link or the peer.
+#[derive(Clone, Copy)]
+enum Departure {
+    /// In [`RankCtx::delayed`], held back by a delaying fate.
+    Held,
+    /// In the transport's backlog; it has left once
+    /// [`Transport::departed`] reaches this ordinal.
+    Queued(u64),
+    /// Seen to have left at this instant; the next copy is due
+    /// [`RankCtx::retransmit_timeout`] later.
+    Left(Instant),
+}
+
+/// Retransmission timeout before a peer's first round-trip sample. A
+/// peer that has never answered may simply not have reached its first
+/// receive yet, so this is long; [`RetryPolicy::backoff_base`] floors
+/// every later timeout.
+const INITIAL_RTO: Duration = Duration::from_millis(200);
+
+/// Smoothed round-trip estimate to one peer (Jacobson/Karels, the TCP
+/// estimator of RFC 6298): `rto = srtt + 4·rttvar`. A "round trip" here
+/// ends when this rank *processes* the ACK, so it includes the peer's
+/// time to reach a comm call — which is what a retransmission has to
+/// outwait.
+///
+/// One departure from the textbook gains: `rttvar` rises at 1/4 but
+/// falls at 1/32. The delay is bimodal (peer inside a comm call:
+/// microseconds; peer computing or descheduled: milliseconds) and the
+/// samples come in bursts of one exchange, so at a 1/4 decay a single
+/// burst of fast ACKs forgets the slow mode just before the next slow
+/// one is due. Eight oversubscribed process ranks retransmit 2.6 % of a
+/// fault-free solve's messages at 1/4, 0.2 % at 1/32.
+#[derive(Clone, Copy, Debug, Default)]
+struct RttEstimator {
+    /// `(srtt, rttvar)`; `None` until the first sample.
+    est: Option<(Duration, Duration)>,
+}
+
+impl RttEstimator {
+    /// Feed the round trip of a message ACKed after `transmissions`
+    /// sends. Karn's rule: an ACK for a retransmitted message cannot be
+    /// matched to one of its copies, so it is no sample. Returns whether
+    /// the sample was taken.
+    fn on_ack(&mut self, transmissions: u32, rtt: Duration) -> bool {
+        if transmissions != 1 {
+            return false;
+        }
+        self.est = Some(match self.est {
+            None => (rtt, rtt / 2),
+            Some((srtt, rttvar)) => {
+                let err = rtt.max(srtt) - rtt.min(srtt);
+                let keep = if err > rttvar { 3 } else { 31 };
+                ((srtt * 7 + rtt) / 8, (rttvar * keep + err) / (keep + 1))
+            }
+        });
+        true
+    }
+
+    fn rto(&self) -> Duration {
+        self.est
+            .map_or(INITIAL_RTO, |(srtt, rttvar)| srtt + rttvar * 4)
+    }
+}
+
+/// What the reliable layer of one rank has put on the wire so far.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArqStats {
+    /// Messages handed to the reliable layer, and their payload bytes.
+    pub first_sends: u64,
+    pub first_send_bytes: u64,
+    /// Retransmissions (every copy after a message's first), and their
+    /// payload bytes.
+    pub retransmits: u64,
+    pub retransmit_bytes: u64,
+    /// Messages retransmitted at least once.
+    pub retransmitted_messages: u64,
+    /// Round-trip samples taken by the per-peer estimators.
+    pub rtt_samples: u64,
 }
 
 /// A fate-delayed wire awaiting release (models in-flight reordering).
@@ -73,23 +160,32 @@ struct DelayedWire {
     release_at_time: Instant,
 }
 
+/// A received message: `(src, tag, seq, payload)`.
+type Delivery = (usize, u64, u64, Vec<f64>);
+
 /// Per-rank communication context handed to the rank body.
 pub struct RankCtx {
     rank: usize,
     nranks: usize,
     transport: Box<dyn Transport>,
     /// Messages received but not yet matched: `(src, tag, seq, payload)`.
-    stash: Vec<(usize, u64, u64, Vec<f64>)>,
+    stash: Vec<Delivery>,
     /// Next outgoing sequence number (assigned in both modes so the
     /// flight recorder can join send/recv pairs across ranks; only the
     /// reliable protocol *acts* on it).
     next_seq: u64,
     /// `(src, seq)` pairs already delivered (reliable-mode dedup).
     seen: HashSet<(usize, u64)>,
-    /// Re-ACK counts per `(src, seq)`, so repeated ACK drops redraw.
+    /// Re-ACK counts per duplicated `(src, seq)`, so repeated ACK drops
+    /// redraw.
     ack_attempts: HashMap<(usize, u64), u32>,
     pending: Vec<PendingSend>,
     delayed: Vec<DelayedWire>,
+    /// Round-trip estimate per peer (reliable mode).
+    rtt: Vec<RttEstimator>,
+    arq: ArqStats,
+    /// Wires processed so far; the drop-time drain watches it for quiet.
+    wires_handled: u64,
     injector: Option<FaultInjector>,
     retry: RetryPolicy,
     /// Set when this rank is killed by fault injection: suppresses the
@@ -120,6 +216,9 @@ impl RankCtx {
             ack_attempts: HashMap::new(),
             pending: Vec::new(),
             delayed: Vec::new(),
+            rtt: vec![RttEstimator::default(); nranks],
+            arq: ArqStats::default(),
+            wires_handled: 0,
             injector,
             retry,
             dead: false,
@@ -146,6 +245,12 @@ impl RankCtx {
     /// Whether the reliable (ARQ) protocol layer is engaged.
     fn reliable(&self) -> bool {
         self.injector.is_some()
+    }
+
+    /// Transmission counts of the reliable layer (all zero when it is
+    /// not engaged).
+    pub fn arq_stats(&self) -> ArqStats {
+        self.arq
     }
 
     /// Open a comm-track span for one message. Collective tags live near
@@ -211,6 +316,7 @@ impl RankCtx {
         let seq = self.next_seq;
         self.next_seq += 1;
         gmg_flight::record_send(to, tag, seq, (payload.len() * 8) as u64);
+        let payload = Arc::new(payload);
         if !self.reliable() {
             return self
                 .transport
@@ -224,15 +330,19 @@ impl RankCtx {
                         payload,
                     },
                 )
+                .map(|_| ())
                 .map_err(|_| CommError::Disconnected { peer: to });
         }
+        self.arq.first_sends += 1;
+        self.arq.first_send_bytes += (payload.len() * 8) as u64;
         self.pending.push(PendingSend {
             to,
             tag,
             seq,
+            checksum: checksum(self.rank, tag, seq, &payload),
             payload,
             attempts: 0,
-            next_retry: Instant::now(),
+            departure: Departure::Held,
         });
         self.transmit_pending(self.pending.len() - 1);
         Ok(())
@@ -245,19 +355,35 @@ impl RankCtx {
         }
     }
 
+    /// How long after its latest transmission left `p` is retransmitted:
+    /// the peer's current round-trip timeout, floored by the policy's
+    /// `backoff_base`, doubled per transmission already made. Evaluated
+    /// when the timer is checked, so the first ACK from a peer at once
+    /// shortens the wait of everything else in flight to it.
+    fn retransmit_timeout(&self, p: &PendingSend) -> Duration {
+        let rto = self.rtt[p.to].rto().max(self.retry.backoff_base);
+        rto * 2u32.saturating_pow((p.attempts - 1).min(16))
+    }
+
     /// One (re)transmission of `pending[idx]`, with its injected fate
     /// applied. Channel-level send failures are ignored here: a vanished
     /// peer is indistinguishable from a drop, and is surfaced by the
     /// blocked operation's timeout / retry budget instead.
     fn transmit_pending(&mut self, idx: usize) {
-        let (to, tag, seq, attempt) = {
+        let (to, tag, seq, attempt, bytes) = {
             let p = &mut self.pending[idx];
             p.attempts += 1;
-            (p.to, p.tag, p.seq, p.attempts - 1)
+            // The timer starts now (a copy dropped by its fate has
+            // "left") unless the copy turns out to be held back, by its
+            // fate or in the transport's backlog.
+            p.departure = Departure::Left(Instant::now());
+            (p.to, p.tag, p.seq, p.attempts - 1, p.payload.len() * 8)
         };
-        let backoff = self.retry.backoff_base * 2u32.saturating_pow(attempt.min(16));
-        self.pending[idx].next_retry = Instant::now() + backoff;
         if attempt > 0 {
+            let backoff = self.retransmit_timeout(&self.pending[idx]);
+            self.arq.retransmits += 1;
+            self.arq.retransmit_bytes += bytes as u64;
+            self.arq.retransmitted_messages += u64::from(attempt == 1);
             self.fault_event("fault:retransmit", Some(to), Some(tag));
             gmg_flight::record_arq(
                 "arq:retransmit",
@@ -282,18 +408,22 @@ impl RankCtx {
             gmg_flight::record_arq("arq:drop", Some(to), Some(tag), Some(seq), 0);
             return;
         }
-        let mut payload = self.pending[idx].payload.clone();
-        let mut cs = checksum(self.rank, tag, seq, &payload);
-        if fate.sdc {
-            // Silent data corruption: the checksum is recomputed over the
-            // flipped payload, so only solver-level health guards can see
-            // it.
-            flip_bit(&mut payload, fate.entropy);
-            cs = checksum(self.rank, tag, seq, &payload);
-            self.fault_event("fault:sdc", Some(to), Some(tag));
-        } else if fate.corrupt {
-            flip_bit(&mut payload, fate.entropy);
-            self.fault_event("fault:corrupt", Some(to), Some(tag));
+        // The clean path shares the pending payload and its checksum;
+        // only a corrupting fate pays for a private copy.
+        let mut payload = Arc::clone(&self.pending[idx].payload);
+        let mut cs = self.pending[idx].checksum;
+        if fate.sdc || fate.corrupt {
+            let private: &mut Vec<f64> = Arc::make_mut(&mut payload);
+            flip_bit(private, fate.entropy);
+            if fate.sdc {
+                // Silent data corruption: the checksum is recomputed over
+                // the flipped payload, so only solver-level health guards
+                // can see it.
+                cs = checksum(self.rank, tag, seq, &payload);
+                self.fault_event("fault:sdc", Some(to), Some(tag));
+            } else {
+                self.fault_event("fault:corrupt", Some(to), Some(tag));
+            }
         }
         let wire = Wire::Data {
             src: self.rank,
@@ -316,17 +446,30 @@ impl RankCtx {
                     release_at_time: Instant::now()
                         + self.retry.backoff_base * (fate.delay_slots + 1),
                 });
+                self.pending[idx].departure = Departure::Held;
             } else {
-                let _ = self.transport.send(to, wire.clone());
+                self.send_copy(idx, to, wire.clone());
             }
         }
     }
 
-    /// Drive protocol progress: backend housekeeping, membership-park
-    /// polling, then (reliable mode only) release due delayed wires and
-    /// retransmit overdue unACKed sends.
+    /// Hand one copy of `pending[idx]` to the transport and start its
+    /// timer — at once if the copy left, else when the pump sees the
+    /// transport's backlog let it go.
+    fn send_copy(&mut self, idx: usize, to: usize, wire: Wire) {
+        if let Ok(ticket) = self.transport.send(to, wire) {
+            self.pending[idx].departure = if self.transport.departed(to) >= ticket {
+                Departure::Left(Instant::now())
+            } else {
+                Departure::Queued(ticket)
+            };
+        }
+    }
+
+    /// Drive protocol progress: membership-park polling, then (reliable
+    /// mode only) take in everything the transport has, release due
+    /// delayed wires and retransmit overdue unACKed sends.
     fn pump(&mut self) -> Result<(), CommError> {
-        self.transport.pump();
         #[cfg(unix)]
         if let Some(m) = self.membership.as_mut() {
             if let Some(epoch) = m.poll_park() {
@@ -336,6 +479,10 @@ impl RankCtx {
         if !self.reliable() {
             return Ok(());
         }
+        // Inbound before timers: an ACK that arrived while this rank was
+        // computing must retire its message, not lose a race against a
+        // timer that expired over the same stretch.
+        self.take_inbound();
         let now = Instant::now();
         let tx = self.injector.as_ref().unwrap().transmissions();
         let mut i = 0;
@@ -344,15 +491,36 @@ impl RankCtx {
                 || now >= self.delayed[i].release_at_time
             {
                 let d = self.delayed.swap_remove(i);
-                let _ = self.transport.send(d.to, d.wire);
+                let Wire::Data { seq, .. } = d.wire else {
+                    unreachable!("only payload wires are delayed")
+                };
+                // The held copy leaves now: that starts its message's
+                // timer, if the message is still waiting for one.
+                match self.pending.iter().position(|p| {
+                    p.to == d.to && p.seq == seq && matches!(p.departure, Departure::Held)
+                }) {
+                    Some(idx) => self.send_copy(idx, d.to, d.wire),
+                    None => {
+                        let _ = self.transport.send(d.to, d.wire);
+                    }
+                }
             } else {
                 i += 1;
             }
         }
-        let mut i = 0;
-        while i < self.pending.len() {
-            if now >= self.pending[i].next_retry {
-                let p = &self.pending[i];
+        for i in 0..self.pending.len() {
+            let p = &self.pending[i];
+            let sent_at = match p.departure {
+                Departure::Held => continue,
+                Departure::Queued(ticket) => {
+                    if self.transport.departed(p.to) >= ticket {
+                        self.pending[i].departure = Departure::Left(now);
+                    }
+                    continue;
+                }
+                Departure::Left(at) => at,
+            };
+            if now.duration_since(sent_at) >= self.retransmit_timeout(p) {
                 if p.attempts >= self.retry.max_attempts {
                     return Err(CommError::RetriesExhausted {
                         to: p.to,
@@ -363,15 +531,33 @@ impl RankCtx {
                 }
                 self.transmit_pending(i);
             }
-            i += 1;
         }
         Ok(())
+    }
+
+    /// Process every wire the transport has right now; payload messages
+    /// go to the stash.
+    fn take_inbound(&mut self) {
+        while let Ok(Some(w)) = self.transport.recv(Some(Duration::ZERO)) {
+            if let Some(m) = self.handle_wire(w) {
+                self.stash.push(m);
+            }
+        }
+    }
+
+    fn take_stashed(&mut self, from: usize, tag: u64) -> Option<Delivery> {
+        let pos = self
+            .stash
+            .iter()
+            .position(|(f, t, _, _)| *f == from && *t == tag)?;
+        Some(self.stash.swap_remove(pos))
     }
 
     /// Process one incoming wire. Returns a deliverable `(src, tag, seq,
     /// payload)` or `None` (ACKs, rejected corruption, deduplicated
     /// copies).
-    fn handle_wire(&mut self, w: Wire) -> Option<(usize, u64, u64, Vec<f64>)> {
+    fn handle_wire(&mut self, w: Wire) -> Option<Delivery> {
+        self.wires_handled += 1;
         match w {
             Wire::Data {
                 src,
@@ -382,7 +568,7 @@ impl RankCtx {
             } => {
                 if !self.reliable() {
                     gmg_flight::record_msg_arrive(src, tag, seq, (payload.len() * 8) as u64);
-                    return Some((src, tag, seq, payload));
+                    return Some((src, tag, seq, unshare(payload)));
                 }
                 if checksum(src, tag, seq, &payload) != cs {
                     // Discard without ACK: the sender's retry timer will
@@ -396,12 +582,14 @@ impl RankCtx {
                     return None;
                 }
                 // ACK every valid copy, duplicates included — a duplicate
-                // usually means our previous ACK was lost in flight.
-                let attempt = {
+                // usually means our previous ACK was lost in flight. Only
+                // duplicates need a re-ACK count; a first copy is ACK 0.
+                let attempt = if self.seen.contains(&(src, seq)) {
                     let a = self.ack_attempts.entry((src, seq)).or_insert(0);
-                    let cur = *a;
                     *a += 1;
-                    cur
+                    *a
+                } else {
+                    0
                 };
                 let drop_ack = self
                     .injector
@@ -428,18 +616,27 @@ impl RankCtx {
                     return None;
                 }
                 gmg_flight::record_msg_arrive(src, tag, seq, (payload.len() * 8) as u64);
-                Some((src, tag, seq, payload))
+                Some((src, tag, seq, unshare(payload)))
             }
             Wire::Ack { src, seq } => {
                 // An ACK retires the pending entry; its attempt count is
-                // the message's final transmission tally.
+                // the message's final transmission tally. A duplicate or
+                // stale ACK finds nothing.
+                let pos = self
+                    .pending
+                    .iter()
+                    .position(|p| p.to == src && p.seq == seq)?;
+                let p = self.pending.swap_remove(pos);
                 if gmg_metrics::enabled() {
-                    for p in self.pending.iter().filter(|p| p.to == src && p.seq == seq) {
-                        gmg_metrics::histogram("arq_attempts", self.rank, None, "arq")
-                            .record(p.attempts as u64);
-                    }
+                    gmg_metrics::histogram("arq_attempts", self.rank, None, "arq")
+                        .record(p.attempts as u64);
                 }
-                self.pending.retain(|p| !(p.to == src && p.seq == seq));
+                // No sample without a departure time: the ACK beat this
+                // rank's next look at the transport's backlog.
+                if let Departure::Left(sent_at) = p.departure {
+                    let taken = self.rtt[src].on_ack(p.attempts, sent_at.elapsed());
+                    self.arq.rtt_samples += u64::from(taken);
+                }
                 None
             }
         }
@@ -470,19 +667,8 @@ impl RankCtx {
     pub fn try_recv(&mut self, from: usize, tag: u64) -> Result<Option<Vec<f64>>, CommError> {
         self.check_control()?;
         self.pump()?;
-        while let Ok(Some(w)) = self.transport.recv(Some(Duration::ZERO)) {
-            if let Some(m) = self.handle_wire(w) {
-                self.stash.push(m);
-            }
-        }
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|(f, t, _, _)| *f == from && *t == tag)
-        {
-            return Ok(Some(self.stash.swap_remove(pos).3));
-        }
-        Ok(None)
+        self.take_inbound();
+        Ok(self.take_stashed(from, tag).map(|m| m.3))
     }
 
     fn recv_traced(
@@ -531,12 +717,7 @@ impl RankCtx {
         deadline: Option<Instant>,
     ) -> Result<(u64, Vec<f64>), CommError> {
         self.check_control()?;
-        if let Some(pos) = self
-            .stash
-            .iter()
-            .position(|(f, t, _, _)| *f == from && *t == tag)
-        {
-            let (_, _, seq, payload) = self.stash.swap_remove(pos);
+        if let Some((_, _, seq, payload)) = self.take_stashed(from, tag) {
             return Ok((seq, payload));
         }
         // Under fault injection a blocking receive must not block forever:
@@ -554,6 +735,12 @@ impl RankCtx {
         let start = Instant::now();
         loop {
             self.pump()?;
+            if self.reliable() {
+                // The pump took in what had arrived; look there first.
+                if let Some((_, _, seq, payload)) = self.take_stashed(from, tag) {
+                    return Ok((seq, payload));
+                }
+            }
             let got = if self.reliable() || deadline.is_some() || self.membership_active() {
                 // Short slices keep the retransmission pump (and the
                 // membership poll) live while blocked.
@@ -793,20 +980,24 @@ impl Drop for RankCtx {
             {
                 break;
             }
+            let handled = self.wires_handled;
             if let Err(CommError::RetriesExhausted { to, seq, .. }) = self.pump() {
                 // The peer is gone for good; nothing left to confirm.
                 self.pending.retain(|p| !(p.to == to && p.seq == seq));
                 continue;
             }
+            // Late deliveries are ACKed (inside handle_wire) and then
+            // discarded — no one will read them here.
+            self.stash.clear();
             match self.transport.recv(Some(Duration::from_millis(1))) {
                 Ok(Some(w)) => {
-                    last_activity = Instant::now();
-                    // Late deliveries are ACKed (inside handle_wire) and
-                    // then discarded — no one will read them here.
                     let _ = self.handle_wire(w);
                 }
                 Ok(None) => {}
                 Err(()) => break,
+            }
+            if self.wires_handled != handled {
+                last_activity = Instant::now();
             }
         }
     }
@@ -985,6 +1176,14 @@ impl RankWorld {
             }
         })
     }
+}
+
+/// Take a received payload out of its [`Wire`]: free when this is the
+/// only reference (every socket delivery, every fault-free thread
+/// delivery), a copy when a thread-world sender still holds the message
+/// for retransmission.
+fn unshare(payload: Arc<Vec<f64>>) -> Vec<f64> {
+    Arc::try_unwrap(payload).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1656,6 +1855,109 @@ mod tests {
             }
         });
         assert_eq!(out[0], out[1], "stashed count must equal the flood count");
+    }
+
+    #[test]
+    fn rtt_estimator_follows_jacobson_karels_and_karns_rule() {
+        let ms = Duration::from_millis;
+        let mut e = RttEstimator::default();
+        assert_eq!(e.rto(), INITIAL_RTO);
+        // Karn: the ACK of a retransmitted message is no sample.
+        assert!(!e.on_ack(2, ms(5)));
+        assert_eq!(e.rto(), INITIAL_RTO);
+        // First sample: srtt = R, rttvar = R/2, rto = srtt + 4·rttvar.
+        assert!(e.on_ack(1, ms(8)));
+        assert_eq!(e.est, Some((ms(8), ms(4))));
+        assert_eq!(e.rto(), ms(24));
+        // Then srtt moves by 1/8 and a larger deviation (taken against
+        // the old srtt) raises rttvar by 1/4 …
+        assert!(e.on_ack(1, ms(16)));
+        assert_eq!(e.est, Some((ms(9), ms(5))));
+        assert!(!e.on_ack(3, ms(500)));
+        assert_eq!(e.est, Some((ms(9), ms(5))));
+        // … while a smaller one lowers it by 1/32 only, so it takes a
+        // long calm stretch to pull the timeout in.
+        assert!(e.on_ack(1, ms(9)));
+        assert_eq!(e.est, Some((ms(9), ms(5) * 31 / 32)));
+        for _ in 0..256 {
+            e.on_ack(1, ms(9));
+        }
+        assert!(e.rto() < ms(10), "{:?}", e.rto());
+    }
+
+    /// The storm the fixed 1 ms timer caused: a peer that is slow to reach
+    /// its receive is not a lossy link. Fault-free, (almost) nothing may
+    /// be sent twice — not while forty fragments wait out a full socket,
+    /// and not while the receiver sleeps through fifty first-retry delays.
+    #[cfg(unix)]
+    #[test]
+    fn slow_receiver_on_a_clean_socket_link_is_not_retransmitted_to() {
+        const ROUNDS: u64 = 10;
+        const BURST: u64 = 5;
+        let plan = FaultPlan::new(FaultConfig::default(), 1);
+        let big: Vec<f64> = (0..8 * crate::frame::MAX_FRAGMENT_DOUBLES)
+            .map(|i| i as f64)
+            .collect();
+        let big = &big;
+        let stats = RankWorld::run_socket_with_faults(2, &plan, |mut ctx| {
+            for round in 0..ROUNDS {
+                let tags = round * BURST..(round + 1) * BURST;
+                if ctx.rank() == 0 {
+                    for t in tags.clone() {
+                        ctx.send(1, t, big.clone());
+                    }
+                    for t in tags {
+                        assert_eq!(ctx.recv(1, 1000 + t), vec![t as f64]);
+                    }
+                } else {
+                    std::thread::sleep(Duration::from_millis(50));
+                    for t in tags {
+                        assert_eq!(&ctx.recv(0, t), big);
+                        ctx.send(0, 1000 + t, vec![t as f64]);
+                    }
+                }
+            }
+            ctx.arq_stats()
+        })
+        .unwrap();
+        let sent: u64 = stats.iter().map(|s| s.first_sends).sum();
+        let resent: u64 = stats.iter().map(|s| s.retransmits).sum();
+        assert_eq!(sent, 2 * ROUNDS * BURST);
+        assert!(
+            resent * 100 <= sent,
+            "{resent} retransmissions of {sent} messages on a fault-free link: {stats:?}"
+        );
+        assert!(stats.iter().all(|s| s.rtt_samples > 0), "{stats:?}");
+    }
+
+    /// Under real loss the timer still recovers every message, and the
+    /// estimator never learns from a message it had to send twice.
+    #[cfg(unix)]
+    #[test]
+    fn lossy_socket_link_recovers_and_samples_only_clean_round_trips() {
+        const ROUNDS: u64 = 60;
+        let plan = FaultPlan::new(FaultConfig::lossy(0.05), 5);
+        let stats = RankWorld::run_socket_with_faults(2, &plan, |mut ctx| {
+            let peer = 1 - ctx.rank();
+            for round in 0..ROUNDS {
+                let msg: Vec<f64> = (0..1000).map(|i| (round * 1000 + i) as f64).collect();
+                ctx.send(peer, round, msg.clone());
+                assert_eq!(ctx.recv(peer, round), msg);
+            }
+            ctx.arq_stats()
+        })
+        .unwrap();
+        for s in &stats {
+            assert_eq!(s.first_sends, ROUNDS);
+            assert!(s.retransmits > 0, "5% loss must retransmit: {s:?}");
+            assert!(s.retransmits >= s.retransmitted_messages);
+            // One sample at most per message, none for a retransmitted one.
+            assert!(s.rtt_samples > 0);
+            assert!(
+                s.rtt_samples + s.retransmitted_messages <= s.first_sends,
+                "a retransmitted message was sampled: {s:?}"
+            );
+        }
     }
 
     /// Satellite for the transport split: the *same* seeded fault plan

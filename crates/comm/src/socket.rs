@@ -9,10 +9,12 @@
 //! above retransmits. A respawned rank rebinds its predecessor's socket
 //! path, which is what makes elastic rejoin possible.
 //!
-//! The send socket runs nonblocking with per-peer backlogs, so a
-//! world whose ranks all send before receiving (the 26-neighbor
-//! exchange) cannot deadlock on full kernel buffers: un-sendable frames
-//! queue locally and drain during every subsequent send/recv/pump call.
+//! The send socket runs nonblocking with per-peer queues, so a world
+//! whose ranks all send before receiving (the 26-neighbor exchange)
+//! cannot deadlock on full kernel buffers: un-sendable wires queue
+//! locally — unencoded, sharing their payload with the ARQ layer — and
+//! drain during every subsequent send/recv call, each fragment encoded
+//! straight into the link's datagram buffer when its turn comes.
 //!
 //! Epoch fencing: every frame carries the sender's membership epoch.
 //! Frames from an older epoch (in-flight across a park/rejoin) are
@@ -25,7 +27,7 @@ use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::frame::{self, Frame, FrameKind, Reassembler, MAX_FRAME_LEN};
+use crate::frame::{self, FrameKind, Reassembler, MAX_FRAME_LEN};
 use crate::transport::{Transport, Wire};
 
 /// Which wire the socket transport rides on. One variant: callers name
@@ -49,20 +51,55 @@ pub fn data_sock_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("d{rank}.sock"))
 }
 
+/// How long `recv` naps between send attempts while a backlog is
+/// waiting on a full peer queue. A blocking receive cannot be used
+/// there: only the *receive* socket wakes it, so a peer that merely
+/// frees queue space would leave the backlog sitting until the receive
+/// timeout (a whole scheduler tick) expires.
+const BACKLOG_NAP: Duration = Duration::from_micros(20);
+
+/// The send side of the link to one peer.
+struct Link {
+    path: PathBuf,
+    /// Wires not yet fully handed to the socket, oldest first. Payloads
+    /// are shared with the ARQ layer, so a queued wire costs no copy.
+    queue: VecDeque<Wire>,
+    /// Next fragment of `queue.front()` to send.
+    next_frag: u16,
+    /// That fragment, encoded, when the socket refused it: `staged` is a
+    /// datagram buffer (allocated on first use) holding `staged_len`
+    /// bytes, so a refused fragment is encoded once however often the
+    /// send is retried.
+    staged: Vec<u8>,
+    staged_len: usize,
+    /// Wires accepted by `send` / fully departed, see [`Transport::departed`].
+    accepted: u64,
+    departed: u64,
+}
+
+/// Receive-socket blocking mode, tracked so the mode syscalls are made
+/// only when the mode changes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RxMode {
+    NonBlocking,
+    Timeout(Duration),
+}
+
 /// The socket-backed [`Transport`].
 pub struct SocketTransport {
     rank: usize,
     epoch: u64,
     recv_sock: UnixDatagram,
+    rx_mode: RxMode,
+    /// One datagram's worth of receive buffer, reused for every read.
+    rx_buf: Vec<u8>,
     send_sock: UnixDatagram,
-    peer_paths: Vec<PathBuf>,
-    /// Un-sendable frames, per destination (nonblocking sends).
-    backlog: Vec<VecDeque<Vec<u8>>>,
+    links: Vec<Link>,
     reasm: Reassembler,
     /// Wires decoded ahead of delivery (epoch replay, batched polls).
     ready: VecDeque<Wire>,
-    /// Frames from a future epoch, replayed at `set_epoch`.
-    future: Vec<Frame>,
+    /// Raw frames from a future epoch, re-ingested at `set_epoch`.
+    future: Vec<Vec<u8>>,
     /// Malformed-frame count (dropped; the ARQ layer retransmits).
     frame_errors: u64,
 }
@@ -76,15 +113,27 @@ impl SocketTransport {
         // A respawned rank rebinds its predecessor's address.
         let _ = std::fs::remove_file(&path);
         let recv_sock = UnixDatagram::bind(&path)?;
+        recv_sock.set_nonblocking(true)?;
         let send_sock = UnixDatagram::unbound()?;
         send_sock.set_nonblocking(true)?;
         Ok(SocketTransport {
             rank,
             epoch: 0,
             recv_sock,
+            rx_mode: RxMode::NonBlocking,
+            rx_buf: vec![0u8; MAX_FRAME_LEN],
             send_sock,
-            peer_paths: (0..nranks).map(|r| data_sock_path(dir, r)).collect(),
-            backlog: (0..nranks).map(|_| VecDeque::new()).collect(),
+            links: (0..nranks)
+                .map(|r| Link {
+                    path: data_sock_path(dir, r),
+                    queue: VecDeque::new(),
+                    next_frag: 0,
+                    staged: Vec::new(),
+                    staged_len: 0,
+                    accepted: 0,
+                    departed: 0,
+                })
+                .collect(),
             reasm: Reassembler::default(),
             ready: VecDeque::new(),
             future: Vec::new(),
@@ -97,27 +146,27 @@ impl SocketTransport {
         self.frame_errors
     }
 
-    /// Decode one raw frame buffer into the delivery pipeline.
+    /// Run one raw datagram through validation, the epoch fence and
+    /// reassembly into the delivery queue.
     fn ingest(&mut self, buf: &[u8]) {
-        let f = match Frame::decode(buf) {
-            Ok(f) => f,
-            Err(e) => {
+        let h = match frame::decode_header(buf) {
+            Ok(h) => h,
+            Err(_) => {
                 self.frame_errors += 1;
                 gmg_flight::record_arq("frame:reject", None, None, None, 0);
                 if gmg_metrics::enabled() {
                     gmg_metrics::counter("frame_decode_errors_total", self.rank, None, "frame")
                         .inc();
                 }
-                let _ = e;
                 return;
             }
         };
-        if f.kind == FrameKind::Control {
+        if h.kind == FrameKind::Control {
             // Control traffic rides dedicated membership sockets; a stray
             // control frame on the data plane is dropped.
             return;
         }
-        if f.kind == FrameKind::Telemetry {
+        if h.kind == FrameKind::Telemetry {
             // Telemetry rides the gmg-live sidecar socket; a stray
             // telemetry frame on the data plane is dropped (counted) so it
             // can never contaminate the ARQ tag/seq spaces.
@@ -126,91 +175,123 @@ impl SocketTransport {
             }
             return;
         }
-        if f.epoch < self.epoch {
+        if h.epoch < self.epoch {
             if gmg_metrics::enabled() {
                 gmg_metrics::counter("epoch_fenced_frames_total", self.rank, None, "frame").inc();
             }
             return;
         }
-        if f.epoch > self.epoch {
-            self.future.push(f);
+        if h.epoch > self.epoch {
+            self.future.push(buf.to_vec());
             return;
         }
-        if let Some(w) = self.reasm.accept(f) {
+        if let Some(w) = self.reasm.accept(&h, buf) {
             self.ready.push_back(w);
         }
     }
 
-    /// Try to flush per-peer backlogs; non-fatal failures drop frames
-    /// (indistinguishable from wire loss, which the ARQ layer owns).
+    /// Hand queued wires to the socket, fragment by fragment, until a
+    /// peer's queue is full. A vanished peer absorbs its frames: that is
+    /// indistinguishable from wire loss, which the ARQ layer owns.
     fn drain_backlog(&mut self) {
-        for to in 0..self.backlog.len() {
-            while let Some(front) = self.backlog[to].front() {
-                match self.try_send_raw(to, front) {
-                    RawSend::Sent => {
-                        self.backlog[to].pop_front();
+        for to in 0..self.links.len() {
+            let link = &mut self.links[to];
+            while let Some(wire) = link.queue.front() {
+                if link.staged_len == 0 {
+                    if link.staged.is_empty() {
+                        link.staged = vec![0u8; MAX_FRAME_LEN];
                     }
-                    RawSend::Full => break,
-                    RawSend::Gone => {
-                        // Peer endpoint missing/dead: this frame is lost.
-                        self.backlog[to].pop_front();
-                    }
+                    link.staged_len = frame::encode_wire_fragment(
+                        wire,
+                        to,
+                        self.epoch,
+                        link.next_frag,
+                        &mut link.staged,
+                    );
+                }
+                match self
+                    .send_sock
+                    .send_to(&link.staged[..link.staged_len], &link.path)
+                {
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    // Sent, or the peer endpoint is missing/dead and the
+                    // frame is lost.
+                    Ok(_) | Err(_) => {}
+                }
+                link.staged_len = 0;
+                link.next_frag += 1;
+                if link.next_frag == frame::wire_frag_count(wire) {
+                    link.queue.pop_front();
+                    link.next_frag = 0;
+                    link.departed += 1;
                 }
             }
         }
     }
 
-    /// Ingest whatever is on the wire right now without blocking.
-    fn poll_wire(&mut self) {
-        let mut buf = vec![0u8; MAX_FRAME_LEN];
-        self.recv_sock.set_nonblocking(true).ok();
+    fn backlogged(&self) -> bool {
+        self.links.iter().any(|l| !l.queue.is_empty())
+    }
+
+    fn set_rx_mode(&mut self, mode: RxMode) {
+        if self.rx_mode == mode {
+            return;
+        }
+        match (self.rx_mode, mode) {
+            (RxMode::NonBlocking, RxMode::Timeout(d)) => {
+                self.recv_sock.set_read_timeout(Some(d)).ok();
+                self.recv_sock.set_nonblocking(false).ok();
+            }
+            (RxMode::Timeout(_), RxMode::Timeout(d)) => {
+                self.recv_sock.set_read_timeout(Some(d)).ok();
+            }
+            (_, RxMode::NonBlocking) => {
+                self.recv_sock.set_nonblocking(true).ok();
+            }
+        }
+        self.rx_mode = mode;
+    }
+
+    /// Read datagrams in `mode` until the socket has none (or, blocking,
+    /// until one arrived), ingesting each.
+    fn read_wire(&mut self, mode: RxMode) {
+        self.set_rx_mode(mode);
+        let mut buf = std::mem::take(&mut self.rx_buf);
         while let Ok(n) = self.recv_sock.recv(&mut buf) {
             self.ingest(&buf[..n]);
+            if mode != RxMode::NonBlocking {
+                break;
+            }
         }
-        self.recv_sock.set_nonblocking(false).ok();
+        self.rx_buf = buf;
     }
-
-    /// Block up to `slice` for at least one datagram, then ingest it.
-    fn wait_wire(&mut self, slice: Duration) {
-        let mut buf = vec![0u8; MAX_FRAME_LEN];
-        self.recv_sock
-            .set_read_timeout(Some(slice.max(Duration::from_micros(100))))
-            .ok();
-        if let Ok(n) = self.recv_sock.recv(&mut buf) {
-            self.ingest(&buf[..n]);
-        }
-    }
-
-    fn try_send_raw(&self, to: usize, frame_bytes: &[u8]) -> RawSend {
-        match self.send_sock.send_to(frame_bytes, &self.peer_paths[to]) {
-            Ok(_) => RawSend::Sent,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => RawSend::Full,
-            Err(_) => RawSend::Gone,
-        }
-    }
-}
-
-/// Outcome of one raw nonblocking send attempt.
-enum RawSend {
-    Sent,
-    Full,
-    Gone,
 }
 
 impl Transport for SocketTransport {
-    fn send(&mut self, to: usize, wire: Wire) -> Result<(), ()> {
-        for f in frame::encode_wire(&wire, to, self.epoch) {
-            self.backlog[to].push_back(f);
-        }
+    fn send(&mut self, to: usize, wire: Wire) -> Result<u64, ()> {
+        let link = &mut self.links[to];
+        link.queue.push_back(wire);
+        link.accepted += 1;
+        let ticket = link.accepted;
         self.drain_backlog();
-        Ok(())
+        Ok(ticket)
     }
 
+    fn departed(&self, to: usize) -> u64 {
+        self.links[to].departed
+    }
+
+    /// Besides receiving, every call flushes what it can of the send
+    /// backlog, so a world whose ranks all send before receiving makes
+    /// progress from its receive loops alone.
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Wire>, ()> {
+        if let Some(w) = self.ready.pop_front() {
+            return Ok(Some(w));
+        }
         let deadline = timeout.map(|d| Instant::now() + d);
         loop {
             self.drain_backlog();
-            self.poll_wire();
+            self.read_wire(RxMode::NonBlocking);
             if let Some(w) = self.ready.pop_front() {
                 return Ok(Some(w));
             }
@@ -226,7 +307,12 @@ impl Transport for SocketTransport {
                 // sends keep draining (no cross-rank send deadlock).
                 None => Duration::from_millis(20),
             };
-            self.wait_wire(remaining.min(Duration::from_millis(20)));
+            if self.backlogged() {
+                std::thread::sleep(BACKLOG_NAP.min(remaining));
+            } else {
+                let slice = remaining.clamp(Duration::from_micros(100), Duration::from_millis(20));
+                self.read_wire(RxMode::Timeout(slice));
+            }
         }
     }
 
@@ -234,26 +320,17 @@ impl Transport for SocketTransport {
         self.epoch = epoch;
         self.reasm = Reassembler::default();
         self.ready.clear();
-        for b in &mut self.backlog {
-            b.clear();
+        for l in &mut self.links {
+            l.queue.clear();
+            l.next_frag = 0;
+            l.staged_len = 0;
+            l.departed = l.accepted;
         }
-        let future = std::mem::take(&mut self.future);
-        for f in future {
-            // Re-run the epoch filter: matching frames deliver now,
-            // still-future ones wait again.
-            if f.epoch == self.epoch {
-                if let Some(w) = self.reasm.accept(f) {
-                    self.ready.push_back(w);
-                }
-            } else if f.epoch > self.epoch {
-                self.future.push(f);
-            }
+        // Re-run the epoch filter over the held frames: matching ones
+        // deliver now, still-future ones wait again.
+        for raw in std::mem::take(&mut self.future) {
+            self.ingest(&raw);
         }
-    }
-
-    fn pump(&mut self) {
-        self.drain_backlog();
-        self.poll_wire();
     }
 
     fn kind(&self) -> &'static str {
@@ -273,6 +350,7 @@ pub(crate) fn uds_world(dir: &Path, nranks: usize) -> std::io::Result<Vec<Socket
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("gmgsock_{}_{tag}", std::process::id()));
@@ -292,7 +370,7 @@ mod tests {
                 tag: 9,
                 seq: 0,
                 checksum: 42,
-                payload: payload.clone(),
+                payload: Arc::new(payload.clone()),
             },
         )
         .unwrap();
@@ -300,7 +378,7 @@ mod tests {
         // loop; the single-threaded test interleaves by hand.
         let deadline = Instant::now() + Duration::from_secs(5);
         let w = loop {
-            a.pump();
+            a.drain_backlog();
             if let Ok(Some(w)) = b.recv(Some(Duration::from_millis(5))) {
                 break w;
             }
@@ -315,7 +393,7 @@ mod tests {
                 payload: p,
             } => {
                 assert_eq!((src, tag, seq, checksum), (0, 9, 0, 42));
-                assert_eq!(p, payload);
+                assert_eq!(*p, payload);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -359,7 +437,7 @@ mod tests {
             tag: 1,
             seq,
             checksum: 0,
-            payload: vec![seq as f64],
+            payload: Arc::new(vec![seq as f64]),
         };
         w[0].send(1, wire(0)).unwrap(); // epoch 0
         let (a, b) = w.split_at_mut(1);

@@ -16,19 +16,22 @@
 //! talking to; the transport only knows "this pipe is gone".
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What actually travels between ranks.
 #[derive(Clone, Debug)]
 pub(crate) enum Wire {
     /// A payload message. `seq` is per-sender monotone; `checksum` covers
-    /// `(src, tag, seq, payload)`.
+    /// `(src, tag, seq, payload)`. The payload is shared, not copied,
+    /// between the ARQ layer's retransmission record and a transport's
+    /// send queue; a receiver that holds the only reference unwraps it.
     Data {
         src: usize,
         tag: u64,
         seq: u64,
         checksum: u64,
-        payload: Vec<f64>,
+        payload: Arc<Vec<f64>>,
     },
     /// Acknowledges receipt of the sender's `seq`. `src` is the ACKing
     /// rank.
@@ -42,7 +45,19 @@ pub(crate) trait Transport: Send {
     /// Best-effort delivery of `wire` to rank `to`. `Err(())` means the
     /// pipe to that peer is known-dead (the thread backend's channel is
     /// closed); backends where loss is silent simply return `Ok`.
-    fn send(&mut self, to: usize, wire: Wire) -> Result<(), ()>;
+    ///
+    /// The `Ok` value is the wire's ordinal on the link to `to`: it has
+    /// left this rank once [`Transport::departed`]`(to)` reaches it. A
+    /// backend that hands wires over synchronously returns 0.
+    fn send(&mut self, to: usize, wire: Wire) -> Result<u64, ()>;
+
+    /// How many wires to `to` have left this rank entirely (every
+    /// fragment handed to the medium or lost to it). The ARQ layer
+    /// starts a message's retransmission timer only then, so time spent
+    /// queued behind a full socket is not mistaken for loss.
+    fn departed(&self, _to: usize) -> u64 {
+        u64::MAX
+    }
 
     /// Receive the next wire addressed to this rank.
     ///
@@ -56,9 +71,6 @@ pub(crate) trait Transport: Send {
     /// epochs because its ranks cannot rejoin.
     fn set_epoch(&mut self, _epoch: u64) {}
 
-    /// Drive backend housekeeping (flush backlogs, accept connections).
-    fn pump(&mut self) {}
-
     /// Backend name for diagnostics.
     fn kind(&self) -> &'static str;
 }
@@ -71,8 +83,8 @@ pub(crate) struct ThreadTransport {
 }
 
 impl Transport for ThreadTransport {
-    fn send(&mut self, to: usize, wire: Wire) -> Result<(), ()> {
-        self.peers[to].send(wire).map_err(|_| ())
+    fn send(&mut self, to: usize, wire: Wire) -> Result<u64, ()> {
+        self.peers[to].send(wire).map(|()| 0).map_err(|_| ())
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Wire>, ()> {
