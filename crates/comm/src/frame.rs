@@ -16,10 +16,9 @@
 //! sequence is dropped and the ARQ retransmit supplies a clean copy.
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::fault::LaneHash;
-use crate::transport::Wire;
+use crate::transport::{Payload, Wire};
 
 /// `"GM"` little-endian.
 pub const MAGIC: u16 = 0x4d47;
@@ -409,7 +408,7 @@ impl Reassembler {
                 tag,
                 seq,
                 checksum,
-                payload: Arc::new(payload),
+                payload: Payload::Owned(payload),
             })
         };
         if h.frag_index == 0 {
@@ -479,7 +478,7 @@ mod tests {
             tag: 9,
             seq,
             checksum: 11,
-            payload: Arc::new(payload),
+            payload: Payload::Owned(payload),
         }
     }
 
@@ -502,7 +501,7 @@ mod tests {
 
     fn payload_of(w: Option<Wire>) -> Vec<f64> {
         match w {
-            Some(Wire::Data { payload, .. }) => Arc::try_unwrap(payload).unwrap(),
+            Some(Wire::Data { payload, .. }) => payload.into_vec(),
             other => panic!("expected a data wire, got {other:?}"),
         }
     }
@@ -643,8 +642,9 @@ mod tests {
         }
         match out {
             Some(Wire::Data { payload: p, .. }) => {
+                let p = p.into_vec();
                 assert!(p.capacity() <= 3 * MAX_FRAGMENT_DOUBLES);
-                assert_eq!(*p, payload);
+                assert_eq!(p, payload);
             }
             other => panic!("expected a data wire, got {other:?}"),
         }

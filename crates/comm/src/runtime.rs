@@ -48,7 +48,7 @@ use crate::fault::{
     checksum, flip_bit, CommError, ControlFault, FaultInjector, FaultPlan, RankFailure,
     RetryPolicy, WorldFailure,
 };
-use crate::transport::{ThreadTransport, Transport, Wire};
+use crate::transport::{Payload, ThreadTransport, Transport, Wire};
 
 /// Reserved tag space for collectives; user tags must stay below this.
 pub(crate) const COLLECTIVE_TAG: u64 = u64::MAX - 1024;
@@ -316,7 +316,6 @@ impl RankCtx {
         let seq = self.next_seq;
         self.next_seq += 1;
         gmg_flight::record_send(to, tag, seq, (payload.len() * 8) as u64);
-        let payload = Arc::new(payload);
         if !self.reliable() {
             return self
                 .transport
@@ -327,7 +326,7 @@ impl RankCtx {
                         tag,
                         seq,
                         checksum: 0,
-                        payload,
+                        payload: Payload::Owned(payload),
                     },
                 )
                 .map(|_| ())
@@ -340,7 +339,7 @@ impl RankCtx {
             tag,
             seq,
             checksum: checksum(self.rank, tag, seq, &payload),
-            payload,
+            payload: Arc::new(payload),
             attempts: 0,
             departure: Departure::Held,
         });
@@ -430,7 +429,7 @@ impl RankCtx {
             tag,
             seq,
             checksum: cs,
-            payload,
+            payload: Payload::Shared(payload),
         };
         if fate.duplicates > 0 {
             self.fault_event("fault:dup", Some(to), Some(tag));
@@ -568,7 +567,7 @@ impl RankCtx {
             } => {
                 if !self.reliable() {
                     gmg_flight::record_msg_arrive(src, tag, seq, (payload.len() * 8) as u64);
-                    return Some((src, tag, seq, unshare(payload)));
+                    return Some((src, tag, seq, payload.into_vec()));
                 }
                 if checksum(src, tag, seq, &payload) != cs {
                     // Discard without ACK: the sender's retry timer will
@@ -616,7 +615,7 @@ impl RankCtx {
                     return None;
                 }
                 gmg_flight::record_msg_arrive(src, tag, seq, (payload.len() * 8) as u64);
-                Some((src, tag, seq, unshare(payload)))
+                Some((src, tag, seq, payload.into_vec()))
             }
             Wire::Ack { src, seq } => {
                 // An ACK retires the pending entry; its attempt count is
@@ -1176,14 +1175,6 @@ impl RankWorld {
             }
         })
     }
-}
-
-/// Take a received payload out of its [`Wire`]: free when this is the
-/// only reference (every socket delivery, every fault-free thread
-/// delivery), a copy when a thread-world sender still holds the message
-/// for retransmission.
-fn unshare(payload: Arc<Vec<f64>>) -> Vec<f64> {
-    Arc::try_unwrap(payload).unwrap_or_else(|shared| (*shared).clone())
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -350,7 +350,7 @@ pub(crate) fn uds_world(dir: &Path, nranks: usize) -> std::io::Result<Vec<Socket
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::transport::Payload;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("gmgsock_{}_{tag}", std::process::id()));
@@ -370,7 +370,7 @@ mod tests {
                 tag: 9,
                 seq: 0,
                 checksum: 42,
-                payload: Arc::new(payload.clone()),
+                payload: Payload::Owned(payload.clone()),
             },
         )
         .unwrap();
@@ -393,7 +393,7 @@ mod tests {
                 payload: p,
             } => {
                 assert_eq!((src, tag, seq, checksum), (0, 9, 0, 42));
-                assert_eq!(*p, payload);
+                assert_eq!(p.into_vec(), payload);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -437,7 +437,7 @@ mod tests {
             tag: 1,
             seq,
             checksum: 0,
-            payload: Arc::new(vec![seq as f64]),
+            payload: Payload::Owned(vec![seq as f64]),
         };
         w[0].send(1, wire(0)).unwrap(); // epoch 0
         let (a, b) = w.split_at_mut(1);

@@ -23,19 +23,54 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub(crate) enum Wire {
     /// A payload message. `seq` is per-sender monotone; `checksum` covers
-    /// `(src, tag, seq, payload)`. The payload is shared, not copied,
-    /// between the ARQ layer's retransmission record and a transport's
-    /// send queue; a receiver that holds the only reference unwraps it.
+    /// `(src, tag, seq, payload)`.
     Data {
         src: usize,
         tag: u64,
         seq: u64,
         checksum: u64,
-        payload: Arc<Vec<f64>>,
+        payload: Payload,
     },
     /// Acknowledges receipt of the sender's `seq`. `src` is the ACKing
     /// rank.
     Ack { src: usize, seq: u64 },
+}
+
+/// The doubles of a [`Wire::Data`].
+#[derive(Clone, Debug)]
+pub(crate) enum Payload {
+    /// This wire is the only holder: an unreliable send (nothing is kept
+    /// for retransmission) and every message a socket reassembled. Moving
+    /// it costs no allocation — wrapping these in an `Arc` too meant one
+    /// small block per message allocated by the sending thread and freed
+    /// by the receiving one, which cost a 32³ two-thread solve 5 % and
+    /// more than doubled its run-to-run spread.
+    Owned(Vec<f64>),
+    /// Shared, not copied, between the ARQ layer's retransmission record,
+    /// a transport's send queue and fate duplicates.
+    Shared(Arc<Vec<f64>>),
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(v) => v,
+        }
+    }
+}
+
+impl Payload {
+    /// The receiver's vector: a move unless a thread-world sender still
+    /// holds the message for retransmission.
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        match self {
+            Payload::Owned(v) => v,
+            Payload::Shared(v) => Arc::try_unwrap(v).unwrap_or_else(|shared| (*shared).clone()),
+        }
+    }
 }
 
 /// An unreliable pipe between this rank and its peers. Fault injection
