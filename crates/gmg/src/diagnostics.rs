@@ -7,6 +7,7 @@
 use crate::level::Level;
 use crate::solver::{SolveStats, SolverConfig};
 use gmg_comm::runtime::RankCtx;
+use gmg_stencil::exec_brick::residual_norms_bricked;
 use serde::{Deserialize, Serialize};
 
 /// Norms of a field over this rank's owned region (combine across ranks
@@ -31,14 +32,12 @@ impl LocalNorms {
         self.sum_sq.is_finite() && self.max_abs.is_finite() && self.sum.is_finite()
     }
 
-    /// Norms of the residual field at `level`.
+    /// Norms of the residual `b − A·x` of `level`'s current iterate over
+    /// its owned cells, in one read-only pass (no field is written; `x`
+    /// must be valid one cell beyond the owned box).
     pub fn of_residual(level: &Level) -> Self {
-        let (sum_sq, max_abs, sum) = level.r.par_reduce(
-            level.owned,
-            (0.0f64, 0.0f64, 0.0f64),
-            |_, v| (v * v, v.abs(), v),
-            |a, b| (a.0 + b.0, a.1.max(b.1), a.2 + b.2),
-        );
+        let (max_abs, sum_sq, sum) =
+            residual_norms_bricked(&level.x, &level.b, level.alpha, level.beta, level.owned);
         Self {
             sum_sq,
             max_abs,

@@ -23,11 +23,13 @@ pub struct Level {
     pub x: BrickedField,
     /// Right-hand side.
     pub b: BrickedField,
-    /// Scratch: `A·x` of the split `applyOp` + `smooth` reference path and
-    /// the residual check, and the buffer `x` alternates with inside
-    /// [`Level::fused_multi_smooth`]. Every reader refreshes it first.
+    /// Scratch: `A·x` of the split `applyOp` + `smooth` path, and the
+    /// buffer `x` alternates with inside [`Level::fused_multi_smooth`].
+    /// Every reader refreshes it first.
     pub ax: BrickedField,
-    /// Residual `b − A·x`.
+    /// Residual `b − A·x` on the owned cells, as the last iteration of a
+    /// pre-smooth left it: written for restriction, which is its only
+    /// reader. No other smooth and no convergence check stores it.
     pub r: BrickedField,
     /// `α = −6/h²`.
     pub alpha: f64,
@@ -35,10 +37,12 @@ pub struct Level {
     pub beta: f64,
     /// `γ = h²/12`.
     pub gamma: f64,
-    /// Valid ghost margin of `x`, in cells: how many more radius-1 sweeps
-    /// can run before an exchange is needed. Reset to the full ghost depth
-    /// by an exchange; decremented by each smoothing step in
-    /// communication-avoiding mode.
+    /// Valid ghost margin of `x`, in cells: `x` is specified on
+    /// `owned.grow(margin)` and nowhere else, so this is how many more
+    /// radius-1 sweeps can run before an exchange is needed. Reset to the
+    /// full ghost depth by an exchange or `initZero`; a smoothing step
+    /// works in no more of it than the rest of its pass can consume and
+    /// leaves that minus what it consumed — 0 at the end of every pass.
     pub margin: i64,
 }
 
@@ -81,18 +85,6 @@ impl Level {
         self.layout.ghost_cells()
     }
 
-    /// The compute region for the next smoothing step given the current
-    /// margin: `owned.grow(margin − 1)` in communication-avoiding mode
-    /// (redundant work in the still-valid ghost shell), or just `owned`.
-    pub fn smooth_region(&self, communication_avoiding: bool) -> Box3 {
-        if communication_avoiding {
-            debug_assert!(self.margin >= 1, "smooth without valid ghost margin");
-            self.owned.grow(self.margin - 1)
-        } else {
-            self.owned
-        }
-    }
-
     /// `Ax ← A·x` over `region` (the paper's `applyOp`). Requires `x` valid
     /// on `region.grow(1)`.
     pub fn apply_op(&mut self, region: Box3) {
@@ -130,11 +122,12 @@ impl Level {
 
     /// Apply `s` Jacobi-family smooth iterations over the shrinking
     /// communication-avoiding schedule rooted at `region`, each as one pass
-    /// over the bricks (4 doubles moved per point with the residual, 3
-    /// without), bit-identical to `s` sequential `apply_op` +
-    /// `smooth(_residual)` passes (see [`gmg_stencil::exec_fused`]). `ax`
-    /// holds garbage afterwards. The caller accounts the `s` margin cells
-    /// consumed.
+    /// over the bricks (3 doubles moved per point). Afterwards `x` — and,
+    /// `with_residual`, `r` as the last iteration's `smooth_residual`
+    /// would leave it — are specified on `region.shrink(s − 1)` only,
+    /// bit-identical there to `s` sequential `apply_op` + `smooth` passes
+    /// (see [`gmg_stencil::exec_fused`]); `ax` holds garbage. The caller
+    /// accounts the margin: `region.shrink(s − 1)` is all that stays valid.
     pub fn fused_multi_smooth(
         &mut self,
         region: Box3,
@@ -155,7 +148,7 @@ impl Level {
         )
     }
 
-    /// `r ← b − Ax` over `region` (used by the convergence check).
+    /// `r ← b − Ax` over `region`, from the `Ax` of the last `apply_op`.
     pub fn residual(&mut self, region: Box3) {
         let pieces = self.layout.slots_intersecting(region);
         par_pointwise_mut1(&mut self.r, &self.ax, &self.b, &pieces, |r, ax, b| {
@@ -623,16 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn smooth_region_tracks_margin() {
-        let mut l = single_level(16, 4, 0);
-        l.margin = 4;
-        assert_eq!(l.smooth_region(true), l.owned.grow(3));
-        assert_eq!(l.smooth_region(false), l.owned);
-        l.margin = 1;
-        assert_eq!(l.smooth_region(true), l.owned);
-    }
-
-    #[test]
     fn ca_smoothing_matches_non_ca() {
         // With periodic self-exchange: 4 CA smooths after one exchange must
         // produce exactly the same owned values as exchange-every-step.
@@ -653,7 +636,7 @@ mod tests {
         // CA path: one exchange, then 4 shrinking-region smooths.
         self_exchange(&mut ca);
         for _ in 0..4 {
-            let region = ca.smooth_region(true);
+            let region = ca.owned.grow(ca.margin - 1);
             ca.apply_op(region);
             ca.smooth_residual(region);
             ca.margin -= 1;

@@ -1,6 +1,7 @@
 //! Distributed operator helpers: exchanges that track the
 //! communication-avoiding margin, and the global convergence check.
 
+use crate::diagnostics::LocalNorms;
 use crate::level::Level;
 use gmg_comm::runtime::{try_exchange_bricked, RankCtx};
 use gmg_comm::CommError;
@@ -47,25 +48,26 @@ pub fn try_exchange_b(
 }
 
 /// Global max-norm residual at `level` (Algorithm 1's `maxNormRes`):
-/// exchange, fresh `applyOp`, residual, and an all-reduce across ranks.
+/// exchange, one read-only pass forming `b − A·x` in registers, and an
+/// all-reduce across ranks. Writes no field.
 pub fn max_norm_residual(ctx: &mut RankCtx, level: &mut Level, tag_base: u64) -> f64 {
     match try_max_norm_residual(ctx, level, tag_base) {
-        Ok(r) => r,
+        Ok((r, _)) => r,
         Err(e) => panic!("comm failure: {e}"),
     }
 }
 
-/// Fallible [`max_norm_residual`].
+/// Fallible [`max_norm_residual`], also handing back this rank's residual
+/// moments from the same pass (the solver's non-finite guard reduces them
+/// later, keeping its all-reduces where they were).
 pub fn try_max_norm_residual(
     ctx: &mut RankCtx,
     level: &mut Level,
     tag_base: u64,
-) -> Result<f64, CommError> {
+) -> Result<(f64, LocalNorms), CommError> {
     try_exchange_x(ctx, level, tag_base)?;
-    level.apply_op(level.owned);
-    level.residual(level.owned);
-    let local = level.max_norm_r();
-    ctx.try_allreduce_max(local)
+    let local = LocalNorms::of_residual(level);
+    Ok((ctx.try_allreduce_max(local.max_abs)?, local))
 }
 
 #[cfg(test)]
@@ -111,6 +113,53 @@ mod tests {
         });
         for r in out {
             assert!(r < 1e-10, "residual {r}");
+        }
+    }
+
+    #[test]
+    fn one_pass_check_matches_the_three_pass_check_bit_for_bit() {
+        // The read-only pass must report what `applyOp` → `residual` →
+        // reductions over the stored `r` report — bit for bit the max that
+        // enters the history, to rounding the moments of the non-finite
+        // guard — at 1 and 8 ranks, without writing a field.
+        let n = 16;
+        let problem = PoissonProblem::new(n);
+        let pr = &problem;
+        for grid in [Point3::splat(1), Point3::splat(2)] {
+            let decomp = Decomposition::new(Box3::cube(n), grid);
+            let d = &decomp;
+            let out = RankWorld::run(decomp.num_ranks(), move |mut ctx| {
+                let mut l =
+                    Level::new(pr, d.clone(), ctx.rank(), 0, 4, BrickOrdering::SurfaceMajor);
+                let wrap = |p: Point3| p.rem_euclid(Point3::splat(n));
+                l.b = BrickedField::from_fn(l.layout.clone(), |p| pr.rhs(wrap(p)));
+                l.x = BrickedField::from_fn(l.layout.clone(), |p| {
+                    let q = wrap(p);
+                    ((q.x * 7 + q.y * 3 - q.z * 5) % 13) as f64 / 64.0
+                });
+                let (max, local) = try_max_norm_residual(&mut ctx, &mut l, 3).unwrap();
+                for scratch in [&l.r, &l.ax] {
+                    assert!(scratch.as_slice().iter().all(|v| *v == 0.0));
+                }
+                l.apply_op(l.owned);
+                l.residual(l.owned);
+                let ref_max = ctx.allreduce_max(l.max_norm_r());
+                let (sum_sq, sum) = l.r.par_reduce(
+                    l.owned,
+                    (0.0, 0.0),
+                    |_, v| (v * v, v),
+                    |a, b| (a.0 + b.0, a.1 + b.1),
+                );
+                assert_eq!(local.max_abs.to_bits(), l.max_norm_r().to_bits());
+                // The sums fold per x-lane, so they agree to rounding only.
+                assert!((local.sum_sq - sum_sq).abs() <= 1e-12 * sum_sq);
+                assert!((local.sum - sum).abs() <= 1e-12 * sum_sq.sqrt());
+                (max, ref_max)
+            });
+            for (max, ref_max) in out {
+                assert!(max > 0.0);
+                assert_eq!(max.to_bits(), ref_max.to_bits(), "grid {grid:?}");
+            }
         }
     }
 

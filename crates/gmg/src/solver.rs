@@ -349,27 +349,28 @@ impl GmgSolver {
     }
 
     /// One smoothing pass at level `li`: `n` iterations of
-    /// `exchange → applyOp → smooth(+residual)`, with the exchange elided
-    /// while the communication-avoiding ghost margin lasts. Smoothers that
-    /// make two neighbor-reading passes per iteration (red-black variants)
-    /// consume two margin cells per iteration. Every
-    /// communication-avoiding Jacobi-family iteration goes through the
-    /// one-pass smoother, in groups of up to [`FUSED_GROUP`] as the margin
-    /// allows — the schedule, exchanges and numerics (bit for bit) of the
-    /// split `applyOp` + `smooth` pair, which remains the schedule without
-    /// communication avoiding, with less memory traffic.
+    /// `exchange → applyOp → smooth`, with the exchange elided while the
+    /// communication-avoiding ghost margin lasts — demand-driven: an
+    /// iteration updates the owned box grown only as far as the rest of
+    /// the pass can still consume (`need` cells per remaining iteration,
+    /// capped by the margin) and leaves the margin it did not use up, none
+    /// at the end of a pass; and only a pass that `feeds_restriction`
+    /// stores the residual, in its last iteration. Red-black smoothers
+    /// read neighbors twice per iteration and `need` two margin cells.
+    /// Communication-avoiding Jacobi-family iterations run the one-pass
+    /// smoother in groups of up to [`FUSED_GROUP`] — the exchanges and
+    /// owned-cell numerics (bit for bit) of the split `applyOp` + `smooth`
+    /// pair, which remains the schedule without communication avoiding.
     fn smooth_pass(
         &mut self,
         ctx: &mut RankCtx,
         li: usize,
         n: usize,
-        fused: bool,
+        feeds_restriction: bool,
     ) -> Result<(), CommError> {
         let ca = self.config.communication_avoiding;
         let smoother = self.config.smoother;
         let need = smoother.margin_per_iteration();
-        // The one-pass smoother runs the communication-avoiding schedule of
-        // the Jacobi family; everything else takes the split path below.
         let one_pass_gamma = smoother.fused_gamma(self.levels[li].gamma).filter(|_| ca);
         let mut done = 0;
         while done < n {
@@ -387,31 +388,28 @@ impl GmgSolver {
                 try_exchange_x(ctx, level, tag)?;
                 self.record_op(li, "exchange", t0, Instant::now(), 0);
             }
+            let level = &mut self.levels[li];
+            // The margin worth working in: the dependency cone of the owned
+            // cells over the rest of the pass (in CA mode at least 1, the
+            // exchange above refilled an empty margin).
+            let left = (n - done) as i64;
+            let m = if ca {
+                level.margin.min(need * left)
+            } else {
+                need
+            };
+            let region = level.owned.grow(m - 1);
+            let its = one_pass_gamma.map_or(1, |_| FUSED_GROUP.min(m as usize));
+            let store_r = feeds_restriction && done + its == n;
+            let points = region.volume() as u64;
             if let Some(gamma) = one_pass_gamma {
-                let level = &mut self.levels[li];
-                // At least 1: the exchange above refilled an empty margin.
-                let s = FUSED_GROUP.min(n - done).min(level.margin as usize);
-                let region = level.owned.grow(level.margin - 1);
                 let _ph = gmg_prof::phase("fusedSmooth");
                 let t0 = Instant::now();
-                let stats = level.fused_multi_smooth(region, s, gamma, fused);
-                let t1 = Instant::now();
-                self.record_fused_op(li, t0, t1, &stats);
-                self.levels[li].margin -= s as i64;
-                done += s;
-                continue;
-            }
-            let level = &mut self.levels[li];
-            // CA mode works on the shrinking valid region; otherwise the
-            // smoother gets just enough halo to update every owned cell.
-            let region = if ca {
-                level.owned.grow(level.margin - 1)
-            } else {
-                level.owned.grow(need - 1)
-            };
-            let points = region.volume() as u64;
-            if let Smoother::Jacobi = smoother {
+                let stats = level.fused_multi_smooth(region, its, gamma, store_r);
+                self.record_fused_op(li, t0, Instant::now(), &stats);
+            } else if let Smoother::Jacobi = smoother {
                 // The paper's path, with the paper's split timer rows.
+                let smooth_op = if store_r { "smooth+residual" } else { "smooth" };
                 let t0 = Instant::now();
                 {
                     let _ph = gmg_prof::phase("applyOp");
@@ -419,8 +417,8 @@ impl GmgSolver {
                 }
                 let t1 = Instant::now();
                 {
-                    let _ph = gmg_prof::phase(if fused { "smooth+residual" } else { "smooth" });
-                    if fused {
+                    let _ph = gmg_prof::phase(smooth_op);
+                    if store_r {
                         level.smooth_residual(region);
                     } else {
                         level.smooth(region);
@@ -428,23 +426,30 @@ impl GmgSolver {
                 }
                 let t2 = Instant::now();
                 self.record_op(li, "applyOp", t0, t1, points);
-                self.record_op(
-                    li,
-                    if fused { "smooth+residual" } else { "smooth" },
-                    t1,
-                    t2,
-                    points,
-                );
+                self.record_op(li, smooth_op, t1, t2, points);
             } else {
                 let _ph = gmg_prof::phase(smoother.name());
                 let t0 = Instant::now();
-                smoother.apply(level, region, fused);
+                smoother.apply(level, region, store_r);
                 self.record_op(li, smoother.name(), t0, Instant::now(), points);
             }
-            self.levels[li].margin -= need;
-            done += 1;
+            self.levels[li].margin = m - need * its as i64;
+            done += its;
         }
         Ok(())
+    }
+
+    /// The convergence check of Algorithm 1 on the finest level, under its
+    /// own `residualNorm` timer row: the global max-norm residual and this
+    /// rank's residual moments from the same read-only pass.
+    fn residual_check(&mut self, ctx: &mut RankCtx) -> Result<(f64, LocalNorms), CommError> {
+        let tag = self.next_tag();
+        let points = self.levels[0].owned.volume() as u64;
+        let _ph = gmg_prof::phase("residualNorm");
+        let t0 = Instant::now();
+        let out = try_max_norm_residual(ctx, &mut self.levels[0], tag)?;
+        self.record_op(0, "residualNorm", t0, Instant::now(), points);
+        Ok(out)
     }
 
     /// Fire the phase hook (if any) at a V-cycle phase boundary.
@@ -478,7 +483,8 @@ impl GmgSolver {
             return self.smooth_pass(ctx, top, self.config.bottom_smooths, false);
         }
         let smooths = self.config.max_smooths;
-        // Pre-smooth (computes the fused residual for restriction).
+        // Pre-smooth (its last iteration stores the residual restriction
+        // reads).
         self.phase_event("smooth", l);
         self.smooth_pass(ctx, l, smooths, true)?;
         self.phase_event("restrict", l);
@@ -528,8 +534,8 @@ impl GmgSolver {
             Instant::now(),
             coarse_points,
         );
-        // Post-smooth.
-        self.smooth_pass(ctx, l, smooths, true)
+        // Post-smooth: nothing reads its residual.
+        self.smooth_pass(ctx, l, smooths, false)
     }
 
     /// Emit a health/recovery instant event onto the trace's fault track
@@ -728,11 +734,7 @@ impl GmgSolver {
     ) -> Result<SolveStats, CommError> {
         let (mut history, mut vcycles) = match start {
             Some(rp) => (rp.history, rp.vcycles),
-            None => {
-                let tag = self.next_tag();
-                let r0 = try_max_norm_residual(ctx, &mut self.levels[0], tag)?;
-                (vec![r0], 0)
-            }
+            None => (vec![self.residual_check(ctx)?.0], 0),
         };
         let r0 = history[0];
         let r_last = *history.last().expect("history non-empty");
@@ -764,8 +766,7 @@ impl GmgSolver {
             if let Some(hook) = self.fault_hook.as_mut() {
                 hook(vcycles, &mut self.levels[0]);
             }
-            let tag = self.next_tag();
-            let r = try_max_norm_residual(ctx, &mut self.levels[0], tag)?;
+            let (r, norms) = self.residual_check(ctx)?;
             history.push(r);
             if self.progress_hook.is_some() {
                 let level_seconds: Vec<f64> = (0..self.config.num_levels)
@@ -785,10 +786,7 @@ impl GmgSolver {
             // so non-finite state is detected through the summing residual
             // norms, which propagate it — and globally, so every rank
             // reaches the same verdict.
-            let finite = r.is_finite()
-                && LocalNorms::of_residual(&self.levels[0])
-                    .try_global(ctx)?
-                    .is_finite();
+            let finite = r.is_finite() && norms.try_global(ctx)?.is_finite();
             let verdict = if finite {
                 monitor.observe(r)
             } else {
@@ -1065,9 +1063,13 @@ mod tests {
         RankWorld::run(1, move |mut ctx| {
             let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
             s.solve(&mut ctx);
-            assert!(s.timers.count(0, "applyOp") >= 2 * cfg.max_smooths);
-            assert!(s.timers.count(0, "smooth+residual") >= 2 * cfg.max_smooths);
+            // Only the last pre-smooth iteration stores the residual.
+            assert_eq!(s.timers.count(0, "applyOp"), 2 * cfg.max_smooths);
+            assert_eq!(s.timers.count(0, "smooth+residual"), 1);
+            assert_eq!(s.timers.count(0, "smooth"), 2 * cfg.max_smooths - 1);
             assert_eq!(s.timers.count(1, "smooth"), cfg.bottom_smooths);
+            // Both convergence checks land in their own row.
+            assert_eq!(s.timers.count(0, "residualNorm"), 2);
             assert_eq!(s.timers.count(0, "fusedSmooth"), 0);
             assert_eq!(s.timers.count(0, "restriction"), 1);
             assert_eq!(s.timers.count(0, "interpolation+increment"), 1);

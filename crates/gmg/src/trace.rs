@@ -21,8 +21,10 @@ pub fn per_point(op: &str) -> Option<OpTraffic> {
 /// (coarse points for the coarse-granularity ops).
 ///
 /// Ops outside the paper's table get partial coverage: `initZero` writes
-/// one double per point; anything else (e.g. `exchange`, whose traffic is
-/// recorded by the comm runtime itself) reports only its point count.
+/// one double per point; `residualNorm` (the convergence check) reads `x`
+/// and `b` and reduces `b − A·x` in registers; anything else (e.g.
+/// `exchange`, whose traffic is recorded by the comm runtime itself)
+/// reports only its point count.
 pub fn op_counters(op: &str, points: u64) -> Counters {
     if let Some(t) = per_point(op) {
         return Counters {
@@ -36,6 +38,13 @@ pub fn op_counters(op: &str, points: u64) -> Counters {
     match op {
         "initZero" => Counters {
             bytes_written: 8 * points,
+            stencil_points: points,
+            ..Default::default()
+        },
+        // 8 of the stencil, the subtraction, and |v|, v², two sums, a max.
+        "residualNorm" => Counters {
+            bytes_read: 16 * points,
+            flops: 14 * points,
             stencil_points: points,
             ..Default::default()
         },
@@ -87,5 +96,7 @@ mod tests {
         let z = op_counters("initZero", 100);
         assert_eq!(z.bytes_written, 800);
         assert_eq!(z.bytes_read, 0);
+        let n = op_counters("residualNorm", 100);
+        assert_eq!((n.bytes_read, n.bytes_written), (1600, 0));
     }
 }

@@ -10,7 +10,7 @@
 //! [`StencilDef`] whose radius fits within the ghost shell and is used to
 //! validate the fast kernels.
 
-use crate::brick_rows::{stream_star7_generic, stream_star7_spec, RowBounds};
+use crate::brick_rows::{stream_star7_generic, stream_star7_rows, stream_star7_spec, RowBounds};
 use crate::expr::StencilDef;
 use gmg_brick::{BrickFaces, BrickNeighborhood, BrickShape, BrickedField};
 use gmg_mesh::{Box3, Point3};
@@ -150,6 +150,102 @@ fn apply_star7_bricked_impl(
             }
         }
     });
+}
+
+/// `(max |v|, Σ v², Σ v)` of the residual `v = b − A·x` over `region`, in
+/// one read-only pass: every row's `A·x` is reduced while still in
+/// registers, so neither `A·x` nor `v` is ever stored. `x` must be valid
+/// on `region.grow(1)`. Each brick folds its cells in a fixed order and
+/// the bricks fold in slot order, so the result does not depend on the
+/// rayon pool width; `max` skips NaN (`f64::max`), the sums propagate it.
+pub fn residual_norms_bricked(
+    x: &BrickedField,
+    b: &BrickedField,
+    alpha: f64,
+    beta: f64,
+    region: Box3,
+) -> (f64, f64, f64) {
+    let layout = x.layout().clone();
+    assert!(
+        std::sync::Arc::ptr_eq(&layout, b.layout()),
+        "layout mismatch"
+    );
+    assert!(
+        layout.storage_cell_box().contains_box(&region.grow(1)),
+        "x does not cover {:?}",
+        region.grow(1)
+    );
+    let bd = layout.brick_dim() as usize;
+    let shape = layout.shape();
+    let partials: Vec<(f64, f64, f64)> = layout
+        .slots_intersecting(region)
+        .par_iter()
+        .map(|&(slot, sub)| {
+            let faces = BrickFaces::new(x, slot);
+            let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
+            let bb = b.brick(slot);
+            match shape {
+                BrickShape::B4 => norms_brick::<4>(&faces, bb, alpha, beta, &rb),
+                BrickShape::B8 => norms_brick::<8>(&faces, bb, alpha, beta, &rb),
+                BrickShape::Generic(_) => {
+                    // The runtime-dim kernel stores its rows: one brick of
+                    // scratch on this fallback only.
+                    let mut ax = vec![0.0; bd * bd * bd];
+                    stream_star7_generic(bd, &faces, &mut ax, alpha, beta, &rb);
+                    let mut acc = NORMS_ZERO;
+                    rb.for_each_span(bd, |s| {
+                        for (b, ax) in bb[s.clone()].iter().zip(&ax[s]) {
+                            acc = fold_norms(acc, norms_of(b - ax));
+                        }
+                    });
+                    acc
+                }
+            }
+        })
+        .collect();
+    partials.into_iter().fold(NORMS_ZERO, fold_norms)
+}
+
+const NORMS_ZERO: (f64, f64, f64) = (0.0, 0.0, 0.0);
+
+#[inline(always)]
+fn norms_of(v: f64) -> (f64, f64, f64) {
+    (v.abs(), v * v, v)
+}
+
+#[inline(always)]
+fn fold_norms(a: (f64, f64, f64), b: (f64, f64, f64)) -> (f64, f64, f64) {
+    (a.0.max(b.0), a.1 + b.1, a.2 + b.2)
+}
+
+/// One const-dim brick of [`residual_norms_bricked`]: every x-lane of the
+/// rows accumulates on its own (so the reduction vectorizes), then the
+/// lanes fold in x order.
+#[inline(always)]
+fn norms_brick<const B: usize>(
+    faces: &BrickFaces<'_>,
+    b: &[f64],
+    alpha: f64,
+    beta: f64,
+    rb: &RowBounds,
+) -> (f64, f64, f64) {
+    let mut lanes = [NORMS_ZERO; B];
+    stream_star7_rows::<B>(
+        faces,
+        alpha,
+        beta,
+        rb,
+        #[inline(always)]
+        |row, xs, ax| {
+            let b = &b[row..row + B];
+            for x in 0..B {
+                // A lane the clipped row does not cover adds the identity.
+                let v = if xs.contains(&x) { b[x] - ax[x] } else { 0.0 };
+                lanes[x] = fold_norms(lanes[x], norms_of(v));
+            }
+        },
+    );
+    lanes.into_iter().fold(NORMS_ZERO, fold_norms)
 }
 
 /// Fast *variable-coefficient* 7-point apply over bricks:
@@ -428,6 +524,46 @@ mod tests {
         });
         // Outside the region nothing is written.
         assert_eq!(fast.get(Point3::new(0, 0, 0)), 0.0);
+    }
+
+    #[test]
+    fn residual_norms_match_the_stored_residual() {
+        // Const-dim and runtime-dim bricks, a region clipped on every
+        // side: the max must equal the max over a stored `b − A·x` bit for
+        // bit, the sums to rounding, at any pool width; a NaN cell is
+        // skipped by the max and poisons the sums.
+        for bd in [2i64, 3, 4, 8] {
+            let n = 2 * bd;
+            let mut x = mk_field(n, bd);
+            let b = BrickedField::from_fn(x.layout().clone(), |p| idx_fn(p) * 0.5 - 3.0);
+            let region = Box3::cube(n).grow(bd - 1).shrink(1);
+            let reference = |x: &BrickedField| {
+                let mut ax = BrickedField::new(x.layout().clone());
+                apply_star7_bricked(&mut ax, x, -6.0, 1.0, region);
+                let (mut max, mut sq, mut sum) = (0.0f64, 0.0, 0.0);
+                region.for_each(|p| {
+                    let v = b.get(p) - ax.get(p);
+                    (max, sq, sum) = (max.max(v.abs()), sq + v * v, sum + v);
+                });
+                (max, sq, sum)
+            };
+            let (max, sq, sum) = reference(&x);
+            let got = residual_norms_bricked(&x, &b, -6.0, 1.0, region);
+            assert_eq!(got.0.to_bits(), max.to_bits(), "bd={bd}");
+            assert!((got.1 - sq).abs() <= 1e-12 * sq, "bd={bd}");
+            assert!((got.2 - sum).abs() <= 1e-12 * sq.sqrt(), "bd={bd}");
+            for threads in [2usize, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool");
+                let wide = pool.install(|| residual_norms_bricked(&x, &b, -6.0, 1.0, region));
+                assert_eq!(wide, got, "bd={bd} threads={threads}");
+            }
+            x.set(Point3::splat(bd), f64::NAN);
+            let got = residual_norms_bricked(&x, &b, -6.0, 1.0, region);
+            assert!(got.0.is_finite() && got.1.is_nan() && got.2.is_nan());
+        }
     }
 
     #[test]

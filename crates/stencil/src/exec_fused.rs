@@ -3,24 +3,29 @@
 //!
 //! The sweep-by-sweep CA schedule runs one Jacobi iteration as a
 //! full-grid `applyOp` into a field-sized `A·x` followed by a full-grid
-//! `smooth(+residual)`: 7 doubles moved per point (plus 2 of
-//! write-allocate), two passes over the bricks. The kernel here makes
-//! **one pass per iteration**: for every brick, each row's `A·x` goes
-//! from the SIMD row kernels of `brick_rows` — still in registers —
-//! straight into `r = b − Ax` and `y = x + γ(Ax − b)`, the brick's place
-//! in a second field `y`. No brick waits on another (the operator reads
-//! only the old iterate), so there is no `A·x` field, no lag and no
-//! scratch; `x` and `y` swap roles after each pass. Compulsory traffic is
-//! 4 doubles per point per iteration (read `x`, `b`; write `y`, `r`), 3
-//! without the residual.
+//! `smooth`: 5 doubles moved per point in the paper's counting (7 with
+//! the residual), two passes over the bricks. The kernel here makes **one
+//! pass per iteration**: for every brick, each row's `A·x` goes from the SIMD row
+//! kernels of `brick_rows` — still in registers — straight into
+//! `y = x + γ(Ax − b)`, the brick's place in a second field `y`. No brick
+//! waits on another (the operator reads only the old iterate), so there is
+//! no `A·x` field, no lag and no scratch; `x` and `y` swap roles after
+//! each pass. Compulsory traffic is 3 doubles per point per iteration
+//! (read `x`, `b`; write `y`), and 4 on the one iteration that stores the
+//! residual.
 //!
-//! Bit-compatibility contract: iteration `k` updates the shrinking region
-//! `R_k = region.shrink(k)`, exactly as the sequential schedule does, and
-//! every cell sees the operands and floating-point expressions of
-//! `apply_star7_bricked` + the pointwise update; cells outside `R_k` are
-//! carried over unchanged. So `x` and `r` (staleness rings included) are
-//! bit-identical to `s` sequential passes over the whole storage (see the
-//! equivalence tests below). `ax` is *not* materialized.
+//! Valid-region contract: iteration `k` updates the shrinking region
+//! `R_k = region.shrink(k)`, reading `R_k.grow(1) = R_{k−1}` of the
+//! previous iterate, and every cell it updates sees the operands and
+//! floating-point expressions of `apply_star7_bricked` + the pointwise
+//! update. On return `x` — and `r`, the pre-update residual of the *last*
+//! iteration — are specified on `R_{s−1}` and bit-identical there to the
+//! sweep-by-sweep schedule (see the equivalence tests below). Nothing is
+//! specified outside `R_{s−1}`: those cells hold whichever earlier iterate
+//! or scratch value their buffer last saw, and no later step may read
+//! them before an exchange or an `initZero` rewrites them — the solver's
+//! `Level::margin` is exactly the width of `R_{s−1}` beyond the owned box.
+//! `ax` is *not* materialized.
 //!
 //! Bricks are independent and run under rayon; no value depends on the
 //! partition, so results do not depend on the pool width.
@@ -39,12 +44,10 @@ pub struct FusedStats {
     /// Points the schedule updated: `Σ_k |R_k|`, identical to what the
     /// sweep-by-sweep path would report for the same schedule.
     pub points_updated: u64,
-    /// Points actually computed. The kernel does no redundant work, so
-    /// this always equals `points_updated`.
-    pub points_computed: u64,
     /// Doubles read from the fields (`x` and `b`).
     pub doubles_read: u64,
-    /// Doubles written to the fields (`x`, and `r` when requested).
+    /// Doubles written to the fields (`x`, and `r` on `R_{s−1}` when
+    /// requested).
     pub doubles_written: u64,
     /// Floating-point operations executed (8 per stencil point plus the
     /// pointwise update).
@@ -52,26 +55,25 @@ pub struct FusedStats {
 }
 
 impl FusedStats {
-    /// Compulsory doubles moved per updated point — 4 with the residual,
-    /// 3 without, against the sweep path's 7 per iteration.
+    /// Compulsory doubles moved per updated point: 3, plus one per point
+    /// of the final iteration when it stores the residual — against the
+    /// sweep path's 5 (7 with the residual) per iteration.
     pub fn doubles_per_point(&self) -> f64 {
         (self.doubles_read + self.doubles_written) as f64 / self.points_updated.max(1) as f64
     }
 }
 
-/// Iteration `k` of the schedule, out of place: every brick that meets
-/// `R_k` is written to `dst` whole — `src + γ(A·src − b)` (and
-/// `r ← b − A·src`) on `R_k`, `src` elsewhere. A brick that misses `R_k`
-/// is read by no later iteration, so it is left alone until the last one,
-/// which copies it over unless the iteration that last wrote it already
-/// put it in this buffer.
+/// One iteration of the schedule, out of place: the cells of `rk` are
+/// written to `dst` as `src + γ(A·src − b)` (and `r ← b − A·src`). Bricks
+/// that miss `rk`, and the cells of a clipped brick outside it, are read
+/// by no later iteration and are left as `dst` had them.
 fn jacobi_pass(
     dst: &mut BrickedField,
     src: &BrickedField,
     b: &BrickedField,
     r: Option<&mut BrickedField>,
     coef: (f64, f64, f64),
-    (region, k, s): (Box3, usize, usize),
+    rk: Box3,
 ) {
     let layout = src.layout().clone();
     let bd = layout.brick_dim() as usize;
@@ -81,39 +83,21 @@ fn jacobi_pass(
     let brick = |slot: usize, new: &mut [f64], r: Option<&mut [f64]>| {
         let _kernel = gmg_prof::phase(ph.fused_root);
         let slot = slot as u32;
-        let old = src.brick(slot);
         let cells = layout.cells_of_slot(slot);
-        let sub = |k: usize| cells.intersect(&region.shrink(k as i64));
-        if sub(k).is_empty() {
-            if k + 1 == s {
-                // Iterations `0..n` met this brick and wrote it into
-                // alternating buffers, so its value already sits in `dst`
-                // iff `k − n` is odd (`n = 0`: it never left the caller's
-                // `x`, the buffer odd iterations write).
-                let n = (0..k)
-                    .rev()
-                    .find(|&j| !sub(j).is_empty())
-                    .map_or(0, |j| j + 1);
-                if (k - n) % 2 == 0 {
-                    new.copy_from_slice(old);
-                }
-            }
+        let sub = cells.intersect(&rk);
+        if sub.is_empty() {
             return;
         }
-        let rb = RowBounds::within(sub(k), cells.lo);
+        let rb = RowBounds::within(sub, cells.lo);
         let faces = BrickFaces::new(src, slot);
         let bb = b.brick(slot);
         let _p = gmg_prof::phase(ph.fused_brick);
-        if !rb.is_full(bd) {
-            // The kernels below write the in-bounds cells only.
-            new.copy_from_slice(old);
-        }
         match shape {
             BrickShape::B4 => smooth_brick::<4>(&faces, new, r, bb, coef, &rb),
             BrickShape::B8 => smooth_brick::<8>(&faces, new, r, bb, coef, &rb),
             BrickShape::Generic(_) => {
                 stream_star7_generic(bd, &faces, new, coef.0, coef.1, &rb);
-                update_brick(new, r, old, bb, coef.2, bd, &rb);
+                update_brick(new, r, faces.center, bb, coef.2, bd, &rb);
             }
         }
     };
@@ -149,27 +133,21 @@ fn smooth_brick<const B: usize>(
         beta,
         rb,
         #[inline(always)]
-        |row, xs, ax| {
+        |row, _, ax| {
             let (new, old, b) = (&mut new[row..row + B], &old[row..row + B], &b[row..row + B]);
             // Whole rows into locals first — stores through `new`/`r` between
             // the loads would keep LLVM from vectorizing the arithmetic — then
-            // `new` as one const-width store, cells outside `xs` carried over.
+            // one const-width store each. The cells of a clipped row outside
+            // the bounds are outside the valid region: what lands there is
+            // unspecified.
             let (mut res, mut upd) = ([0.0; B], [0.0; B]);
             for x in 0..B {
                 res[x] = b[x] - ax[x];
-                let keep = xs.contains(&x);
-                upd[x] = if keep {
-                    old[x] + gamma * (ax[x] - b[x])
-                } else {
-                    old[x]
-                };
+                upd[x] = old[x] + gamma * (ax[x] - b[x]);
             }
             new.copy_from_slice(&upd);
             if let Some(r) = r.as_deref_mut() {
-                let r = &mut r[row..row + B];
-                for x in xs {
-                    r[x] = res[x];
-                }
+                r[row..row + B].copy_from_slice(&res);
             }
         },
     );
@@ -207,14 +185,16 @@ fn update_brick(
 
 /// Apply `s` Jacobi iterations `x += γ(Ax − b)` over the shrinking
 /// communication-avoiding schedule `R_k = region.shrink(k)`, one pass over
-/// the bricks per iteration, bit-identical to `s` sequential
-/// `apply_star7_bricked` + pointwise-update passes. With `r`, each
-/// iteration also records the pre-update residual `r = b − Ax` over its
-/// `R_k` (so `r` carries the same staleness rings the sequential
-/// `smooth_residual` leaves). Requires `x` valid on `region.grow(1)` and
-/// `region.shrink(s−1)` non-empty. `y` is the second buffer the iterate
-/// alternates with (its contents are irrelevant on entry and garbage on
-/// exit); the result is always left in `x`.
+/// the bricks per iteration. On return `x` is specified on
+/// `R_{s−1} = region.shrink(s − 1)` only, bit-identical there to `s`
+/// sequential `apply_star7_bricked` + pointwise-update passes; with `r`,
+/// the final iteration also stores its pre-update residual `r = b − Ax` on
+/// `R_{s−1}` (what restriction reads after a pre-smooth). Cells of `x` and
+/// `r` outside `R_{s−1}` hold unspecified values and must be rewritten
+/// (exchange, `initZero`) before anything reads them. Requires `x` valid
+/// on `region.grow(1)` and `R_{s−1}` non-empty. `y` is the second buffer
+/// the iterate alternates with: nothing is read from it, and it holds
+/// garbage on exit; the result is always left in `x`.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_multismooth_bricked(
     x: &mut BrickedField,
@@ -239,32 +219,28 @@ pub fn fused_multismooth_bricked(
         layout.storage_cell_box().contains_box(&region.grow(1)),
         "fused region {region:?} + halo exceeds storage"
     );
+    let last = region.shrink(s as i64 - 1);
     assert!(
-        !region.shrink(s as i64 - 1).is_empty(),
+        !last.is_empty(),
         "region {region:?} too small for {s} fused iterations"
     );
 
     let mut points = 0u64;
     for k in 0..s {
         let rk = region.shrink(k as i64);
-        jacobi_pass(
-            y,
-            x,
-            b,
-            r.as_deref_mut(),
-            (alpha, beta, gamma),
-            (region, k, s),
-        );
+        let store = r.as_deref_mut().filter(|_| k + 1 == s);
+        jacobi_pass(y, x, b, store, (alpha, beta, gamma), rk);
         std::mem::swap(x, y);
         points += rk.volume() as u64;
     }
-    let with_residual = r.is_some();
+    // The residual costs one store and one subtraction per point of the
+    // iteration that keeps it.
+    let residual_points = r.map_or(0, |_| last.volume() as u64);
     FusedStats {
         points_updated: points,
-        points_computed: points,
         doubles_read: 2 * points,
-        doubles_written: points * if with_residual { 2 } else { 1 },
-        flops: points * (8 + if with_residual { 4 } else { 3 }),
+        doubles_written: points + residual_points,
+        flops: 11 * points + residual_points,
     }
 }
 
@@ -288,38 +264,30 @@ mod tests {
     }
 
     /// The sequential sweep-by-sweep CA reference the kernel must match
-    /// bit-for-bit.
+    /// bit-for-bit on `R_{s−1}`: `s − 1` × (`applyOp` + `smooth`), then
+    /// `applyOp` + `smooth+residual` (or `smooth`, without `r`).
     fn sweep_reference(
         x: &mut BrickedField,
         b: &BrickedField,
-        r: Option<&mut BrickedField>,
+        mut r: Option<&mut BrickedField>,
         (alpha, beta, gamma): (f64, f64, f64),
         region: Box3,
         s: usize,
     ) {
         let layout = x.layout().clone();
         let mut ax = BrickedField::new(layout.clone());
-        match r {
-            Some(r) => {
-                for k in 0..s {
-                    let rk = region.shrink(k as i64);
-                    apply_star7_bricked(&mut ax, x, alpha, beta, rk);
-                    let pieces = layout.slots_intersecting(rk);
-                    par_pointwise_mut2(x, r, &ax, b, &pieces, move |x, r, ax, b| {
-                        *r = b - ax;
-                        *x += gamma * (ax - b);
-                    });
-                }
-            }
-            None => {
-                for k in 0..s {
-                    let rk = region.shrink(k as i64);
-                    apply_star7_bricked(&mut ax, x, alpha, beta, rk);
-                    let pieces = layout.slots_intersecting(rk);
-                    par_pointwise_mut1(x, &ax, b, &pieces, move |x, ax, b| {
-                        *x += gamma * (ax - b);
-                    });
-                }
+        for k in 0..s {
+            let rk = region.shrink(k as i64);
+            apply_star7_bricked(&mut ax, x, alpha, beta, rk);
+            let pieces = layout.slots_intersecting(rk);
+            match r.as_deref_mut().filter(|_| k + 1 == s) {
+                Some(r) => par_pointwise_mut2(x, r, &ax, b, &pieces, move |x, r, ax, b| {
+                    *r = b - ax;
+                    *x += gamma * (ax - b);
+                }),
+                None => par_pointwise_mut1(x, &ax, b, &pieces, move |x, ax, b| {
+                    *x += gamma * (ax - b);
+                }),
             }
         }
     }
@@ -328,27 +296,26 @@ mod tests {
     /// and 2-cell bricks of coarse two-rank levels, both slot orderings,
     /// a non-cubic subdomain, every CA region `owned.grow(m)` (clipped on
     /// all six sides for `m > 0`), every depth the margin allows, with and
-    /// without the residual. `x` and `r` must match the sweep reference
-    /// over the *whole* storage: cells outside `R_k` stay untouched.
-    #[test]
-    fn bit_identical_to_sweeps_over_whole_storage() {
+    /// without the residual. `x` and `r` must match the sweep reference on
+    /// the valid region `R_{s−1}`. With `poison`, everything the contract
+    /// says the kernel may not read is NaN on entry — `y`, `r`, and `x`
+    /// outside `region.grow(1)` — so one stray read shows in the result.
+    fn check_against_sweeps(poison: bool) {
         let coef = (-6.0 / 0.25, 1.0 / 0.25, 0.25 / 12.0);
         for bd in [1i64, 2, 4, 8] {
             for ordering in [BrickOrdering::SurfaceMajor, BrickOrdering::Lexicographic] {
                 let layout = mk_layout(Point3::new(bd, 2 * bd, 3 * bd), bd, ordering);
-                let mut y = BrickedField::from_fn(layout.clone(), |_| f64::NAN);
+                let b = BrickedField::from_fn(layout.clone(), rhs_fn);
                 for m in 0..bd {
                     let region = layout.cell_box().grow(m);
                     for s in 1..=bd as usize {
-                        if region.shrink(s as i64 - 1).is_empty() {
+                        let valid = region.shrink(s as i64 - 1);
+                        if valid.is_empty() {
                             continue;
                         }
                         for with_r in [true, false] {
                             let mut x1 = BrickedField::from_fn(layout.clone(), idx_fn);
-                            let b = BrickedField::from_fn(layout.clone(), rhs_fn);
-                            let mut r1 = BrickedField::from_fn(layout.clone(), |p| idx_fn(p) - 7.0);
-                            let mut x2 = x1.clone();
-                            let mut r2 = r1.clone();
+                            let mut r1 = BrickedField::new(layout.clone());
                             sweep_reference(
                                 &mut x1,
                                 &b,
@@ -357,6 +324,17 @@ mod tests {
                                 region,
                                 s,
                             );
+                            let seen = region.grow(1);
+                            let fill = if poison { f64::NAN } else { -7.0 };
+                            let mut x2 = BrickedField::from_fn(layout.clone(), |p| {
+                                if seen.contains(p) {
+                                    idx_fn(p)
+                                } else {
+                                    fill
+                                }
+                            });
+                            let mut r2 = BrickedField::from_fn(layout.clone(), |_| fill);
+                            let mut y = r2.clone();
                             let stats = fused_multismooth_bricked(
                                 &mut x2,
                                 &b,
@@ -369,20 +347,36 @@ mod tests {
                                 &mut y,
                             );
                             let case = format!("bd={bd} {ordering:?} m={m} s={s} r={with_r}");
-                            assert_eq!(x1.as_slice(), x2.as_slice(), "x differs: {case}");
-                            assert_eq!(r1.as_slice(), r2.as_slice(), "r differs: {case}");
-                            let expect: u64 = (0..s)
+                            valid.for_each(|p| {
+                                assert!(x2.get(p).is_finite(), "x at {p:?}: {case}");
+                                assert_eq!(x1.get(p), x2.get(p), "x at {p:?}: {case}");
+                                if with_r {
+                                    assert_eq!(r1.get(p), r2.get(p), "r at {p:?}: {case}");
+                                }
+                            });
+                            let points: u64 = (0..s)
                                 .map(|k| region.shrink(k as i64).volume() as u64)
                                 .sum();
-                            assert_eq!(stats.points_updated, expect, "{case}");
-                            assert_eq!(stats.points_computed, expect, "{case}");
-                            let dpp = if with_r { 4.0 } else { 3.0 };
-                            assert_eq!(stats.doubles_per_point(), dpp, "{case}");
+                            assert_eq!(stats.points_updated, points, "{case}");
+                            // 3 doubles per point, and the residual store
+                            // on the last iteration only.
+                            let moved = 3 * points + if with_r { valid.volume() as u64 } else { 0 };
+                            assert_eq!(stats.doubles_read + stats.doubles_written, moved, "{case}");
                         }
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn bit_identical_to_sweeps_on_the_valid_region() {
+        check_against_sweeps(false);
+    }
+
+    #[test]
+    fn reads_nothing_outside_the_region_halo() {
+        check_against_sweeps(true);
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //!   only on brick faces).
 //! * [`exec_fused`] — the one-pass communication-avoiding Jacobi smoother:
 //!   per iteration every brick's `A·x` goes row by row from the stencil
-//!   straight into `x` and `r` of a second buffer (4 doubles moved per
-//!   point instead of the sweep pair's 7, no `A·x` field), bit-identical
-//!   to the sweep-by-sweep schedule.
+//!   straight into `x` of a second buffer (3 doubles moved per point
+//!   instead of the sweep pair's 5, no `A·x` field; the last iteration
+//!   also stores `r`), bit-identical on its valid region to the
+//!   sweep-by-sweep schedule.
 //! * [`ops`] — the canonical V-cycle operator definitions, their traffic
 //!   metadata used by the performance models, and the V-cycle op schedule
 //!   ([`VcycleSchedule`]) those models walk.

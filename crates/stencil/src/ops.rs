@@ -216,10 +216,12 @@ pub enum VcycleStep {
     /// after the restriction that filled it).
     Exchange { level: usize },
     /// One kernel over `points` cells of `level`. A smooth is two of them,
-    /// `applyOp` then `smooth` (`smooth+residual` on the way down and up),
-    /// over the owned box grown by what is left of the
-    /// communication-avoiding margin; restriction and
-    /// interpolation+increment cover the owned cells of their fine level.
+    /// `applyOp` then `smooth` (`smooth+residual` on the way down and up,
+    /// the paper's op mix — which iterations really store `r` is the host
+    /// kernels' business), over the owned box grown by as much of the
+    /// communication-avoiding margin as the rest of the pass can consume;
+    /// restriction and interpolation+increment cover the owned cells of
+    /// their fine level.
     Kernel {
         level: usize,
         op: OpKind,
@@ -236,8 +238,9 @@ pub enum VcycleStep {
 #[derive(Clone, Debug)]
 pub struct VcycleSchedule {
     shape: VcycleShape,
-    /// Valid ghost margin of `x` per level. It survives from one V-cycle
-    /// to the next, as it does in the solver's levels.
+    /// Valid ghost margin of `x` per level, as the solver's levels track
+    /// it: 0 after every smooth pass, full after an exchange, an
+    /// `initZero`, or the convergence check that separates two V-cycles.
     margins: Vec<i64>,
 }
 
@@ -280,11 +283,16 @@ impl VcycleSchedule {
             self.margins[l] = 0; // interpolation invalidates the ghost shell
             self.smooth_steps(l, smooths, OpKind::SmoothResidual, &mut step);
         }
+        // Algorithm 1 checks convergence between V-cycles, and the check
+        // exchanges the finest level: the next cycle finds a full margin.
+        self.margins[0] = self.shape.ghost_depth[0];
     }
 
     /// `n` smooths at `li`: exchange when the margin is exhausted (always,
     /// without communication avoiding), run `applyOp` and `smooth` over the
-    /// region the margin still covers, give up one margin cell.
+    /// owned box grown as far as the rest of the pass can still consume —
+    /// the margin, capped at one cell per remaining smooth — and keep what
+    /// this smooth did not use of it: no pass leaves a margin behind.
     fn smooth_steps(
         &mut self,
         li: usize,
@@ -294,12 +302,13 @@ impl VcycleSchedule {
     ) {
         let ca = self.shape.communication_avoiding;
         let e = self.shape.extents[li];
-        for _ in 0..n {
+        for left in (1..=n as i64).rev() {
             if !ca || self.margins[li] < 1 {
                 step(VcycleStep::Exchange { level: li });
                 self.margins[li] = self.shape.ghost_depth[li];
             }
-            let g = if ca { 2 * (self.margins[li] - 1) } else { 0 };
+            let m = if ca { self.margins[li].min(left) } else { 1 };
+            let g = 2 * (m - 1);
             let points = ((e.x + g) * (e.y + g) * (e.z + g)) as usize;
             for op in [OpKind::ApplyOp, smooth] {
                 step(VcycleStep::Kernel {
@@ -308,7 +317,7 @@ impl VcycleSchedule {
                     points,
                 });
             }
-            self.margins[li] -= 1;
+            self.margins[li] = m - 1;
         }
     }
 }
