@@ -40,9 +40,9 @@
 //! flapping the gate, without quiet components compounding into a
 //! tolerance that hides a real regression. `multismooth_fused_vs_sweep`
 //! and its `_stream` twin additionally carry their hard floors and a
-//! deterministic traffic check (the kernel's own count must lie strictly
-//! between 3 and 4 doubles/point: 3 on every iteration, one more on the
-//! last of the group).
+//! deterministic traffic check (the kernel's own count must equal what the
+//! group geometry dictates: 3 doubles/point on every iteration, one more
+//! on the last of the group).
 //! `applyop_bricked_vs_array` carries a
 //! ≥ 1.0× hard floor: the shape-specialized row-streamed brick kernel
 //! must at least match the conventional array kernel — the paper's
@@ -84,10 +84,9 @@ pub const MULTISMOOTH_FLOOR: f64 = 1.15;
 /// must not lose to the sweep pair in the streaming regime real finest
 /// levels live in (ROADMAP item 2's success test).
 pub const MULTISMOOTH_STREAM_FLOOR: f64 = 1.0;
-/// Doubles the one-pass smoother moves per point per iteration: read `x`,
-/// `b`, write `x` — and `r` on the last iteration of a group only, so a
-/// group that stores the residual counts strictly between the two.
-pub const FUSED_DOUBLES_PER_POINT: (f64, f64) = (3.0, 4.0);
+/// Doubles the one-pass smoother moves per point on every iteration: read
+/// `x`, `b`, write `x`. The last iteration of a group writes `r` as well.
+pub const FUSED_DOUBLES_PER_POINT: u64 = 3;
 /// Hard floor for bricked applyOp vs the array kernel: data blocking must
 /// not lose (ISSUE acceptance bar).
 pub const APPLYOP_FLOOR: f64 = 1.0;
@@ -544,9 +543,13 @@ fn multismooth_at(n: i64, id: &'static str, floor: Option<f64>, opts: &GateOpts)
     });
     let stats = last_stats.expect("fused smoother ran");
     // `points_updated` already counts every point-iteration, so this is
-    // doubles per point per smooth iteration: 3, plus the share of points
-    // that store the residual. The sweep pair moves 5, plus 2 on those.
+    // doubles per point per smooth iteration — and the group geometry says
+    // exactly what it has to be: 3 on every point of every R_k, one more
+    // on R_{s−1}. The sweep pair moves 5, plus 2 on those.
     let fused_dpp = stats.doubles_per_point();
+    let cells = |k: usize| owned.shrink(k as i64).volume() as u64;
+    let points: u64 = (0..depth).map(cells).sum();
+    let expected_dpp = (FUSED_DOUBLES_PER_POINT * points + cells(depth - 1)) as f64 / points as f64;
     let threads = rayon::current_num_threads() as u64;
     finish(
         id,
@@ -562,6 +565,7 @@ fn multismooth_at(n: i64, id: &'static str, floor: Option<f64>, opts: &GateOpts)
             "smooths": (groups * depth) as u64,
             "fused_depth": depth as u64,
             "fused_doubles_per_point_per_iter": fused_dpp,
+            "expected_doubles_per_point_per_iter": expected_dpp,
             "sweep_doubles_per_point_per_iter": 5.0 + 2.0 * (fused_dpp - 3.0),
             "transport": IN_PROCESS_TRANSPORT,
             "ranks": run_ranks(),
@@ -848,16 +852,13 @@ pub fn check(benches: &[BenchOut], trajectory: Option<&Value>) -> Vec<Violation>
             }
         }
         if b.id.starts_with("multismooth_fused_vs_sweep") {
-            let dpp = b.extra["fused_doubles_per_point_per_iter"]
-                .as_f64()
-                .unwrap_or(f64::INFINITY);
-            let (lo, hi) = FUSED_DOUBLES_PER_POINT;
-            if !(lo < dpp && dpp < hi) {
+            let dpp = b.extra["fused_doubles_per_point_per_iter"].as_f64();
+            let expected = b.extra["expected_doubles_per_point_per_iter"].as_f64();
+            if dpp.is_none() || dpp != expected {
                 v.push(Violation {
                     id: b.id.to_string(),
                     what: format!(
-                        "fused traffic {dpp:.2} doubles/pt/iter, expected more than {lo} \
-                         and less than {hi}"
+                        "fused traffic {dpp:?} doubles/pt/iter, expected exactly {expected:?}"
                     ),
                 });
             }
@@ -1010,9 +1011,13 @@ mod tests {
         }
     }
 
-    /// The multi-smooth entries' traffic extras at `dpp` doubles/point.
-    fn traffic(dpp: f64) -> Value {
-        json!({ "fused_doubles_per_point_per_iter": dpp })
+    /// The multi-smooth entries' traffic extras: `dpp` doubles/point
+    /// counted where the geometry dictates `expected`.
+    fn traffic(dpp: f64, expected: f64) -> Value {
+        json!({
+            "fused_doubles_per_point_per_iter": dpp,
+            "expected_doubles_per_point_per_iter": expected,
+        })
     }
 
     #[test]
@@ -1046,6 +1051,8 @@ mod tests {
             let dpp = ms.extra["fused_doubles_per_point_per_iter"]
                 .as_f64()
                 .unwrap();
+            let expected = ms.extra["expected_doubles_per_point_per_iter"].as_f64();
+            assert_eq!(Some(dpp), expected, "{}", ms.id);
             assert!(3.0 < dpp && dpp < 3.25, "{}: {dpp}", ms.id);
         }
     }
@@ -1076,7 +1083,7 @@ mod tests {
                 ratio,
                 0.0,
                 floor,
-                traffic(3.2),
+                traffic(3.2, 3.2),
             )
         };
         // Healthy: above floor, matches trajectory.
@@ -1107,7 +1114,14 @@ mod tests {
 
     #[test]
     fn traffic_invariant_fires_when_model_regresses() {
-        let bad = fixed("multismooth_fused_vs_sweep", 2.0, 0.0, None, traffic(4.5));
+        // `r` stored on two of a group's four iterations instead of one.
+        let bad = fixed(
+            "multismooth_fused_vs_sweep",
+            2.0,
+            0.0,
+            None,
+            traffic(3.47, 3.23),
+        );
         let v = check(&[bad], None);
         assert_eq!(v.len(), 1);
         assert!(v[0].what.contains("doubles/pt"));
@@ -1206,7 +1220,7 @@ mod tests {
                 1.22,
                 0.02,
                 Some(MULTISMOOTH_FLOOR),
-                traffic(3.2),
+                traffic(3.2, 3.2),
             ),
             fixed("exchange_packfree_vs_packed", 0.95, 0.02, None, json!({})),
         ];

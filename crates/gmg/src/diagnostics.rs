@@ -36,6 +36,7 @@ impl LocalNorms {
     /// its owned cells, in one read-only pass (no field is written; `x`
     /// must be valid one cell beyond the owned box).
     pub fn of_residual(level: &Level) -> Self {
+        debug_assert!(level.margin >= 1, "x is stale in the ghost shell");
         let (max_abs, sum_sq, sum) =
             residual_norms_bricked(&level.x, &level.b, level.alpha, level.beta, level.owned);
         Self {

@@ -486,11 +486,14 @@ mod tests {
         let s = simulate(&ScheduleConfig::paper_section6(System::Sunspot));
         // Sunspot total is slower despite similar GPU throughput.
         assert!(s.total_seconds > p.total_seconds);
-        // Communication is part of the gap: Sunspot's 4-cell ghost shell
-        // has to be exchanged more often, which costs it more seconds at
-        // the finest level than either other system and a larger share of
-        // that level than Frontier (Table II: 20.4 % against 12.8 %).
-        // Against Perlmutter (17.5 %) the modelled shares tie.
+        // Communication is part of the gap: Sunspot's 4-cell ghost shell is
+        // exchanged 6 times per V-cycle at the finest level, an 8-cell one
+        // 4 times, which costs Sunspot more seconds there than either other
+        // system and a larger share of that level than Frontier (Table II:
+        // 20.4 % against 12.8 %). Against Perlmutter (17.5 %) the model
+        // reads 18.4 % against 20.4 %: no smooth pass leaves a margin
+        // behind, so the deeper shell saves one exchange in three, not one
+        // in two (EXPERIMENTS.md, Table II).
         let f = simulate(&ScheduleConfig::paper_section6(System::Frontier));
         let exchange = |r: &SimResult| r.levels[0].op("exchange");
         assert!(exchange(&s) > exchange(&p) && exchange(&s) > exchange(&f));

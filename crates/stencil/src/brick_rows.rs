@@ -319,8 +319,9 @@ pub(crate) fn stream_star7_spec<const B: usize>(
     );
 }
 
-/// Runtime-dim fallback: same per-cell expression as [`stream_rows`], with
-/// runtime row bounds and brick dim `b`.
+/// Runtime-dim fallback: same per-cell expression as [`row7`], with
+/// runtime row bounds and brick dim `b`, handing every cell's `A·x` (and
+/// its offset into the brick) to `sink` in `z → y → x` order.
 ///
 /// Per row `(lz, ly)` the ±y/±z source rows are selected once: the center
 /// brick at `±b`/`±b²` offsets while in-brick, otherwise the matching row
@@ -332,10 +333,10 @@ pub(crate) fn stream_star7_spec<const B: usize>(
 pub(crate) fn stream_star7_generic(
     b: usize,
     faces: &BrickFaces<'_>,
-    out: &mut [f64],
     alpha: f64,
     beta: f64,
     rb: &RowBounds,
+    mut sink: impl FnMut(usize, f64),
 ) {
     let (x0, x1) = (rb.x0, rb.x1);
     for lz in rb.z0..rb.z1 {
@@ -379,20 +380,12 @@ pub(crate) fn stream_star7_generic(
             } else {
                 0.0
             };
-            row7(
-                crow,
-                ym,
-                yp,
-                zm,
-                zp,
-                xml,
-                xpr,
-                &mut out[row..row + b],
-                alpha,
-                beta,
-                x0,
-                x1,
-            );
+            for x in x0..x1 {
+                let l = if x == 0 { xml } else { crow[x - 1] };
+                let r = if x + 1 == b { xpr } else { crow[x + 1] };
+                let ax = alpha * crow[x] + beta * ((l + r) + (ym[x] + yp[x]) + (zm[x] + zp[x]));
+                sink(row + x, ax);
+            }
         }
     }
 }
@@ -433,7 +426,7 @@ mod tests {
         let mut a = vec![0.0; l.brick_volume()];
         let mut b = vec![0.0; l.brick_volume()];
         stream_star7_spec::<4>(&faces, &mut a, -6.0, 1.0, &rb);
-        stream_star7_generic(4, &faces, &mut b, -6.0, 1.0, &rb);
+        stream_star7_generic(4, &faces, -6.0, 1.0, &rb, |i, ax| b[i] = ax);
         assert_eq!(a, b);
         // Rows outside the bounds stay untouched.
         assert_eq!(a[0..16], vec![0.0; 16][..]);
@@ -457,7 +450,7 @@ mod tests {
         let mut b = vec![0.0; l.brick_volume()];
         // spec takes the const-bound loops; generic the runtime ones.
         stream_star7_spec::<4>(&faces, &mut a, -6.0, 1.0, &rb);
-        stream_star7_generic(4, &faces, &mut b, -6.0, 1.0, &rb);
+        stream_star7_generic(4, &faces, -6.0, 1.0, &rb, |i, ax| b[i] = ax);
         assert_eq!(a, b);
     }
 }

@@ -146,7 +146,7 @@ fn apply_star7_bricked_impl(
             BrickShape::B4 => stream_star7_spec::<4>(&faces, out, alpha, beta, &rb),
             BrickShape::B8 => stream_star7_spec::<8>(&faces, out, alpha, beta, &rb),
             BrickShape::Generic(_) => {
-                stream_star7_generic(b as usize, &faces, out, alpha, beta, &rb)
+                stream_star7_generic(b as usize, &faces, alpha, beta, &rb, |i, ax| out[i] = ax)
             }
         }
     });
@@ -188,15 +188,9 @@ pub fn residual_norms_bricked(
                 BrickShape::B4 => norms_brick::<4>(&faces, bb, alpha, beta, &rb),
                 BrickShape::B8 => norms_brick::<8>(&faces, bb, alpha, beta, &rb),
                 BrickShape::Generic(_) => {
-                    // The runtime-dim kernel stores its rows: one brick of
-                    // scratch on this fallback only.
-                    let mut ax = vec![0.0; bd * bd * bd];
-                    stream_star7_generic(bd, &faces, &mut ax, alpha, beta, &rb);
                     let mut acc = NORMS_ZERO;
-                    rb.for_each_span(bd, |s| {
-                        for (b, ax) in bb[s.clone()].iter().zip(&ax[s]) {
-                            acc = fold_norms(acc, norms_of(b - ax));
-                        }
+                    stream_star7_generic(bd, &faces, alpha, beta, &rb, |i, ax| {
+                        acc = fold_norms(acc, norms_of(bb[i] - ax));
                     });
                     acc
                 }

@@ -80,7 +80,7 @@ fn jacobi_pass(
     let bvol = layout.brick_volume();
     let shape = layout.shape();
     let ph = gmg_prof::brick_phases(bd as i64);
-    let brick = |slot: usize, new: &mut [f64], r: Option<&mut [f64]>| {
+    let brick = |slot: usize, new: &mut [f64], mut r: Option<&mut [f64]>| {
         let _kernel = gmg_prof::phase(ph.fused_root);
         let slot = slot as u32;
         let cells = layout.cells_of_slot(slot);
@@ -95,9 +95,15 @@ fn jacobi_pass(
         match shape {
             BrickShape::B4 => smooth_brick::<4>(&faces, new, r, bb, coef, &rb),
             BrickShape::B8 => smooth_brick::<8>(&faces, new, r, bb, coef, &rb),
+            // Runtime dims: the same expressions, cell by cell.
             BrickShape::Generic(_) => {
-                stream_star7_generic(bd, &faces, new, coef.0, coef.1, &rb);
-                update_brick(new, r, faces.center, bb, coef.2, bd, &rb);
+                let old = faces.center;
+                stream_star7_generic(bd, &faces, coef.0, coef.1, &rb, |i, ax| {
+                    if let Some(r) = r.as_deref_mut() {
+                        r[i] = bb[i] - ax;
+                    }
+                    new[i] = old[i] + coef.2 * (ax - bb[i]);
+                });
             }
         }
     };
@@ -151,36 +157,6 @@ fn smooth_brick<const B: usize>(
             }
         },
     );
-}
-
-/// The runtime-dim pointwise update of one brick over `rb`, with `new`
-/// holding `A·x` on entry; same expressions as [`smooth_brick`].
-fn update_brick(
-    new: &mut [f64],
-    mut r: Option<&mut [f64]>,
-    x: &[f64],
-    b: &[f64],
-    gamma: f64,
-    bd: usize,
-    rb: &RowBounds,
-) {
-    rb.for_each_span(bd, |s| {
-        let (new, x, b) = (&mut new[s.clone()], &x[s.clone()], &b[s.clone()]);
-        match r.as_deref_mut() {
-            Some(r) => {
-                for (((new, r), x), b) in new.iter_mut().zip(&mut r[s]).zip(x).zip(b) {
-                    let ax = *new;
-                    *r = b - ax;
-                    *new = x + gamma * (ax - b);
-                }
-            }
-            None => {
-                for ((new, x), b) in new.iter_mut().zip(x).zip(b) {
-                    *new = x + gamma * (*new - b);
-                }
-            }
-        }
-    });
 }
 
 /// Apply `s` Jacobi iterations `x += γ(Ax − b)` over the shrinking

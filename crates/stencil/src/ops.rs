@@ -239,8 +239,9 @@ pub enum VcycleStep {
 pub struct VcycleSchedule {
     shape: VcycleShape,
     /// Valid ghost margin of `x` per level, as the solver's levels track
-    /// it: 0 after every smooth pass, full after an exchange, an
-    /// `initZero`, or the convergence check that separates two V-cycles.
+    /// it: 0 after every smooth pass, full after an exchange or an
+    /// `initZero`. So every V-cycle opens with an exchange of the finest
+    /// level — the one Algorithm 1's convergence check makes in `solve`.
     margins: Vec<i64>,
 }
 
@@ -283,9 +284,6 @@ impl VcycleSchedule {
             self.margins[l] = 0; // interpolation invalidates the ghost shell
             self.smooth_steps(l, smooths, OpKind::SmoothResidual, &mut step);
         }
-        // Algorithm 1 checks convergence between V-cycles, and the check
-        // exchanges the finest level: the next cycle finds a full margin.
-        self.margins[0] = self.shape.ghost_depth[0];
     }
 
     /// `n` smooths at `li`: exchange when the margin is exhausted (always,
