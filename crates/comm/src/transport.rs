@@ -6,8 +6,8 @@
 //! that moves [`Wire`]s between ranks. Two backends exist:
 //!
 //! * [`ThreadTransport`] — in-process `std::sync::mpsc` channels
-//!   (blocking receives, channel disconnection maps to a transport
-//!   error).
+//!   (blocking receives that poll for [`PARK_COST`] before they park,
+//!   channel disconnection maps to a transport error).
 //! * [`crate::socket::SocketTransport`] — Unix-domain-socket datagrams
 //!   between one OS process per rank, framed by [`crate::frame`].
 //!
@@ -16,8 +16,8 @@
 //! talking to; the transport only knows "this pipe is gone".
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// What actually travels between ranks.
 #[derive(Clone, Debug)]
@@ -117,6 +117,56 @@ pub(crate) struct ThreadTransport {
     pub inbox: Receiver<Wire>,
 }
 
+/// Roughly what parking a thread and waking it again costs on a
+/// virtualized host (futex wait, the idle vCPU halting, an
+/// inter-processor interrupt and the host rescheduling the vCPU): the
+/// classic bound for polling before blocking, at most twice the optimum.
+pub(crate) const PARK_COST: Duration = Duration::from_micros(50);
+
+impl ThreadTransport {
+    /// How long a blocking receive polls the inbox before it parks, for a
+    /// world of `nranks` rank threads: [`PARK_COST`] while every rank can
+    /// have a core of its own, nothing once they share cores — a polling
+    /// rank would then burn the time slice the sender it waits for needs.
+    ///
+    /// Ranks that smooth in lock-step wait for each other for
+    /// microseconds, over a hundred times per 32³ solve. Parking for each
+    /// of those waits (30 000 voluntary context switches per rank in a
+    /// 10 s run, 3 000 with the window) cost that solve 14 % on a quiet
+    /// two-vCPU guest and more on a contended one, where a halted vCPU is
+    /// handed to a neighbour and every wake-up waits for the host's
+    /// scheduler: its run-to-run spread was the host's, three times the
+    /// spread with the window.
+    pub(crate) fn poll_window(nranks: usize) -> Duration {
+        // Looked up once: the answer reads cgroup files on Linux.
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores =
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        if nranks <= cores {
+            PARK_COST
+        } else {
+            Duration::ZERO
+        }
+    }
+
+    /// Poll the inbox for up to `window`: a wire, a dead pipe, or
+    /// `Ok(None)` when the window closed on an empty inbox.
+    fn poll_inbox(&self, window: Duration) -> Result<Option<Wire>, ()> {
+        let start = Instant::now();
+        loop {
+            match self.inbox.try_recv() {
+                Ok(w) => return Ok(Some(w)),
+                Err(TryRecvError::Disconnected) => return Err(()),
+                Err(TryRecvError::Empty) => {}
+            }
+            if start.elapsed() >= window {
+                return Ok(None);
+            }
+            std::hint::spin_loop();
+        }
+    }
+}
+
 impl Transport for ThreadTransport {
     fn send(&mut self, to: usize, wire: Wire) -> Result<u64, ()> {
         self.peers[to].send(wire).map(|()| 0).map_err(|_| ())
@@ -124,9 +174,9 @@ impl Transport for ThreadTransport {
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Wire>, ()> {
         match timeout {
-            None => match self.inbox.recv() {
-                Ok(w) => Ok(Some(w)),
-                Err(_) => Err(()),
+            None => match self.poll_inbox(Self::poll_window(self.peers.len()))? {
+                Some(w) => Ok(Some(w)),
+                None => self.inbox.recv().map(Some).map_err(|_| ()),
             },
             Some(d) if d == Duration::ZERO => match self.inbox.try_recv() {
                 Ok(w) => Ok(Some(w)),
@@ -143,5 +193,45 @@ impl Transport for ThreadTransport {
 
     fn kind(&self) -> &'static str {
         "thread"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    fn ack(seq: u64) -> Wire {
+        Wire::Ack { src: 0, seq }
+    }
+
+    #[test]
+    fn poll_window_closes_once_ranks_share_cores() {
+        assert_eq!(ThreadTransport::poll_window(1), PARK_COST);
+        assert_eq!(ThreadTransport::poll_window(1 << 12), Duration::ZERO);
+    }
+
+    #[test]
+    fn blocking_receive_polls_then_parks() {
+        // A world whose ranks each have a core (polls first) and one that
+        // oversubscribes any host (parks at once): a queued wire, a wire
+        // that arrives long after the window closed, then a dead pipe.
+        for nranks in [1, 1 << 12] {
+            let (tx, inbox) = mpsc::channel();
+            let mut t = ThreadTransport {
+                peers: vec![tx.clone(); nranks],
+                inbox,
+            };
+            tx.send(ack(1)).unwrap();
+            assert!(matches!(t.recv(None), Ok(Some(Wire::Ack { seq: 1, .. }))));
+            let late = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                tx.send(ack(2)).unwrap();
+            });
+            assert!(matches!(t.recv(None), Ok(Some(Wire::Ack { seq: 2, .. }))));
+            late.join().unwrap();
+            t.peers.clear();
+            assert_eq!(t.recv(None).map(|w| w.is_some()), Err(()));
+        }
     }
 }
