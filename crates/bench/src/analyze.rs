@@ -273,18 +273,8 @@ pub fn run_with(dir: &Path, opts: &AnalyzeOpts, env: Option<MachineEnvelope>) ->
     // Export after injection so a `GMG_TRACE= --inject-slowdown OP:PCT`
     // run yields a trace that `--diff` against a clean run must flag.
     if opts.trace_path.is_none() {
-        if let Some(path) = std::env::var_os("GMG_TRACE").map(PathBuf::from) {
-            let out_dir = crate::report::ensure_dir(Some(
-                path.parent()
-                    .filter(|p| !p.as_os_str().is_empty())
-                    .map(Path::to_path_buf)
-                    .unwrap_or_else(|| PathBuf::from(".")),
-            ));
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "trace.json".into());
-            let p = crate::report::save_raw_in(&out_dir, &name, &trace.to_chrome_string());
+        if let Some(path) = gmg_trace::ObsConfig::from_env().trace {
+            let p = crate::report::save_at(&path, "trace.json", &trace.to_chrome_string());
             eprintln!("[trace: {} events -> {p:?}]", trace.events.len());
         }
     }

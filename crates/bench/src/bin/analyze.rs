@@ -50,10 +50,12 @@ fn main() {
             }
         }
     }
-    // No with_env_trace here: GMG_TRACE is this harness's *export*
-    // channel (the analyzed — possibly injection-scaled — trace); an
-    // outer capture would overwrite it with a trace of the analyzer.
-    std::process::exit(gmg_bench::profile::with_env_prof(|| {
-        gmg_bench::profile::with_env_metrics(|| run(&opts))
-    }));
+    // `GMG_TRACE` is left out: it is this harness's *export* channel
+    // (the analyzed — possibly injection-scaled — trace); an outer
+    // capture would overwrite it with a trace of the analyzer.
+    let hooks = gmg_trace::ObsConfig {
+        trace: None,
+        ..gmg_trace::ObsConfig::from_env()
+    };
+    std::process::exit(gmg_bench::profile::with_hooks(&hooks, || run(&opts)));
 }

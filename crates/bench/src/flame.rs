@@ -27,7 +27,7 @@ use gmg_prof::{KernelReport, Profile};
 use gmg_stencil::exec_array::apply_star7_array;
 use gmg_stencil::exec_brick::apply_star7_bricked;
 use gmg_stencil::exec_fused::fused_multismooth_bricked;
-use gmg_trace::{Counters, Track};
+use gmg_trace::Track;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,11 +82,9 @@ fn drive(seconds: f64, root: &'static str, mut call: impl FnMut()) -> Vec<f64> {
     let mut secs = Vec::new();
     let start = Instant::now();
     loop {
-        let t0 = Instant::now();
+        let span = gmg_trace::span(0, 0, root, Track::Compute);
         call();
-        let dt = t0.elapsed().as_secs_f64();
-        gmg_trace::record_span_at(0, 0, root, Track::Compute, t0, dt, Counters::default());
-        secs.push(dt);
+        secs.push(span.finish());
         if start.elapsed().as_secs_f64() >= seconds {
             return secs;
         }
@@ -342,6 +340,15 @@ pub fn run(opts: &FlameOpts) -> i32 {
 mod tests {
     use super::*;
 
+    /// Every test here times kernel passes under a sampling session, and
+    /// `gmg_prof::set_slowdown` is process-global: run one at a time, so
+    /// no pass is slowed by a sibling's injection or starved by a
+    /// sibling's kernels on a two-core host.
+    fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+        static L: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        L.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn quick_opts() -> FlameOpts {
         FlameOpts {
             grid: 32,
@@ -354,6 +361,7 @@ mod tests {
 
     #[test]
     fn pass_samples_all_three_kernels_with_coverage() {
+        let _serial = one_at_a_time();
         let pass = run_pass(&quick_opts());
         assert_eq!(pass.kernels.len(), 3);
         for k in &pass.kernels {
@@ -377,6 +385,7 @@ mod tests {
 
     #[test]
     fn run_with_writes_artifacts_and_passes_gates() {
+        let _serial = one_at_a_time();
         let dir = std::env::temp_dir().join("gmg_flame_test");
         std::fs::create_dir_all(&dir).unwrap();
         let code = run_with(&dir, &quick_opts(), None);
@@ -391,26 +400,37 @@ mod tests {
 
     #[test]
     fn inject_slowdown_flags_exactly_the_injected_phase() {
+        let _serial = one_at_a_time();
         // Determinism of attribution: a heavy slowdown planted in the
         // streamed-interior phase must dominate the diff, and the same
         // for the one-pass smoother's per-brick phase — the winner tracks
-        // the injection exactly across two different kernels.
+        // the injection exactly across two different kernels. This host
+        // has seconds-long phases in which a neighbour takes part of a
+        // core, enough to fake a ×3 growth in a thinly sampled phase, so
+        // the verdict is the majority over alternating clean/slowed
+        // pairs, not one pair.
         for target in ["interior@b8", "brick_smooth@b8"] {
-            let clean = run_pass(&quick_opts());
-            gmg_prof::set_slowdown(Some((target, 400.0)));
-            let slowed = run_pass(&quick_opts());
-            gmg_prof::set_slowdown(None);
-            let (winner, growth) =
-                attribution_winner(&clean, &slowed).expect("sub-phases observed");
+            let mut verdicts = Vec::new();
+            while verdicts.iter().filter(|hit| **hit).count() < 2 && verdicts.len() < 3 {
+                let clean = run_pass(&quick_opts());
+                gmg_prof::set_slowdown(Some((target, 400.0)));
+                let slowed = run_pass(&quick_opts());
+                gmg_prof::set_slowdown(None);
+                let (winner, growth) =
+                    attribution_winner(&clean, &slowed).expect("sub-phases observed");
+                println!("injected {target}: attribution picked {winner} (x{growth:.2})");
+                verdicts.push(winner.contains(target));
+            }
             assert!(
-                winner.contains(target),
-                "injected {target}, but attribution picked {winner} (x{growth:.2})"
+                verdicts.iter().filter(|hit| **hit).count() >= 2,
+                "injected {target}, attributed in only {verdicts:?} of the pairs"
             );
         }
     }
 
     #[test]
     fn misattributed_injection_exits_nonzero() {
+        let _serial = one_at_a_time();
         // Inject a pattern matching no real phase: nothing actually slows
         // down, so whatever noise phase wins the diff cannot match the
         // pattern and the self-test must exit nonzero.

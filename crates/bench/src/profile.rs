@@ -8,7 +8,7 @@
 //! compute and comm tracks.
 //!
 //! Any other harness binary can be traced too by setting
-//! `GMG_TRACE=<path>` in the environment — see [`with_env_trace`].
+//! `GMG_TRACE=<path>` in the environment — see [`with_env_hooks`].
 //!
 //! [`OpTimer`]: gmg_core::timers::OpTimer
 
@@ -17,115 +17,66 @@ use gmg_core::solver::{GmgSolver, SolverConfig};
 use gmg_core::timers::TimerReport;
 use gmg_machine::microbench::{measure_host, HostRoofline};
 use gmg_mesh::{Box3, Decomposition, Point3};
-use gmg_trace::TraceSummary;
+use gmg_trace::{ObsConfig, TraceSummary};
 use serde_json::{json, Value};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// If `GMG_TRACE=<path>` is set, run `f` under a trace capture and write the
-/// resulting Chrome trace-event JSON to `<path>`; otherwise run `f` directly
-/// (tracing stays disabled, so instrumented code pays only a relaxed atomic
-/// load). Harness binaries wrap their `run()` in this.
-pub fn with_env_trace<T>(f: impl FnOnce() -> T) -> T {
-    with_trace_to(std::env::var_os("GMG_TRACE").map(PathBuf::from), f)
-}
-
-/// Env-independent core of [`with_env_trace`]: trace to `path` if given.
-pub fn with_trace_to<T>(path: Option<PathBuf>, f: impl FnOnce() -> T) -> T {
-    let Some(path) = path else { return f() };
-    let (out, trace) = gmg_trace::capture(f);
-    // Route through the shared writer so directory creation and write
-    // errors behave exactly like every other results artifact.
-    let dir = crate::report::ensure_dir(Some(
-        path.parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .map(Path::to_path_buf)
-            .unwrap_or_else(|| PathBuf::from(".")),
-    ));
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "trace.json".into());
-    let path = crate::report::save_raw_in(&dir, &name, &trace.to_chrome_string());
-    eprintln!("[trace: {} events -> {path:?}]", trace.events.len());
-    out
-}
-
-/// If `GMG_PROF=<path>` is set, run `f` under a gmg-prof sampling session
-/// and write the folded flamegraph stacks to `<path>`; otherwise run `f`
-/// directly (phase markers stay disabled: one relaxed atomic load each).
-/// The sampling interval follows `GMG_PROF_INTERVAL_US` (default 200µs).
-/// Mirrors [`with_env_trace`].
-pub fn with_env_prof<T>(f: impl FnOnce() -> T) -> T {
-    with_prof_to(std::env::var_os("GMG_PROF").map(PathBuf::from), f)
-}
-
-/// Env-independent core of [`with_env_prof`]: profile to `path` if given.
-pub fn with_prof_to<T>(path: Option<PathBuf>, f: impl FnOnce() -> T) -> T {
-    let Some(path) = path else { return f() };
-    let session = gmg_prof::start_default();
-    let out = f();
-    let profile = session.stop();
-    let dir = crate::report::ensure_dir(Some(
-        path.parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .map(Path::to_path_buf)
-            .unwrap_or_else(|| PathBuf::from(".")),
-    ));
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "prof.folded".into());
-    let path = crate::report::save_raw_in(&dir, &name, &profile.to_folded());
-    eprintln!(
-        "[prof: {} samples / {} ticks, {} dropped -> {path:?}]",
-        profile.samples, profile.ticks, profile.dropped
-    );
-    out
-}
-
-/// If `GMG_METRICS=<path>` is set, enable the global metrics registry
-/// around `f` and write the final snapshot (what grew during the run) to
-/// `<path>` as schema-1 JSON; otherwise run `f` directly. Mirrors
-/// [`with_env_trace`].
-pub fn with_env_metrics<T>(f: impl FnOnce() -> T) -> T {
-    with_metrics_to(std::env::var_os("GMG_METRICS").map(PathBuf::from), f)
-}
-
-/// Env-independent core of [`with_env_metrics`]: snapshot to `path` if
-/// given. The write is a *delta* over the run (the registry is
-/// process-global and may already hold rows), so the file reflects this
-/// run's activity.
-pub fn with_metrics_to<T>(path: Option<PathBuf>, f: impl FnOnce() -> T) -> T {
-    let Some(path) = path else { return f() };
-    let before = gmg_metrics::Registry::global().snapshot();
-    let was_enabled = gmg_metrics::enable();
-    let out = f();
-    if !was_enabled {
-        gmg_metrics::disable();
+/// Run `f` under every sink `cfg` names an artifact for, then write the
+/// artifacts: `trace` → a capture's Chrome trace-event JSON, `prof` → a
+/// sampling session's folded stacks (interval `prof_interval`), `metrics`
+/// → what the global registry grew by during the run, as schema-1 JSON
+/// (a *delta*: the registry is process-global and may already hold rows).
+/// With none set `f` runs directly and every probe stays inert.
+pub fn with_hooks<T>(cfg: &ObsConfig, f: impl FnOnce() -> T) -> T {
+    let session = cfg
+        .prof
+        .as_ref()
+        .map(|_| gmg_prof::start(cfg.prof_interval));
+    let metrics = (cfg.metrics.as_ref()).map(|_| {
+        (
+            gmg_metrics::Registry::global().snapshot(),
+            gmg_metrics::enable(),
+        )
+    });
+    let (out, trace) = match &cfg.trace {
+        Some(_) => {
+            let (out, trace) = gmg_trace::capture(f);
+            (out, Some(trace))
+        }
+        None => (f(), None),
+    };
+    let profile = session.map(|s| s.stop());
+    let delta = metrics.map(|(before, was_enabled)| {
+        if !was_enabled {
+            gmg_metrics::disable();
+        }
+        gmg_metrics::Registry::global()
+            .snapshot()
+            .delta_since(&before)
+    });
+    if let (Some(path), Some(trace)) = (&cfg.trace, trace) {
+        let path = crate::report::save_at(path, "trace.json", &trace.to_chrome_string());
+        eprintln!("[trace: {} events -> {path:?}]", trace.events.len());
     }
-    let delta = gmg_metrics::Registry::global()
-        .snapshot()
-        .delta_since(&before);
-    let dir = crate::report::ensure_dir(Some(
-        path.parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .map(Path::to_path_buf)
-            .unwrap_or_else(|| PathBuf::from(".")),
-    ));
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "metrics.json".into());
-    let path = crate::report::save_raw_in(&dir, &name, &delta.to_json().to_string());
-    eprintln!("[metrics: {} rows -> {path:?}]", delta.entries.len());
+    if let (Some(path), Some(profile)) = (&cfg.prof, profile) {
+        let path = crate::report::save_at(path, "prof.folded", &profile.to_folded());
+        eprintln!(
+            "[prof: {} samples / {} ticks, {} dropped -> {path:?}]",
+            profile.samples, profile.ticks, profile.dropped
+        );
+    }
+    if let (Some(path), Some(delta)) = (&cfg.metrics, delta) {
+        let path = crate::report::save_at(path, "metrics.json", &delta.to_json().to_string());
+        eprintln!("[metrics: {} rows -> {path:?}]", delta.entries.len());
+    }
     out
 }
 
-/// All env hooks at once: `GMG_TRACE` (Chrome trace), `GMG_PROF` (folded
-/// stacks), and `GMG_METRICS` (final metrics snapshot JSON). Every
-/// harness binary wraps its `run()` in this.
+/// [`with_hooks`] as the environment asks: `GMG_TRACE`, `GMG_PROF`
+/// (+ `GMG_PROF_INTERVAL_US`) and `GMG_METRICS`. Every harness binary
+/// wraps its `run()` in this.
 pub fn with_env_hooks<T>(f: impl FnOnce() -> T) -> T {
-    with_env_trace(|| with_env_prof(|| with_env_metrics(f)))
+    with_hooks(&ObsConfig::from_env(), f)
 }
 
 /// Problem the profiler runs: a fixed number of V-cycles so the timed work
@@ -292,21 +243,33 @@ mod tests {
     }
 
     #[test]
-    fn with_trace_to_writes_file_and_passes_result_through() {
-        let path = std::env::temp_dir().join("gmg_with_trace_test.json");
-        let _ = std::fs::remove_file(&path);
-        let out = with_trace_to(Some(path.clone()), || {
+    fn hooks_write_each_requested_artifact_and_pass_the_result_through() {
+        let dir = std::env::temp_dir().join(format!("gmg_hooks_test_{}", std::process::id()));
+        let at = |name: &str| Some(dir.join(name));
+        let cfg = ObsConfig {
+            trace: at("t.json"),
+            metrics: at("m.json"),
+            prof: at("p.folded"),
+            ..ObsConfig::from_lookup(|_| None)
+        };
+        let out = with_hooks(&cfg, || {
             gmg_trace::span(0, 0, "applyOp", Track::Compute);
+            gmg_trace::probe::op(0, "hooks_test_op").finish();
             42
         });
         assert_eq!(out, 42);
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = std::fs::read_to_string(dir.join("t.json")).unwrap();
         let trace = Trace::from_chrome_str(&text).unwrap();
-        assert_eq!(trace.events.len(), 1);
+        assert_eq!(trace.events.len(), 2);
+        let metrics = std::fs::read_to_string(dir.join("m.json")).unwrap();
+        assert!(metrics.contains("hooks_test_op"), "{metrics}");
+        let folded = std::fs::read_to_string(dir.join("p.folded")).unwrap();
+        assert!(gmg_prof::folded::parse(&folded).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn with_trace_to_none_is_passthrough() {
-        assert_eq!(with_trace_to(None, || 7), 7);
+    fn no_hooks_is_passthrough() {
+        assert_eq!(with_hooks(&ObsConfig::from_lookup(|_| None), || 7), 7);
     }
 }

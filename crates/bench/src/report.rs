@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 /// Directory for machine-readable experiment outputs (created on demand):
 /// `$GMG_RESULTS_DIR`, or `results/` when unset.
 pub fn results_dir() -> PathBuf {
-    ensure_dir(std::env::var_os("GMG_RESULTS_DIR").map(PathBuf::from))
+    ensure_dir(gmg_trace::ObsConfig::from_env().results_dir)
 }
 
 /// Resolve and create the results directory from an explicit override.
@@ -53,6 +53,23 @@ pub fn save_raw_in(dir: &Path, file_name: &str, contents: &str) -> PathBuf {
     let path = dir.join(file_name);
     fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
     path
+}
+
+/// Persist an artifact at a user-given `path` (an env hook's value):
+/// its parent directory is created like any results directory, a path
+/// with no file name gets `default_name`. Returns the written path.
+pub fn save_at(path: &Path, default_name: &str, contents: &str) -> PathBuf {
+    let dir = ensure_dir(Some(
+        path.parent()
+            .filter(|p| !p.as_os_str().is_empty())
+            .map(Path::to_path_buf)
+            .unwrap_or_else(|| PathBuf::from(".")),
+    ));
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| default_name.into());
+    save_raw_in(&dir, &name, contents)
 }
 
 /// Print a section header.

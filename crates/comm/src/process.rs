@@ -41,6 +41,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gmg_trace::probe::{self, Kind};
+use gmg_trace::ObsConfig;
+
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::frame::{Frame, FrameKind, MAX_FRAME_LEN};
 use crate::runtime::RankCtx;
@@ -381,10 +384,12 @@ fn child_main<F>(
 where
     F: FnOnce(&str, RankCtx, &str) -> String,
 {
+    crate::runtime::keep_freed_memory();
     // A flight ring of our own; parks and panics dump it into the world
-    // directory, where the controller merges all surviving rings.
-    let flight_world = gmg_flight::FlightWorld::new(nranks);
-    let _flight = gmg_flight::install(&flight_world, rank);
+    // directory (the controller points `GMG_FLIGHT_DIR` there), where the
+    // controller merges all surviving rings.
+    let flight_world = gmg_flight::FlightWorld::for_run(nranks, &ObsConfig::from_env());
+    let _probe = probe::install(Some(rank), flight_world.as_ref().map(|w| w.sink(rank)));
 
     let progress = Arc::new(AtomicU64::new(0));
     let stop_hb = Arc::new(AtomicBool::new(false));
@@ -754,9 +759,7 @@ impl ProcessWorld {
                 let gap = s.last_beat.elapsed();
                 if gap > MISS_AFTER && s.last_miss_mark < s.last_beat {
                     s.last_miss_mark = Instant::now();
-                    if gmg_metrics::enabled() {
-                        gmg_metrics::counter("heartbeat_missed_total", r, None, "membership").inc();
-                    }
+                    probe::event(Kind::Stat, "heartbeat:missed").rank(r);
                 }
                 if gap > HB_TIMEOUT {
                     let _ = s.child.kill();
@@ -820,9 +823,10 @@ impl ProcessWorld {
         s.last_beat = Instant::now();
         s.progress = unbits(&f.payload, 0);
         let rtt = unbits(&f.payload, 1);
-        if rtt > 0 && gmg_metrics::enabled() {
-            gmg_metrics::histogram("heartbeat_rtt_ns", f.src as usize, None, "membership")
-                .record(rtt);
+        if rtt > 0 {
+            probe::event(Kind::Stat, "heartbeat:rtt")
+                .rank(f.src as usize)
+                .value(rtt);
         }
         let ack = ctl_frame(u32::MAX, OP_BEAT_ACK, f.seq, 0, Vec::new());
         let _ = tx.send_to(&ack, beat_sock_path(dir, f.src as usize));
@@ -842,9 +846,7 @@ impl ProcessWorld {
         epoch: u64,
     ) -> Result<RejoinEvent, String> {
         let t0 = Instant::now();
-        if gmg_metrics::enabled() {
-            gmg_metrics::counter("membership_deaths_total", dead, None, "membership").inc();
-        }
+        probe::event(Kind::Stat, "membership:death").rank(dead);
 
         let spawn_t = Instant::now();
         ranks[dead] = new_rank_state(self.spawn_child(dir, dead, true)?);
@@ -931,13 +933,13 @@ impl ProcessWorld {
             }
         }
         let epoch_duration = t0.elapsed();
-        if gmg_metrics::enabled() {
-            gmg_metrics::histogram("respawn_latency_ns", dead, None, "membership")
-                .record(respawn_latency.as_nanos() as u64);
-            gmg_metrics::histogram("rejoin_epoch_ns", dead, None, "membership")
-                .record(epoch_duration.as_nanos() as u64);
-            gmg_metrics::gauge("membership_epoch", 0, None, "membership").set(epoch as f64);
-        }
+        probe::event(Kind::Stat, "membership:respawn")
+            .rank(dead)
+            .dur_ns(respawn_latency.as_nanos() as u64);
+        probe::event(Kind::Stat, "membership:rejoin")
+            .rank(dead)
+            .dur_ns(epoch_duration.as_nanos() as u64)
+            .value(epoch);
         Ok(RejoinEvent {
             rank: dead,
             epoch,
@@ -1031,7 +1033,7 @@ fn merge_child_dumps(dir: &Path, rejoins: &[RejoinEvent]) -> Option<PathBuf> {
             .collect::<Vec<_>>()
             .join("; ")
     };
-    gmg_flight::merge_dumps(&sources, "process-world", &detail)
+    gmg_flight::merge_dumps(&ObsConfig::from_env(), &sources, "process-world", &detail)
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use gmg_brick::BrickedField;
 use gmg_mesh::ghost::{direction_index, DIRECTIONS_26};
 use gmg_mesh::{Array3, Box3, Decomposition, Point3};
-use gmg_trace::{Counters, Span, Track, LEVEL_NONE};
+use gmg_trace::probe::{self, Class, Kind};
 
 use crate::fault::{
     checksum, flip_bit, CommError, ControlFault, FaultInjector, FaultPlan, RankFailure,
@@ -253,27 +253,6 @@ impl RankCtx {
         self.arq
     }
 
-    /// Open a comm-track span for one message. Collective tags live near
-    /// `u64::MAX` and would not survive the trace's JSON f64 encoding, so
-    /// they are attributed by peer only.
-    fn comm_span(&self, op: &'static str, peer: usize, tag: u64) -> Span {
-        let mut sp = gmg_trace::span(self.rank, LEVEL_NONE, op, Track::Comm);
-        if sp.is_live() {
-            if tag < COLLECTIVE_TAG {
-                sp.peer(peer, tag);
-            } else {
-                sp.peer_rank(peer);
-            }
-        }
-        sp
-    }
-
-    /// Record an injected fault / recovery action on the fault track.
-    fn fault_event(&self, op: &'static str, peer: Option<usize>, tag: Option<u64>) {
-        let tag = tag.filter(|t| *t < COLLECTIVE_TAG);
-        gmg_trace::record_instant(self.rank, LEVEL_NONE, op, Track::Fault, peer, tag);
-    }
-
     /// Apply any pending control fault (stall / kill) at a comm-op entry.
     fn check_control(&mut self) -> Result<(), CommError> {
         let Some(inj) = &mut self.injector else {
@@ -282,16 +261,14 @@ impl RankCtx {
         match inj.control() {
             ControlFault::None => Ok(()),
             ControlFault::Stall(d) => {
-                self.fault_event("fault:stall", None, None);
-                gmg_flight::record_control("fault:stall", d.as_nanos() as u64);
+                probe::event(Kind::Control, "fault:stall").dur_ns(d.as_nanos() as u64);
                 std::thread::sleep(d);
                 Ok(())
             }
             ControlFault::Kill => {
                 let at_op = inj.control_ops();
                 self.dead = true;
-                self.fault_event("fault:kill", None, None);
-                gmg_flight::record_control("fault:kill", 0);
+                probe::event(Kind::Control, "fault:kill");
                 Err(CommError::Killed {
                     rank: self.rank,
                     at_op,
@@ -307,15 +284,12 @@ impl RankCtx {
     /// [`CommError::Timeout`]).
     pub fn try_send(&mut self, to: usize, tag: u64, payload: Vec<f64>) -> Result<(), CommError> {
         self.check_control()?;
-        let mut sp = self.comm_span("send", to, tag);
-        sp.counters(Counters {
-            messages: 1,
-            message_bytes: (payload.len() * 8) as u64,
-            ..Default::default()
-        });
         let seq = self.next_seq;
         self.next_seq += 1;
-        gmg_flight::record_send(to, tag, seq, (payload.len() * 8) as u64);
+        let bytes = (payload.len() * 8) as u64;
+        let _probe = probe::span(Kind::Send, "send")
+            .msg(to, tag, seq)
+            .value(bytes);
         if !self.reliable() {
             return self
                 .transport
@@ -383,19 +357,9 @@ impl RankCtx {
             self.arq.retransmits += 1;
             self.arq.retransmit_bytes += bytes as u64;
             self.arq.retransmitted_messages += u64::from(attempt == 1);
-            self.fault_event("fault:retransmit", Some(to), Some(tag));
-            gmg_flight::record_arq(
-                "arq:retransmit",
-                Some(to),
-                Some(tag),
-                Some(seq),
-                backoff.as_nanos() as u64,
-            );
-            if gmg_metrics::enabled() {
-                gmg_metrics::counter("arq_retransmits_total", self.rank, None, "arq").inc();
-                gmg_metrics::histogram("arq_backoff_ns", self.rank, None, "arq")
-                    .record(backoff.as_nanos() as u64);
-            }
+            probe::event(Kind::Arq, "arq:retransmit")
+                .msg(to, tag, seq)
+                .dur_ns(backoff.as_nanos() as u64);
         }
         let fate = self
             .injector
@@ -403,8 +367,7 @@ impl RankCtx {
             .expect("transmit_pending requires reliable mode")
             .fate(seq, attempt);
         if fate.drop {
-            self.fault_event("fault:drop", Some(to), Some(tag));
-            gmg_flight::record_arq("arq:drop", Some(to), Some(tag), Some(seq), 0);
+            probe::event(Kind::Arq, "arq:drop").msg(to, tag, seq);
             return;
         }
         // The clean path shares the pending payload and its checksum;
@@ -419,9 +382,9 @@ impl RankCtx {
                 // the flipped payload, so only solver-level health guards
                 // can see it.
                 cs = checksum(self.rank, tag, seq, &payload);
-                self.fault_event("fault:sdc", Some(to), Some(tag));
+                probe::event(Kind::Control, "fault:sdc").msg(to, tag, seq);
             } else {
-                self.fault_event("fault:corrupt", Some(to), Some(tag));
+                probe::event(Kind::Control, "fault:corrupt").msg(to, tag, seq);
             }
         }
         let wire = Wire::Data {
@@ -432,11 +395,11 @@ impl RankCtx {
             payload: Payload::Shared(payload),
         };
         if fate.duplicates > 0 {
-            self.fault_event("fault:dup", Some(to), Some(tag));
+            probe::event(Kind::Control, "fault:dup").msg(to, tag, seq);
         }
         for _ in 0..1 + fate.duplicates {
             if fate.delay_slots > 0 {
-                self.fault_event("fault:delay", Some(to), Some(tag));
+                probe::event(Kind::Control, "fault:delay").msg(to, tag, seq);
                 let inj = self.injector.as_ref().unwrap();
                 self.delayed.push(DelayedWire {
                     to,
@@ -565,19 +528,19 @@ impl RankCtx {
                 checksum: cs,
                 payload,
             } => {
+                let arrive = |bytes: usize| {
+                    probe::event(Kind::Arrive, "arrive")
+                        .msg(src, tag, seq)
+                        .value((bytes * 8) as u64);
+                };
                 if !self.reliable() {
-                    gmg_flight::record_msg_arrive(src, tag, seq, (payload.len() * 8) as u64);
+                    arrive(payload.len());
                     return Some((src, tag, seq, payload.into_vec()));
                 }
                 if checksum(src, tag, seq, &payload) != cs {
                     // Discard without ACK: the sender's retry timer will
                     // retransmit a clean copy.
-                    self.fault_event("fault:reject", Some(src), Some(tag));
-                    gmg_flight::record_arq("arq:reject", Some(src), Some(tag), Some(seq), 0);
-                    if gmg_metrics::enabled() {
-                        gmg_metrics::counter("arq_checksum_failures_total", self.rank, None, "arq")
-                            .inc();
-                    }
+                    probe::event(Kind::Arq, "arq:reject").msg(src, tag, seq);
                     return None;
                 }
                 // ACK every valid copy, duplicates included — a duplicate
@@ -596,7 +559,9 @@ impl RankCtx {
                     .unwrap()
                     .ack_dropped(src, seq, attempt);
                 if drop_ack {
-                    self.fault_event("fault:ack-drop", Some(src), None);
+                    // No `seq`: it is the peer's, and the wait-state
+                    // analysis keys sender-side ARQ activity by this rank.
+                    probe::event(Kind::Arq, "arq:ack-drop").peer(src);
                 } else {
                     let _ = self.transport.send(
                         src,
@@ -607,14 +572,10 @@ impl RankCtx {
                     );
                 }
                 if !self.seen.insert((src, seq)) {
-                    self.fault_event("fault:dedup", Some(src), Some(tag));
-                    gmg_flight::record_arq("arq:dedup", Some(src), Some(tag), Some(seq), 0);
-                    if gmg_metrics::enabled() {
-                        gmg_metrics::counter("arq_dedup_drops_total", self.rank, None, "arq").inc();
-                    }
+                    probe::event(Kind::Arq, "arq:dedup").msg(src, tag, seq);
                     return None;
                 }
-                gmg_flight::record_msg_arrive(src, tag, seq, (payload.len() * 8) as u64);
+                arrive(payload.len());
                 Some((src, tag, seq, payload.into_vec()))
             }
             Wire::Ack { src, seq } => {
@@ -626,10 +587,7 @@ impl RankCtx {
                     .iter()
                     .position(|p| p.to == src && p.seq == seq)?;
                 let p = self.pending.swap_remove(pos);
-                if gmg_metrics::enabled() {
-                    gmg_metrics::histogram("arq_attempts", self.rank, None, "arq")
-                        .record(p.attempts as u64);
-                }
+                probe::event(Kind::Stat, "arq:acked").value(p.attempts as u64);
                 // No sample without a departure time: the ACK beat this
                 // rank's next look at the transport's backlog.
                 if let Departure::Left(sent_at) = p.departure {
@@ -676,37 +634,12 @@ impl RankCtx {
         tag: u64,
         deadline: Option<Instant>,
     ) -> Result<Vec<f64>, CommError> {
-        let start_ns = gmg_trace::now_ns();
-        let mut sp = self.comm_span("recv", from, tag);
-        match self.recv_deadline(from, tag, deadline) {
-            Ok((seq, payload)) => {
-                sp.counters(Counters {
-                    messages: 1,
-                    message_bytes: (payload.len() * 8) as u64,
-                    ..Default::default()
-                });
-                gmg_flight::record_recv_wait(
-                    from,
-                    tag,
-                    Some(seq),
-                    start_ns,
-                    gmg_trace::now_ns().saturating_sub(start_ns),
-                );
-                Ok(payload)
-            }
-            Err(e) => {
-                // A failed wait is exactly what the postmortem needs to
-                // see: record it with no matched message.
-                gmg_flight::record_recv_wait(
-                    from,
-                    tag,
-                    None,
-                    start_ns,
-                    gmg_trace::now_ns().saturating_sub(start_ns),
-                );
-                Err(e)
-            }
-        }
+        // Dropped unmatched on the error path: a failed wait is exactly
+        // what the postmortem needs to see.
+        let mut wait = probe::span(Kind::RecvWait, "recv").peer(from).tag(tag);
+        let (seq, payload) = self.recv_deadline(from, tag, deadline)?;
+        wait.delivered(seq, (payload.len() * 8) as u64);
+        Ok(payload)
     }
 
     fn recv_deadline(
@@ -1009,14 +942,44 @@ pub struct RankWorld;
 #[cfg(unix)]
 static SOCK_WORLD_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+/// Tell glibc to keep the memory this process frees. A rank frees and
+/// re-allocates the same multi-megabyte fields and halo payloads for as
+/// long as it runs, and by default whether a freed field goes back to the
+/// kernel — so that the next solver faults every page of it in again —
+/// turns on which small allocation happens to sit above it in the heap
+/// (and, once a rank thread's 64 MiB arena spills into the main heap, on
+/// which rank spilled first): one answer per build, and with two rank
+/// threads one per run. Chunks up to glibc's 32 MiB ceiling come from
+/// the heaps, and no heap is trimmed or unmapped. Once per process, from
+/// wherever a world starts; a no-op on other C libraries.
+pub(crate) fn keep_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_TOP_PAD: i32 = -2;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        // SAFETY: `mallopt` only sets tuning parameters of the allocator
+        // (under its own lock) and may be called at any time.
+        ONCE.call_once(|| unsafe {
+            mallopt(M_MMAP_THRESHOLD, 32 << 20);
+            mallopt(M_TRIM_THRESHOLD, i32::MAX);
+            mallopt(M_TOP_PAD, 64 << 20);
+        });
+    }
+}
+
 impl RankWorld {
     /// Run `body(ctx)` on every rank concurrently and return the per-rank
     /// results. Any rank failure panics with the full [`WorldFailure`]
     /// report; use [`RankWorld::try_run`] to handle it structurally.
     ///
     /// If the calling thread has a `gmg_trace` capture scope installed,
-    /// it is re-installed inside every rank thread, so one `capture`
-    /// around `run` sees spans from all ranks.
+    /// every rank thread's probe context records into it, so one
+    /// `capture` around `run` sees spans from all ranks.
     pub fn run<T: Send>(nranks: usize, body: impl Fn(RankCtx) -> T + Sync) -> Vec<T> {
         Self::try_run(nranks, body).unwrap_or_else(|f| panic!("{f}"))
     }
@@ -1106,20 +1069,22 @@ impl RankWorld {
         plan: Option<&FaultPlan>,
         body: impl Fn(RankCtx) -> T + Sync,
     ) -> Result<Vec<T>, WorldFailure> {
+        keep_freed_memory();
         let nranks = transports.len();
         let body = &body;
         let trace_scope = gmg_trace::current_scope();
         let trace_scope_ref = &trace_scope;
         // One flight-recorder ring per rank, alive for the whole run so a
         // failure can dump every surviving rank's black box.
-        let flight = gmg_flight::enabled().then(|| gmg_flight::FlightWorld::new(nranks));
+        let flight = gmg_flight::FlightWorld::for_run(nranks, &gmg_trace::ObsConfig::from_env());
         let flight_ref = &flight;
         std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(nranks);
             for (rank, transport) in transports.into_iter().enumerate() {
                 handles.push(s.spawn(move || {
-                    let _trace = trace_scope_ref.as_ref().map(|sc| sc.install());
-                    let _flight = flight_ref.as_ref().map(|w| gmg_flight::install(w, rank));
+                    let spans = trace_scope_ref.as_ref().map(|s| (Class::Spans, s.sink()));
+                    let ring = flight_ref.as_ref().map(|w| w.sink(rank));
+                    let _probe = probe::install(Some(rank), spans.into_iter().chain(ring));
                     let ctx = RankCtx::from_parts(
                         rank,
                         nranks,
@@ -1231,24 +1196,19 @@ pub fn try_exchange_bricked(
             continue; // handled locally below
         }
         let slots = layout.send_slots(dir);
-        let mut sp = gmg_trace::span(rank, LEVEL_NONE, "pack", Track::Comm);
+        let pack = probe::span(Kind::Comm, "pack");
         let mut buf = Vec::with_capacity(slots.len() * layout.brick_volume());
         for &s in &slots {
             buf.extend_from_slice(field.brick(s));
         }
-        sp.counters(Counters {
-            bytes_read: (buf.len() * 8) as u64,
-            bytes_written: (buf.len() * 8) as u64,
-            ..Default::default()
-        });
-        drop(sp);
+        drop(pack.value((buf.len() * 8) as u64));
         ctx.try_send(nbr.rank, halo_tag(tag_base, dir), buf)?;
     }
     for dir in DIRECTIONS_26 {
         let nbr = decomp.neighbor(rank, dir);
         if nbr.rank == rank {
             // Periodic wrap onto myself: local brick copies.
-            let _sp = gmg_trace::span(rank, LEVEL_NONE, "self-exchange", Track::Comm);
+            let _probe = probe::span(Kind::Comm, "self-exchange");
             let shift_bricks = nbr.wrap_shift.div_floor(Point3::splat(bd));
             field.copy_ghost_from_self(dir, shift_bricks);
             continue;
@@ -1256,7 +1216,7 @@ pub fn try_exchange_bricked(
         // My ghost in direction `dir` comes from the neighbor's send in
         // direction `-dir` (its direction toward me).
         let payload = ctx.recv_traced(nbr.rank, halo_tag(tag_base, -dir), None)?;
-        let mut sp = gmg_trace::span(rank, LEVEL_NONE, "unpack", Track::Comm);
+        let _probe = probe::span(Kind::Comm, "unpack").value((payload.len() * 8) as u64);
         let ghosts = layout.ghost_slots(dir);
         assert_eq!(
             payload.len(),
@@ -1269,11 +1229,6 @@ pub fn try_exchange_bricked(
                 .brick_mut(g)
                 .copy_from_slice(&payload[i * bvol..(i + 1) * bvol]);
         }
-        sp.counters(Counters {
-            bytes_read: (payload.len() * 8) as u64,
-            bytes_written: (payload.len() * 8) as u64,
-            ..Default::default()
-        });
     }
     Ok(())
 }
@@ -1300,14 +1255,9 @@ pub fn exchange_array(
         if nbr.rank == rank {
             continue;
         }
-        let mut sp = gmg_trace::span(rank, LEVEL_NONE, "pack", Track::Comm);
+        let pack = probe::span(Kind::Comm, "pack");
         a.pack(sub.face_region(dir, depth), &mut buf);
-        sp.counters(Counters {
-            bytes_read: (buf.len() * 8) as u64,
-            bytes_written: (buf.len() * 8) as u64,
-            ..Default::default()
-        });
-        drop(sp);
+        drop(pack.value((buf.len() * 8) as u64));
         ctx.send(nbr.rank, halo_tag(tag_base, dir), std::mem::take(&mut buf));
     }
     for dir in DIRECTIONS_26 {
@@ -1315,7 +1265,7 @@ pub fn exchange_array(
         let recv_region = sub.halo_region(dir, depth);
         if nbr.rank == rank {
             // Self-wrap: my halo cell p equals my own cell p − wrap_shift.
-            let _sp = gmg_trace::span(rank, LEVEL_NONE, "self-exchange", Track::Comm);
+            let _probe = probe::span(Kind::Comm, "self-exchange");
             a.pack(recv_region.shift(-nbr.wrap_shift), &mut buf);
             let moved = std::mem::take(&mut buf);
             a.unpack(recv_region, &moved);
@@ -1323,13 +1273,8 @@ pub fn exchange_array(
             continue;
         }
         let payload = ctx.recv(nbr.rank, halo_tag(tag_base, -dir));
-        let mut sp = gmg_trace::span(rank, LEVEL_NONE, "unpack", Track::Comm);
+        let _probe = probe::span(Kind::Comm, "unpack").value((payload.len() * 8) as u64);
         a.unpack(recv_region, &payload);
-        sp.counters(Counters {
-            bytes_read: (payload.len() * 8) as u64,
-            bytes_written: (payload.len() * 8) as u64,
-            ..Default::default()
-        });
     }
 }
 
@@ -1685,14 +1630,14 @@ mod tests {
         let faults: Vec<_> = trace
             .events
             .iter()
-            .filter(|e| e.track == Track::Fault)
+            .filter(|e| e.track == gmg_trace::Track::Fault)
             .map(|e| e.op.name())
             .collect();
         assert!(!faults.is_empty());
-        assert!(faults.contains(&"fault:drop"));
-        assert!(faults.contains(&"fault:retransmit"));
+        assert!(faults.contains(&"arq:drop"));
+        assert!(faults.contains(&"arq:retransmit"));
         assert!(
-            faults.contains(&"fault:reject"),
+            faults.contains(&"arq:reject"),
             "corruption was never detected: {faults:?}"
         );
     }

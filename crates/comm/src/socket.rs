@@ -27,6 +27,8 @@ use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use gmg_trace::probe::{self, Kind};
+
 use crate::frame::{self, FrameKind, Reassembler, MAX_FRAME_LEN};
 use crate::transport::{Transport, Wire};
 
@@ -87,7 +89,6 @@ enum RxMode {
 
 /// The socket-backed [`Transport`].
 pub struct SocketTransport {
-    rank: usize,
     epoch: u64,
     recv_sock: UnixDatagram,
     rx_mode: RxMode,
@@ -117,7 +118,6 @@ impl SocketTransport {
         let send_sock = UnixDatagram::unbound()?;
         send_sock.set_nonblocking(true)?;
         Ok(SocketTransport {
-            rank,
             epoch: 0,
             recv_sock,
             rx_mode: RxMode::NonBlocking,
@@ -153,11 +153,7 @@ impl SocketTransport {
             Ok(h) => h,
             Err(_) => {
                 self.frame_errors += 1;
-                gmg_flight::record_arq("frame:reject", None, None, None, 0);
-                if gmg_metrics::enabled() {
-                    gmg_metrics::counter("frame_decode_errors_total", self.rank, None, "frame")
-                        .inc();
-                }
+                probe::event(Kind::Arq, "frame:reject");
                 return;
             }
         };
@@ -170,15 +166,11 @@ impl SocketTransport {
             // Telemetry rides the gmg-live sidecar socket; a stray
             // telemetry frame on the data plane is dropped (counted) so it
             // can never contaminate the ARQ tag/seq spaces.
-            if gmg_metrics::enabled() {
-                gmg_metrics::counter("telemetry_misrouted_total", self.rank, None, "frame").inc();
-            }
+            probe::event(Kind::Stat, "frame:misrouted");
             return;
         }
         if h.epoch < self.epoch {
-            if gmg_metrics::enabled() {
-                gmg_metrics::counter("epoch_fenced_frames_total", self.rank, None, "frame").inc();
-            }
+            probe::event(Kind::Stat, "frame:fenced");
             return;
         }
         if h.epoch > self.epoch {

@@ -7,46 +7,31 @@
 //! files load back losslessly for offline postmortem analysis.
 //!
 //! Dumping is crash-path code: it must never panic and never wedge a
-//! dying process, so every IO error degrades to "no dump" and a global
-//! cap (`GMG_FLIGHT_MAX_DUMPS`, default 32) stops a flaky loop from
-//! filling the disk.
+//! dying process, so every IO error degrades to "no dump" and a
+//! per-process cap (`GMG_FLIGHT_MAX_DUMPS`, default 32) stops a flaky
+//! loop from filling the disk. Loading is the mirror image: a dump
+//! directory is outside input, so [`load_dump`] answers truncated,
+//! corrupted or oversized files with a typed error and never allocates
+//! more than the files' own length warrants.
 
-use std::collections::HashSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use gmg_trace::json::Json;
+use gmg_trace::ObsConfig;
 
 use crate::recorder::FlightWorld;
 use crate::ring::{EventKind, FlightEvent, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 use crate::waitstate::RankLog;
 
-/// Where dumps land: `GMG_FLIGHT_DIR`, else `GMG_RESULTS_DIR`, else
-/// `results/` relative to the working directory.
-pub fn base_dir() -> PathBuf {
-    std::env::var_os("GMG_FLIGHT_DIR")
-        .or_else(|| std::env::var_os("GMG_RESULTS_DIR"))
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
-
+/// Dumps this process has attempted so far (the cap counts attempts).
 static DUMPS: AtomicU64 = AtomicU64::new(0);
 
-fn max_dumps() -> u64 {
-    std::env::var("GMG_FLIGHT_MAX_DUMPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32)
-}
-
-/// Total dumps written by this process so far.
-pub fn dumps_written() -> u64 {
-    DUMPS.load(Ordering::Relaxed)
-}
+/// Most ranks a dump may claim, whatever its manifest says.
+pub const MAX_DUMP_RANKS: usize = 1 << 20;
 
 // JSON cannot carry u64::MAX (or anything past 2^53) through an f64, so
 // sentinels become null and other large values decimal strings.
@@ -86,21 +71,6 @@ fn encode_event(ev: &FlightEvent) -> Json {
     ])
 }
 
-/// `FlightEvent.op` is `&'static str` so the hot path never allocates;
-/// loading a dump re-creates names at runtime, so each unique name is
-/// leaked once and reused thereafter (bounded by the op vocabulary).
-fn intern(name: &str) -> &'static str {
-    static NAMES: Mutex<Option<HashSet<&'static str>>> = Mutex::new(None);
-    let mut guard = NAMES.lock().unwrap_or_else(|p| p.into_inner());
-    let set = guard.get_or_insert_with(HashSet::new);
-    if let Some(&s) = set.get(name) {
-        return s;
-    }
-    let s: &'static str = Box::leak(name.to_string().into_boxed_str());
-    set.insert(s);
-    s
-}
-
 fn decode_event(j: &Json) -> FlightEvent {
     let kind = j
         .get("kind")
@@ -112,7 +82,9 @@ fn decode_event(j: &Json) -> FlightEvent {
         ts_ns: dec_u64(j.get("ts_ns"), 0),
         dur_ns: dec_u64(j.get("dur_ns"), 0),
         kind,
-        op: intern(j.get("op").and_then(Json::as_str).unwrap_or("?")),
+        // Through the workspace's one (capped) interner: a hostile dump
+        // with endless distinct names gets "?" once the table is full.
+        op: gmg_trace::intern(j.get("op").and_then(Json::as_str).unwrap_or("?")).name(),
         level: dec_u64(j.get("level"), NO_LEVEL as u64) as u32,
         peer: dec_u64(j.get("peer"), NO_PEER as u64) as u32,
         tag: dec_u64(j.get("tag"), NO_TAG),
@@ -173,41 +145,42 @@ fn write_logs(
     Ok(())
 }
 
-/// Best-effort black-box dump under [`base_dir`]. Returns the dump
-/// directory, or `None` if disabled by the cap or any IO failed — crash
-/// paths must not die twice.
-pub fn dump_world(world: &FlightWorld, reason: &str, detail: &str) -> Option<PathBuf> {
-    if DUMPS.fetch_add(1, Ordering::Relaxed) >= max_dumps() {
+/// Claim a fresh `flightdump_<unix-ns>` directory under `base` and fill
+/// it with `write`; `None` once `max_dumps` attempts are spent or on any
+/// IO failure — crash paths must not die twice.
+fn dump_under(
+    base: &Path,
+    max_dumps: u64,
+    write: impl FnOnce(&Path) -> io::Result<()>,
+) -> Option<PathBuf> {
+    if DUMPS.fetch_add(1, Ordering::Relaxed) >= max_dumps {
         return None;
     }
     let ns = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0);
-    let base = base_dir();
     // Two failures in the same nanosecond (or a frozen clock) collide;
     // probe a handful of suffixed names rather than overwrite.
-    for k in 0..16u32 {
-        let name = if k == 0 {
-            format!("flightdump_{ns}")
-        } else {
-            format!("flightdump_{ns}_{k}")
-        };
-        let dir = base.join(name);
-        if dir.exists() {
-            continue;
-        }
-        return match dump_world_to(&dir, world, reason, detail) {
-            Ok(()) => {
-                if gmg_metrics::enabled() {
-                    gmg_metrics::counter("flight_dumps_total", 0, None, "flight").inc();
-                }
-                Some(dir)
-            }
-            Err(_) => None,
-        };
+    let dir = (0..16u32)
+        .map(|k| match k {
+            0 => base.join(format!("flightdump_{ns}")),
+            k => base.join(format!("flightdump_{ns}_{k}")),
+        })
+        .find(|dir| !dir.exists())?;
+    write(&dir).ok().map(|()| dir)
+}
+
+/// Best-effort black-box dump under the world's dump directory. Returns
+/// the dump directory, or `None` if disabled by the cap or any IO failed.
+pub fn dump_world(world: &FlightWorld, reason: &str, detail: &str) -> Option<PathBuf> {
+    let dir = dump_under(&world.dump_dir, world.max_dumps, |dir| {
+        dump_world_to(dir, world, reason, detail)
+    })?;
+    if gmg_metrics::enabled() {
+        gmg_metrics::counter("flight_dumps_total", 0, None, "flight").inc();
     }
-    None
+    Some(dir)
 }
 
 /// Dump the world installed on *this* thread (solver-side failure hook).
@@ -215,7 +188,10 @@ pub fn dump_installed(reason: &str, detail: &str) -> Option<PathBuf> {
     crate::recorder::installed().and_then(|(world, _rank)| dump_world(&world, reason, detail))
 }
 
-/// Load a dump directory written by [`dump_world_to`].
+/// Load a dump directory written by [`dump_world_to`]. Anything the
+/// writer could not have produced — a manifest claiming more ranks than
+/// the directory has rank files (or than [`MAX_DUMP_RANKS`]), a rank id
+/// out of range, malformed JSON — is `InvalidData`.
 pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
     let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
     let manifest = Json::parse(&fs::read_to_string(dir.join("manifest.json"))?)
@@ -230,19 +206,42 @@ pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
         .and_then(Json::as_str)
         .unwrap_or("")
         .to_string();
+    // The rank files actually present bound everything the manifest may
+    // claim: a dump holds one file per rank of its world.
+    let present: Vec<usize> = fs::read_dir(dir)?
+        .flatten()
+        .filter_map(|e| {
+            let name = e.file_name();
+            let k = name.to_str()?.strip_prefix("rank")?.strip_suffix(".json")?;
+            k.parse().ok()
+        })
+        .collect();
     let nranks = manifest
         .get("nranks")
         .and_then(Json::as_u64)
-        .ok_or_else(|| bad("manifest.json: missing nranks".into()))? as usize;
-    let mut logs = Vec::new();
-    let ranks: Vec<usize> = match manifest.get("ranks") {
+        .and_then(|n| usize::try_from(n).ok())
+        .filter(|&n| n <= MAX_DUMP_RANKS && n <= present.len())
+        .ok_or_else(|| {
+            bad(format!(
+                "manifest.json: nranks missing or beyond the {} rank files present",
+                present.len()
+            ))
+        })?;
+    let mut ranks: Vec<usize> = match manifest.get("ranks") {
         Some(Json::Arr(a)) => a
             .iter()
-            .filter_map(Json::as_u64)
-            .map(|r| r as usize)
-            .collect(),
-        _ => (0..nranks).collect(),
+            .map(|r| {
+                r.as_u64()
+                    .and_then(|r| usize::try_from(r).ok())
+                    .filter(|&r| r < nranks)
+                    .ok_or_else(|| bad(format!("manifest.json: bad rank id {r}")))
+            })
+            .collect::<io::Result<_>>()?,
+        _ => present.into_iter().filter(|&r| r < nranks).collect(),
     };
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut logs = Vec::with_capacity(ranks.len());
     for rank in ranks {
         let body = Json::parse(&fs::read_to_string(dir.join(format!("rank{rank}.json")))?)
             .map_err(|e| bad(format!("rank{rank}.json: {e}")))?;
@@ -258,7 +257,6 @@ pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
             events,
         });
     }
-    logs.sort_by_key(|l| l.rank);
     Ok(DumpBundle {
         reason,
         detail,
@@ -269,12 +267,18 @@ pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
 
 /// Merge several dumps — typically one per OS process, each holding a
 /// single live rank's ring alongside empty placeholders for its peers —
-/// into one world-wide dump under [`base_dir`]. For every rank the log
+/// into one world-wide dump under `cfg`'s dump directory. For every rank
+/// the log
 /// with the most recorded events across the sources wins (a rank's own
 /// ring beats the empty placeholder a *different* process dumped for
 /// it). Unreadable sources are skipped; returns `None` when nothing
 /// merged or the dump cap is spent.
-pub fn merge_dumps(sources: &[PathBuf], reason: &str, detail: &str) -> Option<PathBuf> {
+pub fn merge_dumps(
+    cfg: &ObsConfig,
+    sources: &[PathBuf],
+    reason: &str,
+    detail: &str,
+) -> Option<PathBuf> {
     let bundles: Vec<DumpBundle> = sources.iter().filter_map(|p| load_dump(p).ok()).collect();
     if bundles.is_empty() {
         return None;
@@ -295,36 +299,15 @@ pub fn merge_dumps(sources: &[PathBuf], reason: &str, detail: &str) -> Option<Pa
             events: Vec::new(),
         }));
     }
-    if DUMPS.fetch_add(1, Ordering::Relaxed) >= max_dumps() {
-        return None;
-    }
-    let ns = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let base = base_dir();
-    for k in 0..16u32 {
-        let name = if k == 0 {
-            format!("flightdump_{ns}")
-        } else {
-            format!("flightdump_{ns}_{k}")
-        };
-        let dir = base.join(name);
-        if dir.exists() {
-            continue;
-        }
-        return match write_logs(&dir, nranks, &logs, reason, detail) {
-            Ok(()) => Some(dir),
-            Err(_) => None,
-        };
-    }
-    None
+    dump_under(&cfg.dump_dir(), cfg.flight_max_dumps, |dir| {
+        write_logs(dir, nranks, &logs, reason, detail)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder;
+    use gmg_trace::probe::{self, Kind};
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("gmg_flight_dump_{tag}_{}", std::process::id()));
@@ -394,9 +377,8 @@ mod tests {
             });
             dump_world_to(dir, &world, "membership-park", "per-process").unwrap();
         }
-        std::env::set_var("GMG_FLIGHT_DIR", &base);
-        let merged = merge_dumps(&[a, b], "process-world", "rank 1 died");
-        std::env::remove_var("GMG_FLIGHT_DIR");
+        let cfg = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT_DIR").then(|| base.clone().into()));
+        let merged = merge_dumps(&cfg, &[a, b], "process-world", "rank 1 died");
         let merged = merged.expect("merged dump");
         let bundle = load_dump(&merged).unwrap();
         assert_eq!(bundle.reason, "process-world");
@@ -409,13 +391,12 @@ mod tests {
 
     #[test]
     fn dump_installed_uses_the_thread_local_world() {
-        let world = FlightWorld::with_capacity(1, 64);
-        let _g = recorder::install(&world, 0);
-        recorder::record_control("health:diverged", 0);
         let dir = scratch_dir("installed");
-        std::env::set_var("GMG_FLIGHT_DIR", &dir);
+        let cfg = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT_DIR").then(|| dir.clone().into()));
+        let world = FlightWorld::for_run(1, &cfg).expect("recorder on");
+        let _g = probe::install(Some(0), [world.sink(0)]);
+        probe::event(Kind::Control, "health:diverged");
         let out = dump_installed("health-divergence", "residual blew up");
-        std::env::remove_var("GMG_FLIGHT_DIR");
         let out = out.expect("dump under cap should succeed");
         let bundle = load_dump(&out).unwrap();
         assert_eq!(bundle.reason, "health-divergence");

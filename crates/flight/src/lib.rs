@@ -12,9 +12,10 @@
 //!
 //! * [`ring`] — the per-rank seqlock ring. Writers never block, never
 //!   allocate, and never tear; readers get validated whole events.
-//! * [`recorder`] — the process-wide switch, per-thread installation
-//!   (`install`), level scoping, and the typed `record_*` helpers the
-//!   comm runtime and solver call.
+//! * [`recorder`] — the per-run [`FlightWorld`], the ring as one of the
+//!   sinks behind `gmg_trace::probe` (the comm runtime and the solvers
+//!   record through the probe; events inherit the level of the op they
+//!   happen inside), and the process-wide switch.
 //! * [`synth`] — `Vec`-backed builders producing the same `RankLog`
 //!   schema for *simulated* worlds (the `gmg-scale` observatory), so
 //!   the analysis layer runs on modelled timelines unchanged.
@@ -23,10 +24,9 @@
 //!   (late-sender / late-receiver / ARQ-stall / starvation), and persist
 //!   or reload black-box dumps for crash postmortems.
 //!
-//! Environment knobs: `GMG_FLIGHT=0` disables recording entirely,
-//! `GMG_FLIGHT_CAPACITY` sizes the rings (default 65536 events),
-//! `GMG_FLIGHT_DIR` / `GMG_RESULTS_DIR` place dumps, and
-//! `GMG_FLIGHT_MAX_DUMPS` caps dumps per process (default 32).
+//! The `GMG_FLIGHT*` environment knobs are parsed by
+//! [`gmg_trace::ObsConfig`] and reach this crate through
+//! [`FlightWorld::for_run`] and [`merge_dumps`].
 
 pub mod dump;
 pub mod recorder;
@@ -34,15 +34,11 @@ pub mod ring;
 pub mod synth;
 pub mod waitstate;
 
-pub use dump::{dump_installed, dump_world, dump_world_to, load_dump, merge_dumps, DumpBundle};
-pub use recorder::{
-    current_level, enabled, export_metrics, install, installed, level_scope, record_arq,
-    record_compute, record_control, record_msg_arrive, record_recv_wait, record_send, set_enabled,
-    FlightGuard, FlightWorld, LevelGuard,
+pub use dump::{
+    dump_installed, dump_world, dump_world_to, load_dump, merge_dumps, DumpBundle, MAX_DUMP_RANKS,
 };
-pub use ring::{
-    default_capacity, EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG,
-};
+pub use recorder::{export_metrics, installed, record_compute, set_enabled, FlightWorld};
+pub use ring::{EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 pub use synth::{into_logs, SynthLog};
 pub use waitstate::{
     analyze, MessageEdge, RankLog, WaitAnalysis, WaitClass, WaitSample, WaitStats,

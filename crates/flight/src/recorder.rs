@@ -1,39 +1,64 @@
-//! World plumbing: per-rank rings, thread-local installation (mirroring
-//! `gmg_trace`'s scope propagation), the level context comm events are
-//! attributed to, the global enable switch, and `gmg_metrics` export.
+//! World plumbing: per-rank rings, the ring as a probe sink, the global
+//! enable switch, and `gmg_metrics` export.
 //!
-//! `RankWorld` creates a [`FlightWorld`] per run and installs
-//! `(world, rank)` into each rank thread; everything downstream — the
-//! solver's compute events, the runtime's send/recv/ARQ events — records
-//! through the free functions here, which resolve the current ring from
-//! thread-local storage. No world installed (or recording disabled) makes
-//! every record call a cheap no-op.
+//! `RankWorld` creates a [`FlightWorld`] per run and hands each rank
+//! thread's probe context that rank's [`FlightWorld::sink`]; everything
+//! downstream — the solver's compute ops, the runtime's send / receive /
+//! ARQ events — reaches the ring through `gmg_trace::probe`, attributed
+//! to the level of the op it happened inside. No ring installed makes
+//! every record a no-op.
 
-use std::cell::{Cell, RefCell};
+use std::any::Any;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use crate::ring::{
-    default_capacity, EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG,
-};
+use gmg_trace::probe::{self, Class, Kind, Record, Sink};
+use gmg_trace::ObsConfig;
+
+use crate::ring::{EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 use crate::waitstate::RankLog;
 
-/// One ring per rank, shared by the rank threads and whoever dumps them.
+/// One ring per rank, shared by the rank threads and whoever dumps them,
+/// plus where and how often this world may dump.
 pub struct FlightWorld {
     rings: Vec<Arc<FlightRing>>,
+    pub(crate) dump_dir: PathBuf,
+    pub(crate) max_dumps: u64,
 }
 
 impl FlightWorld {
-    /// A world of `nranks` rings at the default (env-tunable) capacity.
-    pub fn new(nranks: usize) -> Arc<Self> {
-        Self::with_capacity(nranks, default_capacity())
+    /// The rings of a run configured by `cfg`, or `None` when the
+    /// recorder is off (`GMG_FLIGHT=0`, or [`set_enabled`]`(false)`).
+    pub fn for_run(nranks: usize, cfg: &ObsConfig) -> Option<Arc<Self>> {
+        let on = match FORCED.load(Ordering::Relaxed) {
+            FORCED_OFF => false,
+            FORCED_ON => true,
+            _ => cfg.flight,
+        };
+        on.then(|| {
+            Self::build(
+                nranks,
+                cfg.flight_capacity,
+                cfg.dump_dir(),
+                cfg.flight_max_dumps,
+            )
+        })
     }
 
+    /// A world of `nranks` rings of `capacity` events with the default
+    /// dump placement (`results/`, 32 dumps).
     pub fn with_capacity(nranks: usize, capacity: usize) -> Arc<Self> {
+        Self::build(nranks, capacity, PathBuf::from("results"), 32)
+    }
+
+    fn build(nranks: usize, capacity: usize, dump_dir: PathBuf, max_dumps: u64) -> Arc<Self> {
         Arc::new(FlightWorld {
             rings: (0..nranks)
                 .map(|r| Arc::new(FlightRing::new(r, capacity)))
                 .collect(),
+            dump_dir,
+            max_dumps,
         })
     }
 
@@ -47,6 +72,18 @@ impl FlightWorld {
 
     pub fn rings(&self) -> &[Arc<FlightRing>] {
         &self.rings
+    }
+
+    /// `rank`'s ring as the probe sink its thread installs.
+    pub fn sink(self: &Arc<Self>, rank: usize) -> (Class, Box<dyn Sink>) {
+        let ring = self.rings[rank].clone();
+        (
+            Class::Flight,
+            Box::new(RingSink {
+                world: self.clone(),
+                ring,
+            }),
+        )
     }
 
     /// Snapshot every ring into per-rank logs (safe while writers run).
@@ -68,229 +105,99 @@ impl FlightWorld {
 // Global enable switch
 // ---------------------------------------------------------------------------
 
-/// 0 = unresolved, 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+const FORCED_OFF: u8 = 1;
+const FORCED_ON: u8 = 2;
 
-/// Whether flight recording is on. Defaults to **on** (that is the point
-/// of a flight recorder); `GMG_FLIGHT=0|off|false` disables it.
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        2 => true,
-        1 => false,
-        _ => {
-            let on = !matches!(
-                std::env::var("GMG_FLIGHT").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            );
-            ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
+/// 0 = follow the configuration, else one of the two constants above.
+static FORCED: AtomicU8 = AtomicU8::new(0);
 
-/// Force the switch; returns the previous state.
+/// Force the recorder on or off for worlds created from now on,
+/// whatever `GMG_FLIGHT` says; returns the state that was in effect.
 pub fn set_enabled(on: bool) -> bool {
-    let prev = enabled();
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-    prev
-}
-
-// ---------------------------------------------------------------------------
-// Thread-local installation
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static INSTALLED: RefCell<Option<(Arc<FlightWorld>, usize)>> = const { RefCell::new(None) };
-    static LEVEL: Cell<u32> = const { Cell::new(NO_LEVEL) };
-}
-
-/// Restores the previously installed world on drop.
-pub struct FlightGuard {
-    prev: Option<(Arc<FlightWorld>, usize)>,
-}
-
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        INSTALLED.with(|c| *c.borrow_mut() = self.prev.take());
+    let forced = if on { FORCED_ON } else { FORCED_OFF };
+    match FORCED.swap(forced, Ordering::Relaxed) {
+        FORCED_OFF => false,
+        FORCED_ON => true,
+        _ => ObsConfig::from_env().flight,
     }
 }
 
-/// Install `world`/`rank` as this thread's recording target.
-pub fn install(world: &Arc<FlightWorld>, rank: usize) -> FlightGuard {
-    FlightGuard {
-        prev: INSTALLED.with(|c| c.replace(Some((world.clone(), rank)))),
+// ---------------------------------------------------------------------------
+// The ring as a probe sink
+// ---------------------------------------------------------------------------
+
+struct RingSink {
+    world: Arc<FlightWorld>,
+    ring: Arc<FlightRing>,
+}
+
+fn narrow(v: Option<usize>, none: u32) -> u32 {
+    v.and_then(|v| u32::try_from(v).ok()).unwrap_or(none)
+}
+
+impl Sink for RingSink {
+    /// What the ring keeps of a probe record: everything with a place in
+    /// a postmortem — compute ops, the three sides of a message, ARQ and
+    /// control activity — in the slot layout the dump format fixes.
+    fn record(&self, rec: &Record) {
+        let (kind, op) = match rec.kind {
+            Kind::Compute => (EventKind::Compute, rec.key.op),
+            Kind::Send => (EventKind::Send, rec.key.op),
+            Kind::RecvWait if rec.seq.is_some() => (EventKind::RecvWait, rec.key.op),
+            // A failed wait is exactly what the postmortem needs to see.
+            Kind::RecvWait => (EventKind::RecvWait, "recv:timeout"),
+            Kind::Arrive => (EventKind::MsgArrive, rec.key.op),
+            Kind::Arq => (EventKind::Arq, rec.key.op),
+            Kind::Control => (EventKind::Control, rec.key.op),
+            Kind::Comm | Kind::Stat => return,
+        };
+        self.ring.record(FlightEvent {
+            seq: 0,
+            ts_ns: rec.ts_ns,
+            dur_ns: rec.dur_ns,
+            kind,
+            op,
+            level: narrow(rec.key.level, NO_LEVEL),
+            peer: narrow(rec.peer, NO_PEER),
+            tag: rec.tag.unwrap_or(NO_TAG),
+            msg_seq: rec.seq.unwrap_or(NO_MSG_SEQ),
+            bytes: rec.value,
+        });
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
     }
 }
 
-/// The world and rank installed in this thread, if any.
+/// The world and rank whose ring is installed on this thread, if any.
 pub fn installed() -> Option<(Arc<FlightWorld>, usize)> {
-    INSTALLED.with(|c| c.borrow().clone())
+    probe::with_sink(Class::Flight, |s| {
+        s.as_any()
+            .downcast_ref::<RingSink>()
+            .map(|r| (r.world.clone(), r.ring.rank()))
+    })
+    .flatten()
 }
 
-/// Restores the previous level on drop.
-pub struct LevelGuard {
-    prev: u32,
-}
-
-impl Drop for LevelGuard {
-    fn drop(&mut self) {
-        LEVEL.with(|c| c.set(self.prev));
-    }
-}
-
-/// Attribute subsequent comm events on this thread to `level` — the
-/// solver wraps each exchange so the runtime's waits land in the
-/// per-level wait-state table.
-pub fn level_scope(level: usize) -> LevelGuard {
-    let l = if level >= NO_LEVEL as usize {
-        NO_LEVEL
-    } else {
-        level as u32
-    };
-    LevelGuard {
-        prev: LEVEL.with(|c| c.replace(l)),
-    }
-}
-
-/// The level comm events are currently attributed to ([`NO_LEVEL`] when
-/// outside any level scope).
-pub fn current_level() -> u32 {
-    LEVEL.with(|c| c.get())
-}
-
-// ---------------------------------------------------------------------------
-// Recording helpers (the hot path)
-// ---------------------------------------------------------------------------
-
-#[inline]
-fn with_ring(f: impl FnOnce(&FlightRing, u32)) {
-    if !enabled() {
+/// Write one compute event straight into this thread's ring (no-op
+/// without one) — the ring's own entry point for a caller that measured
+/// `(ts_ns, dur_ns)` itself and wants no other sink to see it.
+pub fn record_compute(level: usize, op: &'static str, ts_ns: u64, dur_ns: u64, points: u64) {
+    if !probe::listening().has(Class::Flight) {
         return;
     }
-    INSTALLED.with(|c| {
-        if let Some((w, r)) = &*c.borrow() {
-            f(&w.rings[*r], LEVEL.with(|l| l.get()));
-        }
-    });
-}
-
-fn peer_u32(peer: usize) -> u32 {
-    if peer >= NO_PEER as usize {
-        NO_PEER
-    } else {
-        peer as u32
-    }
-}
-
-/// A solver kernel on `level` (explicit, not from the level scope).
-pub fn record_compute(level: usize, op: &'static str, ts_ns: u64, dur_ns: u64, points: u64) {
-    with_ring(|ring, _| {
-        ring.record(FlightEvent {
+    probe::with_sink(Class::Flight, |s| {
+        s.record(&Record {
+            key: probe::Key::new(0, Some(level), op),
+            kind: Kind::Compute,
             ts_ns,
             dur_ns,
-            kind: EventKind::Compute,
-            op,
-            level: if level >= NO_LEVEL as usize {
-                NO_LEVEL
-            } else {
-                level as u32
-            },
-            bytes: points,
-            ..FlightEvent::empty()
-        })
-    });
-}
-
-/// A message posted to `peer` under wire sequence `msg_seq`.
-pub fn record_send(peer: usize, tag: u64, msg_seq: u64, bytes: u64) {
-    with_ring(|ring, level| {
-        ring.record(FlightEvent {
-            ts_ns: gmg_trace::now_ns(),
-            kind: EventKind::Send,
-            op: "send",
-            level,
-            peer: peer_u32(peer),
-            tag,
-            msg_seq,
-            bytes,
-            ..FlightEvent::empty()
-        })
-    });
-}
-
-/// A message from `peer` delivered into this rank.
-pub fn record_msg_arrive(peer: usize, tag: u64, msg_seq: u64, bytes: u64) {
-    with_ring(|ring, level| {
-        ring.record(FlightEvent {
-            ts_ns: gmg_trace::now_ns(),
-            kind: EventKind::MsgArrive,
-            op: "arrive",
-            level,
-            peer: peer_u32(peer),
-            tag,
-            msg_seq,
-            bytes,
-            ..FlightEvent::empty()
-        })
-    });
-}
-
-/// A blocking receive wait on `(peer, tag)`. `msg_seq` is the delivered
-/// message, `None` when the wait failed (timeout, killed peer).
-pub fn record_recv_wait(peer: usize, tag: u64, msg_seq: Option<u64>, ts_ns: u64, dur_ns: u64) {
-    with_ring(|ring, level| {
-        ring.record(FlightEvent {
-            ts_ns,
-            dur_ns,
-            kind: EventKind::RecvWait,
-            op: if msg_seq.is_some() {
-                "recv"
-            } else {
-                "recv:timeout"
-            },
-            level,
-            peer: peer_u32(peer),
-            tag,
-            msg_seq: msg_seq.unwrap_or(NO_MSG_SEQ),
-            ..FlightEvent::empty()
-        })
-    });
-}
-
-/// ARQ activity (`"arq:retransmit"`, `"arq:drop"`, `"arq:reject"`, …)
-/// for message `msg_seq`. `dur_ns` carries the backoff where relevant.
-pub fn record_arq(
-    op: &'static str,
-    peer: Option<usize>,
-    tag: Option<u64>,
-    msg_seq: Option<u64>,
-    dur_ns: u64,
-) {
-    with_ring(|ring, level| {
-        ring.record(FlightEvent {
-            ts_ns: gmg_trace::now_ns(),
-            dur_ns,
-            kind: EventKind::Arq,
-            op,
-            level,
-            peer: peer.map(peer_u32).unwrap_or(NO_PEER),
-            tag: tag.unwrap_or(NO_TAG),
-            msg_seq: msg_seq.unwrap_or(NO_MSG_SEQ),
-            ..FlightEvent::empty()
-        })
-    });
-}
-
-/// A control-plane event: injected stall/kill, health verdict, recovery.
-pub fn record_control(op: &'static str, dur_ns: u64) {
-    with_ring(|ring, level| {
-        ring.record(FlightEvent {
-            ts_ns: gmg_trace::now_ns(),
-            dur_ns,
-            kind: EventKind::Control,
-            op,
-            level,
-            ..FlightEvent::empty()
+            peer: None,
+            tag: None,
+            seq: None,
+            value: points,
+            counters: Default::default(),
         })
     });
 }
@@ -321,32 +228,32 @@ pub fn export_metrics(world: &FlightWorld) {
 mod tests {
     use super::*;
 
-    /// `ENABLED` is process-global: tests that toggle it or assert on
-    /// recorded counts must not interleave.
+    /// `FORCED` is process-global: tests that toggle it must not
+    /// interleave.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static L: std::sync::Mutex<()> = std::sync::Mutex::new(());
         L.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
-    fn record_without_installed_world_is_a_noop() {
+    fn record_without_installed_ring_is_a_noop() {
         record_compute(0, "smooth", 0, 10, 1);
-        record_send(1, 5, 0, 8);
+        probe::event(Kind::Send, "send").msg(1, 5, 0).value(8);
         // Nothing to assert beyond "did not panic / did not leak state".
         assert!(installed().is_none());
     }
 
     #[test]
     fn install_guard_restores_previous_target() {
-        let _l = lock();
         let w1 = FlightWorld::with_capacity(2, 16);
         let w2 = FlightWorld::with_capacity(1, 16);
-        let g1 = install(&w1, 1);
+        let g1 = probe::install(Some(1), [w1.sink(1)]);
         {
-            let _g2 = install(&w2, 0);
+            let _g2 = probe::install(Some(0), [w2.sink(0)]);
             record_compute(3, "smooth", 100, 50, 7);
         }
         record_compute(2, "residual", 200, 25, 9);
+        assert_eq!(installed().map(|(_, r)| r), Some(1));
         drop(g1);
         assert!(installed().is_none());
         assert_eq!(w2.ring(0).written(), 1);
@@ -357,55 +264,62 @@ mod tests {
     }
 
     #[test]
-    fn level_scope_attributes_comm_events() {
-        let _l = lock();
+    fn comm_events_inherit_the_level_of_the_op_they_are_inside() {
         let w = FlightWorld::with_capacity(1, 16);
-        let _g = install(&w, 0);
+        let _g = probe::install(Some(0), [w.sink(0)]);
         {
-            let _l = level_scope(3);
-            record_send(0, 7, 42, 64);
-            assert_eq!(current_level(), 3);
+            let op = probe::op(3, "exchange");
+            probe::event(Kind::Send, "send").msg(0, 7, 42).value(64);
+            drop(probe::span(Kind::RecvWait, "recv").peer(0).tag(8));
+            op.finish();
         }
-        record_send(0, 8, 43, 64);
+        probe::event(Kind::Send, "send").msg(0, 8, 43).value(64);
         let snap = w.ring(0).snapshot();
-        assert_eq!(snap[0].level, 3);
-        assert_eq!(snap[1].level, NO_LEVEL);
+        let seen: Vec<_> = snap.iter().map(|e| (e.kind, e.op, e.level)).collect();
+        assert_eq!(
+            seen,
+            vec![
+                (EventKind::Send, "send", 3),
+                (EventKind::RecvWait, "recv:timeout", 3),
+                (EventKind::Compute, "exchange", 3),
+                (EventKind::Send, "send", NO_LEVEL),
+            ]
+        );
+        assert_eq!(
+            (snap[0].peer, snap[0].tag, snap[0].msg_seq, snap[0].bytes),
+            (0, 7, 42, 64)
+        );
+        assert_eq!(snap[1].msg_seq, NO_MSG_SEQ);
     }
 
     #[test]
-    fn set_enabled_round_trips() {
+    fn the_switch_decides_whether_a_run_gets_rings() {
         let _l = lock();
+        let cfg = ObsConfig::from_lookup(|_| None);
         let prev = set_enabled(false);
-        let w = FlightWorld::with_capacity(1, 16);
-        let _g = install(&w, 0);
-        record_compute(0, "smooth", 0, 1, 1);
-        assert_eq!(w.ring(0).written(), 0);
-        set_enabled(true);
-        record_compute(0, "smooth", 0, 1, 1);
-        assert_eq!(w.ring(0).written(), 1);
+        assert!(FlightWorld::for_run(2, &cfg).is_none());
+        assert!(!set_enabled(true));
+        let off = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT").then(|| "0".into()));
+        let w = FlightWorld::for_run(2, &off).expect("forced on beats GMG_FLIGHT=0");
+        assert_eq!((w.nranks(), w.ring(0).capacity()), (2, cfg.flight_capacity));
         set_enabled(prev);
     }
 
     #[test]
     fn metrics_export_publishes_gauges() {
-        let _l = lock();
-        let before = gmg_metrics::Registry::global().snapshot();
         let was = gmg_metrics::enable();
         let w = FlightWorld::with_capacity(2, 16);
         {
-            let _g = install(&w, 0);
+            let _g = probe::install(Some(0), [w.sink(0)]);
             record_compute(0, "smooth", 0, 1, 1);
         }
         export_metrics(&w);
         if !was {
             gmg_metrics::disable();
         }
-        let after = gmg_metrics::Registry::global().snapshot();
-        let delta = after.delta_since(&before);
-        let prom = gmg_metrics::prom::render_prometheus(&after);
+        let prom =
+            gmg_metrics::prom::render_prometheus(&gmg_metrics::Registry::global().snapshot());
         assert!(prom.contains("flight_events_written"), "{prom}");
         assert!(prom.contains("flight_ring_capacity"), "{prom}");
-        // Gauges are set for both ranks, written ≥ 1 on rank 0.
-        let _ = delta;
     }
 }

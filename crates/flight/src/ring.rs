@@ -14,6 +14,7 @@
 //!   mid-operation, and sees only whole, untorn events.
 
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Sentinel: the event is not attributed to a multigrid level.
@@ -73,9 +74,8 @@ impl EventKind {
 /// One flight-recorder event. Plain old data, `Copy`, fixed size: the
 /// hot path moves this into a preallocated slot and nothing else.
 ///
-/// Op names are `&'static str` literals (the same strings the tracing
-/// layer interns), so recording an op is a pointer copy — no interning,
-/// no lookup, no allocation.
+/// Op names are the probe key's `&'static str` literals, so recording an
+/// op is a pointer copy — no lookup, no allocation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlightEvent {
     /// Ring claim index: unique and monotonically increasing per ring.
@@ -124,15 +124,6 @@ impl FlightEvent {
     }
 }
 
-/// Ring capacity (events per rank) from `GMG_FLIGHT_CAPACITY`, default
-/// 65536 (~6 MiB/rank).
-pub fn default_capacity() -> usize {
-    std::env::var("GMG_FLIGHT_CAPACITY")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1 << 16)
-}
-
 /// A fixed-capacity, lock-free, single-producer-friendly (but fully
 /// multi-writer-safe) event ring for one rank.
 ///
@@ -152,7 +143,10 @@ pub struct FlightRing {
     head: AtomicU64,
     lost: AtomicU64,
     stamps: Box<[AtomicU64]>,
-    slots: Box<[UnsafeCell<FlightEvent>]>,
+    /// Left uninitialised: a slot is read only under a published stamp,
+    /// so a ring costs resident memory for the events it was given, not
+    /// for its capacity.
+    slots: Box<[MaybeUninit<UnsafeCell<FlightEvent>>]>,
 }
 
 // SAFETY: all cross-thread access to `slots` is mediated by the per-slot
@@ -165,15 +159,16 @@ impl FlightRing {
     /// power of two, minimum 16).
     pub fn new(rank: usize, capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(16);
+        let mut slots = Vec::with_capacity(cap);
+        // SAFETY: `MaybeUninit` slots need no initialisation.
+        unsafe { slots.set_len(cap) };
         FlightRing {
             rank,
             mask: cap as u64 - 1,
             head: AtomicU64::new(0),
             lost: AtomicU64::new(0),
             stamps: (0..cap).map(|_| AtomicU64::new(0)).collect(),
-            slots: (0..cap)
-                .map(|_| UnsafeCell::new(FlightEvent::empty()))
-                .collect(),
+            slots: slots.into_boxed_slice(),
         }
     }
 
@@ -227,7 +222,7 @@ impl FlightRing {
         }
         // SAFETY: the stamp CAS above made us the slot's sole owner
         // until the release store publishes it.
-        unsafe { *self.slots[s].get() = ev };
+        unsafe { UnsafeCell::raw_get(self.slots[s].as_ptr()).write(ev) };
         stamp.store(writing + 1, Ordering::Release);
     }
 
@@ -248,9 +243,12 @@ impl FlightRing {
                     std::hint::spin_loop(); // writer in flight; retry
                     continue;
                 }
-                // SAFETY: seqlock-validated copy — the event is only
-                // kept if no writer touched the slot during the read.
-                let ev = unsafe { std::ptr::read_volatile(self.slots[s].get()) };
+                // SAFETY: an even non-zero stamp means the slot was written
+                // in full at least once; the copy is seqlock-validated —
+                // the event is only kept if no writer touched the slot
+                // during the read.
+                let ev =
+                    unsafe { std::ptr::read_volatile(UnsafeCell::raw_get(self.slots[s].as_ptr())) };
                 fence(Ordering::Acquire);
                 if stamp.load(Ordering::Relaxed) == s0 {
                     out.push(ev);

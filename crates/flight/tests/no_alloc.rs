@@ -1,6 +1,7 @@
 //! The recorder hot path must never allocate: a counting global
 //! allocator wraps the system one, and after warm-up a burst of records
-//! through every public helper must leave the allocation count untouched.
+//! of every kind the ring keeps, through the probe, must leave the
+//! allocation count untouched.
 //!
 //! This file holds exactly one test so no sibling test can allocate
 //! concurrently and fog the counter.
@@ -31,19 +32,28 @@ static A: CountingAlloc = CountingAlloc;
 
 #[test]
 fn record_hot_path_does_not_allocate() {
+    use gmg_trace::probe::{self, Kind};
     let world = gmg_flight::FlightWorld::with_capacity(1, 1 << 10);
-    let _g = gmg_flight::install(&world, 0);
+    let _ctx = probe::install(Some(0), [world.sink(0)]);
     // Warm up: trace epoch, thread-locals, and one pass through every
-    // helper so lazy one-time setup is done before we start counting.
+    // kind of record the ring keeps so lazy one-time setup is done
+    // before we start counting.
     let warm = || {
-        let _lv = gmg_flight::level_scope(2);
+        let op = probe::op(2, "exchange");
+        drop(probe::span(Kind::Send, "send").msg(1, 7, 3).value(4096));
+        probe::event(Kind::Arrive, "arrive")
+            .msg(1, 7, 3)
+            .value(4096);
+        let mut wait = probe::span(Kind::RecvWait, "recv").peer(1).tag(7);
+        wait.delivered(3, 4096);
+        drop(wait);
+        drop(probe::span(Kind::RecvWait, "recv").peer(1).tag(7));
+        probe::event(Kind::Arq, "arq:retransmit")
+            .msg(1, 7, 3)
+            .dur_ns(100);
+        probe::event(Kind::Control, "fault:stall").dur_ns(50);
+        op.finish();
         gmg_flight::record_compute(1, "smooth", gmg_trace::now_ns(), 10, 512);
-        gmg_flight::record_send(1, 7, 3, 4096);
-        gmg_flight::record_msg_arrive(1, 7, 3, 4096);
-        gmg_flight::record_recv_wait(1, 7, Some(3), gmg_trace::now_ns(), 5);
-        gmg_flight::record_recv_wait(1, 7, None, gmg_trace::now_ns(), 5);
-        gmg_flight::record_arq("arq:retransmit", Some(1), Some(7), Some(3), 100);
-        gmg_flight::record_control("fault:stall", 50);
     };
     warm();
 
@@ -55,7 +65,7 @@ fn record_hot_path_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "recorder hot path allocated {} times over 35k events",
+        "recorder hot path allocated {} times over 40k events",
         after - before
     );
 

@@ -246,3 +246,117 @@ proptest! {
         prop_assert!(cut.edges.len() <= full.edges.len());
     }
 }
+
+// ---------------------------------------------------------------------
+// Hostile dump directories: a dump is outside input to the postmortem
+// tools, so whatever is on disk — truncated, bit-flipped, oversized —
+// `load_dump` answers with a typed error or a bundle no larger than the
+// files warrant. It never panics and never trusts a manifest number.
+
+use gmg_flight::{dump_world_to, load_dump, FlightWorld, MAX_DUMP_RANKS};
+use std::path::PathBuf;
+
+/// A fresh directory holding a valid two-rank dump.
+fn valid_dump(tag: &str, case: u64) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "gmg_flight_hostile_{tag}_{}_{case}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let world = FlightWorld::with_capacity(2, 64);
+    for rank in 0..2 {
+        for i in 0..20 {
+            world.ring(rank).record(stamped(i % 5, i));
+        }
+    }
+    dump_world_to(&dir, &world, "test", "hostile-input fixture").unwrap();
+    dir
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Bit flips and truncation anywhere in any file of a valid dump.
+    #[test]
+    fn damaged_dumps_load_or_fail_typed(
+        case in any::<u64>(),
+        damage in proptest::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let dir = valid_dump("damage", case);
+        let files = ["manifest.json", "rank0.json", "rank1.json"];
+        let mut total_len = 0;
+        for d in &damage {
+            let path = dir.join(files[(*d % 3) as usize]);
+            let mut bytes = std::fs::read(&path).unwrap();
+            let at = (*d >> 8) as usize % bytes.len();
+            if d & 4 == 0 {
+                bytes[at] ^= 1 << ((d >> 3) & 7);
+            } else {
+                bytes.truncate(at);
+            }
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        for f in files {
+            total_len += std::fs::read(dir.join(f)).unwrap().len();
+        }
+        match load_dump(&dir) {
+            Ok(bundle) => {
+                prop_assert!(bundle.nranks <= 2);
+                prop_assert!(bundle.logs.len() <= 2);
+                let events: usize = bundle.logs.iter().map(|l| l.events.len()).sum();
+                // An encoded event is far longer than 16 bytes.
+                prop_assert!(events * 16 <= total_len);
+            }
+            Err(e) => prop_assert!(matches!(
+                e.kind(),
+                std::io::ErrorKind::InvalidData | std::io::ErrorKind::NotFound
+            ), "untyped failure: {e}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A manifest may claim any rank count and any rank ids; only what
+    /// the directory's rank files back is believed.
+    #[test]
+    fn manifest_numbers_are_not_trusted(case in any::<u64>(), claimed in any::<u64>(), listed in any::<bool>()) {
+        let dir = valid_dump("manifest", case);
+        let claimed = 3 + claimed % (1 << 52);
+        let ranks = if listed { format!(",\"ranks\":[0,1,{}]", claimed - 1) } else { String::new() };
+        std::fs::write(
+            dir.join("manifest.json"),
+            format!("{{\"reason\":\"r\",\"detail\":\"d\",\"nranks\":{claimed}{ranks}}}"),
+        ).unwrap();
+        let err = load_dump(&dir).expect_err("more ranks claimed than rank files present");
+        prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        prop_assert!(claimed as usize > 2 && MAX_DUMP_RANKS >= 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A dump naming more distinct ops than any vocabulary holds leaks a
+/// bounded number of them: past the interner's cap every new name loads
+/// as `"?"`.
+#[test]
+fn endless_op_names_are_capped() {
+    let dir = valid_dump("names", 0);
+    let events: Vec<String> = (0..6000)
+        .map(|i| {
+            format!("{{\"seq\":{i},\"ts_ns\":{i},\"kind\":\"compute\",\"op\":\"hostile-op-{i}\"}}")
+        })
+        .collect();
+    std::fs::write(
+        dir.join("rank0.json"),
+        format!(
+            "{{\"rank\":0,\"capacity\":64,\"events\":[{}]}}",
+            events.join(",")
+        ),
+    )
+    .unwrap();
+    let bundle = load_dump(&dir).unwrap();
+    let ops: std::collections::BTreeSet<&str> =
+        bundle.logs[0].events.iter().map(|e| e.op).collect();
+    assert_eq!(bundle.logs[0].events.len(), 6000);
+    assert!(ops.contains("?"), "the cap never engaged");
+    assert!(ops.len() <= 4097, "{} names interned", ops.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}

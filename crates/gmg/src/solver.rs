@@ -8,13 +8,15 @@ use crate::problem::PoissonProblem;
 use crate::rejoin::{RejoinStore, SolverCheckpoint};
 use crate::smoother::Smoother;
 use crate::timers::OpTimer;
+use crate::trace::op_counters;
 use gmg_brick::{BrickOrdering, BrickedField};
 use gmg_comm::runtime::RankCtx;
 use gmg_comm::CommError;
 use gmg_mesh::Decomposition;
 #[cfg(test)]
 use gmg_mesh::Point3;
-use gmg_stencil::exec_fused::FusedStats;
+use gmg_trace::probe::{self, Kind};
+use gmg_trace::Counters;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -283,71 +285,6 @@ impl GmgSolver {
         }
     }
 
-    /// Record one timed op into the scalar [`OpTimer`], (when a trace
-    /// capture is active) the trace sink, the metrics histogram and the
-    /// flight ring. All consume the *same* `[t0, t1]` measurement, so
-    /// trace-derived per-op fractions agree with
-    /// `TimerReport::level_fractions` by construction. `points` is the
-    /// number of (coarse, for inter-level ops) points processed;
-    /// `counters` turns it into the span's byte/FLOP counters.
-    fn record_span(
-        &mut self,
-        level: usize,
-        op: &'static str,
-        t0: Instant,
-        t1: Instant,
-        points: u64,
-        counters: impl FnOnce() -> gmg_trace::Counters,
-    ) {
-        let secs = (t1 - t0).as_secs_f64();
-        self.timers.record(level, op, secs);
-        if gmg_trace::enabled() {
-            gmg_trace::record_span_at(
-                self.rank,
-                level,
-                op,
-                gmg_trace::Track::Compute,
-                t0,
-                secs,
-                counters(),
-            );
-        }
-        if gmg_metrics::enabled() {
-            gmg_metrics::histogram("solver_op_ns", self.rank, Some(level), op)
-                .record((secs * 1e9) as u64);
-        }
-        gmg_flight::record_compute(
-            level,
-            op,
-            gmg_trace::instant_ns(t0),
-            (secs * 1e9) as u64,
-            points,
-        );
-    }
-
-    /// [`GmgSolver::record_span`] for the ops whose exact counters follow
-    /// from the point count via [`crate::trace`].
-    fn record_op(&mut self, level: usize, op: &'static str, t0: Instant, t1: Instant, points: u64) {
-        self.record_span(level, op, t0, t1, points, || {
-            crate::trace::op_counters(op, points)
-        });
-    }
-
-    /// Record one fused multi-smooth group: a `fusedSmooth` row whose span
-    /// carries the kernel's own counters — the generic per-op tables price
-    /// one iteration, a group covers `s` shrinking regions.
-    fn record_fused_op(&mut self, level: usize, t0: Instant, t1: Instant, stats: &FusedStats) {
-        self.record_span(level, "fusedSmooth", t0, t1, stats.points_updated, || {
-            gmg_trace::Counters {
-                bytes_read: stats.doubles_read * 8,
-                bytes_written: stats.doubles_written * 8,
-                flops: stats.flops,
-                stencil_points: stats.points_updated,
-                ..Default::default()
-            }
-        });
-    }
-
     /// One smoothing pass at level `li`: `n` iterations of
     /// `exchange → applyOp → smooth`, with the exchange elided while the
     /// communication-avoiding ghost margin lasts — demand-driven: an
@@ -376,17 +313,9 @@ impl GmgSolver {
         while done < n {
             if !ca || self.levels[li].margin < need {
                 let tag = self.next_tag();
-                let level = &mut self.levels[li];
-                // Attribute the exchange's comm events to this level in
-                // the flight recorder.
-                let _lv = gmg_flight::level_scope(li);
-                // Phase scopes bracket the op itself (unlike record_op,
-                // which books time after the fact) so the sampler can
-                // catch the rank thread inside it.
-                let _ph = gmg_prof::phase("exchange");
-                let t0 = Instant::now();
-                try_exchange_x(ctx, level, tag)?;
-                self.record_op(li, "exchange", t0, Instant::now(), 0);
+                let op = probe::op(li, "exchange").points(0, op_counters);
+                try_exchange_x(ctx, &mut self.levels[li], tag)?;
+                self.timers.close(op);
             }
             let level = &mut self.levels[li];
             // The margin worth working in: the dependency cone of the owned
@@ -403,35 +332,36 @@ impl GmgSolver {
             let store_r = feeds_restriction && done + its == n;
             let points = region.volume() as u64;
             if let Some(gamma) = one_pass_gamma {
-                let _ph = gmg_prof::phase("fusedSmooth");
-                let t0 = Instant::now();
+                let mut op = probe::op(li, "fusedSmooth");
                 let stats = level.fused_multi_smooth(region, its, gamma, store_r);
-                self.record_fused_op(li, t0, Instant::now(), &stats);
+                // The kernel's own counters: the generic per-op tables
+                // price one iteration, a group covers `its` shrinking
+                // regions.
+                op.counters(Counters {
+                    bytes_read: stats.doubles_read * 8,
+                    bytes_written: stats.doubles_written * 8,
+                    flops: stats.flops,
+                    stencil_points: stats.points_updated,
+                    ..Default::default()
+                });
+                self.timers.close(op);
             } else if let Smoother::Jacobi = smoother {
                 // The paper's path, with the paper's split timer rows.
+                let op = probe::op(li, "applyOp").points(points, op_counters);
+                level.apply_op(region);
+                self.timers.close(op);
                 let smooth_op = if store_r { "smooth+residual" } else { "smooth" };
-                let t0 = Instant::now();
-                {
-                    let _ph = gmg_prof::phase("applyOp");
-                    level.apply_op(region);
+                let op = probe::op(li, smooth_op).points(points, op_counters);
+                if store_r {
+                    level.smooth_residual(region);
+                } else {
+                    level.smooth(region);
                 }
-                let t1 = Instant::now();
-                {
-                    let _ph = gmg_prof::phase(smooth_op);
-                    if store_r {
-                        level.smooth_residual(region);
-                    } else {
-                        level.smooth(region);
-                    }
-                }
-                let t2 = Instant::now();
-                self.record_op(li, "applyOp", t0, t1, points);
-                self.record_op(li, smooth_op, t1, t2, points);
+                self.timers.close(op);
             } else {
-                let _ph = gmg_prof::phase(smoother.name());
-                let t0 = Instant::now();
+                let op = probe::op(li, smoother.name()).points(points, op_counters);
                 smoother.apply(level, region, store_r);
-                self.record_op(li, smoother.name(), t0, Instant::now(), points);
+                self.timers.close(op);
             }
             self.levels[li].margin = m - need * its as i64;
             done += its;
@@ -445,10 +375,9 @@ impl GmgSolver {
     fn residual_check(&mut self, ctx: &mut RankCtx) -> Result<(f64, LocalNorms), CommError> {
         let tag = self.next_tag();
         let points = self.levels[0].owned.volume() as u64;
-        let _ph = gmg_prof::phase("residualNorm");
-        let t0 = Instant::now();
+        let op = probe::op(0, "residualNorm").points(points, op_counters);
         let out = try_max_norm_residual(ctx, &mut self.levels[0], tag)?;
-        self.record_op(0, "residualNorm", t0, Instant::now(), points);
+        self.timers.close(op);
         Ok(out)
     }
 
@@ -491,28 +420,19 @@ impl GmgSolver {
         let (fine_part, coarse_part) = self.levels.split_at_mut(l + 1);
         // Inter-level ops count per *coarse* point (Table IV convention).
         let coarse_points = coarse_part[0].owned.volume() as u64;
-        let t0 = Instant::now();
-        {
-            let _ph = gmg_prof::phase("restriction");
-            restriction(&fine_part[l], &mut coarse_part[0]);
-        }
-        let t1 = Instant::now();
-        {
-            let _ph = gmg_prof::phase("initZero");
-            coarse_part[0].init_zero();
-        }
-        let t2 = Instant::now();
-        self.record_op(l, "restriction", t0, t1, coarse_points);
-        self.record_op(l + 1, "initZero", t1, t2, coarse_points);
+        let op = probe::op(l, "restriction").points(coarse_points, op_counters);
+        restriction(&fine_part[l], &mut coarse_part[0]);
+        self.timers.close(op);
+        let op = probe::op(l + 1, "initZero").points(coarse_points, op_counters);
+        coarse_part[0].init_zero();
+        self.timers.close(op);
         if self.config.communication_avoiding {
             // Restriction fills b on owned cells only; CA smoothing reads
             // b in the ghost shell.
             let tag = self.next_tag();
-            let _lv = gmg_flight::level_scope(l + 1);
-            let _ph = gmg_prof::phase("exchange");
-            let t0 = Instant::now();
+            let op = probe::op(l + 1, "exchange").points(0, op_counters);
             try_exchange_b(ctx, &mut self.levels[l + 1], tag)?;
-            self.record_op(l + 1, "exchange", t0, Instant::now(), 0);
+            self.timers.close(op);
         }
         // Recurse γ times: the coarse correction continues from its
         // previous iterate on repeat visits (classical μ-cycle).
@@ -522,32 +442,16 @@ impl GmgSolver {
         self.phase_event("prolong", l);
         let (fine_part, coarse_part) = self.levels.split_at_mut(l + 1);
         let coarse_points = coarse_part[0].owned.volume() as u64;
-        let t0 = Instant::now();
-        {
-            let _ph = gmg_prof::phase("interpolation+increment");
-            interpolation_increment(&coarse_part[0], &mut fine_part[l]);
-        }
-        self.record_op(
-            l,
-            "interpolation+increment",
-            t0,
-            Instant::now(),
-            coarse_points,
-        );
+        let op = probe::op(l, "interpolation+increment").points(coarse_points, op_counters);
+        interpolation_increment(&coarse_part[0], &mut fine_part[l]);
+        self.timers.close(op);
         // Post-smooth: nothing reads its residual.
         self.smooth_pass(ctx, l, smooths, false)
     }
 
-    /// Emit a health/recovery instant event onto the trace's fault track
-    /// (and bump the matching metrics counter when metrics are on).
+    /// Mark a health verdict or recovery action on the control plane.
     fn health_event(&self, op: &'static str) {
-        if gmg_trace::enabled() {
-            gmg_trace::record_instant(self.rank, 0, op, gmg_trace::Track::Fault, None, None);
-        }
-        if gmg_metrics::enabled() {
-            gmg_metrics::counter("solver_events_total", self.rank, None, op).inc();
-        }
-        gmg_flight::record_control(op, 0);
+        probe::event(Kind::Control, op);
     }
 
     /// React to an unhealthy verdict per the configured [`RecoveryPolicy`].

@@ -9,7 +9,6 @@ use gmg_comm::runtime::RankCtx;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Instant;
 
 /// Accumulates `(level, op) → (total seconds, invocations)` on one rank.
 #[derive(Clone, Debug, Default)]
@@ -30,12 +29,15 @@ impl OpTimer {
         e.1 += 1;
     }
 
-    /// Time the closure and record it.
-    pub fn time<R>(&mut self, level: usize, op: &'static str, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.record(level, op, t0.elapsed().as_secs_f64());
-        r
+    /// Close `guard` and book its seconds under the `(level, op)` it was
+    /// opened with — the one measurement every observability sink was
+    /// just fed, so trace-derived per-op fractions agree with
+    /// [`TimerReport::level_fractions`] by construction.
+    pub fn close(&mut self, guard: gmg_trace::probe::Guard) -> f64 {
+        let (level, op) = guard.key();
+        let secs = guard.finish();
+        self.record(level.expect("op guards carry a level"), op, secs);
+        secs
     }
 
     /// Total seconds recorded for `(level, op)`.
@@ -171,20 +173,6 @@ mod tests {
         assert_eq!(t.level_total(0), 1.75);
         assert_eq!(t.level_total(1), 2.0);
         assert_eq!(t.keys().len(), 3);
-    }
-
-    #[test]
-    fn time_closure_runs_once() {
-        let mut t = OpTimer::new();
-        let mut calls = 0;
-        let out = t.time(0, "op", || {
-            calls += 1;
-            42
-        });
-        assert_eq!(out, 42);
-        assert_eq!(calls, 1);
-        assert_eq!(t.count(0, "op"), 1);
-        assert!(t.total(0, "op") >= 0.0);
     }
 
     #[test]

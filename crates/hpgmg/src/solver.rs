@@ -3,8 +3,10 @@
 
 use gmg_comm::runtime::{exchange_array, RankCtx};
 use gmg_core::timers::OpTimer;
+use gmg_core::trace::op_counters;
 use gmg_mesh::{Array3, Box3, Decomposition, Point3};
 use gmg_stencil::exec_array::apply_star7_array;
+use gmg_trace::probe;
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::time::Instant;
@@ -138,7 +140,6 @@ pub struct HpgmgSolver {
     /// solver's, so brick-vs-baseline comparisons report per-op
     /// breakdowns, not just wall time.
     pub timers: OpTimer,
-    rank: usize,
     tag_counter: u64,
     exchange_seconds: f64,
 }
@@ -182,7 +183,6 @@ impl HpgmgSolver {
             tolerance,
             max_vcycles,
             timers: OpTimer::new(),
-            rank,
             tag_counter: 0,
             exchange_seconds: 0.0,
         }
@@ -193,34 +193,13 @@ impl HpgmgSolver {
         self.tag_counter
     }
 
-    /// Record a timed op into the scalar timer and (when a capture is
-    /// active) the trace sink, from one shared measurement — the same
-    /// dual-recording scheme as the bricked solver.
-    fn record_op(&mut self, level: usize, op: &'static str, t0: Instant, t1: Instant, points: u64) {
-        let secs = (t1 - t0).as_secs_f64();
-        self.timers.record(level, op, secs);
-        if gmg_trace::enabled() {
-            gmg_trace::record_span_at(
-                self.rank,
-                level,
-                op,
-                gmg_trace::Track::Compute,
-                t0,
-                secs,
-                gmg_core::trace::op_counters(op, points),
-            );
-        }
-    }
-
     fn exchange_x(&mut self, ctx: &mut RankCtx, li: usize) {
         let tag = self.next_tag();
-        let t0 = Instant::now();
+        let op = probe::op(li, "exchange").points(0, op_counters);
         let level = &mut self.levels[li];
         let d = level.decomp.clone();
         exchange_array(ctx, &d, &mut level.x, 1, tag);
-        let t1 = Instant::now();
-        self.exchange_seconds += (t1 - t0).as_secs_f64();
-        self.record_op(li, "exchange", t0, t1, 0);
+        self.exchange_seconds += self.timers.close(op);
     }
 
     fn smooth_pass(&mut self, ctx: &mut RankCtx, li: usize, n: usize, fused: bool) {
@@ -228,23 +207,17 @@ impl HpgmgSolver {
             self.exchange_x(ctx, li); // every iteration: no CA in HPGMG mode
             let level = &mut self.levels[li];
             let points = level.owned.volume() as u64;
-            let t0 = Instant::now();
+            let op = probe::op(li, "applyOp").points(points, op_counters);
             level.apply_op();
-            let t1 = Instant::now();
+            self.timers.close(op);
+            let smooth_op = if fused { "smooth+residual" } else { "smooth" };
+            let op = probe::op(li, smooth_op).points(points, op_counters);
             if fused {
                 level.smooth_residual();
             } else {
                 level.smooth();
             }
-            let t2 = Instant::now();
-            self.record_op(li, "applyOp", t0, t1, points);
-            self.record_op(
-                li,
-                if fused { "smooth+residual" } else { "smooth" },
-                t1,
-                t2,
-                points,
-            );
+            self.timers.close(op);
         }
     }
 
@@ -254,27 +227,20 @@ impl HpgmgSolver {
             self.smooth_pass(ctx, l, self.max_smooths, true);
             let (fine, coarse) = self.levels.split_at_mut(l + 1);
             let coarse_points = coarse[0].owned.volume() as u64;
-            let t0 = Instant::now();
+            let op = probe::op(l, "restriction").points(coarse_points, op_counters);
             restrict_array(&fine[l], &mut coarse[0]);
-            let t1 = Instant::now();
+            self.timers.close(op);
+            let op = probe::op(l + 1, "initZero").points(coarse_points, op_counters);
             coarse[0].x.fill(0.0);
-            let t2 = Instant::now();
-            self.record_op(l, "restriction", t0, t1, coarse_points);
-            self.record_op(l + 1, "initZero", t1, t2, coarse_points);
+            self.timers.close(op);
         }
         self.smooth_pass(ctx, top, self.bottom_smooths, false);
         for l in (0..top).rev() {
             let (fine, coarse) = self.levels.split_at_mut(l + 1);
             let coarse_points = coarse[0].owned.volume() as u64;
-            let t0 = Instant::now();
+            let op = probe::op(l, "interpolation+increment").points(coarse_points, op_counters);
             interpolate_increment_array(&coarse[0], &mut fine[l]);
-            self.record_op(
-                l,
-                "interpolation+increment",
-                t0,
-                Instant::now(),
-                coarse_points,
-            );
+            self.timers.close(op);
             self.smooth_pass(ctx, l, self.max_smooths, true);
         }
     }

@@ -23,6 +23,7 @@
 //! exposition.
 
 use gmg_metrics::analysis::mad_outliers;
+use gmg_trace::probe::{self, Kind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
@@ -45,7 +46,7 @@ impl AlertKind {
         }
     }
 
-    /// Static flight-recorder op label (the recorder interns `&'static str`).
+    /// The alert as a control-plane probe event.
     fn flight_op(self) -> &'static str {
         match self {
             AlertKind::Divergence => "live:alert:divergence",
@@ -95,28 +96,11 @@ impl Default for AlertConfig {
     fn default() -> Self {
         AlertConfig {
             divergence_factor: 1e4,
-            silent_after: Duration::from_millis(silent_ms_from(
-                std::env::var("GMG_LIVE_SILENT_MS").ok().as_deref(),
-            )),
+            silent_after: gmg_trace::ObsConfig::from_env().live_silent,
             straggler_min_cycles: 3,
             straggler_abs_floor_s: 2e-3,
             arq_storm_retransmits: 200,
         }
-    }
-}
-
-/// Default silent-rank beacon-gap threshold, milliseconds.
-pub const DEFAULT_SILENT_MS: u64 = 750;
-
-/// Silent threshold from a `GMG_LIVE_SILENT_MS` value: a positive
-/// integer in milliseconds, anything else (unset, empty, garbage, 0)
-/// falls back to [`DEFAULT_SILENT_MS`]. Slow CI machines and simulated
-/// time bases raise it to avoid false silent-rank positives; soak rigs
-/// lower it to tighten detection.
-pub fn silent_ms_from(var: Option<&str>) -> u64 {
-    match var.and_then(|s| s.trim().parse::<u64>().ok()) {
-        Some(ms) if ms > 0 => ms,
-        _ => DEFAULT_SILENT_MS,
     }
 }
 
@@ -178,7 +162,7 @@ impl AlertEngine {
         if gmg_metrics::enabled() {
             gmg_metrics::counter("gmg_live_alerts_total", rank, level, kind.name()).inc();
         }
-        gmg_flight::record_control(kind.flight_op(), 0);
+        probe::event(Kind::Control, kind.flight_op());
         self.fired.push(Alert {
             kind,
             rank,
@@ -319,22 +303,6 @@ mod tests {
             done: false,
             arq_retransmits: 0,
         }
-    }
-
-    /// Pure-parse coverage of the `GMG_LIVE_SILENT_MS` override (the
-    /// env var itself is not set here — parallel tests share the
-    /// process environment, so the seam under test is the parser).
-    #[test]
-    fn silent_threshold_env_override_parses_and_falls_back() {
-        assert_eq!(silent_ms_from(None), DEFAULT_SILENT_MS);
-        assert_eq!(silent_ms_from(Some("")), DEFAULT_SILENT_MS);
-        assert_eq!(silent_ms_from(Some("banana")), DEFAULT_SILENT_MS);
-        assert_eq!(silent_ms_from(Some("0")), DEFAULT_SILENT_MS);
-        assert_eq!(silent_ms_from(Some("-5")), DEFAULT_SILENT_MS);
-        assert_eq!(silent_ms_from(Some("3000")), 3000);
-        assert_eq!(silent_ms_from(Some(" 1500 ")), 1500);
-        // The default config routes through the same parser.
-        assert!(AlertConfig::default().silent_after >= Duration::from_millis(1));
     }
 
     #[test]

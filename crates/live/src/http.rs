@@ -24,9 +24,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Environment variable naming the bind address (`host:port`).
-pub const PROM_ADDR_ENV: &str = "GMG_PROM_ADDR";
-
 /// A running Prometheus/status endpoint. Dropping it stops the listener.
 pub struct PromServer {
     addr: SocketAddr,
@@ -39,8 +36,7 @@ impl PromServer {
     /// serving `collector`. Also drives `Collector::tick` on a 10 ms
     /// cadence so time-based alerts fire without traffic.
     pub fn start(collector: CollectorHandle) -> std::io::Result<PromServer> {
-        let addr = std::env::var(PROM_ADDR_ENV).unwrap_or_else(|_| "127.0.0.1:0".to_string());
-        let listener = TcpListener::bind(&addr)?;
+        let listener = TcpListener::bind(gmg_trace::ObsConfig::from_env().prom_addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -146,8 +142,10 @@ fn handle(mut stream: TcpStream, collector: &CollectorHandle) {
 pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    write!(stream, "GET {path} HTTP/1.0\r\nHost: gmg\r\n\r\n")?;
-    stream.flush()?;
+    // One write: `write!` would send the request in pieces, and a server
+    // that answers the first piece and closes with the rest unread resets
+    // the connection.
+    stream.write_all(format!("GET {path} HTTP/1.0\r\nHost: gmg\r\n\r\n").as_bytes())?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
     match response.split_once("\r\n\r\n") {

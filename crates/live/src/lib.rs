@@ -30,9 +30,7 @@ pub mod http;
 pub mod ship;
 pub mod wire;
 
-pub use alert::{
-    silent_ms_from, Alert, AlertConfig, AlertEngine, AlertKind, RankObservation, DEFAULT_SILENT_MS,
-};
+pub use alert::{Alert, AlertConfig, AlertEngine, AlertKind, RankObservation};
 pub use collect::{Collector, CollectorHandle};
-pub use http::{http_get, PromServer, PROM_ADDR_ENV};
-pub use ship::{live_enabled, Beacon, Shipper};
+pub use http::{http_get, PromServer};
+pub use ship::{Beacon, Shipper};

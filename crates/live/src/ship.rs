@@ -27,19 +27,6 @@ use std::os::unix::net::UnixDatagram;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-/// Is the live telemetry plane enabled? `GMG_LIVE=0` is the kill
-/// switch; anything else (including unset) leaves it on for components
-/// that were explicitly wired up.
-pub fn live_enabled() -> bool {
-    live_enabled_given(std::env::var("GMG_LIVE").ok().as_deref())
-}
-
-/// [`live_enabled`] over an explicit setting — the kill-switch decision
-/// itself, testable without mutating the process environment.
-pub fn live_enabled_given(setting: Option<&str>) -> bool {
-    setting != Some("0")
-}
-
 /// One solve-progress observation, in shipper vocabulary. (Mirrors
 /// `gmg_core::SolveProgress`; redeclared here so gmg-live stays below
 /// the solver in the dependency order.)
@@ -125,7 +112,7 @@ impl Shipper {
     /// telemetry is disabled or this process is not a spawned rank.
     #[cfg(unix)]
     pub fn from_proc_env() -> Option<Shipper> {
-        if !live_enabled() {
+        if !gmg_trace::ObsConfig::from_env().live {
             return None;
         }
         let dir = std::env::var("GMG_PROC_DIR").ok()?;
@@ -149,7 +136,7 @@ impl Shipper {
     /// into `collector`. Deltas come from the (shared) global registry,
     /// so only the rank-0 shipper sends them.
     pub fn local(rank: usize, collector: CollectorHandle) -> Option<Shipper> {
-        if !live_enabled() {
+        if !gmg_trace::ObsConfig::from_env().live {
             return None;
         }
         Some(Shipper {
@@ -282,14 +269,6 @@ fn chunk_snapshot(snap: &Snapshot) -> Vec<Snapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kill_switch_semantics() {
-        assert!(!live_enabled_given(Some("0")));
-        assert!(live_enabled_given(Some("1")));
-        assert!(live_enabled_given(Some("")));
-        assert!(live_enabled_given(None));
-    }
 
     #[test]
     fn beacon_json_round_trips_including_non_finite_residuals() {

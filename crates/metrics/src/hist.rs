@@ -38,7 +38,9 @@ pub fn bucket_high(i: usize) -> u64 {
     if i < 2 * SUB - 1 {
         return i as u64;
     }
-    bucket_low(i + 1) - 1
+    // The top bucket's successor starts past `u64::MAX`: its low wraps to
+    // 0, and 0 − 1 wraps back to the right answer.
+    bucket_low(i + 1).wrapping_sub(1)
 }
 
 /// A mergeable log-bucketed histogram with exact count/sum/min/max.
@@ -68,6 +70,15 @@ impl Histogram {
             min: u64::MAX,
             max: 0,
         }
+    }
+
+    /// An empty histogram whose bucket storage is allocated up front for
+    /// the whole `u64` range (under 4 KiB), so [`Histogram::record`] never
+    /// allocates — what the registry hands to instrumented hot paths.
+    pub fn preallocated() -> Histogram {
+        let mut h = Histogram::new();
+        h.buckets.reserve_exact(bucket_index(u64::MAX) + 1);
+        h
     }
 
     /// Record one sample.

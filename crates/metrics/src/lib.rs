@@ -5,9 +5,10 @@
 //!
 //! **Registry** ([`Registry`], [`hist::Histogram`]): a thread-safe
 //! hierarchical store of monotonic counters, gauges, and mergeable
-//! log-bucketed histograms, keyed `{rank, level, op}`. Recording is
-//! gated by a global flag ([`enable`] / [`enabled`]) so instrumented
-//! hot paths cost one relaxed atomic load when metrics are off.
+//! log-bucketed histograms, keyed by the probe's `{rank, level, op}`
+//! [`Key`]. It is one of the sinks behind `gmg_trace::probe` ([`sink`]
+//! names every series the instrumented code feeds); [`enable`] /
+//! [`enabled`] switch it.
 //! Snapshots serialize to JSON ([`Snapshot::to_json`]) and to the
 //! Prometheus text format ([`prom::render_prometheus`]); both codecs
 //! round-trip exactly, and snapshot *deltas* ([`Snapshot::delta_since`])
@@ -28,6 +29,7 @@ pub mod analysis;
 pub mod hist;
 pub mod prom;
 pub mod registry;
+pub mod sink;
 pub mod snapshot;
 
 pub use analysis::{imbalance_from_seconds, Analysis, MachineEnvelope, MessageEdge};
@@ -37,17 +39,22 @@ pub use snapshot::{Snapshot, SnapshotEntry, Value};
 
 /// Shorthand for a handle on the global registry's counter `name`,
 /// keyed `{rank, level, op}`.
-pub fn counter(name: &str, rank: usize, level: Option<usize>, op: &str) -> Counter {
+pub fn counter(name: &'static str, rank: usize, level: Option<usize>, op: &'static str) -> Counter {
     Registry::global().counter(name, Key::new(rank, level, op))
 }
 
 /// Shorthand for a handle on the global registry's gauge `name`.
-pub fn gauge(name: &str, rank: usize, level: Option<usize>, op: &str) -> Gauge {
+pub fn gauge(name: &'static str, rank: usize, level: Option<usize>, op: &'static str) -> Gauge {
     Registry::global().gauge(name, Key::new(rank, level, op))
 }
 
 /// Shorthand for a handle on the global registry's histogram `name`.
-pub fn histogram(name: &str, rank: usize, level: Option<usize>, op: &str) -> HistogramHandle {
+pub fn histogram(
+    name: &'static str,
+    rank: usize,
+    level: Option<usize>,
+    op: &'static str,
+) -> HistogramHandle {
     Registry::global().histogram(name, Key::new(rank, level, op))
 }
 

@@ -59,7 +59,7 @@ fn labels(key: &Key, extra: Option<(&str, &str)>) -> String {
         "rank=\"{}\",level=\"{}\",op=\"{}\"",
         key.rank,
         level,
-        escape_label(&key.op)
+        escape_label(key.op)
     );
     if let Some((k, v)) = extra {
         let _ = write!(s, ",{k}=\"{v}\"");
@@ -163,12 +163,12 @@ impl SelfMetrics {
         vec![
             SnapshotEntry {
                 name: "gmg_live_frames_lost_total".to_string(),
-                key: key.clone(),
+                key,
                 value: Value::Counter(self.frames_lost_total),
             },
             SnapshotEntry {
                 name: "gmg_live_scrape_duration_ns".to_string(),
-                key: key.clone(),
+                key,
                 value: Value::Gauge(self.scrape_duration_ns as f64),
             },
             SnapshotEntry {
@@ -248,7 +248,7 @@ fn key_from_labels(labels: &[(String, String)]) -> Result<Key, String> {
         "none" => None,
         l => Some(l.parse().map_err(|_| "bad level label")?),
     };
-    let op = find("op").ok_or("missing op label")?.to_string();
+    let op = gmg_trace::intern(find("op").ok_or("missing op label")?).name();
     Ok(Key { rank, level, op })
 }
 

@@ -1,21 +1,24 @@
 //! The thread-safe hierarchical metrics registry.
 //!
-//! Every series is a `(metric name, Key)` pair, where [`Key`] carries the
-//! `{rank, level, op}` attribution the rest of the stack already uses for
-//! traces. Handles ([`Counter`], [`Gauge`], [`HistogramHandle`]) are
-//! cheap `Arc` clones — look one up once, then record lock-free (counters
-//! and gauges) or under a per-series mutex (histograms).
+//! Every series is a `(metric name, Key)` pair, where [`Key`] is the
+//! probe's `{rank, level, op}` attribution (level `None` for level-less
+//! series like the comm protocol). Handles ([`Counter`], [`Gauge`],
+//! [`HistogramHandle`]) are cheap `Arc` clones — look one up once, then
+//! record lock-free (counters and gauges) or under a per-series mutex
+//! (histograms); the probe sink ([`crate::sink`]) keeps the handles of
+//! the series a thread feeds in that thread's context.
 //!
-//! Recording is globally gated by [`enabled`] so instrumented hot paths
-//! (the solver's per-op recording, the comm runtime's ARQ protocol) pay a
-//! single relaxed atomic load when metrics are off — the same contract
-//! `gmg_trace::enabled` gives the span sink.
+//! Recording is globally gated by [`enabled`]: the registry is one of the
+//! probe's listener classes, so instrumented code reads no flag of ours.
 
 use crate::hist::Histogram;
 use crate::snapshot::{Snapshot, SnapshotEntry, Value};
+use gmg_trace::probe::{self, Class};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+pub use gmg_trace::probe::Key;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -27,31 +30,21 @@ pub fn enabled() -> bool {
 
 /// Turn global metrics recording on (returns the previous state).
 pub fn enable() -> bool {
-    ENABLED.swap(true, Ordering::Relaxed)
+    let was = ENABLED.swap(true, Ordering::Relaxed);
+    if !was {
+        probe::register(Class::Metrics, crate::sink::per_thread);
+        probe::listen(Class::Metrics);
+    }
+    was
 }
 
 /// Turn global metrics recording off (returns the previous state).
 pub fn disable() -> bool {
-    ENABLED.swap(false, Ordering::Relaxed)
-}
-
-/// Series attribution: which rank, which multigrid level (None for
-/// level-less series like the comm protocol), which op.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Key {
-    pub rank: usize,
-    pub level: Option<usize>,
-    pub op: String,
-}
-
-impl Key {
-    pub fn new(rank: usize, level: Option<usize>, op: &str) -> Key {
-        Key {
-            rank,
-            level,
-            op: op.to_string(),
-        }
+    let was = ENABLED.swap(false, Ordering::Relaxed);
+    if was {
+        probe::unlisten(Class::Metrics);
     }
+    was
 }
 
 /// Monotonic counter handle.
@@ -110,7 +103,7 @@ enum Slot {
 /// A metrics registry: a sorted map from `(name, key)` to series.
 #[derive(Default)]
 pub struct Registry {
-    slots: Mutex<BTreeMap<(String, Key), Slot>>,
+    slots: Mutex<BTreeMap<(&'static str, Key), Slot>>,
 }
 
 impl Registry {
@@ -126,10 +119,10 @@ impl Registry {
 
     /// Counter handle for `(name, key)`, created on first use.
     /// Panics if the series already exists with a different type.
-    pub fn counter(&self, name: &str, key: Key) -> Counter {
+    pub fn counter(&self, name: &'static str, key: Key) -> Counter {
         let mut slots = self.slots.lock().unwrap();
         let slot = slots
-            .entry((name.to_string(), key))
+            .entry((name, key))
             .or_insert_with(|| Slot::Counter(Arc::new(AtomicU64::new(0))));
         match slot {
             Slot::Counter(c) => Counter(c.clone()),
@@ -138,10 +131,10 @@ impl Registry {
     }
 
     /// Gauge handle for `(name, key)`, created on first use.
-    pub fn gauge(&self, name: &str, key: Key) -> Gauge {
+    pub fn gauge(&self, name: &'static str, key: Key) -> Gauge {
         let mut slots = self.slots.lock().unwrap();
         let slot = slots
-            .entry((name.to_string(), key))
+            .entry((name, key))
             .or_insert_with(|| Slot::Gauge(Arc::new(AtomicU64::new(0f64.to_bits()))));
         match slot {
             Slot::Gauge(g) => Gauge(g.clone()),
@@ -150,11 +143,11 @@ impl Registry {
     }
 
     /// Histogram handle for `(name, key)`, created on first use.
-    pub fn histogram(&self, name: &str, key: Key) -> HistogramHandle {
+    pub fn histogram(&self, name: &'static str, key: Key) -> HistogramHandle {
         let mut slots = self.slots.lock().unwrap();
         let slot = slots
-            .entry((name.to_string(), key))
-            .or_insert_with(|| Slot::Histogram(Arc::new(Mutex::new(Histogram::new()))));
+            .entry((name, key))
+            .or_insert_with(|| Slot::Histogram(Arc::new(Mutex::new(Histogram::preallocated()))));
         match slot {
             Slot::Histogram(h) => HistogramHandle(h.clone()),
             _ => panic!("metric {name:?} already registered with a different type"),
@@ -168,8 +161,8 @@ impl Registry {
         let entries = slots
             .iter()
             .map(|((name, key), slot)| SnapshotEntry {
-                name: name.clone(),
-                key: key.clone(),
+                name: name.to_string(),
+                key: *key,
                 value: match slot {
                     Slot::Counter(c) => Value::Counter(c.load(Ordering::Relaxed)),
                     Slot::Gauge(g) => Value::Gauge(f64::from_bits(g.load(Ordering::Relaxed))),
@@ -189,25 +182,28 @@ mod tests {
     fn enable_disable_roundtrip() {
         let was = enable();
         assert!(enabled());
-        ENABLED.store(was, Ordering::Relaxed);
+        assert!(probe::listening().has(Class::Metrics));
+        if !was {
+            disable();
+        }
     }
 
     #[test]
     fn counters_gauges_histograms_accumulate() {
         let r = Registry::new();
         let k = Key::new(0, Some(1), "smooth");
-        let c = r.counter("ops_total", k.clone());
+        let c = r.counter("ops_total", k);
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
         // Handle re-lookup sees the same series.
-        assert_eq!(r.counter("ops_total", k.clone()).get(), 5);
+        assert_eq!(r.counter("ops_total", k).get(), 5);
 
-        let g = r.gauge("residual", k.clone());
+        let g = r.gauge("residual", k);
         g.set(1.5);
         assert_eq!(g.get(), 1.5);
 
-        let h = r.histogram("op_ns", k.clone());
+        let h = r.histogram("op_ns", k);
         h.record(100);
         h.record(200);
         assert_eq!(h.get().count(), 2);
@@ -234,7 +230,7 @@ mod tests {
     fn type_confusion_panics() {
         let r = Registry::new();
         let k = Key::new(0, None, "x");
-        r.counter("m", k.clone());
+        r.counter("m", k);
         r.gauge("m", k);
     }
 

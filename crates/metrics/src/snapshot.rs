@@ -101,7 +101,7 @@ impl Snapshot {
                     Value::Histogram(h) if h.count() == 0 => None,
                     _ => Some(SnapshotEntry {
                         name: e.name.clone(),
-                        key: e.key.clone(),
+                        key: e.key,
                         value,
                     }),
                 }
@@ -120,7 +120,7 @@ impl Snapshot {
         let mut map: std::collections::BTreeMap<(String, Key), Value> =
             std::collections::BTreeMap::new();
         for e in self.entries.iter().chain(other.entries.iter()) {
-            let slot = map.entry((e.name.clone(), e.key.clone()));
+            let slot = map.entry((e.name.clone(), e.key));
             match slot {
                 std::collections::btree_map::Entry::Vacant(v) => {
                     v.insert(e.value.clone());
@@ -175,7 +175,7 @@ impl Snapshot {
                             None => Json::Null,
                         },
                     ),
-                    ("op".to_string(), Json::Str(e.key.op.clone())),
+                    ("op".to_string(), Json::Str(e.key.op.to_string())),
                 ];
                 match &e.value {
                     Value::Counter(c) => {
@@ -231,8 +231,7 @@ impl Snapshot {
             let op = row
                 .get("op")
                 .and_then(Json::as_str)
-                .ok_or("snapshot entry: missing op")?
-                .to_string();
+                .ok_or("snapshot entry: missing op")?;
             let value = if let Some(c) = row.get("counter").and_then(Json::as_u64) {
                 Value::Counter(c)
             } else if let Some(g) = row.get("gauge").and_then(Json::as_f64) {
@@ -262,7 +261,7 @@ impl Snapshot {
             };
             entries.push(SnapshotEntry {
                 name,
-                key: Key { rank, level, op },
+                key: Key::new(rank, level, gmg_trace::intern(op).name()),
                 value,
             });
         }

@@ -10,8 +10,10 @@
 //!
 //! * [`stack`] — per-thread, fixed-depth phase stacks with seqlock
 //!   readers, following `gmg-flight`'s single-writer/no-alloc discipline.
-//!   [`phase`] is the only instrumentation primitive: push a `'static`
-//!   name, get an RAII pop. One relaxed atomic load when disabled.
+//!   The stack is the profiler's sink behind `gmg_trace::probe` (solver
+//!   ops push their frame through their probe guard); [`phase`] is the
+//!   marker for what lies below an op: push a `'static` sub-kernel phase
+//!   name, get an RAII pop.
 //! * [`sampler`] — a background thread snapshots every registered stack
 //!   at a configurable interval ([`Session`] / [`Profile`]), accumulating
 //!   flamegraph-compatible folded stacks plus per-phase self/total counts
@@ -47,9 +49,7 @@ pub mod sampler;
 pub mod stack;
 
 pub use report::{consistency_tolerance, render, KernelReport, ReportVerdict};
-pub use sampler::{
-    default_interval, start, start_default, PhaseCounts, Profile, RootBreakdown, Session,
-};
+pub use sampler::{start, PhaseCounts, Profile, RootBreakdown, Session};
 pub use stack::{
     brick_phases, phase, profiling, set_slowdown, BrickPhases, ManualEnable, PhaseGuard,
     PhaseStack, APPLYOP_ARRAY, ARRAY_INTERIOR, MAX_DEPTH,

@@ -14,18 +14,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Sampling interval from `GMG_PROF_INTERVAL_US`, default 200µs (5 kHz —
-/// coarse enough to stay invisible next to the kernels, fine enough to
-/// resolve sub-millisecond phases over a ~1 s window).
-pub fn default_interval() -> Duration {
-    let us = std::env::var("GMG_PROF_INTERVAL_US")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(200);
-    Duration::from_micros(us)
-}
-
 #[derive(Default)]
 struct Accum {
     ticks: u64,
@@ -62,11 +50,6 @@ pub fn start(interval: Duration) -> Session {
         t0: Instant::now(),
         interval,
     }
-}
-
-/// Start with the [`default_interval`].
-pub fn start_default() -> Session {
-    start(default_interval())
 }
 
 fn sample_loop(stop: &AtomicBool, interval: Duration) -> Accum {

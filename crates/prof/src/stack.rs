@@ -3,21 +3,24 @@
 //! Each worker thread owns one [`PhaseStack`] — a fixed-depth array of
 //! `&'static str` frames guarded by a single seqlock word, following the
 //! same single-writer / many-reader discipline as `gmg_flight`'s ring
-//! slots. [`phase`] pushes a frame and returns an RAII guard that pops it;
-//! when no sampling session is active the entire push/pop pair is one
-//! relaxed atomic load each, so instrumented kernels cost nothing in
-//! ordinary runs. The hot path never allocates (test-enforced with a
-//! counting allocator): frames are stored as raw `(ptr, len)` pairs of
-//! `'static` names, and the only allocation is the one-time per-thread
-//! registration of the stack itself.
+//! slots. The stack is the profiler's sink behind `gmg_trace::probe`: it
+//! lives in the thread's probe context, a solver op's guard pushes and
+//! pops its frame there, and [`phase`] — the marker for sub-kernel
+//! phases, which are not ops — pushes onto the same stack, so folded
+//! stacks nest `op;kernel;phase`. The hot path never allocates
+//! (test-enforced with a counting allocator): frames are stored as raw
+//! `(ptr, len)` pairs of `'static` names, and the only allocation is the
+//! one-time per-thread creation of the stack itself.
 //!
 //! The sampler thread reads stacks through [`PhaseStack::sample`], a
 //! validated seqlock copy: an odd or changed sequence stamp means the
 //! owner was mid-update and the sample is discarded (counted as dropped)
 //! rather than ever materializing a torn `&str`.
 
-use std::cell::{RefCell, UnsafeCell};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use gmg_trace::probe::{self, Class, Sink};
+use std::any::Any;
+use std::cell::UnsafeCell;
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Maximum phase nesting depth captured per thread. Pushes beyond this
@@ -148,27 +151,25 @@ impl PhaseStack {
 // Registry + enablement
 // ---------------------------------------------------------------------------
 
-/// Number of active sampling sessions. Sessions are *not* exclusive: the
-/// `GMG_PROF` env hook may wrap a binary that starts its own inner
-/// session, and parallel tests each run their own — every session samples
-/// the shared thread registry independently.
-static SESSIONS: AtomicUsize = AtomicUsize::new(0);
-
+/// Every thread's stack, for the samplers. Sessions are *not*
+/// exclusive: the `GMG_PROF` env hook may wrap a binary that starts its
+/// own inner session, and parallel tests each run their own — every
+/// session samples this registry independently.
 static REGISTRY: Mutex<Vec<Arc<PhaseStack>>> = Mutex::new(Vec::new());
 
-/// Whether any sampling session is active — the one relaxed load gating
-/// the entire push/pop hot path, mirroring `gmg_trace::enabled`.
+/// Whether any sampling session is active (the probe's listener word).
 #[inline]
 pub fn profiling() -> bool {
-    SESSIONS.load(Ordering::Relaxed) > 0
+    probe::listening().has(Class::Phases)
 }
 
 pub(crate) fn session_begin() {
-    SESSIONS.fetch_add(1, Ordering::Relaxed);
+    probe::register(Class::Phases, per_thread);
+    probe::listen(Class::Phases);
 }
 
 pub(crate) fn session_end() {
-    SESSIONS.fetch_sub(1, Ordering::Relaxed);
+    probe::unlisten(Class::Phases);
 }
 
 /// Snapshot of currently registered, live stacks; prunes dead ones.
@@ -197,44 +198,56 @@ impl Drop for ManualEnable {
     }
 }
 
-struct ThreadHandle {
+/// One thread's stack as the probe sink in that thread's context.
+struct PhaseSink {
     stack: Arc<PhaseStack>,
 }
 
-impl Drop for ThreadHandle {
+impl Drop for PhaseSink {
     fn drop(&mut self) {
         self.stack.dead.store(true, Ordering::Relaxed);
     }
 }
 
-thread_local! {
-    static HANDLE: RefCell<Option<ThreadHandle>> = const { RefCell::new(None) };
+impl Sink for PhaseSink {
+    fn enter(&self, name: &'static str) {
+        self.stack.push(name);
+    }
+
+    fn exit(&self, _name: &'static str) {
+        self.stack.pop();
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
 }
 
-fn with_thread_stack(f: impl FnOnce(&PhaseStack)) {
-    let _ = HANDLE.try_with(|h| {
-        let mut h = h.borrow_mut();
-        if h.is_none() {
-            let stack = Arc::new(PhaseStack::new());
-            REGISTRY.lock().unwrap().push(Arc::clone(&stack));
-            *h = Some(ThreadHandle { stack });
-        }
-        f(&h.as_ref().unwrap().stack);
-    });
+/// The probe's factory for this sink: create and register the calling
+/// thread's stack.
+fn per_thread() -> Box<dyn Sink> {
+    let stack = Arc::new(PhaseStack::new());
+    REGISTRY
+        .lock()
+        .expect("stack registry poisoned")
+        .push(Arc::clone(&stack));
+    Box::new(PhaseSink { stack })
 }
 
 // ---------------------------------------------------------------------------
 // Phase guards
 // ---------------------------------------------------------------------------
 
-/// RAII scope for one phase: pops on drop. Inert (one relaxed load) when
-/// no session is active at entry.
+/// RAII scope for one sub-kernel phase: pops on drop. Inert (one relaxed
+/// load) when no session is active at entry.
 pub struct PhaseGuard {
     name: &'static str,
     /// True iff we actually pushed — a session may stop mid-scope, and
     /// the pop must mirror the push, not the current enable state.
     active: bool,
-    /// Entry timestamp, only taken while a slowdown injection is armed.
+    /// The armed slowdown's percentage if it names this phase, else 0.
+    slow_pct: f64,
+    /// Entry timestamp, taken only for a phase the slowdown names.
     t0_ns: u64,
 }
 
@@ -248,18 +261,29 @@ pub fn phase(name: &'static str) -> PhaseGuard {
         return PhaseGuard {
             name,
             active: false,
+            slow_pct: 0.0,
             t0_ns: 0,
         };
     }
-    with_thread_stack(|s| s.push(name));
-    let t0_ns = if slowdown_armed() {
+    // Resolved before the push, so the hook's own cost lands in the
+    // enclosing phase: arming a slowdown must stretch the phase it names
+    // and no other, and ~100 ns of lock and compare inside a 20 ns index
+    // phase is as much growth as a +400 % injection.
+    let slow_pct = if slowdown_armed() {
+        slowdown_for(name)
+    } else {
+        0.0
+    };
+    let pushed = probe::with_sink(Class::Phases, |s| s.enter(name)).is_some();
+    let t0_ns = if slow_pct > 0.0 {
         gmg_trace::now_ns()
     } else {
         0
     };
     PhaseGuard {
         name,
-        active: true,
+        active: pushed,
+        slow_pct,
         t0_ns,
     }
 }
@@ -269,10 +293,10 @@ impl Drop for PhaseGuard {
         if !self.active {
             return;
         }
-        if slowdown_armed() {
-            maybe_slow(self.name, self.t0_ns);
+        if self.slow_pct > 0.0 {
+            stretch(self.t0_ns, self.slow_pct);
         }
-        with_thread_stack(|s| s.pop());
+        probe::with_sink(Class::Phases, |s| s.exit(self.name));
     }
 }
 
@@ -306,14 +330,16 @@ pub fn set_slowdown(spec: Option<(&str, f64)>) {
     }
 }
 
-fn maybe_slow(name: &str, t0_ns: u64) {
-    let pct = {
-        let g = SLOWDOWN.lock().unwrap();
-        match g.as_ref() {
-            Some((pat, pct)) if name.contains(pat.as_str()) => *pct,
-            _ => return,
-        }
-    };
+/// The armed slowdown's percentage if its pattern matches `name`, else 0.
+fn slowdown_for(name: &str) -> f64 {
+    match SLOWDOWN.lock().unwrap().as_ref() {
+        Some((pat, pct)) if name.contains(pat.as_str()) => *pct,
+        _ => 0.0,
+    }
+}
+
+/// Busy-wait `pct`% of the time elapsed since `t0_ns`.
+fn stretch(t0_ns: u64, pct: f64) {
     let elapsed = gmg_trace::now_ns().saturating_sub(t0_ns);
     let extra = (elapsed as f64 * pct / 100.0) as u64;
     let until = gmg_trace::now_ns() + extra;

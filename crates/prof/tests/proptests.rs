@@ -1,6 +1,8 @@
 //! Property tests for the folded-stack codec: encode → parse is the
-//! identity for any valid stack map, encoding is deterministic, and
-//! duplicate-line accumulation matches map merging.
+//! identity for any valid stack map, encoding is deterministic,
+//! duplicate-line accumulation matches map merging, and hostile text —
+//! truncated, bit-flipped, oversized — ends in a typed error or a map no
+//! larger than the text, never a panic.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -82,5 +84,47 @@ proptest! {
             *want.entry(k.clone()).or_insert(0) += v;
         }
         prop_assert_eq!(merged, want);
+    }
+
+    /// Any damage to a valid encoding is survived: the parser answers
+    /// with a typed error or a map, and what it allocates is bounded by
+    /// the text it was given.
+    #[test]
+    fn damaged_text_never_panics_and_stays_bounded(
+        stacks in folded_raw(),
+        counts in prop::collection::vec(1u64..1_000_000, 8usize),
+        damage in prop::collection::vec(any::<u64>(), 1..8),
+    ) {
+        let mut bytes = gmg_prof::folded::encode(&build_map(stacks, &counts)).into_bytes();
+        bytes.extend_from_slice(b"tail;frame 18446744073709551615\ntail;frame 7\n");
+        for d in &damage {
+            let at = (*d >> 8) as usize % bytes.len();
+            match d & 3 {
+                0 => bytes[at] ^= 1 << ((d >> 2) & 7), // bit flip
+                1 => bytes.truncate(at.max(1)),         // truncation
+                2 => bytes.insert(at, b' '),            // stray separator
+                _ => bytes[at] = b"9;\n "[(d >> 2) as usize % 4],
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(map) = gmg_prof::folded::parse(&text) {
+            let held: usize = map.keys().map(|k| k.len()).sum();
+            prop_assert!(held <= text.len());
+            prop_assert!(map.len() <= text.lines().count());
+        }
+    }
+
+    /// Oversized input: a million-digit count and a megabyte-long frame
+    /// are a typed error and one bounded entry, respectively.
+    #[test]
+    fn oversized_tokens_are_handled(digits in 20usize..100_000, frame in 1usize..200_000) {
+        let huge_count = format!("a {}\n", "9".repeat(digits));
+        prop_assert_eq!(
+            gmg_prof::folded::parse(&huge_count),
+            Err(gmg_prof::folded::FoldedError::BadCount { line: 1 })
+        );
+        let long_frame = format!("{} 1\n", "x".repeat(frame));
+        let map = gmg_prof::folded::parse(&long_frame).unwrap();
+        prop_assert_eq!(map.len(), 1);
     }
 }

@@ -103,6 +103,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -151,9 +152,15 @@ impl fmt::Display for JsonError {
     }
 }
 
+/// Deepest array / object nesting [`Json::parse`] follows. Every document
+/// this workspace writes is a handful of levels deep; the cap keeps a
+/// hostile `[[[[…` from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -192,10 +199,23 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
+    }
+
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -296,9 +316,13 @@ impl<'a> Parser<'a> {
                             let c = if (0xd800..0xdc00).contains(&cp) {
                                 if self.bytes[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                                    char::from_u32(combined)
+                                    // A high surrogate followed by anything
+                                    // but a low one is not a character.
+                                    (self.hex4()?.checked_sub(0xdc00))
+                                        .filter(|lo| *lo < 0x400)
+                                        .and_then(|lo| {
+                                            char::from_u32(0x10000 + ((cp - 0xd800) << 10) + lo)
+                                        })
                                 } else {
                                     None
                                 }
@@ -421,6 +445,20 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"k\" 1}", "nul", "1 2"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_and_lone_surrogates_are_errors_not_crashes() {
+        let deep = "[".repeat(200_000);
+        assert!(Json::parse(&deep).is_err());
+        let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        // High surrogate followed by a non-low escape.
+        assert!(Json::parse(r#""\ud800\u0041""#).is_err());
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("\u{1f600}")
+        );
     }
 
     #[test]

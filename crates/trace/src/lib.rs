@@ -6,12 +6,17 @@
 //! from per-op, per-level, per-rank instrumentation of the running solver.
 //! This crate is that instrumentation layer for the reproduction:
 //!
-//! * [`sink`] — a low-overhead, thread-safe event sink recording **spans**
-//!   (begin/end with `{rank, level, op}` attribution, interned op names,
-//!   monotonic timestamps from one process-wide epoch) and **counters**
-//!   (bytes read/written, FLOPs, stencil points, messages, message bytes).
-//!   Tracing is *zero-cost when disabled*: every record path starts with a
-//!   single relaxed atomic load, so timed kernels are unaffected.
+//! * [`probe`] — the one seam instrumented code names: a guard per timed
+//!   op, a builder per instant, one `{rank, level, op}` key, one
+//!   per-thread context, and the sinks (span log, metrics registry,
+//!   flight ring, profiler phase stack) behind it. This is the leaf crate
+//!   every instrumented crate can depend on, and it owns the epoch clock.
+//! * [`config`] — the twelve observability environment variables, parsed
+//!   in one place into a typed [`ObsConfig`].
+//! * [`sink`] — the span log: **spans** (begin/end with `{rank, level,
+//!   op}` attribution, monotonic timestamps from one process-wide epoch)
+//!   and **counters** (bytes read/written, FLOPs, stencil points,
+//!   messages, message bytes), buffered per thread.
 //! * [`chrome`] — a Chrome trace-event / Perfetto JSON exporter (and
 //!   parser, for round-trip testing). One Perfetto process per rank, with
 //!   a dedicated `comm` thread track, so `RankWorld` send/recv intervals
@@ -25,7 +30,7 @@
 //! ## Capture model
 //!
 //! Events are only recorded inside a [`capture`] session. A session owns a
-//! [`TraceScope`] installed in thread-local storage; `gmg-comm`'s
+//! [`TraceScope`] installed in the thread's probe context; `gmg-comm`'s
 //! `RankWorld` propagates the spawning thread's scope into every rank
 //! thread, so a capture around `RankWorld::run` sees all ranks. Concurrent
 //! captures in one process are isolated from each other (each has its own
@@ -46,15 +51,17 @@
 //! ```
 
 pub mod chrome;
+pub mod config;
 pub mod json;
+pub mod probe;
 pub mod sink;
 pub mod summary;
 
 pub use chrome::FlowArrow;
+pub use config::ObsConfig;
 pub use json::Json;
 pub use sink::{
-    capture, current_scope, enabled, epoch, instant_ns, intern, now_ns, record, record_instant,
-    record_span_at, span, Counters, OpId, ScopeGuard, Span, Trace, TraceEvent, TraceScope, Track,
-    LEVEL_NONE,
+    capture, current_scope, enabled, epoch, instant_ns, intern, now_ns, record, span, Counters,
+    OpId, Trace, TraceEvent, TraceScope, Track, LEVEL_NONE,
 };
 pub use summary::{OpRow, TraceSummary};

@@ -366,7 +366,7 @@ mod tests {
         let (_, trace) = capture(|| {
             for (op, n) in [("fault:drop", 3), ("fault:retransmit", 2)] {
                 for _ in 0..n {
-                    crate::sink::record_instant(1, LEVEL_NONE, op, Track::Fault, Some(0), Some(7));
+                    drop(crate::span(1, LEVEL_NONE, op, Track::Fault).peer(0).tag(7));
                 }
             }
         });
