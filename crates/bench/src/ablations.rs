@@ -15,10 +15,10 @@ use gmg_core::schedule::{simulate, ScheduleConfig};
 use gmg_machine::gpu::System;
 use gmg_mesh::ghost::DIRECTIONS_26;
 use gmg_mesh::Point3;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// Ablation 1: CA on/off — total and coarsest-level time per system.
-pub fn communication_avoiding() -> Value {
+pub fn communication_avoiding() -> Json {
     let mut rows = Vec::new();
     for sys in System::ALL {
         let on = simulate(&ScheduleConfig::paper_section6(sys));
@@ -40,7 +40,7 @@ pub fn communication_avoiding() -> Value {
 }
 
 /// Ablation 2: GPU-aware MPI vs host staging, per system.
-pub fn gpu_aware() -> Value {
+pub fn gpu_aware() -> Json {
     let mut rows = Vec::new();
     for sys in System::ALL {
         let mut on = ScheduleConfig::paper_section6(sys);
@@ -58,7 +58,7 @@ pub fn gpu_aware() -> Value {
 
 /// Ablation 3: rendezvous threshold sweep — coarse-level exchange time on
 /// Frontier (where the paper observed the CXI settings matter most).
-pub fn rendezvous_threshold() -> Value {
+pub fn rendezvous_threshold() -> Json {
     let plan = BrickExchangePlan::new(Point3::splat(32), 8, 1, BrickOrdering::SurfaceMajor);
     let mut rows = Vec::new();
     for threshold in [0usize, 4 << 10, 16 << 10, 64 << 10, usize::MAX] {
@@ -72,7 +72,7 @@ pub fn rendezvous_threshold() -> Value {
 }
 
 /// Ablation 4: brick size — ghost depth vs redundant work vs message size.
-pub fn brick_size() -> Value {
+pub fn brick_size() -> Json {
     let mut rows = Vec::new();
     for bd in [4i64, 8, 16] {
         // The trade-off is purely geometric (message bytes, exchange
@@ -101,7 +101,7 @@ pub fn brick_size() -> Value {
 
 /// Ablation 5: ordering — contiguous-run counts for a full 26-neighbor
 /// exchange (the pack-free figure of merit).
-pub fn ordering_runs() -> Value {
+pub fn ordering_runs() -> Json {
     let mut rows = Vec::new();
     for (name, ord) in [
         ("surface-major", BrickOrdering::SurfaceMajor),
@@ -127,7 +127,7 @@ pub fn ordering_runs() -> Value {
 }
 
 /// Ablation 6: CPU offload of coarse levels in the strong-scaling tail.
-pub fn cpu_offload() -> Value {
+pub fn cpu_offload() -> Json {
     let mk = |offload: Option<usize>| {
         let mut c = ScheduleConfig::paper_section6(System::Perlmutter);
         c.nodes = 128;
@@ -150,11 +150,11 @@ pub fn cpu_offload() -> Value {
 }
 
 /// Run every ablation, print a condensed report, return the JSON bundle.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Ablations — Section V optimizations, one at a time");
     let ca = communication_avoiding();
     println!("\n1. communication-avoiding (total seconds on/off, exchange counts):");
-    for r in ca["rows"].as_array().unwrap() {
+    for r in ca["rows"].as_arr().unwrap() {
         println!(
             "   {:<12} {:>8.2}s -> {:>8.2}s without CA   (exchanges {} -> {})",
             r["system"].as_str().unwrap(),
@@ -166,7 +166,7 @@ pub fn run() -> Value {
     }
     let ga = gpu_aware();
     println!("\n2. GPU-aware MPI vs host staging (total seconds):");
-    for r in ga["rows"].as_array().unwrap() {
+    for r in ga["rows"].as_arr().unwrap() {
         println!(
             "   {:<12} aware {:>8.2}s   staged {:>8.2}s",
             r["system"].as_str().unwrap(),
@@ -176,7 +176,7 @@ pub fn run() -> Value {
     }
     let rz = rendezvous_threshold();
     println!("\n3. rendezvous threshold (Frontier, 32^3-level exchange):");
-    for r in rz["rows"].as_array().unwrap() {
+    for r in rz["rows"].as_arr().unwrap() {
         println!(
             "   threshold {:>8}: {:>8.1} µs",
             r["threshold"],
@@ -185,18 +185,18 @@ pub fn run() -> Value {
     }
     let bs = brick_size();
     println!("\n4. brick size (512^3 level, 24 smooths):");
-    for r in bs["rows"].as_array().unwrap() {
+    for r in bs["rows"].as_arr().unwrap() {
         println!(
             "   {}³: {:>6.1} MB/exchange × {} exchanges, redundant compute {:>4.1}%",
             r["brick_dim"],
-            r["bytes_per_exchange"].as_i64().unwrap() as f64 / 1e6,
+            r["bytes_per_exchange"].as_f64().unwrap() / 1e6,
             r["exchanges_per_24_smooths"],
             r["redundant_compute_fraction"].as_f64().unwrap() * 100.0
         );
     }
     let runs = ordering_runs();
     println!("\n5. ordering (26-neighbor exchange, 64^3 of 8^3 bricks):");
-    for r in runs["rows"].as_array().unwrap() {
+    for r in runs["rows"].as_arr().unwrap() {
         println!(
             "   {:<14} send {:>4} + recv {:>3} = {:>4} contiguous runs",
             r["ordering"].as_str().unwrap(),
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn ca_always_wins_overall() {
         let v = communication_avoiding();
-        for r in v["rows"].as_array().unwrap() {
+        for r in v["rows"].as_arr().unwrap() {
             assert!(r["total_on_s"].as_f64().unwrap() < r["total_off_s"].as_f64().unwrap());
             assert!(r["exchanges_on"].as_u64().unwrap() < r["exchanges_off"].as_u64().unwrap());
         }
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn gpu_aware_always_wins() {
         let v = gpu_aware();
-        for r in v["rows"].as_array().unwrap() {
+        for r in v["rows"].as_arr().unwrap() {
             assert!(r["gpu_aware_s"].as_f64().unwrap() < r["host_staged_s"].as_f64().unwrap());
         }
     }
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn forced_rendezvous_fastest_for_small_messages() {
         let v = rendezvous_threshold();
-        let rows = v["rows"].as_array().unwrap();
+        let rows = v["rows"].as_arr().unwrap();
         let t0 = rows[0]["exchange_us"].as_f64().unwrap(); // threshold 0
         let teager = rows.last().unwrap()["exchange_us"].as_f64().unwrap(); // all eager
         assert!(t0 < teager, "forced rendezvous {t0} vs all-eager {teager}");
@@ -255,10 +255,10 @@ mod tests {
     #[test]
     fn bigger_bricks_fewer_exchanges_more_redundancy() {
         let v = brick_size();
-        let rows = v["rows"].as_array().unwrap();
-        let ex: Vec<i64> = rows
+        let rows = v["rows"].as_arr().unwrap();
+        let ex: Vec<u64> = rows
             .iter()
-            .map(|r| r["exchanges_per_24_smooths"].as_i64().unwrap())
+            .map(|r| r["exchanges_per_24_smooths"].as_u64().unwrap())
             .collect();
         assert!(ex[0] > ex[1] && ex[1] > ex[2]);
         let red: Vec<f64> = rows
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn surface_major_is_pack_free() {
         let v = ordering_runs();
-        let rows = v["rows"].as_array().unwrap();
+        let rows = v["rows"].as_arr().unwrap();
         assert_eq!(rows[0]["recv_runs"].as_u64().unwrap(), 26);
         assert!(
             rows[1]["total_runs"].as_u64().unwrap() > 3 * rows[0]["total_runs"].as_u64().unwrap()

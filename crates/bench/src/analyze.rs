@@ -27,8 +27,8 @@ use gmg_machine::model::LatencyThroughput;
 use gmg_mesh::{Box3, Decomposition, Point3};
 use gmg_metrics::analysis::{self, MachineEnvelope};
 use gmg_metrics::Analysis;
+use gmg_trace::Json;
 use gmg_trace::{Trace, TraceSummary, Track};
-use serde_json::Value;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -127,16 +127,15 @@ pub fn envelope_for(trace: &Trace) -> MachineEnvelope {
 /// A loaded `--diff` operand.
 enum Artifact {
     Trace(Trace),
-    Bench(Value),
+    Bench(Json),
 }
 
 /// Load a diff operand, detecting perfgate trajectory entries by their
 /// `benchmarks` array; anything else must parse as a Chrome trace.
 fn load_artifact(path: &Path) -> Result<Artifact, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    let parsed: Result<Value, _> = serde_json::from_str(&text);
-    if let Ok(v) = parsed {
-        if v["benchmarks"].as_array().is_some() {
+    if let Ok(v) = Json::parse(&text) {
+        if v["benchmarks"].as_arr().is_some() {
             return Ok(Artifact::Bench(v));
         }
     }
@@ -148,10 +147,10 @@ fn load_artifact(path: &Path) -> Result<Artifact, String> {
 /// Compare two perfgate trajectory entries on their gated speedup ratios
 /// (higher is better, so a drop beyond the threshold regresses). Returns
 /// the markdown report and the regression count.
-pub fn diff_bench_entries(a: &Value, b: &Value, threshold: f64) -> (String, usize) {
-    let rows_of = |v: &Value| -> Vec<(String, f64)> {
+pub fn diff_bench_entries(a: &Json, b: &Json, threshold: f64) -> (String, usize) {
+    let rows_of = |v: &Json| -> Vec<(String, f64)> {
         v["benchmarks"]
-            .as_array()
+            .as_arr()
             .into_iter()
             .flatten()
             .filter_map(|r| Some((r["id"].as_str()?.to_string(), r["ratio"].as_f64()?)))
@@ -379,13 +378,13 @@ mod tests {
 
     #[test]
     fn bench_entry_diff_flags_ratio_drop() {
-        let a: Value = serde_json::from_str(
+        let a = Json::parse(
             r#"{"schema":2,"benchmarks":[
                 {"id":"applyop_bricked_vs_array","ratio":1.5},
                 {"id":"multismooth_fused_vs_sweep","ratio":1.3}]}"#,
         )
         .unwrap();
-        let b: Value = serde_json::from_str(
+        let b = Json::parse(
             r#"{"schema":2,"benchmarks":[
                 {"id":"applyop_bricked_vs_array","ratio":1.48},
                 {"id":"multismooth_fused_vs_sweep","ratio":1.0}]}"#,

@@ -1,7 +1,7 @@
 //! Run every table/figure harness in sequence and persist all results.
 //! Set `GMG_TRACE=<path>` to capture one Perfetto trace covering the
 //! whole sweep.
-type Harness = fn() -> serde_json::Value;
+type Harness = fn() -> gmg_trace::Json;
 
 fn main() {
     let runs: Vec<(&str, Harness)> = vec![

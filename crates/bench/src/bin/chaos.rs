@@ -74,7 +74,7 @@ fn main() {
         gmg_bench::profile::with_env_hooks(|| gmg_bench::chaos::run_with_seed(seed))
     };
     gmg_bench::report::save("chaos", &v);
-    if v["ok"] != serde_json::Value::Bool(true) {
+    if v["ok"] != gmg_trace::Json::Bool(true) {
         std::process::exit(1);
     }
 }

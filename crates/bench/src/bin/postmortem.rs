@@ -39,7 +39,7 @@ fn main() {
         None => gmg_bench::postmortem::run_seeded(seed),
     });
     gmg_bench::report::save("postmortem", &v);
-    if v["ok"] != serde_json::Value::Bool(true) {
+    if v["ok"] != gmg_trace::Json::Bool(true) {
         std::process::exit(1);
     }
 }

@@ -72,7 +72,7 @@ fn main() {
     }
     let v = gmg_bench::profile::with_env_hooks(|| gmg_bench::scaling::run(&opts));
     gmg_bench::report::save("scaling", &v);
-    if v["ok"] != serde_json::Value::Bool(true) {
+    if v["ok"] != gmg_trace::Json::Bool(true) {
         std::process::exit(1);
     }
 }

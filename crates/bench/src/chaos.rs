@@ -22,7 +22,7 @@ use gmg_comm::WorldFailure;
 use gmg_core::solver::{GmgSolver, SolveStats, SolverConfig};
 use gmg_core::RecoveryPolicy;
 use gmg_mesh::{Box3, Decomposition, Point3};
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 use std::time::{Duration, Instant};
 
 const N: i64 = 16;
@@ -69,7 +69,7 @@ pub(crate) fn baseline_solve(cfg: SolverConfig) -> Vec<SolveStats> {
 /// One transport-fault soak run: drop + duplicate + delay + corrupt all at
 /// `rate`, seeded; reports whether the world survived, converged, and
 /// reproduced the baseline history exactly.
-fn transport_run(rate: f64, seed: u64, cfg: SolverConfig, baseline: &[f64]) -> Value {
+fn transport_run(rate: f64, seed: u64, cfg: SolverConfig, baseline: &[f64]) -> Json {
     let plan = FaultPlan::new(FaultConfig::lossy(rate), seed);
     let t0 = Instant::now();
     let outcome = faulted_solve(&plan, cfg);
@@ -101,7 +101,7 @@ fn transport_run(rate: f64, seed: u64, cfg: SolverConfig, baseline: &[f64]) -> V
 /// The self-healing demonstration: a seeded one-shot corruption of one
 /// rank's iterate (a "silent" upset that no transport checksum can catch)
 /// under lossy transport, with rollback recovery enabled.
-fn recovery_run(seed: u64) -> Value {
+fn recovery_run(seed: u64) -> Json {
     let mut cfg = chaos_solver_config();
     cfg.recovery = RecoveryPolicy::Rollback;
     cfg.checkpoint_interval = 1;
@@ -153,7 +153,7 @@ fn recovery_run(seed: u64) -> Value {
 /// The graceful-failure demonstration: kill one rank mid-exchange and show
 /// the world reports a structured [`WorldFailure`] instead of hanging or
 /// propagating a bare panic.
-pub(crate) fn kill_run(seed: u64) -> Value {
+pub(crate) fn kill_run(seed: u64) -> Json {
     let victim = (seed % 8) as usize;
     let at_op = 40 + seed % 29; // lands inside the first cycle's exchanges
     let mut plan = FaultPlan::new(FaultConfig::kill_rank(victim, at_op), seed);
@@ -186,7 +186,7 @@ pub(crate) fn kill_run(seed: u64) -> Value {
 }
 
 /// Run the full chaos campaign with the given base seed.
-pub fn run_with_seed(seed: u64) -> Value {
+pub fn run_with_seed(seed: u64) -> Json {
     crate::report::heading(&format!(
         "Chaos — seeded fault injection soak (base seed {seed})"
     ));
@@ -275,7 +275,7 @@ pub fn run_with_seed(seed: u64) -> Value {
 }
 
 /// Default campaign (seed 7).
-pub fn run() -> Value {
+pub fn run() -> Json {
     run_with_seed(7)
 }
 
@@ -363,7 +363,7 @@ fn process_leg(
     loss: f64,
     child_args: &[&str],
     baseline: &[u64],
-) -> Value {
+) -> Json {
     use gmg_comm::{ProcessWorld, SocketKind};
     let nranks = chaos_decomp().num_ranks();
     let mut world = ProcessWorld::new(nranks, "elastic")
@@ -397,7 +397,7 @@ fn process_leg(
     }
     let timer_ok = loss > 0.0 || retransmits * 100 <= messages;
     let rejoined_once = report.rejoins.len() == 1
-        && kill.map_or(false, |v| report.rejoins[0].rank == v)
+        && kill.is_some_and(|v| report.rejoins[0].rank == v)
         && epochs.iter().all(|&e| e == 1);
     let clean = kill.is_none() && report.rejoins.is_empty() && epochs.iter().all(|&e| e == 0);
 
@@ -457,7 +457,7 @@ fn process_leg(
 /// rejoined from its durable checkpoints. Every run must reproduce the
 /// thread-transport baseline bit-for-bit.
 #[cfg(unix)]
-pub fn run_process_campaign(seed: u64, kill: Option<usize>) -> Value {
+pub fn run_process_campaign(seed: u64, kill: Option<usize>) -> Json {
     run_process_campaign_with(seed, kill, &[])
 }
 
@@ -465,7 +465,7 @@ pub fn run_process_campaign(seed: u64, kill: Option<usize>) -> Value {
 /// harness must pass a libtest filter so spawned copies of the test
 /// binary land in their entry hook instead of running the whole suite).
 #[cfg(unix)]
-pub fn run_process_campaign_with(seed: u64, kill: Option<usize>, child_args: &[&str]) -> Value {
+pub fn run_process_campaign_with(seed: u64, kill: Option<usize>, child_args: &[&str]) -> Json {
     crate::report::heading(&format!(
         "Chaos — elastic multi-process campaign (base seed {seed})"
     ));
@@ -528,7 +528,7 @@ pub fn run_process_campaign_with(seed: u64, kill: Option<usize>, child_args: &[&
         "baseline": baseline_v,
         "fault_free": fault_free,
         "clean": clean,
-        "kill": kill_leg.unwrap_or(Value::Null),
+        "kill": kill_leg.unwrap_or(Json::Null),
         "ok": ok,
     })
 }

@@ -7,7 +7,7 @@
 
 use gmg_core::schedule::{simulate, ScheduleConfig, SimResult};
 use gmg_machine::gpu::System;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// Simulated runs for all three systems.
 pub fn simulate_all() -> Vec<SimResult> {
@@ -18,7 +18,7 @@ pub fn simulate_all() -> Vec<SimResult> {
 }
 
 /// Run the harness: print the per-level series and return them as JSON.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Figure 3 — total execution time per level (8 nodes, 512^3/rank)");
     let results = simulate_all();
     println!(

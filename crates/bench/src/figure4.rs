@@ -9,7 +9,7 @@ use gmg_core::schedule::{simulate, ScheduleConfig};
 use gmg_hpgmg::simulate_hpgmg;
 use gmg_machine::gpu::System;
 use gmg_mesh::Point3;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// One bar of the figure.
 #[derive(Debug)]
@@ -44,7 +44,7 @@ pub fn bars() -> Vec<Figure4Bar> {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Figure 4 — relative performance vs HPGMG (time per V-cycle)");
     let bars = bars();
     println!(
@@ -103,5 +103,21 @@ mod tests {
         assert!((b[2].speedup - 1.0).abs() < 0.4, "Sunspot {}", b[2].speedup);
         // Bricks win on Perlmutter and Frontier.
         assert!(b[0].speedup > 1.2 && b[1].speedup > 1.2);
+    }
+
+    #[test]
+    fn regenerated_artifact_equals_the_committed_file() {
+        // Written the way the binary writes it, into a scratch directory,
+        // and compared as parsed values: key order and float spelling
+        // (`1.0` / `1`) are the writer's business, the numbers are not.
+        let dir =
+            crate::report::ensure_dir(Some(std::env::temp_dir().join("gmg_figure4_artifact_test")));
+        let path = crate::report::save_in(&dir, "figure4", &run());
+        let parse = |p: &std::path::Path| {
+            Json::parse(&std::fs::read_to_string(p).unwrap())
+                .unwrap_or_else(|e| panic!("{p:?}: {e}"))
+        };
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/figure4.json");
+        assert_eq!(parse(&path), parse(committed.as_ref()));
     }
 }

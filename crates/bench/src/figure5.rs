@@ -6,7 +6,7 @@ use gmg_machine::gpu::System;
 use gmg_machine::model::LatencyThroughput;
 use gmg_machine::timing::KernelTiming;
 use gmg_stencil::OpKind;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// One measured series: GStencil/s per level for one op on one system.
 pub struct KernelSeries {
@@ -51,7 +51,7 @@ pub fn series(system: System, op: OpKind) -> KernelSeries {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Figure 5 — kernel GStencil/s vs per-level problem size");
     let mut out = Vec::new();
     for op in [OpKind::ApplyOp, OpKind::SmoothResidual] {

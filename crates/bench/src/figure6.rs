@@ -6,7 +6,7 @@ use gmg_comm::model::NetworkModel;
 use gmg_comm::plan::BrickExchangePlan;
 use gmg_machine::gpu::System;
 use gmg_mesh::Point3;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// One system's exchange series over the V-cycle levels.
 pub struct ExchangeSeries {
@@ -50,7 +50,7 @@ pub fn series(system: System) -> ExchangeSeries {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Figure 6 — exchange GB/s vs total message size (single NIC)");
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12} {:>11} {:>9}",

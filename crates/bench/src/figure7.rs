@@ -4,7 +4,7 @@
 use gmg_machine::gpu::System;
 use gmg_machine::portability::potential_speedup;
 use gmg_stencil::ALL_OPS;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// One scatter point.
 #[derive(Debug)]
@@ -36,7 +36,7 @@ pub fn points() -> Vec<ScatterPoint> {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Figure 7 — potential speedup (x: %theoretical AI, y: %roofline)");
     println!(
         "{:<12} {:<26} {:>8} {:>10} {:>9}",

@@ -4,7 +4,7 @@
 
 use gmg_core::schedule::{simulate, ScheduleConfig, SimResult};
 use gmg_machine::gpu::System;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// Node counts swept per system (Sunspot capped at its 128-node testbed
 /// scale, of which the paper could use 16).
@@ -46,7 +46,7 @@ pub fn curve(system: System) -> WeakCurve {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Figure 8 — weak scaling (512^3 per rank, full nodes)");
     let mut out = Vec::new();
     for sys in System::ALL {

@@ -5,7 +5,7 @@
 use gmg_core::schedule::{simulate, ScheduleConfig, SimResult};
 use gmg_machine::gpu::System;
 use gmg_mesh::Point3;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// Fixed global domain per system (the paper's Section VIII sizes).
 pub fn domain(system: System) -> Point3 {
@@ -25,7 +25,7 @@ pub fn grid_for(domain: Point3, ranks: usize) -> Point3 {
     let mut rem = ranks;
     let mut p = 2;
     while rem > 1 {
-        while !rem.is_multiple_of(p) {
+        while rem % p != 0 {
             p += 1;
         }
         // Pick the divisible axis with the largest current extent.
@@ -93,7 +93,7 @@ pub fn curve(system: System) -> StrongCurve {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Figure 9 — strong scaling (fixed total domain, full nodes)");
     let mut out = Vec::new();
     for sys in System::ALL {

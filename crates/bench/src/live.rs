@@ -26,7 +26,7 @@ use gmg_comm::runtime::RankWorld;
 use gmg_core::solver::{GmgSolver, SolveStats, SolverConfig};
 use gmg_live::{AlertConfig, AlertKind, Beacon, Collector, PromServer, Shipper};
 use gmg_mesh::{Box3, Decomposition, Point3};
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -79,6 +79,9 @@ fn beacon_for(
     b
 }
 
+/// A slot the progress hook and the rank body both reach.
+type Shared<T> = Arc<Mutex<Option<T>>>;
+
 /// Attach a shipper to a solver: a beacon per completed V-cycle, plus a
 /// final `done` beacon (which flushes the closing delta + digest) after
 /// the solve returns. The shipper is `None` when `GMG_LIVE=0`.
@@ -87,7 +90,7 @@ fn attach_shipper(
     rank: usize,
     shipper: Option<Shipper>,
     slow: Option<usize>,
-) -> (Arc<Mutex<Option<Shipper>>>, Arc<Mutex<Option<Beacon>>>) {
+) -> (Shared<Shipper>, Shared<Beacon>) {
     let shipper = Arc::new(Mutex::new(shipper));
     let last = Arc::new(Mutex::new(None::<Beacon>));
     let sh = Arc::clone(&shipper);
@@ -132,7 +135,7 @@ fn baseline_solve(cfg: SolverConfig) -> Vec<SolveStats> {
 /// the leg gates on bit-identical residual histories vs the hook-free
 /// baseline, a fully-populated live view, zero alerts, and a parseable
 /// Prometheus endpoint.
-pub fn run_with_seed(seed: u64) -> Value {
+pub fn run_with_seed(seed: u64) -> Json {
     crate::report::heading(&format!(
         "Live telemetry — thread-transport campaign (seed {seed})"
     ));
@@ -200,7 +203,7 @@ pub fn run_with_seed(seed: u64) -> Value {
                     .ok()
                     .and_then(|v| v.get("schema")?.as_u64())
             });
-            parse.map_or(false, |s| !s.entries.is_empty()) && status == Some(1)
+            parse.is_some_and(|s| !s.entries.is_empty()) && status == Some(1)
         }
         Err(e) => {
             println!("  prom endpoint unavailable: {e}");
@@ -238,7 +241,7 @@ pub fn run_with_seed(seed: u64) -> Value {
 }
 
 /// Default thread campaign (seed 7).
-pub fn run() -> Value {
+pub fn run() -> Json {
     run_with_seed(7)
 }
 
@@ -319,7 +322,7 @@ fn process_leg(
     slow: Option<usize>,
     child_args: &[&str],
     baseline: &[u64],
-) -> Value {
+) -> Json {
     use gmg_comm::fault::{FaultConfig, FaultPlan};
     use gmg_comm::{ProcessWorld, SocketKind};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -550,7 +553,7 @@ fn process_leg(
 /// The full multi-process campaign: a clean leg (negative control) plus
 /// optional planted-straggler and SIGKILL legs, each self-gating.
 #[cfg(unix)]
-pub fn run_process_campaign(seed: u64, kill: Option<usize>, slow: Option<usize>) -> Value {
+pub fn run_process_campaign(seed: u64, kill: Option<usize>, slow: Option<usize>) -> Json {
     run_process_campaign_with(seed, kill, slow, &[])
 }
 
@@ -563,7 +566,7 @@ pub fn run_process_campaign_with(
     kill: Option<usize>,
     slow: Option<usize>,
     child_args: &[&str],
-) -> Value {
+) -> Json {
     use gmg_core::RecoveryPolicy;
     crate::report::heading(&format!(
         "Live telemetry — multi-process campaign (base seed {seed})"
@@ -626,57 +629,8 @@ pub fn run_process_campaign_with(
         "mode": "process",
         "baseline": baseline_v,
         "clean": clean,
-        "straggler": straggler.unwrap_or(Value::Null),
-        "kill": kill_leg.unwrap_or(Value::Null),
+        "straggler": straggler.unwrap_or(Json::Null),
+        "kill": kill_leg.unwrap_or(Json::Null),
         "ok": ok,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Thread-mode campaign: local collector shim, bit-identical
-    /// histories with telemetry attached, complete live view, zero
-    /// alerts, parseable endpoint.
-    #[test]
-    fn thread_campaign_is_bit_identical_and_alert_free() {
-        let v = run_with_seed(7);
-        assert_eq!(v["identical"], true, "{v}");
-        assert_eq!(v["progress_complete"], true, "{v}");
-        assert_eq!(v["endpoint_ok"], true, "{v}");
-        assert_eq!(v["ok"], true, "{v}");
-    }
-
-    #[cfg(unix)]
-    const CHILD_ARGS: &[&str] = &["live_child_entry", "--test-threads=1", "--nocapture"];
-
-    /// The hook a spawned copy of this test binary lands in (the process
-    /// controller passes a libtest filter selecting exactly this test).
-    /// In a normal run it is an instant no-op.
-    #[cfg(unix)]
-    #[test]
-    fn live_child_entry() {
-        gmg_comm::process::run_child_if_spawned(|entry, mut ctx, args| match entry {
-            "live" => live_child(&mut ctx, args),
-            other => panic!("unknown live process entry {other:?}"),
-        });
-    }
-
-    /// The milestone's acceptance demo end to end: clean negative
-    /// control, planted straggler named by the alert engine, SIGKILLed
-    /// rank caught by the silent-rank detector with the endpoint
-    /// parseable on both sides of the rejoin epoch — all bit-identical
-    /// to the thread baseline.
-    #[cfg(unix)]
-    #[test]
-    fn process_campaign_scrapes_and_alerts_both_polarities() {
-        let v = run_process_campaign_with(3, Some(2), Some(1), CHILD_ARGS);
-        assert_eq!(v["ok"], true, "{v}");
-        assert_eq!(v["clean"]["alerts_ok"], true, "{v}");
-        assert_eq!(v["clean"]["mid_run_fleet_scrape"], true, "{v}");
-        assert_eq!(v["straggler"]["alerts_ok"], true, "{v}");
-        assert_eq!(v["kill"]["epoch_spans_ok"], true, "{v}");
-        assert_eq!(v["kill"]["exact_match"], true, "{v}");
-    }
 }

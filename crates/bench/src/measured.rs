@@ -9,7 +9,7 @@ use gmg_machine::model::LatencyThroughput;
 use gmg_mesh::{Array3, Box3, Point3};
 use gmg_stencil::exec_array::apply_star7_array;
 use gmg_stencil::exec_brick::apply_star7_bricked;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -82,7 +82,7 @@ fn finish(layout: &'static str, samples: Vec<(usize, f64)>) -> MeasuredSweep {
 }
 
 /// Run the measured harness (small sizes so it stays quick).
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Measured — real applyOp on this host, Figure 5 methodology");
     let sizes = [16i64, 24, 32, 48, 64, 96];
     let sweeps = [sweep_bricked(&sizes, 8), sweep_array(&sizes)];

@@ -27,7 +27,7 @@ use gmg_comm::fault::{FaultConfig, FaultPlan};
 use gmg_flight::{analyze, load_dump, DumpBundle, EventKind, RankLog, WaitAnalysis, WaitClass};
 use gmg_metrics::analysis::{critical_path_with_edges, CriticalPath};
 use gmg_trace::{intern, Counters, FlowArrow, Trace, TraceEvent, Track, LEVEL_NONE};
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 use std::path::Path;
 use std::time::Duration;
 
@@ -214,7 +214,7 @@ fn render_report(
 
 /// Analyze a dump directory in place: classify waits, name the culprit,
 /// write `postmortem.md` + `postmortem_trace.json` beside the ring data.
-pub fn analyze_dump(dir: &Path) -> Value {
+pub fn analyze_dump(dir: &Path) -> Json {
     analyze_dump_with(dir, None)
 }
 
@@ -222,7 +222,7 @@ pub fn analyze_dump(dir: &Path) -> Value {
 /// already knows (e.g. the membership controller SIGKILLed that rank
 /// itself): the rank overrides the wait-state heuristics and `cause` is
 /// quoted verbatim on the report's Culprit line.
-pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Value {
+pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
     let bundle = match load_dump(dir) {
         Ok(b) => b,
         Err(e) => return json!({ "ok": false, "error": format!("load {}: {e}", dir.display()) }),
@@ -273,7 +273,7 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Value {
 /// Seeded black-box exercise: kill one rank mid-solve with the flight
 /// recorder on, then load the automatic dump and verify the postmortem
 /// blames the right rank with ≥ 90 % of wait time classified.
-pub fn run_seeded(seed: u64) -> Value {
+pub fn run_seeded(seed: u64) -> Json {
     crate::report::heading(&format!(
         "Postmortem — seeded kill + dump analysis (seed {seed})"
     ));
@@ -319,7 +319,7 @@ pub fn run_seeded(seed: u64) -> Value {
 }
 
 /// Default seeded run (seed 5).
-pub fn run() -> Value {
+pub fn run() -> Json {
     run_seeded(5)
 }
 

@@ -17,8 +17,8 @@ use gmg_core::solver::{GmgSolver, SolverConfig};
 use gmg_core::timers::TimerReport;
 use gmg_machine::microbench::{measure_host, HostRoofline};
 use gmg_mesh::{Box3, Decomposition, Point3};
+use gmg_trace::{json, Json};
 use gmg_trace::{ObsConfig, TraceSummary};
-use serde_json::{json, Value};
 use std::path::Path;
 
 /// Run `f` under every sink `cfg` names an artifact for, then write the
@@ -109,7 +109,7 @@ fn traced_solve() -> (TimerReport, gmg_trace::Trace) {
 
 /// Run the harness, writing the trace under `dir` and comparing achieved
 /// rates against `host`'s measured memory roofline.
-pub fn run_in(dir: &Path, host: &HostRoofline) -> Value {
+pub fn run_in(dir: &Path, host: &HostRoofline) -> Json {
     crate::report::heading("profile — traced V-cycles, Perfetto export, roofline check");
     let (report, trace) = traced_solve();
     let summary = TraceSummary::from_trace(&trace);
@@ -147,8 +147,8 @@ pub fn run_in(dir: &Path, host: &HostRoofline) -> Value {
     // Roofline: achieved GStencil/s per op vs the memory-bandwidth ceiling
     // from the op's static traffic (Table IV doubles per point).
     println!(
-        "\nroofline (STREAM triad {:.1} GB/s, {} threads)",
-        host.triad_gbs, host.threads
+        "\nroofline (STREAM triad {:.1} GB/s, one thread)",
+        host.triad_gbs
     );
     let mut roofline_rows = Vec::new();
     for (op, _) in &timer_fr {
@@ -173,8 +173,6 @@ pub fn run_in(dir: &Path, host: &HostRoofline) -> Value {
         }));
     }
 
-    // Kept flat (nested objects via a variable) so the offline stub
-    // `json!` macro can compile this module too.
     let comm = json!({
         "messages": summary.comm.messages,
         "message_bytes": summary.comm.message_bytes,
@@ -195,7 +193,7 @@ pub fn run_in(dir: &Path, host: &HostRoofline) -> Value {
 
 /// Run the harness against the measured host roofline, writing under the
 /// conventional results directory.
-pub fn run() -> Value {
+pub fn run() -> Json {
     run_in(&crate::report::results_dir(), &measure_host())
 }
 
@@ -209,7 +207,6 @@ mod tests {
             triad_gbs: 100.0,
             copy_alpha_s: 1e-6,
             copy_beta_gbs: 120.0,
-            threads: 8,
         }
     }
 
@@ -238,8 +235,8 @@ mod tests {
         // Acceptance criterion: trace fractions agree with OpTimer within 1%.
         assert!(v["max_fraction_diff"].as_f64().unwrap() < 0.01);
         assert!(v["comm"]["messages"].as_u64().unwrap() > 0);
-        assert!(!v["level0_fractions"].as_array().unwrap().is_empty());
-        assert!(!v["roofline"].as_array().unwrap().is_empty());
+        assert!(!v["level0_fractions"].as_arr().unwrap().is_empty());
+        assert!(!v["roofline"].as_arr().unwrap().is_empty());
     }
 
     #[test]

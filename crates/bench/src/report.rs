@@ -1,6 +1,6 @@
 //! Shared output helpers for the experiment harnesses.
 
-use serde_json::Value;
+use gmg_trace::Json;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -21,20 +21,16 @@ pub fn ensure_dir(overridden: Option<PathBuf>) -> PathBuf {
 }
 
 /// Persist a harness result as pretty JSON under `results/<name>.json`.
-pub fn save(name: &str, value: &Value) {
+pub fn save(name: &str, value: &Json) {
     let path = save_in(&results_dir(), name, value);
     println!("\n[saved {path:?}]");
 }
 
 /// Persist a harness result as pretty JSON under an explicit directory;
 /// returns the written path.
-pub fn save_in(dir: &Path, name: &str, value: &Value) -> PathBuf {
+pub fn save_in(dir: &Path, name: &str, value: &Json) -> PathBuf {
     let path = dir.join(format!("{name}.json"));
-    fs::write(
-        &path,
-        serde_json::to_string_pretty(value).expect("serialize"),
-    )
-    .unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+    fs::write(&path, value.pretty()).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
     path
 }
 
@@ -104,10 +100,10 @@ mod tests {
         // Exercises the same code path `save` uses, through the explicit
         // directory parameter — no process-global env mutation.
         let dir = ensure_dir(Some(std::env::temp_dir().join("gmg_results_test")));
-        let v = serde_json::json!({"a": 1});
+        let v = gmg_trace::json!({"a": 1});
         let p = save_in(&dir, "unit_test_artifact", &v);
         assert_eq!(p, dir.join("unit_test_artifact.json"));
-        let back: Value = serde_json::from_str(&std::fs::read_to_string(&p).unwrap()).unwrap();
+        let back = Json::parse(&std::fs::read_to_string(&p).unwrap()).unwrap();
         assert_eq!(back, v);
     }
 

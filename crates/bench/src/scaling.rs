@@ -37,7 +37,7 @@ use gmg_machine::gpu::System;
 use gmg_machine::CpuModel;
 use gmg_metrics::analysis::{critical_path_with_edges, imbalance_from_seconds, utilization};
 use gmg_scale::{fit_scaling_model, simulate, RecordMode, ScaleConfig, ScaleResult, SweepPoint};
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// Attribution threshold on per-level compute excess over the analytic
 /// prediction (fractional). Jitter is symmetric, so a clean run sits at
@@ -123,7 +123,7 @@ fn pct(x: f64) -> String {
 
 /// Markdown + JSON of the whole campaign. `ok` in the returned JSON is
 /// the AND of every gate.
-pub fn run(opts: &ScalingOpts) -> Value {
+pub fn run(opts: &ScalingOpts) -> Json {
     crate::report::heading(&format!(
         "scaling observatory — {:?}, headline {} ranks",
         opts.system, opts.ranks
@@ -393,9 +393,7 @@ pub fn run(opts: &ScalingOpts) -> Value {
             pct(u.idle_s / extent),
         ));
     }
-    md.push_str(&format!(
-        "\nCritical-path op totals (top 8):\n\n| op | seconds |\n|---|---|\n"
-    ));
+    md.push_str("\nCritical-path op totals (top 8):\n\n| op | seconds |\n|---|---|\n");
     for (op, secs) in path.op_totals.iter().take(8) {
         md.push_str(&format!("| {op} | {secs:.6} |\n"));
     }
@@ -480,8 +478,8 @@ pub fn run(opts: &ScalingOpts) -> Value {
     println!("{md}");
     println!("[report: {md_path:?}]");
 
-    // JSON summary (stub-safe: flat objects composed via intermediates).
-    let weak_rows: Vec<Value> = weak
+    // JSON summary.
+    let weak_rows: Vec<Json> = weak
         .iter()
         .enumerate()
         .map(|(i, r)| {
@@ -495,7 +493,7 @@ pub fn run(opts: &ScalingOpts) -> Value {
             })
         })
         .collect();
-    let strong_rows: Vec<Value> = strong
+    let strong_rows: Vec<Json> = strong
         .iter()
         .map(|r| {
             json!({
@@ -506,7 +504,7 @@ pub fn run(opts: &ScalingOpts) -> Value {
             })
         })
         .collect();
-    let wait_rows: Vec<Value> = attrs
+    let wait_rows: Vec<Json> = attrs
         .iter()
         .map(|a| {
             json!({
@@ -517,7 +515,7 @@ pub fn run(opts: &ScalingOpts) -> Value {
             })
         })
         .collect();
-    let level_rows: Vec<Value> = headline
+    let level_rows: Vec<Json> = headline
         .result
         .levels
         .iter()
@@ -565,8 +563,8 @@ pub fn run(opts: &ScalingOpts) -> Value {
         "crossover_level": crossover.map(|l| l as i64).unwrap_or(-1),
         "fit": fit_v,
         "gates": gates,
-        "weak": Value::Array(weak_rows),
-        "strong": Value::Array(strong_rows),
+        "weak": weak_rows,
+        "strong": strong_rows,
         "waits": wait_rows,
         "levels": level_rows,
         "window": window_v,
@@ -598,7 +596,7 @@ mod tests {
         assert_eq!(v["gates"]["inject_ok"], true, "{v}");
         assert!(v["classified_fraction"].as_f64().unwrap() >= MIN_CLASSIFIED);
         // The weak sweep covers the ladder up to the headline.
-        let weak = v["weak"].as_array().unwrap();
+        let weak = v["weak"].as_arr().unwrap();
         assert!(weak.len() >= 3);
         assert_eq!(weak.last().unwrap()["ranks"].as_u64(), Some(512));
         // The report exists and carries the verdict.
@@ -620,7 +618,7 @@ mod tests {
         opts.inject = (1, 30.0);
         let v = run(&opts);
         assert_eq!(v["gates"]["inject_ok"], true);
-        let flagged = v["injected_flagged"].as_array().unwrap();
+        let flagged = v["injected_flagged"].as_arr().unwrap();
         assert_eq!(flagged.len(), 1);
         assert_eq!(flagged[0].as_u64(), Some(1));
     }

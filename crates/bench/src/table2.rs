@@ -2,7 +2,7 @@
 
 use gmg_core::schedule::{simulate, ScheduleConfig};
 use gmg_machine::gpu::System;
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// The operations Table II reports, in the paper's order.
 pub const TABLE2_OPS: [&str; 5] = [
@@ -26,7 +26,7 @@ pub fn fractions(system: System) -> Vec<(String, f64)> {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Table II — % of finest-level time per operation");
     let all: Vec<(System, Vec<(String, f64)>)> =
         System::ALL.iter().map(|&s| (s, fractions(s))).collect();

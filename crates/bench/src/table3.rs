@@ -1,7 +1,7 @@
 //! Table III: performance portability Φ based on fraction of the roofline.
 
 use gmg_machine::portability::{EfficiencyBasis, PortabilityTable};
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// The computed table.
 pub fn table() -> PortabilityTable {
@@ -9,7 +9,7 @@ pub fn table() -> PortabilityTable {
 }
 
 /// Shared pretty-printer for Tables III and V.
-pub fn print_table(t: &PortabilityTable, paper_overall: f64) -> Value {
+pub fn print_table(t: &PortabilityTable, paper_overall: f64) -> Json {
     println!(
         "{:<26} {:>10} {:>12} {:>10} {:>8}",
         "Operation", "A100/CUDA", "GCD/HIP", "PVC/SYCL", "per-op"
@@ -41,7 +41,7 @@ pub fn print_table(t: &PortabilityTable, paper_overall: f64) -> Value {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Table III — performance portability Φ (fraction of roofline)");
     print_table(&table(), 0.73)
 }

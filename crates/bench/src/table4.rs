@@ -5,7 +5,7 @@
 
 use gmg_stencil::ops::{apply_op_def, restriction_def, smooth_def};
 use gmg_stencil::{OpKind, ALL_OPS};
-use serde_json::{json, Value};
+use gmg_trace::{json, Json};
 
 /// `(op, computed AI, paper AI)` rows.
 pub fn rows() -> Vec<(OpKind, f64, f64)> {
@@ -18,7 +18,7 @@ pub fn rows() -> Vec<(OpKind, f64, f64)> {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Table IV — theoretical arithmetic intensity (FLOP/B)");
     println!("{:<26} {:>10} {:>8}", "Operation", "computed", "paper");
     for (op, ai, paper) in rows() {

@@ -2,7 +2,7 @@
 //! arithmetic intensity (data-movement proximity to compulsory misses).
 
 use gmg_machine::portability::{EfficiencyBasis, PortabilityTable};
-use serde_json::Value;
+use gmg_trace::Json;
 
 /// The computed table.
 pub fn table() -> PortabilityTable {
@@ -10,7 +10,7 @@ pub fn table() -> PortabilityTable {
 }
 
 /// Run the harness.
-pub fn run() -> Value {
+pub fn run() -> Json {
     crate::report::heading("Table V — performance portability Φ (fraction of theoretical AI)");
     crate::table3::print_table(&table(), 0.92)
 }

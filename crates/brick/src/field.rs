@@ -5,7 +5,6 @@ use crate::layout::BrickOrdering;
 use crate::layout::{BrickLayout, NO_BRICK};
 use crate::neighborhood::BrickNeighborhood;
 use gmg_mesh::{Array3, Box3, Point3};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// A scalar field stored in fine-grain data-blocked (bricked) layout.
@@ -32,27 +31,22 @@ impl BrickedField {
 
     /// Allocate and initialize every storage cell (owned and ghost) from a
     /// function of the global cell index.
-    pub fn from_fn(layout: Arc<BrickLayout>, f: impl Fn(Point3) -> f64 + Sync) -> Self {
+    pub fn from_fn(layout: Arc<BrickLayout>, f: impl Fn(Point3) -> f64) -> Self {
         let mut field = Self::new(layout.clone());
         let bvol = layout.brick_volume();
-        let b = layout.brick_dim();
-        field
-            .data
-            .par_chunks_exact_mut(bvol)
-            .enumerate()
-            .for_each(|(slot, brick)| {
-                let cells = layout.cells_of_slot(slot as u32);
-                let mut i = 0;
-                for z in cells.lo.z..cells.hi.z {
-                    for y in cells.lo.y..cells.hi.y {
-                        for x in cells.lo.x..cells.hi.x {
-                            brick[i] = f(Point3::new(x, y, z));
-                            i += 1;
-                        }
+        for (slot, brick) in field.data.chunks_exact_mut(bvol).enumerate() {
+            let cells = layout.cells_of_slot(slot as u32);
+            let mut i = 0;
+            for z in cells.lo.z..cells.hi.z {
+                for y in cells.lo.y..cells.hi.y {
+                    for x in cells.lo.x..cells.hi.x {
+                        brick[i] = f(Point3::new(x, y, z));
+                        i += 1;
                     }
                 }
-                debug_assert_eq!(i, (b * b * b) as usize);
-            });
+            }
+            debug_assert_eq!(i, bvol);
+        }
         field
     }
 
@@ -201,76 +195,69 @@ impl BrickedField {
         f
     }
 
-    /// Parallel visit of bricks selected by `pieces` (as produced by
-    /// [`BrickLayout::slots_intersecting`]): for each piece, `kernel(slot,
-    /// sub_box, brick_out)` may write the brick's cells. Bricks are visited
-    /// at most once per call, and each invocation gets exclusive access to
-    /// its brick.
+    /// Visit the bricks selected by `pieces` (as produced by
+    /// [`BrickLayout::slots_intersecting`]) in piece order: for each piece,
+    /// `kernel(slot, sub_box, brick_out)` may write the brick's cells.
     ///
-    /// Panics if `pieces` contains duplicate slots.
-    pub fn par_update_bricks(
+    /// Each brick is visited at most once per call: panics unless the
+    /// pieces' bricks are in the strictly increasing index order
+    /// `slots_intersecting` produces (z outermost), which a repeated slot
+    /// breaks.
+    pub fn update_bricks(
         &mut self,
         pieces: &[(u32, Box3)],
-        kernel: impl Fn(u32, Box3, &mut [f64]) + Sync,
+        mut kernel: impl FnMut(u32, Box3, &mut [f64]),
     ) {
-        let bvol = self.layout.brick_volume();
-        // Build slot -> piece index map to hand disjoint chunks to rayon.
-        let mut by_slot: Vec<Option<Box3>> = vec![None; self.layout.num_slots()];
-        for (slot, sub) in pieces {
+        let mut prev = None;
+        for &(slot, sub) in pieces {
+            let b = self.layout.brick_of_slot(slot);
+            let key = (b.z, b.y, b.x);
             assert!(
-                by_slot[*slot as usize].replace(*sub).is_none(),
-                "duplicate slot {slot} in pieces"
+                prev < Some(key),
+                "slot {slot} repeated or out of brick order in pieces"
             );
+            prev = Some(key);
+            kernel(slot, sub, self.brick_mut(slot));
         }
-        self.data
-            .par_chunks_exact_mut(bvol)
-            .enumerate()
-            .for_each(|(slot, brick)| {
-                if let Some(sub) = by_slot[slot] {
-                    kernel(slot as u32, sub, brick);
-                }
-            });
     }
 
-    /// Parallel reduction over `region ∩ owned` cells.
-    ///
-    /// Deterministic at any thread count: per-piece partial results are
-    /// collected in piece order and folded serially, so the combine tree
-    /// never depends on rayon's work-stealing schedule and float
-    /// reductions are bit-identical run to run.
-    pub fn par_reduce<R: Send + Sync + Copy>(
+    /// Reduction over `region ∩ storage` cells: every piece of
+    /// [`BrickLayout::slots_intersecting`] folds its cells from `identity`,
+    /// and the piece partials fold in piece order — one association
+    /// whatever runs it, so float reductions are bit-identical run to run.
+    pub fn reduce<R: Copy>(
         &self,
         region: Box3,
         identity: R,
-        f: impl Fn(Point3, f64) -> R + Sync,
-        combine: impl Fn(R, R) -> R + Sync + Send,
+        f: impl Fn(Point3, f64) -> R,
+        combine: impl Fn(R, R) -> R,
     ) -> R {
         let bvol = self.layout.brick_volume();
         let bd = self.layout.brick_dim();
-        let pieces = self.layout.slots_intersecting(region);
-        let partials: Vec<R> = pieces
-            .par_iter()
-            .map(|(slot, sub)| {
-                let base = *slot as usize * bvol;
-                let cells = self.layout.cells_of_slot(*slot);
-                let mut acc = identity;
-                for z in sub.lo.z..sub.hi.z {
-                    for y in sub.lo.y..sub.hi.y {
-                        let row = base
-                            + (((z - cells.lo.z) * bd + (y - cells.lo.y)) * bd
-                                + (sub.lo.x - cells.lo.x)) as usize;
-                        for (dx, &v) in self.data[row..row + (sub.hi.x - sub.lo.x) as usize]
-                            .iter()
-                            .enumerate()
-                        {
-                            acc = combine(acc, f(Point3::new(sub.lo.x + dx as i64, y, z), v));
-                        }
+        let partial = |(slot, sub): (u32, Box3)| {
+            let base = slot as usize * bvol;
+            let cells = self.layout.cells_of_slot(slot);
+            let mut acc = identity;
+            for z in sub.lo.z..sub.hi.z {
+                for y in sub.lo.y..sub.hi.y {
+                    let row = base
+                        + (((z - cells.lo.z) * bd + (y - cells.lo.y)) * bd
+                            + (sub.lo.x - cells.lo.x)) as usize;
+                    for (dx, &v) in self.data[row..row + (sub.hi.x - sub.lo.x) as usize]
+                        .iter()
+                        .enumerate()
+                    {
+                        acc = combine(acc, f(Point3::new(sub.lo.x + dx as i64, y, z), v));
                     }
                 }
-                acc
-            })
-            .collect();
-        partials.into_iter().fold(identity, &combine)
+            }
+            acc
+        };
+        self.layout
+            .slots_intersecting(region)
+            .into_iter()
+            .map(partial)
+            .fold(identity, &combine)
     }
 
     /// Copy ghost bricks from this rank's own owned bricks with a periodic
@@ -437,42 +424,42 @@ mod tests {
     }
 
     #[test]
-    fn par_update_visits_each_piece_once() {
+    fn update_visits_each_piece_once() {
         let l = mk(16, 4, 1, BrickOrdering::SurfaceMajor);
         let mut f = BrickedField::new(l.clone());
         let region = Box3::cube(16);
         let pieces = l.slots_intersecting(region);
         let bd = l.brick_dim();
-        f.par_update_bricks(&pieces, |slot, sub, out| {
+        f.update_bricks(&pieces, |slot, sub, out| {
             let cells = l.cells_of_slot(slot);
             sub.for_each(|p| {
                 let r = p - cells.lo;
                 out[((r.z * bd + r.y) * bd + r.x) as usize] += 1.0;
             });
         });
-        let total = f.par_reduce(region, 0.0, |_, v| v, |a, b| a + b);
+        let total = f.reduce(region, 0.0, |_, v| v, |a, b| a + b);
         assert_eq!(total, region.volume() as f64);
     }
 
     #[test]
     #[should_panic]
-    fn par_update_duplicate_slots_panics() {
+    fn update_duplicate_slots_panics() {
         let l = mk(8, 4, 0, BrickOrdering::Lexicographic);
         let mut f = BrickedField::new(l);
         let pieces = vec![(0u32, Box3::cube(1)), (0u32, Box3::cube(2))];
-        f.par_update_bricks(&pieces, |_, _, _| {});
+        f.update_bricks(&pieces, |_, _, _| {});
     }
 
     #[test]
-    fn par_reduce_max_abs() {
+    fn reduce_max_abs() {
         let l = mk(16, 4, 1, BrickOrdering::SurfaceMajor);
         let mut f = BrickedField::from_fn(l, |_| 1.0);
         f.set(Point3::new(5, 5, 5), -9.0);
-        let m = f.par_reduce(Box3::cube(16), 0.0, |_, v| v.abs(), f64::max);
+        let m = f.reduce(Box3::cube(16), 0.0, |_, v| v.abs(), f64::max);
         assert_eq!(m, 9.0);
         // Ghost values don't contribute to owned-region reductions.
         f.set(Point3::new(-1, 0, 0), 100.0);
-        let m2 = f.par_reduce(Box3::cube(16), 0.0, |_, v| v.abs(), f64::max);
+        let m2 = f.reduce(Box3::cube(16), 0.0, |_, v| v.abs(), f64::max);
         assert_eq!(m2, 9.0);
     }
 

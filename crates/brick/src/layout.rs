@@ -17,14 +17,13 @@
 
 use gmg_mesh::ghost::{direction_index, DIRECTIONS_26};
 use gmg_mesh::{Box3, Point3};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Sentinel slot id for "no brick" (outside the storage shell).
 pub const NO_BRICK: u32 = u32::MAX;
 
 /// Physical storage order of bricks within a layout.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BrickOrdering {
     /// Bricks in lexicographic order of their global brick index.
     Lexicographic,
@@ -71,7 +70,7 @@ impl BrickShape {
 }
 
 /// Classification of a brick within a layout's storage shell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SlotClass {
     /// Ghost brick, with its halo direction.
     Ghost(Point3),

@@ -3,7 +3,7 @@
 use gmg_brick::{BrickLayout, BrickOrdering, SlotClass};
 use gmg_mesh::ghost::DIRECTIONS_26;
 use gmg_mesh::{Box3, Point3};
-use proptest::prelude::*;
+use gmg_proptest::prelude::*;
 
 fn arb_layout() -> impl Strategy<Value = BrickLayout> {
     (

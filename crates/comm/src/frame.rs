@@ -455,7 +455,7 @@ impl Reassembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use gmg_proptest::prelude::*;
 
     fn sample() -> Frame {
         Frame {
@@ -656,10 +656,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig {
-            cases: 48,
-            ..ProptestConfig::default()
-        })]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Any payload length across zero, one, two and three fragments —
         /// most of them not a multiple of the checksum's lane count —

@@ -8,12 +8,10 @@
 //! studies (Table I environment variables, GPU-aware MPI, CPU–GPU–NIC
 //! binding) can be toggled and their effect on the model observed.
 
-use serde::{Deserialize, Serialize};
-
 /// Message transfer protocol, selected per message by size against the
 /// rendezvous threshold (the `FI_CXI_RDZV_*` knobs force it to 0, i.e.
 /// rendezvous for everything).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Protocol {
     /// Eager: data is copied through bounce buffers; cheap handshake, extra
     /// copy bandwidth cost, per-message matching overhead on the receiver.
@@ -24,7 +22,7 @@ pub enum Protocol {
 }
 
 /// A calibrated network model for one system's per-rank NIC path.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkModel {
     pub name: String,
     /// Slingshot 11 line rate per NIC (GB/s); the theoretical ceiling in

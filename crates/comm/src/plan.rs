@@ -8,10 +8,9 @@
 use gmg_brick::{BrickLayout, BrickOrdering};
 use gmg_mesh::ghost::DIRECTIONS_26;
 use gmg_mesh::{Box3, Point3};
-use serde::{Deserialize, Serialize};
 
 /// Message plan for a conventional-array ghost exchange at depth `d`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ArrayExchangePlan {
     /// Subdomain extent.
     pub sub_extent: Point3,
@@ -51,7 +50,7 @@ impl ArrayExchangePlan {
 }
 
 /// Message plan for a bricked ghost exchange (ghost shell = whole bricks).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BrickExchangePlan {
     pub sub_extent: Point3,
     pub brick_dim: i64,

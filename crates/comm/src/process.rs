@@ -149,14 +149,14 @@ fn enc_cycle(c: i64) -> u64 {
     (c + 1).max(0) as u64
 }
 
+/// What a world's telemetry sidecar hands each datagram to, with the
+/// controller's membership epoch at the time.
+pub type TelemetrySink = Box<dyn FnMut(&[u8], u64)>;
+
 /// Drain every pending datagram on the telemetry sidecar into the
 /// embedded collector sink, stamping each with the controller's current
 /// membership epoch (the sink fences stale-epoch frames itself).
-fn drain_telemetry(
-    sock: Option<&UnixDatagram>,
-    sink: &mut Option<Box<dyn FnMut(&[u8], u64)>>,
-    epoch: u64,
-) {
+fn drain_telemetry(sock: Option<&UnixDatagram>, sink: &mut Option<TelemetrySink>, epoch: u64) {
     let (Some(sock), Some(sink)) = (sock, sink.as_mut()) else {
         return;
     };
@@ -565,7 +565,7 @@ pub struct ProcessWorld {
     kill_at: Option<(usize, u64)>,
     max_rejoins: u32,
     deadline: Duration,
-    telemetry_sink: Option<Box<dyn FnMut(&[u8], u64)>>,
+    telemetry_sink: Option<TelemetrySink>,
 }
 
 impl ProcessWorld {
@@ -635,7 +635,7 @@ impl ProcessWorld {
     /// that arrives there to `sink` together with its current membership
     /// epoch. Telemetry is best-effort — a full socket buffer drops
     /// frames, and no sink means the socket is never bound.
-    pub fn telemetry_sink(mut self, sink: Box<dyn FnMut(&[u8], u64)>) -> Self {
+    pub fn telemetry_sink(mut self, sink: TelemetrySink) -> Self {
         self.telemetry_sink = Some(sink);
         self
     }

@@ -7,7 +7,7 @@ use std::time::Duration;
 use gmg_comm::fault::{CommError, FaultConfig, FaultPlan};
 use gmg_comm::runtime::{exchange_array, RankWorld};
 use gmg_mesh::{Array3, Box3, Decomposition, Point3};
-use proptest::prelude::*;
+use gmg_proptest::prelude::*;
 
 fn idx_fn(p: Point3) -> f64 {
     (p.x + 1000 * p.y + 1_000_000 * p.z) as f64
@@ -45,10 +45,7 @@ fn lossy_exchange_world(plan: &FaultPlan) -> Result<Vec<f64>, gmg_comm::WorldFai
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12,
-        ..ProptestConfig::default()
-    })]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn exchange_tag_matching_survives_arbitrary_fault_seeds(
@@ -77,7 +74,7 @@ proptest! {
     #[test]
     fn recv_timeout_never_loses_a_stashed_message(
         seed in any::<u64>(),
-        tags in proptest::collection::vec(0u64..16, 1..6),
+        tags in prop::collection::vec(0u64..16, 1..6),
         lossy in any::<bool>(),
     ) {
         // Rank 0 sends one message per tag (values encode the send index);

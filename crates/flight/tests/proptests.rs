@@ -8,7 +8,7 @@
 //! snapshot is a whole-event oracle that needs no locks of its own.
 
 use gmg_flight::{EventKind, FlightEvent, FlightRing};
-use proptest::prelude::*;
+use gmg_proptest::prelude::*;
 
 const MIX: u64 = 1_000_003;
 
@@ -184,7 +184,7 @@ proptest! {
     #[test]
     fn every_wait_classified_into_exactly_one_class(
         ranks in 3usize..6,
-        bits in proptest::collection::vec(any::<u64>(), 1..40),
+        bits in prop::collection::vec(any::<u64>(), 1..40),
     ) {
         let msgs: Vec<MsgSpec> = bits.iter().map(|&x| spec_from_bits(x, ranks)).collect();
         let logs = build_world(ranks, &msgs, |_| false);
@@ -226,8 +226,8 @@ proptest! {
     #[test]
     fn classified_fraction_monotone_under_edge_removal(
         ranks in 3usize..6,
-        bits in proptest::collection::vec(any::<u64>(), 1..40),
-        mask in proptest::collection::vec(any::<bool>(), 40),
+        bits in prop::collection::vec(any::<u64>(), 1..40),
+        mask in prop::collection::vec(any::<bool>(), 40),
     ) {
         let msgs: Vec<MsgSpec> = bits.iter().map(|&x| spec_from_bits(x, ranks)).collect();
         let full = analyze(&build_world(ranks, &msgs, |_| false));
@@ -280,7 +280,7 @@ proptest! {
     #[test]
     fn damaged_dumps_load_or_fail_typed(
         case in any::<u64>(),
-        damage in proptest::collection::vec(any::<u64>(), 1..6),
+        damage in prop::collection::vec(any::<u64>(), 1..6),
     ) {
         let dir = valid_dump("damage", case);
         let files = ["manifest.json", "rank0.json", "rank1.json"];

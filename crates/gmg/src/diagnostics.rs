@@ -8,11 +8,10 @@ use crate::level::Level;
 use crate::solver::{SolveStats, SolverConfig};
 use gmg_comm::runtime::RankCtx;
 use gmg_stencil::exec_brick::residual_norms_bricked;
-use serde::{Deserialize, Serialize};
 
 /// Norms of a field over this rank's owned region (combine across ranks
 /// with the matching all-reduce).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LocalNorms {
     /// Σ v².
     pub sum_sq: f64,
@@ -84,7 +83,7 @@ impl LocalNorms {
 }
 
 /// Domain-wide norms.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GlobalNorms {
     /// RMS (discrete L2) norm.
     pub l2: f64,
@@ -103,7 +102,7 @@ impl GlobalNorms {
 }
 
 /// Health classification of an iterate or a residual history.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolveHealth {
     /// Residuals finite, no divergence detected.
     Healthy,
@@ -139,7 +138,7 @@ impl SolveHealth {
 }
 
 /// What the solver does when its health guards trip mid-solve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Stop immediately; the returned [`SolveStats`] carry the verdict and
     /// the offending residual history as diagnostics. The iterate is left
@@ -222,7 +221,7 @@ impl HealthMonitor {
 }
 
 /// Analysis of a residual history.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ConvergenceReport {
     /// Reduction factor per cycle.
     pub factors: Vec<f64>,
@@ -249,9 +248,9 @@ impl ConvergenceReport {
             .collect();
         // Geometric mean via Σ ln: the direct product underflows to zero
         // for long histories (e.g. 400 factors of 0.1 is 1e-400 < f64 min).
-        // The `!(f > 0)` form also routes NaN factors (from a non-finite
-        // residual) here instead of poisoning the ln-sum.
-        let mean_factor = if factors.iter().any(|f| !(*f > 0.0)) {
+        // NaN factors (from a non-finite residual) are routed here too,
+        // instead of poisoning the ln-sum.
+        let mean_factor = if factors.iter().any(|f| f.is_nan() || *f <= 0.0) {
             0.0
         } else {
             let ln_sum: f64 = factors.iter().map(|f| f.ln()).sum();

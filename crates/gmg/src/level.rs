@@ -3,7 +3,7 @@
 use crate::problem::PoissonProblem;
 use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
 use gmg_mesh::{Box3, Decomposition, Point3};
-use gmg_stencil::exec_brick::{apply_star7_bricked, par_pointwise_mut1, par_pointwise_mut2};
+use gmg_stencil::exec_brick::{apply_star7_bricked, pointwise_mut1, pointwise_mut2};
 use gmg_stencil::exec_fused::{fused_multismooth_bricked, FusedStats};
 use std::sync::Arc;
 
@@ -96,7 +96,7 @@ impl Level {
     pub fn smooth(&mut self, region: Box3) {
         let gamma = self.gamma;
         let pieces = self.layout.slots_intersecting(region);
-        par_pointwise_mut1(&mut self.x, &self.ax, &self.b, &pieces, move |x, ax, b| {
+        pointwise_mut1(&mut self.x, &self.ax, &self.b, &pieces, move |x, ax, b| {
             *x += gamma * (ax - b);
         });
     }
@@ -107,7 +107,7 @@ impl Level {
     pub fn smooth_residual(&mut self, region: Box3) {
         let gamma = self.gamma;
         let pieces = self.layout.slots_intersecting(region);
-        par_pointwise_mut2(
+        pointwise_mut2(
             &mut self.x,
             &mut self.r,
             &self.ax,
@@ -151,7 +151,7 @@ impl Level {
     /// `r ← b − Ax` over `region`, from the `Ax` of the last `apply_op`.
     pub fn residual(&mut self, region: Box3) {
         let pieces = self.layout.slots_intersecting(region);
-        par_pointwise_mut1(&mut self.r, &self.ax, &self.b, &pieces, |r, ax, b| {
+        pointwise_mut1(&mut self.r, &self.ax, &self.b, &pieces, |r, ax, b| {
             *r = b - ax;
         });
     }
@@ -165,7 +165,7 @@ impl Level {
 
     /// Max-norm of the residual over this rank's owned cells.
     pub fn max_norm_r(&self) -> f64 {
-        self.r.par_reduce(self.owned, 0.0, |_, v| v.abs(), f64::max)
+        self.r.reduce(self.owned, 0.0, |_, v| v.abs(), f64::max)
     }
 
     /// Snapshot the level's mutable solver state for in-memory
@@ -188,9 +188,9 @@ impl Level {
     /// shifted to remove the periodic-Poisson mean ambiguity: compares
     /// `x − mean(x)` against `f − mean(f)` is the caller's business; this
     /// is the raw max difference.
-    pub fn max_error(&self, f: impl Fn(Point3) -> f64 + Sync) -> f64 {
+    pub fn max_error(&self, f: impl Fn(Point3) -> f64) -> f64 {
         self.x
-            .par_reduce(self.owned, 0.0, |p, v| (v - f(p)).abs(), f64::max)
+            .reduce(self.owned, 0.0, |p, v| (v - f(p)).abs(), f64::max)
     }
 }
 
@@ -214,7 +214,7 @@ pub fn restriction(fine: &Level, coarse: &mut Level) {
     let pieces = clayout.slots_intersecting(coarse.owned);
     let fine_r = &fine.r;
     // `owned` is brick-aligned, so every piece is a whole brick.
-    coarse.b.par_update_bricks(&pieces, |_, cells, out| {
+    coarse.b.update_bricks(&pieces, |_, cells, out| {
         out.fill(0.0);
         fine_r.for_each_row_piece(cells.refine(2), |p, f| {
             let l = p.div_floor(Point3::splat(2)) - cells.lo;
@@ -234,7 +234,7 @@ fn add_fine_piece(sum: &mut [f64], f: &[f64], t0: usize) {
     if let [v] = head {
         sum[t0 / 2] += v;
     }
-    let sum = &mut sum[(t0 + 1) / 2..];
+    let sum = &mut sum[t0.div_ceil(2)..];
     let pairs = f.chunks_exact(2);
     if let [v] = pairs.remainder() {
         sum[f.len() / 2] += v;
@@ -255,7 +255,7 @@ pub fn interpolation_increment(coarse: &Level, fine: &mut Level) {
     let pieces = flayout.slots_intersecting(fine.owned);
     let coarse_x = &coarse.x;
     // `owned` is brick-aligned, so every piece is a whole brick.
-    fine.x.par_update_bricks(&pieces, |_, cells, out| {
+    fine.x.update_bricks(&pieces, |_, cells, out| {
         coarse_x.for_each_row_piece(cells.coarsen(2), |p, c| {
             // The (up to) 2 × 2 fine rows of this brick over the coarse row.
             for fz in (2 * p.z).max(cells.lo.z)..(2 * p.z + 2).min(cells.hi.z) {
@@ -320,7 +320,7 @@ mod tests {
         let mut l = single_level(16, 4, 0);
         l.x.fill(3.0);
         l.apply_op(l.owned);
-        let m = l.ax.par_reduce(l.owned, 0.0, |_, v| v.abs(), f64::max);
+        let m = l.ax.reduce(l.owned, 0.0, |_, v| v.abs(), f64::max);
         assert!(m < 1e-6 * l.beta.abs(), "max |A·const| = {m}");
     }
 
@@ -334,7 +334,7 @@ mod tests {
         l.x = BrickedField::from_fn(l.layout.clone(), |p| pr.rhs(p.rem_euclid(Point3::splat(n))));
         l.apply_op(l.owned);
         let lambda = problem.discrete_eigenvalue();
-        let err = l.ax.par_reduce(
+        let err = l.ax.reduce(
             l.owned,
             0.0,
             |p, v| (v - lambda * pr.rhs(p)).abs(),
@@ -365,50 +365,36 @@ mod tests {
     }
 
     #[test]
-    fn residual_history_bit_identical_across_thread_counts_and_kernels() {
-        // The acceptance bar for the parallel executors: a communication-
-        // avoiding smoothing loop's residual history must not depend on
-        // the rayon pool width (the partition scheme is a fixed constant
-        // and reductions fold partials in slab order) nor on whether the
-        // bricked applyOp takes its shape-specialized or generic path.
-        let history = |threads: usize, generic: bool| -> Vec<f64> {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            pool.install(|| {
-                let n = 16;
-                let pr = PoissonProblem::new(n);
-                let mut l = single_level(n, 8, 0);
-                l.b = BrickedField::from_fn(l.layout.clone(), |p| {
-                    pr.rhs(p.rem_euclid(Point3::splat(n)))
-                });
-                l.init_zero();
-                let mut hist = Vec::new();
-                for _ in 0..4 {
-                    self_exchange(&mut l);
-                    if generic {
-                        gmg_stencil::exec_brick::apply_star7_bricked_generic(
-                            &mut l.ax, &l.x, l.alpha, l.beta, l.owned,
-                        );
-                    } else {
-                        l.apply_op(l.owned);
-                    }
-                    l.smooth_residual(l.owned);
-                    // Max norm plus an order-sensitive L2 sum: the latter
-                    // changes bits if any reduction reassociates.
-                    hist.push(l.max_norm_r());
-                    hist.push(l.r.par_reduce(l.owned, 0.0, |_, v| v * v, |a, b| a + b));
+    fn residual_history_bit_identical_across_kernels() {
+        // A communication-avoiding smoothing loop's residual history must
+        // not depend on whether the bricked applyOp takes its
+        // shape-specialized or generic path.
+        let history = |generic: bool| -> Vec<f64> {
+            let n = 16;
+            let pr = PoissonProblem::new(n);
+            let mut l = single_level(n, 8, 0);
+            l.b =
+                BrickedField::from_fn(l.layout.clone(), |p| pr.rhs(p.rem_euclid(Point3::splat(n))));
+            l.init_zero();
+            let mut hist = Vec::new();
+            for _ in 0..4 {
+                self_exchange(&mut l);
+                if generic {
+                    gmg_stencil::exec_brick::apply_star7_bricked_generic(
+                        &mut l.ax, &l.x, l.alpha, l.beta, l.owned,
+                    );
+                } else {
+                    l.apply_op(l.owned);
                 }
-                hist
-            })
+                l.smooth_residual(l.owned);
+                // Max norm plus an order-sensitive L2 sum: the latter
+                // changes bits if any reduction reassociates.
+                hist.push(l.max_norm_r());
+                hist.push(l.r.reduce(l.owned, 0.0, |_, v| v * v, |a, b| a + b));
+            }
+            hist
         };
-        let reference = history(1, false);
-        for threads in [2usize, 8] {
-            assert_eq!(history(threads, false), reference, "threads={threads}");
-        }
-        assert_eq!(history(1, true), reference, "generic kernel");
-        assert_eq!(history(8, true), reference, "generic kernel, 8 threads");
+        assert_eq!(history(true), history(false));
     }
 
     #[test]

@@ -144,7 +144,7 @@ mod tests {
                 l.apply_op(l.owned);
                 l.residual(l.owned);
                 let ref_max = ctx.allreduce_max(l.max_norm_r());
-                let (sum_sq, sum) = l.r.par_reduce(
+                let (sum_sq, sum) = l.r.reduce(
                     l.owned,
                     (0.0, 0.0),
                     |_, v| (v * v, v),

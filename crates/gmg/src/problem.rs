@@ -1,7 +1,6 @@
 //! The paper's model problem: 3D Poisson on the periodic unit cube.
 
 use gmg_mesh::Point3;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// Constant-coefficient Poisson problem definition (paper Section IV-C).
@@ -9,7 +8,7 @@ use std::f64::consts::PI;
 /// The operator is the standard 7-point stencil with center coefficient
 /// `α = −6/h²` and neighbor coefficient `β = 1/h²`; the smoother is point
 /// Jacobi `x := x + γ(Ax − b)` with `γ = h²/12` (weighted Jacobi, ω = ½).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PoissonProblem {
     /// Cells per dimension on the finest grid (`h = 1/n`).
     pub n_finest: i64,

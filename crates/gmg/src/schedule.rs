@@ -18,11 +18,10 @@ use gmg_machine::timing::KernelTiming;
 use gmg_machine::CpuModel;
 use gmg_mesh::Point3;
 use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Configuration of a simulated run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScheduleConfig {
     pub system: System,
     /// Per-rank subdomain extent at the finest level.
@@ -101,7 +100,7 @@ impl ScheduleConfig {
 }
 
 /// Simulated per-level time breakdown over the whole run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimLevelBreakdown {
     pub level: usize,
     pub cells_per_rank: usize,
@@ -120,7 +119,7 @@ impl SimLevelBreakdown {
 }
 
 /// Result of a simulated run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SimResult {
     pub system: System,
     pub nranks: usize,

@@ -23,11 +23,10 @@
 
 use crate::level::Level;
 use gmg_mesh::Box3;
-use gmg_stencil::exec_brick::par_pointwise_mut1;
-use serde::{Deserialize, Serialize};
+use gmg_stencil::exec_brick::pointwise_mut1;
 
 /// Smoother selection for the V-cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum Smoother {
     /// The paper's point Jacobi, `x += γ(Ax − b)` with `γ = h²/12`.
     #[default]
@@ -138,7 +137,7 @@ impl Smoother {
 
 fn weighted_update(level: &mut Level, region: Box3, gamma: f64) {
     let pieces = level.layout.slots_intersecting(region);
-    par_pointwise_mut1(
+    pointwise_mut1(
         &mut level.x,
         &level.ax,
         &level.b,
@@ -151,7 +150,7 @@ fn weighted_update(level: &mut Level, region: Box3, gamma: f64) {
 
 fn weighted_update_with_residual(level: &mut Level, region: Box3, gamma: f64) {
     let pieces = level.layout.slots_intersecting(region);
-    gmg_stencil::exec_brick::par_pointwise_mut2(
+    gmg_stencil::exec_brick::pointwise_mut2(
         &mut level.x,
         &mut level.r,
         &level.ax,
@@ -173,7 +172,7 @@ fn colored_update(level: &mut Level, region: Box3, scale: f64, parity: i64) {
     let pieces = layout.slots_intersecting(region);
     let ax = level.ax.as_slice();
     let b_slice = level.b.as_slice();
-    level.x.par_update_bricks(&pieces, |slot, sub, out| {
+    level.x.update_bricks(&pieces, |slot, sub, out| {
         let base = slot as usize * bvol;
         let cells = layout.cells_of_slot(slot);
         for z in sub.lo.z..sub.hi.z {

@@ -17,7 +17,6 @@ use gmg_mesh::Decomposition;
 use gmg_mesh::Point3;
 use gmg_trace::probe::{self, Kind};
 use gmg_trace::Counters;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Communication-avoiding Jacobi-family smooth iterations grouped into
@@ -26,7 +25,7 @@ use std::time::Instant;
 const FUSED_GROUP: usize = 4;
 
 /// Solver configuration (the artifact's command-line parameters).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
     /// V-cycle depth (`-l 6` in the artifact: levels 0..=5).
     pub num_levels: usize,
@@ -110,7 +109,7 @@ impl SolverConfig {
 }
 
 /// Result of a solve.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SolveStats {
     /// V-cycles executed.
     pub vcycles: usize,
@@ -171,6 +170,13 @@ pub struct SolveProgress {
     pub level_seconds: Vec<f64>,
 }
 
+/// See [`GmgSolver::fault_hook`].
+pub type FaultHook = Box<dyn FnMut(usize, &mut Level) + Send>;
+/// See [`GmgSolver::phase_hook`].
+pub type PhaseHook = Box<dyn FnMut(usize, &'static str, usize) + Send>;
+/// See [`GmgSolver::progress_hook`].
+pub type ProgressHook = Box<dyn FnMut(&SolveProgress) + Send>;
+
 /// One rank's multigrid solver state.
 pub struct GmgSolver {
     pub problem: PoissonProblem,
@@ -180,17 +186,17 @@ pub struct GmgSolver {
     /// Deterministic fault hook for tests and chaos campaigns: called
     /// after each V-cycle with `(cycle_index, finest_level)` so the
     /// iterate can be corrupted without a comm layer in the loop.
-    pub fault_hook: Option<Box<dyn FnMut(usize, &mut Level) + Send>>,
+    pub fault_hook: Option<FaultHook>,
     /// Phase hook for tests and chaos campaigns: called at each V-cycle
     /// phase boundary with `(cycle_index, phase, level)` where `phase` is
     /// one of `"smooth"`, `"restrict"`, `"coarse"`, `"prolong"`. The
     /// rejoin battery uses this to make a rank die at an exact point in
     /// the schedule.
-    pub phase_hook: Option<Box<dyn FnMut(usize, &'static str, usize) + Send>>,
+    pub phase_hook: Option<PhaseHook>,
     /// Observation-only telemetry hook: called with a [`SolveProgress`]
     /// after each V-cycle's residual lands in the history. The gmg-live
     /// shipper hangs off this; it must never touch solver state.
-    pub progress_hook: Option<Box<dyn FnMut(&SolveProgress) + Send>>,
+    pub progress_hook: Option<ProgressHook>,
     rank: usize,
     tag_counter: u64,
     /// 1-based index of the cycle currently executing (feeds `phase_hook`).

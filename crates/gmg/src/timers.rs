@@ -6,7 +6,6 @@
 //! the rank world.
 
 use gmg_comm::runtime::RankCtx;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -100,7 +99,7 @@ impl OpTimer {
 }
 
 /// One aggregated row: min/avg/max and σ of total seconds across ranks.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TimerRow {
     pub level: usize,
     pub op: String,
@@ -112,7 +111,7 @@ pub struct TimerRow {
 }
 
 /// Cross-rank timing report in the artifact's output format.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TimerReport {
     pub rows: Vec<TimerRow>,
 }

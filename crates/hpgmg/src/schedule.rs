@@ -15,7 +15,6 @@ use gmg_machine::gpu::{GpuModel, System};
 use gmg_machine::timing::KernelTiming;
 use gmg_mesh::Point3;
 use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
-use serde::{Deserialize, Serialize};
 
 /// Fraction of the bricked kernels' sustained rate the conventional-layout
 /// kernels achieve (calibrated to Figure 4).
@@ -28,7 +27,7 @@ pub fn kernel_derate(system: System) -> f64 {
 }
 
 /// Result of a modeled HPGMG run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HpgmgSimResult {
     pub system: System,
     pub total_seconds: f64,

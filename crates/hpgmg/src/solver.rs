@@ -7,7 +7,6 @@ use gmg_core::trace::op_counters;
 use gmg_mesh::{Array3, Box3, Decomposition, Point3};
 use gmg_stencil::exec_array::apply_star7_array;
 use gmg_trace::probe;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::time::Instant;
 
@@ -44,7 +43,7 @@ impl ArrayLevel {
         apply_star7_array(&mut self.ax, &self.x, self.alpha, self.beta, self.owned);
     }
 
-    /// Parallel pointwise triad over the owned region:
+    /// Pointwise triad over the owned region:
     /// `f(&mut out, a, b)` per cell. Out must share the storage box with
     /// `a` and `b` (all level fields do).
     fn pointwise(
@@ -52,27 +51,22 @@ impl ArrayLevel {
         a: &Array3<f64>,
         b: &Array3<f64>,
         region: Box3,
-        f: impl Fn(&mut f64, f64, f64) + Sync,
+        f: impl Fn(&mut f64, f64, f64),
     ) {
-        let sa = a.as_slice();
-        let sb = b.as_slice();
-        let ext = a.storage_box().extent();
-        let lo = a.storage_box().lo;
-        out.par_for_each_slab(region, |slab, mut w| {
-            for z in slab.lo.z..slab.hi.z {
-                for y in slab.lo.y..slab.hi.y {
-                    let row = Point3::new(slab.lo.x, y, z);
-                    let g = (((row.z - lo.z) * ext.y + (row.y - lo.y)) * ext.x + (row.x - lo.x))
-                        as usize;
-                    let n = (slab.hi.x - slab.lo.x) as usize;
-                    let base = w.offset(row);
-                    let ws = &mut w.as_mut_slice()[base..base + n];
-                    for i in 0..n {
-                        f(&mut ws[i], sa[g + i], sb[g + i]);
-                    }
+        if region.is_empty() {
+            return;
+        }
+        let (sa, sb) = (a.as_slice(), b.as_slice());
+        let n = (region.hi.x - region.lo.x) as usize;
+        for z in region.lo.z..region.hi.z {
+            for y in region.lo.y..region.hi.y {
+                let g = a.offset(Point3::new(region.lo.x, y, z));
+                let row = &mut out.as_mut_slice()[g..g + n];
+                for i in 0..n {
+                    f(&mut row[i], sa[g + i], sb[g + i]);
                 }
             }
-        });
+        }
     }
 
     fn smooth(&mut self) {
@@ -113,12 +107,12 @@ impl ArrayLevel {
     }
 
     fn max_norm_r(&self) -> f64 {
-        self.r.par_reduce(self.owned, 0.0, |_, v| v.abs(), f64::max)
+        self.r.reduce(self.owned, 0.0, |_, v| v.abs(), f64::max)
     }
 }
 
 /// Solver statistics (same shape as the bricked solver's).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HpgmgStats {
     pub vcycles: usize,
     pub residual_history: Vec<f64>,
@@ -281,31 +275,23 @@ impl HpgmgSolver {
 fn restrict_array(fine: &ArrayLevel, coarse: &mut ArrayLevel) {
     let owned = coarse.owned;
     let fr = &fine.r;
-    coarse.b.par_for_each_slab(owned, |slab, mut w| {
-        slab.for_each(|c| {
-            let mut sum = 0.0;
-            for dz in 0..2 {
-                for dy in 0..2 {
-                    for dx in 0..2 {
-                        sum += fr[Point3::new(2 * c.x + dx, 2 * c.y + dy, 2 * c.z + dz)];
-                    }
+    owned.for_each(|c| {
+        let mut sum = 0.0;
+        for dz in 0..2 {
+            for dy in 0..2 {
+                for dx in 0..2 {
+                    sum += fr[Point3::new(2 * c.x + dx, 2 * c.y + dy, 2 * c.z + dz)];
                 }
             }
-            w.set(c, 0.125 * sum);
-        });
+        }
+        coarse.b[c] = 0.125 * sum;
     });
 }
 
 fn interpolate_increment_array(coarse: &ArrayLevel, fine: &mut ArrayLevel) {
     let owned = fine.owned;
     let cx = &coarse.x;
-    fine.x.par_for_each_slab(owned, |slab, mut w| {
-        slab.for_each(|p| {
-            let c = p.div_floor(Point3::splat(2));
-            let old = w.get(p);
-            w.set(p, old + cx[c]);
-        });
-    });
+    owned.for_each(|p| fine.x[p] += cx[p.div_floor(Point3::splat(2))]);
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 use gmg_comm::{Frame, FrameKind};
 use gmg_live::{AlertConfig, Collector};
 use gmg_metrics::{Histogram, Key, Snapshot, SnapshotEntry, Value};
+use gmg_proptest::prelude::*;
 use gmg_trace::Json;
-use proptest::prelude::*;
 
 const OPS: [&str; 3] = ["smooth", "residual", "exchange"];
 
@@ -39,8 +39,7 @@ fn entry(name_idx: usize, rank: usize, level: usize, seed: u64) -> SnapshotEntry
     SnapshotEntry { name, key, value }
 }
 
-/// Build a snapshot from raw seeds (the stub proptest has no tuple
-/// strategies or `prop_map`, so rows decode from seed bits).
+/// Build a snapshot from raw seeds: rows decode from seed bits.
 fn snapshot_from(seeds: &[u64]) -> Snapshot {
     let mut entries: Vec<SnapshotEntry> = Vec::new();
     for &s in seeds {

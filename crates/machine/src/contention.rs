@@ -13,11 +13,9 @@
 //!
 //! [`LatencyThroughput`]: crate::model::LatencyThroughput
 
-use serde::{Deserialize, Serialize};
-
 /// Fabric-level contention knobs. All effects are multiplicative /
 /// additive penalties applied to a per-rank `(α, β)` exchange model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ContentionModel {
     /// Ports per switch. Fabric diameter grows as `log_radix(nodes)`
     /// (Slingshot Rosetta: 64).

@@ -4,11 +4,10 @@
 //! significantly less than the GPU ones").
 
 use gmg_stencil::OpKind;
-use serde::{Deserialize, Serialize};
 
 /// An EPYC-class socket: much lower launch overhead, much lower bandwidth
 /// than HBM.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CpuModel {
     pub kernel_overhead_us: f64,
     pub dram_gbs: f64,

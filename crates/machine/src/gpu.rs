@@ -7,10 +7,9 @@
 //! 1.64 TB/s (PVC stack).
 
 use gmg_stencil::OpKind;
-use serde::{Deserialize, Serialize};
 
 /// The three GPU-accelerated systems of the study.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum System {
     /// NERSC Perlmutter: 4 × NVIDIA A100 per node, CUDA.
     Perlmutter,
@@ -53,7 +52,7 @@ impl System {
 }
 
 /// Per-operation efficiencies calibrated from the paper's Tables III and V.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OpEfficiency {
     /// Fraction of the (empirical-AI) roofline attained — Table III.
     pub roofline_fraction: f64,
@@ -64,7 +63,7 @@ pub struct OpEfficiency {
 
 /// A machine model for one GPU execution unit (a whole A100, one MI250X
 /// GCD, or one PVC tile — the per-MPI-rank unit of the study).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpuModel {
     pub name: String,
     pub system: System,

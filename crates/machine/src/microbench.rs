@@ -11,20 +11,17 @@
 //! we actually have.
 
 use crate::model::LatencyThroughput;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Empirical memory-hierarchy characteristics of the executing host.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HostRoofline {
-    /// Sustained triad bandwidth (GB/s), all cores.
+    /// Sustained triad bandwidth (GB/s) of one thread — the roof one
+    /// rank's kernels stream against.
     pub triad_gbs: f64,
     /// Single-thread copy throughput model (x = bytes).
     pub copy_alpha_s: f64,
     pub copy_beta_gbs: f64,
-    /// Logical CPUs used for the parallel measurements.
-    pub threads: usize,
 }
 
 impl HostRoofline {
@@ -43,27 +40,27 @@ impl HostRoofline {
     }
 }
 
-/// Measure a STREAM-style triad `a[i] = b[i] + s·c[i]` over all cores.
-/// `bytes_per_array` should comfortably exceed the last-level cache.
+/// Measure a STREAM-style triad `a[i] = b[i] + s·c[i]` on the calling
+/// thread. `bytes_per_array` should comfortably exceed the last-level cache.
 pub fn measure_triad_gbs(bytes_per_array: usize, repeats: usize) -> f64 {
     let n = (bytes_per_array / 8).max(1024);
     let b: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
     let c: Vec<f64> = (0..n).map(|i| (n - i) as f64).collect();
     let mut a = vec![0.0f64; n];
     let s = 3.0f64;
+    let triad = |a: &mut [f64]| {
+        for (ai, (bi, ci)) in a.iter_mut().zip(b.iter().zip(&c)) {
+            *ai = bi + s * ci;
+        }
+    };
     // Warm-up pass also faults the pages in.
-    a.par_iter_mut()
-        .zip(b.par_iter().zip(c.par_iter()))
-        .for_each(|(ai, (bi, ci))| *ai = bi + s * ci);
+    triad(&mut a);
     let mut best = f64::INFINITY;
     for _ in 0..repeats.max(1) {
         let t0 = Instant::now();
-        a.par_iter_mut()
-            .zip(b.par_iter().zip(c.par_iter()))
-            .for_each(|(ai, (bi, ci))| *ai = bi + s * ci);
+        triad(&mut a);
         // `a` is never read again, so without this the optimizer may delete
-        // the timed stores outright (observed under the serial-rayon stub
-        // build: hundreds of TB/s).
+        // the timed stores outright (observed: hundreds of TB/s).
         std::hint::black_box(a.as_slice());
         best = best.min(t0.elapsed().as_secs_f64());
     }
@@ -102,7 +99,6 @@ pub fn measure_host() -> HostRoofline {
         triad_gbs: measure_triad_gbs(64 << 20, 3),
         copy_alpha_s: lt.alpha_s,
         copy_beta_gbs: lt.beta / 1e9,
-        threads: rayon::current_num_threads(),
     }
 }
 
@@ -132,7 +128,6 @@ mod tests {
             triad_gbs: 100.0,
             copy_alpha_s: 1e-7,
             copy_beta_gbs: 50.0,
-            threads: 8,
         };
         // applyOp traffic (2 doubles/point): ceiling = 100/16 GStencil/s.
         let ceiling = h.gstencil_ceiling(2.0);

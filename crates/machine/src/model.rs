@@ -6,13 +6,11 @@
 //! Fitting α and β to measured `(x, t)` samples is ordinary least squares
 //! on the time form.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted (or constructed) latency-throughput model.
 ///
 /// Units are carried by convention: `alpha_s` is seconds; `beta` is
 /// *units of x per second* (stencil points/s or bytes/s).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LatencyThroughput {
     /// Latency/overhead per invocation, in seconds.
     pub alpha_s: f64,

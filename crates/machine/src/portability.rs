@@ -13,7 +13,6 @@
 
 use crate::gpu::System;
 use gmg_stencil::{OpKind, ALL_OPS};
-use serde::{Deserialize, Serialize};
 
 /// Harmonic mean of efficiencies; `None` entries mean "unsupported" and
 /// force the metric to zero, per the definition.
@@ -40,7 +39,7 @@ pub fn potential_speedup(roofline_fraction: f64, ai_fraction: f64) -> f64 {
 }
 
 /// Which efficiency definition a portability table uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EfficiencyBasis {
     /// Fraction of the empirical-AI roofline (paper Table III).
     Roofline,
@@ -50,7 +49,7 @@ pub enum EfficiencyBasis {
 
 /// One row of a portability table: an operation and its efficiency on each
 /// platform, with the per-op harmonic mean.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PortabilityRow {
     pub op: OpKind,
     /// Efficiency per system, in [`System::ALL`] order.
@@ -60,7 +59,7 @@ pub struct PortabilityRow {
 }
 
 /// A full portability table (Tables III / V) with the overall Φ.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PortabilityTable {
     pub basis: EfficiencyBasis,
     pub rows: Vec<PortabilityRow>,

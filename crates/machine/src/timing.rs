@@ -4,10 +4,9 @@
 use crate::gpu::GpuModel;
 use crate::model::LatencyThroughput;
 use gmg_stencil::OpKind;
-use serde::{Deserialize, Serialize};
 
 /// Simulated timing of one V-cycle kernel on one GPU.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KernelTiming {
     pub op: OpKind,
     /// Fine-grid stencil points processed per invocation.

@@ -8,14 +8,12 @@
 
 use crate::box3::Box3;
 use crate::point::Point3;
-use rayon::prelude::*;
 
-/// Target slab count for the parallel helpers below. A fixed constant —
-/// deliberately *not* derived from `rayon::current_num_threads()` — so the
-/// work decomposition (and the combine order of reductions) is identical
-/// at any thread count. 64 slabs keep 1–32 workers busy with headroom for
-/// load balancing; `split_slabs` caps the count at the region's z extent.
-pub const PAR_SLABS: usize = 64;
+/// Target z-slab count of [`Array3::reduce`] (`split_slabs` caps it at the
+/// region's z extent). A fixed constant: the slab partition sets the
+/// association of float reductions, which pinned residual histories
+/// depend on.
+pub const SLABS: usize = 64;
 
 /// A dense 3D array over a half-open box, with an optional ghost shell.
 ///
@@ -33,7 +31,7 @@ pub struct Array3<T> {
     data: Vec<T>,
 }
 
-impl<T: Copy + Default + Send + Sync> Array3<T> {
+impl<T: Copy + Default> Array3<T> {
     /// Allocate an array over `valid` with a ghost shell of depth `ghost`,
     /// filled with `T::default()`.
     pub fn new(valid: Box3, ghost: i64) -> Self {
@@ -214,90 +212,35 @@ impl<T: Copy + Default + Send + Sync> Array3<T> {
         });
     }
 
-    /// Parallel z-slab traversal: run `f(slab_box, &mut self_view)` where the
-    /// closure receives disjoint mutable z-slabs of the storage. The region
-    /// must be the valid box or a sub-box of storage; slabs are split on z.
-    ///
-    /// Because our storage order is z-major, each z-slab of the *storage box*
-    /// maps to a contiguous element range, letting us hand out disjoint
-    /// `&mut` windows safely.
-    ///
-    /// The slab partition is a fixed constant ([`PAR_SLABS`]) rather than a
-    /// function of the live thread count, so the work decomposition — and
-    /// with it any float arithmetic downstream of slab boundaries — is
-    /// identical at any `RAYON_NUM_THREADS`.
-    pub fn par_for_each_slab(&mut self, region: Box3, f: impl Fn(Box3, SlabMut<'_, T>) + Sync)
-    where
-        T: Send,
-    {
-        let r = region.intersect(&self.storage);
-        if r.is_empty() {
-            return;
-        }
-        let plane = (self.ext[0] * self.ext[1]) as usize;
-        let storage_lo = self.storage.lo;
-        let ext = self.ext;
-        let slabs = r.split_slabs(2, PAR_SLABS);
-
-        // Hand out one disjoint mutable window per z-slab. Windows are
-        // carved off the storage slice front-to-back in slab order.
-        let mut rest: &mut [T] = &mut self.data;
-        let mut consumed = 0usize;
-        let mut jobs: Vec<(Box3, &mut [T], usize)> = Vec::with_capacity(slabs.len());
-        for s in &slabs {
-            let z0 = ((s.lo.z - storage_lo.z) as usize) * plane;
-            let z1 = ((s.hi.z - storage_lo.z) as usize) * plane;
-            let (_, tail) = rest.split_at_mut(z0 - consumed);
-            let (window, tail2) = tail.split_at_mut(z1 - z0);
-            rest = tail2;
-            consumed = z1;
-            jobs.push((*s, window, z0));
-        }
-        jobs.into_par_iter().for_each(|(slab, window, base)| {
-            f(
-                slab,
-                SlabMut {
-                    data: window,
-                    base_offset: base,
-                    storage_lo,
-                    ext,
-                },
-            );
-        });
-    }
-
-    /// Reduce over `region ∩ valid` with `f` mapping each value, combining
-    /// with `combine`, in parallel over z-slabs.
-    ///
-    /// Deterministic at any thread count: the slab partition is the fixed
-    /// [`PAR_SLABS`] constant and per-slab partials are folded serially in
-    /// slab order, so float reductions are bit-identical run to run
-    /// regardless of rayon's schedule.
-    pub fn par_reduce<R: Send + Sync + Copy>(
+    /// Reduce over `region ∩ storage` with `f` mapping each value and
+    /// `combine` folding: every z-slab of the fixed [`SLABS`] partition
+    /// folds its cells from `identity`, and the slab partials fold in slab
+    /// order — one association whatever runs it, so float reductions are
+    /// bit-identical run to run.
+    pub fn reduce<R: Copy>(
         &self,
         region: Box3,
         identity: R,
-        f: impl Fn(Point3, T) -> R + Sync,
-        combine: impl Fn(R, R) -> R + Sync + Send,
+        f: impl Fn(Point3, T) -> R,
+        combine: impl Fn(R, R) -> R,
     ) -> R {
         let r = region.intersect(&self.storage);
         if r.is_empty() {
             return identity;
         }
-        let slabs = r.split_slabs(2, PAR_SLABS);
-        let partials: Vec<R> = slabs
-            .par_iter()
-            .map(|s| {
-                let mut acc = identity;
-                s.for_each(|p| acc = combine(acc, f(p, self.data[self.offset(p)])));
-                acc
-            })
-            .collect();
-        partials.into_iter().fold(identity, &combine)
+        let partial = |s: Box3| {
+            let mut acc = identity;
+            s.for_each(|p| acc = combine(acc, f(p, self.data[self.offset(p)])));
+            acc
+        };
+        r.split_slabs(2, SLABS)
+            .into_iter()
+            .map(partial)
+            .fold(identity, &combine)
     }
 }
 
-impl<T: Copy + Default + Send + Sync> std::ops::Index<Point3> for Array3<T> {
+impl<T: Copy + Default> std::ops::Index<Point3> for Array3<T> {
     type Output = T;
     #[inline]
     fn index(&self, p: Point3) -> &T {
@@ -305,54 +248,11 @@ impl<T: Copy + Default + Send + Sync> std::ops::Index<Point3> for Array3<T> {
     }
 }
 
-impl<T: Copy + Default + Send + Sync> std::ops::IndexMut<Point3> for Array3<T> {
+impl<T: Copy + Default> std::ops::IndexMut<Point3> for Array3<T> {
     #[inline]
     fn index_mut(&mut self, p: Point3) -> &mut T {
         let i = self.offset(p);
         &mut self.data[i]
-    }
-}
-
-/// A mutable window over a contiguous run of z-planes of an [`Array3`],
-/// handed to parallel slab workers. Indexing uses the same global
-/// coordinates as the parent array.
-pub struct SlabMut<'a, T> {
-    data: &'a mut [T],
-    base_offset: usize,
-    storage_lo: Point3,
-    ext: [i64; 3],
-}
-
-impl<T: Copy> SlabMut<'_, T> {
-    /// Linear offset of `p` within this window.
-    #[inline]
-    pub fn offset(&self, p: Point3) -> usize {
-        let r = p - self.storage_lo;
-        let abs = ((r.z * self.ext[1] + r.y) * self.ext[0] + r.x) as usize;
-        debug_assert!(
-            abs >= self.base_offset && abs - self.base_offset < self.data.len(),
-            "point outside slab window"
-        );
-        abs - self.base_offset
-    }
-
-    /// Write `v` at global point `p` (must be inside the slab).
-    #[inline]
-    pub fn set(&mut self, p: Point3, v: T) {
-        let i = self.offset(p);
-        self.data[i] = v;
-    }
-
-    /// Read the value at global point `p` (must be inside the slab).
-    #[inline]
-    pub fn get(&self, p: Point3) -> T {
-        self.data[self.offset(p)]
-    }
-
-    /// The raw window slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        self.data
     }
 }
 
@@ -439,26 +339,23 @@ mod tests {
     }
 
     #[test]
-    fn par_slab_traversal_touches_every_cell_once() {
+    fn reduce_visits_every_cell_of_the_region_once() {
         let v = Box3::cube(16);
         let mut a: Array3<f64> = Array3::new(v, 2);
-        a.par_for_each_slab(v, |slab, mut w| {
-            slab.for_each(|p| {
-                let old = w.get(p);
-                w.set(p, old + 1.0);
-            });
-        });
-        let total = a.par_reduce(v, 0.0, |_, x| x, |a, b| a + b);
+        a.for_each_mut(v, |_, x| *x += 1.0);
+        let total = a.reduce(v, 0.0, |_, x| x, |a, b| a + b);
         assert_eq!(total, v.volume() as f64);
-        // Ghosts untouched.
+        // Ghosts untouched, and not counted.
         assert_eq!(a[pt(-1, 0, 0)], 0.0);
+        a.fill(1.0);
+        assert_eq!(a.reduce(v, 0.0, |_, x| x, |a, b| a + b), total);
     }
 
     #[test]
-    fn par_reduce_max() {
+    fn reduce_max() {
         let v = Box3::cube(8);
         let a = Array3::from_fn(v, 0, |p| (p.x + p.y + p.z) as f64);
-        let m = a.par_reduce(v, f64::NEG_INFINITY, |_, x| x, f64::max);
+        let m = a.reduce(v, f64::NEG_INFINITY, |_, x| x, f64::max);
         assert_eq!(m, 21.0);
     }
 

@@ -1,13 +1,12 @@
 //! Axis-aligned boxes (rectangular index regions).
 
 use crate::point::Point3;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open axis-aligned box in index space: `lo` inclusive, `hi`
 /// exclusive. Empty boxes (any `hi[a] <= lo[a]`) are representable and have
 /// zero volume.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Box3 {
     pub lo: Point3,
     pub hi: Point3,
@@ -139,9 +138,8 @@ impl Box3 {
         }
     }
 
-    /// Split the box into `n` roughly equal slabs along `axis` (for
-    /// data-parallel traversal). Slabs are non-overlapping, cover the box,
-    /// and empty slabs are omitted.
+    /// Split the box into `n` roughly equal slabs along `axis`. Slabs are
+    /// non-overlapping, cover the box, and empty slabs are omitted.
     pub fn split_slabs(&self, axis: usize, n: usize) -> Vec<Box3> {
         assert!(n > 0);
         let len = self.extent()[axis];

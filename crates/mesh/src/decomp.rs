@@ -3,7 +3,6 @@
 use crate::box3::Box3;
 use crate::ghost::DIRECTIONS_26;
 use crate::point::Point3;
-use serde::{Deserialize, Serialize};
 
 /// A rank's coordinates in the 3D process grid.
 pub type RankCoords = Point3;
@@ -11,7 +10,7 @@ pub type RankCoords = Point3;
 /// A neighbor relationship: the direction of the exchange and the rank on
 /// the other end (which may be this rank itself for periodic wrap on a
 /// 1-wide process grid axis).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Neighbor {
     /// Halo direction from this rank toward the neighbor.
     pub dir: Point3,
@@ -28,7 +27,7 @@ pub struct Neighbor {
 /// (more generally any box anchored at the origin) over a `px × py × pz`
 /// process grid. Cells are block-distributed; all axes must divide evenly so
 /// subdomains are congruent (the paper's experiments are all uniform cubes).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Decomposition {
     domain: Box3,
     process_grid: Point3,

@@ -8,10 +8,9 @@
 use crate::box3::Box3;
 use crate::decomp::Decomposition;
 use crate::point::Point3;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of one multigrid level.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LevelGeometry {
     /// Level index; 0 is the finest.
     pub level: usize,
@@ -43,7 +42,7 @@ impl LevelGeometry {
 
 /// The full level hierarchy for a decomposed domain. All ranks share the
 /// same hierarchy (congruent subdomains).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Hierarchy {
     levels: Vec<LevelGeometry>,
     decomps: Vec<Decomposition>,

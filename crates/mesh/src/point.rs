@@ -1,6 +1,5 @@
 //! Integer 3D index points.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 /// `x` is the fastest-varying (unit-stride) dimension in every storage layout
 /// of this workspace, matching the *ijk* convention of the paper: `i → x`,
 /// `j → y`, `k → z`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Point3 {
     pub x: i64,
     pub y: i64,

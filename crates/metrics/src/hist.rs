@@ -204,7 +204,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use gmg_proptest::prelude::*;
 
     #[test]
     fn bucket_mapping_is_monotone_and_self_consistent() {
@@ -330,7 +330,7 @@ mod tests {
             let rank = ((q * vs.len() as f64).ceil() as usize).clamp(1, vs.len()) - 1;
             let exact = vs[rank];
             // Same bucket, one off at most (ties across bucket edges).
-            let (bi, be) = (bucket_index(est as u64), bucket_index(exact));
+            let (bi, be) = (bucket_index(est), bucket_index(exact));
             prop_assert!(bi.abs_diff(be) <= 1, "est {est} exact {exact}");
         }
     }

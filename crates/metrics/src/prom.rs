@@ -198,8 +198,11 @@ struct HistParts {
     max: u64,
 }
 
+/// A sample line's metric name, `(label, value)` pairs and value.
+type Sample = (String, Vec<(String, String)>, f64);
+
 /// Parse one `name{k="v",...} value` sample line.
-fn parse_sample(line: &str) -> Result<(String, Vec<(String, String)>, f64), String> {
+fn parse_sample(line: &str) -> Result<Sample, String> {
     let open = line.find('{').ok_or_else(|| format!("no labels: {line}"))?;
     let close = line.rfind('}').ok_or_else(|| format!("no '}}': {line}"))?;
     let name = line[..open].to_string();

@@ -373,9 +373,11 @@ mod tests {
     #[test]
     fn export_metrics_publishes_gauges() {
         gmg_metrics::enable();
-        let mut p = Profile::default();
-        p.ticks = 7;
-        p.samples = 5;
+        let p = Profile {
+            ticks: 7,
+            samples: 5,
+            ..Profile::default()
+        };
         p.export_metrics();
         let text =
             gmg_metrics::prom::render_prometheus(&gmg_metrics::Registry::global().snapshot());

@@ -4,7 +4,7 @@
 //! truncated, bit-flipped, oversized — ends in a typed error or a map no
 //! larger than the text, never a panic.
 
-use proptest::prelude::*;
+use gmg_proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// Frame names as the profiler produces them: static identifiers plus

@@ -14,10 +14,9 @@
 //! observatory is broken and CI should say so.
 
 use gmg_machine::contention::ContentionModel;
-use serde::{Deserialize, Serialize};
 
 /// One sweep sample.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SweepPoint {
     pub ranks: usize,
     pub nodes: usize,
@@ -26,7 +25,7 @@ pub struct SweepPoint {
 }
 
 /// Fitted coefficients and fit quality.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScalingFit {
     /// Scale-invariant seconds per V-cycle.
     pub alpha_s: f64,
@@ -124,9 +123,10 @@ fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
         a.swap(col, pivot);
         b.swap(col, pivot);
         for row in col + 1..3 {
-            let f = a[row][col] / a[col][col];
-            for k in col..3 {
-                a[row][k] -= f * a[col][k];
+            let pivot_row = a[col];
+            let f = a[row][col] / pivot_row[col];
+            for (x, p) in a[row][col..].iter_mut().zip(&pivot_row[col..]) {
+                *x -= f * p;
             }
             b[row] -= f * b[col];
         }

@@ -39,7 +39,6 @@ use gmg_machine::timing::KernelTiming;
 use gmg_machine::{CpuModel, GpuModel};
 use gmg_mesh::Point3;
 use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
-use serde::{Deserialize, Serialize};
 
 use crate::topology::{nodes_for, RankGrid, FACE_DIRS};
 
@@ -48,7 +47,7 @@ use crate::topology::{nodes_for, RankGrid, FACE_DIRS};
 pub const ALLREDUCE_TAG: u64 = 0xA11;
 
 /// What the simulator records while it runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecordMode {
     /// Advance clocks only — for timing sweeps and throughput benches.
     ClockOnly,
@@ -59,7 +58,7 @@ pub enum RecordMode {
 }
 
 /// Configuration of one simulated run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScaleConfig {
     pub system: System,
     /// Simulated MPI ranks (one GPU each).
@@ -139,7 +138,7 @@ impl ScaleConfig {
 }
 
 /// Per-level decomposition of one simulated run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LevelDecomp {
     pub level: usize,
     pub cells_per_rank: usize,
@@ -154,9 +153,8 @@ pub struct LevelDecomp {
     pub exchanges: usize,
 }
 
-/// Result of one simulated run. (Not serde: it carries rank logs and
-/// interned-key tables; the bench driver serializes the summary fields
-/// it needs explicitly.)
+/// Result of one simulated run. It carries rank logs and interned-key
+/// tables; the bench driver writes out the summary fields it needs.
 #[derive(Clone, Debug)]
 pub struct ScaleResult {
     pub ranks: usize,

@@ -7,14 +7,12 @@
 //! factors any rank count into the most cubic `dx × dy × dz` box and
 //! serves periodic face neighbors in a fixed direction order.
 
-use serde::{Deserialize, Serialize};
-
 /// Receiver-side face-direction order used everywhere in the simulator:
 /// `-x, +x, -y, +y, -z, +z`. Opposite of direction `i` is `i ^ 1`.
 pub const FACE_DIRS: usize = 6;
 
 /// A periodic 3D process grid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RankGrid {
     pub dims: [usize; 3],
 }

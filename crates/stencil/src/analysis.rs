@@ -8,11 +8,10 @@
 
 use crate::expr::{Expr, StencilDef};
 use gmg_mesh::Point3;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Results of analysing a [`StencilDef`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StencilAnalysis {
     /// Arithmetic operations (add/sub/mul/neg) per evaluated point, over
     /// all assignments.

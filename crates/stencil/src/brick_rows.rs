@@ -127,8 +127,8 @@ impl RowBounds {
     }
 }
 
-/// One row of the 7-point apply: `out[x] = α·c[x] + β·((xm+xp) + (ym+yp)
-/// + (zm+zp))` for `x ∈ [x0, x1)`, where the ±x operands come from within
+/// One row of the 7-point apply:
+/// `out[x] = α·c[x] + β·((xm+xp) + (ym+yp) + (zm+zp))` for `x ∈ [x0, x1)`, where the ±x operands come from within
 /// the row except at the brick edges (`xml` / `xpr`, the adjacent cells of
 /// the ±x face bricks). The edge cases are selects, not peeled code, so
 /// with const bounds the loop unrolls branch-free.

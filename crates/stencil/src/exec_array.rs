@@ -61,8 +61,7 @@ pub fn run_stencil_array(
 }
 
 /// Fast 7-point constant-coefficient apply over conventional arrays:
-/// `dst[p] = alpha·src[p] + beta·Σ src[p ± e]` for `p ∈ region`, parallel
-/// over z-slabs.
+/// `dst[p] = alpha·src[p] + beta·Σ src[p ± e]` for `p ∈ region`, row by row.
 ///
 /// `src` must be valid on `region.grow(1)`.
 pub fn apply_star7_array(
@@ -86,43 +85,35 @@ pub fn apply_star7_array(
         dst.storage_box(),
         "src/dst layouts must match for the fast path"
     );
+    if region.is_empty() {
+        return;
+    }
     let [_, sy, sz] = src.strides();
     let s = src.as_slice();
+    // The array kernel is one unit-stride stream: its whole body is
+    // "interior" work, with no adjacency or index sub-phases.
+    let _kernel = gmg_prof::phase(gmg_prof::APPLYOP_ARRAY);
+    let _p = gmg_prof::phase(gmg_prof::ARRAY_INTERIOR);
+    let n = (region.hi.x - region.lo.x) as usize;
     // Safety-free formulation: compute each x-row via slice windows.
-    dst.par_for_each_slab(region, |slab, mut w| {
-        // The array kernel is one unit-stride stream: its whole body is
-        // "interior" work, with no adjacency or index sub-phases.
-        let _kernel = gmg_prof::phase(gmg_prof::APPLYOP_ARRAY);
-        let _p = gmg_prof::phase(gmg_prof::ARRAY_INTERIOR);
-        for z in slab.lo.z..slab.hi.z {
-            for y in slab.lo.y..slab.hi.y {
-                let row0 = Point3::new(slab.lo.x, y, z);
-                let base = w.offset(row0); // offset within the slab window
-                let n = (slab.hi.x - slab.lo.x) as usize;
-                // Global offset of the row start in src (same layout).
-                let g = {
-                    // src and dst share storage boxes, so the global offset
-                    // equals the slab-relative offset plus the window base;
-                    // recompute directly from src for clarity.
-                    let r = row0 - src.storage_box().lo;
-                    ((r.z * (src.storage_box().extent().y) + r.y) * src.storage_box().extent().x
-                        + r.x) as usize
-                };
-                let c = &s[g..g + n];
-                let xm = &s[g - 1..g - 1 + n];
-                let xp = &s[g + 1..g + 1 + n];
-                let ym = &s[g - sy..g - sy + n];
-                let yp = &s[g + sy..g + sy + n];
-                let zm = &s[g - sz..g - sz + n];
-                let zp = &s[g + sz..g + sz + n];
-                let out = &mut w.as_mut_slice()[base..base + n];
-                for i in 0..n {
-                    out[i] =
-                        alpha * c[i] + beta * ((xm[i] + xp[i]) + (ym[i] + yp[i]) + (zm[i] + zp[i]));
-                }
+    for z in region.lo.z..region.hi.z {
+        for y in region.lo.y..region.hi.y {
+            // src and dst share a storage box, so one offset serves both.
+            let g = src.offset(Point3::new(region.lo.x, y, z));
+            let c = &s[g..g + n];
+            let xm = &s[g - 1..g - 1 + n];
+            let xp = &s[g + 1..g + 1 + n];
+            let ym = &s[g - sy..g - sy + n];
+            let yp = &s[g + sy..g + sy + n];
+            let zm = &s[g - sz..g - sz + n];
+            let zp = &s[g + sz..g + sz + n];
+            let out = &mut dst.as_mut_slice()[g..g + n];
+            for i in 0..n {
+                out[i] =
+                    alpha * c[i] + beta * ((xm[i] + xp[i]) + (ym[i] + yp[i]) + (zm[i] + zp[i]));
             }
         }
-    });
+    }
 }
 
 /// Fast variable-coefficient 7-point apply over conventional arrays
@@ -146,16 +137,14 @@ pub fn apply_star7_var_array(
         Point3::new(0, 0, 1),
         Point3::new(0, 0, -1),
     ];
-    dst.par_for_each_slab(region, |slab, mut w| {
-        slab.for_each(|p| {
-            let xc = x[p];
-            let bc = beta[p];
-            let mut sum = 0.0;
-            for d in offsets {
-                sum += 0.5 * (bc + beta[p + d]) * (x[p + d] - xc);
-            }
-            w.set(p, inv_h2 * sum);
-        });
+    region.for_each(|p| {
+        let xc = x[p];
+        let bc = beta[p];
+        let mut sum = 0.0;
+        for d in offsets {
+            sum += 0.5 * (bc + beta[p + d]) * (x[p + d] - xc);
+        }
+        dst[p] = inv_h2 * sum;
     });
 }
 

@@ -14,7 +14,6 @@ use crate::brick_rows::{stream_star7_generic, stream_star7_rows, stream_star7_sp
 use crate::expr::StencilDef;
 use gmg_brick::{BrickFaces, BrickNeighborhood, BrickShape, BrickedField};
 use gmg_mesh::{Box3, Point3};
-use rayon::prelude::*;
 
 /// Execute `def` over `region` on bricked fields. All fields must share one
 /// layout; inputs must be valid on `region` grown by the stencil radius.
@@ -69,8 +68,8 @@ pub fn run_stencil_bricked(
 }
 
 /// Fast 7-point constant-coefficient apply over bricks:
-/// `dst[p] = alpha·src[p] + beta·Σ src[p ± e]` for `p ∈ region`, parallel
-/// over bricks. `src` and `dst` must share a layout, and `src` must be
+/// `dst[p] = alpha·src[p] + beta·Σ src[p ± e]` for `p ∈ region`, brick by
+/// brick. `src` and `dst` must share a layout, and `src` must be
 /// valid on `region.grow(1)` (within the storage shell).
 ///
 /// Every brick — full or clipped by the region — runs the row-streamed
@@ -133,9 +132,7 @@ fn apply_star7_bricked_impl(
         BrickShape::Generic(b)
     };
     let ph = gmg_prof::brick_phases(b);
-    dst.par_update_bricks(&pieces, |slot, sub, out| {
-        // Rooted inside the closure so the phase lands on the rayon
-        // worker actually doing the work.
+    dst.update_bricks(&pieces, |slot, sub, out| {
         let _kernel = gmg_prof::phase(ph.apply_root);
         let setup = gmg_prof::phase(ph.apply_index);
         let faces = BrickFaces::new(src, slot);
@@ -156,8 +153,8 @@ fn apply_star7_bricked_impl(
 /// one read-only pass: every row's `A·x` is reduced while still in
 /// registers, so neither `A·x` nor `v` is ever stored. `x` must be valid
 /// on `region.grow(1)`. Each brick folds its cells in a fixed order and
-/// the bricks fold in slot order, so the result does not depend on the
-/// rayon pool width; `max` skips NaN (`f64::max`), the sums propagate it.
+/// the bricks fold in piece order; `max` skips NaN (`f64::max`), the sums
+/// propagate it.
 pub fn residual_norms_bricked(
     x: &BrickedField,
     b: &BrickedField,
@@ -177,27 +174,27 @@ pub fn residual_norms_bricked(
     );
     let bd = layout.brick_dim() as usize;
     let shape = layout.shape();
-    let partials: Vec<(f64, f64, f64)> = layout
-        .slots_intersecting(region)
-        .par_iter()
-        .map(|&(slot, sub)| {
-            let faces = BrickFaces::new(x, slot);
-            let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
-            let bb = b.brick(slot);
-            match shape {
-                BrickShape::B4 => norms_brick::<4>(&faces, bb, alpha, beta, &rb),
-                BrickShape::B8 => norms_brick::<8>(&faces, bb, alpha, beta, &rb),
-                BrickShape::Generic(_) => {
-                    let mut acc = NORMS_ZERO;
-                    stream_star7_generic(bd, &faces, alpha, beta, &rb, |i, ax| {
-                        acc = fold_norms(acc, norms_of(bb[i] - ax));
-                    });
-                    acc
-                }
+    let partial = |(slot, sub): (u32, Box3)| {
+        let faces = BrickFaces::new(x, slot);
+        let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
+        let bb = b.brick(slot);
+        match shape {
+            BrickShape::B4 => norms_brick::<4>(&faces, bb, alpha, beta, &rb),
+            BrickShape::B8 => norms_brick::<8>(&faces, bb, alpha, beta, &rb),
+            BrickShape::Generic(_) => {
+                let mut acc = NORMS_ZERO;
+                stream_star7_generic(bd, &faces, alpha, beta, &rb, |i, ax| {
+                    acc = fold_norms(acc, norms_of(bb[i] - ax));
+                });
+                acc
             }
-        })
-        .collect();
-    partials.into_iter().fold(NORMS_ZERO, fold_norms)
+        }
+    };
+    layout
+        .slots_intersecting(region)
+        .into_iter()
+        .map(partial)
+        .fold(NORMS_ZERO, fold_norms)
 }
 
 const NORMS_ZERO: (f64, f64, f64) = (0.0, 0.0, 0.0);
@@ -270,7 +267,7 @@ pub fn apply_star7_var_bricked(
     );
     let pieces = layout.slots_intersecting(region);
     let b = layout.brick_dim();
-    dst.par_update_bricks(&pieces, |slot, sub, out| {
+    dst.update_bricks(&pieces, |slot, sub, out| {
         let nx = BrickNeighborhood::new(x, slot);
         let nbeta = BrickNeighborhood::new(beta, slot);
         let cells = layout.cells_of_slot(slot);
@@ -321,7 +318,7 @@ pub fn apply_star13_bricked(
     let pieces = layout.slots_intersecting(region);
     let b = layout.brick_dim();
     let (sy, sz) = (b as usize, (b * b) as usize);
-    dst.par_update_bricks(&pieces, |slot, sub, out| {
+    dst.update_bricks(&pieces, |slot, sub, out| {
         let nb = BrickNeighborhood::new(src, slot);
         let center = nb.center();
         let cells = layout.cells_of_slot(slot);
@@ -356,19 +353,19 @@ pub fn apply_star13_bricked(
     });
 }
 
-/// Parallel pointwise update with one mutable field and up to two read
-/// fields (all sharing a layout): for every cell of every piece,
+/// Pointwise update with one mutable field and two read fields (all
+/// sharing a layout): for every cell of every piece,
 /// `f(&mut out_cell, read1_cell, read2_cell)`.
-pub fn par_pointwise_mut1(
+pub fn pointwise_mut1(
     out: &mut BrickedField,
     read1: &BrickedField,
     read2: &BrickedField,
     pieces: &[(u32, Box3)],
-    f: impl Fn(&mut f64, f64, f64) + Sync,
+    f: impl Fn(&mut f64, f64, f64),
 ) {
     let layout = out.layout().clone();
     let b = layout.brick_dim() as usize;
-    out.par_update_bricks(pieces, |slot, sub, o| {
+    out.update_bricks(pieces, |slot, sub, o| {
         let (r1, r2) = (read1.brick(slot), read2.brick(slot));
         RowBounds::within(sub, layout.cells_of_slot(slot).lo).for_each_span(b, |s| {
             for ((o, &r1), &r2) in o[s.clone()].iter_mut().zip(&r1[s.clone()]).zip(&r2[s]) {
@@ -378,16 +375,16 @@ pub fn par_pointwise_mut1(
     });
 }
 
-/// Parallel pointwise update with two mutable fields and two read fields
-/// (the fused smooth+residual shape): per cell,
+/// Pointwise update with two mutable fields and two read fields (the
+/// fused smooth+residual shape): per cell,
 /// `f(&mut out1, &mut out2, read1, read2)`.
-pub fn par_pointwise_mut2(
+pub fn pointwise_mut2(
     out1: &mut BrickedField,
     out2: &mut BrickedField,
     read1: &BrickedField,
     read2: &BrickedField,
     pieces: &[(u32, Box3)],
-    f: impl Fn(&mut f64, &mut f64, f64, f64) + Sync,
+    f: impl Fn(&mut f64, &mut f64, f64, f64),
 ) {
     let layout = out1.layout().clone();
     assert!(
@@ -395,30 +392,16 @@ pub fn par_pointwise_mut2(
         "layout mismatch"
     );
     let b = layout.brick_dim() as usize;
-    let bvol = layout.brick_volume();
-    let mut by_slot: Vec<Option<Box3>> = vec![None; layout.num_slots()];
-    for (slot, sub) in pieces {
-        assert!(
-            by_slot[*slot as usize].replace(*sub).is_none(),
-            "duplicate slot {slot}"
-        );
-    }
-    out1.as_mut_slice()
-        .par_chunks_exact_mut(bvol)
-        .zip(out2.as_mut_slice().par_chunks_exact_mut(bvol))
-        .enumerate()
-        .for_each(|(slot, (o1, o2))| {
-            if let Some(sub) = by_slot[slot] {
-                let slot = slot as u32;
-                let (r1, r2) = (read1.brick(slot), read2.brick(slot));
-                RowBounds::within(sub, layout.cells_of_slot(slot).lo).for_each_span(b, |s| {
-                    let outs = o1[s.clone()].iter_mut().zip(&mut o2[s.clone()]);
-                    for (((o1, o2), &r1), &r2) in outs.zip(&r1[s.clone()]).zip(&r2[s]) {
-                        f(o1, o2, r1, r2);
-                    }
-                });
+    out1.update_bricks(pieces, |slot, sub, o1| {
+        let o2 = out2.brick_mut(slot);
+        let (r1, r2) = (read1.brick(slot), read2.brick(slot));
+        RowBounds::within(sub, layout.cells_of_slot(slot).lo).for_each_span(b, |s| {
+            let outs = o1[s.clone()].iter_mut().zip(&mut o2[s.clone()]);
+            for (((o1, o2), &r1), &r2) in outs.zip(&r1[s.clone()]).zip(&r2[s]) {
+                f(o1, o2, r1, r2);
             }
         });
+    });
 }
 
 #[cfg(test)]
@@ -524,8 +507,8 @@ mod tests {
     fn residual_norms_match_the_stored_residual() {
         // Const-dim and runtime-dim bricks, a region clipped on every
         // side: the max must equal the max over a stored `b − A·x` bit for
-        // bit, the sums to rounding, at any pool width; a NaN cell is
-        // skipped by the max and poisons the sums.
+        // bit, the sums to rounding; a NaN cell is skipped by the max and
+        // poisons the sums.
         for bd in [2i64, 3, 4, 8] {
             let n = 2 * bd;
             let mut x = mk_field(n, bd);
@@ -546,14 +529,6 @@ mod tests {
             assert_eq!(got.0.to_bits(), max.to_bits(), "bd={bd}");
             assert!((got.1 - sq).abs() <= 1e-12 * sq, "bd={bd}");
             assert!((got.2 - sum).abs() <= 1e-12 * sq.sqrt(), "bd={bd}");
-            for threads in [2usize, 8] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("pool");
-                let wide = pool.install(|| residual_norms_bricked(&x, &b, -6.0, 1.0, region));
-                assert_eq!(wide, got, "bd={bd} threads={threads}");
-            }
             x.set(Point3::splat(bd), f64::NAN);
             let got = residual_norms_bricked(&x, &b, -6.0, 1.0, region);
             assert!(got.0.is_finite() && got.1.is_nan() && got.2.is_nan());
@@ -585,7 +560,7 @@ mod tests {
         let b = BrickedField::from_fn(x.layout().clone(), |p| idx_fn(p) - 1.0);
         let gamma = 0.25;
         let pieces = x.layout().slots_intersecting(Box3::cube(n));
-        par_pointwise_mut1(&mut x, &ax, &b, &pieces, |xv, axv, bv| {
+        pointwise_mut1(&mut x, &ax, &b, &pieces, |xv, axv, bv| {
             *xv += gamma * (axv - bv);
         });
         Box3::cube(n).for_each(|p| {
@@ -604,7 +579,7 @@ mod tests {
         let b = BrickedField::from_fn(x.layout().clone(), |p| idx_fn(p) + 2.0);
         let gamma = 0.1;
         let pieces = x.layout().slots_intersecting(Box3::cube(n));
-        par_pointwise_mut2(&mut x, &mut r, &ax, &b, &pieces, |xv, rv, axv, bv| {
+        pointwise_mut2(&mut x, &mut r, &ax, &b, &pieces, |xv, rv, axv, bv| {
             *rv = bv - axv;
             *xv += gamma * (axv - bv);
         });
@@ -672,7 +647,7 @@ mod tests {
         let beta = BrickedField::from_fn(layout.clone(), |p| 1.0 + (p.x as f64) * 0.25);
         let mut out = BrickedField::new(layout);
         apply_star7_var_bricked(&mut out, &x, &beta, 100.0, Box3::cube(n));
-        let m = out.par_reduce(Box3::cube(n), 0.0, |_, v| v.abs(), f64::max);
+        let m = out.reduce(Box3::cube(n), 0.0, |_, v| v.abs(), f64::max);
         assert!(m < 1e-10, "max |A·const| = {m}");
     }
 

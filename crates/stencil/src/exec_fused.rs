@@ -26,14 +26,10 @@
 //! them before an exchange or an `initZero` rewrites them — the solver's
 //! `Level::margin` is exactly the width of `R_{s−1}` beyond the owned box.
 //! `ax` is *not* materialized.
-//!
-//! Bricks are independent and run under rayon; no value depends on the
-//! partition, so results do not depend on the pool width.
 
 use crate::brick_rows::{stream_star7_generic, stream_star7_rows, RowBounds};
 use gmg_brick::{BrickFaces, BrickShape, BrickedField};
 use gmg_mesh::Box3;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Instrumentation from one multi-smooth invocation, in units the trace
@@ -107,15 +103,12 @@ fn jacobi_pass(
             }
         }
     };
-    let news = dst.as_mut_slice().par_chunks_exact_mut(bvol);
+    let news = dst.as_mut_slice().chunks_exact_mut(bvol).enumerate();
     match r {
         Some(r) => news
-            .zip(r.as_mut_slice().par_chunks_exact_mut(bvol))
-            .enumerate()
-            .for_each(|(slot, (new, r))| brick(slot, new, Some(r))),
-        None => news
-            .enumerate()
-            .for_each(|(slot, new)| brick(slot, new, None)),
+            .zip(r.as_mut_slice().chunks_exact_mut(bvol))
+            .for_each(|((slot, new), r)| brick(slot, new, Some(r))),
+        None => news.for_each(|(slot, new)| brick(slot, new, None)),
     }
 }
 
@@ -223,7 +216,7 @@ pub fn fused_multismooth_bricked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec_brick::{apply_star7_bricked, par_pointwise_mut1, par_pointwise_mut2};
+    use crate::exec_brick::{apply_star7_bricked, pointwise_mut1, pointwise_mut2};
     use gmg_brick::{BrickLayout, BrickOrdering};
     use gmg_mesh::Point3;
 
@@ -257,11 +250,11 @@ mod tests {
             apply_star7_bricked(&mut ax, x, alpha, beta, rk);
             let pieces = layout.slots_intersecting(rk);
             match r.as_deref_mut().filter(|_| k + 1 == s) {
-                Some(r) => par_pointwise_mut2(x, r, &ax, b, &pieces, move |x, r, ax, b| {
+                Some(r) => pointwise_mut2(x, r, &ax, b, &pieces, move |x, r, ax, b| {
                     *r = b - ax;
                     *x += gamma * (ax - b);
                 }),
-                None => par_pointwise_mut1(x, &ax, b, &pieces, move |x, ax, b| {
+                None => pointwise_mut1(x, &ax, b, &pieces, move |x, ax, b| {
                     *x += gamma * (ax - b);
                 }),
             }
@@ -353,43 +346,6 @@ mod tests {
     #[test]
     fn reads_nothing_outside_the_region_halo() {
         check_against_sweeps(true);
-    }
-
-    #[test]
-    fn bit_identical_at_any_pool_width() {
-        let coef = (-24.0, 4.0, 1.0 / 48.0);
-        let layout = mk_layout(Point3::splat(16), 4, BrickOrdering::SurfaceMajor);
-        let region = layout.cell_box().grow(3);
-        let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            pool.install(|| {
-                let mut x = BrickedField::from_fn(layout.clone(), idx_fn);
-                let b = BrickedField::from_fn(layout.clone(), rhs_fn);
-                let mut r = BrickedField::new(layout.clone());
-                let mut y = BrickedField::new(layout.clone());
-                fused_multismooth_bricked(
-                    &mut x,
-                    &b,
-                    Some(&mut r),
-                    coef.0,
-                    coef.1,
-                    coef.2,
-                    region,
-                    4,
-                    &mut y,
-                );
-                (x, r)
-            })
-        };
-        let (x1, r1) = run(1);
-        for threads in [2usize, 8] {
-            let (x, r) = run(threads);
-            assert_eq!(x.as_slice(), x1.as_slice(), "threads={threads}");
-            assert_eq!(r.as_slice(), r1.as_slice(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! that analysis passes and executors consume.
 
 use gmg_mesh::Point3;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::ops::{Add, Mul, Neg, Sub};
 use std::rc::Rc;
@@ -18,7 +17,7 @@ pub type GridId = usize;
 pub type CoeffId = usize;
 
 /// A per-point arithmetic expression.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
     /// Read input grid `grid` at the evaluation point shifted by `offset`.
     Grid {
@@ -84,7 +83,7 @@ impl Expr {
 }
 
 /// One output assignment: `outputs[output] <- expr` at every point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Assignment {
     /// Index into [`StencilDef::outputs`].
     pub output: usize,
@@ -94,7 +93,7 @@ pub struct Assignment {
 
 /// A complete stencil definition: named inputs, coefficients, and output
 /// assignments.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StencilDef {
     pub name: String,
     pub inputs: Vec<String>,

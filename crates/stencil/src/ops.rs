@@ -25,10 +25,9 @@
 
 use crate::expr::StencilDef;
 use gmg_mesh::Point3;
-use serde::{Deserialize, Serialize};
 
 /// The V-cycle operations the paper measures, in its reporting order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// `Ax = A·x` with the 7-point constant-coefficient operator.
     ApplyOp,
@@ -108,7 +107,7 @@ pub const ALL_OPS: [OpKind; 5] = [
 /// Per-point data movement and arithmetic for one V-cycle operation, in the
 /// paper's counting convention. For `coarse_granularity` ops the unit is
 /// one *coarse* point (covering 8 fine cells).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OpTraffic {
     pub kind: OpKind,
     /// Doubles read per point.

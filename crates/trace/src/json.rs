@@ -1,11 +1,18 @@
-//! A minimal JSON value, writer, and recursive-descent parser.
+//! A minimal JSON value, writers, and recursive-descent parser.
 //!
-//! Just enough JSON for the Chrome trace-event format: objects (with
-//! preserved key order, so exported files are stable), arrays, strings
-//! with standard escapes, f64 numbers, booleans, and null. Exists so the
-//! tracing crate stays dependency-free (see the crate docs).
+//! The one JSON codec of the workspace: the Chrome trace-event export,
+//! flight dumps, metric snapshots, the live plane, and every artifact the
+//! bench harnesses write under `results/` and `bench/` go through [`Json`].
+//! Objects keep insertion order in memory and in the compact form
+//! ([`Json::write`]); the artifact form ([`Json::pretty`]) is indented with
+//! keys sorted, so a regenerated file diffs cleanly against a committed
+//! one. Numbers are `f64`.
+//!
+//! Values are built with [`json!`](crate::json!) and the `From` impls
+//! below, and read with [`Json::get`] / indexing and the `as_*` accessors.
 
 use std::fmt;
+use std::ops::Index;
 
 /// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,8 +65,34 @@ impl Json {
         }
     }
 
-    /// Serialize compactly into `out`.
+    /// Serialize compactly into `out`, object keys in insertion order.
     pub fn write(&self, out: &mut String) {
+        self.write_at(out, None);
+    }
+
+    /// The artifact form: two-space indent, object keys sorted.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_at(&mut out, Some(0));
+        out
+    }
+
+    /// `depth` is the nesting level of the pretty form, `None` for compact.
+    fn write_at(&self, out: &mut String, depth: Option<usize>) {
+        // Separator before an item of a container (or, with `last`, before
+        // its closing bracket) at `depth`.
+        let sep = |out: &mut String, first: bool, last: bool| {
+            if !first && !last {
+                out.push(',');
+            }
+            if let Some(d) = depth {
+                out.push('\n');
+                for _ in 0..d + usize::from(!last) {
+                    out.push_str("  ");
+                }
+            }
+        };
+        let inner = depth.map(|d| d + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -76,22 +109,37 @@ impl Json {
             Json::Arr(v) => {
                 out.push('[');
                 for (i, e) in v.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    e.write(out);
+                    sep(out, i == 0, false);
+                    e.write_at(out, inner);
+                }
+                if !v.is_empty() {
+                    sep(out, false, true);
                 }
                 out.push(']');
             }
             Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
+                let member = |out: &mut String, i: usize, (k, v): &(String, Json)| {
+                    sep(out, i == 0, false);
                     write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    out.push_str(if depth.is_some() { ": " } else { ":" });
+                    v.write_at(out, inner);
+                };
+                out.push('{');
+                if depth.is_some() {
+                    let mut sorted: Vec<&(String, Json)> = fields.iter().collect();
+                    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+                    for (i, f) in sorted.into_iter().enumerate() {
+                        member(out, i, f);
+                    }
+                } else {
+                    // The compact form is on the trace-export and
+                    // live-shipping paths: no allocation here.
+                    for (i, f) in fields.iter().enumerate() {
+                        member(out, i, f);
+                    }
+                }
+                if !fields.is_empty() {
+                    sep(out, false, true);
                 }
                 out.push('}');
             }
@@ -113,6 +161,86 @@ impl Json {
         }
         Ok(v)
     }
+}
+
+/// `v["key"]`: the member, or `Json::Null` where there is none — a chain
+/// of lookups into a document of unknown shape ends in an `as_*`
+/// returning `None`, never in a panic.
+impl Index<&str> for Json {
+    type Output = Json;
+    fn index(&self, key: &str) -> &Json {
+        self.get(key).unwrap_or(&Json::Null)
+    }
+}
+
+/// `v["ok"] == true`.
+impl PartialEq<bool> for Json {
+    fn eq(&self, b: &bool) -> bool {
+        *self == Json::Bool(*b)
+    }
+}
+
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_from_number!(f64, i32, i64, u32, u64, usize);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// By reference, for values borrowed out of an iterator.
+impl<T: Clone + Into<Json>> From<&T> for Json {
+    fn from(v: &T) -> Json {
+        v.clone().into()
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(v: Vec<T>) -> Json {
+        Json::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+
+impl<T: Into<Json>, const N: usize> From<[T; N]> for Json {
+    fn from(v: [T; N]) -> Json {
+        Json::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Build a [`Json`] from a literal shaped like the JSON it makes:
+/// `json!({ "key": expr, .. })` or `json!(expr)`, where each `expr` is
+/// anything with a `From` impl above (another `Json`, a `Vec` or an array
+/// of them included). An object *inside* one is an expression like any
+/// other, so it is spelled with its own `json!`.
+#[macro_export]
+macro_rules! json {
+    ({ $($key:tt : $value:expr),* $(,)? }) => {
+        $crate::Json::Obj(vec![$(($key.to_string(), $crate::Json::from($value))),*])
+    };
+    ($value:expr) => {
+        $crate::Json::from($value)
+    };
 }
 
 impl fmt::Display for Json {
@@ -459,6 +587,49 @@ mod tests {
             Json::parse(r#""\ud83d\ude00""#).unwrap().as_str(),
             Some("\u{1f600}")
         );
+    }
+
+    #[test]
+    fn the_macro_builds_what_the_literal_says() {
+        let rows = vec![json!({"id": "a", "ratio": 1.5}), json!({"id": "b"})];
+        let label = String::from("fused");
+        let v = json!({
+            "schema": 2u64,
+            "label": &label,
+            "paper": [1.58, 1.46, 1.0],
+            "grid": 128i64,
+            "rows": rows,
+            "nested": json!({"ok": true, "none": Json::Null}),
+        });
+        let text = r#"{"schema":2,"label":"fused","paper":[1.58,1.46,1],"grid":128,
+            "rows":[{"id":"a","ratio":1.5},{"id":"b"}],"nested":{"ok":true,"none":null}}"#;
+        assert_eq!(v, Json::parse(text).unwrap());
+        assert_eq!(json!([1u64, 2]), Json::parse("[1,2]").unwrap());
+        assert_eq!(json!({}), Json::Obj(vec![]));
+    }
+
+    #[test]
+    fn indexing_never_panics() {
+        let v = json!({"rows": vec![json!({"id": "a"})], "ok": true});
+        assert_eq!(v["rows"].as_arr().unwrap()[0]["id"].as_str(), Some("a"));
+        assert_eq!(v["rows"]["id"], Json::Null);
+        assert_eq!(v["missing"]["deeper"].as_f64(), None);
+        assert!(v["ok"] == true && v["rows"] != true);
+    }
+
+    #[test]
+    fn pretty_is_indented_sorted_and_reparses() {
+        let v =
+            json!({"b": [1u64, 2], "a": json!({"z": "s", "y": Json::Arr(vec![])}), "c": json!({})});
+        let want = "{\n  \"a\": {\n    \"y\": [],\n    \"z\": \"s\"\n  },\n  \"b\": [\n    1,\n    2\n  ],\n  \"c\": {}\n}";
+        assert_eq!(v.pretty(), want);
+        // Same members; only the key order differs from insertion order.
+        let back = Json::parse(&v.pretty()).unwrap();
+        assert_eq!(
+            back.to_string(),
+            r#"{"a":{"y":[],"z":"s"},"b":[1,2],"c":{}}"#
+        );
+        assert_eq!(json!(1.5).pretty(), "1.5");
     }
 
     #[test]

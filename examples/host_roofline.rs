@@ -18,8 +18,8 @@ fn main() {
     println!("measuring host memory system (STREAM triad + memcpy sweep)...");
     let host = measure_host();
     println!(
-        "  triad bandwidth : {:.1} GB/s over {} threads",
-        host.triad_gbs, host.threads
+        "  triad bandwidth : {:.1} GB/s (single thread)",
+        host.triad_gbs
     );
     println!(
         "  memcpy model    : α = {:.2} µs, β = {:.1} GB/s (single thread)",

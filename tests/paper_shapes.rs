@@ -121,7 +121,7 @@ fn full_paper_pipeline_smoke() {
         bench::table4::run(),
         bench::table5::run(),
     ] {
-        assert!(v.is_object());
+        assert!(matches!(v, gmg_repro::trace::Json::Obj(_)));
     }
     std::env::remove_var("GMG_RESULTS_DIR");
 }

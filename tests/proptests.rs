@@ -1,18 +1,18 @@
 //! Property-based tests over the core data structures and invariants.
 
+use gmg_proptest::prelude::*;
 use gmg_repro::prelude::*;
 use gmg_repro::stencil::exec_array::{apply_star7_array, run_stencil_array};
 use gmg_repro::stencil::exec_brick::{
-    apply_star7_bricked, apply_star7_bricked_generic, par_pointwise_mut1, par_pointwise_mut2,
+    apply_star7_bricked, apply_star7_bricked_generic, pointwise_mut1, pointwise_mut2,
     run_stencil_bricked,
 };
 use gmg_repro::stencil::exec_fused::fused_multismooth_bricked;
 use gmg_repro::stencil::expr::StencilDef;
 use gmg_stencil::expr::ExprHandle;
-use proptest::prelude::*;
 use std::sync::Arc;
 
-fn field_fn(seed: i64) -> impl Fn(Point3) -> f64 + Sync + Copy {
+fn field_fn(seed: i64) -> impl Fn(Point3) -> f64 + Copy {
     move |p: Point3| {
         let h =
             p.x.wrapping_mul(6364136223846793005)
@@ -164,7 +164,7 @@ proptest! {
     /// `applyOp` + `smooth+residual`, for everything the solver feeds it:
     /// brick dims down to 1, both orderings, any region `owned.grow(m)`
     /// (clipped on all six sides), any depth the margin allows, with and
-    /// without `r`, at any pool width, whatever `y` holds on entry.
+    /// without `r`, whatever `y` holds on entry.
     #[test]
     fn fused_multismooth_bit_identical_to_sweeps(
         bd in prop::sample::select(vec![1i64, 2, 4, 8]),
@@ -172,7 +172,6 @@ proptest! {
         grow in 0i64..8,
         depth in 0usize..8,
         with_r in any::<bool>(),
-        threads in prop::sample::select(vec![1usize, 2, 8]),
         seed in any::<i64>(),
     ) {
         let n = 2 * bd;
@@ -195,21 +194,20 @@ proptest! {
             apply_star7_bricked(&mut ax, &x1, alpha, beta, rk);
             let pieces = layout.slots_intersecting(rk);
             if with_r && k + 1 == s {
-                par_pointwise_mut2(&mut x1, &mut r1, &ax, &b, &pieces, move |x, r, ax, b| {
+                pointwise_mut2(&mut x1, &mut r1, &ax, &b, &pieces, move |x, r, ax, b| {
                     *r = b - ax;
                     *x += gamma * (ax - b);
                 });
             } else {
-                par_pointwise_mut1(&mut x1, &ax, &b, &pieces, move |x, ax, b| {
+                pointwise_mut1(&mut x1, &ax, &b, &pieces, move |x, ax, b| {
                     *x += gamma * (ax - b);
                 });
             }
         }
         let mut y = BrickedField::from_fn(layout.clone(), |_| f64::NAN);
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let stats = pool.install(|| fused_multismooth_bricked(
+        let stats = fused_multismooth_bricked(
             &mut x2, &b, with_r.then_some(&mut r2), alpha, beta, gamma, region, s, &mut y,
-        ));
+        );
         let valid = region.shrink(s as i64 - 1);
         let mut ok = true;
         valid.for_each(|p| ok &= x1.get(p) == x2.get(p) && r1.get(p) == r2.get(p));
@@ -220,16 +218,15 @@ proptest! {
         prop_assert_eq!(stats.doubles_written, expect + residual_stores);
     }
 
-    /// The bricked applyOp is bit-identical to the array executor on every
-    /// code path: the shape-specialized kernel (`B4`/`B8`), the generic
-    /// fallback, and the rayon-parallel run at any pool width — over
-    /// regions that are not brick-aligned (partial bricks on every face).
+    /// The bricked applyOp is bit-identical to the array executor on both
+    /// code paths — the shape-specialized kernel (`B4`/`B8`) and the
+    /// generic fallback — over regions that are not brick-aligned (partial
+    /// bricks on every face).
     /// All paths share the FP grouping
     /// `α·c + β·((xm+xp) + (ym+yp) + (zm+zp))`, so equality is exact.
     #[test]
     fn bricked_applyop_paths_bit_identical_to_array(
         bd in prop::sample::select(vec![2i64, 3, 4, 5, 8]),
-        threads in 1usize..9,
         lo in -1i64..3,
         seed in any::<i64>(),
     ) {
@@ -248,11 +245,6 @@ proptest! {
         let mut gen = BrickedField::new(layout.clone());
         apply_star7_bricked_generic(&mut gen, &src, alpha, beta, region);
         prop_assert_eq!(spec.as_slice(), gen.as_slice());
-        // Rayon-parallel at an arbitrary pool width.
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let mut par = BrickedField::new(layout.clone());
-        pool.install(|| apply_star7_bricked(&mut par, &src, alpha, beta, region));
-        prop_assert_eq!(spec.as_slice(), par.as_slice());
         // Array executor reference, same seed field in conventional storage.
         let src_a = Array3::from_fn(v, bd, field_fn(seed));
         let mut dst_a = Array3::new(v, bd);
