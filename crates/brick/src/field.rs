@@ -82,7 +82,8 @@ impl BrickedField {
         &mut self.data[slot as usize * bvol..(slot as usize + 1) * bvol]
     }
 
-    /// Value at global cell `p` (owned or ghost). Panics outside storage.
+    /// Value at global cell `p` (owned or ghost; the periodic image across
+    /// a wrapped axis). Panics outside storage.
     #[inline]
     pub fn get(&self, p: Point3) -> f64 {
         let (slot, off) = self
@@ -175,12 +176,12 @@ impl BrickedField {
     }
 
     /// Convert the owned region to a conventional [`Array3`] with the same
-    /// ghost depth in cells.
+    /// ghost depth in cells (across a wrapped axis the array's ghost cells
+    /// get the periodic image).
     pub fn to_array3(&self) -> Array3<f64> {
         let g = self.layout.ghost_cells();
         let mut a = Array3::new(self.layout.cell_box(), g);
-        let sb = self.layout.storage_cell_box();
-        sb.for_each(|p| a[p] = self.get(p));
+        a.storage_box().for_each(|p| a[p] = self.get(p));
         a
     }
 
@@ -260,42 +261,8 @@ impl BrickedField {
             .fold(identity, &combine)
     }
 
-    /// Copy ghost bricks from this rank's own owned bricks with a periodic
-    /// wrap shift (single-rank self-exchange): for each ghost brick `g` in
-    /// direction `dir`, copy from owned brick `g − shift_bricks`.
-    ///
-    /// `shift_bricks` is the wrap shift in *brick* units (cell wrap shift
-    /// divided by brick dim).
-    pub fn copy_ghost_from_self(&mut self, dir: Point3, shift_bricks: Point3) {
-        let bvol = self.layout.brick_volume();
-        let ghosts = self.layout.ghost_slots(dir);
-        for g in ghosts {
-            let gb = self.layout.brick_of_slot(g);
-            let src = self.layout.slot_of_brick(gb - shift_bricks);
-            assert_ne!(src, NO_BRICK, "wrap source brick missing for {gb:?}");
-            let (a, b) = (src as usize * bvol, g as usize * bvol);
-            // Self-copy between disjoint bricks.
-            assert_ne!(src, g, "ghost brick cannot be its own source");
-            let (lo, hi, rev) = if a < b { (a, b, false) } else { (b, a, true) };
-            let (head, tail) = self.data.split_at_mut(hi);
-            let src_slice: &[f64];
-            let dst_slice: &mut [f64];
-            if rev {
-                // src is in tail, dst is in head.
-                dst_slice = &mut head[lo..lo + bvol];
-                src_slice = &tail[..bvol];
-            } else {
-                src_slice = &head[lo..lo + bvol];
-                dst_slice = &mut tail[..bvol];
-            }
-            dst_slice.copy_from_slice(src_slice);
-        }
-    }
-
-    /// Copy ghost bricks in direction `dir` from a neighbor field `src`
-    /// (possibly the same rank's field for periodic wrap; use
-    /// [`BrickedField::copy_ghost_from_self`] in that case). `wrap_shift`
-    /// is the cell-coordinate shift from the decomposition's
+    /// Copy ghost bricks in direction `dir` from a neighbor field `src`.
+    /// `wrap_shift` is the cell-coordinate shift from the decomposition's
     /// `Neighbor::wrap_shift`.
     pub fn copy_ghost_from(&mut self, dir: Point3, src: &BrickedField, wrap_shift: Point3) {
         let bvol = self.layout.brick_volume();
@@ -464,28 +431,42 @@ mod tests {
     }
 
     #[test]
-    fn self_exchange_periodic_wrap() {
-        // Single subdomain, periodic: ghost bricks mirror the opposite face.
-        let n = 16;
-        let bd = 4;
-        let l = mk(n, bd, 1, BrickOrdering::SurfaceMajor);
-        let mut f = BrickedField::from_fn(l.clone(), |p| {
-            if Box3::cube(n).contains(p) {
-                idx_fn(p)
-            } else {
-                f64::NAN // ghost starts invalid
-            }
-        });
-        for dir in DIRECTIONS_26 {
-            let shift_bricks = dir * (n / bd);
-            f.copy_ghost_from_self(dir, shift_bricks);
-        }
-        // Every ghost cell now equals the periodic image of an owned cell.
+    fn wrapped_axes_read_the_periodic_image() {
+        // No ghost bricks on a wrapped axis: `get` and the neighborhood
+        // reach the live cells across the seam, the halo axis keeps its
+        // shell.
+        let n = 8;
+        let l = Arc::new(BrickLayout::with_wrap(
+            Box3::cube(n),
+            4,
+            1,
+            BrickOrdering::SurfaceMajor,
+            [false, true, true],
+        ));
+        let storage = Box3::new(Point3::new(-4, 0, 0), Point3::new(n + 4, n, n));
+        assert_eq!(l.storage_cell_box(), storage);
+        let f = BrickedField::from_fn(l.clone(), idx_fn);
         let dom = Point3::splat(n);
-        l.storage_cell_box().for_each(|p| {
-            let wrapped = p.rem_euclid(dom);
-            assert_eq!(f.get(p), idx_fn(wrapped), "ghost at {p:?}");
+        Box3::cube(n).grow(4).for_each(|p| {
+            let q = Point3::new(p.x, p.y.rem_euclid(dom.y), p.z.rem_euclid(dom.z));
+            assert_eq!(f.get(p), idx_fn(q), "at {p:?}");
         });
+        assert!(l.locate(Point3::new(-5, 0, 0)).is_none());
+        let nb = f.neighborhood(l.slot_of_brick(Point3::zero()));
+        assert_eq!(
+            nb.get(Point3::new(0, -1, 0)),
+            idx_fn(Point3::new(0, n - 1, 0))
+        );
+        assert_eq!(
+            nb.get(Point3::new(-1, 0, -1)),
+            idx_fn(Point3::new(-1, 0, n - 1))
+        );
+        // The array view fills its ghost cells with the same image.
+        let a = f.to_array3();
+        assert_eq!(
+            a[Point3::new(3, -2, n + 1)],
+            idx_fn(Point3::new(3, n - 2, 1))
+        );
     }
 
     #[test]

@@ -81,17 +81,41 @@ pub enum SlotClass {
     Interior,
 }
 
+/// One halo direction of a layout's exchange plan: the ghost bricks a
+/// neighbor fills and the owned bricks that neighbor's mirror direction
+/// needs, both in lexicographic brick order (the wire order).
+#[derive(Clone, Debug)]
+pub struct HaloDir {
+    /// Halo direction from this rank toward the neighbor.
+    pub dir: Point3,
+    /// Owned bricks the neighbor in `dir` needs: the depth-`ghost_bricks`
+    /// layer adjacent to that face/edge/corner.
+    pub send: Vec<u32>,
+    /// Ghost bricks the neighbor in `dir` fills.
+    pub recv: Vec<u32>,
+    /// `recv` as one slot range when its slots are consecutive (always,
+    /// under [`BrickOrdering::SurfaceMajor`]): the receive is one copy.
+    pub recv_run: Option<Range<u32>>,
+}
+
 /// Geometry and indirection tables for a bricked subdomain.
 ///
 /// Cell coordinates are *global* (the subdomain's position inside the
 /// decomposed domain), so neighboring ranks agree on brick indices, which is
 /// what lets the exchange map slots directly between layouts.
+///
+/// Every axis is either a *halo* axis — the storage carries a ghost shell
+/// there, filled by an exchange — or a *wrapped* axis, on which the
+/// subdomain is its own periodic neighbor: no ghost bricks, and the
+/// adjacency of the first and last bricks points across the seam, so a
+/// kernel reads the live periodic image instead of a copy.
 #[derive(Clone, Debug)]
 pub struct BrickLayout {
     cell_box: Box3,
     brick_dim: i64,
     ghost_bricks: i64,
     ordering: BrickOrdering,
+    wrap: [bool; 3],
     brick_box: Box3,
     storage_brick_box: Box3,
     slot_to_brick: Vec<Point3>,
@@ -101,6 +125,9 @@ pub struct BrickLayout {
     /// [`NO_BRICK`] outside the storage shell. `dir27` indexes offsets
     /// `(dz+1)*9 + (dy+1)*3 + (dx+1)`; index 13 is the brick itself.
     adjacency: Vec<[u32; 27]>,
+    /// The exchange plan: one entry per direction that has ghost bricks,
+    /// in [`DIRECTIONS_26`] order.
+    halo: Vec<HaloDir>,
 }
 
 /// Index into the 27-point adjacency row for offset `d ∈ {-1,0,1}³`.
@@ -113,8 +140,22 @@ pub(crate) fn dir27(d: Point3) -> usize {
 impl BrickLayout {
     /// Build a layout over the brick-aligned cell region `cell_box` with
     /// cubic bricks of side `brick_dim`, a ghost shell `ghost_bricks` bricks
-    /// deep, and the given physical ordering.
+    /// deep on every axis, and the given physical ordering.
     pub fn new(cell_box: Box3, brick_dim: i64, ghost_bricks: i64, ordering: BrickOrdering) -> Self {
+        Self::with_wrap(cell_box, brick_dim, ghost_bricks, ordering, [false; 3])
+    }
+
+    /// [`BrickLayout::new`] with the ghost shell on the axes `wrap` leaves
+    /// `false` only: on a wrapped axis `cell_box` is periodic onto itself
+    /// (the caller's rank grid is 1 wide there) and bricks reach across the
+    /// seam through the adjacency.
+    pub fn with_wrap(
+        cell_box: Box3,
+        brick_dim: i64,
+        ghost_bricks: i64,
+        ordering: BrickOrdering,
+        wrap: [bool; 3],
+    ) -> Self {
         assert!(brick_dim >= 1, "brick dimension must be >= 1");
         assert!(ghost_bricks >= 0, "ghost depth must be >= 0");
         assert!(!cell_box.is_empty(), "cell region must be non-empty");
@@ -133,40 +174,27 @@ impl BrickLayout {
             );
         }
         let brick_box = cell_box.coarsen(brick_dim);
-        let storage_brick_box = brick_box.grow(ghost_bricks);
+        let storage_brick_box = grow_axes(brick_box, ghost_bricks, wrap);
         let nslots = storage_brick_box.volume();
         assert!(nslots < NO_BRICK as usize, "too many bricks");
 
-        // Enumerate bricks in physical order.
+        // One classification pass: bricks by group, lexicographic within
+        // each — ghosts per direction, surface per sign class, interior.
+        let mut ghosts: [Vec<Point3>; 26] = Default::default();
+        let mut surface: [Vec<Point3>; 26] = Default::default();
+        let mut interior = Vec::new();
+        storage_brick_box.for_each(|b| match classify(b, brick_box, wrap) {
+            SlotClass::Ghost(d) => ghosts[direction_index(d)].push(b),
+            SlotClass::Surface(c) => surface[direction_index(c)].push(b),
+            SlotClass::Interior => interior.push(b),
+        });
         let mut slot_to_brick = Vec::with_capacity(nslots);
         match ordering {
-            BrickOrdering::Lexicographic => {
-                storage_brick_box.for_each(|b| slot_to_brick.push(b));
-            }
+            BrickOrdering::Lexicographic => storage_brick_box.for_each(|b| slot_to_brick.push(b)),
             BrickOrdering::SurfaceMajor => {
-                // 1. Ghost bricks grouped by halo direction, in
-                //    DIRECTIONS_26 order, lexicographic within each group.
-                for dir in DIRECTIONS_26 {
-                    storage_brick_box.for_each(|b| {
-                        if classify(b, brick_box) == SlotClass::Ghost(dir) {
-                            slot_to_brick.push(b);
-                        }
-                    });
+                for group in ghosts.iter().chain(&surface).chain([&interior]) {
+                    slot_to_brick.extend_from_slice(group);
                 }
-                // 2. Surface bricks grouped by sign class.
-                for class in DIRECTIONS_26 {
-                    storage_brick_box.for_each(|b| {
-                        if classify(b, brick_box) == SlotClass::Surface(class) {
-                            slot_to_brick.push(b);
-                        }
-                    });
-                }
-                // 3. Interior bricks.
-                storage_brick_box.for_each(|b| {
-                    if classify(b, brick_box) == SlotClass::Interior {
-                        slot_to_brick.push(b);
-                    }
-                });
             }
         }
         debug_assert_eq!(slot_to_brick.len(), nslots);
@@ -181,36 +209,70 @@ impl BrickLayout {
         for (slot, &b) in slot_to_brick.iter().enumerate() {
             brick_to_slot[lin(b)] = slot as u32;
         }
+        let mut layout = Self {
+            cell_box,
+            brick_dim,
+            ghost_bricks,
+            ordering,
+            wrap,
+            brick_box,
+            storage_brick_box,
+            slot_to_brick,
+            brick_to_slot,
+            adjacency: Vec::new(),
+            halo: Vec::new(),
+        };
 
-        // Adjacency rows.
-        let mut adjacency = vec![[NO_BRICK; 27]; nslots];
-        for (slot, &b) in slot_to_brick.iter().enumerate() {
-            for dz in -1..=1 {
-                for dy in -1..=1 {
-                    for dx in -1..=1 {
-                        let d = Point3::new(dx, dy, dz);
-                        let nb = b + d;
-                        adjacency[slot][dir27(d)] = if storage_brick_box.contains(nb) {
-                            brick_to_slot[lin(nb)]
-                        } else {
-                            NO_BRICK
-                        };
+        // Adjacency rows from per-axis step tables: the storage coordinate
+        // one brick down / at / up from each coordinate — across the seam
+        // on a wrapped axis, −1 off the edge of the shell on a halo axis.
+        let steps = [0, 1, 2].map(|a| -> Vec<[i64; 3]> {
+            let n = ext[a];
+            let step = |c: i64| match c {
+                c if wrap[a] => c.rem_euclid(n),
+                c if (0..n).contains(&c) => c,
+                _ => -1,
+            };
+            (0..n).map(|c| [step(c - 1), c, step(c + 1)]).collect()
+        });
+        layout.adjacency = vec![[NO_BRICK; 27]; nslots];
+        for (row, &b) in layout.adjacency.iter_mut().zip(&layout.slot_to_brick) {
+            let r = b - storage_brick_box.lo;
+            let mut entries = row.iter_mut();
+            for z in steps[2][r.z as usize] {
+                for y in steps[1][r.y as usize] {
+                    for x in steps[0][r.x as usize] {
+                        let entry = entries.next().expect("27 entries");
+                        if x >= 0 && y >= 0 && z >= 0 {
+                            *entry = layout.brick_to_slot[((z * ext.y + y) * ext.x + x) as usize];
+                        }
                     }
                 }
             }
         }
 
-        Self {
-            cell_box,
-            brick_dim,
-            ghost_bricks,
-            ordering,
-            brick_box,
-            storage_brick_box,
-            slot_to_brick,
-            brick_to_slot,
-            adjacency,
-        }
+        // The exchange plan, once: every later exchange walks these lists.
+        layout.halo = DIRECTIONS_26
+            .into_iter()
+            .zip(&ghosts)
+            .filter(|(_, g)| !g.is_empty())
+            .map(|(dir, g)| {
+                let recv: Vec<u32> = g.iter().map(|&b| layout.slot_of_brick(b)).collect();
+                let mut send = Vec::with_capacity(recv.len());
+                brick_box
+                    .face_region(dir, ghost_bricks)
+                    .for_each(|b| send.push(layout.slot_of_brick(b)));
+                let consecutive = recv.windows(2).all(|w| w[1] == w[0] + 1);
+                let recv_run = consecutive.then(|| recv[0]..recv[recv.len() - 1] + 1);
+                HaloDir {
+                    dir,
+                    send,
+                    recv,
+                    recv_run,
+                }
+            })
+            .collect();
+        layout
     }
 
     /// The valid (owned) cell region.
@@ -219,10 +281,11 @@ impl BrickLayout {
         self.cell_box
     }
 
-    /// The full cell region covered by storage (owned + ghost shell).
+    /// The full cell region covered by storage: the owned box plus the
+    /// ghost shell on the halo axes.
     #[inline]
     pub fn storage_cell_box(&self) -> Box3 {
-        self.cell_box.grow(self.ghost_bricks * self.brick_dim)
+        self.grow_halo(self.cell_box, self.ghost_cells())
     }
 
     /// Brick side length `B`.
@@ -237,7 +300,7 @@ impl BrickLayout {
         BrickShape::of(self.brick_dim)
     }
 
-    /// Ghost shell depth in bricks.
+    /// Ghost shell depth in bricks (on the halo axes).
     #[inline]
     pub fn ghost_bricks(&self) -> i64 {
         self.ghost_bricks
@@ -254,6 +317,37 @@ impl BrickLayout {
     #[inline]
     pub fn ordering(&self) -> BrickOrdering {
         self.ordering
+    }
+
+    /// Per axis: `true` where the subdomain wraps onto itself (no ghost
+    /// shell), `false` on a halo axis.
+    #[inline]
+    pub fn wrap(&self) -> [bool; 3] {
+        self.wrap
+    }
+
+    /// The exchange plan: the directions that have ghost bricks — those
+    /// whose non-zero components all lie on halo axes — with their send and
+    /// receive slot lists. Empty when every axis wraps.
+    #[inline]
+    pub fn halo(&self) -> &[HaloDir] {
+        &self.halo
+    }
+
+    /// `b` grown by `k` cells (or bricks — the unit is the caller's) on the
+    /// halo axes only; shrunk for negative `k`.
+    #[inline]
+    pub fn grow_halo(&self, b: Box3, k: i64) -> Box3 {
+        grow_axes(b, k, self.wrap)
+    }
+
+    /// True when a radius-`r` stencil over `region ∩ storage` reads only
+    /// cells this layout holds: on a wrapped axis every read resolves
+    /// (across the seam), on a halo axis the reach must stay inside the
+    /// ghost shell.
+    pub fn covers_reads(&self, region: Box3, r: i64) -> bool {
+        let storage = self.storage_cell_box();
+        storage.contains_box(&self.grow_halo(region.intersect(&storage), r))
     }
 
     /// The owned brick-index region.
@@ -292,14 +386,23 @@ impl BrickLayout {
         self.slot_to_brick[slot as usize]
     }
 
-    /// Slot of global brick index `b`, or [`NO_BRICK`] outside storage.
+    /// Slot of global brick index `b` — of its periodic image, on a wrapped
+    /// axis — or [`NO_BRICK`] outside storage.
     #[inline]
-    pub fn slot_of_brick(&self, b: Point3) -> u32 {
-        if !self.storage_brick_box.contains(b) {
-            return NO_BRICK;
+    pub fn slot_of_brick(&self, mut b: Point3) -> u32 {
+        let sb = &self.storage_brick_box;
+        if !sb.contains(b) {
+            for a in 0..3 {
+                if self.wrap[a] {
+                    b[a] = sb.lo[a] + (b[a] - sb.lo[a]).rem_euclid(sb.hi[a] - sb.lo[a]);
+                }
+            }
+            if !sb.contains(b) {
+                return NO_BRICK;
+            }
         }
-        let r = b - self.storage_brick_box.lo;
-        let e = self.storage_brick_box.extent();
+        let r = b - sb.lo;
+        let e = sb.extent();
         self.brick_to_slot[((r.z * e.y + r.y) * e.x + r.x) as usize]
     }
 
@@ -317,8 +420,8 @@ impl BrickLayout {
         ((r.z * self.brick_dim + r.y) * self.brick_dim + r.x) as usize
     }
 
-    /// `(slot, intra-brick offset)` of a global cell, or `None` outside
-    /// storage.
+    /// `(slot, intra-brick offset)` of a global cell (of its periodic
+    /// image, on a wrapped axis), or `None` outside storage.
     #[inline]
     pub fn locate(&self, p: Point3) -> Option<(u32, usize)> {
         let slot = self.slot_of_brick(self.brick_of_cell(p));
@@ -344,7 +447,7 @@ impl BrickLayout {
 
     /// Classification of the brick held in `slot`.
     pub fn class_of_slot(&self, slot: u32) -> SlotClass {
-        classify(self.slot_to_brick[slot as usize], self.brick_box)
+        classify(self.slot_to_brick[slot as usize], self.brick_box, self.wrap)
     }
 
     /// Slots of all owned bricks (any order is the physical slot order,
@@ -355,31 +458,23 @@ impl BrickLayout {
             .collect()
     }
 
+    fn halo_dir(&self, dir: Point3) -> Option<&HaloDir> {
+        self.halo.iter().find(|h| h.dir == dir)
+    }
+
     /// Slots of ghost bricks in halo direction `dir`, in receive order
-    /// (lexicographic by global brick index).
+    /// (lexicographic by global brick index); empty when `dir` crosses a
+    /// wrapped axis.
     pub fn ghost_slots(&self, dir: Point3) -> Vec<u32> {
-        let mut v: Vec<u32> = (0..self.num_slots() as u32)
-            .filter(|&s| self.class_of_slot(s) == SlotClass::Ghost(dir))
-            .collect();
-        v.sort_by_key(|&s| {
-            let b = self.slot_to_brick[s as usize];
-            (b.z, b.y, b.x)
-        });
-        v
+        self.halo_dir(dir).map_or(Vec::new(), |h| h.recv.clone())
     }
 
     /// Slots of owned bricks that a neighbor in direction `dir` needs (the
     /// send set): the depth-`ghost_bricks` layer of owned bricks adjacent to
-    /// that face/edge/corner, in lexicographic (receive-matching) order.
+    /// that face/edge/corner, in lexicographic (receive-matching) order;
+    /// empty when `dir` crosses a wrapped axis.
     pub fn send_slots(&self, dir: Point3) -> Vec<u32> {
-        let region = self.brick_box.face_region(dir, self.ghost_bricks);
-        let mut v = Vec::with_capacity(region.volume());
-        region.for_each(|b| {
-            let s = self.slot_of_brick(b);
-            debug_assert_ne!(s, NO_BRICK);
-            v.push(s);
-        });
-        v
+        self.halo_dir(dir).map_or(Vec::new(), |h| h.send.clone())
     }
 
     /// Contiguous slot runs covering `slots` (which need not be sorted; runs
@@ -408,9 +503,9 @@ impl BrickLayout {
     }
 
     /// `(slot, cell sub-box)` pairs for every brick whose cells intersect
-    /// `region` (clipped to the storage shell). This is the traversal driver
-    /// for stencil kernels operating on shrinking communication-avoiding
-    /// regions.
+    /// `region` (clipped to the storage shell), in lexicographic brick
+    /// order. This is the traversal driver for stencil kernels operating on
+    /// shrinking communication-avoiding regions.
     pub fn slots_intersecting(&self, region: Box3) -> Vec<(u32, Box3)> {
         let clipped = region.intersect(&self.storage_cell_box());
         if clipped.is_empty() {
@@ -439,8 +534,20 @@ impl BrickLayout {
     }
 }
 
-/// Classify a brick against the owned brick box.
-fn classify(b: Point3, brick_box: Box3) -> SlotClass {
+/// `b` grown by `k` on the axes `wrap` leaves `false`.
+fn grow_axes(b: Box3, k: i64, wrap: [bool; 3]) -> Box3 {
+    let mut g = Point3::zero();
+    for a in 0..3 {
+        if !wrap[a] {
+            g[a] = k;
+        }
+    }
+    Box3::new(b.lo - g, b.hi + g)
+}
+
+/// Classify a brick against the owned brick box. A wrapped axis has neither
+/// ghosts nor a surface: its first and last bricks are neighbors.
+fn classify(b: Point3, brick_box: Box3, wrap: [bool; 3]) -> SlotClass {
     if !brick_box.contains(b) {
         let mut d = Point3::zero();
         for a in 0..3 {
@@ -454,6 +561,9 @@ fn classify(b: Point3, brick_box: Box3) -> SlotClass {
     }
     let mut c = Point3::zero();
     for a in 0..3 {
+        if wrap[a] {
+            continue;
+        }
         if b[a] == brick_box.lo[a] {
             c[a] = -1;
         } else if b[a] == brick_box.hi[a] - 1 {
@@ -465,13 +575,6 @@ fn classify(b: Point3, brick_box: Box3) -> SlotClass {
     } else {
         SlotClass::Surface(c)
     }
-}
-
-/// Verify that `direction_index` agrees with the mesh crate's ordering for
-/// all layout code that groups by direction.
-#[allow(dead_code)]
-fn _assert_direction_order(dir: Point3) -> usize {
-    direction_index(dir)
 }
 
 #[cfg(test)]
@@ -650,6 +753,107 @@ mod tests {
                 runs.len()
             );
         }
+    }
+
+    #[test]
+    fn halo_directions_follow_the_wrap_mask() {
+        // A halo direction is one whose non-zero components all lie on
+        // halo axes: 26, 8, 2, 0 of them with 0..=3 wrapped axes, and the
+        // storage grows on the halo axes only.
+        for (wrap, dirs) in [
+            ([false, false, false], 26),
+            ([false, false, true], 8),
+            ([false, true, true], 2),
+            ([true, true, true], 0),
+        ] {
+            for ord in [BrickOrdering::Lexicographic, BrickOrdering::SurfaceMajor] {
+                let l = BrickLayout::with_wrap(Box3::cube(16), 4, 1, ord, wrap);
+                assert_eq!(l.halo().len(), dirs, "{wrap:?}");
+                let halo_axes = wrap.iter().filter(|w| !**w).count() as u32;
+                assert_eq!(
+                    l.num_slots(),
+                    6usize.pow(halo_axes) * 4usize.pow(3 - halo_axes)
+                );
+                for h in l.halo() {
+                    assert!((0..3).all(|a| h.dir[a] == 0 || !wrap[a]), "{:?}", h.dir);
+                    assert_eq!(h.send.len(), h.recv.len());
+                    assert_eq!(h.send, l.send_slots(h.dir));
+                    assert_eq!(h.recv, l.ghost_slots(h.dir));
+                    if ord == BrickOrdering::SurfaceMajor {
+                        let run = h.recv_run.clone().expect("one receive run");
+                        assert_eq!(run.len(), h.recv.len());
+                    }
+                }
+                // Directions across a wrapped axis have nothing to move.
+                if wrap[2] {
+                    assert!(l.send_slots(Point3::new(0, 0, 1)).is_empty());
+                    assert!(l.ghost_slots(Point3::new(1, 0, -1)).is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrapped_adjacency_crosses_the_seam() {
+        let l = BrickLayout::with_wrap(
+            Box3::new(Point3::zero(), Point3::new(8, 4, 16)),
+            4,
+            1,
+            BrickOrdering::SurfaceMajor,
+            [false, true, true],
+        );
+        assert_eq!(
+            l.storage_brick_box(),
+            Box3::new(Point3::new(-1, 0, 0), Point3::new(3, 1, 4))
+        );
+        let first = l.slot_of_brick(Point3::zero());
+        // z: the first brick's −z neighbor is the last one.
+        assert_eq!(
+            l.neighbor_slot(first, Point3::new(0, 0, -1)),
+            l.slot_of_brick(Point3::new(0, 0, 3))
+        );
+        // y: a lone brick is its own ± neighbor.
+        assert_eq!(l.neighbor_slot(first, Point3::new(0, 1, 0)), first);
+        assert_eq!(l.neighbor_slot(first, Point3::new(0, -1, 0)), first);
+        // x keeps its ghost brick, and the ghost slab wraps within itself.
+        let ghost = l.neighbor_slot(first, Point3::new(-1, 0, 0));
+        assert_eq!(
+            l.class_of_slot(ghost),
+            SlotClass::Ghost(Point3::new(-1, 0, 0))
+        );
+        assert_eq!(
+            l.neighbor_slot(ghost, Point3::new(0, 0, -1)),
+            l.slot_of_brick(Point3::new(-1, 0, 3))
+        );
+        assert_eq!(l.neighbor_slot(ghost, Point3::new(-1, 0, 0)), NO_BRICK);
+        // With no halo axis every owned brick is interior: plain
+        // lexicographic slots whatever the ordering.
+        let torus =
+            BrickLayout::with_wrap(Box3::cube(8), 4, 1, BrickOrdering::SurfaceMajor, [true; 3]);
+        assert_eq!(torus.storage_cell_box(), Box3::cube(8));
+        for s in 0..torus.num_slots() as u32 {
+            assert_eq!(torus.class_of_slot(s), SlotClass::Interior);
+        }
+        assert_eq!(torus.brick_of_slot(1), Point3::new(1, 0, 0));
+    }
+
+    #[test]
+    fn covers_reads_checks_halo_axes_only() {
+        let l = BrickLayout::with_wrap(
+            Box3::cube(16),
+            4,
+            1,
+            BrickOrdering::SurfaceMajor,
+            [false, true, true],
+        );
+        let owned = Box3::cube(16);
+        assert!(l.covers_reads(owned, 1));
+        assert!(l.covers_reads(owned.grow(3), 1)); // clipped on y/z, 3 + 1 <= 4 on x
+        assert!(!l.covers_reads(owned.grow(4), 1));
+        assert_eq!(
+            l.grow_halo(owned, 2),
+            Box3::new(Point3::new(-2, 0, 0), Point3::new(18, 16, 16))
+        );
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!    their *physical* storage order is free. We provide a lexicographic
 //!    order and a *surface-major* order in which every ghost region and
 //!    every surface class is physically contiguous — making halo exchange
-//!    **pack-free** (the PPoPP'21 optimization the paper uses).
+//!    **pack-free** (the PPoPP'21 optimization the paper uses). The same
+//!    table makes a logical neighbor that is not a physical one free: on an
+//!    axis where a subdomain is its own periodic neighbor the last brick's
+//!    `+1` face points at the first, with no ghost bricks and no exchange.
 //! 3. **Deep ghost zones for communication-avoiding smoothing.** The ghost
 //!    shell is a whole brick thick (8 cells), so up to `brick_dim` smoother
 //!    applications can run between exchanges, redundantly recomputing ghost
@@ -27,5 +30,5 @@ pub mod layout;
 pub mod neighborhood;
 
 pub use field::BrickedField;
-pub use layout::{BrickLayout, BrickOrdering, BrickShape, SlotClass, NO_BRICK};
+pub use layout::{BrickLayout, BrickOrdering, BrickShape, HaloDir, SlotClass, NO_BRICK};
 pub use neighborhood::{BrickFaces, BrickNeighborhood};

@@ -1,24 +1,34 @@
 //! Property-based tests of the brick layout invariants.
 
-use gmg_brick::{BrickLayout, BrickOrdering, SlotClass};
+use gmg_brick::{BrickLayout, BrickOrdering, SlotClass, NO_BRICK};
 use gmg_mesh::ghost::DIRECTIONS_26;
 use gmg_mesh::{Box3, Point3};
 use gmg_proptest::prelude::*;
 
+/// Cubic all-halo layouts (mask 0) and non-cubic ones, 1 to 4 bricks per
+/// axis, under each of the 7 masks that wrap an axis.
 fn arb_layout() -> impl Strategy<Value = BrickLayout> {
     (
-        prop::sample::select(vec![1i64, 2, 4, 8]),
-        2i64..5,
-        0i64..3,
-        any::<bool>(),
+        (
+            prop::sample::select(vec![1i64, 2, 4, 8]),
+            2i64..5,
+            0i64..3,
+            any::<bool>(),
+        ),
+        (0usize..8, 1i64..5, 1i64..5),
     )
-        .prop_map(|(bd, mult, ghost, lex)| {
+        .prop_map(|((bd, mult, ghost, lex), (mask, my, mz))| {
             let ord = if lex {
                 BrickOrdering::Lexicographic
             } else {
                 BrickOrdering::SurfaceMajor
             };
-            BrickLayout::new(Box3::cube(bd * mult), bd, ghost, ord)
+            if mask == 0 {
+                return BrickLayout::new(Box3::cube(bd * mult), bd, ghost, ord);
+            }
+            let cells = Box3::from_extent(Point3::new(mult, my, mz) * bd);
+            let wrap = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
+            BrickLayout::with_wrap(cells, bd, ghost, ord, wrap)
         })
 }
 
@@ -51,19 +61,46 @@ proptest! {
         prop_assert!(counts.iter().all(|&c| c == 1));
     }
 
-    /// Adjacency agrees with brick index arithmetic everywhere.
+    /// Adjacency agrees with brick index arithmetic everywhere, crossing
+    /// the seam of a wrapped axis: a step and its reverse return to the
+    /// same slot, an owned brick inside a ghost shell (or on a full torus)
+    /// has all 27 neighbors, and a ghost slab wraps within itself.
     #[test]
     fn adjacency_consistency(layout in arb_layout()) {
+        let wrap = layout.wrap();
+        let ext = layout.brick_box().extent();
+        let lo = layout.brick_box().lo;
+        let complete = layout.ghost_bricks() >= 1 || wrap == [true; 3];
         for s in 0..layout.num_slots() as u32 {
             let b = layout.brick_of_slot(s);
+            let class = layout.class_of_slot(s);
             for dz in -1..=1i64 {
                 for dy in -1..=1i64 {
                     for dx in -1..=1i64 {
                         let d = Point3::new(dx, dy, dz);
-                        prop_assert_eq!(
-                            layout.neighbor_slot(s, d),
-                            layout.slot_of_brick(b + d)
-                        );
+                        let mut nb = b + d;
+                        for a in 0..3 {
+                            if wrap[a] {
+                                nb[a] = lo[a] + (nb[a] - lo[a]).rem_euclid(ext[a]);
+                            }
+                        }
+                        let expect = if layout.storage_brick_box().contains(nb) {
+                            layout.slot_of_brick(nb)
+                        } else {
+                            NO_BRICK
+                        };
+                        let n = layout.neighbor_slot(s, d);
+                        prop_assert_eq!(n, expect);
+                        prop_assert_eq!(n, layout.slot_of_brick(b + d));
+                        if n == NO_BRICK {
+                            prop_assert!(!complete || matches!(class, SlotClass::Ghost(_)));
+                            continue;
+                        }
+                        prop_assert_eq!(layout.neighbor_slot(n, -d), s);
+                        let along_wrapped = (0..3).all(|a| d[a] == 0 || wrap[a]);
+                        if let (SlotClass::Ghost(g), true) = (class, along_wrapped) {
+                            prop_assert_eq!(layout.class_of_slot(n), SlotClass::Ghost(g));
+                        }
                     }
                 }
             }
@@ -81,6 +118,7 @@ proptest! {
                 SlotClass::Ghost(d) => {
                     ghost += 1;
                     prop_assert!(d != Point3::zero());
+                    prop_assert!((0..3).all(|a| d[a] == 0 || !layout.wrap()[a]));
                 }
                 SlotClass::Surface(c) => {
                     owned += 1;
@@ -122,7 +160,6 @@ proptest! {
         if layout.ghost_bricks() == 0 {
             return Ok(());
         }
-        let ext = layout.brick_box().extent();
         for dir in DIRECTIONS_26 {
             let send: Vec<Point3> = layout
                 .send_slots(dir)
@@ -135,7 +172,8 @@ proptest! {
                 .map(|&s| layout.brick_of_slot(s))
                 .collect();
             prop_assert_eq!(send.len(), ghost.len());
-            let _ = ext;
+            let halo = (0..3).all(|a| dir[a] == 0 || !layout.wrap()[a]);
+            prop_assert_eq!(!send.is_empty(), halo, "{:?}", dir);
             // Depth-1 identity: the ghost shell in direction d is exactly
             // the send layer translated one brick outward, ghost(d) =
             // send(d) + d (both in lexicographic order).

@@ -1164,8 +1164,9 @@ fn halo_tag(tag_base: u64, dir: Point3) -> u64 {
 
 /// The paper's `exchange()` for bricked fields: fill every ghost brick of
 /// `field` from the owning neighbor under `decomp`, using whole-brick
-/// messages in deterministic (lexicographic) brick order. Panicking
-/// wrapper around [`try_exchange_bricked`].
+/// messages in deterministic (lexicographic) brick order. Walks the
+/// layout's halo plan — nothing at all for a layout without a halo axis.
+/// Panicking wrapper around [`try_exchange_bricked`].
 pub fn exchange_bricked(
     ctx: &mut RankCtx,
     decomp: &Decomposition,
@@ -1180,6 +1181,11 @@ pub fn exchange_bricked(
 /// Fallible [`exchange_bricked`]: comm failures (including the membership
 /// controller's [`CommError::Parked`]) surface as errors so an elastic
 /// solver can park and rejoin instead of tearing the process down.
+///
+/// Every halo direction must lead to another rank: an axis on which this
+/// rank is its own periodic neighbor belongs in the layout's wrap
+/// ([`Decomposition::self_neighbor_axes`]), where the brick adjacency
+/// reaches across the seam and there is nothing to exchange.
 pub fn try_exchange_bricked(
     ctx: &mut RankCtx,
     decomp: &Decomposition,
@@ -1188,46 +1194,44 @@ pub fn try_exchange_bricked(
 ) -> Result<(), CommError> {
     let rank = ctx.rank();
     let layout = field.layout().clone();
-    let bd = layout.brick_dim();
+    let bvol = layout.brick_volume();
+    let peer = |dir: Point3| {
+        let nbr = decomp.neighbor(rank, dir).rank;
+        assert_ne!(
+            nbr, rank,
+            "halo direction {dir:?} leads back to rank {rank}: wrap that axis in the layout"
+        );
+        nbr
+    };
     // Post all sends first (Isend), then satisfy receives.
-    for dir in DIRECTIONS_26 {
-        let nbr = decomp.neighbor(rank, dir);
-        if nbr.rank == rank {
-            continue; // handled locally below
-        }
-        let slots = layout.send_slots(dir);
+    for h in layout.halo() {
         let pack = probe::span(Kind::Comm, "pack");
-        let mut buf = Vec::with_capacity(slots.len() * layout.brick_volume());
-        for &s in &slots {
+        let mut buf = Vec::with_capacity(h.send.len() * bvol);
+        for &s in &h.send {
             buf.extend_from_slice(field.brick(s));
         }
         drop(pack.value((buf.len() * 8) as u64));
-        ctx.try_send(nbr.rank, halo_tag(tag_base, dir), buf)?;
+        ctx.try_send(peer(h.dir), halo_tag(tag_base, h.dir), buf)?;
     }
-    for dir in DIRECTIONS_26 {
-        let nbr = decomp.neighbor(rank, dir);
-        if nbr.rank == rank {
-            // Periodic wrap onto myself: local brick copies.
-            let _probe = probe::span(Kind::Comm, "self-exchange");
-            let shift_bricks = nbr.wrap_shift.div_floor(Point3::splat(bd));
-            field.copy_ghost_from_self(dir, shift_bricks);
-            continue;
-        }
+    for h in layout.halo() {
         // My ghost in direction `dir` comes from the neighbor's send in
         // direction `-dir` (its direction toward me).
-        let payload = ctx.recv_traced(nbr.rank, halo_tag(tag_base, -dir), None)?;
+        let payload = ctx.recv_traced(peer(h.dir), halo_tag(tag_base, -h.dir), None)?;
         let _probe = probe::span(Kind::Comm, "unpack").value((payload.len() * 8) as u64);
-        let ghosts = layout.ghost_slots(dir);
         assert_eq!(
             payload.len(),
-            ghosts.len() * layout.brick_volume(),
-            "halo payload size mismatch in {dir:?}"
+            h.recv.len() * bvol,
+            "halo payload size mismatch in {:?}",
+            h.dir
         );
-        for (i, &g) in ghosts.iter().enumerate() {
-            let bvol = layout.brick_volume();
-            field
-                .brick_mut(g)
-                .copy_from_slice(&payload[i * bvol..(i + 1) * bvol]);
+        match &h.recv_run {
+            Some(run) => field.as_mut_slice()[run.start as usize * bvol..run.end as usize * bvol]
+                .copy_from_slice(&payload),
+            None => {
+                for (&g, brick) in h.recv.iter().zip(payload.chunks_exact(bvol)) {
+                    field.brick_mut(g).copy_from_slice(brick);
+                }
+            }
         }
     }
     Ok(())
@@ -1352,7 +1356,52 @@ mod tests {
     }
 
     #[test]
-    fn bricked_exchange_single_rank_wraps() {
+    fn bricked_exchange_walks_only_the_halo_directions() {
+        // On a 1-wide rank-grid axis the layout wraps and nothing is sent:
+        // 0, 2 and 8 messages per rank on 1×1×1, 2×1×1 and 2×2×1 — and
+        // every cell one brick around the owned box still reads the
+        // periodic image, through the exchange or through the adjacency.
+        for (grid, dirs) in [
+            (Point3::splat(1), 0),
+            (Point3::new(2, 1, 1), 2),
+            (Point3::new(2, 2, 1), 8),
+        ] {
+            let decomp = Decomposition::new(Box3::cube(16), grid);
+            let n = decomp.num_ranks();
+            let d = &decomp;
+            let (_, trace) = gmg_trace::capture(|| {
+                RankWorld::run(n, move |mut ctx| {
+                    let sub = d.subdomain(ctx.rank());
+                    let layout = Arc::new(BrickLayout::with_wrap(
+                        sub,
+                        4,
+                        1,
+                        BrickOrdering::SurfaceMajor,
+                        d.self_neighbor_axes(),
+                    ));
+                    assert_eq!(layout.halo().len(), dirs);
+                    let mut f = BrickedField::from_fn(layout, |p| {
+                        if sub.contains(p) {
+                            idx_fn(p)
+                        } else {
+                            f64::NAN
+                        }
+                    });
+                    exchange_bricked(&mut ctx, d, &mut f, 1);
+                    let dom = d.domain().extent();
+                    sub.grow(4).for_each(|p| {
+                        assert_eq!(f.get(p), idx_fn(p.rem_euclid(dom)), "cell {p:?}");
+                    });
+                });
+            });
+            let sends = trace.events.iter().filter(|e| e.op.name() == "send");
+            assert_eq!(sends.count(), n * dirs, "grid {grid:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wrap that axis in the layout")]
+    fn bricked_exchange_rejects_a_halo_toward_the_rank_itself() {
         let decomp = Decomposition::single(Box3::cube(8));
         let d = &decomp;
         RankWorld::run(1, move |mut ctx| {
@@ -1362,17 +1411,7 @@ mod tests {
                 1,
                 BrickOrdering::SurfaceMajor,
             ));
-            let mut f = BrickedField::from_fn(layout.clone(), |p| {
-                if Box3::cube(8).contains(p) {
-                    idx_fn(p)
-                } else {
-                    -1.0
-                }
-            });
-            exchange_bricked(&mut ctx, d, &mut f, 1);
-            layout.storage_cell_box().for_each(|p| {
-                assert_eq!(f.get(p), idx_fn(p.rem_euclid(Point3::splat(8))));
-            });
+            exchange_bricked(&mut ctx, d, &mut BrickedField::new(layout), 1);
         });
     }
 

@@ -64,7 +64,13 @@ fn repeated_bricked_exchanges_many_fields() {
     let d = &decomp;
     RankWorld::run(4, move |mut ctx| {
         let sub = d.subdomain(ctx.rank());
-        let layout = Arc::new(BrickLayout::new(sub, 4, 1, BrickOrdering::SurfaceMajor));
+        let layout = Arc::new(BrickLayout::with_wrap(
+            sub,
+            4,
+            1,
+            BrickOrdering::SurfaceMajor,
+            d.self_neighbor_axes(),
+        ));
         let dom = d.domain().extent();
         let mut fields: Vec<BrickedField> = (0..3)
             .map(|k| {
@@ -112,7 +118,13 @@ fn mixed_array_and_brick_exchanges_share_tag_space() {
     RankWorld::run(2, move |mut ctx| {
         let sub = d.subdomain(ctx.rank());
         let dom = d.domain().extent();
-        let layout = Arc::new(BrickLayout::new(sub, 4, 1, BrickOrdering::SurfaceMajor));
+        let layout = Arc::new(BrickLayout::with_wrap(
+            sub,
+            4,
+            1,
+            BrickOrdering::SurfaceMajor,
+            d.self_neighbor_axes(),
+        ));
         let mut bf = BrickedField::from_fn(layout, move |p| {
             let q = p.rem_euclid(dom);
             (q.x + 20 * q.y + 400 * q.z) as f64

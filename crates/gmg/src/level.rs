@@ -9,7 +9,10 @@ use std::sync::Arc;
 
 /// One level of the multigrid hierarchy on one rank: the four fields of the
 /// V-cycle (`x`, `b`, `Ax`, `r`) in bricked storage plus the level's
-/// operator coefficients and the communication-avoiding ghost margin.
+/// operator coefficients and the communication-avoiding ghost margin. The
+/// layout carries a ghost shell on the axes where the rank grid is more
+/// than 1 wide; on the others the rank is its own periodic neighbor and
+/// the bricks wrap through the adjacency.
 pub struct Level {
     /// Level index (0 = finest).
     pub index: usize,
@@ -37,12 +40,14 @@ pub struct Level {
     pub beta: f64,
     /// `γ = h²/12`.
     pub gamma: f64,
-    /// Valid ghost margin of `x`, in cells: `x` is specified on
-    /// `owned.grow(margin)` and nowhere else, so this is how many more
-    /// radius-1 sweeps can run before an exchange is needed. Reset to the
-    /// full ghost depth by an exchange or `initZero`; a smoothing step
-    /// works in no more of it than the rest of its pass can consume and
-    /// leaves that minus what it consumed — 0 at the end of every pass.
+    /// Valid ghost margin of `x`, in cells: `x` is specified on `owned`
+    /// grown by `margin` on the layout's halo axes and nowhere else, so
+    /// this is how many more radius-1 sweeps can run before an exchange is
+    /// needed. Reset to the full ghost depth by an exchange or `initZero`;
+    /// a smoothing step works in no more of it than the rest of its pass
+    /// can consume and leaves that minus what it consumed — 0 at the end of
+    /// every pass. Means nothing on a level without a halo axis, which
+    /// never exchanges.
     pub margin: i64,
 }
 
@@ -59,7 +64,8 @@ impl Level {
         ordering: BrickOrdering,
     ) -> Self {
         let owned = decomp.subdomain(rank);
-        let layout = Arc::new(BrickLayout::new(owned, brick_dim, 1, ordering));
+        let wrap = decomp.self_neighbor_axes();
+        let layout = Arc::new(BrickLayout::with_wrap(owned, brick_dim, 1, ordering, wrap));
         let x = BrickedField::new(layout.clone());
         let b = BrickedField::new(layout.clone());
         let ax = BrickedField::new(layout.clone());
@@ -80,13 +86,19 @@ impl Level {
         }
     }
 
-    /// Ghost depth in cells (brick dim × ghost bricks).
+    /// Ghost depth in cells (brick dim × ghost bricks) on the halo axes.
     pub fn ghost_cells(&self) -> i64 {
         self.layout.ghost_cells()
     }
 
-    /// `Ax ← A·x` over `region` (the paper's `applyOp`). Requires `x` valid
-    /// on `region.grow(1)`.
+    /// Whether any axis carries a ghost shell, i.e. whether this level
+    /// ever exchanges.
+    pub fn has_halo(&self) -> bool {
+        !self.layout.halo().is_empty()
+    }
+
+    /// `Ax ← A·x` over `region` (the paper's `applyOp`), clipped to the
+    /// storage shell. Requires `x` valid one cell around it.
     pub fn apply_op(&mut self, region: Box3) {
         apply_star7_bricked(&mut self.ax, &self.x, self.alpha, self.beta, region);
     }
@@ -121,13 +133,14 @@ impl Level {
     }
 
     /// Apply `s` Jacobi-family smooth iterations over the shrinking
-    /// communication-avoiding schedule rooted at `region`, each as one pass
-    /// over the bricks (3 doubles moved per point). Afterwards `x` — and,
-    /// `with_residual`, `r` as the last iteration's `smooth_residual`
-    /// would leave it — are specified on `region.shrink(s − 1)` only,
-    /// bit-identical there to `s` sequential `apply_op` + `smooth` passes
-    /// (see [`gmg_stencil::exec_fused`]); `ax` holds garbage. The caller
-    /// accounts the margin: `region.shrink(s − 1)` is all that stays valid.
+    /// communication-avoiding schedule rooted at `region` (clipped to the
+    /// storage shell), each as one pass over the bricks (3 doubles moved
+    /// per point). Afterwards `x` — and, `with_residual`, `r` as the last
+    /// iteration's `smooth_residual` would leave it — are specified on
+    /// `region` shrunk by `s − 1` on the halo axes only, bit-identical
+    /// there to `s` sequential `apply_op` + `smooth` passes (see
+    /// [`gmg_stencil::exec_fused`]); `ax` holds garbage. The caller
+    /// accounts the margin: that shrunk region is all that stays valid.
     pub fn fused_multi_smooth(
         &mut self,
         region: Box3,
@@ -304,16 +317,6 @@ mod tests {
         Level::new(&problem, decomp, 0, index, bd, BrickOrdering::SurfaceMajor)
     }
 
-    fn self_exchange(l: &mut Level) {
-        let n = l.owned.extent();
-        let bd = l.layout.brick_dim();
-        for dir in gmg_mesh::ghost::DIRECTIONS_26 {
-            let shift = dir.hadamard(n).div_floor(Point3::splat(bd));
-            l.x.copy_ghost_from_self(dir, shift);
-        }
-        l.margin = l.ghost_cells();
-    }
-
     #[test]
     fn apply_op_annihilates_constants() {
         // A·const = (α + 6β)·const = 0 for the Poisson coefficients.
@@ -353,7 +356,6 @@ mod tests {
         l.init_zero();
         let mut prev = f64::INFINITY;
         for _ in 0..5 {
-            self_exchange(&mut l);
             l.apply_op(l.owned);
             l.smooth_residual(l.owned);
             let r = l.max_norm_r();
@@ -378,7 +380,6 @@ mod tests {
             l.init_zero();
             let mut hist = Vec::new();
             for _ in 0..4 {
-                self_exchange(&mut l);
                 if generic {
                     gmg_stencil::exec_brick::apply_star7_bricked_generic(
                         &mut l.ax, &l.x, l.alpha, l.beta, l.owned,
@@ -409,8 +410,6 @@ mod tests {
         };
         init(&mut a);
         init(&mut b);
-        self_exchange(&mut a);
-        self_exchange(&mut b);
         a.apply_op(a.owned);
         b.apply_op(b.owned);
         // a: fused; b: residual then smooth.
@@ -595,7 +594,7 @@ mod tests {
         let cp = l.checkpoint();
         l.x.fill(0.0);
         l.restore(&cp);
-        l.owned.grow(l.ghost_cells()).for_each(|p| {
+        l.layout.storage_cell_box().for_each(|p| {
             assert_eq!(l.x.get(p), (p.x * 3 + p.y - p.z) as f64, "at {p:?}");
         });
         assert_eq!(l.margin, 0, "rollback must force a fresh exchange");
@@ -603,43 +602,43 @@ mod tests {
 
     #[test]
     fn ca_smoothing_matches_non_ca() {
-        // With periodic self-exchange: 4 CA smooths after one exchange must
-        // produce exactly the same owned values as exchange-every-step.
+        // 2×1×1 ranks (a halo on x, the adjacency wrapping y and z): 4 CA
+        // smooths after one exchange, over regions shrinking on x, must
+        // leave exactly the owned values of exchange-every-step.
+        use crate::ops::exchange_x;
+        use gmg_comm::runtime::RankWorld;
         let n = 16;
-        let bd = 4;
         let problem = PoissonProblem::new(n);
-        let mk = || {
-            let decomp = Decomposition::single(Box3::cube(n));
-            let mut l = Level::new(&problem, decomp, 0, 0, bd, BrickOrdering::SurfaceMajor);
-            l.b = BrickedField::from_fn(l.layout.clone(), |p| {
-                problem.rhs(p.rem_euclid(Point3::splat(n)))
+        let decomp = Decomposition::new(Box3::cube(n), Point3::new(2, 1, 1));
+        let (pr, d) = (&problem, &decomp);
+        RankWorld::run(2, move |mut ctx| {
+            let mk = || {
+                let mut l =
+                    Level::new(pr, d.clone(), ctx.rank(), 0, 4, BrickOrdering::SurfaceMajor);
+                assert_eq!(l.layout.wrap(), [false, true, true]);
+                l.b = BrickedField::from_fn(l.layout.clone(), |p| {
+                    pr.rhs(p.rem_euclid(Point3::splat(n)))
+                });
+                l.init_zero();
+                l
+            };
+            let mut ca = mk();
+            let mut plain = mk();
+            exchange_x(&mut ctx, &mut ca, 1);
+            for _ in 0..4 {
+                let region = ca.layout.grow_halo(ca.owned, ca.margin - 1);
+                ca.apply_op(region);
+                ca.smooth_residual(region);
+                ca.margin -= 1;
+            }
+            for k in 0..4 {
+                exchange_x(&mut ctx, &mut plain, 2 + k);
+                plain.apply_op(plain.owned);
+                plain.smooth_residual(plain.owned);
+            }
+            plain.owned.for_each(|p| {
+                assert_eq!(ca.x.get(p), plain.x.get(p), "x differs at {p:?}");
             });
-            l.init_zero();
-            l
-        };
-        let mut ca = mk();
-        let mut plain = mk();
-        // CA path: one exchange, then 4 shrinking-region smooths.
-        self_exchange(&mut ca);
-        for _ in 0..4 {
-            let region = ca.owned.grow(ca.margin - 1);
-            ca.apply_op(region);
-            ca.smooth_residual(region);
-            ca.margin -= 1;
-        }
-        // Plain path: exchange before every smooth.
-        for _ in 0..4 {
-            self_exchange(&mut plain);
-            plain.apply_op(plain.owned);
-            plain.smooth_residual(plain.owned);
-        }
-        plain.owned.for_each(|p| {
-            assert!(
-                (ca.x.get(p) - plain.x.get(p)).abs() < 1e-11,
-                "x differs at {p:?}: {} vs {}",
-                ca.x.get(p),
-                plain.x.get(p)
-            );
         });
     }
 }

@@ -118,14 +118,15 @@ impl Smoother {
     /// Geometry note: the *red* half-sweep must only read black neighbors
     /// with valid data, so the red pass runs on `region` (after an
     /// applyOp over `region`), and the black pass re-applies the operator
-    /// on `region.shrink(1)` — hence the 2-cell margin per iteration.
+    /// on `region` shrunk by one cell on the halo axes — hence the 2-cell
+    /// margin per iteration.
     fn red_black(&self, level: &mut Level, region: Box3, omega: f64, with_residual: bool) {
         let alpha = level.alpha;
         // Red pass (parity 0).
         level.apply_op(region);
         colored_update(level, region, omega / alpha, 0);
         // Black pass on the shrunk region with refreshed Ax.
-        let inner = region.shrink(1).intersect(&region);
+        let inner = level.layout.grow_halo(region, -1).intersect(&region);
         let inner = if inner.is_empty() { region } else { inner };
         level.apply_op(inner);
         colored_update(level, inner, omega / alpha, 1);
@@ -209,27 +210,15 @@ mod tests {
         l
     }
 
-    fn self_exchange(l: &mut Level) {
-        let n = l.owned.extent();
-        let bd = l.layout.brick_dim();
-        for dir in gmg_mesh::ghost::DIRECTIONS_26 {
-            l.x.copy_ghost_from_self(dir, dir.hadamard(n).div_floor(Point3::splat(bd)));
-        }
-        l.margin = l.ghost_cells();
-    }
-
     fn residual_after(smoother: Smoother, sweeps: usize) -> f64 {
         let n = 16;
         let mut l = setup(n);
         for _ in 0..sweeps {
-            self_exchange(&mut l);
-            // Contract: region is the first-pass region; margin-2 smoothers
-            // shrink it by one for the second colored pass, so grow it so
-            // every owned cell is updated.
-            let region = l.owned.grow(smoother.margin_per_iteration() - 1);
-            smoother.apply(&mut l, region, false);
+            // A single-rank level has no halo axis: both colored passes
+            // cover the owned box and read across the seam.
+            let owned = l.owned;
+            smoother.apply(&mut l, owned, false);
         }
-        self_exchange(&mut l);
         l.apply_op(l.owned);
         l.residual(l.owned);
         l.max_norm_r()
@@ -316,8 +305,7 @@ mod tests {
     fn residual_flag_populates_r() {
         let n = 16;
         let mut l = setup(n);
-        self_exchange(&mut l);
-        let region = l.owned.grow(1);
+        let region = l.owned;
         Smoother::RedBlackGaussSeidel.apply(&mut l, region, true);
         // r = b − Ax with the post-red-black Ax on the inner region; it
         // must be non-trivial (not all zeros).

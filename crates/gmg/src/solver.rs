@@ -294,16 +294,18 @@ impl GmgSolver {
     /// One smoothing pass at level `li`: `n` iterations of
     /// `exchange → applyOp → smooth`, with the exchange elided while the
     /// communication-avoiding ghost margin lasts — demand-driven: an
-    /// iteration updates the owned box grown only as far as the rest of
-    /// the pass can still consume (`need` cells per remaining iteration,
-    /// capped by the margin) and leaves the margin it did not use up, none
-    /// at the end of a pass; and only a pass that `feeds_restriction`
-    /// stores the residual, in its last iteration. Red-black smoothers
-    /// read neighbors twice per iteration and `need` two margin cells.
-    /// Communication-avoiding Jacobi-family iterations run the one-pass
-    /// smoother in groups of up to [`FUSED_GROUP`] — the exchanges and
-    /// owned-cell numerics (bit for bit) of the split `applyOp` + `smooth`
-    /// pair, which remains the schedule without communication avoiding.
+    /// iteration updates the owned box grown (on the layout's halo axes)
+    /// only as far as the rest of the pass can still consume (`need` cells
+    /// per remaining iteration, capped by the margin) and leaves the margin
+    /// it did not use up, none at the end of a pass; and only a pass that
+    /// `feeds_restriction` stores the residual, in its last iteration. A
+    /// level without a halo axis never exchanges: every iteration covers
+    /// exactly its owned box. Red-black smoothers read neighbors twice per
+    /// iteration and `need` two margin cells. Communication-avoiding
+    /// Jacobi-family iterations run the one-pass smoother in groups of up
+    /// to [`FUSED_GROUP`] — the exchanges and owned-cell numerics (bit for
+    /// bit) of the split `applyOp` + `smooth` pair, which remains the
+    /// schedule without communication avoiding.
     fn smooth_pass(
         &mut self,
         ctx: &mut RankCtx,
@@ -315,9 +317,10 @@ impl GmgSolver {
         let smoother = self.config.smoother;
         let need = smoother.margin_per_iteration();
         let one_pass_gamma = smoother.fused_gamma(self.levels[li].gamma).filter(|_| ca);
+        let halo = self.levels[li].has_halo();
         let mut done = 0;
         while done < n {
-            if !ca || self.levels[li].margin < need {
+            if halo && (!ca || self.levels[li].margin < need) {
                 let tag = self.next_tag();
                 let op = probe::op(li, "exchange").points(0, op_counters);
                 try_exchange_x(ctx, &mut self.levels[li], tag)?;
@@ -326,14 +329,18 @@ impl GmgSolver {
             let level = &mut self.levels[li];
             // The margin worth working in: the dependency cone of the owned
             // cells over the rest of the pass (in CA mode at least 1, the
-            // exchange above refilled an empty margin).
-            let left = (n - done) as i64;
-            let m = if ca {
-                level.margin.min(need * left)
+            // exchange above refilled an empty margin). Across a wrapped
+            // axis the cone is live data, so without a halo axis nothing
+            // caps it.
+            let reach = need * (n - done) as i64;
+            let m = if !halo {
+                reach
+            } else if ca {
+                level.margin.min(reach)
             } else {
                 need
             };
-            let region = level.owned.grow(m - 1);
+            let region = level.layout.grow_halo(level.owned, m - 1);
             let its = one_pass_gamma.map_or(1, |_| FUSED_GROUP.min(m as usize));
             let store_r = feeds_restriction && done + its == n;
             let points = region.volume() as u64;
@@ -432,7 +439,7 @@ impl GmgSolver {
         let op = probe::op(l + 1, "initZero").points(coarse_points, op_counters);
         coarse_part[0].init_zero();
         self.timers.close(op);
-        if self.config.communication_avoiding {
+        if self.config.communication_avoiding && self.levels[l + 1].has_halo() {
             // Restriction fills b on owned cells only; CA smoothing reads
             // b in the ghost shell.
             let tag = self.next_tag();
@@ -954,7 +961,9 @@ mod tests {
             }
             assert_eq!(s.timers.count(0, "restriction"), 1);
             assert_eq!(s.timers.count(0, "interpolation+increment"), 1);
-            assert!(s.timers.count(0, "exchange") > 0);
+            // One rank is its own neighbor on every axis: no exchange op.
+            assert_eq!(s.timers.count(0, "exchange"), 0);
+            assert_eq!(s.timers.count(1, "exchange"), 0);
             assert_eq!(s.timers.count(1, "initZero"), 1);
         });
     }
@@ -968,9 +977,9 @@ mod tests {
         cfg.max_vcycles = 1;
         cfg.tolerance = 0.0;
         cfg.communication_avoiding = false;
-        let decomp = Decomposition::new(Box3::cube(16), Point3::splat(1));
+        let decomp = Decomposition::new(Box3::cube(16), Point3::new(2, 1, 1));
         let d = &decomp;
-        RankWorld::run(1, move |mut ctx| {
+        RankWorld::run(2, move |mut ctx| {
             let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
             s.solve(&mut ctx);
             // Only the last pre-smooth iteration stores the residual.
@@ -983,7 +992,9 @@ mod tests {
             assert_eq!(s.timers.count(0, "fusedSmooth"), 0);
             assert_eq!(s.timers.count(0, "restriction"), 1);
             assert_eq!(s.timers.count(0, "interpolation+increment"), 1);
-            assert!(s.timers.count(0, "exchange") > 0);
+            // An exchange before every smooth, on the halo axis.
+            assert_eq!(s.timers.count(0, "exchange"), 2 * cfg.max_smooths);
+            assert_eq!(s.timers.count(1, "exchange"), cfg.bottom_smooths);
             assert_eq!(s.timers.count(1, "initZero"), 1);
         });
     }

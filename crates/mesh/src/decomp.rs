@@ -120,6 +120,13 @@ impl Decomposition {
         self.process_grid
     }
 
+    /// Per axis: `true` where the process grid is 1 wide, so every rank is
+    /// its own periodic neighbor there and needs no halo on that axis.
+    #[inline]
+    pub fn self_neighbor_axes(&self) -> [bool; 3] {
+        [0, 1, 2].map(|a| self.process_grid[a] == 1)
+    }
+
     /// Number of ranks.
     #[inline]
     pub fn num_ranks(&self) -> usize {

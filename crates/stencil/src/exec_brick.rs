@@ -45,10 +45,9 @@ pub fn run_stencil_bricked(
         radius.x <= layout.brick_dim(),
         "stencil radius {radius:?} exceeds brick dim"
     );
-    let grown = Box3::new(region.lo - radius, region.hi + radius);
     assert!(
-        layout.storage_cell_box().contains_box(&grown),
-        "inputs do not cover {grown:?}"
+        layout.covers_reads(region, radius.x.max(radius.y).max(radius.z)),
+        "inputs do not cover {region:?} + {radius:?}"
     );
     let pieces = layout.slots_intersecting(region);
     let mut values = vec![0.0; def.assignments.len()];
@@ -69,8 +68,9 @@ pub fn run_stencil_bricked(
 
 /// Fast 7-point constant-coefficient apply over bricks:
 /// `dst[p] = alpha·src[p] + beta·Σ src[p ± e]` for `p ∈ region`, brick by
-/// brick. `src` and `dst` must share a layout, and `src` must be
-/// valid on `region.grow(1)` (within the storage shell).
+/// brick. `src` and `dst` must share a layout; `region` is clipped to the
+/// storage shell, and `src` must be valid one cell around it — inside the
+/// ghost shell on a halo axis, across the seam on a wrapped one.
 ///
 /// Every brick — full or clipped by the region — runs the row-streamed
 /// kernel of `brick_rows`: the six face-neighbor base slices are
@@ -120,7 +120,7 @@ fn apply_star7_bricked_impl(
         "layout mismatch"
     );
     assert!(
-        layout.storage_cell_box().contains_box(&region.grow(1)),
+        layout.covers_reads(region, 1),
         "src does not cover {:?}",
         region.grow(1)
     );
@@ -168,7 +168,7 @@ pub fn residual_norms_bricked(
         "layout mismatch"
     );
     assert!(
-        layout.storage_cell_box().contains_box(&region.grow(1)),
+        layout.covers_reads(region, 1),
         "x does not cover {:?}",
         region.grow(1)
     );
@@ -261,7 +261,7 @@ pub fn apply_star7_var_bricked(
         "layout mismatch"
     );
     assert!(
-        layout.storage_cell_box().contains_box(&region.grow(1)),
+        layout.covers_reads(region, 1),
         "fields do not cover {:?}",
         region.grow(1)
     );
@@ -311,7 +311,7 @@ pub fn apply_star13_bricked(
         "radius-2 stencil needs bricks >= 2"
     );
     assert!(
-        layout.storage_cell_box().contains_box(&region.grow(2)),
+        layout.covers_reads(region, 2),
         "src does not cover {:?}",
         region.grow(2)
     );

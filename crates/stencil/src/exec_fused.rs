@@ -14,18 +14,20 @@
 //! (read `x`, `b`; write `y`), and 4 on the one iteration that stores the
 //! residual.
 //!
-//! Valid-region contract: iteration `k` updates the shrinking region
-//! `R_k = region.shrink(k)`, reading `R_k.grow(1) = R_{k−1}` of the
-//! previous iterate, and every cell it updates sees the operands and
-//! floating-point expressions of `apply_star7_bricked` + the pointwise
-//! update. On return `x` — and `r`, the pre-update residual of the *last*
-//! iteration — are specified on `R_{s−1}` and bit-identical there to the
-//! sweep-by-sweep schedule (see the equivalence tests below). Nothing is
-//! specified outside `R_{s−1}`: those cells hold whichever earlier iterate
-//! or scratch value their buffer last saw, and no later step may read
-//! them before an exchange or an `initZero` rewrites them — the solver's
-//! `Level::margin` is exactly the width of `R_{s−1}` beyond the owned box.
-//! `ax` is *not* materialized.
+//! Valid-region contract: iteration `k` updates the region `R_k` — `region`
+//! clipped to the storage shell and shrunk by `k` cells on the layout's
+//! halo axes only: across a wrapped axis a brick reads its live periodic
+//! neighbor, so there is no shell to recompute and nothing to shrink —
+//! reading `R_{k−1}` of the previous iterate, and every cell it updates
+//! sees the operands and floating-point expressions of
+//! `apply_star7_bricked` + the pointwise update. On return `x` — and `r`,
+//! the pre-update residual of the *last* iteration — are specified on
+//! `R_{s−1}` and bit-identical there to the sweep-by-sweep schedule (see
+//! the equivalence tests below). Nothing is specified outside `R_{s−1}`:
+//! those cells hold whichever earlier iterate or scratch value their buffer
+//! last saw, and no later step may read them before an exchange or an
+//! `initZero` rewrites them — the solver's `Level::margin` is exactly the
+//! width of `R_{s−1}` beyond the owned box. `ax` is *not* materialized.
 
 use crate::brick_rows::{stream_star7_generic, stream_star7_rows, RowBounds};
 use gmg_brick::{BrickFaces, BrickShape, BrickedField};
@@ -60,33 +62,28 @@ impl FusedStats {
 }
 
 /// One iteration of the schedule, out of place: the cells of `rk` are
-/// written to `dst` as `src + γ(A·src − b)` (and `r ← b − A·src`). Bricks
-/// that miss `rk`, and the cells of a clipped brick outside it, are read
-/// by no later iteration and are left as `dst` had them.
+/// written to `dst` as `src + γ(A·src − b)` (and `r ← b − A·src`), brick by
+/// brick over the bricks that meet `rk`. The cells of a clipped brick
+/// outside it are read by no later iteration and are left as `dst` had them.
 fn jacobi_pass(
     dst: &mut BrickedField,
     src: &BrickedField,
     b: &BrickedField,
-    r: Option<&mut BrickedField>,
+    mut r: Option<&mut BrickedField>,
     coef: (f64, f64, f64),
     rk: Box3,
 ) {
     let layout = src.layout().clone();
     let bd = layout.brick_dim() as usize;
-    let bvol = layout.brick_volume();
     let shape = layout.shape();
     let ph = gmg_prof::brick_phases(bd as i64);
-    let brick = |slot: usize, new: &mut [f64], mut r: Option<&mut [f64]>| {
+    for (slot, sub) in layout.slots_intersecting(rk) {
         let _kernel = gmg_prof::phase(ph.fused_root);
-        let slot = slot as u32;
-        let cells = layout.cells_of_slot(slot);
-        let sub = cells.intersect(&rk);
-        if sub.is_empty() {
-            return;
-        }
-        let rb = RowBounds::within(sub, cells.lo);
+        let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
         let faces = BrickFaces::new(src, slot);
         let bb = b.brick(slot);
+        let new = dst.brick_mut(slot);
+        let mut r = r.as_deref_mut().map(|r| r.brick_mut(slot));
         let _p = gmg_prof::phase(ph.fused_brick);
         match shape {
             BrickShape::B4 => smooth_brick::<4>(&faces, new, r, bb, coef, &rb),
@@ -102,13 +99,6 @@ fn jacobi_pass(
                 });
             }
         }
-    };
-    let news = dst.as_mut_slice().chunks_exact_mut(bvol).enumerate();
-    match r {
-        Some(r) => news
-            .zip(r.as_mut_slice().chunks_exact_mut(bvol))
-            .for_each(|((slot, new), r)| brick(slot, new, Some(r))),
-        None => news.for_each(|(slot, new)| brick(slot, new, None)),
     }
 }
 
@@ -153,17 +143,17 @@ fn smooth_brick<const B: usize>(
 }
 
 /// Apply `s` Jacobi iterations `x += γ(Ax − b)` over the shrinking
-/// communication-avoiding schedule `R_k = region.shrink(k)`, one pass over
-/// the bricks per iteration. On return `x` is specified on
-/// `R_{s−1} = region.shrink(s − 1)` only, bit-identical there to `s`
-/// sequential `apply_star7_bricked` + pointwise-update passes; with `r`,
-/// the final iteration also stores its pre-update residual `r = b − Ax` on
-/// `R_{s−1}` (what restriction reads after a pre-smooth). Cells of `x` and
-/// `r` outside `R_{s−1}` hold unspecified values and must be rewritten
-/// (exchange, `initZero`) before anything reads them. Requires `x` valid
-/// on `region.grow(1)` and `R_{s−1}` non-empty. `y` is the second buffer
-/// the iterate alternates with: nothing is read from it, and it holds
-/// garbage on exit; the result is always left in `x`.
+/// communication-avoiding schedule `R_k` (`region` clipped to the storage
+/// shell, shrunk by `k` on the halo axes), one pass over the bricks per
+/// iteration. On return `x` is specified on `R_{s−1}` only, bit-identical
+/// there to `s` sequential `apply_star7_bricked` + pointwise-update passes;
+/// with `r`, the final iteration also stores its pre-update residual
+/// `r = b − Ax` on `R_{s−1}` (what restriction reads after a pre-smooth).
+/// Cells of `x` and `r` outside `R_{s−1}` hold unspecified values and must
+/// be rewritten (exchange, `initZero`) before anything reads them. Requires
+/// `x` valid one cell around `R_0` and `R_{s−1}` non-empty. `y` is the
+/// second buffer the iterate alternates with: nothing is read from it, and
+/// it holds garbage on exit; the result is always left in `x`.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_multismooth_bricked(
     x: &mut BrickedField,
@@ -185,10 +175,11 @@ pub fn fused_multismooth_bricked(
         assert!(Arc::ptr_eq(&layout, f.layout()), "x/{name} layout mismatch");
     }
     assert!(
-        layout.storage_cell_box().contains_box(&region.grow(1)),
+        layout.covers_reads(region, 1),
         "fused region {region:?} + halo exceeds storage"
     );
-    let last = region.shrink(s as i64 - 1);
+    let region = region.intersect(&layout.storage_cell_box());
+    let last = layout.grow_halo(region, 1 - s as i64);
     assert!(
         !last.is_empty(),
         "region {region:?} too small for {s} fused iterations"
@@ -196,7 +187,7 @@ pub fn fused_multismooth_bricked(
 
     let mut points = 0u64;
     for k in 0..s {
-        let rk = region.shrink(k as i64);
+        let rk = layout.grow_halo(region, -(k as i64));
         let store = r.as_deref_mut().filter(|_| k + 1 == s);
         jacobi_pass(y, x, b, store, (alpha, beta, gamma), rk);
         std::mem::swap(x, y);

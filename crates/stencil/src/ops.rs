@@ -152,9 +152,14 @@ impl OpTraffic {
 pub struct VcycleShape {
     /// Owned extent per level, finest first; the length is the level count.
     pub extents: Vec<Point3>,
-    /// Ghost depth per level, in cells: the communication-avoiding margin
-    /// an exchange (or `initZero`) restores.
+    /// Ghost depth per level, in cells, on the halo axes: the
+    /// communication-avoiding margin an exchange (or `initZero`) restores.
     pub ghost_depth: Vec<i64>,
+    /// Which axes carry that ghost shell. An axis on which the rank is its
+    /// own periodic neighbor (a 1-wide rank-grid axis) has depth 0: its
+    /// bricks wrap through the adjacency, nothing is exchanged or
+    /// recomputed there.
+    pub halo_axes: [bool; 3],
     /// Smooths per level on the way down and again on the way up.
     pub smooths: usize,
     /// Smooths of the bottom solver.
@@ -167,7 +172,8 @@ pub struct VcycleShape {
 impl VcycleShape {
     /// The hierarchy every configuration in this repo uses: the extent
     /// halves per level and the ghost shell is one brick deep, with bricks
-    /// shrinking to fit the coarsest subdomains.
+    /// shrinking to fit the coarsest subdomains — on all three axes, the
+    /// interior rank of a 3-D rank grid the simulators model.
     pub fn halving(
         sub_extent: Point3,
         num_levels: usize,
@@ -195,6 +201,7 @@ impl VcycleShape {
         Self {
             extents,
             ghost_depth,
+            halo_axes: [true; 3],
             smooths,
             bottom_smooths,
             communication_avoiding,
@@ -212,13 +219,15 @@ impl VcycleShape {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VcycleStep {
     /// Ghost exchange at `level` (of `x` before a smooth, of `b` right
-    /// after the restriction that filled it).
+    /// after the restriction that filled it). Never yielded for a shape
+    /// without a halo axis.
     Exchange { level: usize },
     /// One kernel over `points` cells of `level`. A smooth is two of them,
     /// `applyOp` then `smooth` (`smooth+residual` on the way down and up,
     /// the paper's op mix — which iterations really store `r` is the host
-    /// kernels' business), over the owned box grown by as much of the
-    /// communication-avoiding margin as the rest of the pass can consume;
+    /// kernels' business), over the owned box grown on the halo axes by as
+    /// much of the communication-avoiding margin as the rest of the pass
+    /// can consume;
     /// restriction and interpolation+increment cover the owned cells of
     /// their fine level.
     Kernel {
@@ -267,7 +276,7 @@ impl VcycleSchedule {
             step(VcycleStep::InitZero { level: l + 1 });
             // A zero iterate is trivially valid through the ghost shell.
             self.margins[l + 1] = self.shape.ghost_depth[l + 1];
-            if self.shape.communication_avoiding {
+            if self.shape.communication_avoiding && self.has_halo() {
                 // Restriction fills b on owned cells only; CA smoothing
                 // reads it in the ghost shell.
                 step(VcycleStep::Exchange { level: l + 1 });
@@ -285,11 +294,16 @@ impl VcycleSchedule {
         }
     }
 
+    fn has_halo(&self) -> bool {
+        self.shape.halo_axes.contains(&true)
+    }
+
     /// `n` smooths at `li`: exchange when the margin is exhausted (always,
-    /// without communication avoiding), run `applyOp` and `smooth` over the
-    /// owned box grown as far as the rest of the pass can still consume —
-    /// the margin, capped at one cell per remaining smooth — and keep what
-    /// this smooth did not use of it: no pass leaves a margin behind.
+    /// without communication avoiding; never, without a halo axis), run
+    /// `applyOp` and `smooth` over the owned box grown on the halo axes as
+    /// far as the rest of the pass can still consume — the margin, capped
+    /// at one cell per remaining smooth — and keep what this smooth did not
+    /// use of it: no pass leaves a margin behind.
     fn smooth_steps(
         &mut self,
         li: usize,
@@ -298,15 +312,22 @@ impl VcycleSchedule {
         step: &mut impl FnMut(VcycleStep),
     ) {
         let ca = self.shape.communication_avoiding;
+        let halo = self.has_halo();
         let e = self.shape.extents[li];
         for left in (1..=n as i64).rev() {
-            if !ca || self.margins[li] < 1 {
+            if halo && (!ca || self.margins[li] < 1) {
                 step(VcycleStep::Exchange { level: li });
                 self.margins[li] = self.shape.ghost_depth[li];
             }
-            let m = if ca { self.margins[li].min(left) } else { 1 };
+            let m = if ca && halo {
+                self.margins[li].min(left)
+            } else {
+                1
+            };
             let g = 2 * (m - 1);
-            let points = ((e.x + g) * (e.y + g) * (e.z + g)) as usize;
+            let points = (0..3)
+                .map(|a| e[a] + if self.shape.halo_axes[a] { g } else { 0 })
+                .product::<i64>() as usize;
             for op in [OpKind::ApplyOp, smooth] {
                 step(VcycleStep::Kernel {
                     level: li,
@@ -461,6 +482,36 @@ pub fn star13_def() -> StencilDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn schedule_exchanges_and_grows_on_halo_axes_only() {
+        let tally = |halo_axes: [bool; 3]| {
+            let shape = VcycleShape {
+                halo_axes,
+                ..VcycleShape::halving(Point3::splat(16), 2, 4, 6, 10, true)
+            };
+            let (mut exchanges, mut points) = (0, 0);
+            VcycleSchedule::new(shape).vcycle(|step| match step {
+                VcycleStep::Exchange { .. } => exchanges += 1,
+                VcycleStep::Kernel {
+                    level: 0,
+                    op: OpKind::ApplyOp,
+                    points: p,
+                } => points += p,
+                _ => {}
+            });
+            (exchanges, points)
+        };
+        // No halo axis: no exchange, every smooth covers the owned box.
+        assert_eq!(tally([false; 3]), (0, 12 * 16 * 16 * 16));
+        // One halo axis: the margin is consumed (and the shell counted)
+        // along x only; a 4-cell margin serves 6 smooths with 2 exchanges.
+        let grown: usize = [4, 3, 2, 1, 2, 1].iter().map(|m| 16 + 2 * (m - 1)).sum();
+        let (exchanges, points) = tally([true, false, false]);
+        assert_eq!(points, 2 * grown * 16 * 16);
+        assert_eq!(exchanges, tally([true; 3]).0);
+        assert!(points < tally([true; 3]).1);
+    }
 
     #[test]
     fn table4_theoretical_ai_matches_paper() {

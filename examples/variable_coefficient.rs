@@ -21,11 +21,14 @@ fn main() {
     let n = 32i64;
     let h = 1.0 / n as f64;
     let inv_h2 = 1.0 / (h * h);
-    let layout = Arc::new(BrickLayout::new(
+    // One periodic box: every axis wraps through the brick adjacency, so
+    // there is no ghost shell to keep in step with the iterate.
+    let layout = Arc::new(BrickLayout::with_wrap(
         Box3::cube(n),
         8,
         1,
         BrickOrdering::SurfaceMajor,
+        [true; 3],
     ));
     let wrap = move |p: Point3| p.rem_euclid(Point3::splat(n));
 
@@ -79,16 +82,13 @@ fn main() {
     let gamma = h * h / (12.0 * beta_max);
     let mut x = BrickedField::new(layout.clone());
     let mut ax = BrickedField::new(layout.clone());
-    let residual_norm = |x: &mut BrickedField, ax: &mut BrickedField| {
-        for dir in gmg_repro::mesh::ghost::DIRECTIONS_26 {
-            x.copy_ghost_from_self(dir, dir * (n / 8));
-        }
+    let residual_norm = |x: &BrickedField, ax: &mut BrickedField| {
         apply_star7_var_bricked(ax, x, &beta, inv_h2, Box3::cube(n));
         let mut m = 0.0f64;
         Box3::cube(n).for_each(|p| m = m.max((rhs.get(p) - ax.get(p)).abs()));
         m
     };
-    let r0 = residual_norm(&mut x, &mut ax);
+    let r0 = residual_norm(&x, &mut ax);
     for sweep in 0..400 {
         let _ = sweep;
         // x += γ(Ax − b)
@@ -97,9 +97,9 @@ fn main() {
         for (xi, v) in x.as_mut_slice().iter_mut().enumerate() {
             *v += gamma * (ax_s[xi] - rhs_s[xi]);
         }
-        let _ = residual_norm(&mut x, &mut ax);
+        let _ = residual_norm(&x, &mut ax);
     }
-    let r_final = residual_norm(&mut x, &mut ax);
+    let r_final = residual_norm(&x, &mut ax);
     println!("\nJacobi on variable-coefficient Poisson: |r|_inf {r0:.3e} -> {r_final:.3e}");
     assert!(r_final < 0.5 * r0, "smoothing must make progress");
     println!("\nOK — non-constant coefficients work through the same DSL and brick pipeline.");

@@ -87,9 +87,13 @@ fn agreement_holds_distributed() {
         ordering: BrickOrdering::SurfaceMajor,
         ..SolverConfig::paper_default()
     };
-    let brick = brick_history(16, Point3::splat(2), cfg, 3);
-    let conv = hpgmg_history(16, Point3::splat(2), 2, 5, 20, 3);
-    assert_close(&brick, &conv, 1e-9);
+    // 8 ranks exchange all 26 directions; 2×2×1 exchanges 8 and wraps z
+    // through the brick adjacency.
+    for grid in [Point3::splat(2), Point3::new(2, 2, 1)] {
+        let brick = brick_history(16, grid, cfg, 3);
+        let conv = hpgmg_history(16, grid, 2, 5, 20, 3);
+        assert_close(&brick, &conv, 1e-9);
+    }
 }
 
 #[test]

@@ -126,8 +126,9 @@ proptest! {
         prop_assert!((fit.beta - truth.beta).abs() / truth.beta < 1e-6);
     }
 
-    /// Exchange over any process grid reproduces the periodic image in
-    /// every ghost cell of every rank.
+    /// Exchange over any process grid reproduces the periodic image one
+    /// brick around every rank's owned box: through messages on the axes
+    /// with a neighbor rank, through the adjacency on the 1-wide ones.
     #[test]
     fn exchange_matches_periodic_image(
         grid in prop::sample::select(vec![
@@ -145,18 +146,101 @@ proptest! {
         let f = field_fn(seed);
         let oks = RankWorld::run(ranks, move |mut ctx| {
             let sub = d.subdomain(ctx.rank());
-            let layout = Arc::new(BrickLayout::new(sub, 2, 1, BrickOrdering::SurfaceMajor));
+            let wrap = d.self_neighbor_axes();
+            let layout =
+                Arc::new(BrickLayout::with_wrap(sub, 2, 1, BrickOrdering::SurfaceMajor, wrap));
             let mut field = BrickedField::from_fn(layout.clone(), |p| {
                 if sub.contains(p) { f(p) } else { f64::NAN }
             });
             gmg_repro::comm::runtime::exchange_bricked(&mut ctx, d, &mut field, 1);
             let mut ok = true;
-            layout.storage_cell_box().for_each(|p| {
+            sub.grow(layout.ghost_cells()).for_each(|p| {
                 ok &= field.get(p) == f(p.rem_euclid(Point3::splat(n)));
             });
             ok
         });
         prop_assert!(oks.into_iter().all(|x| x));
+    }
+
+    /// A wrapped axis is the all-halo layout with a periodically filled
+    /// shell: for brick dims down to 1, non-cubic extents down to a lone
+    /// brick per axis (its own ± neighbor), both orderings and every wrap
+    /// mask, `fused_multismooth_bricked` (every depth the margin allows,
+    /// with and without `r`) and `apply_star7_bricked` on the wrapped
+    /// layout equal, bit for bit on its valid region, the same kernel on
+    /// the all-halo layout. Everything the contract says a kernel may not
+    /// read is NaN on entry.
+    #[test]
+    fn torus_layout_bit_identical_to_periodic_ghost_shell(
+        bd in prop::sample::select(vec![1i64, 2, 4, 8]),
+        bricks in (1i64..4, 1i64..4, 1i64..3),
+        mask in 1usize..8,
+        lex in any::<bool>(),
+        (grow, depth) in (0i64..8, 0usize..8),
+        with_r in any::<bool>(),
+        seed in any::<i64>(),
+    ) {
+        let ord = if lex { BrickOrdering::Lexicographic } else { BrickOrdering::SurfaceMajor };
+        let wrap = [mask & 1 != 0, mask & 2 != 0, mask & 4 != 0];
+        let cells = Box3::from_extent(Point3::new(bricks.0, bricks.1, bricks.2) * bd);
+        let torus = Arc::new(BrickLayout::with_wrap(cells, bd, 1, ord, wrap));
+        let shell = Arc::new(BrickLayout::new(cells, bd, 1, ord));
+        // The periodic copy: a shell cell across a wrapped axis holds the
+        // value of its image inside the box.
+        let image = move |p: Point3| {
+            let mut q = p;
+            for a in 0..3 {
+                if wrap[a] {
+                    q[a] = p[a].rem_euclid(cells.hi[a]);
+                }
+            }
+            q
+        };
+        let periodic = |seed: i64, seen: Box3| {
+            let f = field_fn(seed);
+            move |p: Point3| if seen.contains(p) { f(image(p)) } else { f64::NAN }
+        };
+        let everywhere = cells.grow(bd);
+        let (alpha, beta, gamma) = (-6.0, 1.0, -0.5 / 6.0 * (2.0 / 3.0));
+        let m = grow % bd;
+        let s = 1 + depth % (m + 1) as usize;
+        let region = cells.grow(m);
+        let valid = torus.grow_halo(cells, m + 1 - s as i64);
+        prop_assert!(valid.contains_box(&cells));
+
+        // applyOp over the grown region.
+        let apply = |layout: &Arc<BrickLayout>| {
+            let src = BrickedField::from_fn(layout.clone(), periodic(seed, region.grow(1)));
+            let mut dst = BrickedField::from_fn(layout.clone(), |_| f64::NAN);
+            apply_star7_bricked(&mut dst, &src, alpha, beta, region);
+            dst
+        };
+        let (at, ah) = (apply(&torus), apply(&shell));
+        let mut ok = true;
+        torus.grow_halo(cells, m).for_each(|p| ok &= at.get(p) == ah.get(p) && at.get(p).is_finite());
+        prop_assert!(ok, "applyOp differs");
+
+        // `s` fused smooths.
+        let smooth = |layout: &Arc<BrickLayout>| {
+            let mut x = BrickedField::from_fn(layout.clone(), periodic(seed, region.grow(1)));
+            let b = BrickedField::from_fn(layout.clone(), periodic(seed ^ 0x5a5a, everywhere));
+            let mut r = BrickedField::from_fn(layout.clone(), |_| f64::NAN);
+            let mut y = r.clone();
+            let stats = fused_multismooth_bricked(
+                &mut x, &b, with_r.then_some(&mut r), alpha, beta, gamma, region, s, &mut y,
+            );
+            (x, r, stats)
+        };
+        let ((xt, rt, stats), (xh, rh, _)) = (smooth(&torus), smooth(&shell));
+        let mut ok = true;
+        valid.for_each(|p| {
+            ok &= xt.get(p) == xh.get(p) && xt.get(p).is_finite();
+            ok &= !with_r || (rt.get(p) == rh.get(p) && rt.get(p).is_finite());
+        });
+        prop_assert!(ok, "fused smooth differs");
+        let expect: u64 =
+            (0..s as i64).map(|k| torus.grow_halo(cells, m - k).volume() as u64).sum();
+        prop_assert_eq!(stats.points_updated, expect);
     }
 
     /// The one-pass multi-smooth kernel is bit-identical on its valid region

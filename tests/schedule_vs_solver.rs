@@ -42,7 +42,7 @@ fn traced_tally(trace: &Trace, levels: usize, smooth_ops: &[&str]) -> Tally {
 #[test]
 fn gmg_solver_vcycle_executes_the_walker_schedule() {
     let cfg = SolverConfig::paper_default();
-    for grid in [Point3::splat(1), Point3::new(2, 1, 1)] {
+    for grid in [Point3::splat(1), Point3::new(2, 1, 1), Point3::new(2, 2, 1)] {
         let decomp = Decomposition::new(Box3::cube(64), grid);
         let d = &decomp;
         let (shapes, trace) = gmg_repro::trace::capture(|| {
@@ -52,6 +52,7 @@ fn gmg_solver_vcycle_executes_the_walker_schedule() {
                 VcycleShape {
                     extents: s.levels.iter().map(|l| l.owned.extent()).collect(),
                     ghost_depth: s.levels.iter().map(|l| l.ghost_cells()).collect(),
+                    halo_axes: s.levels[0].layout.wrap().map(|w| !w),
                     smooths: cfg.max_smooths,
                     bottom_smooths: cfg.bottom_smooths,
                     communication_avoiding: cfg.communication_avoiding,
@@ -59,21 +60,29 @@ fn gmg_solver_vcycle_executes_the_walker_schedule() {
             })
         });
         let shape = shapes[0].clone();
-        // The solver's hierarchy is the one every simulator assumes.
+        // The solver's hierarchy is the one every simulator assumes, with
+        // a halo only where the rank grid has a neighbor to offer.
         assert_eq!(
             shape,
-            VcycleShape::halving(
-                decomp.sub_extent(),
-                cfg.num_levels,
-                cfg.brick_dim,
-                cfg.max_smooths,
-                cfg.bottom_smooths,
-                cfg.communication_avoiding,
-            )
+            VcycleShape {
+                halo_axes: [0, 1, 2].map(|a| grid[a] > 1),
+                ..VcycleShape::halving(
+                    decomp.sub_extent(),
+                    cfg.num_levels,
+                    cfg.brick_dim,
+                    cfg.max_smooths,
+                    cfg.bottom_smooths,
+                    cfg.communication_avoiding,
+                )
+            }
         );
+        let tally = walker_tally(shape);
+        if grid == Point3::splat(1) {
+            assert!(tally.iter().all(|t| t.0 == 0), "no halo, no exchange");
+        }
         assert_eq!(
             traced_tally(&trace, cfg.num_levels, &["fusedSmooth"]),
-            walker_tally(shape),
+            tally,
             "rank grid {grid:?}"
         );
     }
