@@ -104,7 +104,6 @@ fn transport_run(rate: f64, seed: u64, cfg: SolverConfig, baseline: &[f64]) -> J
 fn recovery_run(seed: u64) -> Json {
     let mut cfg = chaos_solver_config();
     cfg.recovery = RecoveryPolicy::Rollback;
-    cfg.checkpoint_interval = 1;
     cfg.max_vcycles = 25;
     let victim = (seed % 8) as usize;
     let at_cycle = 2 + (seed % 3) as usize;
@@ -619,7 +618,6 @@ mod tests {
         let run = |communication_avoiding: bool| {
             let mut cfg = chaos_solver_config();
             cfg.recovery = RecoveryPolicy::Rollback;
-            cfg.checkpoint_interval = 1;
             cfg.max_vcycles = 25;
             cfg.communication_avoiding = communication_avoiding;
             let plan = FaultPlan::new(FaultConfig::lossy(0.01), 7);

@@ -257,7 +257,7 @@ pub fn live_child(ctx: &mut gmg_comm::RankCtx, args: &str) -> String {
     use gmg_core::RecoveryPolicy;
     // A respawned rank holds back before rejoining: the quiet gap the
     // SIGKILL opened must outlast the silent-rank threshold.
-    if std::env::var("GMG_PROC_REJOIN").as_deref() == Ok("1") {
+    if ctx.membership_rejoining() {
         std::thread::sleep(REJOIN_HOLDBACK);
     }
     gmg_metrics::enable();

@@ -802,9 +802,6 @@ impl RankCtx {
         }
     }
 
-    /// Report solve progress (latest completed cycle) to the heartbeat,
-    /// so the controller can observe a live solve. No-op without
-    /// membership.
     /// The rank's current membership epoch: 0 in a plain (thread or
     /// membership-less) world, bumped by each controller `RESUME`. The
     /// gmg-live shipper stamps telemetry frames with this so collectors
@@ -820,6 +817,9 @@ impl RankCtx {
         }
     }
 
+    /// Report solve progress (latest completed cycle) to the heartbeat,
+    /// so the controller can observe a live solve. No-op without
+    /// membership.
     pub fn membership_progress(&self, cycle: u64) {
         #[cfg(unix)]
         if let Some(m) = &self.membership {

@@ -1,11 +1,8 @@
-//! Solver diagnostics: norms beyond the max-norm, convergence-history
-//! analysis, solver health classification (divergence and non-finite
-//! detection plus the recovery policy vocabulary), and work-unit
-//! accounting (the "how many fine-grid sweeps did this cost" bookkeeping
-//! multigrid papers report).
+//! What the guarded solve loop needs beyond the max-norm: the summing
+//! residual norms that expose non-finite cells, the residual watchdog and
+//! its health verdicts, and the recovery policy vocabulary.
 
 use crate::level::Level;
-use crate::solver::{SolveStats, SolverConfig};
 use gmg_comm::runtime::RankCtx;
 use gmg_stencil::exec_brick::residual_norms_bricked;
 
@@ -101,7 +98,7 @@ impl GlobalNorms {
     }
 }
 
-/// Health classification of an iterate or a residual history.
+/// Health verdict of the solve loop's guards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolveHealth {
     /// Residuals finite, no divergence detected.
@@ -118,39 +115,21 @@ impl SolveHealth {
     pub fn is_diverged(self) -> bool {
         !matches!(self, SolveHealth::Healthy)
     }
-
-    /// Classify a whole residual history after the fact: non-finite
-    /// entries dominate, then growth past the default divergence factor
-    /// relative to the best residual seen up to that point.
-    pub fn classify(history: &[f64]) -> Self {
-        if history.iter().any(|r| !r.is_finite()) {
-            return SolveHealth::NonFinite;
-        }
-        let mut best = f64::INFINITY;
-        for &r in history {
-            if r > best * HealthMonitor::DEFAULT_DIVERGENCE_FACTOR {
-                return SolveHealth::Diverged;
-            }
-            best = best.min(r);
-        }
-        SolveHealth::Healthy
-    }
 }
 
 /// What the solver does when its health guards trip mid-solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RecoveryPolicy {
-    /// Stop immediately; the returned [`SolveStats`] carry the verdict and
-    /// the offending residual history as diagnostics. The iterate is left
-    /// as found (possibly poisoned).
+    /// Stop immediately; the returned [`crate::SolveStats`] carry the
+    /// verdict and the offending residual history as diagnostics. The
+    /// iterate is left as found (possibly poisoned).
     Abort,
-    /// Roll back to the last periodic in-memory checkpoint, strengthen the
-    /// smoother, and retry — up to `max_recoveries` times, after which the
-    /// solve degrades to [`RecoveryPolicy::BestIterate`] behavior.
+    /// Keep an in-memory [`crate::SolverCheckpoint`] of the best iterate
+    /// (refreshed on every cycle that improves on it); on a verdict,
+    /// restore it, strengthen the smoother, and retry. Once the rollback
+    /// budget is spent, the next verdict restores the best iterate and
+    /// stops there (converged = false, health = the verdict).
     Rollback,
-    /// Restore the best checkpointed iterate and return it gracefully
-    /// (converged = false, health = the verdict).
-    BestIterate,
     /// Elastic multi-process mode: the solve writes a durable per-cycle
     /// checkpoint (see [`crate::rejoin`]) and, when the membership
     /// controller parks the world after a rank death, restores the
@@ -169,28 +148,19 @@ pub enum RecoveryPolicy {
 pub struct HealthMonitor {
     best: f64,
     growth_streak: usize,
-    divergence_factor: f64,
-    patience: usize,
 }
 
 impl HealthMonitor {
     /// Residual growth beyond this factor × best-so-far is a blow-up.
-    pub const DEFAULT_DIVERGENCE_FACTOR: f64 = 1e4;
+    const DIVERGENCE_FACTOR: f64 = 1e4;
     /// Consecutive growing cycles tolerated before declaring divergence.
-    pub const DEFAULT_PATIENCE: usize = 3;
+    const PATIENCE: usize = 3;
 
     /// Watchdog primed with the initial residual.
     pub fn new(r0: f64) -> Self {
-        Self::with_thresholds(r0, Self::DEFAULT_DIVERGENCE_FACTOR, Self::DEFAULT_PATIENCE)
-    }
-
-    /// Watchdog with explicit thresholds (for tests and tuning).
-    pub fn with_thresholds(r0: f64, divergence_factor: f64, patience: usize) -> Self {
         Self {
             best: if r0.is_finite() { r0 } else { f64::INFINITY },
             growth_streak: 0,
-            divergence_factor,
-            patience,
         }
     }
 
@@ -204,12 +174,12 @@ impl HealthMonitor {
         if !r.is_finite() {
             return SolveHealth::NonFinite;
         }
-        if r > self.best * self.divergence_factor {
+        if r > self.best * Self::DIVERGENCE_FACTOR {
             return SolveHealth::Diverged;
         }
         if r > self.best {
             self.growth_streak += 1;
-            if self.growth_streak > self.patience {
+            if self.growth_streak > Self::PATIENCE {
                 return SolveHealth::Diverged;
             }
         } else {
@@ -220,119 +190,12 @@ impl HealthMonitor {
     }
 }
 
-/// Analysis of a residual history.
-#[derive(Clone, Debug)]
-pub struct ConvergenceReport {
-    /// Reduction factor per cycle.
-    pub factors: Vec<f64>,
-    /// Geometric mean of the factors.
-    pub mean_factor: f64,
-    /// The asymptotic (last-cycle) factor — the quantity multigrid theory
-    /// bounds.
-    pub asymptotic_factor: f64,
-    /// Estimated cycles to gain one decimal digit asymptotically.
-    pub cycles_per_digit: f64,
-    /// Health classification of the history (NaN residuals report as
-    /// diverged rather than silently skewing the factor statistics).
-    pub health: SolveHealth,
-}
-
-impl ConvergenceReport {
-    /// Analyze a residual-history vector (e.g.
-    /// [`SolveStats::residual_history`]).
-    pub fn from_history(history: &[f64]) -> Self {
-        assert!(history.len() >= 2, "need at least two residuals");
-        let factors: Vec<f64> = history
-            .windows(2)
-            .map(|w| if w[0] > 0.0 { w[1] / w[0] } else { 0.0 })
-            .collect();
-        // Geometric mean via Σ ln: the direct product underflows to zero
-        // for long histories (e.g. 400 factors of 0.1 is 1e-400 < f64 min).
-        // NaN factors (from a non-finite residual) are routed here too,
-        // instead of poisoning the ln-sum.
-        let mean_factor = if factors.iter().any(|f| f.is_nan() || *f <= 0.0) {
-            0.0
-        } else {
-            let ln_sum: f64 = factors.iter().map(|f| f.ln()).sum();
-            (ln_sum / factors.len() as f64).exp()
-        };
-        let asymptotic_factor = *factors.last().expect("non-empty");
-        let cycles_per_digit = if asymptotic_factor > 0.0 && asymptotic_factor < 1.0 {
-            -1.0 / asymptotic_factor.log10()
-        } else {
-            f64::INFINITY
-        };
-        Self {
-            factors,
-            mean_factor,
-            asymptotic_factor,
-            cycles_per_digit,
-            health: SolveHealth::classify(history),
-        }
-    }
-
-    /// Convenience over a whole solve.
-    pub fn of(stats: &SolveStats) -> Self {
-        Self::from_history(&stats.residual_history)
-    }
-}
-
-/// Work units (fine-grid-sweep equivalents) per cycle of a configuration —
-/// the standard multigrid cost accounting: one WU = one operator sweep of
-/// the finest grid; level l costs 8^{-l} WU per sweep.
-pub fn work_units_per_cycle(config: &SolverConfig) -> f64 {
-    let smooths = config.max_smooths as f64;
-    let apply_per_smooth = config.smoother.apply_ops_per_iteration() as f64;
-    let gamma = config.cycle_gamma.max(1) as f64;
-    let mut wu = 0.0;
-    let top = config.num_levels - 1;
-    // Level l is visited γ^l times per cycle.
-    for l in 0..top {
-        let visits = gamma.powi(l as i32);
-        let per_visit = 2.0 * smooths * (1.0 + apply_per_smooth); // pre+post, applyOp+update
-        wu += visits * per_visit / 8f64.powi(l as i32);
-    }
-    let bottom_visits = gamma.powi(top as i32);
-    wu += bottom_visits * config.bottom_smooths as f64 * (1.0 + apply_per_smooth)
-        / 8f64.powi(top as i32);
-    wu
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smoother::Smoother;
-    use crate::solver::GmgSolver;
+    use crate::solver::{GmgSolver, SolverConfig};
     use gmg_comm::runtime::RankWorld;
     use gmg_mesh::{Box3, Decomposition, Point3};
-
-    #[test]
-    fn convergence_report_math() {
-        let r = ConvergenceReport::from_history(&[1.0, 0.1, 0.01, 0.001]);
-        for f in &r.factors {
-            assert!((f - 0.1).abs() < 1e-12);
-        }
-        assert!((r.mean_factor - 0.1).abs() < 1e-12);
-        assert!((r.asymptotic_factor - 0.1).abs() < 1e-12);
-        assert!((r.cycles_per_digit - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nan_residual_reports_as_diverged() {
-        // A NaN in the history must classify as unhealthy and keep the
-        // factor statistics finite instead of poisoning them.
-        let r = ConvergenceReport::from_history(&[1.0, 0.1, f64::NAN]);
-        assert_eq!(r.health, SolveHealth::NonFinite);
-        assert!(r.health.is_diverged());
-        assert_eq!(r.mean_factor, 0.0);
-        // A finite blow-up classifies as Diverged.
-        let r = ConvergenceReport::from_history(&[1.0, 0.1, 1e7]);
-        assert_eq!(r.health, SolveHealth::Diverged);
-        // A well-behaved history stays healthy.
-        let r = ConvergenceReport::from_history(&[1.0, 0.1, 0.01]);
-        assert_eq!(r.health, SolveHealth::Healthy);
-        assert!(!r.health.is_diverged());
-    }
 
     #[test]
     fn norm_finiteness_guards() {
@@ -377,31 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn stalled_history_reports_infinite_digits() {
-        let r = ConvergenceReport::from_history(&[1.0, 1.0]);
-        assert!(r.cycles_per_digit.is_infinite());
-    }
-
-    #[test]
-    fn long_history_geometric_mean_does_not_underflow() {
-        // 308 cycles at a factor of 0.1 drive the naive factor product to
-        // the f64 subnormal boundary (1e-308); the ln-sum formulation must
-        // still report the true mean factor. (Residuals can't go further:
-        // 10^-309 itself rounds to zero, so a longer history would contain
-        // artificial zeros and correctly classify as exact convergence.)
-        let history: Vec<f64> = (0..=308).map(|i| 10f64.powi(-i)).collect();
-        let r = ConvergenceReport::from_history(&history);
-        assert!(
-            (r.mean_factor - 0.1).abs() < 1e-12,
-            "mean factor {}",
-            r.mean_factor
-        );
-        // A zero factor (exact convergence) still yields a zero mean.
-        let r0 = ConvergenceReport::from_history(&[1.0, 0.5, 0.0]);
-        assert_eq!(r0.mean_factor, 0.0);
-    }
-
-    #[test]
     fn global_norms_of_zero_cells_are_zero_not_nan() {
         let out = RankWorld::run(2, |mut ctx| {
             let n = LocalNorms {
@@ -418,30 +256,6 @@ mod tests {
             assert_eq!(g.mean, 0.0);
             assert!(!g.l2.is_nan() && !g.mean.is_nan());
         }
-    }
-
-    #[test]
-    fn work_units_scale_with_cycle_gamma() {
-        let v = SolverConfig {
-            cycle_gamma: 1,
-            ..SolverConfig::paper_default()
-        };
-        let w = SolverConfig {
-            cycle_gamma: 2,
-            ..SolverConfig::paper_default()
-        };
-        let wu_v = work_units_per_cycle(&v);
-        let wu_w = work_units_per_cycle(&w);
-        assert!(wu_w > wu_v);
-        // In 3D the W-cycle stays O(1) work per cycle (γ/8 < 1): well under
-        // 2× the V-cycle.
-        assert!(wu_w < 2.0 * wu_v, "{wu_w} vs {wu_v}");
-        // Red-black GS doubles the operator applications.
-        let gs = SolverConfig {
-            smoother: Smoother::RedBlackGaussSeidel,
-            ..SolverConfig::paper_default()
-        };
-        assert!(work_units_per_cycle(&gs) > wu_v);
     }
 
     #[test]

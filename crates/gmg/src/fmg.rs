@@ -8,9 +8,8 @@
 //! initial guess, running a small fixed number of V-cycles per level. One
 //! FMG pass reaches discretization-level accuracy in O(N) work.
 
-use crate::diagnostics::SolveHealth;
 use crate::level::{interpolation_increment, restriction};
-use crate::ops::{exchange_b, max_norm_residual};
+use crate::ops::exchange_b;
 use crate::solver::{GmgSolver, SolveStats};
 use gmg_comm::runtime::RankCtx;
 use std::time::Instant;
@@ -27,22 +26,18 @@ impl GmgSolver {
             let (fine, coarse) = self.levels.split_at_mut(l + 1);
             restriction(&fine[l], &mut coarse[0]);
             if self.config.communication_avoiding {
-                let tag = self.next_fmg_tag();
+                let tag = self.next_tag();
                 exchange_b(ctx, &mut self.levels[l + 1], tag);
             }
         }
     }
 
-    fn next_fmg_tag(&mut self) -> u64 {
-        // Reuse the solver's tag counter through a public-enough path:
-        // solve() and vcycle() already consume tags; FMG shares the space.
-        self.bump_tag()
-    }
-
     /// Full-multigrid solve: nested iteration with `cycles_per_level`
-    /// V-cycles of post-refinement smoothing at each level, followed by
-    /// Algorithm 1 V-cycles until the tolerance is met (usually zero or
-    /// one extra cycle).
+    /// V-cycles of post-refinement smoothing at each level, then the
+    /// guarded Algorithm 1 loop of [`GmgSolver::solve`] from the FMG
+    /// iterate until the tolerance is met (usually zero or one extra
+    /// cycle) — health guards, recovery policy, hooks and timer rows
+    /// included.
     pub fn fmg_solve(&mut self, ctx: &mut RankCtx, cycles_per_level: usize) -> SolveStats {
         let t_start = Instant::now();
         let top = self.config.num_levels - 1;
@@ -64,35 +59,17 @@ impl GmgSolver {
             }
         }
 
-        // Finish with Algorithm 1 from the FMG iterate.
-        let tag = self.bump_tag();
-        let r0 = max_norm_residual(ctx, &mut self.levels[0], tag);
-        let mut history = vec![r0];
-        let mut converged = r0 < self.config.tolerance;
-        let mut vcycles = 0;
-        while !converged && vcycles < self.config.max_vcycles {
-            self.vcycle(ctx);
-            vcycles += 1;
-            let tag = self.bump_tag();
-            let r = max_norm_residual(ctx, &mut self.levels[0], tag);
-            history.push(r);
-            converged = r < self.config.tolerance;
-        }
-        SolveStats {
-            health: SolveHealth::classify(&history),
-            vcycles,
-            residual_history: history,
-            converged,
-            total_seconds: t_start.elapsed().as_secs_f64(),
-            recoveries: 0,
-            rejoin_epochs: 0,
-        }
+        self.solve_cycles(ctx, None, None, t_start)
+            .unwrap_or_else(|e| panic!("comm failure: {e}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::diagnostics::SolveHealth;
+    use crate::level::Level;
     use crate::solver::{GmgSolver, SolverConfig};
+    use gmg_brick::BrickedField;
     use gmg_comm::runtime::RankWorld;
     use gmg_mesh::{Box3, Decomposition, Point3};
 
@@ -160,5 +137,35 @@ mod tests {
             assert!(converged);
             assert!(err < 1e-8, "error {err}");
         }
+    }
+
+    #[test]
+    fn fmg_finishing_cycles_run_the_guarded_loop() {
+        // The cycles after the walk-up are the solve loop's own: the fault
+        // hook fires, a NaN it plants in one cell stops the solve at that
+        // cycle through the non-finite guard, and every convergence check
+        // lands in the level-0 `residualNorm` row.
+        let decomp = Decomposition::single(Box3::cube(32));
+        let d = &decomp;
+        RankWorld::run(1, move |mut ctx| {
+            let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg());
+            s.fault_hook = Some(Box::new(|cycle, level: &mut Level| {
+                if cycle == 2 {
+                    let (target, old) = (level.owned.lo, level.x.clone());
+                    level.x = BrickedField::from_fn(level.layout.clone(), move |p| {
+                        if p == target {
+                            f64::NAN
+                        } else {
+                            old.get(p)
+                        }
+                    });
+                }
+            }));
+            let stats = s.fmg_solve(&mut ctx, 1);
+            assert_eq!(stats.health, SolveHealth::NonFinite);
+            assert!(!stats.converged);
+            assert_eq!(stats.vcycles, 2, "must stop at the poisoned cycle");
+            assert_eq!(s.timers.count(0, "residualNorm"), stats.vcycles + 1);
+        });
     }
 }

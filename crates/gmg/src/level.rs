@@ -181,22 +181,6 @@ impl Level {
         self.r.reduce(self.owned, 0.0, |_, v| v.abs(), f64::max)
     }
 
-    /// Snapshot the level's mutable solver state for in-memory
-    /// checkpoint/rollback. Only the solution field needs saving: `b` is
-    /// rebuilt by restriction, and `ax`/`r` are scratch recomputed every
-    /// cycle.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint { x: self.x.clone() }
-    }
-
-    /// Restore a checkpoint taken earlier on this level. The ghost shell's
-    /// provenance is unknown after a rollback, so the margin is zeroed to
-    /// force a fresh exchange before the next smooth.
-    pub fn restore(&mut self, cp: &Checkpoint) {
-        self.x = cp.x.clone();
-        self.margin = 0;
-    }
-
     /// Error against a reference solution over owned cells (max-norm),
     /// shifted to remove the periodic-Poisson mean ambiguity: compares
     /// `x − mean(x)` against `f − mean(f)` is the caller's business; this
@@ -205,12 +189,6 @@ impl Level {
         self.x
             .reduce(self.owned, 0.0, |p, v| (v - f(p)).abs(), f64::max)
     }
-}
-
-/// In-memory checkpoint of one level's solution field (see
-/// [`Level::checkpoint`]); the unit of rollback recovery.
-pub struct Checkpoint {
-    x: BrickedField,
 }
 
 /// Restriction (paper Algorithm 2 line 7): volume-average 8 fine residual
@@ -584,20 +562,6 @@ mod tests {
         fine.owned.for_each(|p| {
             assert!((fine.x.get(p) - 5.0).abs() < 1e-12);
         });
-    }
-
-    #[test]
-    fn checkpoint_restore_roundtrips_and_invalidates_margin() {
-        let mut l = single_level(16, 4, 0);
-        l.x = BrickedField::from_fn(l.layout.clone(), |p| (p.x * 3 + p.y - p.z) as f64);
-        l.margin = 3;
-        let cp = l.checkpoint();
-        l.x.fill(0.0);
-        l.restore(&cp);
-        l.layout.storage_cell_box().for_each(|p| {
-            assert_eq!(l.x.get(p), (p.x * 3 + p.y - p.z) as f64, "at {p:?}");
-        });
-        assert_eq!(l.margin, 0, "rollback must force a fresh exchange");
     }
 
     #[test]

@@ -33,10 +33,8 @@ pub mod solver;
 pub mod timers;
 pub mod trace;
 
-pub use diagnostics::{
-    ConvergenceReport, GlobalNorms, HealthMonitor, LocalNorms, RecoveryPolicy, SolveHealth,
-};
-pub use level::{Checkpoint, Level};
+pub use diagnostics::{GlobalNorms, HealthMonitor, LocalNorms, RecoveryPolicy, SolveHealth};
+pub use level::Level;
 pub use problem::PoissonProblem;
 pub use rejoin::{RejoinStore, SolverCheckpoint};
 pub use schedule::{ScheduleConfig, SimLevelBreakdown, SimResult};

@@ -1,6 +1,8 @@
-//! Durable per-cycle solver checkpoints for elastic multi-process solves.
+//! The solver's one checkpoint type, [`SolverCheckpoint`], and its durable
+//! per-cycle store for elastic multi-process solves.
 //!
-//! Under [`crate::RecoveryPolicy::Rejoin`] every rank writes its finest-level
+//! [`crate::RecoveryPolicy::Rollback`] holds its best checkpoint in memory;
+//! under [`crate::RecoveryPolicy::Rejoin`] every rank writes its finest-level
 //! solver state to disk after each completed V-cycle. When the membership
 //! controller detects a dead rank it respawns the process, parks the
 //! survivors, and resumes the whole world from the *minimum* cycle any rank
@@ -42,6 +44,13 @@ pub struct SolverCheckpoint {
     pub x: Vec<f64>,
 }
 
+impl SolverCheckpoint {
+    /// The residual max-norm of the checkpointed iterate.
+    pub(crate) fn residual(&self) -> f64 {
+        *self.history.last().expect("history non-empty")
+    }
+}
+
 /// One rank's checkpoint directory handle.
 pub struct RejoinStore {
     dir: PathBuf,
@@ -74,25 +83,23 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    fn u64(&mut self) -> Option<u64> {
-        let end = self.at.checked_add(8)?;
+    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.at.checked_add(n)?;
         let b = self.buf.get(self.at..end)?;
         self.at = end;
-        Some(u64::from_le_bytes(b.try_into().ok()?))
+        Some(b)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
     }
 
     fn f64s(&mut self) -> Option<Vec<f64>> {
-        let n = self.u64()?;
-        // Reject absurd lengths before allocating (a corrupt length field
-        // must not look like an OOM).
-        if n > (self.buf.len() - self.at) as u64 / 8 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            out.push(f64::from_bits(self.u64()?));
-        }
-        Some(out)
+        // Collected from bytes the record holds: a length field claiming
+        // more than is left fails before anything is allocated.
+        let n = usize::try_from(self.u64()?).ok()?.checked_mul(8)?;
+        let to_f64 = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8-byte chunks"));
+        Some(self.bytes(n)?.chunks_exact(8).map(to_f64).collect())
     }
 }
 

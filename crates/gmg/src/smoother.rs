@@ -49,11 +49,6 @@ impl Smoother {
         }
     }
 
-    /// `applyOp` invocations per smoothing iteration.
-    pub fn apply_ops_per_iteration(&self) -> usize {
-        self.margin_per_iteration() as usize
-    }
-
     /// The fused multi-smooth executor handles the Jacobi family
     /// (pointwise updates over a fresh `Ax`, one margin cell per
     /// iteration). Returns the effective γ it must apply given the
@@ -291,8 +286,6 @@ mod tests {
         assert_eq!(Smoother::Jacobi.margin_per_iteration(), 1);
         assert_eq!(Smoother::RedBlackGaussSeidel.margin_per_iteration(), 2);
         assert_eq!(Smoother::Sor { omega: 1.0 }.margin_per_iteration(), 2);
-        assert_eq!(Smoother::Jacobi.apply_ops_per_iteration(), 1);
-        assert_eq!(Smoother::RedBlackGaussSeidel.apply_ops_per_iteration(), 2);
     }
 
     #[test]

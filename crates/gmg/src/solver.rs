@@ -2,7 +2,7 @@
 //! Algorithm 2 (V-cycle) from the paper, distributed over the rank runtime.
 
 use crate::diagnostics::{HealthMonitor, LocalNorms, RecoveryPolicy, SolveHealth};
-use crate::level::{interpolation_increment, restriction, Checkpoint, Level};
+use crate::level::{interpolation_increment, restriction, Level};
 use crate::ops::{try_exchange_b, try_exchange_x, try_max_norm_residual};
 use crate::problem::PoissonProblem;
 use crate::rejoin::{RejoinStore, SolverCheckpoint};
@@ -23,6 +23,10 @@ use std::time::Instant;
 /// one call of the one-pass smoother (`gmg_stencil::exec_fused`, one
 /// `fusedSmooth` timer row per group), ghost margin permitting.
 const FUSED_GROUP: usize = 4;
+
+/// Rollbacks a [`RecoveryPolicy::Rollback`] solve may spend; the next
+/// unhealthy verdict stops it on its best iterate.
+const MAX_ROLLBACKS: usize = 2;
 
 /// Solver configuration (the artifact's command-line parameters).
 #[derive(Clone, Copy, Debug)]
@@ -51,13 +55,6 @@ pub struct SolverConfig {
     /// What to do when the health guards detect divergence or a
     /// non-finite residual mid-solve.
     pub recovery: RecoveryPolicy,
-    /// Cycles between in-memory checkpoints of the finest-level iterate
-    /// (only taken when `recovery` can use them; a checkpoint is only
-    /// replaced by a strictly better one).
-    pub checkpoint_interval: usize,
-    /// Rollback budget before [`RecoveryPolicy::Rollback`] degrades to
-    /// returning the best iterate.
-    pub max_recoveries: usize,
 }
 
 impl Default for SolverConfig {
@@ -82,8 +79,6 @@ impl SolverConfig {
             smoother: Smoother::Jacobi,
             cycle_gamma: 1,
             recovery: RecoveryPolicy::Abort,
-            checkpoint_interval: 4,
-            max_recoveries: 2,
         }
     }
 
@@ -102,8 +97,6 @@ impl SolverConfig {
             smoother: Smoother::Jacobi,
             cycle_gamma: 1,
             recovery: RecoveryPolicy::Abort,
-            checkpoint_interval: 1,
-            max_recoveries: 2,
         }
     }
 }
@@ -145,13 +138,6 @@ impl SolveStats {
         }
         (h[h.len() - 1] / h[0]).powf(1.0 / (h.len() - 1) as f64)
     }
-}
-
-/// Where an elastic solve resumes after restoring a rejoin checkpoint:
-/// the agreed residual history and the number of completed V-cycles.
-struct ResumePoint {
-    history: Vec<f64>,
-    vcycles: usize,
 }
 
 /// One observation delivered to [`GmgSolver::progress_hook`] after each
@@ -264,15 +250,11 @@ impl GmgSolver {
         self.rank
     }
 
-    fn next_tag(&mut self) -> u64 {
-        self.tag_counter += 1;
-        self.tag_counter
-    }
-
     /// Advance and return the exchange tag counter (shared with the FMG
     /// driver in [`crate::fmg`]).
-    pub(crate) fn bump_tag(&mut self) -> u64 {
-        self.next_tag()
+    pub(crate) fn next_tag(&mut self) -> u64 {
+        self.tag_counter += 1;
+        self.tag_counter
     }
 
     /// Run the bottom relaxation at the coarsest level (used by both the
@@ -467,15 +449,18 @@ impl GmgSolver {
         probe::event(Kind::Control, op);
     }
 
-    /// React to an unhealthy verdict per the configured [`RecoveryPolicy`].
-    /// Returns the health to carry forward: `Healthy` when the solve
-    /// should continue from a restored checkpoint, the verdict itself when
-    /// it should stop. Every branch is driven purely by globally-reduced
-    /// quantities, so all ranks take it in lockstep.
+    /// React to an unhealthy verdict. Returns the health to carry forward:
+    /// `Healthy` when the solve should continue from a restored checkpoint,
+    /// the verdict itself when it should stop. Only
+    /// [`RecoveryPolicy::Rollback`] holds a `best` checkpoint; without one
+    /// the verdict stops the solve (Rejoin handles *process* deaths, so a
+    /// numerical fault under it aborts like the baseline policy). Every
+    /// branch is driven purely by globally-reduced quantities, so all
+    /// ranks take it in lockstep.
     fn attempt_recovery(
         &mut self,
         verdict: SolveHealth,
-        checkpoint: &mut Option<(f64, Checkpoint)>,
+        best: Option<&SolverCheckpoint>,
         monitor: &mut HealthMonitor,
         recoveries: &mut usize,
     ) -> SolveHealth {
@@ -490,50 +475,23 @@ impl GmgSolver {
         if self.rank == 0 {
             gmg_flight::dump_installed(op, detail);
         }
-        let restore_best = |s: &mut Self, cp: &Option<(f64, Checkpoint)>| {
-            if let Some((_, cp)) = cp.as_ref() {
-                s.levels[0].restore(cp);
-            }
+        let Some(best) = best else {
+            self.health_event("recover:abort");
+            return verdict;
         };
-        match self.config.recovery {
-            // Rejoin handles *process* deaths; a numerical fault under it
-            // aborts just like the baseline policy.
-            RecoveryPolicy::Abort | RecoveryPolicy::Rejoin => {
-                self.health_event("recover:abort");
-                verdict
-            }
-            RecoveryPolicy::BestIterate => {
-                restore_best(self, checkpoint);
-                self.health_event("recover:best-iterate");
-                verdict
-            }
-            RecoveryPolicy::Rollback => {
-                if *recoveries >= self.config.max_recoveries {
-                    // Budget exhausted: degrade to the best iterate.
-                    restore_best(self, checkpoint);
-                    self.health_event("recover:best-iterate");
-                    return verdict;
-                }
-                *recoveries += 1;
-                let r_cp = match checkpoint.as_ref() {
-                    Some((r, cp)) => {
-                        self.levels[0].restore(cp);
-                        *r
-                    }
-                    None => {
-                        self.levels[0].init_zero();
-                        f64::INFINITY
-                    }
-                };
-                // Retry with a stronger smoother: double the per-level
-                // sweeps (more damping per cycle, same schedule on every
-                // rank).
-                self.config.max_smooths *= 2;
-                *monitor = HealthMonitor::new(r_cp);
-                self.health_event("recover:rollback");
-                SolveHealth::Healthy
-            }
+        self.restore(best);
+        if *recoveries == MAX_ROLLBACKS {
+            // Budget spent: stop on the best iterate.
+            self.health_event("recover:best-iterate");
+            return verdict;
         }
+        *recoveries += 1;
+        // Retry with a stronger smoother: double the per-level sweeps
+        // (more damping per cycle, same schedule on every rank).
+        self.config.max_smooths *= 2;
+        *monitor = HealthMonitor::new(best.residual());
+        self.health_event("recover:rollback");
+        SolveHealth::Healthy
     }
 
     /// Algorithm 1: V-cycle until the global max-norm residual drops below
@@ -548,10 +506,8 @@ impl GmgSolver {
         if self.config.recovery == RecoveryPolicy::Rejoin && ctx.membership_active() {
             return self.solve_elastic(ctx, t_start);
         }
-        match self.solve_cycles(ctx, None, None, t_start) {
-            Ok(stats) => stats,
-            Err(e) => panic!("comm failure: {e}"),
-        }
+        self.solve_cycles(ctx, None, None, t_start)
+            .unwrap_or_else(|e| panic!("comm failure: {e}"))
     }
 
     /// The elastic solve driver: announce (rejoin) or run, and on every
@@ -594,12 +550,8 @@ impl GmgSolver {
                             self.rank
                         )
                     });
-                    self.restore_rejoin_checkpoint(&ck);
                     self.health_event("rejoin:restore");
-                    Some(ResumePoint {
-                        history: ck.history,
-                        vcycles: ck.cycle as usize,
-                    })
+                    Some(ck)
                 }
             };
             match self.solve_cycles(ctx, start, Some(&store), t_start) {
@@ -620,37 +572,56 @@ impl GmgSolver {
         }
     }
 
+    /// Snapshot what resuming after the last entry of `history` needs: the
+    /// finest level's full `x` storage, its margin and the exchange tag
+    /// counter. Taken right after a convergence check, whose exchange left
+    /// the ghost shell current and the margin at full depth.
+    fn checkpoint(&self, history: &[f64]) -> SolverCheckpoint {
+        let level = &self.levels[0];
+        SolverCheckpoint {
+            cycle: (history.len() - 1) as u64,
+            tag_counter: self.tag_counter,
+            margin: level.margin,
+            history: history.to_vec(),
+            x: level.x.as_slice().to_vec(),
+        }
+    }
+
     /// Restore the finest level and the exchange tag counter from a
-    /// durable rejoin checkpoint, bit-exactly: the full bricked storage
-    /// (owned + ghosts) and the communication-avoiding margin come back
-    /// as saved, so the resumed schedule issues the same exchanges with
-    /// the same tags on the same data as the unfaulted run.
-    fn restore_rejoin_checkpoint(&mut self, ck: &SolverCheckpoint) {
+    /// checkpoint, bit-exactly and in place: the full bricked storage
+    /// (owned + ghosts) and the communication-avoiding margin come back as
+    /// saved, so the next exchange happens where it would have after the
+    /// checkpointed cycle, with the same tag, on the same data. The
+    /// history stays the caller's: a rollback keeps the one it has.
+    fn restore(&mut self, ck: &SolverCheckpoint) {
         let level = &mut self.levels[0];
         let dst = level.x.as_mut_slice();
         assert_eq!(
             dst.len(),
             ck.x.len(),
-            "rejoin checkpoint shape does not match the finest level"
+            "checkpoint shape does not match the finest level"
         );
         dst.copy_from_slice(&ck.x);
         level.margin = ck.margin;
         self.tag_counter = ck.tag_counter;
     }
 
-    /// The solve loop proper. `start` resumes mid-history (elastic
-    /// restore); `store` persists a durable checkpoint after every
-    /// healthy cycle and reports solve progress to the membership
-    /// heartbeat.
-    fn solve_cycles(
+    /// The solve loop proper, from the current iterate or — `start` — from
+    /// a restored checkpoint, continuing its history. `store` persists a
+    /// durable checkpoint after every healthy cycle and reports solve
+    /// progress to the membership heartbeat.
+    pub(crate) fn solve_cycles(
         &mut self,
         ctx: &mut RankCtx,
-        start: Option<ResumePoint>,
+        start: Option<SolverCheckpoint>,
         store: Option<&RejoinStore>,
         t_start: Instant,
     ) -> Result<SolveStats, CommError> {
         let (mut history, mut vcycles) = match start {
-            Some(rp) => (rp.history, rp.vcycles),
+            Some(ck) => {
+                self.restore(&ck);
+                (ck.history, ck.cycle as usize)
+            }
             None => (vec![self.residual_check(ctx)?.0], 0),
         };
         let r0 = history[0];
@@ -668,13 +639,10 @@ impl GmgSolver {
         for &r in &history[1..] {
             let _ = monitor.observe(r);
         }
-        // Seed the checkpoint with the current iterate so a first-cycle
-        // fault still has somewhere to roll back to.
-        let mut checkpoint = matches!(
-            self.config.recovery,
-            RecoveryPolicy::Rollback | RecoveryPolicy::BestIterate
-        )
-        .then(|| (r_last, self.levels[0].checkpoint()));
+        // Rollback's best iterate, seeded with the current one so a
+        // first-cycle fault still has somewhere to roll back to.
+        let mut best =
+            (self.config.recovery == RecoveryPolicy::Rollback).then(|| self.checkpoint(&history));
         let mut recoveries = 0;
         while health == SolveHealth::Healthy && !converged && vcycles < self.config.max_vcycles {
             self.current_cycle = vcycles + 1;
@@ -712,22 +680,13 @@ impl GmgSolver {
             match verdict {
                 SolveHealth::Healthy => {
                     converged = r < self.config.tolerance;
-                    if let Some(cp) = checkpoint.as_mut() {
-                        if r < cp.0 && vcycles % self.config.checkpoint_interval.max(1) == 0 {
-                            *cp = (r, self.levels[0].checkpoint());
-                            self.health_event("health:checkpoint");
-                        }
+                    // Checkpoint on every cycle that improves on the best.
+                    if best.as_ref().is_some_and(|cp| r < cp.residual()) {
+                        best = Some(self.checkpoint(&history));
+                        self.health_event("health:checkpoint");
                     }
                     if let Some(store) = store {
-                        let level = &self.levels[0];
-                        let ck = SolverCheckpoint {
-                            cycle: vcycles as u64,
-                            tag_counter: self.tag_counter,
-                            margin: level.margin,
-                            history: history.clone(),
-                            x: level.x.as_slice().to_vec(),
-                        };
-                        store.save(&ck).unwrap_or_else(|e| {
+                        store.save(&self.checkpoint(&history)).unwrap_or_else(|e| {
                             panic!("rank {}: rejoin checkpoint write failed: {e}", self.rank)
                         });
                         self.health_event("rejoin:checkpoint");
@@ -736,7 +695,7 @@ impl GmgSolver {
                 }
                 bad => {
                     health =
-                        self.attempt_recovery(bad, &mut checkpoint, &mut monitor, &mut recoveries);
+                        self.attempt_recovery(bad, best.as_ref(), &mut monitor, &mut recoveries);
                 }
             }
         }
@@ -1174,7 +1133,6 @@ mod tests {
                 let mut cfg = SolverConfig::test_default();
                 cfg.num_levels = 2;
                 cfg.recovery = RecoveryPolicy::Rollback;
-                cfg.checkpoint_interval = 1;
                 cfg.max_vcycles = 30;
                 let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
                 let rank = ctx.rank();
@@ -1209,14 +1167,15 @@ mod tests {
     }
 
     #[test]
-    fn best_iterate_policy_returns_a_usable_iterate() {
+    fn rollback_with_exhausted_budget_returns_the_best_iterate() {
+        // Every cycle from 4 on is poisoned: two rollbacks are spent on it,
+        // then the third verdict stops the solve on the best checkpoint.
         let decomp = Decomposition::new(Box3::cube(16), Point3::splat(1));
         let d = &decomp;
         let out = RankWorld::run(1, move |mut ctx| {
             let mut cfg = SolverConfig::test_default();
             cfg.num_levels = 2;
-            cfg.recovery = RecoveryPolicy::BestIterate;
-            cfg.checkpoint_interval = 1;
+            cfg.recovery = RecoveryPolicy::Rollback;
             let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
             let e0 = s.max_error_vs_discrete();
             s.fault_hook = Some(Box::new(|cycle, level: &mut Level| {
@@ -1230,7 +1189,7 @@ mod tests {
         let (stats, e0, e1) = &out[0];
         assert!(!stats.converged);
         assert!(stats.health.is_diverged());
-        assert_eq!(stats.recoveries, 0);
+        assert_eq!(stats.recoveries, 2);
         // The returned iterate is the checkpointed best, not the poisoned
         // one: finite and clearly better than the zero guess.
         assert!(e1.is_finite());
@@ -1240,11 +1199,13 @@ mod tests {
     #[test]
     fn health_guards_do_not_perturb_fault_free_numerics() {
         // Checkpointing and monitoring must be pure observers: identical
-        // residual histories under every policy, and no recovery events.
+        // residual histories under every policy, and no recovery events,
+        // on two thread ranks (Rejoin outside a membership world is a
+        // plain solve).
         let histories: Vec<Vec<f64>> = [
             RecoveryPolicy::Abort,
             RecoveryPolicy::Rollback,
-            RecoveryPolicy::BestIterate,
+            RecoveryPolicy::Rejoin,
         ]
         .into_iter()
         .map(|policy| {
@@ -1253,14 +1214,54 @@ mod tests {
             cfg.max_vcycles = 5;
             cfg.tolerance = 0.0;
             cfg.recovery = policy;
-            let out = solve_with(16, Point3::splat(1), cfg);
-            assert_eq!(out[0].0.health, SolveHealth::Healthy);
-            assert_eq!(out[0].0.recoveries, 0);
+            let out = solve_with(16, Point3::new(2, 1, 1), cfg);
+            for (stats, _) in &out {
+                assert_eq!(stats.health, SolveHealth::Healthy);
+                assert_eq!(stats.recoveries, 0);
+                assert_eq!(stats.residual_history, out[0].0.residual_history);
+            }
             out[0].0.residual_history.clone()
         })
         .collect();
         assert_eq!(histories[0], histories[1]);
         assert_eq!(histories[0], histories[2]);
+    }
+
+    #[test]
+    fn held_and_stored_checkpoints_restore_identical_storage() {
+        // The checkpoint Rollback holds in memory and the record Rejoin's
+        // store writes and reads back are one value: restoring either
+        // after the iterate moved on yields bit-identical level storage,
+        // margin and tag counter.
+        let dir = std::env::temp_dir().join(format!("gmg-ckpt-agree-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let decomp = Decomposition::new(Box3::cube(16), Point3::new(2, 1, 1));
+        let (d, dir) = (&decomp, &dir);
+        RankWorld::run(2, move |mut ctx| {
+            let mut cfg = SolverConfig::test_default();
+            cfg.num_levels = 2;
+            cfg.max_vcycles = 2;
+            cfg.tolerance = 0.0;
+            let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
+            let stats = s.solve(&mut ctx);
+            let held = s.checkpoint(&stats.residual_history);
+            let store = RejoinStore::new(dir, ctx.rank()).unwrap();
+            store.save(&held).unwrap();
+            let stored = store.load(held.cycle).expect("saved record loads");
+            assert_eq!(stored, held);
+            let mut after = Vec::new();
+            for ck in [&held, &stored] {
+                s.vcycle(&mut ctx);
+                s.restore(ck);
+                let level = &s.levels[0];
+                let bits: Vec<u64> = level.x.as_slice().iter().map(|v| v.to_bits()).collect();
+                after.push((bits, level.margin, s.tag_counter));
+            }
+            assert_eq!(after[0], after[1]);
+            let x_bits: Vec<u64> = held.x.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(after[0].0, x_bits);
+        });
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -360,3 +360,88 @@ proptest! {
         }
     }
 }
+
+/// Byte offset of a rejoin record's history length field (after magic,
+/// rank, cycle, tag counter and margin).
+const HISTORY_LEN_AT: usize = 40;
+
+/// Re-seal a rejoin record's FNV-1a trailer over its edited body, so the
+/// loader's later checks — not the checksum — must reject the edit.
+fn reseal(record: &mut [u8]) {
+    let body = record.len() - 8;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in &record[..body] {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    record[body..].copy_from_slice(&h.to_le_bytes());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Hostile rejoin checkpoints: every proper prefix of a saved record,
+    /// every single-bit flip, a length field claiming more doubles than
+    /// the file holds (re-sealed, so the checksum passes), and a record
+    /// written for another rank or cycle all load as `None` — never a
+    /// panic, and never an allocation the file's bytes do not back (a
+    /// claim up to `u64::MAX` doubles would abort the process).
+    #[test]
+    fn damaged_rejoin_records_load_as_none(
+        cycle in 0u64..5,
+        nx in 0usize..24,
+        rank in 0usize..4,
+        seed in any::<i64>(),
+        claim in any::<u64>(),
+    ) {
+        use gmg_repro::gmg::{RejoinStore, SolverCheckpoint};
+        let dir = std::env::temp_dir().join(format!("gmg-rejoin-prop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = RejoinStore::new(&dir, rank).unwrap();
+        let f = field_fn(seed);
+        let ck = |cycle: u64| SolverCheckpoint {
+            cycle,
+            tag_counter: seed as u64,
+            margin: seed % 9,
+            history: (0..=cycle as i64).map(|i| f(Point3::splat(i))).collect(),
+            x: (0..nx as i64).map(|i| f(Point3::new(i, 1, 2))).collect(),
+        };
+        let path = |rank: usize, cycle: u64| dir.join(format!("r{rank}_c{cycle}.gmgck"));
+        store.save(&ck(cycle)).unwrap();
+        let record = std::fs::read(path(rank, cycle)).unwrap();
+        prop_assert_eq!(store.load(cycle), Some(ck(cycle)));
+        let loads_none = |bytes: &[u8]| {
+            std::fs::write(path(rank, cycle), bytes).unwrap();
+            store.load(cycle).is_none()
+        };
+
+        for len in 0..record.len() {
+            prop_assert!(loads_none(&record[..len]), "prefix of {len} bytes loaded");
+        }
+        for bit in 0..8 * record.len() {
+            let mut flipped = record.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(loads_none(&flipped), "flip of bit {bit} loaded");
+        }
+        // Both length fields, claiming one double past the end of the
+        // record and then an arbitrary larger count.
+        let x_len_at = HISTORY_LEN_AT + 8 * (cycle as usize + 2);
+        for at in [HISTORY_LEN_AT, x_len_at] {
+            let held = (record.len() - 8 - (at + 8)) as u64 / 8;
+            for n in [held + 1, claim.max(held + 1)] {
+                let mut oversized = record.clone();
+                oversized[at..at + 8].copy_from_slice(&n.to_le_bytes());
+                reseal(&mut oversized);
+                prop_assert!(loads_none(&oversized), "length {n} at byte {at} loaded");
+            }
+        }
+        // Intact records of another rank, and of this rank's other cycle,
+        // under this rank's and cycle's name.
+        RejoinStore::new(&dir, rank + 1).unwrap().save(&ck(cycle)).unwrap();
+        store.save(&ck(cycle + 1)).unwrap();
+        for (r, c) in [(rank + 1, cycle), (rank, cycle + 1)] {
+            let foreign = std::fs::read(path(r, c)).unwrap();
+            prop_assert!(loads_none(&foreign), "record of rank {r} cycle {c} loaded");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
