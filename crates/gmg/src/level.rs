@@ -132,7 +132,7 @@ impl Level {
         );
     }
 
-    /// Apply `s` Jacobi-family smooth iterations over the shrinking
+    /// Apply `s` Jacobi iterations `x += gamma·(Ax − b)` over the shrinking
     /// communication-avoiding schedule rooted at `region` (clipped to the
     /// storage shell), each as one pass over the bricks (3 doubles moved
     /// per point). Afterwards `x` — and, `with_residual`, `r` as the last

@@ -28,7 +28,6 @@ pub mod ops;
 pub mod problem;
 pub mod rejoin;
 pub mod schedule;
-pub mod smoother;
 pub mod solver;
 pub mod timers;
 pub mod trace;
@@ -38,6 +37,5 @@ pub use level::Level;
 pub use problem::PoissonProblem;
 pub use rejoin::{RejoinStore, SolverCheckpoint};
 pub use schedule::{ScheduleConfig, SimLevelBreakdown, SimResult};
-pub use smoother::Smoother;
 pub use solver::{GmgSolver, SolveProgress, SolveStats, SolverConfig};
 pub use timers::{OpTimer, TimerReport};

@@ -35,7 +35,6 @@ pub struct ScheduleConfig {
     /// MPI ranks (GPUs) per node.
     pub ranks_per_node: usize,
     pub communication_avoiding: bool,
-    pub ordering: BrickOrdering,
     /// Use GPU-aware MPI (overrides the system default when `Some`).
     pub gpu_aware_override: Option<bool>,
     /// Offload levels with at most this many cells per rank to the host
@@ -58,7 +57,6 @@ impl ScheduleConfig {
             nodes: 8,
             ranks_per_node: 1,
             communication_avoiding: true,
-            ordering: BrickOrdering::SurfaceMajor,
             gpu_aware_override: None,
             cpu_offload_below_cells: None,
         }
@@ -168,13 +166,15 @@ impl Pricer {
             gpu: cfg.system.gpu(),
             cpu: CpuModel::default(),
             net: cfg.network(),
+            // Only per-direction message sizes are priced, and an ordering
+            // only permutes slots: any one gives the same plan.
             plans: (0..levels)
                 .map(|li| {
                     BrickExchangePlan::new(
                         shape.extents[li],
                         shape.ghost_depth[li],
                         1,
-                        cfg.ordering,
+                        BrickOrdering::SurfaceMajor,
                     )
                 })
                 .collect(),

@@ -6,7 +6,6 @@ use crate::level::{interpolation_increment, restriction, Level};
 use crate::ops::{try_exchange_b, try_exchange_x, try_max_norm_residual};
 use crate::problem::PoissonProblem;
 use crate::rejoin::{RejoinStore, SolverCheckpoint};
-use crate::smoother::Smoother;
 use crate::timers::OpTimer;
 use crate::trace::op_counters;
 use gmg_brick::{BrickOrdering, BrickedField};
@@ -19,7 +18,7 @@ use gmg_trace::probe::{self, Kind};
 use gmg_trace::Counters;
 use std::time::Instant;
 
-/// Communication-avoiding Jacobi-family smooth iterations grouped into
+/// Communication-avoiding smooth iterations grouped into
 /// one call of the one-pass smoother (`gmg_stencil::exec_fused`, one
 /// `fusedSmooth` timer row per group), ghost margin permitting.
 const FUSED_GROUP: usize = 4;
@@ -47,11 +46,6 @@ pub struct SolverConfig {
     pub brick_dim: i64,
     /// Physical brick ordering.
     pub ordering: BrickOrdering,
-    /// Smoother (the paper uses point Jacobi; alternatives are the
-    /// paper's stated future work).
-    pub smoother: Smoother,
-    /// Cycle index γ: 1 = V-cycle (the paper), 2 = W-cycle.
-    pub cycle_gamma: usize,
     /// What to do when the health guards detect divergence or a
     /// non-finite residual mid-solve.
     pub recovery: RecoveryPolicy,
@@ -76,8 +70,6 @@ impl SolverConfig {
             communication_avoiding: true,
             brick_dim: 8,
             ordering: BrickOrdering::SurfaceMajor,
-            smoother: Smoother::Jacobi,
-            cycle_gamma: 1,
             recovery: RecoveryPolicy::Abort,
         }
     }
@@ -94,8 +86,6 @@ impl SolverConfig {
             communication_avoiding: true,
             brick_dim: 4,
             ordering: BrickOrdering::SurfaceMajor,
-            smoother: Smoother::Jacobi,
-            cycle_gamma: 1,
             recovery: RecoveryPolicy::Abort,
         }
     }
@@ -257,8 +247,8 @@ impl GmgSolver {
         self.tag_counter
     }
 
-    /// Run the bottom relaxation at the coarsest level (used by both the
-    /// μ-cycle and the FMG driver).
+    /// Run the bottom relaxation at the coarsest level (the FMG driver's
+    /// first step).
     pub(crate) fn bottom_solve(&mut self, ctx: &mut RankCtx) {
         let top = self.config.num_levels - 1;
         if let Err(e) = self.smooth_pass(ctx, top, self.config.bottom_smooths, false) {
@@ -266,9 +256,9 @@ impl GmgSolver {
         }
     }
 
-    /// Run one μ-cycle rooted at `level` (used by the FMG driver).
+    /// Run one V-cycle rooted at `level` (used by the FMG driver).
     pub(crate) fn cycle_at(&mut self, ctx: &mut RankCtx, level: usize) {
-        if let Err(e) = self.mu_cycle(ctx, level) {
+        if let Err(e) = self.vcycle_from(ctx, level) {
             panic!("comm failure: {e}");
         }
     }
@@ -277,17 +267,16 @@ impl GmgSolver {
     /// `exchange → applyOp → smooth`, with the exchange elided while the
     /// communication-avoiding ghost margin lasts — demand-driven: an
     /// iteration updates the owned box grown (on the layout's halo axes)
-    /// only as far as the rest of the pass can still consume (`need` cells
-    /// per remaining iteration, capped by the margin) and leaves the margin
-    /// it did not use up, none at the end of a pass; and only a pass that
+    /// only as far as the rest of the pass can still consume (one cell per
+    /// remaining iteration, capped by the margin) and leaves the margin it
+    /// did not use up, none at the end of a pass; and only a pass that
     /// `feeds_restriction` stores the residual, in its last iteration. A
     /// level without a halo axis never exchanges: every iteration covers
-    /// exactly its owned box. Red-black smoothers read neighbors twice per
-    /// iteration and `need` two margin cells. Communication-avoiding
-    /// Jacobi-family iterations run the one-pass smoother in groups of up
-    /// to [`FUSED_GROUP`] — the exchanges and owned-cell numerics (bit for
-    /// bit) of the split `applyOp` + `smooth` pair, which remains the
-    /// schedule without communication avoiding.
+    /// exactly its owned box. Communication-avoiding iterations run the
+    /// one-pass smoother in groups of up to [`FUSED_GROUP`] — the exchanges
+    /// and owned-cell numerics (bit for bit) of the split `applyOp` +
+    /// `smooth` pair, which remains the schedule without communication
+    /// avoiding.
     fn smooth_pass(
         &mut self,
         ctx: &mut RankCtx,
@@ -296,13 +285,10 @@ impl GmgSolver {
         feeds_restriction: bool,
     ) -> Result<(), CommError> {
         let ca = self.config.communication_avoiding;
-        let smoother = self.config.smoother;
-        let need = smoother.margin_per_iteration();
-        let one_pass_gamma = smoother.fused_gamma(self.levels[li].gamma).filter(|_| ca);
         let halo = self.levels[li].has_halo();
         let mut done = 0;
         while done < n {
-            if halo && (!ca || self.levels[li].margin < need) {
+            if halo && (!ca || self.levels[li].margin < 1) {
                 let tag = self.next_tag();
                 let op = probe::op(li, "exchange").points(0, op_counters);
                 try_exchange_x(ctx, &mut self.levels[li], tag)?;
@@ -314,21 +300,20 @@ impl GmgSolver {
             // exchange above refilled an empty margin). Across a wrapped
             // axis the cone is live data, so without a halo axis nothing
             // caps it.
-            let reach = need * (n - done) as i64;
+            let reach = (n - done) as i64;
             let m = if !halo {
                 reach
             } else if ca {
                 level.margin.min(reach)
             } else {
-                need
+                1
             };
             let region = level.layout.grow_halo(level.owned, m - 1);
-            let its = one_pass_gamma.map_or(1, |_| FUSED_GROUP.min(m as usize));
+            let its = if ca { FUSED_GROUP.min(m as usize) } else { 1 };
             let store_r = feeds_restriction && done + its == n;
-            let points = region.volume() as u64;
-            if let Some(gamma) = one_pass_gamma {
+            if ca {
                 let mut op = probe::op(li, "fusedSmooth");
-                let stats = level.fused_multi_smooth(region, its, gamma, store_r);
+                let stats = level.fused_multi_smooth(region, its, level.gamma, store_r);
                 // The kernel's own counters: the generic per-op tables
                 // price one iteration, a group covers `its` shrinking
                 // regions.
@@ -340,8 +325,9 @@ impl GmgSolver {
                     ..Default::default()
                 });
                 self.timers.close(op);
-            } else if let Smoother::Jacobi = smoother {
+            } else {
                 // The paper's path, with the paper's split timer rows.
+                let points = region.volume() as u64;
                 let op = probe::op(li, "applyOp").points(points, op_counters);
                 level.apply_op(region);
                 self.timers.close(op);
@@ -353,12 +339,8 @@ impl GmgSolver {
                     level.smooth(region);
                 }
                 self.timers.close(op);
-            } else {
-                let op = probe::op(li, smoother.name()).points(points, op_counters);
-                smoother.apply(level, region, store_r);
-                self.timers.close(op);
             }
-            self.levels[li].margin = m - need * its as i64;
+            self.levels[li].margin = m - its as i64;
             done += its;
         }
         Ok(())
@@ -384,9 +366,8 @@ impl GmgSolver {
         }
     }
 
-    /// One multigrid cycle (Algorithm 2 for γ = 1; the recursive μ-cycle
-    /// generalization visits each coarser level γ times, giving W-cycles
-    /// at γ = 2). Panicking wrapper around [`GmgSolver::try_vcycle`].
+    /// One V-cycle (Algorithm 2): each coarser level is visited once.
+    /// Panicking wrapper around [`GmgSolver::try_vcycle`].
     pub fn vcycle(&mut self, ctx: &mut RankCtx) {
         if let Err(e) = self.try_vcycle(ctx) {
             panic!("comm failure: {e}");
@@ -396,10 +377,12 @@ impl GmgSolver {
     /// Fallible [`GmgSolver::vcycle`]: comm failures — including the
     /// elastic membership park — surface as errors instead of panics.
     pub fn try_vcycle(&mut self, ctx: &mut RankCtx) -> Result<(), CommError> {
-        self.mu_cycle(ctx, 0)
+        self.vcycle_from(ctx, 0)
     }
 
-    fn mu_cycle(&mut self, ctx: &mut RankCtx, l: usize) -> Result<(), CommError> {
+    /// The V-cycle rooted at level `l` (the FMG driver roots some at
+    /// coarser levels).
+    fn vcycle_from(&mut self, ctx: &mut RankCtx, l: usize) -> Result<(), CommError> {
         let top = self.config.num_levels - 1;
         if l == top {
             // Bottom solver: plain point relaxation.
@@ -429,11 +412,7 @@ impl GmgSolver {
             try_exchange_b(ctx, &mut self.levels[l + 1], tag)?;
             self.timers.close(op);
         }
-        // Recurse γ times: the coarse correction continues from its
-        // previous iterate on repeat visits (classical μ-cycle).
-        for _ in 0..self.config.cycle_gamma.max(1) {
-            self.mu_cycle(ctx, l + 1)?;
-        }
+        self.vcycle_from(ctx, l + 1)?;
         self.phase_event("prolong", l);
         let (fine_part, coarse_part) = self.levels.split_at_mut(l + 1);
         let coarse_points = coarse_part[0].owned.volume() as u64;
@@ -486,8 +465,8 @@ impl GmgSolver {
             return verdict;
         }
         *recoveries += 1;
-        // Retry with a stronger smoother: double the per-level sweeps
-        // (more damping per cycle, same schedule on every rank).
+        // Retry with twice the sweeps: double the per-level smooths (more
+        // damping per cycle, same schedule on every rank).
         self.config.max_smooths *= 2;
         *monitor = HealthMonitor::new(best.residual());
         self.health_event("recover:rollback");
@@ -756,90 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn w_cycle_converges_at_least_as_fast_per_cycle() {
-        // With weak smoothing, the W-cycle's double coarse visits must
-        // improve (or match) the per-cycle reduction factor.
-        let mk = |gamma: usize| {
-            let mut cfg = SolverConfig::test_default();
-            cfg.num_levels = 3;
-            cfg.max_smooths = 2;
-            cfg.bottom_smooths = 10;
-            cfg.max_vcycles = 4;
-            cfg.tolerance = 0.0;
-            cfg.cycle_gamma = gamma;
-            solve_with(32, Point3::splat(1), cfg)[0].0.mean_reduction()
-        };
-        let v = mk(1);
-        let w = mk(2);
-        assert!(w <= v * 1.02, "W-cycle {w:.3} vs V-cycle {v:.3}");
-    }
-
-    #[test]
-    fn w_cycle_distributed_matches_single_rank() {
-        let mut cfg = SolverConfig::test_default();
-        cfg.num_levels = 2;
-        cfg.cycle_gamma = 2;
-        cfg.max_vcycles = 3;
-        cfg.tolerance = 0.0;
-        let single = solve_with(16, Point3::splat(1), cfg);
-        let multi = solve_with(16, Point3::splat(2), cfg);
-        for (a, b) in single[0]
-            .0
-            .residual_history
-            .iter()
-            .zip(&multi[0].0.residual_history)
-        {
-            assert!((a - b).abs() <= 1e-9 * a.max(1e-30), "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn alternative_smoothers_converge_distributed() {
-        use crate::smoother::Smoother;
-        for sm in [
-            Smoother::WeightedJacobi { omega: 0.7 },
-            Smoother::RedBlackGaussSeidel,
-            Smoother::Sor { omega: 1.2 },
-        ] {
-            let mut cfg = SolverConfig::test_default();
-            cfg.num_levels = 2;
-            cfg.smoother = sm;
-            cfg.max_vcycles = 20;
-            cfg.tolerance = 1e-8;
-            let out = solve_with(16, Point3::new(2, 1, 1), cfg);
-            assert!(
-                out[0].0.converged,
-                "{}: {:?}",
-                sm.name(),
-                out[0].0.residual_history
-            );
-            // And reaches the right answer.
-            assert!(out[0].1 < 1e-7, "{}: error {}", sm.name(), out[0].1);
-        }
-    }
-
-    #[test]
-    fn gs_smoother_agrees_across_rank_counts() {
-        use crate::smoother::Smoother;
-        let mut cfg = SolverConfig::test_default();
-        cfg.num_levels = 2;
-        cfg.smoother = Smoother::RedBlackGaussSeidel;
-        cfg.max_vcycles = 3;
-        cfg.tolerance = 0.0;
-        let h1 = solve_with(16, Point3::splat(1), cfg)[0]
-            .0
-            .residual_history
-            .clone();
-        let h8 = solve_with(16, Point3::splat(2), cfg)[0]
-            .0
-            .residual_history
-            .clone();
-        for (a, b) in h1.iter().zip(&h8) {
-            assert!((a - b).abs() <= 1e-9 * a.max(1e-30), "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn multi_rank_solve_matches_single_rank() {
         let mut cfg = SolverConfig::test_default();
         cfg.num_levels = 2;
@@ -885,7 +780,7 @@ mod tests {
 
     #[test]
     fn timers_populated_per_level() {
-        // Default config: every Jacobi iteration runs through the
+        // Default config: every smooth iteration runs through the
         // one-pass smoother in groups of `FUSED_GROUP` (bounded by the
         // ghost depth), so the per-iteration applyOp/smooth rows are
         // replaced by one `fusedSmooth` row per group — including the
@@ -1123,8 +1018,8 @@ mod tests {
     fn rollback_recovers_from_transient_corruption() {
         // Rank 0's iterate is scaled by 1e9 after cycle 3 (a one-shot
         // upset). The divergence shows up in the *global* residual, so
-        // both ranks must roll back in lockstep, retry with a stronger
-        // smoother, and still converge to the discrete solution — with
+        // both ranks must roll back in lockstep, retry with twice the
+        // sweeps, and still converge to the discrete solution — with
         // the recovery visible on the trace's fault track.
         let decomp = Decomposition::new(Box3::cube(16), Point3::new(2, 1, 1));
         let d = &decomp;

@@ -389,7 +389,7 @@ impl Timelines {
 // V-cycle segmentation
 // ---------------------------------------------------------------------------
 
-/// Smoother ops that open a V-cycle's level-0 pre-smooth run.
+/// The smoothing ops that open a V-cycle's level-0 pre-smooth run.
 fn is_level0_smooth(e: &TraceEvent) -> bool {
     e.level == 0 && matches!(e.op.name(), "smooth" | "fusedSmooth" | "smooth+residual")
 }

@@ -204,7 +204,10 @@ type Sample = (String, Vec<(String, String)>, f64);
 /// Parse one `name{k="v",...} value` sample line.
 fn parse_sample(line: &str) -> Result<Sample, String> {
     let open = line.find('{').ok_or_else(|| format!("no labels: {line}"))?;
-    let close = line.rfind('}').ok_or_else(|| format!("no '}}': {line}"))?;
+    let close = line
+        .rfind('}')
+        .filter(|&close| close > open)
+        .ok_or_else(|| format!("no '}}' after the labels open: {line}"))?;
     let name = line[..open].to_string();
     let mut labels = Vec::new();
     let body = &line[open + 1..close];
@@ -299,7 +302,14 @@ pub fn parse_prometheus(text: &str) -> Result<Snapshot, String> {
                         .ok_or("bucket line without le")?;
                     if le != "+Inf" {
                         let bound: u64 = le.parse().map_err(|_| "bad le bound")?;
-                        parts.buckets.push((bucket_index(bound), value as u64));
+                        let (i, cum) = (bucket_index(bound), value as u64);
+                        // Cumulative buckets in ascending order, as rendered:
+                        // anything else could count one sample twice.
+                        let prev = parts.buckets.last();
+                        if prev.is_some_and(|&(j, c)| i <= j || cum < c) {
+                            return Err(format!("bucket out of order: {line}"));
+                        }
+                        parts.buckets.push((i, cum));
                     }
                 }
                 "_sum" => parts.sum = value as u64,
@@ -323,13 +333,13 @@ pub fn parse_prometheus(text: &str) -> Result<Snapshot, String> {
         entries.push(SnapshotEntry { name, key, value });
     }
     for ((name, key), parts) in hists {
-        // De-cumulate the bucket counts.
+        // De-cumulate the bucket counts (nondecreasing, checked above).
         let mut prev = 0u64;
         let buckets: Vec<(usize, u64)> = parts
             .buckets
             .iter()
             .map(|&(i, cum)| {
-                let c = cum.saturating_sub(prev);
+                let c = cum - prev;
                 prev = cum;
                 (i, c)
             })

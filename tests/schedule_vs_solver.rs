@@ -8,6 +8,10 @@ use gmg_repro::prelude::*;
 use gmg_repro::stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
 use gmg_repro::trace::{Trace, Track};
 
+/// The bricked solver's timer rows that update `x`: the one-pass smoother
+/// with communication avoiding, the split pair's second half without.
+const SMOOTH_OPS: [&str; 3] = ["fusedSmooth", "smooth", "smooth+residual"];
+
 /// Per level: `(exchanges, cells smoothed)`.
 type Tally = Vec<(usize, u64)>;
 
@@ -41,50 +45,59 @@ fn traced_tally(trace: &Trace, levels: usize, smooth_ops: &[&str]) -> Tally {
 
 #[test]
 fn gmg_solver_vcycle_executes_the_walker_schedule() {
-    let cfg = SolverConfig::paper_default();
-    for grid in [Point3::splat(1), Point3::new(2, 1, 1), Point3::new(2, 2, 1)] {
-        let decomp = Decomposition::new(Box3::cube(64), grid);
-        let d = &decomp;
-        let (shapes, trace) = gmg_repro::trace::capture(|| {
-            RankWorld::run(decomp.num_ranks(), move |mut ctx| {
-                let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
-                s.vcycle(&mut ctx);
+    // The one field that shapes the schedule rather than its counts:
+    // with it the solver runs the one-pass smoother, without it the
+    // split `applyOp` + `smooth(+residual)` pair behind an exchange
+    // before every smooth.
+    for communication_avoiding in [true, false] {
+        let cfg = SolverConfig {
+            communication_avoiding,
+            ..SolverConfig::paper_default()
+        };
+        for grid in [Point3::splat(1), Point3::new(2, 1, 1), Point3::new(2, 2, 1)] {
+            let decomp = Decomposition::new(Box3::cube(64), grid);
+            let d = &decomp;
+            let (shapes, trace) = gmg_repro::trace::capture(|| {
+                RankWorld::run(decomp.num_ranks(), move |mut ctx| {
+                    let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
+                    s.vcycle(&mut ctx);
+                    VcycleShape {
+                        extents: s.levels.iter().map(|l| l.owned.extent()).collect(),
+                        ghost_depth: s.levels.iter().map(|l| l.ghost_cells()).collect(),
+                        halo_axes: s.levels[0].layout.wrap().map(|w| !w),
+                        smooths: cfg.max_smooths,
+                        bottom_smooths: cfg.bottom_smooths,
+                        communication_avoiding: cfg.communication_avoiding,
+                    }
+                })
+            });
+            let shape = shapes[0].clone();
+            // The solver's hierarchy is the one every simulator assumes, with
+            // a halo only where the rank grid has a neighbor to offer.
+            assert_eq!(
+                shape,
                 VcycleShape {
-                    extents: s.levels.iter().map(|l| l.owned.extent()).collect(),
-                    ghost_depth: s.levels.iter().map(|l| l.ghost_cells()).collect(),
-                    halo_axes: s.levels[0].layout.wrap().map(|w| !w),
-                    smooths: cfg.max_smooths,
-                    bottom_smooths: cfg.bottom_smooths,
-                    communication_avoiding: cfg.communication_avoiding,
+                    halo_axes: [0, 1, 2].map(|a| grid[a] > 1),
+                    ..VcycleShape::halving(
+                        decomp.sub_extent(),
+                        cfg.num_levels,
+                        cfg.brick_dim,
+                        cfg.max_smooths,
+                        cfg.bottom_smooths,
+                        cfg.communication_avoiding,
+                    )
                 }
-            })
-        });
-        let shape = shapes[0].clone();
-        // The solver's hierarchy is the one every simulator assumes, with
-        // a halo only where the rank grid has a neighbor to offer.
-        assert_eq!(
-            shape,
-            VcycleShape {
-                halo_axes: [0, 1, 2].map(|a| grid[a] > 1),
-                ..VcycleShape::halving(
-                    decomp.sub_extent(),
-                    cfg.num_levels,
-                    cfg.brick_dim,
-                    cfg.max_smooths,
-                    cfg.bottom_smooths,
-                    cfg.communication_avoiding,
-                )
+            );
+            let tally = walker_tally(shape);
+            if grid == Point3::splat(1) {
+                assert!(tally.iter().all(|t| t.0 == 0), "no halo, no exchange");
             }
-        );
-        let tally = walker_tally(shape);
-        if grid == Point3::splat(1) {
-            assert!(tally.iter().all(|t| t.0 == 0), "no halo, no exchange");
+            assert_eq!(
+                traced_tally(&trace, cfg.num_levels, &SMOOTH_OPS),
+                tally,
+                "rank grid {grid:?}, communication avoiding {communication_avoiding}"
+            );
         }
-        assert_eq!(
-            traced_tally(&trace, cfg.num_levels, &["fusedSmooth"]),
-            tally,
-            "rank grid {grid:?}"
-        );
     }
 }
 
