@@ -1209,7 +1209,8 @@ mod tests {
             h["sum_ns"].as_u64().unwrap(),
             h["min_ns"].as_u64().unwrap(),
             h["max_ns"].as_u64().unwrap(),
-        );
+        )
+        .unwrap();
         assert_eq!(rebuilt, s.hist);
     }
 

@@ -32,10 +32,18 @@ impl BrickedField {
     /// Allocate and initialize every storage cell (owned and ghost) from a
     /// function of the global cell index.
     pub fn from_fn(layout: Arc<BrickLayout>, f: impl Fn(Point3) -> f64) -> Self {
-        let mut field = Self::new(layout.clone());
-        let bvol = layout.brick_volume();
-        for (slot, brick) in field.data.chunks_exact_mut(bvol).enumerate() {
-            let cells = layout.cells_of_slot(slot as u32);
+        let mut field = Self::new(layout);
+        field.fill_with(f);
+        field
+    }
+
+    /// Set every storage cell (owned and ghost, i.e. all of the layout's
+    /// `storage_cell_box`) from a function of the global cell index, in
+    /// place.
+    pub fn fill_with(&mut self, mut f: impl FnMut(Point3) -> f64) {
+        let bvol = self.layout.brick_volume();
+        for (slot, brick) in self.data.chunks_exact_mut(bvol).enumerate() {
+            let cells = self.layout.cells_of_slot(slot as u32);
             let mut i = 0;
             for z in cells.lo.z..cells.hi.z {
                 for y in cells.lo.y..cells.hi.y {
@@ -47,7 +55,6 @@ impl BrickedField {
             }
             debug_assert_eq!(i, bvol);
         }
-        field
     }
 
     /// The shared layout.

@@ -8,7 +8,7 @@ use crate::problem::PoissonProblem;
 use crate::rejoin::{RejoinStore, SolverCheckpoint};
 use crate::timers::OpTimer;
 use crate::trace::op_counters;
-use gmg_brick::{BrickOrdering, BrickedField};
+use gmg_brick::BrickOrdering;
 use gmg_comm::runtime::RankCtx;
 use gmg_comm::CommError;
 use gmg_mesh::Decomposition;
@@ -189,6 +189,12 @@ impl GmgSolver {
         assert_eq!(n.x, n.y, "cubic domains only");
         assert_eq!(n.x, n.z, "cubic domains only");
         let problem = PoissonProblem::new(n.x);
+        // b on the finest level everywhere (owned + ghost shell, at most a
+        // brick deep), from the periodic right-hand side's per-axis
+        // tables. They are built before any level field, so that once b is
+        // filled and they are freed they leave no hole between the level
+        // buffers of the no-trim heap (`keep_freed_memory`).
+        let tables = problem.rhs_tables(decomp.subdomain(rank).grow(config.brick_dim));
         let mut levels = Vec::with_capacity(config.num_levels);
         let mut d = decomp;
         for li in 0..config.num_levels {
@@ -215,12 +221,7 @@ impl GmgSolver {
                 d = d.coarsen(2);
             }
         }
-        // Fill b on the finest level everywhere (owned + ghost shell),
-        // exploiting periodicity of the analytic right-hand side.
-        let dom = levels[0].decomp.domain().extent();
-        let pr = problem;
-        levels[0].b =
-            BrickedField::from_fn(levels[0].layout.clone(), move |p| pr.rhs(p.rem_euclid(dom)));
+        levels[0].b.fill_with(|p| tables.rhs(p));
         Self {
             problem,
             config,
@@ -693,9 +694,8 @@ impl GmgSolver {
     /// solution (the separable sine divided by the discrete eigenvalue).
     pub fn max_error_vs_discrete(&self) -> f64 {
         let lambda = self.problem.discrete_eigenvalue();
-        let pr = self.problem;
-        let dom = self.levels[0].decomp.domain().extent();
-        self.levels[0].max_error(move |p| pr.rhs(p.rem_euclid(dom)) / lambda)
+        let b = self.problem.rhs_tables(self.levels[0].owned);
+        self.levels[0].max_error(|p| b.rhs(p) / lambda)
     }
 }
 
@@ -982,7 +982,7 @@ mod tests {
     /// the corruption primitive the fault-hook tests share.
     fn corrupt_x(level: &mut Level, f: impl Fn(f64, Point3) -> f64 + Send + Sync + 'static) {
         let old = level.x.clone();
-        level.x = BrickedField::from_fn(level.layout.clone(), move |p| f(old.get(p), p));
+        level.x.fill_with(|p| f(old.get(p), p));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 use gmg_comm::runtime::{exchange_array, RankCtx};
 use gmg_core::timers::OpTimer;
 use gmg_core::trace::op_counters;
+use gmg_core::PoissonProblem;
 use gmg_mesh::{Array3, Box3, Decomposition, Point3};
 use gmg_stencil::exec_array::apply_star7_array;
 use gmg_trace::probe;
-use std::f64::consts::PI;
 use std::time::Instant;
 
 /// One level of the conventional hierarchy.
@@ -140,7 +140,8 @@ pub struct HpgmgSolver {
 
 impl HpgmgSolver {
     /// Build the hierarchy and initialize the Poisson right-hand side
-    /// (identical model problem to `gmg-core`).
+    /// (identical model problem to `gmg-core`: the same
+    /// [`PoissonProblem::rhs_tables`]).
     pub fn new(
         decomp: Decomposition,
         rank: usize,
@@ -152,6 +153,8 @@ impl HpgmgSolver {
     ) -> Self {
         let n = decomp.domain().extent().x;
         let h0 = 1.0 / n as f64;
+        // Built before the level arrays, as `GmgSolver::new` does.
+        let tables = PoissonProblem::new(n).rhs_tables(decomp.subdomain(rank).grow(1));
         let mut levels = Vec::with_capacity(num_levels);
         let mut d = decomp;
         for li in 0..num_levels {
@@ -160,15 +163,8 @@ impl HpgmgSolver {
                 d = d.coarsen(2);
             }
         }
-        let dom = levels[0].decomp.domain().extent();
-        let h = h0;
-        let rhs = move |p: Point3| {
-            let q = p.rem_euclid(dom);
-            let c = |i: i64| (i as f64 + 0.5) * h;
-            (2.0 * PI * c(q.x)).sin() * (2.0 * PI * c(q.y)).sin() * (2.0 * PI * c(q.z)).sin()
-        };
-        let owned = levels[0].owned;
-        levels[0].b = Array3::from_fn(owned, 1, rhs);
+        let b = &mut levels[0].b;
+        b.for_each_mut(b.storage_box(), |p, v| *v = tables.rhs(p));
         Self {
             levels,
             num_levels,

@@ -183,21 +183,46 @@ impl Histogram {
             .map(|(i, &c)| (i, c))
     }
 
-    /// Rebuild from serialized parts (inverse of the snapshot codecs).
-    /// `buckets` holds `(bucket_index, count)` pairs.
-    pub fn from_parts(buckets: &[(usize, u64)], count: u64, sum: u64, min: u64, max: u64) -> Self {
-        let mut h = Histogram::new();
-        for &(i, c) in buckets {
-            if h.buckets.len() <= i {
-                h.buckets.resize(i + 1, 0);
+    /// Rebuild from serialized parts (inverse of the snapshot codecs, which
+    /// both decode through here). `buckets` holds `(bucket_index, count)`
+    /// pairs as [`Histogram::nonzero_buckets`] lists them: indices strictly
+    /// ascending and at most `bucket_index(u64::MAX)`, counts summing to
+    /// at most `u64::MAX`; and a nonempty histogram has `min ≤ max`.
+    /// Anything else is an error, so hostile input can neither size the
+    /// bucket table nor overflow a count nor invert a quantile's clamp.
+    pub fn from_parts(
+        buckets: &[(usize, u64)],
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+    ) -> Result<Self, String> {
+        let top = bucket_index(u64::MAX);
+        let mut total = 0u64;
+        for (k, &(i, c)) in buckets.iter().enumerate() {
+            if i > top {
+                return Err(format!("bucket index {i} past the last bucket {top}"));
             }
-            h.buckets[i] += c;
+            if k > 0 && i <= buckets[k - 1].0 {
+                return Err(format!("bucket index {i} out of ascending order"));
+            }
+            total = total.checked_add(c).ok_or("bucket counts overflow u64")?;
+        }
+        if count > 0 && min > max {
+            return Err(format!("min {min} above max {max}"));
+        }
+        let mut h = Histogram::new();
+        if let Some(&(last, _)) = buckets.last() {
+            h.buckets.resize(last + 1, 0);
+        }
+        for &(i, c) in buckets {
+            h.buckets[i] = c;
         }
         h.count = count;
         h.sum = sum;
         h.min = min;
         h.max = max;
-        h
+        Ok(h)
     }
 }
 
@@ -268,8 +293,22 @@ mod tests {
             h.record(v);
         }
         let parts: Vec<(usize, u64)> = h.nonzero_buckets().collect();
-        let back = Histogram::from_parts(&parts, h.count(), h.sum(), h.min, h.max);
+        let back = Histogram::from_parts(&parts, h.count(), h.sum(), h.min, h.max).unwrap();
         assert_eq!(back, h);
+        // What no histogram lists: an index past the u64 range, a repeated
+        // or descending index, counts past u64::MAX.
+        let top = bucket_index(u64::MAX);
+        for bad in [
+            vec![(top + 1, 1)],
+            vec![(1 << 40, 1)],
+            vec![(3, 1), (3, 1)],
+            vec![(5, 1), (3, 1)],
+            vec![(3, u64::MAX), (4, 1)],
+        ] {
+            assert!(Histogram::from_parts(&bad, 2, 0, 0, 0).is_err(), "{bad:?}");
+        }
+        assert!(Histogram::from_parts(&parts, h.count(), h.sum(), 9, 8).is_err());
+        assert!(Histogram::from_parts(&[(top, u64::MAX)], 0, 0, 0, 0).is_ok());
     }
 
     fn from_values(vs: &[u64]) -> Histogram {

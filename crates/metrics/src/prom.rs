@@ -302,14 +302,7 @@ pub fn parse_prometheus(text: &str) -> Result<Snapshot, String> {
                         .ok_or("bucket line without le")?;
                     if le != "+Inf" {
                         let bound: u64 = le.parse().map_err(|_| "bad le bound")?;
-                        let (i, cum) = (bucket_index(bound), value as u64);
-                        // Cumulative buckets in ascending order, as rendered:
-                        // anything else could count one sample twice.
-                        let prev = parts.buckets.last();
-                        if prev.is_some_and(|&(j, c)| i <= j || cum < c) {
-                            return Err(format!("bucket out of order: {line}"));
-                        }
-                        parts.buckets.push((i, cum));
+                        parts.buckets.push((bucket_index(bound), value as u64));
                     }
                 }
                 "_sum" => parts.sum = value as u64,
@@ -333,19 +326,22 @@ pub fn parse_prometheus(text: &str) -> Result<Snapshot, String> {
         entries.push(SnapshotEntry { name, key, value });
     }
     for ((name, key), parts) in hists {
-        // De-cumulate the bucket counts (nondecreasing, checked above).
+        // De-cumulate the bucket counts, which must not decrease;
+        // `from_parts` checks the bucket order.
         let mut prev = 0u64;
-        let buckets: Vec<(usize, u64)> = parts
+        let buckets = parts
             .buckets
             .iter()
             .map(|&(i, cum)| {
-                let c = cum - prev;
+                let c = cum.checked_sub(prev)?;
                 prev = cum;
-                (i, c)
+                Some((i, c))
             })
-            .collect();
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| format!("{name}: cumulative bucket counts decrease"))?;
         let min = if parts.count > 0 { parts.min } else { u64::MAX };
-        let h = Histogram::from_parts(&buckets, parts.count, parts.sum, min, parts.max);
+        let h = Histogram::from_parts(&buckets, parts.count, parts.sum, min, parts.max)
+            .map_err(|e| format!("{name}: {e}"))?;
         entries.push(SnapshotEntry {
             name,
             key,

@@ -237,16 +237,17 @@ impl Snapshot {
             } else if let Some(g) = row.get("gauge").and_then(Json::as_f64) {
                 Value::Gauge(g)
             } else if let Some(h) = row.get("histogram") {
-                let buckets: Vec<(usize, u64)> = h
+                let buckets = h
                     .get("buckets")
                     .and_then(Json::as_arr)
                     .ok_or("snapshot histogram: missing buckets")?
                     .iter()
-                    .filter_map(|pair| {
-                        let p = pair.as_arr()?;
-                        Some((p.first()?.as_u64()? as usize, p.get(1)?.as_u64()?))
+                    .map(|pair| match pair.as_arr() {
+                        Some([i, c]) => Some((i.as_u64()? as usize, c.as_u64()?)),
+                        _ => None,
                     })
-                    .collect();
+                    .collect::<Option<Vec<_>>>()
+                    .ok_or_else(|| format!("snapshot histogram {name:?}: bad bucket pair"))?;
                 let count = h.get("count").and_then(Json::as_u64).unwrap_or(0);
                 let sum = h.get("sum").and_then(Json::as_u64).unwrap_or(0);
                 let min = if count > 0 {
@@ -255,7 +256,10 @@ impl Snapshot {
                     u64::MAX
                 };
                 let max = h.get("max").and_then(Json::as_u64).unwrap_or(0);
-                Value::Histogram(Histogram::from_parts(&buckets, count, sum, min, max))
+                Value::Histogram(
+                    Histogram::from_parts(&buckets, count, sum, min, max)
+                        .map_err(|e| format!("snapshot histogram {name:?}: {e}"))?,
+                )
             } else {
                 return Err(format!("snapshot entry {name:?}: no value field"));
             };

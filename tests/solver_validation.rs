@@ -29,8 +29,8 @@ fn pde_error(n: i64) -> f64 {
             "must converge at n={n}: {:?}",
             stats.residual_history
         );
-        let problem = PoissonProblem::new(n);
-        s.levels[0].max_error(move |p| problem.exact_solution(p.rem_euclid(Point3::splat(n))))
+        let exact = PoissonProblem::new(n).rhs_tables(s.levels[0].owned);
+        s.levels[0].max_error(|p| exact.exact_solution(p))
     });
     out[0]
 }
