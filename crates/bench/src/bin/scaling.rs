@@ -70,7 +70,8 @@ fn main() {
             }
         }
     }
-    let v = gmg_bench::profile::with_env_hooks(|| gmg_bench::scaling::run(&opts));
+    let dir = gmg_bench::report::results_dir();
+    let v = gmg_bench::profile::with_env_hooks(|| gmg_bench::scaling::run_in(&dir, &opts));
     gmg_bench::report::save("scaling", &v);
     if v["ok"] != gmg_trace::Json::Bool(true) {
         std::process::exit(1);

@@ -15,9 +15,14 @@ pub fn results_dir() -> PathBuf {
 /// process-global `GMG_RESULTS_DIR`, which would race with tests running
 /// in parallel threads.
 pub fn ensure_dir(overridden: Option<PathBuf>) -> PathBuf {
-    let dir = overridden.unwrap_or_else(|| PathBuf::from("results"));
+    let dir = resolve_dir(overridden);
     fs::create_dir_all(&dir).expect("create results dir");
     dir
+}
+
+/// The results directory an override names, or `results/` without one.
+fn resolve_dir(overridden: Option<PathBuf>) -> PathBuf {
+    overridden.unwrap_or_else(|| PathBuf::from("results"))
 }
 
 /// Persist a harness result as pretty JSON under `results/<name>.json`.
@@ -117,8 +122,8 @@ mod tests {
 
     #[test]
     fn ensure_dir_defaults_without_override() {
-        // No override → the conventional relative path (created on demand).
-        let d = ensure_dir(None);
-        assert_eq!(d, PathBuf::from("results"));
+        // No override → the conventional relative path, checked without
+        // creating it in the crate directory.
+        assert_eq!(resolve_dir(None), PathBuf::from("results"));
     }
 }

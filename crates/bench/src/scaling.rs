@@ -38,6 +38,7 @@ use gmg_machine::CpuModel;
 use gmg_metrics::analysis::{critical_path_with_edges, imbalance_from_seconds, utilization};
 use gmg_scale::{fit_scaling_model, simulate, RecordMode, ScaleConfig, ScaleResult, SweepPoint};
 use gmg_trace::{json, Json};
+use std::path::Path;
 
 /// Attribution threshold on per-level compute excess over the analytic
 /// prediction (fractional). Jitter is symmetric, so a clean run sits at
@@ -121,9 +122,10 @@ fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Markdown + JSON of the whole campaign. `ok` in the returned JSON is
+/// Markdown + JSON of the whole campaign, with the report and the
+/// rank-window trace written under `dir`. `ok` in the returned JSON is
 /// the AND of every gate.
-pub fn run(opts: &ScalingOpts) -> Json {
+pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
     crate::report::heading(&format!(
         "scaling observatory — {:?}, headline {} ranks",
         opts.system, opts.ranks
@@ -367,7 +369,8 @@ pub fn run(opts: &ScalingOpts) -> Json {
     // Utilization over the pure window (peers carry no compute spans and
     // would read as idle).
     let util = utilization(&trace.rank_window(wlo, whi));
-    let trace_path = crate::report::save_raw(
+    let trace_path = crate::report::save_raw_in(
+        dir,
         "scaling_window_trace.json",
         &trace.to_chrome_string_with_flows(&flows),
     );
@@ -474,7 +477,7 @@ pub fn run(opts: &ScalingOpts) -> Json {
             "SCALING GATES FAIL"
         },
     ));
-    let md_path = crate::report::save_raw("scaling_report.md", &md);
+    let md_path = crate::report::save_raw_in(dir, "scaling_report.md", &md);
     println!("{md}");
     println!("[report: {md_path:?}]");
 
@@ -586,9 +589,18 @@ mod tests {
         }
     }
 
+    /// A fresh directory of this test's own, so parallel tests never
+    /// overwrite (or read back) each other's report.
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gmg_scaling_{name}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     #[test]
     fn campaign_passes_all_gates_at_small_scale() {
-        let v = run(&tiny_opts());
+        let dir = test_dir("campaign");
+        let v = run_in(&dir, &tiny_opts());
         assert_eq!(v["ok"], true, "{v}");
         assert_eq!(v["gates"]["fit_ok"], true, "{v}");
         assert_eq!(v["gates"]["classified_ok"], true, "{v}");
@@ -599,8 +611,11 @@ mod tests {
         let weak = v["weak"].as_arr().unwrap();
         assert!(weak.len() >= 3);
         assert_eq!(weak.last().unwrap()["ranks"].as_u64(), Some(512));
-        // The report exists and carries the verdict.
-        let md = std::fs::read_to_string(v["report"].as_str().unwrap()).unwrap();
+        // The report exists under the given directory and carries the
+        // verdict.
+        let report = Path::new(v["report"].as_str().unwrap());
+        assert_eq!(report, dir.join("scaling_report.md"));
+        let md = std::fs::read_to_string(report).unwrap();
         assert!(md.contains("SCALING GATES PASS"), "{md}");
         assert!(md.contains("## Rank-window forensics"));
         // The window trace parses as a Chrome trace with flow arrows.
@@ -616,7 +631,7 @@ mod tests {
         // non-emptiness: plant level 1 but expect level 3.
         let mut opts = tiny_opts();
         opts.inject = (1, 30.0);
-        let v = run(&opts);
+        let v = run_in(&test_dir("wrong_level"), &opts);
         assert_eq!(v["gates"]["inject_ok"], true);
         let flagged = v["injected_flagged"].as_arr().unwrap();
         assert_eq!(flagged.len(), 1);

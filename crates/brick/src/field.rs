@@ -3,7 +3,6 @@
 #[cfg(test)]
 use crate::layout::BrickOrdering;
 use crate::layout::{BrickLayout, NO_BRICK};
-use crate::neighborhood::BrickNeighborhood;
 use gmg_mesh::{Array3, Box3, Point3};
 use std::sync::Arc;
 
@@ -175,13 +174,6 @@ impl BrickedField {
         }
     }
 
-    /// Read-only neighborhood view centered on `slot`, for stencil reads
-    /// that may cross brick boundaries.
-    #[inline]
-    pub fn neighborhood(&self, slot: u32) -> BrickNeighborhood<'_> {
-        BrickNeighborhood::new(self, slot)
-    }
-
     /// Convert the owned region to a conventional [`Array3`] with the same
     /// ghost depth in cells (across a wrapped axis the array's ghost cells
     /// get the periodic image).
@@ -268,25 +260,6 @@ impl BrickedField {
             .fold(identity, &combine)
     }
 
-    /// Copy ghost bricks in direction `dir` from a neighbor field `src`.
-    /// `wrap_shift` is the cell-coordinate shift from the decomposition's
-    /// `Neighbor::wrap_shift`.
-    pub fn copy_ghost_from(&mut self, dir: Point3, src: &BrickedField, wrap_shift: Point3) {
-        let bvol = self.layout.brick_volume();
-        let bd = self.layout.brick_dim();
-        debug_assert_eq!(bd, src.layout.brick_dim());
-        let shift_bricks = wrap_shift.div_floor(Point3::splat(bd));
-        for g in self.layout.ghost_slots(dir) {
-            let gb = self.layout.brick_of_slot(g);
-            let sslot = src.layout.slot_of_brick(gb - shift_bricks);
-            assert_ne!(sslot, NO_BRICK, "source brick missing for ghost {gb:?}");
-            let sbase = sslot as usize * bvol;
-            let dbase = g as usize * bvol;
-            let (src_slice, _) = src.data[sbase..].split_at(bvol);
-            self.data[dbase..dbase + bvol].copy_from_slice(src_slice);
-        }
-    }
-
     /// Gather the bricks of `slots` into a flat message buffer (only needed
     /// for fragmented orderings; with [`BrickOrdering::SurfaceMajor`] sends
     /// are nearly pack-free and this is a handful of `memcpy`s).
@@ -319,6 +292,7 @@ impl BrickedField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::neighborhood::BrickFaces;
     use gmg_mesh::ghost::DIRECTIONS_26;
 
     fn mk(n: i64, b: i64, g: i64, ord: BrickOrdering) -> Arc<BrickLayout> {
@@ -439,7 +413,7 @@ mod tests {
 
     #[test]
     fn wrapped_axes_read_the_periodic_image() {
-        // No ghost bricks on a wrapped axis: `get` and the neighborhood
+        // No ghost bricks on a wrapped axis: `get` and the face adjacency
         // reach the live cells across the seam, the halo axis keeps its
         // shell.
         let n = 8;
@@ -459,47 +433,15 @@ mod tests {
             assert_eq!(f.get(p), idx_fn(q), "at {p:?}");
         });
         assert!(l.locate(Point3::new(-5, 0, 0)).is_none());
-        let nb = f.neighborhood(l.slot_of_brick(Point3::zero()));
-        assert_eq!(
-            nb.get(Point3::new(0, -1, 0)),
-            idx_fn(Point3::new(0, n - 1, 0))
-        );
-        assert_eq!(
-            nb.get(Point3::new(-1, 0, -1)),
-            idx_fn(Point3::new(-1, 0, n - 1))
-        );
+        let faces = BrickFaces::new(&f, l.slot_of_brick(Point3::zero()));
+        let last_y = l.slot_of_brick(Point3::new(0, n / 4 - 1, 0));
+        assert_eq!(faces.ym, Some(f.brick(last_y)));
         // The array view fills its ghost cells with the same image.
         let a = f.to_array3();
         assert_eq!(
             a[Point3::new(3, -2, n + 1)],
             idx_fn(Point3::new(3, n - 2, 1))
         );
-    }
-
-    #[test]
-    fn two_field_ghost_copy() {
-        // Two fields over adjacent subdomains share global coordinates.
-        let left = Arc::new(BrickLayout::new(
-            Box3::new(Point3::zero(), Point3::new(8, 8, 8)),
-            4,
-            1,
-            BrickOrdering::SurfaceMajor,
-        ));
-        let right = Arc::new(BrickLayout::new(
-            Box3::new(Point3::new(8, 0, 0), Point3::new(16, 8, 8)),
-            4,
-            1,
-            BrickOrdering::SurfaceMajor,
-        ));
-        let lf = BrickedField::from_fn(left.clone(), idx_fn);
-        let mut rf = BrickedField::new(right.clone());
-        // Right rank fills its -x ghosts from the left field, no wrap.
-        rf.copy_ghost_from(Point3::new(-1, 0, 0), &lf, Point3::zero());
-        for g in right.ghost_slots(Point3::new(-1, 0, 0)) {
-            right.cells_of_slot(g).for_each(|p| {
-                assert_eq!(rf.get(p), idx_fn(p), "at {p:?}");
-            });
-        }
     }
 
     #[test]
@@ -517,17 +459,5 @@ mod tests {
                 assert_eq!(g.brick(s), f.brick(s));
             }
         }
-    }
-
-    #[test]
-    fn neighborhood_smoke() {
-        let l = mk(8, 4, 1, BrickOrdering::SurfaceMajor);
-        let f = BrickedField::from_fn(l.clone(), idx_fn);
-        let slot = l.slot_of_brick(Point3::zero());
-        let nb = f.neighborhood(slot);
-        // Reading local (-1,0,0) crosses into the -x ghost brick.
-        assert_eq!(nb.get(Point3::new(-1, 0, 0)), idx_fn(Point3::new(-1, 0, 0)));
-        assert_eq!(nb.get(Point3::new(0, 0, 0)), idx_fn(Point3::zero()));
-        assert_eq!(nb.get(Point3::new(4, 3, 3)), idx_fn(Point3::new(4, 3, 3)));
     }
 }

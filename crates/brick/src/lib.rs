@@ -23,7 +23,8 @@
 //!
 //! The main types are [`BrickLayout`] (geometry + ordering + adjacency) and
 //! [`BrickedField`] (the data). Stencil execution lives in `gmg-stencil`;
-//! this crate only provides the layout, conversions and neighborhood views.
+//! this crate only provides the layout, conversions and the per-brick face
+//! view ([`BrickFaces`]) kernels read through.
 
 pub mod field;
 pub mod layout;
@@ -31,4 +32,4 @@ pub mod neighborhood;
 
 pub use field::BrickedField;
 pub use layout::{BrickLayout, BrickOrdering, BrickShape, HaloDir, SlotClass, NO_BRICK};
-pub use neighborhood::{BrickFaces, BrickNeighborhood};
+pub use neighborhood::BrickFaces;

@@ -1,108 +1,13 @@
-//! Read-only 27-brick neighborhood views for stencil kernels.
+//! The per-brick neighbour view stencil kernels read through.
 //!
 //! A stencil application on a brick reads cells from the brick itself and —
-//! near brick faces — from up to 26 neighboring bricks. The
-//! [`BrickNeighborhood`] resolves *brick-local* coordinates in the extended
-//! range `[-B, 2B)³` through the layout's adjacency table, so kernels never
-//! perform global index arithmetic in their inner loops.
+//! near brick faces — from neighbouring bricks. [`BrickFaces`] resolves the
+//! face neighbours once per brick through the layout's adjacency table, so
+//! kernels never perform global index arithmetic in their inner loops.
 
 use crate::field::BrickedField;
 use crate::layout::{dir27, NO_BRICK};
 use gmg_mesh::Point3;
-
-/// A view of one brick and its 26 neighbors in a [`BrickedField`].
-///
-/// Coordinates passed to [`BrickNeighborhood::get`] are relative to the
-/// center brick's low corner: `(0,0,0)` is the brick's first cell, and any
-/// component may range over `[-B, 2B)` to reach one brick beyond.
-pub struct BrickNeighborhood<'a> {
-    data: &'a [f64],
-    adjacency: &'a [u32; 27],
-    brick_dim: i64,
-    brick_volume: usize,
-}
-
-impl<'a> BrickNeighborhood<'a> {
-    /// Build the neighborhood view for `slot` of `field`.
-    #[inline]
-    pub fn new(field: &'a BrickedField, slot: u32) -> Self {
-        let layout = field.layout();
-        Self {
-            data: field.as_slice(),
-            adjacency: layout.adjacency(slot),
-            brick_dim: layout.brick_dim(),
-            brick_volume: layout.brick_volume(),
-        }
-    }
-
-    /// Brick side length.
-    #[inline]
-    pub fn brick_dim(&self) -> i64 {
-        self.brick_dim
-    }
-
-    /// The center brick's cells as a slice.
-    #[inline]
-    pub fn center(&self) -> &'a [f64] {
-        let s = self.adjacency[13] as usize;
-        &self.data[s * self.brick_volume..(s + 1) * self.brick_volume]
-    }
-
-    /// The neighbor brick's cells in brick-offset `d ∈ {-1,0,1}³`, or `None`
-    /// if that brick is outside the storage shell.
-    #[inline]
-    pub fn neighbor(&self, d: Point3) -> Option<&'a [f64]> {
-        let s = self.adjacency[dir27(d)];
-        if s == NO_BRICK {
-            None
-        } else {
-            let s = s as usize;
-            Some(&self.data[s * self.brick_volume..(s + 1) * self.brick_volume])
-        }
-    }
-
-    /// Read the cell at brick-local coordinates `local ∈ [-B, 2B)³`.
-    ///
-    /// Panics (debug) if the resolved brick is outside the storage shell —
-    /// kernels must stay within the ghost-shell validity the caller
-    /// guarantees.
-    #[inline]
-    pub fn get(&self, local: Point3) -> f64 {
-        let b = self.brick_dim;
-        debug_assert!(
-            (-b..2 * b).contains(&local.x)
-                && (-b..2 * b).contains(&local.y)
-                && (-b..2 * b).contains(&local.z),
-            "local {local:?} outside [-B, 2B) for B={b}"
-        );
-        let dx = (local.x >= b) as i64 - (local.x < 0) as i64;
-        let dy = (local.y >= b) as i64 - (local.y < 0) as i64;
-        let dz = (local.z >= b) as i64 - (local.z < 0) as i64;
-        let slot = self.adjacency[((dz + 1) * 9 + (dy + 1) * 3 + (dx + 1)) as usize];
-        debug_assert_ne!(slot, NO_BRICK, "read past storage shell at {local:?}");
-        let ix = local.x - dx * b;
-        let iy = local.y - dy * b;
-        let iz = local.z - dz * b;
-        let off = ((iz * b + iy) * b + ix) as usize;
-        self.data[slot as usize * self.brick_volume + off]
-    }
-
-    /// Read with the 7-point star pattern centered at interior-or-boundary
-    /// local coordinates, returning `[c, xm, xp, ym, yp, zm, zp]`. This is a
-    /// convenience for tests; hot kernels in `gmg-stencil` inline their own
-    /// access patterns.
-    pub fn star7(&self, local: Point3) -> [f64; 7] {
-        [
-            self.get(local),
-            self.get(local - Point3::new(1, 0, 0)),
-            self.get(local + Point3::new(1, 0, 0)),
-            self.get(local - Point3::new(0, 1, 0)),
-            self.get(local + Point3::new(0, 1, 0)),
-            self.get(local - Point3::new(0, 0, 1)),
-            self.get(local + Point3::new(0, 0, 1)),
-        ]
-    }
-}
 
 /// Base slices of one brick and its six *face* neighbors, resolved once
 /// per brick.
@@ -135,24 +40,32 @@ pub struct BrickFaces<'a> {
 }
 
 impl<'a> BrickFaces<'a> {
-    /// Resolve the center and six face-neighbor base slices for `slot`.
+    /// Resolve the center and six face-neighbor base slices for `slot`
+    /// from its adjacency row.
     #[inline]
     pub fn new(field: &'a BrickedField, slot: u32) -> Self {
-        let nb = BrickNeighborhood::new(field, slot);
+        let layout = field.layout();
+        let adjacency = layout.adjacency(slot);
+        let (data, bvol) = (field.as_slice(), layout.brick_volume());
+        let brick = |s: u32| &data[s as usize * bvol..(s as usize + 1) * bvol];
+        let face = |d: Point3| {
+            let s = adjacency[dir27(d)];
+            (s != NO_BRICK).then(|| brick(s))
+        };
         BrickFaces {
-            center: nb.center(),
-            xm: nb.neighbor(Point3::new(-1, 0, 0)),
-            xp: nb.neighbor(Point3::new(1, 0, 0)),
-            ym: nb.neighbor(Point3::new(0, -1, 0)),
-            yp: nb.neighbor(Point3::new(0, 1, 0)),
-            zm: nb.neighbor(Point3::new(0, 0, -1)),
-            zp: nb.neighbor(Point3::new(0, 0, 1)),
+            center: brick(adjacency[13]),
+            xm: face(Point3::new(-1, 0, 0)),
+            xp: face(Point3::new(1, 0, 0)),
+            ym: face(Point3::new(0, -1, 0)),
+            yp: face(Point3::new(0, 1, 0)),
+            zm: face(Point3::new(0, 0, -1)),
+            zp: face(Point3::new(0, 0, 1)),
         }
     }
 }
 
 #[cfg(test)]
-mod facetests {
+mod tests {
     use super::*;
     use crate::layout::{BrickLayout, BrickOrdering};
     use gmg_mesh::Box3;
@@ -168,95 +81,19 @@ mod facetests {
         ));
         let f = BrickedField::from_fn(l.clone(), |p| (p.x + 10 * p.y + 100 * p.z) as f64);
         let slot = l.slot_of_brick(Point3::splat(1));
-        let nb = f.neighborhood(slot);
         let faces = BrickFaces::new(&f, slot);
-        assert_eq!(faces.center, nb.center());
-        assert_eq!(faces.xm, nb.neighbor(Point3::new(-1, 0, 0)));
-        assert_eq!(faces.zp, nb.neighbor(Point3::new(0, 0, 1)));
+        let at = |b: Point3| Some(f.brick(l.slot_of_brick(b)));
+        assert_eq!(faces.center, f.brick(slot));
+        assert_eq!(faces.xm, at(Point3::new(0, 1, 1)));
+        assert_eq!(faces.xp, at(Point3::new(2, 1, 1)));
+        assert_eq!(faces.ym, at(Point3::new(1, 0, 1)));
+        assert_eq!(faces.yp, at(Point3::new(1, 2, 1)));
+        assert_eq!(faces.zm, at(Point3::new(1, 1, 0)));
+        assert_eq!(faces.zp, at(Point3::new(1, 1, 2)));
         // A ghost brick's outward face does not exist.
         let gslot = l.slot_of_brick(Point3::new(-1, 0, 0));
         let gf = BrickFaces::new(&f, gslot);
         assert!(gf.xm.is_none());
         assert!(gf.xp.is_some());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::layout::{BrickLayout, BrickOrdering};
-    use gmg_mesh::Box3;
-    use std::sync::Arc;
-
-    fn idx_fn(p: Point3) -> f64 {
-        (p.x + 100 * p.y + 10_000 * p.z) as f64
-    }
-
-    fn field(n: i64, bd: i64) -> BrickedField {
-        let l = Arc::new(BrickLayout::new(
-            Box3::cube(n),
-            bd,
-            1,
-            BrickOrdering::SurfaceMajor,
-        ));
-        BrickedField::from_fn(l, idx_fn)
-    }
-
-    #[test]
-    fn center_matches_brick() {
-        let f = field(8, 4);
-        let slot = f.layout().slot_of_brick(Point3::new(1, 1, 1));
-        let nb = f.neighborhood(slot);
-        assert_eq!(nb.center(), f.brick(slot));
-        assert_eq!(nb.brick_dim(), 4);
-    }
-
-    #[test]
-    fn get_covers_extended_range() {
-        // Center brick at (1,1,1) of an 8³ domain with 4³ bricks: all reads
-        // in [-4, 8)³ relative to cell (4,4,4) must match the global field.
-        let f = field(8, 4);
-        let slot = f.layout().slot_of_brick(Point3::splat(1));
-        let nb = f.neighborhood(slot);
-        let origin = Point3::splat(4);
-        for z in -4..8 {
-            for y in -4..8 {
-                for x in -4..8 {
-                    let local = Point3::new(x, y, z);
-                    assert_eq!(nb.get(local), idx_fn(origin + local), "local {local:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn neighbor_slices() {
-        let f = field(8, 4);
-        let l = f.layout().clone();
-        let slot = l.slot_of_brick(Point3::zero());
-        let nb = f.neighborhood(slot);
-        // +x neighbor exists (owned brick).
-        let px = nb.neighbor(Point3::new(1, 0, 0)).unwrap();
-        assert_eq!(px, f.brick(l.slot_of_brick(Point3::new(1, 0, 0))));
-        // -x neighbor is a ghost brick — still present with ghost shell 1.
-        assert!(nb.neighbor(Point3::new(-1, 0, 0)).is_some());
-        // But the ghost brick's own -x neighbor does not exist.
-        let gslot = l.slot_of_brick(Point3::new(-1, 0, 0));
-        let gnb = f.neighborhood(gslot);
-        assert!(gnb.neighbor(Point3::new(-1, 0, 0)).is_none());
-    }
-
-    #[test]
-    fn star7_matches_manual_reads() {
-        let f = field(8, 4);
-        let slot = f.layout().slot_of_brick(Point3::zero());
-        let nb = f.neighborhood(slot);
-        let p = Point3::new(0, 2, 3); // on the -x face: xm crosses bricks
-        let s = nb.star7(p);
-        let origin = Point3::zero();
-        assert_eq!(s[0], idx_fn(origin + p));
-        assert_eq!(s[1], idx_fn(origin + p - Point3::new(1, 0, 0)));
-        assert_eq!(s[2], idx_fn(origin + p + Point3::new(1, 0, 0)));
-        assert_eq!(s[5], idx_fn(origin + p - Point3::new(0, 0, 1)));
     }
 }

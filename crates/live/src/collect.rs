@@ -439,6 +439,9 @@ fn apply_delta(base: &mut Snapshot, delta: &Snapshot) {
 mod tests {
     use super::*;
     use crate::wire::telemetry_frame;
+    use gmg_metrics::hist::bucket_high;
+    use gmg_metrics::prom::{render_prometheus_with_self, SelfMetrics};
+    use gmg_metrics::Histogram;
 
     fn beacon_bytes(rank: usize, seq: u64, epoch: u64, cycle: u64, residual: f64) -> Vec<u8> {
         let b = Beacon {
@@ -550,5 +553,52 @@ mod tests {
         let parsed = Json::parse(&status).unwrap();
         assert_eq!(parsed.get("ranks").unwrap().as_arr().unwrap().len(), 3);
         assert!(c.status_markdown().contains("| rank |"));
+    }
+
+    #[test]
+    fn near_max_histogram_deltas_saturate_through_merge_render_and_quantiles() {
+        // Two delta frames, each holding valid histograms of 2^63 samples,
+        // whose fold carries counts past u64::MAX: `one_bucket` overflows a
+        // bucket and the count, `two_buckets` the running sums of the
+        // quantile and of the cumulative `_bucket` lines.
+        let half = 1u64 << 63;
+        let entry = |name: &str, bucket: usize| {
+            let h = Histogram::from_parts(&[(bucket, half)], half, 0, 0, bucket_high(bucket));
+            SnapshotEntry {
+                name: name.to_string(),
+                key: Key::new(0, None, "x"),
+                value: Value::Histogram(h.unwrap()),
+            }
+        };
+        let frame = |seq: u64, bucket: usize| {
+            let entries = vec![entry("one_bucket", 3), entry("two_buckets", bucket)];
+            delta_bytes(0, seq, 0, &Snapshot { entries })
+        };
+        let mut c = Collector::new(AlertConfig::default());
+        c.ingest(&frame(0, 3), 0);
+        c.ingest(&frame(1, 5), 0);
+        let merged = c.merged();
+        for name in ["one_bucket", "two_buckets"] {
+            let Some(Value::Histogram(h)) = merged.get(name, &Key::new(0, None, "x")) else {
+                panic!("{name} missing from {merged:?}");
+            };
+            assert_eq!(h.count(), u64::MAX, "{name}");
+            let (min, max) = (h.min().unwrap(), h.max().unwrap());
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                let v = h.quantile(q).unwrap();
+                assert!(min <= v && v <= max, "{name} q={q}: {v}");
+            }
+        }
+        let text = render_prometheus_with_self(&merged, &SelfMetrics::default());
+        let cumulative: Vec<u64> = text
+            .lines()
+            .filter(|l| l.starts_with("two_buckets_bucket"))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect();
+        assert_eq!(cumulative, [half, u64::MAX, u64::MAX]);
+        assert!(text.contains(&format!(
+            "one_bucket_count{{rank=\"0\",level=\"none\",op=\"x\"}} {}",
+            u64::MAX
+        )));
     }
 }

@@ -147,36 +147,6 @@ impl<T: Copy + Default> Array3<T> {
         self.data.fill(v);
     }
 
-    /// Copy `region` from `src` into `self`; both arrays must cover the
-    /// region. Used for intra-process halo satisfaction and layout
-    /// conversions.
-    pub fn copy_region_from(&mut self, src: &Array3<T>, region: Box3) {
-        assert!(
-            self.storage.contains_box(&region),
-            "dst does not cover region"
-        );
-        assert!(
-            src.storage.contains_box(&region),
-            "src does not cover region"
-        );
-        region.for_each(|p| {
-            let i = self.offset(p);
-            self.data[i] = src.data[src.offset(p)];
-        });
-    }
-
-    /// Copy `region` from `src` interpreted at a shifted position:
-    /// `self[p] = src[p + shift]` for `p` in `region`. This is the periodic
-    /// wrap-around copy used for self-neighbor halo exchange.
-    pub fn copy_region_shifted_from(&mut self, src: &Array3<T>, region: Box3, shift: Point3) {
-        assert!(self.storage.contains_box(&region));
-        assert!(src.storage.contains_box(&region.shift(shift)));
-        region.for_each(|p| {
-            let i = self.offset(p);
-            self.data[i] = src.data[src.offset(p + shift)];
-        });
-    }
-
     /// Serialize `region` into a flat buffer in lexicographic order
     /// (the *pack* step of a conventional ghost exchange).
     pub fn pack(&self, region: Box3, buf: &mut Vec<T>) {
@@ -325,17 +295,6 @@ mod tests {
         let cap = buf.capacity();
         a.pack(region, &mut buf);
         assert_eq!(buf.capacity(), cap);
-    }
-
-    #[test]
-    fn copy_region_shifted_wraps() {
-        let n = 4;
-        let src = Array3::from_fn(Box3::cube(n), 0, |p| (p.x) as f64);
-        let mut dst: Array3<f64> = Array3::new(Box3::cube(n), 1);
-        // Fill my -x ghost layer from the +x side of src (periodic wrap).
-        let ghost = Box3::cube(n).halo_region(pt(-1, 0, 0), 1);
-        dst.copy_region_shifted_from(&src, ghost, pt(n, 0, 0));
-        assert_eq!(dst[pt(-1, 0, 0)], (n - 1) as f64);
     }
 
     #[test]

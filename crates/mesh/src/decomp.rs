@@ -68,46 +68,6 @@ impl Decomposition {
         Self::new(domain, Point3::splat(1))
     }
 
-    /// Choose a near-cubic process grid for `nranks` ranks: the
-    /// factorization `px·py·pz = nranks` minimizing surface area of the
-    /// subdomains (ties broken toward balanced axes). This mirrors
-    /// `MPI_Dims_create` behaviour used by the paper's job scripts.
-    pub fn balanced_grid(nranks: usize) -> Point3 {
-        assert!(nranks > 0);
-        let mut best = Point3::new(nranks as i64, 1, 1);
-        let mut best_score = i64::MAX;
-        let n = nranks as i64;
-        let mut px = 1;
-        while px * px * px <= n * n * n {
-            if px > n {
-                break;
-            }
-            if n % px == 0 {
-                let rem = n / px;
-                let mut py = 1;
-                while py <= rem {
-                    if rem % py == 0 {
-                        let pz = rem / py;
-                        // Surface proxy: maximize min dimension, then balance.
-                        let dims = [px, py, pz];
-                        let score = dims
-                            .iter()
-                            .map(|d| (d - *dims.iter().max().unwrap()).abs())
-                            .sum::<i64>()
-                            + (dims.iter().max().unwrap() - dims.iter().min().unwrap()) * 1000;
-                        if score < best_score {
-                            best_score = score;
-                            best = Point3::new(px, py, pz);
-                        }
-                    }
-                    py += 1;
-                }
-            }
-            px += 1;
-        }
-        best
-    }
-
     /// The global domain.
     #[inline]
     pub fn domain(&self) -> Box3 {
@@ -282,17 +242,6 @@ mod tests {
                 assert_eq!(back.wrap_shift, -n.wrap_shift);
             }
         }
-    }
-
-    #[test]
-    fn balanced_grid_prefers_cubes() {
-        assert_eq!(Decomposition::balanced_grid(8), Point3::splat(2));
-        assert_eq!(Decomposition::balanced_grid(64), Point3::splat(4));
-        assert_eq!(Decomposition::balanced_grid(512), Point3::splat(8));
-        let g = Decomposition::balanced_grid(12);
-        assert_eq!(g.product(), 12);
-        // Should not be the degenerate 12x1x1.
-        assert!(g[0].max(g[1]).max(g[2]) <= 4);
     }
 
     #[test]

@@ -73,24 +73,6 @@ pub fn recv_region(subdomain: Box3, dir: Point3, d: i64) -> GhostRegion {
     }
 }
 
-/// All send regions for a subdomain at ghost depth `d`, in
-/// [`DIRECTIONS_26`] order.
-pub fn all_send_regions(subdomain: Box3, d: i64) -> Vec<GhostRegion> {
-    DIRECTIONS_26
-        .iter()
-        .map(|&dir| send_region(subdomain, dir, d))
-        .collect()
-}
-
-/// All receive regions for a subdomain at ghost depth `d`, in
-/// [`DIRECTIONS_26`] order.
-pub fn all_recv_regions(subdomain: Box3, d: i64) -> Vec<GhostRegion> {
-    DIRECTIONS_26
-        .iter()
-        .map(|&dir| recv_region(subdomain, dir, d))
-        .collect()
-}
-
 /// Total number of cells communicated (sent) by one subdomain per exchange
 /// at depth `d`: the full `d`-shell around the box. For a cube of side `n`,
 /// this is `(n+2d)³ − n³`.
@@ -159,7 +141,7 @@ mod tests {
     fn recv_regions_tile_the_shell() {
         let b = Box3::cube(8);
         let d = 3;
-        let regions = all_recv_regions(b, d);
+        let regions = DIRECTIONS_26.map(|dir| recv_region(b, dir, d));
         let total: usize = regions.iter().map(|g| g.region.volume()).sum();
         assert_eq!(total, shell_volume(b, d));
         // Pairwise disjoint.

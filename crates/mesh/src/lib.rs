@@ -11,8 +11,6 @@
 //!   domain over MPI-like ranks with 26-neighbor topology.
 //! * [`ghost`] — send/receive region geometry for halo exchange at arbitrary
 //!   ghost depth (the communication-avoiding optimization needs depth > 1).
-//! * [`Hierarchy`] — the multigrid level geometry (each coarser level has
-//!   half the cells per dimension, 1/8 the volume).
 //!
 //! Everything is deliberately free of any performance *model*; this crate is
 //! pure geometry and storage. Timing and machine models live in
@@ -22,14 +20,12 @@ pub mod array3;
 pub mod box3;
 pub mod decomp;
 pub mod ghost;
-pub mod hierarchy;
 pub mod point;
 
 pub use array3::Array3;
 pub use box3::Box3;
 pub use decomp::{Decomposition, Neighbor, RankCoords};
 pub use ghost::{recv_region, send_region, GhostRegion, DIRECTIONS_26};
-pub use hierarchy::{Hierarchy, LevelGeometry};
 pub use point::Point3;
 
 /// Number of distinct halo-exchange directions in 3D (faces + edges +

@@ -4,9 +4,9 @@
 //! split into [`SUB`] linear sub-buckets, so the bucket boundary relative
 //! error is bounded by `1 / SUB` (12.5%) at any magnitude, values below
 //! `2·SUB` are exact, and the whole `u64` range needs under 500 buckets.
-//! Merging two histograms is element-wise addition of bucket counts —
-//! associative, commutative, and count-preserving (the proptests below
-//! pin all three) — which is what lets per-rank histograms roll up into
+//! Merging two histograms is element-wise addition of bucket counts,
+//! saturating at `u64::MAX` — associative, commutative, and
+//! count-preserving below saturation (the proptests below pin all three) — which is what lets per-rank histograms roll up into
 //! job-wide ones and lets a snapshot *delta* be computed by subtraction.
 
 /// log2 of the sub-buckets per octave.
@@ -94,15 +94,16 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Element-wise accumulate `other` into `self`.
+    /// Element-wise accumulate `other` into `self`. Counts saturate at
+    /// `u64::MAX`, like `sum`: decoded histograms may carry any count.
     pub fn merge(&mut self, other: &Histogram) {
         if other.buckets.len() > self.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
-        for (i, &c) in other.buckets.iter().enumerate() {
-            self.buckets[i] += c;
+        for (b, &c) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b = b.saturating_add(c);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -163,9 +164,9 @@ impl Histogram {
             return None;
         }
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
+        let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= target {
                 let mid = bucket_low(i) + (bucket_high(i) - bucket_low(i)) / 2;
                 return Some(mid.clamp(self.min, self.max));

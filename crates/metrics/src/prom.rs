@@ -89,9 +89,10 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
                 let _ = writeln!(out, "{}{{{}}} {}", e.name, labels(&e.key, None), g);
             }
             Value::Histogram(h) => {
+                // Saturates: merged bucket counts may sum past u64::MAX.
                 let mut cum = 0u64;
                 for (i, c) in h.nonzero_buckets() {
-                    cum += c;
+                    cum = cum.saturating_add(c);
                     let le = bucket_high(i).to_string();
                     let _ = writeln!(
                         out,

@@ -6,65 +6,13 @@
 //! seven per-brick face slices resolved once up front
 //! ([`gmg_brick::BrickFaces`]) — no per-point adjacency lookups anywhere,
 //! and the inner kernel is monomorphized per [`gmg_brick::BrickShape`]
-//! (see `brick_rows`). The generic interpreter supports any
-//! [`StencilDef`] whose radius fits within the ghost shell and is used to
-//! validate the fast kernels.
+//! (see `brick_rows`). Every other stencil runs on bricks through the
+//! reference interpreter, [`crate::interp::run_stencil`], which validates
+//! the fast kernel.
 
 use crate::brick_rows::{stream_star7_generic, stream_star7_rows, stream_star7_spec, RowBounds};
-use crate::expr::StencilDef;
-use gmg_brick::{BrickFaces, BrickNeighborhood, BrickShape, BrickedField};
-use gmg_mesh::{Box3, Point3};
-
-/// Execute `def` over `region` on bricked fields. All fields must share one
-/// layout; inputs must be valid on `region` grown by the stencil radius.
-///
-/// This is the *reference* bricked executor: clear, sequential, and
-/// correct for any stencil with radius ≤ brick dim. Hot paths use the
-/// specialized kernels below.
-pub fn run_stencil_bricked(
-    def: &StencilDef,
-    inputs: &[&BrickedField],
-    coeffs: &[f64],
-    outputs: &mut [&mut BrickedField],
-    region: Box3,
-) {
-    assert_eq!(inputs.len(), def.inputs.len(), "input binding count");
-    assert_eq!(coeffs.len(), def.coeffs.len(), "coeff binding count");
-    assert_eq!(outputs.len(), def.outputs.len(), "output binding count");
-    let layout = if let Some(f) = inputs.first() {
-        f.layout().clone()
-    } else {
-        outputs
-            .first()
-            .expect("stencil with no grids")
-            .layout()
-            .clone()
-    };
-    let radius = def.analysis().radius;
-    assert!(
-        radius.x <= layout.brick_dim(),
-        "stencil radius {radius:?} exceeds brick dim"
-    );
-    assert!(
-        layout.covers_reads(region, radius.x.max(radius.y).max(radius.z)),
-        "inputs do not cover {region:?} + {radius:?}"
-    );
-    let pieces = layout.slots_intersecting(region);
-    let mut values = vec![0.0; def.assignments.len()];
-    for (slot, sub) in pieces {
-        let _ = slot;
-        sub.for_each(|p| {
-            for (vi, a) in def.assignments.iter().enumerate() {
-                values[vi] = a
-                    .expr
-                    .eval(&|g, off| inputs[g].get(p + off), &|c| coeffs[c]);
-            }
-            for (vi, a) in def.assignments.iter().enumerate() {
-                outputs[a.output].set(p, values[vi]);
-            }
-        });
-    }
-}
+use gmg_brick::{BrickFaces, BrickShape, BrickedField};
+use gmg_mesh::Box3;
 
 /// Fast 7-point constant-coefficient apply over bricks:
 /// `dst[p] = alpha·src[p] + beta·Σ src[p ± e]` for `p ∈ region`, brick by
@@ -239,120 +187,6 @@ fn norms_brick<const B: usize>(
     lanes.into_iter().fold(NORMS_ZERO, fold_norms)
 }
 
-/// Fast *variable-coefficient* 7-point apply over bricks:
-/// `dst[p] = inv_h2 · Σ_f ½(β[p] + β[p ± e]) · (x[p ± e] − x[p])`
-/// with a cell-centered coefficient field averaged to faces — the
-/// non-constant-coefficient operator the paper's DSL supports. Both `x`
-/// and `beta` must be valid on `region.grow(1)` and share `dst`'s layout.
-pub fn apply_star7_var_bricked(
-    dst: &mut BrickedField,
-    x: &BrickedField,
-    beta: &BrickedField,
-    inv_h2: f64,
-    region: Box3,
-) {
-    let layout = x.layout().clone();
-    assert!(
-        std::sync::Arc::ptr_eq(&layout, dst.layout()),
-        "layout mismatch"
-    );
-    assert!(
-        std::sync::Arc::ptr_eq(&layout, beta.layout()),
-        "layout mismatch"
-    );
-    assert!(
-        layout.covers_reads(region, 1),
-        "fields do not cover {:?}",
-        region.grow(1)
-    );
-    let pieces = layout.slots_intersecting(region);
-    let b = layout.brick_dim();
-    dst.update_bricks(&pieces, |slot, sub, out| {
-        let nx = BrickNeighborhood::new(x, slot);
-        let nbeta = BrickNeighborhood::new(beta, slot);
-        let cells = layout.cells_of_slot(slot);
-        sub.for_each(|p| {
-            let l = p - cells.lo;
-            let xc = nx.get(l);
-            let bc = nbeta.get(l);
-            let mut sum = 0.0;
-            for d in [
-                Point3::new(1, 0, 0),
-                Point3::new(-1, 0, 0),
-                Point3::new(0, 1, 0),
-                Point3::new(0, -1, 0),
-                Point3::new(0, 0, 1),
-                Point3::new(0, 0, -1),
-            ] {
-                let face = 0.5 * (bc + nbeta.get(l + d));
-                sum += face * (nx.get(l + d) - xc);
-            }
-            out[((l.z * b + l.y) * b + l.x) as usize] = inv_h2 * sum;
-        });
-    });
-}
-
-/// Fast 13-point (radius-2 star) apply over bricks — the fourth-order
-/// Laplacian `inv_12h2 · Σ_axis (−u[±2] + 16u[±1] − 30u[0])`. Requires the
-/// brick dimension ≥ 2 and `src` valid on `region.grow(2)`.
-pub fn apply_star13_bricked(
-    dst: &mut BrickedField,
-    src: &BrickedField,
-    inv_12h2: f64,
-    region: Box3,
-) {
-    let layout = src.layout().clone();
-    assert!(
-        std::sync::Arc::ptr_eq(&layout, dst.layout()),
-        "layout mismatch"
-    );
-    assert!(
-        layout.brick_dim() >= 2,
-        "radius-2 stencil needs bricks >= 2"
-    );
-    assert!(
-        layout.covers_reads(region, 2),
-        "src does not cover {:?}",
-        region.grow(2)
-    );
-    let pieces = layout.slots_intersecting(region);
-    let b = layout.brick_dim();
-    let (sy, sz) = (b as usize, (b * b) as usize);
-    dst.update_bricks(&pieces, |slot, sub, out| {
-        let nb = BrickNeighborhood::new(src, slot);
-        let center = nb.center();
-        let cells = layout.cells_of_slot(slot);
-        sub.for_each(|p| {
-            let l = p - cells.lo;
-            let interior =
-                l.x >= 2 && l.x < b - 2 && l.y >= 2 && l.y < b - 2 && l.z >= 2 && l.z < b - 2;
-            let v = if interior {
-                let i = ((l.z * b + l.y) * b + l.x) as usize;
-                -90.0 * center[i]
-                    + 16.0
-                        * ((center[i - 1] + center[i + 1])
-                            + (center[i - sy] + center[i + sy])
-                            + (center[i - sz] + center[i + sz]))
-                    - ((center[i - 2] + center[i + 2])
-                        + (center[i - 2 * sy] + center[i + 2 * sy])
-                        + (center[i - 2 * sz] + center[i + 2 * sz]))
-            } else {
-                let mut acc = -90.0 * nb.get(l);
-                for d in [
-                    Point3::new(1, 0, 0),
-                    Point3::new(0, 1, 0),
-                    Point3::new(0, 0, 1),
-                ] {
-                    acc += 16.0 * (nb.get(l - d) + nb.get(l + d));
-                    acc -= nb.get(l - d * 2) + nb.get(l + d * 2);
-                }
-                acc
-            };
-            out[((l.z * b + l.y) * b + l.x) as usize] = inv_12h2 * v;
-        });
-    });
-}
-
 /// Pointwise update with one mutable field and two read fields (all
 /// sharing a layout): for every cell of every piece,
 /// `f(&mut out_cell, read1_cell, read2_cell)`.
@@ -407,10 +241,11 @@ pub fn pointwise_mut2(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec_array::{apply_star7_array, run_stencil_array};
-    use crate::ops::apply_op_def;
+    use crate::exec_array::apply_star7_array;
+    use crate::interp::run_stencil;
+    use crate::ops::{apply_op_def, apply_op_var_def, star13_def};
     use gmg_brick::{BrickLayout, BrickOrdering};
-    use gmg_mesh::Array3;
+    use gmg_mesh::{Array3, Point3};
     use std::sync::Arc;
 
     fn idx_fn(p: Point3) -> f64 {
@@ -428,35 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn bricked_interpreter_matches_array_interpreter() {
-        let def = apply_op_def();
-        let n = 8;
-        let src_b = mk_field(n, 4);
-        let mut dst_b = BrickedField::new(src_b.layout().clone());
-        run_stencil_bricked(
-            &def,
-            &[&src_b],
-            &[-6.0, 1.0],
-            &mut [&mut dst_b],
-            Box3::cube(n),
-        );
-
-        let src_a = Array3::from_fn(Box3::cube(n), 4, idx_fn);
-        let mut dst_a = Array3::new(Box3::cube(n), 4);
-        run_stencil_array(
-            &def,
-            &[&src_a],
-            &[-6.0, 1.0],
-            &mut [&mut dst_a],
-            Box3::cube(n),
-        );
-
-        Box3::cube(n).for_each(|p| {
-            assert!((dst_b.get(p) - dst_a[p]).abs() < 1e-12, "at {p:?}");
-        });
-    }
-
-    #[test]
     fn fast_bricked_star7_matches_reference() {
         let def = apply_op_def();
         for bd in [2, 4, 8] {
@@ -465,7 +271,7 @@ mod tests {
             let mut fast = BrickedField::new(src.layout().clone());
             let mut reference = BrickedField::new(src.layout().clone());
             apply_star7_bricked(&mut fast, &src, -6.0, 1.0, Box3::cube(n));
-            run_stencil_bricked(
+            run_stencil(
                 &def,
                 &[&src],
                 &[-6.0, 1.0],
@@ -591,36 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn variable_coefficient_matches_dsl_interpreter() {
-        let def = crate::ops::apply_op_var_def();
-        let n = 8;
-        let bd = 4;
-        let inv_h2 = 64.0;
-        let x = mk_field(n, bd);
-        let beta = BrickedField::from_fn(x.layout().clone(), |p| {
-            1.0 + 0.1 * ((p.x + 2 * p.y - p.z) % 5) as f64
-        });
-        let mut fast = BrickedField::new(x.layout().clone());
-        apply_star7_var_bricked(&mut fast, &x, &beta, inv_h2, Box3::cube(n));
-        let mut reference = BrickedField::new(x.layout().clone());
-        run_stencil_bricked(
-            &def,
-            &[&x, &beta],
-            &[inv_h2],
-            &mut [&mut reference],
-            Box3::cube(n),
-        );
-        Box3::cube(n).for_each(|p| {
-            assert!(
-                (fast.get(p) - reference.get(p)).abs() < 1e-9,
-                "at {p:?}: {} vs {}",
-                fast.get(p),
-                reference.get(p)
-            );
-        });
-    }
-
-    #[test]
     fn constant_beta_reduces_to_constant_kernel() {
         // With β ≡ 1, the variable-coefficient operator is exactly the
         // constant 7-point operator with α = −6/h², β = 1/h².
@@ -629,7 +405,13 @@ mod tests {
         let x = mk_field(n, 4);
         let beta = BrickedField::from_fn(x.layout().clone(), |_| 1.0);
         let mut var = BrickedField::new(x.layout().clone());
-        apply_star7_var_bricked(&mut var, &x, &beta, inv_h2, Box3::cube(n));
+        run_stencil(
+            &apply_op_var_def(),
+            &[&x, &beta],
+            &[inv_h2],
+            &mut [&mut var],
+            Box3::cube(n),
+        );
         let mut con = BrickedField::new(x.layout().clone());
         apply_star7_bricked(&mut con, &x, -6.0 * inv_h2, inv_h2, Box3::cube(n));
         Box3::cube(n).for_each(|p| {
@@ -646,37 +428,15 @@ mod tests {
         let x = BrickedField::from_fn(layout.clone(), |_| 3.5);
         let beta = BrickedField::from_fn(layout.clone(), |p| 1.0 + (p.x as f64) * 0.25);
         let mut out = BrickedField::new(layout);
-        apply_star7_var_bricked(&mut out, &x, &beta, 100.0, Box3::cube(n));
+        run_stencil(
+            &apply_op_var_def(),
+            &[&x, &beta],
+            &[100.0],
+            &mut [&mut out],
+            Box3::cube(n),
+        );
         let m = out.reduce(Box3::cube(n), 0.0, |_, v| v.abs(), f64::max);
         assert!(m < 1e-10, "max |A·const| = {m}");
-    }
-
-    #[test]
-    fn star13_matches_dsl_interpreter() {
-        let def = crate::ops::star13_def();
-        let n = 16;
-        for bd in [4i64, 8] {
-            let l = Arc::new(BrickLayout::new(
-                Box3::cube(n),
-                bd,
-                1,
-                BrickOrdering::SurfaceMajor,
-            ));
-            let src = BrickedField::from_fn(l.clone(), idx_fn);
-            let mut fast = BrickedField::new(l.clone());
-            let inv = 3.7;
-            apply_star13_bricked(&mut fast, &src, inv, Box3::cube(n));
-            let mut reference = BrickedField::new(l);
-            run_stencil_bricked(&def, &[&src], &[inv], &mut [&mut reference], Box3::cube(n));
-            Box3::cube(n).for_each(|p| {
-                assert!(
-                    (fast.get(p) - reference.get(p)).abs() < 1e-9,
-                    "bd={bd} at {p:?}: {} vs {}",
-                    fast.get(p),
-                    reference.get(p)
-                );
-            });
-        }
     }
 
     #[test]
@@ -699,7 +459,14 @@ mod tests {
             };
             let src = BrickedField::from_fn(l.clone(), mode);
             let mut out = BrickedField::new(l);
-            apply_star13_bricked(&mut out, &src, 1.0 / (12.0 * h * h), Box3::cube(n));
+            let inv_12h2 = 1.0 / (12.0 * h * h);
+            run_stencil(
+                &star13_def(),
+                &[&src],
+                &[inv_12h2],
+                &mut [&mut out],
+                Box3::cube(n),
+            );
             // Estimate the Rayleigh quotient at a probe cell away from
             // zeros of the mode.
             let p = Point3::new(n / 8, n / 8, n / 8);

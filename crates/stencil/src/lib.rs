@@ -26,10 +26,15 @@
 //! * [`analysis`] — static analysis of a stencil definition: FLOPs per
 //!   point, distinct reads, ghost radius, and the theoretical (compulsory
 //!   cache miss) arithmetic intensity that regenerates the paper's Table IV.
-//! * [`exec_array`] / [`exec_brick`] — reference interpreters plus the
-//!   hand-specialized fast kernels that play the role of BrickLib's
-//!   generated code (tight per-brick inner loops with neighbor indirection
-//!   only on brick faces).
+//! * [`interp`] — the one reference interpreter: [`interp::run_stencil`]
+//!   runs any definition on conventional arrays and on bricks alike, bit
+//!   for bit the same. The variable-coefficient and 13-point operators of
+//!   [`ops`] run through it on both layouts.
+//! * [`exec_array`] / [`exec_brick`] — one hand-specialized 7-point
+//!   kernel per layout, the role BrickLib's generated code plays (tight
+//!   per-brick inner loops with neighbor indirection only on brick
+//!   faces), plus the bricked residual norms and pointwise updates the
+//!   solver runs.
 //! * [`exec_fused`] — the one-pass communication-avoiding Jacobi smoother:
 //!   per iteration every brick's `A·x` goes row by row from the stencil
 //!   straight into `x` of a second buffer (3 doubles moved per point
@@ -46,6 +51,7 @@ pub mod exec_array;
 pub mod exec_brick;
 pub mod exec_fused;
 pub mod expr;
+pub mod interp;
 pub mod ops;
 
 pub use analysis::StencilAnalysis;

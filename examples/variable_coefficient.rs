@@ -1,24 +1,25 @@
-//! Variable-coefficient diffusion with the stencil DSL and the bricked
-//! executor — the "more complicated stencils" the paper says BrickLib
-//! generates beyond the constant-coefficient model problem.
+//! Variable-coefficient diffusion with the stencil DSL on bricks — the
+//! "more complicated stencils" the paper says BrickLib generates beyond
+//! the constant-coefficient model problem.
 //!
 //! ```sh
 //! cargo run --release --example variable_coefficient
 //! ```
 //!
 //! Builds the operator `(A x)_c = (1/h²)·Σ_f ½(β_c + β_nbr)(x_nbr − x_c)`
-//! with a smoothly varying coefficient field, checks the fast bricked
-//! kernel against the DSL interpreter, and damped-Jacobi-smooths a
-//! diffusion problem to show the operator is usable end to end.
+//! with a smoothly varying coefficient field, runs it through the one DSL
+//! interpreter on bricks and on conventional arrays (bit for bit the
+//! same), and damped-Jacobi-smooths a diffusion problem on bricks to show
+//! the operator is usable end to end.
 
 use gmg_repro::prelude::*;
-use gmg_repro::stencil::exec_brick::{apply_star7_var_bricked, run_stencil_bricked};
+use gmg_repro::stencil::interp::run_stencil;
 use gmg_repro::stencil::ops::apply_op_var_def;
 use std::f64::consts::PI;
 use std::sync::Arc;
 
 fn main() {
-    let n = 32i64;
+    let n = 16i64;
     let h = 1.0 / n as f64;
     let inv_h2 = 1.0 / (h * h);
     // One periodic box: every axis wraps through the brick adjacency, so
@@ -53,27 +54,37 @@ fn main() {
     println!("  distinct reads: {}", a.distinct_refs);
     println!("  theoretical AI: {:.3} FLOP/B", a.theoretical_ai());
 
-    // 2. Fast kernel vs interpreter on a test field.
+    // 2. The same definition on bricks and on conventional arrays.
     let x0 = BrickedField::from_fn(layout.clone(), move |p| {
         let q = wrap(p);
         ((q.x * 3 + q.y * 5 + q.z * 7) % 11) as f64 * 0.1
     });
-    let mut fast = BrickedField::new(layout.clone());
-    apply_star7_var_bricked(&mut fast, &x0, &beta, inv_h2, Box3::cube(n));
-    let mut reference = BrickedField::new(layout.clone());
-    run_stencil_bricked(
+    let mut on_bricks = BrickedField::new(layout.clone());
+    run_stencil(
         &def,
         &[&x0, &beta],
         &[inv_h2],
-        &mut [&mut reference],
+        &mut [&mut on_bricks],
         Box3::cube(n),
     );
-    let max_diff = Box3::cube(n)
+    let (x0_a, beta_a) = (x0.to_array3(), beta.to_array3());
+    let mut on_arrays = Array3::new(Box3::cube(n), 1);
+    run_stencil(
+        &def,
+        &[&x0_a, &beta_a],
+        &[inv_h2],
+        &mut [&mut on_arrays],
+        Box3::cube(n),
+    );
+    let differ = Box3::cube(n)
         .iter()
-        .map(|p| (fast.get(p) - reference.get(p)).abs())
-        .fold(0.0f64, f64::max);
-    println!("\nfast kernel vs DSL interpreter: max |Δ| = {max_diff:.3e}");
-    assert!(max_diff < 1e-9);
+        .filter(|&p| on_bricks.get(p).to_bits() != on_arrays[p].to_bits())
+        .count();
+    println!(
+        "\nbricks vs arrays: {differ} of {} cells differ in any bit",
+        n * n * n
+    );
+    assert_eq!(differ, 0);
 
     // 3. Damped Jacobi on the variable-coefficient problem: A x = b.
     //    Diagonal of A is −(1/h²)·Σ_f β_f ≤ −6·β_min/h²; a conservative
@@ -83,7 +94,7 @@ fn main() {
     let mut x = BrickedField::new(layout.clone());
     let mut ax = BrickedField::new(layout.clone());
     let residual_norm = |x: &BrickedField, ax: &mut BrickedField| {
-        apply_star7_var_bricked(ax, x, &beta, inv_h2, Box3::cube(n));
+        run_stencil(&def, &[x, &beta], &[inv_h2], &mut [ax], Box3::cube(n));
         let mut m = 0.0f64;
         Box3::cube(n).for_each(|p| m = m.max((rhs.get(p) - ax.get(p)).abs()));
         m
