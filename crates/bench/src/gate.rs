@@ -17,7 +17,6 @@
 //! | `multismooth_fused_vs_sweep` | one-pass multi-smooth (≥ [`MULTISMOOTH_FLOOR`] floor, at [`MULTISMOOTH_BLOCK`]³) | sweep-by-sweep CA |
 //! | `multismooth_fused_vs_sweep_stream` | same schedules at `--grid` (≥ [`MULTISMOOTH_STREAM_FLOOR`] floor) | sweep-by-sweep CA |
 //! | `exchange_packfree_vs_packed` | surface-major gather | lexicographic gather |
-//! | `live_shipper_overhead`      | V-cycles with a gmg-live shipper attached (≥ [`LIVE_OVERHEAD_FLOOR`] floor) | same V-cycles, no telemetry |
 //! | `sim_events_per_sec`         | gmg-scale 1000-rank V-cycle simulation (≥ 1.0× floor) | [`SIM_EVENT_BUDGET_NS`] ns/event budget |
 //!
 //! The bricked-vs-array applyOp comparison is recorded at a fixed
@@ -61,10 +60,8 @@
 //! entries gate exactly as before.
 
 use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
-use gmg_comm::runtime::RankWorld;
-use gmg_core::solver::{GmgSolver, SolverConfig};
 use gmg_mesh::ghost::DIRECTIONS_26;
-use gmg_mesh::{Array3, Box3, Decomposition, Point3};
+use gmg_mesh::{Array3, Box3, Point3};
 use gmg_stencil::exec_array::apply_star7_array;
 use gmg_stencil::exec_brick::{apply_star7_bricked, pointwise_mut1, pointwise_mut2};
 use gmg_stencil::exec_fused::fused_multismooth_bricked;
@@ -96,13 +93,6 @@ pub const APPLYOP_BLOCK: i64 = 24;
 pub const MULTISMOOTH_BLOCK: i64 = 32;
 /// Minimum relative regression tolerated before the MAD widening kicks in.
 pub const BASE_TOLERANCE: f64 = 0.10;
-/// Hard floor for the live-telemetry shipper's solve overhead: a V-cycle
-/// run with per-cycle beacons (and production-cadence metric deltas)
-/// shipping into a live collector must stay within ~11% of the
-/// telemetry-free twin (ratio no-telemetry/with-telemetry ≥ 0.9). The
-/// telemetry plane's honesty claim — observability must not tax the
-/// solve — held as an invariant.
-pub const LIVE_OVERHEAD_FLOOR: f64 = 0.9;
 
 /// Per-simulated-event time budget for the scaling observatory's
 /// schedule simulator, nanoseconds. The budget is the *baseline* of the
@@ -598,82 +588,6 @@ fn bench_exchange(opts: &GateOpts) -> BenchOut {
     )
 }
 
-/// Overhead of the gmg-live telemetry plane on a real solve: the same
-/// fixed V-cycle run with and without a per-rank shipper attached to the
-/// solver's progress hook. The candidate ships a beacon every cycle and
-/// (delta period 0 → every beacon) a metrics delta into a live in-process
-/// collector, metrics registry enabled on both sides so the comparison
-/// isolates the *shipping*, not the metering.
-fn bench_live_overhead(opts: &GateOpts) -> BenchOut {
-    use gmg_live::{AlertConfig, Beacon, Collector, Shipper};
-    let n = (opts.grid / 2).max(16);
-    let decomp = Decomposition::new(Box3::cube(n), Point3::splat(1));
-    let cfg = SolverConfig {
-        num_levels: 3,
-        tolerance: 0.0,
-        max_vcycles: 2,
-        brick_dim: 8,
-        ..SolverConfig::test_default()
-    };
-    let was_enabled = gmg_metrics::enable();
-    // What the world that ran says it speaks, not what the environment
-    // suggests it might.
-    let mut transport = "";
-    let mut solve = |with_live: bool, samples: usize| {
-        let d = &decomp;
-        time_median(samples, || {
-            let collector = Collector::new(AlertConfig::default()).into_handle();
-            timed(|| {
-                let kinds = RankWorld::run(1, move |mut ctx| {
-                    let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
-                    if with_live {
-                        // Production cadence: a beacon every cycle (the
-                        // hot path), deltas on the default 100 ms period
-                        // — a per-cycle delta would make the measurement
-                        // scale with whatever the process-global registry
-                        // happens to hold, not with the shipper.
-                        let mut shipper = Shipper::local(ctx.rank(), Arc::clone(&collector))
-                            .expect("live enabled");
-                        s.progress_hook = Some(Box::new(move |p| {
-                            shipper.beacon(&Beacon {
-                                rank: 0,
-                                cycle: p.cycle as u64,
-                                residual: p.residual,
-                                epoch: p.epoch,
-                                level_seconds: p.level_seconds.clone(),
-                                done: false,
-                            });
-                        }));
-                    }
-                    s.solve(&mut ctx);
-                    ctx.transport_kind()
-                });
-                transport = kinds[0];
-            })
-        })
-    };
-    // One untimed warmup of each twin: quick 1-sample runs would
-    // otherwise charge first-run world setup to the candidate side.
-    solve(true, 1);
-    solve(false, 1);
-    let cand = solve(true, opts.samples);
-    let base = solve(false, opts.samples);
-    if !was_enabled {
-        gmg_metrics::disable();
-    }
-    finish(
-        "live_shipper_overhead",
-        "V-cycles, no telemetry",
-        "V-cycles + live shipper",
-        base,
-        cand,
-        Some(LIVE_OVERHEAD_FLOOR),
-        json!({ "grid": n, "levels": 3u64, "vcycles": 2u64,
-                "transport": transport, "ranks": run_ranks() }),
-        opts,
-    )
-}
-
 /// Simulator throughput vs a fixed per-event budget: the candidate is
 /// the measured wall time of the 1000-rank clock-only observatory
 /// simulation, the baseline is [`SIM_EVENT_BUDGET_NS`] per simulated
@@ -763,7 +677,6 @@ pub fn run_suite(opts: &GateOpts) -> Vec<BenchOut> {
         ("multi-smooth", bench_multismooth),
         ("multi-smooth-stream", bench_multismooth_stream),
         ("exchange", bench_exchange),
-        ("live-overhead", bench_live_overhead),
         ("sim-throughput", bench_sim_throughput),
     ] {
         println!("running {name} ...");
@@ -1027,14 +940,13 @@ mod tests {
 
     #[test]
     fn committed_trajectory_still_reads_and_gates() {
-        const IDS: [&str; 8] = [
+        const IDS: [&str; 7] = [
             "applyop_bricked_vs_array",
             "applyop_bricked_vs_array_stream",
             "smooth_residual_fused_vs_split",
             "multismooth_fused_vs_sweep",
             "multismooth_fused_vs_sweep_stream",
             "exchange_packfree_vs_packed",
-            "live_shipper_overhead",
             "sim_events_per_sec",
         ];
         let dir = committed_bench_dir();
@@ -1066,7 +978,7 @@ mod tests {
     fn suite_runs_and_produces_sane_ratios() {
         let opts = tiny_opts();
         let benches = run_suite(&opts);
-        assert_eq!(benches.len(), 8);
+        assert_eq!(benches.len(), 7);
         // The entry this run would append, through the file: the schema of
         // the latest committed entry.
         let dir = std::env::temp_dir().join("gmg_perfgate_schema_test");
@@ -1077,7 +989,15 @@ mod tests {
             &entry.pretty(),
         );
         let (_, written) = latest_entry(&dir).expect("entry written");
-        let (_, committed) = latest_entry(&committed_bench_dir()).expect("committed trajectory");
+        let (_, mut committed) =
+            latest_entry(&committed_bench_dir()).expect("committed trajectory");
+        // Rows of benchmarks the suite no longer runs stay in the history
+        // but say nothing about the schema of a new entry.
+        if let Json::Obj(fields) = &mut committed {
+            if let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "benchmarks") {
+                rows.retain(|r| benches.iter().any(|b| r["id"].as_str() == Some(b.id)));
+            }
+        }
         assert_eq!(shape(&written), shape(&committed));
         for b in &benches {
             assert!(b.ratio.is_finite() && b.ratio > 0.0, "{}: {:?}", b.id, b);

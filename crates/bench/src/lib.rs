@@ -38,11 +38,7 @@
 //! observatory (gmg-prof folded stacks, per-phase decomposition of the
 //! bricked applyOp, roofline columns, sampled-vs-traced cross-validation,
 //! `--inject-slowdown PHASE:PCT` attribution self-test), run via
-//! `--bin flame` — and [`live`] — the cross-process live telemetry demo
-//! (per-rank gmg-live shippers, mid-solve Prometheus scrape, straggler /
-//! silent-rank alerting with both polarities exit-code-enforced), run via
-//! `--bin live -- --seed N` (`--inject-slowdown R` plants a straggler,
-//! `--kill-process R` SIGKILLs a rank mid-solve) — and [`scaling`] — the
+//! `--bin flame` — and [`scaling`] — the
 //! 10k-rank scaling observatory (contention-modeled schedule simulation
 //! via `gmg-scale`, weak/strong sweeps, alpha–beta+contention model fit,
 //! flight-grade wait attribution, rank-window Perfetto forensics, and
@@ -68,7 +64,6 @@ pub mod figure8;
 pub mod figure9;
 pub mod flame;
 pub mod gate;
-pub mod live;
 pub mod measured;
 pub mod plot;
 pub mod postmortem;

@@ -15,6 +15,9 @@
 //!    plus the true distributed critical path computed over exact
 //!    cross-rank message edges rather than tag heuristics.
 //!
+//! It also names stragglers and retransmit storms
+//! (`stragglers_and_storms`), which need no more than the rings.
+//!
 //! Outputs land next to the dump: `postmortem.md` (human report) and
 //! `postmortem_trace.json` (Perfetto timeline with cross-rank flow
 //! arrows for every joined message).
@@ -25,11 +28,22 @@
 
 use gmg_comm::fault::{FaultConfig, FaultPlan};
 use gmg_flight::{analyze, load_dump, DumpBundle, EventKind, RankLog, WaitAnalysis, WaitClass};
-use gmg_metrics::analysis::{critical_path_with_edges, CriticalPath};
+use gmg_metrics::analysis::{critical_path_with_edges, mad_outliers, CriticalPath};
 use gmg_trace::{intern, Counters, FlowArrow, Trace, TraceEvent, Track, LEVEL_NONE};
 use gmg_trace::{json, Json};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
+
+/// Fewest ranks whose compute times make a population to judge.
+const STRAGGLER_MIN_RANKS: usize = 3;
+/// Compute time per (rank, level) under which a level is never judged:
+/// jitter on trivially fast levels is not a straggler.
+const STRAGGLER_FLOOR_NS: f64 = 2e6;
+/// Retransmits one rank may record before they count as a storm
+/// (retransmits are routine under seeded loss; a storm is an order of
+/// magnitude above that rate).
+const ARQ_STORM_RETRANSMITS: usize = 200;
 
 /// The last operation a rank's ring recorded.
 fn last_op(logs: &[RankLog], rank: usize) -> String {
@@ -154,6 +168,86 @@ pub(crate) fn exact_edges(waits: &WaitAnalysis) -> (Vec<gmg_metrics::MessageEdge
     (metric, flows)
 }
 
+/// A rank a post-hoc check singles out of a dump.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Flag {
+    /// `"straggler"` or `"arq_storm"`.
+    kind: &'static str,
+    rank: usize,
+    /// The level a straggler is slow on.
+    level: Option<usize>,
+    /// Human-readable evidence.
+    detail: String,
+}
+
+/// Stragglers and retransmit storms in a dump's rings.
+///
+/// * **Straggler:** a rank whose compute time on a level — its compute
+///   spans less the receive waits inside them — sits above the robust MAD
+///   envelope of its peers ([`mad_outliers`], fed nanoseconds, the unit
+///   its σ floor of 1 is sized for). Needs [`STRAGGLER_MIN_RANKS`] ranks;
+///   levels where every rank is under [`STRAGGLER_FLOOR_NS`] are skipped.
+/// * **ARQ storm:** a rank that recorded more than
+///   [`ARQ_STORM_RETRANSMITS`] `arq:retransmit` events.
+pub(crate) fn stragglers_and_storms(logs: &[RankLog]) -> Vec<Flag> {
+    let mut busy: BTreeMap<usize, BTreeMap<usize, f64>> = BTreeMap::new();
+    let mut flags = Vec::new();
+    for log in logs {
+        let mut retransmits = 0;
+        for ev in &log.events {
+            let sign = match ev.kind {
+                EventKind::Compute => 1.0,
+                EventKind::RecvWait => -1.0,
+                EventKind::Arq if ev.op == "arq:retransmit" => {
+                    retransmits += 1;
+                    continue;
+                }
+                _ => continue,
+            };
+            if ev.level != gmg_flight::NO_LEVEL {
+                *busy
+                    .entry(ev.level as usize)
+                    .or_default()
+                    .entry(log.rank)
+                    .or_default() += sign * ev.dur_ns as f64;
+            }
+        }
+        if retransmits > ARQ_STORM_RETRANSMITS {
+            flags.push(Flag {
+                kind: "arq_storm",
+                rank: log.rank,
+                level: None,
+                detail: format!(
+                    "{retransmits} ARQ retransmits (threshold {ARQ_STORM_RETRANSMITS})"
+                ),
+            });
+        }
+    }
+    for (level, per_rank) in busy {
+        let (ranks, ns): (Vec<usize>, Vec<f64>) = per_rank.into_iter().unzip();
+        if ranks.len() < STRAGGLER_MIN_RANKS || ns.iter().all(|&t| t < STRAGGLER_FLOOR_NS) {
+            continue;
+        }
+        let verdicts = mad_outliers(&ns, STRAGGLER_MIN_RANKS, STRAGGLER_FLOOR_NS);
+        for ((rank, t), v) in ranks.into_iter().zip(&ns).zip(verdicts) {
+            if v.flagged {
+                flags.push(Flag {
+                    kind: "straggler",
+                    rank,
+                    level: Some(level),
+                    detail: format!(
+                        "{:.1} ms compute vs median {:.1} ms (robust z {:.1})",
+                        t / 1e6,
+                        v.median / 1e6,
+                        v.score
+                    ),
+                });
+            }
+        }
+    }
+    flags
+}
+
 fn render_report(
     dir: &Path,
     bundle: &DumpBundle,
@@ -212,6 +306,21 @@ fn render_report(
     md
 }
 
+fn render_flags(flags: &[Flag]) -> String {
+    let mut md = String::from("\n## Stragglers and retransmit storms\n\n");
+    if flags.is_empty() {
+        md.push_str("none\n");
+    }
+    for f in flags {
+        let level = f.level.map(|l| format!(" level {l}")).unwrap_or_default();
+        md.push_str(&format!(
+            "- {}: rank {}{level} — {}\n",
+            f.kind, f.rank, f.detail
+        ));
+    }
+    md
+}
+
 /// Analyze a dump directory in place: classify waits, name the culprit,
 /// write `postmortem.md` + `postmortem_trace.json` beside the ring data.
 pub fn analyze_dump(dir: &Path) -> Json {
@@ -238,7 +347,8 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
     let (medges, flows) = exact_edges(&waits);
     let trace = rebuild_trace(&bundle.logs);
     let path = critical_path_with_edges(&trace, &medges);
-    let md = render_report(
+    let flags = stragglers_and_storms(&bundle.logs);
+    let mut md = render_report(
         dir,
         &bundle,
         &waits,
@@ -247,12 +357,24 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
         cause,
         &path,
     );
+    md.push_str(&render_flags(&flags));
     let report_path = dir.join("postmortem.md");
     let trace_path = dir.join("postmortem_trace.json");
     let wrote = std::fs::write(&report_path, &md)
         .and_then(|_| std::fs::write(&trace_path, trace.to_chrome_string_with_flows(&flows)));
     println!("{md}");
     let killed = WaitAnalysis::killed_ranks(&bundle.logs);
+    let flags: Vec<Json> = flags
+        .iter()
+        .map(|f| {
+            json!({
+                "kind": f.kind,
+                "rank": f.rank,
+                "level": f.level.map_or(Json::Null, Json::from),
+                "detail": f.detail.as_str(),
+            })
+        })
+        .collect();
     json!({
         "ok": wrote.is_ok(),
         "reason": bundle.reason,
@@ -265,6 +387,7 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
         "total_wait_ms": waits.total.total_ns() as f64 / 1e6,
         "message_edges": waits.edges.len(),
         "path_coverage": path.coverage,
+        "flags": flags,
         "report": report_path.display().to_string(),
         "trace": trace_path.display().to_string(),
     })
@@ -380,6 +503,57 @@ mod tests {
             assert_eq!(a.converged, b.converged);
             assert_eq!(a.vcycles, b.vcycles);
         }
+    }
+
+    /// A lock-step 4-rank world over five cycles: every rank smooths
+    /// `ms[rank]` milliseconds on level 0, then waits inside a level-0
+    /// exchange until the slowest rank is done, then smooths 1 ms on
+    /// level 1; and it records `retransmits[rank]` ARQ retransmits.
+    /// Every rank's level-0 spans add up to the same time, so only the
+    /// waits inside them tell the slow rank apart.
+    fn world(ms: [u64; 4], retransmits: [usize; 4]) -> Vec<RankLog> {
+        let slowest = ms.iter().max().copied().unwrap_or(0);
+        let builders = (0..4)
+            .map(|r| {
+                let mut b = gmg_flight::synth::SynthLog::new(r);
+                let peer = ((r + 1) % 4) as u32;
+                let (smooth, wait) = (ms[r] * 200_000, (slowest - ms[r]) * 200_000);
+                let mut t = 0;
+                for cycle in 0..5 {
+                    b.compute("smooth", 0, t, smooth, 512);
+                    t += smooth;
+                    b.recv_wait(0, t, wait, peer, 1, cycle);
+                    b.compute("exchange", 0, t, wait, 0);
+                    t += wait;
+                    b.compute("smooth", 1, t, 200_000, 64);
+                    t += 200_000;
+                }
+                for seq in 0..retransmits[r] as u64 {
+                    b.arq("arq:retransmit", t + seq, peer, seq);
+                }
+                b
+            })
+            .collect();
+        gmg_flight::synth::into_logs(builders)
+    }
+
+    #[test]
+    fn a_clean_world_flags_nothing() {
+        assert_eq!(stragglers_and_storms(&world([50; 4], [10; 4])), vec![]);
+    }
+
+    #[test]
+    fn a_slow_rank_is_named_with_its_level() {
+        let flags = stragglers_and_storms(&world([50, 50, 500, 50], [0; 4]));
+        let named: Vec<_> = flags.iter().map(|f| (f.kind, f.rank, f.level)).collect();
+        assert_eq!(named, [("straggler", 2, Some(0))], "{flags:?}");
+    }
+
+    #[test]
+    fn a_storm_is_more_than_two_hundred_retransmits() {
+        let flags = stragglers_and_storms(&world([50; 4], [0, 201, 200, 0]));
+        let named: Vec<_> = flags.iter().map(|f| (f.kind, f.rank, f.level)).collect();
+        assert_eq!(named, [("arq_storm", 1, None)], "{flags:?}");
     }
 
     /// A dump that does not exist reports a structured error.

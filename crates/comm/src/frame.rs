@@ -40,9 +40,6 @@ pub enum FrameKind {
     Ack = 1,
     /// A membership/control-plane message (never enters the ARQ layer).
     Control = 2,
-    /// A loss-tolerant telemetry message (gmg-live sidecar; best-effort,
-    /// no ARQ, epoch-fenced by the collector).
-    Telemetry = 3,
 }
 
 /// A decoded frame.
@@ -215,7 +212,6 @@ pub(crate) fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
         0 => FrameKind::Data,
         1 => FrameKind::Ack,
         2 => FrameKind::Control,
-        3 => FrameKind::Telemetry,
         k => return Err(FrameError::BadKind { kind: k }),
     };
     let declared = rd_u32(AT_PAYLOAD_LEN) as usize;
@@ -389,8 +385,7 @@ impl Reassembler {
     /// decoded straight into the message's buffer, which the first
     /// fragment sizes from `frag_count` (a fragment holds at most
     /// [`MAX_FRAGMENT_DOUBLES`], so the buffer never regrows). Control
-    /// and telemetry frames are the caller's business; fed here they are
-    /// dropped.
+    /// frames are the caller's business; fed here they are dropped.
     pub(crate) fn accept(&mut self, h: &FrameHeader, buf: &[u8]) -> Option<Wire> {
         match h.kind {
             FrameKind::Ack => {
@@ -399,7 +394,7 @@ impl Reassembler {
                     seq: h.seq,
                 })
             }
-            FrameKind::Control | FrameKind::Telemetry => return None,
+            FrameKind::Control => return None,
             FrameKind::Data => {}
         }
         let done = |tag, seq, checksum, payload| {
@@ -513,15 +508,17 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_kind_round_trips_and_never_reassembles() {
-        let f = Frame {
-            kind: FrameKind::Telemetry,
-            ..sample()
-        };
-        let bytes = f.encode();
-        assert_eq!(Frame::decode(&bytes).unwrap(), f);
-        // A telemetry frame must never surface as ARQ traffic.
-        assert!(feed(&mut Reassembler::default(), &bytes).unwrap().is_none());
+    fn unassigned_kind_byte_rejects_as_bad_kind() {
+        // The first unassigned kind byte, and two beyond it.
+        for kind in [3u8, 4, u8::MAX] {
+            let mut bytes = sample().encode();
+            bytes[3] = kind;
+            assert_eq!(Frame::decode(&bytes), Err(FrameError::BadKind { kind }));
+            assert_eq!(
+                feed(&mut Reassembler::default(), &bytes).err(),
+                Some(FrameError::BadKind { kind })
+            );
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use frame::{Frame, FrameError, FrameKind};
 pub use model::{NetworkModel, Protocol};
 pub use plan::{ArrayExchangePlan, BrickExchangePlan};
 #[cfg(unix)]
-pub use process::{telemetry_sock_path, ProcessReport, ProcessWorld, RejoinEvent};
+pub use process::{ProcessReport, ProcessWorld, RejoinEvent};
 pub use runtime::{exchange_array, exchange_bricked, ArqStats, RankCtx, RankWorld};
 #[cfg(unix)]
 pub use socket::{SocketKind, SocketTransport};

@@ -91,13 +91,6 @@ fn beat_sock_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("h{rank}.sock"))
 }
 
-/// The world's gmg-live telemetry sidecar socket. Public so a per-rank
-/// shipper can address it from `GMG_PROC_DIR`; datagrams here are
-/// loss-tolerant [`FrameKind::Telemetry`] frames, never ARQ traffic.
-pub fn telemetry_sock_path(dir: &Path) -> PathBuf {
-    dir.join("t.sock")
-}
-
 fn out_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("out_r{rank}.txt"))
 }
@@ -149,23 +142,6 @@ fn enc_cycle(c: i64) -> u64 {
     (c + 1).max(0) as u64
 }
 
-/// What a world's telemetry sidecar hands each datagram to, with the
-/// controller's membership epoch at the time.
-pub type TelemetrySink = Box<dyn FnMut(&[u8], u64)>;
-
-/// Drain every pending datagram on the telemetry sidecar into the
-/// embedded collector sink, stamping each with the controller's current
-/// membership epoch (the sink fences stale-epoch frames itself).
-fn drain_telemetry(sock: Option<&UnixDatagram>, sink: &mut Option<TelemetrySink>, epoch: u64) {
-    let (Some(sock), Some(sink)) = (sock, sink.as_mut()) else {
-        return;
-    };
-    let mut buf = vec![0u8; MAX_FRAME_LEN];
-    while let Ok(n) = sock.recv(&mut buf) {
-        sink(&buf[..n], epoch);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Child side
 // ---------------------------------------------------------------------
@@ -196,10 +172,6 @@ impl Drop for MembershipClient {
 impl MembershipClient {
     pub(crate) fn rejoining(&self) -> bool {
         self.rejoining
-    }
-
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     pub(crate) fn ckpt_dir(&self) -> &Path {
@@ -565,7 +537,6 @@ pub struct ProcessWorld {
     kill_at: Option<(usize, u64)>,
     max_rejoins: u32,
     deadline: Duration,
-    telemetry_sink: Option<TelemetrySink>,
 }
 
 impl ProcessWorld {
@@ -585,7 +556,6 @@ impl ProcessWorld {
             kill_at: None,
             max_rejoins: 4,
             deadline: Duration::from_secs(120),
-            telemetry_sink: None,
         }
     }
 
@@ -630,16 +600,6 @@ impl ProcessWorld {
         self
     }
 
-    /// Embed a telemetry collector: the controller binds the world's
-    /// sidecar socket ([`telemetry_sock_path`]) and hands every datagram
-    /// that arrives there to `sink` together with its current membership
-    /// epoch. Telemetry is best-effort — a full socket buffer drops
-    /// frames, and no sink means the socket is never bound.
-    pub fn telemetry_sink(mut self, sink: TelemetrySink) -> Self {
-        self.telemetry_sink = Some(sink);
-        self
-    }
-
     /// Spawn, supervise, rejoin as needed, and collect results.
     pub fn run(mut self) -> Result<ProcessReport, String> {
         static WORLD_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -662,15 +622,6 @@ impl ProcessWorld {
         let ctl_path = ctl_sock_path(dir);
         let ctl = UnixDatagram::bind(&ctl_path).map_err(|e| format!("bind controller: {e}"))?;
         let tx = UnixDatagram::unbound().map_err(|e| e.to_string())?;
-        let tele = if self.telemetry_sink.is_some() {
-            let path = telemetry_sock_path(dir);
-            let _ = std::fs::remove_file(&path);
-            let s = UnixDatagram::bind(&path).map_err(|e| format!("bind telemetry: {e}"))?;
-            s.set_nonblocking(true).ok();
-            Some(s)
-        } else {
-            None
-        };
 
         let mut ranks: Vec<RankState> = (0..self.nranks)
             .map(|r| self.spawn_child(dir, r, false).map(new_rank_state))
@@ -728,8 +679,6 @@ impl ProcessWorld {
                     }
                 }
             }
-
-            drain_telemetry(tele.as_ref(), &mut self.telemetry_sink, epoch);
 
             // Chaos trigger: a real SIGKILL, driven by reported progress.
             if let Some((kr, kc)) = kill_armed {
@@ -805,8 +754,6 @@ impl ProcessWorld {
         for s in &mut ranks {
             let _ = s.child.wait();
         }
-        // Scoop any trailing end-of-solve telemetry still in the buffer.
-        drain_telemetry(tele.as_ref(), &mut self.telemetry_sink, epoch);
         let results = (0..self.nranks)
             .map(|r| std::fs::read_to_string(out_path(dir, r)).map_err(|e| e.to_string()))
             .collect::<Result<Vec<_>, _>>()?;

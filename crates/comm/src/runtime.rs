@@ -802,21 +802,6 @@ impl RankCtx {
         }
     }
 
-    /// The rank's current membership epoch: 0 in a plain (thread or
-    /// membership-less) world, bumped by each controller `RESUME`. The
-    /// gmg-live shipper stamps telemetry frames with this so collectors
-    /// can fence frames from before a rejoin.
-    pub fn membership_epoch(&self) -> u64 {
-        #[cfg(unix)]
-        {
-            self.membership.as_ref().map(|m| m.epoch()).unwrap_or(0)
-        }
-        #[cfg(not(unix))]
-        {
-            0
-        }
-    }
-
     /// Report solve progress (latest completed cycle) to the heartbeat,
     /// so the controller can observe a live solve. No-op without
     /// membership.

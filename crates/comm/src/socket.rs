@@ -162,13 +162,6 @@ impl SocketTransport {
             // control frame on the data plane is dropped.
             return;
         }
-        if h.kind == FrameKind::Telemetry {
-            // Telemetry rides the gmg-live sidecar socket; a stray
-            // telemetry frame on the data plane is dropped (counted) so it
-            // can never contaminate the ARQ tag/seq spaces.
-            probe::event(Kind::Stat, "frame:misrouted");
-            return;
-        }
         if h.epoch < self.epoch {
             probe::event(Kind::Stat, "frame:fenced");
             return;
@@ -417,6 +410,34 @@ mod tests {
         assert!(got.is_none());
         assert!(start.elapsed() >= Duration::from_millis(55));
         assert_eq!(w[1].frame_errors(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unassigned_kind_byte_counts_as_a_frame_reject() {
+        let dir = scratch_dir("uds_kind");
+        let mut w = uds_world(&dir, 1).unwrap();
+        let flight = gmg_flight::FlightWorld::with_capacity(1, 16);
+        let _g = probe::install(Some(0), [flight.sink(0)]);
+        let mut bytes = crate::frame::Frame {
+            kind: FrameKind::Ack,
+            src: 0,
+            dst: 0,
+            tag: 0,
+            seq: 1,
+            epoch: 0,
+            frag_index: 0,
+            frag_count: 1,
+            arq_checksum: 0,
+            payload: Vec::new(),
+        }
+        .encode();
+        bytes[3] = 3;
+        w[0].ingest(&bytes);
+        assert_eq!(w[0].frame_errors(), 1);
+        assert!(w[0].ready.is_empty());
+        let ops: Vec<_> = flight.ring(0).snapshot().iter().map(|e| e.op).collect();
+        assert_eq!(ops, ["frame:reject"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

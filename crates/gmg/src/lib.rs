@@ -37,5 +37,5 @@ pub use level::Level;
 pub use problem::PoissonProblem;
 pub use rejoin::{RejoinStore, SolverCheckpoint};
 pub use schedule::{ScheduleConfig, SimLevelBreakdown, SimResult};
-pub use solver::{GmgSolver, SolveProgress, SolveStats, SolverConfig};
+pub use solver::{GmgSolver, SolveStats, SolverConfig};
 pub use timers::{OpTimer, TimerReport};

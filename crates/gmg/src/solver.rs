@@ -130,28 +130,10 @@ impl SolveStats {
     }
 }
 
-/// One observation delivered to [`GmgSolver::progress_hook`] after each
-/// completed V-cycle — everything a live telemetry beacon needs, read
-/// straight off solver state (the hook itself can mutate nothing, which
-/// is what keeps telemetry-on residual histories bit-identical).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SolveProgress {
-    /// Completed V-cycles so far (1-based at the first callback).
-    pub cycle: usize,
-    /// Residual max-norm after this cycle.
-    pub residual: f64,
-    /// The rank's membership epoch at observation time.
-    pub epoch: u64,
-    /// Cumulative per-level op seconds from the solver's [`OpTimer`].
-    pub level_seconds: Vec<f64>,
-}
-
 /// See [`GmgSolver::fault_hook`].
 pub type FaultHook = Box<dyn FnMut(usize, &mut Level) + Send>;
 /// See [`GmgSolver::phase_hook`].
 pub type PhaseHook = Box<dyn FnMut(usize, &'static str, usize) + Send>;
-/// See [`GmgSolver::progress_hook`].
-pub type ProgressHook = Box<dyn FnMut(&SolveProgress) + Send>;
 
 /// One rank's multigrid solver state.
 pub struct GmgSolver {
@@ -169,10 +151,6 @@ pub struct GmgSolver {
     /// rejoin battery uses this to make a rank die at an exact point in
     /// the schedule.
     pub phase_hook: Option<PhaseHook>,
-    /// Observation-only telemetry hook: called with a [`SolveProgress`]
-    /// after each V-cycle's residual lands in the history. The gmg-live
-    /// shipper hangs off this; it must never touch solver state.
-    pub progress_hook: Option<ProgressHook>,
     rank: usize,
     tag_counter: u64,
     /// 1-based index of the cycle currently executing (feeds `phase_hook`).
@@ -229,7 +207,6 @@ impl GmgSolver {
             timers: OpTimer::new(),
             fault_hook: None,
             phase_hook: None,
-            progress_hook: None,
             rank,
             tag_counter: 0,
             current_cycle: 0,
@@ -633,20 +610,6 @@ impl GmgSolver {
             }
             let (r, norms) = self.residual_check(ctx)?;
             history.push(r);
-            if self.progress_hook.is_some() {
-                let level_seconds: Vec<f64> = (0..self.config.num_levels)
-                    .map(|l| self.timers.level_total(l))
-                    .collect();
-                let progress = SolveProgress {
-                    cycle: vcycles,
-                    residual: r,
-                    epoch: ctx.membership_epoch(),
-                    level_seconds,
-                };
-                if let Some(hook) = self.progress_hook.as_mut() {
-                    hook(&progress);
-                }
-            }
             // `max`-reductions silently drop NaN (`f64::max(NaN, x) = x`),
             // so non-finite state is detected through the summing residual
             // norms, which propagate it — and globally, so every rank

@@ -718,7 +718,7 @@ pub struct MadVerdict {
 }
 
 /// The reusable robust-outlier core shared by [`outliers`] and the
-/// gmg-live straggler alert: each sample is judged against
+/// postmortem's straggler check: each sample is judged against
 /// `median + max(5·σ_MAD, 0.5·median, abs_floor)` where
 /// `σ_MAD = max(1.4826·MAD, 1)`. Returns one verdict per input sample
 /// (in input order); fewer than `min_samples` inputs flag nothing.

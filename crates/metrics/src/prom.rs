@@ -144,52 +144,6 @@ pub fn render_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-/// The gmg-live exposition self-metrics, appended to every scrape so the
-/// telemetry plane reports on itself: how long this render took, how
-/// stale the merged snapshot is, and how many telemetry frames the
-/// collector knows it lost (seq gaps — the channel is loss-tolerant by
-/// design, so losses are expected and *counted*, never hidden).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct SelfMetrics {
-    pub scrape_duration_ns: u64,
-    pub snapshot_age_ns: u64,
-    pub frames_lost_total: u64,
-}
-
-impl SelfMetrics {
-    /// The three series as snapshot entries (keyed `rank=0`, op `live`),
-    /// ready to merge into a snapshot before rendering.
-    pub fn entries(&self) -> Vec<SnapshotEntry> {
-        let key = Key::new(0, None, "live");
-        vec![
-            SnapshotEntry {
-                name: "gmg_live_frames_lost_total".to_string(),
-                key,
-                value: Value::Counter(self.frames_lost_total),
-            },
-            SnapshotEntry {
-                name: "gmg_live_scrape_duration_ns".to_string(),
-                key,
-                value: Value::Gauge(self.scrape_duration_ns as f64),
-            },
-            SnapshotEntry {
-                name: "gmg_live_snapshot_age_ns".to_string(),
-                key,
-                value: Value::Gauge(self.snapshot_age_ns as f64),
-            },
-        ]
-    }
-}
-
-/// Render a snapshot plus the gmg-live self-metrics in one exposition.
-pub fn render_prometheus_with_self(snap: &Snapshot, self_metrics: &SelfMetrics) -> String {
-    let mut with = snap.clone();
-    with.entries.extend(self_metrics.entries());
-    with.entries
-        .sort_by(|a, b| (&a.name, &a.key).cmp(&(&b.name, &b.key)));
-    render_prometheus(&with)
-}
-
 #[derive(Default)]
 struct HistParts {
     buckets: Vec<(usize, u64)>, // (bucket index, cumulative count)
@@ -394,39 +348,6 @@ mod tests {
             .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
             .collect();
         assert!(cums.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn self_metrics_render_and_roundtrip() {
-        let r = Registry::new();
-        r.counter("solver_events_total", Key::new(2, Some(1), "smooth"))
-            .add(4);
-        let snap = r.snapshot();
-        let sm = SelfMetrics {
-            scrape_duration_ns: 12_345,
-            snapshot_age_ns: 200_000,
-            frames_lost_total: 3,
-        };
-        let text = render_prometheus_with_self(&snap, &sm);
-        assert!(text.contains("# TYPE gmg_live_scrape_duration_ns gauge"));
-        assert!(text.contains("# TYPE gmg_live_snapshot_age_ns gauge"));
-        assert!(text.contains("# TYPE gmg_live_frames_lost_total counter"));
-        assert!(
-            text.contains("gmg_live_frames_lost_total{rank=\"0\",level=\"none\",op=\"live\"} 3")
-        );
-        // The augmented exposition still parses exactly: solver series
-        // plus the three self-metric series.
-        let back = parse_prometheus(&text).unwrap();
-        assert_eq!(back.entries.len(), snap.entries.len() + 3);
-        assert_eq!(
-            back.get("gmg_live_scrape_duration_ns", &Key::new(0, None, "live")),
-            Some(&Value::Gauge(12_345.0))
-        );
-        assert_eq!(back.counter_total("gmg_live_frames_lost_total"), 3);
-        assert_eq!(
-            back.get("solver_events_total", &Key::new(2, Some(1), "smooth")),
-            Some(&Value::Counter(4))
-        );
     }
 
     #[test]

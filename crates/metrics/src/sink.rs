@@ -44,7 +44,6 @@ fn vocabulary(kind: Kind, op: &'static str) -> (Option<&'static str>, &'static [
         (Kind::Arq, "arq:dedup") => (Some("arq"), &[Count("arq_dedup_drops_total")]),
         (Kind::Stat, "arq:acked") => (Some("arq"), &[Value("arq_attempts")]),
         (Kind::Arq, "frame:reject") => (Some("frame"), &[Count("frame_decode_errors_total")]),
-        (Kind::Stat, "frame:misrouted") => (Some("frame"), &[Count("telemetry_misrouted_total")]),
         (Kind::Stat, "frame:fenced") => (Some("frame"), &[Count("epoch_fenced_frames_total")]),
         (Kind::Stat, "heartbeat:missed") => {
             (Some("membership"), &[Count("heartbeat_missed_total")])

@@ -13,17 +13,6 @@ use crate::registry::Key;
 use gmg_trace::Json;
 use std::fmt::Write as _;
 
-/// Tie-break order for [`Snapshot::merge`] when two entries under one key
-/// disagree on value kind (impossible from one registry, but merge must
-/// still be order-independent on arbitrary inputs).
-fn kind_rank(v: &Value) -> u8 {
-    match v {
-        Value::Counter(_) => 0,
-        Value::Gauge(_) => 1,
-        Value::Histogram(_) => 2,
-    }
-}
-
 /// One metric series' value at snapshot time.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
@@ -108,55 +97,6 @@ impl Snapshot {
             })
             .collect();
         Snapshot { entries }
-    }
-
-    /// Combine two snapshots into one: counters add, histograms merge,
-    /// and gauges keep the maximum (total orders like epoch numbers or
-    /// residual high-water marks survive any merge order; per-rank keys
-    /// never actually collide across ranks). The operation is associative
-    /// *and* commutative — property-tested — so a collector may fold
-    /// per-rank deltas in whatever order the wire delivers them.
-    pub fn merge(&self, other: &Snapshot) -> Snapshot {
-        let mut map: std::collections::BTreeMap<(String, Key), Value> =
-            std::collections::BTreeMap::new();
-        for e in self.entries.iter().chain(other.entries.iter()) {
-            let slot = map.entry((e.name.clone(), e.key));
-            match slot {
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(e.value.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut o) => {
-                    let merged = match (o.get(), &e.value) {
-                        (Value::Counter(a), Value::Counter(b)) => {
-                            Value::Counter(a.saturating_add(*b))
-                        }
-                        (Value::Histogram(a), Value::Histogram(b)) => {
-                            let mut h = a.clone();
-                            h.merge(b);
-                            Value::Histogram(h)
-                        }
-                        (Value::Gauge(a), Value::Gauge(b)) => Value::Gauge(a.max(*b)),
-                        // Mixed kinds under one key cannot come from a
-                        // registry; keep the lexically larger kind name so
-                        // the result is still order-independent.
-                        (a, b) => {
-                            if kind_rank(a) >= kind_rank(b) {
-                                a.clone()
-                            } else {
-                                b.clone()
-                            }
-                        }
-                    };
-                    o.insert(merged);
-                }
-            }
-        }
-        Snapshot {
-            entries: map
-                .into_iter()
-                .map(|((name, key), value)| SnapshotEntry { name, key, value })
-                .collect(),
-        }
     }
 
     /// Serialize to the snapshot JSON document (schema 1).
@@ -371,35 +311,6 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(d.counter_total("arq_retransmits_total"), 2);
-    }
-
-    #[test]
-    fn merge_adds_counters_merges_histograms_maxes_gauges() {
-        let a = sample_registry().snapshot();
-        let r = Registry::new();
-        r.counter("arq_retransmits_total", Key::new(0, None, "arq"))
-            .add(5);
-        r.gauge("residual", Key::new(0, Some(0), "solve")).set(2e-9);
-        r.histogram("arq_backoff_ns", Key::new(1, None, "arq"))
-            .record(50);
-        let b = r.snapshot();
-        let m = a.merge(&b);
-        assert_eq!(m, b.merge(&a), "merge must be commutative");
-        assert_eq!(
-            m.get("arq_retransmits_total", &Key::new(0, None, "arq")),
-            Some(&Value::Counter(8))
-        );
-        assert_eq!(
-            m.get("residual", &Key::new(0, Some(0), "solve")),
-            Some(&Value::Gauge(2e-9))
-        );
-        match m.get("arq_backoff_ns", &Key::new(1, None, "arq")) {
-            Some(Value::Histogram(h)) => assert_eq!(h.count(), 5),
-            other => panic!("unexpected {other:?}"),
-        }
-        // Identity: merging with an empty snapshot changes nothing but
-        // (already sorted) order.
-        assert_eq!(a.merge(&Snapshot::default()), a);
     }
 
     #[test]

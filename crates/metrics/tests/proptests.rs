@@ -1,12 +1,13 @@
 //! Hostile input for the two snapshot codecs.
 //!
-//! `parse_prometheus` reads bodies scraped over a socket and
-//! `Snapshot::from_json` reads telemetry frames off one, so any damage to
-//! a rendered document — a truncated body, a flipped byte or value, lines
-//! or bucket pairs repeated or out of order — may make it an error but
-//! never a panic or an allocation sized by the input. What they decode
-//! is then merged, so merging any two decoded histograms must not
-//! overflow either.
+//! `parse_prometheus` and `Snapshot::from_json` read back what
+//! `render_prometheus` and `Snapshot::to_json` write to files (a
+//! `GMG_METRICS` snapshot, an exposition), so any damage to a rendered
+//! document — a truncated body, a flipped byte or value, lines or bucket
+//! pairs repeated or out of order — may make it an error but never a
+//! panic or an allocation sized by the input. What they decode may then
+//! be merged (`Snapshot::histogram_total`), so merging any two decoded
+//! histograms must not overflow either.
 
 use gmg_metrics::hist::bucket_index;
 use gmg_metrics::prom::{parse_prometheus, render_prometheus};
@@ -270,8 +271,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Merging two decoded histograms never panics (the harness catches
-    /// one), its count is the saturating sum, and every quantile lies in
-    /// the merged `[min, max]`.
+    /// one), its count is the saturating sum, every quantile lies in the
+    /// merged `[min, max]`, and its exposition's cumulative bucket counts
+    /// saturate too.
     #[test]
     fn merging_decoded_histograms_saturates(a in decoded_histogram(), b in decoded_histogram()) {
         let mut m = a.clone();
@@ -283,5 +285,12 @@ proptest! {
                 prop_assert!(min <= v && v <= max, "q={} gives {} outside [{}, {}]", q, v, min, max);
             }
         }
+        let entries = vec![SnapshotEntry {
+            name: "lat_ns".to_string(),
+            key: Key::new(0, None, "send"),
+            value: Value::Histogram(m),
+        }];
+        let text = render_prometheus(&Snapshot { entries });
+        prop_assert!(text.contains("lat_ns_bucket{"), "{}", text);
     }
 }

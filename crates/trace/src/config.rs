@@ -1,6 +1,6 @@
 //! The observability environment, parsed in one place.
 //!
-//! Twelve `GMG_*` variables steer the sinks. [`ObsConfig::from_env`] is
+//! Nine `GMG_*` variables steer the sinks. [`ObsConfig::from_env`] is
 //! the only code that reads them; it is called where a context is
 //! installed or an artifact is written (a rank world starting, a harness
 //! wrapping its run, a dump being placed), never on a hot path, and not
@@ -33,14 +33,6 @@ pub struct ObsConfig {
     pub flight_dir: Option<PathBuf>,
     /// `GMG_FLIGHT_MAX_DUMPS`: dumps one process may write (default 32).
     pub flight_max_dumps: u64,
-    /// `GMG_LIVE`: live telemetry ships unless this is `0`.
-    pub live: bool,
-    /// `GMG_LIVE_SILENT_MS`: silent-rank alert threshold (positive
-    /// integer, default 750 ms).
-    pub live_silent: Duration,
-    /// `GMG_PROM_ADDR`: Prometheus endpoint bind address (default an
-    /// ephemeral loopback port).
-    pub prom_addr: String,
     /// `GMG_RESULTS_DIR`: where harness artifacts land (default
     /// `results/`).
     pub results_dir: Option<PathBuf>,
@@ -82,9 +74,6 @@ impl ObsConfig {
             flight_max_dumps: text("GMG_FLIGHT_MAX_DUMPS")
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(32),
-            live: text("GMG_LIVE").as_deref() != Some("0"),
-            live_silent: Duration::from_millis(positive("GMG_LIVE_SILENT_MS", 750)),
-            prom_addr: text("GMG_PROM_ADDR").unwrap_or_else(|| "127.0.0.1:0".to_string()),
             results_dir: path("GMG_RESULTS_DIR"),
         }
     }
@@ -121,9 +110,6 @@ mod tests {
         assert!(c.flight);
         assert_eq!(c.flight_capacity, 65536);
         assert_eq!(c.flight_max_dumps, 32);
-        assert!(c.live);
-        assert_eq!(c.live_silent, Duration::from_millis(750));
-        assert_eq!(c.prom_addr, "127.0.0.1:0");
         assert_eq!(c.results_dir, None);
         assert_eq!(c.dump_dir(), PathBuf::from("results"));
     }
@@ -139,9 +125,6 @@ mod tests {
             "GMG_FLIGHT_CAPACITY",
             "GMG_FLIGHT_DIR",
             "GMG_FLIGHT_MAX_DUMPS",
-            "GMG_LIVE",
-            "GMG_LIVE_SILENT_MS",
-            "GMG_PROM_ADDR",
             "GMG_RESULTS_DIR",
         ]
         .iter()
@@ -157,15 +140,11 @@ mod tests {
             ("GMG_FLIGHT", "maybe"),
             ("GMG_FLIGHT_CAPACITY", "-4"),
             ("GMG_FLIGHT_MAX_DUMPS", "1e3"),
-            ("GMG_LIVE", "no"),
-            ("GMG_LIVE_SILENT_MS", "0"),
         ]);
         assert_eq!(c, parse(&[]));
-        for silent in ["banana", "-5"] {
-            assert_eq!(parse(&[("GMG_LIVE_SILENT_MS", silent)]), parse(&[]));
+        for interval in ["0", "banana", "-5"] {
+            assert_eq!(parse(&[("GMG_PROF_INTERVAL_US", interval)]), parse(&[]));
         }
-        // The kill switch is exactly "0"; anything else leaves live on.
-        assert!(parse(&[("GMG_LIVE", "1")]).live);
     }
 
     #[test]
@@ -179,9 +158,6 @@ mod tests {
             ("GMG_FLIGHT_CAPACITY", "1024"),
             ("GMG_FLIGHT_DIR", "/tmp/dumps"),
             ("GMG_FLIGHT_MAX_DUMPS", "0"),
-            ("GMG_LIVE", "0"),
-            ("GMG_LIVE_SILENT_MS", " 2000 "),
-            ("GMG_PROM_ADDR", "127.0.0.1:9100"),
             ("GMG_RESULTS_DIR", "/tmp/results"),
         ]);
         assert_eq!(c.trace, Some(PathBuf::from("/tmp/t.json")));
@@ -191,9 +167,6 @@ mod tests {
         assert!(!c.flight);
         assert_eq!(c.flight_capacity, 1024);
         assert_eq!(c.flight_max_dumps, 0);
-        assert!(!c.live);
-        assert_eq!(c.live_silent, Duration::from_millis(2000));
-        assert_eq!(c.prom_addr, "127.0.0.1:9100");
         assert_eq!(c.dump_dir(), PathBuf::from("/tmp/dumps"));
         for off in ["0", "false"] {
             assert!(!parse(&[("GMG_FLIGHT", off)]).flight);
