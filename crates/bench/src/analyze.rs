@@ -1,6 +1,8 @@
 //! analyze — trace-analysis reports: per-V-cycle critical path, load
 //! imbalance, comm/compute overlap, roofline attribution against the
-//! `gmg-machine` model, outlier detection, and run-vs-run diffing.
+//! `gmg-machine` model, outlier detection, and run-vs-run diffing. Next
+//! to the report it writes `flame.folded`: the span tree folded into
+//! flamegraph stacks of self time (`gmg_trace::folded::fold`).
 //!
 //! The analysis engine itself lives in `gmg_metrics::analysis` (it only
 //! needs a [`gmg_trace::Trace`]); this module supplies the machine
@@ -27,8 +29,7 @@ use gmg_machine::model::LatencyThroughput;
 use gmg_mesh::{Box3, Decomposition, Point3};
 use gmg_metrics::analysis::{self, MachineEnvelope};
 use gmg_metrics::Analysis;
-use gmg_trace::Json;
-use gmg_trace::{Trace, TraceSummary, Track};
+use gmg_trace::{folded, Json, Trace, TraceSummary, Track};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -284,6 +285,9 @@ pub fn run_with(dir: &Path, opts: &AnalyzeOpts, env: Option<MachineEnvelope>) ->
     let path = crate::report::save_raw_in(dir, "analyze_report.md", &report);
     print!("{report}");
     println!("\n[report -> {path:?}]");
+    let folded = folded::encode(&folded::fold(&trace));
+    let path = crate::report::save_raw_in(dir, "flame.folded", &folded);
+    println!("[flamegraph stacks -> {path:?}]");
     let coverage_pct = 100.0 * analysis.path.coverage;
     if coverage_pct < opts.min_coverage_pct {
         eprintln!(
@@ -445,5 +449,35 @@ mod tests {
         let report = std::fs::read_to_string(dir.join("analyze_report.md")).unwrap();
         assert!(report.contains("critical-path coverage"));
         assert!(report.contains("Roofline attribution"));
+        let stacks = std::fs::read_to_string(dir.join("flame.folded")).unwrap();
+        assert_eq!(folded::parse(&stacks).unwrap(), folded::fold(&trace));
+    }
+
+    /// The span tree of the reference solve folds into parseable stacks
+    /// under one `rank<r>` root per rank, whose self times add up to the
+    /// rank's root spans: no time is lost or counted twice.
+    #[test]
+    fn reference_solve_folds_into_stacks_that_account_for_every_root_span() {
+        let trace = traced_solve();
+        let stacks = folded::parse(&folded::encode(&folded::fold(&trace))).unwrap();
+        for rank in trace.ranks() {
+            let mut spans: Vec<_> = trace.events.iter().filter(|e| e.rank == rank).collect();
+            spans.sort_by_key(|e| (e.ts_ns, std::cmp::Reverse(e.dur_ns)));
+            // Roots: spans no earlier span still open contains.
+            let (mut roots_ns, mut open_until) = (0u64, 0u64);
+            for e in spans {
+                if e.ts_ns + e.dur_ns > open_until {
+                    roots_ns += e.dur_ns;
+                    open_until = e.ts_ns + e.dur_ns;
+                }
+            }
+            let root = format!("rank{rank};");
+            let folded_ns: u64 = (stacks.iter())
+                .filter(|(stack, _)| stack.starts_with(&root))
+                .map(|(_, n)| n)
+                .sum();
+            assert!(roots_ns > 0, "rank {rank} has no spans");
+            assert_eq!(folded_ns, roots_ns, "rank {rank}");
+        }
     }
 }

@@ -288,33 +288,7 @@ fn mk_layout(n: i64, bd: i64) -> Arc<BrickLayout> {
     ))
 }
 
-/// Sampled sub-phase breakdown of the bricked applyOp for the trajectory's
-/// `extra` field: run the kernel under a short gmg-prof session and report
-/// each direct sub-phase's share of in-kernel samples. Pure context — the
-/// gate never scores it — but it lets `--diff`-style trajectory analysis
-/// see *which* part of the kernel moved, not just that it moved.
-fn applyop_phase_breakdown(
-    dst: &mut BrickedField,
-    src: &BrickedField,
-    alpha: f64,
-    beta: f64,
-    owned: Box3,
-) -> Json {
-    let ph = gmg_prof::brick_phases(8);
-    let session = gmg_prof::start(std::time::Duration::from_micros(100));
-    let t0 = Instant::now();
-    while t0.elapsed().as_secs_f64() < 0.15 {
-        apply_star7_bricked(dst, src, alpha, beta, owned);
-    }
-    let b = session.stop().under_root(ph.apply_root);
-    let mut phases = Vec::new();
-    for name in b.children.keys() {
-        phases.push(json!({ "phase": name.as_str(), "share": b.child_share(name) }));
-    }
-    json!({ "samples": b.total, "coverage": b.coverage(), "phases": phases })
-}
-
-fn applyop_at(n: i64, id: &'static str, with_breakdown: bool, opts: &GateOpts) -> BenchOut {
+fn applyop_at(n: i64, id: &'static str, opts: &GateOpts) -> BenchOut {
     let owned = Box3::cube(n);
     let layout = mk_layout(n, 8);
     let src = BrickedField::from_fn(layout.clone(), init_x);
@@ -345,14 +319,8 @@ fn applyop_at(n: i64, id: &'static str, with_breakdown: bool, opts: &GateOpts) -
             }
         })
     });
-    let extra = if with_breakdown {
-        let breakdown = applyop_phase_breakdown(&mut dst, &src, alpha, beta, owned);
-        json!({ "grid": n, "brick_dim": 8i64, "phase_breakdown": breakdown,
-                "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() })
-    } else {
-        json!({ "grid": n, "brick_dim": 8i64,
-                "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() })
-    };
+    let extra = json!({ "grid": n, "brick_dim": 8i64,
+                        "transport": IN_PROCESS_TRANSPORT, "ranks": run_ranks() });
     finish(
         id,
         "array applyOp",
@@ -367,13 +335,13 @@ fn applyop_at(n: i64, id: &'static str, with_breakdown: bool, opts: &GateOpts) -
 
 /// Comparison at the L2-resident block size (see [`APPLYOP_BLOCK`]).
 fn bench_applyop(opts: &GateOpts) -> BenchOut {
-    applyop_at(APPLYOP_BLOCK, "applyop_bricked_vs_array", true, opts)
+    applyop_at(APPLYOP_BLOCK, "applyop_bricked_vs_array", opts)
 }
 
 /// Full-`--grid` twin: how the same kernels compare in the
 /// DRAM-streaming regime.
 fn bench_applyop_stream(opts: &GateOpts) -> BenchOut {
-    applyop_at(opts.grid, "applyop_bricked_vs_array_stream", false, opts)
+    applyop_at(opts.grid, "applyop_bricked_vs_array_stream", opts)
 }
 
 fn bench_smooth_residual(opts: &GateOpts) -> BenchOut {
@@ -991,11 +959,21 @@ mod tests {
         let (_, written) = latest_entry(&dir).expect("entry written");
         let (_, mut committed) =
             latest_entry(&committed_bench_dir()).expect("committed trajectory");
-        // Rows of benchmarks the suite no longer runs stay in the history
-        // but say nothing about the schema of a new entry.
+        // Rows of benchmarks the suite no longer runs, and the sampled
+        // `phase_breakdown` extra it no longer records, stay in the
+        // history but say nothing about the schema of a new entry.
         if let Json::Obj(fields) = &mut committed {
             if let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "benchmarks") {
                 rows.retain(|r| benches.iter().any(|b| r["id"].as_str() == Some(b.id)));
+                for row in rows.iter_mut() {
+                    if let Json::Obj(row) = row {
+                        for (_, extra) in row.iter_mut().filter(|(k, _)| k == "extra") {
+                            if let Json::Obj(extra) = extra {
+                                extra.retain(|(k, _)| k != "phase_breakdown");
+                            }
+                        }
+                    }
+                }
             }
         }
         assert_eq!(shape(&written), shape(&committed));
@@ -1020,23 +998,6 @@ mod tests {
             assert_eq!(Some(dpp), expected, "{}", ms.id);
             assert!(3.0 < dpp && dpp < 3.25, "{}: {dpp}", ms.id);
         }
-    }
-
-    #[test]
-    fn applyop_entry_carries_phase_breakdown() {
-        let b = bench_applyop(&tiny_opts());
-        let bd = &b.extra["phase_breakdown"];
-        assert!(bd["samples"].as_u64().unwrap() > 0, "{bd:?}");
-        assert!(bd["coverage"].as_f64().unwrap() > 0.5, "{bd:?}");
-        let phases = bd["phases"].as_arr().unwrap();
-        assert!(
-            phases
-                .iter()
-                .any(|p| p["phase"].as_str() == Some("interior@b8")),
-            "{phases:?}"
-        );
-        let total: f64 = phases.iter().map(|p| p["share"].as_f64().unwrap()).sum();
-        assert!(total <= 1.0 + 1e-9, "shares sum to {total}");
     }
 
     #[test]

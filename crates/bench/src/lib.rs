@@ -28,27 +28,24 @@
 //! `bench/BENCH_<n>.json` trajectory, run via `--bin perfgate`
 //! (`-- --check` in CI) — and [`analyze`] — the trace-analysis report
 //! (per-V-cycle critical path, load imbalance, roofline attribution,
-//! outliers, run-vs-run diffing) over a traced solve or any `GMG_TRACE`
-//! capture, run via `--bin analyze` (`-- --diff a b` to compare runs;
-//! `GMG_TRACE=<path>` exports the traced solve for Perfetto) —
+//! outliers, run-vs-run diffing, and flamegraph folded stacks of the
+//! span tree) over a traced solve or any `GMG_TRACE` capture, run via
+//! `--bin analyze` (`-- --diff a b` to compare runs; `GMG_TRACE=<path>`
+//! exports the traced solve for Perfetto) —
 //! and [`postmortem`] — the flight-recorder crash forensics pipeline
 //! (seeded killed-rank solve → automatic dump → culprit naming,
 //! wait-state attribution, edge-exact critical path, Perfetto timeline
 //! with cross-rank flow arrows), run via `--bin postmortem -- --seed N`
-//! or `-- --dump DIR` — and [`flame`] — the sampled kernel efficiency
-//! observatory (gmg-prof folded stacks, per-phase decomposition of the
-//! bricked applyOp, roofline columns, sampled-vs-traced cross-validation,
-//! `--inject-slowdown PHASE:PCT` attribution self-test), run via
-//! `--bin flame` — and [`scaling`] — the
+//! or `-- --dump DIR` — and [`scaling`] — the
 //! 10k-rank scaling observatory (contention-modeled schedule simulation
 //! via `gmg-scale`, weak/strong sweeps, alpha–beta+contention model fit,
 //! flight-grade wait attribution, rank-window Perfetto forensics, and
 //! the planted-slowdown polarity self-test), run via `--bin scaling`
 //! (`--ranks N`, `--inject-slowdown LEVEL:PCT`, `--window A:B`).
 //! Every binary runs inside [`report::with_env_hooks`], so it honours
-//! `GMG_TRACE=<path>` to capture a trace of its run, `GMG_PROF=<path>` to
-//! write folded sampling stacks of its run, and `GMG_METRICS=<path>` to
-//! write its final metrics snapshot as JSON.
+//! `GMG_TRACE=<path>` to capture a trace of its run (`analyze --trace`
+//! folds it into flamegraph stacks) and `GMG_METRICS=<path>` to write its
+//! final metrics snapshot as JSON.
 //!
 //! Each `run()` prints the same rows/series the paper reports and returns a
 //! JSON value; binaries also persist it under `results/`. The *real* CPU
@@ -66,7 +63,6 @@ pub mod figure6;
 pub mod figure7;
 pub mod figure8;
 pub mod figure9;
-pub mod flame;
 pub mod gate;
 pub mod measured;
 pub mod plot;

@@ -6,16 +6,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Run `f` under every sink `cfg` names an artifact for, then write the
-/// artifacts: `trace` → a capture's Chrome trace-event JSON, `prof` → a
-/// sampling session's folded stacks (interval `prof_interval`), `metrics`
-/// → what the global registry grew by during the run, as schema-1 JSON
-/// (a *delta*: the registry is process-global and may already hold rows).
+/// artifacts: `trace` → a capture's Chrome trace-event JSON, `metrics` →
+/// what the global registry grew by during the run, as schema-1 JSON (a
+/// *delta*: the registry is process-global and may already hold rows).
 /// With none set `f` runs directly and every probe stays inert.
 pub fn with_hooks<T>(cfg: &ObsConfig, f: impl FnOnce() -> T) -> T {
-    let session = cfg
-        .prof
-        .as_ref()
-        .map(|_| gmg_prof::start(cfg.prof_interval));
     let metrics = (cfg.metrics.as_ref()).map(|_| {
         (
             gmg_metrics::Registry::global().snapshot(),
@@ -29,7 +24,6 @@ pub fn with_hooks<T>(cfg: &ObsConfig, f: impl FnOnce() -> T) -> T {
         }
         None => (f(), None),
     };
-    let profile = session.map(|s| s.stop());
     let delta = metrics.map(|(before, was_enabled)| {
         if !was_enabled {
             gmg_metrics::disable();
@@ -42,13 +36,6 @@ pub fn with_hooks<T>(cfg: &ObsConfig, f: impl FnOnce() -> T) -> T {
         let path = save_at(path, "trace.json", &trace.to_chrome_string());
         eprintln!("[trace: {} events -> {path:?}]", trace.events.len());
     }
-    if let (Some(path), Some(profile)) = (&cfg.prof, profile) {
-        let path = save_at(path, "prof.folded", &profile.to_folded());
-        eprintln!(
-            "[prof: {} samples / {} ticks, {} dropped -> {path:?}]",
-            profile.samples, profile.ticks, profile.dropped
-        );
-    }
     if let (Some(path), Some(delta)) = (&cfg.metrics, delta) {
         let path = save_at(path, "metrics.json", &delta.to_json().to_string());
         eprintln!("[metrics: {} rows -> {path:?}]", delta.entries.len());
@@ -56,9 +43,8 @@ pub fn with_hooks<T>(cfg: &ObsConfig, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// [`with_hooks`] as the environment asks: `GMG_TRACE`, `GMG_PROF`
-/// (+ `GMG_PROF_INTERVAL_US`) and `GMG_METRICS`. Every harness binary
-/// wraps its `run()` in this.
+/// [`with_hooks`] as the environment asks: `GMG_TRACE` and
+/// `GMG_METRICS`. Every harness binary wraps its `run()` in this.
 pub fn with_env_hooks<T>(f: impl FnOnce() -> T) -> T {
     with_hooks(&ObsConfig::from_env(), f)
 }
@@ -216,7 +202,6 @@ mod tests {
         let cfg = ObsConfig {
             trace: at("t.json"),
             metrics: at("m.json"),
-            prof: at("p.folded"),
             ..ObsConfig::from_lookup(|_| None)
         };
         let out = with_hooks(&cfg, || {
@@ -230,8 +215,6 @@ mod tests {
         assert_eq!(trace.events.len(), 2);
         let metrics = std::fs::read_to_string(dir.join("m.json")).unwrap();
         assert!(metrics.contains("hooks_test_op"), "{metrics}");
-        let folded = std::fs::read_to_string(dir.join("p.folded")).unwrap();
-        assert!(gmg_prof::folded::parse(&folded).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -88,8 +88,8 @@ enum Departure {
 /// every later timeout.
 const INITIAL_RTO: Duration = Duration::from_millis(200);
 
-/// Smoothed round-trip estimate to one peer (Jacobson/Karels, the TCP
-/// estimator of RFC 6298): `rto = srtt + 4·rttvar`. A "round trip" here
+/// Smoothed round-trip estimate to one peer (Jacobson/Karels, the
+/// retransmission-timer estimator of RFC 6298): `rto = srtt + 4·rttvar`. A "round trip" here
 /// ends when this rank *processes* the ACK, so it includes the peer's
 /// time to reach a comm call — which is what a retransmission has to
 /// outwait.

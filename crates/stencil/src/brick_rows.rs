@@ -2,8 +2,8 @@
 //!
 //! This is the BrickLib "vector code generator" analog: instead of routing
 //! face cells through a per-point 27-way adjacency lookup (the old
-//! `brick_boundary` pass — 86% of bricked applyOp time in the seed's
-//! flame report), the kernel resolves the center brick and its six face
+//! `brick_boundary` pass — 86% of bricked applyOp time in the first
+//! sampled profile), the kernel resolves the center brick and its six face
 //! neighbors *once* per brick ([`gmg_brick::BrickFaces`]) and then streams
 //! every row of the brick with neighbor values read at fixed offsets into
 //! those seven contiguous slices. Boundary cells cost the same handful of
@@ -39,7 +39,7 @@ use gmg_mesh::{Box3, Point3};
 
 const FACE: &str = "face brick missing: caller must guarantee region.grow(1) within storage";
 
-/// Request a best-effort L1 prefetch of the cache line holding `p`.
+/// Request a best-effort L1 prefetch of the cache line holding `line[0]`.
 ///
 /// The face-neighbor reads are the one part of a brick's update without a
 /// long unit-stride pattern the hardware prefetcher can lock onto: each
@@ -49,14 +49,21 @@ const FACE: &str = "face brick missing: caller must guarantee region.grow(1) wit
 /// (measured ~35% off the whole-brick time at `B = 8`, grid 128³).
 /// Values are never changed by a prefetch, so bit-identity is unaffected.
 #[inline(always)]
-fn prefetch(p: *const f64) {
+fn prefetch(line: &[f64]) {
+    debug_assert!(!line.is_empty());
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a hint; it cannot fault even on invalid addresses.
+    // SAFETY: `line` is a live, non-empty slice (every caller takes a
+    // subslice of a face brick, so indexing has already bounds-checked
+    // it), hence its first element's address is in bounds. `_mm_prefetch`
+    // is a hint that neither reads into the program nor faults.
     unsafe {
-        core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0);
+        core::arch::x86_64::_mm_prefetch(
+            line.as_ptr().cast::<i8>(),
+            core::arch::x86_64::_MM_HINT_T0,
+        );
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
+    let _ = line;
 }
 
 /// Brick-local **exclusive** bounds of the cells to update, derived from a
@@ -235,18 +242,18 @@ fn prefetch_faces<const B: usize>(faces: &BrickFaces<'_>) {
     let zmf = faces.zm.expect(FACE);
     let zpf = faces.zp.expect(FACE);
     for lz in 0..B {
-        prefetch(ymf[(lz * B + (B - 1)) * B..].as_ptr());
-        prefetch(ypf[lz * B * B..].as_ptr());
+        prefetch(&ymf[(lz * B + (B - 1)) * B..]);
+        prefetch(&ypf[lz * B * B..]);
         for ly in 0..B {
             let row = (lz * B + ly) * B;
-            prefetch(xm[row + B - 1..].as_ptr());
-            prefetch(xp[row..].as_ptr());
+            prefetch(&xm[row + B - 1..]);
+            prefetch(&xp[row..]);
         }
     }
     let line = 64 / core::mem::size_of::<f64>();
     for i in (0..B * B).step_by(line.min(B * B)) {
-        prefetch(zmf[(B - 1) * B * B + i..].as_ptr());
-        prefetch(zpf[i..].as_ptr());
+        prefetch(&zmf[(B - 1) * B * B + i..]);
+        prefetch(&zpf[i..]);
     }
 }
 

@@ -38,10 +38,6 @@ pub fn apply_star7_array(
     }
     let [_, sy, sz] = src.strides();
     let s = src.as_slice();
-    // The array kernel is one unit-stride stream: its whole body is
-    // "interior" work, with no adjacency or index sub-phases.
-    let _kernel = gmg_prof::phase(gmg_prof::APPLYOP_ARRAY);
-    let _p = gmg_prof::phase(gmg_prof::ARRAY_INTERIOR);
     let n = (region.hi.x - region.lo.x) as usize;
     // Safety-free formulation: compute each x-row via slice windows.
     for z in region.lo.z..region.hi.z {

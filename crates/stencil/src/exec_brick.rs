@@ -27,10 +27,6 @@ use gmg_mesh::Box3;
 /// longer exists. The inner kernel is monomorphized for the
 /// [`BrickShape`]s the perf gate exercises (4³, 8³) with a runtime-dim
 /// fallback executing bit-identical arithmetic.
-///
-/// gmg-prof phases: `index` covers face resolution + bounds setup,
-/// `interior` covers all streamed rows. With profiling disabled each
-/// marker is one relaxed atomic load.
 pub fn apply_star7_bricked(
     dst: &mut BrickedField,
     src: &BrickedField,
@@ -79,14 +75,9 @@ fn apply_star7_bricked_impl(
     } else {
         BrickShape::Generic(b)
     };
-    let ph = gmg_prof::brick_phases(b);
     dst.update_bricks(&pieces, |slot, sub, out| {
-        let _kernel = gmg_prof::phase(ph.apply_root);
-        let setup = gmg_prof::phase(ph.apply_index);
         let faces = BrickFaces::new(src, slot);
         let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
-        drop(setup);
-        let _p = gmg_prof::phase(ph.apply_interior);
         match shape {
             BrickShape::B4 => stream_star7_spec::<4>(&faces, out, alpha, beta, &rb),
             BrickShape::B8 => stream_star7_spec::<8>(&faces, out, alpha, beta, &rb),

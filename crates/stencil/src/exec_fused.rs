@@ -76,15 +76,12 @@ fn jacobi_pass(
     let layout = src.layout().clone();
     let bd = layout.brick_dim() as usize;
     let shape = layout.shape();
-    let ph = gmg_prof::brick_phases(bd as i64);
     for (slot, sub) in layout.slots_intersecting(rk) {
-        let _kernel = gmg_prof::phase(ph.fused_root);
         let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
         let faces = BrickFaces::new(src, slot);
         let bb = b.brick(slot);
         let new = dst.brick_mut(slot);
         let mut r = r.as_deref_mut().map(|r| r.brick_mut(slot));
-        let _p = gmg_prof::phase(ph.fused_brick);
         match shape {
             BrickShape::B4 => smooth_brick::<4>(&faces, new, r, bb, coef, &rb),
             BrickShape::B8 => smooth_brick::<8>(&faces, new, r, bb, coef, &rb),

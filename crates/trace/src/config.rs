@@ -1,6 +1,6 @@
 //! The observability environment, parsed in one place.
 //!
-//! Nine `GMG_*` variables steer the sinks. [`ObsConfig::from_env`] is
+//! Seven `GMG_*` variables steer the sinks. [`ObsConfig::from_env`] is
 //! the only code that reads them; it is called where a context is
 //! installed or an artifact is written (a rank world starting, a harness
 //! wrapping its run, a dump being placed), never on a hot path, and not
@@ -9,18 +9,12 @@
 
 use std::ffi::OsString;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Typed view of the observability variables.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObsConfig {
     /// `GMG_TRACE`: write the run's Chrome trace here.
     pub trace: Option<PathBuf>,
-    /// `GMG_PROF`: write the run's folded sampling stacks here.
-    pub prof: Option<PathBuf>,
-    /// `GMG_PROF_INTERVAL_US`: sampling interval (positive integer,
-    /// default 200 µs).
-    pub prof_interval: Duration,
     /// `GMG_METRICS`: write the run's final metrics snapshot here.
     pub metrics: Option<PathBuf>,
     /// `GMG_FLIGHT`: the flight recorder is on unless this is `0`, `off`
@@ -62,8 +56,6 @@ impl ObsConfig {
         };
         ObsConfig {
             trace: path("GMG_TRACE"),
-            prof: path("GMG_PROF"),
-            prof_interval: Duration::from_micros(positive("GMG_PROF_INTERVAL_US", 200)),
             metrics: path("GMG_METRICS"),
             flight: !matches!(
                 text("GMG_FLIGHT").as_deref(),
@@ -104,8 +96,6 @@ mod tests {
     fn unset_means_defaults() {
         let c = parse(&[]);
         assert_eq!(c.trace, None);
-        assert_eq!(c.prof, None);
-        assert_eq!(c.prof_interval, Duration::from_micros(200));
         assert_eq!(c.metrics, None);
         assert!(c.flight);
         assert_eq!(c.flight_capacity, 65536);
@@ -118,8 +108,6 @@ mod tests {
     fn empty_values_mean_defaults() {
         let empty: Vec<(&str, &str)> = [
             "GMG_TRACE",
-            "GMG_PROF",
-            "GMG_PROF_INTERVAL_US",
             "GMG_METRICS",
             "GMG_FLIGHT",
             "GMG_FLIGHT_CAPACITY",
@@ -136,14 +124,13 @@ mod tests {
     #[test]
     fn garbage_numbers_and_switches_mean_defaults() {
         let c = parse(&[
-            ("GMG_PROF_INTERVAL_US", "fast"),
             ("GMG_FLIGHT", "maybe"),
             ("GMG_FLIGHT_CAPACITY", "-4"),
             ("GMG_FLIGHT_MAX_DUMPS", "1e3"),
         ]);
         assert_eq!(c, parse(&[]));
-        for interval in ["0", "banana", "-5"] {
-            assert_eq!(parse(&[("GMG_PROF_INTERVAL_US", interval)]), parse(&[]));
+        for capacity in ["0", "banana", "-5"] {
+            assert_eq!(parse(&[("GMG_FLIGHT_CAPACITY", capacity)]), parse(&[]));
         }
     }
 
@@ -151,18 +138,14 @@ mod tests {
     fn set_values_are_honoured() {
         let c = parse(&[
             ("GMG_TRACE", "/tmp/t.json"),
-            ("GMG_PROF", "p.folded"),
-            ("GMG_PROF_INTERVAL_US", " 50 "),
             ("GMG_METRICS", "m.json"),
             ("GMG_FLIGHT", "off"),
-            ("GMG_FLIGHT_CAPACITY", "1024"),
+            ("GMG_FLIGHT_CAPACITY", " 1024 "),
             ("GMG_FLIGHT_DIR", "/tmp/dumps"),
             ("GMG_FLIGHT_MAX_DUMPS", "0"),
             ("GMG_RESULTS_DIR", "/tmp/results"),
         ]);
         assert_eq!(c.trace, Some(PathBuf::from("/tmp/t.json")));
-        assert_eq!(c.prof, Some(PathBuf::from("p.folded")));
-        assert_eq!(c.prof_interval, Duration::from_micros(50));
         assert_eq!(c.metrics, Some(PathBuf::from("m.json")));
         assert!(!c.flight);
         assert_eq!(c.flight_capacity, 1024);

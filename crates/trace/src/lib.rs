@@ -9,9 +9,9 @@
 //! * [`probe`] — the one seam instrumented code names: a guard per timed
 //!   op, a builder per instant, one `{rank, level, op}` key, one
 //!   per-thread context, and the sinks (span log, metrics registry,
-//!   flight ring, profiler phase stack) behind it. This is the leaf crate
+//!   flight ring) behind it. This is the leaf crate
 //!   every instrumented crate can depend on, and it owns the epoch clock.
-//! * [`config`] — the twelve observability environment variables, parsed
+//! * [`config`] — the seven observability environment variables, parsed
 //!   in one place into a typed [`ObsConfig`].
 //! * [`sink`] — the span log: **spans** (begin/end with `{rank, level,
 //!   op}` attribution, monotonic timestamps from one process-wide epoch)
@@ -21,6 +21,8 @@
 //!   parser, for round-trip testing). One Perfetto process per rank, with
 //!   a dedicated `comm` thread track, so `RankWorld` send/recv intervals
 //!   render as a real timeline at <https://ui.perfetto.dev>.
+//! * [`folded`] — flamegraph folded stacks: a trace's span tree folded
+//!   into `rank;op@L<level>;… self-ns` lines, and the text codec.
 //! * [`summary`] — a metrics registry that recomputes Table II's per-op
 //!   time fractions and the achieved GStencil/s / GB/s *from traces*, for
 //!   side-by-side comparison with the machine-model roofline.
@@ -52,6 +54,7 @@
 
 pub mod chrome;
 pub mod config;
+pub mod folded;
 pub mod json;
 pub mod probe;
 pub mod sink;

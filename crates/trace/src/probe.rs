@@ -11,20 +11,20 @@
 //! `peer / tag / seq / value`. Everything a thread records inside an
 //! [`op`] inherits that op's level.
 //!
-//! Four sinks listen ([`Class`]): the span log (`crate::sink`, Perfetto
-//! export), the metrics registry (`gmg-metrics`, Prometheus text), the
-//! flight ring (`gmg-flight`, crash dumps) and the profiler's phase stack
-//! (`gmg-prof`, folded stacks). Each keeps its own storage and artifact
-//! format and decides per [`Kind`] what it keeps. Which of them listen
-//! anywhere in the process is one packed word, so with nothing listening
-//! a probe costs one relaxed load (plus the clock reads of a timed op),
-//! and on the default path — flight ring on — one ring write.
+//! Three sinks listen ([`Class`]): the span log (`crate::sink`, Perfetto
+//! export and folded stacks), the metrics registry (`gmg-metrics`,
+//! Prometheus text) and the flight ring (`gmg-flight`, crash dumps). Each
+//! keeps its own storage and artifact format and decides per [`Kind`]
+//! what it keeps. Which of them listen anywhere in the process is one
+//! packed word, so with nothing listening a probe costs one relaxed load
+//! (plus the clock reads of a timed op), and on the default path —
+//! flight ring on — one ring write.
 //!
 //! The per-thread context holds the rank, the current level and this
 //! thread's instance of each sink. `RankWorld` and the process-world
-//! child [`install`] it once per rank thread; the registry and the
-//! profiler [`register`] a factory when they are switched on and get
-//! their per-thread instance (handle cache, phase stack) on first use.
+//! child [`install`] it once per rank thread; the registry [`register`]s
+//! a factory when it is switched on and gets its per-thread instance (a
+//! handle cache) on first use.
 
 use crate::sink::Counters;
 use std::any::Any;
@@ -37,7 +37,7 @@ use std::time::Instant;
 // Who listens
 // ---------------------------------------------------------------------------
 
-/// The four sinks behind the seam.
+/// The three sinks behind the seam.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Class {
     /// The span log of a [`crate::capture`] session.
@@ -46,11 +46,9 @@ pub enum Class {
     Metrics = 1,
     /// A `gmg-flight` ring installed on some thread.
     Flight = 2,
-    /// A `gmg-prof` sampling session.
-    Phases = 3,
 }
 
-/// Four 16-bit listener counts, one per [`Class`], packed in one word so
+/// Three 16-bit listener counts, one per [`Class`], packed in one word so
 /// the hot path reads a single flag whatever is on.
 static LISTENING: AtomicU64 = AtomicU64::new(0);
 
@@ -98,7 +96,7 @@ pub fn listening() -> Listening {
 }
 
 /// Count one more listener of `class` (a capture scope or a ring
-/// installed on a thread, the registry enabled, a session started).
+/// installed on a thread, the registry enabled).
 pub fn listen(class: Class) {
     let before = LISTENING.fetch_add(one(class), Ordering::Relaxed);
     debug_assert!(
@@ -186,10 +184,6 @@ pub type CounterModel = fn(op: &str, points: u64) -> Counters;
 pub trait Sink: Any {
     /// One completed record.
     fn record(&self, _rec: &Record) {}
-    /// A compute op (or profiler phase) opened on this thread.
-    fn enter(&self, _op: &'static str) {}
-    /// The matching close, before the op's end time is read.
-    fn exit(&self, _op: &'static str) {}
     /// For the owning crate to reach its concrete type.
     fn as_any(&self) -> &dyn Any;
 }
@@ -199,14 +193,9 @@ pub trait Sink: Any {
 // ---------------------------------------------------------------------------
 
 type SinkFactory = fn() -> Box<dyn Sink>;
-type Slot<T> = [T; 4];
+type Slot<T> = [T; 3];
 
-static FACTORIES: Slot<OnceLock<SinkFactory>> = [
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-    OnceLock::new(),
-];
+static FACTORIES: Slot<OnceLock<SinkFactory>> = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
 
 struct Context {
     rank: Cell<usize>,
@@ -220,12 +209,7 @@ thread_local! {
         Context {
             rank: Cell::new(0),
             level: Cell::new(None),
-            sinks: [
-                RefCell::new(None),
-                RefCell::new(None),
-                RefCell::new(None),
-                RefCell::new(None),
-            ],
+            sinks: [RefCell::new(None), RefCell::new(None), RefCell::new(None)],
         }
     };
 }
@@ -317,8 +301,6 @@ pub struct Guard {
     spans_only: bool,
     /// The context level to put back when an op closes.
     restore: Option<Option<usize>>,
-    /// A profiler frame was pushed at open.
-    entered: bool,
     open: bool,
 }
 
@@ -342,26 +324,18 @@ fn guard(kind: Kind, level: Option<usize>, op: &'static str) -> Guard {
         ctx_level: level.is_none(),
         spans_only: false,
         restore: None,
-        entered: false,
         open: true,
     }
 }
 
 /// Open the guard of one timed solver op at `level`. Until it closes,
-/// everything this thread records inherits the level, and a sampling
-/// profiler sees the thread inside `op`.
+/// everything this thread records inherits the level.
 #[inline]
 #[must_use = "an op is measured until its guard is finished or dropped"]
 pub fn op(level: usize, op: &'static str) -> Guard {
     let mut g = guard(Kind::Compute, Some(level), op);
-    let on = listening();
-    if on.any() {
-        let _ = CTX.try_with(|c| {
-            g.restore = Some(c.level.replace(Some(level)));
-            if on.has(Class::Phases) {
-                g.entered = c.with_sink(Class::Phases, |s| s.enter(op)).is_some();
-            }
-        });
+    if listening().any() {
+        g.restore = CTX.try_with(|c| c.level.replace(Some(level))).ok();
     }
     // Last, so the set-up above is outside the measurement.
     g.start = Some(Instant::now());
@@ -491,9 +465,6 @@ impl Guard {
 
     fn close(&mut self) -> f64 {
         self.open = false;
-        if self.entered {
-            with_sink(Class::Phases, |s| s.exit(self.rec.key.op));
-        }
         let mut on = listening();
         if self.spans_only {
             on.0 &= 0xFFFF * one(Class::Spans);
@@ -661,10 +632,10 @@ mod tests {
     #[test]
     fn listener_counts_are_per_class() {
         let before = listening();
-        listen(Class::Phases);
-        assert!(listening().has(Class::Phases));
+        listen(Class::Flight);
+        assert!(listening().has(Class::Flight));
         assert_eq!(listening().has(Class::Metrics), before.has(Class::Metrics));
-        unlisten(Class::Phases);
-        assert_eq!(listening().has(Class::Phases), before.has(Class::Phases));
+        unlisten(Class::Flight);
+        assert_eq!(listening().has(Class::Flight), before.has(Class::Flight));
     }
 }

@@ -49,8 +49,8 @@ proptest! {
         counts in prop::collection::vec(1u64..1_000_000, 8usize),
     ) {
         let m = build_map(stacks, &counts);
-        let text = gmg_prof::folded::encode(&m);
-        let back = gmg_prof::folded::parse(&text).unwrap();
+        let text = gmg_trace::folded::encode(&m);
+        let back = gmg_trace::folded::parse(&text).unwrap();
         prop_assert_eq!(back, m);
     }
 
@@ -62,8 +62,8 @@ proptest! {
         counts in prop::collection::vec(1u64..1_000_000, 8usize),
     ) {
         let m = build_map(stacks, &counts);
-        let text = gmg_prof::folded::encode(&m);
-        let again = gmg_prof::folded::encode(&gmg_prof::folded::parse(&text).unwrap());
+        let text = gmg_trace::folded::encode(&m);
+        let again = gmg_trace::folded::encode(&gmg_trace::folded::parse(&text).unwrap());
         prop_assert_eq!(text, again);
     }
 
@@ -76,9 +76,9 @@ proptest! {
     ) {
         let a = build_map(s1, &counts);
         let b = build_map(s2, &counts);
-        let mut text = gmg_prof::folded::encode(&a);
-        text.push_str(&gmg_prof::folded::encode(&b));
-        let merged = gmg_prof::folded::parse(&text).unwrap();
+        let mut text = gmg_trace::folded::encode(&a);
+        text.push_str(&gmg_trace::folded::encode(&b));
+        let merged = gmg_trace::folded::parse(&text).unwrap();
         let mut want = a.clone();
         for (k, v) in &b {
             *want.entry(k.clone()).or_insert(0) += v;
@@ -95,7 +95,7 @@ proptest! {
         counts in prop::collection::vec(1u64..1_000_000, 8usize),
         damage in prop::collection::vec(any::<u64>(), 1..8),
     ) {
-        let mut bytes = gmg_prof::folded::encode(&build_map(stacks, &counts)).into_bytes();
+        let mut bytes = gmg_trace::folded::encode(&build_map(stacks, &counts)).into_bytes();
         bytes.extend_from_slice(b"tail;frame 18446744073709551615\ntail;frame 7\n");
         for d in &damage {
             let at = (*d >> 8) as usize % bytes.len();
@@ -107,7 +107,7 @@ proptest! {
             }
         }
         let text = String::from_utf8_lossy(&bytes);
-        if let Ok(map) = gmg_prof::folded::parse(&text) {
+        if let Ok(map) = gmg_trace::folded::parse(&text) {
             let held: usize = map.keys().map(|k| k.len()).sum();
             prop_assert!(held <= text.len());
             prop_assert!(map.len() <= text.lines().count());
@@ -120,11 +120,11 @@ proptest! {
     fn oversized_tokens_are_handled(digits in 20usize..100_000, frame in 1usize..200_000) {
         let huge_count = format!("a {}\n", "9".repeat(digits));
         prop_assert_eq!(
-            gmg_prof::folded::parse(&huge_count),
-            Err(gmg_prof::folded::FoldedError::BadCount { line: 1 })
+            gmg_trace::folded::parse(&huge_count),
+            Err(gmg_trace::folded::FoldedError::BadCount { line: 1 })
         );
         let long_frame = format!("{} 1\n", "x".repeat(frame));
-        let map = gmg_prof::folded::parse(&long_frame).unwrap();
+        let map = gmg_trace::folded::parse(&long_frame).unwrap();
         prop_assert_eq!(map.len(), 1);
     }
 }

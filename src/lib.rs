@@ -16,7 +16,6 @@ pub use gmg_hpgmg as hpgmg;
 pub use gmg_machine as machine;
 pub use gmg_mesh as mesh;
 pub use gmg_metrics as metrics;
-pub use gmg_prof as prof;
 pub use gmg_stencil as stencil;
 pub use gmg_trace as trace;
 
