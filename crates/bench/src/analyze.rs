@@ -350,13 +350,24 @@ mod tests {
         }
     }
 
-    /// End-to-end `--diff`: a 30% slowdown injected into `restriction`
-    /// is flagged in exactly the affected ops, and the binary path exits
-    /// nonzero.
+    /// The traced solve runs the communication-avoiding schedule, whose
+    /// pre-smooth restricts as it goes: its four V-cycles are still found,
+    /// one segment each.
+    #[test]
+    fn reference_solve_segments_into_its_vcycles() {
+        let trace = traced_solve();
+        assert!(!trace.events.iter().any(|e| e.op.name() == "restriction"));
+        assert_eq!(analysis::cycle_starts(&trace).len(), 4);
+        assert_eq!(analysis::critical_path(&trace).cycles.len(), 4);
+    }
+
+    /// End-to-end `--diff`: a 30% slowdown injected into
+    /// `interpolation+increment` is flagged in exactly the affected ops,
+    /// and the binary path exits nonzero.
     #[test]
     fn diff_flags_injected_slowdown_in_exactly_the_affected_ops() {
         let trace = traced_solve();
-        let slowed = analysis::scale_op(&trace, "restriction", 1.3);
+        let slowed = analysis::scale_op(&trace, "interpolation+increment", 1.3);
         let rows = analysis::diff_summaries(
             &TraceSummary::from_trace(&trace),
             &TraceSummary::from_trace(&slowed),
@@ -365,7 +376,7 @@ mod tests {
         let regressed: Vec<&analysis::DiffRow> = rows.iter().filter(|r| r.regressed).collect();
         assert!(!regressed.is_empty(), "slowdown not flagged");
         assert!(
-            regressed.iter().all(|r| r.op == "restriction"),
+            regressed.iter().all(|r| r.op == "interpolation+increment"),
             "unrelated ops flagged: {regressed:?}"
         );
 
@@ -377,7 +388,7 @@ mod tests {
         let code = run_diff(&dir, &pa, &pb, 0.10);
         assert_eq!(code, 1, "diff must exit nonzero on a regression");
         let report = std::fs::read_to_string(dir.join("analyze_diff.md")).unwrap();
-        assert!(report.contains("restriction"));
+        assert!(report.contains("interpolation+increment"));
         assert!(report.contains("REGRESSED"));
     }
 

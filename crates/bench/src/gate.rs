@@ -64,7 +64,7 @@ use gmg_mesh::ghost::DIRECTIONS_26;
 use gmg_mesh::{Array3, Box3, Point3};
 use gmg_stencil::exec_array::apply_star7_array;
 use gmg_stencil::exec_brick::{apply_star7_bricked, pointwise_mut1, pointwise_mut2};
-use gmg_stencil::exec_fused::fused_multismooth_bricked;
+use gmg_stencil::exec_fused::{fused_multismooth_bricked, ResidualSink};
 use gmg_trace::{json, Json};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -418,7 +418,7 @@ fn multismooth_at(n: i64, id: &'static str, floor: Option<f64>, opts: &GateOpts)
     fused_multismooth_bricked(
         &mut x,
         &bf,
-        Some(&mut r),
+        Some(ResidualSink::Store(&mut r)),
         alpha,
         beta,
         gamma,
@@ -436,7 +436,7 @@ fn multismooth_at(n: i64, id: &'static str, floor: Option<f64>, opts: &GateOpts)
                 last_stats = Some(fused_multismooth_bricked(
                     &mut x,
                     &bf,
-                    Some(&mut r),
+                    Some(ResidualSink::Store(&mut r)),
                     alpha,
                     beta,
                     gamma,

@@ -28,6 +28,24 @@ impl BrickedField {
         }
     }
 
+    /// A field over `layout` that holds no storage yet: it owns no cells
+    /// (an empty [`BrickedField::as_slice`]) and any cell access panics. A
+    /// holder that allocates on first write replaces it with
+    /// [`BrickedField::new`].
+    pub fn unallocated(layout: Arc<BrickLayout>) -> Self {
+        Self {
+            layout,
+            data: Vec::new(),
+        }
+    }
+
+    /// Whether the field holds its storage (false only for
+    /// [`BrickedField::unallocated`]).
+    #[inline]
+    pub fn is_allocated(&self) -> bool {
+        !self.data.is_empty()
+    }
+
     /// Allocate and initialize every storage cell (owned and ghost) from a
     /// function of the global cell index.
     pub fn from_fn(layout: Arc<BrickLayout>, f: impl Fn(Point3) -> f64) -> Self {

@@ -8,7 +8,7 @@
 //! initial guess, running a small fixed number of V-cycles per level. One
 //! FMG pass reaches discretization-level accuracy in O(N) work.
 
-use crate::level::{interpolation_increment, restriction};
+use crate::level::{interpolation_increment, restrict_field};
 use crate::ops::exchange_b;
 use crate::solver::{GmgSolver, SolveStats};
 use gmg_comm::runtime::RankCtx;
@@ -20,11 +20,8 @@ impl GmgSolver {
     fn restrict_rhs_all_levels(&mut self, ctx: &mut RankCtx) {
         let top = self.config.num_levels - 1;
         for l in 0..top {
-            // The restriction kernel reads `fine.r`; stage b there.
-            let b = self.levels[l].b.clone();
-            self.levels[l].r = b;
             let (fine, coarse) = self.levels.split_at_mut(l + 1);
-            restriction(&fine[l], &mut coarse[0]);
+            restrict_field(&fine[l].b, &mut coarse[0]);
             if self.config.communication_avoiding {
                 let tag = self.next_tag();
                 exchange_b(ctx, &mut self.levels[l + 1], tag);

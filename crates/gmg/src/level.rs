@@ -4,12 +4,13 @@ use crate::problem::PoissonProblem;
 use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
 use gmg_mesh::{Box3, Decomposition, Point3};
 use gmg_stencil::exec_brick::{apply_star7_bricked, pointwise_mut1, pointwise_mut2};
-use gmg_stencil::exec_fused::{fused_multismooth_bricked, FusedStats};
+use gmg_stencil::exec_fused::{fused_multismooth_bricked, FusedStats, ResidualSink};
 use std::sync::Arc;
 
-/// One level of the multigrid hierarchy on one rank: the four fields of the
-/// V-cycle (`x`, `b`, `Ax`, `r`) in bricked storage plus the level's
-/// operator coefficients and the communication-avoiding ghost margin. The
+/// One level of the multigrid hierarchy on one rank: the three fields of the
+/// V-cycle (`x`, `b`, `Ax`) in bricked storage — plus a residual `r` that
+/// only the split reference path allocates — the level's operator
+/// coefficients and the communication-avoiding ghost margin. The
 /// layout carries a ghost shell on the axes where the rank grid is more
 /// than 1 wide; on the others the rank is its own periodic neighbor and
 /// the bricks wrap through the adjacency.
@@ -20,7 +21,7 @@ pub struct Level {
     pub decomp: Decomposition,
     /// This rank's owned cell region at this level.
     pub owned: Box3,
-    /// Shared brick layout for all four fields.
+    /// Shared brick layout for all the level's fields.
     pub layout: Arc<BrickLayout>,
     /// Solution / correction.
     pub x: BrickedField,
@@ -31,8 +32,16 @@ pub struct Level {
     /// Every reader refreshes it first.
     pub ax: BrickedField,
     /// Residual `b − A·x` on the owned cells, as the last iteration of a
-    /// pre-smooth left it: written for restriction, which is its only
-    /// reader. No other smooth and no convergence check stores it.
+    /// split-path pre-smooth left it: written for [`restriction`], which is
+    /// its only reader. Allocated on first write — by
+    /// [`Level::smooth_residual`], [`Level::residual`] or a storing
+    /// [`Level::fused_multi_smooth`] — and unallocated until then: the
+    /// communication-avoiding pass restricts as it goes
+    /// ([`Level::fused_multi_smooth_restrict`]) and never stores it, and no
+    /// other smooth and no convergence check does either. The lazy field and
+    /// the kernel's `Store` sink remain only for the split reference path,
+    /// odd brick dims (whose coarse cells straddle fine bricks) and the
+    /// benchmark probes that time these writers.
     pub r: BrickedField,
     /// `α = −6/h²`.
     pub alpha: f64,
@@ -69,7 +78,7 @@ impl Level {
         let x = BrickedField::new(layout.clone());
         let b = BrickedField::new(layout.clone());
         let ax = BrickedField::new(layout.clone());
-        let r = BrickedField::new(layout.clone());
+        let r = BrickedField::unallocated(layout.clone());
         Self {
             index,
             decomp,
@@ -113,10 +122,18 @@ impl Level {
         });
     }
 
+    /// Give `r` its storage if nothing has written it yet.
+    fn alloc_r(&mut self) {
+        if !self.r.is_allocated() {
+            self.r = BrickedField::new(self.layout.clone());
+        }
+    }
+
     /// Fused `r ← b − Ax; x ← x + γ(Ax − b)` over `region` (the paper's
     /// `smooth+residual`). The residual corresponds to `x` *before* this
     /// update, exactly as in the paper's fused kernel.
     pub fn smooth_residual(&mut self, region: Box3) {
+        self.alloc_r();
         let gamma = self.gamma;
         let pieces = self.layout.slots_intersecting(region);
         pointwise_mut2(
@@ -148,10 +165,42 @@ impl Level {
         gamma: f64,
         with_residual: bool,
     ) -> FusedStats {
+        if with_residual {
+            self.alloc_r();
+        }
         fused_multismooth_bricked(
             &mut self.x,
             &self.b,
-            with_residual.then_some(&mut self.r),
+            with_residual.then_some(ResidualSink::Store(&mut self.r)),
+            self.alpha,
+            self.beta,
+            gamma,
+            region,
+            s,
+            &mut self.ax,
+        )
+    }
+
+    /// [`Level::fused_multi_smooth`] whose last iteration restricts its
+    /// pre-update residual straight into `coarse.b`'s owned cells — bit for
+    /// bit what [`restriction`] makes of the residual a storing call leaves
+    /// in `r` — so `r` is neither written nor allocated. `region` shrunk by
+    /// `s − 1` on the halo axes must be exactly the owned box (the last
+    /// group of a pass, where the margin runs out) and the brick dim even
+    /// (whole coarse cells per fine brick). `coarse.b`'s ghost shell is left
+    /// as it was.
+    pub fn fused_multi_smooth_restrict(
+        &mut self,
+        region: Box3,
+        s: usize,
+        gamma: f64,
+        coarse: &mut Level,
+    ) -> FusedStats {
+        debug_assert_eq!(self.owned.coarsen(2), coarse.owned);
+        fused_multismooth_bricked(
+            &mut self.x,
+            &self.b,
+            Some(ResidualSink::Restrict(&mut coarse.b)),
             self.alpha,
             self.beta,
             gamma,
@@ -163,6 +212,7 @@ impl Level {
 
     /// `r ← b − Ax` over `region`, from the `Ax` of the last `apply_op`.
     pub fn residual(&mut self, region: Box3) {
+        self.alloc_r();
         let pieces = self.layout.slots_intersecting(region);
         pointwise_mut1(&mut self.r, &self.ax, &self.b, &pieces, |r, ax, b| {
             *r = b - ax;
@@ -191,23 +241,34 @@ impl Level {
     }
 }
 
-/// Restriction (paper Algorithm 2 line 7): volume-average 8 fine residual
-/// cells into each coarse right-hand-side cell. No neighbor communication —
-/// only fine cells owned by this rank feed coarse cells owned by this rank.
+/// Restriction (paper Algorithm 2 line 7) of the residual a split-path
+/// pre-smooth stored in `fine.r`: [`restrict_field`] over it. The
+/// communication-avoiding pass restricts as it goes instead
+/// ([`Level::fused_multi_smooth_restrict`]), to the same bits.
+pub fn restriction(fine: &Level, coarse: &mut Level) {
+    assert!(
+        fine.r.is_allocated(),
+        "restriction reads `r`, which nothing wrote"
+    );
+    restrict_field(&fine.r, coarse);
+}
+
+/// Volume-average 8 fine cells of `fine` into each coarse right-hand-side
+/// cell of `coarse`'s owned box. No neighbor communication — only fine
+/// cells owned by this rank feed coarse cells owned by this rank.
 ///
 /// Streams the fine rows under each coarse brick in `z → y → x` order, so
 /// every coarse cell still folds its eight fine cells from `0.0` in
 /// `dz → dy → dx` order, without a per-cell brick lookup.
-pub fn restriction(fine: &Level, coarse: &mut Level) {
-    debug_assert_eq!(fine.owned.coarsen(2), coarse.owned);
+pub fn restrict_field(fine: &BrickedField, coarse: &mut Level) {
+    debug_assert_eq!(fine.layout().cell_box().coarsen(2), coarse.owned);
     let clayout = coarse.layout.clone();
     let bd = clayout.brick_dim();
     let pieces = clayout.slots_intersecting(coarse.owned);
-    let fine_r = &fine.r;
     // `owned` is brick-aligned, so every piece is a whole brick.
     coarse.b.update_bricks(&pieces, |_, cells, out| {
         out.fill(0.0);
-        fine_r.for_each_row_piece(cells.refine(2), |p, f| {
+        fine.for_each_row_piece(cells.refine(2), |p, f| {
             let l = p.div_floor(Point3::splat(2)) - cells.lo;
             let row = ((l.z * bd + l.y) * bd) as usize;
             add_fine_piece(&mut out[row..], f, (p.x - 2 * cells.lo.x) as usize);
@@ -525,6 +586,88 @@ mod tests {
                 );
             });
         }
+    }
+
+    #[test]
+    fn restricting_pass_bit_identical_to_store_then_restriction() {
+        // The oracle of the communication-avoiding pass that restricts as it
+        // goes is the two-step path it replaces: a storing group, then
+        // `restriction` over the stored `r`. Every brick-dim pair a
+        // hierarchy produces, both orderings, rank 0 of the 1×1×1, 2×1×1
+        // and 2×2×2 rank grids (a ghost shell on 0, 1 and 3 axes), every
+        // group depth the shell allows, with `y` (the `ax` buffer) and the
+        // coarse `b` NaN on entry: the coarse owned cells and the fine
+        // iterate match bit for bit, the coarse ghost shell is untouched,
+        // and `r` is never allocated.
+        let f = |p: Point3| ((p.x * 7 + p.y * 3 - p.z * 5) % 13) as f64 / 3.0 + 0.1;
+        let g = |p: Point3| ((p.x * 2 - p.y * 5 + p.z * 11) % 9) as f64 - 1.25;
+        for (sub, bd_f, bd_c) in [(16, 8, 8), (8, 8, 4), (8, 4, 4), (4, 4, 2), (2, 2, 1)] {
+            for ord in [BrickOrdering::SurfaceMajor, BrickOrdering::Lexicographic] {
+                for grid in [Point3::splat(1), Point3::new(2, 1, 1), Point3::splat(2)] {
+                    let n = sub * grid.x;
+                    let problem = PoissonProblem::new(n);
+                    let decomp = Decomposition::new(Box3::cube(n), grid);
+                    let pair = || {
+                        let mut fine = Level::new(&problem, decomp.clone(), 0, 0, bd_f, ord);
+                        fine.x = BrickedField::from_fn(fine.layout.clone(), f);
+                        fine.b = BrickedField::from_fn(fine.layout.clone(), g);
+                        let coarse = Level::new(&problem, decomp.coarsen(2), 0, 1, bd_c, ord);
+                        (fine, coarse)
+                    };
+                    for s in 1..=bd_f.min(4) as usize {
+                        let case = format!("{bd_f}->{bd_c} {ord:?} {grid:?} s={s}");
+                        let (mut a, mut ca) = pair();
+                        let region = a.layout.grow_halo(a.owned, s as i64 - 1);
+                        let stored = a.fused_multi_smooth(region, s, a.gamma, true);
+                        restriction(&a, &mut ca);
+                        let (mut b, mut cb) = pair();
+                        b.ax.fill(f64::NAN);
+                        cb.b.fill(f64::NAN);
+                        let fused = b.fused_multi_smooth_restrict(region, s, b.gamma, &mut cb);
+                        assert!(!b.r.is_allocated(), "{case}");
+                        cb.layout.storage_cell_box().for_each(|c| {
+                            if cb.owned.contains(c) {
+                                assert_eq!(
+                                    ca.b.get(c).to_bits(),
+                                    cb.b.get(c).to_bits(),
+                                    "{c:?} {case}"
+                                );
+                            } else {
+                                assert!(cb.b.get(c).is_nan(), "ghost {c:?} written: {case}");
+                            }
+                        });
+                        a.owned.for_each(|p| {
+                            assert_eq!(a.x.get(p).to_bits(), b.x.get(p).to_bits(), "{p:?} {case}");
+                        });
+                        // The coarse writes (|owned|/8) replace the `r` store,
+                        // and the fold adds one flop per point and one per
+                        // coarse cell.
+                        let owned = a.owned.volume() as u64;
+                        assert_eq!(fused.points_updated, stored.points_updated, "{case}");
+                        assert_eq!(fused.doubles_read, stored.doubles_read, "{case}");
+                        assert_eq!(
+                            fused.doubles_written,
+                            stored.doubles_written - owned + owned / 8,
+                            "{case}"
+                        );
+                        assert_eq!(fused.flops, stored.flops + owned + owned / 8, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn residual_field_is_allocated_by_its_first_writer() {
+        let mut l = single_level(8, 4, 0);
+        assert!(!l.r.is_allocated());
+        assert!(l.r.as_slice().is_empty());
+        l.apply_op(l.owned);
+        l.smooth(l.owned);
+        l.fused_multi_smooth(l.owned, 2, l.gamma, false);
+        assert!(!l.r.is_allocated(), "no storing op ran");
+        l.residual(l.owned);
+        assert_eq!(l.r.as_slice().len(), l.layout.storage_cells());
     }
 
     #[test]

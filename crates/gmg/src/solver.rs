@@ -248,22 +248,27 @@ impl GmgSolver {
     /// only as far as the rest of the pass can still consume (one cell per
     /// remaining iteration, capped by the margin) and leaves the margin it
     /// did not use up, none at the end of a pass; and only a pass that
-    /// `feeds_restriction` stores the residual, in its last iteration. A
+    /// `feeds_restriction` keeps the residual of its last iteration. A
     /// level without a halo axis never exchanges: every iteration covers
     /// exactly its owned box. Communication-avoiding iterations run the
     /// one-pass smoother in groups of up to [`FUSED_GROUP`] — the exchanges
     /// and owned-cell numerics (bit for bit) of the split `applyOp` +
     /// `smooth` pair, which remains the schedule without communication
-    /// avoiding.
+    /// avoiding. The last group of a communication-avoiding pass that feeds
+    /// restriction restricts as it goes, into level `li + 1`'s `b`, and the
+    /// pass returns `true`; otherwise (the split path, or an odd brick dim,
+    /// whose coarse cells straddle fine bricks) it stores `r` for
+    /// [`restriction`] and returns `false`.
     fn smooth_pass(
         &mut self,
         ctx: &mut RankCtx,
         li: usize,
         n: usize,
         feeds_restriction: bool,
-    ) -> Result<(), CommError> {
+    ) -> Result<bool, CommError> {
         let ca = self.config.communication_avoiding;
         let halo = self.levels[li].has_halo();
+        let mut restricted = false;
         let mut done = 0;
         while done < n {
             if halo && (!ca || self.levels[li].margin < 1) {
@@ -272,7 +277,8 @@ impl GmgSolver {
                 try_exchange_x(ctx, &mut self.levels[li], tag)?;
                 self.timers.close(op);
             }
-            let level = &mut self.levels[li];
+            let (fine, coarse) = self.levels.split_at_mut(li + 1);
+            let level = &mut fine[li];
             // The margin worth working in: the dependency cone of the owned
             // cells over the rest of the pass (in CA mode at least 1, the
             // exchange above refilled an empty margin). Across a wrapped
@@ -291,7 +297,14 @@ impl GmgSolver {
             let store_r = feeds_restriction && done + its == n;
             if ca {
                 let mut op = probe::op(li, "fusedSmooth");
-                let stats = level.fused_multi_smooth(region, its, level.gamma, store_r);
+                let gamma = level.gamma;
+                let stats = match coarse.first_mut() {
+                    Some(coarse) if store_r && level.layout.brick_dim() % 2 == 0 => {
+                        restricted = true;
+                        level.fused_multi_smooth_restrict(region, its, gamma, coarse)
+                    }
+                    _ => level.fused_multi_smooth(region, its, gamma, store_r),
+                };
                 // The kernel's own counters: the generic per-op tables
                 // price one iteration, a group covers `its` shrinking
                 // regions.
@@ -321,7 +334,7 @@ impl GmgSolver {
             self.levels[li].margin = m - its as i64;
             done += its;
         }
-        Ok(())
+        Ok(restricted)
     }
 
     /// The convergence check of Algorithm 1 on the finest level, under its
@@ -365,20 +378,25 @@ impl GmgSolver {
         if l == top {
             // Bottom solver: plain point relaxation.
             self.phase_event("coarse", top);
-            return self.smooth_pass(ctx, top, self.config.bottom_smooths, false);
+            return self
+                .smooth_pass(ctx, top, self.config.bottom_smooths, false)
+                .map(drop);
         }
         let smooths = self.config.max_smooths;
-        // Pre-smooth (its last iteration stores the residual restriction
-        // reads).
+        // Pre-smooth: its last iteration restricts its residual into the
+        // coarse `b` — as it goes on the communication-avoiding path, from
+        // the stored `r` in a separate pass otherwise.
         self.phase_event("smooth", l);
-        self.smooth_pass(ctx, l, smooths, true)?;
+        let restricted = self.smooth_pass(ctx, l, smooths, true)?;
         self.phase_event("restrict", l);
         let (fine_part, coarse_part) = self.levels.split_at_mut(l + 1);
         // Inter-level ops count per *coarse* point (Table IV convention).
         let coarse_points = coarse_part[0].owned.volume() as u64;
-        let op = probe::op(l, "restriction").points(coarse_points, op_counters);
-        restriction(&fine_part[l], &mut coarse_part[0]);
-        self.timers.close(op);
+        if !restricted {
+            let op = probe::op(l, "restriction").points(coarse_points, op_counters);
+            restriction(&fine_part[l], &mut coarse_part[0]);
+            self.timers.close(op);
+        }
         let op = probe::op(l + 1, "initZero").points(coarse_points, op_counters);
         coarse_part[0].init_zero();
         self.timers.close(op);
@@ -398,7 +416,7 @@ impl GmgSolver {
         interpolation_increment(&coarse_part[0], &mut fine_part[l]);
         self.timers.close(op);
         // Post-smooth: nothing reads its residual.
-        self.smooth_pass(ctx, l, smooths, false)
+        self.smooth_pass(ctx, l, smooths, false).map(drop)
     }
 
     /// Mark a health verdict or recovery action on the control plane.
@@ -776,7 +794,9 @@ mod tests {
                     assert_eq!(s.timers.count(level, op), 0, "level {level} {op}");
                 }
             }
-            assert_eq!(s.timers.count(0, "restriction"), 1);
+            // The pre-smooth's last group restricts as it goes: no
+            // separate restriction pass.
+            assert_eq!(s.timers.count(0, "restriction"), 0);
             assert_eq!(s.timers.count(0, "interpolation+increment"), 1);
             // One rank is its own neighbor on every axis: no exchange op.
             assert_eq!(s.timers.count(0, "exchange"), 0);
@@ -843,6 +863,63 @@ mod tests {
                 "CA one-pass vs split histories diverge at ranks {ranks:?}"
             );
         }
+    }
+
+    #[test]
+    fn ca_solves_never_allocate_the_fine_residual() {
+        // With communication avoiding, every level's pre-smooth restricts
+        // as it goes and FMG restricts `b` itself: after `solve` and
+        // `fmg_solve` on 1, 2 and 8 ranks — brick pairs 8→8, 8→4, 4→2 —
+        // no level holds `r`.
+        let mut cfg = SolverConfig::test_default();
+        cfg.brick_dim = 8;
+        cfg.num_levels = 4;
+        cfg.max_vcycles = 2;
+        cfg.tolerance = 0.0;
+        for grid in [Point3::splat(1), Point3::new(2, 1, 1), Point3::splat(2)] {
+            let decomp = Decomposition::new(Box3::cube(32), grid);
+            let d = &decomp;
+            RankWorld::run(decomp.num_ranks(), move |mut ctx| {
+                for fmg in [false, true] {
+                    let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
+                    let stats = if fmg {
+                        s.fmg_solve(&mut ctx, 1)
+                    } else {
+                        s.solve(&mut ctx)
+                    };
+                    assert_eq!(stats.vcycles, cfg.max_vcycles);
+                    for l in &s.levels {
+                        assert!(!l.r.is_allocated(), "level {} {grid:?} fmg={fmg}", l.index);
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn odd_bricks_restrict_from_the_stored_residual() {
+        // With an odd brick dim a coarse cell straddles fine bricks, so the
+        // pass cannot restrict brick by brick: it stores `r` and the
+        // separate restriction runs — the split path's numerics, bit for
+        // bit.
+        let mut ca = SolverConfig::test_default();
+        ca.brick_dim = 3;
+        ca.num_levels = 2;
+        ca.max_vcycles = 3;
+        ca.tolerance = 0.0;
+        let mut plain = ca;
+        plain.communication_avoiding = false;
+        let decomp = Decomposition::new(Box3::cube(12), Point3::splat(1));
+        let d = &decomp;
+        let a = RankWorld::run(1, move |mut ctx| {
+            let mut s = GmgSolver::new(d.clone(), ctx.rank(), ca);
+            let stats = s.solve(&mut ctx);
+            assert!(s.levels[0].r.is_allocated());
+            assert_eq!(s.timers.count(0, "restriction"), ca.max_vcycles);
+            stats.residual_history
+        });
+        let b = solve_with(12, Point3::splat(1), plain);
+        assert_eq!(a[0], b[0].0.residual_history);
     }
 
     #[test]

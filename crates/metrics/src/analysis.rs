@@ -397,11 +397,13 @@ fn is_level0_smooth(e: &TraceEvent) -> bool {
 /// Start timestamps of each V-cycle segment; the segments tile the whole
 /// trace (setup lands in cycle 1, the tail in the last cycle).
 ///
-/// Anchoring: each V-cycle performs exactly one level-0 `restriction`.
-/// The pre-smooth run length `L` is read off the first cycle (level-0
-/// smooth-type events up to and including the first `smooth+residual`);
-/// cycle `k ≥ 2` then starts at the first of the last `L` smooth-type
-/// level-0 events between restrictions `k−1` and `k`.
+/// Anchoring: each V-cycle performs exactly one level-0
+/// `interpolation+increment`, with and without communication avoiding (a
+/// communication-avoiding pre-smooth restricts as it goes, so there is no
+/// level-0 `restriction` to anchor on). The pre-smooth run length `L` is
+/// read off the first cycle (the level-0 smooth-type events before its
+/// interpolation); cycle `k ≥ 2` then starts at the first of the last `L`
+/// smooth-type level-0 events between interpolations `k−1` and `k`.
 pub fn cycle_starts(trace: &Trace) -> Vec<u64> {
     let Some((t0, _)) = trace.time_bounds() else {
         return Vec::new();
@@ -410,27 +412,22 @@ pub fn cycle_starts(trace: &Trace) -> Vec<u64> {
         return vec![t0];
     };
     let evs = trace.track_events(rank0, Track::Compute);
-    let restr: Vec<usize> = evs
+    let interp: Vec<usize> = evs
         .iter()
         .enumerate()
-        .filter(|(_, e)| e.level == 0 && e.op.name() == "restriction")
+        .filter(|(_, e)| e.level == 0 && e.op.name() == "interpolation+increment")
         .map(|(i, _)| i)
         .collect();
-    if restr.len() <= 1 {
+    if interp.len() <= 1 {
         return vec![t0];
     }
     // Pre-smooth run length from the first cycle.
-    let mut run_len = 0usize;
-    for e in &evs[..restr[0]] {
-        if is_level0_smooth(e) {
-            run_len += 1;
-            if e.op.name() == "smooth+residual" {
-                break;
-            }
-        }
-    }
+    let run_len = evs[..interp[0]]
+        .iter()
+        .filter(|e| is_level0_smooth(e))
+        .count();
     let mut starts = vec![t0];
-    for w in restr.windows(2) {
+    for w in interp.windows(2) {
         let window = &evs[w[0] + 1..w[1]];
         let smooth_ts: Vec<u64> = window
             .iter()
@@ -1407,10 +1404,40 @@ mod tests {
         let trace = mk_trace(events);
         let starts = cycle_starts(&trace);
         // Cycle 2 starts at its first pre-smooth (ts 22 ms), not at the
-        // post-smooth of cycle 1 (ts 17 ms) and not at the restriction.
+        // post-smooth of cycle 1 (ts 17 ms) and not at an inter-level op.
         assert_eq!(starts, vec![0, 22_000_000]);
         let path = critical_path(&trace);
         assert_eq!(path.cycles.len(), 2);
+    }
+
+    #[test]
+    fn cycle_starts_need_no_restriction_span() {
+        // The communication-avoiding shape: two fused pre-smooth groups, the
+        // second of which restricts, so no `restriction` span — three
+        // cycles must still segment at their first pre-smooth group.
+        let cyc = |base: u64| {
+            vec![
+                ev(0, 0, "fusedSmooth", Track::Compute, base, 5),
+                ev(0, 0, "fusedSmooth", Track::Compute, base + 5, 5),
+                ev(0, 1, "initZero", Track::Compute, base + 10, 1),
+                ev(0, 1, "fusedSmooth", Track::Compute, base + 11, 4),
+                ev(
+                    0,
+                    0,
+                    "interpolation+increment",
+                    Track::Compute,
+                    base + 15,
+                    2,
+                ),
+                ev(0, 0, "fusedSmooth", Track::Compute, base + 17, 5),
+                ev(0, 0, "fusedSmooth", Track::Compute, base + 22, 5),
+                ev(0, 0, "residualNorm", Track::Compute, base + 27, 2),
+            ]
+        };
+        let events: Vec<_> = [0, 30, 60].into_iter().flat_map(cyc).collect();
+        let trace = mk_trace(events);
+        assert_eq!(cycle_starts(&trace), vec![0, 30_000_000, 60_000_000]);
+        assert_eq!(critical_path(&trace).cycles.len(), 3);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! kernels of `brick_rows` — still in registers — straight into
 //! `y = x + γ(Ax − b)`, the brick's place in a second field `y`. No brick
 //! waits on another (the operator reads only the old iterate), so there is
-//! no `A·x` field, no lag and no scratch; `x` and `y` swap roles after
+//! no `A·x` field, no lag and no field-sized scratch; `x` and `y` swap roles after
 //! each pass. Compulsory traffic is 3 doubles per point per iteration
-//! (read `x`, `b`; write `y`), and 4 on the one iteration that stores the
-//! residual.
+//! (read `x`, `b`; write `y`), 4 on an iteration that stores the residual
+//! and 3⅛ on one that restricts it.
 //!
 //! Valid-region contract: iteration `k` updates the region `R_k` — `region`
 //! clipped to the storage shell and shrunk by `k` cells on the layout's
@@ -20,18 +20,31 @@
 //! neighbor, so there is no shell to recompute and nothing to shrink —
 //! reading `R_{k−1}` of the previous iterate, and every cell it updates
 //! sees the operands and floating-point expressions of
-//! `apply_star7_bricked` + the pointwise update. On return `x` — and `r`,
-//! the pre-update residual of the *last* iteration — are specified on
-//! `R_{s−1}` and bit-identical there to the sweep-by-sweep schedule (see
-//! the equivalence tests below). Nothing is specified outside `R_{s−1}`:
-//! those cells hold whichever earlier iterate or scratch value their buffer
-//! last saw, and no later step may read them before an exchange or an
-//! `initZero` rewrites them — the solver's `Level::margin` is exactly the
-//! width of `R_{s−1}` beyond the owned box. `ax` is *not* materialized.
+//! `apply_star7_bricked` + the pointwise update. On return `x` is
+//! specified on `R_{s−1}` and bit-identical there to the sweep-by-sweep
+//! schedule (see the equivalence tests below). Nothing is specified outside
+//! `R_{s−1}`: those cells hold whichever earlier iterate or scratch value
+//! their buffer last saw, and no later step may read them before an
+//! exchange or an `initZero` rewrites them — the solver's `Level::margin`
+//! is exactly the width of `R_{s−1}` beyond the owned box. `ax` is *not*
+//! materialized.
+//!
+//! The last iteration's pre-update residual `b − A·x` goes to an optional
+//! [`ResidualSink`]: stored cell for cell on `R_{s−1}` (`Store`, one more
+//! double per point), or restricted as it goes (`Restrict`, paper
+//! Algorithm 2 line 7). A restricting iteration runs over whole owned
+//! bricks — the end of a solver pass, where the margin is 0 — and each
+//! fine brick, once streamed, folds its residuals (staged in an
+//! L1-resident brick scratch) into the octant of the coarse brick it
+//! covers: every coarse cell from `0.0`, its rows in `z → y` order,
+//! `(s + r[2i]) + r[2i+1]` within a row, then `× 0.125`. That is
+//! `restriction`'s `dz → dy → dx` fold, so the coarse right-hand side is
+//! the same bit for bit, and no fine residual field exists at all: one
+//! coarse double per 8 fine points is written instead of one per point.
 
 use crate::brick_rows::{stream_star7_generic, stream_star7_rows, RowBounds};
 use gmg_brick::{BrickFaces, BrickShape, BrickedField};
-use gmg_mesh::Box3;
+use gmg_mesh::{Box3, Point3};
 use std::sync::Arc;
 
 /// Instrumentation from one multi-smooth invocation, in units the trace
@@ -44,44 +57,136 @@ pub struct FusedStats {
     pub points_updated: u64,
     /// Doubles read from the fields (`x` and `b`).
     pub doubles_read: u64,
-    /// Doubles written to the fields (`x`, and `r` on `R_{s−1}` when
-    /// requested).
+    /// Doubles written to the fields: `x`, plus the residual sink's — `r`
+    /// on `R_{s−1}` for `Store`, the coarse `b` (`|R_{s−1}|/8`) for
+    /// `Restrict`.
     pub doubles_written: u64,
     /// Floating-point operations executed (8 per stencil point plus the
-    /// pointwise update).
+    /// pointwise update), plus the residual's subtraction per point of the
+    /// last iteration and, for `Restrict`, the fold's add per fine point and
+    /// scale per coarse cell.
     pub flops: u64,
 }
 
 impl FusedStats {
-    /// Compulsory doubles moved per updated point: 3, plus one per point
-    /// of the final iteration when it stores the residual — against the
-    /// sweep path's 5 (7 with the residual) per iteration.
+    /// Compulsory doubles moved per updated point: 3, plus what the final
+    /// iteration's residual sink writes (one per point for `Store`, one per
+    /// 8 for `Restrict`) — against the sweep path's 5 (7 with the residual)
+    /// per iteration.
     pub fn doubles_per_point(&self) -> f64 {
         (self.doubles_read + self.doubles_written) as f64 / self.points_updated.max(1) as f64
     }
 }
 
+/// Where the last iteration of [`fused_multismooth_bricked`] puts its
+/// pre-update residual `b − A·x`.
+pub enum ResidualSink<'a> {
+    /// Store it in a fine field over the same layout, on `R_{s−1}`.
+    Store(&'a mut BrickedField),
+    /// Restrict it into a coarse right-hand side whose owned box is the
+    /// fine one coarsened by 2: every coarse owned cell gets the volume
+    /// average of its 8 fine residuals, in `restriction`'s fold order.
+    /// Nothing else of the coarse field is read or written. Needs an even
+    /// fine brick dim and `R_{s−1}` equal to the owned box.
+    Restrict(&'a mut BrickedField),
+}
+
+/// The `Restrict` sink of one pass, one whole fine brick at a time: the
+/// brick's residual rows are stored into a brick-sized scratch
+/// (L1-resident) exactly as `Store` stores them into `r`; once the brick is
+/// done, each coarse cell of the octant it covers is folded from `0.0` —
+/// its `(dz, dy)` rows in order, `(s + r[2i]) + r[2i+1]` within a row —
+/// scaled by `0.125` and stored. The fold runs a coarse plane at a time, so
+/// its `h²` add chains (`h` = half the brick dim) are in flight together
+/// rather than one row's behind the stencil.
+struct BrickRestrictor {
+    res: Vec<f64>,
+    plane: Vec<f64>,
+    bd: usize,
+}
+
+impl BrickRestrictor {
+    fn new(bd: usize) -> Self {
+        let h = bd / 2;
+        BrickRestrictor {
+            res: vec![0.0; bd * bd * bd],
+            plane: vec![0.0; h * h],
+            bd,
+        }
+    }
+
+    /// Fold the staged brick into its octant at offset `off` of the coarse
+    /// brick `out` (side `bc`).
+    fn finish(&mut self, out: &mut [f64], off: usize, bc: usize) {
+        // Literal dims, so the inlined loops unroll at the solver's sizes.
+        match self.bd {
+            4 => self.fold(4, out, off, bc),
+            8 => self.fold(8, out, off, bc),
+            bd => self.fold(bd, out, off, bc),
+        }
+    }
+
+    #[inline(always)]
+    fn fold(&mut self, bd: usize, out: &mut [f64], off: usize, bc: usize) {
+        let h = bd / 2;
+        let plane = &mut self.plane[..h * h];
+        for cz in 0..h {
+            plane.fill(0.0);
+            for dz in 0..2 {
+                for dy in 0..2 {
+                    for cy in 0..h {
+                        let r = ((2 * cz + dz) * bd + 2 * cy + dy) * bd;
+                        let row = &self.res[r..r + bd];
+                        let acc = &mut plane[cy * h..cy * h + h];
+                        for (s, p) in acc.iter_mut().zip(row.chunks_exact(2)) {
+                            *s = (*s + p[0]) + p[1];
+                        }
+                    }
+                }
+            }
+            for (cy, sums) in plane.chunks_exact(h).enumerate() {
+                let o = off + (cz * bc + cy) * bc;
+                for (v, s) in out[o..o + h].iter_mut().zip(sums) {
+                    *v = *s * 0.125;
+                }
+            }
+        }
+    }
+}
+
 /// One iteration of the schedule, out of place: the cells of `rk` are
-/// written to `dst` as `src + γ(A·src − b)` (and `r ← b − A·src`), brick by
-/// brick over the bricks that meet `rk`. The cells of a clipped brick
-/// outside it are read by no later iteration and are left as `dst` had them.
+/// written to `dst` as `src + γ(A·src − b)` (and the residual `b − A·src`
+/// handed to `sink`), brick by brick over the bricks that meet `rk`. The
+/// cells of a clipped brick outside it are read by no later iteration and
+/// are left as `dst` had them.
 fn jacobi_pass(
     dst: &mut BrickedField,
     src: &BrickedField,
     b: &BrickedField,
-    mut r: Option<&mut BrickedField>,
+    mut sink: Option<&mut ResidualSink<'_>>,
     coef: (f64, f64, f64),
     rk: Box3,
 ) {
     let layout = src.layout().clone();
     let bd = layout.brick_dim() as usize;
     let shape = layout.shape();
+    let mut restrictor = match sink {
+        Some(ResidualSink::Restrict(_)) => Some(BrickRestrictor::new(bd)),
+        _ => None,
+    };
     for (slot, sub) in layout.slots_intersecting(rk) {
-        let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
+        let lo = layout.cells_of_slot(slot).lo;
+        let rb = RowBounds::within(sub, lo);
         let faces = BrickFaces::new(src, slot);
         let bb = b.brick(slot);
         let new = dst.brick_mut(slot);
-        let mut r = r.as_deref_mut().map(|r| r.brick_mut(slot));
+        // Where this brick's residual rows go: its bricks of `r`, or the
+        // restrictor's scratch.
+        let mut r = match sink.as_deref_mut() {
+            Some(ResidualSink::Store(r)) => Some(r.brick_mut(slot)),
+            Some(ResidualSink::Restrict(_)) => restrictor.as_mut().map(|t| &mut t.res[..]),
+            None => None,
+        };
         match shape {
             BrickShape::B4 => smooth_brick::<4>(&faces, new, r, bb, coef, &rb),
             BrickShape::B8 => smooth_brick::<8>(&faces, new, r, bb, coef, &rb),
@@ -95,6 +200,16 @@ fn jacobi_pass(
                     new[i] = old[i] + coef.2 * (ax - bb[i]);
                 });
             }
+        }
+        if let (Some(ResidualSink::Restrict(cb)), Some(restrictor)) =
+            (sink.as_deref_mut(), restrictor.as_mut())
+        {
+            let (cslot, off) = cb
+                .layout()
+                .locate(lo.div_floor(Point3::splat(2)))
+                .expect("coarse b covers the coarsened owned box");
+            let bc = cb.layout().brick_dim() as usize;
+            restrictor.finish(cb.brick_mut(cslot), off, bc);
         }
     }
 }
@@ -144,18 +259,19 @@ fn smooth_brick<const B: usize>(
 /// shell, shrunk by `k` on the halo axes), one pass over the bricks per
 /// iteration. On return `x` is specified on `R_{s−1}` only, bit-identical
 /// there to `s` sequential `apply_star7_bricked` + pointwise-update passes;
-/// with `r`, the final iteration also stores its pre-update residual
-/// `r = b − Ax` on `R_{s−1}` (what restriction reads after a pre-smooth).
-/// Cells of `x` and `r` outside `R_{s−1}` hold unspecified values and must
-/// be rewritten (exchange, `initZero`) before anything reads them. Requires
-/// `x` valid one cell around `R_0` and `R_{s−1}` non-empty. `y` is the
-/// second buffer the iterate alternates with: nothing is read from it, and
-/// it holds garbage on exit; the result is always left in `x`.
+/// the final iteration hands its pre-update residual `r = b − Ax` to
+/// `sink`: stored on `R_{s−1}`, or restricted into a coarse `b` (see
+/// [`ResidualSink`]). Cells of `x` and a stored `r` outside `R_{s−1}` hold
+/// unspecified values and must be rewritten (exchange, `initZero`) before
+/// anything reads them. Requires `x` valid one cell around `R_0` and
+/// `R_{s−1}` non-empty. `y` is the second buffer the iterate alternates
+/// with: nothing is read from it, and it holds garbage on exit; the result
+/// is always left in `x`.
 #[allow(clippy::too_many_arguments)]
 pub fn fused_multismooth_bricked(
     x: &mut BrickedField,
     b: &BrickedField,
-    mut r: Option<&mut BrickedField>,
+    mut sink: Option<ResidualSink<'_>>,
     alpha: f64,
     beta: f64,
     gamma: f64,
@@ -165,10 +281,11 @@ pub fn fused_multismooth_bricked(
 ) -> FusedStats {
     assert!(s >= 1, "fused multi-smooth needs s >= 1");
     let layout = x.layout().clone();
-    for (name, f) in [("b", b), ("y", &*y)]
-        .into_iter()
-        .chain(r.as_deref().map(|r| ("r", r)))
-    {
+    let stored = match &sink {
+        Some(ResidualSink::Store(r)) => Some(("r", &**r)),
+        _ => None,
+    };
+    for (name, f) in [("b", b), ("y", &*y)].into_iter().chain(stored) {
         assert!(Arc::ptr_eq(&layout, f.layout()), "x/{name} layout mismatch");
     }
     assert!(
@@ -181,23 +298,46 @@ pub fn fused_multismooth_bricked(
         !last.is_empty(),
         "region {region:?} too small for {s} fused iterations"
     );
+    if let Some(ResidualSink::Restrict(cb)) = &sink {
+        assert_eq!(
+            last,
+            layout.cell_box(),
+            "a restricting iteration runs over exactly the owned bricks"
+        );
+        assert_eq!(
+            layout.brick_dim() % 2,
+            0,
+            "restriction needs an even brick dim"
+        );
+        assert_eq!(
+            cb.layout().cell_box(),
+            layout.cell_box().coarsen(2),
+            "coarse b must own the coarsened owned box"
+        );
+    }
 
     let mut points = 0u64;
     for k in 0..s {
         let rk = layout.grow_halo(region, -(k as i64));
-        let store = r.as_deref_mut().filter(|_| k + 1 == s);
-        jacobi_pass(y, x, b, store, (alpha, beta, gamma), rk);
+        let out = sink.as_mut().filter(|_| k + 1 == s);
+        jacobi_pass(y, x, b, out, (alpha, beta, gamma), rk);
         std::mem::swap(x, y);
         points += rk.volume() as u64;
     }
-    // The residual costs one store and one subtraction per point of the
-    // iteration that keeps it.
-    let residual_points = r.map_or(0, |_| last.volume() as u64);
+    // The residual costs a subtraction per point of the iteration that
+    // keeps it, and a store per point — or, restricted, an add per point
+    // and a scale and a store per coarse cell.
+    let last = last.volume() as u64;
+    let (written, flops) = match sink {
+        None => (0, 0),
+        Some(ResidualSink::Store(_)) => (last, last),
+        Some(ResidualSink::Restrict(_)) => (last / 8, 2 * last + last / 8),
+    };
     FusedStats {
         points_updated: points,
         doubles_read: 2 * points,
-        doubles_written: points + residual_points,
-        flops: 11 * points + residual_points,
+        doubles_written: points + written,
+        flops: 11 * points + flops,
     }
 }
 
@@ -295,7 +435,7 @@ mod tests {
                             let stats = fused_multismooth_bricked(
                                 &mut x2,
                                 &b,
-                                with_r.then_some(&mut r2),
+                                with_r.then_some(ResidualSink::Store(&mut r2)),
                                 coef.0,
                                 coef.1,
                                 coef.2,

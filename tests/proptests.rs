@@ -6,7 +6,7 @@ use gmg_repro::stencil::exec_array::apply_star7_array;
 use gmg_repro::stencil::exec_brick::{
     apply_star7_bricked, apply_star7_bricked_generic, pointwise_mut1, pointwise_mut2,
 };
-use gmg_repro::stencil::exec_fused::fused_multismooth_bricked;
+use gmg_repro::stencil::exec_fused::{fused_multismooth_bricked, ResidualSink};
 use gmg_repro::stencil::expr::StencilDef;
 use gmg_repro::stencil::interp::run_stencil;
 use gmg_stencil::expr::ExprHandle;
@@ -232,7 +232,7 @@ proptest! {
             let mut r = BrickedField::from_fn(layout.clone(), |_| f64::NAN);
             let mut y = r.clone();
             let stats = fused_multismooth_bricked(
-                &mut x, &b, with_r.then_some(&mut r), alpha, beta, gamma, region, s, &mut y,
+                &mut x, &b, with_r.then_some(ResidualSink::Store(&mut r)), alpha, beta, gamma, region, s, &mut y,
             );
             (x, r, stats)
         };
@@ -295,7 +295,7 @@ proptest! {
         }
         let mut y = BrickedField::from_fn(layout.clone(), |_| f64::NAN);
         let stats = fused_multismooth_bricked(
-            &mut x2, &b, with_r.then_some(&mut r2), alpha, beta, gamma, region, s, &mut y,
+            &mut x2, &b, with_r.then_some(ResidualSink::Store(&mut r2)), alpha, beta, gamma, region, s, &mut y,
         );
         let valid = region.shrink(s as i64 - 1);
         let mut ok = true;
