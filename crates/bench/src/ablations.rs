@@ -11,10 +11,10 @@
 use gmg_brick::{BrickLayout, BrickOrdering};
 use gmg_comm::model::NetworkModel;
 use gmg_comm::plan::BrickExchangePlan;
-use gmg_core::schedule::{simulate, ScheduleConfig};
 use gmg_machine::gpu::System;
 use gmg_mesh::ghost::DIRECTIONS_26;
 use gmg_mesh::Point3;
+use gmg_scale::vcycle::{simulate, ScheduleConfig};
 use gmg_trace::{json, Json};
 
 /// Ablation 1: CA on/off — total and coarsest-level time per system.

@@ -5,8 +5,8 @@
 //! V-cycle, 12 smooths per level, 100 bottom smooths, 12 V-cycles to
 //! convergence, communication-avoiding enabled, all optimizations on.
 
-use gmg_core::schedule::{simulate, ScheduleConfig, SimResult};
 use gmg_machine::gpu::System;
+use gmg_scale::vcycle::{simulate, ScheduleConfig, SimResult};
 use gmg_trace::{json, Json};
 
 /// Simulated runs for all three systems.

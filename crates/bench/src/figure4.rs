@@ -5,10 +5,9 @@
 //! Sunspot result is held against HPGMG-CUDA (which has no SYCL port, so
 //! the comparison is cross-machine, as in the paper's text).
 
-use gmg_core::schedule::{simulate, ScheduleConfig};
-use gmg_hpgmg::simulate_hpgmg;
 use gmg_machine::gpu::System;
 use gmg_mesh::Point3;
+use gmg_scale::vcycle::{simulate, simulate_hpgmg, ScheduleConfig};
 use gmg_trace::{json, Json};
 
 /// One bar of the figure.

@@ -2,10 +2,10 @@
 //! latency-throughput model, single NIC per rank.
 
 use gmg_brick::BrickOrdering;
-use gmg_comm::model::NetworkModel;
 use gmg_comm::plan::BrickExchangePlan;
 use gmg_machine::gpu::System;
 use gmg_mesh::Point3;
+use gmg_scale::Platform;
 use gmg_trace::{json, Json};
 
 /// One system's exchange series over the V-cycle levels.
@@ -18,18 +18,10 @@ pub struct ExchangeSeries {
     pub beta_gbs: f64,
 }
 
-fn network_for(system: System) -> NetworkModel {
-    match system {
-        System::Perlmutter => NetworkModel::perlmutter(),
-        System::Frontier => NetworkModel::frontier(),
-        System::Sunspot => NetworkModel::sunspot(),
-    }
-}
-
 /// Build one system's series (512³ per rank, brick ghost exchange at each
 /// level, brick dim from the machine model).
 pub fn series(system: System) -> ExchangeSeries {
-    let net = network_for(system);
+    let net = Platform::paper(system).net;
     let bd = system.gpu().optimal_brick_dim;
     let samples = (0..6)
         .map(|l| {

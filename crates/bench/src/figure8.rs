@@ -2,8 +2,8 @@
 //! per rank, full nodes (4 ranks/node Perlmutter, 8 Frontier, 12 Sunspot),
 //! 2→128 nodes (Perlmutter/Frontier) and 1→16 nodes (Sunspot testbed).
 
-use gmg_core::schedule::{simulate, ScheduleConfig, SimResult};
 use gmg_machine::gpu::System;
+use gmg_scale::vcycle::{simulate, ScheduleConfig, SimResult};
 use gmg_trace::{json, Json};
 
 /// Node counts swept per system (Sunspot capped at its 128-node testbed

@@ -2,9 +2,9 @@
 //! 2×1024³ on Frontier, 3×1024³ on Sunspot), full nodes, growing rank
 //! counts; efficiency nose-dives as per-rank levels go latency-bound.
 
-use gmg_core::schedule::{simulate, ScheduleConfig, SimResult};
 use gmg_machine::gpu::System;
 use gmg_mesh::Point3;
+use gmg_scale::vcycle::{simulate, ScheduleConfig, SimResult};
 use gmg_trace::{json, Json};
 
 /// Fixed global domain per system (the paper's Section VIII sizes).

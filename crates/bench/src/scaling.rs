@@ -52,6 +52,11 @@ pub const MAX_FIT_ERR: f64 = 0.10;
 /// Why a weak sweep gets no model fit: the fit's three coefficients
 /// need three sweep points at independent scales.
 const NO_FIT: &str = "too few scales to fit";
+/// The report and the rank-window trace, in the output directory. The
+/// JSON summary names them relative to it, so a rerun anywhere writes
+/// the same bytes.
+const REPORT: &str = "scaling_report.md";
+const WINDOW_TRACE: &str = "scaling_window_trace.json";
 
 /// Campaign options (the binary's command line).
 #[derive(Clone, Debug)]
@@ -392,9 +397,9 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
     // Utilization over the pure window (peers carry no compute spans and
     // would read as idle).
     let util = utilization(&trace.rank_window(wlo, whi));
-    let trace_path = crate::report::save_raw_in(
+    crate::report::save_raw_in(
         dir,
-        "scaling_window_trace.json",
+        WINDOW_TRACE,
         &trace.to_chrome_string_with_flows(&flows),
     );
     md.push_str(&format!("## Rank-window forensics ({wlo}..{whi})\n\n"));
@@ -424,8 +429,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         md.push_str(&format!("| {op} | {secs:.6} |\n"));
     }
     md.push_str(&format!(
-        "\nPerfetto timeline with flow arrows: `{}`\n\n",
-        trace_path.display()
+        "\nPerfetto timeline with flow arrows: `{WINDOW_TRACE}`\n\n"
     ));
 
     // ---- 6. CPU-offload ablation ---------------------------------------
@@ -498,7 +502,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
             "SCALING GATES FAIL"
         },
     ));
-    let md_path = crate::report::save_raw_in(dir, "scaling_report.md", &md);
+    let md_path = crate::report::save_raw_in(dir, REPORT, &md);
     println!("{md}");
     println!("[report: {md_path:?}]");
 
@@ -576,7 +580,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         "trace_events": trace.events.len(),
         "message_edges": medges.len(),
         "path_coverage": path.coverage,
-        "trace": trace_path.display().to_string(),
+        "trace": WINDOW_TRACE,
     });
     json!({
         "ok": ok,
@@ -595,7 +599,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         "waits": wait_rows,
         "levels": level_rows,
         "window": window_v,
-        "report": md_path.display().to_string(),
+        "report": REPORT,
     })
 }
 
@@ -637,13 +641,14 @@ mod tests {
         assert_eq!(weak.last().unwrap()["ranks"].as_u64(), Some(512));
         // The report exists under the given directory and carries the
         // verdict.
-        let report = Path::new(v["report"].as_str().unwrap());
+        let report = dir.join(v["report"].as_str().unwrap());
         assert_eq!(report, dir.join("scaling_report.md"));
         let md = std::fs::read_to_string(report).unwrap();
         assert!(md.contains("SCALING GATES PASS"), "{md}");
         assert!(md.contains("## Rank-window forensics"));
         // The window trace parses as a Chrome trace with flow arrows.
-        let text = std::fs::read_to_string(v["window"]["trace"].as_str().unwrap()).unwrap();
+        let text =
+            std::fs::read_to_string(dir.join(v["window"]["trace"].as_str().unwrap())).unwrap();
         let back = gmg_trace::Trace::from_chrome_str(&text).expect("window trace parses");
         assert!(!back.events.is_empty());
         assert!(text.contains("\"ph\":\"s\""), "flow arrows present");
@@ -665,7 +670,7 @@ mod tests {
         assert_eq!(v["gates"]["clean_ok"], true, "{v}");
         assert_eq!(v["gates"]["inject_ok"], true, "{v}");
         assert!(v["weak"].as_arr().unwrap().len() < 3);
-        let md = std::fs::read_to_string(v["report"].as_str().unwrap()).unwrap();
+        let md = std::fs::read_to_string(dir.join(v["report"].as_str().unwrap())).unwrap();
         assert!(md.contains(NO_FIT) && md.contains("SKIP"), "{md}");
         assert!(md.contains("SCALING GATES PASS"), "{md}");
     }

@@ -1,7 +1,7 @@
 //! Table II: percentage of finest-level time per V-cycle operation.
 
-use gmg_core::schedule::{simulate, ScheduleConfig};
 use gmg_machine::gpu::System;
+use gmg_scale::vcycle::{simulate, ScheduleConfig};
 use gmg_trace::{json, Json};
 
 /// The operations Table II reports, in the paper's order.

@@ -1170,23 +1170,13 @@ mod tests {
             );
         }
 
-        // Failure-detector health is a first-class metric, visible
-        // through the Prometheus exposition (satellite: metrics).
+        // Failure-detector health is a first-class metric.
         let snap = gmg_metrics::Registry::global().snapshot();
         assert!(snap.counter_total("membership_deaths_total") >= 1);
         assert!(snap.histogram_total("heartbeat_rtt_ns").count() >= 1);
         assert!(snap.histogram_total("respawn_latency_ns").count() >= 1);
         assert!(snap.histogram_total("rejoin_epoch_ns").count() >= 1);
-        let prom = gmg_metrics::prom::render_prometheus(&snap);
-        for name in [
-            "heartbeat_rtt_ns",
-            "respawn_latency_ns",
-            "rejoin_epoch_ns",
-            "membership_deaths_total",
-            "membership_epoch",
-        ] {
-            assert!(prom.contains(name), "prometheus exposition missing {name}");
-        }
+        assert!(snap.entries.iter().any(|e| e.name == "membership_epoch"));
 
         // The merged flight dump exists and its detail names the dead
         // rank and the epoch it rejoined into.

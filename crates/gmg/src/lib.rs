@@ -5,16 +5,11 @@
 //! brick deep (enabling communication-avoiding smoothing), and halo
 //! exchange uses the surface-major pack-free brick ordering.
 //!
-//! Two execution paths:
-//!
-//! * **Numeric** ([`solver`]) — the real thing: distributed over the
-//!   threaded rank runtime of `gmg-comm`, numerics verified against the
-//!   analytic model problem. This is what the examples and tests run.
-//! * **Simulated** ([`schedule`]) — the same V-cycle schedule executed
-//!   symbolically against the GPU machine models and network models,
-//!   producing the per-level timings, GStencil/s curves, and scaling
-//!   figures of the paper at scales (512 GPUs, 512³ per rank) that a test
-//!   machine cannot hold in memory.
+//! The solver ([`solver`]) runs distributed over the threaded or
+//! process rank runtime of `gmg-comm`, numerics verified against the
+//! analytic model problem. The same V-cycle schedule priced against GPU
+//! and network models, at scales (512 GPUs, 512³ per rank) no test
+//! machine holds in memory, is `gmg-scale`'s `vcycle` simulator.
 //!
 //! The model problem is the paper's: 3D Poisson, unit cube, periodic
 //! boundaries, `b = sin(2πx)·sin(2πy)·sin(2πz)`, 7-point operator with
@@ -27,7 +22,6 @@ pub mod level;
 pub mod ops;
 pub mod problem;
 pub mod rejoin;
-pub mod schedule;
 pub mod solver;
 pub mod timers;
 pub mod trace;
@@ -36,6 +30,5 @@ pub use diagnostics::{GlobalNorms, HealthMonitor, LocalNorms, RecoveryPolicy, So
 pub use level::Level;
 pub use problem::PoissonProblem;
 pub use rejoin::{RejoinStore, SolverCheckpoint};
-pub use schedule::{ScheduleConfig, SimLevelBreakdown, SimResult};
 pub use solver::{GmgSolver, SolveStats, SolverConfig};
 pub use timers::{OpTimer, TimerReport};

@@ -16,8 +16,6 @@
 //! the Figure 4 harness measure — come purely from data movement and
 //! communication structure, exactly the paper's claim.
 
-pub mod schedule;
 pub mod solver;
 
-pub use schedule::{simulate_hpgmg, HpgmgSimResult};
 pub use solver::{HpgmgSolver, HpgmgStats};

@@ -139,6 +139,11 @@ impl GpuModel {
         self.peak_fp64_gflops / self.hbm_gbs
     }
 
+    /// Modeled time of one kernel that streams `bytes` through HBM.
+    pub fn stream_time_s(&self, bytes: f64) -> f64 {
+        self.kernel_overhead_us * 1e-6 + bytes / (self.hbm_gbs * 1e9)
+    }
+
     /// Theoretical GStencil/s ceiling for op `op`: bandwidth divided by the
     /// op's compulsory bytes per (fine) point. This is the colored dashed
     /// line of the paper's Figure 5 (e.g. 1420/16 = 88.75 GStencil/s for

@@ -9,10 +9,10 @@
 //! [`Key`]. It is one of the sinks behind `gmg_trace::probe` ([`sink`]
 //! names every series the instrumented code feeds); [`enable`] /
 //! [`enabled`] switch it.
-//! Snapshots serialize to JSON ([`Snapshot::to_json`]) and to the
-//! Prometheus text format ([`prom::render_prometheus`]); both codecs
-//! round-trip exactly, and snapshot *deltas* ([`Snapshot::delta_since`])
-//! isolate what one phase recorded in the shared global registry.
+//! Snapshots serialize to JSON ([`Snapshot::to_json`], what
+//! `GMG_METRICS` writes), and snapshot *deltas*
+//! ([`Snapshot::delta_since`]) isolate what one phase recorded in the
+//! shared global registry.
 //!
 //! **Analysis** ([`analysis`]): consumes a captured [`gmg_trace::Trace`]
 //! and computes the per-V-cycle cross-rank critical path, per-level
@@ -27,7 +27,6 @@
 
 pub mod analysis;
 pub mod hist;
-pub mod prom;
 pub mod registry;
 pub mod sink;
 pub mod snapshot;

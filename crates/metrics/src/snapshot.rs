@@ -1,5 +1,5 @@
 //! Point-in-time snapshots of a [`Registry`](crate::Registry) and their
-//! JSON codec.
+//! JSON writer.
 //!
 //! A snapshot is a sorted list of `(name, key, value)` entries. Sorting
 //! (inherited from the registry's BTreeMap) plus `gmg_trace::Json`'s
@@ -150,68 +150,6 @@ impl Snapshot {
         ])
     }
 
-    /// Parse a snapshot JSON document produced by [`Snapshot::to_json`].
-    pub fn from_json(v: &Json) -> Result<Snapshot, String> {
-        let rows = v
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("snapshot: missing entries array")?;
-        let mut entries = Vec::with_capacity(rows.len());
-        for row in rows {
-            let name = row
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("snapshot entry: missing name")?
-                .to_string();
-            let rank = row
-                .get("rank")
-                .and_then(Json::as_u64)
-                .ok_or("snapshot entry: missing rank")? as usize;
-            let level = row.get("level").and_then(Json::as_u64).map(|l| l as usize);
-            let op = row
-                .get("op")
-                .and_then(Json::as_str)
-                .ok_or("snapshot entry: missing op")?;
-            let value = if let Some(c) = row.get("counter").and_then(Json::as_u64) {
-                Value::Counter(c)
-            } else if let Some(g) = row.get("gauge").and_then(Json::as_f64) {
-                Value::Gauge(g)
-            } else if let Some(h) = row.get("histogram") {
-                let buckets = h
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .ok_or("snapshot histogram: missing buckets")?
-                    .iter()
-                    .map(|pair| match pair.as_arr() {
-                        Some([i, c]) => Some((i.as_u64()? as usize, c.as_u64()?)),
-                        _ => None,
-                    })
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or_else(|| format!("snapshot histogram {name:?}: bad bucket pair"))?;
-                let count = h.get("count").and_then(Json::as_u64).unwrap_or(0);
-                let sum = h.get("sum").and_then(Json::as_u64).unwrap_or(0);
-                let min = if count > 0 {
-                    h.get("min").and_then(Json::as_u64).unwrap_or(u64::MAX)
-                } else {
-                    u64::MAX
-                };
-                let max = h.get("max").and_then(Json::as_u64).unwrap_or(0);
-                Value::Histogram(
-                    Histogram::from_parts(&buckets, count, sum, min, max)
-                        .map_err(|e| format!("snapshot histogram {name:?}: {e}"))?,
-                )
-            } else {
-                return Err(format!("snapshot entry {name:?}: no value field"));
-            };
-            entries.push(SnapshotEntry {
-                name,
-                key: Key::new(rank, level, gmg_trace::intern(op).name()),
-                value,
-            });
-        }
-        Ok(Snapshot { entries })
-    }
-
     /// Render entries whose metric name starts with `prefix` as a
     /// markdown table (histograms show count/mean/p50/p99/max).
     pub fn render_table(&self, prefix: &str) -> String {
@@ -272,23 +210,10 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_exact() {
-        let snap = sample_registry().snapshot();
-        let back = Snapshot::from_json(&snap.to_json()).unwrap();
-        assert_eq!(back, snap);
-    }
-
-    #[test]
     fn json_is_byte_stable() {
         let a = sample_registry().snapshot().to_json().to_string();
         let b = sample_registry().snapshot().to_json().to_string();
         assert_eq!(a, b);
-        // And reparse → reserialize is also identical.
-        let c = Snapshot::from_json(&Json::parse(&a).unwrap())
-            .unwrap()
-            .to_json()
-            .to_string();
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The discrete-event schedule simulator.
 //!
-//! Walks the same V-cycle operation schedule as `gmg-core`'s in-process
-//! simulator ([`VcycleSchedule`]: descent smooths with
+//! Walks the same V-cycle operation schedule as the one-rank
+//! [`vcycle`](crate::vcycle) simulator ([`VcycleSchedule`]: descent smooths with
 //! communication-avoiding margin tracking, restriction, coarse init,
 //! bottom solve, ascent interpolation + smooths), adds a per-cycle
 //! residual allreduce, and prices it with a **per-rank virtual clock**
@@ -9,11 +9,10 @@
 //! is SPMD, so no event queue is needed: each collective phase advances
 //! every rank's clock in lockstep, and the only cross-rank coupling —
 //! ghost-exchange messages and the allreduce tree — is resolved with a
-//! two-pass send/receive sweep per phase. Kernel costs come from
-//! `gmg-machine`'s latency-throughput engine; wire costs from
-//! `gmg-comm`'s calibrated `NetworkModel` composed with the
-//! [`ContentionModel`] (switch stages, link sharing, message-rate
-//! limits, allreduce tree depth).
+//! two-pass send/receive sweep per phase. Kernel costs and the base
+//! network come from the [`Platform`] the one-rank simulator prices on;
+//! wire costs compose that network with the [`ContentionModel`] (switch
+//! stages, link sharing, message-rate limits, allreduce tree depth).
 //!
 //! Observability is the point: in [`RecordMode::Events`] the simulator
 //! emits per-rank [`gmg_flight`] logs — sends, deliveries, and receive
@@ -35,12 +34,13 @@ use gmg_flight::waitstate::RankLog;
 use gmg_flight::{SynthLog, NO_LEVEL};
 use gmg_machine::contention::ContentionModel;
 use gmg_machine::gpu::System;
-use gmg_machine::timing::KernelTiming;
-use gmg_machine::{CpuModel, GpuModel};
+use gmg_machine::CpuModel;
 use gmg_mesh::Point3;
-use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
+use gmg_stencil::{VcycleSchedule, VcycleShape, VcycleStep};
 
+use crate::platform::Platform;
 use crate::topology::{nodes_for, RankGrid, FACE_DIRS};
+use crate::vcycle::ScheduleConfig;
 
 /// Message tag carried by allreduce tree hops (exchange messages carry
 /// their level as the tag).
@@ -122,18 +122,22 @@ impl ScaleConfig {
         nodes_for(self.ranks, self.ranks_per_node)
     }
 
-    /// The V-cycle shape this config runs: per-level extents (halving),
-    /// ghost depths (the system's brick, clamped to the shrinking extent)
-    /// and smooth counts. Panics if a level's extent vanishes.
-    pub fn shape(&self) -> VcycleShape {
-        VcycleShape::halving(
-            self.sub_extent,
-            self.num_levels,
-            self.system.gpu().optimal_brick_dim,
-            self.smooths_per_level,
-            self.bottom_smooths,
-            self.communication_avoiding,
-        )
+    /// The one-rank V-cycle simulator's view of this run: the same
+    /// system, per-rank hierarchy, smooth counts, V-cycles and offload.
+    pub fn schedule(&self) -> ScheduleConfig {
+        ScheduleConfig {
+            system: self.system,
+            sub_extent: self.sub_extent,
+            num_levels: self.num_levels,
+            smooths_per_level: self.smooths_per_level,
+            bottom_smooths: self.bottom_smooths,
+            vcycles: self.vcycles,
+            nodes: self.nodes(),
+            ranks_per_node: self.ranks_per_node,
+            communication_avoiding: self.communication_avoiding,
+            gpu_aware_override: None,
+            cpu_offload_below_cells: self.cpu_offload_below_cells,
+        }
     }
 }
 
@@ -264,8 +268,9 @@ struct LevelCost {
 
 struct Sim<'a> {
     cfg: &'a ScaleConfig,
-    gpu: GpuModel,
-    cpu: CpuModel,
+    /// Kernel costs and the base network (no `at_scale` derate:
+    /// fabric-scale effects come from the explicit [`ContentionModel`]).
+    platform: Platform,
     /// Owned cells per rank, per level.
     cells: Vec<usize>,
     /// Whether each level runs on the host CPU.
@@ -303,7 +308,7 @@ struct InMsg {
 
 impl<'a> Sim<'a> {
     fn new(cfg: &'a ScaleConfig, shape: &VcycleShape) -> Self {
-        let gpu = cfg.system.gpu();
+        let platform = Platform::paper(cfg.system);
         let cells: Vec<usize> = (0..cfg.num_levels).map(|li| shape.cells(li)).collect();
         let on_cpu: Vec<bool> = cells
             .iter()
@@ -311,10 +316,10 @@ impl<'a> Sim<'a> {
             .collect();
         let grid = RankGrid::near_cubic(cfg.ranks);
         let neighbors = (0..cfg.ranks).map(|r| grid.face_neighbors(r)).collect();
-        let net = cfg.system_network();
+        let net = &platform.net;
         let nodes = cfg.nodes();
         let costs = (0..cfg.num_levels)
-            .map(|li| cfg.level_cost(shape, li, on_cpu[li], &net, nodes))
+            .map(|li| cfg.level_cost(shape, li, on_cpu[li], net, nodes))
             .collect();
         let logs = match cfg.record {
             RecordMode::ClockOnly => None,
@@ -323,8 +328,7 @@ impl<'a> Sim<'a> {
         let allreduce_hop = cfg.contention.allreduce_hop_s + net.per_message_s;
         Sim {
             cfg,
-            gpu,
-            cpu: CpuModel::default(),
+            platform,
             cells,
             on_cpu,
             grid,
@@ -349,15 +353,6 @@ impl<'a> Sim<'a> {
 
     fn ns(t: f64) -> u64 {
         (t * 1e9).round() as u64
-    }
-
-    /// Modelled base time of one kernel at level `li` (no jitter).
-    fn kernel_time(&self, li: usize, op: OpKind, points: usize) -> f64 {
-        if self.on_cpu[li] {
-            self.cpu.kernel_time_s(op, points)
-        } else {
-            KernelTiming::model(&self.gpu, op, points).time_s
-        }
     }
 
     /// One SPMD compute phase: every rank runs the same kernel, with
@@ -491,9 +486,9 @@ impl<'a> Sim<'a> {
         let cells = self.cells[li];
         let bytes = cells as f64 * 8.0;
         let t = if self.on_cpu[li] {
-            self.cpu.stream_time_s(bytes)
+            self.platform.cpu.stream_time_s(bytes)
         } else {
-            self.gpu.kernel_overhead_us * 1e-6 + bytes / (self.gpu.hbm_gbs * 1e9)
+            self.platform.gpu.stream_time_s(bytes)
         };
         self.compute_phase(li, "initZero", t, cells);
     }
@@ -503,7 +498,7 @@ impl<'a> Sim<'a> {
         match step {
             VcycleStep::Exchange { level } => self.exchange_phase(level),
             VcycleStep::Kernel { level, op, points } => {
-                let t = self.kernel_time(level, op, points);
+                let t = self.platform.kernel_s(op, points, self.on_cpu[level]);
                 self.compute_phase(level, op.name(), t, points);
             }
             VcycleStep::InitZero { level } => self.init_zero(level),
@@ -615,17 +610,6 @@ impl<'a> Sim<'a> {
 }
 
 impl ScaleConfig {
-    /// The calibrated per-rank network model for this system (no
-    /// `at_scale` derate: fabric-scale effects come from the explicit
-    /// [`ContentionModel`] instead of the legacy per-doubling heuristic).
-    pub fn system_network(&self) -> NetworkModel {
-        match self.system {
-            System::Perlmutter => NetworkModel::perlmutter(),
-            System::Frontier => NetworkModel::frontier(),
-            System::Sunspot => NetworkModel::sunspot(),
-        }
-    }
-
     fn level_cost(
         &self,
         shape: &VcycleShape,
@@ -681,7 +665,7 @@ impl ScaleConfig {
 /// Run the simulation.
 pub fn simulate(cfg: &ScaleConfig) -> ScaleResult {
     assert!(cfg.ranks >= 1 && cfg.vcycles >= 1);
-    let shape = cfg.shape();
+    let shape = cfg.schedule().shape();
     if cfg.record == RecordMode::Events {
         let (lo, hi) = cfg.window;
         assert!(
@@ -859,6 +843,43 @@ mod tests {
             |r: &ScaleResult, l: usize| r.levels[l].compute_mean_s + r.levels[l].exchange_mean_s;
         assert!(total(&o, last) < total(&g, last));
         assert!((total(&o, 0) - total(&g, 0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn kernel_seconds_equal_the_one_rank_simulators() {
+        // Without jitter, loss, injection or offload every rank runs the
+        // one-rank simulator's kernels on the same shape and platform:
+        // per (level, op) the seconds agree bit for bit. `initZero` is
+        // the observatory's own (owned cells only, no ghost shell), and
+        // its exchanges add contention.
+        for sys in System::ALL {
+            let mut cfg = ScaleConfig::observatory(sys, 8);
+            cfg.jitter_pct = 0.0;
+            cfg.loss_rate = 0.0;
+            assert!(cfg.inject_slowdown.is_none() && cfg.cpu_offload_below_cells.is_none());
+            let observed = simulate(&cfg);
+            let one_rank = crate::vcycle::simulate(&cfg.schedule());
+            let mut kernels = 0;
+            for l in &one_rank.levels {
+                for (op, &secs) in &l.op_seconds {
+                    if op == "exchange" || op == "initZero" {
+                        continue;
+                    }
+                    let per_rank = &observed.op_rank_seconds[&(l.level, op.as_str())];
+                    assert!(
+                        per_rank.iter().all(|s| s.to_bits() == secs.to_bits()),
+                        "{sys:?} level {} {op}: {per_rank:?} vs {secs}",
+                        l.level
+                    );
+                    kernels += 1;
+                }
+            }
+            let observed_kernels = observed
+                .op_rank_seconds
+                .keys()
+                .filter(|(_, op)| *op != "initZero");
+            assert_eq!(observed_kernels.count(), kernels, "{sys:?}");
+        }
     }
 
     #[test]

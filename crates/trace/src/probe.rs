@@ -13,7 +13,7 @@
 //!
 //! Three sinks listen ([`Class`]): the span log (`crate::sink`, Perfetto
 //! export and folded stacks), the metrics registry (`gmg-metrics`,
-//! Prometheus text) and the flight ring (`gmg-flight`, crash dumps). Each
+//! JSON snapshots) and the flight ring (`gmg-flight`, crash dumps). Each
 //! keeps its own storage and artifact format and decides per [`Kind`]
 //! what it keeps. Which of them listen anywhere in the process is one
 //! packed word, so with nothing listening a probe costs one relaxed load

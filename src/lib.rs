@@ -16,6 +16,7 @@ pub use gmg_hpgmg as hpgmg;
 pub use gmg_machine as machine;
 pub use gmg_mesh as mesh;
 pub use gmg_metrics as metrics;
+pub use gmg_scale as scale;
 pub use gmg_stencil as stencil;
 pub use gmg_trace as trace;
 
@@ -23,10 +24,10 @@ pub use gmg_trace as trace;
 pub mod prelude {
     pub use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
     pub use gmg_comm::runtime::{RankCtx, RankWorld};
-    pub use gmg_core::schedule::{simulate, ScheduleConfig};
     pub use gmg_core::{GmgSolver, PoissonProblem, SolveStats, SolverConfig};
     pub use gmg_machine::gpu::System;
     pub use gmg_mesh::{Array3, Box3, Decomposition, Point3};
+    pub use gmg_scale::vcycle::{simulate, ScheduleConfig};
     pub use gmg_stencil::expr::StencilDef;
 }
 

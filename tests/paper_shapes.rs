@@ -86,13 +86,10 @@ fn kernel_latency_band_5_to_20_us() {
 fn communication_overhead_dwarfs_kernel_launch() {
     // Discussion section: "communication overheads being close to ten
     // times larger than kernel launching overheads".
-    use gmg_repro::comm::model::NetworkModel;
-    for (net, sys) in [
-        (NetworkModel::perlmutter(), System::Perlmutter),
-        (NetworkModel::frontier(), System::Frontier),
-        (NetworkModel::sunspot(), System::Sunspot),
-    ] {
-        let (alpha, _) = net.effective_alpha_beta(26);
+    for sys in System::ALL {
+        let (alpha, _) = gmg_repro::scale::Platform::paper(sys)
+            .net
+            .effective_alpha_beta(26);
         let kernel = sys.gpu().kernel_overhead_us * 1e-6;
         let ratio = alpha / kernel;
         assert!(
