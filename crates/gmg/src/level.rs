@@ -242,25 +242,22 @@ impl Level {
 }
 
 /// Restriction (paper Algorithm 2 line 7) of the residual a split-path
-/// pre-smooth stored in `fine.r`: [`restrict_field`] over it. The
+/// pre-smooth stored in `fine.r`: volume-average 8 fine cells into each
+/// coarse right-hand-side cell of `coarse`'s owned box. The
 /// communication-avoiding pass restricts as it goes instead
-/// ([`Level::fused_multi_smooth_restrict`]), to the same bits.
+/// ([`Level::fused_multi_smooth_restrict`]), to the same bits. No neighbor
+/// communication — only fine cells owned by this rank feed coarse cells
+/// owned by this rank.
+///
+/// Streams the fine rows under each coarse brick in `z → y → x` order, so
+/// every coarse cell still folds its eight fine cells from `0.0` in
+/// `dz → dy → dx` order, without a per-cell brick lookup.
 pub fn restriction(fine: &Level, coarse: &mut Level) {
     assert!(
         fine.r.is_allocated(),
         "restriction reads `r`, which nothing wrote"
     );
-    restrict_field(&fine.r, coarse);
-}
-
-/// Volume-average 8 fine cells of `fine` into each coarse right-hand-side
-/// cell of `coarse`'s owned box. No neighbor communication — only fine
-/// cells owned by this rank feed coarse cells owned by this rank.
-///
-/// Streams the fine rows under each coarse brick in `z → y → x` order, so
-/// every coarse cell still folds its eight fine cells from `0.0` in
-/// `dz → dy → dx` order, without a per-cell brick lookup.
-pub fn restrict_field(fine: &BrickedField, coarse: &mut Level) {
+    let fine = &fine.r;
     debug_assert_eq!(fine.layout().cell_box().coarsen(2), coarse.owned);
     let clayout = coarse.layout.clone();
     let bd = clayout.brick_dim();

@@ -7,9 +7,10 @@
 //!
 //! The solver ([`solver`]) runs distributed over the threaded or
 //! process rank runtime of `gmg-comm`, numerics verified against the
-//! analytic model problem. The same V-cycle schedule priced against GPU
-//! and network models, at scales (512 GPUs, 512³ per rank) no test
-//! machine holds in memory, is `gmg-scale`'s `vcycle` simulator.
+//! analytic model problem. Its V-cycle executes the steps of
+//! `gmg_stencil::VcycleSchedule`; the same schedule priced against GPU and
+//! network models, at scales (512 GPUs, 512³ per rank) no test machine
+//! holds in memory, is `gmg-scale`'s `vcycle` simulator.
 //!
 //! The model problem is the paper's: 3D Poisson, unit cube, periodic
 //! boundaries, `b = sin(2πx)·sin(2πy)·sin(2πz)`, 7-point operator with
@@ -17,7 +18,6 @@
 //! `γ = h²/12`, convergence at max-norm residual < 1e-10.
 
 pub mod diagnostics;
-pub mod fmg;
 pub mod level;
 pub mod ops;
 pub mod problem;

@@ -32,13 +32,6 @@ pub fn try_exchange_x(
 /// coarse level: restriction writes `b` on owned cells only, but
 /// communication-avoiding smoothing reads `b` in the ghost shell while
 /// redundantly recomputing there.
-pub fn exchange_b(ctx: &mut RankCtx, level: &mut Level, tag_base: u64) {
-    if let Err(e) = try_exchange_b(ctx, level, tag_base) {
-        panic!("comm failure: {e}");
-    }
-}
-
-/// Fallible [`exchange_b`].
 pub fn try_exchange_b(
     ctx: &mut RankCtx,
     level: &mut Level,

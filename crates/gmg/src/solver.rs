@@ -14,6 +14,7 @@ use gmg_comm::CommError;
 use gmg_mesh::Decomposition;
 #[cfg(test)]
 use gmg_mesh::Point3;
+use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
 use gmg_trace::probe::{self, Kind};
 use gmg_trace::Counters;
 use std::time::Instant;
@@ -218,123 +219,85 @@ impl GmgSolver {
         self.rank
     }
 
-    /// Advance and return the exchange tag counter (shared with the FMG
-    /// driver in [`crate::fmg`]).
-    pub(crate) fn next_tag(&mut self) -> u64 {
+    /// Advance and return the exchange tag counter.
+    fn next_tag(&mut self) -> u64 {
         self.tag_counter += 1;
         self.tag_counter
     }
 
-    /// Run the bottom relaxation at the coarsest level (the FMG driver's
-    /// first step).
-    pub(crate) fn bottom_solve(&mut self, ctx: &mut RankCtx) {
-        let top = self.config.num_levels - 1;
-        if let Err(e) = self.smooth_pass(ctx, top, self.config.bottom_smooths, false) {
-            panic!("comm failure: {e}");
+    /// The shape of this rank's hierarchy — the V-cycle [`VcycleSchedule`]
+    /// walks for [`GmgSolver::vcycle`] and the simulators price. Built from
+    /// the levels and the current config on every call: a rollback doubles
+    /// `max_smooths` mid-solve.
+    pub fn shape(&self) -> VcycleShape {
+        VcycleShape {
+            extents: self.levels.iter().map(|l| l.owned.extent()).collect(),
+            ghost_depth: self.levels.iter().map(|l| l.ghost_cells()).collect(),
+            halo_axes: self.levels[0].layout.wrap().map(|w| !w),
+            smooths: self.config.max_smooths,
+            bottom_smooths: self.config.bottom_smooths,
+            communication_avoiding: self.config.communication_avoiding,
         }
     }
 
-    /// Run one V-cycle rooted at `level` (used by the FMG driver).
-    pub(crate) fn cycle_at(&mut self, ctx: &mut RankCtx, level: usize) {
-        if let Err(e) = self.vcycle_from(ctx, level) {
-            panic!("comm failure: {e}");
-        }
-    }
-
-    /// One smoothing pass at level `li`: `n` iterations of
-    /// `exchange → applyOp → smooth`, with the exchange elided while the
-    /// communication-avoiding ghost margin lasts — demand-driven: an
-    /// iteration updates the owned box grown (on the layout's halo axes)
-    /// only as far as the rest of the pass can still consume (one cell per
-    /// remaining iteration, capped by the margin) and leaves the margin it
-    /// did not use up, none at the end of a pass; and only a pass that
-    /// `feeds_restriction` keeps the residual of its last iteration. A
-    /// level without a halo axis never exchanges: every iteration covers
-    /// exactly its owned box. Communication-avoiding iterations run the
-    /// one-pass smoother in groups of up to [`FUSED_GROUP`] — the exchanges
-    /// and owned-cell numerics (bit for bit) of the split `applyOp` +
-    /// `smooth` pair, which remains the schedule without communication
-    /// avoiding. The last group of a communication-avoiding pass that feeds
-    /// restriction restricts as it goes, into level `li + 1`'s `b`, and the
-    /// pass returns `true`; otherwise (the split path, or an odd brick dim,
-    /// whose coarse cells straddle fine bricks) it stores `r` for
-    /// [`restriction`] and returns `false`.
-    fn smooth_pass(
-        &mut self,
-        ctx: &mut RankCtx,
-        li: usize,
-        n: usize,
-        feeds_restriction: bool,
-    ) -> Result<bool, CommError> {
-        let ca = self.config.communication_avoiding;
-        let halo = self.levels[li].has_halo();
+    /// Run `its` smoothing iterations of level `li` from a schedule step
+    /// reaching `reach`, and leave the margin the walker does. With
+    /// communication avoiding they are one call of the one-pass smoother
+    /// (the exchanges and owned-cell numerics, bit for bit, of the split
+    /// `applyOp` + `smooth` pair that remains the schedule without it). A
+    /// group that feeds restriction keeps its last iteration's residual
+    /// (`keep_r`): it restricts as it goes, into level `li + 1`'s `b`, and
+    /// returns `true` on the one-pass path with an even brick dim;
+    /// otherwise (the split path, or an odd brick dim, whose coarse cells
+    /// straddle fine bricks) it stores `r` for [`restriction`].
+    fn smooth_group(&mut self, li: usize, reach: i64, its: usize, keep_r: bool) -> bool {
+        let (fine, coarse) = self.levels.split_at_mut(li + 1);
+        let level = &mut fine[li];
+        debug_assert!(
+            !level.has_halo() || reach <= level.margin,
+            "level {li}: the schedule reaches {reach} cells into a margin of {}",
+            level.margin
+        );
+        let region = level.layout.grow_halo(level.owned, reach - 1);
         let mut restricted = false;
-        let mut done = 0;
-        while done < n {
-            if halo && (!ca || self.levels[li].margin < 1) {
-                let tag = self.next_tag();
-                let op = probe::op(li, "exchange").points(0, op_counters);
-                try_exchange_x(ctx, &mut self.levels[li], tag)?;
-                self.timers.close(op);
-            }
-            let (fine, coarse) = self.levels.split_at_mut(li + 1);
-            let level = &mut fine[li];
-            // The margin worth working in: the dependency cone of the owned
-            // cells over the rest of the pass (in CA mode at least 1, the
-            // exchange above refilled an empty margin). Across a wrapped
-            // axis the cone is live data, so without a halo axis nothing
-            // caps it.
-            let reach = (n - done) as i64;
-            let m = if !halo {
-                reach
-            } else if ca {
-                level.margin.min(reach)
-            } else {
-                1
-            };
-            let region = level.layout.grow_halo(level.owned, m - 1);
-            let its = if ca { FUSED_GROUP.min(m as usize) } else { 1 };
-            let store_r = feeds_restriction && done + its == n;
-            if ca {
-                let mut op = probe::op(li, "fusedSmooth");
-                let gamma = level.gamma;
-                let stats = match coarse.first_mut() {
-                    Some(coarse) if store_r && level.layout.brick_dim() % 2 == 0 => {
-                        restricted = true;
-                        level.fused_multi_smooth_restrict(region, its, gamma, coarse)
-                    }
-                    _ => level.fused_multi_smooth(region, its, gamma, store_r),
-                };
-                // The kernel's own counters: the generic per-op tables
-                // price one iteration, a group covers `its` shrinking
-                // regions.
-                op.counters(Counters {
-                    bytes_read: stats.doubles_read * 8,
-                    bytes_written: stats.doubles_written * 8,
-                    flops: stats.flops,
-                    stencil_points: stats.points_updated,
-                    ..Default::default()
-                });
-                self.timers.close(op);
-            } else {
-                // The paper's path, with the paper's split timer rows.
-                let points = region.volume() as u64;
-                let op = probe::op(li, "applyOp").points(points, op_counters);
-                level.apply_op(region);
-                self.timers.close(op);
-                let smooth_op = if store_r { "smooth+residual" } else { "smooth" };
-                let op = probe::op(li, smooth_op).points(points, op_counters);
-                if store_r {
-                    level.smooth_residual(region);
-                } else {
-                    level.smooth(region);
+        if self.config.communication_avoiding {
+            let mut op = probe::op(li, "fusedSmooth");
+            let gamma = level.gamma;
+            let stats = match coarse.first_mut() {
+                Some(coarse) if keep_r && level.layout.brick_dim() % 2 == 0 => {
+                    restricted = true;
+                    level.fused_multi_smooth_restrict(region, its, gamma, coarse)
                 }
-                self.timers.close(op);
+                _ => level.fused_multi_smooth(region, its, gamma, keep_r),
+            };
+            // The kernel's own counters: the generic per-op tables price
+            // one iteration, a group covers `its` shrinking regions.
+            op.counters(Counters {
+                bytes_read: stats.doubles_read * 8,
+                bytes_written: stats.doubles_written * 8,
+                flops: stats.flops,
+                stencil_points: stats.points_updated,
+                ..Default::default()
+            });
+            self.timers.close(op);
+        } else {
+            // The paper's path, with the paper's split timer rows.
+            let points = region.volume() as u64;
+            let op = probe::op(li, "applyOp").points(points, op_counters);
+            level.apply_op(region);
+            self.timers.close(op);
+            let smooth_op = if keep_r { "smooth+residual" } else { "smooth" };
+            let op = probe::op(li, smooth_op).points(points, op_counters);
+            if keep_r {
+                level.smooth_residual(region);
+            } else {
+                level.smooth(region);
             }
-            self.levels[li].margin = m - its as i64;
-            done += its;
+            self.timers.close(op);
         }
-        Ok(restricted)
+        // 0 at the end of every pass and throughout one without a halo.
+        level.margin = (reach - its as i64).max(0);
+        restricted
     }
 
     /// The convergence check of Algorithm 1 on the finest level, under its
@@ -367,56 +330,95 @@ impl GmgSolver {
 
     /// Fallible [`GmgSolver::vcycle`]: comm failures — including the
     /// elastic membership park — surface as errors instead of panics.
+    /// Executes [`VcycleSchedule`]'s steps for [`GmgSolver::shape`] from
+    /// level 0's actual margin. A run of smoothing steps with no exchange
+    /// between them goes in groups of up to four from its front (of one
+    /// without communication avoiding); a `Restriction` the group before
+    /// made as it went is skipped.
     pub fn try_vcycle(&mut self, ctx: &mut RankCtx) -> Result<(), CommError> {
-        self.vcycle_from(ctx, 0)
-    }
-
-    /// The V-cycle rooted at level `l` (the FMG driver roots some at
-    /// coarser levels).
-    fn vcycle_from(&mut self, ctx: &mut RankCtx, l: usize) -> Result<(), CommError> {
-        let top = self.config.num_levels - 1;
-        if l == top {
-            // Bottom solver: plain point relaxation.
-            self.phase_event("coarse", top);
-            return self
-                .smooth_pass(ctx, top, self.config.bottom_smooths, false)
-                .map(drop);
+        let mut steps = Vec::new();
+        VcycleSchedule::new(self.shape())
+            .with_finest_margin(self.levels[0].margin)
+            .vcycle(|step| match step {
+                // A smoothing iteration executes as its `Smooth` step.
+                VcycleStep::Kernel {
+                    op: OpKind::ApplyOp | OpKind::Smooth | OpKind::SmoothResidual,
+                    ..
+                } => {}
+                step => steps.push(step),
+            });
+        let top = self.levels.len() - 1;
+        let group = if self.config.communication_avoiding {
+            FUSED_GROUP
+        } else {
+            1
+        };
+        // `entered`: the levels whose pass down has opened its phase.
+        let (mut entered, mut restricted, mut b_next) = (0, false, false);
+        let mut i = 0;
+        while let Some(&step) = steps.get(i) {
+            i += 1;
+            if let VcycleStep::Exchange { level } | VcycleStep::Smooth { level, .. } = step {
+                if level == entered && !b_next {
+                    self.phase_event(if level == top { "coarse" } else { "smooth" }, level);
+                    entered += 1;
+                }
+            }
+            match step {
+                VcycleStep::Exchange { level } => {
+                    let tag = self.next_tag();
+                    let op = probe::op(level, "exchange").points(0, op_counters);
+                    if std::mem::take(&mut b_next) {
+                        try_exchange_b(ctx, &mut self.levels[level], tag)?;
+                    } else {
+                        try_exchange_x(ctx, &mut self.levels[level], tag)?;
+                    }
+                    self.timers.close(op);
+                }
+                VcycleStep::Smooth { level, reach } => {
+                    let start = i - 1;
+                    let run = steps[i..].iter().take(group - 1);
+                    i += run
+                        .take_while(|s| matches!(s, VcycleStep::Smooth { .. }))
+                        .count();
+                    let next = steps.get(i).copied();
+                    let keep_r = matches!(
+                        next,
+                        Some(VcycleStep::Kernel {
+                            op: OpKind::Restriction,
+                            ..
+                        })
+                    );
+                    restricted = self.smooth_group(level, reach, i - start, keep_r);
+                }
+                VcycleStep::Kernel { level, op, .. } => {
+                    let restrict = op == OpKind::Restriction;
+                    self.phase_event(if restrict { "restrict" } else { "prolong" }, level);
+                    if restrict && std::mem::take(&mut restricted) {
+                        continue;
+                    }
+                    let (fine, coarse) = self.levels.split_at_mut(level + 1);
+                    // Inter-level ops count per *coarse* point (Table IV
+                    // convention).
+                    let points = coarse[0].owned.volume() as u64;
+                    let span = probe::op(level, op.name()).points(points, op_counters);
+                    if restrict {
+                        restriction(&fine[level], &mut coarse[0]);
+                    } else {
+                        interpolation_increment(&coarse[0], &mut fine[level]);
+                    }
+                    self.timers.close(span);
+                }
+                VcycleStep::InitZero { level, exchange_b } => {
+                    let points = self.levels[level].owned.volume() as u64;
+                    let op = probe::op(level, "initZero").points(points, op_counters);
+                    self.levels[level].init_zero();
+                    self.timers.close(op);
+                    b_next = exchange_b;
+                }
+            }
         }
-        let smooths = self.config.max_smooths;
-        // Pre-smooth: its last iteration restricts its residual into the
-        // coarse `b` — as it goes on the communication-avoiding path, from
-        // the stored `r` in a separate pass otherwise.
-        self.phase_event("smooth", l);
-        let restricted = self.smooth_pass(ctx, l, smooths, true)?;
-        self.phase_event("restrict", l);
-        let (fine_part, coarse_part) = self.levels.split_at_mut(l + 1);
-        // Inter-level ops count per *coarse* point (Table IV convention).
-        let coarse_points = coarse_part[0].owned.volume() as u64;
-        if !restricted {
-            let op = probe::op(l, "restriction").points(coarse_points, op_counters);
-            restriction(&fine_part[l], &mut coarse_part[0]);
-            self.timers.close(op);
-        }
-        let op = probe::op(l + 1, "initZero").points(coarse_points, op_counters);
-        coarse_part[0].init_zero();
-        self.timers.close(op);
-        if self.config.communication_avoiding && self.levels[l + 1].has_halo() {
-            // Restriction fills b on owned cells only; CA smoothing reads
-            // b in the ghost shell.
-            let tag = self.next_tag();
-            let op = probe::op(l + 1, "exchange").points(0, op_counters);
-            try_exchange_b(ctx, &mut self.levels[l + 1], tag)?;
-            self.timers.close(op);
-        }
-        self.vcycle_from(ctx, l + 1)?;
-        self.phase_event("prolong", l);
-        let (fine_part, coarse_part) = self.levels.split_at_mut(l + 1);
-        let coarse_points = coarse_part[0].owned.volume() as u64;
-        let op = probe::op(l, "interpolation+increment").points(coarse_points, op_counters);
-        interpolation_increment(&coarse_part[0], &mut fine_part[l]);
-        self.timers.close(op);
-        // Post-smooth: nothing reads its residual.
-        self.smooth_pass(ctx, l, smooths, false).map(drop)
+        Ok(())
     }
 
     /// Mark a health verdict or recovery action on the control plane.
@@ -585,7 +587,7 @@ impl GmgSolver {
     /// a restored checkpoint, continuing its history. `store` persists a
     /// durable checkpoint after every healthy cycle and reports solve
     /// progress to the membership heartbeat.
-    pub(crate) fn solve_cycles(
+    fn solve_cycles(
         &mut self,
         ctx: &mut RankCtx,
         start: Option<SolverCheckpoint>,
@@ -803,6 +805,24 @@ mod tests {
             assert_eq!(s.timers.count(1, "exchange"), 0);
             assert_eq!(s.timers.count(1, "initZero"), 1);
         });
+        // Where a halo exists the grouping is invisible to the numerics
+        // (a group is bit-identical to its iterations one by one), so pin
+        // it. With a 4-cell margin, `|` an exchange: level 0 smooths
+        // 9 = 4 | 4 | 1 both ways, the convergence check's exchange
+        // opening the pass down (6 groups, 5 exchanges); level 1 smooths
+        // 49 = 4 | 4 | … | 1 behind its `b` exchange (13 and 13).
+        for grid in [Point3::new(2, 1, 1), Point3::new(2, 2, 1)] {
+            let decomp = Decomposition::new(Box3::cube(16), grid);
+            let d = &decomp;
+            RankWorld::run(decomp.num_ranks(), move |mut ctx| {
+                let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
+                s.solve(&mut ctx);
+                for (level, groups, exchanges) in [(0, 6, 5), (1, 13, 13)] {
+                    assert_eq!(s.timers.count(level, "fusedSmooth"), groups, "{grid:?}");
+                    assert_eq!(s.timers.count(level, "exchange"), exchanges, "{grid:?}");
+                }
+            });
+        }
     }
 
     #[test]
@@ -868,9 +888,8 @@ mod tests {
     #[test]
     fn ca_solves_never_allocate_the_fine_residual() {
         // With communication avoiding, every level's pre-smooth restricts
-        // as it goes and FMG restricts `b` itself: after `solve` and
-        // `fmg_solve` on 1, 2 and 8 ranks — brick pairs 8→8, 8→4, 4→2 —
-        // no level holds `r`.
+        // as it goes: after `solve` on 1, 2 and 8 ranks — brick pairs
+        // 8→8, 8→4, 4→2 — no level holds `r`.
         let mut cfg = SolverConfig::test_default();
         cfg.brick_dim = 8;
         cfg.num_levels = 4;
@@ -880,17 +899,11 @@ mod tests {
             let decomp = Decomposition::new(Box3::cube(32), grid);
             let d = &decomp;
             RankWorld::run(decomp.num_ranks(), move |mut ctx| {
-                for fmg in [false, true] {
-                    let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
-                    let stats = if fmg {
-                        s.fmg_solve(&mut ctx, 1)
-                    } else {
-                        s.solve(&mut ctx)
-                    };
-                    assert_eq!(stats.vcycles, cfg.max_vcycles);
-                    for l in &s.levels {
-                        assert!(!l.r.is_allocated(), "level {} {grid:?} fmg={fmg}", l.index);
-                    }
+                let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
+                let stats = s.solve(&mut ctx);
+                assert_eq!(stats.vcycles, cfg.max_vcycles);
+                for l in &s.levels {
+                    assert!(!l.r.is_allocated(), "level {} {grid:?}", l.index);
                 }
             });
         }

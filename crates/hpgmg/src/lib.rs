@@ -3,7 +3,8 @@
 //! The paper's Figure 4 compares the bricked GMG against HPGMG-CUDA, the
 //! open-source finite-volume geometric multigrid proxy. This crate is our
 //! stand-in baseline: the *same* V-cycle (Algorithm 2, same smoother, same
-//! operators, same schedule) implemented the conventional way —
+//! operators, the steps of the same `gmg_stencil::VcycleSchedule`)
+//! implemented the conventional way —
 //!
 //! * fields in plain lexicographic `ijk` arrays with a 1-deep ghost shell,
 //! * pack/unpack staging buffers for every halo message,

@@ -7,6 +7,7 @@ use gmg_core::trace::op_counters;
 use gmg_core::PoissonProblem;
 use gmg_mesh::{Array3, Box3, Decomposition, Point3};
 use gmg_stencil::exec_array::apply_star7_array;
+use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
 use gmg_trace::probe;
 use std::time::Instant;
 
@@ -118,8 +119,6 @@ pub struct HpgmgStats {
     pub residual_history: Vec<f64>,
     pub converged: bool,
     pub total_seconds: f64,
-    /// Wall-clock spent in exchange + pack/unpack on this rank.
-    pub exchange_seconds: f64,
 }
 
 /// Conventional-layout GMG solver for one rank.
@@ -135,7 +134,6 @@ pub struct HpgmgSolver {
     /// breakdowns, not just wall time.
     pub timers: OpTimer,
     tag_counter: u64,
-    exchange_seconds: f64,
 }
 
 impl HpgmgSolver {
@@ -174,7 +172,6 @@ impl HpgmgSolver {
             max_vcycles,
             timers: OpTimer::new(),
             tag_counter: 0,
-            exchange_seconds: 0.0,
         }
     }
 
@@ -189,50 +186,49 @@ impl HpgmgSolver {
         let level = &mut self.levels[li];
         let d = level.decomp.clone();
         exchange_array(ctx, &d, &mut level.x, 1, tag);
-        self.exchange_seconds += self.timers.close(op);
+        self.timers.close(op);
     }
 
-    fn smooth_pass(&mut self, ctx: &mut RankCtx, li: usize, n: usize, fused: bool) {
-        for _ in 0..n {
-            self.exchange_x(ctx, li); // every iteration: no CA in HPGMG mode
-            let level = &mut self.levels[li];
-            let points = level.owned.volume() as u64;
-            let op = probe::op(li, "applyOp").points(points, op_counters);
-            level.apply_op();
-            self.timers.close(op);
-            let smooth_op = if fused { "smooth+residual" } else { "smooth" };
-            let op = probe::op(li, smooth_op).points(points, op_counters);
-            if fused {
-                level.smooth_residual();
-            } else {
-                level.smooth();
-            }
-            self.timers.close(op);
-        }
-    }
-
+    /// One V-cycle: [`VcycleSchedule`]'s steps without communication
+    /// avoiding, on a depth-1 ghost shell on all three axes — an exchange
+    /// before every smooth, the paper's op mix kernel for kernel.
     fn vcycle(&mut self, ctx: &mut RankCtx) {
-        let top = self.num_levels - 1;
-        for l in 0..top {
-            self.smooth_pass(ctx, l, self.max_smooths, true);
-            let (fine, coarse) = self.levels.split_at_mut(l + 1);
-            let coarse_points = coarse[0].owned.volume() as u64;
-            let op = probe::op(l, "restriction").points(coarse_points, op_counters);
-            restrict_array(&fine[l], &mut coarse[0]);
-            self.timers.close(op);
-            let op = probe::op(l + 1, "initZero").points(coarse_points, op_counters);
-            coarse[0].x.fill(0.0);
-            self.timers.close(op);
-        }
-        self.smooth_pass(ctx, top, self.bottom_smooths, false);
-        for l in (0..top).rev() {
-            let (fine, coarse) = self.levels.split_at_mut(l + 1);
-            let coarse_points = coarse[0].owned.volume() as u64;
-            let op = probe::op(l, "interpolation+increment").points(coarse_points, op_counters);
-            interpolate_increment_array(&coarse[0], &mut fine[l]);
-            self.timers.close(op);
-            self.smooth_pass(ctx, l, self.max_smooths, true);
-        }
+        let shape = VcycleShape::halving(
+            self.levels[0].owned.extent(),
+            self.num_levels,
+            1,
+            self.max_smooths,
+            self.bottom_smooths,
+            false,
+        );
+        VcycleSchedule::new(shape).vcycle(|step| match step {
+            VcycleStep::Exchange { level } => self.exchange_x(ctx, level),
+            VcycleStep::Smooth { .. } => {}
+            VcycleStep::Kernel { level, op, points } => {
+                // Inter-level ops count per *coarse* point (Table IV
+                // convention).
+                let per_coarse = op.traffic().coarse_granularity;
+                let points = if per_coarse { points / 8 } else { points };
+                let span = probe::op(level, op.name()).points(points as u64, op_counters);
+                let (fine, coarse) = self.levels.split_at_mut(level + 1);
+                match op {
+                    OpKind::ApplyOp => fine[level].apply_op(),
+                    OpKind::Smooth => fine[level].smooth(),
+                    OpKind::SmoothResidual => fine[level].smooth_residual(),
+                    OpKind::Restriction => restrict_array(&fine[level], &mut coarse[0]),
+                    OpKind::InterpolationIncrement => {
+                        interpolate_increment_array(&coarse[0], &mut fine[level])
+                    }
+                }
+                self.timers.close(span);
+            }
+            VcycleStep::InitZero { level, .. } => {
+                let points = self.levels[level].owned.volume() as u64;
+                let span = probe::op(level, "initZero").points(points, op_counters);
+                self.levels[level].x.fill(0.0);
+                self.timers.close(span);
+            }
+        });
     }
 
     fn max_norm_residual(&mut self, ctx: &mut RankCtx) -> f64 {
@@ -263,7 +259,6 @@ impl HpgmgSolver {
             residual_history: history,
             converged,
             total_seconds: t0.elapsed().as_secs_f64(),
-            exchange_seconds: self.exchange_seconds,
         }
     }
 }
@@ -328,9 +323,15 @@ mod tests {
 
     #[test]
     fn exchange_time_is_tracked() {
-        let out = run(16, Point3::new(2, 1, 1), 2, 2);
-        assert!(out[0].exchange_seconds > 0.0);
-        assert!(out[0].exchange_seconds < out[0].total_seconds);
+        let decomp = Decomposition::new(Box3::cube(16), Point3::new(2, 1, 1));
+        let d = &decomp;
+        RankWorld::run(2, move |mut ctx| {
+            let mut s = HpgmgSolver::new(d.clone(), ctx.rank(), 2, 8, 50, 0.0, 2);
+            let stats = s.solve(&mut ctx);
+            let exchange: f64 = (0..2).map(|l| s.timers.total(l, "exchange")).sum();
+            assert!(exchange > 0.0);
+            assert!(exchange < stats.total_seconds);
+        });
     }
 
     #[test]

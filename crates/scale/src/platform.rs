@@ -151,7 +151,9 @@ impl Platform {
                 self.kernel_s(op, points, levels[level].on_cpu),
             ),
             VcycleStep::Exchange { level } => charge(level, "exchange", levels[level].exchange_s),
-            VcycleStep::InitZero { level } => {
+            // Priced as the two kernels that follow it.
+            VcycleStep::Smooth { .. } => {}
+            VcycleStep::InitZero { level, .. } => {
                 charge(level, "initZero", levels[level].init_zero_s);
                 if let Some(t) = levels[level].migrate_s {
                     charge(level, "pcie-migrate", t);

@@ -501,7 +501,8 @@ impl<'a> Sim<'a> {
                 let t = self.platform.kernel_s(op, points, self.on_cpu[level]);
                 self.compute_phase(level, op.name(), t, points);
             }
-            VcycleStep::InitZero { level } => self.init_zero(level),
+            VcycleStep::Smooth { .. } => {}
+            VcycleStep::InitZero { level, .. } => self.init_zero(level),
         }
     }
 

@@ -43,7 +43,7 @@
 //!   sweep-by-sweep schedule.
 //! * [`ops`] — the canonical V-cycle operator definitions, their traffic
 //!   metadata used by the performance models, and the V-cycle op schedule
-//!   ([`VcycleSchedule`]) those models walk.
+//!   ([`VcycleSchedule`]) those models price and both solvers execute.
 
 pub mod analysis;
 mod brick_rows;

@@ -21,7 +21,8 @@
 //!
 //! The order those operators run in — Algorithm 2 with the Section V
 //! communication-avoiding margin — is [`VcycleSchedule`], the one place
-//! the schedule is written down for every performance simulator.
+//! the schedule is written down: the performance simulators price its
+//! steps and both solvers execute them.
 
 use crate::expr::StencilDef;
 use gmg_mesh::Point3;
@@ -218,16 +219,19 @@ impl VcycleShape {
 /// them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VcycleStep {
-    /// Ghost exchange at `level` (of `x` before a smooth, of `b` right
-    /// after the restriction that filled it). Never yielded for a shape
-    /// without a halo axis.
+    /// Ghost exchange at `level`: of `b` right after an `InitZero` that
+    /// says so, of `x` otherwise. Never yielded for a shape without a halo
+    /// axis.
     Exchange { level: usize },
-    /// One kernel over `points` cells of `level`. A smooth is two of them,
-    /// `applyOp` then `smooth` (`smooth+residual` on the way down and up,
-    /// the paper's op mix — which iterations really store `r` is the host
-    /// kernels' business), over the owned box grown on the halo axes by as
-    /// much of the communication-avoiding margin as the rest of the pass
-    /// can consume;
+    /// One smoothing iteration at `level` over the owned box grown by
+    /// `reach − 1` on the halo axes: as much of the valid margin as the
+    /// rest of the pass can consume (1 without communication avoiding or
+    /// a halo axis). Its two `Kernel` steps follow it.
+    Smooth { level: usize, reach: i64 },
+    /// One kernel over `points` cells of `level`. A smoothing iteration is
+    /// two of them over its region, `applyOp` then `smooth`
+    /// (`smooth+residual` on the way down and up, the paper's op mix —
+    /// which iterations really store `r` is the executor's business);
     /// restriction and interpolation+increment cover the owned cells of
     /// their fine level.
     Kernel {
@@ -235,21 +239,24 @@ pub enum VcycleStep {
         op: OpKind,
         points: usize,
     },
-    /// Zero the iterate of `level`, ghost shell included.
-    InitZero { level: usize },
+    /// Zero the iterate of `level`, ghost shell included. With
+    /// `exchange_b` the next step exchanges `level`'s `b`: the restriction
+    /// before filled it on owned cells only, and communication-avoiding
+    /// smoothing reads it in the ghost shell.
+    InitZero { level: usize, exchange_b: bool },
 }
 
 /// The V-cycle op schedule (Algorithm 2 plus the Section V
 /// communication-avoiding margin) as a pure walker. The performance
-/// simulators price the steps it yields; the real solvers execute the same
-/// schedule on data and are checked against it.
+/// simulators price the steps it yields; the real solvers execute them.
 #[derive(Clone, Debug)]
 pub struct VcycleSchedule {
     shape: VcycleShape,
     /// Valid ghost margin of `x` per level, as the solver's levels track
     /// it: 0 after every smooth pass, full after an exchange or an
-    /// `initZero`. So every V-cycle opens with an exchange of the finest
-    /// level — the one Algorithm 1's convergence check makes in `solve`.
+    /// `initZero`. So every V-cycle of [`VcycleSchedule::new`] opens with
+    /// an exchange of the finest level — the one Algorithm 1's convergence
+    /// check makes in `solve`.
     margins: Vec<i64>,
 }
 
@@ -260,6 +267,14 @@ impl VcycleSchedule {
         assert_eq!(shape.extents.len(), shape.ghost_depth.len());
         let margins = vec![0; shape.extents.len()];
         Self { shape, margins }
+    }
+
+    /// This schedule with `margin` valid ghost cells on the finest level:
+    /// a solver whose convergence check has just exchanged it walks its
+    /// V-cycle from there.
+    pub fn with_finest_margin(mut self, margin: i64) -> Self {
+        self.margins[0] = margin;
+        self
     }
 
     /// Walk one V-cycle, handing every step to `step` in execution order.
@@ -273,12 +288,14 @@ impl VcycleSchedule {
                 op: OpKind::Restriction,
                 points: self.shape.cells(l),
             });
-            step(VcycleStep::InitZero { level: l + 1 });
+            let exchange_b = self.shape.communication_avoiding && self.has_halo();
+            step(VcycleStep::InitZero {
+                level: l + 1,
+                exchange_b,
+            });
             // A zero iterate is trivially valid through the ghost shell.
             self.margins[l + 1] = self.shape.ghost_depth[l + 1];
-            if self.shape.communication_avoiding && self.has_halo() {
-                // Restriction fills b on owned cells only; CA smoothing
-                // reads it in the ghost shell.
+            if exchange_b {
                 step(VcycleStep::Exchange { level: l + 1 });
             }
         }
@@ -299,11 +316,10 @@ impl VcycleSchedule {
     }
 
     /// `n` smooths at `li`: exchange when the margin is exhausted (always,
-    /// without communication avoiding; never, without a halo axis), run
-    /// `applyOp` and `smooth` over the owned box grown on the halo axes as
-    /// far as the rest of the pass can still consume — the margin, capped
-    /// at one cell per remaining smooth — and keep what this smooth did not
-    /// use of it: no pass leaves a margin behind.
+    /// without communication avoiding; never, without a halo axis), reach
+    /// as far into the margin as the rest of the pass can still consume —
+    /// capped at one cell per remaining smooth — and keep what this smooth
+    /// did not use of it: no pass leaves a margin behind.
     fn smooth_steps(
         &mut self,
         li: usize,
@@ -328,6 +344,10 @@ impl VcycleSchedule {
             let points = (0..3)
                 .map(|a| e[a] + if self.shape.halo_axes[a] { g } else { 0 })
                 .product::<i64>() as usize;
+            step(VcycleStep::Smooth {
+                level: li,
+                reach: m,
+            });
             for op in [OpKind::ApplyOp, smooth] {
                 step(VcycleStep::Kernel {
                     level: li,
@@ -511,6 +531,48 @@ mod tests {
         assert_eq!(points, 2 * grown * 16 * 16);
         assert_eq!(exchanges, tally([true; 3]).0);
         assert!(points < tally([true; 3]).1);
+    }
+
+    #[test]
+    fn steps_carry_what_an_executor_needs() {
+        let shape = VcycleShape::halving(Point3::splat(16), 2, 4, 6, 10, true);
+        let walk = |mut schedule: VcycleSchedule| {
+            let mut steps = Vec::new();
+            schedule.vcycle(|s| steps.push(s));
+            steps
+        };
+        let steps = walk(VcycleSchedule::new(shape.clone()));
+        // Each smoothing iteration's kernels cover its reach's region.
+        for w in steps.windows(2) {
+            if let [VcycleStep::Smooth { level, reach }, next] = *w {
+                let e = shape.extents[level];
+                let points = (0..3).map(|a| e[a] + 2 * (reach - 1)).product::<i64>();
+                let op = OpKind::ApplyOp;
+                assert_eq!(
+                    next,
+                    VcycleStep::Kernel {
+                        level,
+                        op,
+                        points: points as usize
+                    }
+                );
+            }
+        }
+        // The exchange of `b` follows the `InitZero` that announces it.
+        let iz = steps
+            .iter()
+            .position(|s| matches!(s, VcycleStep::InitZero { .. }))
+            .unwrap();
+        let b = VcycleStep::InitZero {
+            level: 1,
+            exchange_b: true,
+        };
+        assert_eq!(steps[iz..iz + 2], [b, VcycleStep::Exchange { level: 1 }]);
+        // A finest level the convergence check just exchanged skips the
+        // opening exchange and nothing else.
+        assert_eq!(steps[0], VcycleStep::Exchange { level: 0 });
+        let resumed = walk(VcycleSchedule::new(shape).with_finest_margin(4));
+        assert_eq!(resumed[..], steps[1..]);
     }
 
     #[test]

@@ -49,9 +49,13 @@ fn gmg_solver_vcycle_executes_the_walker_schedule() {
     // with it the solver runs the one-pass smoother, without it the
     // split `applyOp` + `smooth(+residual)` pair behind an exchange
     // before every smooth.
-    for communication_avoiding in [true, false] {
+    for (communication_avoiding, max_smooths, bottom_smooths) in
+        [(true, 12, 100), (false, 12, 100), (true, 9, 49)]
+    {
         let cfg = SolverConfig {
             communication_avoiding,
+            max_smooths,
+            bottom_smooths,
             ..SolverConfig::paper_default()
         };
         for grid in [Point3::splat(1), Point3::new(2, 1, 1), Point3::new(2, 2, 1)] {
