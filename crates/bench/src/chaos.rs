@@ -18,7 +18,7 @@
 use gmg_brick::BrickedField;
 use gmg_comm::fault::{FaultConfig, FaultPlan};
 use gmg_comm::runtime::RankWorld;
-use gmg_comm::WorldFailure;
+use gmg_comm::{ArqStats, WorldFailure};
 use gmg_core::solver::{GmgSolver, SolveStats, SolverConfig};
 use gmg_core::RecoveryPolicy;
 use gmg_mesh::{Box3, Decomposition, Point3};
@@ -40,19 +40,44 @@ pub(crate) fn chaos_solver_config() -> SolverConfig {
     cfg
 }
 
-/// Distributed solve under a fault plan; per-rank stats or the structured
-/// world failure.
+/// Distributed solve under a fault plan; per-rank stats with each rank's
+/// ARQ tally, or the structured world failure.
 pub(crate) fn faulted_solve(
     plan: &FaultPlan,
     cfg: SolverConfig,
-) -> Result<Vec<SolveStats>, WorldFailure> {
+) -> Result<Vec<(SolveStats, ArqStats)>, WorldFailure> {
     let decomp = chaos_decomp();
     let nranks = decomp.num_ranks();
     let d = &decomp;
     RankWorld::run_with_faults(nranks, plan, move |mut ctx| {
         let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
-        s.solve(&mut ctx)
+        (s.solve(&mut ctx), ctx.arq_stats())
     })
+}
+
+/// Add one run's per-rank ARQ tallies to the campaign's.
+fn tally(campaign: &mut [ArqStats], run: &[(SolveStats, ArqStats)]) {
+    for (c, (_, a)) in campaign.iter_mut().zip(run) {
+        *c += *a;
+    }
+}
+
+/// The campaign's per-rank ARQ tallies as a markdown table, its total
+/// last.
+fn arq_table(per_rank: &[ArqStats], total: &ArqStats) -> String {
+    let row = |who: String, a: &ArqStats| {
+        format!(
+            "| {who} | {} | {} | {} |\n",
+            a.retransmits, a.checksum_failures, a.dedup_drops
+        )
+    };
+    let mut t = String::from(
+        "| rank | retransmits | checksum failures | dedup drops |\n|---|---|---|---|\n",
+    );
+    for (r, a) in per_rank.iter().enumerate() {
+        t += &row(r.to_string(), a);
+    }
+    t + &row("**all**".to_string(), total)
 }
 
 /// Fault-free reference run (same geometry and config).
@@ -68,16 +93,24 @@ pub(crate) fn baseline_solve(cfg: SolverConfig) -> Vec<SolveStats> {
 
 /// One transport-fault soak run: drop + duplicate + delay + corrupt all at
 /// `rate`, seeded; reports whether the world survived, converged, and
-/// reproduced the baseline history exactly.
-fn transport_run(rate: f64, seed: u64, cfg: SolverConfig, baseline: &[f64]) -> Json {
+/// reproduced the baseline history exactly, and adds its ARQ tallies to
+/// `arq`.
+fn transport_run(
+    rate: f64,
+    seed: u64,
+    cfg: SolverConfig,
+    baseline: &[f64],
+    arq: &mut [ArqStats],
+) -> Json {
     let plan = FaultPlan::new(FaultConfig::lossy(rate), seed);
     let t0 = Instant::now();
     let outcome = faulted_solve(&plan, cfg);
     let seconds = t0.elapsed().as_secs_f64();
     match outcome {
         Ok(stats) => {
-            let exact = stats.iter().all(|s| s.residual_history == baseline);
-            let converged = stats.iter().all(|s| s.converged);
+            tally(arq, &stats);
+            let exact = stats.iter().all(|(s, _)| s.residual_history == baseline);
+            let converged = stats.iter().all(|(s, _)| s.converged);
             println!(
                 "  rate {rate:>5.3}  seed {seed:>20}  survived  converged={converged}  \
                  exact={exact}  {seconds:.2}s"
@@ -100,8 +133,9 @@ fn transport_run(rate: f64, seed: u64, cfg: SolverConfig, baseline: &[f64]) -> J
 
 /// The self-healing demonstration: a seeded one-shot corruption of one
 /// rank's iterate (a "silent" upset that no transport checksum can catch)
-/// under lossy transport, with rollback recovery enabled.
-fn recovery_run(seed: u64) -> Json {
+/// under lossy transport, with rollback recovery enabled; its ARQ tallies
+/// are added to `arq`.
+fn recovery_run(seed: u64, arq: &mut [ArqStats]) -> Json {
     let mut cfg = chaos_solver_config();
     cfg.recovery = RecoveryPolicy::Rollback;
     cfg.max_vcycles = 25;
@@ -122,14 +156,15 @@ fn recovery_run(seed: u64) -> Json {
                 level.x = BrickedField::from_fn(level.layout.clone(), move |p| old.get(p) * 1e9);
             }
         }));
-        s.solve(&mut ctx)
+        (s.solve(&mut ctx), ctx.arq_stats())
     });
     match outcome {
         Ok(stats) => {
-            let s0 = &stats[0];
+            tally(arq, &stats);
+            let s0 = &stats[0].0;
             let agree = stats
                 .iter()
-                .all(|s| s.residual_history == s0.residual_history);
+                .all(|(s, _)| s.residual_history == s0.residual_history);
             println!(
                 "  corrupt rank {victim} at cycle {at_cycle}: converged={} after {} cycles, \
                  {} rollback(s), health {:?}, ranks agree={agree}",
@@ -203,10 +238,9 @@ pub fn run_with_seed(seed: u64) -> Json {
         baseline[0].final_residual()
     );
 
-    // Meter the ARQ layer across the whole campaign: the registry is
-    // process-global, so diff a snapshot taken before any faulted run.
-    let metrics_before = gmg_metrics::Registry::global().snapshot();
-    let metrics_were_enabled = gmg_metrics::enable();
+    // Meter the ARQ layer across the whole campaign: every rank's tally
+    // of every run that completes (the killed world returns none).
+    let mut arq = vec![ArqStats::default(); chaos_decomp().num_ranks()];
 
     println!("transport faults (drop+dup+delay+corrupt, ARQ must absorb exactly):");
     let mut sweep = Vec::new();
@@ -215,7 +249,7 @@ pub fn run_with_seed(seed: u64) -> Json {
             let run_seed = seed
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add(1000 * i as u64 + k);
-            sweep.push(transport_run(rate, run_seed, cfg, &base_history));
+            sweep.push(transport_run(rate, run_seed, cfg, &base_history, &mut arq));
         }
     }
     let sweep_ok = sweep
@@ -223,7 +257,7 @@ pub fn run_with_seed(seed: u64) -> Json {
         .all(|r| r["survived"] == true && r["exact_match"] == true);
 
     println!("\nself-healing (silent iterate corruption + rollback recovery):");
-    let recovery = recovery_run(seed);
+    let recovery = recovery_run(seed, &mut arq);
     let recovery_ok =
         recovery["converged"] == true && recovery["recoveries"].as_u64().unwrap_or(0) >= 1;
 
@@ -231,14 +265,12 @@ pub fn run_with_seed(seed: u64) -> Json {
     let kill = kill_run(seed);
     let kill_ok = kill["structured_failure"] == true && kill["killed_rank_reported"] == true;
 
-    if !metrics_were_enabled {
-        gmg_metrics::disable();
+    let mut arq_total = ArqStats::default();
+    for a in &arq {
+        arq_total += *a;
     }
-    let arq = gmg_metrics::Registry::global()
-        .snapshot()
-        .delta_since(&metrics_before);
-    let arq_table = arq.render_table("arq_");
-    println!("\nfault-handling metrics (ARQ layer, campaign total):\n\n{arq_table}");
+    let arq_table = arq_table(&arq, &arq_total);
+    println!("\nfault-handling counts (ARQ layer, campaign total):\n\n{arq_table}");
 
     let ok = sweep_ok && recovery_ok && kill_ok;
     println!(
@@ -253,9 +285,6 @@ pub fn run_with_seed(seed: u64) -> Json {
         "vcycles": baseline[0].vcycles,
         "final_residual": baseline[0].final_residual(),
     });
-    let arq_retransmits = arq.counter_total("arq_retransmits_total");
-    let arq_checksum_failures = arq.counter_total("arq_checksum_failures_total");
-    let arq_dedup_drops = arq.counter_total("arq_dedup_drops_total");
     json!({
         "seed": seed,
         "baseline": baseline_v,
@@ -265,9 +294,9 @@ pub fn run_with_seed(seed: u64) -> Json {
         "recovery_ok": recovery_ok,
         "kill": kill,
         "kill_ok": kill_ok,
-        "arq_retransmits": arq_retransmits,
-        "arq_checksum_failures": arq_checksum_failures,
-        "arq_dedup_drops": arq_dedup_drops,
+        "arq_retransmits": arq_total.retransmits,
+        "arq_checksum_failures": arq_total.checksum_failures,
+        "arq_dedup_drops": arq_total.dedup_drops,
         "arq_metrics_table": arq_table,
         "ok": ok,
     })
@@ -468,7 +497,6 @@ pub fn run_process_campaign_with(seed: u64, kill: Option<usize>, child_args: &[&
     crate::report::heading(&format!(
         "Chaos — elastic multi-process campaign (base seed {seed})"
     ));
-    gmg_metrics::enable();
 
     // Thread-transport ground truth: under Rejoin without a membership
     // world the same config is a plain solve.
@@ -541,7 +569,7 @@ mod tests {
         let cfg = chaos_solver_config();
         let baseline = baseline_solve(cfg);
         let hist = &baseline[0].residual_history;
-        let v = transport_run(0.01, 42, cfg, hist);
+        let v = transport_run(0.01, 42, cfg, hist, &mut [ArqStats::default(); 8]);
         assert_eq!(v["survived"], true, "{v}");
         assert_eq!(v["exact_match"], true, "{v}");
         assert_eq!(v["converged"], true, "{v}");
@@ -549,7 +577,7 @@ mod tests {
 
     #[test]
     fn rollback_recovery_demo_converges() {
-        let v = recovery_run(5);
+        let v = recovery_run(5, &mut [ArqStats::default(); 8]);
         assert_eq!(v["survived"], true, "{v}");
         assert_eq!(v["converged"], true, "{v}");
         assert!(v["recoveries"].as_u64().unwrap() >= 1, "{v}");

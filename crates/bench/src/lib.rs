@@ -44,8 +44,7 @@
 //! (`--ranks N`, `--inject-slowdown LEVEL:PCT`, `--window A:B`).
 //! Every binary runs inside [`report::with_env_hooks`], so it honours
 //! `GMG_TRACE=<path>` to capture a trace of its run (`analyze --trace`
-//! folds it into flamegraph stacks) and `GMG_METRICS=<path>` to write its
-//! final metrics snapshot as JSON.
+//! folds it into flamegraph stacks).
 //!
 //! Each `run()` prints the same rows/series the paper reports and returns a
 //! JSON value; binaries also persist it under `results/`. The *real* CPU

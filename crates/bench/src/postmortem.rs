@@ -141,20 +141,9 @@ pub(crate) fn rebuild_trace(logs: &[RankLog]) -> Trace {
     Trace { events }
 }
 
-/// Exact happens-before edges in the two downstream vocabularies.
-pub(crate) fn exact_edges(waits: &WaitAnalysis) -> (Vec<gmg_metrics::MessageEdge>, Vec<FlowArrow>) {
-    let metric = waits
-        .edges
-        .iter()
-        .map(|e| gmg_metrics::MessageEdge {
-            src: e.src,
-            // Flight sends are instants: end == ts.
-            send_end_ns: e.send_ts_ns,
-            dst: e.dst,
-            recv_end_ns: e.recv_end_ns,
-        })
-        .collect();
-    let flows = waits
+/// The exact happens-before edges as Perfetto flow arrows.
+pub(crate) fn flow_arrows(waits: &WaitAnalysis) -> Vec<FlowArrow> {
+    waits
         .edges
         .iter()
         .map(|e| FlowArrow {
@@ -164,8 +153,7 @@ pub(crate) fn exact_edges(waits: &WaitAnalysis) -> (Vec<gmg_metrics::MessageEdge
             dst_ts_ns: e.recv_end_ns,
             id: e.msg_seq,
         })
-        .collect();
-    (metric, flows)
+        .collect()
 }
 
 /// A rank a post-hoc check singles out of a dump.
@@ -344,9 +332,9 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
             (r, op, None)
         }
     };
-    let (medges, flows) = exact_edges(&waits);
+    let flows = flow_arrows(&waits);
     let trace = rebuild_trace(&bundle.logs);
-    let path = critical_path_with_edges(&trace, &medges);
+    let path = critical_path_with_edges(&trace, &waits.edges);
     let flags = stragglers_and_storms(&bundle.logs);
     let mut md = render_report(
         dir,

@@ -5,46 +5,21 @@ use gmg_trace::{Json, ObsConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Run `f` under every sink `cfg` names an artifact for, then write the
-/// artifacts: `trace` → a capture's Chrome trace-event JSON, `metrics` →
-/// what the global registry grew by during the run, as schema-1 JSON (a
-/// *delta*: the registry is process-global and may already hold rows).
-/// With none set `f` runs directly and every probe stays inert.
+/// Run `f` under a trace capture when `cfg` names a trace path, then
+/// write the capture's Chrome trace-event JSON there. With none set `f`
+/// runs directly and every span-log probe stays inert.
 pub fn with_hooks<T>(cfg: &ObsConfig, f: impl FnOnce() -> T) -> T {
-    let metrics = (cfg.metrics.as_ref()).map(|_| {
-        (
-            gmg_metrics::Registry::global().snapshot(),
-            gmg_metrics::enable(),
-        )
-    });
-    let (out, trace) = match &cfg.trace {
-        Some(_) => {
-            let (out, trace) = gmg_trace::capture(f);
-            (out, Some(trace))
-        }
-        None => (f(), None),
+    let Some(path) = &cfg.trace else {
+        return f();
     };
-    let delta = metrics.map(|(before, was_enabled)| {
-        if !was_enabled {
-            gmg_metrics::disable();
-        }
-        gmg_metrics::Registry::global()
-            .snapshot()
-            .delta_since(&before)
-    });
-    if let (Some(path), Some(trace)) = (&cfg.trace, trace) {
-        let path = save_at(path, "trace.json", &trace.to_chrome_string());
-        eprintln!("[trace: {} events -> {path:?}]", trace.events.len());
-    }
-    if let (Some(path), Some(delta)) = (&cfg.metrics, delta) {
-        let path = save_at(path, "metrics.json", &delta.to_json().to_string());
-        eprintln!("[metrics: {} rows -> {path:?}]", delta.entries.len());
-    }
+    let (out, trace) = gmg_trace::capture(f);
+    let path = save_at(path, "trace.json", &trace.to_chrome_string());
+    eprintln!("[trace: {} events -> {path:?}]", trace.events.len());
     out
 }
 
-/// [`with_hooks`] as the environment asks: `GMG_TRACE` and
-/// `GMG_METRICS`. Every harness binary wraps its `run()` in this.
+/// [`with_hooks`] as the environment asks (`GMG_TRACE`). Every harness
+/// binary wraps its `run()` in this.
 pub fn with_env_hooks<T>(f: impl FnOnce() -> T) -> T {
     with_hooks(&ObsConfig::from_env(), f)
 }
@@ -195,13 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn hooks_write_each_requested_artifact_and_pass_the_result_through() {
+    fn hooks_write_the_requested_trace_and_pass_the_result_through() {
         use gmg_trace::{Trace, Track};
         let dir = std::env::temp_dir().join(format!("gmg_hooks_test_{}", std::process::id()));
         let at = |name: &str| Some(dir.join(name));
         let cfg = ObsConfig {
             trace: at("t.json"),
-            metrics: at("m.json"),
             ..ObsConfig::from_lookup(|_| None)
         };
         let out = with_hooks(&cfg, || {
@@ -213,8 +187,6 @@ mod tests {
         let text = std::fs::read_to_string(dir.join("t.json")).unwrap();
         let trace = Trace::from_chrome_str(&text).unwrap();
         assert_eq!(trace.events.len(), 2);
-        let metrics = std::fs::read_to_string(dir.join("m.json")).unwrap();
-        assert!(metrics.contains("hooks_test_op"), "{metrics}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

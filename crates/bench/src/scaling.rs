@@ -391,9 +391,9 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         .cloned()
         .collect();
     let window_waits = gmg_flight::analyze(&window_logs);
-    let (medges, flows) = crate::postmortem::exact_edges(&window_waits);
+    let flows = crate::postmortem::flow_arrows(&window_waits);
     let trace = crate::postmortem::rebuild_trace(&window_logs);
-    let path = critical_path_with_edges(&trace, &medges);
+    let path = critical_path_with_edges(&trace, &window_waits.edges);
     // Utilization over the pure window (peers carry no compute spans and
     // would read as idle).
     let util = utilization(&trace.rank_window(wlo, whi));
@@ -410,7 +410,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         whi - wlo,
         keep.len() - (whi - wlo),
         trace.events.len(),
-        medges.len(),
+        window_waits.edges.len(),
         pct(path.coverage),
     ));
     md.push_str("| rank | compute | comm | idle |\n|---|---|---|---|\n");
@@ -578,7 +578,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         "hi": whi,
         "ranks_in_view": keep.len(),
         "trace_events": trace.events.len(),
-        "message_edges": medges.len(),
+        "message_edges": window_waits.edges.len(),
         "path_coverage": path.coverage,
         "trace": WINDOW_TRACE,
     });

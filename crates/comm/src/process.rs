@@ -29,10 +29,9 @@
 //! (kind [`FrameKind::Control`], opcode in `tag`). The data plane
 //! (`d<r>.sock`) never carries control frames and vice versa.
 //!
-//! Failure-detector and membership health are exported through
-//! `gmg-metrics`: `heartbeat_rtt_ns` / `heartbeat_missed_total` per
-//! rank, `respawn_latency_ns`, `rejoin_epoch_ns`,
-//! `membership_deaths_total`, and the `membership_epoch` gauge.
+//! Each rejoin is reported as a [`RejoinEvent`] in the
+//! [`ProcessReport`]: who died, the epoch and cycle the world resumed
+//! at, the respawn latency and the whole epoch's duration.
 
 use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
@@ -41,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gmg_trace::probe::{self, Kind};
+use gmg_trace::probe;
 use gmg_trace::ObsConfig;
 
 use crate::fault::{FaultPlan, RetryPolicy};
@@ -62,12 +61,10 @@ const OP_READY: u64 = 8;
 const OP_DONE: u64 = 9;
 
 /// Upper bound on an encoded control frame: the header and a handful of
-/// payload words (the longest, a heartbeat, carries two).
+/// payload words.
 const CTL_FRAME_MAX: usize = crate::frame::HEADER_LEN + 8 * 8;
 
 const BEAT_INTERVAL: Duration = Duration::from_millis(20);
-/// A gap longer than this counts as a missed beat (metrics only).
-const MISS_AFTER: Duration = Duration::from_millis(150);
 /// A gap longer than this declares the rank dead even if the process
 /// still exists (hung, not crashed): it is killed and rejoined.
 const HB_TIMEOUT: Duration = Duration::from_millis(2500);
@@ -288,7 +285,6 @@ fn spawn_heartbeat(
         .name(format!("gmg-heartbeat-{rank}"))
         .spawn(move || {
             let mut seq = 0u64;
-            let mut last_rtt = 0u64;
             let mut buf = [0u8; 256];
             while !stop.load(Ordering::Relaxed) {
                 let beat = ctl_frame(
@@ -296,17 +292,11 @@ fn spawn_heartbeat(
                     OP_BEAT,
                     seq,
                     0,
-                    vec![bits(progress.load(Ordering::Relaxed)), bits(last_rtt)],
+                    vec![bits(progress.load(Ordering::Relaxed))],
                 );
-                let sent = Instant::now();
                 let _ = tx.send_to(&beat, &ctl);
-                if let Ok(n) = sock.recv(&mut buf) {
-                    if let Ok(f) = Frame::decode(&buf[..n]) {
-                        if f.tag == OP_BEAT_ACK {
-                            last_rtt = sent.elapsed().as_nanos() as u64;
-                        }
-                    }
-                }
+                // Wait (at most one interval) for the controller's ACK.
+                let _ = sock.recv(&mut buf);
                 seq += 1;
                 std::thread::sleep(BEAT_INTERVAL);
             }
@@ -520,7 +510,6 @@ struct RankState {
     child: Child,
     said_hello: bool,
     last_beat: Instant,
-    last_miss_mark: Instant,
     progress: u64,
     exited: bool,
     done: bool,
@@ -706,10 +695,6 @@ impl ProcessWorld {
                     continue;
                 }
                 let gap = s.last_beat.elapsed();
-                if gap > MISS_AFTER && s.last_miss_mark < s.last_beat {
-                    s.last_miss_mark = Instant::now();
-                    probe::event(Kind::Stat, "heartbeat:missed").rank(r);
-                }
                 if gap > HB_TIMEOUT {
                     let _ = s.child.kill();
                     let _ = s.child.wait();
@@ -769,12 +754,6 @@ impl ProcessWorld {
     fn handle_beat(&self, tx: &UnixDatagram, dir: &Path, s: &mut RankState, f: &Frame) {
         s.last_beat = Instant::now();
         s.progress = unbits(&f.payload, 0);
-        let rtt = unbits(&f.payload, 1);
-        if rtt > 0 {
-            probe::event(Kind::Stat, "heartbeat:rtt")
-                .rank(f.src as usize)
-                .value(rtt);
-        }
         let ack = ctl_frame(u32::MAX, OP_BEAT_ACK, f.seq, 0, Vec::new());
         let _ = tx.send_to(&ack, beat_sock_path(dir, f.src as usize));
     }
@@ -793,7 +772,6 @@ impl ProcessWorld {
         epoch: u64,
     ) -> Result<RejoinEvent, String> {
         let t0 = Instant::now();
-        probe::event(Kind::Stat, "membership:death").rank(dead);
 
         let spawn_t = Instant::now();
         ranks[dead] = new_rank_state(self.spawn_child(dir, dead, true)?);
@@ -880,13 +858,6 @@ impl ProcessWorld {
             }
         }
         let epoch_duration = t0.elapsed();
-        probe::event(Kind::Stat, "membership:respawn")
-            .rank(dead)
-            .dur_ns(respawn_latency.as_nanos() as u64);
-        probe::event(Kind::Stat, "membership:rejoin")
-            .rank(dead)
-            .dur_ns(epoch_duration.as_nanos() as u64)
-            .value(epoch);
         Ok(RejoinEvent {
             rank: dead,
             epoch,
@@ -929,9 +900,6 @@ fn new_rank_state(child: Child) -> RankState {
         child,
         said_hello: false,
         last_beat: Instant::now(),
-        last_miss_mark: Instant::now()
-            .checked_sub(Duration::from_secs(3600))
-            .unwrap_or_else(Instant::now),
         progress: 0,
         exited: false,
         done: false,
@@ -1140,7 +1108,6 @@ mod tests {
 
     #[test]
     fn sigkill_mid_run_is_rejoined_from_checkpoint_bit_exactly() {
-        gmg_metrics::enable();
         let victim = 1usize;
         let report = ProcessWorld::new(3, "rejoin_ring")
             .transport(SocketKind::Uds)
@@ -1158,6 +1125,8 @@ mod tests {
             "kill at progress 5 follows checkpoints"
         );
         assert!(ev.resume_cycle < TOTAL_CYCLES as i64);
+        assert!(ev.respawn_latency > Duration::ZERO);
+        assert!(ev.epoch_duration >= ev.respawn_latency);
 
         // The recovered world's answers are bit-identical to an
         // unfaulted run's.
@@ -1169,14 +1138,6 @@ mod tests {
                 "rank {me}: resume must be bit-exact"
             );
         }
-
-        // Failure-detector health is a first-class metric.
-        let snap = gmg_metrics::Registry::global().snapshot();
-        assert!(snap.counter_total("membership_deaths_total") >= 1);
-        assert!(snap.histogram_total("heartbeat_rtt_ns").count() >= 1);
-        assert!(snap.histogram_total("respawn_latency_ns").count() >= 1);
-        assert!(snap.histogram_total("rejoin_epoch_ns").count() >= 1);
-        assert!(snap.entries.iter().any(|e| e.name == "membership_epoch"));
 
         // The merged flight dump exists and its detail names the dead
         // rank and the epoch it rejoined into.

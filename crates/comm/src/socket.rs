@@ -163,7 +163,7 @@ impl SocketTransport {
             return;
         }
         if h.epoch < self.epoch {
-            probe::event(Kind::Stat, "frame:fenced");
+            probe::event(Kind::Arq, "frame:fenced");
             return;
         }
         if h.epoch > self.epoch {

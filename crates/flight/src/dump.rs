@@ -174,13 +174,9 @@ fn dump_under(
 /// Best-effort black-box dump under the world's dump directory. Returns
 /// the dump directory, or `None` if disabled by the cap or any IO failed.
 pub fn dump_world(world: &FlightWorld, reason: &str, detail: &str) -> Option<PathBuf> {
-    let dir = dump_under(&world.dump_dir, world.max_dumps, |dir| {
+    dump_under(&world.dump_dir, world.max_dumps, |dir| {
         dump_world_to(dir, world, reason, detail)
-    })?;
-    if gmg_metrics::enabled() {
-        gmg_metrics::counter("flight_dumps_total", 0, None, "flight").inc();
-    }
-    Some(dir)
+    })
 }
 
 /// Dump the world installed on *this* thread (solver-side failure hook).

@@ -8,7 +8,7 @@
 //! overwriting the oldest events on wrap so the *most recent* history is
 //! always present.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! * [`ring`] — the per-rank seqlock ring. Writers never block, never
 //!   allocate, and never tear; readers get validated whole events.
@@ -22,7 +22,9 @@
 //! * [`waitstate`] + [`dump`] — offline analysis: join send/recv pairs
 //!   into causal cross-rank message edges, classify every comm wait
 //!   (late-sender / late-receiver / ARQ-stall / starvation), and persist
-//!   or reload black-box dumps for crash postmortems.
+//!   or reload black-box dumps for crash postmortems. A dump's
+//!   per-rank [`RankLog`] also carries its ring's health: events
+//!   `written` and `lost`.
 //!
 //! The `GMG_FLIGHT*` environment knobs are parsed by
 //! [`gmg_trace::ObsConfig`] and reach this crate through
@@ -37,7 +39,7 @@ pub mod waitstate;
 pub use dump::{
     dump_installed, dump_world, dump_world_to, load_dump, merge_dumps, DumpBundle, MAX_DUMP_RANKS,
 };
-pub use recorder::{export_metrics, installed, record_compute, set_enabled, FlightWorld};
+pub use recorder::{installed, record_compute, set_enabled, FlightWorld};
 pub use ring::{EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 pub use synth::{into_logs, SynthLog};
 pub use waitstate::{

@@ -1,5 +1,5 @@
-//! World plumbing: per-rank rings, the ring as a probe sink, the global
-//! enable switch, and `gmg_metrics` export.
+//! World plumbing: per-rank rings, the ring as a probe sink, and the
+//! global enable switch.
 //!
 //! `RankWorld` creates a [`FlightWorld`] per run and hands each rank
 //! thread's probe context that rank's [`FlightWorld::sink`]; everything
@@ -149,7 +149,7 @@ impl Sink for RingSink {
             Kind::Arrive => (EventKind::MsgArrive, rec.key.op),
             Kind::Arq => (EventKind::Arq, rec.key.op),
             Kind::Control => (EventKind::Control, rec.key.op),
-            Kind::Comm | Kind::Stat => return,
+            Kind::Comm => return,
         };
         self.ring.record(FlightEvent {
             seq: 0,
@@ -200,28 +200,6 @@ pub fn record_compute(level: usize, op: &'static str, ts_ns: u64, dur_ns: u64, p
             counters: Default::default(),
         })
     });
-}
-
-// ---------------------------------------------------------------------------
-// Metrics export
-// ---------------------------------------------------------------------------
-
-/// Publish recorder health into the process-global `gmg_metrics`
-/// registry (no-op while metrics are disabled): per-rank gauges for
-/// events written / overwritten / lost and ring capacity. Dump counts
-/// are published by [`crate::dump`] as `flight_dumps_total`.
-pub fn export_metrics(world: &FlightWorld) {
-    if !gmg_metrics::enabled() {
-        return;
-    }
-    for ring in world.rings() {
-        let r = ring.rank();
-        gmg_metrics::gauge("flight_events_written", r, None, "flight").set(ring.written() as f64);
-        gmg_metrics::gauge("flight_events_overwritten", r, None, "flight")
-            .set(ring.overwritten() as f64);
-        gmg_metrics::gauge("flight_events_lost", r, None, "flight").set(ring.lost() as f64);
-        gmg_metrics::gauge("flight_ring_capacity", r, None, "flight").set(ring.capacity() as f64);
-    }
 }
 
 #[cfg(test)]
@@ -303,26 +281,5 @@ mod tests {
         let w = FlightWorld::for_run(2, &off).expect("forced on beats GMG_FLIGHT=0");
         assert_eq!((w.nranks(), w.ring(0).capacity()), (2, cfg.flight_capacity));
         set_enabled(prev);
-    }
-
-    #[test]
-    fn metrics_export_publishes_gauges() {
-        let was = gmg_metrics::enable();
-        let w = FlightWorld::with_capacity(2, 16);
-        {
-            let _g = probe::install(Some(0), [w.sink(0)]);
-            record_compute(0, "smooth", 0, 1, 1);
-        }
-        export_metrics(&w);
-        if !was {
-            gmg_metrics::disable();
-        }
-        let snap = gmg_metrics::Registry::global().snapshot();
-        for name in ["flight_events_written", "flight_ring_capacity"] {
-            assert!(
-                snap.entries.iter().any(|e| e.name == name),
-                "{name} missing: {snap:?}"
-            );
-        }
     }
 }

@@ -163,7 +163,6 @@ pub fn analyze(logs: &[RankLog]) -> WaitAnalysis {
     let mut arq: HashSet<(usize, u64)> = HashSet::new();
     // (src, msg_seq) → latest ARQ activity window end on the sender.
     let mut arq_last_ns: HashMap<(usize, u64), u64> = HashMap::new();
-    let mut killed: HashSet<usize> = HashSet::new();
 
     for log in logs {
         for ev in &log.events {
@@ -190,9 +189,6 @@ pub fn analyze(logs: &[RankLog]) -> WaitAnalysis {
                         .entry((src, ev.msg_seq))
                         .and_modify(|e| *e = (*e).max(end))
                         .or_insert(end);
-                }
-                EventKind::Control if ev.op == "fault:kill" => {
-                    killed.insert(log.rank);
                 }
                 _ => {}
             }
@@ -245,9 +241,8 @@ pub fn analyze(logs: &[RankLog]) -> WaitAnalysis {
                     WaitClass::ArqStall
                 } else {
                     // Killed or silent peer: the sender never delivered.
-                    // (`killed` refines the diagnosis but both are the
-                    // sender's fault.)
-                    let _ = killed.contains(&peer);
+                    // Either is the sender's fault (`killed_ranks` tells
+                    // them apart).
                     WaitClass::LateSender
                 }
             };
@@ -330,10 +325,9 @@ impl WaitAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{NO_PEER, NO_TAG};
+    use crate::ring::NO_PEER;
 
     fn event(
-        rank_unused: usize,
         kind: EventKind,
         op: &'static str,
         ts: u64,
@@ -341,7 +335,6 @@ mod tests {
         peer: usize,
         msg: u64,
     ) -> FlightEvent {
-        let _ = rank_unused;
         FlightEvent {
             ts_ns: ts,
             dur_ns: dur,
@@ -375,23 +368,23 @@ mod tests {
             log(
                 0,
                 vec![
-                    event(0, EventKind::Send, "send", 100, 0, 1, 0), // late-sender: send@100
-                    event(0, EventKind::Send, "send", 10, 0, 1, 1),  // late-receiver: send@10
-                    event(0, EventKind::Send, "send", 10, 0, 1, 2),  // arq-stall
-                    event(0, EventKind::Arq, "arq:retransmit", 60, 5, 1, 2),
-                    event(0, EventKind::Send, "send", 10, 0, 1, 3), // starvation
+                    event(EventKind::Send, "send", 100, 0, 1, 0), // late-sender: send@100
+                    event(EventKind::Send, "send", 10, 0, 1, 1),  // late-receiver: send@10
+                    event(EventKind::Send, "send", 10, 0, 1, 2),  // arq-stall
+                    event(EventKind::Arq, "arq:retransmit", 60, 5, 1, 2),
+                    event(EventKind::Send, "send", 10, 0, 1, 3), // starvation
                 ],
             ),
             log(
                 1,
                 vec![
-                    event(1, EventKind::RecvWait, "recv", 50, 100, 0, 0),
-                    event(1, EventKind::MsgArrive, "arrive", 20, 0, 0, 1),
-                    event(1, EventKind::RecvWait, "recv", 40, 10, 0, 1),
-                    event(1, EventKind::MsgArrive, "arrive", 70, 0, 0, 2),
-                    event(1, EventKind::RecvWait, "recv", 55, 25, 0, 2),
-                    event(1, EventKind::MsgArrive, "arrive", 30, 0, 0, 3),
-                    event(1, EventKind::RecvWait, "recv", 20, 15, 0, 3),
+                    event(EventKind::RecvWait, "recv", 50, 100, 0, 0),
+                    event(EventKind::MsgArrive, "arrive", 20, 0, 0, 1),
+                    event(EventKind::RecvWait, "recv", 40, 10, 0, 1),
+                    event(EventKind::MsgArrive, "arrive", 70, 0, 0, 2),
+                    event(EventKind::RecvWait, "recv", 55, 25, 0, 2),
+                    event(EventKind::MsgArrive, "arrive", 30, 0, 0, 3),
+                    event(EventKind::RecvWait, "recv", 20, 15, 0, 3),
                 ],
             ),
         ];
@@ -427,7 +420,6 @@ mod tests {
             log(
                 0,
                 vec![event(
-                    0,
                     EventKind::Control,
                     "fault:kill",
                     40,
@@ -439,7 +431,6 @@ mod tests {
             log(
                 1,
                 vec![event(
-                    1,
                     EventKind::RecvWait,
                     "recv:timeout",
                     50,
@@ -458,7 +449,7 @@ mod tests {
     fn missing_send_is_unattributed_not_guessed() {
         let logs = vec![log(
             1,
-            vec![event(1, EventKind::RecvWait, "recv", 50, 30, 0, 7)],
+            vec![event(EventKind::RecvWait, "recv", 50, 30, 0, 7)],
         )];
         let a = analyze(&logs);
         assert_eq!(a.samples[0].class, WaitClass::Unattributed);
@@ -468,16 +459,16 @@ mod tests {
 
     #[test]
     fn per_level_rows_and_table_render() {
-        let mut w0 = event(1, EventKind::RecvWait, "recv", 50, 100, 0, 0);
+        let mut w0 = event(EventKind::RecvWait, "recv", 50, 100, 0, 0);
         w0.level = 0;
-        let mut w1 = event(1, EventKind::RecvWait, "recv", 200, 40, 0, 1);
+        let mut w1 = event(EventKind::RecvWait, "recv", 200, 40, 0, 1);
         w1.level = 1;
         let logs = vec![
             log(
                 0,
                 vec![
-                    event(0, EventKind::Send, "send", 100, 0, 1, 0),
-                    event(0, EventKind::Send, "send", 260, 0, 1, 1),
+                    event(EventKind::Send, "send", 100, 0, 1, 0),
+                    event(EventKind::Send, "send", 260, 0, 1, 1),
                 ],
             ),
             log(1, vec![w0, w1]),
@@ -490,6 +481,5 @@ mod tests {
         assert!(t.contains("| 0 |"), "{t}");
         assert!(t.contains("| 1 |"), "{t}");
         assert!(t.contains("**all**"), "{t}");
-        let _ = NO_TAG;
     }
 }

@@ -22,6 +22,7 @@
 //! Everything here is deterministic: same trace in, byte-identical
 //! report out (the analyze binary's determinism test pins this).
 
+use gmg_flight::MessageEdge;
 use gmg_trace::sink::{Trace, TraceEvent, Track, LEVEL_NONE};
 use gmg_trace::TraceSummary;
 use std::collections::BTreeMap;
@@ -70,20 +71,6 @@ impl Bound {
 /// Pseudo-op name for time the critical path cannot attribute to any
 /// span (gaps in every rank's timeline).
 pub const IDLE_OP: &str = "(idle)";
-
-/// An exact cross-rank message dependency supplied by an external
-/// source (the flight recorder's joined send/recv pairs): the receive
-/// completing at `(dst, recv_end_ns)` waited on the send that ended at
-/// `(src, send_end_ns)`. When present these edges override the
-/// trace-side matching heuristic, which can only guess by `(peer, tag)`
-/// and timing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MessageEdge {
-    pub src: usize,
-    pub send_end_ns: u64,
-    pub dst: usize,
-    pub recv_end_ns: u64,
-}
 
 /// One attributed interval of the critical path.
 #[derive(Clone, Debug, PartialEq)]
@@ -306,7 +293,8 @@ impl Timelines {
         }
         let edges = edges
             .iter()
-            .map(|e| ((e.dst, e.recv_end_ns), (e.src, e.send_end_ns)))
+            // Flight sends are instants: the send ends at its timestamp.
+            .map(|e| ((e.dst, e.recv_end_ns), (e.src, e.send_ts_ns)))
             .collect();
         Timelines {
             ranks,
@@ -542,10 +530,11 @@ pub fn critical_path(trace: &Trace) -> CriticalPath {
     critical_path_with_edges(trace, &[])
 }
 
-/// [`critical_path`] with exact cross-rank message edges: wherever an
-/// edge names the send a receive actually waited on, the walk follows it
-/// instead of guessing from `(peer, tag)` timing — the distributed path
-/// then crosses rank boundaries through true causality.
+/// [`critical_path`] with exact cross-rank message edges (the flight
+/// recorder's joined send / receive pairs): wherever an edge names the
+/// send a receive actually waited on, the walk follows it instead of
+/// guessing from `(peer, tag)` timing — the distributed path then
+/// crosses rank boundaries through true causality.
 pub fn critical_path_with_edges(trace: &Trace, edges: &[MessageEdge]) -> CriticalPath {
     let Some((t0, t1)) = trace.time_bounds() else {
         return CriticalPath::default();
@@ -1335,8 +1324,11 @@ mod tests {
         );
         let edges = [MessageEdge {
             src: 1,
-            send_end_ns: 16_000_000,
             dst: 0,
+            msg_seq: 0,
+            tag: 0,
+            send_ts_ns: 16_000_000,
+            arrive_ts_ns: None,
             recv_end_ns: 32_000_000,
         }];
         let exact = critical_path_with_edges(&trace, &edges);

@@ -7,7 +7,7 @@
 //! Merging two histograms is element-wise addition of bucket counts,
 //! saturating at `u64::MAX` — associative, commutative, and
 //! count-preserving below saturation (the proptests below pin all three) — which is what lets per-rank histograms roll up into
-//! job-wide ones and lets a snapshot *delta* be computed by subtraction.
+//! job-wide ones and lets a *delta* be computed by subtraction.
 
 /// log2 of the sub-buckets per octave.
 pub const SUB_BITS: u32 = 3;
@@ -72,15 +72,6 @@ impl Histogram {
         }
     }
 
-    /// An empty histogram whose bucket storage is allocated up front for
-    /// the whole `u64` range (under 4 KiB), so [`Histogram::record`] never
-    /// allocates — what the registry hands to instrumented hot paths.
-    pub fn preallocated() -> Histogram {
-        let mut h = Histogram::new();
-        h.buckets.reserve_exact(bucket_index(u64::MAX) + 1);
-        h
-    }
-
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
         let i = bucket_index(v);
@@ -109,7 +100,7 @@ impl Histogram {
         self.max = self.max.max(other.max);
     }
 
-    /// Per-bucket subtraction (for deltas between two snapshots of one
+    /// Per-bucket subtraction (for the delta between two readings of one
     /// monotonically growing histogram). Count and sum subtract exactly;
     /// min/max are re-derived from the surviving buckets' bounds, so they
     /// are bucket-resolution approximations in the delta.
@@ -184,8 +175,8 @@ impl Histogram {
             .map(|(i, &c)| (i, c))
     }
 
-    /// Rebuild from serialized parts (inverse of the snapshot codecs, which
-    /// both decode through here). `buckets` holds `(bucket_index, count)`
+    /// Rebuild from serialized parts (the inverse of
+    /// [`Histogram::nonzero_buckets`] plus the summary fields). `buckets` holds `(bucket_index, count)`
     /// pairs as [`Histogram::nonzero_buckets`] lists them: indices strictly
     /// ascending and at most `bucket_index(u64::MAX)`, counts summing to
     /// at most `u64::MAX`; and a nonempty histogram has `min ≤ max`.

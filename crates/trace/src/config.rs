@@ -1,6 +1,6 @@
 //! The observability environment, parsed in one place.
 //!
-//! Seven `GMG_*` variables steer the sinks. [`ObsConfig::from_env`] is
+//! Six `GMG_*` variables steer the sinks. [`ObsConfig::from_env`] is
 //! the only code that reads them; it is called where a context is
 //! installed or an artifact is written (a rank world starting, a harness
 //! wrapping its run, a dump being placed), never on a hot path, and not
@@ -15,8 +15,6 @@ use std::path::PathBuf;
 pub struct ObsConfig {
     /// `GMG_TRACE`: write the run's Chrome trace here.
     pub trace: Option<PathBuf>,
-    /// `GMG_METRICS`: write the run's final metrics snapshot here.
-    pub metrics: Option<PathBuf>,
     /// `GMG_FLIGHT`: the flight recorder is on unless this is `0`, `off`
     /// or `false`.
     pub flight: bool,
@@ -56,7 +54,6 @@ impl ObsConfig {
         };
         ObsConfig {
             trace: path("GMG_TRACE"),
-            metrics: path("GMG_METRICS"),
             flight: !matches!(
                 text("GMG_FLIGHT").as_deref(),
                 Some("0") | Some("off") | Some("false")
@@ -96,7 +93,6 @@ mod tests {
     fn unset_means_defaults() {
         let c = parse(&[]);
         assert_eq!(c.trace, None);
-        assert_eq!(c.metrics, None);
         assert!(c.flight);
         assert_eq!(c.flight_capacity, 65536);
         assert_eq!(c.flight_max_dumps, 32);
@@ -108,7 +104,6 @@ mod tests {
     fn empty_values_mean_defaults() {
         let empty: Vec<(&str, &str)> = [
             "GMG_TRACE",
-            "GMG_METRICS",
             "GMG_FLIGHT",
             "GMG_FLIGHT_CAPACITY",
             "GMG_FLIGHT_DIR",
@@ -138,7 +133,6 @@ mod tests {
     fn set_values_are_honoured() {
         let c = parse(&[
             ("GMG_TRACE", "/tmp/t.json"),
-            ("GMG_METRICS", "m.json"),
             ("GMG_FLIGHT", "off"),
             ("GMG_FLIGHT_CAPACITY", " 1024 "),
             ("GMG_FLIGHT_DIR", "/tmp/dumps"),
@@ -146,7 +140,6 @@ mod tests {
             ("GMG_RESULTS_DIR", "/tmp/results"),
         ]);
         assert_eq!(c.trace, Some(PathBuf::from("/tmp/t.json")));
-        assert_eq!(c.metrics, Some(PathBuf::from("m.json")));
         assert!(!c.flight);
         assert_eq!(c.flight_capacity, 1024);
         assert_eq!(c.flight_max_dumps, 0);

@@ -8,10 +8,10 @@
 //!
 //! * [`probe`] — the one seam instrumented code names: a guard per timed
 //!   op, a builder per instant, one `{rank, level, op}` key, one
-//!   per-thread context, and the sinks (span log, metrics registry,
-//!   flight ring) behind it. This is the leaf crate
-//!   every instrumented crate can depend on, and it owns the epoch clock.
-//! * [`config`] — the seven observability environment variables, parsed
+//!   per-thread context, and the two sinks (span log, flight ring)
+//!   behind it. This is the leaf crate every instrumented crate can
+//!   depend on, and it owns the epoch clock.
+//! * [`config`] — the six observability environment variables, parsed
 //!   in one place into a typed [`ObsConfig`].
 //! * [`sink`] — the span log: **spans** (begin/end with `{rank, level,
 //!   op}` attribution, monotonic timestamps from one process-wide epoch)
@@ -23,9 +23,9 @@
 //!   render as a real timeline at <https://ui.perfetto.dev>.
 //! * [`folded`] — flamegraph folded stacks: a trace's span tree folded
 //!   into `rank;op@L<level>;… self-ns` lines, and the text codec.
-//! * [`summary`] — a metrics registry that recomputes Table II's per-op
-//!   time fractions and the achieved GStencil/s / GB/s *from traces*, for
-//!   side-by-side comparison with the machine-model roofline.
+//! * [`summary`] — [`TraceSummary`], which recomputes Table II's per-op
+//!   time fractions and the achieved GStencil/s / GB/s *from a trace*,
+//!   for side-by-side comparison with the machine-model roofline.
 //! * [`json`] — the minimal self-contained JSON codec backing [`chrome`]
 //!   (this crate is deliberately dependency-free).
 //!

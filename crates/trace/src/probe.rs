@@ -11,54 +11,48 @@
 //! `peer / tag / seq / value`. Everything a thread records inside an
 //! [`op`] inherits that op's level.
 //!
-//! Three sinks listen ([`Class`]): the span log (`crate::sink`, Perfetto
-//! export and folded stacks), the metrics registry (`gmg-metrics`,
-//! JSON snapshots) and the flight ring (`gmg-flight`, crash dumps). Each
-//! keeps its own storage and artifact format and decides per [`Kind`]
-//! what it keeps. Which of them listen anywhere in the process is one
-//! packed word, so with nothing listening a probe costs one relaxed load
-//! (plus the clock reads of a timed op), and on the default path —
-//! flight ring on — one ring write.
+//! Two sinks listen ([`Class`]): the span log (`crate::sink`, Perfetto
+//! export and folded stacks) and the flight ring (`gmg-flight`, crash
+//! dumps). Each keeps its own storage and artifact format and decides
+//! per [`Kind`] what it keeps. Which of them listen anywhere in the
+//! process is one packed word, so with nothing listening a probe costs
+//! one relaxed load (plus the clock reads of a timed op), and on the
+//! default path — flight ring on — one ring write.
 //!
 //! The per-thread context holds the rank, the current level and this
 //! thread's instance of each sink. `RankWorld` and the process-world
-//! child [`install`] it once per rank thread; the registry [`register`]s
-//! a factory when it is switched on and gets its per-thread instance (a
-//! handle cache) on first use.
+//! child [`install`] it once per rank thread.
 
 use crate::sink::Counters;
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Who listens
 // ---------------------------------------------------------------------------
 
-/// The three sinks behind the seam.
+/// The two sinks behind the seam.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Class {
     /// The span log of a [`crate::capture`] session.
     Spans = 0,
-    /// The `gmg-metrics` registry.
-    Metrics = 1,
     /// A `gmg-flight` ring installed on some thread.
-    Flight = 2,
+    Flight = 1,
 }
 
-/// Three 16-bit listener counts, one per [`Class`], packed in one word so
+/// Two 16-bit listener counts, one per [`Class`], packed in one word so
 /// the hot path reads a single flag whatever is on.
-static LISTENING: AtomicU64 = AtomicU64::new(0);
+static LISTENING: AtomicU32 = AtomicU32::new(0);
 
-const fn one(class: Class) -> u64 {
+const fn one(class: Class) -> u32 {
     1 << (16 * class as u32)
 }
 
 /// A snapshot of which sink classes have a listener.
 #[derive(Clone, Copy, Debug)]
-pub struct Listening(u64);
+pub struct Listening(u32);
 
 impl Listening {
     #[inline]
@@ -83,7 +77,6 @@ impl Listening {
             Kind::Comm => &[Spans],
             Kind::Send | Kind::RecvWait => &[Spans, Flight],
             Kind::Arrive => &[Flight],
-            Kind::Stat => &[Metrics],
         };
         keepers.iter().any(|c| self.has(*c))
     }
@@ -96,7 +89,7 @@ pub fn listening() -> Listening {
 }
 
 /// Count one more listener of `class` (a capture scope or a ring
-/// installed on a thread, the registry enabled).
+/// installed on a thread).
 pub fn listen(class: Class) {
     let before = LISTENING.fetch_add(one(class), Ordering::Relaxed);
     debug_assert!(
@@ -151,8 +144,6 @@ pub enum Kind {
     Arq,
     /// Control plane: injected faults, health verdicts, recoveries.
     Control,
-    /// A measurement only the registry keeps (`value` is the sample).
-    Stat,
 }
 
 /// One completed record, as the sinks see it.
@@ -167,8 +158,7 @@ pub struct Record {
     pub peer: Option<usize>,
     pub tag: Option<u64>,
     pub seq: Option<u64>,
-    /// Payload bytes of a message, points of a compute op, the sample of
-    /// a stat.
+    /// Payload bytes of a message, points of a compute op.
     pub value: u64,
     /// Byte / FLOP counters of a compute op (filled only while a span
     /// log listens).
@@ -192,16 +182,11 @@ pub trait Sink: Any {
 // The per-thread context
 // ---------------------------------------------------------------------------
 
-type SinkFactory = fn() -> Box<dyn Sink>;
-type Slot<T> = [T; 3];
-
-static FACTORIES: Slot<OnceLock<SinkFactory>> = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
-
 struct Context {
     rank: Cell<usize>,
     level: Cell<Option<usize>>,
     /// This thread's instance of each sink, indexed by [`Class`].
-    sinks: Slot<RefCell<Option<Box<dyn Sink>>>>,
+    sinks: [RefCell<Option<Box<dyn Sink>>>; 2],
 }
 
 thread_local! {
@@ -209,33 +194,19 @@ thread_local! {
         Context {
             rank: Cell::new(0),
             level: Cell::new(None),
-            sinks: [RefCell::new(None), RefCell::new(None), RefCell::new(None)],
+            sinks: [RefCell::new(None), RefCell::new(None)],
         }
     };
 }
 
 impl Context {
     fn with_sink<R>(&self, class: Class, f: impl FnOnce(&dyn Sink) -> R) -> Option<R> {
-        let slot = &self.sinks[class as usize];
-        if let Some(sink) = slot.borrow().as_deref() {
-            return Some(f(sink));
-        }
-        // First use on this thread: build the instance, then keep it.
-        let made = FACTORIES[class as usize].get()?();
-        let out = f(made.as_ref());
-        *slot.borrow_mut() = Some(made);
-        Some(out)
+        self.sinks[class as usize].borrow().as_deref().map(f)
     }
 }
 
-/// Let `class` build its per-thread instance on first use. Idempotent;
-/// called by the owning crate when the sink is switched on.
-pub fn register(class: Class, factory: SinkFactory) {
-    let _ = FACTORIES[class as usize].set(factory);
-}
-
-/// Run `f` on this thread's instance of `class` (built on first use from
-/// the registered factory); `None` when there is none.
+/// Run `f` on this thread's instance of `class`; `None` when there is
+/// none.
 pub fn with_sink<R>(class: Class, f: impl FnOnce(&dyn Sink) -> R) -> Option<R> {
     CTX.try_with(|c| c.with_sink(class, f)).ok().flatten()
 }
@@ -501,7 +472,7 @@ impl Guard {
         if let (Some(model), true) = (self.model, on.has(Class::Spans)) {
             rec.counters = model(rec.key.op, rec.value);
         }
-        for class in [Class::Spans, Class::Metrics, Class::Flight] {
+        for class in [Class::Spans, Class::Flight] {
             if on.has(class) {
                 c.with_sink(class, |s| s.record(rec));
             }
@@ -611,9 +582,9 @@ mod tests {
         };
         assert!(failed().is_err());
         event(Kind::Control, "fault:kill").rank(7);
-        // Only the registry keeps a stat; with just a ring listening the
-        // probe is inert.
-        event(Kind::Stat, "membership:death").rank(7);
+        // Only the span log keeps a comm span; with just a ring listening
+        // the probe is inert.
+        drop(span(Kind::Comm, "pack"));
         let kept = kept.borrow();
         assert_eq!((kept[0].kind, kept[0].seq), (Kind::RecvWait, None));
         assert_eq!((kept[1].kind, kept[1].key.rank), (Kind::Control, 7));
@@ -634,7 +605,7 @@ mod tests {
         let before = listening();
         listen(Class::Flight);
         assert!(listening().has(Class::Flight));
-        assert_eq!(listening().has(Class::Metrics), before.has(Class::Metrics));
+        assert_eq!(listening().has(Class::Spans), before.has(Class::Spans));
         unlisten(Class::Flight);
         assert_eq!(listening().has(Class::Flight), before.has(Class::Flight));
     }

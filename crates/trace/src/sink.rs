@@ -68,8 +68,8 @@ pub const MAX_INTERNED_LEN: usize = 256;
 /// What [`intern`] answers once it is full (or for an oversized name).
 pub const UNKNOWN_OP: &str = "?";
 
-/// The workspace's one interner: turn a name read at run time (a trace,
-/// flight dump or metrics file being loaded) into the `'static` string
+/// The workspace's one interner: turn a name read at run time (a trace
+/// or flight dump being loaded) into the `'static` string
 /// every key carries. Each distinct name is leaked once; the table is
 /// capped at [`MAX_INTERNED`] names, so loading hostile input leaks a
 /// bounded amount. Instrumented code never comes here — its names are
@@ -223,8 +223,7 @@ impl LocalLog {
 impl Sink for LocalLog {
     /// What the span log keeps of a probe record: compute ops on the
     /// compute track, comm-side spans on the comm track, ARQ and control
-    /// instants on the fault track; arrivals and registry-only stats are
-    /// not spans.
+    /// instants on the fault track; arrivals are not spans.
     fn record(&self, rec: &Record) {
         let (track, dur_ns, counters) = match rec.kind {
             Kind::Compute => (Track::Compute, rec.dur_ns, rec.counters),
@@ -249,7 +248,7 @@ impl Sink for LocalLog {
             // A point on the timeline, whatever backoff or stall it
             // stands for.
             Kind::Arq | Kind::Control => (Track::Fault, 0, Counters::default()),
-            Kind::Arrive | Kind::Stat => return,
+            Kind::Arrive => return,
         };
         self.push(TraceEvent {
             rank: rec.key.rank,

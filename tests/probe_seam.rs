@@ -1,17 +1,15 @@
 //! The instrumentation seam end to end: one `probe` guard per solver op
-//! must feed the solver's own `OpTimer`, the span log, the flight ring
-//! and the metrics registry the *same* measurement, for the bricked
-//! solver and the conventional-array baseline alike, and comm events
-//! recorded inside an op must carry that op's level.
+//! must feed the solver's own `OpTimer`, the span log and the flight
+//! ring the *same* measurement, for the bricked solver and the
+//! conventional-array baseline alike, and comm events recorded inside an
+//! op must carry that op's level.
 //!
-//! These tests own their process: the registry is global, so exact counts
-//! are only checkable where no unrelated solve records beside them (the
-//! tests below serialise on one lock).
+//! The flight recorder's switch is process-global, so the tests below
+//! serialise on one lock while they force it on.
 
 use gmg_repro::flight::{self, EventKind, FlightEvent, NO_LEVEL};
 use gmg_repro::gmg::timers::OpTimer;
 use gmg_repro::hpgmg::HpgmgSolver;
-use gmg_repro::metrics::{self, Key, Registry, Snapshot, Value};
 use gmg_repro::prelude::*;
 use gmg_repro::trace::{self, Trace, Track};
 use std::sync::{Mutex, MutexGuard};
@@ -28,13 +26,10 @@ fn decomp() -> Decomposition {
 /// What one rank saw: its timer table and its flight ring.
 type RankView = (OpTimer, Vec<FlightEvent>);
 
-/// Run `solve` on two ranks with a capture, the registry and the flight
-/// recorder all listening; return each rank's view, the trace and what
-/// the registry grew by.
-fn observed(solve: impl Fn(&mut RankCtx) -> OpTimer + Sync) -> (Vec<RankView>, Trace, Snapshot) {
-    let before = Registry::global().snapshot();
+/// Run `solve` on two ranks with a capture and the flight recorder
+/// both listening; return each rank's view and the trace.
+fn observed(solve: impl Fn(&mut RankCtx) -> OpTimer + Sync) -> (Vec<RankView>, Trace) {
     let was_on = flight::set_enabled(true);
-    metrics::enable();
     let (views, trace) = trace::capture(|| {
         RankWorld::run(2, |mut ctx| {
             let timers = solve(&mut ctx);
@@ -42,10 +37,8 @@ fn observed(solve: impl Fn(&mut RankCtx) -> OpTimer + Sync) -> (Vec<RankView>, T
             (timers, world.ring(rank).snapshot())
         })
     });
-    metrics::disable();
     flight::set_enabled(was_on);
-    let delta = Registry::global().snapshot().delta_since(&before);
-    (views, trace, delta)
+    (views, trace)
 }
 
 fn bricked(ctx: &mut RankCtx) -> OpTimer {
@@ -69,7 +62,7 @@ fn baseline(ctx: &mut RankCtx) -> OpTimer {
 /// Every `(level, op)` the timer table holds appears the same number of
 /// times in every sink, and the span log and the ring agree on each
 /// op's `(ts_ns, dur_ns)` to the nanosecond.
-fn assert_one_measurement_everywhere(views: &[RankView], trace: &Trace, delta: &Snapshot) {
+fn assert_one_measurement_everywhere(views: &[RankView], trace: &Trace) {
     for (rank, (timers, ring)) in views.iter().enumerate() {
         assert!(!timers.keys().is_empty());
         let spans = trace.track_events(rank, Track::Compute);
@@ -96,12 +89,6 @@ fn assert_one_measurement_everywhere(views: &[RankView], trace: &Trace, delta: &
                 n,
                 "ring: level {level} {op}"
             );
-            match delta.get("solver_op_ns", &Key::new(rank, Some(level), op)) {
-                Some(Value::Histogram(h)) => {
-                    assert_eq!(h.count() as usize, n, "registry: level {level} {op}")
-                }
-                other => panic!("rank {rank} level {level} {op}: no solver_op_ns row ({other:?})"),
-            }
         }
         let mut from_trace: Vec<_> = spans
             .iter()
@@ -123,21 +110,21 @@ fn assert_one_measurement_everywhere(views: &[RankView], trace: &Trace, delta: &
 #[test]
 fn bricked_solver_feeds_every_sink_one_measurement() {
     let _l = lock();
-    let (views, trace, delta) = observed(bricked);
-    assert_one_measurement_everywhere(&views, &trace, &delta);
+    let (views, trace) = observed(bricked);
+    assert_one_measurement_everywhere(&views, &trace);
 }
 
 #[test]
 fn baseline_solver_feeds_every_sink_one_measurement() {
     let _l = lock();
-    let (views, trace, delta) = observed(baseline);
-    assert_one_measurement_everywhere(&views, &trace, &delta);
+    let (views, trace) = observed(baseline);
+    assert_one_measurement_everywhere(&views, &trace);
 }
 
 #[test]
 fn comm_events_inside_an_op_inherit_its_level() {
     let _l = lock();
-    let (views, trace, _) = observed(bricked);
+    let (views, trace) = observed(bricked);
     for (rank, (_, ring)) in views.iter().enumerate() {
         // Every message event lies inside exactly one solver op (an
         // exchange, or the convergence check's exchange + reduction) and
