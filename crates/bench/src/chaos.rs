@@ -534,7 +534,7 @@ pub fn run_process_campaign_with(seed: u64, kill: Option<usize>, child_args: &[&
 
     let ok = fault_free["ok"] == true
         && clean["ok"] == true
-        && kill_leg.as_ref().map_or(true, |k| k["ok"] == true);
+        && kill_leg.as_ref().is_none_or(|k| k["ok"] == true);
     println!(
         "\nprocess chaos verdict: fault-free={} clean={} kill={} → {}",
         fault_free["ok"],

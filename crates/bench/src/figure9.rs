@@ -25,7 +25,7 @@ pub fn grid_for(domain: Point3, ranks: usize) -> Point3 {
     let mut rem = ranks;
     let mut p = 2;
     while rem > 1 {
-        while rem % p != 0 {
+        while !rem.is_multiple_of(p) {
             p += 1;
         }
         // Pick the divisible axis with the largest current extent.

@@ -178,7 +178,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
     // ---- 2. model fit --------------------------------------------------
     let contention = base.contention.clone();
     let fit = fit_scaling_model(&sweep, &contention);
-    let fit_ok = fit.as_ref().map_or(true, |f| f.rel_rms_err <= MAX_FIT_ERR);
+    let fit_ok = fit.as_ref().is_none_or(|f| f.rel_rms_err <= MAX_FIT_ERR);
     let fit_verdict = if fit.is_none() {
         "SKIP"
     } else if fit_ok {

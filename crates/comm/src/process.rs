@@ -232,7 +232,7 @@ impl MembershipClient {
         let mut last_report = None::<Instant>;
         let mut buf = vec![0u8; MAX_FRAME_LEN];
         loop {
-            if last_report.map_or(true, |t| t.elapsed() >= PARK_RESEND) {
+            if last_report.is_none_or(|t| t.elapsed() >= PARK_RESEND) {
                 let f = ctl_frame(self.rank as u32, op, 0, self.epoch, vec![bits(enc)]);
                 let _ = self.tx.send_to(&f, &self.ctl_path);
                 last_report = Some(Instant::now());
@@ -450,7 +450,7 @@ fn hello_and_wait_go(
     let mut last_hello = None::<Instant>;
     let mut buf = vec![0u8; MAX_FRAME_LEN];
     loop {
-        if last_hello.map_or(true, |t| t.elapsed() >= HELLO_RESEND) {
+        if last_hello.is_none_or(|t| t.elapsed() >= HELLO_RESEND) {
             let hello = ctl_frame(rank as u32, OP_HELLO, 0, 0, Vec::new());
             let _ = tx.send_to(&hello, ctl_path);
             last_hello = Some(Instant::now());

@@ -28,11 +28,11 @@ impl RankGrid {
         let mut best_ratio = n as f64;
         let mut dx = 1;
         while dx * dx * dx <= n {
-            if n % dx == 0 {
+            if n.is_multiple_of(dx) {
                 let rest = n / dx;
                 let mut dy = dx;
                 while dy * dy <= rest {
-                    if rest % dy == 0 {
+                    if rest.is_multiple_of(dy) {
                         let dz = rest / dy;
                         let ratio = dz as f64 / dx as f64;
                         if ratio < best_ratio {

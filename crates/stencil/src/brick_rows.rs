@@ -18,6 +18,13 @@
 //! peeled edge/middle/edge formulation of the same arithmetic); for a
 //! full brick the row and plane loops are const too.
 //!
+//! How wide that SIMD is depends on the instruction-set tier the caller
+//! runs under ([`crate::isa`]): the row streamers here are
+//! `#[inline(always)]`, so they are compiled into each executor's
+//! `#[target_feature]` trampoline, and an 8³ row is one `zmm` register
+//! under AVX-512, two `ymm` under AVX2 and four `xmm` at the x86-64
+//! baseline — the same source and the same bits at every tier.
+//!
 //! Entry points:
 //!
 //! * [`stream_star7_rows`]`::<B>` — monomorphized for the brick dims the
@@ -303,7 +310,7 @@ pub(crate) fn stream_star7_rows<const B: usize>(
 }
 
 /// Monomorphized `out ← A·x` over `rb` (see [`stream_star7_rows`]).
-#[inline]
+#[inline(always)]
 pub(crate) fn stream_star7_spec<const B: usize>(
     faces: &BrickFaces<'_>,
     out: &mut [f64],
@@ -336,7 +343,7 @@ pub(crate) fn stream_star7_spec<const B: usize>(
 /// caller's validity precondition (`region.grow(1)` inside the storage
 /// cell box): a missing face is only dereferenced for cells whose
 /// neighbor would lie outside storage.
-#[inline]
+#[inline(always)]
 pub(crate) fn stream_star7_generic(
     b: usize,
     faces: &BrickFaces<'_>,

@@ -3,9 +3,12 @@
 //! [`apply_star7_array`] is the hand-optimized 7-point kernel over the
 //! conventional layout, used by the HPGMG-style baseline. It is a tight
 //! row-wise sweep; its performance *relative to the bricked kernel* is
-//! what the layout benchmarks measure. Any other stencil runs on arrays
-//! through the reference interpreter, [`crate::interp::run_stencil`].
+//! what the layout benchmarks measure, so it runs at the same
+//! instruction-set tier as the bricked kernels ([`crate::isa`]). Any other
+//! stencil runs on arrays through the reference interpreter,
+//! [`crate::interp::run_stencil`].
 
+use crate::isa::Isa;
 use gmg_mesh::{Array3, Box3, Point3};
 
 /// Fast 7-point constant-coefficient apply over conventional arrays:
@@ -13,6 +16,18 @@ use gmg_mesh::{Array3, Box3, Point3};
 ///
 /// `src` must be valid on `region.grow(1)`.
 pub fn apply_star7_array(
+    dst: &mut Array3<f64>,
+    src: &Array3<f64>,
+    alpha: f64,
+    beta: f64,
+    region: Box3,
+) {
+    apply_star7_array_on(Isa::detect(), dst, src, alpha, beta, region);
+}
+
+/// [`apply_star7_array`] at the tier `isa`.
+pub(crate) fn apply_star7_array_on(
+    isa: Isa,
     dst: &mut Array3<f64>,
     src: &Array3<f64>,
     alpha: f64,
@@ -40,24 +55,29 @@ pub fn apply_star7_array(
     let s = src.as_slice();
     let n = (region.hi.x - region.lo.x) as usize;
     // Safety-free formulation: compute each x-row via slice windows.
-    for z in region.lo.z..region.hi.z {
-        for y in region.lo.y..region.hi.y {
-            // src and dst share a storage box, so one offset serves both.
-            let g = src.offset(Point3::new(region.lo.x, y, z));
-            let c = &s[g..g + n];
-            let xm = &s[g - 1..g - 1 + n];
-            let xp = &s[g + 1..g + 1 + n];
-            let ym = &s[g - sy..g - sy + n];
-            let yp = &s[g + sy..g + sy + n];
-            let zm = &s[g - sz..g - sz + n];
-            let zp = &s[g + sz..g + sz + n];
-            let out = &mut dst.as_mut_slice()[g..g + n];
-            for i in 0..n {
-                out[i] =
-                    alpha * c[i] + beta * ((xm[i] + xp[i]) + (ym[i] + yp[i]) + (zm[i] + zp[i]));
+    isa.run(
+        #[inline(always)]
+        || {
+            for z in region.lo.z..region.hi.z {
+                for y in region.lo.y..region.hi.y {
+                    // src and dst share a storage box, so one offset serves both.
+                    let g = src.offset(Point3::new(region.lo.x, y, z));
+                    let c = &s[g..g + n];
+                    let xm = &s[g - 1..g - 1 + n];
+                    let xp = &s[g + 1..g + 1 + n];
+                    let ym = &s[g - sy..g - sy + n];
+                    let yp = &s[g + sy..g + sy + n];
+                    let zm = &s[g - sz..g - sz + n];
+                    let zp = &s[g + sz..g + sz + n];
+                    let out = &mut dst.as_mut_slice()[g..g + n];
+                    for i in 0..n {
+                        out[i] = alpha * c[i]
+                            + beta * ((xm[i] + xp[i]) + (ym[i] + yp[i]) + (zm[i] + zp[i]));
+                    }
+                }
             }
-        }
-    }
+        },
+    );
 }
 
 #[cfg(test)]

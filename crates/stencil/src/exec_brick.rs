@@ -6,11 +6,13 @@
 //! seven per-brick face slices resolved once up front
 //! ([`gmg_brick::BrickFaces`]) — no per-point adjacency lookups anywhere,
 //! and the inner kernel is monomorphized per [`gmg_brick::BrickShape`]
-//! (see `brick_rows`). Every other stencil runs on bricks through the
-//! reference interpreter, [`crate::interp::run_stencil`], which validates
-//! the fast kernel.
+//! (see `brick_rows`). Both the apply and the residual norms run at the
+//! instruction-set tier [`Isa::detect`] picks ([`crate::isa`]). Every other
+//! stencil runs on bricks through the reference interpreter,
+//! [`crate::interp::run_stencil`], which validates the fast kernel.
 
 use crate::brick_rows::{stream_star7_generic, stream_star7_rows, stream_star7_spec, RowBounds};
+use crate::isa::Isa;
 use gmg_brick::{BrickFaces, BrickShape, BrickedField};
 use gmg_mesh::Box3;
 
@@ -34,7 +36,7 @@ pub fn apply_star7_bricked(
     beta: f64,
     region: Box3,
 ) {
-    apply_star7_bricked_impl(dst, src, alpha, beta, region, true);
+    apply_star7_bricked_on(Isa::detect(), dst, src, alpha, beta, region, true);
 }
 
 /// [`apply_star7_bricked`] forced through the runtime-dim generic kernel
@@ -47,10 +49,13 @@ pub fn apply_star7_bricked_generic(
     beta: f64,
     region: Box3,
 ) {
-    apply_star7_bricked_impl(dst, src, alpha, beta, region, false);
+    apply_star7_bricked_on(Isa::detect(), dst, src, alpha, beta, region, false);
 }
 
-fn apply_star7_bricked_impl(
+/// [`apply_star7_bricked`] at the tier `isa`, through the monomorphized
+/// kernels when `specialize`, else through the runtime-dim one.
+pub(crate) fn apply_star7_bricked_on(
+    isa: Isa,
     dst: &mut BrickedField,
     src: &BrickedField,
     alpha: f64,
@@ -75,17 +80,28 @@ fn apply_star7_bricked_impl(
     } else {
         BrickShape::Generic(b)
     };
-    dst.update_bricks(&pieces, |slot, sub, out| {
-        let faces = BrickFaces::new(src, slot);
-        let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
-        match shape {
-            BrickShape::B4 => stream_star7_spec::<4>(&faces, out, alpha, beta, &rb),
-            BrickShape::B8 => stream_star7_spec::<8>(&faces, out, alpha, beta, &rb),
-            BrickShape::Generic(_) => {
-                stream_star7_generic(b as usize, &faces, alpha, beta, &rb, |i, ax| out[i] = ax)
-            }
-        }
-    });
+    isa.run(
+        #[inline(always)]
+        || {
+            dst.update_bricks(
+                &pieces,
+                #[inline(always)]
+                |slot, sub, out| {
+                    let faces = BrickFaces::new(src, slot);
+                    let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
+                    match shape {
+                        BrickShape::B4 => stream_star7_spec::<4>(&faces, out, alpha, beta, &rb),
+                        BrickShape::B8 => stream_star7_spec::<8>(&faces, out, alpha, beta, &rb),
+                        BrickShape::Generic(_) => {
+                            stream_star7_generic(b as usize, &faces, alpha, beta, &rb, |i, ax| {
+                                out[i] = ax
+                            })
+                        }
+                    }
+                },
+            )
+        },
+    );
 }
 
 /// `(max |v|, Σ v², Σ v)` of the residual `v = b − A·x` over `region`, in
@@ -95,6 +111,18 @@ fn apply_star7_bricked_impl(
 /// the bricks fold in piece order; `max` skips NaN (`f64::max`), the sums
 /// propagate it.
 pub fn residual_norms_bricked(
+    x: &BrickedField,
+    b: &BrickedField,
+    alpha: f64,
+    beta: f64,
+    region: Box3,
+) -> (f64, f64, f64) {
+    residual_norms_on(Isa::detect(), x, b, alpha, beta, region)
+}
+
+/// [`residual_norms_bricked`] at the tier `isa`.
+pub(crate) fn residual_norms_on(
+    isa: Isa,
     x: &BrickedField,
     b: &BrickedField,
     alpha: f64,
@@ -113,27 +141,31 @@ pub fn residual_norms_bricked(
     );
     let bd = layout.brick_dim() as usize;
     let shape = layout.shape();
-    let partial = |(slot, sub): (u32, Box3)| {
-        let faces = BrickFaces::new(x, slot);
-        let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
-        let bb = b.brick(slot);
-        match shape {
-            BrickShape::B4 => norms_brick::<4>(&faces, bb, alpha, beta, &rb),
-            BrickShape::B8 => norms_brick::<8>(&faces, bb, alpha, beta, &rb),
-            BrickShape::Generic(_) => {
-                let mut acc = NORMS_ZERO;
-                stream_star7_generic(bd, &faces, alpha, beta, &rb, |i, ax| {
-                    acc = fold_norms(acc, norms_of(bb[i] - ax));
-                });
-                acc
+    let pieces = layout.slots_intersecting(region);
+    isa.run(
+        #[inline(always)]
+        || {
+            let mut acc = NORMS_ZERO;
+            for &(slot, sub) in &pieces {
+                let faces = BrickFaces::new(x, slot);
+                let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
+                let bb = b.brick(slot);
+                let partial = match shape {
+                    BrickShape::B4 => norms_brick::<4>(&faces, bb, alpha, beta, &rb),
+                    BrickShape::B8 => norms_brick::<8>(&faces, bb, alpha, beta, &rb),
+                    BrickShape::Generic(_) => {
+                        let mut part = NORMS_ZERO;
+                        stream_star7_generic(bd, &faces, alpha, beta, &rb, |i, ax| {
+                            part = fold_norms(part, norms_of(bb[i] - ax));
+                        });
+                        part
+                    }
+                };
+                acc = fold_norms(acc, partial);
             }
-        }
-    };
-    layout
-        .slots_intersecting(region)
-        .into_iter()
-        .map(partial)
-        .fold(NORMS_ZERO, fold_norms)
+            acc
+        },
+    )
 }
 
 const NORMS_ZERO: (f64, f64, f64) = (0.0, 0.0, 0.0);
@@ -232,7 +264,7 @@ pub fn pointwise_mut2(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec_array::apply_star7_array;
+    use crate::exec_array::apply_star7_array_on;
     use crate::interp::run_stencil;
     use crate::ops::{apply_op_def, apply_op_var_def, star13_def};
     use gmg_brick::{BrickLayout, BrickOrdering};
@@ -282,22 +314,33 @@ mod tests {
 
     #[test]
     fn fast_bricked_star7_on_shifted_subregion() {
-        // Exercise partial-brick pieces (CA-style shrinking regions).
+        // Exercise partial-brick pieces (CA-style shrinking regions), at
+        // every instruction-set tier the CPU reports: both layouts' kernels
+        // give the bits they give at `Isa::Baseline`.
         let n = 16;
         let bd = 4;
         let src = mk_field(n, bd);
-        let mut fast = BrickedField::new(src.layout().clone());
         let region = Box3::new(Point3::new(-3, 1, 2), Point3::new(19, 15, 14));
-        apply_star7_bricked(&mut fast, &src, -6.0, 1.0, region);
-
         let src_a = Array3::from_fn(Box3::cube(n), bd, idx_fn);
-        let mut ref_a = Array3::new(Box3::cube(n), bd);
-        apply_star7_array(&mut ref_a, &src_a, -6.0, 1.0, region);
+        let run = |isa| {
+            let mut fast = BrickedField::new(src.layout().clone());
+            apply_star7_bricked_on(isa, &mut fast, &src, -6.0, 1.0, region, true);
+            let mut arr = Array3::new(Box3::cube(n), bd);
+            apply_star7_array_on(isa, &mut arr, &src_a, -6.0, 1.0, region);
+            (fast, arr)
+        };
+        let (base, base_a) = run(Isa::Baseline);
         region.for_each(|p| {
-            assert!((fast.get(p) - ref_a[p]).abs() < 1e-12, "at {p:?}");
+            assert!((base.get(p) - base_a[p]).abs() < 1e-12, "at {p:?}");
         });
         // Outside the region nothing is written.
-        assert_eq!(fast.get(Point3::new(0, 0, 0)), 0.0);
+        assert_eq!(base.get(Point3::new(0, 0, 0)), 0.0);
+        for isa in Isa::available() {
+            let (fast, arr) = run(isa);
+            let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(fast.as_slice()), bits(base.as_slice()), "{isa:?}");
+            assert_eq!(bits(arr.as_slice()), bits(base_a.as_slice()), "{isa:?}");
+        }
     }
 
     #[test]
@@ -305,7 +348,8 @@ mod tests {
         // Const-dim and runtime-dim bricks, a region clipped on every
         // side: the max must equal the max over a stored `b − A·x` bit for
         // bit, the sums to rounding; a NaN cell is skipped by the max and
-        // poisons the sums.
+        // poisons the sums. Every instruction-set tier the CPU reports gives
+        // the bits `Isa::Baseline` gives.
         for bd in [2i64, 3, 4, 8] {
             let n = 2 * bd;
             let mut x = mk_field(n, bd);
@@ -322,13 +366,27 @@ mod tests {
                 (max, sq, sum)
             };
             let (max, sq, sum) = reference(&x);
+            let norms = |x: &BrickedField, isa| {
+                let (max, sq, sum) = residual_norms_on(isa, x, &b, -6.0, 1.0, region);
+                [max.to_bits(), sq.to_bits(), sum.to_bits()]
+            };
             let got = residual_norms_bricked(&x, &b, -6.0, 1.0, region);
             assert_eq!(got.0.to_bits(), max.to_bits(), "bd={bd}");
             assert!((got.1 - sq).abs() <= 1e-12 * sq, "bd={bd}");
             assert!((got.2 - sum).abs() <= 1e-12 * sq.sqrt(), "bd={bd}");
+            for isa in Isa::available() {
+                assert_eq!(norms(&x, isa), norms(&x, Isa::Baseline), "bd={bd} {isa:?}");
+            }
             x.set(Point3::splat(bd), f64::NAN);
             let got = residual_norms_bricked(&x, &b, -6.0, 1.0, region);
             assert!(got.0.is_finite() && got.1.is_nan() && got.2.is_nan());
+            for isa in Isa::available() {
+                assert_eq!(
+                    norms(&x, isa),
+                    norms(&x, Isa::Baseline),
+                    "bd={bd} {isa:?} NaN"
+                );
+            }
         }
     }
 

@@ -41,8 +41,15 @@
 //! `restriction`'s `dz → dy → dx` fold, so the coarse right-hand side is
 //! the same bit for bit, and no fine residual field exists at all: one
 //! coarse double per 8 fine points is written instead of one per point.
+//!
+//! Each pass runs at the instruction-set tier [`Isa::detect`] picks: the
+//! pass loop and everything it streams are `#[inline(always)]`, and
+//! `Isa::run` calls them from an AVX-512, AVX2 or baseline trampoline, so
+//! an 8³ brick row is one `zmm` register where the CPU has AVX-512 — with
+//! the same bits as the baseline build (see [`crate::isa`]).
 
 use crate::brick_rows::{stream_star7_generic, stream_star7_rows, RowBounds};
+use crate::isa::Isa;
 use gmg_brick::{BrickFaces, BrickShape, BrickedField};
 use gmg_mesh::{Box3, Point3};
 use std::sync::Arc;
@@ -117,6 +124,7 @@ impl BrickRestrictor {
 
     /// Fold the staged brick into its octant at offset `off` of the coarse
     /// brick `out` (side `bc`).
+    #[inline(always)]
     fn finish(&mut self, out: &mut [f64], off: usize, bc: usize) {
         // Literal dims, so the inlined loops unroll at the solver's sizes.
         match self.bd {
@@ -158,7 +166,8 @@ impl BrickRestrictor {
 /// written to `dst` as `src + γ(A·src − b)` (and the residual `b − A·src`
 /// handed to `sink`), brick by brick over the bricks that meet `rk`. The
 /// cells of a clipped brick outside it are read by no later iteration and
-/// are left as `dst` had them.
+/// are left as `dst` had them. Inlined into each tier's trampoline.
+#[inline(always)]
 fn jacobi_pass(
     dst: &mut BrickedField,
     src: &BrickedField,
@@ -271,10 +280,26 @@ fn smooth_brick<const B: usize>(
 pub fn fused_multismooth_bricked(
     x: &mut BrickedField,
     b: &BrickedField,
-    mut sink: Option<ResidualSink<'_>>,
+    sink: Option<ResidualSink<'_>>,
     alpha: f64,
     beta: f64,
     gamma: f64,
+    region: Box3,
+    s: usize,
+    y: &mut BrickedField,
+) -> FusedStats {
+    let coef = (alpha, beta, gamma);
+    fused_multismooth_on(Isa::detect(), x, b, sink, coef, region, s, y)
+}
+
+/// [`fused_multismooth_bricked`] with every pass at the tier `isa`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fused_multismooth_on(
+    isa: Isa,
+    x: &mut BrickedField,
+    b: &BrickedField,
+    mut sink: Option<ResidualSink<'_>>,
+    coef: (f64, f64, f64),
     region: Box3,
     s: usize,
     y: &mut BrickedField,
@@ -320,7 +345,10 @@ pub fn fused_multismooth_bricked(
     for k in 0..s {
         let rk = layout.grow_halo(region, -(k as i64));
         let out = sink.as_mut().filter(|_| k + 1 == s);
-        jacobi_pass(y, x, b, out, (alpha, beta, gamma), rk);
+        isa.run(
+            #[inline(always)]
+            || jacobi_pass(y, x, b, out, coef, rk),
+        );
         std::mem::swap(x, y);
         points += rk.volume() as u64;
     }
@@ -344,7 +372,7 @@ pub fn fused_multismooth_bricked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec_brick::{apply_star7_bricked, pointwise_mut1, pointwise_mut2};
+    use crate::exec_brick::{apply_star7_bricked_on, pointwise_mut1, pointwise_mut2};
     use gmg_brick::{BrickLayout, BrickOrdering};
     use gmg_mesh::Point3;
 
@@ -362,7 +390,8 @@ mod tests {
 
     /// The sequential sweep-by-sweep CA reference the kernel must match
     /// bit-for-bit on `R_{s−1}`: `s − 1` × (`applyOp` + `smooth`), then
-    /// `applyOp` + `smooth+residual` (or `smooth`, without `r`).
+    /// `applyOp` + `smooth+residual` (or `smooth`, without `r`), with every
+    /// `applyOp` at [`Isa::Baseline`].
     fn sweep_reference(
         x: &mut BrickedField,
         b: &BrickedField,
@@ -375,7 +404,7 @@ mod tests {
         let mut ax = BrickedField::new(layout.clone());
         for k in 0..s {
             let rk = region.shrink(k as i64);
-            apply_star7_bricked(&mut ax, x, alpha, beta, rk);
+            apply_star7_bricked_on(Isa::Baseline, &mut ax, x, alpha, beta, rk, true);
             let pieces = layout.slots_intersecting(rk);
             match r.as_deref_mut().filter(|_| k + 1 == s) {
                 Some(r) => pointwise_mut2(x, r, &ax, b, &pieces, move |x, r, ax, b| {
@@ -389,27 +418,60 @@ mod tests {
         }
     }
 
+    /// `restriction`'s fold of the fine residual `r` into the coarse cell
+    /// `c`: from `0.0`, the `(dz, dy)` rows in order, `(s + r[2i]) +
+    /// r[2i+1]` within a row, then `× 0.125`.
+    fn restricted(r: &BrickedField, c: Point3) -> f64 {
+        let mut sum = 0.0;
+        for dz in 0..2 {
+            for dy in 0..2 {
+                let p = Point3::new(2 * c.x, 2 * c.y + dy, 2 * c.z + dz);
+                sum = (sum + r.get(p)) + r.get(p + Point3::new(1, 0, 0));
+            }
+        }
+        sum * 0.125
+    }
+
     /// Everything the solver feeds the kernel: brick dims down to the 1-
     /// and 2-cell bricks of coarse two-rank levels, both slot orderings,
     /// a non-cubic subdomain, every CA region `owned.grow(m)` (clipped on
     /// all six sides for `m > 0`), every depth the margin allows, with and
-    /// without the residual. `x` and `r` must match the sweep reference on
-    /// the valid region `R_{s−1}`. With `poison`, everything the contract
-    /// says the kernel may not read is NaN on entry — `y`, `r`, and `x`
-    /// outside `region.grow(1)` — so one stray read shows in the result.
+    /// without the residual, and — where the last iteration covers exactly
+    /// the owned bricks of an even brick dim — restricting it, at every
+    /// instruction-set tier the CPU reports. `x` and `r` must match the
+    /// sweep reference at [`Isa::Baseline`] bit for bit on the valid region
+    /// `R_{s−1}`, and a restricted coarse cell the fold of that `r`. With
+    /// `poison`, everything the contract says the kernel may not read is
+    /// NaN on entry — `y`, `r`, the coarse `b`, and `x` outside
+    /// `region.grow(1)` — so one stray read shows in the result.
     fn check_against_sweeps(poison: bool) {
         let coef = (-6.0 / 0.25, 1.0 / 0.25, 0.25 / 12.0);
+        let fill = if poison { f64::NAN } else { -7.0 };
         for bd in [1i64, 2, 4, 8] {
             for ordering in [BrickOrdering::SurfaceMajor, BrickOrdering::Lexicographic] {
-                let layout = mk_layout(Point3::new(bd, 2 * bd, 3 * bd), bd, ordering);
+                let extent = Point3::new(bd, 2 * bd, 3 * bd);
+                let layout = mk_layout(extent, bd, ordering);
+                let coarse = (bd % 2 == 0)
+                    .then(|| mk_layout(extent.div_floor(Point3::splat(2)), bd / 2, ordering));
                 let b = BrickedField::from_fn(layout.clone(), rhs_fn);
                 for m in 0..bd {
                     let region = layout.cell_box().grow(m);
+                    let seen = region.grow(1);
+                    let fresh_x = || {
+                        BrickedField::from_fn(layout.clone(), |p| {
+                            if seen.contains(p) {
+                                idx_fn(p)
+                            } else {
+                                fill
+                            }
+                        })
+                    };
                     for s in 1..=bd as usize {
                         let valid = region.shrink(s as i64 - 1);
                         if valid.is_empty() {
                             continue;
                         }
+                        let restricts = coarse.as_ref().filter(|_| valid == layout.cell_box());
                         for with_r in [true, false] {
                             let mut x1 = BrickedField::from_fn(layout.clone(), idx_fn);
                             let mut r1 = BrickedField::new(layout.clone());
@@ -421,44 +483,82 @@ mod tests {
                                 region,
                                 s,
                             );
-                            let seen = region.grow(1);
-                            let fill = if poison { f64::NAN } else { -7.0 };
-                            let mut x2 = BrickedField::from_fn(layout.clone(), |p| {
-                                if seen.contains(p) {
-                                    idx_fn(p)
-                                } else {
-                                    fill
-                                }
-                            });
-                            let mut r2 = BrickedField::from_fn(layout.clone(), |_| fill);
-                            let mut y = r2.clone();
-                            let stats = fused_multismooth_bricked(
-                                &mut x2,
-                                &b,
-                                with_r.then_some(ResidualSink::Store(&mut r2)),
-                                coef.0,
-                                coef.1,
-                                coef.2,
-                                region,
-                                s,
-                                &mut y,
-                            );
-                            let case = format!("bd={bd} {ordering:?} m={m} s={s} r={with_r}");
-                            valid.for_each(|p| {
-                                assert!(x2.get(p).is_finite(), "x at {p:?}: {case}");
-                                assert_eq!(x1.get(p), x2.get(p), "x at {p:?}: {case}");
+                            let same_x = |x2: &BrickedField, case: &str| {
+                                valid.for_each(|p| {
+                                    assert!(x2.get(p).is_finite(), "x at {p:?}: {case}");
+                                    let (want, got) = (x1.get(p).to_bits(), x2.get(p).to_bits());
+                                    assert_eq!(want, got, "x at {p:?}: {case}");
+                                });
+                            };
+                            for isa in Isa::available() {
+                                let case = format!("{isa:?} bd={bd} {ordering:?} m={m} s={s}");
+                                let mut x2 = fresh_x();
+                                let mut r2 = BrickedField::from_fn(layout.clone(), |_| fill);
+                                let mut y = r2.clone();
+                                let stats = fused_multismooth_on(
+                                    isa,
+                                    &mut x2,
+                                    &b,
+                                    with_r.then_some(ResidualSink::Store(&mut r2)),
+                                    coef,
+                                    region,
+                                    s,
+                                    &mut y,
+                                );
+                                let case = format!("{case} r={with_r}");
+                                same_x(&x2, &case);
                                 if with_r {
-                                    assert_eq!(r1.get(p), r2.get(p), "r at {p:?}: {case}");
+                                    valid.for_each(|p| {
+                                        let (want, got) =
+                                            (r1.get(p).to_bits(), r2.get(p).to_bits());
+                                        assert_eq!(want, got, "r at {p:?}: {case}");
+                                    });
                                 }
-                            });
-                            let points: u64 = (0..s)
-                                .map(|k| region.shrink(k as i64).volume() as u64)
-                                .sum();
-                            assert_eq!(stats.points_updated, points, "{case}");
-                            // 3 doubles per point, and the residual store
-                            // on the last iteration only.
-                            let moved = 3 * points + if with_r { valid.volume() as u64 } else { 0 };
-                            assert_eq!(stats.doubles_read + stats.doubles_written, moved, "{case}");
+                                let points: u64 = (0..s)
+                                    .map(|k| region.shrink(k as i64).volume() as u64)
+                                    .sum();
+                                assert_eq!(stats.points_updated, points, "{case}");
+                                // 3 doubles per point, and the residual store
+                                // on the last iteration only.
+                                let moved =
+                                    3 * points + if with_r { valid.volume() as u64 } else { 0 };
+                                assert_eq!(
+                                    stats.doubles_read + stats.doubles_written,
+                                    moved,
+                                    "{case}"
+                                );
+                                let Some(coarse) = restricts.filter(|_| with_r) else {
+                                    continue;
+                                };
+                                // The restricting sink: the coarse owned cells
+                                // get the fold of `r`, its ghost shell nothing.
+                                let case = format!("{case} restrict");
+                                let mut x3 = fresh_x();
+                                let mut cb = BrickedField::from_fn(coarse.clone(), |_| fill);
+                                fused_multismooth_on(
+                                    isa,
+                                    &mut x3,
+                                    &b,
+                                    Some(ResidualSink::Restrict(&mut cb)),
+                                    coef,
+                                    region,
+                                    s,
+                                    &mut y,
+                                );
+                                same_x(&x3, &case);
+                                coarse.storage_cell_box().for_each(|c| {
+                                    let want = if coarse.cell_box().contains(c) {
+                                        restricted(&r1, c)
+                                    } else {
+                                        fill
+                                    };
+                                    assert_eq!(
+                                        want.to_bits(),
+                                        cb.get(c).to_bits(),
+                                        "{c:?}: {case}"
+                                    );
+                                });
+                            }
                         }
                     }
                 }

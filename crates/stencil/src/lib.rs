@@ -41,6 +41,9 @@
 //!   instead of the sweep pair's 5, no `A·x` field; the last iteration
 //!   also stores `r`), bit-identical on its valid region to the
 //!   sweep-by-sweep schedule.
+//! * [`isa`] — the instruction-set tier (AVX-512, AVX2 or the build's
+//!   baseline) every hand-written 7-point kernel above runs at, detected
+//!   once per process; one source compiled per tier, the same bits at each.
 //! * [`ops`] — the canonical V-cycle operator definitions, their traffic
 //!   metadata used by the performance models, and the V-cycle op schedule
 //!   ([`VcycleSchedule`]) those models price and both solvers execute.
@@ -52,8 +55,10 @@ pub mod exec_brick;
 pub mod exec_fused;
 pub mod expr;
 pub mod interp;
+pub mod isa;
 pub mod ops;
 
 pub use analysis::StencilAnalysis;
 pub use expr::{Expr, StencilDef};
+pub use isa::Isa;
 pub use ops::{OpKind, OpTraffic, VcycleSchedule, VcycleShape, VcycleStep, ALL_OPS};
