@@ -49,7 +49,8 @@
 //! also record a pool width, always 1). Every `extra` records the
 //! execution context's `transport` (what the rank world the benchmark ran
 //! reported, `thread` for the in-process kernel benchmarks), `ranks`
-//! (`GMG_PROC_NRANKS` when spawned into a process world, else 1) and, since
+//! (`gmg_comm::process::spawned_nranks` when spawned into a process
+//! world, else 1) and, since
 //! `BENCH_10`, `isa` (the stencil kernels' instruction-set tier:
 //! `avx512`, `avx2` or `baseline`), so entries taken under different
 //! transports or vector widths never get compared as like-for-like
@@ -590,15 +591,12 @@ pub const SIM_THROUGHPUT_FLOOR: f64 = 1.0;
 /// Execution context recorded in every entry's extras: the transport of
 /// the rank world the benchmark ran (the in-process kernel benchmarks run
 /// none, which is the `thread` context), the world size
-/// (`GMG_PROC_NRANKS` when spawned as a process-world rank, else 1) and the
+/// (the spawned world's size for a process-world rank, else 1) and the
 /// instruction-set tier the stencil kernels ran at ([`Isa::detect`]).
 const IN_PROCESS_TRANSPORT: &str = "thread";
 
 fn run_ranks() -> u64 {
-    std::env::var("GMG_PROC_NRANKS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+    gmg_comm::process::spawned_nranks().unwrap_or(1) as u64
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -2,7 +2,7 @@
 //!
 //! A [`crate::runtime::RankCtx`] message (`Wire::Data` / `Wire::Ack`) is
 //! encoded into one or more datagram-sized frames carrying
-//! `{src, dst, tag, seq, epoch, fragment, checksum}`. The ARQ layer's own
+//! `{src, dst, tag, seq, epoch, fragment, checksum, prev}`. The ARQ layer's own
 //! FNV checksum rides along unchanged (`arq_checksum`) so an injected
 //! payload corruption is detected by exactly the same code path on both
 //! transports; a *second* frame-level checksum covers the header + bytes
@@ -22,9 +22,10 @@ use crate::transport::{Payload, Wire};
 
 /// `"GM"` little-endian.
 pub const MAGIC: u16 = 0x4d47;
-pub const VERSION: u8 = 1;
+/// Version 2 added the data wire's predecessor link (`prev`).
+pub const VERSION: u8 = 2;
 /// Fixed header size in bytes (checksum trailer included).
-pub const HEADER_LEN: usize = 60;
+pub const HEADER_LEN: usize = 68;
 /// Payload doubles per fragment: 48 KiB of payload per frame.
 pub const MAX_FRAGMENT_DOUBLES: usize = 6144;
 /// Hard ceiling on a frame's declared payload, enforced *before* any
@@ -42,7 +43,10 @@ pub enum FrameKind {
     Control = 2,
 }
 
-/// A decoded frame.
+/// A decoded frame: the control plane's view, and the codec's public
+/// face. A data wire's predecessor link travels in the header too, but
+/// only the socket transport's reassembler reads it; `Frame` encodes it
+/// as absent.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     pub kind: FrameKind,
@@ -143,21 +147,24 @@ pub(crate) struct FrameHeader {
     pub frag_count: u16,
     /// The ARQ layer's checksum over the *whole* message (all fragments).
     pub arq_checksum: u64,
+    /// The data message's predecessor on its link (`Wire::Data::prev`).
+    pub prev: Option<u64>,
 }
 
 /// Byte offsets of the header fields that are read back by name.
 const AT_PAYLOAD_LEN: usize = 40;
-const AT_CHECKSUM: usize = 52;
+const AT_PREV: usize = 52;
+const AT_CHECKSUM: usize = 60;
 
 /// The frame-level checksum (independent of the ARQ message checksum in
 /// [`crate::fault`]): [`LaneHash`] over every byte of `buf` except the
 /// checksum's own eight. `buf` is one whole frame, so both stretches are
-/// word-aligned but for the header's last four bytes, which are folded
-/// zero-extended.
+/// word-aligned but for the four header bytes before the checksum, which
+/// are folded zero-extended.
 fn frame_checksum(buf: &[u8]) -> u64 {
     let le = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
     let head = &buf[..AT_CHECKSUM];
-    let tail = u32::from_le_bytes(head[48..].try_into().expect("4-byte tail")) as u64;
+    let tail = u32::from_le_bytes(head[AT_CHECKSUM - 4..].try_into().expect("4-byte tail")) as u64;
     let mut h = LaneHash::new(0xF4A3);
     h.eat_words(head.chunks_exact(8).map(le).chain([tail]));
     h.eat_words(buf[HEADER_LEN..].chunks_exact(8).map(le));
@@ -181,7 +188,10 @@ pub(crate) fn encode_into(h: &FrameHeader, payload: &[f64], out: &mut [u8]) -> u
     out[36..38].copy_from_slice(&h.frag_index.to_le_bytes());
     out[38..40].copy_from_slice(&h.frag_count.to_le_bytes());
     out[AT_PAYLOAD_LEN..44].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    out[44..AT_CHECKSUM].copy_from_slice(&h.arq_checksum.to_le_bytes());
+    out[44..AT_PREV].copy_from_slice(&h.arq_checksum.to_le_bytes());
+    // `seq + 1`, so that 0 says "no predecessor".
+    let prev = h.prev.map_or(0, |p| p + 1);
+    out[AT_PREV..AT_CHECKSUM].copy_from_slice(&prev.to_le_bytes());
     for (dst, v) in out[HEADER_LEN..].chunks_exact_mut(8).zip(payload) {
         dst.copy_from_slice(&v.to_bits().to_le_bytes());
     }
@@ -250,6 +260,7 @@ pub(crate) fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
         frag_index,
         frag_count,
         arq_checksum: rd_u64(44),
+        prev: rd_u64(AT_PREV).checked_sub(1),
     })
 }
 
@@ -274,6 +285,7 @@ impl Frame {
             frag_index: self.frag_index,
             frag_count: self.frag_count,
             arq_checksum: self.arq_checksum,
+            prev: None,
         }
     }
 
@@ -325,12 +337,14 @@ pub(crate) fn encode_wire_fragment(
     frag: u16,
     out: &mut [u8],
 ) -> usize {
-    let (kind, src, tag, seq, arq_checksum, payload): (_, _, _, _, _, &[f64]) = match wire {
-        Wire::Ack { src, seq } => (FrameKind::Ack, *src, 0, *seq, 0, &[]),
+    let (kind, src, tag, seq, prev, arq_checksum, payload): (_, _, _, _, _, _, &[f64]) = match wire
+    {
+        Wire::Ack { src, seq } => (FrameKind::Ack, *src, 0, *seq, None, 0, &[]),
         Wire::Data {
             src,
             tag,
             seq,
+            prev,
             checksum,
             payload,
         } => {
@@ -341,6 +355,7 @@ pub(crate) fn encode_wire_fragment(
                 *src,
                 *tag,
                 *seq,
+                *prev,
                 *checksum,
                 &payload[lo..hi],
             )
@@ -356,6 +371,7 @@ pub(crate) fn encode_wire_fragment(
         frag_index: frag,
         frag_count: wire_frag_count(wire),
         arq_checksum,
+        prev,
     };
     encode_into(&h, payload, out)
 }
@@ -363,6 +379,7 @@ pub(crate) fn encode_wire_fragment(
 /// One in-progress multi-fragment message from one sender.
 struct Partial {
     seq: u64,
+    prev: Option<u64>,
     tag: u64,
     arq_checksum: u64,
     frag_count: u16,
@@ -397,11 +414,12 @@ impl Reassembler {
             FrameKind::Control => return None,
             FrameKind::Data => {}
         }
-        let done = |tag, seq, checksum, payload| {
+        let done = |tag, seq, prev, checksum, payload| {
             Some(Wire::Data {
                 src: h.src as usize,
                 tag,
                 seq,
+                prev,
                 checksum,
                 payload: Payload::Owned(payload),
             })
@@ -416,12 +434,13 @@ impl Reassembler {
             decode_payload_into(buf, &mut payload);
             if fragments == 1 {
                 self.partial.remove(&h.src);
-                return done(h.tag, h.seq, h.arq_checksum, payload);
+                return done(h.tag, h.seq, h.prev, h.arq_checksum, payload);
             }
             self.partial.insert(
                 h.src,
                 Partial {
                     seq: h.seq,
+                    prev: h.prev,
                     tag: h.tag,
                     arq_checksum: h.arq_checksum,
                     frag_count: h.frag_count,
@@ -443,7 +462,7 @@ impl Reassembler {
             return None;
         }
         let p = self.partial.remove(&h.src)?;
-        done(p.tag, p.seq, p.arq_checksum, p.payload)
+        done(p.tag, p.seq, p.prev, p.arq_checksum, p.payload)
     }
 }
 
@@ -472,6 +491,7 @@ mod tests {
             src,
             tag: 9,
             seq,
+            prev: seq.checked_sub(1),
             checksum: 11,
             payload: Payload::Owned(payload),
         }
@@ -662,11 +682,14 @@ mod tests {
         fn wire_round_trips_through_fragments(
             len in 0usize..2 * MAX_FRAGMENT_DOUBLES + 18,
             seed in any::<u64>(),
+            first in any::<bool>(),
         ) {
             let payload: Vec<f64> = (0..len as u64)
                 .map(|i| f64::from_bits(seed.wrapping_mul(i | 1).rotate_left(i as u32)))
                 .collect();
-            let frames = encode_wire(&data_wire(5, seed, payload.clone()), 1, 3);
+            // A link's first message has no predecessor.
+            let seq = if first { 0 } else { seed | 1 };
+            let frames = encode_wire(&data_wire(5, seq, payload.clone()), 1, 3);
             prop_assert_eq!(frames.len(), len.div_ceil(MAX_FRAGMENT_DOUBLES).max(1));
             let mut r = Reassembler::default();
             let mut out = None;
@@ -676,12 +699,35 @@ mod tests {
                 out = feed(&mut r, f).map_err(|e| TestCaseError::fail(e.to_string()))?;
             }
             match out {
-                Some(Wire::Data { src, tag, seq, checksum, payload: p }) => {
-                    prop_assert_eq!((src, tag, seq, checksum), (5, 9, seed, 11));
+                Some(Wire::Data { src, tag, seq: got, prev, checksum, payload: p }) => {
+                    prop_assert_eq!((src, tag, got, checksum), (5, 9, seq, 11));
+                    prop_assert_eq!(prev, seq.checked_sub(1));
                     prop_assert_eq!(p.len(), len);
                     prop_assert!(p.iter().zip(&payload).all(|(a, b)| a.to_bits() == b.to_bits()));
                 }
                 other => prop_assert!(false, "expected a data wire, got {:?}", other),
+            }
+        }
+
+        /// Every single-bit flip of a data fragment's header — the
+        /// predecessor link included — is rejected with a typed error.
+        #[test]
+        fn every_header_bit_flip_of_a_data_fragment_rejects(
+            seq in any::<u64>(),
+            epoch in any::<u64>(),
+            len in 0usize..9,
+        ) {
+            let payload: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
+            let frames = encode_wire(&data_wire(2, seq, payload), 4, epoch);
+            prop_assert_eq!(frames.len(), 1);
+            let h = decode_header(&frames[0]).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(h.prev, seq.checked_sub(1));
+            for byte in 0..HEADER_LEN {
+                for bit in 0..8 {
+                    let mut b = frames[0].clone();
+                    b[byte] ^= 1 << bit;
+                    prop_assert!(decode_header(&b).is_err(), "byte {} bit {}", byte, bit);
+                }
             }
         }
     }

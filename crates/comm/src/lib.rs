@@ -35,6 +35,7 @@ pub mod model;
 pub mod plan;
 #[cfg(unix)]
 pub mod process;
+pub(crate) mod reliable;
 pub mod runtime;
 #[cfg(unix)]
 pub mod socket;

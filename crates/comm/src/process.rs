@@ -1,15 +1,15 @@
 //! One OS process per rank, with elastic membership.
 //!
 //! A [`ProcessWorld`] controller spawns `nranks` child processes (by
-//! re-invoking the current executable with `GMG_PROC_*` environment
-//! variables), hands them a socket transport ([`crate::socket`]), and
+//! re-invoking the current executable with its rank's spec in the one
+//! `GMG_PROC` environment variable), hands them a socket transport ([`crate::socket`]), and
 //! then *watches* them: every child runs a heartbeat thread, and the
 //! controller runs a failure detector over heartbeats plus `waitpid`.
 //! When a rank dies — a real `SIGKILL`, a crash, or a fault-injected
 //! kill that escalated to a process exit — the controller:
 //!
-//! 1. respawns a replacement process for the dead rank (flagged
-//!    `GMG_PROC_REJOIN=1`),
+//! 1. respawns a replacement process for the dead rank (its spec flags
+//!    it as rejoining),
 //! 2. broadcasts `PARK(epoch+1)` to the survivors, who finish their
 //!    current operation, report their latest checkpointed cycle, and
 //!    block at the membership barrier,
@@ -304,6 +304,64 @@ fn spawn_heartbeat(
     Ok(())
 }
 
+/// The environment variable a spawned rank finds its [`ChildSpec`] in.
+const CHILD_SPEC: &str = "GMG_PROC";
+
+/// What a [`ProcessWorld`] controller tells one child: written by
+/// `spawn_child`, parsed once by [`run_child_if_spawned`]. One field per
+/// line, the fault plan as [`FaultPlan::to_env_string`] (empty for none)
+/// and the free-form entry arguments last, so they may hold anything.
+struct ChildSpec {
+    rank: usize,
+    nranks: usize,
+    rejoining: bool,
+    entry: String,
+    dir: PathBuf,
+    plan: Option<FaultPlan>,
+    args: String,
+}
+
+impl ChildSpec {
+    fn to_env(&self) -> String {
+        let plan = self.plan.as_ref().map(FaultPlan::to_env_string);
+        format!(
+            "{}\n{}\n{}\n{}\n{}\n{}\n{}",
+            self.rank,
+            self.nranks,
+            u8::from(self.rejoining),
+            self.entry,
+            self.dir.display(),
+            plan.unwrap_or_default(),
+            self.args
+        )
+    }
+
+    fn parse(s: &str) -> Option<ChildSpec> {
+        let mut f = s.splitn(7, '\n');
+        Some(ChildSpec {
+            rank: f.next()?.parse().ok()?,
+            nranks: f.next()?.parse().ok()?,
+            rejoining: f.next()? == "1",
+            entry: f.next()?.to_string(),
+            dir: PathBuf::from(f.next()?),
+            plan: FaultPlan::from_env_string(f.next()?),
+            args: f.next()?.to_string(),
+        })
+    }
+
+    /// This process's spec, if a controller spawned it.
+    fn from_env() -> Option<ChildSpec> {
+        let s = std::env::var(CHILD_SPEC).ok()?;
+        Some(ChildSpec::parse(&s).unwrap_or_else(|| panic!("malformed {CHILD_SPEC} spec {s:?}")))
+    }
+}
+
+/// The world size, when this process is a rank a [`ProcessWorld`]
+/// spawned.
+pub fn spawned_nranks() -> Option<usize> {
+    ChildSpec::from_env().map(|c| c.nranks)
+}
+
 /// If this process was spawned by a [`ProcessWorld`] controller, run
 /// the rank's entry (via `dispatch(entry_name, ctx, args)`), write the
 /// result, and **exit the process** — this never returns in a child.
@@ -313,39 +371,25 @@ pub fn run_child_if_spawned<F>(dispatch: F)
 where
     F: FnOnce(&str, RankCtx, &str) -> String,
 {
-    let Ok(rank) = std::env::var("GMG_PROC_RANK") else {
-        return;
-    };
-    let rank: usize = rank.parse().expect("GMG_PROC_RANK");
-    let nranks: usize = std::env::var("GMG_PROC_NRANKS")
-        .expect("GMG_PROC_NRANKS")
-        .parse()
-        .expect("GMG_PROC_NRANKS");
-    let dir = PathBuf::from(std::env::var("GMG_PROC_DIR").expect("GMG_PROC_DIR"));
-    let entry = std::env::var("GMG_PROC_ENTRY").expect("GMG_PROC_ENTRY");
-    let args = std::env::var("GMG_PROC_ARGS").unwrap_or_default();
-    let rejoining = std::env::var("GMG_PROC_REJOIN").as_deref() == Ok("1");
-    let plan = std::env::var("GMG_PROC_FAULTS")
-        .ok()
-        .and_then(|s| FaultPlan::from_env_string(&s));
-    let code = child_main(rank, nranks, &dir, &entry, &args, rejoining, plan, dispatch);
-    std::process::exit(code);
+    if let Some(spec) = ChildSpec::from_env() {
+        std::process::exit(child_main(spec, dispatch));
+    }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn child_main<F>(
-    rank: usize,
-    nranks: usize,
-    dir: &Path,
-    entry: &str,
-    args: &str,
-    rejoining: bool,
-    plan: Option<FaultPlan>,
-    dispatch: F,
-) -> i32
+fn child_main<F>(spec: ChildSpec, dispatch: F) -> i32
 where
     F: FnOnce(&str, RankCtx, &str) -> String,
 {
+    let ChildSpec {
+        rank,
+        nranks,
+        rejoining,
+        entry,
+        dir,
+        plan,
+        args,
+    } = spec;
+    let dir = dir.as_path();
     crate::runtime::keep_freed_memory();
     // A flight ring of our own; parks and panics dump it into the world
     // directory (the controller points `GMG_FLIGHT_DIR` there), where the
@@ -410,10 +454,8 @@ where
         stop_hb,
     });
 
-    let entry_owned = entry.to_string();
-    let args_owned = args.to_string();
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        dispatch(&entry_owned, ctx, &args_owned)
+        dispatch(&entry, ctx, &args)
     }));
     match out {
         Ok(result) => {
@@ -868,25 +910,22 @@ impl ProcessWorld {
     }
 
     fn spawn_child(&self, dir: &Path, rank: usize, rejoin: bool) -> Result<Child, String> {
+        let spec = ChildSpec {
+            rank,
+            nranks: self.nranks,
+            rejoining: rejoin,
+            entry: self.entry.clone(),
+            dir: dir.to_path_buf(),
+            plan: self.plan.clone(),
+            args: self.args.clone(),
+        };
         let mut cmd = Command::new(&self.child_exe);
         cmd.args(&self.child_args)
-            .env("GMG_PROC_RANK", rank.to_string())
-            .env("GMG_PROC_NRANKS", self.nranks.to_string())
-            .env("GMG_PROC_DIR", dir)
-            .env("GMG_PROC_ENTRY", &self.entry)
-            .env("GMG_PROC_ARGS", &self.args)
+            .env(CHILD_SPEC, spec.to_env())
             // Children dump flight rings into the world dir, where the
             // controller finds and merges them.
             .env("GMG_FLIGHT_DIR", dir)
             .stdin(Stdio::null());
-        if rejoin {
-            cmd.env("GMG_PROC_REJOIN", "1");
-        } else {
-            cmd.env_remove("GMG_PROC_REJOIN");
-        }
-        if let Some(p) = &self.plan {
-            cmd.env("GMG_PROC_FAULTS", p.to_env_string());
-        }
         let log =
             std::fs::File::create(dir.join(format!("r{rank}.log"))).map_err(|e| e.to_string())?;
         cmd.stdout(log.try_clone().map_err(|e| e.to_string())?)
@@ -966,6 +1005,37 @@ mod tests {
             "rejoin_ring" => rejoin_ring(ctx),
             other => panic!("unknown process-test entry {other:?}"),
         }
+    }
+
+    #[test]
+    fn child_spec_round_trips_through_its_one_variable() {
+        let mut plan = FaultPlan::new(crate::FaultConfig::lossy(0.25), 9);
+        plan.config.kill = Some(crate::fault::ControlSpec { rank: 3, at_op: 40 });
+        for (plan, args) in [(Some(plan), "a b\nc=d;e"), (None, "")] {
+            let spec = ChildSpec {
+                rank: 3,
+                nranks: 8,
+                rejoining: plan.is_some(),
+                entry: "elastic".into(),
+                dir: PathBuf::from("/tmp/world 1"),
+                plan,
+                args: args.into(),
+            };
+            let back = ChildSpec::parse(&spec.to_env()).expect("own spec parses");
+            assert_eq!(
+                (back.rank, back.nranks, back.rejoining),
+                (3, 8, spec.rejoining)
+            );
+            assert_eq!(
+                (back.entry, back.dir, back.args),
+                (spec.entry, spec.dir, spec.args)
+            );
+            assert_eq!(
+                back.plan.map(|p| p.to_env_string()),
+                spec.plan.map(|p| p.to_env_string())
+            );
+        }
+        assert!(ChildSpec::parse("3\n8").is_none());
     }
 
     /// The hook a spawned copy of this test binary lands in (the

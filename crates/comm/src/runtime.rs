@@ -11,11 +11,13 @@
 //!
 //! The runtime speaks a reliable protocol over an (optionally) faulty
 //! transport. When a [`FaultPlan`] is installed (`RankWorld::run_with_faults`),
-//! every payload message carries a sequence number and an FNV checksum,
-//! receivers ACK and deduplicate, and senders retransmit unACKed messages
-//! on a per-peer round-trip estimate with exponential backoff — so
-//! injected drops, reorderings, duplicates, and detectable corruption are
-//! absorbed without the solver noticing.
+//! every payload message carries a sequence number, its predecessor on
+//! the link and a checksum, receivers ACK, deduplicate and deliver each
+//! sender's messages in send order, and senders retransmit unACKed
+//! messages on a per-peer round-trip estimate with exponential backoff —
+//! so injected drops, reorderings, duplicates, and detectable corruption
+//! are absorbed without the solver noticing. The protocol itself is the
+//! IO-free state machine in `reliable.rs`; [`RankCtx`] is its shell.
 //! Failures that *cannot* be absorbed (a killed rank, exhausted retries, a
 //! receive deadline) surface as typed [`CommError`]s from the `try_*` API;
 //! the panicking convenience wrappers (`send`/`recv`) are thin
@@ -26,17 +28,17 @@
 //!
 //! Without a fault plan the wire format is the same but the machinery is
 //! off: no checksum verification, no ACK traffic, no retransmit state —
-//! the in-process channel transport is already reliable, so the fault-free
-//! path stays byte-for-byte as fast and as traceable as before.
+//! the in-process channel transport is already reliable and FIFO, so the
+//! fault-free path stays as fast and as traceable as before.
+//!
+//! Either way a receive takes the first matching message in arrival
+//! order, and the messages of one sender arrive in send order: two
+//! messages with the same `(source, tag)` never overtake each other.
 //!
 //! This runtime exists for *numerical correctness* of the distributed
 //! V-cycle at test scale; performance at scale is the business of
 //! [`crate::model`].
 
-use std::collections::HashMap;
-use std::collections::HashSet;
-use std::sync::mpsc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use gmg_brick::BrickedField;
@@ -45,177 +47,76 @@ use gmg_mesh::{Array3, Box3, Decomposition, Point3};
 use gmg_trace::probe::{self, Class, Kind};
 
 use crate::fault::{
-    checksum, flip_bit, CommError, ControlFault, FaultInjector, FaultPlan, RankFailure,
-    RetryPolicy, WorldFailure,
+    CommError, ControlFault, FaultInjector, FaultPlan, RankFailure, RetryPolicy, WorldFailure,
 };
-use crate::transport::{Payload, ThreadTransport, Transport, Wire};
+pub use crate::reliable::ArqStats;
+use crate::reliable::{Delivery, Input, Output, Reliable};
+use crate::transport::{ThreadTransport, Transport, Wire};
+
+#[cfg(unix)]
+use crate::process::MembershipClient;
+
+/// Membership needs process worlds, which exist on Unix only: elsewhere
+/// there is never a client.
+#[cfg(not(unix))]
+enum MembershipClient {}
+
+#[cfg(not(unix))]
+impl MembershipClient {
+    fn poll_park(&mut self) -> Option<u64> {
+        match *self {}
+    }
+    fn rejoining(&self) -> bool {
+        match *self {}
+    }
+    fn ckpt_dir(&self) -> &std::path::Path {
+        match *self {}
+    }
+    fn set_progress(&self, _: u64) {
+        match *self {}
+    }
+    fn park_and_await_resume(&mut self, _: i64) -> (u64, u64) {
+        match *self {}
+    }
+    fn ready_and_await_resume(&mut self, _: i64) -> (u64, u64) {
+        match *self {}
+    }
+}
 
 /// Reserved tag space for collectives; user tags must stay below this.
 pub(crate) const COLLECTIVE_TAG: u64 = u64::MAX - 1024;
 
-/// An unACKed reliable send, kept for retransmission.
-struct PendingSend {
-    to: usize,
-    tag: u64,
-    seq: u64,
-    payload: Arc<Vec<f64>>,
-    /// [`checksum`] of the clean payload, computed once.
-    checksum: u64,
-    /// Transmissions so far.
-    attempts: u32,
-    /// Whether the latest transmission has left, which decides its timer.
-    departure: Departure,
-}
-
-/// Where the latest copy of a [`PendingSend`] is. Only a copy that has left
-/// this rank runs a retransmission timer: time spent held back locally
-/// says nothing about the link or the peer.
-#[derive(Clone, Copy)]
-enum Departure {
-    /// In [`RankCtx::delayed`], held back by a delaying fate.
-    Held,
-    /// In the transport's backlog; it has left once
-    /// [`Transport::departed`] reaches this ordinal.
-    Queued(u64),
-    /// Seen to have left at this instant; the next copy is due
-    /// [`RankCtx::retransmit_timeout`] later.
-    Left(Instant),
-}
-
-/// Retransmission timeout before a peer's first round-trip sample. A
-/// peer that has never answered may simply not have reached its first
-/// receive yet, so this is long; [`RetryPolicy::backoff_base`] floors
-/// every later timeout.
-const INITIAL_RTO: Duration = Duration::from_millis(200);
-
-/// Smoothed round-trip estimate to one peer (Jacobson/Karels, the
-/// retransmission-timer estimator of RFC 6298): `rto = srtt + 4·rttvar`. A "round trip" here
-/// ends when this rank *processes* the ACK, so it includes the peer's
-/// time to reach a comm call — which is what a retransmission has to
-/// outwait.
-///
-/// One departure from the textbook gains: `rttvar` rises at 1/4 but
-/// falls at 1/32. The delay is bimodal (peer inside a comm call:
-/// microseconds; peer computing or descheduled: milliseconds) and the
-/// samples come in bursts of one exchange, so at a 1/4 decay a single
-/// burst of fast ACKs forgets the slow mode just before the next slow
-/// one is due. Eight oversubscribed process ranks retransmit 2.6 % of a
-/// fault-free solve's messages at 1/4, 0.2 % at 1/32.
-#[derive(Clone, Copy, Debug, Default)]
-struct RttEstimator {
-    /// `(srtt, rttvar)`; `None` until the first sample.
-    est: Option<(Duration, Duration)>,
-}
-
-impl RttEstimator {
-    /// Feed the round trip of a message ACKed after `transmissions`
-    /// sends. Karn's rule: an ACK for a retransmitted message cannot be
-    /// matched to one of its copies, so it is no sample. Returns whether
-    /// the sample was taken.
-    fn on_ack(&mut self, transmissions: u32, rtt: Duration) -> bool {
-        if transmissions != 1 {
-            return false;
-        }
-        self.est = Some(match self.est {
-            None => (rtt, rtt / 2),
-            Some((srtt, rttvar)) => {
-                let err = rtt.max(srtt) - rtt.min(srtt);
-                let keep = if err > rttvar { 3 } else { 31 };
-                ((srtt * 7 + rtt) / 8, (rttvar * keep + err) / (keep + 1))
-            }
-        });
-        true
-    }
-
-    fn rto(&self) -> Duration {
-        self.est
-            .map_or(INITIAL_RTO, |(srtt, rttvar)| srtt + rttvar * 4)
-    }
-}
-
-/// What the reliable layer of one rank has put on the wire so far.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArqStats {
-    /// Messages handed to the reliable layer, and their payload bytes.
-    pub first_sends: u64,
-    pub first_send_bytes: u64,
-    /// Retransmissions (every copy after a message's first), and their
-    /// payload bytes.
-    pub retransmits: u64,
-    pub retransmit_bytes: u64,
-    /// Messages retransmitted at least once.
-    pub retransmitted_messages: u64,
-    /// Round-trip samples taken by the per-peer estimators.
-    pub rtt_samples: u64,
-    /// Copies received with a bad checksum (discarded unACKed).
-    pub checksum_failures: u64,
-    /// Valid copies of an already-delivered message (ACKed, dropped).
-    pub dedup_drops: u64,
-}
-
-impl std::ops::AddAssign for ArqStats {
-    fn add_assign(&mut self, o: ArqStats) {
-        self.first_sends += o.first_sends;
-        self.first_send_bytes += o.first_send_bytes;
-        self.retransmits += o.retransmits;
-        self.retransmit_bytes += o.retransmit_bytes;
-        self.retransmitted_messages += o.retransmitted_messages;
-        self.rtt_samples += o.rtt_samples;
-        self.checksum_failures += o.checksum_failures;
-        self.dedup_drops += o.dedup_drops;
-    }
-}
-
-/// A fate-delayed wire awaiting release (models in-flight reordering).
-struct DelayedWire {
-    to: usize,
-    wire: Wire,
-    /// Released once the sender's transmission counter reaches this …
-    release_at_transmission: u64,
-    /// … or this much time passes, whichever first (so a sender that goes
-    /// quiet cannot strand a delayed message forever).
-    release_at_time: Instant,
-}
-
-/// A received message: `(src, tag, seq, payload)`.
-type Delivery = (usize, u64, u64, Vec<f64>);
-
-/// Per-rank communication context handed to the rank body.
+/// Per-rank communication context handed to the rank body: the IO shell
+/// around the [`Reliable`] core. It reads the clock, moves wires between
+/// the core and the transport, records the core's events, and keeps the
+/// stash of unmatched messages and the membership client.
 pub struct RankCtx {
     rank: usize,
     nranks: usize,
     transport: Box<dyn Transport>,
-    /// Messages received but not yet matched: `(src, tag, seq, payload)`.
+    core: Reliable,
+    /// The core's output buffer, reused for every input.
+    out: Vec<Output>,
+    /// The core's time base; `None` for a pass-through core, which needs
+    /// no time (a clock read costs more than the rest of its send).
+    clock: Option<Instant>,
+    /// Messages delivered but not yet matched, in arrival order.
     stash: Vec<Delivery>,
-    /// Next outgoing sequence number (assigned in both modes so the
-    /// flight recorder can join send/recv pairs across ranks; only the
-    /// reliable protocol *acts* on it).
-    next_seq: u64,
-    /// `(src, seq)` pairs already delivered (reliable-mode dedup).
-    seen: HashSet<(usize, u64)>,
-    /// Re-ACK counts per duplicated `(src, seq)`, so repeated ACK drops
-    /// redraw.
-    ack_attempts: HashMap<(usize, u64), u32>,
-    pending: Vec<PendingSend>,
-    delayed: Vec<DelayedWire>,
-    /// Round-trip estimate per peer (reliable mode).
-    rtt: Vec<RttEstimator>,
-    arq: ArqStats,
-    /// Wires processed so far; the drop-time drain watches it for quiet.
+    /// Wires taken from the transport so far; the drop-time drain watches
+    /// it for quiet.
     wires_handled: u64,
-    injector: Option<FaultInjector>,
-    retry: RetryPolicy,
     /// Set when this rank is killed by fault injection: suppresses the
     /// drop-time drain so peers observe a hard failure.
     dead: bool,
     /// Elastic-membership client (multi-process worlds only).
-    #[cfg(unix)]
-    pub(crate) membership: Option<crate::process::MembershipClient>,
+    pub(crate) membership: Option<MembershipClient>,
 }
 
 impl RankCtx {
     /// Assemble a context over an arbitrary transport (used by the
-    /// thread world below and by `process` child bootstrap).
+    /// thread world below and by `process` child bootstrap). A fault
+    /// injector engages the reliable protocol; without one, messages pass
+    /// straight through.
     pub(crate) fn from_parts(
         rank: usize,
         nranks: usize,
@@ -227,19 +128,12 @@ impl RankCtx {
             rank,
             nranks,
             transport,
+            clock: injector.is_some().then(Instant::now),
+            core: Reliable::new(rank, nranks, injector.map(|i| (i, retry))),
+            out: Vec::new(),
             stash: Vec::new(),
-            next_seq: 0,
-            seen: HashSet::new(),
-            ack_attempts: HashMap::new(),
-            pending: Vec::new(),
-            delayed: Vec::new(),
-            rtt: vec![RttEstimator::default(); nranks],
-            arq: ArqStats::default(),
             wires_handled: 0,
-            injector,
-            retry,
             dead: false,
-            #[cfg(unix)]
             membership: None,
         }
     }
@@ -259,31 +153,26 @@ impl RankCtx {
         self.nranks
     }
 
-    /// Whether the reliable (ARQ) protocol layer is engaged.
-    fn reliable(&self) -> bool {
-        self.injector.is_some()
-    }
-
     /// Transmission counts of the reliable layer (all zero when it is
     /// not engaged).
     pub fn arq_stats(&self) -> ArqStats {
-        self.arq
+        self.core.stats()
+    }
+
+    fn now(&self) -> Duration {
+        self.clock.map_or(Duration::ZERO, |start| start.elapsed())
     }
 
     /// Apply any pending control fault (stall / kill) at a comm-op entry.
     fn check_control(&mut self) -> Result<(), CommError> {
-        let Some(inj) = &mut self.injector else {
-            return Ok(());
-        };
-        match inj.control() {
-            ControlFault::None => Ok(()),
-            ControlFault::Stall(d) => {
+        match self.core.control() {
+            (ControlFault::None, _) => Ok(()),
+            (ControlFault::Stall(d), _) => {
                 probe::event(Kind::Control, "fault:stall").dur_ns(d.as_nanos() as u64);
                 std::thread::sleep(d);
                 Ok(())
             }
-            ControlFault::Kill => {
-                let at_op = inj.control_ops();
+            (ControlFault::Kill, at_op) => {
                 self.dead = true;
                 probe::event(Kind::Control, "fault:kill");
                 Err(CommError::Killed {
@@ -294,6 +183,53 @@ impl RankCtx {
         }
     }
 
+    /// Feed the core one input and carry out what it asks: transmit,
+    /// stash deliveries, record events. A failed transmission matters only
+    /// without the reliable protocol (a vanished peer is otherwise
+    /// indistinguishable from a drop, and surfaces as the blocked
+    /// operation's timeout or retry budget).
+    fn step(&mut self, input: Input) -> Result<(), CommError> {
+        let now = self.now();
+        let res = self.core.handle(now, input, &mut self.out);
+        let mut lost = None;
+        for o in self.out.drain(..) {
+            match o {
+                Output::Transmit { to, wire } => {
+                    if self.transport.send(to, wire).is_err() {
+                        lost = Some(to);
+                    }
+                }
+                Output::Deliver(m) => {
+                    probe::event(Kind::Arrive, "arrive")
+                        .msg(m.0, m.1, m.2)
+                        .value((m.3.len() * 8) as u64);
+                    self.stash.push(m);
+                }
+                Output::Event(e) => {
+                    let kind = if e.name.starts_with("fault:") {
+                        Kind::Control
+                    } else {
+                        Kind::Arq
+                    };
+                    let g = probe::event(kind, e.name);
+                    let g = match e.msg {
+                        Some((tag, seq)) => g.msg(e.peer, tag, seq),
+                        None => g.peer(e.peer),
+                    };
+                    if let Some(b) = e.backoff {
+                        let _ = g.dur_ns(b.as_nanos() as u64);
+                    }
+                }
+            }
+        }
+        let transport = &self.transport;
+        self.core.departed(now, |to| transport.departed(to));
+        match lost {
+            Some(peer) if self.core.retry().is_none() => Err(CommError::Disconnected { peer }),
+            _ => res,
+        }
+    }
+
     /// Non-blocking tagged send (`MPI_Isend` with buffered semantics).
     /// In reliable mode the message is tracked until ACKed and
     /// retransmitted as needed; delivery failure surfaces later, from the
@@ -301,41 +237,10 @@ impl RankCtx {
     /// [`CommError::Timeout`]).
     pub fn try_send(&mut self, to: usize, tag: u64, payload: Vec<f64>) -> Result<(), CommError> {
         self.check_control()?;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let bytes = (payload.len() * 8) as u64;
         let _probe = probe::span(Kind::Send, "send")
-            .msg(to, tag, seq)
-            .value(bytes);
-        if !self.reliable() {
-            return self
-                .transport
-                .send(
-                    to,
-                    Wire::Data {
-                        src: self.rank,
-                        tag,
-                        seq,
-                        checksum: 0,
-                        payload: Payload::Owned(payload),
-                    },
-                )
-                .map(|_| ())
-                .map_err(|_| CommError::Disconnected { peer: to });
-        }
-        self.arq.first_sends += 1;
-        self.arq.first_send_bytes += (payload.len() * 8) as u64;
-        self.pending.push(PendingSend {
-            to,
-            tag,
-            seq,
-            checksum: checksum(self.rank, tag, seq, &payload),
-            payload: Arc::new(payload),
-            attempts: 0,
-            departure: Departure::Held,
-        });
-        self.transmit_pending(self.pending.len() - 1);
-        Ok(())
+            .msg(to, tag, self.core.next_seq())
+            .value((payload.len() * 8) as u64);
+        self.step(Input::AppSend { to, tag, payload })
     }
 
     /// Panicking wrapper around [`RankCtx::try_send`].
@@ -345,275 +250,37 @@ impl RankCtx {
         }
     }
 
-    /// How long after its latest transmission left `p` is retransmitted:
-    /// the peer's current round-trip timeout, floored by the policy's
-    /// `backoff_base`, doubled per transmission already made. Evaluated
-    /// when the timer is checked, so the first ACK from a peer at once
-    /// shortens the wait of everything else in flight to it.
-    fn retransmit_timeout(&self, p: &PendingSend) -> Duration {
-        let rto = self.rtt[p.to].rto().max(self.retry.backoff_base);
-        rto * 2u32.saturating_pow((p.attempts - 1).min(16))
-    }
-
-    /// One (re)transmission of `pending[idx]`, with its injected fate
-    /// applied. Channel-level send failures are ignored here: a vanished
-    /// peer is indistinguishable from a drop, and is surfaced by the
-    /// blocked operation's timeout / retry budget instead.
-    fn transmit_pending(&mut self, idx: usize) {
-        let (to, tag, seq, attempt, bytes) = {
-            let p = &mut self.pending[idx];
-            p.attempts += 1;
-            // The timer starts now (a copy dropped by its fate has
-            // "left") unless the copy turns out to be held back, by its
-            // fate or in the transport's backlog.
-            p.departure = Departure::Left(Instant::now());
-            (p.to, p.tag, p.seq, p.attempts - 1, p.payload.len() * 8)
-        };
-        if attempt > 0 {
-            let backoff = self.retransmit_timeout(&self.pending[idx]);
-            self.arq.retransmits += 1;
-            self.arq.retransmit_bytes += bytes as u64;
-            self.arq.retransmitted_messages += u64::from(attempt == 1);
-            probe::event(Kind::Arq, "arq:retransmit")
-                .msg(to, tag, seq)
-                .dur_ns(backoff.as_nanos() as u64);
-        }
-        let fate = self
-            .injector
-            .as_mut()
-            .expect("transmit_pending requires reliable mode")
-            .fate(seq, attempt);
-        if fate.drop {
-            probe::event(Kind::Arq, "arq:drop").msg(to, tag, seq);
-            return;
-        }
-        // The clean path shares the pending payload and its checksum;
-        // only a corrupting fate pays for a private copy.
-        let mut payload = Arc::clone(&self.pending[idx].payload);
-        let mut cs = self.pending[idx].checksum;
-        if fate.sdc || fate.corrupt {
-            let private: &mut Vec<f64> = Arc::make_mut(&mut payload);
-            flip_bit(private, fate.entropy);
-            if fate.sdc {
-                // Silent data corruption: the checksum is recomputed over
-                // the flipped payload, so only solver-level health guards
-                // can see it.
-                cs = checksum(self.rank, tag, seq, &payload);
-                probe::event(Kind::Control, "fault:sdc").msg(to, tag, seq);
-            } else {
-                probe::event(Kind::Control, "fault:corrupt").msg(to, tag, seq);
-            }
-        }
-        let wire = Wire::Data {
-            src: self.rank,
-            tag,
-            seq,
-            checksum: cs,
-            payload: Payload::Shared(payload),
-        };
-        if fate.duplicates > 0 {
-            probe::event(Kind::Control, "fault:dup").msg(to, tag, seq);
-        }
-        for _ in 0..1 + fate.duplicates {
-            if fate.delay_slots > 0 {
-                probe::event(Kind::Control, "fault:delay").msg(to, tag, seq);
-                let inj = self.injector.as_ref().unwrap();
-                self.delayed.push(DelayedWire {
-                    to,
-                    wire: wire.clone(),
-                    release_at_transmission: inj.transmissions() + fate.delay_slots as u64,
-                    release_at_time: Instant::now()
-                        + self.retry.backoff_base * (fate.delay_slots + 1),
-                });
-                self.pending[idx].departure = Departure::Held;
-            } else {
-                self.send_copy(idx, to, wire.clone());
-            }
-        }
-    }
-
-    /// Hand one copy of `pending[idx]` to the transport and start its
-    /// timer — at once if the copy left, else when the pump sees the
-    /// transport's backlog let it go.
-    fn send_copy(&mut self, idx: usize, to: usize, wire: Wire) {
-        if let Ok(ticket) = self.transport.send(to, wire) {
-            self.pending[idx].departure = if self.transport.departed(to) >= ticket {
-                Departure::Left(Instant::now())
-            } else {
-                Departure::Queued(ticket)
-            };
-        }
-    }
-
-    /// Drive protocol progress: membership-park polling, then (reliable
-    /// mode only) take in everything the transport has, release due
-    /// delayed wires and retransmit overdue unACKed sends.
+    /// Drive protocol progress: membership-park polling, everything the
+    /// transport has right now (inbound before timers: an ACK that
+    /// arrived while this rank was computing must retire its message, not
+    /// lose a race against a timer that expired over the same stretch),
+    /// then the core's timers.
     fn pump(&mut self) -> Result<(), CommError> {
-        #[cfg(unix)]
         if let Some(m) = self.membership.as_mut() {
             if let Some(epoch) = m.poll_park() {
                 return Err(CommError::Parked { epoch });
             }
         }
-        if !self.reliable() {
-            return Ok(());
-        }
-        // Inbound before timers: an ACK that arrived while this rank was
-        // computing must retire its message, not lose a race against a
-        // timer that expired over the same stretch.
-        self.take_inbound();
-        let now = Instant::now();
-        let tx = self.injector.as_ref().unwrap().transmissions();
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if tx >= self.delayed[i].release_at_transmission
-                || now >= self.delayed[i].release_at_time
-            {
-                let d = self.delayed.swap_remove(i);
-                let Wire::Data { seq, .. } = d.wire else {
-                    unreachable!("only payload wires are delayed")
-                };
-                // The held copy leaves now: that starts its message's
-                // timer, if the message is still waiting for one.
-                match self.pending.iter().position(|p| {
-                    p.to == d.to && p.seq == seq && matches!(p.departure, Departure::Held)
-                }) {
-                    Some(idx) => self.send_copy(idx, d.to, d.wire),
-                    None => {
-                        let _ = self.transport.send(d.to, d.wire);
-                    }
-                }
-            } else {
-                i += 1;
-            }
-        }
-        for i in 0..self.pending.len() {
-            let p = &self.pending[i];
-            let sent_at = match p.departure {
-                Departure::Held => continue,
-                Departure::Queued(ticket) => {
-                    if self.transport.departed(p.to) >= ticket {
-                        self.pending[i].departure = Departure::Left(now);
-                    }
-                    continue;
-                }
-                Departure::Left(at) => at,
-            };
-            if now.duration_since(sent_at) >= self.retransmit_timeout(p) {
-                if p.attempts >= self.retry.max_attempts {
-                    return Err(CommError::RetriesExhausted {
-                        to: p.to,
-                        tag: p.tag,
-                        seq: p.seq,
-                        attempts: p.attempts,
-                    });
-                }
-                self.transmit_pending(i);
-            }
-        }
-        Ok(())
-    }
-
-    /// Process every wire the transport has right now; payload messages
-    /// go to the stash.
-    fn take_inbound(&mut self) {
         while let Ok(Some(w)) = self.transport.recv(Some(Duration::ZERO)) {
-            if let Some(m) = self.handle_wire(w) {
-                self.stash.push(m);
-            }
+            self.on_wire(w)?;
         }
+        self.step(Input::Tick)
     }
 
+    fn on_wire(&mut self, w: Wire) -> Result<(), CommError> {
+        self.wires_handled += 1;
+        self.step(Input::Wire(w))
+    }
+
+    /// The first stashed message from `from` under `tag`: stash order is
+    /// arrival order, and the core delivers each sender's messages in send
+    /// order, so messages with the same `(src, tag)` never overtake.
     fn take_stashed(&mut self, from: usize, tag: u64) -> Option<Delivery> {
         let pos = self
             .stash
             .iter()
             .position(|(f, t, _, _)| *f == from && *t == tag)?;
-        Some(self.stash.swap_remove(pos))
-    }
-
-    /// Process one incoming wire. Returns a deliverable `(src, tag, seq,
-    /// payload)` or `None` (ACKs, rejected corruption, deduplicated
-    /// copies).
-    fn handle_wire(&mut self, w: Wire) -> Option<Delivery> {
-        self.wires_handled += 1;
-        match w {
-            Wire::Data {
-                src,
-                tag,
-                seq,
-                checksum: cs,
-                payload,
-            } => {
-                let arrive = |bytes: usize| {
-                    probe::event(Kind::Arrive, "arrive")
-                        .msg(src, tag, seq)
-                        .value((bytes * 8) as u64);
-                };
-                if !self.reliable() {
-                    arrive(payload.len());
-                    return Some((src, tag, seq, payload.into_vec()));
-                }
-                if checksum(src, tag, seq, &payload) != cs {
-                    // Discard without ACK: the sender's retry timer will
-                    // retransmit a clean copy.
-                    self.arq.checksum_failures += 1;
-                    probe::event(Kind::Arq, "arq:reject").msg(src, tag, seq);
-                    return None;
-                }
-                // ACK every valid copy, duplicates included — a duplicate
-                // usually means our previous ACK was lost in flight. Only
-                // duplicates need a re-ACK count; a first copy is ACK 0.
-                let attempt = if self.seen.contains(&(src, seq)) {
-                    let a = self.ack_attempts.entry((src, seq)).or_insert(0);
-                    *a += 1;
-                    *a
-                } else {
-                    0
-                };
-                let drop_ack = self
-                    .injector
-                    .as_mut()
-                    .unwrap()
-                    .ack_dropped(src, seq, attempt);
-                if drop_ack {
-                    // No `seq`: it is the peer's, and the wait-state
-                    // analysis keys sender-side ARQ activity by this rank.
-                    probe::event(Kind::Arq, "arq:ack-drop").peer(src);
-                } else {
-                    let _ = self.transport.send(
-                        src,
-                        Wire::Ack {
-                            src: self.rank,
-                            seq,
-                        },
-                    );
-                }
-                if !self.seen.insert((src, seq)) {
-                    self.arq.dedup_drops += 1;
-                    probe::event(Kind::Arq, "arq:dedup").msg(src, tag, seq);
-                    return None;
-                }
-                arrive(payload.len());
-                Some((src, tag, seq, payload.into_vec()))
-            }
-            Wire::Ack { src, seq } => {
-                // An ACK retires the pending entry. A duplicate or stale
-                // ACK finds nothing.
-                let pos = self
-                    .pending
-                    .iter()
-                    .position(|p| p.to == src && p.seq == seq)?;
-                let p = self.pending.swap_remove(pos);
-                // No sample without a departure time: the ACK beat this
-                // rank's next look at the transport's backlog.
-                if let Departure::Left(sent_at) = p.departure {
-                    let taken = self.rtt[src].on_ack(p.attempts, sent_at.elapsed());
-                    self.arq.rtt_samples += u64::from(taken);
-                }
-                None
-            }
-        }
+        Some(self.stash.remove(pos))
     }
 
     /// Blocking receive matching `(from, tag)` — panicking wrapper.
@@ -641,7 +308,6 @@ impl RankCtx {
     pub fn try_recv(&mut self, from: usize, tag: u64) -> Result<Option<Vec<f64>>, CommError> {
         self.check_control()?;
         self.pump()?;
-        self.take_inbound();
         Ok(self.take_stashed(from, tag).map(|m| m.3))
     }
 
@@ -666,9 +332,6 @@ impl RankCtx {
         deadline: Option<Instant>,
     ) -> Result<(u64, Vec<f64>), CommError> {
         self.check_control()?;
-        if let Some((_, _, seq, payload)) = self.take_stashed(from, tag) {
-            return Ok((seq, payload));
-        }
         // Under fault injection a blocking receive must not block forever:
         // the matching send may be gone for good (killed peer, exhausted
         // retries elsewhere). Fault-free receives keep the original
@@ -677,51 +340,37 @@ impl RankCtx {
         // The deadline is computed exactly once, before the wait loop:
         // stashing a steady stream of mismatched messages must consume
         // the wait budget, never reset it.
-        let deadline = deadline.or_else(|| {
-            self.reliable()
-                .then(|| Instant::now() + self.retry.op_timeout)
-        });
+        let deadline =
+            deadline.or_else(|| self.core.retry().map(|r| Instant::now() + r.op_timeout));
         let start = Instant::now();
         loop {
-            self.pump()?;
-            if self.reliable() {
-                // The pump took in what had arrived; look there first.
-                if let Some((_, _, seq, payload)) = self.take_stashed(from, tag) {
-                    return Ok((seq, payload));
-                }
+            if let Some((_, _, seq, payload)) = self.take_stashed(from, tag) {
+                return Ok((seq, payload));
             }
-            let got = if self.reliable() || deadline.is_some() || self.membership_active() {
-                // Short slices keep the retransmission pump (and the
-                // membership poll) live while blocked.
-                let mut slice = Duration::from_millis(1);
-                if let Some(d) = deadline {
-                    slice = slice.min(d.saturating_duration_since(Instant::now()));
-                }
-                match self.transport.recv(Some(slice)) {
-                    Ok(w) => w,
-                    Err(()) => return Err(CommError::Disconnected { peer: from }),
-                }
-            } else {
-                match self.transport.recv(None) {
-                    Ok(w) => w,
-                    Err(()) => return Err(CommError::Disconnected { peer: from }),
-                }
-            };
-            if let Some(w) = got {
-                if let Some((src, t, seq, payload)) = self.handle_wire(w) {
-                    if src == from && t == tag {
-                        return Ok((seq, payload));
+            self.pump()?;
+            if let Some((_, _, seq, payload)) = self.take_stashed(from, tag) {
+                return Ok((seq, payload));
+            }
+            // Short slices keep the retransmission timers (and the
+            // membership poll) live while blocked.
+            let slice = (deadline.is_some() || self.membership_active()).then(|| {
+                let left = deadline.map_or(Duration::MAX, |d| {
+                    d.saturating_duration_since(Instant::now())
+                });
+                left.min(Duration::from_millis(1))
+            });
+            match self.transport.recv(slice) {
+                Ok(Some(w)) => self.on_wire(w)?,
+                Ok(None) => {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(CommError::Timeout {
+                            from,
+                            tag,
+                            waited_ms: start.elapsed().as_millis() as u64,
+                        });
                     }
-                    self.stash.push((src, t, seq, payload));
                 }
-            } else if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(CommError::Timeout {
-                        from,
-                        tag,
-                        waited_ms: start.elapsed().as_millis() as u64,
-                    });
-                }
+                Err(()) => return Err(CommError::Disconnected { peer: from }),
             }
         }
     }
@@ -784,51 +433,27 @@ impl RankCtx {
     /// Whether this rank runs under a membership controller (one OS
     /// process per rank) that can park the world and rejoin dead ranks.
     pub fn membership_active(&self) -> bool {
-        #[cfg(unix)]
-        {
-            self.membership.is_some()
-        }
-        #[cfg(not(unix))]
-        {
-            false
-        }
+        self.membership.is_some()
     }
 
     /// Whether this process is a respawned replacement for a dead rank
     /// (it must restore from checkpoint before touching the data plane).
     pub fn membership_rejoining(&self) -> bool {
-        #[cfg(unix)]
-        {
-            self.membership.as_ref().is_some_and(|m| m.rejoining())
-        }
-        #[cfg(not(unix))]
-        {
-            false
-        }
+        self.membership.as_ref().is_some_and(|m| m.rejoining())
     }
 
     /// Directory where rejoin checkpoints live, when membership is on.
     pub fn checkpoint_dir(&self) -> Option<std::path::PathBuf> {
-        #[cfg(unix)]
-        {
-            self.membership.as_ref().map(|m| m.ckpt_dir().to_path_buf())
-        }
-        #[cfg(not(unix))]
-        {
-            None
-        }
+        self.membership.as_ref().map(|m| m.ckpt_dir().to_path_buf())
     }
 
     /// Report solve progress (latest completed cycle) to the heartbeat,
     /// so the controller can observe a live solve. No-op without
     /// membership.
     pub fn membership_progress(&self, cycle: u64) {
-        #[cfg(unix)]
         if let Some(m) = &self.membership {
             m.set_progress(cycle);
         }
-        #[cfg(not(unix))]
-        let _ = cycle;
     }
 
     /// Park at the membership barrier after a [`CommError::Parked`] (or
@@ -837,54 +462,30 @@ impl RankCtx {
     /// world-wide `RESUME`, fences off the old epoch, and returns
     /// `(new_epoch, resume_cycle)`. Panics if the controller is gone.
     pub fn park_for_rejoin(&mut self, ckpt_cycle: i64) -> (u64, u64) {
-        #[cfg(unix)]
-        {
-            let m = self
-                .membership
-                .as_mut()
-                .expect("park_for_rejoin requires an active membership controller");
-            let (epoch, resume_cycle) = m.park_and_await_resume(ckpt_cycle);
-            self.begin_epoch(epoch);
-            (epoch, resume_cycle)
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = ckpt_cycle;
-            unreachable!("membership is unix-only")
-        }
+        self.resume(|m| m.park_and_await_resume(ckpt_cycle))
     }
 
     /// Rejoined-rank variant of [`RankCtx::park_for_rejoin`]: announces
     /// readiness (state restored up to `ckpt_cycle`, `-1` for none) and
     /// waits for the `RESUME` that readmits this rank.
     pub fn rejoin_ready(&mut self, ckpt_cycle: i64) -> (u64, u64) {
-        #[cfg(unix)]
-        {
-            let m = self
-                .membership
-                .as_mut()
-                .expect("rejoin_ready requires an active membership controller");
-            let (epoch, resume_cycle) = m.ready_and_await_resume(ckpt_cycle);
-            self.begin_epoch(epoch);
-            (epoch, resume_cycle)
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = ckpt_cycle;
-            unreachable!("membership is unix-only")
-        }
+        self.resume(|m| m.ready_and_await_resume(ckpt_cycle))
     }
 
-    /// Fence off a finished epoch: unmatched stashes, in-flight ARQ
-    /// state, and dedup history all belong to the pre-park world and are
-    /// discarded; the transport drops any wire still carrying an older
-    /// epoch number.
+    /// Wait at the membership barrier, then enter the epoch it resumes.
+    fn resume(&mut self, wait: impl FnOnce(&mut MembershipClient) -> (u64, u64)) -> (u64, u64) {
+        let m = self.membership.as_mut();
+        let (epoch, resume_cycle) = wait(m.expect("requires an active membership controller"));
+        self.begin_epoch(epoch);
+        (epoch, resume_cycle)
+    }
+
+    /// Fence off a finished epoch: unmatched stashes and the core's
+    /// in-flight state belong to the pre-park world and are discarded;
+    /// the transport drops any wire still carrying an older epoch number.
     fn begin_epoch(&mut self, epoch: u64) {
         self.stash.clear();
-        self.pending.clear();
-        self.delayed.clear();
-        self.seen.clear();
-        self.ack_attempts.clear();
+        self.core.fence();
         self.transport.set_epoch(epoch);
     }
 }
@@ -892,40 +493,34 @@ impl RankCtx {
 impl Drop for RankCtx {
     /// Reliable-mode drain: a finishing rank keeps servicing the protocol
     /// (release delayed wires, retransmit unACKed sends, ACK late
-    /// arrivals) until its own sends are confirmed and the wire goes
-    /// quiet, so a lost final ACK cannot strand a peer. Skipped for
-    /// fault-free worlds, killed ranks, and panicking unwinds — those
-    /// must look like hard failures to their peers.
+    /// arrivals) until the core is quiet and the wire goes quiet too, so
+    /// a lost final ACK cannot strand a peer. Skipped for fault-free
+    /// worlds, killed ranks, and panicking unwinds — those must look like
+    /// hard failures to their peers.
     fn drop(&mut self) {
-        if !self.reliable() || self.dead || std::thread::panicking() {
+        let Some(retry) = self.core.retry() else {
+            return;
+        };
+        if self.dead || std::thread::panicking() {
             return;
         }
-        let deadline = Instant::now() + self.retry.drain_timeout;
-        let quiet = self.retry.backoff_base * 20;
+        let deadline = Instant::now() + retry.drain_timeout;
+        let quiet = retry.backoff_base * 20;
         let mut last_activity = Instant::now();
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            if self.pending.is_empty()
-                && self.delayed.is_empty()
-                && now.duration_since(last_activity) >= quiet
-            {
-                break;
-            }
+        while Instant::now() < deadline && !(self.core.quiet() && last_activity.elapsed() >= quiet)
+        {
             let handled = self.wires_handled;
             if let Err(CommError::RetriesExhausted { to, seq, .. }) = self.pump() {
                 // The peer is gone for good; nothing left to confirm.
-                self.pending.retain(|p| !(p.to == to && p.seq == seq));
+                self.core.give_up(to, seq);
                 continue;
             }
-            // Late deliveries are ACKed (inside handle_wire) and then
-            // discarded — no one will read them here.
+            // Late deliveries were ACKed by the core and are discarded —
+            // no one will read them here.
             self.stash.clear();
             match self.transport.recv(Some(Duration::from_millis(1))) {
                 Ok(Some(w)) => {
-                    let _ = self.handle_wire(w);
+                    let _ = self.on_wire(w);
                 }
                 Ok(None) => {}
                 Err(()) => break,
@@ -1042,24 +637,14 @@ impl RankWorld {
         plan: Option<&FaultPlan>,
         body: impl Fn(RankCtx) -> T + Sync,
     ) -> Result<Vec<T>, WorldFailure> {
-        assert!(nranks >= 1);
-        let mut senders = Vec::with_capacity(nranks);
-        let mut receivers = Vec::with_capacity(nranks);
-        for _ in 0..nranks {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let transports = receivers
-            .into_iter()
-            .map(|inbox| {
-                Box::new(ThreadTransport {
-                    peers: senders.clone(),
-                    inbox,
-                }) as Box<dyn Transport>
-            })
-            .collect();
-        Self::run_over(transports, plan, body)
+        let transports = ThreadTransport::world(nranks).into_iter();
+        Self::run_over(
+            transports
+                .map(|t| Box::new(t) as Box<dyn Transport>)
+                .collect(),
+            plan,
+            body,
+        )
     }
 
     /// Run every rank over a thread of its own, each speaking through the
@@ -1832,79 +1417,6 @@ mod tests {
             }
         });
         assert_eq!(out[0], out[1], "stashed count must equal the flood count");
-    }
-
-    #[test]
-    fn rtt_estimator_follows_jacobson_karels_and_karns_rule() {
-        let ms = Duration::from_millis;
-        let mut e = RttEstimator::default();
-        assert_eq!(e.rto(), INITIAL_RTO);
-        // Karn: the ACK of a retransmitted message is no sample.
-        assert!(!e.on_ack(2, ms(5)));
-        assert_eq!(e.rto(), INITIAL_RTO);
-        // First sample: srtt = R, rttvar = R/2, rto = srtt + 4·rttvar.
-        assert!(e.on_ack(1, ms(8)));
-        assert_eq!(e.est, Some((ms(8), ms(4))));
-        assert_eq!(e.rto(), ms(24));
-        // Then srtt moves by 1/8 and a larger deviation (taken against
-        // the old srtt) raises rttvar by 1/4 …
-        assert!(e.on_ack(1, ms(16)));
-        assert_eq!(e.est, Some((ms(9), ms(5))));
-        assert!(!e.on_ack(3, ms(500)));
-        assert_eq!(e.est, Some((ms(9), ms(5))));
-        // … while a smaller one lowers it by 1/32 only, so it takes a
-        // long calm stretch to pull the timeout in.
-        assert!(e.on_ack(1, ms(9)));
-        assert_eq!(e.est, Some((ms(9), ms(5) * 31 / 32)));
-        for _ in 0..256 {
-            e.on_ack(1, ms(9));
-        }
-        assert!(e.rto() < ms(10), "{:?}", e.rto());
-    }
-
-    /// The storm the fixed 1 ms timer caused: a peer that is slow to reach
-    /// its receive is not a lossy link. Fault-free, (almost) nothing may
-    /// be sent twice — not while forty fragments wait out a full socket,
-    /// and not while the receiver sleeps through fifty first-retry delays.
-    #[cfg(unix)]
-    #[test]
-    fn slow_receiver_on_a_clean_socket_link_is_not_retransmitted_to() {
-        const ROUNDS: u64 = 10;
-        const BURST: u64 = 5;
-        let plan = FaultPlan::new(FaultConfig::default(), 1);
-        let big: Vec<f64> = (0..8 * crate::frame::MAX_FRAGMENT_DOUBLES)
-            .map(|i| i as f64)
-            .collect();
-        let big = &big;
-        let stats = RankWorld::run_socket_with_faults(2, &plan, |mut ctx| {
-            for round in 0..ROUNDS {
-                let tags = round * BURST..(round + 1) * BURST;
-                if ctx.rank() == 0 {
-                    for t in tags.clone() {
-                        ctx.send(1, t, big.clone());
-                    }
-                    for t in tags {
-                        assert_eq!(ctx.recv(1, 1000 + t), vec![t as f64]);
-                    }
-                } else {
-                    std::thread::sleep(Duration::from_millis(50));
-                    for t in tags {
-                        assert_eq!(&ctx.recv(0, t), big);
-                        ctx.send(0, 1000 + t, vec![t as f64]);
-                    }
-                }
-            }
-            ctx.arq_stats()
-        })
-        .unwrap();
-        let sent: u64 = stats.iter().map(|s| s.first_sends).sum();
-        let resent: u64 = stats.iter().map(|s| s.retransmits).sum();
-        assert_eq!(sent, 2 * ROUNDS * BURST);
-        assert!(
-            resent * 100 <= sent,
-            "{resent} retransmissions of {sent} messages on a fault-free link: {stats:?}"
-        );
-        assert!(stats.iter().all(|s| s.rtt_samples > 0), "{stats:?}");
     }
 
     /// Under real loss the timer still recovers every message, and the

@@ -253,13 +253,12 @@ impl SocketTransport {
 }
 
 impl Transport for SocketTransport {
-    fn send(&mut self, to: usize, wire: Wire) -> Result<u64, ()> {
+    fn send(&mut self, to: usize, wire: Wire) -> Result<(), ()> {
         let link = &mut self.links[to];
         link.queue.push_back(wire);
         link.accepted += 1;
-        let ticket = link.accepted;
         self.drain_backlog();
-        Ok(ticket)
+        Ok(())
     }
 
     fn departed(&self, to: usize) -> u64 {
@@ -354,6 +353,7 @@ mod tests {
                 src: 0,
                 tag: 9,
                 seq: 0,
+                prev: None,
                 checksum: 42,
                 payload: Payload::Owned(payload.clone()),
             },
@@ -376,6 +376,7 @@ mod tests {
                 seq,
                 checksum,
                 payload: p,
+                ..
             } => {
                 assert_eq!((src, tag, seq, checksum), (0, 9, 0, 42));
                 assert_eq!(p.into_vec(), payload);
@@ -449,6 +450,7 @@ mod tests {
             src: 0,
             tag: 1,
             seq,
+            prev: None,
             checksum: 0,
             payload: Payload::Owned(vec![seq as f64]),
         };

@@ -1,8 +1,9 @@
 //! The transport abstraction under the ARQ layer.
 //!
-//! [`crate::runtime::RankCtx`] speaks one reliable protocol (sequence
-//! numbers, checksums, ACK + dedup, bounded-backoff retransmit) over any
-//! [`Transport`]: an unreliable, unordered-under-fault-injection pipe
+//! [`crate::runtime::RankCtx`] drives one reliable protocol
+//! ([`crate::reliable`]: sequence numbers, checksums, ACK + dedup,
+//! bounded-backoff retransmit) over any [`Transport`]: an unreliable,
+//! unordered-under-fault-injection pipe
 //! that moves [`Wire`]s between ranks. Two backends exist:
 //!
 //! * [`ThreadTransport`] — in-process `std::sync::mpsc` channels
@@ -15,19 +16,22 @@
 //! the typed [`crate::CommError`] vocabulary and knows which peer it was
 //! talking to; the transport only knows "this pipe is gone".
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// What actually travels between ranks.
 #[derive(Clone, Debug)]
 pub(crate) enum Wire {
-    /// A payload message. `seq` is per-sender monotone; `checksum` covers
-    /// `(src, tag, seq, payload)`.
+    /// A payload message. `seq` is per-sender monotone; `prev` is the
+    /// `seq` of the message `src` sent to the same peer just before
+    /// (`None` for its first of the epoch); `checksum` covers `(src, tag,
+    /// seq, payload)`.
     Data {
         src: usize,
         tag: u64,
         seq: u64,
+        prev: Option<u64>,
         checksum: u64,
         payload: Payload,
     },
@@ -80,16 +84,13 @@ pub(crate) trait Transport: Send {
     /// Best-effort delivery of `wire` to rank `to`. `Err(())` means the
     /// pipe to that peer is known-dead (the thread backend's channel is
     /// closed); backends where loss is silent simply return `Ok`.
-    ///
-    /// The `Ok` value is the wire's ordinal on the link to `to`: it has
-    /// left this rank once [`Transport::departed`]`(to)` reaches it. A
-    /// backend that hands wires over synchronously returns 0.
-    fn send(&mut self, to: usize, wire: Wire) -> Result<u64, ()>;
+    fn send(&mut self, to: usize, wire: Wire) -> Result<(), ()>;
 
-    /// How many wires to `to` have left this rank entirely (every
-    /// fragment handed to the medium or lost to it). The ARQ layer
-    /// starts a message's retransmission timer only then, so time spent
-    /// queued behind a full socket is not mistaken for loss.
+    /// How many of the wires sent to `to` have left this rank entirely
+    /// (every fragment handed to the medium or lost to it); a backend
+    /// that hands wires over synchronously answers `u64::MAX`. The ARQ
+    /// layer starts a message's retransmission timer only then, so time
+    /// spent queued behind a full socket is not mistaken for loss.
     fn departed(&self, _to: usize) -> u64 {
         u64::MAX
     }
@@ -124,6 +125,17 @@ pub(crate) struct ThreadTransport {
 pub(crate) const PARK_COST: Duration = Duration::from_micros(50);
 
 impl ThreadTransport {
+    /// The transports of a world of `nranks` ranks, in rank order.
+    pub(crate) fn world(nranks: usize) -> Vec<ThreadTransport> {
+        assert!(nranks >= 1);
+        let (peers, inboxes): (Vec<_>, Vec<_>) = (0..nranks).map(|_| mpsc::channel()).unzip();
+        let peer = |inbox| ThreadTransport {
+            peers: peers.clone(),
+            inbox,
+        };
+        inboxes.into_iter().map(peer).collect()
+    }
+
     /// How long a blocking receive polls the inbox before it parks, for a
     /// world of `nranks` rank threads: [`PARK_COST`] while every rank can
     /// have a core of its own, nothing once they share cores — a polling
@@ -168,8 +180,8 @@ impl ThreadTransport {
 }
 
 impl Transport for ThreadTransport {
-    fn send(&mut self, to: usize, wire: Wire) -> Result<u64, ()> {
-        self.peers[to].send(wire).map(|()| 0).map_err(|_| ())
+    fn send(&mut self, to: usize, wire: Wire) -> Result<(), ()> {
+        self.peers[to].send(wire).map_err(|_| ())
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Option<Wire>, ()> {

@@ -169,3 +169,23 @@ fn rank_panic_propagates() {
         }
     });
 }
+
+#[test]
+fn same_tag_messages_do_not_overtake_through_the_stash() {
+    // MPI's non-overtaking rule: the two tag-5 messages are stashed while
+    // rank 1 waits for tags 7 and 9, and must still come out in send
+    // order.
+    RankWorld::run(2, |mut ctx| {
+        if ctx.rank() == 0 {
+            ctx.send(1, 9, vec![9.0]);
+            ctx.send(1, 5, vec![1.0]);
+            ctx.send(1, 5, vec![2.0]);
+            ctx.send(1, 7, vec![7.0]);
+        } else {
+            assert_eq!(ctx.recv(0, 7), vec![7.0]);
+            assert_eq!(ctx.recv(0, 9), vec![9.0]);
+            assert_eq!(ctx.recv(0, 5), vec![1.0]);
+            assert_eq!(ctx.recv(0, 5), vec![2.0]);
+        }
+    });
+}

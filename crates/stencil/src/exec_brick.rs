@@ -220,16 +220,43 @@ pub fn pointwise_mut1(
     pieces: &[(u32, Box3)],
     f: impl Fn(&mut f64, f64, f64),
 ) {
+    pointwise_mut1_on(Isa::detect(), out, read1, read2, pieces, f);
+}
+
+/// [`pointwise_mut1`] at the tier `isa`.
+pub(crate) fn pointwise_mut1_on(
+    isa: Isa,
+    out: &mut BrickedField,
+    read1: &BrickedField,
+    read2: &BrickedField,
+    pieces: &[(u32, Box3)],
+    f: impl Fn(&mut f64, f64, f64),
+) {
     let layout = out.layout().clone();
     let b = layout.brick_dim() as usize;
-    out.update_bricks(pieces, |slot, sub, o| {
-        let (r1, r2) = (read1.brick(slot), read2.brick(slot));
-        RowBounds::within(sub, layout.cells_of_slot(slot).lo).for_each_span(b, |s| {
-            for ((o, &r1), &r2) in o[s.clone()].iter_mut().zip(&r1[s.clone()]).zip(&r2[s]) {
-                f(o, r1, r2);
-            }
-        });
-    });
+    isa.run(
+        #[inline(always)]
+        || {
+            out.update_bricks(
+                pieces,
+                #[inline(always)]
+                |slot, sub, o| {
+                    let (r1, r2) = (read1.brick(slot), read2.brick(slot));
+                    RowBounds::within(sub, layout.cells_of_slot(slot).lo).for_each_span(
+                        b,
+                        #[inline(always)]
+                        |s| {
+                            for ((o, &r1), &r2) in
+                                o[s.clone()].iter_mut().zip(&r1[s.clone()]).zip(&r2[s])
+                            {
+                                f(o, r1, r2);
+                            }
+                        },
+                    );
+                },
+            )
+        },
+    );
 }
 
 /// Pointwise update with two mutable fields and two read fields (the
@@ -243,22 +270,48 @@ pub fn pointwise_mut2(
     pieces: &[(u32, Box3)],
     f: impl Fn(&mut f64, &mut f64, f64, f64),
 ) {
+    pointwise_mut2_on(Isa::detect(), out1, out2, read1, read2, pieces, f);
+}
+
+/// [`pointwise_mut2`] at the tier `isa`.
+pub(crate) fn pointwise_mut2_on(
+    isa: Isa,
+    out1: &mut BrickedField,
+    out2: &mut BrickedField,
+    read1: &BrickedField,
+    read2: &BrickedField,
+    pieces: &[(u32, Box3)],
+    f: impl Fn(&mut f64, &mut f64, f64, f64),
+) {
     let layout = out1.layout().clone();
     assert!(
         std::sync::Arc::ptr_eq(&layout, out2.layout()),
         "layout mismatch"
     );
     let b = layout.brick_dim() as usize;
-    out1.update_bricks(pieces, |slot, sub, o1| {
-        let o2 = out2.brick_mut(slot);
-        let (r1, r2) = (read1.brick(slot), read2.brick(slot));
-        RowBounds::within(sub, layout.cells_of_slot(slot).lo).for_each_span(b, |s| {
-            let outs = o1[s.clone()].iter_mut().zip(&mut o2[s.clone()]);
-            for (((o1, o2), &r1), &r2) in outs.zip(&r1[s.clone()]).zip(&r2[s]) {
-                f(o1, o2, r1, r2);
-            }
-        });
-    });
+    isa.run(
+        #[inline(always)]
+        || {
+            out1.update_bricks(
+                pieces,
+                #[inline(always)]
+                |slot, sub, o1| {
+                    let o2 = out2.brick_mut(slot);
+                    let (r1, r2) = (read1.brick(slot), read2.brick(slot));
+                    RowBounds::within(sub, layout.cells_of_slot(slot).lo).for_each_span(
+                        b,
+                        #[inline(always)]
+                        |s| {
+                            let outs = o1[s.clone()].iter_mut().zip(&mut o2[s.clone()]);
+                            for (((o1, o2), &r1), &r2) in outs.zip(&r1[s.clone()]).zip(&r2[s]) {
+                                f(o1, o2, r1, r2);
+                            }
+                        },
+                    );
+                },
+            )
+        },
+    );
 }
 
 #[cfg(test)]
@@ -443,6 +496,38 @@ mod tests {
             let expect = x0.get(p) + gamma * (ax.get(p) - b.get(p));
             assert!((x.get(p) - expect).abs() < 1e-12);
         });
+    }
+
+    #[test]
+    fn pointwise_updates_are_bit_identical_at_every_tier() {
+        // The smoother's triads on partial pieces, at every tier the CPU
+        // reports, give the bits they give at `Isa::Baseline`.
+        let n = 12;
+        let x0 = mk_field(n, 4);
+        let ax = BrickedField::from_fn(x0.layout().clone(), |p| (idx_fn(p) * 0.37).sin());
+        let b = BrickedField::from_fn(x0.layout().clone(), |p| (idx_fn(p) * 0.11).cos());
+        let pieces = x0
+            .layout()
+            .slots_intersecting(Box3::new(Point3::new(1, -1, 2), Point3::new(11, 10, 13)));
+        let gamma = 0.3;
+        let run = |isa| {
+            let (mut x1, mut x2) = (x0.clone(), x0.clone());
+            let mut r = BrickedField::new(x0.layout().clone());
+            pointwise_mut1_on(isa, &mut x1, &ax, &b, &pieces, |x, ax, b| {
+                *x += gamma * (ax - b)
+            });
+            pointwise_mut2_on(isa, &mut x2, &mut r, &ax, &b, &pieces, |x, r, ax, b| {
+                *r = b - ax;
+                *x += gamma * (ax - b);
+            });
+            let bits =
+                |f: &BrickedField| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (bits(&x1), bits(&x2), bits(&r))
+        };
+        let base = run(Isa::Baseline);
+        for isa in Isa::available() {
+            assert!(run(isa) == base, "{isa:?}");
+        }
     }
 
     #[test]
