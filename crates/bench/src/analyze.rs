@@ -324,6 +324,38 @@ mod tests {
         d
     }
 
+    /// The span log keeps each message's wire seq: every `recv` of a
+    /// captured 2-rank halo exchange and allreduce names exactly one send
+    /// by `(peer, seq)` (collective tags do not survive the export, the
+    /// seq does), and the Chrome export round-trips it.
+    #[test]
+    fn every_traced_recv_names_one_send_by_seq() {
+        let decomp = Decomposition::new(Box3::cube(16), Point3::new(2, 1, 1));
+        let d = &decomp;
+        let (_, trace) = gmg_trace::capture(|| {
+            RankWorld::run(2, move |mut ctx| {
+                let sub = d.subdomain(ctx.rank());
+                let mut a = gmg_mesh::Array3::from_fn(sub, 1, |p| p.x as f64);
+                gmg_comm::runtime::exchange_array(&mut ctx, d, &mut a, 1, 6);
+                ctx.allreduce_sum(ctx.rank() as f64)
+            });
+        });
+        let recvs: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| e.op.name() == "recv")
+            .collect();
+        assert!(recvs.iter().any(|r| r.tag.is_none()), "no collective recv");
+        for r in &recvs {
+            let sends = trace.events.iter().filter(|s| {
+                s.op.name() == "send" && Some(s.rank) == r.peer && s.peer == Some(r.rank)
+            });
+            assert_eq!(sends.filter(|s| s.seq == r.seq).count(), 1, "{r:?}");
+        }
+        assert_eq!(trace.messages().len(), recvs.len());
+        assert_eq!(Trace::from_chrome_str(&trace.to_chrome_string()), Ok(trace));
+    }
+
     /// The acceptance bar: on the traced 2-rank solve the per-V-cycle
     /// critical path covers ≥ 95% of wall time, the report carries every
     /// section, and rendering is byte-identical across reruns.

@@ -56,11 +56,11 @@
 //! transports or vector widths never get compared as like-for-like
 //! silently.
 //!
-//! Absolute medians — and, since schema 2, per-side p50/p90/p99 plus the
-//! full log-bucketed nanosecond sample histograms (mergeable across
-//! entries via `gmg_metrics::Histogram`) — are recorded in every entry
-//! purely as trajectory context; they are never gated on, and schema-1
-//! entries gate exactly as before.
+//! Absolute medians are recorded in every entry purely as trajectory
+//! context; they are never gated on. Schema-2 entries (`BENCH_2` to
+//! `BENCH_9`) also carry per-side p50/p90/p99 and sample histograms that
+//! nothing read; schema 3 drops them, and entries of every schema gate
+//! alike.
 
 use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
 use gmg_mesh::ghost::DIRECTIONS_26;
@@ -139,32 +139,6 @@ pub struct Stats {
     pub median: f64,
     /// Median absolute deviation relative to the median.
     pub rel_mad: f64,
-    /// 50th/90th/99th percentile seconds, estimated from the log-bucketed
-    /// sample histogram (exact to one bucket, i.e. ≤ 1/8 relative error).
-    pub p50: f64,
-    pub p90: f64,
-    pub p99: f64,
-    /// Raw nanosecond sample histogram — recorded into the trajectory
-    /// entry so later runs can merge distributions across entries instead
-    /// of comparing lossy point statistics.
-    pub hist: gmg_metrics::Histogram,
-}
-
-impl Stats {
-    /// Noise-free synthetic stats (single sample at `median`) for gate-math
-    /// tests and schema fixtures.
-    pub fn synthetic(median: f64, rel_mad: f64) -> Self {
-        let mut hist = gmg_metrics::Histogram::new();
-        hist.record((median * 1e9).max(0.0) as u64);
-        Stats {
-            median,
-            rel_mad,
-            p50: median,
-            p90: median,
-            p99: median,
-            hist,
-        }
-    }
 }
 
 /// One benchmark's outcome.
@@ -205,18 +179,9 @@ pub fn mad(xs: &[f64]) -> f64 {
 
 fn stats_of(samples: &[f64]) -> Stats {
     let m = median(samples);
-    let mut hist = gmg_metrics::Histogram::new();
-    for &s in samples {
-        hist.record((s * 1e9).max(0.0) as u64);
-    }
-    let q = |p: f64| hist.quantile(p).map_or(m, |ns| ns as f64 * 1e-9);
     Stats {
         median: m,
         rel_mad: if m > 0.0 { mad(samples) / m } else { 0.0 },
-        p50: q(0.50),
-        p90: q(0.90),
-        p99: q(0.99),
-        hist,
     }
 }
 
@@ -569,7 +534,10 @@ fn bench_sim_throughput(opts: &GateOpts) -> BenchOut {
             gmg_scale::simulate(&cfg);
         })
     });
-    let base = Stats::synthetic(events as f64 * SIM_EVENT_BUDGET_NS * 1e-9, 0.0);
+    let base = Stats {
+        median: events as f64 * SIM_EVENT_BUDGET_NS * 1e-9,
+        rel_mad: 0.0,
+    };
     let events_per_sec = events as f64 / cand.median;
     finish(
         "sim_events_per_sec",
@@ -620,11 +588,7 @@ fn finish(
     ]);
     let extra = Json::Obj(extra);
     if opts.inject_slowdown_pct > 0.0 {
-        let f = 1.0 + opts.inject_slowdown_pct / 100.0;
-        candidate.median *= f;
-        candidate.p50 *= f;
-        candidate.p90 *= f;
-        candidate.p99 *= f;
+        candidate.median *= 1.0 + opts.inject_slowdown_pct / 100.0;
     }
     let ratio = baseline.median / candidate.median;
     BenchOut {
@@ -746,26 +710,8 @@ pub fn check(benches: &[BenchOut], trajectory: Option<&Json>) -> Vec<Violation> 
     v
 }
 
-/// Serialize one sample histogram: summary fields plus the sparse
-/// `[bucket_index, count]` pairs `gmg_metrics::Histogram::from_parts`
-/// reconstructs from.
-fn hist_to_json(h: &gmg_metrics::Histogram) -> Json {
-    let buckets: Vec<Json> = h
-        .nonzero_buckets()
-        .map(|(i, c)| json!(vec![i as u64, c]))
-        .collect();
-    json!({
-        "count": h.count(),
-        "sum_ns": h.sum(),
-        "min_ns": h.min().unwrap_or(0),
-        "max_ns": h.max().unwrap_or(0),
-        "buckets": buckets,
-    })
-}
-
-/// Serialize one trajectory entry. Schema 2 adds per-side p50/p90/p99 and
-/// the nanosecond sample histograms; `check()` reads every field
-/// defensively, so schema-1 entries (BENCH_1) still gate cleanly.
+/// Serialize one trajectory entry (schema 3). `check()` reads only `id`,
+/// `ratio` and `rel_mad`, so entries of every schema gate alike.
 pub fn entry_to_json(opts: &GateOpts, index: u64, benches: &[BenchOut]) -> Json {
     let rows: Vec<Json> = benches
         .iter()
@@ -776,14 +722,6 @@ pub fn entry_to_json(opts: &GateOpts, index: u64, benches: &[BenchOut]) -> Json 
                 "candidate": b.candidate_label,
                 "baseline_seconds": b.baseline.median,
                 "candidate_seconds": b.candidate.median,
-                "baseline_p50": b.baseline.p50,
-                "baseline_p90": b.baseline.p90,
-                "baseline_p99": b.baseline.p99,
-                "candidate_p50": b.candidate.p50,
-                "candidate_p90": b.candidate.p90,
-                "candidate_p99": b.candidate.p99,
-                "baseline_hist": hist_to_json(&b.baseline.hist),
-                "candidate_hist": hist_to_json(&b.candidate.hist),
                 "ratio": b.ratio,
                 "rel_mad": b.baseline.rel_mad.max(b.candidate.rel_mad),
                 "floor": b.floor.unwrap_or(0.0),
@@ -792,7 +730,7 @@ pub fn entry_to_json(opts: &GateOpts, index: u64, benches: &[BenchOut]) -> Json 
         })
         .collect();
     json!({
-        "schema": 2u64,
+        "schema": 3u64,
         "entry": index,
         "grid": opts.grid,
         "samples": opts.samples,
@@ -854,8 +792,14 @@ mod tests {
             id,
             baseline_label: "b",
             candidate_label: "c",
-            baseline: Stats::synthetic(ratio, rel_mad),
-            candidate: Stats::synthetic(1.0, rel_mad),
+            baseline: Stats {
+                median: ratio,
+                rel_mad,
+            },
+            candidate: Stats {
+                median: 1.0,
+                rel_mad,
+            },
             ratio,
             floor,
             extra,
@@ -964,15 +908,18 @@ mod tests {
         let (_, written) = latest_entry(&dir).expect("entry written");
         let (_, mut committed) =
             latest_entry(&committed_bench_dir()).expect("committed trajectory");
-        // Rows of benchmarks the suite no longer runs, and the sampled
-        // `phase_breakdown` extra it no longer records, stay in the
-        // history but say nothing about the schema of a new entry; nor
-        // does the `isa` extra that entries before `BENCH_10` lack.
+        // Rows of benchmarks the suite no longer runs, the sampled
+        // `phase_breakdown` extra and the schema-2 quantiles and histograms
+        // it no longer records stay in the history but say nothing about
+        // the schema of a new entry; nor does the `isa` extra that entries
+        // before `BENCH_10` lack.
         if let Json::Obj(fields) = &mut committed {
             if let Some((_, Json::Arr(rows))) = fields.iter_mut().find(|(k, _)| k == "benchmarks") {
                 rows.retain(|r| benches.iter().any(|b| r["id"].as_str() == Some(b.id)));
                 for row in rows.iter_mut() {
                     if let Json::Obj(row) = row {
+                        let gone = ["_p50", "_p90", "_p99", "_hist"];
+                        row.retain(|(k, _)| !gone.iter().any(|g| k.ends_with(g)));
                         for (_, extra) in row.iter_mut().filter(|(k, _)| k == "extra") {
                             if let Json::Obj(extra) = extra {
                                 extra.retain(|(k, _)| k != "phase_breakdown");
@@ -1061,54 +1008,6 @@ mod tests {
         // 3·max(0.08, 0.08, 0.04) = 24% — above the 10% base tolerance,
         // but the components do not compound.
         assert!((tolerance(&noisy, 0.04) - 0.24).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stats_record_quantiles_and_histogram() {
-        let s = stats_of(&[0.001, 0.002, 0.003, 0.010]);
-        assert_eq!(s.hist.count(), 4);
-        assert!(s.p50 <= s.p90 && s.p90 <= s.p99, "{s:?}");
-        // Quantiles are bucket-midpoint estimates clamped to the observed
-        // sample range [1ms, 10ms].
-        assert!(s.p50 >= 0.0009 && s.p99 <= 0.0101, "{s:?}");
-        let entry = entry_to_json(
-            &tiny_opts(),
-            1,
-            &[BenchOut {
-                id: "exchange_packfree_vs_packed",
-                baseline_label: "b",
-                candidate_label: "c",
-                baseline: s.clone(),
-                candidate: s.clone(),
-                ratio: 1.0,
-                floor: None,
-                extra: json!({}),
-            }],
-        );
-        assert_eq!(entry["schema"].as_u64(), Some(2));
-        let row = &entry["benchmarks"].as_arr().unwrap()[0];
-        assert_eq!(row["candidate_hist"]["count"].as_u64(), Some(4));
-        assert!(row["candidate_p99"].as_f64().unwrap() > 0.0);
-        // The sparse bucket pairs reconstruct the identical histogram.
-        let h = &row["candidate_hist"];
-        let pairs: Vec<(usize, u64)> = h["buckets"]
-            .as_arr()
-            .unwrap()
-            .iter()
-            .map(|p| {
-                let p = p.as_arr().unwrap();
-                (p[0].as_u64().unwrap() as usize, p[1].as_u64().unwrap())
-            })
-            .collect();
-        let rebuilt = gmg_metrics::Histogram::from_parts(
-            &pairs,
-            h["count"].as_u64().unwrap(),
-            h["sum_ns"].as_u64().unwrap(),
-            h["min_ns"].as_u64().unwrap(),
-            h["max_ns"].as_u64().unwrap(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, s.hist);
     }
 
     #[test]

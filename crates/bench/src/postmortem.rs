@@ -12,8 +12,8 @@
 //! 2. **Doing what?** — the culprit's last recorded operation.
 //! 3. **Why was everyone waiting?** — every blocking receive classified
 //!    (late-sender / late-receiver / ARQ-stall / starvation) per level,
-//!    plus the true distributed critical path computed over exact
-//!    cross-rank message edges rather than tag heuristics.
+//!    plus the true distributed critical path, which follows each
+//!    receive to the send of the same wire sequence number.
 //!
 //! It also names stragglers and retransmit storms
 //! (`stragglers_and_storms`), which need no more than the rings.
@@ -27,9 +27,10 @@
 //! `-- --dump DIR` to analyze an existing dump.
 
 use gmg_comm::fault::{FaultConfig, FaultPlan};
-use gmg_flight::{analyze, load_dump, DumpBundle, EventKind, RankLog, WaitAnalysis, WaitClass};
-use gmg_metrics::analysis::{critical_path_with_edges, mad_outliers, CriticalPath};
-use gmg_trace::{intern, Counters, FlowArrow, Trace, TraceEvent, Track, LEVEL_NONE};
+use gmg_flight::{
+    analyze, load_dump, rebuild_trace, DumpBundle, EventKind, RankLog, WaitAnalysis, WaitClass,
+};
+use gmg_metrics::analysis::{critical_path, mad_outliers, CriticalPath};
 use gmg_trace::{json, Json};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -78,82 +79,6 @@ fn culprit(logs: &[RankLog], waits: &WaitAnalysis) -> (usize, String) {
         .map(|l| l.rank)
         .unwrap_or(0);
     (r, last_op(r))
-}
-
-/// Reconstruct a merged distributed [`Trace`] from the dumped rings, so
-/// the generic analysis/exporter stack can consume flight data. Shared
-/// with the scaling observatory, which rebuilds its simulated rank
-/// window the same way.
-pub(crate) fn rebuild_trace(logs: &[RankLog]) -> Trace {
-    let mut events = Vec::new();
-    for log in logs {
-        for ev in &log.events {
-            let level = if ev.level == gmg_flight::NO_LEVEL {
-                LEVEL_NONE
-            } else {
-                ev.level as usize
-            };
-            let peer = (ev.peer != gmg_flight::NO_PEER).then_some(ev.peer as usize);
-            let tag = (ev.tag != gmg_flight::NO_TAG).then_some(ev.tag);
-            let (op, track, counters) = match ev.kind {
-                EventKind::Compute => (
-                    ev.op,
-                    Track::Compute,
-                    Counters {
-                        stencil_points: ev.bytes,
-                        ..Default::default()
-                    },
-                ),
-                EventKind::Send => (
-                    "send",
-                    Track::Comm,
-                    Counters {
-                        messages: 1,
-                        message_bytes: ev.bytes,
-                        ..Default::default()
-                    },
-                ),
-                EventKind::RecvWait => (ev.op, Track::Comm, Counters::default()),
-                EventKind::MsgArrive => (
-                    "arrive",
-                    Track::Comm,
-                    Counters {
-                        message_bytes: ev.bytes,
-                        ..Default::default()
-                    },
-                ),
-                EventKind::Arq | EventKind::Control => (ev.op, Track::Fault, Counters::default()),
-            };
-            events.push(TraceEvent {
-                rank: log.rank,
-                level,
-                op: intern(op),
-                track,
-                ts_ns: ev.ts_ns,
-                dur_ns: ev.dur_ns,
-                counters,
-                peer,
-                tag,
-            });
-        }
-    }
-    events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
-    Trace { events }
-}
-
-/// The exact happens-before edges as Perfetto flow arrows.
-pub(crate) fn flow_arrows(waits: &WaitAnalysis) -> Vec<FlowArrow> {
-    waits
-        .edges
-        .iter()
-        .map(|e| FlowArrow {
-            src_rank: e.src,
-            src_ts_ns: e.send_ts_ns,
-            dst_rank: e.dst,
-            dst_ts_ns: e.recv_end_ns,
-            id: e.msg_seq,
-        })
-        .collect()
 }
 
 /// A rank a post-hoc check singles out of a dump.
@@ -332,9 +257,8 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
             (r, op, None)
         }
     };
-    let flows = flow_arrows(&waits);
     let trace = rebuild_trace(&bundle.logs);
-    let path = critical_path_with_edges(&trace, &waits.edges);
+    let path = critical_path(&trace);
     let flags = stragglers_and_storms(&bundle.logs);
     let mut md = render_report(
         dir,
@@ -349,7 +273,7 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
     let report_path = dir.join("postmortem.md");
     let trace_path = dir.join("postmortem_trace.json");
     let wrote = std::fs::write(&report_path, &md)
-        .and_then(|_| std::fs::write(&trace_path, trace.to_chrome_string_with_flows(&flows)));
+        .and_then(|_| std::fs::write(&trace_path, trace.to_chrome_string()));
     println!("{md}");
     let killed = WaitAnalysis::killed_ranks(&bundle.logs);
     let flags: Vec<Json> = flags
@@ -470,7 +394,7 @@ mod tests {
         );
         // The timeline parses as a valid Chrome trace (flows skipped).
         let text = std::fs::read_to_string(dir.join("postmortem_trace.json")).unwrap();
-        let back = Trace::from_chrome_str(&text).expect("timeline parses");
+        let back = gmg_trace::Trace::from_chrome_str(&text).expect("timeline parses");
         assert!(!back.events.is_empty());
         assert!(text.contains("\"ph\":\"s\""), "flow arrows present");
     }

@@ -20,8 +20,8 @@
 //!    clean run must flag nothing, an injected `LEVEL:PCT` run must flag
 //!    exactly that level. Both are exit-code-enforced.
 //! 5. **Window forensics**: the configured rank window's logs rebuilt
-//!    into a merged trace (same path as the crash postmortem), exact
-//!    message edges into `critical_path_with_edges`, per-window-rank
+//!    into a merged trace (same path as the crash postmortem), its
+//!    critical path over the messages that trace joins, per-window-rank
 //!    utilization via [`gmg_trace::Trace::rank_window`], and a Perfetto
 //!    timeline with cross-rank flow arrows.
 //! 6. **CPU-offload ablation**: per-level time decomposition all-GPU vs
@@ -36,7 +36,7 @@
 
 use gmg_machine::gpu::System;
 use gmg_machine::CpuModel;
-use gmg_metrics::analysis::{critical_path_with_edges, imbalance_from_seconds, utilization};
+use gmg_metrics::analysis::{critical_path, imbalance_from_seconds, utilization};
 use gmg_scale::{fit_scaling_model, simulate, RecordMode, ScaleConfig, ScaleResult, SweepPoint};
 use gmg_trace::{json, Json};
 use std::path::Path;
@@ -391,17 +391,12 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         .cloned()
         .collect();
     let window_waits = gmg_flight::analyze(&window_logs);
-    let flows = crate::postmortem::flow_arrows(&window_waits);
-    let trace = crate::postmortem::rebuild_trace(&window_logs);
-    let path = critical_path_with_edges(&trace, &window_waits.edges);
+    let trace = gmg_flight::rebuild_trace(&window_logs);
+    let path = critical_path(&trace);
     // Utilization over the pure window (peers carry no compute spans and
     // would read as idle).
     let util = utilization(&trace.rank_window(wlo, whi));
-    crate::report::save_raw_in(
-        dir,
-        WINDOW_TRACE,
-        &trace.to_chrome_string_with_flows(&flows),
-    );
+    crate::report::save_raw_in(dir, WINDOW_TRACE, &trace.to_chrome_string());
     md.push_str(&format!("## Rank-window forensics ({wlo}..{whi})\n\n"));
     md.push_str(&format!(
         "{} ranks in view ({} window + {} message peers), {} events, \

@@ -8,11 +8,11 @@
 //!
 //! Dumping is crash-path code: it must never panic and never wedge a
 //! dying process, so every IO error degrades to "no dump" and a
-//! per-process cap (`GMG_FLIGHT_MAX_DUMPS`, default 32) stops a flaky
-//! loop from filling the disk. Loading is the mirror image: a dump
-//! directory is outside input, so [`load_dump`] answers truncated,
-//! corrupted or oversized files with a typed error and never allocates
-//! more than the files' own length warrants.
+//! per-process cap ([`MAX_DUMPS`]) stops a flaky loop from filling the
+//! disk. Loading is the mirror image: a dump directory is outside input,
+//! so [`load_dump`] answers truncated, corrupted or oversized files with
+//! a typed error and never allocates more than the files' own length
+//! warrants.
 
 use std::fs;
 use std::io;
@@ -26,6 +26,9 @@ use gmg_trace::ObsConfig;
 use crate::recorder::FlightWorld;
 use crate::ring::{EventKind, FlightEvent, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 use crate::waitstate::RankLog;
+
+/// Dumps one process may attempt.
+pub const MAX_DUMPS: u64 = 32;
 
 /// Dumps this process has attempted so far (the cap counts attempts).
 static DUMPS: AtomicU64 = AtomicU64::new(0);
@@ -146,14 +149,10 @@ fn write_logs(
 }
 
 /// Claim a fresh `flightdump_<unix-ns>` directory under `base` and fill
-/// it with `write`; `None` once `max_dumps` attempts are spent or on any
-/// IO failure — crash paths must not die twice.
-fn dump_under(
-    base: &Path,
-    max_dumps: u64,
-    write: impl FnOnce(&Path) -> io::Result<()>,
-) -> Option<PathBuf> {
-    if DUMPS.fetch_add(1, Ordering::Relaxed) >= max_dumps {
+/// it with `write`; `None` once [`MAX_DUMPS`] attempts are spent or on
+/// any IO failure — crash paths must not die twice.
+fn dump_under(base: &Path, write: impl FnOnce(&Path) -> io::Result<()>) -> Option<PathBuf> {
+    if DUMPS.fetch_add(1, Ordering::Relaxed) >= MAX_DUMPS {
         return None;
     }
     let ns = SystemTime::now()
@@ -174,7 +173,7 @@ fn dump_under(
 /// Best-effort black-box dump under the world's dump directory. Returns
 /// the dump directory, or `None` if disabled by the cap or any IO failed.
 pub fn dump_world(world: &FlightWorld, reason: &str, detail: &str) -> Option<PathBuf> {
-    dump_under(&world.dump_dir, world.max_dumps, |dir| {
+    dump_under(&world.dump_dir, |dir| {
         dump_world_to(dir, world, reason, detail)
     })
 }
@@ -295,7 +294,7 @@ pub fn merge_dumps(
             events: Vec::new(),
         }));
     }
-    dump_under(&cfg.dump_dir(), cfg.flight_max_dumps, |dir| {
+    dump_under(&cfg.dump_dir(), |dir| {
         write_logs(dir, nranks, &logs, reason, detail)
     })
 }

@@ -24,11 +24,14 @@
 //!   (late-sender / late-receiver / ARQ-stall / starvation), and persist
 //!   or reload black-box dumps for crash postmortems. A dump's
 //!   per-rank [`RankLog`] also carries its ring's health: events
-//!   `written` and `lost`.
+//!   `written` and `lost`. [`rebuild_trace`] turns the rings into one
+//!   `gmg_trace::Trace` for the trace analysis and the Perfetto export.
 //!
-//! The `GMG_FLIGHT*` environment knobs are parsed by
+//! The `GMG_FLIGHT` and `GMG_FLIGHT_DIR` environment knobs are parsed by
 //! [`gmg_trace::ObsConfig`] and reach this crate through
-//! [`FlightWorld::for_run`] and [`merge_dumps`].
+//! [`FlightWorld::for_run`] and [`merge_dumps`]; a run's rings hold
+//! [`RING_CAPACITY`] events each, and a process writes at most
+//! [`MAX_DUMPS`] dumps.
 
 pub mod dump;
 pub mod recorder;
@@ -37,11 +40,12 @@ pub mod synth;
 pub mod waitstate;
 
 pub use dump::{
-    dump_installed, dump_world, dump_world_to, load_dump, merge_dumps, DumpBundle, MAX_DUMP_RANKS,
+    dump_installed, dump_world, dump_world_to, load_dump, merge_dumps, DumpBundle, MAX_DUMPS,
+    MAX_DUMP_RANKS,
 };
-pub use recorder::{installed, record_compute, set_enabled, FlightWorld};
+pub use recorder::{installed, record_compute, set_enabled, FlightWorld, RING_CAPACITY};
 pub use ring::{EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 pub use synth::{into_logs, SynthLog};
 pub use waitstate::{
-    analyze, MessageEdge, RankLog, WaitAnalysis, WaitClass, WaitSample, WaitStats,
+    analyze, rebuild_trace, MessageEdge, RankLog, WaitAnalysis, WaitClass, WaitSample, WaitStats,
 };

@@ -19,12 +19,14 @@ use gmg_trace::ObsConfig;
 use crate::ring::{EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 use crate::waitstate::RankLog;
 
+/// Events each rank's ring of a run holds.
+pub const RING_CAPACITY: usize = 1 << 16;
+
 /// One ring per rank, shared by the rank threads and whoever dumps them,
-/// plus where and how often this world may dump.
+/// plus where this world dumps.
 pub struct FlightWorld {
     rings: Vec<Arc<FlightRing>>,
     pub(crate) dump_dir: PathBuf,
-    pub(crate) max_dumps: u64,
 }
 
 impl FlightWorld {
@@ -36,29 +38,21 @@ impl FlightWorld {
             FORCED_ON => true,
             _ => cfg.flight,
         };
-        on.then(|| {
-            Self::build(
-                nranks,
-                cfg.flight_capacity,
-                cfg.dump_dir(),
-                cfg.flight_max_dumps,
-            )
-        })
+        on.then(|| Self::build(nranks, RING_CAPACITY, cfg.dump_dir()))
     }
 
-    /// A world of `nranks` rings of `capacity` events with the default
-    /// dump placement (`results/`, 32 dumps).
+    /// A world of `nranks` rings of `capacity` events that dumps under
+    /// `results/`.
     pub fn with_capacity(nranks: usize, capacity: usize) -> Arc<Self> {
-        Self::build(nranks, capacity, PathBuf::from("results"), 32)
+        Self::build(nranks, capacity, PathBuf::from("results"))
     }
 
-    fn build(nranks: usize, capacity: usize, dump_dir: PathBuf, max_dumps: u64) -> Arc<Self> {
+    fn build(nranks: usize, capacity: usize, dump_dir: PathBuf) -> Arc<Self> {
         Arc::new(FlightWorld {
             rings: (0..nranks)
                 .map(|r| Arc::new(FlightRing::new(r, capacity)))
                 .collect(),
             dump_dir,
-            max_dumps,
         })
     }
 
@@ -279,7 +273,7 @@ mod tests {
         assert!(!set_enabled(true));
         let off = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT").then(|| "0".into()));
         let w = FlightWorld::for_run(2, &off).expect("forced on beats GMG_FLIGHT=0");
-        assert_eq!((w.nranks(), w.ring(0).capacity()), (2, cfg.flight_capacity));
+        assert_eq!((w.nranks(), w.ring(0).capacity()), (2, RING_CAPACITY));
         set_enabled(prev);
     }
 }

@@ -24,7 +24,9 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::ring::{EventKind, FlightEvent, NO_LEVEL, NO_MSG_SEQ};
+use gmg_trace::{Counters, OpId, Trace, TraceEvent, Track, LEVEL_NONE};
+
+use crate::ring::{EventKind, FlightEvent, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 
 /// One rank's snapshotted ring plus its health counters.
 #[derive(Clone, Debug)]
@@ -267,6 +269,66 @@ pub fn analyze(logs: &[RankLog]) -> WaitAnalysis {
     out.samples
         .sort_by_key(|s| (s.rank, s.ts_ns, s.peer, s.tag));
     out
+}
+
+/// The rings as one merged distributed [`Trace`], so the trace analysis
+/// and the Perfetto exporter read flight data: compute ops on the compute
+/// track, the three sides of a message on the comm track (each with its
+/// wire `seq`, which [`Trace::messages`] joins by), ARQ and control
+/// instants on the fault track.
+pub fn rebuild_trace(logs: &[RankLog]) -> Trace {
+    let mut events = Vec::new();
+    for log in logs {
+        for ev in &log.events {
+            let (op, track, counters) = match ev.kind {
+                EventKind::Compute => (
+                    ev.op,
+                    Track::Compute,
+                    Counters {
+                        stencil_points: ev.bytes,
+                        ..Default::default()
+                    },
+                ),
+                EventKind::Send => (
+                    "send",
+                    Track::Comm,
+                    Counters {
+                        messages: 1,
+                        message_bytes: ev.bytes,
+                        ..Default::default()
+                    },
+                ),
+                EventKind::RecvWait => (ev.op, Track::Comm, Counters::default()),
+                EventKind::MsgArrive => (
+                    "arrive",
+                    Track::Comm,
+                    Counters {
+                        message_bytes: ev.bytes,
+                        ..Default::default()
+                    },
+                ),
+                EventKind::Arq | EventKind::Control => (ev.op, Track::Fault, Counters::default()),
+            };
+            events.push(TraceEvent {
+                rank: log.rank,
+                level: if ev.level == NO_LEVEL {
+                    LEVEL_NONE
+                } else {
+                    ev.level as usize
+                },
+                op: OpId(op),
+                track,
+                ts_ns: ev.ts_ns,
+                dur_ns: ev.dur_ns,
+                counters,
+                peer: (ev.peer != NO_PEER).then_some(ev.peer as usize),
+                tag: (ev.tag != NO_TAG).then_some(ev.tag),
+                seq: (ev.msg_seq != NO_MSG_SEQ).then_some(ev.msg_seq),
+            });
+        }
+    }
+    events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
+    Trace { events }
 }
 
 impl WaitAnalysis {

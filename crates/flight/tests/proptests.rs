@@ -247,6 +247,49 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The trace the rings rebuild into joins exactly the messages the
+    /// classifier joins: `Trace::messages` (what the critical path and the
+    /// Perfetto arrows read) names one `(src, seq) → dst` pair per
+    /// `WaitAnalysis::edges` entry, with the same send and receive times.
+    /// Worlds are causal (no receive ends before its send), with sends
+    /// dropped and waits failed at random.
+    #[test]
+    fn the_rebuilt_trace_joins_exactly_the_classifier_edges(
+        ranks in 3usize..6,
+        bits in prop::collection::vec(any::<u64>(), 1..40),
+        mask in prop::collection::vec(any::<bool>(), 40),
+    ) {
+        let msgs: Vec<MsgSpec> = bits
+            .iter()
+            .map(|&x| {
+                let m = spec_from_bits(x, ranks);
+                MsgSpec { send_ts: m.send_ts.min(m.wait_ts + m.wait_dur), ..m }
+            })
+            .collect();
+        let logs = build_world(ranks, &msgs, |i| mask[i]);
+        let trace = gmg_flight::rebuild_trace(&logs);
+        let mut joins: Vec<_> = trace
+            .messages()
+            .into_iter()
+            .map(|(s, r)| {
+                let (s, r) = (&trace.events[s], &trace.events[r]);
+                (s.rank, s.seq.unwrap(), r.rank, s.ts_ns, r.ts_ns + r.dur_ns)
+            })
+            .collect();
+        joins.sort_unstable();
+        let mut edges: Vec<_> = analyze(&logs)
+            .edges
+            .iter()
+            .map(|e| (e.src, e.msg_seq, e.dst, e.send_ts_ns, e.recv_end_ns))
+            .collect();
+        edges.sort_unstable();
+        prop_assert_eq!(joins, edges);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Hostile dump directories: a dump is outside input to the postmortem
 // tools, so whatever is on disk — truncated, bit-flipped, oversized —

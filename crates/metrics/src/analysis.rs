@@ -7,9 +7,10 @@
 //! behind those numbers:
 //!
 //! - **Critical path**: a backward walk over the per-rank timelines that
-//!   follows cross-rank message dependencies (a recv's matched send)
-//!   through each V-cycle, so every nanosecond of wall time is
-//!   attributed to the op on the rank that gated it (or to idle).
+//!   follows cross-rank message dependencies (a recv's send, joined by
+//!   [`Trace::messages`]) through each V-cycle, so every nanosecond of
+//!   wall time is attributed to the op on the rank that gated it (or to
+//!   idle).
 //! - **Load imbalance**: per-`(level, op)` max/mean seconds across
 //!   ranks, plus per-rank compute/comm/idle utilization.
 //! - **Roofline attribution**: achieved GB/s and GStencil/s per kernel
@@ -22,7 +23,6 @@
 //! Everything here is deterministic: same trace in, byte-identical
 //! report out (the analyze binary's determinism test pins this).
 
-use gmg_flight::MessageEdge;
 use gmg_trace::sink::{Trace, TraceEvent, Track, LEVEL_NONE};
 use gmg_trace::TraceSummary;
 use std::collections::BTreeMap;
@@ -207,12 +207,14 @@ struct TEv {
     track: Track,
     ts: u64,
     end: u64,
-    peer: Option<usize>,
-    tag: Option<u64>,
+    /// For a `recv` joined to its send: when the send released it (the
+    /// send's end, or the recv's own end if the send span outlasted it)
+    /// and the sending rank.
+    sent: Option<(u64, usize)>,
 }
 
 impl TEv {
-    fn from(e: &TraceEvent) -> TEv {
+    fn from(e: &TraceEvent, sent: Option<&TraceEvent>) -> TEv {
         TEv {
             rank: e.rank,
             level: e.level,
@@ -220,8 +222,7 @@ impl TEv {
             track: e.track,
             ts: e.ts_ns,
             end: e.ts_ns + e.dur_ns,
-            peer: e.peer,
-            tag: e.tag,
+            sent: sent.map(|s| ((s.ts_ns + s.dur_ns).min(e.ts_ns + e.dur_ns), s.rank)),
         }
     }
 
@@ -239,28 +240,28 @@ struct Timelines {
     top: BTreeMap<usize, Vec<TEv>>,
     /// rank → all comm events, ts order.
     comm: BTreeMap<usize, Vec<TEv>>,
-    /// `(dst_rank, recv_end_ns)` → `(src_rank, send_end_ns)` exact
-    /// causal edges; consulted before the matching heuristic.
-    edges: BTreeMap<(usize, u64), (usize, u64)>,
 }
 
 impl Timelines {
     fn build(trace: &Trace) -> Timelines {
-        Self::build_with(trace, &[])
-    }
-
-    fn build_with(trace: &Trace, edges: &[MessageEdge]) -> Timelines {
         let ranks = trace.ranks();
+        let mut sent: Vec<Option<&TraceEvent>> = vec![None; trace.events.len()];
+        for (send, recv) in trace.messages() {
+            sent[recv] = Some(&trace.events[send]);
+        }
         // Bucket per (rank, track) in ONE pass over the event list. A
         // per-rank `track_events` filter would be O(ranks × events) —
         // ruinous for the 10k-rank simulated traces the scaling
         // observatory feeds through here.
         let mut compute_by: BTreeMap<usize, Vec<TEv>> = BTreeMap::new();
         let mut comm_by: BTreeMap<usize, Vec<TEv>> = BTreeMap::new();
-        for e in &trace.events {
+        for (e, sent) in trace.events.iter().zip(sent) {
             match e.track {
-                Track::Compute => compute_by.entry(e.rank).or_default().push(TEv::from(e)),
-                Track::Comm => comm_by.entry(e.rank).or_default().push(TEv::from(e)),
+                Track::Compute => compute_by
+                    .entry(e.rank)
+                    .or_default()
+                    .push(TEv::from(e, sent)),
+                Track::Comm => comm_by.entry(e.rank).or_default().push(TEv::from(e, sent)),
                 Track::Fault => {}
             }
         }
@@ -291,17 +292,7 @@ impl Timelines {
             top.insert(r, merged);
             comm.insert(r, comms);
         }
-        let edges = edges
-            .iter()
-            // Flight sends are instants: the send ends at its timestamp.
-            .map(|e| ((e.dst, e.recv_end_ns), (e.src, e.send_ts_ns)))
-            .collect();
-        Timelines {
-            ranks,
-            top,
-            comm,
-            edges,
-        }
+        Timelines { ranks, top, comm }
     }
 
     /// Last top-level event on `rank` starting strictly before `t`.
@@ -332,39 +323,20 @@ impl Timelines {
         best
     }
 
-    /// The latest send on `recv.peer` addressed to `recv.rank` (matching
-    /// tag when the recv carries one) that completed strictly before
-    /// `frontier`. Returns `(send_end, send_rank)`.
-    fn matched_send(&self, recv: &TEv, frontier: u64) -> Option<(u64, usize)> {
-        // An exact causal edge for this receive beats the heuristic.
-        if let Some(&(src, send_end)) = self.edges.get(&(recv.rank, recv.end)) {
-            if send_end < frontier && send_end <= recv.end {
-                return Some((send_end, src));
-            }
-        }
-        let src = recv.peer?;
-        let sends = self.comm.get(&src)?;
-        sends
-            .iter()
-            .filter(|s| s.op == "send" && s.peer == Some(recv.rank))
-            .filter(|s| recv.tag.is_none() || s.tag == recv.tag)
-            .filter(|s| s.end < frontier && s.end <= recv.end)
-            .max_by_key(|s| (s.end, s.ts))
-            .map(|s| (s.end, s.rank))
-    }
-
-    /// For a waiting event, the latest cross-rank dependency end within
-    /// `frontier`: for a compute `exchange`, the matched sends of its
-    /// nested recvs; for a top-level comm recv, its own matched send.
+    /// For a waiting event, the latest cross-rank dependency end strictly
+    /// before `frontier`, as `(send_end, send_rank)`: for a compute
+    /// `exchange`, the sends of its nested recvs; for a top-level comm
+    /// recv, its own send.
     fn dependency(&self, ev: &TEv, frontier: u64) -> Option<(u64, usize)> {
+        let before = |sent: Option<(u64, usize)>| sent.filter(|&(end, _)| end < frontier);
         match ev.track {
-            Track::Comm if ev.op == "recv" => self.matched_send(ev, frontier),
+            Track::Comm if ev.op == "recv" => before(ev.sent),
             Track::Compute if ev.op == "exchange" => {
                 let comms = self.comm.get(&ev.rank)?;
                 comms
                     .iter()
                     .filter(|c| c.op == "recv" && c.ts >= ev.ts && c.end <= ev.end)
-                    .filter_map(|c| self.matched_send(c, frontier))
+                    .filter_map(|c| before(c.sent))
                     .filter(|&(end, rank)| rank != ev.rank && end > ev.ts)
                     .max_by_key(|&(end, _)| end)
             }
@@ -526,20 +498,14 @@ fn walk_segment(tl: &Timelines, seg_start: u64, seg_end: u64, nevents: usize) ->
 }
 
 /// Compute the critical path over the whole trace, one walk per V-cycle.
+/// A receive waits on the send [`Trace::messages`] joins it to; a
+/// receive with no joined send (a trace without `seq`, or a send outside
+/// the trace) is charged to the waiting rank.
 pub fn critical_path(trace: &Trace) -> CriticalPath {
-    critical_path_with_edges(trace, &[])
-}
-
-/// [`critical_path`] with exact cross-rank message edges (the flight
-/// recorder's joined send / receive pairs): wherever an edge names the
-/// send a receive actually waited on, the walk follows it instead of
-/// guessing from `(peer, tag)` timing — the distributed path then
-/// crosses rank boundaries through true causality.
-pub fn critical_path_with_edges(trace: &Trace, edges: &[MessageEdge]) -> CriticalPath {
     let Some((t0, t1)) = trace.time_bounds() else {
         return CriticalPath::default();
     };
-    let tl = Timelines::build_with(trace, edges);
+    let tl = Timelines::build(trace);
     let starts = cycle_starts(trace);
     let mut cycles = Vec::new();
     let mut op_totals: BTreeMap<String, f64> = BTreeMap::new();
@@ -1222,7 +1188,14 @@ mod tests {
             counters: Counters::default(),
             peer: None,
             tag: None,
+            seq: None,
         }
+    }
+
+    /// `e` as one end of message `seq` with `peer`, under tag 7.
+    fn msg(mut e: TraceEvent, peer: usize, seq: u64) -> TraceEvent {
+        (e.peer, e.tag, e.seq) = (Some(peer), Some(7), Some(seq));
+        e
     }
 
     fn mk_trace(mut events: Vec<TraceEvent>) -> Trace {
@@ -1233,12 +1206,8 @@ mod tests {
     /// Two ranks. Rank 1's smooth is slow (30 ms vs 10 ms); rank 0's
     /// exchange waits on rank 1's send. The path must jump to rank 1.
     fn dependency_trace() -> Trace {
-        let mut send_r1 = ev(1, LEVEL_NONE, "send", Track::Comm, 30, 2);
-        send_r1.peer = Some(0);
-        send_r1.tag = Some(7);
-        let mut recv_r0 = ev(0, LEVEL_NONE, "recv", Track::Comm, 11, 21);
-        recv_r0.peer = Some(1);
-        recv_r0.tag = Some(7);
+        let send_r1 = msg(ev(1, LEVEL_NONE, "send", Track::Comm, 30, 2), 0, 0);
+        let recv_r0 = msg(ev(0, LEVEL_NONE, "recv", Track::Comm, 11, 21), 1, 0);
         mk_trace(vec![
             // rank 0: fast smooth then a long exchange waiting on rank 1
             ev(0, 0, "smooth", Track::Compute, 0, 10),
@@ -1285,22 +1254,15 @@ mod tests {
         assert_eq!(path, critical_path(&trace));
     }
 
-    /// Two sends from rank 1 to rank 0 under the same tag. The timing
-    /// heuristic matches the receive to the *later* send (latest end not
-    /// past the recv); an exact flight-recorder edge says the wait was on
-    /// the *earlier* one, so the path must cross into rank 1's prep
-    /// instead of its slow work.
+    /// Two sends from rank 1 to rank 0 under the same tag; the receive
+    /// waited on the *earlier* one (seq 0), not on the latest send that
+    /// ends before it. The path must cross into rank 1's prep, not its
+    /// slow work.
     #[test]
-    fn exact_edges_override_heuristic_matching() {
-        let mut early_send = ev(1, LEVEL_NONE, "send", Track::Comm, 15, 1);
-        early_send.peer = Some(0);
-        early_send.tag = Some(7);
-        let mut late_send = ev(1, LEVEL_NONE, "send", Track::Comm, 28, 2);
-        late_send.peer = Some(0);
-        late_send.tag = Some(7);
-        let mut recv = ev(0, LEVEL_NONE, "recv", Track::Comm, 11, 21); // ends at 32
-        recv.peer = Some(1);
-        recv.tag = Some(7);
+    fn the_join_follows_the_seq_not_the_latest_same_tag_send() {
+        let early_send = msg(ev(1, LEVEL_NONE, "send", Track::Comm, 15, 1), 0, 0);
+        let late_send = msg(ev(1, LEVEL_NONE, "send", Track::Comm, 28, 2), 0, 1);
+        let recv = msg(ev(0, LEVEL_NONE, "recv", Track::Comm, 11, 21), 1, 0); // ends at 32
         let trace = mk_trace(vec![
             ev(0, 0, "smooth", Track::Compute, 0, 10),
             ev(0, 0, "exchange", Track::Compute, 10, 23), // ends at 33
@@ -1310,43 +1272,69 @@ mod tests {
             ev(1, 0, "slowwork", Track::Compute, 17, 11),
             late_send,
         ]);
-        let heuristic = critical_path(&trace);
-        let on_slow = |p: &CriticalPath| {
-            p.op_totals
+        let path = critical_path(&trace);
+        let on = |op: &str| {
+            path.op_totals
                 .iter()
-                .find(|(op, _)| op == "slowwork")
+                .find(|(o, _)| o == op)
                 .map_or(0.0, |(_, s)| *s)
         };
+        assert!(on("slowwork") < 0.001, "{:#?}", path.op_totals);
+        assert!(on("prep") > 0.004, "{:#?}", path.op_totals);
+    }
+
+    /// All of one exchange's receives end on the same nanosecond. Each
+    /// joins its own send, so the exchange waits on the latest of them:
+    /// rank 1's, whose slow smooth gates the cycle. (A join keyed by the
+    /// receiving rank and the receive's end kept one of the two.)
+    #[test]
+    fn receives_ending_together_each_join_their_own_send() {
+        let mut events = vec![
+            ev(0, 0, "exchange", Track::Compute, 0, 40),
+            ev(1, 0, "smooth", Track::Compute, 0, 30),
+            msg(ev(1, LEVEL_NONE, "send", Track::Comm, 30, 1), 0, 0),
+            ev(2, 0, "smooth", Track::Compute, 0, 10),
+            msg(ev(2, LEVEL_NONE, "send", Track::Comm, 10, 1), 0, 0),
+        ];
+        for (peer, ts) in [(1, 2), (2, 4)] {
+            events.push(msg(
+                ev(0, LEVEL_NONE, "recv", Track::Comm, ts, 36 - ts),
+                peer,
+                0,
+            ));
+        }
+        let trace = mk_trace(events);
+        assert_eq!(trace.messages().len(), 2);
+        let path = critical_path(&trace);
+        let segs = &path.cycles[0].segments;
         assert!(
-            on_slow(&heuristic) > 0.010,
-            "heuristic matches the late send: {:#?}",
-            heuristic.op_totals
-        );
-        let edges = [MessageEdge {
-            src: 1,
-            dst: 0,
-            msg_seq: 0,
-            tag: 0,
-            send_ts_ns: 16_000_000,
-            arrive_ts_ns: None,
-            recv_end_ns: 32_000_000,
-        }];
-        let exact = critical_path_with_edges(&trace, &edges);
-        assert!(
-            on_slow(&exact) < 0.001,
-            "exact edge must bypass slowwork: {:#?}",
-            exact.op_totals
+            segs.iter()
+                .any(|g| g.rank == 1 && g.op == "smooth" && g.seconds() > 0.029),
+            "{segs:#?}"
         );
         assert!(
-            exact
-                .op_totals
-                .iter()
-                .any(|(op, s)| op == "prep" && *s > 0.004),
-            "path must land in rank 1's prep: {:#?}",
-            exact.op_totals
+            !segs.iter().any(|g| g.rank == 2 && g.op == "smooth"),
+            "{segs:#?}"
         );
-        // No edges = the heuristic path, exactly.
-        assert_eq!(heuristic, critical_path_with_edges(&trace, &[]));
+    }
+
+    /// A trace written before `seq` was recorded joins nothing: every
+    /// wait is charged to the waiting rank.
+    #[test]
+    fn a_trace_without_seq_charges_waits_to_the_waiting_rank() {
+        let mut trace = dependency_trace();
+        for e in &mut trace.events {
+            e.seq = None;
+        }
+        let path = critical_path(&trace);
+        assert!(path.cycles[0]
+            .segments
+            .iter()
+            .all(|g| g.rank == 0 || g.op != "smooth"));
+        assert!(path.cycles[0]
+            .segments
+            .iter()
+            .any(|g| g.rank == 0 && g.op == "exchange" && g.seconds() > 0.02));
     }
 
     #[test]

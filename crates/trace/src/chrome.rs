@@ -4,7 +4,9 @@
 //! `chrome://tracing`): each rank appears as a Perfetto *process*
 //! (`pid = rank`) with two named *thread* tracks — `compute` (tid 0) and
 //! `comm` (tid 1) — so solver kernels and exchange-runtime send/recv
-//! intervals render as parallel lanes per rank.
+//! intervals render as parallel lanes per rank. Every message whose send
+//! and `recv` the trace holds ([`Trace::messages`]) is drawn as a flow
+//! arrow from the one to the other.
 //!
 //! Spans are emitted as `ph:"X"` complete events with `ts`/`dur` in
 //! microseconds (the format's unit), carried as f64. Nanosecond values
@@ -50,35 +52,19 @@ fn counter_set(c: &mut Counters, field: &str, v: u64) {
     }
 }
 
-/// A cross-rank message arrow for Perfetto's flow-event rendering.
-///
-/// Emitted as a `ph:"s"` (flow start) / `ph:"f"` (flow finish, binding
-/// point `bp:"e"` = enclosing slice) pair sharing one `id`. Perfetto
-/// draws an arrow from the comm-track slice enclosing `src_ts_ns` on
-/// rank `src_rank` to the slice enclosing `dst_ts_ns` on `dst_rank` —
-/// so a send's completion visibly feeds the recv it unblocked.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlowArrow {
-    pub src_rank: usize,
-    /// Timestamp (ns) inside the source slice, typically the send end.
-    pub src_ts_ns: u64,
-    pub dst_rank: usize,
-    /// Timestamp (ns) inside the destination slice, typically the recv end.
-    pub dst_ts_ns: u64,
-    /// Flow id shared by the `s`/`f` pair; unique per arrow (e.g. the
-    /// message sequence number).
-    pub id: u64,
-}
-
-fn flow_event(ph: &str, rank: usize, ts_ns: u64, id: u64) -> Json {
+/// One end of a message arrow: `ph:"s"` (flow start) at the start of the
+/// send slice, `ph:"f"` (flow finish, binding point `bp:"e"` = the
+/// enclosing slice) at the end of the `recv` slice it completed. The pair
+/// shares `id`, which no other arrow in the document uses.
+fn flow_event(ph: &str, e: &TraceEvent, ts_ns: u64, id: usize) -> Json {
     let mut fields = vec![
         ("name".into(), Json::Str("msg".into())),
         ("cat".into(), Json::Str("msg".into())),
         ("ph".into(), Json::Str(ph.into())),
         ("id".into(), Json::Num(id as f64)),
         ("ts".into(), Json::Num(ts_ns as f64 / 1000.0)),
-        ("pid".into(), Json::Num(rank as f64)),
-        ("tid".into(), Json::Num(Track::Comm.tid() as f64)),
+        ("pid".into(), Json::Num(e.rank as f64)),
+        ("tid".into(), Json::Num(e.track.tid() as f64)),
     ];
     if ph == "f" {
         // Bind to the *enclosing* slice rather than the next one.
@@ -117,6 +103,9 @@ fn span_event(e: &TraceEvent) -> Json {
     if let Some(tag) = e.tag {
         args.push(("tag".into(), Json::Num(tag as f64)));
     }
+    if let Some(seq) = e.seq {
+        args.push(("seq".into(), Json::Num(seq as f64)));
+    }
     Json::Obj(vec![
         ("name".into(), Json::Str(e.op.name().into())),
         ("ph".into(), Json::Str("X".into())),
@@ -129,14 +118,10 @@ fn span_event(e: &TraceEvent) -> Json {
 }
 
 impl Trace {
-    /// Build the Chrome trace-event document as a JSON value.
+    /// Build the Chrome trace-event document as a JSON value: the spans,
+    /// and one flow arrow from send to `recv` per joined message
+    /// ([`Trace::messages`]).
     pub fn to_chrome_json(&self) -> Json {
-        self.to_chrome_json_with_flows(&[])
-    }
-
-    /// [`Trace::to_chrome_json`] plus cross-rank [`FlowArrow`]s. With an
-    /// empty slice the output is identical to the plain exporter.
-    pub fn to_chrome_json_with_flows(&self, flows: &[FlowArrow]) -> Json {
         let mut events = Vec::new();
         for rank in self.ranks() {
             events.push(metadata_event(
@@ -169,9 +154,10 @@ impl Trace {
             }
         }
         events.extend(self.events.iter().map(span_event));
-        for f in flows {
-            events.push(flow_event("s", f.src_rank, f.src_ts_ns, f.id));
-            events.push(flow_event("f", f.dst_rank, f.dst_ts_ns, f.id));
+        for (id, (send, recv)) in self.messages().into_iter().enumerate() {
+            let (send, recv) = (&self.events[send], &self.events[recv]);
+            events.push(flow_event("s", send, send.ts_ns, id));
+            events.push(flow_event("f", recv, recv.ts_ns + recv.dur_ns, id));
         }
         Json::Obj(vec![
             ("displayTimeUnit".into(), Json::Str("ms".into())),
@@ -182,11 +168,6 @@ impl Trace {
     /// Serialize to a Perfetto-loadable JSON string.
     pub fn to_chrome_string(&self) -> String {
         self.to_chrome_json().to_string()
-    }
-
-    /// Serialize with flow arrows; see [`Trace::to_chrome_json_with_flows`].
-    pub fn to_chrome_string_with_flows(&self, flows: &[FlowArrow]) -> String {
-        self.to_chrome_json_with_flows(flows).to_string()
     }
 
     /// Parse a document produced by [`Trace::to_chrome_string`] back into
@@ -244,6 +225,7 @@ impl Trace {
                 counters,
                 peer: field("peer").map(|p| p as usize),
                 tag: field("tag"),
+                seq: field("seq"),
             });
         }
         events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
@@ -275,6 +257,7 @@ mod tests {
                     },
                     peer: None,
                     tag: None,
+                    seq: None,
                 });
                 record(TraceEvent {
                     rank,
@@ -290,6 +273,7 @@ mod tests {
                     },
                     peer: Some(1 - rank),
                     tag: Some(77),
+                    seq: Some(rank as u64),
                 });
             }
         });
@@ -323,6 +307,7 @@ mod tests {
                     counters: Counters::default(),
                     peer: None,
                     tag: None,
+                    seq: None,
                 });
             }
         });
@@ -404,6 +389,7 @@ mod tests {
                 counters: Counters::default(),
                 peer: Some(0),
                 tag: Some(33),
+                seq: None,
             });
         });
         let text = trace.to_chrome_string();
@@ -425,46 +411,76 @@ mod tests {
         assert!(!sample_trace().to_chrome_string().contains("\"fault\""));
     }
 
+    /// Two ranks trade two messages each under one tag; both number
+    /// their sends from 0. Each receive must get its own arrow, from the
+    /// send slice of the same `(src, seq)` to its own slice.
     #[test]
-    fn flow_arrows_export_and_parse_back_cleanly() {
-        let trace = sample_trace();
-        // Arrow from rank 0's send end to rank 1's send end (any comm
-        // slices work for the schema check).
-        let flows = [FlowArrow {
-            src_rank: 0,
-            src_ts_ns: 2_333,
-            dst_rank: 1,
-            dst_ts_ns: 12_333,
-            id: 42,
-        }];
-        let text = trace.to_chrome_string_with_flows(&flows);
+    fn arrows_have_unique_ids_and_join_send_and_recv_of_one_message() {
+        let comm = |rank, op: &str, ts_ns, peer, seq| TraceEvent {
+            rank,
+            level: LEVEL_NONE,
+            op: intern(op),
+            track: Track::Comm,
+            ts_ns,
+            dur_ns: 100,
+            counters: Counters::default(),
+            peer: Some(peer),
+            tag: Some(5),
+            seq: Some(seq),
+        };
+        let mut events = Vec::new();
+        for rank in 0..2 {
+            for seq in 0..2 {
+                let t = 1_000 * (1 + seq) + 10 * rank as u64;
+                events.push(comm(rank, "send", t, 1 - rank, seq));
+                events.push(comm(1 - rank, "recv", t + 400, rank, seq));
+            }
+        }
+        events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
+        let trace = Trace { events };
+        assert_eq!(trace.messages().len(), 4);
+        let text = trace.to_chrome_string();
         let doc = Json::parse(&text).unwrap();
-        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let start = events
-            .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("s"))
-            .expect("flow start");
-        let finish = events
-            .iter()
-            .find(|e| e.get("ph").and_then(Json::as_str) == Some("f"))
-            .expect("flow finish");
-        assert_eq!(start.get("pid").and_then(Json::as_u64), Some(0));
-        assert_eq!(finish.get("pid").and_then(Json::as_u64), Some(1));
-        // Both ends share the flow id; the finish binds to the enclosing
-        // slice so the arrow lands on the recv that was unblocked.
-        assert_eq!(start.get("id").and_then(Json::as_u64), Some(42));
-        assert_eq!(finish.get("id").and_then(Json::as_u64), Some(42));
-        assert_eq!(finish.get("bp").and_then(Json::as_str), Some("e"));
-        assert!(start.get("bp").is_none());
-        // The parser skips flow events: same trace back, and the spans
-        // are untouched by the extra arrows.
-        let back = Trace::from_chrome_str(&text).expect("parse with flows");
-        assert_eq!(back.events, trace.events);
-        // No flows = the plain exporter, byte for byte.
-        assert_eq!(
-            trace.to_chrome_string_with_flows(&[]),
-            trace.to_chrome_string()
-        );
+        let all = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let num = |e: &Json, k: &str| e.get(k).and_then(Json::as_f64).unwrap();
+        let arg = |e: &Json, k: &str| e.get("args").and_then(|a| a.get(k)).and_then(Json::as_u64);
+        // The span of `name` on `pid` whose interval holds `ts`.
+        let slice = |name: &str, pid: f64, ts: f64| -> Vec<&Json> {
+            all.iter()
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+                .filter(|e| num(e, "pid") == pid)
+                .filter(|e| num(e, "ts") <= ts && ts <= num(e, "ts") + num(e, "dur"))
+                .collect()
+        };
+        let phase = |ph: &str| -> Vec<&Json> {
+            all.iter()
+                .filter(|e| e.get("ph").and_then(Json::as_str) == Some(ph))
+                .collect()
+        };
+        let (starts, finishes) = (phase("s"), phase("f"));
+        assert_eq!((starts.len(), finishes.len()), (4, 4));
+        let mut ids: Vec<u64> = starts.iter().map(|e| num(e, "id") as u64).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4, "arrow ids repeat: {text}");
+        for s in &starts {
+            let f = finishes
+                .iter()
+                .find(|f| num(f, "id") == num(s, "id"))
+                .unwrap();
+            assert_eq!(f.get("bp").and_then(Json::as_str), Some("e"));
+            let [send] = slice("send", num(s, "pid"), num(s, "ts"))[..] else {
+                panic!("arrow start in no single send slice: {text}")
+            };
+            let [recv] = slice("recv", num(f, "pid"), num(f, "ts"))[..] else {
+                panic!("arrow finish in no single recv slice: {text}")
+            };
+            assert_eq!(arg(recv, "peer"), Some(num(s, "pid") as u64));
+            assert_eq!(arg(send, "peer"), Some(num(f, "pid") as u64));
+            assert_eq!(arg(recv, "seq"), arg(send, "seq"));
+        }
+        // The parser skips the arrows: the same spans, `seq` included.
+        assert_eq!(Trace::from_chrome_str(&text).unwrap(), trace);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The observability environment, parsed in one place.
 //!
-//! Six `GMG_*` variables steer the sinks. [`ObsConfig::from_env`] is
+//! Four `GMG_*` variables steer the sinks. [`ObsConfig::from_env`] is
 //! the only code that reads them; it is called where a context is
 //! installed or an artifact is written (a rank world starting, a harness
 //! wrapping its run, a dump being placed), never on a hot path, and not
@@ -18,13 +18,9 @@ pub struct ObsConfig {
     /// `GMG_FLIGHT`: the flight recorder is on unless this is `0`, `off`
     /// or `false`.
     pub flight: bool,
-    /// `GMG_FLIGHT_CAPACITY`: events per rank ring (default 65536).
-    pub flight_capacity: usize,
     /// `GMG_FLIGHT_DIR`: where crash dumps land (falls back to
     /// [`ObsConfig::results_dir`], then `results/`).
     pub flight_dir: Option<PathBuf>,
-    /// `GMG_FLIGHT_MAX_DUMPS`: dumps one process may write (default 32).
-    pub flight_max_dumps: u64,
     /// `GMG_RESULTS_DIR`: where harness artifacts land (default
     /// `results/`).
     pub results_dir: Option<PathBuf>,
@@ -46,23 +42,13 @@ impl ObsConfig {
                 .filter(|s| !s.is_empty())
         };
         let path = |name: &str| get(name).filter(|v| !v.is_empty()).map(PathBuf::from);
-        let positive = |name: &str, default: u64| {
-            text(name)
-                .and_then(|s| s.parse::<u64>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(default)
-        };
         ObsConfig {
             trace: path("GMG_TRACE"),
             flight: !matches!(
                 text("GMG_FLIGHT").as_deref(),
                 Some("0") | Some("off") | Some("false")
             ),
-            flight_capacity: positive("GMG_FLIGHT_CAPACITY", 1 << 16) as usize,
             flight_dir: path("GMG_FLIGHT_DIR"),
-            flight_max_dumps: text("GMG_FLIGHT_MAX_DUMPS")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(32),
             results_dir: path("GMG_RESULTS_DIR"),
         }
     }
@@ -94,8 +80,6 @@ mod tests {
         let c = parse(&[]);
         assert_eq!(c.trace, None);
         assert!(c.flight);
-        assert_eq!(c.flight_capacity, 65536);
-        assert_eq!(c.flight_max_dumps, 32);
         assert_eq!(c.results_dir, None);
         assert_eq!(c.dump_dir(), PathBuf::from("results"));
     }
@@ -105,9 +89,7 @@ mod tests {
         let empty: Vec<(&str, &str)> = [
             "GMG_TRACE",
             "GMG_FLIGHT",
-            "GMG_FLIGHT_CAPACITY",
             "GMG_FLIGHT_DIR",
-            "GMG_FLIGHT_MAX_DUMPS",
             "GMG_RESULTS_DIR",
         ]
         .iter()
@@ -117,15 +99,9 @@ mod tests {
     }
 
     #[test]
-    fn garbage_numbers_and_switches_mean_defaults() {
-        let c = parse(&[
-            ("GMG_FLIGHT", "maybe"),
-            ("GMG_FLIGHT_CAPACITY", "-4"),
-            ("GMG_FLIGHT_MAX_DUMPS", "1e3"),
-        ]);
-        assert_eq!(c, parse(&[]));
-        for capacity in ["0", "banana", "-5"] {
-            assert_eq!(parse(&[("GMG_FLIGHT_CAPACITY", capacity)]), parse(&[]));
+    fn a_garbage_switch_means_the_default() {
+        for on in ["maybe", "1", "on"] {
+            assert_eq!(parse(&[("GMG_FLIGHT", on)]), parse(&[]));
         }
     }
 
@@ -134,15 +110,11 @@ mod tests {
         let c = parse(&[
             ("GMG_TRACE", "/tmp/t.json"),
             ("GMG_FLIGHT", "off"),
-            ("GMG_FLIGHT_CAPACITY", " 1024 "),
             ("GMG_FLIGHT_DIR", "/tmp/dumps"),
-            ("GMG_FLIGHT_MAX_DUMPS", "0"),
             ("GMG_RESULTS_DIR", "/tmp/results"),
         ]);
         assert_eq!(c.trace, Some(PathBuf::from("/tmp/t.json")));
         assert!(!c.flight);
-        assert_eq!(c.flight_capacity, 1024);
-        assert_eq!(c.flight_max_dumps, 0);
         assert_eq!(c.dump_dir(), PathBuf::from("/tmp/dumps"));
         for off in ["0", "false"] {
             assert!(!parse(&[("GMG_FLIGHT", off)]).flight);

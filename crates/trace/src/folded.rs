@@ -153,6 +153,7 @@ mod tests {
             counters: Default::default(),
             peer: None,
             tag: None,
+            seq: None,
         }
     }
 

@@ -11,7 +11,7 @@
 //!   per-thread context, and the two sinks (span log, flight ring)
 //!   behind it. This is the leaf crate every instrumented crate can
 //!   depend on, and it owns the epoch clock.
-//! * [`config`] — the six observability environment variables, parsed
+//! * [`config`] — the four observability environment variables, parsed
 //!   in one place into a typed [`ObsConfig`].
 //! * [`sink`] — the span log: **spans** (begin/end with `{rank, level,
 //!   op}` attribution, monotonic timestamps from one process-wide epoch)
@@ -20,7 +20,10 @@
 //! * [`chrome`] — a Chrome trace-event / Perfetto JSON exporter (and
 //!   parser, for round-trip testing). One Perfetto process per rank, with
 //!   a dedicated `comm` thread track, so `RankWorld` send/recv intervals
-//!   render as a real timeline at <https://ui.perfetto.dev>.
+//!   render as a real timeline at <https://ui.perfetto.dev>, with an
+//!   arrow from each send to the `recv` it completed (the one
+//!   send ↔ receive join, [`Trace::messages`], by the sender's wire
+//!   sequence number).
 //! * [`folded`] — flamegraph folded stacks: a trace's span tree folded
 //!   into `rank;op@L<level>;… self-ns` lines, and the text codec.
 //! * [`summary`] — [`TraceSummary`], which recomputes Table II's per-op
@@ -60,7 +63,6 @@ pub mod probe;
 pub mod sink;
 pub mod summary;
 
-pub use chrome::FlowArrow;
 pub use config::ObsConfig;
 pub use json::Json;
 pub use sink::{

@@ -13,7 +13,7 @@
 
 use crate::probe::{self, Class, ContextGuard, Guard, Kind, Record, Sink};
 use std::any::Any;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -184,6 +184,10 @@ pub struct TraceEvent {
     pub peer: Option<usize>,
     /// Message tag for point-to-point comm spans.
     pub tag: Option<u64>,
+    /// The sender's wire sequence number of the message a `send`, a
+    /// `recv` wait or an ARQ instant is about: with the sender's rank it
+    /// names one message ([`Trace::messages`]).
+    pub seq: Option<u64>,
 }
 
 // ---------------------------------------------------------------------------
@@ -263,6 +267,7 @@ impl Sink for LocalLog {
             // range that survives the JSON f64 round trip — so those
             // spans are attributed by peer only.
             tag: rec.tag.filter(|t| *t < 1 << 53),
+            seq: rec.seq,
         });
     }
 
@@ -387,6 +392,38 @@ impl Trace {
             .all(|w| w[0].ts_ns + w[0].dur_ns <= w[1].ts_ns)
     }
 
+    /// Every message whose two ends the trace holds, as `(send, recv)`
+    /// indices into [`Trace::events`]: each `recv` wait joined to the
+    /// `send` its peer posted to it under the same `seq`. A rank restarted
+    /// by a rejoin numbers from 0 again, so of several such sends the
+    /// join takes the latest posted no later than the receive ends. (A
+    /// send span can end after its receive did: the sender is still
+    /// returning from the transmit when the receiver already has the
+    /// message.) Traces without `seq` (written before it was recorded)
+    /// join nothing.
+    pub fn messages(&self) -> Vec<(usize, usize)> {
+        let end = |i: usize| self.events[i].ts_ns + self.events[i].dur_ns;
+        let mut sends: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
+        for (i, e) in self.events.iter().enumerate() {
+            if let (Some(seq), "send") = (e.seq, e.op.name()) {
+                sends.entry((e.rank, seq)).or_default().push(i);
+            }
+        }
+        let join = |(r, e): (usize, &TraceEvent)| {
+            let (Some(peer), Some(seq), "recv") = (e.peer, e.seq, e.op.name()) else {
+                return None;
+            };
+            let s = sends
+                .get(&(peer, seq))?
+                .iter()
+                .copied()
+                .filter(|&s| self.events[s].peer == Some(e.rank) && self.events[s].ts_ns <= end(r))
+                .max_by_key(|&s| self.events[s].ts_ns)?;
+            Some((s, r))
+        };
+        self.events.iter().enumerate().filter_map(join).collect()
+    }
+
     /// Sum of all counters across events matching `filter`.
     pub fn counters_where(&self, filter: impl Fn(&TraceEvent) -> bool) -> Counters {
         let mut total = Counters::default();
@@ -445,6 +482,7 @@ mod tests {
             counters: Counters::default(),
             peer: None,
             tag: None,
+            seq: None,
         }
     }
 
@@ -631,12 +669,44 @@ mod tests {
             counters: Counters::default(),
             peer: None,
             tag: None,
+            seq: None,
         };
         let trace = Trace {
             events: vec![mk(100, 50), mk(200, 300)],
         };
         assert_eq!(trace.time_bounds(), Some((100, 500)));
         assert!((trace.wall_seconds() - 400e-9).abs() < 1e-15);
+    }
+
+    /// Rank 1 sends seq 0 to rank 0, restarts, and numbers from 0 again;
+    /// each receive joins the latest send of its seq posted before it
+    /// ends, and a send to another rank joins nothing.
+    #[test]
+    fn messages_join_by_sender_and_seq_across_a_restart() {
+        let mk = |rank, op, ts_ns, peer, seq| TraceEvent {
+            rank,
+            level: LEVEL_NONE,
+            op: intern(op),
+            track: Track::Comm,
+            ts_ns,
+            dur_ns: 5,
+            counters: Counters::default(),
+            peer: Some(peer),
+            tag: None,
+            seq: Some(seq),
+        };
+        let trace = Trace {
+            events: vec![
+                mk(1, "send", 10, 0, 0),
+                mk(1, "send", 12, 2, 1),
+                mk(0, "recv", 20, 1, 0),
+                mk(2, "recv", 25, 1, 0),
+                mk(1, "send", 50, 0, 0),
+                mk(0, "recv", 60, 1, 0),
+                mk(0, "recv", 70, 1, 9),
+            ],
+        };
+        assert_eq!(trace.messages(), vec![(0, 2), (4, 5)]);
     }
 
     #[test]
@@ -651,6 +721,7 @@ mod tests {
             counters: Counters::default(),
             peer: None,
             tag: None,
+            seq: None,
         };
         let trace = Trace {
             events: vec![mk(0, 100), mk(3, 50), mk(4, 10), mk(7, 0), mk(3, 200)],

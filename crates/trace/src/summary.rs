@@ -246,6 +246,7 @@ mod tests {
                     counters,
                     peer: None,
                     tag: None,
+                    seq: None,
                 };
                 record(mk(
                     "smooth",
@@ -285,6 +286,7 @@ mod tests {
                     },
                     peer: Some(1 - rank),
                     tag: Some(9),
+                    seq: None,
                 });
             }
         });
