@@ -79,7 +79,7 @@ use std::time::Instant;
 pub const MULTISMOOTH_FLOOR: f64 = 1.15;
 /// Hard floor for the same comparison at `--grid`: the one-pass smoother
 /// must not lose to the sweep pair in the streaming regime real finest
-/// levels live in (ROADMAP item 2's success test).
+/// levels live in (ROADMAP item 14's streaming question).
 pub const MULTISMOOTH_STREAM_FLOOR: f64 = 1.0;
 /// Doubles the one-pass smoother moves per point on every iteration: read
 /// `x`, `b`, write `x`. The last iteration of a group writes `r` as well.

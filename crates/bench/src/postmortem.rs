@@ -3,8 +3,8 @@
 //! The flight recorder (`gmg-flight`) rings are dumped automatically when
 //! a world dies ([`gmg_comm::WorldFailure`]) or the solver's health
 //! monitor trips. This module is the other half of that story: load the
-//! dump, join the per-rank rings into one distributed timeline, and
-//! answer the three questions an on-call engineer asks first:
+//! dump, rebuild the per-rank rings into one distributed `Trace`, and
+//! answer from it the three questions an on-call engineer asks first:
 //!
 //! 1. **Who?** — the culprit rank: a rank that recorded an injected
 //!    `fault:kill`, else the peer that cost everyone else the most
@@ -16,7 +16,8 @@
 //!    receive to the send of the same wire sequence number.
 //!
 //! It also names stragglers and retransmit storms
-//! (`stragglers_and_storms`), which need no more than the rings.
+//! (`stragglers_and_storms`) from the same trace. Only ring health
+//! (events lost per rank) is read from the dump itself.
 //!
 //! Outputs land next to the dump: `postmortem.md` (human report) and
 //! `postmortem_trace.json` (Perfetto timeline with cross-rank flow
@@ -27,11 +28,12 @@
 //! `-- --dump DIR` to analyze an existing dump.
 
 use gmg_comm::fault::{FaultConfig, FaultPlan};
-use gmg_flight::{
-    analyze, load_dump, rebuild_trace, DumpBundle, EventKind, RankLog, WaitAnalysis, WaitClass,
+use gmg_flight::{load_dump, rebuild_trace, DumpBundle};
+use gmg_metrics::analysis::{
+    classify_waits, critical_path, is_wait, killed_ranks, mad_outliers, CriticalPath, WaitAnalysis,
+    WaitClass,
 };
-use gmg_metrics::analysis::{critical_path, mad_outliers, CriticalPath};
-use gmg_trace::{json, Json};
+use gmg_trace::{json, Json, Trace, TraceEvent, Track, LEVEL_NONE};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Duration;
@@ -46,39 +48,48 @@ const STRAGGLER_FLOOR_NS: f64 = 2e6;
 /// magnitude above that rate).
 const ARQ_STORM_RETRANSMITS: usize = 200;
 
-/// The last operation a rank's ring recorded.
-fn last_op(logs: &[RankLog], rank: usize) -> String {
-    logs.iter()
-        .find(|l| l.rank == rank)
-        .and_then(|l| l.events.last())
-        .map(|e| format!("{} ({})", e.op, e.kind.name()))
+/// The last operation a rank recorded — the span or instant that ends
+/// last (of two ending together, the enclosing one: a ring records a
+/// span when it ends) — named with the ring kind it was recorded as.
+fn last_op(trace: &Trace, rank: usize) -> String {
+    let kind = |e: &TraceEvent| match (e.track, e.op.name()) {
+        (Track::Compute, _) => "compute",
+        (Track::Comm, op @ ("send" | "arrive")) => op,
+        (Track::Comm, _) => "recv-wait",
+        (Track::Fault, op) if op.starts_with("arq:") || op.starts_with("frame:") => "arq",
+        (Track::Fault, _) => "control",
+    };
+    trace
+        .events
+        .iter()
+        .filter(|e| e.rank == rank)
+        .max_by_key(|e| (e.ts_ns + e.dur_ns, e.dur_ns))
+        .map(|e| format!("{} ({})", e.op.name(), kind(e)))
         .unwrap_or_else(|| "(empty ring)".to_string())
 }
 
-/// The culprit rank and what it was last seen doing.
-fn culprit(logs: &[RankLog], waits: &WaitAnalysis) -> (usize, String) {
-    let last_op = |rank: usize| last_op(logs, rank);
+/// The culprit rank: the first rank `killed`, else the peer everyone
+/// else spent the most late-sender time on, else whichever of the
+/// `nranks` stopped recording first.
+fn culprit(trace: &Trace, nranks: usize, killed: &[usize], waits: &WaitAnalysis) -> usize {
     // An injected kill is definitive.
-    if let Some(&r) = WaitAnalysis::killed_ranks(logs).first() {
-        return (r, last_op(r));
+    if let Some(&r) = killed.first() {
+        return r;
     }
-    // Else: the peer everyone else spent the most late-sender time on.
-    let mut blame: std::collections::BTreeMap<usize, u64> = Default::default();
+    let mut blame: BTreeMap<usize, u64> = BTreeMap::new();
     for s in &waits.samples {
-        if s.class == WaitClass::LateSender {
-            *blame.entry(s.peer).or_default() += s.dur_ns;
+        if let (WaitClass::LateSender, Some(peer)) = (s.class, s.peer) {
+            *blame.entry(peer).or_default() += s.dur_ns;
         }
     }
     if let Some((&r, _)) = blame.iter().max_by_key(|&(_, &ns)| ns) {
-        return (r, last_op(r));
+        return r;
     }
-    // Else: whoever stopped recording first went silent first.
-    let r = logs
-        .iter()
-        .min_by_key(|l| l.events.last().map(|e| e.end_ns()).unwrap_or(0))
-        .map(|l| l.rank)
-        .unwrap_or(0);
-    (r, last_op(r))
+    let mut last_end = vec![0; nranks];
+    for e in trace.events.iter().filter(|e| e.rank < nranks) {
+        last_end[e.rank] = last_end[e.rank].max(e.ts_ns + e.dur_ns);
+    }
+    (0..nranks).min_by_key(|&r| last_end[r]).unwrap_or(0)
 }
 
 /// A rank a post-hoc check singles out of a dump.
@@ -93,49 +104,43 @@ pub(crate) struct Flag {
     detail: String,
 }
 
-/// Stragglers and retransmit storms in a dump's rings.
+/// Stragglers and retransmit storms in a dump's trace.
 ///
 /// * **Straggler:** a rank whose compute time on a level — its compute
-///   spans less the receive waits inside them — sits above the robust MAD
+///   spans less the receive waits ([`is_wait`]) inside them, which
+///   inherit the level of the op they wait in — sits above the robust MAD
 ///   envelope of its peers ([`mad_outliers`], fed nanoseconds, the unit
 ///   its σ floor of 1 is sized for). Needs [`STRAGGLER_MIN_RANKS`] ranks;
 ///   levels where every rank is under [`STRAGGLER_FLOOR_NS`] are skipped.
 /// * **ARQ storm:** a rank that recorded more than
 ///   [`ARQ_STORM_RETRANSMITS`] `arq:retransmit` events.
-pub(crate) fn stragglers_and_storms(logs: &[RankLog]) -> Vec<Flag> {
+pub(crate) fn stragglers_and_storms(trace: &Trace) -> Vec<Flag> {
     let mut busy: BTreeMap<usize, BTreeMap<usize, f64>> = BTreeMap::new();
-    let mut flags = Vec::new();
-    for log in logs {
-        let mut retransmits = 0;
-        for ev in &log.events {
-            let sign = match ev.kind {
-                EventKind::Compute => 1.0,
-                EventKind::RecvWait => -1.0,
-                EventKind::Arq if ev.op == "arq:retransmit" => {
-                    retransmits += 1;
-                    continue;
-                }
-                _ => continue,
-            };
-            if ev.level != gmg_flight::NO_LEVEL {
-                *busy
-                    .entry(ev.level as usize)
-                    .or_default()
-                    .entry(log.rank)
-                    .or_default() += sign * ev.dur_ns as f64;
+    let mut retransmits: BTreeMap<usize, usize> = BTreeMap::new();
+    for e in &trace.events {
+        let sign = match e.track {
+            Track::Compute => 1.0,
+            _ if is_wait(e) => -1.0,
+            Track::Fault if e.op.name() == "arq:retransmit" => {
+                *retransmits.entry(e.rank).or_default() += 1;
+                continue;
             }
-        }
-        if retransmits > ARQ_STORM_RETRANSMITS {
-            flags.push(Flag {
-                kind: "arq_storm",
-                rank: log.rank,
-                level: None,
-                detail: format!(
-                    "{retransmits} ARQ retransmits (threshold {ARQ_STORM_RETRANSMITS})"
-                ),
-            });
+            _ => continue,
+        };
+        if e.level != LEVEL_NONE {
+            *busy.entry(e.level).or_default().entry(e.rank).or_default() += sign * e.dur_ns as f64;
         }
     }
+    let mut flags: Vec<Flag> = retransmits
+        .into_iter()
+        .filter(|&(_, n)| n > ARQ_STORM_RETRANSMITS)
+        .map(|(rank, n)| Flag {
+            kind: "arq_storm",
+            rank,
+            level: None,
+            detail: format!("{n} ARQ retransmits (threshold {ARQ_STORM_RETRANSMITS})"),
+        })
+        .collect();
     for (level, per_rank) in busy {
         let (ranks, ns): (Vec<usize>, Vec<f64>) = per_rank.into_iter().unzip();
         if ranks.len() < STRAGGLER_MIN_RANKS || ns.iter().all(|&t| t < STRAGGLER_FLOOR_NS) {
@@ -164,10 +169,8 @@ pub(crate) fn stragglers_and_storms(logs: &[RankLog]) -> Vec<Flag> {
 fn render_report(
     dir: &Path,
     bundle: &DumpBundle,
+    culprit: &str,
     waits: &WaitAnalysis,
-    culprit_rank: usize,
-    culprit_op: &str,
-    cause: Option<&str>,
     path: &CriticalPath,
 ) -> String {
     let mut md = String::new();
@@ -180,17 +183,7 @@ fn render_report(
         dir.display(),
         bundle.nranks
     ));
-    let killed = WaitAnalysis::killed_ranks(&bundle.logs);
-    md.push_str(&format!(
-        "**Culprit: rank {culprit_rank}**, last seen in `{culprit_op}`"
-    ));
-    if killed.contains(&culprit_rank) {
-        md.push_str(" — recorded an injected kill");
-    }
-    if let Some(cause) = cause {
-        md.push_str(&format!(" — {cause}"));
-    }
-    md.push_str(".\n\n");
+    md.push_str(&format!("{culprit}.\n\n"));
     for log in &bundle.logs {
         if log.lost > 0 {
             md.push_str(&format!(
@@ -214,7 +207,7 @@ fn render_report(
     md.push_str(&format!(
         "\npath coverage: {:.1}% · message edges: {} · timeline: `postmortem_trace.json`\n",
         100.0 * path.coverage,
-        waits.edges.len(),
+        waits.joined,
     ));
     md
 }
@@ -249,33 +242,30 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
         Ok(b) => b,
         Err(e) => return json!({ "ok": false, "error": format!("load {}: {e}", dir.display()) }),
     };
-    let waits = analyze(&bundle.logs);
-    let (culprit_rank, culprit_op, cause) = match known {
-        Some((r, cause)) => (r, last_op(&bundle.logs, r), Some(cause)),
-        None => {
-            let (r, op) = culprit(&bundle.logs, &waits);
-            (r, op, None)
-        }
-    };
     let trace = rebuild_trace(&bundle.logs);
+    let waits = classify_waits(&trace);
+    let killed = killed_ranks(&trace);
+    let (culprit_rank, cause) = match known {
+        Some((r, cause)) => (r, Some(cause)),
+        None => (culprit(&trace, bundle.nranks, &killed, &waits), None),
+    };
+    let culprit_op = last_op(&trace, culprit_rank);
+    let mut line = format!("**Culprit: rank {culprit_rank}**, last seen in `{culprit_op}`");
+    if killed.contains(&culprit_rank) {
+        line.push_str(" — recorded an injected kill");
+    }
+    if let Some(cause) = cause {
+        line.push_str(&format!(" — {cause}"));
+    }
     let path = critical_path(&trace);
-    let flags = stragglers_and_storms(&bundle.logs);
-    let mut md = render_report(
-        dir,
-        &bundle,
-        &waits,
-        culprit_rank,
-        &culprit_op,
-        cause,
-        &path,
-    );
+    let flags = stragglers_and_storms(&trace);
+    let mut md = render_report(dir, &bundle, &line, &waits, &path);
     md.push_str(&render_flags(&flags));
     let report_path = dir.join("postmortem.md");
     let trace_path = dir.join("postmortem_trace.json");
     let wrote = std::fs::write(&report_path, &md)
         .and_then(|_| std::fs::write(&trace_path, trace.to_chrome_string()));
     println!("{md}");
-    let killed = WaitAnalysis::killed_ranks(&bundle.logs);
     let flags: Vec<Json> = flags
         .iter()
         .map(|f| {
@@ -297,7 +287,7 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
         "killed_ranks": killed,
         "classified_fraction": waits.total.classified_fraction(),
         "total_wait_ms": waits.total.total_ns() as f64 / 1e6,
-        "message_edges": waits.edges.len(),
+        "message_edges": waits.joined,
         "path_coverage": path.coverage,
         "flags": flags,
         "report": report_path.display().to_string(),
@@ -423,7 +413,7 @@ mod tests {
     /// level 1; and it records `retransmits[rank]` ARQ retransmits.
     /// Every rank's level-0 spans add up to the same time, so only the
     /// waits inside them tell the slow rank apart.
-    fn world(ms: [u64; 4], retransmits: [usize; 4]) -> Vec<RankLog> {
+    fn world(ms: [u64; 4], retransmits: [usize; 4]) -> Trace {
         let slowest = ms.iter().max().copied().unwrap_or(0);
         let builders = (0..4)
             .map(|r| {
@@ -446,7 +436,7 @@ mod tests {
                 b
             })
             .collect();
-        gmg_flight::synth::into_logs(builders)
+        rebuild_trace(&gmg_flight::synth::into_logs(builders))
     }
 
     #[test]

@@ -14,14 +14,15 @@
 //! 3. **Strong sweep** (clock-only): a fixed global problem divided ever
 //!    finer.
 //! 4. **Flight-grade attribution** at the headline rank count
-//!    ([`RecordMode::Events`]): synthetic rank logs through the
-//!    *production* wait classifier — classified wait fraction must be
-//!    ≥ 90% — plus the planted-slowdown self-test in both polarities: a
-//!    clean run must flag nothing, an injected `LEVEL:PCT` run must flag
-//!    exactly that level. Both are exit-code-enforced.
-//! 5. **Window forensics**: the configured rank window's logs rebuilt
-//!    into a merged trace (same path as the crash postmortem), its
-//!    critical path over the messages that trace joins, per-window-rank
+//!    ([`RecordMode::Events`]): synthetic rank logs rebuilt into one
+//!    trace (the crash postmortem's path) and through the *production*
+//!    wait classifier — classified wait fraction must be ≥ 90% — plus
+//!    the planted-slowdown self-test in both polarities: a clean run must
+//!    flag nothing, an injected `LEVEL:PCT` run must flag exactly that
+//!    level. Both are exit-code-enforced.
+//! 5. **Window forensics**: the headline trace filtered to the
+//!    configured rank window and every rank it waited on, its critical
+//!    path over the messages that trace joins, per-window-rank
 //!    utilization via [`gmg_trace::Trace::rank_window`], and a Perfetto
 //!    timeline with cross-rank flow arrows.
 //! 6. **CPU-offload ablation**: per-level time decomposition all-GPU vs
@@ -36,9 +37,11 @@
 
 use gmg_machine::gpu::System;
 use gmg_machine::CpuModel;
-use gmg_metrics::analysis::{critical_path, imbalance_from_seconds, utilization};
+use gmg_metrics::analysis::{
+    classify_waits, critical_path, imbalance_from_seconds, utilization, WaitAnalysis, WaitClass,
+};
 use gmg_scale::{fit_scaling_model, simulate, RecordMode, ScaleConfig, ScaleResult, SweepPoint};
-use gmg_trace::{json, Json};
+use gmg_trace::{json, Json, Trace};
 use std::path::Path;
 
 /// Attribution threshold on per-level compute excess over the analytic
@@ -110,19 +113,24 @@ fn event_config(opts: &ScalingOpts, ranks: usize) -> ScaleConfig {
     cfg
 }
 
-/// One wait-attribution run: simulate with events, classify every wait.
+/// One wait-attribution run: simulate with events, rebuild the logs
+/// into one trace, classify every wait.
 struct Attribution {
     ranks: usize,
     result: ScaleResult,
-    waits: gmg_flight::WaitAnalysis,
+    trace: Trace,
+    waits: WaitAnalysis,
 }
 
 fn attribute(cfg: &ScaleConfig) -> Attribution {
-    let result = simulate(cfg);
-    let waits = gmg_flight::analyze(result.logs.as_deref().unwrap_or(&[]));
+    let mut result = simulate(cfg);
+    // The logs are dropped once rebuilt: the trace is all that is read.
+    let trace = gmg_flight::rebuild_trace(&result.logs.take().unwrap_or_default());
+    let waits = classify_waits(&trace);
     Attribution {
         ranks: cfg.ranks,
         result,
+        trace,
         waits,
     }
 }
@@ -292,7 +300,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         let t = &a.waits.total;
         let total_ns = t.total_ns().max(1);
         let share = |c| t.class_ns(c) as f64 / total_ns as f64;
-        use gmg_flight::WaitClass::*;
+        use WaitClass::*;
         md.push_str(&format!(
             "| {} | {:.6} | {} | {} | {} | {} | {} |\n",
             a.ranks,
@@ -376,22 +384,27 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
     // ---- 5. window forensics through the postmortem pipes --------------
     let (wlo, whi) = (opts.window.0.min(opts.ranks), opts.window.1.min(opts.ranks));
     println!("window forensics over ranks {wlo}..{whi} ...");
-    let logs = headline.result.logs.as_deref().unwrap_or(&[]);
-    // The window's critical path needs sender context: include the window
-    // ranks plus every rank that fed a message into the window.
+    // The window's critical path needs sender context: the window ranks
+    // plus every rank a window rank waited on.
     let mut keep: std::collections::BTreeSet<usize> = (wlo..whi).collect();
-    for e in &headline.waits.edges {
-        if (wlo..whi).contains(&e.dst) {
-            keep.insert(e.src);
-        }
-    }
-    let window_logs: Vec<gmg_flight::RankLog> = logs
-        .iter()
-        .filter(|l| keep.contains(&l.rank))
-        .cloned()
-        .collect();
-    let window_waits = gmg_flight::analyze(&window_logs);
-    let trace = gmg_flight::rebuild_trace(&window_logs);
+    keep.extend(
+        headline
+            .waits
+            .samples
+            .iter()
+            .filter(|s| (wlo..whi).contains(&s.rank))
+            .filter_map(|s| s.peer),
+    );
+    let trace = Trace {
+        events: headline
+            .trace
+            .events
+            .iter()
+            .filter(|e| keep.contains(&e.rank))
+            .cloned()
+            .collect(),
+    };
+    let window_joins = trace.messages().len();
     let path = critical_path(&trace);
     // Utilization over the pure window (peers carry no compute spans and
     // would read as idle).
@@ -405,7 +418,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         whi - wlo,
         keep.len() - (whi - wlo),
         trace.events.len(),
-        window_waits.edges.len(),
+        window_joins,
         pct(path.coverage),
     ));
     md.push_str("| rank | compute | comm | idle |\n|---|---|---|---|\n");
@@ -534,7 +547,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
                 "ranks": a.ranks,
                 "classified_fraction": a.waits.total.classified_fraction(),
                 "total_wait_s": a.waits.total.total_ns() as f64 / 1e9,
-                "message_edges": a.waits.edges.len(),
+                "message_edges": a.waits.joined,
             })
         })
         .collect();
@@ -573,7 +586,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
         "hi": whi,
         "ranks_in_view": keep.len(),
         "trace_events": trace.events.len(),
-        "message_edges": window_waits.edges.len(),
+        "message_edges": window_joins,
         "path_coverage": path.coverage,
         "trace": WINDOW_TRACE,
     });

@@ -1216,6 +1216,27 @@ mod tests {
         assert_eq!(bundle.reason, "process-world");
         assert!(bundle.detail.contains(&format!("rank {victim} died")));
         assert!(bundle.logs.len() >= 3);
+        // The per-process rings sit on one time base: every receive whose
+        // `(peer, seq)` names a send recorded to it is joined to that send.
+        let trace = gmg_flight::rebuild_trace(&bundle.logs);
+        let posted: std::collections::HashSet<_> = trace
+            .events
+            .iter()
+            .filter(|e| e.op.name() == "send")
+            .map(|e| (e.rank, e.seq, e.peer))
+            .collect();
+        let named = trace
+            .events
+            .iter()
+            .filter(|e| e.op.name() == "recv" && e.seq.is_some())
+            .filter(|e| posted.contains(&(e.peer.unwrap_or(usize::MAX), e.seq, Some(e.rank))))
+            .count();
+        assert!(named > 0, "the merged rings hold joined messages");
+        assert_eq!(
+            trace.messages().len(),
+            named,
+            "a receive of a recorded send is unjoined"
+        );
         let _ = std::fs::remove_dir_all(&dump);
     }
 }

@@ -1,8 +1,9 @@
 //! Black-box dumps: persist every rank's ring to disk on failure.
 //!
 //! A dump is a directory `flightdump_<unix-ns>/` containing a
-//! `manifest.json` (reason, detail, rank list) and one `rank<k>.json`
-//! per rank with its counters and the validated, seq-ordered events.
+//! `manifest.json` (reason, detail, rank list, and where the events'
+//! time base sits on the wall clock) and one `rank<k>.json` per rank
+//! with its counters and the validated, seq-ordered events.
 //! Encoding rides on [`gmg_trace::json`] — no new dependencies, and the
 //! files load back losslessly for offline postmortem analysis.
 //!
@@ -23,9 +24,9 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use gmg_trace::json::Json;
 use gmg_trace::ObsConfig;
 
+use crate::log::RankLog;
 use crate::recorder::FlightWorld;
 use crate::ring::{EventKind, FlightEvent, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
-use crate::waitstate::RankLog;
 
 /// Dumps one process may attempt.
 pub const MAX_DUMPS: u64 = 32;
@@ -35,6 +36,20 @@ static DUMPS: AtomicU64 = AtomicU64::new(0);
 
 /// Most ranks a dump may claim, whatever its manifest says.
 pub const MAX_DUMP_RANKS: usize = 1 << 20;
+
+/// Latest time base a dump may claim: nanoseconds since the Unix epoch
+/// that fit an `i64`, as a Unix `SystemTime` does (until 2262).
+const MAX_EPOCH_UNIX_NS: u64 = i64::MAX as u64;
+
+/// Where this process's trace epoch ([`gmg_trace::epoch`], the zero of
+/// every event's `ts_ns`) sits on the wall clock, in nanoseconds since
+/// the Unix epoch. Read when a dump is written, never while recording.
+fn epoch_unix_ns() -> u64 {
+    let wall = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos() as u64);
+    wall.saturating_sub(gmg_trace::now_ns())
+}
 
 // JSON cannot carry u64::MAX (or anything past 2^53) through an f64, so
 // sentinels become null and other large values decimal strings.
@@ -96,12 +111,15 @@ fn decode_event(j: &Json) -> FlightEvent {
     }
 }
 
-/// A loaded dump, ready for [`crate::waitstate::analyze`].
+/// A loaded dump, ready for [`crate::rebuild_trace`].
 #[derive(Clone, Debug)]
 pub struct DumpBundle {
     pub reason: String,
     pub detail: String,
     pub nranks: usize,
+    /// Wall-clock nanoseconds since the Unix epoch of the events'
+    /// `ts_ns` 0 (`None` in a dump written without one).
+    pub epoch_unix_ns: Option<u64>,
     pub logs: Vec<RankLog>,
 }
 
@@ -112,14 +130,17 @@ pub fn dump_world_to(
     reason: &str,
     detail: &str,
 ) -> io::Result<()> {
-    write_logs(dir, world.nranks(), &world.snapshot(), reason, detail)
+    let (logs, epoch) = (world.snapshot(), Some(epoch_unix_ns()));
+    write_logs(dir, world.nranks(), &logs, epoch, reason, detail)
 }
 
-/// Write a dump directory from already-snapshotted rank logs.
+/// Write a dump directory from already-snapshotted rank logs whose
+/// `ts_ns` count from `epoch_unix_ns`.
 fn write_logs(
     dir: &Path,
     nranks: usize,
     logs: &[RankLog],
+    epoch_unix_ns: Option<u64>,
     reason: &str,
     detail: &str,
 ) -> io::Result<()> {
@@ -130,6 +151,10 @@ fn write_logs(
         ("detail".to_string(), Json::Str(detail.to_string())),
         ("nranks".to_string(), Json::Num(nranks as f64)),
         ("ranks".to_string(), ranks),
+        (
+            "epoch_unix_ns".to_string(),
+            epoch_unix_ns.map_or(Json::Null, |ns| enc_u64(ns, u64::MAX)),
+        ),
     ]);
     fs::write(dir.join("manifest.json"), manifest.to_string())?;
     for log in logs {
@@ -186,7 +211,8 @@ pub fn dump_installed(reason: &str, detail: &str) -> Option<PathBuf> {
 /// Load a dump directory written by [`dump_world_to`]. Anything the
 /// writer could not have produced — a manifest claiming more ranks than
 /// the directory has rank files (or than [`MAX_DUMP_RANKS`]), a rank id
-/// out of range, malformed JSON — is `InvalidData`.
+/// out of range, a time base that is not a count of nanoseconds since
+/// 1970 an `i64` holds, malformed JSON — is `InvalidData`.
 pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
     let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
     let manifest = Json::parse(&fs::read_to_string(dir.join("manifest.json"))?)
@@ -234,6 +260,13 @@ pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
             .collect::<io::Result<_>>()?,
         _ => present.into_iter().filter(|&r| r < nranks).collect(),
     };
+    let epoch_unix_ns = match manifest.get("epoch_unix_ns") {
+        None | Some(Json::Null) => None,
+        j => match dec_u64(j, u64::MAX) {
+            ns if ns <= MAX_EPOCH_UNIX_NS => Some(ns),
+            _ => return Err(bad("manifest.json: bad epoch_unix_ns".to_string())),
+        },
+    };
     ranks.sort_unstable();
     ranks.dedup();
     let mut logs = Vec::with_capacity(ranks.len());
@@ -256,6 +289,7 @@ pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
         reason,
         detail,
         nranks,
+        epoch_unix_ns,
         logs,
     })
 }
@@ -263,20 +297,28 @@ pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
 /// Merge several dumps — typically one per OS process, each holding a
 /// single live rank's ring alongside empty placeholders for its peers —
 /// into one world-wide dump under `cfg`'s dump directory. For every rank
-/// the log
-/// with the most recorded events across the sources wins (a rank's own
-/// ring beats the empty placeholder a *different* process dumped for
-/// it). Unreadable sources are skipped; returns `None` when nothing
-/// merged or the dump cap is spent.
+/// the log with the most recorded events across the sources wins (a
+/// rank's own ring beats the empty placeholder a *different* process
+/// dumped for it). Each process stamps events from its own epoch, so a
+/// log is shifted onto the earliest source's time base (a source without
+/// one is taken as already on it). Unreadable sources are skipped;
+/// returns `None` when nothing merged or the dump cap is spent.
 pub fn merge_dumps(
     cfg: &ObsConfig,
     sources: &[PathBuf],
     reason: &str,
     detail: &str,
 ) -> Option<PathBuf> {
-    let bundles: Vec<DumpBundle> = sources.iter().filter_map(|p| load_dump(p).ok()).collect();
+    let mut bundles: Vec<DumpBundle> = sources.iter().filter_map(|p| load_dump(p).ok()).collect();
     if bundles.is_empty() {
         return None;
+    }
+    let base = bundles.iter().filter_map(|b| b.epoch_unix_ns).min();
+    for b in &mut bundles {
+        let shift = b.epoch_unix_ns.zip(base).map_or(0, |(e, base)| e - base);
+        for ev in b.logs.iter_mut().flat_map(|l| &mut l.events) {
+            ev.ts_ns = ev.ts_ns.saturating_add(shift);
+        }
     }
     let nranks = bundles.iter().map(|b| b.nranks).max().unwrap_or(0);
     let mut logs: Vec<RankLog> = Vec::with_capacity(nranks);
@@ -295,7 +337,7 @@ pub fn merge_dumps(
         }));
     }
     dump_under(&cfg.dump_dir(), |dir| {
-        write_logs(dir, nranks, &logs, reason, detail)
+        write_logs(dir, nranks, &logs, base, reason, detail)
     })
 }
 
@@ -382,6 +424,67 @@ mod tests {
         assert_eq!(bundle.logs[0].events[0].op, "send");
         assert_eq!(bundle.logs[1].events[0].op, "recv");
         let _ = fs::remove_dir_all(&base);
+    }
+
+    /// Two processes whose epochs sit 5 ms apart on the wall clock: the
+    /// merge shifts the later one's events onto the earlier base, and
+    /// the merged manifest names that base.
+    #[test]
+    fn merge_puts_every_source_on_the_earliest_time_base() {
+        let base = scratch_dir("timebase");
+        let (a, b) = (base.join("flightdump_a"), base.join("flightdump_b"));
+        let epoch = 1_700_000_000_000_000_000u64;
+        for (dir, rank, at) in [(&a, 0usize, epoch + 5_000_000), (&b, 1, epoch)] {
+            let mut logs: Vec<RankLog> = (0..2)
+                .map(|r| RankLog {
+                    rank: r,
+                    capacity: 64,
+                    written: 0,
+                    lost: 0,
+                    events: Vec::new(),
+                })
+                .collect();
+            logs[rank].events.push(FlightEvent {
+                ts_ns: 1_000,
+                kind: EventKind::Send,
+                op: "send",
+                ..FlightEvent::empty()
+            });
+            write_logs(dir, 2, &logs, Some(at), "membership-park", "per-process").unwrap();
+        }
+        assert_eq!(
+            load_dump(&a).unwrap().epoch_unix_ns,
+            Some(epoch + 5_000_000)
+        );
+        let cfg = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT_DIR").then(|| base.clone().into()));
+        let merged = merge_dumps(&cfg, &[a, b], "process-world", "two epochs").unwrap();
+        let bundle = load_dump(&merged).unwrap();
+        assert_eq!(bundle.epoch_unix_ns, Some(epoch));
+        assert_eq!(bundle.logs[0].events[0].ts_ns, 5_001_000);
+        assert_eq!(bundle.logs[1].events[0].ts_ns, 1_000);
+        let _ = fs::remove_dir_all(&base);
+    }
+
+    /// A time base no wall clock could have written is refused like any
+    /// other bad manifest number.
+    #[test]
+    fn an_impossible_time_base_is_invalid_data() {
+        let dir = scratch_dir("bad_epoch");
+        dump_world_to(&dir, &FlightWorld::with_capacity(1, 4), "test", "").unwrap();
+        assert!(load_dump(&dir).unwrap().epoch_unix_ns.is_some());
+        let path = dir.join("manifest.json");
+        let Json::Obj(fields) = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap() else {
+            panic!("manifest is an object");
+        };
+        for bad in [Json::Str("soon".into()), Json::Num(-1.0), Json::Num(1e300)] {
+            let mut m = fields.clone();
+            m.retain(|(k, _)| k != "epoch_unix_ns");
+            m.push(("epoch_unix_ns".to_string(), bad));
+            fs::write(&path, Json::Obj(m).to_string()).unwrap();
+            let err = load_dump(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

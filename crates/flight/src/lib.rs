@@ -19,13 +19,12 @@
 //! * [`synth`] — `Vec`-backed builders producing the same `RankLog`
 //!   schema for *simulated* worlds (the `gmg-scale` observatory), so
 //!   the analysis layer runs on modelled timelines unchanged.
-//! * [`waitstate`] + [`dump`] — offline analysis: join send/recv pairs
-//!   into causal cross-rank message edges, classify every comm wait
-//!   (late-sender / late-receiver / ARQ-stall / starvation), and persist
-//!   or reload black-box dumps for crash postmortems. A dump's
-//!   per-rank [`RankLog`] also carries its ring's health: events
-//!   `written` and `lost`. [`rebuild_trace`] turns the rings into one
-//!   `gmg_trace::Trace` for the trace analysis and the Perfetto export.
+//! * [`log`] + [`dump`] — the rings as data: persist or reload
+//!   black-box dumps for crash postmortems, each rank a [`RankLog`] that
+//!   also carries its ring's health (events `written` and `lost`), and
+//!   [`rebuild_trace`] turning the rings into one `gmg_trace::Trace`.
+//!   Every analysis — the critical path, the wait-state classifier, the
+//!   Perfetto export — reads that trace (`gmg-metrics`).
 //!
 //! The `GMG_FLIGHT` and `GMG_FLIGHT_DIR` environment knobs are parsed by
 //! [`gmg_trace::ObsConfig`] and reach this crate through
@@ -34,18 +33,16 @@
 //! [`MAX_DUMPS`] dumps.
 
 pub mod dump;
+pub mod log;
 pub mod recorder;
 pub mod ring;
 pub mod synth;
-pub mod waitstate;
 
 pub use dump::{
     dump_installed, dump_world, dump_world_to, load_dump, merge_dumps, DumpBundle, MAX_DUMPS,
     MAX_DUMP_RANKS,
 };
+pub use log::{rebuild_trace, RankLog};
 pub use recorder::{installed, record_compute, set_enabled, FlightWorld, RING_CAPACITY};
 pub use ring::{EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 pub use synth::{into_logs, SynthLog};
-pub use waitstate::{
-    analyze, rebuild_trace, MessageEdge, RankLog, WaitAnalysis, WaitClass, WaitSample, WaitStats,
-};

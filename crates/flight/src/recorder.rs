@@ -16,8 +16,8 @@ use std::sync::Arc;
 use gmg_trace::probe::{self, Class, Kind, Record, Sink};
 use gmg_trace::ObsConfig;
 
+use crate::log::RankLog;
 use crate::ring::{EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
-use crate::waitstate::RankLog;
 
 /// Events each rank's ring of a run holds.
 pub const RING_CAPACITY: usize = 1 << 16;

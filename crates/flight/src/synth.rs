@@ -7,11 +7,11 @@
 //! `(src_rank, msg_seq)`. A [`SynthLog`] is a plain `Vec`-backed
 //! builder producing exactly that: no seqlock, no fixed ring, but the
 //! same event schema and the same honest `lost` accounting when a
-//! capacity is emulated, so [`crate::waitstate::analyze`] and the
-//! postmortem pipeline run on simulated worlds unchanged.
+//! capacity is emulated, so [`crate::rebuild_trace`] and every analysis
+//! of its trace run on simulated worlds unchanged.
 
+use crate::log::RankLog;
 use crate::ring::{EventKind, FlightEvent, NO_TAG};
-use crate::waitstate::RankLog;
 
 /// Builder for one simulated rank's event log.
 #[derive(Clone, Debug)]
@@ -188,28 +188,6 @@ pub fn into_logs(builders: Vec<SynthLog>) -> Vec<RankLog> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::waitstate::{analyze, WaitClass};
-
-    /// Two synthetic ranks, one late-sender wait: the classifier must
-    /// see the synthetic logs exactly as real ring snapshots.
-    #[test]
-    fn synth_logs_feed_the_classifier() {
-        let mut r0 = SynthLog::new(0);
-        let mut r1 = SynthLog::new(1);
-        // Rank 1 starts waiting at t=100 for (rank0, seq 7); rank 0 only
-        // posts the send at t=500; delivery at 900; wait ends 1000.
-        r1.recv_wait(2, 100, 900, 0, 42, 7);
-        r0.send(2, 500, 1, 42, 7, 4096);
-        r1.arrive(2, 900, 0, 42, 7, 4096);
-        let logs = into_logs(vec![r1, r0]);
-        assert_eq!(logs[0].rank, 0);
-        let wa = analyze(&logs);
-        assert_eq!(wa.total.count, 1);
-        assert_eq!(wa.total.class_ns(WaitClass::LateSender), 900);
-        assert_eq!(wa.total.classified_fraction(), 1.0);
-        assert_eq!(wa.edges.len(), 1);
-        assert_eq!((wa.edges[0].src, wa.edges[0].dst), (0, 1));
-    }
 
     #[test]
     fn capacity_emulation_counts_lost() {

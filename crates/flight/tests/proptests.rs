@@ -99,198 +99,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Wait-state classifier on adversarial synthetic worlds: this is the
-// seam the `gmg-scale` schedule simulator feeds, so the classifier must
-// hold its invariants for *any* event ordering the builder emits — not
-// just the tidy timelines real solves produce.
-
-use gmg_flight::{analyze, into_logs, RankLog, SynthLog, WaitClass, NO_MSG_SEQ, NO_TAG};
-
-/// One synthetic message exchange, fields deliberately unconstrained so
-/// proptest explores pathological interleavings (waits starting before
-/// sends, arrivals without waits, ARQ on unrelated messages, …).
-#[derive(Clone, Debug)]
-struct MsgSpec {
-    src: usize,
-    dst: usize,
-    send_ts: u64,
-    /// Delivery offset from the send; `None` = the message never landed.
-    arrive_dt: Option<u64>,
-    wait_ts: u64,
-    wait_dur: u64,
-    arq: bool,
-    /// Record the wait as a failed match (`NO_MSG_SEQ`) instead.
-    failed: bool,
-}
-
-/// Decode one spec from 61 random bits (a plain `u64` strategy keeps
-/// the generator portable across proptest implementations).
-fn spec_from_bits(x: u64, ranks: usize) -> MsgSpec {
-    MsgSpec {
-        src: (x & 0x7) as usize % ranks,
-        dst: ((x >> 3) & 0x7) as usize % ranks,
-        send_ts: (x >> 6) & 0x3FFF,
-        arrive_dt: ((x >> 20) & 1 == 1).then_some((x >> 21) & 0xFFF),
-        wait_ts: (x >> 33) & 0x3FFF,
-        wait_dur: (x >> 47) & 0xFFF,
-        arq: (x >> 59) & 1 == 1,
-        failed: (x >> 60) & 1 == 1,
-    }
-}
-
-/// Build per-rank logs from specs; events land in spec order, which is
-/// *not* time order — the classifier may not rely on intra-log ordering.
-/// `drop_send(i)` elides message i's send event (the edge-removal knob).
-fn build_world(ranks: usize, msgs: &[MsgSpec], drop_send: impl Fn(usize) -> bool) -> Vec<RankLog> {
-    let mut builders: Vec<SynthLog> = (0..ranks).map(SynthLog::new).collect();
-    for (i, m) in msgs.iter().enumerate() {
-        if m.src == m.dst {
-            continue; // self-sends don't occur in real worlds
-        }
-        let seq = i as u64; // globally unique ⇒ unique per (src, seq)
-        let level = (i % 4) as u32;
-        if !drop_send(i) {
-            builders[m.src].send(level, m.send_ts, m.dst as u32, i as u64, seq, 4096);
-        }
-        if let Some(dt) = m.arrive_dt {
-            builders[m.dst].arrive(level, m.send_ts + dt, m.src as u32, i as u64, seq, 4096);
-        }
-        if m.failed {
-            builders[m.dst].recv_wait(
-                level,
-                m.wait_ts,
-                m.wait_dur,
-                m.src as u32,
-                NO_TAG,
-                NO_MSG_SEQ,
-            );
-        } else {
-            builders[m.dst].recv_wait(level, m.wait_ts, m.wait_dur, m.src as u32, i as u64, seq);
-        }
-        if m.arq {
-            builders[m.src].arq("arq:retransmit", m.send_ts + 1, m.dst as u32, seq);
-        }
-    }
-    into_logs(builders)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Every recorded wait lands in exactly one class: counts and
-    /// nanoseconds are conserved between the sample list, the per-class
-    /// totals, and the per-level breakdown — and the analysis is
-    /// invariant under log reordering.
-    #[test]
-    fn every_wait_classified_into_exactly_one_class(
-        ranks in 3usize..6,
-        bits in prop::collection::vec(any::<u64>(), 1..40),
-    ) {
-        let msgs: Vec<MsgSpec> = bits.iter().map(|&x| spec_from_bits(x, ranks)).collect();
-        let logs = build_world(ranks, &msgs, |_| false);
-        let wa = analyze(&logs);
-
-        // Count conservation: one sample per wait, totalled once.
-        prop_assert_eq!(wa.total.count as usize, wa.samples.len());
-        // ns conservation per class: samples ↔ totals.
-        for &class in WaitClass::ALL.iter() {
-            let sampled: u64 = wa.samples.iter()
-                .filter(|s| s.class == class)
-                .map(|s| s.dur_ns)
-                .sum();
-            prop_assert_eq!(sampled, wa.total.class_ns(class));
-        }
-        // The five classes partition the total exactly.
-        let class_sum: u64 = WaitClass::ALL.iter().map(|&c| wa.total.class_ns(c)).sum();
-        prop_assert_eq!(class_sum, wa.total.total_ns());
-        // Per-level stats are a partition of the same totals.
-        let level_count: u64 = wa.per_level.values().map(|s| s.count).sum();
-        prop_assert_eq!(level_count, wa.total.count);
-        for &class in WaitClass::ALL.iter() {
-            let level_ns: u64 = wa.per_level.values().map(|s| s.class_ns(class)).sum();
-            prop_assert_eq!(level_ns, wa.total.class_ns(class));
-        }
-        // Log order must not matter (the simulator emits rank-major,
-        // real dumps arrive in discovery order).
-        let mut rev = logs.clone();
-        rev.reverse();
-        let wb = analyze(&rev);
-        prop_assert_eq!(wa.total, wb.total);
-        prop_assert_eq!(wa.samples, wb.samples);
-        prop_assert_eq!(wa.edges, wb.edges);
-    }
-
-    /// Removing send events can only lose attribution, never gain it:
-    /// `classified_fraction` is monotone non-increasing under edge
-    /// removal, while the wait population itself is unchanged.
-    #[test]
-    fn classified_fraction_monotone_under_edge_removal(
-        ranks in 3usize..6,
-        bits in prop::collection::vec(any::<u64>(), 1..40),
-        mask in prop::collection::vec(any::<bool>(), 40),
-    ) {
-        let msgs: Vec<MsgSpec> = bits.iter().map(|&x| spec_from_bits(x, ranks)).collect();
-        let full = analyze(&build_world(ranks, &msgs, |_| false));
-        let cut = analyze(&build_world(ranks, &msgs, |i| mask[i]));
-        // Same waits observed either way.
-        prop_assert_eq!(full.total.count, cut.total.count);
-        prop_assert_eq!(full.total.total_ns(), cut.total.total_ns());
-        // Attribution can only degrade without send context.
-        prop_assert!(
-            cut.total.classified_fraction() <= full.total.classified_fraction() + 1e-12,
-            "classified fraction rose from {} to {} after dropping sends",
-            full.total.classified_fraction(),
-            cut.total.classified_fraction()
-        );
-        // And the surviving edge set can only shrink.
-        prop_assert!(cut.edges.len() <= full.edges.len());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The trace the rings rebuild into joins exactly the messages the
-    /// classifier joins: `Trace::messages` (what the critical path and the
-    /// Perfetto arrows read) names one `(src, seq) → dst` pair per
-    /// `WaitAnalysis::edges` entry, with the same send and receive times.
-    /// Worlds are causal (no receive ends before its send), with sends
-    /// dropped and waits failed at random.
-    #[test]
-    fn the_rebuilt_trace_joins_exactly_the_classifier_edges(
-        ranks in 3usize..6,
-        bits in prop::collection::vec(any::<u64>(), 1..40),
-        mask in prop::collection::vec(any::<bool>(), 40),
-    ) {
-        let msgs: Vec<MsgSpec> = bits
-            .iter()
-            .map(|&x| {
-                let m = spec_from_bits(x, ranks);
-                MsgSpec { send_ts: m.send_ts.min(m.wait_ts + m.wait_dur), ..m }
-            })
-            .collect();
-        let logs = build_world(ranks, &msgs, |i| mask[i]);
-        let trace = gmg_flight::rebuild_trace(&logs);
-        let mut joins: Vec<_> = trace
-            .messages()
-            .into_iter()
-            .map(|(s, r)| {
-                let (s, r) = (&trace.events[s], &trace.events[r]);
-                (s.rank, s.seq.unwrap(), r.rank, s.ts_ns, r.ts_ns + r.dur_ns)
-            })
-            .collect();
-        joins.sort_unstable();
-        let mut edges: Vec<_> = analyze(&logs)
-            .edges
-            .iter()
-            .map(|e| (e.src, e.msg_seq, e.dst, e.send_ts_ns, e.recv_end_ns))
-            .collect();
-        edges.sort_unstable();
-        prop_assert_eq!(joins, edges);
-    }
-}
-
-// ---------------------------------------------------------------------
 // Hostile dump directories: a dump is outside input to the postmortem
 // tools, so whatever is on disk — truncated, bit-flipped, oversized —
 // `load_dump` answers with a typed error or a bundle no larger than the

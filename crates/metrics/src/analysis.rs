@@ -11,6 +11,9 @@
 //!   [`Trace::messages`]) through each V-cycle, so every nanosecond of
 //!   wall time is attributed to the op on the rank that gated it (or to
 //!   idle).
+//! - **Wait states**: every receive classified over the same join
+//!   ([`classify_waits`]): late-sender, late-receiver, ARQ-stall,
+//!   starvation, or honestly unattributed.
 //! - **Load imbalance**: per-`(level, op)` max/mean seconds across
 //!   ranks, plus per-rank compute/comm/idle utilization.
 //! - **Roofline attribution**: achieved GB/s and GStencil/s per kernel
@@ -25,7 +28,7 @@
 
 use gmg_trace::sink::{Trace, TraceEvent, Track, LEVEL_NONE};
 use gmg_trace::TraceSummary;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// Machine-model numbers the roofline attribution compares against.
@@ -233,13 +236,13 @@ impl TEv {
 
 /// Per-rank timelines: the *top-level* timeline (compute spans plus comm
 /// spans not nested inside a same-rank compute span — the latter fills
-/// allreduce gaps), plus the full comm list for dependency matching.
+/// allreduce gaps), plus the joined receives every wait is made of.
 struct Timelines {
     ranks: Vec<usize>,
     /// rank → top-level events, ts order.
     top: BTreeMap<usize, Vec<TEv>>,
-    /// rank → all comm events, ts order.
-    comm: BTreeMap<usize, Vec<TEv>>,
+    /// rank → receives [`Trace::messages`] joins to a send, ts order.
+    waits: BTreeMap<usize, Vec<TEv>>,
 }
 
 impl Timelines {
@@ -266,7 +269,7 @@ impl Timelines {
             }
         }
         let mut top: BTreeMap<usize, Vec<TEv>> = BTreeMap::new();
-        let mut comm: BTreeMap<usize, Vec<TEv>> = BTreeMap::new();
+        let mut waits: BTreeMap<usize, Vec<TEv>> = BTreeMap::new();
         for &r in &ranks {
             let mut compute = compute_by.remove(&r).unwrap_or_default();
             let mut comms = comm_by.remove(&r).unwrap_or_default();
@@ -290,9 +293,10 @@ impl Timelines {
             }
             merged.sort_by_key(|e| (e.ts, e.end));
             top.insert(r, merged);
-            comm.insert(r, comms);
+            comms.retain(|c| c.sent.is_some());
+            waits.insert(r, comms);
         }
-        Timelines { ranks, top, comm }
+        Timelines { ranks, top, waits }
     }
 
     /// Last top-level event on `rank` starting strictly before `t`.
@@ -323,25 +327,21 @@ impl Timelines {
         best
     }
 
-    /// For a waiting event, the latest cross-rank dependency end strictly
-    /// before `frontier`, as `(send_end, send_rank)`: for a compute
-    /// `exchange`, the sends of its nested recvs; for a top-level comm
-    /// recv, its own send.
+    /// For an event on the path, the latest cross-rank dependency end
+    /// strictly before `frontier`, as `(send_end, send_rank)`: the sends
+    /// of the joined receives inside it, at any nesting depth (a
+    /// top-level receive lies inside itself). Whatever op encloses the
+    /// wait — an exchange, a norm's allreduce — is the op that waited.
     fn dependency(&self, ev: &TEv, frontier: u64) -> Option<(u64, usize)> {
-        let before = |sent: Option<(u64, usize)>| sent.filter(|&(end, _)| end < frontier);
-        match ev.track {
-            Track::Comm if ev.op == "recv" => before(ev.sent),
-            Track::Compute if ev.op == "exchange" => {
-                let comms = self.comm.get(&ev.rank)?;
-                comms
-                    .iter()
-                    .filter(|c| c.op == "recv" && c.ts >= ev.ts && c.end <= ev.end)
-                    .filter_map(|c| before(c.sent))
-                    .filter(|&(end, rank)| rank != ev.rank && end > ev.ts)
-                    .max_by_key(|&(end, _)| end)
-            }
-            _ => None,
-        }
+        let waits = self.waits.get(&ev.rank)?;
+        let first = waits.partition_point(|w| w.ts < ev.ts);
+        waits[first..]
+            .iter()
+            .take_while(|w| w.ts <= ev.end)
+            .filter(|w| w.end <= ev.end)
+            .filter_map(|w| w.sent)
+            .filter(|&(end, rank)| end < frontier && end > ev.ts && rank != ev.rank)
+            .max_by_key(|&(end, _)| end)
     }
 }
 
@@ -413,10 +413,10 @@ pub fn cycle_starts(trace: &Trace) -> Vec<u64> {
 /// Backward walk from `seg_end` to `seg_start`, producing segments that
 /// tile the interval. At each step the walk sits at a `frontier` and
 /// asks: which event explains the time just below it? Inside an event,
-/// the event is charged; at a waiting op (exchange / allreduce recv)
-/// whose matched send on a peer ends inside the op, the walk charges the
-/// wait tail then jumps to the peer; in a gap it charges idle and jumps
-/// to whichever rank was last busy.
+/// the event is charged; at an op holding a joined receive whose send on
+/// a peer ends inside the op, the walk charges the wait tail then jumps
+/// to the peer; in a gap it charges idle and jumps to whichever rank was
+/// last busy.
 fn walk_segment(tl: &Timelines, seg_start: u64, seg_end: u64, nevents: usize) -> Vec<PathSegment> {
     let mut segs: Vec<PathSegment> = Vec::new();
     let mut frontier = seg_end;
@@ -544,6 +544,261 @@ pub fn critical_path(trace: &Trace) -> CriticalPath {
             0.0
         },
         op_totals: totals,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Wait states
+// ---------------------------------------------------------------------------
+
+/// Why a receive wait took as long as it did — the late-sender /
+/// late-receiver split of Scalasca's wait-state taxonomy, plus what the
+/// reliability layer and the progress engine cost:
+///
+/// * **late-sender** — the joined send was posted *after* the wait began
+///   (or never: a failed wait on a killed or silent peer), so the
+///   receiver idled on the sender's critical path.
+/// * **late-receiver** — the message had already arrived before the wait
+///   began; the "wait" is local matching overhead.
+/// * **ARQ-stall** — the reliability layer was recovering this very
+///   message (retransmit, drop, reject): transport loss paid for it.
+/// * **starvation** — the send was posted before the wait and no fault
+///   intervened, yet delivery happened mid-wait: the message was in
+///   flight or the receiver's progress engine had not drained it.
+/// * **unattributed** — a receive of a message whose send is not in the
+///   trace (overwritten out of a ring) or was posted after the receive
+///   ended: counted, never guessed, so the classified fraction is an
+///   honest coverage metric.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum WaitClass {
+    LateSender,
+    LateReceiver,
+    ArqStall,
+    Starvation,
+    Unattributed,
+}
+
+impl WaitClass {
+    pub const ALL: [WaitClass; 5] = [
+        WaitClass::LateSender,
+        WaitClass::LateReceiver,
+        WaitClass::ArqStall,
+        WaitClass::Starvation,
+        WaitClass::Unattributed,
+    ];
+}
+
+/// Wait time accumulated per class.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WaitStats {
+    pub count: u64,
+    pub late_sender_ns: u64,
+    pub late_receiver_ns: u64,
+    pub arq_stall_ns: u64,
+    pub starvation_ns: u64,
+    pub unattributed_ns: u64,
+}
+
+impl WaitStats {
+    fn slot(&mut self, class: WaitClass) -> &mut u64 {
+        match class {
+            WaitClass::LateSender => &mut self.late_sender_ns,
+            WaitClass::LateReceiver => &mut self.late_receiver_ns,
+            WaitClass::ArqStall => &mut self.arq_stall_ns,
+            WaitClass::Starvation => &mut self.starvation_ns,
+            WaitClass::Unattributed => &mut self.unattributed_ns,
+        }
+    }
+
+    fn add(&mut self, class: WaitClass, dur_ns: u64) {
+        self.count += 1;
+        *self.slot(class) += dur_ns;
+    }
+
+    pub fn class_ns(&self, class: WaitClass) -> u64 {
+        let mut copy = *self;
+        *copy.slot(class)
+    }
+
+    pub fn total_ns(&self) -> u64 {
+        WaitClass::ALL.iter().map(|&c| self.class_ns(c)).sum()
+    }
+
+    /// Share of total wait time attributed to one of the four concrete
+    /// classes (1.0 when there was no wait time at all).
+    pub fn classified_fraction(&self) -> f64 {
+        let total = self.total_ns();
+        if total == 0 {
+            1.0
+        } else {
+            (total - self.unattributed_ns) as f64 / total as f64
+        }
+    }
+}
+
+/// One classified wait, for per-rank / per-peer drill-down.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WaitSample {
+    pub rank: usize,
+    pub level: Option<usize>,
+    /// The rank waited on.
+    pub peer: Option<usize>,
+    pub tag: Option<u64>,
+    pub ts_ns: u64,
+    pub dur_ns: u64,
+    pub class: WaitClass,
+}
+
+/// Every wait of a trace, classified.
+#[derive(Clone, Debug, Default)]
+pub struct WaitAnalysis {
+    /// Per-level wait-state rows (`None` = outside any level scope),
+    /// deterministic order.
+    pub per_level: BTreeMap<Option<usize>, WaitStats>,
+    pub total: WaitStats,
+    /// Ordered by `(rank, ts, peer, tag)`, whatever the trace order.
+    pub samples: Vec<WaitSample>,
+    /// Waits [`Trace::messages`] joined to their send.
+    pub joined: usize,
+}
+
+/// Whether `e` is a receive wait: a `recv` span on the comm track, or
+/// the flight ring's `recv:timeout` for a wait that matched no message.
+pub fn is_wait(e: &TraceEvent) -> bool {
+    e.track == Track::Comm && matches!(e.op.name(), "recv" | "recv:timeout")
+}
+
+/// Classify every receive wait in `trace` ([`WaitClass`]). A wait's send
+/// is the one [`Trace::messages`] joins it to — the join the critical
+/// path walks; its delivery is the receiving rank's `arrive` instant of
+/// the same `(sender, seq)`; ARQ recovery is a fault-track instant about
+/// the message. A wait without a `seq` matched nothing: it is an
+/// ARQ-stall while the protocol still worked on a message from that peer
+/// to this rank, a late-sender otherwise (a killed or silent peer).
+pub fn classify_waits(trace: &Trace) -> WaitAnalysis {
+    let mut sent: Vec<Option<&TraceEvent>> = vec![None; trace.events.len()];
+    let joins = trace.messages();
+    for &(send, recv) in &joins {
+        sent[recv] = Some(&trace.events[send]);
+    }
+    // (dst, src, seq) → earliest delivery.
+    let mut arrived: HashMap<(usize, usize, u64), u64> = HashMap::new();
+    // (src, seq) the ARQ layer recovered.
+    let mut recovered: HashSet<(usize, u64)> = HashSet::new();
+    // (src, dst) → end of the latest ARQ activity on that link.
+    let mut arq_until: HashMap<(usize, usize), u64> = HashMap::new();
+    for e in &trace.events {
+        let (Some(peer), Some(seq)) = (e.peer, e.seq) else {
+            continue;
+        };
+        match (e.track, e.op.name()) {
+            (Track::Comm, "arrive") => {
+                let t = arrived.entry((e.rank, peer, seq)).or_insert(e.ts_ns);
+                *t = (*t).min(e.ts_ns);
+            }
+            (Track::Fault, op) => {
+                // A receiver-side instant names the message's origin as
+                // its peer, a sender-side one the destination.
+                let (src, dst) = match op {
+                    "arq:reject" | "arq:dedup" => (peer, e.rank),
+                    _ => (e.rank, peer),
+                };
+                recovered.insert((src, seq));
+                let until = arq_until.entry((src, dst)).or_insert(0);
+                *until = (*until).max(e.ts_ns + e.dur_ns);
+            }
+            _ => {}
+        }
+    }
+    let mut out = WaitAnalysis {
+        joined: joins.len(),
+        ..WaitAnalysis::default()
+    };
+    for (e, send) in trace.events.iter().zip(sent) {
+        if !is_wait(e) {
+            continue;
+        }
+        let class = match (e.seq, send) {
+            (Some(seq), Some(send)) => {
+                if arrived
+                    .get(&(e.rank, send.rank, seq))
+                    .is_some_and(|&a| a <= e.ts_ns)
+                {
+                    WaitClass::LateReceiver
+                } else if recovered.contains(&(send.rank, seq)) {
+                    WaitClass::ArqStall
+                } else if send.ts_ns >= e.ts_ns {
+                    WaitClass::LateSender
+                } else {
+                    WaitClass::Starvation
+                }
+            }
+            (Some(_), None) => WaitClass::Unattributed,
+            (None, _) => {
+                let arq_busy = e
+                    .peer
+                    .and_then(|p| arq_until.get(&(p, e.rank)))
+                    .is_some_and(|&until| until >= e.ts_ns);
+                if arq_busy {
+                    WaitClass::ArqStall
+                } else {
+                    WaitClass::LateSender
+                }
+            }
+        };
+        let level = (e.level != LEVEL_NONE).then_some(e.level);
+        out.total.add(class, e.dur_ns);
+        out.per_level.entry(level).or_default().add(class, e.dur_ns);
+        out.samples.push(WaitSample {
+            rank: e.rank,
+            level,
+            peer: e.peer,
+            tag: e.tag,
+            ts_ns: e.ts_ns,
+            dur_ns: e.dur_ns,
+            class,
+        });
+    }
+    out.samples
+        .sort_by_key(|s| (s.rank, s.ts_ns, s.peer, s.tag));
+    out
+}
+
+/// Ranks that recorded an injected `fault:kill`, ascending: what tells a
+/// killed peer's late-sender waits from a silent one's.
+pub fn killed_ranks(trace: &Trace) -> Vec<usize> {
+    let killed: std::collections::BTreeSet<usize> = trace
+        .events
+        .iter()
+        .filter(|e| e.track == Track::Fault && e.op.name() == "fault:kill")
+        .map(|e| e.rank)
+        .collect();
+    killed.into_iter().collect()
+}
+
+impl WaitAnalysis {
+    /// Render the per-level wait-state table as markdown (times in ms).
+    pub fn render_table(&self) -> String {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        let mut s = String::new();
+        s.push_str(
+            "| level | waits | late-sender (ms) | late-receiver (ms) | arq-stall (ms) \
+             | starvation (ms) | unattributed (ms) | total (ms) |\n",
+        );
+        s.push_str("|---|---|---|---|---|---|---|---|\n");
+        let rows = self
+            .per_level
+            .iter()
+            .map(|(lvl, st)| (lvl.map_or("(none)".to_string(), |l| l.to_string()), st))
+            .chain(std::iter::once(("**all**".to_string(), &self.total)));
+        for (name, st) in rows {
+            let _ = write!(s, "| {name} | {} |", st.count);
+            for c in WaitClass::ALL {
+                let _ = write!(s, " {:.3} |", ms(st.class_ns(c)));
+            }
+            let _ = writeln!(s, " {:.3} |", ms(st.total_ns()));
+        }
+        s
     }
 }
 
@@ -1252,6 +1507,31 @@ mod tests {
         );
         // Deterministic: identical reruns give identical paths.
         assert_eq!(path, critical_path(&trace));
+    }
+
+    /// The only wait is an allreduce `recv` nested in rank 0's
+    /// `residualNorm`, on rank 1's slow smooth: the norm is the op that
+    /// waited, and the path crosses to the sender through the message.
+    #[test]
+    fn a_wait_nested_in_any_op_crosses_to_its_sender() {
+        let trace = mk_trace(vec![
+            ev(0, 0, "smooth", Track::Compute, 0, 10),
+            ev(0, 0, "residualNorm", Track::Compute, 10, 23), // ends at 33
+            msg(ev(0, LEVEL_NONE, "recv", Track::Comm, 11, 21), 1, 0),
+            ev(0, 0, "applyOp", Track::Compute, 33, 7),
+            ev(1, 0, "smooth", Track::Compute, 0, 30),
+            ev(1, 0, "residualNorm", Track::Compute, 30, 4),
+            msg(ev(1, LEVEL_NONE, "send", Track::Comm, 30, 1), 0, 0),
+            ev(1, 0, "applyOp", Track::Compute, 34, 5),
+        ]);
+        let segs = &critical_path(&trace).cycles[0].segments;
+        let on = |rank, op: &str| segs.iter().find(|g| g.rank == rank && g.op == op);
+        assert_eq!(on(0, "residualNorm").map(|g| g.start_ns), Some(31_000_000));
+        assert!(
+            on(1, "smooth").is_some_and(|g| g.seconds() > 0.025),
+            "{segs:#?}"
+        );
+        assert!(on(0, "smooth").is_none(), "{segs:#?}");
     }
 
     /// Two sends from rank 1 to rank 0 under the same tag; the receive

@@ -1,10 +1,11 @@
 //! `gmg-metrics` — the trace-analysis engine.
 //!
 //! [`analysis`] consumes a captured [`gmg_trace::Trace`] and computes the
-//! per-V-cycle cross-rank critical path (a receive waits on the send the
-//! trace joins it to by wire sequence number), per-level load-imbalance
-//! factors, MAD-based straggler detection, and roofline attribution
-//! against `gmg-machine` numbers (passed in as a plain
+//! per-V-cycle cross-rank critical path (any receive the trace joins to
+//! its send by wire sequence number is a wait, whatever op encloses it),
+//! the wait-state class of every receive over the same join, per-level
+//! load-imbalance factors, MAD-based straggler detection, and roofline
+//! attribution against `gmg-machine` numbers (passed in as a plain
 //! [`analysis::MachineEnvelope`] so this crate stays leaf-level). The
 //! `gmg-bench` `analyze` binary renders all of it as a markdown report.
 //!

@@ -8,7 +8,7 @@
 //! through the **existing pipes**: ranks inside a configurable window
 //! record synthetic flight-recorder logs ([`gmg_flight::SynthLog`]) with
 //! exact `(rank, msg_seq)` send↔recv identity, so the production
-//! wait-state classifier, `gmg_metrics::analysis::critical_path`,
+//! wait-state classifier and critical path (`gmg_metrics::analysis`),
 //! per-level imbalance and Perfetto export debug 10k-rank simulated runs
 //! as they do 8-rank real ones.
 //!

@@ -17,9 +17,10 @@
 //! Observability is the point: in [`RecordMode::Events`] the simulator
 //! emits per-rank [`gmg_flight`] logs — sends, deliveries, and receive
 //! waits carrying exact `(rank, msg_seq)` wire sequence numbers, plus
-//! ARQ retransmit events for modelled losses — so the *existing* wait
-//! classifier, causal-edge extraction, critical path, and Perfetto
-//! export run on a simulated 10k-rank world unchanged.
+//! ARQ retransmit events for modelled losses — so `rebuild_trace` and
+//! everything that reads its trace (the wait classifier, the critical
+//! path, the Perfetto export) run on a simulated 10k-rank world
+//! unchanged.
 //!
 //! Determinism: per-rank compute jitter and message loss are pure
 //! functions of `(seed, phase, rank)` via splitmix64 — same config,
@@ -30,8 +31,7 @@ use std::collections::BTreeMap;
 use gmg_brick::BrickOrdering;
 use gmg_comm::model::NetworkModel;
 use gmg_comm::plan::BrickExchangePlan;
-use gmg_flight::waitstate::RankLog;
-use gmg_flight::{SynthLog, NO_LEVEL};
+use gmg_flight::{RankLog, SynthLog, NO_LEVEL};
 use gmg_machine::contention::ContentionModel;
 use gmg_machine::gpu::System;
 use gmg_machine::CpuModel;
@@ -715,7 +715,8 @@ pub fn simulate(cfg: &ScaleConfig) -> ScaleResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmg_flight::waitstate::{analyze, WaitClass};
+    use gmg_flight::rebuild_trace;
+    use gmg_metrics::analysis::{classify_waits, WaitClass};
 
     fn tiny(ranks: usize) -> ScaleConfig {
         let mut c = ScaleConfig::observatory(System::Perlmutter, ranks);
@@ -744,7 +745,7 @@ mod tests {
         let r = simulate(&cfg);
         let logs = r.logs.as_ref().unwrap();
         assert_eq!(logs.len(), 27);
-        let wa = analyze(logs);
+        let wa = classify_waits(&rebuild_trace(logs));
         assert!(wa.total.count > 0);
         assert_eq!(
             wa.total.unattributed_ns, 0,
@@ -767,14 +768,14 @@ mod tests {
         cfg.record = RecordMode::Events;
         cfg.loss_rate = 0.05;
         let r = simulate(&cfg);
-        let wa = analyze(r.logs.as_ref().unwrap());
+        let wa = classify_waits(&rebuild_trace(r.logs.as_ref().unwrap()));
         assert!(
             wa.total.class_ns(WaitClass::ArqStall) > 0,
             "5% modelled loss must produce arq-stall wait time"
         );
         // And zero loss produces none.
         cfg.loss_rate = 0.0;
-        let wa0 = analyze(simulate(&cfg).logs.as_ref().unwrap());
+        let wa0 = classify_waits(&rebuild_trace(simulate(&cfg).logs.as_ref().unwrap()));
         assert_eq!(wa0.total.class_ns(WaitClass::ArqStall), 0);
     }
 

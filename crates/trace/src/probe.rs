@@ -225,6 +225,9 @@ pub fn install(
     rank: Option<usize>,
     sinks: impl IntoIterator<Item = (Class, Box<dyn Sink>)>,
 ) -> ContextGuard {
+    // Pin the process's time zero before anything can be recorded: a
+    // span that started before it would have its start clamped to 0.
+    crate::epoch();
     CTX.with(|c| ContextGuard {
         rank: rank.map(|r| (c.rank.replace(r), c.level.replace(None))),
         sinks: sinks

@@ -13,7 +13,7 @@
 
 use crate::probe::{self, Class, ContextGuard, Guard, Kind, Record, Sink};
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -402,26 +402,39 @@ impl Trace {
     /// message.) Traces without `seq` (written before it was recorded)
     /// join nothing.
     pub fn messages(&self) -> Vec<(usize, usize)> {
-        let end = |i: usize| self.events[i].ts_ns + self.events[i].dur_ns;
-        let mut sends: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
+        // Both ends keyed (sender, seq, receiver, time, index) and sorted,
+        // so one merge pass finds each receive's join: the last send of
+        // its run posted by the receive's end (a tie goes to the later
+        // event).
+        let (mut sends, mut recvs) = (Vec::new(), Vec::new());
         for (i, e) in self.events.iter().enumerate() {
-            if let (Some(seq), "send") = (e.seq, e.op.name()) {
-                sends.entry((e.rank, seq)).or_default().push(i);
+            match (e.peer, e.seq, e.op.name()) {
+                (Some(to), Some(seq), "send") => sends.push((e.rank, seq, to, e.ts_ns, i)),
+                (Some(from), Some(seq), "recv") => {
+                    recvs.push((from, seq, e.rank, e.ts_ns + e.dur_ns, i))
+                }
+                _ => {}
             }
         }
-        let join = |(r, e): (usize, &TraceEvent)| {
-            let (Some(peer), Some(seq), "recv") = (e.peer, e.seq, e.op.name()) else {
-                return None;
-            };
-            let s = sends
-                .get(&(peer, seq))?
-                .iter()
-                .copied()
-                .filter(|&s| self.events[s].peer == Some(e.rank) && self.events[s].ts_ns <= end(r))
-                .max_by_key(|&s| self.events[s].ts_ns)?;
-            Some((s, r))
-        };
-        self.events.iter().enumerate().filter_map(join).collect()
+        sends.sort_unstable();
+        recvs.sort_unstable();
+        let mut posted = 0;
+        let mut joins: Vec<(usize, usize)> = recvs
+            .into_iter()
+            .filter_map(|(from, seq, to, end, r)| {
+                let run = (from, seq, to);
+                while sends
+                    .get(posted)
+                    .is_some_and(|&(a, b, c, t, _)| ((a, b, c), t) <= (run, end))
+                {
+                    posted += 1;
+                }
+                let &(a, b, c, _, s) = sends[..posted].last()?;
+                ((a, b, c) == run).then_some((s, r))
+            })
+            .collect();
+        joins.sort_unstable_by_key(|&(_, r)| r);
+        joins
     }
 
     /// Sum of all counters across events matching `filter`.
