@@ -10,7 +10,7 @@
 
 use gmg_brick::{BrickLayout, BrickOrdering};
 use gmg_comm::model::NetworkModel;
-use gmg_comm::plan::BrickExchangePlan;
+use gmg_comm::plan::message_bytes;
 use gmg_machine::gpu::System;
 use gmg_mesh::ghost::DIRECTIONS_26;
 use gmg_mesh::Point3;
@@ -59,13 +59,13 @@ pub fn gpu_aware() -> Json {
 /// Ablation 3: rendezvous threshold sweep — coarse-level exchange time on
 /// Frontier (where the paper observed the CXI settings matter most).
 pub fn rendezvous_threshold() -> Json {
-    let plan = BrickExchangePlan::new(Point3::splat(32), 8, 1, BrickOrdering::SurfaceMajor);
+    let bytes = message_bytes(Point3::splat(32), 8);
     let mut rows = Vec::new();
     for threshold in [0usize, 4 << 10, 16 << 10, 64 << 10, usize::MAX] {
         let net = NetworkModel::frontier().with_rendezvous_threshold(threshold);
         rows.push(json!({
             "threshold": if threshold == usize::MAX { -1i64 } else { threshold as i64 },
-            "exchange_us": net.exchange_time_s(&plan.message_bytes) * 1e6,
+            "exchange_us": net.exchange_time_s(&bytes) * 1e6,
         }));
     }
     json!({ "level_extent": 32, "rows": rows })
@@ -77,8 +77,8 @@ pub fn brick_size() -> Json {
     for bd in [4i64, 8, 16] {
         // The trade-off is purely geometric (message bytes, exchange
         // frequency, redundant ghost work), so it is derived from the
-        // exchange plan directly rather than a full schedule run.
-        let plan = BrickExchangePlan::new(Point3::splat(512), bd, 1, BrickOrdering::SurfaceMajor);
+        // message sizes directly rather than a full schedule run.
+        let bytes_per_exchange: usize = message_bytes(Point3::splat(512), bd).iter().sum();
         let exchanges_per_24_smooths = (24 + bd - 1) / bd;
         // Mean of ((512 + 2(m-1))³/512³ − 1) over margins m = bd..1.
         let mut acc = 0.0;
@@ -90,9 +90,9 @@ pub fn brick_size() -> Json {
         rows.push(json!({
             "brick_dim": bd,
             "ghost_cells": bd,
-            "bytes_per_exchange": plan.total_bytes(),
+            "bytes_per_exchange": bytes_per_exchange,
             "exchanges_per_24_smooths": exchanges_per_24_smooths,
-            "bytes_per_24_smooths": plan.total_bytes() as i64 * exchanges_per_24_smooths,
+            "bytes_per_24_smooths": bytes_per_exchange as i64 * exchanges_per_24_smooths,
             "redundant_compute_fraction": redundant_compute_fraction,
         }));
     }

@@ -1,8 +1,7 @@
 //! Figure 6: exchange bandwidth (GB/s) per V-cycle level against the
 //! latency-throughput model, single NIC per rank.
 
-use gmg_brick::BrickOrdering;
-use gmg_comm::plan::BrickExchangePlan;
+use gmg_comm::plan::message_bytes;
 use gmg_machine::gpu::System;
 use gmg_mesh::Point3;
 use gmg_scale::Platform;
@@ -26,10 +25,8 @@ pub fn series(system: System) -> ExchangeSeries {
     let samples = (0..6)
         .map(|l| {
             let n = 512i64 >> l;
-            let plan =
-                BrickExchangePlan::new(Point3::splat(n), bd.min(n), 1, BrickOrdering::SurfaceMajor);
-            let gbs = net.exchange_gbs(&plan.message_bytes);
-            (plan.total_bytes(), gbs)
+            let bytes = message_bytes(Point3::splat(n), bd.min(n));
+            (bytes.iter().sum(), net.exchange_gbs(&bytes))
         })
         .collect();
     let (alpha_s, beta_gbs) = net.effective_alpha_beta(26);

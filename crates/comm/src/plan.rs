@@ -1,100 +1,68 @@
 //! Message planning: subdomain geometry → per-neighbor message sizes.
 //!
-//! The network model consumes byte counts; this module derives them from
-//! level geometry, ghost depth, and layout. Brick plans also expose the
-//! contiguous-run structure that quantifies the pack-free property of the
-//! surface-major ordering.
+//! The network model consumes byte counts. For an all-halo subdomain they
+//! are pure geometry: per direction, the face, edge or corner region as
+//! deep as the ghost shell ([`message_bytes`]). A brick shell one brick
+//! deep over a brick-aligned subdomain holds exactly those cells, so no
+//! brick layout is built to count them; the contiguous-run structure of a
+//! brick ordering is read from [`gmg_brick::BrickLayout`] itself.
 
-use gmg_brick::{BrickLayout, BrickOrdering};
+use gmg_brick::BrickOrdering;
 use gmg_mesh::ghost::DIRECTIONS_26;
 use gmg_mesh::{Box3, Point3};
+
+/// Bytes per message of a ghost exchange `depth` cells deep around a
+/// subdomain of `extent` cells, one per direction ([`DIRECTIONS_26`]
+/// order): the face, edge or corner region of that depth, in doubles.
+pub fn message_bytes(extent: Point3, depth: i64) -> [usize; 26] {
+    let b = Box3::from_extent(extent);
+    DIRECTIONS_26.map(|dir| b.face_region(dir, depth).volume() * 8)
+}
 
 /// Message plan for a conventional-array ghost exchange at depth `d`.
 #[derive(Clone, Debug)]
 pub struct ArrayExchangePlan {
-    /// Subdomain extent.
-    pub sub_extent: Point3,
-    /// Ghost depth in cells.
-    pub depth: i64,
-    /// Bytes per message, one per direction ([`DIRECTIONS_26`] order).
-    pub message_bytes: Vec<usize>,
+    message_bytes: [usize; 26],
 }
 
 impl ArrayExchangePlan {
     /// Plan a 26-neighbor exchange for a subdomain of `sub_extent` cells
     /// with ghost depth `depth` (doubles).
     pub fn new(sub_extent: Point3, depth: i64) -> Self {
-        let b = Box3::from_extent(sub_extent);
-        let message_bytes = DIRECTIONS_26
-            .iter()
-            .map(|&dir| b.face_region(dir, depth).volume() * 8)
-            .collect();
         Self {
-            sub_extent,
-            depth,
-            message_bytes,
+            message_bytes: message_bytes(sub_extent, depth),
         }
     }
 
     /// Total payload bytes of one exchange.
     pub fn total_bytes(&self) -> usize {
         self.message_bytes.iter().sum()
-    }
-
-    /// Cells that must be packed/unpacked per exchange (all of them — the
-    /// conventional layout has no contiguous ghost regions beyond single
-    /// faces).
-    pub fn packed_cells(&self) -> usize {
-        self.total_bytes() / 8
     }
 }
 
 /// Message plan for a bricked ghost exchange (ghost shell = whole bricks).
 #[derive(Clone, Debug)]
 pub struct BrickExchangePlan {
-    pub sub_extent: Point3,
-    pub brick_dim: i64,
-    pub ghost_bricks: i64,
-    /// Bytes per message, per direction.
-    pub message_bytes: Vec<usize>,
-    /// Contiguous slot runs needed to *send* each direction's bricks.
-    pub send_runs: Vec<usize>,
-    /// Contiguous slot runs needed to *receive* each direction's bricks.
-    pub recv_runs: Vec<usize>,
+    message_bytes: [usize; 26],
 }
 
 impl BrickExchangePlan {
-    /// Plan the exchange for a brick-aligned subdomain.
+    /// Plan the exchange for a brick-aligned subdomain: a shell
+    /// `ghost_bricks` bricks deep. No ordering changes a message's size,
+    /// so `ordering` has no effect.
     pub fn new(
         sub_extent: Point3,
         brick_dim: i64,
         ghost_bricks: i64,
-        ordering: BrickOrdering,
+        _ordering: BrickOrdering,
     ) -> Self {
-        let layout = BrickLayout::new(
-            Box3::from_extent(sub_extent),
-            brick_dim,
-            ghost_bricks,
-            ordering,
+        assert!(brick_dim >= 1, "brick dimension must be >= 1");
+        assert!(
+            (0..3).all(|a| sub_extent[a] >= 1 && sub_extent[a] % brick_dim == 0),
+            "extent {sub_extent:?} not aligned to brick dim {brick_dim}"
         );
-        let bvol_bytes = layout.brick_volume() * 8;
-        let mut message_bytes = Vec::with_capacity(26);
-        let mut send_runs = Vec::with_capacity(26);
-        let mut recv_runs = Vec::with_capacity(26);
-        for dir in DIRECTIONS_26 {
-            let send = layout.send_slots(dir);
-            let recv = layout.ghost_slots(dir);
-            message_bytes.push(send.len() * bvol_bytes);
-            send_runs.push(BrickLayout::contiguous_runs(&send).len());
-            recv_runs.push(BrickLayout::contiguous_runs(&recv).len());
-        }
         Self {
-            sub_extent,
-            brick_dim,
-            ghost_bricks,
-            message_bytes,
-            send_runs,
-            recv_runs,
+            message_bytes: message_bytes(sub_extent, brick_dim * ghost_bricks),
         }
     }
 
@@ -102,24 +70,12 @@ impl BrickExchangePlan {
     pub fn total_bytes(&self) -> usize {
         self.message_bytes.iter().sum()
     }
-
-    /// Total memcpy operations one exchange needs on the send + receive
-    /// sides (the pack-free figure of merit; 26 receives = 26 runs with
-    /// surface-major ordering).
-    pub fn total_runs(&self) -> usize {
-        self.send_runs.iter().sum::<usize>() + self.recv_runs.iter().sum::<usize>()
-    }
-
-    /// Ghost depth in cells — the number of smooth steps one exchange
-    /// supports in communication-avoiding mode.
-    pub fn ghost_cells(&self) -> i64 {
-        self.brick_dim * self.ghost_bricks
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gmg_brick::BrickLayout;
 
     #[test]
     fn array_plan_volumes() {
@@ -127,7 +83,6 @@ mod tests {
         // 6 faces of 64, 12 edges of 8, 8 corners of 1.
         assert_eq!(p.total_bytes() / 8, 6 * 64 + 12 * 8 + 8);
         assert_eq!(p.message_bytes.len(), 26);
-        assert_eq!(p.packed_cells(), p.total_bytes() / 8);
     }
 
     #[test]
@@ -143,22 +98,52 @@ mod tests {
         // Shell of bricks: (8+2)³ − 8³ bricks of 512 cells.
         let shell_bricks = 10 * 10 * 10 - 8 * 8 * 8;
         assert_eq!(p.total_bytes(), shell_bricks * 512 * 8);
-        assert_eq!(p.ghost_cells(), 8);
+        // One brick deep: 8 cells.
+        let depth8: usize = message_bytes(Point3::splat(64), 8).iter().sum();
+        assert_eq!(p.total_bytes(), depth8);
+    }
+
+    /// The closed form against the layout the solver exchanges over: per
+    /// direction, a brick shell's send and receive slot counts times the
+    /// brick's bytes — every brick dim, both shell depths and orderings,
+    /// non-cubic extents of 1–4 bricks per axis (a lone brick is the
+    /// coarse-level case).
+    #[test]
+    fn closed_form_counts_the_brick_shell() {
+        let mut bricks_per_axis = Vec::new();
+        Box3::cube(4).for_each(|n| bricks_per_axis.push(n + Point3::splat(1)));
+        let mut shapes = 0;
+        for bd in [1i64, 2, 4, 8] {
+            for ghost_bricks in [1i64, 2] {
+                for ordering in [BrickOrdering::SurfaceMajor, BrickOrdering::Lexicographic] {
+                    for &n in &bricks_per_axis {
+                        let extent = n * bd;
+                        let layout =
+                            BrickLayout::new(Box3::from_extent(extent), bd, ghost_bricks, ordering);
+                        let brick_bytes = layout.brick_volume() * 8;
+                        let bytes = message_bytes(extent, bd * ghost_bricks);
+                        for (dir, &b) in DIRECTIONS_26.into_iter().zip(&bytes) {
+                            let (send, recv) = (layout.send_slots(dir), layout.ghost_slots(dir));
+                            assert_eq!(
+                                [b, b],
+                                [send.len() * brick_bytes, recv.len() * brick_bytes],
+                                "send, recv: {extent:?} bd {bd} x{ghost_bricks} {dir:?}"
+                            );
+                        }
+                        let plan = BrickExchangePlan::new(extent, bd, ghost_bricks, ordering);
+                        assert_eq!(plan.total_bytes(), bytes.iter().sum::<usize>());
+                        shapes += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(shapes, 4 * 2 * 2 * 64);
     }
 
     #[test]
-    fn surface_major_is_pack_free_on_receive() {
-        let p = BrickExchangePlan::new(Point3::splat(64), 8, 1, BrickOrdering::SurfaceMajor);
-        assert!(p.recv_runs.iter().all(|&r| r == 1), "{:?}", p.recv_runs);
-        // Sends need at most 9 runs (face gathers).
-        assert!(p.send_runs.iter().all(|&r| r <= 9));
-        let lex = BrickExchangePlan::new(Point3::splat(64), 8, 1, BrickOrdering::Lexicographic);
-        assert!(
-            lex.total_runs() > 3 * p.total_runs(),
-            "lex {} vs surface {}",
-            lex.total_runs(),
-            p.total_runs()
-        );
+    #[should_panic(expected = "not aligned to brick dim")]
+    fn unaligned_brick_plan_panics() {
+        BrickExchangePlan::new(Point3::new(12, 8, 8), 8, 1, BrickOrdering::SurfaceMajor);
     }
 
     #[test]
@@ -168,7 +153,8 @@ mod tests {
         let brick = BrickExchangePlan::new(Point3::splat(64), 8, 1, BrickOrdering::SurfaceMajor);
         let array = ArrayExchangePlan::new(Point3::splat(64), 1);
         assert!(brick.total_bytes() > array.total_bytes());
-        let per_smooth_brick = brick.total_bytes() as f64 / brick.ghost_cells() as f64;
+        let ghost_cells = 8;
+        let per_smooth_brick = brick.total_bytes() as f64 / ghost_cells as f64;
         // Per smooth step the brick exchange is within ~2.5× of the array
         // bytes while eliminating 7 of 8 latency hits.
         assert!(per_smooth_brick < 2.5 * array.total_bytes() as f64);

@@ -2,12 +2,12 @@
 //! steps [`VcycleSchedule`](gmg_stencil::VcycleSchedule) yields through
 //! the paper's two models, the roofline and `t = α + x/β`.
 
-use gmg_brick::BrickOrdering;
 use gmg_comm::model::NetworkModel;
-use gmg_comm::plan::{ArrayExchangePlan, BrickExchangePlan};
+use gmg_comm::plan::message_bytes;
 use gmg_machine::gpu::System;
 use gmg_machine::timing::KernelTiming;
 use gmg_machine::{CpuModel, GpuModel};
+use gmg_mesh::Point3;
 use gmg_stencil::{OpKind, VcycleShape, VcycleStep};
 
 /// How a level's ghost shell travels.
@@ -40,6 +40,16 @@ pub(crate) struct PricedLevel {
     /// PCIe round trip (`b` down, the correction up) of the first host
     /// level below a device level.
     pub(crate) migrate_s: Option<f64>,
+}
+
+/// Bytes per message of a brick level's exchange: a shell one brick
+/// (`brick_dim` cells) deep, which only a brick-aligned extent has.
+pub(crate) fn brick_shell_bytes(extent: Point3, brick_dim: i64) -> [usize; 26] {
+    assert!(
+        (0..3).all(|a| extent[a] % brick_dim == 0),
+        "level extent {extent:?} not aligned to brick dim {brick_dim}"
+    );
+    message_bytes(extent, brick_dim)
 }
 
 impl Platform {
@@ -94,20 +104,19 @@ impl Platform {
             .map(|li| {
                 let (extent, depth) = (shape.extents[li], shape.ghost_depth[li]);
                 let owned = shape.cells(li) as f64;
-                // Any brick ordering gives the same message sizes, and a
-                // bricked zero fill covers the ghost shell too. Pack and
+                // A bricked zero fill covers the ghost shell too. Pack and
                 // unpack each read and write the array surface.
                 let (bytes, zero_cells, pack_s) = match self.exchange {
                     ExchangeKind::Bricked => {
-                        let plan =
-                            BrickExchangePlan::new(extent, depth, 1, BrickOrdering::SurfaceMajor);
-                        let shell = plan.total_bytes() as f64 / 8.0;
-                        (plan.message_bytes, owned + shell, None)
+                        let bytes = brick_shell_bytes(extent, depth);
+                        let shell = bytes.iter().sum::<usize>() as f64 / 8.0;
+                        (bytes, owned + shell, None)
                     }
                     ExchangeKind::ArrayPacked => {
-                        let plan = ArrayExchangePlan::new(extent, depth);
-                        let pack = 2.0 * self.gpu.stream_time_s(2.0 * plan.total_bytes() as f64);
-                        (plan.message_bytes, owned, Some(pack))
+                        let bytes = message_bytes(extent, depth);
+                        let total = bytes.iter().sum::<usize>() as f64;
+                        let pack = 2.0 * self.gpu.stream_time_s(2.0 * total);
+                        (bytes, owned, Some(pack))
                     }
                 };
                 // Host-resident data skips device staging and the GPU's

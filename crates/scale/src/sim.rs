@@ -28,9 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use gmg_brick::BrickOrdering;
 use gmg_comm::model::NetworkModel;
-use gmg_comm::plan::BrickExchangePlan;
 use gmg_flight::{RankLog, SynthLog, NO_LEVEL};
 use gmg_machine::contention::ContentionModel;
 use gmg_machine::gpu::System;
@@ -38,7 +36,7 @@ use gmg_machine::CpuModel;
 use gmg_mesh::Point3;
 use gmg_stencil::{VcycleSchedule, VcycleShape, VcycleStep};
 
-use crate::platform::Platform;
+use crate::platform::{brick_shell_bytes, Platform};
 use crate::topology::{nodes_for, RankGrid, FACE_DIRS};
 use crate::vcycle::ScheduleConfig;
 
@@ -619,13 +617,9 @@ impl ScaleConfig {
         net: &NetworkModel,
         nodes: usize,
     ) -> LevelCost {
-        let plan = BrickExchangePlan::new(
-            shape.extents[li],
-            shape.ghost_depth[li],
-            1,
-            BrickOrdering::SurfaceMajor,
-        );
-        let total_bytes: usize = plan.message_bytes.iter().sum();
+        let total_bytes: usize = brick_shell_bytes(shape.extents[li], shape.ghost_depth[li])
+            .iter()
+            .sum();
         // The timing-relevant payload is the full 26-direction plan;
         // the event stream models the six face-class messages, so the
         // edge/corner bytes ride with the faces.

@@ -265,6 +265,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not aligned to brick dim")]
+    fn unaligned_brick_level_panics() {
+        // Level 3 is 12 × 16 × 16 cells: 8³ bricks do not tile it, so
+        // pricing refuses the level as a brick layout would.
+        let mut cfg = small(System::Perlmutter);
+        cfg.sub_extent = Point3::new(96, 128, 128);
+        simulate(&cfg);
+    }
+
+    #[test]
     fn level_times_decrease_but_flatten() {
         // Figure 3 shape: per-level totals decrease roughly 4–8× on fine
         // levels and flatten (latency/bottom-solve bound) on coarse ones.

@@ -104,10 +104,10 @@ fn communication_overhead_dwarfs_kernel_launch() {
 /// (`1.0` / `1`) are the writer's business, the numbers are not. Every
 /// mismatching artifact is named before the test fails.
 ///
-/// Built in optimized test profiles only (`cargo test --release`, as the
-/// CI test job runs it): the twelve regenerations take ~8 s there and
-/// ~2 min unoptimized, which would add a minute to the debug suite.
-#[cfg(not(debug_assertions))]
+/// Runs in every profile, so Tier-1's debug `cargo test -q` checks that
+/// the paper still reproduces. That is cheap because the simulators take
+/// message sizes in closed form (`gmg_comm::plan::message_bytes`) instead
+/// of building a brick layout per level to count them.
 #[test]
 fn every_paper_artifact_equals_its_committed_result() {
     use gmg_repro::trace::Json;
