@@ -27,10 +27,13 @@
 //!   backend over Unix-domain-socket datagrams with a checksummed,
 //!   fragmenting frame codec.
 //!   `process` adds the elastic-membership controller: heartbeat failure
-//!   detection, respawn, and checkpoint-based rank rejoin.
+//!   detection, respawn, and checkpoint-based rank rejoin, as the IO shell
+//!   of the sans-IO `membership` core.
 
 pub mod fault;
 pub mod frame;
+#[cfg(unix)]
+pub(crate) mod membership;
 pub mod model;
 pub mod plan;
 #[cfg(unix)]

@@ -23,15 +23,26 @@
 //!    world are discarded) and re-runs from the agreed cycle.
 //!
 //! Control traffic rides dedicated Unix datagram sockets in the world
-//! directory — `c.sock` (controller inbound), `m<r>.sock` (rank *r*'s
-//! membership inbox), `h<r>.sock` (rank *r*'s heartbeat-ACK inbox) —
-//! and is framed by the same [`crate::frame`] codec as the data plane
-//! (kind [`FrameKind::Control`], opcode in `tag`). The data plane
-//! (`d<r>.sock`) never carries control frames and vice versa.
+//! directory — `c.sock` (controller inbound) and `m<r>.sock` (rank *r*'s
+//! membership inbox) — and is framed by the same [`crate::frame`] codec
+//! as the data plane (kind [`crate::FrameKind::Control`], opcode in
+//! `tag`). The data plane (`d<r>.sock`) never carries control frames and
+//! vice versa.
+//!
+//! The protocol itself — which control frame goes out when, the phases,
+//! every timeout and resend interval — is the crate's `membership`: one
+//! `Controller` core and one `Member` core per rank, state machines that
+//! read no clock and touch no socket or process. This module is their IO
+//! shell: it binds the sockets, spawns, kills and reaps the children, runs
+//! each child's heartbeat thread and writes the flight dumps. Each side has
+//! one loop that reads the clock once per turn, feeds its core what
+//! arrived, and carries out what the core asks. A running rank's only
+//! membership cost is `MembershipClient::poll_park`: one nonblocking
+//! `recv` per `RankCtx::pump`, no allocation and no clock read.
 //!
 //! Each rejoin is reported as a [`RejoinEvent`] in the
-//! [`ProcessReport`]: who died, the epoch and cycle the world resumed
-//! at, the respawn latency and the whole epoch's duration.
+//! [`ProcessReport`]: who died, and the epoch and cycle the world resumed
+//! at.
 
 use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
@@ -44,37 +55,17 @@ use gmg_trace::probe;
 use gmg_trace::ObsConfig;
 
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::frame::{Frame, FrameKind, MAX_FRAME_LEN};
+use crate::frame::{Frame, FrameKind};
+pub use crate::membership::RejoinEvent;
+use crate::membership::{ctl_frame, Controller, ControllerIn, ControllerOut, Member, MemberIn};
+use crate::membership::{MemberOut, BEAT_INTERVAL, MEMBER_POLL, OP_BEAT, OP_DONE};
 use crate::runtime::RankCtx;
 use crate::socket::{SocketKind, SocketTransport};
 use crate::transport::Transport;
 
-// Membership opcodes (carried in a control frame's `tag`).
-const OP_HELLO: u64 = 1;
-const OP_GO: u64 = 2;
-const OP_BEAT: u64 = 3;
-const OP_BEAT_ACK: u64 = 4;
-const OP_PARK: u64 = 5;
-const OP_PARKED: u64 = 6;
-const OP_RESUME: u64 = 7;
-const OP_READY: u64 = 8;
-const OP_DONE: u64 = 9;
-
 /// Upper bound on an encoded control frame: the header and a handful of
 /// payload words.
 const CTL_FRAME_MAX: usize = crate::frame::HEADER_LEN + 8 * 8;
-
-const BEAT_INTERVAL: Duration = Duration::from_millis(20);
-/// A gap longer than this declares the rank dead even if the process
-/// still exists (hung, not crashed): it is killed and rejoined.
-const HB_TIMEOUT: Duration = Duration::from_millis(2500);
-const STARTUP_TIMEOUT: Duration = Duration::from_secs(30);
-const EPOCH_TIMEOUT: Duration = Duration::from_secs(60);
-const HELLO_RESEND: Duration = Duration::from_millis(200);
-const PARK_RESEND: Duration = Duration::from_millis(150);
-/// How long a parked rank waits for `RESUME` before concluding the
-/// controller itself is gone.
-const PARK_WAIT_TIMEOUT: Duration = Duration::from_secs(120);
 
 fn ctl_sock_path(dir: &Path) -> PathBuf {
     dir.join("c.sock")
@@ -82,10 +73,6 @@ fn ctl_sock_path(dir: &Path) -> PathBuf {
 
 fn member_sock_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("m{rank}.sock"))
-}
-
-fn beat_sock_path(dir: &Path, rank: usize) -> PathBuf {
-    dir.join(format!("h{rank}.sock"))
 }
 
 fn out_path(dir: &Path, rank: usize) -> PathBuf {
@@ -97,65 +84,44 @@ pub fn checkpoint_dir(dir: &Path) -> PathBuf {
     dir.join("ckpt")
 }
 
-/// Integers ride control payloads bit-cast, never converted.
-fn bits(v: u64) -> f64 {
-    f64::from_bits(v)
+/// A control frame, if `buf` holds one.
+fn decode_ctl(buf: &[u8]) -> Option<Frame> {
+    let f = Frame::decode(buf).ok()?;
+    (f.kind == FrameKind::Control).then_some(f)
 }
 
-fn unbits(payload: &[f64], i: usize) -> u64 {
-    payload.get(i).map(|v| v.to_bits()).unwrap_or(0)
-}
-
-fn ctl_frame(src: u32, op: u64, seq: u64, epoch: u64, payload: Vec<f64>) -> Vec<u8> {
-    Frame {
-        kind: FrameKind::Control,
-        src,
-        dst: 0,
-        tag: op,
-        seq,
-        epoch,
-        frag_index: 0,
-        frag_count: 1,
-        arq_checksum: 0,
-        payload,
-    }
-    .encode()
-}
-
+/// The next control frame on `sock`, waiting at most `timeout`.
 fn recv_ctl(sock: &UnixDatagram, timeout: Duration) -> Option<Frame> {
     sock.set_read_timeout(Some(timeout.max(Duration::from_micros(100))))
         .ok()?;
-    let mut buf = vec![0u8; MAX_FRAME_LEN];
-    match sock.recv(&mut buf) {
-        Ok(n) => Frame::decode(&buf[..n]).ok(),
-        Err(_) => None,
-    }
-}
-
-/// Checkpoint-cycle wire encoding: `0` means "no checkpoint", `c + 1`
-/// means "checkpoint for completed cycle `c`". Keeps the happy path in
-/// unsigned arithmetic while letting a freshly booted rank say "none".
-fn enc_cycle(c: i64) -> u64 {
-    (c + 1).max(0) as u64
+    let mut buf = [0u8; CTL_FRAME_MAX];
+    let n = sock.recv(&mut buf).ok()?;
+    decode_ctl(&buf[..n])
 }
 
 // ---------------------------------------------------------------------
 // Child side
 // ---------------------------------------------------------------------
 
-/// The per-rank membership endpoint living inside a child process.
-/// `RankCtx` polls it from `pump` (cheap nonblocking read) and calls
-/// into it to park/rejoin; a background thread keeps heartbeats flowing
-/// even while the rank is deep in compute.
+/// The per-rank membership endpoint living inside a child process: the
+/// shell around its [`Member`] core. `RankCtx` polls it from `pump`
+/// (cheap nonblocking read) and calls into it to park/rejoin; a
+/// background thread keeps heartbeats flowing even while the rank is deep
+/// in compute.
 pub(crate) struct MembershipClient {
+    core: Member,
+    out: Vec<MemberOut>,
+    /// The core's time base.
+    clock: Instant,
+    /// The time of the wait's last turn. A running member sets no timer,
+    /// so [`MembershipClient::poll_park`] hands the core this instead of
+    /// reading the clock.
+    now: Duration,
     rank: usize,
-    epoch: u64,
     m_sock: UnixDatagram,
     tx: UnixDatagram,
     ctl_path: PathBuf,
     ckpt_dir: PathBuf,
-    rejoining: bool,
-    parked: Option<u64>,
     progress: Arc<AtomicU64>,
     stop_hb: Arc<AtomicBool>,
 }
@@ -168,7 +134,7 @@ impl Drop for MembershipClient {
 
 impl MembershipClient {
     pub(crate) fn rejoining(&self) -> bool {
-        self.rejoining
+        self.core.rejoining()
     }
 
     pub(crate) fn ckpt_dir(&self) -> &Path {
@@ -179,125 +145,85 @@ impl MembershipClient {
         self.progress.store(cycle, Ordering::Relaxed);
     }
 
-    /// Nonblocking membership poll: drains the inbox and returns the
-    /// pending park epoch, if any. Sticky — keeps returning `Some`
-    /// until the rank actually parks, so every comm call between the
-    /// `PARK` arriving and the solver noticing fails fast.
+    /// Nonblocking membership poll: drains the inbox into the core and
+    /// returns the pending park epoch, if any.
     pub(crate) fn poll_park(&mut self) -> Option<u64> {
         // The inbox stays nonblocking between parks, and a control frame
         // is a header plus a word or two: no mode switch, no allocation.
         let mut buf = [0u8; CTL_FRAME_MAX];
         while let Ok(n) = self.m_sock.recv(&mut buf) {
-            if let Ok(f) = Frame::decode(&buf[..n]) {
-                if f.kind == FrameKind::Control && f.tag == OP_PARK && f.epoch > self.epoch {
-                    self.parked = Some(f.epoch);
-                }
+            if let Some(f) = decode_ctl(&buf[..n]) {
+                let _ = self
+                    .core
+                    .handle(self.now, MemberIn::Frame(f), &mut self.out);
             }
         }
-        self.parked
+        self.core.parked()
     }
 
-    /// Survivor path: report the latest locally checkpointed cycle and
-    /// block until the controller's `RESUME`. Returns
-    /// `(new_epoch, resume_enc)` where `resume_enc` uses [`enc_cycle`]
-    /// encoding (`0` = restart from scratch, `c + 1` = re-run from the
-    /// cycle-`c` checkpoint).
-    pub(crate) fn park_and_await_resume(&mut self, ckpt_cycle: i64) -> (u64, u64) {
-        self.report_and_await(OP_PARKED, ckpt_cycle)
-    }
-
-    /// Rejoined-replacement path: announce readiness with the newest
-    /// checkpoint found on disk (`-1` for none) and await the `RESUME`.
-    pub(crate) fn ready_and_await_resume(&mut self, ckpt_cycle: i64) -> (u64, u64) {
-        self.report_and_await(OP_READY, ckpt_cycle)
-    }
-
-    fn report_and_await(&mut self, op: u64, ckpt_cycle: i64) -> (u64, u64) {
-        let enc = enc_cycle(ckpt_cycle);
+    /// Stop at the membership barrier and block until the controller's
+    /// `RESUME`: a survivor (`ready == false`) reports its latest
+    /// checkpointed cycle, a rejoined replacement the newest checkpoint it
+    /// found on disk (`-1` for none). Returns `(new_epoch, resume)`, where
+    /// `resume` is `0` to restart from scratch and `c + 1` to re-run from
+    /// the cycle-`c` checkpoint.
+    pub(crate) fn report(&mut self, ready: bool, ckpt: i64) -> (u64, u64) {
         // A parked ring is exactly what a membership postmortem wants to
         // see; the controller merges these per-process dumps.
-        let _ = gmg_flight::dump_installed(
-            if op == OP_PARKED {
-                "membership-park"
-            } else {
-                "membership-rejoin"
-            },
-            &format!(
-                "rank {} (epoch {}, checkpoint cycle {ckpt_cycle})",
-                self.rank, self.epoch
-            ),
-        );
+        let reason = if ready {
+            "membership-rejoin"
+        } else {
+            "membership-park"
+        };
+        let (rank, epoch) = (self.rank, self.core.epoch());
+        let detail = format!("rank {rank} (epoch {epoch}, checkpoint cycle {ckpt})");
+        let _ = gmg_flight::dump_installed(reason, &detail);
+        self.wait(MemberIn::Report { ready, ckpt })
+    }
+
+    /// The member's one wait loop — HELLO until GO, or a report until
+    /// RESUME — returning the epoch entered and the resume point.
+    fn wait(&mut self, mut input: MemberIn) -> (u64, u64) {
         self.m_sock.set_nonblocking(false).ok();
-        let deadline = Instant::now() + PARK_WAIT_TIMEOUT;
-        let mut last_report = None::<Instant>;
-        let mut buf = vec![0u8; MAX_FRAME_LEN];
         loop {
-            if last_report.is_none_or(|t| t.elapsed() >= PARK_RESEND) {
-                let f = ctl_frame(self.rank as u32, op, 0, self.epoch, vec![bits(enc)]);
-                let _ = self.tx.send_to(&f, &self.ctl_path);
-                last_report = Some(Instant::now());
+            self.now = self.clock.elapsed();
+            if let Err(e) = self.core.handle(self.now, input, &mut self.out) {
+                panic!("{e}");
             }
-            self.m_sock
-                .set_read_timeout(Some(Duration::from_millis(50)))
-                .ok();
-            if let Ok(n) = self.m_sock.recv(&mut buf) {
-                if let Ok(f) = Frame::decode(&buf[..n]) {
-                    if f.kind != FrameKind::Control {
-                        continue;
+            let mut entered = None;
+            for o in self.out.drain(..) {
+                match o {
+                    MemberOut::Send(f) => {
+                        let _ = self.tx.send_to(&f.encode(), &self.ctl_path);
                     }
-                    match f.tag {
-                        // A fresh PARK (second death mid-collection, or a
-                        // resend) just re-triggers our report.
-                        OP_PARK if f.epoch > self.epoch => last_report = None,
-                        OP_RESUME if f.epoch > self.epoch => {
-                            self.epoch = f.epoch;
-                            self.parked = None;
-                            self.rejoining = false;
-                            self.m_sock.set_nonblocking(true).ok();
-                            return (f.epoch, f.seq);
-                        }
-                        _ => {}
-                    }
+                    MemberOut::Go(epoch) => entered = Some((epoch, 0)),
+                    MemberOut::Resume { epoch, resume } => entered = Some((epoch, resume)),
                 }
             }
-            assert!(
-                Instant::now() < deadline,
-                "rank {} parked for membership epoch but the controller never resumed it",
-                self.rank
-            );
+            if let Some(entered) = entered {
+                self.m_sock.set_nonblocking(true).ok();
+                return entered;
+            }
+            input = recv_ctl(&self.m_sock, MEMBER_POLL).map_or(MemberIn::Tick, MemberIn::Frame);
         }
     }
 }
 
+/// Beat every [`BEAT_INTERVAL`] with the rank's progress until `stop`.
 fn spawn_heartbeat(
     rank: usize,
-    dir: &Path,
+    ctl: PathBuf,
     progress: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
-    let h_path = beat_sock_path(dir, rank);
-    let _ = std::fs::remove_file(&h_path);
-    let sock = UnixDatagram::bind(&h_path)?;
-    sock.set_read_timeout(Some(BEAT_INTERVAL))?;
     let tx = UnixDatagram::unbound()?;
-    let ctl = ctl_sock_path(dir);
     std::thread::Builder::new()
         .name(format!("gmg-heartbeat-{rank}"))
         .spawn(move || {
-            let mut seq = 0u64;
-            let mut buf = [0u8; 256];
             while !stop.load(Ordering::Relaxed) {
-                let beat = ctl_frame(
-                    rank as u32,
-                    OP_BEAT,
-                    seq,
-                    0,
-                    vec![bits(progress.load(Ordering::Relaxed))],
-                );
+                let progress = Some(progress.load(Ordering::Relaxed));
+                let beat = ctl_frame(rank as u32, OP_BEAT, 0, 0, progress).encode();
                 let _ = tx.send_to(&beat, &ctl);
-                // Wait (at most one interval) for the controller's ACK.
-                let _ = sock.recv(&mut buf);
-                seq += 1;
                 std::thread::sleep(BEAT_INTERVAL);
             }
         })?;
@@ -404,19 +330,28 @@ where
     let m_path = member_sock_path(dir, rank);
     let _ = std::fs::remove_file(&m_path);
     let m_sock = UnixDatagram::bind(&m_path).expect("bind membership socket");
-    spawn_heartbeat(rank, dir, progress.clone(), stop_hb.clone()).expect("heartbeat thread");
+    let ctl_path = ctl_sock_path(dir);
+    spawn_heartbeat(rank, ctl_path.clone(), progress.clone(), stop_hb.clone())
+        .expect("heartbeat thread");
 
     // Data endpoint *before* HELLO, so no data frame can race the bind.
     let mut transport = SocketTransport::uds(rank, nranks, dir).expect("bind data socket");
 
-    let tx = UnixDatagram::unbound().expect("ctl send socket");
-    let ctl_path = ctl_sock_path(dir);
-    let epoch = hello_and_wait_go(&m_sock, &tx, &ctl_path, rank);
+    let mut membership = MembershipClient {
+        core: Member::new(Duration::ZERO, rank, rejoining),
+        out: Vec::new(),
+        clock: Instant::now(),
+        now: Duration::ZERO,
+        rank,
+        m_sock,
+        tx: UnixDatagram::unbound().expect("membership send socket"),
+        ctl_path: ctl_path.clone(),
+        ckpt_dir: checkpoint_dir(dir),
+        progress,
+        stop_hb,
+    };
+    let (epoch, _) = membership.wait(MemberIn::Tick);
     transport.set_epoch(epoch);
-    // From here on the inbox is only ever polled, until a park.
-    m_sock
-        .set_nonblocking(true)
-        .expect("nonblocking membership socket");
 
     // The socket medium is genuinely unreliable (a dying peer absorbs
     // in-flight frames), so the ARQ layer always engages here — a
@@ -434,25 +369,7 @@ where
     let retry = plan.retry;
     let injector = plan.injector(rank);
     let mut ctx = RankCtx::from_parts(rank, nranks, Box::new(transport), Some(injector), retry);
-    ctx.membership = Some(MembershipClient {
-        rank,
-        // A rejoined replacement is spawned *into* the new epoch (its GO
-        // already carries it), but it must still accept that epoch's
-        // RESUME — so its membership clock starts one behind.
-        epoch: if rejoining {
-            epoch.saturating_sub(1)
-        } else {
-            epoch
-        },
-        m_sock,
-        tx: UnixDatagram::unbound().expect("membership send socket"),
-        ctl_path: ctl_path.clone(),
-        ckpt_dir: checkpoint_dir(dir),
-        rejoining,
-        parked: None,
-        progress,
-        stop_hb,
-    });
+    ctx.membership = Some(membership);
 
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         dispatch(&entry, ctx, &args)
@@ -465,8 +382,8 @@ where
             let tmp = path.with_extension("tmp");
             std::fs::write(&tmp, &result).expect("write result");
             std::fs::rename(&tmp, &path).expect("publish result");
-            let done = ctl_frame(rank as u32, OP_DONE, 0, 0, Vec::new());
-            let _ = tx.send_to(&done, &ctl_path);
+            let done = ctl_frame(rank as u32, OP_DONE, 0, 0, None).encode();
+            let _ = UnixDatagram::unbound().and_then(|tx| tx.send_to(&done, &ctl_path));
             0
         }
         Err(p) => {
@@ -482,57 +399,9 @@ where
     }
 }
 
-fn hello_and_wait_go(
-    m_sock: &UnixDatagram,
-    tx: &UnixDatagram,
-    ctl_path: &Path,
-    rank: usize,
-) -> u64 {
-    let deadline = Instant::now() + STARTUP_TIMEOUT;
-    let mut last_hello = None::<Instant>;
-    let mut buf = vec![0u8; MAX_FRAME_LEN];
-    loop {
-        if last_hello.is_none_or(|t| t.elapsed() >= HELLO_RESEND) {
-            let hello = ctl_frame(rank as u32, OP_HELLO, 0, 0, Vec::new());
-            let _ = tx.send_to(&hello, ctl_path);
-            last_hello = Some(Instant::now());
-        }
-        m_sock
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .ok();
-        if let Ok(n) = m_sock.recv(&mut buf) {
-            if let Ok(f) = Frame::decode(&buf[..n]) {
-                if f.kind == FrameKind::Control && f.tag == OP_GO {
-                    return f.epoch;
-                }
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "rank {rank} never received GO from the membership controller"
-        );
-    }
-}
-
 // ---------------------------------------------------------------------
 // Controller side
 // ---------------------------------------------------------------------
-
-/// One rejoin epoch, as observed by the controller.
-#[derive(Clone, Debug)]
-pub struct RejoinEvent {
-    /// The rank that died and was replaced.
-    pub rank: usize,
-    /// The membership epoch the world resumed into.
-    pub epoch: u64,
-    /// The cycle whose checkpoint the world re-ran from (`-1` = full
-    /// restart: the death predated every checkpoint).
-    pub resume_cycle: i64,
-    /// Death detection → replacement process spawned.
-    pub respawn_latency: Duration,
-    /// Death detection → `RESUME` broadcast (the whole epoch).
-    pub epoch_duration: Duration,
-}
 
 /// What a completed process world hands back.
 #[derive(Clone, Debug)]
@@ -546,15 +415,6 @@ pub struct ProcessReport {
     /// Merged flight dump (all surviving ranks' rings), when any child
     /// dumped one.
     pub flight_dump: Option<PathBuf>,
-}
-
-struct RankState {
-    child: Child,
-    said_hello: bool,
-    last_beat: Instant,
-    progress: u64,
-    exited: bool,
-    done: bool,
 }
 
 /// Controller/builder for a multi-process rank world.
@@ -631,8 +491,9 @@ impl ProcessWorld {
         self
     }
 
-    /// Spawn, supervise, rejoin as needed, and collect results.
-    pub fn run(mut self) -> Result<ProcessReport, String> {
+    /// Spawn, supervise, rejoin as needed, and collect results. A failed
+    /// world keeps its directory and prints where it is.
+    pub fn run(self) -> Result<ProcessReport, String> {
         static WORLD_SEQ: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "gmg-procworld-{}-{}",
@@ -641,146 +502,27 @@ impl ProcessWorld {
         ));
         std::fs::create_dir_all(checkpoint_dir(&dir)).map_err(|e| e.to_string())?;
         let out = self.run_in(&dir);
-        if out.is_ok() && std::env::var("GMG_KEEP_PROCDIR").as_deref() != Ok("1") {
+        if out.is_ok() {
             let _ = std::fs::remove_dir_all(&dir);
-        } else if out.is_err() {
+        } else {
             eprintln!("gmg-comm process world kept its directory for debugging: {dir:?}");
         }
         out
     }
 
-    fn run_in(&mut self, dir: &Path) -> Result<ProcessReport, String> {
-        let ctl_path = ctl_sock_path(dir);
-        let ctl = UnixDatagram::bind(&ctl_path).map_err(|e| format!("bind controller: {e}"))?;
-        let tx = UnixDatagram::unbound().map_err(|e| e.to_string())?;
-
-        let mut ranks: Vec<RankState> = (0..self.nranks)
-            .map(|r| self.spawn_child(dir, r, false).map(new_rank_state))
-            .collect::<Result<_, _>>()?;
-
-        // Startup barrier: every rank HELLOs, then everyone gets GO.
-        let startup_deadline = Instant::now() + STARTUP_TIMEOUT;
-        while ranks.iter().any(|s| !s.said_hello) {
-            if let Some(f) = recv_ctl(&ctl, Duration::from_millis(50)) {
-                let src = f.src as usize;
-                if src < self.nranks && f.kind == FrameKind::Control {
-                    match f.tag {
-                        OP_HELLO => {
-                            ranks[src].said_hello = true;
-                            ranks[src].last_beat = Instant::now();
-                        }
-                        OP_BEAT => self.handle_beat(&tx, dir, &mut ranks[src], &f),
-                        _ => {}
-                    }
-                }
+    fn run_in(&self, dir: &Path) -> Result<ProcessReport, String> {
+        let ctl =
+            UnixDatagram::bind(ctl_sock_path(dir)).map_err(|e| format!("bind controller: {e}"))?;
+        let mut children = Vec::with_capacity(self.nranks);
+        let rejoins = self.supervise(dir, &ctl, &mut children);
+        // A failed world leaves no rank behind.
+        for child in &mut children {
+            if rejoins.is_err() {
+                let _ = child.kill();
             }
-            for (r, s) in ranks.iter_mut().enumerate() {
-                if let Ok(Some(st)) = s.child.try_wait() {
-                    return Err(format!("rank {r} died during startup ({st})"));
-                }
-            }
-            if Instant::now() > startup_deadline {
-                kill_all(&mut ranks);
-                return Err("process world startup timed out waiting for HELLOs".into());
-            }
+            let _ = child.wait();
         }
-        for r in 0..self.nranks {
-            let go = ctl_frame(u32::MAX, OP_GO, 0, 0, Vec::new());
-            let _ = tx.send_to(&go, member_sock_path(dir, r));
-        }
-
-        // Steady state: supervise until every rank published a result.
-        let hard_deadline = Instant::now() + self.deadline;
-        let mut epoch = 0u64;
-        let mut rejoins: Vec<RejoinEvent> = Vec::new();
-        let mut kill_armed = self.kill_at;
-        loop {
-            if let Some(f) = recv_ctl(&ctl, Duration::from_millis(10)) {
-                let src = f.src as usize;
-                if src < self.nranks && f.kind == FrameKind::Control {
-                    match f.tag {
-                        OP_BEAT => self.handle_beat(&tx, dir, &mut ranks[src], &f),
-                        OP_DONE => ranks[src].done = true,
-                        // A GO lost to a race: the child keeps HELLOing.
-                        OP_HELLO => {
-                            let go = ctl_frame(u32::MAX, OP_GO, 0, epoch, Vec::new());
-                            let _ = tx.send_to(&go, member_sock_path(dir, src));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-
-            // Chaos trigger: a real SIGKILL, driven by reported progress.
-            if let Some((kr, kc)) = kill_armed {
-                if !ranks[kr].exited && ranks[kr].progress >= kc {
-                    let _ = ranks[kr].child.kill();
-                    let _ = ranks[kr].child.wait();
-                    kill_armed = None;
-                }
-            }
-
-            // Failure detection: waitpid first (authoritative), then
-            // heartbeat timeout (hung-but-alive ranks get killed).
-            let mut dead: Option<(usize, String)> = None;
-            for (r, s) in ranks.iter_mut().enumerate() {
-                if s.exited {
-                    continue;
-                }
-                if let Ok(Some(st)) = s.child.try_wait() {
-                    s.exited = true;
-                    if st.success() && out_path(dir, r).exists() {
-                        s.done = true;
-                    } else {
-                        dead = Some((r, format!("exited: {st}")));
-                    }
-                    continue;
-                }
-                let gap = s.last_beat.elapsed();
-                if gap > HB_TIMEOUT {
-                    let _ = s.child.kill();
-                    let _ = s.child.wait();
-                    s.exited = true;
-                    dead = Some((r, format!("heartbeat silent for {gap:?}")));
-                }
-            }
-
-            if let Some((r, why)) = dead {
-                if ranks.iter().any(|s| s.done) {
-                    kill_all(&mut ranks);
-                    return Err(format!(
-                        "rank {r} died ({why}) after another rank already finished; \
-                         cannot rejoin a world that is partially complete"
-                    ));
-                }
-                if rejoins.len() as u32 >= self.max_rejoins {
-                    kill_all(&mut ranks);
-                    return Err(format!(
-                        "rank {r} died ({why}) but the rejoin budget ({}) is exhausted",
-                        self.max_rejoins
-                    ));
-                }
-                epoch += 1;
-                let ev = self.rejoin_epoch(dir, &ctl, &tx, &mut ranks, r, &why, epoch)?;
-                rejoins.push(ev);
-            }
-
-            if ranks.iter().all(|s| s.done) {
-                break;
-            }
-            if Instant::now() > hard_deadline {
-                kill_all(&mut ranks);
-                return Err(format!(
-                    "process world exceeded its deadline ({:?}); progress: {:?}",
-                    self.deadline,
-                    ranks.iter().map(|s| s.progress).collect::<Vec<_>>()
-                ));
-            }
-        }
-
-        for s in &mut ranks {
-            let _ = s.child.wait();
-        }
+        let rejoins = rejoins?;
         let results = (0..self.nranks)
             .map(|r| std::fs::read_to_string(out_path(dir, r)).map_err(|e| e.to_string()))
             .collect::<Result<Vec<_>, _>>()?;
@@ -793,120 +535,61 @@ impl ProcessWorld {
         })
     }
 
-    fn handle_beat(&self, tx: &UnixDatagram, dir: &Path, s: &mut RankState, f: &Frame) {
-        s.last_beat = Instant::now();
-        s.progress = unbits(&f.payload, 0);
-        let ack = ctl_frame(u32::MAX, OP_BEAT_ACK, f.seq, 0, Vec::new());
-        let _ = tx.send_to(&ack, beat_sock_path(dir, f.src as usize));
-    }
-
-    /// One membership epoch: respawn the dead rank, park the survivors,
-    /// agree on a resume cycle, release everyone into the new epoch.
-    #[allow(clippy::too_many_arguments)]
-    fn rejoin_epoch(
+    /// Spawn the ranks, then the controller's one loop: per turn, wait
+    /// for a control frame at most the core's poll interval, read the
+    /// clock, hand the core that frame, every child `waitpid` finds gone
+    /// and the tick, then carry out what it asked.
+    fn supervise(
         &self,
         dir: &Path,
         ctl: &UnixDatagram,
-        tx: &UnixDatagram,
-        ranks: &mut [RankState],
-        dead: usize,
-        why: &str,
-        epoch: u64,
-    ) -> Result<RejoinEvent, String> {
-        let t0 = Instant::now();
-
-        let spawn_t = Instant::now();
-        ranks[dead] = new_rank_state(self.spawn_child(dir, dead, true)?);
-        let respawn_latency = spawn_t.elapsed();
-
-        let deadline = Instant::now() + EPOCH_TIMEOUT;
-        let mut parked: Vec<Option<u64>> = vec![None; self.nranks];
-        let mut ready_enc: Option<u64> = None;
-        let mut last_park = Instant::now()
-            .checked_sub(PARK_RESEND)
-            .unwrap_or_else(Instant::now);
-        loop {
-            if last_park.elapsed() >= PARK_RESEND {
-                for (r, p) in parked.iter().enumerate() {
-                    if r != dead && p.is_none() {
-                        let park = ctl_frame(u32::MAX, OP_PARK, 0, epoch, Vec::new());
-                        let _ = tx.send_to(&park, member_sock_path(dir, r));
-                    }
-                }
-                last_park = Instant::now();
-            }
-            if let Some(f) = recv_ctl(ctl, Duration::from_millis(20)) {
-                let src = f.src as usize;
-                if src < self.nranks && f.kind == FrameKind::Control {
-                    match f.tag {
-                        OP_BEAT => self.handle_beat(tx, dir, &mut ranks[src], &f),
-                        OP_HELLO if src == dead => {
-                            ranks[src].said_hello = true;
-                            ranks[src].last_beat = Instant::now();
-                            let go = ctl_frame(u32::MAX, OP_GO, 0, epoch, Vec::new());
-                            let _ = tx.send_to(&go, member_sock_path(dir, src));
-                        }
-                        OP_PARKED if src != dead => parked[src] = Some(unbits(&f.payload, 0)),
-                        OP_READY if src == dead => ready_enc = Some(unbits(&f.payload, 0)),
-                        OP_DONE => {
-                            return Err(format!(
-                                "rank {src} finished mid-membership-epoch; \
-                                 the dead rank {dead} cannot be rejoined"
-                            ))
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            for (r, s) in ranks.iter_mut().enumerate() {
-                if !s.exited {
-                    if let Ok(Some(st)) = s.child.try_wait() {
-                        s.exited = true;
-                        return Err(format!(
-                            "rank {r} died ({st}) during the membership epoch for rank {dead}"
-                        ));
-                    }
-                }
-            }
-            let all_parked = parked
-                .iter()
-                .enumerate()
-                .all(|(r, p)| r == dead || p.is_some());
-            if all_parked && ready_enc.is_some() {
-                break;
-            }
-            if Instant::now() > deadline {
-                return Err(format!(
-                    "membership epoch {epoch} for rank {dead} ({why}) timed out; \
-                     parked={parked:?} ready={ready_enc:?}"
-                ));
-            }
-        }
-
-        // Every rank keeps all its checkpoint files, so the minimum
-        // reported cycle is loadable everywhere; `0` forces a restart.
-        let resume_enc = parked
-            .iter()
-            .flatten()
-            .copied()
-            .chain(ready_enc)
-            .min()
-            .unwrap_or(0);
+        children: &mut Vec<Child>,
+    ) -> Result<Vec<RejoinEvent>, String> {
         for r in 0..self.nranks {
-            // Twice, unconditionally: receivers dedupe on epoch.
-            for _ in 0..2 {
-                let resume = ctl_frame(u32::MAX, OP_RESUME, resume_enc, epoch, Vec::new());
-                let _ = tx.send_to(&resume, member_sock_path(dir, r));
+            children.push(self.spawn_child(dir, r, false)?);
+        }
+        let tx = UnixDatagram::unbound().map_err(|e| e.to_string())?;
+        let clock = Instant::now();
+        let (n, deadline) = (self.nranks, self.deadline);
+        let mut core = Controller::new(Duration::ZERO, n, self.max_rejoins, deadline, self.kill_at);
+        let mut out = Vec::new();
+        loop {
+            let frame = recv_ctl(ctl, core.poll_interval());
+            let now = clock.elapsed();
+            if let Some(f) = frame {
+                core.handle(now, ControllerIn::Frame(f), &mut out)?;
+            }
+            // The core ignores a rank it already counts as exited.
+            for (rank, child) in children.iter_mut().enumerate() {
+                if let Ok(Some(st)) = child.try_wait() {
+                    let clean = st.success() && out_path(dir, rank).exists();
+                    let status = st.to_string();
+                    core.handle(
+                        now,
+                        ControllerIn::Exit {
+                            rank,
+                            clean,
+                            status,
+                        },
+                        &mut out,
+                    )?;
+                }
+            }
+            core.handle(now, ControllerIn::Tick, &mut out)?;
+            for o in out.drain(..) {
+                match o {
+                    ControllerOut::Send(r, f) => {
+                        let _ = tx.send_to(&f.encode(), member_sock_path(dir, r));
+                    }
+                    ControllerOut::Spawn(r) => children[r] = self.spawn_child(dir, r, true)?,
+                    ControllerOut::Kill(r) => {
+                        let _ = children[r].kill();
+                        let _ = children[r].wait();
+                    }
+                    ControllerOut::Finish => return Ok(core.rejoins),
+                }
             }
         }
-        let epoch_duration = t0.elapsed();
-        Ok(RejoinEvent {
-            rank: dead,
-            epoch,
-            resume_cycle: resume_enc as i64 - 1,
-            respawn_latency,
-            epoch_duration,
-        })
     }
 
     fn spawn_child(&self, dir: &Path, rank: usize, rejoin: bool) -> Result<Child, String> {
@@ -931,27 +614,6 @@ impl ProcessWorld {
         cmd.stdout(log.try_clone().map_err(|e| e.to_string())?)
             .stderr(log);
         cmd.spawn().map_err(|e| format!("spawn rank {rank}: {e}"))
-    }
-}
-
-fn new_rank_state(child: Child) -> RankState {
-    RankState {
-        child,
-        said_hello: false,
-        last_beat: Instant::now(),
-        progress: 0,
-        exited: false,
-        done: false,
-    }
-}
-
-fn kill_all(ranks: &mut [RankState]) {
-    for s in ranks {
-        if !s.exited {
-            let _ = s.child.kill();
-            let _ = s.child.wait();
-            s.exited = true;
-        }
     }
 }
 
@@ -1195,8 +857,6 @@ mod tests {
             "kill at progress 5 follows checkpoints"
         );
         assert!(ev.resume_cycle < TOTAL_CYCLES as i64);
-        assert!(ev.respawn_latency > Duration::ZERO);
-        assert!(ev.epoch_duration >= ev.respawn_latency);
 
         // The recovered world's answers are bit-identical to an
         // unfaulted run's.

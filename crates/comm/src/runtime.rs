@@ -75,10 +75,7 @@ impl MembershipClient {
     fn set_progress(&self, _: u64) {
         match *self {}
     }
-    fn park_and_await_resume(&mut self, _: i64) -> (u64, u64) {
-        match *self {}
-    }
-    fn ready_and_await_resume(&mut self, _: i64) -> (u64, u64) {
+    fn report(&mut self, _: bool, _: i64) -> (u64, u64) {
         match *self {}
     }
 }
@@ -462,14 +459,14 @@ impl RankCtx {
     /// world-wide `RESUME`, fences off the old epoch, and returns
     /// `(new_epoch, resume_cycle)`. Panics if the controller is gone.
     pub fn park_for_rejoin(&mut self, ckpt_cycle: i64) -> (u64, u64) {
-        self.resume(|m| m.park_and_await_resume(ckpt_cycle))
+        self.resume(|m| m.report(false, ckpt_cycle))
     }
 
     /// Rejoined-rank variant of [`RankCtx::park_for_rejoin`]: announces
     /// readiness (state restored up to `ckpt_cycle`, `-1` for none) and
     /// waits for the `RESUME` that readmits this rank.
     pub fn rejoin_ready(&mut self, ckpt_cycle: i64) -> (u64, u64) {
-        self.resume(|m| m.ready_and_await_resume(ckpt_cycle))
+        self.resume(|m| m.report(true, ckpt_cycle))
     }
 
     /// Wait at the membership barrier, then enter the epoch it resumes.
