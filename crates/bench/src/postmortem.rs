@@ -55,7 +55,8 @@ fn last_op(trace: &Trace, rank: usize) -> String {
     let kind = |e: &TraceEvent| match (e.track, e.op.name()) {
         (Track::Compute, _) => "compute",
         (Track::Comm, op @ ("send" | "arrive")) => op,
-        (Track::Comm, _) => "recv-wait",
+        (Track::Comm, _) if is_wait(e) => "recv-wait",
+        (Track::Comm, _) => "comm",
         (Track::Fault, op) if op.starts_with("arq:") || op.starts_with("frame:") => "arq",
         (Track::Fault, _) => "control",
     };

@@ -7,15 +7,30 @@ use std::path::{Path, PathBuf};
 
 /// Run `f` under a trace capture when `cfg` names a trace path, then
 /// write the capture's Chrome trace-event JSON there. With none set `f`
-/// runs directly and every span-log probe stays inert.
+/// runs directly and the capture-only probes stay inert.
 pub fn with_hooks<T>(cfg: &ObsConfig, f: impl FnOnce() -> T) -> T {
     let Some(path) = &cfg.trace else {
         return f();
     };
     let (out, trace) = gmg_trace::capture(f);
     let path = save_at(path, "trace.json", &trace.to_chrome_string());
-    eprintln!("[trace: {} events -> {path:?}]", trace.events.len());
+    eprintln!("{}", trace_note(&trace, &path));
     out
+}
+
+/// What [`with_hooks`] says about a capture it wrote: the event count
+/// and, for a window that wrapped its ring, what each rank lost.
+fn trace_note(trace: &gmg_trace::Trace, path: &Path) -> String {
+    let mut note = format!("[trace: {} events -> {path:?}", trace.events.len());
+    if !trace.lost.is_empty() {
+        let lost: Vec<String> = trace
+            .lost
+            .iter()
+            .map(|(rank, n)| format!("rank {rank} lost {n}"))
+            .collect();
+        note += &format!("; the ring window wrapped: {}", lost.join(", "));
+    }
+    note + "]"
 }
 
 /// [`with_hooks`] as the environment asks (`GMG_TRACE`). Every harness
@@ -188,6 +203,23 @@ mod tests {
         let trace = Trace::from_chrome_str(&text).unwrap();
         assert_eq!(trace.events.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A capture longer than its ring reports what it lost, and the hooks
+    /// say so.
+    #[test]
+    fn a_wrapped_window_is_reported() {
+        let world = gmg_flight::FlightWorld::with_capacity(1, 16);
+        let (_, trace) = gmg_trace::capture(|| {
+            let _ring = world.install(0);
+            for _ in 0..40 {
+                gmg_trace::probe::event(gmg_trace::Kind::Control, "tick");
+            }
+        });
+        assert_eq!(trace.events.len(), 16);
+        assert_eq!(trace.lost, vec![(0, 24)]);
+        let note = trace_note(&trace, Path::new("t.json"));
+        assert!(note.contains("rank 0 lost 24"), "{note}");
     }
 
     #[test]

@@ -403,6 +403,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
             .filter(|e| keep.contains(&e.rank))
             .cloned()
             .collect(),
+        ..Trace::default()
     };
     let window_joins = trace.messages().len();
     let path = critical_path(&trace);

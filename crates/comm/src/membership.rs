@@ -30,6 +30,11 @@ pub(crate) const BEAT_INTERVAL: Duration = Duration::from_millis(20);
 const HB_TIMEOUT: Duration = Duration::from_millis(2500);
 const STARTUP_TIMEOUT: Duration = Duration::from_secs(30);
 const EPOCH_TIMEOUT: Duration = Duration::from_secs(60);
+/// How long a member waits for `GO`: past both the startup barrier and a
+/// rejoin epoch, so the controller, which knows who stayed silent, always
+/// decides a failed start, and a member's own wait fires only when the
+/// controller is gone.
+const GO_TIMEOUT: Duration = STARTUP_TIMEOUT.saturating_add(EPOCH_TIMEOUT);
 const HELLO_RESEND: Duration = Duration::from_millis(200);
 const PARK_RESEND: Duration = Duration::from_millis(150);
 /// How long a parked rank waits for `RESUME` before concluding the
@@ -468,7 +473,7 @@ impl Member {
             parked: None,
             wait: Wait::Hello,
             sent: None,
-            deadline: now + STARTUP_TIMEOUT,
+            deadline: now + GO_TIMEOUT,
         }
     }
 
@@ -1096,8 +1101,9 @@ mod tests {
         unnamed: usize,
     }
 
-    /// Build and run schedule `seed`, then check how it ended.
-    fn run_schedule(seed: u64) -> Tally {
+    /// Build and run schedule `seed`, then check how it ended; the error
+    /// the world failed with, if it did.
+    fn run_schedule(seed: u64) -> (Tally, Option<String>) {
         let mut rng = FaultRng::new(mix(&[seed, 0x3E3B]));
         let n = 2 + rng.below(7) as usize;
         let total = 4 + rng.below(13);
@@ -1168,7 +1174,8 @@ mod tests {
             rejoins: sim.ctl.rejoins.len(),
             ..Tally::default()
         };
-        match sim.outcome.take().expect("ran to an outcome") {
+        let outcome = sim.outcome.take().expect("ran to an outcome");
+        match &outcome {
             Ok(()) => {
                 for (r, p) in sim.procs.iter().enumerate() {
                     assert_eq!(
@@ -1194,7 +1201,7 @@ mod tests {
                 tally.unnamed = usize::from(!names_rank);
             }
         }
-        tally
+        (tally, outcome.err())
     }
 
     // One seed of `run_schedule` per defect the sweep found, each failing
@@ -1235,6 +1242,15 @@ mod tests {
         run_schedule(24);
     }
 
+    /// Rank 1 stopped before its HELLO while rank 0 waits for GO: the
+    /// controller's startup barrier ends the world and names rank 1, and
+    /// rank 0's own GO wait, which outlasts the barrier, blames nobody.
+    #[test]
+    fn a_silent_rank_not_a_waiting_one_is_blamed_at_startup() {
+        let err = run_schedule(96).1.expect("the start fails");
+        assert!(err.contains("HELLOs from ranks [1]"), "{err}");
+    }
+
     /// The sweep: kills in every phase (a second one during PARK, before
     /// READY or at RESUME), stopped and hung ranks, and control frames
     /// lost, duplicated and delayed at up to 30 % each, over 2–8 ranks. A
@@ -1251,7 +1267,7 @@ mod tests {
             let half = |lo: u64, hi: u64| {
                 s.spawn(move || {
                     (lo..hi)
-                        .map(run_schedule)
+                        .map(|seed| run_schedule(seed).0)
                         .fold(Tally::default(), |a, b| Tally {
                             finished: a.finished + b.finished,
                             rejoins: a.rejoins + b.rejoins,

@@ -321,7 +321,10 @@ where
     // directory (the controller points `GMG_FLIGHT_DIR` there), where the
     // controller merges all surviving rings.
     let flight_world = gmg_flight::FlightWorld::for_run(nranks, &ObsConfig::from_env());
-    let _probe = probe::install(Some(rank), flight_world.as_ref().map(|w| w.sink(rank)));
+    let _ring = flight_world.as_ref().map(|w| w.install(rank));
+    let _rank = flight_world
+        .is_none()
+        .then(|| probe::install(Some(rank), None));
 
     let progress = Arc::new(AtomicU64::new(0));
     let stop_hb = Arc::new(AtomicBool::new(false));

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use gmg_brick::BrickedField;
 use gmg_mesh::ghost::{direction_index, DIRECTIONS_26};
 use gmg_mesh::{Array3, Box3, Decomposition, Point3};
-use gmg_trace::probe::{self, Class, Kind};
+use gmg_trace::probe::{self, Kind};
 
 use crate::fault::{
     CommError, ControlFault, FaultInjector, FaultPlan, RankFailure, RetryPolicy, WorldFailure,
@@ -666,9 +666,13 @@ impl RankWorld {
             let mut handles = Vec::with_capacity(nranks);
             for (rank, transport) in transports.into_iter().enumerate() {
                 handles.push(s.spawn(move || {
-                    let spans = trace_scope_ref.as_ref().map(|s| (Class::Spans, s.sink()));
-                    let ring = flight_ref.as_ref().map(|w| w.sink(rank));
-                    let _probe = probe::install(Some(rank), spans.into_iter().chain(ring));
+                    // The world's ring names the rank; without one, the
+                    // rank alone.
+                    let _ring = flight_ref.as_ref().map(|w| w.install(rank));
+                    let _rank = flight_ref
+                        .is_none()
+                        .then(|| probe::install(Some(rank), None));
+                    let _capture = trace_scope_ref.as_ref().map(|s| s.install());
                     let ctx = RankCtx::from_parts(
                         rank,
                         nranks,
@@ -1089,7 +1093,8 @@ mod tests {
                 r.ts_ns + r.dur_ns >= s.ts_ns,
                 "recv {r:?} ended before matching send {s:?} began"
             );
-            assert_eq!(r.counters.message_bytes, s.counters.message_bytes);
+            // A message counts once, on its send.
+            assert_eq!((r.counters.messages, s.counters.messages), (0, 1));
         }
     }
 
@@ -1270,7 +1275,7 @@ mod tests {
         let plan = FaultPlan::new(FaultConfig::lossy(0.2), 11);
         let rings = gmg_flight::FlightWorld::with_capacity(2, 1 << 12);
         let per_rank = RankWorld::run_with_faults(2, &plan, |mut ctx| {
-            let _ring = probe::install(None, [rings.sink(ctx.rank())]);
+            let _ring = rings.install(ctx.rank());
             for round in 0..50u64 {
                 let peer = 1 - ctx.rank();
                 ctx.send(peer, round, vec![round as f64]);

@@ -419,7 +419,7 @@ mod tests {
         let dir = scratch_dir("uds_kind");
         let mut w = uds_world(&dir, 1).unwrap();
         let flight = gmg_flight::FlightWorld::with_capacity(1, 16);
-        let _g = probe::install(Some(0), [flight.sink(0)]);
+        let _g = flight.install(0);
         let mut bytes = crate::frame::Frame {
             kind: FrameKind::Ack,
             src: 0,

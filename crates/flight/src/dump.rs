@@ -3,7 +3,7 @@
 //! A dump is a directory `flightdump_<unix-ns>/` containing a
 //! `manifest.json` (reason, detail, rank list, and where the events'
 //! time base sits on the wall clock) and one `rank<k>.json` per rank
-//! with its counters and the validated, seq-ordered events.
+//! with its counters and the validated events in claim order.
 //! Encoding rides on [`gmg_trace::json`] — no new dependencies, and the
 //! files load back losslessly for offline postmortem analysis.
 //!
@@ -24,9 +24,9 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use gmg_trace::json::Json;
 use gmg_trace::ObsConfig;
 
-use crate::log::RankLog;
+use gmg_trace::{FlightEvent, Kind, RankLog, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
+
 use crate::recorder::FlightWorld;
-use crate::ring::{EventKind, FlightEvent, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 
 /// Dumps one process may attempt.
 pub const MAX_DUMPS: u64 = 32;
@@ -73,7 +73,6 @@ fn dec_u64(j: Option<&Json>, sentinel: u64) -> u64 {
 
 fn encode_event(ev: &FlightEvent) -> Json {
     Json::Obj(vec![
-        ("seq".to_string(), enc_u64(ev.seq, u64::MAX)),
         ("ts_ns".to_string(), enc_u64(ev.ts_ns, u64::MAX)),
         ("dur_ns".to_string(), enc_u64(ev.dur_ns, u64::MAX)),
         ("kind".to_string(), Json::Str(ev.kind.name().to_string())),
@@ -86,6 +85,10 @@ fn encode_event(ev: &FlightEvent) -> Json {
         ("tag".to_string(), enc_u64(ev.tag, NO_TAG)),
         ("msg_seq".to_string(), enc_u64(ev.msg_seq, NO_MSG_SEQ)),
         ("bytes".to_string(), enc_u64(ev.bytes, u64::MAX)),
+        (
+            "bytes_written".to_string(),
+            enc_u64(ev.bytes_written, u64::MAX),
+        ),
     ])
 }
 
@@ -93,10 +96,9 @@ fn decode_event(j: &Json) -> FlightEvent {
     let kind = j
         .get("kind")
         .and_then(Json::as_str)
-        .and_then(EventKind::from_name)
-        .unwrap_or(EventKind::Control);
+        .and_then(Kind::from_name)
+        .unwrap_or(Kind::Control);
     FlightEvent {
-        seq: dec_u64(j.get("seq"), 0),
         ts_ns: dec_u64(j.get("ts_ns"), 0),
         dur_ns: dec_u64(j.get("dur_ns"), 0),
         kind,
@@ -108,6 +110,7 @@ fn decode_event(j: &Json) -> FlightEvent {
         tag: dec_u64(j.get("tag"), NO_TAG),
         msg_seq: dec_u64(j.get("msg_seq"), NO_MSG_SEQ),
         bytes: dec_u64(j.get("bytes"), u64::MAX),
+        bytes_written: dec_u64(j.get("bytes_written"), 0),
     }
 }
 
@@ -358,7 +361,7 @@ mod tests {
         world.ring(0).record(FlightEvent {
             ts_ns: 100,
             dur_ns: 50,
-            kind: EventKind::Send,
+            kind: Kind::Send,
             op: "send",
             level: 3,
             peer: 1,
@@ -371,7 +374,7 @@ mod tests {
         world.ring(1).record(FlightEvent {
             ts_ns: 200,
             dur_ns: 0,
-            kind: EventKind::Control,
+            kind: Kind::Control,
             op: "fault:kill",
             tag: (1u64 << 60) + 5,
             ..FlightEvent::empty()
@@ -383,7 +386,7 @@ mod tests {
         assert_eq!(bundle.nranks, 2);
         assert_eq!(bundle.logs.len(), 2);
         let e0 = &bundle.logs[0].events[0];
-        assert_eq!(e0.kind, EventKind::Send);
+        assert_eq!(e0.kind, Kind::Send);
         assert_eq!(e0.op, "send");
         assert_eq!(
             (e0.ts_ns, e0.dur_ns, e0.level, e0.peer, e0.tag, e0.msg_seq, e0.bytes),
@@ -408,7 +411,7 @@ mod tests {
             let world = FlightWorld::with_capacity(2, 64);
             world.ring(rank).record(FlightEvent {
                 ts_ns: 1,
-                kind: EventKind::Control,
+                kind: Kind::Control,
                 op,
                 ..FlightEvent::empty()
             });
@@ -446,7 +449,7 @@ mod tests {
                 .collect();
             logs[rank].events.push(FlightEvent {
                 ts_ns: 1_000,
-                kind: EventKind::Send,
+                kind: Kind::Send,
                 op: "send",
                 ..FlightEvent::empty()
             });
@@ -492,7 +495,7 @@ mod tests {
         let dir = scratch_dir("installed");
         let cfg = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT_DIR").then(|| dir.clone().into()));
         let world = FlightWorld::for_run(1, &cfg).expect("recorder on");
-        let _g = probe::install(Some(0), [world.sink(0)]);
+        let _g = world.install(0);
         probe::event(Kind::Control, "health:diverged");
         let out = dump_installed("health-divergence", "residual blew up");
         let out = out.expect("dump under cap should succeed");

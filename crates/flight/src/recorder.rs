@@ -1,32 +1,43 @@
-//! World plumbing: per-rank rings, the ring as a probe sink, and the
-//! global enable switch.
+//! World plumbing: per-rank rings, installing one on a rank thread, and
+//! the global enable switch.
 //!
-//! `RankWorld` creates a [`FlightWorld`] per run and hands each rank
-//! thread's probe context that rank's [`FlightWorld::sink`]; everything
-//! downstream — the solver's compute ops, the runtime's send / receive /
-//! ARQ events — reaches the ring through `gmg_trace::probe`, attributed
-//! to the level of the op it happened inside. No ring installed makes
-//! every record a no-op.
+//! `RankWorld` creates a [`FlightWorld`] per run and [`FlightWorld::install`]s
+//! each rank's ring on that rank's thread; everything downstream — the
+//! solver's compute ops, the runtime's send / receive / ARQ events —
+//! reaches the ring through `gmg_trace::probe`, attributed to the level of
+//! the op it happened inside. No ring installed makes every record a
+//! no-op.
 
-use std::any::Any;
+use std::cell::RefCell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use gmg_trace::probe::{self, Class, Kind, Record, Sink};
-use gmg_trace::ObsConfig;
-
-use crate::log::RankLog;
-use crate::ring::{EventKind, FlightEvent, FlightRing, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
-
-/// Events each rank's ring of a run holds.
-pub const RING_CAPACITY: usize = 1 << 16;
+use gmg_trace::probe::{self, ContextGuard};
+use gmg_trace::{FlightEvent, FlightRing, Kind, ObsConfig, RankLog, RING_CAPACITY};
 
 /// One ring per rank, shared by the rank threads and whoever dumps them,
 /// plus where this world dumps.
 pub struct FlightWorld {
     rings: Vec<Arc<FlightRing>>,
     pub(crate) dump_dir: PathBuf,
+}
+
+thread_local! {
+    /// The world and rank [`FlightWorld::install`] gave this thread.
+    static INSTALLED: RefCell<Option<(Arc<FlightWorld>, usize)>> = const { RefCell::new(None) };
+}
+
+/// Undoes a [`FlightWorld::install`] on drop.
+pub struct Installed {
+    prev: Option<(Arc<FlightWorld>, usize)>,
+    _probe: ContextGuard,
+}
+
+impl Drop for Installed {
+    fn drop(&mut self) {
+        let _ = INSTALLED.try_with(|w| w.replace(self.prev.take()));
+    }
 }
 
 impl FlightWorld {
@@ -64,20 +75,16 @@ impl FlightWorld {
         &self.rings[rank]
     }
 
-    pub fn rings(&self) -> &[Arc<FlightRing>] {
-        &self.rings
-    }
-
-    /// `rank`'s ring as the probe sink its thread installs.
-    pub fn sink(self: &Arc<Self>, rank: usize) -> (Class, Box<dyn Sink>) {
-        let ring = self.rings[rank].clone();
-        (
-            Class::Flight,
-            Box::new(RingSink {
-                world: self.clone(),
-                ring,
-            }),
-        )
+    /// Make this thread `rank` of the world ([`probe::install`]) with
+    /// `rank`'s ring the one its probes write, and this world the one
+    /// [`installed`] (and so `dump_installed`) answers, until the guard
+    /// drops.
+    pub fn install(self: &Arc<Self>, rank: usize) -> Installed {
+        let probe = probe::install(Some(rank), Some(self.rings[rank].clone()));
+        Installed {
+            prev: INSTALLED.with(|w| w.replace(Some((self.clone(), rank)))),
+            _probe: probe,
+        }
     }
 
     /// Snapshot every ring into per-rank logs (safe while writers run).
@@ -116,83 +123,23 @@ pub fn set_enabled(on: bool) -> bool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The ring as a probe sink
-// ---------------------------------------------------------------------------
-
-struct RingSink {
-    world: Arc<FlightWorld>,
-    ring: Arc<FlightRing>,
-}
-
-fn narrow(v: Option<usize>, none: u32) -> u32 {
-    v.and_then(|v| u32::try_from(v).ok()).unwrap_or(none)
-}
-
-impl Sink for RingSink {
-    /// What the ring keeps of a probe record: everything with a place in
-    /// a postmortem — compute ops, the three sides of a message, ARQ and
-    /// control activity — in the slot layout the dump format fixes.
-    fn record(&self, rec: &Record) {
-        let (kind, op) = match rec.kind {
-            Kind::Compute => (EventKind::Compute, rec.key.op),
-            Kind::Send => (EventKind::Send, rec.key.op),
-            Kind::RecvWait if rec.seq.is_some() => (EventKind::RecvWait, rec.key.op),
-            // A failed wait is exactly what the postmortem needs to see.
-            Kind::RecvWait => (EventKind::RecvWait, "recv:timeout"),
-            Kind::Arrive => (EventKind::MsgArrive, rec.key.op),
-            Kind::Arq => (EventKind::Arq, rec.key.op),
-            Kind::Control => (EventKind::Control, rec.key.op),
-            Kind::Comm => return,
-        };
-        self.ring.record(FlightEvent {
-            seq: 0,
-            ts_ns: rec.ts_ns,
-            dur_ns: rec.dur_ns,
-            kind,
-            op,
-            level: narrow(rec.key.level, NO_LEVEL),
-            peer: narrow(rec.peer, NO_PEER),
-            tag: rec.tag.unwrap_or(NO_TAG),
-            msg_seq: rec.seq.unwrap_or(NO_MSG_SEQ),
-            bytes: rec.value,
-        });
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// The world and rank whose ring is installed on this thread, if any.
+/// The world and rank whose ring [`FlightWorld::install`] put on this
+/// thread, if any.
 pub fn installed() -> Option<(Arc<FlightWorld>, usize)> {
-    probe::with_sink(Class::Flight, |s| {
-        s.as_any()
-            .downcast_ref::<RingSink>()
-            .map(|r| (r.world.clone(), r.ring.rank()))
-    })
-    .flatten()
+    INSTALLED.try_with(|w| w.borrow().clone()).ok().flatten()
 }
 
 /// Write one compute event straight into this thread's ring (no-op
-/// without one) — the ring's own entry point for a caller that measured
-/// `(ts_ns, dur_ns)` itself and wants no other sink to see it.
+/// without one), for a caller that measured `(ts_ns, dur_ns)` itself.
 pub fn record_compute(level: usize, op: &'static str, ts_ns: u64, dur_ns: u64, points: u64) {
-    if !probe::listening().has(Class::Flight) {
-        return;
-    }
-    probe::with_sink(Class::Flight, |s| {
-        s.record(&Record {
-            key: probe::Key::new(0, Some(level), op),
-            kind: Kind::Compute,
-            ts_ns,
-            dur_ns,
-            peer: None,
-            tag: None,
-            seq: None,
-            value: points,
-            counters: Default::default(),
-        })
+    probe::write(FlightEvent {
+        ts_ns,
+        dur_ns,
+        kind: Kind::Compute,
+        op,
+        level: u32::try_from(level).unwrap_or(gmg_trace::NO_LEVEL),
+        bytes: points,
+        ..FlightEvent::empty()
     });
 }
 
@@ -219,9 +166,9 @@ mod tests {
     fn install_guard_restores_previous_target() {
         let w1 = FlightWorld::with_capacity(2, 16);
         let w2 = FlightWorld::with_capacity(1, 16);
-        let g1 = probe::install(Some(1), [w1.sink(1)]);
+        let g1 = w1.install(1);
         {
-            let _g2 = probe::install(Some(0), [w2.sink(0)]);
+            let _g2 = w2.install(0);
             record_compute(3, "smooth", 100, 50, 7);
         }
         record_compute(2, "residual", 200, 25, 9);
@@ -238,7 +185,7 @@ mod tests {
     #[test]
     fn comm_events_inherit_the_level_of_the_op_they_are_inside() {
         let w = FlightWorld::with_capacity(1, 16);
-        let _g = probe::install(Some(0), [w.sink(0)]);
+        let _g = w.install(0);
         {
             let op = probe::op(3, "exchange");
             probe::event(Kind::Send, "send").msg(0, 7, 42).value(64);
@@ -251,17 +198,17 @@ mod tests {
         assert_eq!(
             seen,
             vec![
-                (EventKind::Send, "send", 3),
-                (EventKind::RecvWait, "recv:timeout", 3),
-                (EventKind::Compute, "exchange", 3),
-                (EventKind::Send, "send", NO_LEVEL),
+                (Kind::Send, "send", 3),
+                (Kind::RecvWait, "recv", 3),
+                (Kind::Compute, "exchange", 3),
+                (Kind::Send, "send", gmg_trace::NO_LEVEL),
             ]
         );
         assert_eq!(
             (snap[0].peer, snap[0].tag, snap[0].msg_seq, snap[0].bytes),
             (0, 7, 42, 64)
         );
-        assert_eq!(snap[1].msg_seq, NO_MSG_SEQ);
+        assert_eq!(snap[1].msg_seq, gmg_trace::NO_MSG_SEQ);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! capacity is emulated, so [`crate::rebuild_trace`] and every analysis
 //! of its trace run on simulated worlds unchanged.
 
-use crate::log::RankLog;
-use crate::ring::{EventKind, FlightEvent, NO_TAG};
+use gmg_trace::{FlightEvent, Kind, RankLog, NO_TAG};
 
 /// Builder for one simulated rank's event log.
 #[derive(Clone, Debug)]
@@ -59,9 +58,8 @@ impl SynthLog {
         self.events.is_empty()
     }
 
-    /// Push a fully-formed event; `seq` is assigned by the builder.
-    pub fn push(&mut self, mut ev: FlightEvent) {
-        ev.seq = self.written;
+    /// Push a fully-formed event.
+    pub fn push(&mut self, ev: FlightEvent) {
         self.written += 1;
         if let Some(cap) = self.capacity {
             if self.events.len() == cap {
@@ -76,7 +74,7 @@ impl SynthLog {
         self.push(FlightEvent {
             ts_ns,
             dur_ns,
-            kind: EventKind::Compute,
+            kind: Kind::Compute,
             op,
             level,
             bytes: points,
@@ -89,7 +87,7 @@ impl SynthLog {
         self.push(FlightEvent {
             ts_ns,
             dur_ns: 0,
-            kind: EventKind::Send,
+            kind: Kind::Send,
             op: "send",
             level,
             peer,
@@ -113,7 +111,7 @@ impl SynthLog {
         self.push(FlightEvent {
             ts_ns,
             dur_ns: 0,
-            kind: EventKind::MsgArrive,
+            kind: Kind::Arrive,
             op: "arrive",
             level,
             peer,
@@ -138,7 +136,7 @@ impl SynthLog {
         self.push(FlightEvent {
             ts_ns,
             dur_ns,
-            kind: EventKind::RecvWait,
+            kind: Kind::RecvWait,
             op: "recv",
             level,
             peer,
@@ -156,7 +154,7 @@ impl SynthLog {
         self.push(FlightEvent {
             ts_ns,
             dur_ns: 0,
-            kind: EventKind::Arq,
+            kind: Kind::Arq,
             op,
             peer,
             tag: NO_TAG,
@@ -201,8 +199,8 @@ mod tests {
         assert_eq!(log.lost, 3);
         assert_eq!(log.events.len(), 2);
         // Oldest dropped: the survivors are the last two pushes.
-        assert_eq!(log.events[0].seq, 3);
-        assert_eq!(log.events[1].seq, 4);
+        assert_eq!(log.events[0].ts_ns, 30);
+        assert_eq!(log.events[1].ts_ns, 40);
     }
 
     #[test]

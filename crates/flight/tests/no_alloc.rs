@@ -34,7 +34,7 @@ static A: CountingAlloc = CountingAlloc;
 fn record_hot_path_does_not_allocate() {
     use gmg_trace::probe::{self, Kind};
     let world = gmg_flight::FlightWorld::with_capacity(1, 1 << 10);
-    let _ctx = probe::install(Some(0), [world.sink(0)]);
+    let _ctx = world.install(0);
     // Warm up: trace epoch, thread-locals, and one pass through every
     // kind of record the ring keeps so lazy one-time setup is done
     // before we start counting.

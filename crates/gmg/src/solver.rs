@@ -997,8 +997,8 @@ mod tests {
 
     #[test]
     fn trace_fractions_agree_with_timer_report() {
-        // The solver feeds one measurement to both OpTimer and the trace
-        // sink, so the two Table II computations agree to rounding error
+        // The solver feeds one measurement to both OpTimer and the flight
+        // ring a capture reads, so the two Table II computations agree to rounding error
         // (well inside the 1% acceptance bound).
         let mut cfg = SolverConfig::test_default();
         cfg.num_levels = 2;

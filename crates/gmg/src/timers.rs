@@ -29,8 +29,8 @@ impl OpTimer {
     }
 
     /// Close `guard` and book its seconds under the `(level, op)` it was
-    /// opened with — the one measurement every observability sink was
-    /// just fed, so trace-derived per-op fractions agree with
+    /// opened with — the one measurement the flight ring was just fed,
+    /// so trace-derived per-op fractions agree with
     /// [`TimerReport::level_fractions`] by construction.
     pub fn close(&mut self, guard: gmg_trace::probe::Guard) -> f64 {
         let (level, op) = guard.key();

@@ -26,8 +26,8 @@
 //! Everything here is deterministic: same trace in, byte-identical
 //! report out (the analyze binary's determinism test pins this).
 
-use gmg_trace::sink::{Trace, TraceEvent, Track, LEVEL_NONE};
 use gmg_trace::TraceSummary;
+use gmg_trace::{Trace, TraceEvent, Track, LEVEL_NONE};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -1154,8 +1154,11 @@ pub fn scale_op(trace: &Trace, op: &str, factor: f64) -> Trace {
             events.push(ev);
         }
     }
-    events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
-    Trace { events }
+    events.sort_by_key(|e| (e.rank, e.ts_ns, e.dur_ns));
+    Trace {
+        events,
+        lost: trace.lost.clone(),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1423,7 +1426,7 @@ pub fn render_diff(rows: &[DiffRow], threshold: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmg_trace::sink::{intern, Counters};
+    use gmg_trace::{intern, Counters};
 
     fn ev(
         rank: usize,
@@ -1454,8 +1457,11 @@ mod tests {
     }
 
     fn mk_trace(mut events: Vec<TraceEvent>) -> Trace {
-        events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
-        Trace { events }
+        events.sort_by_key(|e| (e.rank, e.ts_ns, e.dur_ns));
+        Trace {
+            events,
+            ..Trace::default()
+        }
     }
 
     /// Two ranks. Rank 1's smooth is slow (30 ms vs 10 ms); rank 0's

@@ -17,8 +17,8 @@ pub mod analysis;
 pub use analysis::{imbalance_from_seconds, Analysis, MachineEnvelope};
 
 /// Whether a metrics registry records: there is none, so never. A
-/// solve's answers live in its `OpTimer` table, the span log and the
-/// flight ring. Kept, like the `crates/prof` stub, because the
+/// solve's answers live in its `OpTimer` table and the flight ring a
+/// capture reads. Kept, like the `crates/prof` stub, because the
 /// `gmgbench` probes (`benchmark/src/probes.rs`) still call it.
 #[inline]
 pub fn enabled() -> bool {

@@ -751,9 +751,9 @@ mod tests {
             wa.total.class_ns(WaitClass::LateSender) + wa.total.class_ns(WaitClass::Starvation) > 0
         );
         // Window ranks carry compute spans; outside ranks comm only.
-        use gmg_flight::EventKind;
-        assert!(logs[0].events.iter().any(|e| e.kind == EventKind::Compute));
-        assert!(logs[10].events.iter().all(|e| e.kind != EventKind::Compute));
+        use gmg_flight::Kind;
+        assert!(logs[0].events.iter().any(|e| e.kind == Kind::Compute));
+        assert!(logs[10].events.iter().all(|e| e.kind != Kind::Compute));
     }
 
     #[test]

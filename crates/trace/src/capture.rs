@@ -1,29 +1,27 @@
-//! The span log: spans, counters, and capture sessions — the
-//! [`crate::probe`] seam's built-in sink, and the storage behind the
-//! Perfetto export.
+//! Capture sessions and the trace they produce: a capture is a window on
+//! the flight rings of the threads it covers, turned into a [`Trace`] by
+//! the one ring-event conversion ([`crate::rebuild_trace`]).
 //!
 //! **Concurrent captures are isolated.** `cargo test` runs tests as
-//! threads of one process; a process-global event buffer would let
-//! parallel tests pollute each other. Instead events go to the
-//! [`TraceScope`] installed in the *current thread's* probe context, and
-//! `RankWorld` installs the spawning thread's scope inside each rank
-//! thread ([`current_scope`] + [`crate::probe::install`]). Every installed
-//! thread appends to a buffer of its own; [`TraceScope::snapshot`] merges
-//! them.
+//! threads of one process; each capture covers only the threads it is
+//! installed on — the thread that opened it, and every rank thread a
+//! `RankWorld` started under it ([`current_scope`] +
+//! [`TraceScope::install`]) — so it reads only their rings.
 
-use crate::probe::{self, Class, ContextGuard, Guard, Kind, Record, Sink};
-use std::any::Any;
+use crate::log::{rebuild_trace, RankLog};
+use crate::probe::{self, ContextGuard, Guard, Kind};
+use crate::ring::FlightRing;
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// `level` value for events with no multigrid level (e.g. raw sends).
 pub const LEVEL_NONE: usize = usize::MAX;
 
-/// Cheap global check: is any capture scope installed anywhere?
+/// Whether a capture is open anywhere in the process (one relaxed load).
 #[inline]
 pub fn enabled() -> bool {
-    probe::listening().has(Class::Spans)
+    probe::capturing()
 }
 
 /// The process-wide timestamp origin. First call pins it; all spans from
@@ -191,139 +189,81 @@ pub struct TraceEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Scopes and capture sessions
+// Capture sessions
 // ---------------------------------------------------------------------------
 
-type Buffer = Arc<Mutex<Vec<TraceEvent>>>;
-
-/// A handle on one capture session's span log. Clone-and-send it into
-/// worker threads (that is what `RankWorld` does) and install it there so
-/// spans on those threads land in the same capture.
+/// A handle on one capture session: the rings it covers, each with the
+/// head it had when the capture took it. Clone-and-send it into worker
+/// threads (that is what `RankWorld` does) and install it there so their
+/// rings join the capture.
 #[derive(Clone, Default)]
 pub struct TraceScope {
-    /// One buffer per installed thread.
-    buffers: Arc<Mutex<Vec<Buffer>>>,
+    windows: Arc<Mutex<Vec<Window>>>,
 }
 
-/// One thread's end of a [`TraceScope`] — the span log as a probe sink:
-/// pushes take only this thread's own (uncontended) lock.
-struct LocalLog {
-    scope: TraceScope,
-    buf: Buffer,
-}
-
-impl LocalLog {
-    fn push(&self, ev: TraceEvent) {
-        let mut buf = self.buf.lock().expect("span buffer poisoned");
-        if buf.capacity() == 0 {
-            // One up-front block, so steady-state recording allocates
-            // only when a capture outgrows it.
-            buf.reserve(1024);
-        }
-        buf.push(ev);
-    }
-}
-
-impl Sink for LocalLog {
-    /// What the span log keeps of a probe record: compute ops on the
-    /// compute track, comm-side spans on the comm track, ARQ and control
-    /// instants on the fault track; arrivals are not spans.
-    fn record(&self, rec: &Record) {
-        let (track, dur_ns, counters) = match rec.kind {
-            Kind::Compute => (Track::Compute, rec.dur_ns, rec.counters),
-            Kind::Comm => (
-                Track::Comm,
-                rec.dur_ns,
-                Counters {
-                    bytes_read: rec.value,
-                    bytes_written: rec.value,
-                    ..Default::default()
-                },
-            ),
-            Kind::Send | Kind::RecvWait => (
-                Track::Comm,
-                rec.dur_ns,
-                Counters {
-                    messages: u64::from(rec.seq.is_some()),
-                    message_bytes: rec.value,
-                    ..Default::default()
-                },
-            ),
-            // A point on the timeline, whatever backoff or stall it
-            // stands for.
-            Kind::Arq | Kind::Control => (Track::Fault, 0, Counters::default()),
-            Kind::Arrive => return,
-        };
-        self.push(TraceEvent {
-            rank: rec.key.rank,
-            level: rec.key.level.unwrap_or(LEVEL_NONE),
-            op: OpId(rec.key.op),
-            track,
-            ts_ns: rec.ts_ns,
-            dur_ns,
-            counters,
-            peer: rec.peer,
-            // Collective tags live near `u64::MAX` — beyond the 2^53
-            // range that survives the JSON f64 round trip — so those
-            // spans are attributed by peer only.
-            tag: rec.tag.filter(|t| *t < 1 << 53),
-            seq: rec.seq,
-        });
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
-/// Run `f` on the span log installed on this thread, if any.
-fn with_log<R>(f: impl FnOnce(&LocalLog) -> R) -> Option<R> {
-    probe::with_sink(Class::Spans, |s| s.as_any().downcast_ref().map(f)).flatten()
-}
+/// A covered ring and the head it had when the capture took it.
+type Window = (Arc<FlightRing>, u64);
 
 impl TraceScope {
-    /// This scope's sink for one more thread: a fresh buffer of its own.
-    pub fn sink(&self) -> Box<dyn Sink> {
-        let buf = Buffer::default();
-        self.buffers
-            .lock()
-            .expect("span log poisoned")
-            .push(buf.clone());
-        Box::new(LocalLog {
-            scope: self.clone(),
-            buf,
-        })
-    }
-
-    /// Install this scope as the current thread's span log, returning a
-    /// guard that restores the previous one on drop. Guards nest. (A rank
-    /// thread gets its scope through [`crate::probe::install`] instead.)
-    pub fn install(&self) -> ContextGuard {
-        probe::install(None, [(Class::Spans, self.sink())])
-    }
-
-    /// Snapshot the events recorded so far, sorted by start time.
-    pub fn snapshot(&self) -> Trace {
-        let mut events = Vec::new();
-        for buf in self.buffers.lock().expect("span log poisoned").iter() {
-            events.extend_from_slice(&buf.lock().expect("span buffer poisoned"));
+    /// Take `ring` into this capture from its current head on (once).
+    pub(crate) fn adopt(&self, ring: &Arc<FlightRing>) {
+        let mut windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
+        if !windows.iter().any(|(r, _)| Arc::ptr_eq(r, ring)) {
+            windows.push((ring.clone(), ring.written()));
         }
-        events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
-        Trace { events }
+    }
+
+    /// Cover the current thread until the guard drops: its ring, and any
+    /// it is given meanwhile, join the capture; a thread without one gets
+    /// one at its first record.
+    pub fn install(&self) -> ContextGuard {
+        probe::cover(self.clone())
+    }
+
+    /// The events recorded so far: each covered ring from the head the
+    /// capture took it at to its head now, a rank's rings as one log. A
+    /// window longer than its ring reports what it lost in
+    /// [`Trace::lost`].
+    pub fn snapshot(&self) -> Trace {
+        let mut logs: Vec<RankLog> = Vec::new();
+        for (ring, from) in self
+            .windows
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+        {
+            let to = ring.written();
+            let events = ring.window(*from, to);
+            match logs.iter_mut().find(|l| l.rank == ring.rank()) {
+                Some(log) => {
+                    log.written += to - from;
+                    log.events.extend(events);
+                }
+                None => logs.push(RankLog {
+                    rank: ring.rank(),
+                    capacity: ring.capacity() as u64,
+                    written: to - from,
+                    lost: 0,
+                    events,
+                }),
+            }
+        }
+        logs.sort_by_key(|l| l.rank);
+        rebuild_trace(&logs)
     }
 }
 
-/// The scope installed on this thread, if any. `RankWorld` calls this on
+/// The capture covering this thread, if any. `RankWorld` calls this on
 /// the spawning thread and installs the result inside each rank thread.
 pub fn current_scope() -> Option<TraceScope> {
     if !enabled() {
         return None;
     }
-    with_log(|log| log.scope.clone())
+    probe::scope()
 }
 
-/// Run `f` with a fresh capture scope installed; return its result and
-/// the recorded [`Trace`]. Captures on different threads are independent.
+/// Run `f` under a fresh capture; return its result and the recorded
+/// [`Trace`]. Captures on different threads are independent.
 pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Trace) {
     let scope = TraceScope::default();
     let guard = scope.install();
@@ -336,18 +276,11 @@ pub fn capture<T>(f: impl FnOnce() -> T) -> (T, Trace) {
 // Recording
 // ---------------------------------------------------------------------------
 
-/// Record a fully-formed event into the current thread's scope (no-op
-/// without one).
-#[inline]
-pub fn record(ev: TraceEvent) {
-    if enabled() {
-        with_log(|log| log.push(ev));
-    }
-}
-
-/// Open a span on `track` with an explicit `{rank, level, op}`, for
-/// harness code outside any world: timed from here until the returned
-/// guard is finished or dropped, kept by the span log only.
+/// Open a span on `track` with an explicit `{level, op}`, for harness
+/// code outside any world: timed from here until the returned guard is
+/// finished or dropped, and recorded like any probe. `rank` names the
+/// ring a capture gives a thread that has none (a thread's first record
+/// decides); on a rank's thread the span lands in that rank's ring.
 pub fn span(rank: usize, level: usize, op: &'static str, track: Track) -> Guard {
     let kind = match track {
         Track::Compute => Kind::Compute,
@@ -361,10 +294,14 @@ pub fn span(rank: usize, level: usize, op: &'static str, track: Track) -> Guard 
 // Captured traces
 // ---------------------------------------------------------------------------
 
-/// A completed capture: all events, sorted by start time.
+/// A completed capture or a rebuilt dump: the events rank by rank, each
+/// rank's in start order.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Trace {
     pub events: Vec<TraceEvent>,
+    /// `(rank, events)` a rank's ring recorded but no longer held: a
+    /// window that wrapped its ring. Empty when nothing was lost.
+    pub lost: Vec<(usize, u64)>,
 }
 
 impl Trace {
@@ -385,9 +322,11 @@ impl Trace {
     }
 
     /// True iff the `(rank, track)` timeline has no overlapping spans:
-    /// each span ends (ts + dur) no later than the next begins.
+    /// each span ends (ts + dur) no later than the next begins. Instants
+    /// (an arrival during a wait) mark a point, not a stretch of the lane.
     pub fn track_is_serial(&self, rank: usize, track: Track) -> bool {
-        let evs = self.track_events(rank, track);
+        let mut evs = self.track_events(rank, track);
+        evs.retain(|e| e.dur_ns > 0);
         evs.windows(2)
             .all(|w| w[0].ts_ns + w[0].dur_ns <= w[1].ts_ns)
     }
@@ -468,11 +407,18 @@ impl Trace {
     /// exports a browsable Perfetto window, not 10k process tracks).
     /// Event order and timestamps are preserved.
     pub fn rank_window(&self, lo: usize, hi: usize) -> Trace {
+        let within = |rank: &usize| (lo..hi).contains(rank);
         Trace {
             events: self
                 .events
                 .iter()
-                .filter(|e| (lo..hi).contains(&e.rank))
+                .filter(|e| within(&e.rank))
+                .cloned()
+                .collect(),
+            lost: self
+                .lost
+                .iter()
+                .filter(|(r, _)| within(r))
                 .cloned()
                 .collect(),
         }
@@ -506,7 +452,6 @@ mod tests {
         // nothing observable, they must simply not panic — and a finished
         // span still reports its seconds.
         assert!(span(0, 0, "applyOp", Track::Compute).finish() >= 0.0);
-        record(event(0, 1));
         assert!(current_scope().is_none());
     }
 
@@ -586,8 +531,10 @@ mod tests {
         assert!(sends.iter().all(|e| e.level == LEVEL_NONE));
     }
 
+    /// A capture is a window on the thread's ring: a nested one sees its
+    /// own stretch, the outer one everything from its open to its close.
     #[test]
-    fn nested_install_restores_previous_scope() {
+    fn nested_captures_are_nested_windows() {
         let (_, outer) = capture(|| {
             drop(span(0, 0, "outer-a", Track::Compute));
             let (_, inner) = capture(|| {
@@ -595,12 +542,10 @@ mod tests {
             });
             assert_eq!(inner.events.len(), 1);
             assert_eq!(inner.events[0].op.name(), "inner");
-            // After the nested capture ends, this thread records into the
-            // outer scope again.
             drop(span(0, 0, "outer-b", Track::Compute));
         });
         let names: Vec<_> = outer.events.iter().map(|e| e.op.name()).collect();
-        assert_eq!(names, vec!["outer-a", "outer-b"]);
+        assert_eq!(names, vec!["outer-a", "inner", "outer-b"]);
     }
 
     #[test]
@@ -659,11 +604,12 @@ mod tests {
 
     #[test]
     fn trace_wall_seconds_and_counters_where() {
-        let (_, trace) = capture(|| {
-            let mut ev = event(0, 500_000_000);
-            ev.counters.flops = 7;
-            record(ev);
-        });
+        let mut ev = event(0, 500_000_000);
+        ev.counters.flops = 7;
+        let trace = Trace {
+            events: vec![ev],
+            ..Trace::default()
+        };
         assert!(trace.wall_seconds() > 0.0);
         assert_eq!(trace.counters_where(|e| e.level == 0).flops, 7);
         assert_eq!(trace.counters_where(|e| e.level == 1).flops, 0);
@@ -686,6 +632,7 @@ mod tests {
         };
         let trace = Trace {
             events: vec![mk(100, 50), mk(200, 300)],
+            ..Trace::default()
         };
         assert_eq!(trace.time_bounds(), Some((100, 500)));
         assert!((trace.wall_seconds() - 400e-9).abs() < 1e-15);
@@ -718,6 +665,7 @@ mod tests {
                 mk(0, "recv", 60, 1, 0),
                 mk(0, "recv", 70, 1, 9),
             ],
+            ..Trace::default()
         };
         assert_eq!(trace.messages(), vec![(0, 2), (4, 5)]);
     }
@@ -738,6 +686,7 @@ mod tests {
         };
         let trace = Trace {
             events: vec![mk(0, 100), mk(3, 50), mk(4, 10), mk(7, 0), mk(3, 200)],
+            lost: vec![(3, 2), (8, 1)],
         };
         let w = trace.rank_window(3, 5);
         assert_eq!(w.ranks(), vec![3, 4]);
@@ -745,6 +694,7 @@ mod tests {
         // Order and timestamps untouched.
         assert_eq!(w.events[0].ts_ns, 50);
         assert_eq!(w.events[2].ts_ns, 200);
+        assert_eq!(w.lost, vec![(3, 2)]);
         assert!(trace.rank_window(8, 20).events.is_empty());
     }
 }

@@ -16,8 +16,8 @@
 //!
 //! [`from_chrome_str`]: Trace::from_chrome_str
 
+use crate::capture::{intern, Counters, Trace, TraceEvent, Track, LEVEL_NONE};
 use crate::json::Json;
-use crate::sink::{intern, Counters, Trace, TraceEvent, Track, LEVEL_NONE};
 
 const COUNTER_FIELDS: [&str; 6] = [
     "bytes_read",
@@ -100,8 +100,14 @@ fn span_event(e: &TraceEvent) -> Json {
     if let Some(peer) = e.peer {
         args.push(("peer".into(), Json::Num(peer as f64)));
     }
+    // Collective tags live near `u64::MAX`, beyond the 2^53 an f64
+    // holds: those travel as decimal strings.
     if let Some(tag) = e.tag {
-        args.push(("tag".into(), Json::Num(tag as f64)));
+        let tag = match tag {
+            t if t >= 1 << 53 => Json::Str(t.to_string()),
+            t => Json::Num(t as f64),
+        };
+        args.push(("tag".into(), tag));
     }
     if let Some(seq) = e.seq {
         args.push(("seq".into(), Json::Num(seq as f64)));
@@ -210,7 +216,10 @@ impl Trace {
                 .ok_or("span without tid")?;
             let track = Track::from_tid(tid).ok_or_else(|| format!("unknown tid {tid}"))?;
             let args = ev.get("args");
-            let field = |key: &str| args.and_then(|a| a.get(key)).and_then(Json::as_u64);
+            let field = |key: &str| match args.and_then(|a| a.get(key)) {
+                Some(Json::Str(s)) => s.parse().ok(),
+                j => j.and_then(Json::as_u64),
+            };
             let mut counters = Counters::default();
             for f in COUNTER_FIELDS {
                 counter_set(&mut counters, f, field(f).unwrap_or(0));
@@ -228,56 +237,62 @@ impl Trace {
                 seq: field("seq"),
             });
         }
-        events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
-        Ok(Trace { events })
+        // A trace's order: rank by rank, each in start order.
+        events.sort_by_key(|e| (e.rank, e.ts_ns, e.dur_ns));
+        Ok(Trace {
+            events,
+            lost: Vec::new(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{capture, record, span, OpId};
+    use crate::capture::{capture, span, OpId};
 
     fn sample_trace() -> Trace {
-        let (_, trace) = capture(|| {
-            for rank in 0..2 {
-                record(TraceEvent {
-                    rank,
-                    level: 0,
-                    op: intern("applyOp"),
-                    track: Track::Compute,
-                    ts_ns: 1_000 + rank as u64 * 10_000,
-                    dur_ns: 4_567,
-                    counters: Counters {
-                        bytes_read: 8 * 4096,
-                        bytes_written: 8 * 4096,
-                        flops: 8 * 4096,
-                        stencil_points: 4096,
-                        ..Default::default()
-                    },
-                    peer: None,
-                    tag: None,
-                    seq: None,
-                });
-                record(TraceEvent {
-                    rank,
-                    level: LEVEL_NONE,
-                    op: intern("send"),
-                    track: Track::Comm,
-                    ts_ns: 2_000 + rank as u64 * 10_000,
-                    dur_ns: 333,
-                    counters: Counters {
-                        messages: 1,
-                        message_bytes: 1024,
-                        ..Default::default()
-                    },
-                    peer: Some(1 - rank),
-                    tag: Some(77),
-                    seq: Some(rank as u64),
-                });
-            }
-        });
-        trace
+        let mut events = Vec::new();
+        for rank in 0..2 {
+            events.push(TraceEvent {
+                rank,
+                level: 0,
+                op: intern("applyOp"),
+                track: Track::Compute,
+                ts_ns: 1_000 + rank as u64 * 10_000,
+                dur_ns: 4_567,
+                counters: Counters {
+                    bytes_read: 8 * 4096,
+                    bytes_written: 8 * 4096,
+                    flops: 8 * 4096,
+                    stencil_points: 4096,
+                    ..Default::default()
+                },
+                peer: None,
+                tag: None,
+                seq: None,
+            });
+            events.push(TraceEvent {
+                rank,
+                level: LEVEL_NONE,
+                op: intern("send"),
+                track: Track::Comm,
+                ts_ns: 2_000 + rank as u64 * 10_000,
+                dur_ns: 333,
+                counters: Counters {
+                    messages: 1,
+                    message_bytes: 1024,
+                    ..Default::default()
+                },
+                peer: Some(1 - rank),
+                tag: Some(77),
+                seq: Some(rank as u64),
+            });
+        }
+        Trace {
+            events,
+            ..Trace::default()
+        }
     }
 
     #[test]
@@ -288,29 +303,43 @@ mod tests {
         assert_eq!(back.events, trace.events);
     }
 
+    /// A collective's tag sits near `u64::MAX`, past what an f64 holds
+    /// exactly; it is written as a string and read back bit for bit.
+    #[test]
+    fn roundtrip_keeps_tags_beyond_two_to_the_53() {
+        let mut trace = sample_trace();
+        trace.events[1].tag = Some(u64::MAX - 3);
+        trace.events[3].tag = Some((1 << 53) + 1);
+        let back = Trace::from_chrome_str(&trace.to_chrome_string()).expect("parse back");
+        assert_eq!(back.events, trace.events);
+    }
+
     #[test]
     fn roundtrip_is_exact_for_odd_nanosecond_values() {
         // Values that don't divide evenly by 1000 exercise the
         // ns → µs f64 → ns rounding path.
-        let (_, trace) = capture(|| {
-            for (i, ts) in [1u64, 999, 123_456_789_123, 7_777_777_777_777]
-                .into_iter()
-                .enumerate()
-            {
-                record(TraceEvent {
-                    rank: 0,
-                    level: i,
-                    op: intern("odd"),
-                    track: Track::Compute,
-                    ts_ns: ts,
-                    dur_ns: ts / 3 + 1,
-                    counters: Counters::default(),
-                    peer: None,
-                    tag: None,
-                    seq: None,
-                });
-            }
-        });
+        let mut events = Vec::new();
+        for (i, ts) in [1u64, 999, 123_456_789_123, 7_777_777_777_777]
+            .into_iter()
+            .enumerate()
+        {
+            events.push(TraceEvent {
+                rank: 0,
+                level: i,
+                op: intern("odd"),
+                track: Track::Compute,
+                ts_ns: ts,
+                dur_ns: ts / 3 + 1,
+                counters: Counters::default(),
+                peer: None,
+                tag: None,
+                seq: None,
+            });
+        }
+        let trace = Trace {
+            events,
+            ..Trace::default()
+        };
         let back = Trace::from_chrome_str(&trace.to_chrome_string()).unwrap();
         assert_eq!(back.events, trace.events);
     }
@@ -378,8 +407,8 @@ mod tests {
 
     #[test]
     fn fault_track_exports_and_roundtrips() {
-        let (_, trace) = capture(|| {
-            record(TraceEvent {
+        let trace = Trace {
+            events: vec![TraceEvent {
                 rank: 1,
                 level: LEVEL_NONE,
                 op: intern("fault:drop"),
@@ -390,8 +419,9 @@ mod tests {
                 peer: Some(0),
                 tag: Some(33),
                 seq: None,
-            });
-        });
+            }],
+            ..Trace::default()
+        };
         let text = trace.to_chrome_string();
         let back = Trace::from_chrome_str(&text).expect("parse back");
         assert_eq!(back.events, trace.events);
@@ -436,8 +466,11 @@ mod tests {
                 events.push(comm(1 - rank, "recv", t + 400, rank, seq));
             }
         }
-        events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
-        let trace = Trace { events };
+        events.sort_by_key(|e| (e.rank, e.ts_ns, e.dur_ns));
+        let trace = Trace {
+            events,
+            ..Trace::default()
+        };
         assert_eq!(trace.messages().len(), 4);
         let text = trace.to_chrome_string();
         let doc = Json::parse(&text).unwrap();

@@ -1,6 +1,6 @@
 //! The observability environment, parsed in one place.
 //!
-//! Four `GMG_*` variables steer the sinks. [`ObsConfig::from_env`] is
+//! Four `GMG_*` variables steer the recorder. [`ObsConfig::from_env`] is
 //! the only code that reads them; it is called where a context is
 //! installed or an artifact is written (a rank world starting, a harness
 //! wrapping its run, a dump being placed), never on a hot path, and not

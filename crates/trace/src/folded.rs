@@ -171,6 +171,7 @@ mod tests {
                 span(0, 1, "restriction", 90, 30),
                 span(1, LEVEL_NONE, "allreduce", 5, 15),
             ],
+            ..Trace::default()
         };
         let text = encode(&fold(&trace));
         assert_eq!(
@@ -190,6 +191,7 @@ mod tests {
     fn fold_keeps_hostile_names_parseable() {
         let trace = Trace {
             events: vec![span(0, 2, "a b;c", 0, 5), span(0, LEVEL_NONE, "", 1, 2)],
+            ..Trace::default()
         };
         let text = encode(&fold(&trace));
         assert_eq!(text, "rank0;a_b_c@L2 3\nrank0;a_b_c@L2;? 2\n");

@@ -7,16 +7,21 @@
 //! This crate is that instrumentation layer for the reproduction:
 //!
 //! * [`probe`] — the one seam instrumented code names: a guard per timed
-//!   op, a builder per instant, one `{rank, level, op}` key, one
-//!   per-thread context, and the two sinks (span log, flight ring)
-//!   behind it. This is the leaf crate every instrumented crate can
-//!   depend on, and it owns the epoch clock.
-//! * [`config`] — the four observability environment variables, parsed
-//!   in one place into a typed [`ObsConfig`].
-//! * [`sink`] — the span log: **spans** (begin/end with `{rank, level,
-//!   op}` attribution, monotonic timestamps from one process-wide epoch)
-//!   and **counters** (bytes read/written, FLOPs, stencil points,
-//!   messages, message bytes), buffered per thread.
+//!   op, a builder per instant, one per-thread context, and the one store
+//!   behind it, the thread's flight ring. This is the leaf crate every
+//!   instrumented crate can depend on, and it owns the epoch clock.
+//! * [`ring`] — that store: the POD ring event and the per-rank
+//!   lock-free ring buffer (`gmg-flight` keeps the per-run world of them,
+//!   dumps and synthetic logs).
+//! * [`log`] — a ring (or a window on it) as data, and
+//!   [`rebuild_trace`], the one conversion from ring events to the
+//!   [`Trace`] every analysis reads.
+//! * [`config`] — the observability environment variables, parsed in
+//!   one place into a typed [`ObsConfig`].
+//! * [`capture`] — capture sessions and their [`Trace`]: **spans** with
+//!   `{rank, level, op}` attribution and monotonic timestamps from one
+//!   process-wide epoch, and **counters** (bytes read/written, FLOPs,
+//!   stencil points, messages, message bytes).
 //! * [`chrome`] — a Chrome trace-event / Perfetto JSON exporter (and
 //!   parser, for round-trip testing). One Perfetto process per rank, with
 //!   a dedicated `comm` thread track, so `RankWorld` send/recv intervals
@@ -34,12 +39,17 @@
 //!
 //! ## Capture model
 //!
-//! Events are only recorded inside a [`capture`] session. A session owns a
-//! [`TraceScope`] installed in the thread's probe context; `gmg-comm`'s
-//! `RankWorld` propagates the spawning thread's scope into every rank
-//! thread, so a capture around `RankWorld::run` sees all ranks. Concurrent
-//! captures in one process are isolated from each other (each has its own
-//! sink), which keeps parallel tests deterministic.
+//! Every probe writes one event into its thread's flight ring, traced or
+//! not. A [`capture`] session is the window `[head at open, head at
+//! close)` on the rings of the threads it covers: the thread that opened
+//! it, and every rank thread of a `RankWorld` started under it (each
+//! rank's ring joins the capture). A thread with no ring — a harness
+//! thread, or a rank with the recorder off — gets one from the capture
+//! at its first record. While a capture is open the probes also price
+//! compute ops into byte / FLOP counters, time sends and record pack /
+//! unpack spans. Concurrent captures on different threads read different
+//! rings, which keeps parallel tests deterministic; a window longer than
+//! its ring is reported in [`Trace::lost`], never silently cut.
 //!
 //! ```
 //! use gmg_trace::{capture, span, Counters, Track};
@@ -55,18 +65,24 @@
 //! assert!(trace.to_chrome_string().contains("applyOp"));
 //! ```
 
+pub mod capture;
 pub mod chrome;
 pub mod config;
 pub mod folded;
 pub mod json;
+pub mod log;
 pub mod probe;
-pub mod sink;
+pub mod ring;
 pub mod summary;
 
+pub use capture::{
+    capture, current_scope, enabled, epoch, instant_ns, intern, now_ns, span, Counters, OpId,
+    Trace, TraceEvent, TraceScope, Track, LEVEL_NONE,
+};
 pub use config::ObsConfig;
 pub use json::Json;
-pub use sink::{
-    capture, current_scope, enabled, epoch, instant_ns, intern, now_ns, record, span, Counters,
-    OpId, Trace, TraceEvent, TraceScope, Track, LEVEL_NONE,
+pub use log::{rebuild_trace, RankLog};
+pub use ring::{
+    FlightEvent, FlightRing, Kind, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG, RING_CAPACITY,
 };
 pub use summary::{OpRow, TraceSummary};

@@ -1,4 +1,5 @@
-//! The POD event model and the lock-free, fixed-capacity ring buffer.
+//! The one event store: the POD ring event every probe writes, and the
+//! lock-free, fixed-capacity ring buffer a rank keeps them in.
 //!
 //! Design constraints (the reason a flight recorder exists at all):
 //!
@@ -13,114 +14,148 @@
 //!   including while writers are live and after the owning rank died
 //!   mid-operation, and sees only whole, untorn events.
 
+use crate::capture::Counters;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+
+/// Events each ring of a run (and each ring a capture hands a thread)
+/// holds.
+pub const RING_CAPACITY: usize = 1 << 16;
 
 /// Sentinel: the event is not attributed to a multigrid level.
 pub const NO_LEVEL: u32 = u32::MAX;
 /// Sentinel: the event has no peer rank.
 pub const NO_PEER: u32 = u32::MAX;
-/// Sentinel: the event has no message tag (collective tags, which live
-/// near `u64::MAX`, are also recorded as `NO_TAG` — peers disambiguate).
+/// Sentinel: the event has no message tag.
 pub const NO_TAG: u64 = u64::MAX;
 /// Sentinel: the event is not associated with a wire message.
 pub const NO_MSG_SEQ: u64 = u64::MAX;
 
-/// Coarse category of a flight event; `FlightEvent::op` refines it.
+/// What an event is; [`FlightEvent::op`] refines it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
-pub enum EventKind {
-    /// A solver kernel (smooth, residual, restriction, …).
+pub enum Kind {
+    /// A timed solver op on a level (smooth, residual, restriction, …).
     Compute = 0,
-    /// A message posted to `peer`; `msg_seq` identifies it end to end.
-    Send = 1,
-    /// A blocking receive: `dur_ns` is the time spent waiting, `msg_seq`
-    /// the delivered message (`NO_MSG_SEQ` if the wait failed).
-    RecvWait = 2,
+    /// A comm-side interval with no message identity (pack, unpack,
+    /// self-exchange); `bytes` is what it staged. Recorded only while a
+    /// capture is open.
+    Comm = 1,
+    /// A message posted to `peer`; `msg_seq` identifies it end to end
+    /// and `bytes` is its payload. Timed only while a capture is open.
+    Send = 2,
+    /// A blocking receive on `(peer, tag)`: `dur_ns` is the time spent
+    /// waiting, `msg_seq` the delivered message (`NO_MSG_SEQ` if the wait
+    /// failed).
+    RecvWait = 3,
     /// A message delivered into this rank (matched or stashed).
-    MsgArrive = 3,
-    /// ARQ protocol activity: retransmit, drop, reject, dedup.
-    Arq = 4,
+    Arrive = 4,
+    /// Reliability-layer activity for message `msg_seq` (retransmit,
+    /// drop, reject, dedup); `dur_ns` carries the backoff where relevant.
+    Arq = 5,
     /// Control plane: injected stall/kill, health verdicts, recoveries.
-    Control = 5,
+    Control = 6,
 }
 
-impl EventKind {
+impl Kind {
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::Compute => "compute",
-            EventKind::Send => "send",
-            EventKind::RecvWait => "recv-wait",
-            EventKind::MsgArrive => "arrive",
-            EventKind::Arq => "arq",
-            EventKind::Control => "control",
+            Kind::Compute => "compute",
+            Kind::Comm => "comm",
+            Kind::Send => "send",
+            Kind::RecvWait => "recv-wait",
+            Kind::Arrive => "arrive",
+            Kind::Arq => "arq",
+            Kind::Control => "control",
         }
     }
 
     pub fn from_name(s: &str) -> Option<Self> {
         Some(match s {
-            "compute" => EventKind::Compute,
-            "send" => EventKind::Send,
-            "recv-wait" => EventKind::RecvWait,
-            "arrive" => EventKind::MsgArrive,
-            "arq" => EventKind::Arq,
-            "control" => EventKind::Control,
+            "compute" => Kind::Compute,
+            "comm" => Kind::Comm,
+            "send" => Kind::Send,
+            "recv-wait" => Kind::RecvWait,
+            "arrive" => Kind::Arrive,
+            "arq" => Kind::Arq,
+            "control" => Kind::Control,
             _ => return None,
         })
     }
 }
 
-/// One flight-recorder event. Plain old data, `Copy`, fixed size: the
-/// hot path moves this into a preallocated slot and nothing else.
+/// One ring event. Plain old data, `Copy`, fixed size: the hot path
+/// moves this into a preallocated slot and nothing else.
 ///
-/// Op names are the probe key's `&'static str` literals, so recording an
-/// op is a pointer copy — no lookup, no allocation.
+/// Op names are the probe's `&'static str` literals, so recording an op
+/// is a pointer copy — no lookup, no allocation. A compute op has no
+/// peer, tag or wire seq, so its byte / FLOP counters ride in those
+/// words ([`FlightEvent::set_counters`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlightEvent {
-    /// Ring claim index: unique and monotonically increasing per ring.
-    /// Assigned by [`FlightRing::record`]; callers leave it 0.
-    pub seq: u64,
     /// Start time, nanoseconds since the process trace epoch
-    /// ([`gmg_trace::epoch`]), so flight and trace timelines align.
+    /// ([`crate::epoch`]).
     pub ts_ns: u64,
-    /// Duration (0 for instants).
+    /// Duration (0 for instants unless the recorder supplied one).
     pub dur_ns: u64,
-    pub kind: EventKind,
+    pub kind: Kind,
     /// Refining op name, e.g. `"smooth"`, `"recv"`, `"arq:retransmit"`.
     pub op: &'static str,
     /// Multigrid level, or [`NO_LEVEL`].
     pub level: u32,
     /// Peer rank, or [`NO_PEER`].
     pub peer: u32,
-    /// Message tag, or [`NO_TAG`].
+    /// Message tag, or [`NO_TAG`]; a compute op's FLOPs.
     pub tag: u64,
     /// Wire sequence number joining matching send/arrive/recv events
-    /// across ranks, or [`NO_MSG_SEQ`].
+    /// across ranks, or [`NO_MSG_SEQ`]; a compute op's bytes read.
     pub msg_seq: u64,
-    /// Payload bytes for messages; points for compute kernels.
+    /// Payload bytes of a message, bytes a comm span staged; a compute
+    /// op's stencil points.
     pub bytes: u64,
+    /// A compute op's bytes written (0 otherwise).
+    pub bytes_written: u64,
 }
 
 impl FlightEvent {
     pub const fn empty() -> Self {
         FlightEvent {
-            seq: 0,
             ts_ns: 0,
             dur_ns: 0,
-            kind: EventKind::Control,
+            kind: Kind::Control,
             op: "",
             level: NO_LEVEL,
             peer: NO_PEER,
             tag: NO_TAG,
             msg_seq: NO_MSG_SEQ,
             bytes: 0,
+            bytes_written: 0,
         }
     }
 
     /// End timestamp.
     pub fn end_ns(&self) -> u64 {
         self.ts_ns + self.dur_ns
+    }
+
+    /// Store a compute op's counters in the words a message would use.
+    pub fn set_counters(&mut self, c: &Counters) {
+        (self.bytes, self.tag) = (c.stencil_points, c.flops);
+        (self.msg_seq, self.bytes_written) = (c.bytes_read, c.bytes_written);
+    }
+
+    /// A compute op's counters ([`FlightEvent::set_counters`]); an op
+    /// recorded with its point count only reads as points.
+    pub fn counters(&self) -> Counters {
+        let word = |v: u64, unset: u64| if v == unset { 0 } else { v };
+        Counters {
+            stencil_points: self.bytes,
+            flops: word(self.tag, NO_TAG),
+            bytes_read: word(self.msg_seq, NO_MSG_SEQ),
+            bytes_written: self.bytes_written,
+            ..Counters::default()
+        }
     }
 }
 
@@ -185,11 +220,6 @@ impl FlightRing {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Events pushed out by wrap-around so far.
-    pub fn overwritten(&self) -> u64 {
-        self.written().saturating_sub(self.capacity() as u64)
-    }
-
     /// Events abandoned because a writer was lapped mid-claim (should be
     /// zero at sane capacities; tracked so it can never hide).
     pub fn lost(&self) -> u64 {
@@ -197,10 +227,9 @@ impl FlightRing {
     }
 
     /// Record one event. Lock-free, allocation-free; overwrites the
-    /// oldest event once the ring is full. `ev.seq` is assigned here.
-    pub fn record(&self, mut ev: FlightEvent) {
+    /// oldest event once the ring is full.
+    pub fn record(&self, ev: FlightEvent) {
         let i = self.head.fetch_add(1, Ordering::Relaxed);
-        ev.seq = i;
         let s = (i & self.mask) as usize;
         let stamp = &self.stamps[s];
         let writing = 2 * i + 1;
@@ -226,27 +255,33 @@ impl FlightRing {
         stamp.store(writing + 1, Ordering::Release);
     }
 
-    /// Copy out every published event, oldest first (by claim index).
-    /// Safe to call concurrently with writers: a slot whose stamp moved
-    /// during the copy is retried, then skipped — never returned torn.
+    /// Copy out every published event the ring holds, in claim order.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
-        let cap = self.capacity();
-        let mut out = Vec::with_capacity(cap);
-        for s in 0..cap {
+        self.window(0, self.written())
+    }
+
+    /// Copy out the events of claims `[from, to)` the ring still holds,
+    /// in claim order: a capture's window. Safe to call concurrently with
+    /// writers: a slot whose stamp moved during the copy is retried, then
+    /// skipped — never returned torn.
+    pub fn window(&self, from: u64, to: u64) -> Vec<FlightEvent> {
+        let from = from.max(to.saturating_sub(self.capacity() as u64));
+        let mut out = Vec::with_capacity(to.saturating_sub(from) as usize);
+        for i in from..to {
+            let (s, published) = ((i & self.mask) as usize, 2 * i + 2);
             let stamp = &self.stamps[s];
             for _attempt in 0..16 {
                 let s0 = stamp.load(Ordering::Acquire);
-                if s0 == 0 {
-                    break; // never written
+                if s0 > published {
+                    break; // overwritten by a newer claim
                 }
-                if s0 & 1 == 1 {
+                if s0 != published {
                     std::hint::spin_loop(); // writer in flight; retry
                     continue;
                 }
-                // SAFETY: an even non-zero stamp means the slot was written
-                // in full at least once; the copy is seqlock-validated —
-                // the event is only kept if no writer touched the slot
-                // during the read.
+                // SAFETY: the stamp says claim `i` was written in full; the
+                // copy is seqlock-validated — the event is only kept if no
+                // writer touched the slot during the read.
                 let ev =
                     unsafe { std::ptr::read_volatile(UnsafeCell::raw_get(self.slots[s].as_ptr())) };
                 fence(Ordering::Acquire);
@@ -256,7 +291,6 @@ impl FlightRing {
                 }
             }
         }
-        out.sort_by_key(|e| e.seq);
         out
     }
 }
@@ -267,10 +301,17 @@ mod tests {
 
     fn ev(op: &'static str) -> FlightEvent {
         FlightEvent {
-            kind: EventKind::Compute,
+            kind: Kind::Compute,
             op,
             ..FlightEvent::empty()
         }
+    }
+
+    /// A full ring is 65 536 of these: every word counts in a rank's
+    /// resident memory.
+    #[test]
+    fn a_slot_is_eighty_bytes() {
+        assert_eq!(std::mem::size_of::<FlightEvent>(), 80);
     }
 
     #[test]
@@ -291,12 +332,10 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.len(), 10);
         for (i, e) in snap.iter().enumerate() {
-            assert_eq!(e.seq, i as u64);
             assert_eq!(e.bytes, i as u64);
             assert_eq!(e.op, "smooth");
         }
         assert_eq!(r.written(), 10);
-        assert_eq!(r.overwritten(), 0);
         assert_eq!(r.lost(), 0);
     }
 
@@ -312,11 +351,9 @@ mod tests {
         assert_eq!(snap.len(), 16);
         // The surviving events are exactly claims 84..100, in order.
         for (k, e) in snap.iter().enumerate() {
-            assert_eq!(e.seq, 84 + k as u64);
-            assert_eq!(e.bytes, e.seq);
+            assert_eq!(e.bytes, 84 + k as u64);
         }
         assert_eq!(r.written(), 100);
-        assert_eq!(r.overwritten(), 84);
     }
 
     #[test]
@@ -342,13 +379,12 @@ mod tests {
         assert_eq!(r.written(), threads * per);
         let snap = r.snapshot();
         assert!(snap.len() <= 64);
-        let mut prev = None;
+        let mut last = vec![None; threads as usize];
         for e in &snap {
             assert_eq!(e.bytes, e.tag * 1_000_003 + e.msg_seq, "torn event: {e:?}");
-            if let Some(p) = prev {
-                assert!(e.seq > p, "claim order violated");
-            }
-            prev = Some(e.seq);
+            // One writer's claims are ordered, so its events must be too.
+            let prev = last[e.tag as usize].replace(e.msg_seq);
+            assert!(prev < Some(e.msg_seq), "claim order violated");
         }
         // Abandoned writes are the only leak, and they are counted.
         assert!(snap.len() as u64 + r.lost() >= 64);

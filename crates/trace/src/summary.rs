@@ -6,14 +6,14 @@
 //! same order a `BTreeMap<(usize, &str), _>` yields), and a level's
 //! fractions divide each op's time by the level total — so when the
 //! solver feeds *identical* duration measurements to both its `OpTimer`
-//! and the trace sink, `TraceSummary::level_fractions` and
+//! and the flight ring, `TraceSummary::level_fractions` and
 //! `TimerReport::level_fractions` agree to rounding error, not merely
 //! within sampling noise.
 //!
 //! Achieved rates use per-rank time (total ÷ nranks): ranks execute
 //! concurrently, so aggregate throughput is work ÷ wall-time-per-rank.
 
-use crate::sink::{Counters, Trace, Track};
+use crate::capture::{Counters, Trace, Track};
 use std::collections::BTreeMap;
 
 /// Aggregated compute-track row for one `(level, op)` pair.
@@ -228,69 +228,71 @@ impl TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{capture, intern, record, TraceEvent, LEVEL_NONE};
+    use crate::capture::{capture, intern, TraceEvent, LEVEL_NONE};
 
     /// A deterministic two-rank trace: per rank, 3 s of compute at level 0
     /// split 2:1 between smooth and applyOp, 1 s at level 1, and one send.
     fn sample() -> Trace {
-        let (_, trace) = capture(|| {
-            for rank in 0..2usize {
-                let base = rank as u64 * 10_000_000_000;
-                let mk = |op: &str, level, ts, dur_s: f64, counters| TraceEvent {
-                    rank,
-                    level,
-                    op: intern(op),
-                    track: Track::Compute,
-                    ts_ns: base + ts,
-                    dur_ns: (dur_s * 1e9) as u64,
-                    counters,
-                    peer: None,
-                    tag: None,
-                    seq: None,
-                };
-                record(mk(
-                    "smooth",
-                    0,
-                    0,
-                    2.0,
-                    Counters {
-                        stencil_points: 4096,
-                        bytes_read: 65536,
-                        bytes_written: 32768,
-                        flops: 40960,
-                        ..Default::default()
-                    },
-                ));
-                record(mk(
-                    "applyOp",
-                    0,
-                    2_000_000_000,
-                    1.0,
-                    Counters {
-                        stencil_points: 1000,
-                        ..Default::default()
-                    },
-                ));
-                record(mk("smooth", 1, 3_000_000_000, 1.0, Counters::default()));
-                record(TraceEvent {
-                    rank,
-                    level: LEVEL_NONE,
-                    op: intern("send"),
-                    track: Track::Comm,
-                    ts_ns: base + 4_000_000_000,
-                    dur_ns: 500_000_000,
-                    counters: Counters {
-                        messages: 1,
-                        message_bytes: 1_000_000_000,
-                        ..Default::default()
-                    },
-                    peer: Some(1 - rank),
-                    tag: Some(9),
-                    seq: None,
-                });
-            }
-        });
-        trace
+        let mut events = Vec::new();
+        for rank in 0..2usize {
+            let base = rank as u64 * 10_000_000_000;
+            let mk = |op: &str, level, ts, dur_s: f64, counters| TraceEvent {
+                rank,
+                level,
+                op: intern(op),
+                track: Track::Compute,
+                ts_ns: base + ts,
+                dur_ns: (dur_s * 1e9) as u64,
+                counters,
+                peer: None,
+                tag: None,
+                seq: None,
+            };
+            events.push(mk(
+                "smooth",
+                0,
+                0,
+                2.0,
+                Counters {
+                    stencil_points: 4096,
+                    bytes_read: 65536,
+                    bytes_written: 32768,
+                    flops: 40960,
+                    ..Default::default()
+                },
+            ));
+            events.push(mk(
+                "applyOp",
+                0,
+                2_000_000_000,
+                1.0,
+                Counters {
+                    stencil_points: 1000,
+                    ..Default::default()
+                },
+            ));
+            events.push(mk("smooth", 1, 3_000_000_000, 1.0, Counters::default()));
+            events.push(TraceEvent {
+                rank,
+                level: LEVEL_NONE,
+                op: intern("send"),
+                track: Track::Comm,
+                ts_ns: base + 4_000_000_000,
+                dur_ns: 500_000_000,
+                counters: Counters {
+                    messages: 1,
+                    message_bytes: 1_000_000_000,
+                    ..Default::default()
+                },
+                peer: Some(1 - rank),
+                tag: Some(9),
+                seq: None,
+            });
+        }
+        Trace {
+            events,
+            ..Trace::default()
+        }
     }
 
     #[test]

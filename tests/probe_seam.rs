@@ -1,17 +1,17 @@
 //! The instrumentation seam end to end: one `probe` guard per solver op
-//! must feed the solver's own `OpTimer`, the span log and the flight
-//! ring the *same* measurement, for the bricked solver and the
+//! must feed the solver's own `OpTimer`, the flight ring and the capture
+//! read from it the *same* measurement, for the bricked solver and the
 //! conventional-array baseline alike, and comm events recorded inside an
 //! op must carry that op's level.
 //!
 //! The flight recorder's switch is process-global, so the tests below
 //! serialise on one lock while they force it on.
 
-use gmg_repro::flight::{self, EventKind, FlightEvent, NO_LEVEL};
+use gmg_repro::flight::{self, FlightEvent, Kind, NO_LEVEL};
 use gmg_repro::gmg::timers::OpTimer;
 use gmg_repro::hpgmg::HpgmgSolver;
 use gmg_repro::prelude::*;
-use gmg_repro::trace::{self, Trace, Track};
+use gmg_repro::trace::{self, Trace, TraceSummary, Track};
 use std::sync::{Mutex, MutexGuard};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -60,16 +60,13 @@ fn baseline(ctx: &mut RankCtx) -> OpTimer {
 }
 
 /// Every `(level, op)` the timer table holds appears the same number of
-/// times in every sink, and the span log and the ring agree on each
+/// times in the ring and in the capture, and the two agree on each
 /// op's `(ts_ns, dur_ns)` to the nanosecond.
 fn assert_one_measurement_everywhere(views: &[RankView], trace: &Trace) {
     for (rank, (timers, ring)) in views.iter().enumerate() {
         assert!(!timers.keys().is_empty());
         let spans = trace.track_events(rank, Track::Compute);
-        let computes: Vec<_> = ring
-            .iter()
-            .filter(|e| e.kind == EventKind::Compute)
-            .collect();
+        let computes: Vec<_> = ring.iter().filter(|e| e.kind == Kind::Compute).collect();
         assert_eq!(
             spans.len(),
             computes.len(),
@@ -102,7 +99,7 @@ fn assert_one_measurement_everywhere(views: &[RankView], trace: &Trace) {
         from_ring.sort_unstable();
         assert_eq!(
             from_trace, from_ring,
-            "rank {rank}: span log vs ring timings"
+            "rank {rank}: capture vs ring timings"
         );
     }
 }
@@ -128,17 +125,9 @@ fn comm_events_inside_an_op_inherit_its_level() {
     for (rank, (_, ring)) in views.iter().enumerate() {
         // Every message event lies inside exactly one solver op (an
         // exchange, or the convergence check's exchange + reduction) and
-        // carries that op's level; the ring and the span log agree.
-        let ops: Vec<_> = ring
-            .iter()
-            .filter(|e| e.kind == EventKind::Compute)
-            .collect();
-        let comm = |e: &&FlightEvent| {
-            matches!(
-                e.kind,
-                EventKind::Send | EventKind::RecvWait | EventKind::MsgArrive
-            )
-        };
+        // carries that op's level; the ring and the capture agree.
+        let ops: Vec<_> = ring.iter().filter(|e| e.kind == Kind::Compute).collect();
+        let comm = |e: &&FlightEvent| matches!(e.kind, Kind::Send | Kind::RecvWait | Kind::Arrive);
         let mut inside = 0;
         for e in ring.iter().filter(comm) {
             match ops
@@ -155,7 +144,7 @@ fn comm_events_inside_an_op_inherit_its_level() {
         }
         assert!(inside > 0, "rank {rank}: no message inside an op");
         for level in [0u32, 1] {
-            let waits = |e: &FlightEvent| e.kind == EventKind::RecvWait && e.level == level;
+            let waits = |e: &FlightEvent| e.kind == Kind::RecvWait && e.level == level;
             assert!(ring.iter().any(waits), "rank {rank}: no level-{level} wait");
         }
         let span_levels = |op: &str| -> Vec<usize> {
@@ -168,7 +157,7 @@ fn comm_events_inside_an_op_inherit_its_level() {
             v.sort_unstable();
             v
         };
-        let ring_levels = |kind: EventKind| -> Vec<usize> {
+        let ring_levels = |kind: Kind| -> Vec<usize> {
             let mut v: Vec<_> = ring
                 .iter()
                 .filter(|e| e.kind == kind)
@@ -183,7 +172,49 @@ fn comm_events_inside_an_op_inherit_its_level() {
             v.sort_unstable();
             v
         };
-        assert_eq!(span_levels("send"), ring_levels(EventKind::Send));
-        assert_eq!(span_levels("recv"), ring_levels(EventKind::RecvWait));
+        assert_eq!(span_levels("send"), ring_levels(Kind::Send));
+        assert_eq!(span_levels("recv"), ring_levels(Kind::RecvWait));
     }
+}
+
+/// A message counts once in the comm totals, on its send: as many
+/// messages as the rings posted, and exactly their payload bytes.
+#[test]
+fn the_comm_totals_count_each_message_once() {
+    let _l = lock();
+    let (views, trace) = observed(bricked);
+    let posted = views.iter().flat_map(|(_, ring)| ring);
+    let (n, bytes) = posted
+        .filter(|e| e.kind == Kind::Send)
+        .fold((0, 0), |(n, b), e| (n + 1, b + e.bytes));
+    let sends = trace.events.iter().filter(|e| e.op.name() == "send");
+    assert!(n > 0);
+    assert_eq!(sends.count() as u64, n);
+    let comm = TraceSummary::from_trace(&trace).comm;
+    assert_eq!((comm.messages, comm.message_bytes), (n, bytes));
+}
+
+/// A capture and a flight dump of the same run read one store through
+/// one conversion: the same `Trace`, event for event.
+#[test]
+fn a_capture_and_a_dump_of_one_run_give_the_same_trace() {
+    let _l = lock();
+    let was_on = flight::set_enabled(true);
+    let (worlds, captured) = trace::capture(|| {
+        RankWorld::run(2, |mut ctx| {
+            bricked(&mut ctx);
+            flight::installed().expect("the world installs a ring").0
+        })
+    });
+    flight::set_enabled(was_on);
+    let dir = std::env::temp_dir().join(format!("gmg_capture_vs_dump_{}", std::process::id()));
+    flight::dump_world_to(&dir, &worlds[0], "test", "capture vs dump").unwrap();
+    let dumped = flight::rebuild_trace(&flight::load_dump(&dir).unwrap().logs);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(captured.lost.is_empty());
+    assert_eq!(captured.events.len(), dumped.events.len());
+    for (c, d) in captured.events.iter().zip(&dumped.events) {
+        assert_eq!(c, d);
+    }
+    assert_eq!(captured, dumped);
 }

@@ -3,20 +3,12 @@
 //! `Trace::messages` join) the critical path walks.
 
 use gmg_flight::{
-    into_logs, rebuild_trace, EventKind, FlightEvent, RankLog, SynthLog, NO_MSG_SEQ, NO_PEER,
-    NO_TAG,
+    into_logs, rebuild_trace, FlightEvent, Kind, RankLog, SynthLog, NO_MSG_SEQ, NO_PEER, NO_TAG,
 };
 use gmg_metrics::analysis::{classify_waits, killed_ranks, WaitClass};
 use gmg_proptest::prelude::*;
 
-fn event(
-    kind: EventKind,
-    op: &'static str,
-    ts: u64,
-    dur: u64,
-    peer: usize,
-    msg: u64,
-) -> FlightEvent {
+fn event(kind: Kind, op: &'static str, ts: u64, dur: u64, peer: usize, msg: u64) -> FlightEvent {
     FlightEvent {
         ts_ns: ts,
         dur_ns: dur,
@@ -65,23 +57,23 @@ fn classifies_the_four_canonical_scenarios() {
         log(
             0,
             vec![
-                event(EventKind::Send, "send", 100, 0, 1, 0), // late-sender: send@100
-                event(EventKind::Send, "send", 10, 0, 1, 1),  // late-receiver: send@10
-                event(EventKind::Send, "send", 10, 0, 1, 2),  // arq-stall
-                event(EventKind::Arq, "arq:retransmit", 60, 5, 1, 2),
-                event(EventKind::Send, "send", 10, 0, 1, 3), // starvation
+                event(Kind::Send, "send", 100, 0, 1, 0), // late-sender: send@100
+                event(Kind::Send, "send", 10, 0, 1, 1),  // late-receiver: send@10
+                event(Kind::Send, "send", 10, 0, 1, 2),  // arq-stall
+                event(Kind::Arq, "arq:retransmit", 60, 5, 1, 2),
+                event(Kind::Send, "send", 10, 0, 1, 3), // starvation
             ],
         ),
         log(
             1,
             vec![
-                event(EventKind::RecvWait, "recv", 50, 100, 0, 0),
-                event(EventKind::MsgArrive, "arrive", 20, 0, 0, 1),
-                event(EventKind::RecvWait, "recv", 40, 10, 0, 1),
-                event(EventKind::MsgArrive, "arrive", 70, 0, 0, 2),
-                event(EventKind::RecvWait, "recv", 55, 25, 0, 2),
-                event(EventKind::MsgArrive, "arrive", 30, 0, 0, 3),
-                event(EventKind::RecvWait, "recv", 20, 15, 0, 3),
+                event(Kind::RecvWait, "recv", 50, 100, 0, 0),
+                event(Kind::Arrive, "arrive", 20, 0, 0, 1),
+                event(Kind::RecvWait, "recv", 40, 10, 0, 1),
+                event(Kind::Arrive, "arrive", 70, 0, 0, 2),
+                event(Kind::RecvWait, "recv", 55, 25, 0, 2),
+                event(Kind::Arrive, "arrive", 30, 0, 0, 3),
+                event(Kind::RecvWait, "recv", 20, 15, 0, 3),
             ],
         ),
     ];
@@ -114,7 +106,7 @@ fn timeout_on_killed_peer_is_late_sender() {
         log(
             0,
             vec![event(
-                EventKind::Control,
+                Kind::Control,
                 "fault:kill",
                 40,
                 0,
@@ -125,7 +117,7 @@ fn timeout_on_killed_peer_is_late_sender() {
         log(
             1,
             vec![event(
-                EventKind::RecvWait,
+                Kind::RecvWait,
                 "recv:timeout",
                 50,
                 500,
@@ -142,10 +134,7 @@ fn timeout_on_killed_peer_is_late_sender() {
 
 #[test]
 fn missing_send_is_unattributed_not_guessed() {
-    let logs = vec![log(
-        1,
-        vec![event(EventKind::RecvWait, "recv", 50, 30, 0, 7)],
-    )];
+    let logs = vec![log(1, vec![event(Kind::RecvWait, "recv", 50, 30, 0, 7)])];
     let a = classify_waits(&rebuild_trace(&logs));
     assert_eq!(a.samples[0].class, WaitClass::Unattributed);
     assert!(a.total.classified_fraction() < 1.0);
@@ -154,16 +143,16 @@ fn missing_send_is_unattributed_not_guessed() {
 
 #[test]
 fn per_level_rows_and_table_render() {
-    let mut w0 = event(EventKind::RecvWait, "recv", 50, 100, 0, 0);
+    let mut w0 = event(Kind::RecvWait, "recv", 50, 100, 0, 0);
     w0.level = 0;
-    let mut w1 = event(EventKind::RecvWait, "recv", 200, 40, 0, 1);
+    let mut w1 = event(Kind::RecvWait, "recv", 200, 40, 0, 1);
     w1.level = 1;
     let logs = vec![
         log(
             0,
             vec![
-                event(EventKind::Send, "send", 100, 0, 1, 0),
-                event(EventKind::Send, "send", 230, 0, 1, 1),
+                event(Kind::Send, "send", 100, 0, 1, 0),
+                event(Kind::Send, "send", 230, 0, 1, 1),
             ],
         ),
         log(1, vec![w0, w1]),
