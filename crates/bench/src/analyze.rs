@@ -496,16 +496,16 @@ mod tests {
         assert!(report.contains("critical-path coverage"));
         assert!(report.contains("Roofline attribution"));
         let stacks = std::fs::read_to_string(dir.join("flame.folded")).unwrap();
-        assert_eq!(folded::parse(&stacks).unwrap(), folded::fold(&trace));
+        assert_eq!(stacks, folded::encode(&folded::fold(&trace)));
     }
 
-    /// The span tree of the reference solve folds into parseable stacks
-    /// under one `rank<r>` root per rank, whose self times add up to the
-    /// rank's root spans: no time is lost or counted twice.
+    /// The span tree of the reference solve folds into stacks under one
+    /// `rank<r>` root per rank, whose self times add up to the rank's
+    /// root spans: no time is lost or counted twice.
     #[test]
     fn reference_solve_folds_into_stacks_that_account_for_every_root_span() {
         let trace = traced_solve();
-        let stacks = folded::parse(&folded::encode(&folded::fold(&trace))).unwrap();
+        let stacks = folded::fold(&trace);
         for rank in trace.ranks() {
             let mut spans: Vec<_> = trace.events.iter().filter(|e| e.rank == rank).collect();
             spans.sort_by_key(|e| (e.ts_ns, std::cmp::Reverse(e.dur_ns)));

@@ -184,16 +184,23 @@ fn recovery_run(seed: u64, arq: &mut [ArqStats]) -> Json {
     }
 }
 
+/// The seeded kill of the chaos campaign and the postmortem: rank
+/// `seed % 8` dies at op `40 + seed % 29`, inside the first cycle's
+/// exchanges, under timeouts tight enough that its peers discover the
+/// death quickly. Returns the plan, the victim and its op.
+pub(crate) fn seeded_kill(seed: u64) -> (FaultPlan, usize, u64) {
+    let (victim, at_op) = ((seed % 8) as usize, 40 + seed % 29);
+    let mut plan = FaultPlan::new(FaultConfig::kill_rank(victim, at_op), seed);
+    plan.retry.op_timeout = Duration::from_millis(500);
+    plan.retry.max_attempts = 6;
+    (plan, victim, at_op)
+}
+
 /// The graceful-failure demonstration: kill one rank mid-exchange and show
 /// the world reports a structured [`WorldFailure`] instead of hanging or
 /// propagating a bare panic.
 pub(crate) fn kill_run(seed: u64) -> Json {
-    let victim = (seed % 8) as usize;
-    let at_op = 40 + seed % 29; // lands inside the first cycle's exchanges
-    let mut plan = FaultPlan::new(FaultConfig::kill_rank(victim, at_op), seed);
-    // Tighten the timeouts so peer ranks discover the death quickly.
-    plan.retry.op_timeout = Duration::from_millis(500);
-    plan.retry.max_attempts = 6;
+    let (plan, victim, at_op) = seeded_kill(seed);
     let outcome = faulted_solve(&plan, chaos_solver_config());
     match outcome {
         Ok(_) => {

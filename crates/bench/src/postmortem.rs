@@ -27,7 +27,6 @@
 //! (seeded kill-rank chaos solve, then self-analysis), or
 //! `-- --dump DIR` to analyze an existing dump.
 
-use gmg_comm::fault::{FaultConfig, FaultPlan};
 use gmg_flight::{load_dump, rebuild_trace, DumpBundle};
 use gmg_metrics::analysis::{
     classify_waits, critical_path, is_wait, killed_ranks, mad_outliers, CriticalPath, WaitAnalysis,
@@ -36,7 +35,6 @@ use gmg_metrics::analysis::{
 use gmg_trace::{json, Json, Trace, TraceEvent, Track, LEVEL_NONE};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::time::Duration;
 
 /// Fewest ranks whose compute times make a population to judge.
 const STRAGGLER_MIN_RANKS: usize = 3;
@@ -296,21 +294,15 @@ pub fn analyze_dump_with(dir: &Path, known: Option<(usize, &str)>) -> Json {
     })
 }
 
-/// Seeded black-box exercise: kill one rank mid-solve with the flight
-/// recorder on, then load the automatic dump and verify the postmortem
-/// blames the right rank with ≥ 90 % of wait time classified.
+/// Seeded black-box exercise: kill one rank mid-solve, then load the
+/// automatic dump and verify the postmortem blames the right rank with
+/// ≥ 90 % of wait time classified.
 pub fn run_seeded(seed: u64) -> Json {
     crate::report::heading(&format!(
         "Postmortem — seeded kill + dump analysis (seed {seed})"
     ));
-    let was_on = gmg_flight::set_enabled(true);
-    let victim = (seed % 8) as usize;
-    let at_op = 40 + seed % 29;
-    let mut plan = FaultPlan::new(FaultConfig::kill_rank(victim, at_op), seed);
-    plan.retry.op_timeout = Duration::from_millis(500);
-    plan.retry.max_attempts = 6;
+    let (plan, victim, at_op) = crate::chaos::seeded_kill(seed);
     let outcome = crate::chaos::faulted_solve(&plan, crate::chaos::chaos_solver_config());
-    gmg_flight::set_enabled(was_on);
     let failure = match outcome {
         Ok(_) => {
             return json!({ "ok": false, "seed": seed, "victim": victim,
@@ -352,21 +344,12 @@ pub fn run() -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The flight enable switch is process-global; serialize the tests
-    /// that toggle it.
-    fn lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
 
     /// The acceptance criterion end to end: a seeded killed-rank solve
     /// must leave a dump whose postmortem names the victim and classifies
     /// at least 90 % of all comm wait time.
     #[test]
     fn postmortem_names_killed_rank_and_classifies_waits() {
-        let _l = lock();
         let v = run_seeded(5);
         assert_eq!(v["ok"], true, "{v}");
         assert_eq!(v["culprit_named"], true, "{v}");
@@ -388,24 +371,6 @@ mod tests {
         let back = gmg_trace::Trace::from_chrome_str(&text).expect("timeline parses");
         assert!(!back.events.is_empty());
         assert!(text.contains("\"ph\":\"s\""), "flow arrows present");
-    }
-
-    /// Flight recording must never perturb the numerics: the same solve
-    /// with the recorder on and off yields bit-identical residuals.
-    #[test]
-    fn recorder_on_off_residual_histories_are_bit_identical() {
-        let _l = lock();
-        let cfg = crate::chaos::chaos_solver_config();
-        let was_on = gmg_flight::set_enabled(false);
-        let off = crate::chaos::baseline_solve(cfg);
-        gmg_flight::set_enabled(true);
-        let on = crate::chaos::baseline_solve(cfg);
-        gmg_flight::set_enabled(was_on);
-        for (a, b) in off.iter().zip(&on) {
-            assert_eq!(a.residual_history, b.residual_history);
-            assert_eq!(a.converged, b.converged);
-            assert_eq!(a.vcycles, b.vcycles);
-        }
     }
 
     /// A lock-step 4-rank world over five cycles: every rank smooths

@@ -450,14 +450,6 @@ impl BrickLayout {
         classify(self.slot_to_brick[slot as usize], self.brick_box, self.wrap)
     }
 
-    /// Slots of all owned bricks (any order is the physical slot order,
-    /// restricted to owned bricks).
-    pub fn owned_slots(&self) -> Vec<u32> {
-        (0..self.num_slots() as u32)
-            .filter(|&s| self.brick_box.contains(self.slot_to_brick[s as usize]))
-            .collect()
-    }
-
     fn halo_dir(&self, dir: Point3) -> Option<&HaloDir> {
         self.halo.iter().find(|h| h.dir == dir)
     }
@@ -670,7 +662,9 @@ mod tests {
     fn owned_bricks_have_full_adjacency() {
         // With a ghost shell >= 1, every owned brick has all 27 neighbors.
         let l = layout(16, 4, 1, BrickOrdering::SurfaceMajor);
-        for s in l.owned_slots() {
+        let owned = (0..l.num_slots() as u32)
+            .filter(|&s| !matches!(l.class_of_slot(s), SlotClass::Ghost(_)));
+        for s in owned {
             for &n in l.adjacency(s) {
                 assert_ne!(n, NO_BRICK);
             }

@@ -277,11 +277,6 @@ impl FaultConfig {
             || self.corrupt_rate > 0.0
             || self.sdc_rate > 0.0
     }
-
-    /// Whether the config injects anything at all.
-    pub fn is_active(&self) -> bool {
-        self.perturbs_messages() || self.stall.is_some() || self.kill.is_some()
-    }
 }
 
 /// Retransmission policy of the reliable layer.
@@ -739,7 +734,6 @@ mod tests {
             assert!(!inj.ack_dropped(1, s, 0));
         }
         assert_eq!(inj.control(), ControlFault::None);
-        assert!(!plan.config.is_active());
     }
 
     #[test]

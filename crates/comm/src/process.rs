@@ -51,7 +51,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gmg_trace::probe;
 use gmg_trace::ObsConfig;
 
 use crate::fault::{FaultPlan, RetryPolicy};
@@ -317,14 +316,12 @@ where
     } = spec;
     let dir = dir.as_path();
     crate::runtime::keep_freed_memory();
-    // A flight ring of our own; parks and panics dump it into the world
-    // directory (the controller points `GMG_FLIGHT_DIR` there), where the
-    // controller merges all surviving rings.
-    let flight_world = gmg_flight::FlightWorld::for_run(nranks, &ObsConfig::from_env());
-    let _ring = flight_world.as_ref().map(|w| w.install(rank));
-    let _rank = flight_world
-        .is_none()
-        .then(|| probe::install(Some(rank), None));
+    // This rank's flight ring, the only one this process records; parks
+    // and panics dump it into the world directory (the controller points
+    // `GMG_FLIGHT_DIR` there), where the controller merges every
+    // process's ring into one dump.
+    let flight_world = gmg_flight::FlightWorld::for_rank(nranks, rank, &ObsConfig::from_env());
+    let _ring = flight_world.install(rank);
 
     let progress = Arc::new(AtomicU64::new(0));
     let stop_hb = Arc::new(AtomicBool::new(false));
@@ -529,7 +526,7 @@ impl ProcessWorld {
         let results = (0..self.nranks)
             .map(|r| std::fs::read_to_string(out_path(dir, r)).map_err(|e| e.to_string()))
             .collect::<Result<Vec<_>, _>>()?;
-        let flight_dump = merge_child_dumps(dir, &rejoins);
+        let flight_dump = merge_child_dumps(dir, self.nranks, &rejoins);
         Ok(ProcessReport {
             results,
             rejoins,
@@ -622,7 +619,7 @@ impl ProcessWorld {
 
 /// Merge every per-child flight dump found in the world directory into
 /// one world-wide dump under the controller's flight base dir.
-fn merge_child_dumps(dir: &Path, rejoins: &[RejoinEvent]) -> Option<PathBuf> {
+fn merge_child_dumps(dir: &Path, nranks: usize, rejoins: &[RejoinEvent]) -> Option<PathBuf> {
     let mut sources: Vec<PathBuf> = std::fs::read_dir(dir)
         .ok()?
         .flatten()
@@ -652,7 +649,8 @@ fn merge_child_dumps(dir: &Path, rejoins: &[RejoinEvent]) -> Option<PathBuf> {
             .collect::<Vec<_>>()
             .join("; ")
     };
-    gmg_flight::merge_dumps(&ObsConfig::from_env(), &sources, "process-world", &detail)
+    let cfg = ObsConfig::from_env();
+    gmg_flight::merge_dumps(&cfg, nranks, &sources, "process-world", &detail)
 }
 
 #[cfg(test)]
@@ -668,6 +666,7 @@ mod tests {
         match entry {
             "ring" => ring_once(&mut ctx),
             "rejoin_ring" => rejoin_ring(ctx),
+            "dump_own_ring" => dump_own_ring(&mut ctx),
             other => panic!("unknown process-test entry {other:?}"),
         }
     }
@@ -719,6 +718,21 @@ mod tests {
             .recv_timeout((me + n - 1) % n, 7, Duration::from_secs(20))
             .unwrap();
         format!("{}", got[0])
+    }
+
+    /// Run the ring once, dump this process's flight ring, and answer
+    /// with the rank files the dump holds.
+    fn dump_own_ring(ctx: &mut RankCtx) -> String {
+        ring_once(ctx);
+        let dir = gmg_flight::dump_installed("test", "own ring").expect("a dump");
+        let mut files: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .filter_map(|e| e.file_name().into_string().ok())
+            .filter(|n| n.starts_with("rank"))
+            .collect();
+        files.sort();
+        files.join(",")
     }
 
     // --- checkpointing for the rejoin entry (kept per cycle, bit-exact
@@ -839,6 +853,33 @@ mod tests {
             let left = (me + 2) % 3;
             assert_eq!(r, &format!("{}", left as f64 * 2.0), "rank {me}");
         }
+    }
+
+    /// A child records and dumps its own rank's ring only; the
+    /// controller's merge of those dumps is whole, one log per rank.
+    #[test]
+    fn a_child_dumps_one_rank_log_and_the_merge_holds_every_rank() {
+        let report = ProcessWorld::new(3, "dump_own_ring")
+            .transport(SocketKind::Uds)
+            .child_args(CHILD_ARGS)
+            .deadline(Duration::from_secs(60))
+            .run()
+            .expect("process world");
+        for (me, r) in report.results.iter().enumerate() {
+            assert_eq!(r, &format!("rank{me}.json"), "rank {me}'s dump");
+        }
+        let dump = report.flight_dump.expect("merged flight dump");
+        let bundle = gmg_flight::load_dump(&dump).unwrap();
+        let ranks: Vec<_> = bundle.logs.iter().map(|l| l.rank).collect();
+        assert_eq!((bundle.nranks, ranks), (3, vec![0, 1, 2]));
+        for log in &bundle.logs {
+            assert!(
+                log.events.iter().any(|e| e.op == "send"),
+                "rank {}",
+                log.rank
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dump);
     }
 
     #[test]

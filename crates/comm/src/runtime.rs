@@ -666,12 +666,7 @@ impl RankWorld {
             let mut handles = Vec::with_capacity(nranks);
             for (rank, transport) in transports.into_iter().enumerate() {
                 handles.push(s.spawn(move || {
-                    // The world's ring names the rank; without one, the
-                    // rank alone.
-                    let _ring = flight_ref.as_ref().map(|w| w.install(rank));
-                    let _rank = flight_ref
-                        .is_none()
-                        .then(|| probe::install(Some(rank), None));
+                    let _ring = flight_ref.install(rank);
                     let _capture = trace_scope_ref.as_ref().map(|s| s.install());
                     let ctx = RankCtx::from_parts(
                         rank,
@@ -714,9 +709,7 @@ impl RankWorld {
                     .map(|f| format!("rank {}: {}", f.rank, f.message))
                     .collect::<Vec<_>>()
                     .join("; ");
-                let flight_dump = flight
-                    .as_ref()
-                    .and_then(|w| gmg_flight::dump_world(w, "world-failure", &detail));
+                let flight_dump = gmg_flight::dump_world(&flight, "world-failure", &detail);
                 Err(WorldFailure {
                     nranks,
                     failures,

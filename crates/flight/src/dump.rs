@@ -1,9 +1,11 @@
 //! Black-box dumps: persist every rank's ring to disk on failure.
 //!
 //! A dump is a directory `flightdump_<unix-ns>/` containing a
-//! `manifest.json` (reason, detail, rank list, and where the events'
-//! time base sits on the wall clock) and one `rank<k>.json` per rank
-//! with its counters and the validated events in claim order.
+//! `manifest.json` (reason, detail, world size, rank list, and where the
+//! events' time base sits on the wall clock) and one `rank<k>.json` per
+//! rank the dumping process records — every rank of a thread world, its
+//! own of a process world — with its counters and the validated events
+//! in claim order.
 //! Encoding rides on [`gmg_trace::json`] — no new dependencies, and the
 //! files load back losslessly for offline postmortem analysis.
 //!
@@ -211,42 +213,80 @@ pub fn dump_installed(reason: &str, detail: &str) -> Option<PathBuf> {
     crate::recorder::installed().and_then(|(world, _rank)| dump_world(&world, reason, detail))
 }
 
-/// Load a dump directory written by [`dump_world_to`]. Anything the
-/// writer could not have produced — a manifest claiming more ranks than
-/// the directory has rank files (or than [`MAX_DUMP_RANKS`]), a rank id
-/// out of range, a time base that is not a count of nanoseconds since
-/// 1970 an `i64` holds, malformed JSON — is `InvalidData`.
-pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
-    let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
-    let manifest = Json::parse(&fs::read_to_string(dir.join("manifest.json"))?)
-        .map_err(|e| bad(format!("manifest.json: {e}")))?;
-    let reason = manifest
-        .get("reason")
-        .and_then(Json::as_str)
-        .unwrap_or("?")
-        .to_string();
-    let detail = manifest
-        .get("detail")
-        .and_then(Json::as_str)
-        .unwrap_or("")
-        .to_string();
-    // The rank files actually present bound everything the manifest may
-    // claim: a dump holds one file per rank of its world.
-    let present: Vec<usize> = fs::read_dir(dir)?
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn read_manifest(dir: &Path) -> io::Result<Json> {
+    Json::parse(&fs::read_to_string(dir.join("manifest.json"))?)
+        .map_err(|e| invalid(format!("manifest.json: {e}")))
+}
+
+/// The ranks whose `rank<k>.json` files `dir` holds.
+fn rank_files(dir: &Path) -> io::Result<Vec<usize>> {
+    Ok(fs::read_dir(dir)?
         .flatten()
         .filter_map(|e| {
             let name = e.file_name();
             let k = name.to_str()?.strip_prefix("rank")?.strip_suffix(".json")?;
             k.parse().ok()
         })
-        .collect();
+        .collect())
+}
+
+/// The manifest's time base: nanoseconds since 1970 that an `i64` holds,
+/// or `None` for a dump written without one.
+fn manifest_epoch(manifest: &Json) -> io::Result<Option<u64>> {
+    match manifest.get("epoch_unix_ns") {
+        None | Some(Json::Null) => Ok(None),
+        j => match dec_u64(j, u64::MAX) {
+            ns if ns <= MAX_EPOCH_UNIX_NS => Ok(Some(ns)),
+            _ => Err(invalid("manifest.json: bad epoch_unix_ns".to_string())),
+        },
+    }
+}
+
+/// Load `rank`'s log from `dir`.
+fn load_log(dir: &Path, rank: usize) -> io::Result<RankLog> {
+    let body = Json::parse(&fs::read_to_string(dir.join(format!("rank{rank}.json")))?)
+        .map_err(|e| invalid(format!("rank{rank}.json: {e}")))?;
+    let events = match body.get("events") {
+        Some(Json::Arr(a)) => a.iter().map(decode_event).collect(),
+        _ => Vec::new(),
+    };
+    Ok(RankLog {
+        rank,
+        capacity: dec_u64(body.get("capacity"), 0),
+        written: dec_u64(body.get("written"), 0),
+        lost: dec_u64(body.get("lost"), 0),
+        events,
+    })
+}
+
+/// Load a dump directory written by [`dump_world_to`] for a whole world.
+/// Anything the writer could not have produced — a manifest claiming
+/// more ranks than the directory has rank files (or than
+/// [`MAX_DUMP_RANKS`]), a rank id out of range, a time base that is not
+/// a count of nanoseconds since 1970 an `i64` holds, malformed JSON — is
+/// `InvalidData`. A process-world child's dump holds its own rank only,
+/// so it is not whole: [`merge_dumps`] reads those.
+pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
+    let manifest = read_manifest(dir)?;
+    let text = |key, default| manifest.get(key).and_then(Json::as_str).unwrap_or(default);
+    let (reason, detail) = (
+        text("reason", "?").to_string(),
+        text("detail", "").to_string(),
+    );
+    // The rank files actually present bound everything the manifest may
+    // claim: a whole dump holds one file per rank of its world.
+    let present = rank_files(dir)?;
     let nranks = manifest
         .get("nranks")
         .and_then(Json::as_u64)
         .and_then(|n| usize::try_from(n).ok())
         .filter(|&n| n <= MAX_DUMP_RANKS && n <= present.len())
         .ok_or_else(|| {
-            bad(format!(
+            invalid(format!(
                 "manifest.json: nranks missing or beyond the {} rank files present",
                 present.len()
             ))
@@ -258,36 +298,17 @@ pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
                 r.as_u64()
                     .and_then(|r| usize::try_from(r).ok())
                     .filter(|&r| r < nranks)
-                    .ok_or_else(|| bad(format!("manifest.json: bad rank id {r}")))
+                    .ok_or_else(|| invalid(format!("manifest.json: bad rank id {r}")))
             })
             .collect::<io::Result<_>>()?,
         _ => present.into_iter().filter(|&r| r < nranks).collect(),
     };
-    let epoch_unix_ns = match manifest.get("epoch_unix_ns") {
-        None | Some(Json::Null) => None,
-        j => match dec_u64(j, u64::MAX) {
-            ns if ns <= MAX_EPOCH_UNIX_NS => Some(ns),
-            _ => return Err(bad("manifest.json: bad epoch_unix_ns".to_string())),
-        },
-    };
+    let epoch_unix_ns = manifest_epoch(&manifest)?;
     ranks.sort_unstable();
     ranks.dedup();
-    let mut logs = Vec::with_capacity(ranks.len());
-    for rank in ranks {
-        let body = Json::parse(&fs::read_to_string(dir.join(format!("rank{rank}.json")))?)
-            .map_err(|e| bad(format!("rank{rank}.json: {e}")))?;
-        let events = match body.get("events") {
-            Some(Json::Arr(a)) => a.iter().map(decode_event).collect(),
-            _ => Vec::new(),
-        };
-        logs.push(RankLog {
-            rank,
-            capacity: dec_u64(body.get("capacity"), 0),
-            written: dec_u64(body.get("written"), 0),
-            lost: dec_u64(body.get("lost"), 0),
-            events,
-        });
-    }
+    let logs = (ranks.into_iter())
+        .map(|rank| load_log(dir, rank))
+        .collect::<io::Result<_>>()?;
     Ok(DumpBundle {
         reason,
         detail,
@@ -297,47 +318,53 @@ pub fn load_dump(dir: &Path) -> io::Result<DumpBundle> {
     })
 }
 
-/// Merge several dumps — typically one per OS process, each holding a
-/// single live rank's ring alongside empty placeholders for its peers —
-/// into one world-wide dump under `cfg`'s dump directory. For every rank
-/// the log with the most recorded events across the sources wins (a
-/// rank's own ring beats the empty placeholder a *different* process
-/// dumped for it). Each process stamps events from its own epoch, so a
-/// log is shifted onto the earliest source's time base (a source without
-/// one is taken as already on it). Unreadable sources are skipped;
-/// returns `None` when nothing merged or the dump cap is spent.
+/// Merge the dumps of an `nranks`-rank process world — one or more per
+/// OS process, each holding that process's own rank — into one whole
+/// dump under `cfg`'s dump directory. Each process stamps events from
+/// its own epoch, so a log is shifted onto the earliest source's time
+/// base (a source without one is taken as already on it). A rank two
+/// processes dumped — one that died and the replacement that rejoined
+/// for it — keeps the log with the most recorded events; a rank no
+/// process dumped gets an empty log. Unreadable sources and ranks
+/// outside the world are skipped; returns `None` when nothing merged or
+/// the dump cap is spent.
 pub fn merge_dumps(
     cfg: &ObsConfig,
+    nranks: usize,
     sources: &[PathBuf],
     reason: &str,
     detail: &str,
 ) -> Option<PathBuf> {
-    let mut bundles: Vec<DumpBundle> = sources.iter().filter_map(|p| load_dump(p).ok()).collect();
-    if bundles.is_empty() {
-        return None;
-    }
-    let base = bundles.iter().filter_map(|b| b.epoch_unix_ns).min();
-    for b in &mut bundles {
-        let shift = b.epoch_unix_ns.zip(base).map_or(0, |(e, base)| e - base);
-        for ev in b.logs.iter_mut().flat_map(|l| &mut l.events) {
-            ev.ts_ns = ev.ts_ns.saturating_add(shift);
+    let mut parts: Vec<(Option<u64>, RankLog)> = Vec::new();
+    for dir in sources {
+        let Ok(epoch) = read_manifest(dir).and_then(|m| manifest_epoch(&m)) else {
+            continue;
+        };
+        for rank in rank_files(dir).unwrap_or_default() {
+            if rank < nranks {
+                parts.extend(load_log(dir, rank).ok().map(|log| (epoch, log)));
+            }
         }
     }
-    let nranks = bundles.iter().map(|b| b.nranks).max().unwrap_or(0);
-    let mut logs: Vec<RankLog> = Vec::with_capacity(nranks);
-    for rank in 0..nranks {
-        let best = bundles
-            .iter()
-            .flat_map(|b| b.logs.iter())
-            .filter(|l| l.rank == rank)
-            .max_by_key(|l| (l.events.len(), l.written));
-        logs.push(best.cloned().unwrap_or(RankLog {
+    if parts.is_empty() {
+        return None;
+    }
+    let base = parts.iter().filter_map(|(epoch, _)| *epoch).min();
+    let mut logs: Vec<RankLog> = (0..nranks)
+        .map(|rank| RankLog {
             rank,
-            capacity: 0,
-            written: 0,
-            lost: 0,
-            events: Vec::new(),
-        }));
+            ..RankLog::default()
+        })
+        .collect();
+    for (epoch, mut log) in parts {
+        let shift = epoch.zip(base).map_or(0, |(e, base)| e - base);
+        for ev in &mut log.events {
+            ev.ts_ns = ev.ts_ns.saturating_add(shift);
+        }
+        let slot = &mut logs[log.rank];
+        if (log.events.len(), log.written) >= (slot.events.len(), slot.written) {
+            *slot = log;
+        }
     }
     dump_under(&cfg.dump_dir(), |dir| {
         write_logs(dir, nranks, &logs, base, reason, detail)
@@ -401,31 +428,39 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Per-process dumps of a 3-rank world: ranks 0 and 1 dumped by their
+    /// own processes, rank 1 also by the predecessor that died before its
+    /// replacement rejoined, rank 2 by nobody.
     #[test]
-    fn merge_prefers_the_ring_with_events_for_each_rank() {
-        // Two per-process dumps: each world has both ranks, but only one
-        // ring per process actually recorded anything.
+    fn merge_makes_one_whole_dump_of_per_process_parts() {
         let base = scratch_dir("merge");
-        let (a, b) = (base.join("flightdump_a"), base.join("flightdump_b"));
-        for (dir, rank, op) in [(&a, 0usize, "send"), (&b, 1usize, "recv")] {
-            let world = FlightWorld::with_capacity(2, 64);
-            world.ring(rank).record(FlightEvent {
-                ts_ns: 1,
-                kind: Kind::Control,
-                op,
-                ..FlightEvent::empty()
-            });
-            dump_world_to(dir, &world, "membership-park", "per-process").unwrap();
-        }
         let cfg = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT_DIR").then(|| base.clone().into()));
-        let merged = merge_dumps(&cfg, &[a, b], "process-world", "rank 1 died");
-        let merged = merged.expect("merged dump");
-        let bundle = load_dump(&merged).unwrap();
+        let parts = [(0usize, "send", 1), (1, "died", 1), (1, "recv", 2)];
+        let mut sources = Vec::new();
+        for (k, &(rank, op, n)) in parts.iter().enumerate() {
+            let world = FlightWorld::for_rank(3, rank, &cfg);
+            for _ in 0..n {
+                world.ring(rank).record(FlightEvent {
+                    ts_ns: 1,
+                    kind: Kind::Control,
+                    op,
+                    ..FlightEvent::empty()
+                });
+            }
+            let dir = base.join(format!("flightdump_{k}"));
+            dump_world_to(&dir, &world, "membership-park", "per-process").unwrap();
+            assert_eq!(rank_files(&dir).unwrap(), vec![rank]);
+            sources.push(dir);
+        }
+        let merged = merge_dumps(&cfg, 3, &sources, "process-world", "rank 1 died");
+        let bundle = load_dump(&merged.expect("merged dump")).unwrap();
         assert_eq!(bundle.reason, "process-world");
         assert_eq!(bundle.detail, "rank 1 died");
-        assert_eq!(bundle.nranks, 2);
+        assert_eq!((bundle.nranks, bundle.logs.len()), (3, 3));
         assert_eq!(bundle.logs[0].events[0].op, "send");
+        assert_eq!(bundle.logs[1].events.len(), 2);
         assert_eq!(bundle.logs[1].events[0].op, "recv");
+        assert!(bundle.logs[2].events.is_empty());
         let _ = fs::remove_dir_all(&base);
     }
 
@@ -438,29 +473,22 @@ mod tests {
         let (a, b) = (base.join("flightdump_a"), base.join("flightdump_b"));
         let epoch = 1_700_000_000_000_000_000u64;
         for (dir, rank, at) in [(&a, 0usize, epoch + 5_000_000), (&b, 1, epoch)] {
-            let mut logs: Vec<RankLog> = (0..2)
-                .map(|r| RankLog {
-                    rank: r,
-                    capacity: 64,
-                    written: 0,
-                    lost: 0,
-                    events: Vec::new(),
-                })
-                .collect();
-            logs[rank].events.push(FlightEvent {
-                ts_ns: 1_000,
-                kind: Kind::Send,
-                op: "send",
-                ..FlightEvent::empty()
-            });
-            write_logs(dir, 2, &logs, Some(at), "membership-park", "per-process").unwrap();
+            let log = RankLog {
+                rank,
+                capacity: 64,
+                written: 1,
+                lost: 0,
+                events: vec![FlightEvent {
+                    ts_ns: 1_000,
+                    kind: Kind::Send,
+                    op: "send",
+                    ..FlightEvent::empty()
+                }],
+            };
+            write_logs(dir, 2, &[log], Some(at), "membership-park", "per-process").unwrap();
         }
-        assert_eq!(
-            load_dump(&a).unwrap().epoch_unix_ns,
-            Some(epoch + 5_000_000)
-        );
         let cfg = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT_DIR").then(|| base.clone().into()));
-        let merged = merge_dumps(&cfg, &[a, b], "process-world", "two epochs").unwrap();
+        let merged = merge_dumps(&cfg, 2, &[a, b], "process-world", "two epochs").unwrap();
         let bundle = load_dump(&merged).unwrap();
         assert_eq!(bundle.epoch_unix_ns, Some(epoch));
         assert_eq!(bundle.logs[0].events[0].ts_ns, 5_001_000);
@@ -494,7 +522,7 @@ mod tests {
     fn dump_installed_uses_the_thread_local_world() {
         let dir = scratch_dir("installed");
         let cfg = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT_DIR").then(|| dir.clone().into()));
-        let world = FlightWorld::for_run(1, &cfg).expect("recorder on");
+        let world = FlightWorld::for_run(1, &cfg);
         let _g = world.install(0);
         probe::event(Kind::Control, "health:diverged");
         let out = dump_installed("health-divergence", "residual blew up");

@@ -11,10 +11,11 @@
 //!
 //! Three layers:
 //!
-//! * [`recorder`] — the per-run [`FlightWorld`] of rings, installing a
+//! * [`recorder`] — the per-run [`FlightWorld`] of rings (every rank's
+//!   in a thread world, its own in a process-world child), installing a
 //!   rank's ring on its thread (the comm runtime and the solvers record
 //!   through `gmg_trace::probe`; events inherit the level of the op they
-//!   happen inside), and the process-wide switch.
+//!   happen inside).
 //! * [`synth`] — `Vec`-backed builders producing the same `RankLog`
 //!   schema for *simulated* worlds (the `gmg-scale` observatory), so
 //!   the analysis layer runs on modelled timelines unchanged.
@@ -26,8 +27,8 @@
 //!   the wait-state classifier, the Perfetto export — reads that trace
 //!   (`gmg-metrics`).
 //!
-//! The `GMG_FLIGHT` and `GMG_FLIGHT_DIR` environment knobs are parsed by
-//! [`gmg_trace::ObsConfig`] and reach this crate through
+//! The recorder has no off switch. Where dumps land (`GMG_FLIGHT_DIR`)
+//! is parsed by [`gmg_trace::ObsConfig`] and reaches this crate through
 //! [`FlightWorld::for_run`] and [`merge_dumps`]; a run's rings hold
 //! [`RING_CAPACITY`] events each, and a process writes at most
 //! [`MAX_DUMPS`] dumps.
@@ -44,5 +45,5 @@ pub use gmg_trace::{
     rebuild_trace, FlightEvent, FlightRing, Kind, RankLog, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG,
     RING_CAPACITY,
 };
-pub use recorder::{installed, record_compute, set_enabled, FlightWorld, Installed};
+pub use recorder::{installed, record_compute, FlightWorld, Installed};
 pub use synth::{into_logs, SynthLog};

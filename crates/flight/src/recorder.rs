@@ -1,24 +1,27 @@
-//! World plumbing: per-rank rings, installing one on a rank thread, and
-//! the global enable switch.
+//! World plumbing: per-rank rings and installing one on a rank thread.
 //!
-//! `RankWorld` creates a [`FlightWorld`] per run and [`FlightWorld::install`]s
-//! each rank's ring on that rank's thread; everything downstream — the
+//! `RankWorld` creates a [`FlightWorld`] of every rank's ring per run, a
+//! process-world child one of its own rank's ring, and each rank thread
+//! [`FlightWorld::install`]s its ring. Everything downstream — the
 //! solver's compute ops, the runtime's send / receive / ARQ events —
-//! reaches the ring through `gmg_trace::probe`, attributed to the level of
-//! the op it happened inside. No ring installed makes every record a
-//! no-op.
+//! reaches the ring through `gmg_trace::probe`, attributed to the level
+//! of the op it happened inside; a thread with no ring records nothing.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use gmg_trace::probe::{self, ContextGuard};
 use gmg_trace::{FlightEvent, FlightRing, Kind, ObsConfig, RankLog, RING_CAPACITY};
 
-/// One ring per rank, shared by the rank threads and whoever dumps them,
-/// plus where this world dumps.
+/// The rings of the ranks this process records — every rank of a thread
+/// world, one of a process world — shared by the rank threads and
+/// whoever dumps them, plus the world's size and where it dumps.
 pub struct FlightWorld {
+    nranks: usize,
+    /// Rank of `rings[0]`; the rings hold consecutive ranks.
+    first: usize,
     rings: Vec<Arc<FlightRing>>,
     pub(crate) dump_dir: PathBuf,
 }
@@ -41,38 +44,43 @@ impl Drop for Installed {
 }
 
 impl FlightWorld {
-    /// The rings of a run configured by `cfg`, or `None` when the
-    /// recorder is off (`GMG_FLIGHT=0`, or [`set_enabled`]`(false)`).
-    pub fn for_run(nranks: usize, cfg: &ObsConfig) -> Option<Arc<Self>> {
-        let on = match FORCED.load(Ordering::Relaxed) {
-            FORCED_OFF => false,
-            FORCED_ON => true,
-            _ => cfg.flight,
-        };
-        on.then(|| Self::build(nranks, RING_CAPACITY, cfg.dump_dir()))
+    /// One ring for each of a run's `nranks` ranks, dumping where `cfg`
+    /// says.
+    pub fn for_run(nranks: usize, cfg: &ObsConfig) -> Arc<Self> {
+        Self::build(nranks, 0..nranks, RING_CAPACITY, cfg.dump_dir())
+    }
+
+    /// The ring of `rank` alone, of a run of `nranks` ranks: what one
+    /// process of a process world records.
+    pub fn for_rank(nranks: usize, rank: usize, cfg: &ObsConfig) -> Arc<Self> {
+        Self::build(nranks, rank..rank + 1, RING_CAPACITY, cfg.dump_dir())
     }
 
     /// A world of `nranks` rings of `capacity` events that dumps under
     /// `results/`.
     pub fn with_capacity(nranks: usize, capacity: usize) -> Arc<Self> {
-        Self::build(nranks, capacity, PathBuf::from("results"))
+        Self::build(nranks, 0..nranks, capacity, PathBuf::from("results"))
     }
 
-    fn build(nranks: usize, capacity: usize, dump_dir: PathBuf) -> Arc<Self> {
+    fn build(nranks: usize, ranks: Range<usize>, capacity: usize, dump_dir: PathBuf) -> Arc<Self> {
         Arc::new(FlightWorld {
-            rings: (0..nranks)
+            nranks,
+            first: ranks.start,
+            rings: ranks
                 .map(|r| Arc::new(FlightRing::new(r, capacity)))
                 .collect(),
             dump_dir,
         })
     }
 
+    /// Ranks of the whole run, recorded here or not.
     pub fn nranks(&self) -> usize {
-        self.rings.len()
+        self.nranks
     }
 
+    /// `rank`'s ring; panics for a rank this world does not record.
     pub fn ring(&self, rank: usize) -> &Arc<FlightRing> {
-        &self.rings[rank]
+        &self.rings[rank - self.first]
     }
 
     /// Make this thread `rank` of the world ([`probe::install`]) with
@@ -80,7 +88,7 @@ impl FlightWorld {
     /// [`installed`] (and so `dump_installed`) answers, until the guard
     /// drops.
     pub fn install(self: &Arc<Self>, rank: usize) -> Installed {
-        let probe = probe::install(Some(rank), Some(self.rings[rank].clone()));
+        let probe = probe::install(rank, self.ring(rank).clone());
         Installed {
             prev: INSTALLED.with(|w| w.replace(Some((self.clone(), rank)))),
             _probe: probe,
@@ -99,27 +107,6 @@ impl FlightWorld {
                 events: r.snapshot(),
             })
             .collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Global enable switch
-// ---------------------------------------------------------------------------
-
-const FORCED_OFF: u8 = 1;
-const FORCED_ON: u8 = 2;
-
-/// 0 = follow the configuration, else one of the two constants above.
-static FORCED: AtomicU8 = AtomicU8::new(0);
-
-/// Force the recorder on or off for worlds created from now on,
-/// whatever `GMG_FLIGHT` says; returns the state that was in effect.
-pub fn set_enabled(on: bool) -> bool {
-    let forced = if on { FORCED_ON } else { FORCED_OFF };
-    match FORCED.swap(forced, Ordering::Relaxed) {
-        FORCED_OFF => false,
-        FORCED_ON => true,
-        _ => ObsConfig::from_env().flight,
     }
 }
 
@@ -146,13 +133,6 @@ pub fn record_compute(level: usize, op: &'static str, ts_ns: u64, dur_ns: u64, p
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `FORCED` is process-global: tests that toggle it must not
-    /// interleave.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static L: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        L.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn record_without_installed_ring_is_a_noop() {
@@ -212,15 +192,16 @@ mod tests {
     }
 
     #[test]
-    fn the_switch_decides_whether_a_run_gets_rings() {
-        let _l = lock();
+    fn a_process_rank_holds_only_its_own_ring() {
         let cfg = ObsConfig::from_lookup(|_| None);
-        let prev = set_enabled(false);
-        assert!(FlightWorld::for_run(2, &cfg).is_none());
-        assert!(!set_enabled(true));
-        let off = ObsConfig::from_lookup(|k| (k == "GMG_FLIGHT").then(|| "0".into()));
-        let w = FlightWorld::for_run(2, &off).expect("forced on beats GMG_FLIGHT=0");
-        assert_eq!((w.nranks(), w.ring(0).capacity()), (2, RING_CAPACITY));
-        set_enabled(prev);
+        let all = FlightWorld::for_run(4, &cfg);
+        assert_eq!((all.nranks(), all.snapshot().len()), (4, 4));
+        assert_eq!(all.ring(3).capacity(), RING_CAPACITY);
+        let one = FlightWorld::for_rank(4, 2, &cfg);
+        let _g = one.install(2);
+        record_compute(0, "smooth", 0, 10, 1);
+        let logs = one.snapshot();
+        assert_eq!((one.nranks(), logs.len()), (4, 1));
+        assert_eq!((logs[0].rank, logs[0].written), (2, 1));
     }
 }

@@ -31,4 +31,4 @@ pub use level::Level;
 pub use problem::PoissonProblem;
 pub use rejoin::{RejoinStore, SolverCheckpoint};
 pub use solver::{GmgSolver, SolveStats, SolverConfig};
-pub use timers::{OpTimer, TimerReport};
+pub use timers::OpTimer;

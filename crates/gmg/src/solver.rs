@@ -995,40 +995,46 @@ mod tests {
         );
     }
 
+    /// The solver feeds one measurement to both its `OpTimer` and the
+    /// flight ring a capture reads: per rank, every `(level, op)` total in
+    /// the timer is that rank's `TraceSummary` row, to the ring's
+    /// nanosecond rounding per invocation.
     #[test]
-    fn trace_fractions_agree_with_timer_report() {
-        // The solver feeds one measurement to both OpTimer and the flight
-        // ring a capture reads, so the two Table II computations agree to rounding error
-        // (well inside the 1% acceptance bound).
+    fn timer_and_trace_book_one_measurement_per_op() {
         let mut cfg = SolverConfig::test_default();
         cfg.num_levels = 2;
         cfg.max_vcycles = 2;
         cfg.tolerance = 0.0;
         let decomp = Decomposition::new(Box3::cube(16), Point3::new(2, 1, 1));
         let d = &decomp;
-        let (reports, trace) = gmg_trace::capture(|| {
+        let (timers, trace) = gmg_trace::capture(|| {
             RankWorld::run(2, move |mut ctx| {
                 let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
                 s.solve(&mut ctx);
-                s.timers.aggregate(&mut ctx)
+                s.timers
             })
         });
-        let summary = gmg_trace::TraceSummary::from_trace(&trace);
-        assert_eq!(summary.nranks, 2);
-        for level in [0, 1] {
-            let from_timers = reports[0].level_fractions(level);
-            let from_trace = summary.level_fractions(level);
-            assert_eq!(from_timers.len(), from_trace.len(), "level {level}");
-            for ((op_t, f_t), (op_s, f_s)) in from_timers.iter().zip(&from_trace) {
-                assert_eq!(op_t, op_s);
+        for (rank, timer) in timers.iter().enumerate() {
+            let summary = gmg_trace::TraceSummary::from_trace(&trace.rank_window(rank, rank + 1));
+            let rows: Vec<_> = summary
+                .rows
+                .iter()
+                .map(|r| (r.level, r.op.as_str()))
+                .collect();
+            assert_eq!(rows, timer.keys(), "rank {rank}");
+            for row in &summary.rows {
+                let (level, op) = (row.level, row.op.as_str());
+                let n = timer.count(level, op);
+                assert_eq!(row.invocations, n, "rank {rank} level {level} {op}");
+                let (booked, traced) = (timer.total(level, op), row.seconds);
                 assert!(
-                    (f_t - f_s).abs() < 0.01,
-                    "level {level} {op_t}: timers {f_t:.6} vs trace {f_s:.6}"
+                    (booked - traced).abs() <= n as f64 * 1e-9,
+                    "rank {rank} level {level} {op}: timer {booked:e} s vs trace {traced:e} s"
                 );
             }
         }
         // Comm spans from the exchange runtime rode along in the capture.
-        assert!(summary.comm.messages > 0);
+        assert!(gmg_trace::TraceSummary::from_trace(&trace).comm.messages > 0);
     }
 
     /// Rebuild the finest-level iterate through `f(old_value, point)` —

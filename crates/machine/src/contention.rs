@@ -122,12 +122,6 @@ impl ContentionModel {
         }
         (usize::BITS - (ranks - 1).leading_zeros()) as usize
     }
-
-    /// Modelled allreduce latency at `ranks`: reduce up the tree plus
-    /// broadcast down — `2 · depth` hops.
-    pub fn allreduce_time_s(&self, ranks: usize) -> f64 {
-        2.0 * self.allreduce_depth(ranks) as f64 * self.allreduce_hop_s
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +162,6 @@ mod tests {
         assert_eq!(a, 30e-6);
         assert_eq!(b, 14.0);
         assert_eq!(c.message_rate_delay_s(1_000_000), 0.0);
-        assert_eq!(c.allreduce_time_s(100_000), 0.0);
     }
 
     #[test]
@@ -179,7 +172,6 @@ mod tests {
         assert_eq!(c.allreduce_depth(3), 2);
         assert_eq!(c.allreduce_depth(1024), 10);
         assert_eq!(c.allreduce_depth(1025), 11);
-        assert!(c.allreduce_time_s(1024) > c.allreduce_time_s(2));
     }
 
     #[test]

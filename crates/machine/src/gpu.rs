@@ -129,11 +129,6 @@ impl GpuModel {
         }
     }
 
-    /// Roofline-attainable GFLOP/s at arithmetic intensity `ai` (FLOP/B).
-    pub fn roofline_gflops(&self, ai: f64) -> f64 {
-        (ai * self.hbm_gbs).min(self.peak_fp64_gflops)
-    }
-
     /// The machine balance point (FLOP/B at which the roofline bends).
     pub fn balance_ai(&self) -> f64 {
         self.peak_fp64_gflops / self.hbm_gbs
@@ -223,12 +218,10 @@ mod tests {
     }
 
     #[test]
-    fn roofline_bends_at_balance() {
+    fn gmg_ops_are_memory_bound() {
         let g = GpuModel::a100();
         let b = g.balance_ai();
-        assert!(g.roofline_gflops(b * 0.5) < g.peak_fp64_gflops);
-        assert_eq!(g.roofline_gflops(b * 2.0), g.peak_fp64_gflops);
-        // GMG ops are all memory-bound: AI well below balance.
+        // AI well below the machine balance.
         for op in gmg_stencil::ALL_OPS {
             assert!(op.traffic().theoretical_ai() < b);
         }

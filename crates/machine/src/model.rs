@@ -45,13 +45,6 @@ impl LatencyThroughput {
         self.alpha_s * self.beta
     }
 
-    /// Which term of `t = α + x/β` dominates at size `x`: below the
-    /// half-throughput size the fixed α overhead does (latency-bound),
-    /// at or above it the x/β transfer term does (bandwidth-bound).
-    pub fn is_latency_bound(&self, x: f64) -> bool {
-        x < self.half_throughput_size()
-    }
-
     /// Least-squares fit of `t = α + x/β` to `(x, t_seconds)` samples.
     /// Requires at least two samples with distinct `x`. A negative fitted
     /// intercept is clamped to zero (measured rates can exceed the linear
@@ -72,18 +65,6 @@ impl LatencyThroughput {
             alpha_s: intercept.max(0.0),
             beta: 1.0 / slope,
         }
-    }
-
-    /// Fit from `(x, rate)` samples by converting to times.
-    pub fn fit_rate(samples: &[(f64, f64)]) -> Self {
-        let times: Vec<(f64, f64)> = samples
-            .iter()
-            .map(|&(x, r)| {
-                assert!(r > 0.0 && x > 0.0, "rates and sizes must be positive");
-                (x, x / r)
-            })
-            .collect();
-        Self::fit_time(&times)
     }
 
     /// Coefficient of determination (R²) of the time-form fit against the
@@ -135,14 +116,6 @@ mod tests {
     }
 
     #[test]
-    fn regime_classification_splits_at_n_half() {
-        let m = LatencyThroughput::new(2e-6, 5e9); // x_half = 10 kB
-        assert!(m.is_latency_bound(1e3));
-        assert!(!m.is_latency_bound(1e6));
-        assert!(!m.is_latency_bound(m.half_throughput_size()));
-    }
-
-    #[test]
     fn fit_recovers_exact_parameters() {
         let truth = LatencyThroughput::new(15e-6, 14e9);
         let samples: Vec<(f64, f64)> = [1e3, 1e4, 1e5, 1e6, 1e7, 1e8]
@@ -153,18 +126,6 @@ mod tests {
         assert!((fit.alpha_s - truth.alpha_s).abs() / truth.alpha_s < 1e-9);
         assert!((fit.beta - truth.beta).abs() / truth.beta < 1e-9);
         assert!(fit.r_squared(&samples) > 0.999999);
-    }
-
-    #[test]
-    fn fit_rate_roundtrip() {
-        let truth = LatencyThroughput::new(5e-6, 80e9);
-        let samples: Vec<(f64, f64)> = [1e4, 1e5, 1e6, 1e7]
-            .iter()
-            .map(|&x| (x, truth.rate(x)))
-            .collect();
-        let fit = LatencyThroughput::fit_rate(&samples);
-        assert!((fit.alpha_s - truth.alpha_s).abs() / truth.alpha_s < 1e-9);
-        assert!((fit.beta - truth.beta).abs() / truth.beta < 1e-9);
     }
 
     #[test]

@@ -42,14 +42,6 @@ impl KernelTiming {
             gpu.gstencil_plateau(op) * 1e9,
         )
     }
-
-    /// Bytes of HBM traffic this invocation moves (including the extra
-    /// movement implied by an AI fraction below 1).
-    pub fn bytes_moved(gpu: &GpuModel, op: OpKind, points: usize) -> f64 {
-        let t = op.traffic().per_fine_point();
-        let e = gpu.op_efficiency(op);
-        points as f64 * t.bytes_per_point() / e.ai_fraction
-    }
 }
 
 #[cfg(test)]
@@ -97,15 +89,5 @@ mod tests {
             let lt = KernelTiming::latency_model(&g, OpKind::ApplyOp);
             assert!((4.9e-6..=20.1e-6).contains(&lt.alpha_s), "{:?}", sys);
         }
-    }
-
-    #[test]
-    fn bytes_moved_includes_ai_derating() {
-        let g = System::Frontier.gpu();
-        let op = OpKind::InterpolationIncrement; // ai_fraction 0.74
-        let b = KernelTiming::bytes_moved(&g, op, 1000);
-        let ideal = 1000.0 * op.traffic().per_fine_point().bytes_per_point();
-        assert!(b > ideal);
-        assert!((b * 0.74 - ideal).abs() / ideal < 1e-9);
     }
 }

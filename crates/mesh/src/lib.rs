@@ -27,7 +27,3 @@ pub use box3::Box3;
 pub use decomp::{Decomposition, Neighbor, RankCoords};
 pub use ghost::{recv_region, send_region, GhostRegion, DIRECTIONS_26};
 pub use point::Point3;
-
-/// Number of distinct halo-exchange directions in 3D (faces + edges +
-/// corners): `3^3 - 1`.
-pub const NUM_NEIGHBORS_3D: usize = 26;

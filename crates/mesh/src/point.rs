@@ -123,17 +123,6 @@ impl Point3 {
         self.x <= o.x && self.y <= o.y && self.z <= o.z
     }
 
-    /// Interpret as an extent and convert to `usize` components.
-    /// Panics if any component is negative.
-    #[inline]
-    pub fn to_usize(self) -> [usize; 3] {
-        assert!(
-            self.x >= 0 && self.y >= 0 && self.z >= 0,
-            "negative extent {self:?}"
-        );
-        [self.x as usize, self.y as usize, self.z as usize]
-    }
-
     /// Iterate over each axis component in `(axis, value)` pairs.
     pub fn components(self) -> impl Iterator<Item = (usize, i64)> {
         [(0usize, self.x), (1, self.y), (2, self.z)].into_iter()
@@ -316,16 +305,5 @@ mod tests {
         assert!(Point3::zero().all_lt(Point3::splat(1)));
         assert!(!Point3::zero().all_lt(Point3::new(1, 0, 1)));
         assert!(Point3::zero().all_le(Point3::new(1, 0, 1)));
-    }
-
-    #[test]
-    fn to_usize_roundtrip() {
-        assert_eq!(Point3::new(1, 2, 3).to_usize(), [1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn to_usize_negative_panics() {
-        Point3::new(-1, 0, 0).to_usize();
     }
 }

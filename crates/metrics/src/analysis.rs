@@ -1207,17 +1207,12 @@ impl Analysis {
         for level in s.levels() {
             for (op, frac) in s.level_fractions(level) {
                 let row = s.level_rows(level).find(|r| r.op == op).unwrap();
-                let per_rank = if s.nranks > 0 {
-                    row.seconds / s.nranks as f64
-                } else {
-                    row.seconds
-                };
                 let _ = writeln!(
                     out,
                     "| {} | {} | {:.6} | {:.2}% | {} |",
                     level,
                     op,
-                    per_rank,
+                    s.per_rank_seconds(row),
                     frac * 100.0,
                     row.invocations
                 );

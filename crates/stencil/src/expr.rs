@@ -132,21 +132,6 @@ impl StencilDef {
         }
     }
 
-    /// Index of input grid `name`.
-    pub fn input_id(&self, name: &str) -> Option<GridId> {
-        self.inputs.iter().position(|n| n == name)
-    }
-
-    /// Index of coefficient `name`.
-    pub fn coeff_id(&self, name: &str) -> Option<CoeffId> {
-        self.coeffs.iter().position(|n| n == name)
-    }
-
-    /// Index of output grid `name`.
-    pub fn output_id(&self, name: &str) -> Option<usize> {
-        self.outputs.iter().position(|n| n == name)
-    }
-
     /// Static analysis of this stencil (cached computation is cheap enough
     /// to recompute on demand).
     pub fn analysis(&self) -> crate::analysis::StencilAnalysis {
@@ -227,14 +212,6 @@ impl GridHandle {
         ExprHandle(Expr::Grid {
             grid: self.id,
             offset: Point3::new(dx, dy, dz),
-        })
-    }
-
-    /// Reference at a [`Point3`] offset.
-    pub fn at_offset(&self, offset: Point3) -> ExprHandle {
-        ExprHandle(Expr::Grid {
-            grid: self.id,
-            offset,
         })
     }
 }
@@ -322,10 +299,6 @@ mod tests {
         assert_eq!(s.coeffs, vec!["alpha", "beta"]);
         assert_eq!(s.outputs, vec!["Ax"]);
         assert_eq!(s.assignments.len(), 1);
-        assert_eq!(s.input_id("x"), Some(0));
-        assert_eq!(s.coeff_id("beta"), Some(1));
-        assert_eq!(s.output_id("Ax"), Some(0));
-        assert_eq!(s.input_id("nope"), None);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The observability environment, parsed in one place.
 //!
-//! Four `GMG_*` variables steer the recorder. [`ObsConfig::from_env`] is
-//! the only code that reads them; it is called where a context is
-//! installed or an artifact is written (a rank world starting, a harness
-//! wrapping its run, a dump being placed), never on a hot path, and not
-//! cached — a test or driver that changes the environment sees the
-//! change at the next world.
+//! Three `GMG_*` variables say where a run's artifacts land.
+//! [`ObsConfig::from_env`] is the only code that reads them; it is called
+//! where a context is installed or an artifact is written (a rank world
+//! starting, a harness wrapping its run, a dump being placed), never on
+//! a hot path, and not cached — a test or driver that changes the
+//! environment sees the change at the next world.
 
 use std::ffi::OsString;
 use std::path::PathBuf;
@@ -15,9 +15,6 @@ use std::path::PathBuf;
 pub struct ObsConfig {
     /// `GMG_TRACE`: write the run's Chrome trace here.
     pub trace: Option<PathBuf>,
-    /// `GMG_FLIGHT`: the flight recorder is on unless this is `0`, `off`
-    /// or `false`.
-    pub flight: bool,
     /// `GMG_FLIGHT_DIR`: where crash dumps land (falls back to
     /// [`ObsConfig::results_dir`], then `results/`).
     pub flight_dir: Option<PathBuf>,
@@ -32,22 +29,12 @@ impl ObsConfig {
         ObsConfig::from_lookup(|name| std::env::var_os(name))
     }
 
-    /// Parse from any `name → value` lookup. An unset, empty or
-    /// unparsable value means the default; a path is taken as given.
+    /// Parse from any `name → value` lookup. An unset or empty value
+    /// means the default; a path is taken as given.
     pub fn from_lookup(get: impl Fn(&str) -> Option<OsString>) -> ObsConfig {
-        let text = |name: &str| {
-            get(name)
-                .and_then(|v| v.into_string().ok())
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-        };
         let path = |name: &str| get(name).filter(|v| !v.is_empty()).map(PathBuf::from);
         ObsConfig {
             trace: path("GMG_TRACE"),
-            flight: !matches!(
-                text("GMG_FLIGHT").as_deref(),
-                Some("0") | Some("off") | Some("false")
-            ),
             flight_dir: path("GMG_FLIGHT_DIR"),
             results_dir: path("GMG_RESULTS_DIR"),
         }
@@ -79,46 +66,28 @@ mod tests {
     fn unset_means_defaults() {
         let c = parse(&[]);
         assert_eq!(c.trace, None);
-        assert!(c.flight);
         assert_eq!(c.results_dir, None);
         assert_eq!(c.dump_dir(), PathBuf::from("results"));
     }
 
     #[test]
     fn empty_values_mean_defaults() {
-        let empty: Vec<(&str, &str)> = [
-            "GMG_TRACE",
-            "GMG_FLIGHT",
-            "GMG_FLIGHT_DIR",
-            "GMG_RESULTS_DIR",
-        ]
-        .iter()
-        .map(|k| (*k, ""))
-        .collect();
+        let empty: Vec<(&str, &str)> = ["GMG_TRACE", "GMG_FLIGHT_DIR", "GMG_RESULTS_DIR"]
+            .iter()
+            .map(|k| (*k, ""))
+            .collect();
         assert_eq!(parse(&empty), parse(&[]));
-    }
-
-    #[test]
-    fn a_garbage_switch_means_the_default() {
-        for on in ["maybe", "1", "on"] {
-            assert_eq!(parse(&[("GMG_FLIGHT", on)]), parse(&[]));
-        }
     }
 
     #[test]
     fn set_values_are_honoured() {
         let c = parse(&[
             ("GMG_TRACE", "/tmp/t.json"),
-            ("GMG_FLIGHT", "off"),
             ("GMG_FLIGHT_DIR", "/tmp/dumps"),
             ("GMG_RESULTS_DIR", "/tmp/results"),
         ]);
         assert_eq!(c.trace, Some(PathBuf::from("/tmp/t.json")));
-        assert!(!c.flight);
         assert_eq!(c.dump_dir(), PathBuf::from("/tmp/dumps"));
-        for off in ["0", "false"] {
-            assert!(!parse(&[("GMG_FLIGHT", off)]).flight);
-        }
     }
 
     #[test]

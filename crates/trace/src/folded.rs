@@ -2,13 +2,12 @@
 //! Gregg's `flamegraph.pl` and every compatible viewer (speedscope,
 //! inferno, Firefox Profiler). One line per unique stack, frames joined
 //! by `;`, a space, then the count. [`fold`] builds the stacks from a
-//! trace's span tree; the parser is the encoder's inverse, so a written
-//! `flame.folded` round-trips in tests.
+//! trace's span tree and [`encode`] writes them; the viewers read the
+//! text, and nothing here parses it back.
 
 use crate::{Trace, TraceEvent, LEVEL_NONE};
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Fold a trace's spans into flamegraph stacks whose counts are self
 /// time in nanoseconds.
@@ -65,34 +64,6 @@ fn frame(e: &TraceEvent) -> String {
     }
 }
 
-/// Why a folded-stack text did not parse; `line` is 1-based.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FoldedError {
-    /// No space-separated sample count at the end of the line.
-    NoCount { line: usize },
-    /// The count is not a `u64`.
-    BadCount { line: usize },
-    /// An empty stack, or an empty frame inside it.
-    EmptyFrame { line: usize },
-    /// Duplicate stacks whose counts do not sum in a `u64`.
-    CountOverflow { line: usize },
-}
-
-impl fmt::Display for FoldedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FoldedError::NoCount { line } => write!(f, "line {line}: no sample count"),
-            FoldedError::BadCount { line } => write!(f, "line {line}: bad sample count"),
-            FoldedError::EmptyFrame { line } => write!(f, "line {line}: empty frame"),
-            FoldedError::CountOverflow { line } => {
-                write!(f, "line {line}: duplicate stack counts overflow")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FoldedError {}
-
 /// Render folded stacks as flamegraph text. Lines are emitted in key
 /// order (the map is ordered), so output is deterministic.
 pub fn encode(folded: &BTreeMap<String, u64>) -> String {
@@ -104,34 +75,6 @@ pub fn encode(folded: &BTreeMap<String, u64>) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Parse flamegraph folded text back into a stack → count map. Counts on
-/// duplicate stacks accumulate. Blank lines are ignored; a line without
-/// a trailing integer count, with an empty stack or empty frame, or
-/// whose accumulated count leaves `u64`, is an error.
-pub fn parse(text: &str) -> Result<BTreeMap<String, u64>, FoldedError> {
-    let mut out = BTreeMap::new();
-    for (ln, line) in text.lines().enumerate() {
-        let (line, ln) = (line.trim_end(), ln + 1);
-        if line.is_empty() {
-            continue;
-        }
-        let (stack, count) = line
-            .rsplit_once(' ')
-            .ok_or(FoldedError::NoCount { line: ln })?;
-        let n: u64 = count
-            .parse()
-            .map_err(|_| FoldedError::BadCount { line: ln })?;
-        if stack.is_empty() || stack.split(';').any(|f| f.is_empty()) {
-            return Err(FoldedError::EmptyFrame { line: ln });
-        }
-        let total = out.entry(stack.to_string()).or_insert(0u64);
-        *total = total
-            .checked_add(n)
-            .ok_or(FoldedError::CountOverflow { line: ln })?;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -184,7 +127,6 @@ mod tests {
              rank1;allreduce 15\n\
              rank1;interpolation@L1 30\n"
         );
-        assert_eq!(parse(&text).unwrap(), fold(&trace));
     }
 
     #[test]
@@ -197,46 +139,21 @@ mod tests {
         assert_eq!(text, "rank0;a_b_c@L2 3\nrank0;a_b_c@L2;? 2\n");
     }
 
+    /// One line per stack in key order: frames as given, a space, the
+    /// count in decimal, `\n` — `u64::MAX` and 0 included.
     #[test]
-    fn encode_parse_roundtrip() {
+    fn encode_writes_one_sorted_line_per_stack() {
         let m = map(&[
-            ("applyop_bricked@b8;interior@b8", 840),
-            ("applyop_bricked@b8;brick_boundary@b8", 120),
-            ("applyop_bricked@b8", 11),
-            ("exchange", 40),
+            ("rank1;exchange@L0", u64::MAX),
+            ("rank0;smooth@L0;recv", 0),
+            ("rank0;smooth@L0", 11),
         ]);
-        let text = encode(&m);
-        assert_eq!(parse(&text).unwrap(), m);
-        // Encoding is deterministic (sorted).
-        assert_eq!(encode(&parse(&text).unwrap()), text);
-    }
-
-    #[test]
-    fn parse_accumulates_duplicates() {
-        let m = parse("a;b 3\na;b 4\n").unwrap();
-        assert_eq!(m, map(&[("a;b", 7)]));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(parse("no-count-here\n").is_err());
-        assert!(parse("a;b notanumber\n").is_err());
-        assert!(parse("a;;b 3\n").is_err());
-        assert!(parse(" 3\n").is_err());
-        assert!(parse("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn parse_rejects_counts_that_overflow_when_summed() {
         assert_eq!(
-            parse("a 18446744073709551615\na 1\n"),
-            Err(FoldedError::CountOverflow { line: 2 })
+            encode(&m),
+            "rank0;smooth@L0 11\n\
+             rank0;smooth@L0;recv 0\n\
+             rank1;exchange@L0 18446744073709551615\n"
         );
-        assert_eq!(
-            parse("a 18446744073709551616\n"),
-            Err(FoldedError::BadCount { line: 1 })
-        );
-        assert_eq!(parse("lonely\n"), Err(FoldedError::NoCount { line: 1 }));
-        assert_eq!(parse("a;;b 3\n"), Err(FoldedError::EmptyFrame { line: 1 }));
+        assert_eq!(encode(&BTreeMap::new()), "");
     }
 }

@@ -30,10 +30,10 @@
 //!   send ↔ receive join, [`Trace::messages`], by the sender's wire
 //!   sequence number).
 //! * [`folded`] — flamegraph folded stacks: a trace's span tree folded
-//!   into `rank;op@L<level>;… self-ns` lines, and the text codec.
-//! * [`summary`] — [`TraceSummary`], which recomputes Table II's per-op
-//!   time fractions and the achieved GStencil/s / GB/s *from a trace*,
-//!   for side-by-side comparison with the machine-model roofline.
+//!   into `rank;op@L<level>;… self-ns` lines, and their text.
+//! * [`summary`] — [`TraceSummary`], the one cross-rank Table II: per-op
+//!   time fractions and achieved GStencil/s / GB/s *from a trace*, for
+//!   side-by-side comparison with the machine-model roofline.
 //! * [`json`] — the minimal self-contained JSON codec backing [`chrome`]
 //!   (this crate is deliberately dependency-free).
 //!
@@ -44,8 +44,8 @@
 //! close)` on the rings of the threads it covers: the thread that opened
 //! it, and every rank thread of a `RankWorld` started under it (each
 //! rank's ring joins the capture). A thread with no ring — a harness
-//! thread, or a rank with the recorder off — gets one from the capture
-//! at its first record. While a capture is open the probes also price
+//! thread outside any world — gets one from the capture at its first
+//! record. While a capture is open the probes also price
 //! compute ops into byte / FLOP counters, time sends and record pack /
 //! unpack spans. Concurrent captures on different threads read different
 //! rings, which keeps parallel tests deterministic; a window longer than

@@ -12,7 +12,7 @@ use crate::ring::{FlightEvent, Kind, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG};
 
 /// One rank's snapshotted ring (or a window on it) plus its health
 /// counters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RankLog {
     pub rank: usize,
     pub capacity: u64,

@@ -109,25 +109,24 @@ pub(crate) fn scope() -> Option<TraceScope> {
 /// Restores the thread's previous context on drop.
 pub struct ContextGuard {
     rank: Option<(usize, Option<usize>)>,
-    ring: Option<Option<Arc<FlightRing>>>,
+    ring: Option<Arc<FlightRing>>,
     scope: Option<Option<TraceScope>>,
 }
 
-/// Make this thread `rank` of a world (`None` keeps its rank and level)
-/// and, with `ring`, give it the ring its probes write — the one
-/// observability install a rank thread performs. A capture covering the
-/// thread reads the new ring from here on.
-pub fn install(rank: Option<usize>, ring: Option<Arc<FlightRing>>) -> ContextGuard {
+/// Make this thread `rank` of a world, with `ring` the ring its probes
+/// write — the one observability install a rank thread performs. A
+/// capture covering the thread reads the new ring from here on.
+pub fn install(rank: usize, ring: Arc<FlightRing>) -> ContextGuard {
     // Pin the process's time zero before anything can be recorded: a
     // span that started before it would have its start clamped to 0.
     crate::epoch();
     CTX.with(|c| {
-        if let (Some(ring), Some(scope)) = (&ring, &*c.scope.borrow()) {
-            scope.adopt(ring);
+        if let Some(scope) = &*c.scope.borrow() {
+            scope.adopt(&ring);
         }
         ContextGuard {
-            rank: rank.map(|r| (c.rank.replace(r), c.level.replace(None))),
-            ring: ring.map(|r| c.ring.replace(Some(r))),
+            rank: Some((c.rank.replace(rank), c.level.replace(None))),
+            ring: c.ring.replace(Some(ring)),
             scope: None,
         }
     })
@@ -145,7 +144,7 @@ pub(crate) fn cover(scope: TraceScope) -> ContextGuard {
         }
         ContextGuard {
             rank: None,
-            ring: Some(ring),
+            ring,
             scope: Some(c.scope.replace(Some(scope))),
         }
     })
@@ -158,9 +157,7 @@ impl Drop for ContextGuard {
                 c.rank.set(rank);
                 c.level.set(level);
             }
-            if let Some(ring) = self.ring.take() {
-                c.ring.replace(ring);
-            }
+            c.ring.replace(self.ring.take());
             if let Some(scope) = self.scope.take() {
                 c.scope.replace(scope);
             }
@@ -403,7 +400,7 @@ mod tests {
     fn an_op_writes_one_measurement_that_a_capture_reads_back() {
         let ring = ring();
         let (secs, trace) = capture(|| {
-            let _ctx = install(Some(3), Some(ring.clone()));
+            let _ctx = install(3, ring.clone());
             let g = op(2, "smooth").points(10, model);
             std::thread::sleep(std::time::Duration::from_millis(1));
             g.finish()
@@ -424,7 +421,7 @@ mod tests {
     #[test]
     fn records_inside_an_op_inherit_its_level_and_the_level_is_restored() {
         let ring = ring();
-        let _ctx = install(Some(1), Some(ring.clone()));
+        let _ctx = install(1, ring.clone());
         event(Kind::Control, "before").value(1);
         {
             let outer = op(4, "exchange");
@@ -454,7 +451,7 @@ mod tests {
     #[test]
     fn a_dropped_guard_still_records_and_a_capture_records_comm_spans() {
         let ring = ring();
-        let _ctx = install(Some(0), Some(ring.clone()));
+        let _ctx = install(0, ring.clone());
         let failed = || -> Result<(), ()> {
             let _g = span(Kind::RecvWait, "recv").peer(1).tag(2);
             Err(())

@@ -1,14 +1,13 @@
 //! Trace-derived metrics: Table II per-op fractions and achieved
-//! GStencil/s / GB/s, recomputed from a captured [`Trace`].
+//! GStencil/s / GB/s, recomputed from a captured [`Trace`] — the one
+//! cross-rank aggregation of the solver's per-op timings, which
+//! `gmg_metrics::Analysis::render` prints.
 //!
-//! The aggregation mirrors `gmg::timers::TimerReport`: per-`(level, op)`
-//! totals are summed across ranks, rows are ordered by `(level, op)` (the
-//! same order a `BTreeMap<(usize, &str), _>` yields), and a level's
-//! fractions divide each op's time by the level total — so when the
-//! solver feeds *identical* duration measurements to both its `OpTimer`
-//! and the flight ring, `TraceSummary::level_fractions` and
-//! `TimerReport::level_fractions` agree to rounding error, not merely
-//! within sampling noise.
+//! Per-`(level, op)` totals are summed across ranks, rows are ordered by
+//! `(level, op)`, and a level's fractions divide each op's time by the
+//! level total. The solver feeds the flight ring the same measurement it
+//! books in its own `OpTimer`, so one rank's rows here (over
+//! [`Trace::rank_window`]) equal that rank's timer totals.
 //!
 //! Achieved rates use per-rank time (total ÷ nranks): ranks execute
 //! concurrently, so aggregate throughput is work ÷ wall-time-per-rank.
@@ -89,11 +88,6 @@ impl TraceSummary {
         }
     }
 
-    /// Total fault-track events across all kinds and ranks.
-    pub fn fault_events(&self) -> usize {
-        self.faults.iter().map(|(_, n)| n).sum()
-    }
-
     /// Rows for one level, in op order.
     pub fn level_rows(&self, level: usize) -> impl Iterator<Item = &OpRow> {
         self.rows.iter().filter(move |r| r.level == level)
@@ -113,9 +107,7 @@ impl TraceSummary {
     }
 
     /// Fraction of a level's time spent in each op — the paper's Table II
-    /// for level 0, same semantics and ordering as
-    /// `TimerReport::level_fractions` (the cross-rank averaging cancels
-    /// in the ratio).
+    /// for level 0 (the cross-rank averaging cancels in the ratio).
     pub fn level_fractions(&self, level: usize) -> Vec<(String, f64)> {
         let total = self.level_total(level);
         self.level_rows(level)
@@ -129,7 +121,7 @@ impl TraceSummary {
     }
 
     /// Per-rank seconds for a row (ranks run concurrently).
-    fn per_rank_seconds(&self, row: &OpRow) -> f64 {
+    pub fn per_rank_seconds(&self, row: &OpRow) -> f64 {
         if self.nranks > 0 {
             row.seconds / self.nranks as f64
         } else {
@@ -171,57 +163,6 @@ impl TraceSummary {
         } else {
             None
         }
-    }
-
-    /// Human-readable report: one table per level (op, avg seconds,
-    /// fraction, achieved GStencil/s and GB/s), then comm totals.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "trace summary: {} ranks, {:.6} s wall\n",
-            self.nranks, self.wall_seconds
-        ));
-        for level in self.levels() {
-            out.push_str(&format!("level {level}\n"));
-            for (op, frac) in self.level_fractions(level) {
-                let row = self.level_rows(level).find(|r| r.op == op).unwrap();
-                out.push_str(&format!(
-                    "  {:<28} {:>10.6} s  {:>6.2}%  x{}",
-                    op,
-                    self.per_rank_seconds(row),
-                    frac * 100.0,
-                    row.invocations,
-                ));
-                if let Some(g) = self.gstencil_per_s(level, &op) {
-                    out.push_str(&format!("  {g:.3} GStencil/s"));
-                }
-                if let Some(b) = self.achieved_gb_per_s(level, &op) {
-                    out.push_str(&format!("  {b:.2} GB/s"));
-                }
-                out.push('\n');
-            }
-        }
-        if self.comm.messages > 0 {
-            out.push_str(&format!(
-                "comm: {} messages, {} bytes",
-                self.comm.messages, self.comm.message_bytes
-            ));
-            if let Some(b) = self.comm_gb_per_s() {
-                out.push_str(&format!(", {b:.3} GB/s"));
-            }
-            out.push('\n');
-        }
-        if !self.faults.is_empty() {
-            out.push_str(&format!("faults: {} events (", self.fault_events()));
-            for (i, (kind, n)) in self.faults.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{kind} x{n}"));
-            }
-            out.push_str(")\n");
-        }
-        out
     }
 }
 
@@ -350,22 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn render_mentions_every_op_and_comm() {
-        let s = TraceSummary::from_trace(&sample());
-        let text = s.render();
-        for needle in [
-            "level 0",
-            "level 1",
-            "smooth",
-            "applyOp",
-            "GStencil/s",
-            "comm: 2 messages",
-        ] {
-            assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-    }
-
-    #[test]
     fn fault_track_rolls_up_per_kind() {
         let (_, trace) = capture(|| {
             for (op, n) in [("fault:drop", 3), ("fault:retransmit", 2)] {
@@ -382,17 +307,10 @@ mod tests {
                 ("fault:retransmit".to_string(), 2)
             ]
         );
-        assert_eq!(s.fault_events(), 5);
         // Fault instants are not compute rows and not comm traffic.
         assert!(s.rows.is_empty());
         assert_eq!(s.comm.messages, 0);
-        let text = s.render();
-        assert!(text.contains("faults: 5 events"), "{text}");
-        assert!(text.contains("fault:drop x3"), "{text}");
-        // Fault-free summaries don't mention faults at all.
-        assert!(!TraceSummary::from_trace(&sample())
-            .render()
-            .contains("fault"));
+        assert!(TraceSummary::from_trace(&sample()).faults.is_empty());
     }
 
     #[test]
@@ -403,6 +321,5 @@ mod tests {
         assert!(s.level_fractions(0).is_empty());
         assert!(s.comm_gb_per_s().is_none());
         assert_eq!(s.wall_seconds, 0.0);
-        assert!(s.render().contains("0 ranks"));
     }
 }

@@ -40,7 +40,7 @@ fn exchange() {
 #[test]
 fn only_a_capture_records_comm_spans_times_sends_and_prices_ops() {
     let ring = Arc::new(FlightRing::new(0, 64));
-    let _ctx = probe::install(Some(0), Some(ring.clone()));
+    let _ctx = probe::install(0, ring.clone());
 
     assert!(!gmg_trace::enabled());
     exchange();

@@ -1,4 +1,4 @@
-//! Distributed Poisson solve with the artifact-style timing report.
+//! Distributed Poisson solve with its traced timing report.
 //!
 //! ```sh
 //! cargo run --release --example poisson_solve -- [n] [px py pz] [levels] [smooths]
@@ -6,9 +6,11 @@
 //! ```
 //!
 //! Mirrors the paper artifact's run (`<exe> -s ... -l ... -n ...`): solves
-//! the model problem over a periodic process grid and prints per-level,
-//! per-operation timings as `level L op [min, avg, max] (σ)` across ranks.
+//! the model problem over a periodic process grid under a trace capture
+//! and prints the trace analysis, whose first table is the per-level,
+//! per-operation time breakdown across ranks (the paper's Table II).
 
+use gmg_repro::metrics::Analysis;
 use gmg_repro::prelude::*;
 
 fn main() {
@@ -46,13 +48,12 @@ fn main() {
     };
 
     let d = &decomp;
-    let mut out = RankWorld::run(nranks, move |mut ctx| {
-        let mut solver = GmgSolver::new(d.clone(), ctx.rank(), config);
-        let stats = solver.solve(&mut ctx);
-        let report = solver.timers.aggregate(&mut ctx);
-        (stats, report)
+    let (mut out, trace) = gmg_repro::trace::capture(|| {
+        RankWorld::run(nranks, move |mut ctx| {
+            GmgSolver::new(d.clone(), ctx.rank(), config).solve(&mut ctx)
+        })
     });
-    let (stats, report) = out.remove(0);
+    let stats = out.remove(0);
 
     println!(
         "\nconverged: {} in {} V-cycles, final residual {:.3e}",
@@ -60,11 +61,6 @@ fn main() {
         stats.vcycles,
         stats.final_residual()
     );
-    println!("\nper-level, per-operation totals across ranks:");
-    print!("{report}");
-    println!("\ntotal time per level (avg across ranks):");
-    for li in 0..levels {
-        println!("  level {li}: {:.6} s", report.level_total_avg(li));
-    }
+    print!("\n{}", Analysis::from_trace(&trace, None).render());
     assert!(stats.converged, "solve must converge");
 }

@@ -3,21 +3,12 @@
 //! read from it the *same* measurement, for the bricked solver and the
 //! conventional-array baseline alike, and comm events recorded inside an
 //! op must carry that op's level.
-//!
-//! The flight recorder's switch is process-global, so the tests below
-//! serialise on one lock while they force it on.
 
 use gmg_repro::flight::{self, FlightEvent, Kind, NO_LEVEL};
 use gmg_repro::gmg::timers::OpTimer;
 use gmg_repro::hpgmg::HpgmgSolver;
 use gmg_repro::prelude::*;
 use gmg_repro::trace::{self, Trace, TraceSummary, Track};
-use std::sync::{Mutex, MutexGuard};
-
-fn lock() -> MutexGuard<'static, ()> {
-    static L: Mutex<()> = Mutex::new(());
-    L.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn decomp() -> Decomposition {
     Decomposition::new(Box3::cube(16), Point3::new(2, 1, 1))
@@ -29,16 +20,13 @@ type RankView = (OpTimer, Vec<FlightEvent>);
 /// Run `solve` on two ranks with a capture and the flight recorder
 /// both listening; return each rank's view and the trace.
 fn observed(solve: impl Fn(&mut RankCtx) -> OpTimer + Sync) -> (Vec<RankView>, Trace) {
-    let was_on = flight::set_enabled(true);
-    let (views, trace) = trace::capture(|| {
+    trace::capture(|| {
         RankWorld::run(2, |mut ctx| {
             let timers = solve(&mut ctx);
             let (world, rank) = flight::installed().expect("the world installs a ring");
             (timers, world.ring(rank).snapshot())
         })
-    });
-    flight::set_enabled(was_on);
-    (views, trace)
+    })
 }
 
 fn bricked(ctx: &mut RankCtx) -> OpTimer {
@@ -106,21 +94,18 @@ fn assert_one_measurement_everywhere(views: &[RankView], trace: &Trace) {
 
 #[test]
 fn bricked_solver_feeds_every_sink_one_measurement() {
-    let _l = lock();
     let (views, trace) = observed(bricked);
     assert_one_measurement_everywhere(&views, &trace);
 }
 
 #[test]
 fn baseline_solver_feeds_every_sink_one_measurement() {
-    let _l = lock();
     let (views, trace) = observed(baseline);
     assert_one_measurement_everywhere(&views, &trace);
 }
 
 #[test]
 fn comm_events_inside_an_op_inherit_its_level() {
-    let _l = lock();
     let (views, trace) = observed(bricked);
     for (rank, (_, ring)) in views.iter().enumerate() {
         // Every message event lies inside exactly one solver op (an
@@ -181,7 +166,6 @@ fn comm_events_inside_an_op_inherit_its_level() {
 /// messages as the rings posted, and exactly their payload bytes.
 #[test]
 fn the_comm_totals_count_each_message_once() {
-    let _l = lock();
     let (views, trace) = observed(bricked);
     let posted = views.iter().flat_map(|(_, ring)| ring);
     let (n, bytes) = posted
@@ -198,15 +182,12 @@ fn the_comm_totals_count_each_message_once() {
 /// one conversion: the same `Trace`, event for event.
 #[test]
 fn a_capture_and_a_dump_of_one_run_give_the_same_trace() {
-    let _l = lock();
-    let was_on = flight::set_enabled(true);
     let (worlds, captured) = trace::capture(|| {
         RankWorld::run(2, |mut ctx| {
             bricked(&mut ctx);
             flight::installed().expect("the world installs a ring").0
         })
     });
-    flight::set_enabled(was_on);
     let dir = std::env::temp_dir().join(format!("gmg_capture_vs_dump_{}", std::process::id()));
     flight::dump_world_to(&dir, &worlds[0], "test", "capture vs dump").unwrap();
     let dumped = flight::rebuild_trace(&flight::load_dump(&dir).unwrap().logs);
