@@ -1,7 +1,5 @@
 //! Bricked field storage: the data companion to [`BrickLayout`].
 
-#[cfg(test)]
-use crate::layout::BrickOrdering;
 use crate::layout::{BrickLayout, NO_BRICK};
 use gmg_mesh::{Array3, Box3, Point3};
 use std::ops::{Deref, DerefMut};
@@ -371,6 +369,7 @@ impl BrickedField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::BrickOrdering;
     use crate::neighborhood::BrickFaces;
     use gmg_mesh::ghost::DIRECTIONS_26;
 

@@ -32,40 +32,47 @@ pub enum BrickOrdering {
     SurfaceMajor,
 }
 
-/// Compile-time specialization class of a brick dimension.
+/// The brick widths the star-7 kernels are compiled for.
 ///
 /// The hot stencil kernels in `gmg-stencil` monomorphize their inner loops
-/// for the brick shapes the solver and perfgate actually exercise (4³ and
-/// 8³), so the compiler sees the row length as a constant and unrolls /
-/// vectorizes accordingly; every other dimension takes the runtime-dim
-/// generic path, which computes identical bits.
+/// per shape, so the compiler sees the row length as a constant and
+/// unrolls / vectorizes accordingly. 8³ and 4³ are the paper's shapes; a
+/// hierarchy's coarse levels shrink their bricks to 2³ and, where the
+/// extent is 1, to 1³. This is the one place those widths are listed: a
+/// [`BrickLayout`] of any width builds, and only the star-7 executors
+/// (through [`BrickShape::of`]) refuse one that is not here. A variant's
+/// discriminant is its width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BrickShape {
+    /// 1³ bricks (a level whose extent is 1 on some axis).
+    B1 = 1,
+    /// 2³ bricks (coarse levels).
+    B2 = 2,
     /// 4³ bricks (the paper's Sunspot configuration).
-    B4,
+    B4 = 4,
     /// 8³ bricks (the paper's Perlmutter/Frontier configuration).
-    B8,
-    /// Any other dimension: runtime-dim fallback kernel.
-    Generic(i64),
+    B8 = 8,
 }
 
 impl BrickShape {
-    /// Classify a brick dimension.
-    pub fn of(brick_dim: i64) -> Self {
+    /// The shape of a brick dimension, or `None` if no kernel is compiled
+    /// for it.
+    pub fn try_of(brick_dim: i64) -> Option<Self> {
         match brick_dim {
-            4 => BrickShape::B4,
-            8 => BrickShape::B8,
-            d => BrickShape::Generic(d),
+            1 => Some(BrickShape::B1),
+            2 => Some(BrickShape::B2),
+            4 => Some(BrickShape::B4),
+            8 => Some(BrickShape::B8),
+            _ => None,
         }
     }
 
-    /// The brick side length this shape describes.
-    pub fn dim(self) -> i64 {
-        match self {
-            BrickShape::B4 => 4,
-            BrickShape::B8 => 8,
-            BrickShape::Generic(d) => d,
-        }
+    /// The shape of a brick dimension; panics, naming it, if no kernel is
+    /// compiled for it.
+    pub fn of(brick_dim: i64) -> Self {
+        Self::try_of(brick_dim).unwrap_or_else(|| {
+            panic!("no star-7 kernel for {brick_dim}-wide bricks: the widths are 1, 2, 4 and 8")
+        })
     }
 }
 
@@ -294,7 +301,8 @@ impl BrickLayout {
         self.brick_dim
     }
 
-    /// Specialization class of this layout's brick dimension.
+    /// Kernel shape of this layout's brick dimension; panics if the
+    /// star-7 kernels have none (see [`BrickShape::of`]).
     #[inline]
     pub fn shape(&self) -> BrickShape {
         BrickShape::of(self.brick_dim)

@@ -842,18 +842,31 @@ pub fn exchange_array(
         drop(pack.value((buf.len() * 8) as u64));
         ctx.send(nbr.rank, halo_tag(tag_base, dir), std::mem::take(&mut buf));
     }
+    // Self-wrap: my halo cell p equals my own cell p − wrap_shift. It reads
+    // owned cells only, so it runs before the receives, under one span for
+    // every wrapped direction.
+    let mut wrapped = None;
+    let mut wrapped_bytes = 0;
     for dir in DIRECTIONS_26 {
         let nbr = decomp.neighbor(rank, dir);
-        let recv_region = sub.halo_region(dir, depth);
-        if nbr.rank == rank {
-            // Self-wrap: my halo cell p equals my own cell p − wrap_shift.
-            let _probe = probe::span(Kind::Comm, "self-exchange");
-            a.pack(recv_region.shift(-nbr.wrap_shift), &mut buf);
-            let moved = std::mem::take(&mut buf);
-            a.unpack(recv_region, &moved);
-            buf = moved;
+        if nbr.rank != rank {
             continue;
         }
+        wrapped.get_or_insert_with(|| probe::span(Kind::Comm, "self-exchange"));
+        let recv_region = sub.halo_region(dir, depth);
+        a.pack(recv_region.shift(-nbr.wrap_shift), &mut buf);
+        a.unpack(recv_region, &buf);
+        wrapped_bytes += buf.len() * 8;
+    }
+    if let Some(span) = wrapped {
+        drop(span.value(wrapped_bytes as u64));
+    }
+    for dir in DIRECTIONS_26 {
+        let nbr = decomp.neighbor(rank, dir);
+        if nbr.rank == rank {
+            continue;
+        }
+        let recv_region = sub.halo_region(dir, depth);
         let payload = ctx.recv(nbr.rank, halo_tag(tag_base, -dir));
         let _probe = probe::span(Kind::Comm, "unpack").value((payload.len() * 8) as u64);
         a.unpack(recv_region, &payload);

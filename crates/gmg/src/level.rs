@@ -3,17 +3,20 @@
 use crate::problem::PoissonProblem;
 use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
 use gmg_mesh::{Box3, Decomposition, Point3};
-use gmg_stencil::exec_brick::{apply_star7_bricked, pointwise_mut1, pointwise_mut2};
+use gmg_stencil::exec_brick::{apply_star7_bricked, pointwise_mut2};
 use gmg_stencil::exec_fused::{fused_multismooth_bricked, FusedStats, ResidualSink};
 use std::sync::Arc;
 
 /// One level of the multigrid hierarchy on one rank: the three fields of the
-/// V-cycle (`x`, `b`, `Ax`) in bricked storage — plus a residual `r` that
-/// only the split reference path allocates — the level's operator
-/// coefficients and the communication-avoiding ghost margin. The
-/// layout carries a ghost shell on the axes where the rank grid is more
-/// than 1 wide; on the others the rank is its own periodic neighbor and
-/// the bricks wrap through the adjacency.
+/// V-cycle (`x`, `b` and the one-pass smoother's second buffer `ax`) in
+/// bricked storage, the level's operator coefficients and the
+/// communication-avoiding ghost margin. The layout carries a ghost shell on
+/// the axes where the rank grid is more than 1 wide; on the others the rank
+/// is its own periodic neighbor and the bricks wrap through the adjacency.
+/// The split [`Level::apply_op`] + [`Level::smooth_residual`] pair, the
+/// storing smoother, the lazy `r` and [`restriction`] are no solver step:
+/// only `benchmark/src/probes.rs` still times them, and the next change to
+/// the benchmark deletes them.
 pub struct Level {
     /// Level index (0 = finest).
     pub index: usize,
@@ -27,21 +30,17 @@ pub struct Level {
     pub x: BrickedField,
     /// Right-hand side.
     pub b: BrickedField,
-    /// Scratch: `A·x` of the split `applyOp` + `smooth` path, and the
-    /// buffer `x` alternates with inside [`Level::fused_multi_smooth`].
+    /// Scratch: the buffer `x` alternates with inside
+    /// [`Level::fused_multi_smooth`], and `A·x` of [`Level::apply_op`].
     /// Every reader refreshes it first.
     pub ax: BrickedField,
-    /// Residual `b − A·x` on the owned cells, as the last iteration of a
-    /// split-path pre-smooth left it: written for [`restriction`], which is
-    /// its only reader. Allocated on first write — by
-    /// [`Level::smooth_residual`], [`Level::residual`] or a storing
-    /// [`Level::fused_multi_smooth`] — and unallocated until then: the
-    /// communication-avoiding pass restricts as it goes
-    /// ([`Level::fused_multi_smooth_restrict`]) and never stores it, and no
-    /// other smooth and no convergence check does either. The lazy field and
-    /// the kernel's `Store` sink remain only for the split reference path,
-    /// odd brick dims (whose coarse cells straddle fine bricks) and the
-    /// benchmark probes that time these writers.
+    /// Residual `b − A·x` on the owned cells, as a storing smoother left
+    /// it, for [`restriction`]. Allocated on first write (by
+    /// [`Level::smooth_residual`] or a storing
+    /// [`Level::fused_multi_smooth`]) and unallocated until then: the
+    /// solver restricts as it goes ([`Level::fused_multi_smooth_restrict`])
+    /// and never stores it. Kept only for the benchmark probes that time
+    /// its writers.
     pub r: BrickedField,
     /// `α = −6/h²`.
     pub alpha: f64,
@@ -107,19 +106,10 @@ impl Level {
     }
 
     /// `Ax ← A·x` over `region` (the paper's `applyOp`), clipped to the
-    /// storage shell. Requires `x` valid one cell around it.
+    /// storage shell. Requires `x` valid one cell around it. No solver step:
+    /// kept for the benchmark probes only.
     pub fn apply_op(&mut self, region: Box3) {
         apply_star7_bricked(&mut self.ax, &self.x, self.alpha, self.beta, region);
-    }
-
-    /// Point Jacobi `x ← x + γ(Ax − b)` over `region` (the paper's
-    /// `smooth`, used alone at the bottom level).
-    pub fn smooth(&mut self, region: Box3) {
-        let gamma = self.gamma;
-        let pieces = self.layout.slots_intersecting(region);
-        pointwise_mut1(&mut self.x, &self.ax, &self.b, &pieces, move |x, ax, b| {
-            *x += gamma * (ax - b);
-        });
     }
 
     /// Give `r` its storage if nothing has written it yet.
@@ -130,8 +120,10 @@ impl Level {
     }
 
     /// Fused `r ← b − Ax; x ← x + γ(Ax − b)` over `region` (the paper's
-    /// `smooth+residual`). The residual corresponds to `x` *before* this
-    /// update, exactly as in the paper's fused kernel.
+    /// `smooth+residual`), from the `Ax` of the last [`Level::apply_op`].
+    /// The residual corresponds to `x` *before* this update, exactly as in
+    /// the paper's fused kernel. No solver step: kept for the benchmark
+    /// probes only.
     pub fn smooth_residual(&mut self, region: Box3) {
         self.alloc_r();
         let gamma = self.gamma;
@@ -155,9 +147,11 @@ impl Level {
     /// per point). Afterwards `x` — and, `with_residual`, `r` as the last
     /// iteration's `smooth_residual` would leave it — are specified on
     /// `region` shrunk by `s − 1` on the halo axes only, bit-identical
-    /// there to `s` sequential `apply_op` + `smooth` passes (see
-    /// [`gmg_stencil::exec_fused`]); `ax` holds garbage. The caller
+    /// there to `s` sweeps of the DSL interpreter's `applyOp` + `smooth`
+    /// (see [`gmg_stencil::exec_fused`]); `ax` holds garbage. The caller
     /// accounts the margin: that shrunk region is all that stays valid.
+    /// The solver never stores the residual: `with_residual` is kept for
+    /// the benchmark probes only.
     pub fn fused_multi_smooth(
         &mut self,
         region: Box3,
@@ -210,25 +204,11 @@ impl Level {
         )
     }
 
-    /// `r ← b − Ax` over `region`, from the `Ax` of the last `apply_op`.
-    pub fn residual(&mut self, region: Box3) {
-        self.alloc_r();
-        let pieces = self.layout.slots_intersecting(region);
-        pointwise_mut1(&mut self.r, &self.ax, &self.b, &pieces, |r, ax, b| {
-            *r = b - ax;
-        });
-    }
-
     /// `x ← 0` over the whole storage (the paper's `initZero`); the zero
     /// ghost shell is trivially valid, so the margin resets to full depth.
     pub fn init_zero(&mut self) {
         self.x.fill(0.0);
         self.margin = self.ghost_cells();
-    }
-
-    /// Max-norm of the residual over this rank's owned cells.
-    pub fn max_norm_r(&self) -> f64 {
-        self.r.reduce(self.owned, 0.0, |_, v| v.abs(), f64::max)
     }
 
     /// Error against a reference solution over owned cells (max-norm),
@@ -241,13 +221,13 @@ impl Level {
     }
 }
 
-/// Restriction (paper Algorithm 2 line 7) of the residual a split-path
-/// pre-smooth stored in `fine.r`: volume-average 8 fine cells into each
-/// coarse right-hand-side cell of `coarse`'s owned box. The
-/// communication-avoiding pass restricts as it goes instead
-/// ([`Level::fused_multi_smooth_restrict`]), to the same bits. No neighbor
+/// Restriction (paper Algorithm 2 line 7) of the residual a storing
+/// smoother left in `fine.r`: volume-average 8 fine cells into each coarse
+/// right-hand-side cell of `coarse`'s owned box. The solver restricts as
+/// it goes instead ([`Level::fused_multi_smooth_restrict`]), to the same
+/// bits; this pass is kept for the benchmark probes only. No neighbor
 /// communication — only fine cells owned by this rank feed coarse cells
-/// owned by this rank.
+/// owned by this rank. The fine brick dim must be even.
 ///
 /// Streams the fine rows under each coarse brick in `z → y → x` order, so
 /// every coarse cell still folds its eight fine cells from `0.0` in
@@ -274,21 +254,15 @@ pub fn restriction(fine: &Level, coarse: &mut Level) {
     });
 }
 
-/// `sum[t / 2] += f[t − t0]` for every fine cell `t` of a row piece that
-/// starts at fine offset `t0`, in increasing `t`. Pairs inside the piece
-/// are the common case; a piece that starts or ends mid-pair (odd brick
-/// dims) contributes the single cell.
+/// `sum[t / 2] = (sum[t / 2] + f[t − t0]) + f[t − t0 + 1]` for every fine
+/// pair `(t, t + 1)` of a row piece that starts at fine offset `t0`. With
+/// an even fine brick dim every piece is whole pairs.
 fn add_fine_piece(sum: &mut [f64], f: &[f64], t0: usize) {
-    let (head, f) = f.split_at(t0 & 1);
-    if let [v] = head {
-        sum[t0 / 2] += v;
-    }
-    let sum = &mut sum[t0.div_ceil(2)..];
-    let pairs = f.chunks_exact(2);
-    if let [v] = pairs.remainder() {
-        sum[f.len() / 2] += v;
-    }
-    for (s, p) in sum.iter_mut().zip(pairs) {
+    debug_assert!(
+        t0.is_multiple_of(2) && f.len().is_multiple_of(2),
+        "odd fine brick dim"
+    );
+    for (s, p) in sum[t0 / 2..].iter_mut().zip(f.chunks_exact(2)) {
         *s = (*s + p[0]) + p[1];
     }
 }
@@ -322,29 +296,22 @@ pub fn interpolation_increment(coarse: &Level, fine: &mut Level) {
 
 /// `xs[t] += c[(t − t0) / 2]` for every fine cell `t` of the row under a
 /// coarse row piece whose first cell covers fine offsets `t0, t0 + 1`.
-/// `t0 = −1` and a last coarse cell reaching past `xs` (a fine row that
-/// starts or ends mid-pair: odd brick dims) are clipped.
+/// With an even fine brick dim every coarse cell covers a whole pair.
 fn add_coarse_piece(xs: &mut [f64], c: &[f64], t0: i64) {
-    let (c, xs) = if t0 < 0 {
-        xs[0] += c[0];
-        (&c[1..], &mut xs[1..])
-    } else {
-        (c, &mut xs[t0 as usize..])
-    };
-    let mut pairs = xs.chunks_exact_mut(2);
-    let whole = pairs.len();
-    for (p, v) in (&mut pairs).zip(c) {
+    debug_assert!(
+        t0 >= 0 && t0 % 2 == 0 && xs.len().is_multiple_of(2),
+        "odd fine brick dim"
+    );
+    for (p, v) in xs[t0 as usize..].chunks_exact_mut(2).zip(c) {
         p[0] += v;
         p[1] += v;
-    }
-    if let ([x], Some(v)) = (pairs.into_remainder(), c.get(whole)) {
-        *x += v;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagnostics::LocalNorms;
     use gmg_mesh::Decomposition;
 
     fn single_level(n: i64, bd: i64, index: usize) -> Level {
@@ -392,70 +359,13 @@ mod tests {
         l.init_zero();
         let mut prev = f64::INFINITY;
         for _ in 0..5 {
-            l.apply_op(l.owned);
-            l.smooth_residual(l.owned);
-            let r = l.max_norm_r();
+            l.fused_multi_smooth(l.owned, 1, l.gamma, false);
+            let r = LocalNorms::of_residual(&l).max_abs;
             assert!(r < prev * 1.0001, "residual should not grow: {r} vs {prev}");
             prev = r;
         }
         // The eigenmode has damping |1 + γλ| < 1, so 5 smooths shrink it.
         assert!(prev < 1.0, "after 5 smooths: {prev}");
-    }
-
-    #[test]
-    fn residual_history_bit_identical_across_kernels() {
-        // A communication-avoiding smoothing loop's residual history must
-        // not depend on whether the bricked applyOp takes its
-        // shape-specialized or generic path.
-        let history = |generic: bool| -> Vec<f64> {
-            let n = 16;
-            let pr = PoissonProblem::new(n);
-            let mut l = single_level(n, 8, 0);
-            l.b =
-                BrickedField::from_fn(l.layout.clone(), |p| pr.rhs(p.rem_euclid(Point3::splat(n))));
-            l.init_zero();
-            let mut hist = Vec::new();
-            for _ in 0..4 {
-                if generic {
-                    gmg_stencil::exec_brick::apply_star7_bricked_generic(
-                        &mut l.ax, &l.x, l.alpha, l.beta, l.owned,
-                    );
-                } else {
-                    l.apply_op(l.owned);
-                }
-                l.smooth_residual(l.owned);
-                // Max norm plus an order-sensitive L2 sum: the latter
-                // changes bits if any reduction reassociates.
-                hist.push(l.max_norm_r());
-                hist.push(l.r.reduce(l.owned, 0.0, |_, v| v * v, |a, b| a + b));
-            }
-            hist
-        };
-        assert_eq!(history(true), history(false));
-    }
-
-    #[test]
-    fn fused_smooth_residual_matches_split_ops() {
-        let n = 8;
-        let mut a = single_level(n, 4, 0);
-        let mut b = single_level(n, 4, 0);
-        let init = |l: &mut Level| {
-            l.x =
-                BrickedField::from_fn(l.layout.clone(), |p| ((p.x + p.y * 2 + p.z * 3) % 7) as f64);
-            l.b = BrickedField::from_fn(l.layout.clone(), |p| ((p.x * p.z - p.y) % 5) as f64);
-        };
-        init(&mut a);
-        init(&mut b);
-        a.apply_op(a.owned);
-        b.apply_op(b.owned);
-        // a: fused; b: residual then smooth.
-        a.smooth_residual(a.owned);
-        b.residual(b.owned);
-        b.smooth(b.owned);
-        a.owned.for_each(|p| {
-            assert!((a.x.get(p) - b.x.get(p)).abs() < 1e-12);
-            assert!((a.r.get(p) - b.r.get(p)).abs() < 1e-12);
-        });
     }
 
     #[test]
@@ -531,18 +441,11 @@ mod tests {
 
     #[test]
     fn inter_level_ops_bit_identical_to_per_cell_reference() {
-        // Every brick-dim pairing a hierarchy produces, plus odd bricks
-        // (fine pairs straddle brick boundaries): same bits as the
-        // per-cell `dz → dy → dx` fold / per-cell increment.
+        // Every brick-dim pairing a hierarchy produces (the fine dim is
+        // even on every level that restricts): same bits as the per-cell
+        // `dz → dy → dx` fold / per-cell increment.
         let f = |p: Point3| ((p.x * 7 + p.y * 3 - p.z * 5) % 13) as f64 / 3.0 + 0.1;
-        for (n, bd_f, bd_c) in [
-            (16, 8, 8),
-            (16, 4, 8),
-            (8, 8, 4),
-            (12, 3, 3),
-            (4, 1, 1),
-            (4, 2, 1),
-        ] {
+        for (n, bd_f, bd_c) in [(16, 8, 8), (16, 4, 8), (8, 8, 4), (4, 2, 2), (4, 2, 1)] {
             let problem = PoissonProblem::new(n);
             let decomp = Decomposition::single(Box3::cube(n));
             let ord = BrickOrdering::SurfaceMajor;
@@ -659,11 +562,11 @@ mod tests {
         let mut l = single_level(8, 4, 0);
         assert!(!l.r.is_allocated());
         assert!(l.r.as_slice().is_empty());
-        l.apply_op(l.owned);
-        l.smooth(l.owned);
         l.fused_multi_smooth(l.owned, 2, l.gamma, false);
+        let mut coarse = single_level(4, 2, 1);
+        l.fused_multi_smooth_restrict(l.owned, 1, l.gamma, &mut coarse);
         assert!(!l.r.is_allocated(), "no storing op ran");
-        l.residual(l.owned);
+        l.fused_multi_smooth(l.owned, 1, l.gamma, true);
         assert_eq!(l.r.as_slice().len(), l.layout.storage_cells());
     }
 
@@ -729,16 +632,11 @@ mod tests {
             let mut ca = mk();
             let mut plain = mk();
             exchange_x(&mut ctx, &mut ca, 1);
-            for _ in 0..4 {
-                let region = ca.layout.grow_halo(ca.owned, ca.margin - 1);
-                ca.apply_op(region);
-                ca.smooth_residual(region);
-                ca.margin -= 1;
-            }
+            let region = ca.layout.grow_halo(ca.owned, ca.margin - 1);
+            ca.fused_multi_smooth(region, 4, ca.gamma, false);
             for k in 0..4 {
                 exchange_x(&mut ctx, &mut plain, 2 + k);
-                plain.apply_op(plain.owned);
-                plain.smooth_residual(plain.owned);
+                plain.fused_multi_smooth(plain.owned, 1, plain.gamma, false);
             }
             plain.owned.for_each(|p| {
                 assert_eq!(ca.x.get(p), plain.x.get(p), "x differs at {p:?}");

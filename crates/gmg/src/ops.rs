@@ -181,11 +181,14 @@ mod tests {
     }
 
     #[test]
-    fn one_pass_check_matches_the_three_pass_check_bit_for_bit() {
-        // The read-only pass must report what `applyOp` → `residual` →
-        // reductions over the stored `r` report — bit for bit the max that
-        // enters the history, to rounding the moments of the non-finite
-        // guard — at 1 and 8 ranks, without writing a field.
+    fn one_pass_check_matches_the_interpreter_bit_for_bit() {
+        // The read-only pass must report what the residual `b − A·x`, with
+        // `A·x` from the DSL interpreter over the exchanged iterate, reports
+        // — bit for bit the max that enters the history, to rounding the
+        // moments of the non-finite guard — at 1 and 8 ranks, without
+        // writing a field.
+        use gmg_stencil::interp::run_stencil;
+        use gmg_stencil::ops::apply_op_def;
         let n = 16;
         let problem = PoissonProblem::new(n);
         let pr = &problem;
@@ -205,20 +208,19 @@ mod tests {
                 for scratch in [&l.r, &l.ax] {
                     assert!(scratch.as_slice().iter().all(|v| *v == 0.0));
                 }
-                l.apply_op(l.owned);
-                l.residual(l.owned);
-                let ref_max = ctx.allreduce_max(l.max_norm_r());
-                let (sum_sq, sum) = l.r.reduce(
-                    l.owned,
-                    (0.0, 0.0),
-                    |_, v| (v * v, v),
-                    |a, b| (a.0 + b.0, a.1 + b.1),
-                );
-                assert_eq!(local.max_abs.to_bits(), l.max_norm_r().to_bits());
+                let mut ax = BrickedField::new(l.layout.clone());
+                let coef = [l.alpha, l.beta];
+                run_stencil(&apply_op_def(), &[&l.x], &coef, &mut [&mut ax], l.owned);
+                let (mut ref_max, mut sum_sq, mut sum) = (0.0f64, 0.0, 0.0);
+                l.owned.for_each(|p| {
+                    let v = l.b.get(p) - ax.get(p);
+                    (ref_max, sum_sq, sum) = (ref_max.max(v.abs()), sum_sq + v * v, sum + v);
+                });
+                assert_eq!(local.max_abs.to_bits(), ref_max.to_bits());
                 // The sums fold per x-lane, so they agree to rounding only.
                 assert!((local.sum_sq - sum_sq).abs() <= 1e-12 * sum_sq);
                 assert!((local.sum - sum).abs() <= 1e-12 * sum_sq.sqrt());
-                (max, ref_max)
+                (max, ctx.allreduce_max(ref_max))
             });
             for (max, ref_max) in out {
                 assert!(max > 0.0);

@@ -2,18 +2,16 @@
 //! Algorithm 2 (V-cycle) from the paper, distributed over the rank runtime.
 
 use crate::diagnostics::{HealthMonitor, LocalNorms, RecoveryPolicy, SolveHealth};
-use crate::level::{interpolation_increment, restriction, Level};
+use crate::level::{interpolation_increment, Level};
 use crate::ops::{try_exchange_b, try_exchange_x, try_max_norm_residual};
 use crate::problem::PoissonProblem;
 use crate::rejoin::{RejoinStore, SolverCheckpoint};
 use crate::timers::OpTimer;
 use crate::trace::op_counters;
-use gmg_brick::BrickOrdering;
+use gmg_brick::{BrickOrdering, BrickShape};
 use gmg_comm::runtime::RankCtx;
 use gmg_comm::CommError;
 use gmg_mesh::Decomposition;
-#[cfg(test)]
-use gmg_mesh::Point3;
 use gmg_stencil::{OpKind, VcycleSchedule, VcycleShape, VcycleStep};
 use gmg_trace::probe::{self, Kind};
 use gmg_trace::Counters;
@@ -41,9 +39,12 @@ pub struct SolverConfig {
     pub tolerance: f64,
     /// Maximum V-cycles (`-n 20`).
     pub max_vcycles: usize,
-    /// Deep-ghost communication-avoiding smoothing (Section V).
+    /// Deep-ghost communication-avoiding smoothing (Section V). Without it
+    /// every smoothing iteration follows its own exchange.
     pub communication_avoiding: bool,
-    /// Brick side (8 on Perlmutter/Frontier, 4 on Sunspot).
+    /// Brick side: 2, 4 or 8 (8 on Perlmutter/Frontier, 4 on Sunspot), shrunk
+    /// per level to its smallest extent. `GmgSolver::new` rejects a level
+    /// width with no star-7 kernel ([`BrickShape`]), or an odd one that restricts.
     pub brick_dim: i64,
     /// Physical brick ordering.
     pub ordering: BrickOrdering,
@@ -181,6 +182,16 @@ impl GmgSolver {
             // Bricks shrink with the subdomain on very coarse levels so the
             // hierarchy can go as deep as the geometry allows.
             let bd = config.brick_dim.min(e.x).min(e.y).min(e.z);
+            assert!(
+                BrickShape::try_of(bd).is_some(),
+                "level {li}: no star-7 kernel for {bd}-wide bricks (subdomain {e:?})"
+            );
+            // Its pre-smooth restricts, folding whole coarse cells out of
+            // each fine brick.
+            assert!(
+                li + 1 == config.num_levels || (bd % 2 == 0 && config.max_smooths > 0),
+                "level {li} restricts in its pre-smooth: it needs smooths and even bricks, not {bd}-wide"
+            );
             for a in 0..3 {
                 assert_eq!(
                     e[a] % bd,
@@ -241,16 +252,12 @@ impl GmgSolver {
     }
 
     /// Run `its` smoothing iterations of level `li` from a schedule step
-    /// reaching `reach`, and leave the margin the walker does. With
-    /// communication avoiding they are one call of the one-pass smoother
-    /// (the exchanges and owned-cell numerics, bit for bit, of the split
-    /// `applyOp` + `smooth` pair that remains the schedule without it). A
-    /// group that feeds restriction keeps its last iteration's residual
-    /// (`keep_r`): it restricts as it goes, into level `li + 1`'s `b`, and
-    /// returns `true` on the one-pass path with an even brick dim;
-    /// otherwise (the split path, or an odd brick dim, whose coarse cells
-    /// straddle fine bricks) it stores `r` for [`restriction`].
-    fn smooth_group(&mut self, li: usize, reach: i64, its: usize, keep_r: bool) -> bool {
+    /// reaching `reach` as one call of the one-pass smoother
+    /// (`gmg_stencil::exec_fused`, one `fusedSmooth` timer row), and leave
+    /// the margin the walker does. A group that feeds restriction
+    /// (`restrict`) restricts its last iteration's residual as it goes,
+    /// into level `li + 1`'s `b`.
+    fn smooth_group(&mut self, li: usize, reach: i64, its: usize, restrict: bool) {
         let (fine, coarse) = self.levels.split_at_mut(li + 1);
         let level = &mut fine[li];
         debug_assert!(
@@ -259,45 +266,25 @@ impl GmgSolver {
             level.margin
         );
         let region = level.layout.grow_halo(level.owned, reach - 1);
-        let mut restricted = false;
-        if self.config.communication_avoiding {
-            let mut op = probe::op(li, "fusedSmooth");
-            let gamma = level.gamma;
-            let stats = match coarse.first_mut() {
-                Some(coarse) if keep_r && level.layout.brick_dim() % 2 == 0 => {
-                    restricted = true;
-                    level.fused_multi_smooth_restrict(region, its, gamma, coarse)
-                }
-                _ => level.fused_multi_smooth(region, its, gamma, keep_r),
-            };
-            // The kernel's own counters: the generic per-op tables price
-            // one iteration, a group covers `its` shrinking regions.
-            op.counters(Counters {
-                bytes_read: stats.doubles_read * 8,
-                bytes_written: stats.doubles_written * 8,
-                flops: stats.flops,
-                stencil_points: stats.points_updated,
-                ..Default::default()
-            });
-            self.timers.close(op);
+        let mut op = probe::op(li, "fusedSmooth");
+        let gamma = level.gamma;
+        let stats = if restrict {
+            level.fused_multi_smooth_restrict(region, its, gamma, &mut coarse[0])
         } else {
-            // The paper's path, with the paper's split timer rows.
-            let points = region.volume() as u64;
-            let op = probe::op(li, "applyOp").points(points, op_counters);
-            level.apply_op(region);
-            self.timers.close(op);
-            let smooth_op = if keep_r { "smooth+residual" } else { "smooth" };
-            let op = probe::op(li, smooth_op).points(points, op_counters);
-            if keep_r {
-                level.smooth_residual(region);
-            } else {
-                level.smooth(region);
-            }
-            self.timers.close(op);
-        }
+            level.fused_multi_smooth(region, its, gamma, false)
+        };
+        // The kernel's own counters: the generic per-op tables price
+        // one iteration, a group covers `its` shrinking regions.
+        op.counters(Counters {
+            bytes_read: stats.doubles_read * 8,
+            bytes_written: stats.doubles_written * 8,
+            flops: stats.flops,
+            stencil_points: stats.points_updated,
+            ..Default::default()
+        });
+        self.timers.close(op);
         // 0 at the end of every pass and throughout one without a halo.
         level.margin = (reach - its as i64).max(0);
-        restricted
     }
 
     /// The convergence check of Algorithm 1 on the finest level, under its
@@ -333,8 +320,8 @@ impl GmgSolver {
     /// Executes [`VcycleSchedule`]'s steps for [`GmgSolver::shape`] from
     /// level 0's actual margin. A run of smoothing steps with no exchange
     /// between them goes in groups of up to four from its front (of one
-    /// without communication avoiding); a `Restriction` the group before
-    /// made as it went is skipped.
+    /// without communication avoiding); the group before a `Restriction`
+    /// makes it as it goes.
     pub fn try_vcycle(&mut self, ctx: &mut RankCtx) -> Result<(), CommError> {
         let mut steps = Vec::new();
         VcycleSchedule::new(self.shape())
@@ -354,7 +341,7 @@ impl GmgSolver {
             1
         };
         // `entered`: the levels whose pass down has opened its phase.
-        let (mut entered, mut restricted, mut b_next) = (0, false, false);
+        let (mut entered, mut b_next) = (0, false);
         let mut i = 0;
         while let Some(&step) = steps.get(i) {
             i += 1;
@@ -382,19 +369,20 @@ impl GmgSolver {
                         .take_while(|s| matches!(s, VcycleStep::Smooth { .. }))
                         .count();
                     let next = steps.get(i).copied();
-                    let keep_r = matches!(
+                    let restrict = matches!(
                         next,
                         Some(VcycleStep::Kernel {
                             op: OpKind::Restriction,
                             ..
                         })
                     );
-                    restricted = self.smooth_group(level, reach, i - start, keep_r);
+                    self.smooth_group(level, reach, i - start, restrict);
                 }
                 VcycleStep::Kernel { level, op, .. } => {
                     let restrict = op == OpKind::Restriction;
                     self.phase_event(if restrict { "restrict" } else { "prolong" }, level);
-                    if restrict && std::mem::take(&mut restricted) {
+                    if restrict {
+                        // Made by the smoothing group before it.
                         continue;
                     }
                     let (fine, coarse) = self.levels.split_at_mut(level + 1);
@@ -402,11 +390,7 @@ impl GmgSolver {
                     // convention).
                     let points = coarse[0].owned.volume() as u64;
                     let span = probe::op(level, op.name()).points(points, op_counters);
-                    if restrict {
-                        restriction(&fine[level], &mut coarse[0]);
-                    } else {
-                        interpolation_increment(&coarse[0], &mut fine[level]);
-                    }
+                    interpolation_increment(&coarse[0], &mut fine[level]);
                     self.timers.close(span);
                 }
                 VcycleStep::InitZero { level, exchange_b } => {
@@ -686,7 +670,7 @@ impl GmgSolver {
 mod tests {
     use super::*;
     use gmg_comm::runtime::RankWorld;
-    use gmg_mesh::Box3;
+    use gmg_mesh::{Box3, Point3};
 
     fn solve_with(n: i64, grid: Point3, config: SolverConfig) -> Vec<(SolveStats, f64)> {
         let decomp = Decomposition::new(Box3::cube(n), grid);
@@ -790,7 +774,7 @@ mod tests {
                 s.timers.count(1, "fusedSmooth"),
                 groups_of(cfg.bottom_smooths)
             );
-            // The split rows only appear without communication avoiding.
+            // The split rows are no solver step.
             for level in 0..2 {
                 for op in ["applyOp", "smooth", "smooth+residual"] {
                     assert_eq!(s.timers.count(level, op), 0, "level {level} {op}");
@@ -827,8 +811,9 @@ mod tests {
 
     #[test]
     fn timers_populated_per_level_split_schedule() {
-        // Without communication avoiding the paper's split timer rows
-        // come back.
+        // Without communication avoiding an exchange precedes every
+        // smoothing iteration, and each iteration is one `fusedSmooth`
+        // call; the pre-smooth's last restricts as it goes.
         let mut cfg = SolverConfig::test_default();
         cfg.num_levels = 2;
         cfg.max_vcycles = 1;
@@ -839,15 +824,15 @@ mod tests {
         RankWorld::run(2, move |mut ctx| {
             let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
             s.solve(&mut ctx);
-            // Only the last pre-smooth iteration stores the residual.
-            assert_eq!(s.timers.count(0, "applyOp"), 2 * cfg.max_smooths);
-            assert_eq!(s.timers.count(0, "smooth+residual"), 1);
-            assert_eq!(s.timers.count(0, "smooth"), 2 * cfg.max_smooths - 1);
-            assert_eq!(s.timers.count(1, "smooth"), cfg.bottom_smooths);
+            assert_eq!(s.timers.count(0, "fusedSmooth"), 2 * cfg.max_smooths);
+            assert_eq!(s.timers.count(1, "fusedSmooth"), cfg.bottom_smooths);
+            for level in 0..2 {
+                for op in ["applyOp", "smooth", "smooth+residual", "restriction"] {
+                    assert_eq!(s.timers.count(level, op), 0, "level {level} {op}");
+                }
+            }
             // Both convergence checks land in their own row.
             assert_eq!(s.timers.count(0, "residualNorm"), 2);
-            assert_eq!(s.timers.count(0, "fusedSmooth"), 0);
-            assert_eq!(s.timers.count(0, "restriction"), 1);
             assert_eq!(s.timers.count(0, "interpolation+increment"), 1);
             // An exchange before every smooth, on the halo axis.
             assert_eq!(s.timers.count(0, "exchange"), 2 * cfg.max_smooths);
@@ -858,10 +843,9 @@ mod tests {
 
     #[test]
     fn ca_one_pass_and_split_schedule_produce_identical_histories() {
-        // The default schedule (communication avoiding, one-pass smoother
-        // over shrinking regions) against the reference it replaces
-        // nothing of: an exchange before every split `applyOp` +
-        // `smooth(+residual)` over the owned box. Every owned cell sees
+        // The default schedule (communication avoiding: groups of
+        // iterations over shrinking regions) against an exchange before
+        // every single iteration over the owned box. Every owned cell sees
         // the same arithmetic on the same inputs either way, so the
         // residual histories must match exactly — no tolerance — on one
         // rank and across a 2×1×1 decomposition.
@@ -886,16 +870,19 @@ mod tests {
     }
 
     #[test]
-    fn ca_solves_never_allocate_the_fine_residual() {
-        // With communication avoiding, every level's pre-smooth restricts
-        // as it goes: after `solve` on 1, 2 and 8 ranks — brick pairs
-        // 8→8, 8→4, 4→2 — no level holds `r`.
+    fn solves_never_allocate_the_fine_residual() {
+        // Every level's pre-smooth restricts as it goes, with and without
+        // communication avoiding: after `solve` on 1, 2 and 8 ranks — brick
+        // pairs 8→8, 8→4, 4→2 — no level holds `r`.
         let mut cfg = SolverConfig::test_default();
         cfg.brick_dim = 8;
         cfg.num_levels = 4;
         cfg.max_vcycles = 2;
         cfg.tolerance = 0.0;
-        for grid in [Point3::splat(1), Point3::new(2, 1, 1), Point3::splat(2)] {
+        let mut plain = cfg;
+        plain.communication_avoiding = false;
+        let grids = [Point3::splat(1), Point3::new(2, 1, 1), Point3::splat(2)];
+        for (cfg, grid) in [cfg, plain].into_iter().flat_map(|c| grids.map(|g| (c, g))) {
             let decomp = Decomposition::new(Box3::cube(32), grid);
             let d = &decomp;
             RankWorld::run(decomp.num_ranks(), move |mut ctx| {
@@ -909,30 +896,32 @@ mod tests {
         }
     }
 
+    /// `GmgSolver::new` on 12³, one rank, two levels, with `brick_dim`.
+    fn new_with_brick_dim(brick_dim: i64) -> GmgSolver {
+        let mut cfg = SolverConfig::test_default();
+        cfg.brick_dim = brick_dim;
+        cfg.num_levels = 2;
+        GmgSolver::new(Decomposition::single(Box3::cube(12)), 0, cfg)
+    }
+
     #[test]
-    fn odd_bricks_restrict_from_the_stored_residual() {
-        // With an odd brick dim a coarse cell straddles fine bricks, so the
-        // pass cannot restrict brick by brick: it stores `r` and the
-        // separate restriction runs — the split path's numerics, bit for
-        // bit.
-        let mut ca = SolverConfig::test_default();
-        ca.brick_dim = 3;
-        ca.num_levels = 2;
-        ca.max_vcycles = 3;
-        ca.tolerance = 0.0;
-        let mut plain = ca;
-        plain.communication_avoiding = false;
-        let decomp = Decomposition::new(Box3::cube(12), Point3::splat(1));
-        let d = &decomp;
-        let a = RankWorld::run(1, move |mut ctx| {
-            let mut s = GmgSolver::new(d.clone(), ctx.rank(), ca);
-            let stats = s.solve(&mut ctx);
-            assert!(s.levels[0].r.is_allocated());
-            assert_eq!(s.timers.count(0, "restriction"), ca.max_vcycles);
-            stats.residual_history
-        });
-        let b = solve_with(12, Point3::splat(1), plain);
-        assert_eq!(a[0], b[0].0.residual_history);
+    #[should_panic(expected = "level 0: no star-7 kernel for 3-wide bricks")]
+    fn odd_bricks_are_rejected_up_front() {
+        new_with_brick_dim(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "level 0: no star-7 kernel for 6-wide bricks")]
+    fn unsupported_bricks_are_rejected_up_front() {
+        new_with_brick_dim(6);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "level 0 restricts in its pre-smooth: it needs smooths and even bricks, not 1-wide"
+    )]
+    fn one_cell_bricks_are_rejected_on_a_level_that_restricts() {
+        new_with_brick_dim(1);
     }
 
     #[test]
@@ -947,51 +936,6 @@ mod tests {
             out[0].0.converged,
             "history {:?}",
             out[0].0.residual_history
-        );
-    }
-
-    #[test]
-    fn trace_counters_match_stencil_analysis_exactly() {
-        // Acceptance check: with CA off the smoothing region is exactly
-        // the owned box (16³ = 4096 points on one rank), so every traced
-        // applyOp span must carry byte/FLOP counters equal to the
-        // gmg-stencil static analysis — exactly, not approximately.
-        let mut cfg = SolverConfig::test_default();
-        cfg.num_levels = 2;
-        cfg.max_vcycles = 1;
-        cfg.tolerance = 0.0;
-        cfg.communication_avoiding = false;
-        let decomp = Decomposition::new(Box3::cube(16), Point3::splat(1));
-        let d = &decomp;
-        let (_, trace) = gmg_trace::capture(|| {
-            RankWorld::run(1, move |mut ctx| {
-                let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
-                s.solve(&mut ctx);
-            });
-        });
-        let analysis = gmg_stencil::ops::apply_op_def().analysis();
-        let points = 16u64 * 16 * 16;
-        let applies: Vec<_> = trace
-            .events
-            .iter()
-            .filter(|e| e.level == 0 && e.op.name() == "applyOp")
-            .collect();
-        assert!(applies.len() >= 2 * cfg.max_smooths);
-        for e in &applies {
-            assert_eq!(e.counters.stencil_points, points);
-            assert_eq!(e.counters.flops, analysis.flops_per_point as u64 * points);
-            assert_eq!(
-                e.counters.bytes_read + e.counters.bytes_written,
-                analysis.doubles_moved_per_point as u64 * 8 * points
-            );
-        }
-        // And in aggregate.
-        let total = trace.counters_where(|e| e.level == 0 && e.op.name() == "applyOp");
-        let n = applies.len() as u64;
-        assert_eq!(total.flops, n * analysis.flops_per_point as u64 * points);
-        assert_eq!(
-            total.bytes_read + total.bytes_written,
-            n * analysis.doubles_moved_per_point as u64 * 8 * points
         );
     }
 
@@ -1248,7 +1192,7 @@ mod battery {
     use gmg_comm::process::run_child_if_spawned;
     use gmg_comm::runtime::RankWorld;
     use gmg_comm::{ProcessWorld, SocketKind};
-    use gmg_mesh::Box3;
+    use gmg_mesh::{Box3, Point3};
     use std::time::Duration;
 
     const CHILD_ARGS: &[&str] = &["battery_child_entry", "--test-threads=1", "--nocapture"];

@@ -397,4 +397,74 @@ mod tests {
         assert!(summary.comm.messages > 0);
         assert!(summary.comm.message_bytes > 0);
     }
+
+    #[test]
+    fn trace_counters_match_stencil_analysis_exactly() {
+        // The smoothing region is exactly the owned box (16³ = 4096 points
+        // on one rank), so every traced applyOp span must carry byte/FLOP
+        // counters equal to the gmg-stencil static analysis — exactly, not
+        // approximately.
+        let decomp = Decomposition::single(Box3::cube(16));
+        let d = &decomp;
+        let smooths = 8;
+        let (_, trace) = gmg_trace::capture(|| {
+            RankWorld::run(1, move |mut ctx| {
+                let mut s = HpgmgSolver::new(d.clone(), ctx.rank(), 2, smooths, 50, 0.0, 1);
+                s.solve(&mut ctx);
+            });
+        });
+        let analysis = gmg_stencil::ops::apply_op_def().analysis();
+        let points = 16u64 * 16 * 16;
+        let applies: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| e.level == 0 && e.op.name() == "applyOp")
+            .collect();
+        assert_eq!(applies.len(), 2 * smooths);
+        for e in &applies {
+            assert_eq!(e.counters.stencil_points, points);
+            assert_eq!(e.counters.flops, analysis.flops_per_point as u64 * points);
+            assert_eq!(
+                e.counters.bytes_read + e.counters.bytes_written,
+                analysis.doubles_moved_per_point as u64 * 8 * points
+            );
+        }
+        // And in aggregate.
+        let total = trace.counters_where(|e| e.level == 0 && e.op.name() == "applyOp");
+        let n = applies.len() as u64;
+        assert_eq!(total.flops, n * analysis.flops_per_point as u64 * points);
+        assert_eq!(
+            total.bytes_read + total.bytes_written,
+            n * analysis.doubles_moved_per_point as u64 * 8 * points
+        );
+    }
+
+    #[test]
+    fn one_self_exchange_span_per_exchange() {
+        // On one rank all 26 directions wrap onto the rank itself: each
+        // `exchange` op records one `self-exchange` span covering them all,
+        // with the bytes of every direction's halo summed.
+        let n = 16i64;
+        let decomp = Decomposition::single(Box3::cube(n));
+        let d = &decomp;
+        let (_, trace) = gmg_trace::capture(|| {
+            RankWorld::run(1, move |mut ctx| {
+                let mut s = HpgmgSolver::new(d.clone(), ctx.rank(), 2, 4, 10, 0.0, 1);
+                s.solve(&mut ctx)
+            });
+        });
+        let count = |op: &str| trace.events.iter().filter(|e| e.op.name() == op).count();
+        assert!(count("exchange") > 0);
+        assert_eq!(count("self-exchange"), count("exchange"));
+        // The halo of a depth-1 shell around each level's owned box.
+        let halo = |n: i64| ((n + 2).pow(3) - n.pow(3)) as u64 * 8;
+        for e in trace
+            .events
+            .iter()
+            .filter(|e| e.op.name() == "self-exchange")
+        {
+            let bytes = e.counters.bytes_read;
+            assert!(bytes == halo(n) || bytes == halo(n / 2), "{bytes} B");
+        }
+    }
 }

@@ -12,11 +12,11 @@
 //!
 //! The row body is one uniform loop: the ±x edge operands are chosen by an
 //! `x == 0` / `x + 1 == b` select instead of peeled pre/post scalar code.
-//! With a compile-time brick dim ([`stream_star7_rows`]) every row is
-//! computed at its full const width, so LLVM unrolls it, resolves the
-//! selects statically and emits packed f64 SIMD (measured ~2× over a
-//! peeled edge/middle/edge formulation of the same arithmetic); for a
-//! full brick the row and plane loops are const too.
+//! The brick dim is a compile-time constant ([`stream_star7_rows`]), so
+//! every row is computed at its full const width: LLVM unrolls it,
+//! resolves the selects statically and emits packed f64 SIMD (measured ~2×
+//! over a peeled edge/middle/edge formulation of the same arithmetic); for
+//! a full brick the row and plane loops are const too.
 //!
 //! How wide that SIMD is depends on the instruction-set tier the caller
 //! runs under ([`crate::isa`]): the row streamers here are
@@ -27,14 +27,14 @@
 //!
 //! Entry points:
 //!
-//! * [`stream_star7_rows`]`::<B>` — monomorphized for the brick dims the
-//!   perf gate exercises (4³, 8³); hands each finished row of `A·x` to a
+//! * [`stream_star7_rows`]`::<B>` — monomorphized for every
+//!   [`gmg_brick::BrickShape`] (1³, 2³, 4³, 8³; [`with_brick_dim`] picks
+//!   the instantiation); hands each finished row of `A·x` to a
 //!   caller-supplied sink while it is still in registers (the one-pass
 //!   smoother of `exec_fused` updates `x` and `r` from it directly).
 //!   [`stream_star7_spec`] is the sink that stores it: plain `out ← A·x`.
-//! * [`stream_star7_generic`] — the runtime-dim fallback, executing the
-//!   *same* expression for every cell. Bit-identical results across the
-//!   two paths are test-enforced (see `tests/proptests.rs`).
+//!   Every executor built on it equals [`crate::interp::run_stencil`] of
+//!   `ops::apply_op_def` bit for bit (see the executors' tests).
 //!
 //! Floating-point grouping is load-bearing: every cell is evaluated as
 //! `alpha·c + beta·((xm + xp) + (ym + yp) + (zm + zp))` — the exact
@@ -43,6 +43,25 @@
 
 use gmg_brick::BrickFaces;
 use gmg_mesh::{Box3, Point3};
+
+/// Evaluate `$body` with the const `$b` bound to the brick dim of `$shape`
+/// (a [`gmg_brick::BrickShape`]): one monomorphized copy of the body per
+/// shape, so every bricked executor runs the const-width rows of its
+/// layout's brick dim.
+macro_rules! with_brick_dim {
+    ($shape:expr, $b:ident => $body:expr) => {
+        with_brick_dim!(@ $shape, $b => $body; B1 B2 B4 B8)
+    };
+    (@ $shape:expr, $b:ident => $body:expr; $($v:ident)*) => {
+        match $shape {
+            $(gmg_brick::BrickShape::$v => {
+                const $b: usize = gmg_brick::BrickShape::$v as usize;
+                $body
+            })*
+        }
+    };
+}
+pub(crate) use with_brick_dim;
 
 const FACE: &str = "face brick missing: caller must guarantee region.grow(1) within storage";
 
@@ -331,140 +350,4 @@ pub(crate) fn stream_star7_spec<const B: usize>(
             }
         },
     );
-}
-
-/// Runtime-dim fallback: same per-cell expression as [`row7`], with
-/// runtime row bounds and brick dim `b`, handing every cell's `A·x` (and
-/// its offset into the brick) to `sink` in `z → y → x` order.
-///
-/// Per row `(lz, ly)` the ±y/±z source rows are selected once: the center
-/// brick at `±b`/`±b²` offsets while in-brick, otherwise the matching row
-/// of the face-neighbor slice. The `.expect()`s never fire under the
-/// caller's validity precondition (`region.grow(1)` inside the storage
-/// cell box): a missing face is only dereferenced for cells whose
-/// neighbor would lie outside storage.
-#[inline(always)]
-pub(crate) fn stream_star7_generic(
-    b: usize,
-    faces: &BrickFaces<'_>,
-    alpha: f64,
-    beta: f64,
-    rb: &RowBounds,
-    mut sink: impl FnMut(usize, f64),
-) {
-    let (x0, x1) = (rb.x0, rb.x1);
-    for lz in rb.z0..rb.z1 {
-        let zbase = lz * b * b;
-        for ly in rb.y0..rb.y1 {
-            let row = zbase + ly * b;
-            let crow = &faces.center[row..row + b];
-            let ym: &[f64] = if ly > 0 {
-                &faces.center[row - b..row]
-            } else {
-                let o = (lz * b + (b - 1)) * b;
-                &faces.ym.expect(FACE)[o..o + b]
-            };
-            let yp: &[f64] = if ly + 1 < b {
-                &faces.center[row + b..row + 2 * b]
-            } else {
-                let o = lz * b * b;
-                &faces.yp.expect(FACE)[o..o + b]
-            };
-            let zm: &[f64] = if lz > 0 {
-                &faces.center[row - b * b..row - b * b + b]
-            } else {
-                let o = ((b - 1) * b + ly) * b;
-                &faces.zm.expect(FACE)[o..o + b]
-            };
-            let zp: &[f64] = if lz + 1 < b {
-                &faces.center[row + b * b..row + b * b + b]
-            } else {
-                let o = ly * b;
-                &faces.zp.expect(FACE)[o..o + b]
-            };
-            // The ±x face operands are only read by the select when the
-            // bounds actually reach the brick edge.
-            let xml = if x0 == 0 {
-                faces.xm.expect(FACE)[row + b - 1]
-            } else {
-                0.0
-            };
-            let xpr = if x1 == b {
-                faces.xp.expect(FACE)[row]
-            } else {
-                0.0
-            };
-            for x in x0..x1 {
-                let l = if x == 0 { xml } else { crow[x - 1] };
-                let r = if x + 1 == b { xpr } else { crow[x + 1] };
-                let ax = alpha * crow[x] + beta * ((l + r) + (ym[x] + yp[x]) + (zm[x] + zp[x]));
-                sink(row + x, ax);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
-    use gmg_mesh::{Box3, Point3};
-    use std::sync::Arc;
-
-    fn mk() -> (Arc<BrickLayout>, BrickedField) {
-        let l = Arc::new(BrickLayout::new(
-            Box3::cube(8),
-            4,
-            1,
-            BrickOrdering::SurfaceMajor,
-        ));
-        let src = BrickedField::from_fn(l.clone(), |p| {
-            0.25 + ((p.x * 31 + p.y * 17 - p.z * 11) % 23) as f64 / 7.0
-        });
-        (l, src)
-    }
-
-    #[test]
-    fn specialized_and_generic_paths_are_bit_identical() {
-        let (l, src) = mk();
-        let slot = l.slot_of_brick(Point3::splat(1));
-        let faces = BrickFaces::new(&src, slot);
-        let rb = RowBounds {
-            x0: 0,
-            x1: 4,
-            y0: 0,
-            y1: 4,
-            z0: 1,
-            z1: 3,
-        };
-        let mut a = vec![0.0; l.brick_volume()];
-        let mut b = vec![0.0; l.brick_volume()];
-        stream_star7_spec::<4>(&faces, &mut a, -6.0, 1.0, &rb);
-        stream_star7_generic(4, &faces, -6.0, 1.0, &rb, |i, ax| b[i] = ax);
-        assert_eq!(a, b);
-        // Rows outside the bounds stay untouched.
-        assert_eq!(a[0..16], vec![0.0; 16][..]);
-    }
-
-    #[test]
-    fn full_brick_fast_path_bit_identical_to_generic_body() {
-        let (l, src) = mk();
-        let slot = l.slot_of_brick(Point3::splat(1));
-        let faces = BrickFaces::new(&src, slot);
-        let rb = RowBounds {
-            x0: 0,
-            x1: 4,
-            y0: 0,
-            y1: 4,
-            z0: 0,
-            z1: 4,
-        };
-        assert!(rb.is_full(4));
-        let mut a = vec![0.0; l.brick_volume()];
-        let mut b = vec![0.0; l.brick_volume()];
-        // spec takes the const-bound loops; generic the runtime ones.
-        stream_star7_spec::<4>(&faces, &mut a, -6.0, 1.0, &rb);
-        stream_star7_generic(4, &faces, -6.0, 1.0, &rb, |i, ax| b[i] = ax);
-        assert_eq!(a, b);
-    }
 }

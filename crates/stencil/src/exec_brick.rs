@@ -6,14 +6,16 @@
 //! seven per-brick face slices resolved once up front
 //! ([`gmg_brick::BrickFaces`]) — no per-point adjacency lookups anywhere,
 //! and the inner kernel is monomorphized per [`gmg_brick::BrickShape`]
-//! (see `brick_rows`). Both the apply and the residual norms run at the
-//! instruction-set tier [`Isa::detect`] picks ([`crate::isa`]). Every other
-//! stencil runs on bricks through the reference interpreter,
-//! [`crate::interp::run_stencil`], which validates the fast kernel.
+//! (see `brick_rows`): a layout whose brick dim has no shape is refused.
+//! Both the apply and the residual norms run at the instruction-set tier
+//! [`Isa::detect`] picks ([`crate::isa`]). Every other stencil runs on
+//! bricks through the reference interpreter,
+//! [`crate::interp::run_stencil`], which the fast kernel equals bit for
+//! bit.
 
-use crate::brick_rows::{stream_star7_generic, stream_star7_rows, stream_star7_spec, RowBounds};
+use crate::brick_rows::{stream_star7_rows, stream_star7_spec, with_brick_dim, RowBounds};
 use crate::isa::Isa;
-use gmg_brick::{BrickFaces, BrickShape, BrickedField};
+use gmg_brick::{BrickFaces, BrickedField};
 use gmg_mesh::Box3;
 
 /// Fast 7-point constant-coefficient apply over bricks:
@@ -26,9 +28,8 @@ use gmg_mesh::Box3;
 /// kernel of `brick_rows`: the six face-neighbor base slices are
 /// resolved once per brick, so boundary cells stream at the same cost as
 /// interior cells and the old per-cell `brick_boundary` adjacency pass no
-/// longer exists. The inner kernel is monomorphized for the
-/// [`BrickShape`]s the perf gate exercises (4³, 8³) with a runtime-dim
-/// fallback executing bit-identical arithmetic.
+/// longer exists. The inner kernel is monomorphized per
+/// [`gmg_brick::BrickShape`]; a brick dim without one panics.
 pub fn apply_star7_bricked(
     dst: &mut BrickedField,
     src: &BrickedField,
@@ -36,24 +37,10 @@ pub fn apply_star7_bricked(
     beta: f64,
     region: Box3,
 ) {
-    apply_star7_bricked_on(Isa::detect(), dst, src, alpha, beta, region, true);
+    apply_star7_bricked_on(Isa::detect(), dst, src, alpha, beta, region);
 }
 
-/// [`apply_star7_bricked`] forced through the runtime-dim generic kernel
-/// even for brick shapes that have a monomorphized specialization.
-/// Exists so differential tests can pin the two paths bit-identical.
-pub fn apply_star7_bricked_generic(
-    dst: &mut BrickedField,
-    src: &BrickedField,
-    alpha: f64,
-    beta: f64,
-    region: Box3,
-) {
-    apply_star7_bricked_on(Isa::detect(), dst, src, alpha, beta, region, false);
-}
-
-/// [`apply_star7_bricked`] at the tier `isa`, through the monomorphized
-/// kernels when `specialize`, else through the runtime-dim one.
+/// [`apply_star7_bricked`] at the tier `isa`.
 pub(crate) fn apply_star7_bricked_on(
     isa: Isa,
     dst: &mut BrickedField,
@@ -61,7 +48,6 @@ pub(crate) fn apply_star7_bricked_on(
     alpha: f64,
     beta: f64,
     region: Box3,
-    specialize: bool,
 ) {
     let layout = src.layout().clone();
     assert!(
@@ -73,13 +59,8 @@ pub(crate) fn apply_star7_bricked_on(
         "src does not cover {:?}",
         region.grow(1)
     );
+    let shape = layout.shape();
     let pieces = layout.slots_intersecting(region);
-    let b = layout.brick_dim();
-    let shape = if specialize {
-        layout.shape()
-    } else {
-        BrickShape::Generic(b)
-    };
     isa.run(
         #[inline(always)]
         || {
@@ -89,15 +70,7 @@ pub(crate) fn apply_star7_bricked_on(
                 |slot, sub, out| {
                     let faces = BrickFaces::new(src, slot);
                     let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
-                    match shape {
-                        BrickShape::B4 => stream_star7_spec::<4>(&faces, out, alpha, beta, &rb),
-                        BrickShape::B8 => stream_star7_spec::<8>(&faces, out, alpha, beta, &rb),
-                        BrickShape::Generic(_) => {
-                            stream_star7_generic(b as usize, &faces, alpha, beta, &rb, |i, ax| {
-                                out[i] = ax
-                            })
-                        }
-                    }
+                    with_brick_dim!(shape, B => stream_star7_spec::<B>(&faces, out, alpha, beta, &rb))
                 },
             )
         },
@@ -139,7 +112,6 @@ pub(crate) fn residual_norms_on(
         "x does not cover {:?}",
         region.grow(1)
     );
-    let bd = layout.brick_dim() as usize;
     let shape = layout.shape();
     let pieces = layout.slots_intersecting(region);
     isa.run(
@@ -150,17 +122,8 @@ pub(crate) fn residual_norms_on(
                 let faces = BrickFaces::new(x, slot);
                 let rb = RowBounds::within(sub, layout.cells_of_slot(slot).lo);
                 let bb = b.brick(slot);
-                let partial = match shape {
-                    BrickShape::B4 => norms_brick::<4>(&faces, bb, alpha, beta, &rb),
-                    BrickShape::B8 => norms_brick::<8>(&faces, bb, alpha, beta, &rb),
-                    BrickShape::Generic(_) => {
-                        let mut part = NORMS_ZERO;
-                        stream_star7_generic(bd, &faces, alpha, beta, &rb, |i, ax| {
-                            part = fold_norms(part, norms_of(bb[i] - ax));
-                        });
-                        part
-                    }
-                };
+                let partial =
+                    with_brick_dim!(shape, B => norms_brick::<B>(&faces, bb, alpha, beta, &rb));
                 acc = fold_norms(acc, partial);
             }
             acc
@@ -212,7 +175,8 @@ fn norms_brick<const B: usize>(
 
 /// Pointwise update with one mutable field and two read fields (all
 /// sharing a layout): for every cell of every piece,
-/// `f(&mut out_cell, read1_cell, read2_cell)`.
+/// `f(&mut out_cell, read1_cell, read2_cell)`. No solver step: perfgate's
+/// sweep baselines time it.
 pub fn pointwise_mut1(
     out: &mut BrickedField,
     read1: &BrickedField,
@@ -261,7 +225,8 @@ pub(crate) fn pointwise_mut1_on(
 
 /// Pointwise update with two mutable fields and two read fields (the
 /// fused smooth+residual shape): per cell,
-/// `f(&mut out1, &mut out2, read1, read2)`.
+/// `f(&mut out1, &mut out2, read1, read2)`. No solver step: perfgate's
+/// sweep baselines and the probe-only `Level::smooth_residual` use it.
 pub fn pointwise_mut2(
     out1: &mut BrickedField,
     out2: &mut BrickedField,
@@ -338,31 +303,58 @@ mod tests {
         BrickedField::from_fn(l, idx_fn)
     }
 
+    /// The DSL interpreter's `applyOp` of `src` over `region`: the
+    /// reference every bricked star-7 executor equals bit for bit.
+    fn interp_apply(src: &BrickedField, region: Box3) -> BrickedField {
+        let mut out = BrickedField::new(src.layout().clone());
+        run_stencil(
+            &apply_op_def(),
+            &[src],
+            &[-6.0, 1.0],
+            &mut [&mut out],
+            region,
+        );
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn fast_bricked_star7_matches_reference() {
-        let def = apply_op_def();
-        for bd in [2, 4, 8] {
-            let n = 16;
+        // Every brick shape, over the owned box, a region clipped on every
+        // face (partial bricks on all six sides for bd ≥ 2) and one reaching
+        // bd − 1 cells into the ghost shell, at every instruction-set tier:
+        // the kernel writes the interpreter's bits inside the region and
+        // nothing outside it.
+        let n = 16;
+        for bd in [1, 2, 4, 8] {
             let src = mk_field(n, bd);
-            let mut fast = BrickedField::new(src.layout().clone());
-            let mut reference = BrickedField::new(src.layout().clone());
-            apply_star7_bricked(&mut fast, &src, -6.0, 1.0, Box3::cube(n));
-            run_stencil(
-                &def,
-                &[&src],
-                &[-6.0, 1.0],
-                &mut [&mut reference],
+            for region in [
                 Box3::cube(n),
-            );
-            Box3::cube(n).for_each(|p| {
-                assert!(
-                    (fast.get(p) - reference.get(p)).abs() < 1e-12,
-                    "bd={bd} at {p:?}: {} vs {}",
-                    fast.get(p),
-                    reference.get(p)
-                );
-            });
+                Box3::new(Point3::new(1, 3, 5), Point3::new(15, 13, 11)),
+                Box3::cube(n).grow(bd - 1),
+            ] {
+                let reference = bits(interp_apply(&src, region).as_slice());
+                for isa in Isa::available() {
+                    let mut fast = BrickedField::new(src.layout().clone());
+                    apply_star7_bricked_on(isa, &mut fast, &src, -6.0, 1.0, region);
+                    assert!(
+                        bits(fast.as_slice()) == reference,
+                        "bd={bd} {region:?} {isa:?}"
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no star-7 kernel for 3-wide bricks")]
+    fn other_brick_dims_are_refused() {
+        let src = mk_field(6, 3);
+        let mut dst = BrickedField::new(src.layout().clone());
+        apply_star7_bricked(&mut dst, &src, -6.0, 1.0, Box3::cube(6));
     }
 
     #[test]
@@ -377,7 +369,7 @@ mod tests {
         let src_a = Array3::from_fn(Box3::cube(n), bd, idx_fn);
         let run = |isa| {
             let mut fast = BrickedField::new(src.layout().clone());
-            apply_star7_bricked_on(isa, &mut fast, &src, -6.0, 1.0, region, true);
+            apply_star7_bricked_on(isa, &mut fast, &src, -6.0, 1.0, region);
             let mut arr = Array3::new(Box3::cube(n), bd);
             apply_star7_array_on(isa, &mut arr, &src_a, -6.0, 1.0, region);
             (fast, arr)
@@ -398,27 +390,23 @@ mod tests {
 
     #[test]
     fn residual_norms_match_the_stored_residual() {
-        // Const-dim and runtime-dim bricks, a region clipped on every
-        // side: the max must equal the max over a stored `b − A·x` bit for
-        // bit, the sums to rounding; a NaN cell is skipped by the max and
-        // poisons the sums. Every instruction-set tier the CPU reports gives
-        // the bits `Isa::Baseline` gives.
-        for bd in [2i64, 3, 4, 8] {
-            let n = 2 * bd;
+        // Every brick shape, a region clipped on every side: the max must
+        // equal the max over a stored `b − A·x`, with `A·x` from the DSL
+        // interpreter, bit for bit, the sums to rounding (they fold per
+        // x-lane); a NaN cell is skipped by the max and poisons the sums.
+        // Every instruction-set tier the CPU reports gives the bits
+        // `Isa::Baseline` gives.
+        for bd in [1i64, 2, 4, 8] {
+            let n = 2 * bd.max(2);
             let mut x = mk_field(n, bd);
             let b = BrickedField::from_fn(x.layout().clone(), |p| idx_fn(p) * 0.5 - 3.0);
             let region = Box3::cube(n).grow(bd - 1).shrink(1);
-            let reference = |x: &BrickedField| {
-                let mut ax = BrickedField::new(x.layout().clone());
-                apply_star7_bricked(&mut ax, x, -6.0, 1.0, region);
-                let (mut max, mut sq, mut sum) = (0.0f64, 0.0, 0.0);
-                region.for_each(|p| {
-                    let v = b.get(p) - ax.get(p);
-                    (max, sq, sum) = (max.max(v.abs()), sq + v * v, sum + v);
-                });
-                (max, sq, sum)
-            };
-            let (max, sq, sum) = reference(&x);
+            let ax = interp_apply(&x, region);
+            let (mut max, mut sq, mut sum) = (0.0f64, 0.0, 0.0);
+            region.for_each(|p| {
+                let v = b.get(p) - ax.get(p);
+                (max, sq, sum) = (max.max(v.abs()), sq + v * v, sum + v);
+            });
             let norms = |x: &BrickedField, isa| {
                 let (max, sq, sum) = residual_norms_on(isa, x, &b, -6.0, 1.0, region);
                 [max.to_bits(), sq.to_bits(), sum.to_bits()]
@@ -440,22 +428,6 @@ mod tests {
                     "bd={bd} {isa:?} NaN"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn specialized_kernel_bit_identical_to_generic_fallback() {
-        // The monomorphized 4³/8³ kernels must produce the exact same bits
-        // as the runtime-dim fallback, including on clipped sub-bricks.
-        for bd in [4, 8] {
-            let n = 16;
-            let src = mk_field(n, bd);
-            let region = Box3::new(Point3::new(-2, 1, 0), Point3::new(15, 16, 13));
-            let mut spec = BrickedField::new(src.layout().clone());
-            let mut gen = BrickedField::new(src.layout().clone());
-            apply_star7_bricked(&mut spec, &src, -6.0, 1.0, region);
-            apply_star7_bricked_generic(&mut gen, &src, -6.0, 1.0, region);
-            assert_eq!(spec.as_slice(), gen.as_slice(), "bd={bd}");
         }
     }
 

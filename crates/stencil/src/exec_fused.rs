@@ -22,7 +22,8 @@
 //! sees the operands and floating-point expressions of
 //! `apply_star7_bricked` + the pointwise update. On return `x` is
 //! specified on `R_{s−1}` and bit-identical there to the sweep-by-sweep
-//! schedule (see the equivalence tests below). Nothing is specified outside
+//! schedule run by the DSL interpreter, at every brick shape (see the tests
+//! below). Nothing is specified outside
 //! `R_{s−1}`: those cells hold whichever earlier iterate or scratch value
 //! their buffer last saw, and no later step may read them before an
 //! exchange or an `initZero` rewrites them — the solver's `Level::margin`
@@ -48,9 +49,9 @@
 //! an 8³ brick row is one `zmm` register where the CPU has AVX-512 — with
 //! the same bits as the baseline build (see [`crate::isa`]).
 
-use crate::brick_rows::{stream_star7_generic, stream_star7_rows, RowBounds};
+use crate::brick_rows::{stream_star7_rows, with_brick_dim, RowBounds};
 use crate::isa::Isa;
-use gmg_brick::{BrickFaces, BrickShape, BrickedField};
+use gmg_brick::{BrickFaces, BrickedField};
 use gmg_mesh::{Box3, Point3};
 use std::sync::Arc;
 
@@ -88,7 +89,8 @@ impl FusedStats {
 /// Where the last iteration of [`fused_multismooth_bricked`] puts its
 /// pre-update residual `b − A·x`.
 pub enum ResidualSink<'a> {
-    /// Store it in a fine field over the same layout, on `R_{s−1}`.
+    /// Store it in a fine field over the same layout, on `R_{s−1}`. No
+    /// solver step stores it: kept for the benchmark probes only.
     Store(&'a mut BrickedField),
     /// Restrict it into a coarse right-hand side whose owned box is the
     /// fine one coarsened by 2: every coarse owned cell gets the volume
@@ -165,8 +167,8 @@ impl BrickRestrictor {
 /// One iteration of the schedule, out of place: the cells of `rk` are
 /// written to `dst` as `src + γ(A·src − b)` (and the residual `b − A·src`
 /// handed to `sink`), brick by brick over the bricks that meet `rk`. The
-/// cells of a clipped brick outside it are read by no later iteration and
-/// are left as `dst` had them. Inlined into each tier's trampoline.
+/// cells of a clipped brick outside it are read by no later iteration:
+/// what lands there is unspecified. Inlined into each tier's trampoline.
 #[inline(always)]
 fn jacobi_pass(
     dst: &mut BrickedField,
@@ -191,25 +193,12 @@ fn jacobi_pass(
         let new = dst.brick_mut(slot);
         // Where this brick's residual rows go: its bricks of `r`, or the
         // restrictor's scratch.
-        let mut r = match sink.as_deref_mut() {
+        let r = match sink.as_deref_mut() {
             Some(ResidualSink::Store(r)) => Some(r.brick_mut(slot)),
             Some(ResidualSink::Restrict(_)) => restrictor.as_mut().map(|t| &mut t.res[..]),
             None => None,
         };
-        match shape {
-            BrickShape::B4 => smooth_brick::<4>(&faces, new, r, bb, coef, &rb),
-            BrickShape::B8 => smooth_brick::<8>(&faces, new, r, bb, coef, &rb),
-            // Runtime dims: the same expressions, cell by cell.
-            BrickShape::Generic(_) => {
-                let old = faces.center;
-                stream_star7_generic(bd, &faces, coef.0, coef.1, &rb, |i, ax| {
-                    if let Some(r) = r.as_deref_mut() {
-                        r[i] = bb[i] - ax;
-                    }
-                    new[i] = old[i] + coef.2 * (ax - bb[i]);
-                });
-            }
-        }
+        with_brick_dim!(shape, B => smooth_brick::<B>(&faces, new, r, bb, coef, &rb));
         if let (Some(ResidualSink::Restrict(cb)), Some(restrictor)) =
             (sink.as_deref_mut(), restrictor.as_mut())
         {
@@ -372,7 +361,8 @@ pub(crate) fn fused_multismooth_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec_brick::{apply_star7_bricked_on, pointwise_mut1, pointwise_mut2};
+    use crate::interp::run_stencil;
+    use crate::ops::{apply_op_def, smooth_residual_def};
     use gmg_brick::{BrickLayout, BrickOrdering};
     use gmg_mesh::Point3;
 
@@ -388,34 +378,29 @@ mod tests {
         Arc::new(BrickLayout::new(Box3::from_extent(n), bd, 1, ordering))
     }
 
-    /// The sequential sweep-by-sweep CA reference the kernel must match
-    /// bit-for-bit on `R_{s−1}`: `s − 1` × (`applyOp` + `smooth`), then
-    /// `applyOp` + `smooth+residual` (or `smooth`, without `r`), with every
-    /// `applyOp` at [`Isa::Baseline`].
-    fn sweep_reference(
+    /// One sweep of the DSL interpreter over `rk`: `applyOp` into `A·x`,
+    /// then `smooth+residual`, updating `x` and returning `r`. The first
+    /// `s` sweeps over `region` shrunk by `0, 1, …` are the reference the
+    /// kernel must match bit for bit on `R_{s−1}`.
+    fn interp_sweep(
         x: &mut BrickedField,
         b: &BrickedField,
-        mut r: Option<&mut BrickedField>,
         (alpha, beta, gamma): (f64, f64, f64),
-        region: Box3,
-        s: usize,
-    ) {
-        let layout = x.layout().clone();
-        let mut ax = BrickedField::new(layout.clone());
-        for k in 0..s {
-            let rk = region.shrink(k as i64);
-            apply_star7_bricked_on(Isa::Baseline, &mut ax, x, alpha, beta, rk, true);
-            let pieces = layout.slots_intersecting(rk);
-            match r.as_deref_mut().filter(|_| k + 1 == s) {
-                Some(r) => pointwise_mut2(x, r, &ax, b, &pieces, move |x, r, ax, b| {
-                    *r = b - ax;
-                    *x += gamma * (ax - b);
-                }),
-                None => pointwise_mut1(x, &ax, b, &pieces, move |x, ax, b| {
-                    *x += gamma * (ax - b);
-                }),
-            }
-        }
+        rk: Box3,
+    ) -> BrickedField {
+        let mut ax = BrickedField::new(x.layout().clone());
+        run_stencil(&apply_op_def(), &[&*x], &[alpha, beta], &mut [&mut ax], rk);
+        let (mut r, mut next) = (BrickedField::new(x.layout().clone()), x.clone());
+        let inputs = [&*x, &ax, b];
+        run_stencil(
+            &smooth_residual_def(),
+            &inputs,
+            &[gamma],
+            &mut [&mut r, &mut next],
+            rk,
+        );
+        *x = next;
+        r
     }
 
     /// `restriction`'s fold of the fine residual `r` into the coarse cell
@@ -432,21 +417,21 @@ mod tests {
         sum * 0.125
     }
 
-    /// Everything the solver feeds the kernel: brick dims down to the 1-
-    /// and 2-cell bricks of coarse two-rank levels, both slot orderings,
-    /// a non-cubic subdomain, every CA region `owned.grow(m)` (clipped on
-    /// all six sides for `m > 0`), every depth the margin allows, with and
+    /// Everything the solver feeds the kernel: every brick shape, down to
+    /// the 1- and 2-cell bricks of coarse levels, both slot orderings, a
+    /// non-cubic subdomain, every CA region `owned.grow(m)` (clipped on all
+    /// six sides for `m > 0`), every depth the margin allows, with and
     /// without the residual, and — where the last iteration covers exactly
     /// the owned bricks of an even brick dim — restricting it, at every
     /// instruction-set tier the CPU reports. `x` and `r` must match the
-    /// sweep reference at [`Isa::Baseline`] bit for bit on the valid region
-    /// `R_{s−1}`, and a restricted coarse cell the fold of that `r`. With
-    /// `poison`, everything the contract says the kernel may not read is
-    /// NaN on entry — `y`, `r`, the coarse `b`, and `x` outside
-    /// `region.grow(1)` — so one stray read shows in the result.
-    fn check_against_sweeps(poison: bool) {
-        let coef = (-6.0 / 0.25, 1.0 / 0.25, 0.25 / 12.0);
+    /// interpreter's sweeps bit for bit on the valid region `R_{s−1}`, and
+    /// a restricted coarse cell the fold of that `r`. With `poison`,
+    /// everything the contract says the kernel may not read is NaN on entry
+    /// — `y`, `r`, the coarse `b`, and `x` outside `region.grow(1)` — so one
+    /// stray read shows in the result.
+    fn check_against_the_interpreter(poison: bool) {
         let fill = if poison { f64::NAN } else { -7.0 };
+        let coef = (-6.0 / 0.25, 1.0 / 0.25, 0.25 / 12.0);
         for bd in [1i64, 2, 4, 8] {
             for ordering in [BrickOrdering::SurfaceMajor, BrickOrdering::Lexicographic] {
                 let extent = Point3::new(bd, 2 * bd, 3 * bd);
@@ -457,108 +442,92 @@ mod tests {
                 for m in 0..bd {
                     let region = layout.cell_box().grow(m);
                     let seen = region.grow(1);
-                    let fresh_x = || {
-                        BrickedField::from_fn(layout.clone(), |p| {
-                            if seen.contains(p) {
-                                idx_fn(p)
-                            } else {
-                                fill
-                            }
-                        })
-                    };
+                    let mut x1 = BrickedField::from_fn(layout.clone(), idx_fn);
                     for s in 1..=bd as usize {
                         let valid = region.shrink(s as i64 - 1);
                         if valid.is_empty() {
-                            continue;
+                            break;
                         }
                         let restricts = coarse.as_ref().filter(|_| valid == layout.cell_box());
-                        for with_r in [true, false] {
-                            let mut x1 = BrickedField::from_fn(layout.clone(), idx_fn);
-                            let mut r1 = BrickedField::new(layout.clone());
-                            sweep_reference(
-                                &mut x1,
+                        // The `s`-th sweep's iterate and residual.
+                        let r1 = interp_sweep(&mut x1, &b, coef, valid);
+                        let same_x = |x2: &BrickedField, case: &str| {
+                            valid.for_each(|p| {
+                                assert!(x2.get(p).is_finite(), "x at {p:?}: {case}");
+                                let (want, got) = (x1.get(p).to_bits(), x2.get(p).to_bits());
+                                assert_eq!(want, got, "x at {p:?}: {case}");
+                            });
+                        };
+                        for (with_r, isa) in [true, false]
+                            .into_iter()
+                            .flat_map(|r| Isa::available().map(move |i| (r, i)))
+                        {
+                            let case =
+                                format!("{isa:?} bd={bd} {ordering:?} m={m} s={s} r={with_r}");
+                            let fresh_x = || {
+                                BrickedField::from_fn(layout.clone(), |p| {
+                                    if seen.contains(p) {
+                                        idx_fn(p)
+                                    } else {
+                                        fill
+                                    }
+                                })
+                            };
+                            let mut x2 = fresh_x();
+                            let mut r2 = BrickedField::from_fn(layout.clone(), |_| fill);
+                            let mut y = r2.clone();
+                            let stats = fused_multismooth_on(
+                                isa,
+                                &mut x2,
                                 &b,
-                                with_r.then_some(&mut r1),
+                                with_r.then_some(ResidualSink::Store(&mut r2)),
                                 coef,
                                 region,
                                 s,
+                                &mut y,
                             );
-                            let same_x = |x2: &BrickedField, case: &str| {
+                            same_x(&x2, &case);
+                            if with_r {
                                 valid.for_each(|p| {
-                                    assert!(x2.get(p).is_finite(), "x at {p:?}: {case}");
-                                    let (want, got) = (x1.get(p).to_bits(), x2.get(p).to_bits());
-                                    assert_eq!(want, got, "x at {p:?}: {case}");
-                                });
-                            };
-                            for isa in Isa::available() {
-                                let case = format!("{isa:?} bd={bd} {ordering:?} m={m} s={s}");
-                                let mut x2 = fresh_x();
-                                let mut r2 = BrickedField::from_fn(layout.clone(), |_| fill);
-                                let mut y = r2.clone();
-                                let stats = fused_multismooth_on(
-                                    isa,
-                                    &mut x2,
-                                    &b,
-                                    with_r.then_some(ResidualSink::Store(&mut r2)),
-                                    coef,
-                                    region,
-                                    s,
-                                    &mut y,
-                                );
-                                let case = format!("{case} r={with_r}");
-                                same_x(&x2, &case);
-                                if with_r {
-                                    valid.for_each(|p| {
-                                        let (want, got) =
-                                            (r1.get(p).to_bits(), r2.get(p).to_bits());
-                                        assert_eq!(want, got, "r at {p:?}: {case}");
-                                    });
-                                }
-                                let points: u64 = (0..s)
-                                    .map(|k| region.shrink(k as i64).volume() as u64)
-                                    .sum();
-                                assert_eq!(stats.points_updated, points, "{case}");
-                                // 3 doubles per point, and the residual store
-                                // on the last iteration only.
-                                let moved =
-                                    3 * points + if with_r { valid.volume() as u64 } else { 0 };
-                                assert_eq!(
-                                    stats.doubles_read + stats.doubles_written,
-                                    moved,
-                                    "{case}"
-                                );
-                                let Some(coarse) = restricts.filter(|_| with_r) else {
-                                    continue;
-                                };
-                                // The restricting sink: the coarse owned cells
-                                // get the fold of `r`, its ghost shell nothing.
-                                let case = format!("{case} restrict");
-                                let mut x3 = fresh_x();
-                                let mut cb = BrickedField::from_fn(coarse.clone(), |_| fill);
-                                fused_multismooth_on(
-                                    isa,
-                                    &mut x3,
-                                    &b,
-                                    Some(ResidualSink::Restrict(&mut cb)),
-                                    coef,
-                                    region,
-                                    s,
-                                    &mut y,
-                                );
-                                same_x(&x3, &case);
-                                coarse.storage_cell_box().for_each(|c| {
-                                    let want = if coarse.cell_box().contains(c) {
-                                        restricted(&r1, c)
-                                    } else {
-                                        fill
-                                    };
-                                    assert_eq!(
-                                        want.to_bits(),
-                                        cb.get(c).to_bits(),
-                                        "{c:?}: {case}"
-                                    );
+                                    let (want, got) = (r1.get(p).to_bits(), r2.get(p).to_bits());
+                                    assert_eq!(want, got, "r at {p:?}: {case}");
                                 });
                             }
+                            let points: u64 = (0..s)
+                                .map(|k| region.shrink(k as i64).volume() as u64)
+                                .sum();
+                            assert_eq!(stats.points_updated, points, "{case}");
+                            // 3 doubles per point, and the residual store on
+                            // the last iteration only.
+                            let moved = 3 * points + if with_r { valid.volume() as u64 } else { 0 };
+                            assert_eq!(stats.doubles_read + stats.doubles_written, moved, "{case}");
+                            let Some(coarse) = restricts.filter(|_| with_r) else {
+                                continue;
+                            };
+                            // The restricting sink: the coarse owned cells get
+                            // the fold of `r`, its ghost shell nothing.
+                            let case = format!("{case} restrict");
+                            let mut x3 = fresh_x();
+                            let mut cb = BrickedField::from_fn(coarse.clone(), |_| fill);
+                            fused_multismooth_on(
+                                isa,
+                                &mut x3,
+                                &b,
+                                Some(ResidualSink::Restrict(&mut cb)),
+                                coef,
+                                region,
+                                s,
+                                &mut y,
+                            );
+                            same_x(&x3, &case);
+                            coarse.storage_cell_box().for_each(|c| {
+                                let want = if coarse.cell_box().contains(c) {
+                                    restricted(&r1, c)
+                                } else {
+                                    fill
+                                };
+                                assert_eq!(want.to_bits(), cb.get(c).to_bits(), "{c:?}: {case}");
+                            });
                         }
                     }
                 }
@@ -567,13 +536,13 @@ mod tests {
     }
 
     #[test]
-    fn bit_identical_to_sweeps_on_the_valid_region() {
-        check_against_sweeps(false);
+    fn bit_identical_to_the_interpreter_on_the_valid_region() {
+        check_against_the_interpreter(false);
     }
 
     #[test]
     fn reads_nothing_outside_the_region_halo() {
-        check_against_sweeps(true);
+        check_against_the_interpreter(true);
     }
 
     #[test]
