@@ -32,6 +32,24 @@ pub enum BrickOrdering {
     SurfaceMajor,
 }
 
+/// Evaluate `$body` with the const `$b` bound to the brick width of
+/// `$shape` (a [`BrickShape`]): one monomorphized copy of the body per
+/// shape, so a kernel runs at the const width of its layout's bricks.
+#[macro_export]
+macro_rules! with_brick_dim {
+    ($shape:expr, $b:ident => $body:expr) => {
+        $crate::with_brick_dim!(@ $shape, $b => $body; B1 B2 B4 B8)
+    };
+    (@ $shape:expr, $b:ident => $body:expr; $($v:ident)*) => {
+        match $shape {
+            $($crate::BrickShape::$v => {
+                const $b: usize = $crate::BrickShape::$v as usize;
+                $body
+            })*
+        }
+    };
+}
+
 /// The brick widths the star-7 kernels are compiled for.
 ///
 /// The hot stencil kernels in `gmg-stencil` monomorphize their inner loops

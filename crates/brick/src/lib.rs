@@ -23,8 +23,10 @@
 //!
 //! The main types are [`BrickLayout`] (geometry + ordering + adjacency) and
 //! [`BrickedField`] (the data). Stencil execution lives in `gmg-stencil`;
-//! this crate only provides the layout, conversions and the per-brick face
-//! view ([`BrickFaces`]) kernels read through.
+//! this crate only provides the layout, conversions and the per-brick
+//! views kernels read through: a brick and its six face neighbours
+//! ([`BrickFaces`]), and one brick's cells as a fixed-size [`Cube`]
+//! ([`cube`], [`cube_mut`]).
 
 pub mod field;
 pub mod layout;
@@ -32,4 +34,4 @@ pub mod neighborhood;
 
 pub use field::BrickedField;
 pub use layout::{BrickLayout, BrickOrdering, BrickShape, HaloDir, SlotClass, NO_BRICK};
-pub use neighborhood::BrickFaces;
+pub use neighborhood::{cube, cube_mut, BrickFaces, Cube};

@@ -9,6 +9,39 @@ use crate::field::BrickedField;
 use crate::layout::{dir27, NO_BRICK};
 use gmg_mesh::Point3;
 
+/// The cells of one `B³` brick as a fixed-size block, indexed `[z][y][x]`
+/// (x fastest, as bricks store them): cell `[z][y][x]` is the flat offset
+/// `(z·B + y)·B + x`.
+pub type Cube<const B: usize> = [[[f64; B]; B]; B];
+
+/// View a brick's `B³` cells as a [`Cube`]. The one length check is here:
+/// every index into the view is then checked against the constant `B`
+/// only, which the compiler resolves for const loop bounds. Panics, naming
+/// both lengths, if `cells` is not exactly `B³` long.
+#[inline(always)]
+pub fn cube<const B: usize>(cells: &[f64]) -> &Cube<B> {
+    check_len::<B>(cells.len());
+    let (planes, _) = cells.as_chunks::<B>().0.as_chunks::<B>();
+    planes.try_into().expect("B³ cells are B planes")
+}
+
+/// Mutable [`cube`].
+#[inline(always)]
+pub fn cube_mut<const B: usize>(cells: &mut [f64]) -> &mut Cube<B> {
+    check_len::<B>(cells.len());
+    let (planes, _) = cells.as_chunks_mut::<B>().0.as_chunks_mut::<B>();
+    planes.try_into().expect("B³ cells are B planes")
+}
+
+#[inline(always)]
+fn check_len<const B: usize>(len: usize) {
+    assert!(
+        len == B * B * B,
+        "a {B}³ brick view needs {} cells, got a slice of length {len}",
+        B * B * B
+    );
+}
+
 /// Base slices of one brick and its six *face* neighbors, resolved once
 /// per brick.
 ///
@@ -70,6 +103,41 @@ mod tests {
     use crate::layout::{BrickLayout, BrickOrdering};
     use gmg_mesh::Box3;
     use std::sync::Arc;
+
+    /// `[z][y][x]` of a view is the flat offset `(z·B + y)·B + x`, both
+    /// ways, at every brick width.
+    fn check_cube<const B: usize>() {
+        let mut cells: Vec<f64> = (0..B * B * B).map(|i| i as f64).collect();
+        for (z, plane) in cube::<B>(&cells).iter().enumerate() {
+            for (y, row) in plane.iter().enumerate() {
+                for (x, &v) in row.iter().enumerate() {
+                    assert_eq!(v, ((z * B + y) * B + x) as f64, "B={B}");
+                }
+            }
+        }
+        cube_mut::<B>(&mut cells)[B - 1][0][B - 1] = -1.0;
+        assert_eq!(cells[((B - 1) * B) * B + B - 1], -1.0, "B={B}");
+    }
+
+    #[test]
+    fn cube_index_is_the_flat_offset() {
+        check_cube::<1>();
+        check_cube::<2>();
+        check_cube::<4>();
+        check_cube::<8>();
+    }
+
+    #[test]
+    #[should_panic(expected = "a 4³ brick view needs 64 cells, got a slice of length 65")]
+    fn cube_of_the_wrong_length_panics() {
+        cube::<4>(&[0.0; 65]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 2³ brick view needs 8 cells, got a slice of length 7")]
+    fn cube_mut_of_the_wrong_length_panics() {
+        cube_mut::<2>(&mut [0.0; 7]);
+    }
 
     #[test]
     fn faces_match_neighbor_slices() {

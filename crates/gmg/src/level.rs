@@ -1,7 +1,7 @@
 //! One multigrid level: bricked fields and the single-level operators.
 
 use crate::problem::PoissonProblem;
-use gmg_brick::{BrickLayout, BrickOrdering, BrickedField};
+use gmg_brick::{cube_mut, with_brick_dim, BrickLayout, BrickOrdering, BrickedField, Cube};
 use gmg_mesh::{Box3, Decomposition, Point3};
 use gmg_stencil::exec_brick::{apply_star7_bricked, pointwise_mut2};
 use gmg_stencil::exec_fused::{fused_multismooth_bricked, FusedStats, ResidualSink};
@@ -269,42 +269,47 @@ fn add_fine_piece(sum: &mut [f64], f: &[f64], t0: usize) {
 
 /// Interpolation + increment (paper Algorithm 2 line 17): piecewise-constant
 /// prolongation of the coarse correction, added into the fine solution.
-/// No neighbor communication. Streams the coarse rows under each fine
-/// brick, without a per-cell brick lookup.
+/// No neighbor communication. Each fine brick locates the coarse brick and
+/// the octant of it that the fine brick covers once, then adds every
+/// coarse row of the octant into the 2 × 2 fine rows over it, through a
+/// view of the fine brick. The fine brick dim must be even.
 pub fn interpolation_increment(coarse: &Level, fine: &mut Level) {
     debug_assert_eq!(fine.owned.coarsen(2), coarse.owned);
     let flayout = fine.layout.clone();
-    let bd = flayout.brick_dim();
     let pieces = flayout.slots_intersecting(fine.owned);
-    let coarse_x = &coarse.x;
+    let (coarse_x, clayout) = (&coarse.x, &coarse.layout);
+    let bc = clayout.brick_dim() as usize;
     // `owned` is brick-aligned, so every piece is a whole brick.
-    fine.x.update_bricks(&pieces, |_, cells, out| {
-        coarse_x.for_each_row_piece(cells.coarsen(2), |p, c| {
-            // The (up to) 2 × 2 fine rows of this brick over the coarse row.
-            for fz in (2 * p.z).max(cells.lo.z)..(2 * p.z + 2).min(cells.hi.z) {
-                for fy in (2 * p.y).max(cells.lo.y)..(2 * p.y + 2).min(cells.hi.y) {
-                    let row = (((fz - cells.lo.z) * bd + (fy - cells.lo.y)) * bd) as usize;
-                    let xs = &mut out[row..row + bd as usize];
-                    add_coarse_piece(xs, c, 2 * p.x - cells.lo.x);
-                }
-            }
-        });
-    });
+    with_brick_dim!(flayout.shape(), B => fine.x.update_bricks(&pieces, |_, cells, out| {
+        let (cslot, off) = clayout
+            .locate(cells.lo.div_floor(Point3::splat(2)))
+            .expect("coarse x covers the coarsened owned box");
+        add_octant::<B>(cube_mut::<B>(out), coarse_x.brick(cslot), off, bc);
+    }));
     // The fine ghost shell was not incremented; x is only valid on owned.
     fine.margin = 0;
 }
 
-/// `xs[t] += c[(t − t0) / 2]` for every fine cell `t` of the row under a
-/// coarse row piece whose first cell covers fine offsets `t0, t0 + 1`.
-/// With an even fine brick dim every coarse cell covers a whole pair.
-fn add_coarse_piece(xs: &mut [f64], c: &[f64], t0: i64) {
-    debug_assert!(
-        t0 >= 0 && t0 % 2 == 0 && xs.len().is_multiple_of(2),
-        "odd fine brick dim"
-    );
-    for (p, v) in xs[t0 as usize..].chunks_exact_mut(2).zip(c) {
-        p[0] += v;
-        p[1] += v;
+/// `fine[z][y][x] += c` for the cell `c` of the octant at offset `off` of
+/// the coarse brick `coarse` (side `bc`) that covers `(z, y, x) / 2`: each
+/// coarse row, sliced once, goes into the 2 × 2 fine rows over it.
+#[inline(always)]
+fn add_octant<const B: usize>(fine: &mut Cube<B>, coarse: &[f64], off: usize, bc: usize) {
+    assert_eq!(B % 2, 0, "odd fine brick dim");
+    let h = B / 2;
+    for cz in 0..h {
+        for cy in 0..h {
+            let o = off + (cz * bc + cy) * bc;
+            let c = &coarse[o..o + h];
+            for plane in &mut fine[2 * cz..2 * cz + 2] {
+                for row in &mut plane[2 * cy..2 * cy + 2] {
+                    for (p, v) in row.as_chunks_mut::<2>().0.iter_mut().zip(c) {
+                        p[0] += v;
+                        p[1] += v;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -5,18 +5,24 @@
 //! `brick_boundary` pass — 86% of bricked applyOp time in the first
 //! sampled profile), the kernel resolves the center brick and its six face
 //! neighbors *once* per brick ([`gmg_brick::BrickFaces`]) and then streams
-//! every row of the brick with neighbor values read at fixed offsets into
-//! those seven contiguous slices. Boundary cells cost the same handful of
-//! loads as interior cells, so the separate boundary pass disappears
-//! entirely.
+//! every row of the brick with neighbor values read at fixed offsets.
+//! Boundary cells cost the same handful of loads as interior cells, so the
+//! separate boundary pass disappears entirely.
 //!
-//! The row body is one uniform loop: the ±x edge operands are chosen by an
-//! `x == 0` / `x + 1 == b` select instead of peeled pre/post scalar code.
-//! The brick dim is a compile-time constant ([`stream_star7_rows`]), so
-//! every row is computed at its full const width: LLVM unrolls it,
-//! resolves the selects statically and emits packed f64 SIMD (measured ~2×
-//! over a peeled edge/middle/edge formulation of the same arithmetic); for
-//! a full brick the row and plane loops are const too.
+//! The blocks stay types the compiler can see. [`stream_rows`] views the
+//! center brick and each face it needs as a fixed-size
+//! [`gmg_brick::Cube`] (`[[[f64; B]; B]; B]`, [`gmg_brick::cube`]): the
+//! length of each is checked once, when the view is made, and the face's
+//! `Option` is unwrapped once per brick — all six for a full brick, only
+//! those the bounds reach for a clipped one. Every row is then
+//! `&[f64; B]` at a const index, so nothing is left to check per row, and
+//! the sinks write `x`, `r` and `A·x` through views of their own bricks.
+//! The ±x edge operands are an `x == 0` / `x + 1 == B` select instead of
+//! peeled pre/post scalar code, which the const row length resolves
+//! statically: LLVM unrolls each row into packed f64 SIMD. Full bricks and
+//! bricks clipped only in x (a 2×1×1 rank grid's ghost bricks) run const
+//! `0..B` plane and row loops; bricks clipped in y or z run the same body
+//! over runtime ranges.
 //!
 //! How wide that SIMD is depends on the instruction-set tier the caller
 //! runs under ([`crate::isa`]): the row streamers here are
@@ -27,41 +33,23 @@
 //!
 //! Entry points:
 //!
-//! * [`stream_star7_rows`]`::<B>` — monomorphized for every
-//!   [`gmg_brick::BrickShape`] (1³, 2³, 4³, 8³; [`with_brick_dim`] picks
-//!   the instantiation); hands each finished row of `A·x` to a
-//!   caller-supplied sink while it is still in registers (the one-pass
-//!   smoother of `exec_fused` updates `x` and `r` from it directly).
-//!   [`stream_star7_spec`] is the sink that stores it: plain `out ← A·x`.
-//!   Every executor built on it equals [`crate::interp::run_stencil`] of
-//!   `ops::apply_op_def` bit for bit (see the executors' tests).
+//! * [`stream_rows`]`::<B>` — monomorphized for every
+//!   [`gmg_brick::BrickShape`] (1³, 2³, 4³, 8³; [`gmg_brick::with_brick_dim`]
+//!   picks the instantiation); hands each finished row of `A·x` to a
+//!   caller-supplied sink as `(z, y, &[f64; B])` while it is still in
+//!   registers (the one-pass smoother of `exec_fused` updates `x` and `r`
+//!   from it directly). [`stream_star7_spec`] is the sink that stores it:
+//!   plain `out ← A·x`. Every executor built on it equals
+//!   [`crate::interp::run_stencil`] of `ops::apply_op_def` bit for bit (see
+//!   the executors' tests).
 //!
 //! Floating-point grouping is load-bearing: every cell is evaluated as
 //! `alpha·c + beta·((xm + xp) + (ym + yp) + (zm + zp))` — the exact
 //! association the array executor and the fused multi-smooth use — so
 //! residual histories stay bit-identical across executors.
 
-use gmg_brick::BrickFaces;
+use gmg_brick::{cube, BrickFaces, Cube};
 use gmg_mesh::{Box3, Point3};
-
-/// Evaluate `$body` with the const `$b` bound to the brick dim of `$shape`
-/// (a [`gmg_brick::BrickShape`]): one monomorphized copy of the body per
-/// shape, so every bricked executor runs the const-width rows of its
-/// layout's brick dim.
-macro_rules! with_brick_dim {
-    ($shape:expr, $b:ident => $body:expr) => {
-        with_brick_dim!(@ $shape, $b => $body; B1 B2 B4 B8)
-    };
-    (@ $shape:expr, $b:ident => $body:expr; $($v:ident)*) => {
-        match $shape {
-            $(gmg_brick::BrickShape::$v => {
-                const $b: usize = gmg_brick::BrickShape::$v as usize;
-                $body
-            })*
-        }
-    };
-}
-pub(crate) use with_brick_dim;
 
 const FACE: &str = "face brick missing: caller must guarantee region.grow(1) within storage";
 
@@ -71,17 +59,16 @@ const FACE: &str = "face brick missing: caller must guarantee region.grow(1) wit
 /// long unit-stride pattern the hardware prefetcher can lock onto: each
 /// face contributes `B` short bursts (or `B²` single cells for ±x) at
 /// strides that reset every brick. Issuing explicit prefetches for those
-/// lines up front overlaps their latency with the center-plane streaming
-/// (measured ~35% off the whole-brick time at `B = 8`, grid 128³).
+/// lines up front overlaps their latency with the center-plane streaming.
 /// Values are never changed by a prefetch, so bit-identity is unaffected.
 #[inline(always)]
 fn prefetch(line: &[f64]) {
     debug_assert!(!line.is_empty());
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: `line` is a live, non-empty slice (every caller takes a
-    // subslice of a face brick, so indexing has already bounds-checked
-    // it), hence its first element's address is in bounds. `_mm_prefetch`
-    // is a hint that neither reads into the program nor faults.
+    // SAFETY: `line` is a live, non-empty slice (every caller passes a row
+    // of a face brick's view), hence its first element's address is in
+    // bounds. `_mm_prefetch` is a hint that neither reads into the program
+    // nor faults.
     unsafe {
         core::arch::x86_64::_mm_prefetch(
             line.as_ptr().cast::<i8>(),
@@ -160,175 +147,134 @@ impl RowBounds {
     }
 }
 
-/// One row of the 7-point apply:
-/// `out[x] = α·c[x] + β·((xm+xp) + (ym+yp) + (zm+zp))` for `x ∈ [x0, x1)`, where the ±x operands come from within
-/// the row except at the brick edges (`xml` / `xpr`, the adjacent cells of
-/// the ±x face bricks). The edge cases are selects, not peeled code, so
-/// with const bounds the loop unrolls branch-free.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn row7(
-    crow: &[f64],
-    ym: &[f64],
-    yp: &[f64],
-    zm: &[f64],
-    zp: &[f64],
-    xml: f64,
-    xpr: f64,
-    out: &mut [f64],
-    alpha: f64,
-    beta: f64,
-    x0: usize,
-    x1: usize,
-) {
-    let b = crow.len();
-    for x in x0..x1 {
-        let l = if x == 0 { xml } else { crow[x - 1] };
-        let r = if x + 1 == b { xpr } else { crow[x + 1] };
-        out[x] = alpha * crow[x] + beta * ((l + r) + (ym[x] + yp[x]) + (zm[x] + zp[x]));
-    }
+/// A brick's six face neighbors as views. A face the caller's bounds do
+/// not reach may be missing from storage; it reads as zeros instead, and
+/// only into cells outside the bounds, which the sinks discard.
+struct FaceCubes<'a, const B: usize> {
+    xm: &'a Cube<B>,
+    xp: &'a Cube<B>,
+    ym: &'a Cube<B>,
+    yp: &'a Cube<B>,
+    zm: &'a Cube<B>,
+    zp: &'a Cube<B>,
 }
 
-/// Const-dim row streamer: computes `A·x` for rows `zs × ys` of the brick
-/// at their full const width `B` — so the row loop unrolls completely and
-/// LLVM emits packed SIMD — and hands each finished row (its offset into
-/// the brick and its `B` values, still in registers) to `sink`. The ±x
-/// face operands are read only when the caller's bounds reach that brick
-/// edge (`edge_xm` / `edge_xp`); otherwise the edge cells of the row see
-/// `0.0` and the caller discards them. The `.expect()`s never fire under
-/// the validity precondition (`region.grow(1)` inside the storage cell
-/// box): a missing face is only dereferenced for rows whose neighbor row
-/// would lie outside storage.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn stream_rows<const B: usize>(
-    faces: &BrickFaces<'_>,
-    alpha: f64,
-    beta: f64,
-    zs: std::ops::Range<usize>,
-    ys: std::ops::Range<usize>,
-    edge_xm: bool,
-    edge_xp: bool,
-    mut sink: impl FnMut(usize, &[f64; B]),
-) {
-    let c = faces.center;
-    for lz in zs {
-        let plane = lz * B * B;
-        let zm: &[f64] = if lz > 0 {
-            &c[plane - B * B..plane]
-        } else {
-            &faces.zm.expect(FACE)[(B - 1) * B * B..]
+impl<'a, const B: usize> FaceCubes<'a, B> {
+    /// View the faces `rb` reaches, each unwrapped once: all six for a full
+    /// brick. A reached face is missing only when the caller broke the
+    /// validity precondition (`region.grow(1)` inside the storage cell box).
+    #[inline(always)]
+    fn reached(faces: &BrickFaces<'a>, rb: &RowBounds) -> Self {
+        let zero: &'a Cube<B> = const { &[[[0.0; B]; B]; B] };
+        let view = |reached: bool, face: Option<&'a [f64]>| {
+            if reached {
+                cube::<B>(face.expect(FACE))
+            } else {
+                zero
+            }
         };
-        let zp: &[f64] = if lz + 1 < B {
-            &c[plane + B * B..]
-        } else {
-            faces.zp.expect(FACE)
-        };
-        for ly in ys.clone() {
-            let row = plane + ly * B;
-            let ym: &[f64] = if ly > 0 {
-                &c[row - B..row]
-            } else {
-                &faces.ym.expect(FACE)[row + (B - 1) * B..][..B]
-            };
-            let yp: &[f64] = if ly + 1 < B {
-                &c[row + B..row + 2 * B]
-            } else {
-                &faces.yp.expect(FACE)[plane..][..B]
-            };
-            let (zm, zp) = (&zm[ly * B..][..B], &zp[ly * B..][..B]);
-            let xml = if edge_xm {
-                faces.xm.expect(FACE)[row + B - 1]
-            } else {
-                0.0
-            };
-            let xpr = if edge_xp {
-                faces.xp.expect(FACE)[row]
-            } else {
-                0.0
-            };
-            let mut ax = [0.0; B];
-            let crow = &c[row..row + B];
-            row7(crow, ym, yp, zm, zp, xml, xpr, &mut ax, alpha, beta, 0, B);
-            sink(row, &ax);
+        FaceCubes {
+            xm: view(rb.x0 == 0, faces.xm),
+            xp: view(rb.x1 == B, faces.xp),
+            ym: view(rb.y0 == 0, faces.ym),
+            yp: view(rb.y1 == B, faces.yp),
+            zm: view(rb.z0 == 0, faces.zm),
+            zp: view(rb.z1 == B, faces.zp),
+        }
+    }
+
+    /// Touch every cross-brick line a whole-brick update will read before
+    /// streaming it: one ±y row per z-plane, the ±z contact planes, and
+    /// the per-row ±x edge cells.
+    #[inline(always)]
+    fn prefetch(&self) {
+        for z in 0..B {
+            prefetch(&self.ym[z][B - 1]);
+            prefetch(&self.yp[z][0]);
+            for y in 0..B {
+                prefetch(&self.xm[z][y][B - 1..]);
+                prefetch(&self.xp[z][y]);
+            }
+        }
+        let rows_per_line = 64 / core::mem::size_of::<[f64; B]>();
+        for y in (0..B).step_by(rows_per_line.max(1)) {
+            prefetch(&self.zm[B - 1][y]);
+            prefetch(&self.zp[0][y]);
         }
     }
 }
 
-/// Touch every cross-brick line a whole-brick update will read before
-/// streaming it: one ±y row per z-plane, the ±z contact planes, and the
-/// per-row ±x edge cells (all six faces exist for a full brick under the
-/// caller's `region.grow(1)` validity precondition).
+/// The row streamer of every bricked star-7 executor: computes `A·x` for
+/// the rows of the brick `rb` bounds, each at its full const width `B`,
+/// and hands each finished row (its plane `z`, its row `y` and its `B`
+/// values, still in registers) to `sink`. The cells of a row outside
+/// `rb`'s x bounds are computed from zeros where their ±x face is not
+/// reached: the sink discards them.
+///
+/// Full bricks (the common case for brick-aligned regions) prefetch their
+/// faces and, like bricks clipped in x only, run with every loop bound the
+/// const `B`, fully unrolled; bricks clipped in y or z run the same rows
+/// over runtime bounds. Both evaluate the identical expression per cell,
+/// so the split is invisible in the output.
 #[inline(always)]
-fn prefetch_faces<const B: usize>(faces: &BrickFaces<'_>) {
-    let xm = faces.xm.expect(FACE);
-    let xp = faces.xp.expect(FACE);
-    let ymf = faces.ym.expect(FACE);
-    let ypf = faces.yp.expect(FACE);
-    let zmf = faces.zm.expect(FACE);
-    let zpf = faces.zp.expect(FACE);
-    for lz in 0..B {
-        prefetch(&ymf[(lz * B + (B - 1)) * B..]);
-        prefetch(&ypf[lz * B * B..]);
-        for ly in 0..B {
-            let row = (lz * B + ly) * B;
-            prefetch(&xm[row + B - 1..]);
-            prefetch(&xp[row..]);
-        }
-    }
-    let line = 64 / core::mem::size_of::<f64>();
-    for i in (0..B * B).step_by(line.min(B * B)) {
-        prefetch(&zmf[(B - 1) * B * B + i..]);
-        prefetch(&zpf[i..]);
-    }
-}
-
-/// Monomorphized brick streamer: `sink(row, xs, ax)` receives every
-/// in-bounds row's offset into the brick, its in-bounds cell range and
-/// its `A·x`. Full bricks (the common case for brick-aligned regions) run
-/// with every loop bound the const `B`, fully unrolled, after prefetching
-/// their faces; clipped bricks run the same rows over runtime y/z bounds.
-/// Both evaluate the identical expression per cell, so the split is
-/// invisible in the output.
-#[inline(always)]
-pub(crate) fn stream_star7_rows<const B: usize>(
+pub(crate) fn stream_rows<const B: usize>(
     faces: &BrickFaces<'_>,
     alpha: f64,
     beta: f64,
     rb: &RowBounds,
-    mut sink: impl FnMut(usize, std::ops::Range<usize>, &[f64; B]),
+    sink: impl FnMut(usize, usize, &[f64; B]),
 ) {
-    if rb.is_full(B) {
-        prefetch_faces::<B>(faces);
-        stream_rows::<B>(
-            faces,
-            alpha,
-            beta,
-            0..B,
-            0..B,
-            true,
-            true,
-            #[inline(always)]
-            |row, ax| sink(row, 0..B, ax),
-        );
+    let c = cube::<B>(faces.center);
+    let f = FaceCubes::<B>::reached(faces, rb);
+    if rb.y0 == 0 && rb.y1 == B && rb.z0 == 0 && rb.z1 == B {
+        if rb.is_full(B) {
+            f.prefetch();
+        }
+        rows(c, &f, alpha, beta, 0..B, 0..B, sink);
     } else {
-        let (x0, x1) = (rb.x0, rb.x1);
-        let (zs, ys) = (rb.z0..rb.z1, rb.y0..rb.y1);
-        stream_rows::<B>(
-            faces,
-            alpha,
-            beta,
-            zs,
-            ys,
-            x0 == 0,
-            x1 == B,
-            #[inline(always)]
-            |row, ax| sink(row, x0..x1, ax),
-        );
+        rows(c, &f, alpha, beta, rb.z0..rb.z1, rb.y0..rb.y1, sink);
     }
 }
 
-/// Monomorphized `out ← A·x` over `rb` (see [`stream_star7_rows`]).
+/// The rows `zs × ys` of [`stream_rows`]: per cell,
+/// `α·c + β·((l + r) + (ym + yp) + (zm + zp))`, where the ±x operands come
+/// from within the row except at the brick edges (the adjacent cells of
+/// the ±x faces). The edge cases are selects, not peeled code, so with
+/// const bounds the row unrolls branch-free.
+#[inline(always)]
+fn rows<const B: usize>(
+    c: &Cube<B>,
+    f: &FaceCubes<'_, B>,
+    alpha: f64,
+    beta: f64,
+    zs: std::ops::Range<usize>,
+    ys: std::ops::Range<usize>,
+    mut sink: impl FnMut(usize, usize, &[f64; B]),
+) {
+    for z in zs {
+        let below = if z > 0 { &c[z - 1] } else { &f.zm[B - 1] };
+        let above = if z + 1 < B { &c[z + 1] } else { &f.zp[0] };
+        for y in ys.clone() {
+            let row = &c[z][y];
+            let ym = if y > 0 { &c[z][y - 1] } else { &f.ym[z][B - 1] };
+            let yp = if y + 1 < B { &c[z][y + 1] } else { &f.yp[z][0] };
+            let (zm, zp) = (&below[y], &above[y]);
+            let (xml, xpr) = (f.xm[z][y][B - 1], f.xp[z][y][0]);
+            let mut ax = [0.0; B];
+            for x in 0..B {
+                let l = if x == 0 { xml } else { row[x - 1] };
+                let r = if x + 1 == B { xpr } else { row[x + 1] };
+                ax[x] = alpha * row[x] + beta * ((l + r) + (ym[x] + yp[x]) + (zm[x] + zp[x]));
+            }
+            sink(z, y, &ax);
+        }
+    }
+}
+
+/// Monomorphized `out ← A·x` over `rb` (see [`stream_rows`]). A row
+/// keeps the old value of every cell outside `rb`'s x bounds; a
+/// whole-width brick passes the constant all-covered mask, so its rows are
+/// plain const-width stores.
 #[inline(always)]
 pub(crate) fn stream_star7_spec<const B: usize>(
     faces: &BrickFaces<'_>,
@@ -337,16 +283,33 @@ pub(crate) fn stream_star7_spec<const B: usize>(
     beta: f64,
     rb: &RowBounds,
 ) {
-    stream_star7_rows::<B>(
+    let out = gmg_brick::cube_mut::<B>(out);
+    if rb.x0 == 0 && rb.x1 == B {
+        store_rows::<B>(faces, out, alpha, beta, rb, &[true; B]);
+    } else {
+        let covered = std::array::from_fn(|x| (rb.x0..rb.x1).contains(&x));
+        store_rows::<B>(faces, out, alpha, beta, rb, &covered);
+    }
+}
+
+#[inline(always)]
+fn store_rows<const B: usize>(
+    faces: &BrickFaces<'_>,
+    out: &mut Cube<B>,
+    alpha: f64,
+    beta: f64,
+    rb: &RowBounds,
+    covered: &[bool; B],
+) {
+    stream_rows::<B>(
         faces,
         alpha,
         beta,
         rb,
         #[inline(always)]
-        |row, xs, ax| {
-            let out = &mut out[row..row + B];
-            for x in xs {
-                out[x] = ax[x];
+        |z, y, ax| {
+            for (x, o) in out[z][y].iter_mut().enumerate() {
+                *o = if covered[x] { ax[x] } else { *o };
             }
         },
     );

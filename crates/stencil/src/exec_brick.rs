@@ -2,9 +2,10 @@
 //!
 //! The fast 7-point kernel here is the moral equivalent of BrickLib's
 //! generated GPU code: every brick is streamed row-by-row over its
-//! contiguous storage with neighbor values read at fixed offsets into the
-//! seven per-brick face slices resolved once up front
-//! ([`gmg_brick::BrickFaces`]) — no per-point adjacency lookups anywhere,
+//! contiguous storage with neighbor values read at const indices into the
+//! brick and its six face neighbors, each resolved once up front
+//! ([`gmg_brick::BrickFaces`]) and viewed as a fixed-size
+//! [`gmg_brick::Cube`] — no per-point adjacency lookups anywhere,
 //! and the inner kernel is monomorphized per [`gmg_brick::BrickShape`]
 //! (see `brick_rows`): a layout whose brick dim has no shape is refused.
 //! Both the apply and the residual norms run at the instruction-set tier
@@ -13,9 +14,9 @@
 //! [`crate::interp::run_stencil`], which the fast kernel equals bit for
 //! bit.
 
-use crate::brick_rows::{stream_star7_rows, stream_star7_spec, with_brick_dim, RowBounds};
+use crate::brick_rows::{stream_rows, stream_star7_spec, RowBounds};
 use crate::isa::Isa;
-use gmg_brick::{BrickFaces, BrickedField};
+use gmg_brick::{cube, with_brick_dim, BrickFaces, BrickedField, Cube};
 use gmg_mesh::Box3;
 
 /// Fast 7-point constant-coefficient apply over bricks:
@@ -25,10 +26,10 @@ use gmg_mesh::Box3;
 /// ghost shell on a halo axis, across the seam on a wrapped one.
 ///
 /// Every brick — full or clipped by the region — runs the row-streamed
-/// kernel of `brick_rows`: the six face-neighbor base slices are
-/// resolved once per brick, so boundary cells stream at the same cost as
-/// interior cells and the old per-cell `brick_boundary` adjacency pass no
-/// longer exists. The inner kernel is monomorphized per
+/// kernel of `brick_rows`: the brick and its six face neighbors are
+/// resolved and viewed once per brick, so boundary cells stream at the
+/// same cost as interior cells and the old per-cell `brick_boundary`
+/// adjacency pass no longer exists. The inner kernel is monomorphized per
 /// [`gmg_brick::BrickShape`]; a brick dim without one panics.
 pub fn apply_star7_bricked(
     dst: &mut BrickedField,
@@ -145,7 +146,9 @@ fn fold_norms(a: (f64, f64, f64), b: (f64, f64, f64)) -> (f64, f64, f64) {
 
 /// One const-dim brick of [`residual_norms_bricked`]: every x-lane of the
 /// rows accumulates on its own (so the reduction vectorizes), then the
-/// lanes fold in x order.
+/// lanes fold in x order. A brick clipped in x folds the identity into the
+/// lanes its rows do not cover; a whole-width brick passes the constant
+/// all-covered mask, so its rows carry no select.
 #[inline(always)]
 fn norms_brick<const B: usize>(
     faces: &BrickFaces<'_>,
@@ -154,23 +157,43 @@ fn norms_brick<const B: usize>(
     beta: f64,
     rb: &RowBounds,
 ) -> (f64, f64, f64) {
-    let mut lanes = [NORMS_ZERO; B];
-    stream_star7_rows::<B>(
+    let b = cube::<B>(b);
+    if rb.x0 == 0 && rb.x1 == B {
+        norms_rows::<B>(faces, b, alpha, beta, rb, &[true; B])
+    } else {
+        let covered = std::array::from_fn(|x| (rb.x0..rb.x1).contains(&x));
+        norms_rows::<B>(faces, b, alpha, beta, rb, &covered)
+    }
+}
+
+#[inline(always)]
+fn norms_rows<const B: usize>(
+    faces: &BrickFaces<'_>,
+    b: &Cube<B>,
+    alpha: f64,
+    beta: f64,
+    rb: &RowBounds,
+    covered: &[bool; B],
+) -> (f64, f64, f64) {
+    // The lanes' three partials as three arrays, so each is one vector.
+    let (mut max, mut sq, mut sum) = ([0.0f64; B], [0.0; B], [0.0; B]);
+    stream_rows::<B>(
         faces,
         alpha,
         beta,
         rb,
         #[inline(always)]
-        |row, xs, ax| {
-            let b = &b[row..row + B];
+        |z, y, ax| {
+            let b = &b[z][y];
             for x in 0..B {
-                // A lane the clipped row does not cover adds the identity.
-                let v = if xs.contains(&x) { b[x] - ax[x] } else { 0.0 };
-                lanes[x] = fold_norms(lanes[x], norms_of(v));
+                let v = if covered[x] { b[x] - ax[x] } else { 0.0 };
+                (max[x], sq[x], sum[x]) = fold_norms((max[x], sq[x], sum[x]), norms_of(v));
             }
         },
     );
-    lanes.into_iter().fold(NORMS_ZERO, fold_norms)
+    (0..B).fold(NORMS_ZERO, |acc, x| {
+        fold_norms(acc, (max[x], sq[x], sum[x]))
+    })
 }
 
 /// Pointwise update with one mutable field and two read fields (all

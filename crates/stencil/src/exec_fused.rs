@@ -35,8 +35,8 @@
 //! double per point), or restricted as it goes (`Restrict`, paper
 //! Algorithm 2 line 7). A restricting iteration runs over whole owned
 //! bricks — the end of a solver pass, where the margin is 0 — and each
-//! fine brick, once streamed, folds its residuals (staged in an
-//! L1-resident brick scratch) into the octant of the coarse brick it
+//! fine brick, once streamed, folds its residuals (staged in a brick
+//! array on the stack, `Cube<B>`) into the octant of the coarse brick it
 //! covers: every coarse cell from `0.0`, its rows in `z → y` order,
 //! `(s + r[2i]) + r[2i+1]` within a row, then `× 0.125`. That is
 //! `restriction`'s `dz → dy → dx` fold, so the coarse right-hand side is
@@ -49,9 +49,9 @@
 //! an 8³ brick row is one `zmm` register where the CPU has AVX-512 — with
 //! the same bits as the baseline build (see [`crate::isa`]).
 
-use crate::brick_rows::{stream_star7_rows, with_brick_dim, RowBounds};
+use crate::brick_rows::{stream_rows, RowBounds};
 use crate::isa::Isa;
-use gmg_brick::{BrickFaces, BrickedField};
+use gmg_brick::{cube, cube_mut, with_brick_dim, BrickFaces, BrickedField, Cube};
 use gmg_mesh::{Box3, Point3};
 use std::sync::Arc;
 
@@ -100,77 +100,14 @@ pub enum ResidualSink<'a> {
     Restrict(&'a mut BrickedField),
 }
 
-/// The `Restrict` sink of one pass, one whole fine brick at a time: the
-/// brick's residual rows are stored into a brick-sized scratch
-/// (L1-resident) exactly as `Store` stores them into `r`; once the brick is
-/// done, each coarse cell of the octant it covers is folded from `0.0` —
-/// its `(dz, dy)` rows in order, `(s + r[2i]) + r[2i+1]` within a row —
-/// scaled by `0.125` and stored. The fold runs a coarse plane at a time, so
-/// its `h²` add chains (`h` = half the brick dim) are in flight together
-/// rather than one row's behind the stencil.
-struct BrickRestrictor {
-    res: Vec<f64>,
-    plane: Vec<f64>,
-    bd: usize,
-}
-
-impl BrickRestrictor {
-    fn new(bd: usize) -> Self {
-        let h = bd / 2;
-        BrickRestrictor {
-            res: vec![0.0; bd * bd * bd],
-            plane: vec![0.0; h * h],
-            bd,
-        }
-    }
-
-    /// Fold the staged brick into its octant at offset `off` of the coarse
-    /// brick `out` (side `bc`).
-    #[inline(always)]
-    fn finish(&mut self, out: &mut [f64], off: usize, bc: usize) {
-        // Literal dims, so the inlined loops unroll at the solver's sizes.
-        match self.bd {
-            4 => self.fold(4, out, off, bc),
-            8 => self.fold(8, out, off, bc),
-            bd => self.fold(bd, out, off, bc),
-        }
-    }
-
-    #[inline(always)]
-    fn fold(&mut self, bd: usize, out: &mut [f64], off: usize, bc: usize) {
-        let h = bd / 2;
-        let plane = &mut self.plane[..h * h];
-        for cz in 0..h {
-            plane.fill(0.0);
-            for dz in 0..2 {
-                for dy in 0..2 {
-                    for cy in 0..h {
-                        let r = ((2 * cz + dz) * bd + 2 * cy + dy) * bd;
-                        let row = &self.res[r..r + bd];
-                        let acc = &mut plane[cy * h..cy * h + h];
-                        for (s, p) in acc.iter_mut().zip(row.chunks_exact(2)) {
-                            *s = (*s + p[0]) + p[1];
-                        }
-                    }
-                }
-            }
-            for (cy, sums) in plane.chunks_exact(h).enumerate() {
-                let o = off + (cz * bc + cy) * bc;
-                for (v, s) in out[o..o + h].iter_mut().zip(sums) {
-                    *v = *s * 0.125;
-                }
-            }
-        }
-    }
-}
-
 /// One iteration of the schedule, out of place: the cells of `rk` are
 /// written to `dst` as `src + γ(A·src − b)` (and the residual `b − A·src`
 /// handed to `sink`), brick by brick over the bricks that meet `rk`. The
 /// cells of a clipped brick outside it are read by no later iteration:
-/// what lands there is unspecified. Inlined into each tier's trampoline.
+/// what lands there is unspecified. Inlined into each tier's trampoline,
+/// once per brick width.
 #[inline(always)]
-fn jacobi_pass(
+fn jacobi_pass<const B: usize>(
     dst: &mut BrickedField,
     src: &BrickedField,
     b: &BrickedField,
@@ -179,35 +116,62 @@ fn jacobi_pass(
     rk: Box3,
 ) {
     let layout = src.layout().clone();
-    let bd = layout.brick_dim() as usize;
-    let shape = layout.shape();
-    let mut restrictor = match sink {
-        Some(ResidualSink::Restrict(_)) => Some(BrickRestrictor::new(bd)),
-        _ => None,
-    };
+    // The `Restrict` sink stages each fine brick's residual rows here
+    // (on the stack) exactly as `Store` stores them into `r`, then folds
+    // the brick into the octant of the coarse brick it covers.
+    let mut staged: Cube<B> = [[[0.0; B]; B]; B];
     for (slot, sub) in layout.slots_intersecting(rk) {
         let lo = layout.cells_of_slot(slot).lo;
         let rb = RowBounds::within(sub, lo);
         let faces = BrickFaces::new(src, slot);
-        let bb = b.brick(slot);
-        let new = dst.brick_mut(slot);
-        // Where this brick's residual rows go: its bricks of `r`, or the
-        // restrictor's scratch.
+        let bb = cube::<B>(b.brick(slot));
+        let new = cube_mut::<B>(dst.brick_mut(slot));
+        // Where this brick's residual rows go: its brick of `r`, or the
+        // staging brick.
         let r = match sink.as_deref_mut() {
-            Some(ResidualSink::Store(r)) => Some(r.brick_mut(slot)),
-            Some(ResidualSink::Restrict(_)) => restrictor.as_mut().map(|t| &mut t.res[..]),
+            Some(ResidualSink::Store(r)) => Some(cube_mut::<B>(r.brick_mut(slot))),
+            Some(ResidualSink::Restrict(_)) => Some(&mut staged),
             None => None,
         };
-        with_brick_dim!(shape, B => smooth_brick::<B>(&faces, new, r, bb, coef, &rb));
-        if let (Some(ResidualSink::Restrict(cb)), Some(restrictor)) =
-            (sink.as_deref_mut(), restrictor.as_mut())
-        {
+        smooth_brick::<B>(&faces, new, r, bb, coef, &rb);
+        if let Some(ResidualSink::Restrict(cb)) = sink.as_deref_mut() {
             let (cslot, off) = cb
                 .layout()
                 .locate(lo.div_floor(Point3::splat(2)))
                 .expect("coarse b covers the coarsened owned box");
             let bc = cb.layout().brick_dim() as usize;
-            restrictor.finish(cb.brick_mut(cslot), off, bc);
+            fold::<B>(&staged, cb.brick_mut(cslot), off, bc);
+        }
+    }
+}
+
+/// Fold a staged fine brick into its octant at offset `off` of the coarse
+/// brick `out` (side `bc`): each coarse cell from `0.0`, its `(dz, dy)`
+/// rows in order, `(s + r[2i]) + r[2i+1]` within a row, then `× 0.125`.
+/// The fold runs a coarse plane at a time, so its `h²` add chains (`h` =
+/// `B / 2`) are in flight together rather than one row's behind the
+/// stencil.
+#[inline(always)]
+fn fold<const B: usize>(res: &Cube<B>, out: &mut [f64], off: usize, bc: usize) {
+    let h = B / 2;
+    for cz in 0..h {
+        // The plane's `h × h` sums: the first `h` lanes of the first `h` rows.
+        let mut plane = [[0.0; B]; B];
+        for dz in 0..2 {
+            for dy in 0..2 {
+                for cy in 0..h {
+                    let pairs = res[2 * cz + dz][2 * cy + dy].as_chunks::<2>().0;
+                    for (s, p) in plane[cy].iter_mut().zip(pairs) {
+                        *s = (*s + p[0]) + p[1];
+                    }
+                }
+            }
+        }
+        for (cy, sums) in plane[..h].iter().enumerate() {
+            let o = off + (cz * bc + cy) * bc;
+            for (v, s) in out[o..o + h].iter_mut().zip(sums) {
+                *v = s * 0.125;
+            }
         }
     }
 }
@@ -219,21 +183,21 @@ fn jacobi_pass(
 #[inline(always)]
 fn smooth_brick<const B: usize>(
     faces: &BrickFaces<'_>,
-    new: &mut [f64],
-    mut r: Option<&mut [f64]>,
-    b: &[f64],
+    new: &mut Cube<B>,
+    mut r: Option<&mut Cube<B>>,
+    b: &Cube<B>,
     (alpha, beta, gamma): (f64, f64, f64),
     rb: &RowBounds,
 ) {
-    let old = faces.center;
-    stream_star7_rows::<B>(
+    let old = cube::<B>(faces.center);
+    stream_rows::<B>(
         faces,
         alpha,
         beta,
         rb,
         #[inline(always)]
-        |row, _, ax| {
-            let (new, old, b) = (&mut new[row..row + B], &old[row..row + B], &b[row..row + B]);
+        |z, y, ax| {
+            let (old, b) = (&old[z][y], &b[z][y]);
             // Whole rows into locals first — stores through `new`/`r` between
             // the loads would keep LLVM from vectorizing the arithmetic — then
             // one const-width store each. The cells of a clipped row outside
@@ -244,9 +208,9 @@ fn smooth_brick<const B: usize>(
                 res[x] = b[x] - ax[x];
                 upd[x] = old[x] + gamma * (ax[x] - b[x]);
             }
-            new.copy_from_slice(&upd);
+            new[z][y] = upd;
             if let Some(r) = r.as_deref_mut() {
-                r[row..row + B].copy_from_slice(&res);
+                r[z][y] = res;
             }
         },
     );
@@ -336,7 +300,7 @@ pub(crate) fn fused_multismooth_on(
         let out = sink.as_mut().filter(|_| k + 1 == s);
         isa.run(
             #[inline(always)]
-            || jacobi_pass(y, x, b, out, coef, rk),
+            || with_brick_dim!(layout.shape(), B => jacobi_pass::<B>(y, x, b, out, coef, rk)),
         );
         std::mem::swap(x, y);
         points += rk.volume() as u64;
