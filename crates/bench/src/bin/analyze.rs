@@ -1,58 +1,17 @@
-//! Trace-analysis report: critical path, imbalance, roofline, diffing.
-//!
-//! ```text
-//! cargo run --release -p gmg-bench --bin analyze               # traced 2-rank solve
-//!   --trace <file>            analyze an existing Chrome trace JSON
-//!   --diff <a> <b>            compare two traces or two bench/BENCH_<n>.json entries
-//!   --inject-slowdown OP:PCT  scale one op's durations before analyzing
-//!   --min-coverage <pct>      exit 2 below this critical-path coverage (default 95)
-//!   --threshold <pct>         diff regression threshold (default 10)
-//! ```
+//! Trace-analysis report: critical path, wait states, imbalance,
+//! roofline, a failure dump's verdict, diffing. The flags are listed in
+//! `gmg_bench::analyze`; a bad one exits 2 with a message.
 
 use gmg_bench::analyze::{run, AnalyzeOpts};
 
 fn main() {
-    let mut opts = AnalyzeOpts::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--trace" => {
-                opts.trace_path = Some(args.next().expect("--trace needs a path").into());
-            }
-            "--diff" => {
-                let a = args.next().expect("--diff needs two paths");
-                let b = args.next().expect("--diff needs two paths");
-                opts.diff = Some((a.into(), b.into()));
-            }
-            "--inject-slowdown" => {
-                let spec = args.next().expect("--inject-slowdown needs OP:PCT");
-                let (op, pct) = spec
-                    .rsplit_once(':')
-                    .expect("--inject-slowdown needs OP:PCT");
-                let pct: f64 = pct.parse().expect("--inject-slowdown PCT must be numeric");
-                opts.inject_slowdown = Some((op.to_string(), pct));
-            }
-            "--min-coverage" => {
-                opts.min_coverage_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--min-coverage needs a number");
-            }
-            "--threshold" => {
-                opts.threshold_pct = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threshold needs a number");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    // `GMG_TRACE` is left out: it is this harness's *export* channel
-    // (the analyzed — possibly injection-scaled — trace); an outer
-    // capture would overwrite it with a trace of the analyzer.
+    let opts = AnalyzeOpts::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("analyze: {e}");
+        std::process::exit(2);
+    });
+    // `GMG_TRACE` is left out: it is where this harness saves its own
+    // (possibly injection-scaled) capture of the solve; an outer capture
+    // would overwrite it with a capture of the analyzer.
     let hooks = gmg_trace::ObsConfig {
         trace: None,
         ..gmg_trace::ObsConfig::from_env()

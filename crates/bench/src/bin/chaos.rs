@@ -4,9 +4,11 @@
 //! `--transport process` reruns the campaign with every rank as a real OS
 //! process over the UDS datagram transport; add `--kill-process R` to
 //! SIGKILL rank R mid-solve and demonstrate checkpoint-based rejoin (the
-//! merged flight dump's `postmortem.md` names the culprit).
-//! Set `GMG_TRACE=<path>` to also capture a Perfetto trace of the run
-//! (fault and recovery events appear on the dedicated fault track).
+//! merged flight dump's `analyze_report.md` names the culprit). Each kill
+//! leg's dump is analyzed in place; `chaos.json` names it under
+//! `kill.forensics.dump_dir`.
+//! Set `GMG_TRACE=<dir>` to also save a capture of the run there (fault
+//! and recovery events appear on the dedicated fault track).
 fn main() {
     // If this process was spawned as a rank of a multi-process world,
     // run that rank's entry and exit — never returns in a child.

@@ -11,7 +11,10 @@
 //!    repaired by rollback recovery; the solve still converges.
 //! 3. **Graceful structured failure** — a rank killed mid-exchange must
 //!    surface as a [`WorldFailure`] listing every affected rank, with no
-//!    panic reaching the caller.
+//!    panic reaching the caller, and the flight dump the world leaves must
+//!    name the killed rank: analyzed in place (`analyze::analyze_dump`),
+//!    its verdict blames the victim with ≥ 90 % of the wait time
+//!    classified.
 //!
 //! Run: `cargo run --release -p gmg-bench --bin chaos -- --seed N`.
 
@@ -23,6 +26,7 @@ use gmg_core::solver::{GmgSolver, SolveStats, SolverConfig};
 use gmg_core::RecoveryPolicy;
 use gmg_mesh::{Box3, Decomposition, Point3};
 use gmg_trace::{json, Json};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 const N: i64 = 16;
@@ -184,23 +188,61 @@ fn recovery_run(seed: u64, arq: &mut [ArqStats]) -> Json {
     }
 }
 
-/// The seeded kill of the chaos campaign and the postmortem: rank
-/// `seed % 8` dies at op `40 + seed % 29`, inside the first cycle's
-/// exchanges, under timeouts tight enough that its peers discover the
-/// death quickly. Returns the plan, the victim and its op.
-pub(crate) fn seeded_kill(seed: u64) -> (FaultPlan, usize, u64) {
-    let (victim, at_op) = ((seed % 8) as usize, 40 + seed % 29);
-    let mut plan = FaultPlan::new(FaultConfig::kill_rank(victim, at_op), seed);
-    plan.retry.op_timeout = Duration::from_millis(500);
-    plan.retry.max_attempts = 6;
-    (plan, victim, at_op)
+/// Analyze the dump a kill left, in place ([`crate::analyze::analyze_dump`]),
+/// and say whether its verdict names `victim`: as the culprit it finds
+/// from the trace, or — with `cause`, when the caller killed the rank
+/// itself — as the culprit it is told. Carries the dump, the report and
+/// the numbers the report leads with.
+fn forensics(dump: Option<&Path>, victim: usize, cause: Option<&str>) -> Json {
+    let known = cause.map(|c| (victim, c));
+    let analyzed = match dump {
+        Some(dir) => crate::analyze::analyze_dump(dir, known).map(|a| (dir, a)),
+        None => Err("the world left no flight dump".to_string()),
+    };
+    let (dir, analysis) = match analyzed {
+        Ok(found) => found,
+        Err(e) => {
+            println!("  forensics: {e}");
+            return json!({ "culprit_named": false, "error": e });
+        }
+    };
+    let report = dir.join("analyze_report.md");
+    let culprit = analysis.verdict.as_ref().map_or(-1, |v| v.culprit as i64);
+    let named = culprit == victim as i64
+        && std::fs::read_to_string(&report)
+            .is_ok_and(|md| md.contains(&format!("Culprit: rank {victim}")));
+    let waits = &analysis.waits;
+    let classified = waits.total.classified_fraction();
+    println!(
+        "  forensics: culprit rank {culprit} (named={named}), {:.1}% of waits classified, {} message \
+         edges, path coverage {:.1}% → {report:?}",
+        100.0 * classified,
+        waits.joined,
+        100.0 * analysis.path.coverage,
+    );
+    json!({
+        "dump_dir": dir.display().to_string(),
+        "report": report.display().to_string(),
+        "trace": dir.join("trace.json").display().to_string(),
+        "culprit_rank": culprit,
+        "culprit_named": named,
+        "classified_fraction": classified,
+        "message_edges": waits.joined,
+        "path_coverage": analysis.path.coverage,
+    })
 }
 
 /// The graceful-failure demonstration: kill one rank mid-exchange and show
 /// the world reports a structured [`WorldFailure`] instead of hanging or
-/// propagating a bare panic.
-pub(crate) fn kill_run(seed: u64) -> Json {
-    let (plan, victim, at_op) = seeded_kill(seed);
+/// propagating a bare panic, and leaves a dump whose analysis blames the
+/// killed rank with ≥ 90 % of the wait time classified. Rank `seed % 8`
+/// dies at op `40 + seed % 29`, inside the first cycle's exchanges, under
+/// timeouts tight enough that its peers discover the death quickly.
+fn kill_run(seed: u64) -> Json {
+    let (victim, at_op) = ((seed % 8) as usize, 40 + seed % 29);
+    let mut plan = FaultPlan::new(FaultConfig::kill_rank(victim, at_op), seed);
+    plan.retry.op_timeout = Duration::from_millis(500);
+    plan.retry.max_attempts = 6;
     let outcome = faulted_solve(&plan, chaos_solver_config());
     match outcome {
         Ok(_) => {
@@ -216,11 +258,15 @@ pub(crate) fn kill_run(seed: u64) -> Json {
                 f.failures.len(),
                 f.nranks
             );
+            let forensics = forensics(f.flight_dump.as_deref(), victim, None);
+            let classified = forensics["classified_fraction"].as_f64().unwrap_or(0.0);
+            let forensics_ok = forensics["culprit_named"] == true && classified >= 0.9;
             json!({
                 "seed": seed, "victim": victim, "at_op": at_op,
                 "structured_failure": true, "failed_ranks": ranks,
                 "killed_rank_reported": killed_reported,
                 "report": f.to_string(),
+                "forensics": forensics, "forensics_ok": forensics_ok,
             })
         }
     }
@@ -270,7 +316,9 @@ pub fn run_with_seed(seed: u64) -> Json {
 
     println!("\ngraceful failure (rank killed mid-exchange):");
     let kill = kill_run(seed);
-    let kill_ok = kill["structured_failure"] == true && kill["killed_rank_reported"] == true;
+    let kill_ok = kill["structured_failure"] == true
+        && kill["killed_rank_reported"] == true
+        && kill["forensics_ok"] == true;
 
     let mut arq_total = ArqStats::default();
     for a in &arq {
@@ -281,7 +329,7 @@ pub fn run_with_seed(seed: u64) -> Json {
 
     let ok = sweep_ok && recovery_ok && kill_ok;
     println!(
-        "\nchaos verdict: transport={} recovery={} kill-report={} → {}",
+        "\nchaos verdict: transport={} recovery={} kill-report+forensics={} → {}",
         sweep_ok,
         recovery_ok,
         kill_ok,
@@ -387,8 +435,8 @@ fn parse_elastic(result: &str) -> ElasticResult {
 /// packet loss at rate `loss` the ARQ layer must absorb, optionally
 /// SIGKILLing `kill` once its reported progress passes V-cycle 3.
 /// Verifies the per-rank histories against the thread-transport
-/// `baseline` bit-for-bit, and for a kill run writes the merged flight
-/// dump's postmortem naming the victim. A fault-free leg (`loss == 0`)
+/// `baseline` bit-for-bit, and for a kill run analyzes the merged flight
+/// dump, whose verdict must name the victim. A fault-free leg (`loss == 0`)
 /// must also be nearly retransmission-free: with nothing lost, every
 /// retransmission is the timer mistaking a busy peer for a lossy link.
 #[cfg(unix)]
@@ -436,24 +484,22 @@ fn process_leg(
         && epochs.iter().all(|&e| e == 1);
     let clean = kill.is_none() && report.rejoins.is_empty() && epochs.iter().all(|&e| e == 0);
 
-    // Forensics: the merged flight dump's postmortem must name the
-    // killed rank (the controller knows who it killed — authoritative).
-    let mut postmortem_path = String::new();
-    let mut culprit_named = kill.is_none();
-    if let (Some(victim), Some(dump)) = (kill, report.flight_dump.as_ref()) {
-        let ev = &report.rejoins[0];
-        let cause = format!(
-            "SIGKILLed by the chaos controller and rejoined at epoch {} \
-             from the cycle-{} checkpoint",
-            ev.epoch, ev.resume_cycle
-        );
-        let pm = crate::postmortem::analyze_dump_with(dump, Some((victim, &cause)));
-        postmortem_path = pm["report"].as_str().unwrap_or_default().to_string();
-        culprit_named = pm["ok"] == true
-            && std::fs::read_to_string(&postmortem_path)
-                .map(|md| md.contains(&format!("Culprit: rank {victim}")))
-                .unwrap_or(false);
-    }
+    // Forensics: the merged flight dump's verdict must name the killed
+    // rank (the controller knows who it killed — authoritative).
+    let forensics = kill.map(|victim| {
+        let cause = match report.rejoins.first() {
+            Some(ev) => format!(
+                "SIGKILLed by the chaos controller and rejoined at epoch {} \
+                 from the cycle-{} checkpoint",
+                ev.epoch, ev.resume_cycle
+            ),
+            None => "SIGKILLed by the chaos controller".to_string(),
+        };
+        forensics(report.flight_dump.as_deref(), victim, Some(&cause))
+    });
+    let culprit_named = forensics
+        .as_ref()
+        .is_none_or(|f| f["culprit_named"] == true);
 
     let ok = exact && converged_all && culprit_named && timer_ok && (clean || rejoined_once);
     println!(
@@ -478,7 +524,7 @@ fn process_leg(
         "rejoin_epochs": epochs,
         "resume_cycle": report.rejoins.first().map_or(-2, |e| e.resume_cycle),
         "culprit_named": culprit_named,
-        "postmortem": postmortem_path,
+        "forensics": forensics.unwrap_or(Json::Null),
         "messages": messages,
         "retransmits": retransmits,
         "ok": ok,
@@ -598,6 +644,35 @@ mod tests {
         assert_eq!(v["killed_rank_reported"], true, "{v}");
     }
 
+    /// The forensics end to end: a seeded killed-rank solve must leave a
+    /// dump whose analysis names the victim and classifies at least 90 %
+    /// of all comm wait time.
+    #[test]
+    fn the_kill_dump_names_the_killed_rank_and_classifies_waits() {
+        let v = kill_run(5);
+        assert_eq!(v["forensics_ok"], true, "{v}");
+        let pm = &v["forensics"];
+        assert_eq!(pm["culprit_named"], true, "{v}");
+        assert_eq!(pm["culprit_rank"], v["victim"], "{v}");
+        assert!(pm["classified_fraction"].as_f64().unwrap() >= 0.9, "{v}");
+        // The rendered artifacts exist inside the dump directory.
+        let dir = std::path::PathBuf::from(pm["dump_dir"].as_str().unwrap());
+        assert!(dir.join("analyze_report.md").is_file());
+        assert!(dir.join("trace.json").is_file());
+        // The markdown names the culprit rank explicitly.
+        let md = std::fs::read_to_string(dir.join("analyze_report.md")).unwrap();
+        assert!(
+            md.contains(&format!("Culprit: rank {}", v["victim"])),
+            "{md}"
+        );
+        // The timeline parses as Perfetto JSON, with spans and arrows.
+        let text = std::fs::read_to_string(dir.join("trace.json")).unwrap();
+        let doc = Json::parse(&text).expect("timeline parses");
+        let events = doc["traceEvents"].as_arr().unwrap();
+        assert!(events.iter().any(|e| e["ph"].as_str() == Some("X")));
+        assert!(text.contains("\"ph\":\"s\""), "flow arrows present");
+    }
+
     #[cfg(unix)]
     const CHILD_ARGS: &[&str] = &["chaos_child_entry", "--test-threads=1", "--nocapture"];
 
@@ -616,7 +691,7 @@ mod tests {
     /// The milestone's acceptance demo end to end: real processes over
     /// datagrams with seeded loss, SIGKILL rank 3 mid-solve, respawn +
     /// checkpoint rejoin, bit-identical history vs the thread world, and
-    /// a merged-flight postmortem naming the killed rank.
+    /// a merged-flight verdict naming the killed rank.
     #[cfg(unix)]
     #[test]
     fn process_campaign_kill_and_rejoin_names_culprit() {
@@ -634,12 +709,10 @@ mod tests {
         assert_eq!(kill["exact_match"], true, "{v}");
         assert_eq!(kill["rejoins"].as_u64(), Some(1), "{v}");
         assert_eq!(kill["culprit_named"], true, "{v}");
-        let pm = std::path::PathBuf::from(kill["postmortem"].as_str().unwrap());
-        let md = std::fs::read_to_string(&pm).unwrap();
+        let dir = std::path::PathBuf::from(kill["forensics"]["dump_dir"].as_str().unwrap());
+        let md = std::fs::read_to_string(dir.join("analyze_report.md")).unwrap();
         assert!(md.contains("Culprit: rank 3"), "{md}");
-        if let Some(dir) = pm.parent() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// The one-pass smoother must compose with checkpoint / rollback

@@ -22,29 +22,27 @@
 //! The other binaries are one per job: [`measured`] — the real 7-point
 //! kernels timed on this host and fitted to the paper's latency model,
 //! run via `--bin measured` — [`chaos`] — the seeded fault-injection soak
-//! (transport faults, solver self-healing, graceful rank death), run via
-//! `--bin chaos -- --seed N` — and [`gate`] — the perfgate hot-kernel
+//! (transport faults, solver self-healing, graceful rank death and the
+//! forensics of the dump it leaves: the culprit named, the waits
+//! classified), run via `--bin chaos -- --seed N` — and [`gate`] — the perfgate hot-kernel
 //! macro-benchmark and noise-robust regression gate over the committed
 //! `bench/BENCH_<n>.json` trajectory, run via `--bin perfgate`
-//! (`-- --check` in CI) — and [`analyze`] — the trace-analysis report
-//! (per-V-cycle critical path, load imbalance, roofline attribution,
-//! outliers, run-vs-run diffing, and flamegraph folded stacks of the
-//! span tree) over a traced solve or any `GMG_TRACE` capture, run via
-//! `--bin analyze` (`-- --diff a b` to compare runs; `GMG_TRACE=<path>`
-//! exports the traced solve for Perfetto) —
-//! and [`postmortem`] — the flight-recorder crash forensics pipeline
-//! (seeded killed-rank solve → automatic dump → culprit naming,
-//! wait-state attribution, edge-exact critical path, Perfetto timeline
-//! with cross-rank flow arrows), run via `--bin postmortem -- --seed N`
-//! or `-- --dump DIR` — and [`scaling`] — the
+//! (`-- --check` in CI) — and [`analyze`] — the one trace report
+//! (per-V-cycle critical path, wait classes, load imbalance, roofline
+//! attribution, outliers, a failure's verdict, run-vs-run diffing, and
+//! flamegraph folded stacks of the span tree) over a traced solve or any
+//! flight dump — a failure's or a `GMG_TRACE` capture — run via `--bin
+//! analyze` (`-- --dump DIR`, `-- --diff a b` to compare runs) — and
+//! [`scaling`] — the
 //! 10k-rank scaling observatory (contention-modeled schedule simulation
 //! via `gmg-scale`, weak/strong sweeps, alpha–beta+contention model fit,
 //! flight-grade wait attribution, rank-window Perfetto forensics, and
 //! the planted-slowdown polarity self-test), run via `--bin scaling`
 //! (`--ranks N`, `--inject-slowdown LEVEL:PCT`, `--window A:B`).
 //! Every binary runs inside [`report::with_env_hooks`], so it honours
-//! `GMG_TRACE=<path>` to capture a trace of its run (`analyze --trace`
-//! folds it into flamegraph stacks).
+//! `GMG_TRACE=<dir>` to save a capture of its run there as a flight dump,
+//! with its Perfetto export `trace.json` (`analyze --dump <dir>` reports
+//! on it).
 //!
 //! Each `run()` prints the same rows/series the paper reports and returns a
 //! JSON value; binaries also persist it under `results/`. The *real* CPU
@@ -65,7 +63,6 @@ pub mod figure9;
 pub mod gate;
 pub mod measured;
 pub mod plot;
-pub mod postmortem;
 pub mod report;
 pub mod scaling;
 pub mod table2;

@@ -1,26 +1,48 @@
 //! Shared output helpers for the experiment harnesses, and the env hooks
 //! every harness binary wraps its run in.
 
-use gmg_trace::{Json, ObsConfig};
+use gmg_flight::{rebuild_trace, RankLog};
+use gmg_trace::{Json, ObsConfig, Trace, TraceScope};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Run `f` under a trace capture when `cfg` names a trace path, then
-/// write the capture's Chrome trace-event JSON there. With none set `f`
+/// Run `f` under a trace capture when `cfg` names a trace directory,
+/// then save the capture there (`save_capture`). With none set `f`
 /// runs directly and the capture-only probes stay inert.
 pub fn with_hooks<T>(cfg: &ObsConfig, f: impl FnOnce() -> T) -> T {
-    let Some(path) = &cfg.trace else {
+    let Some(dir) = &cfg.trace else {
         return f();
     };
-    let (out, trace) = gmg_trace::capture(f);
-    let path = save_at(path, "trace.json", &trace.to_chrome_string());
-    eprintln!("{}", trace_note(&trace, &path));
+    let (out, logs) = capture_logs(f);
+    save_capture(dir, &logs);
     out
 }
 
-/// What [`with_hooks`] says about a capture it wrote: the event count
+/// Run `f` under a fresh capture; return its result and the capture's
+/// ring logs, the form a capture is saved in.
+pub(crate) fn capture_logs<T>(f: impl FnOnce() -> T) -> (T, Vec<RankLog>) {
+    let scope = TraceScope::default();
+    let guard = scope.install();
+    let out = f();
+    drop(guard);
+    (out, scope.logs())
+}
+
+/// Save a capture's ring logs as a flight dump in `dir` (created if
+/// needed), its Perfetto export `trace.json` beside the rank files, and
+/// say so on stderr. Returns the capture's trace.
+pub(crate) fn save_capture(dir: &Path, logs: &[RankLog]) -> Trace {
+    let trace = rebuild_trace(logs);
+    gmg_flight::dump_logs(dir, logs, crate::analyze::CAPTURE, "")
+        .unwrap_or_else(|e| panic!("save the capture in {dir:?}: {e}"));
+    save_raw_in(dir, "trace.json", &trace.to_chrome_string());
+    eprintln!("{}", trace_note(&trace, dir));
+    trace
+}
+
+/// What [`save_capture`] says about a capture it wrote: the event count
 /// and, for a window that wrapped its ring, what each rank lost.
-fn trace_note(trace: &gmg_trace::Trace, path: &Path) -> String {
+fn trace_note(trace: &Trace, path: &Path) -> String {
     let mut note = format!("[trace: {} events -> {path:?}", trace.events.len());
     if !trace.lost.is_empty() {
         let lost: Vec<String> = trace
@@ -74,47 +96,14 @@ pub fn save_in(dir: &Path, name: &str, value: &Json) -> PathBuf {
     path
 }
 
-/// Persist an already-serialized artifact (e.g. a Chrome trace JSON
-/// string) under the results directory, honouring `GMG_RESULTS_DIR` like
-/// [`save`]; returns the written path. Binaries must route *every*
-/// results-file write through here or [`save`]/[`save_in`] so the
-/// redirect is honoured everywhere.
-pub fn save_raw(file_name: &str, contents: &str) -> PathBuf {
-    save_raw_in(&results_dir(), file_name, contents)
-}
-
-/// [`save_raw`] with an explicit directory (tests use a temp dir rather
-/// than mutating the process-global `GMG_RESULTS_DIR`).
+/// Persist an already-serialized artifact (e.g. a Perfetto trace JSON
+/// string) as `file_name` under `dir` — the results directory
+/// ([`results_dir`], which honours `GMG_RESULTS_DIR`) or a dump's;
+/// returns the written path.
 pub fn save_raw_in(dir: &Path, file_name: &str, contents: &str) -> PathBuf {
     let path = dir.join(file_name);
     fs::write(&path, contents).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
     path
-}
-
-/// Persist an artifact at a user-given `path` (an env hook's value):
-/// its parent directory is created like any results directory. A path
-/// that names a directory — no file name, a trailing separator, or an
-/// existing directory — gets `default_name` inside it. Returns the
-/// written path.
-pub fn save_at(path: &Path, default_name: &str, contents: &str) -> PathBuf {
-    let names_dir = path.file_name().is_none()
-        || path.is_dir()
-        || path.to_string_lossy().ends_with(std::path::is_separator);
-    let path = if names_dir {
-        path.join(default_name)
-    } else {
-        path.to_path_buf()
-    };
-    let dir = path
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .unwrap_or(Path::new("."));
-    let name = path.file_name().expect("the path ends in a file name");
-    save_raw_in(
-        &ensure_dir(Some(dir.to_path_buf())),
-        &name.to_string_lossy(),
-        contents,
-    )
 }
 
 /// Print a section header.
@@ -164,33 +153,14 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "[]");
     }
 
+    /// `GMG_TRACE` names a directory, which the hooks fill with a dump
+    /// of the capture and its Perfetto export.
     #[test]
-    fn save_at_puts_the_default_name_inside_a_directory_path() {
-        let base = std::env::temp_dir().join(format!("gmg_save_at_test_{}", std::process::id()));
-        // An existing directory, spelled without a trailing separator.
-        let existing = ensure_dir(Some(base.join("existing")));
-        let p = save_at(&existing, "trace.json", "[1]");
-        assert_eq!(p, existing.join("trace.json"));
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "[1]");
-        // A directory yet to be made, spelled with one.
-        let fresh = base.join("fresh");
-        let spelled = format!("{}{}", fresh.display(), std::path::MAIN_SEPARATOR);
-        let p = save_at(Path::new(&spelled), "trace.json", "[2]");
-        assert_eq!(p, fresh.join("trace.json"));
-        assert_eq!(std::fs::read_to_string(&p).unwrap(), "[2]");
-        // A file path is written as given.
-        let p = save_at(&base.join("t.json"), "trace.json", "[3]");
-        assert_eq!(p, base.join("t.json"));
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn hooks_write_the_requested_trace_and_pass_the_result_through() {
-        use gmg_trace::{Trace, Track};
+    fn hooks_save_the_capture_as_a_dump_and_pass_the_result_through() {
+        use gmg_trace::Track;
         let dir = std::env::temp_dir().join(format!("gmg_hooks_test_{}", std::process::id()));
-        let at = |name: &str| Some(dir.join(name));
         let cfg = ObsConfig {
-            trace: at("t.json"),
+            trace: Some(dir.join("solve")),
             ..ObsConfig::from_lookup(|_| None)
         };
         let out = with_hooks(&cfg, || {
@@ -199,9 +169,13 @@ mod tests {
             42
         });
         assert_eq!(out, 42);
-        let text = std::fs::read_to_string(dir.join("t.json")).unwrap();
-        let trace = Trace::from_chrome_str(&text).unwrap();
+        let bundle = gmg_flight::load_dump(&dir.join("solve")).unwrap();
+        assert_eq!(bundle.reason, crate::analyze::CAPTURE);
+        let trace = rebuild_trace(&bundle.logs);
         assert_eq!(trace.events.len(), 2);
+        let text = std::fs::read_to_string(dir.join("solve/trace.json")).unwrap();
+        assert_eq!(text, trace.to_chrome_string());
+        crate::analyze::tests::assert_exports(&trace);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

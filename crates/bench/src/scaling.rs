@@ -15,7 +15,7 @@
 //!    finer.
 //! 4. **Flight-grade attribution** at the headline rank count
 //!    ([`RecordMode::Events`]): synthetic rank logs rebuilt into one
-//!    trace (the crash postmortem's path) and through the *production*
+//!    trace (the path a crash dump takes into `analyze`) and through the *production*
 //!    wait classifier — classified wait fraction must be ≥ 90% — plus
 //!    the planted-slowdown self-test in both polarities: a clean run must
 //!    flag nothing, an injected `LEVEL:PCT` run must flag exactly that
@@ -381,7 +381,7 @@ pub fn run_in(dir: &Path, opts: &ScalingOpts) -> Json {
     }
     md.push('\n');
 
-    // ---- 5. window forensics through the postmortem pipes --------------
+    // ---- 5. window forensics through the crash-dump analysis pipes ------
     let (wlo, whi) = (opts.window.0.min(opts.ranks), opts.window.1.min(opts.ranks));
     println!("window forensics over ranks {wlo}..{whi} ...");
     // The window's critical path needs sender context: the window ranks
@@ -655,12 +655,29 @@ mod tests {
         let md = std::fs::read_to_string(report).unwrap();
         assert!(md.contains("SCALING GATES PASS"), "{md}");
         assert!(md.contains("## Rank-window forensics"));
-        // The window trace parses as a Chrome trace with flow arrows.
+        // The window trace is Perfetto JSON: one `X` event per span with
+        // its pid, tid, ts, dur and args, one `s` / `f` arrow pair per join.
         let text =
             std::fs::read_to_string(dir.join(v["window"]["trace"].as_str().unwrap())).unwrap();
-        let back = gmg_trace::Trace::from_chrome_str(&text).expect("window trace parses");
-        assert!(!back.events.is_empty());
-        assert!(text.contains("\"ph\":\"s\""), "flow arrows present");
+        let doc = Json::parse(&text).expect("window trace parses");
+        let events = doc["traceEvents"].as_arr().unwrap();
+        let phase = |ph: &'static str| events.iter().filter(move |e| e["ph"].as_str() == Some(ph));
+        assert_eq!(
+            phase("X").count() as u64,
+            v["window"]["trace_events"].as_u64().unwrap()
+        );
+        for x in phase("X") {
+            for key in ["pid", "tid", "ts", "dur"] {
+                assert!(x[key].as_f64().is_some(), "{key} missing: {x}");
+            }
+            assert!(matches!(x["args"], Json::Obj(_)), "{x}");
+        }
+        let joins = v["window"]["message_edges"].as_u64().unwrap();
+        assert!(joins > 0);
+        assert_eq!(
+            (phase("s").count() as u64, phase("f").count() as u64),
+            (joins, joins)
+        );
     }
 
     /// At 64 ranks the weak ladder is two points: the fit gate is skipped

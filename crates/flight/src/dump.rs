@@ -1,13 +1,14 @@
 //! Black-box dumps: persist every rank's ring to disk on failure.
 //!
-//! A dump is a directory `flightdump_<unix-ns>/` containing a
+//! A dump is a directory — `flightdump_<unix-ns>/` for a failure, the
+//! `GMG_TRACE` directory for a capture ([`dump_logs`]) — containing a
 //! `manifest.json` (reason, detail, world size, rank list, and where the
 //! events' time base sits on the wall clock) and one `rank<k>.json` per
 //! rank the dumping process records — every rank of a thread world, its
 //! own of a process world — with its counters and the validated events
-//! in claim order.
+//! in claim order. It is the one file format a run's events persist in.
 //! Encoding rides on [`gmg_trace::json`] — no new dependencies, and the
-//! files load back losslessly for offline postmortem analysis.
+//! files load back losslessly for offline analysis (`analyze --dump`).
 //!
 //! Dumping is crash-path code: it must never panic and never wedge a
 //! dying process, so every IO error degrades to "no dump" and a
@@ -176,6 +177,36 @@ fn write_logs(
         fs::write(dir.join(format!("rank{}.json", log.rank)), body.to_string())?;
     }
     Ok(())
+}
+
+/// Write `logs` as a whole dump into `dir` (created if needed), on this
+/// process's time base: one log per rank up to the highest they name, a
+/// rank without one getting an empty log, as [`merge_dumps`] writes a
+/// rank no process dumped. A capture saves itself through this; it is
+/// not crash-path code, so the dump cap does not apply.
+pub fn dump_logs(dir: &Path, logs: &[RankLog], reason: &str, detail: &str) -> io::Result<()> {
+    let nranks = logs.iter().map(|l| l.rank + 1).max().unwrap_or(0);
+    let logs = whole(nranks, logs.iter().cloned());
+    write_logs(dir, nranks, &logs, Some(epoch_unix_ns()), reason, detail)
+}
+
+/// One log per rank of an `nranks`-rank world: of several logs for a
+/// rank, the one with the most recorded events; for a rank with none,
+/// an empty log.
+fn whole(nranks: usize, parts: impl IntoIterator<Item = RankLog>) -> Vec<RankLog> {
+    let mut logs: Vec<RankLog> = (0..nranks)
+        .map(|rank| RankLog {
+            rank,
+            ..RankLog::default()
+        })
+        .collect();
+    for log in parts {
+        let slot = &mut logs[log.rank];
+        if (log.events.len(), log.written) >= (slot.events.len(), slot.written) {
+            *slot = log;
+        }
+    }
+    logs
 }
 
 /// Claim a fresh `flightdump_<unix-ns>` directory under `base` and fill
@@ -350,22 +381,16 @@ pub fn merge_dumps(
         return None;
     }
     let base = parts.iter().filter_map(|(epoch, _)| *epoch).min();
-    let mut logs: Vec<RankLog> = (0..nranks)
-        .map(|rank| RankLog {
-            rank,
-            ..RankLog::default()
-        })
-        .collect();
-    for (epoch, mut log) in parts {
-        let shift = epoch.zip(base).map_or(0, |(e, base)| e - base);
-        for ev in &mut log.events {
-            ev.ts_ns = ev.ts_ns.saturating_add(shift);
-        }
-        let slot = &mut logs[log.rank];
-        if (log.events.len(), log.written) >= (slot.events.len(), slot.written) {
-            *slot = log;
-        }
-    }
+    let logs = whole(
+        nranks,
+        parts.into_iter().map(|(epoch, mut log)| {
+            let shift = epoch.zip(base).map_or(0, |(e, base)| e - base);
+            for ev in &mut log.events {
+                ev.ts_ns = ev.ts_ns.saturating_add(shift);
+            }
+            log
+        }),
+    );
     dump_under(&cfg.dump_dir(), |dir| {
         write_logs(dir, nranks, &logs, base, reason, detail)
     })
@@ -462,6 +487,34 @@ mod tests {
         assert_eq!(bundle.logs[1].events[0].op, "recv");
         assert!(bundle.logs[2].events.is_empty());
         let _ = fs::remove_dir_all(&base);
+    }
+
+    /// A capture of ranks 0 and 2 saves as a whole 3-rank dump: rank 1
+    /// gets an empty log, and every log loads back as written.
+    #[test]
+    fn saved_logs_make_a_whole_dump() {
+        let dir = scratch_dir("logs");
+        let log = |rank, written| RankLog {
+            rank,
+            capacity: 4,
+            written,
+            lost: 0,
+            events: vec![FlightEvent {
+                ts_ns: 7,
+                kind: Kind::Send,
+                op: "send",
+                ..FlightEvent::empty()
+            }],
+        };
+        dump_logs(&dir, &[log(0, 1), log(2, 9)], "capture", "").unwrap();
+        let bundle = load_dump(&dir).unwrap();
+        assert_eq!((bundle.reason.as_str(), bundle.nranks), ("capture", 3));
+        let shape: Vec<_> = (bundle.logs.iter())
+            .map(|l| (l.rank, l.written, l.events.len()))
+            .collect();
+        assert_eq!(shape, [(0, 1, 1), (1, 0, 0), (2, 9, 1)]);
+        assert!(bundle.epoch_unix_ns.is_some());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Two processes whose epochs sit 5 ms apart on the wall clock: the

@@ -19,13 +19,14 @@
 //! * [`synth`] — `Vec`-backed builders producing the same `RankLog`
 //!   schema for *simulated* worlds (the `gmg-scale` observatory), so
 //!   the analysis layer runs on modelled timelines unchanged.
-//! * [`dump`] — the rings as data: persist or reload black-box dumps for
-//!   crash postmortems, each rank a [`RankLog`] that also carries its
+//! * [`dump`] — the rings as data: persist or reload dumps — black boxes
+//!   written on failure, and the captures a `GMG_TRACE` run saves
+//!   ([`dump_logs`]) — each rank a [`RankLog`] that also carries its
 //!   ring's health (events `written` and `lost`), which
 //!   [`rebuild_trace`] — the conversion a live capture uses too — turns
 //!   into one `gmg_trace::Trace`. Every analysis — the critical path,
-//!   the wait-state classifier, the Perfetto export — reads that trace
-//!   (`gmg-metrics`).
+//!   the wait-state classifier, the failure verdict, the Perfetto export
+//!   — reads that trace (`gmg-metrics`, rendered by `analyze`).
 //!
 //! The recorder has no off switch. Where dumps land (`GMG_FLIGHT_DIR`)
 //! is parsed by [`gmg_trace::ObsConfig`] and reaches this crate through
@@ -38,8 +39,8 @@ pub mod recorder;
 pub mod synth;
 
 pub use dump::{
-    dump_installed, dump_world, dump_world_to, load_dump, merge_dumps, DumpBundle, MAX_DUMPS,
-    MAX_DUMP_RANKS,
+    dump_installed, dump_logs, dump_world, dump_world_to, load_dump, merge_dumps, DumpBundle,
+    MAX_DUMPS, MAX_DUMP_RANKS,
 };
 pub use gmg_trace::{
     rebuild_trace, FlightEvent, FlightRing, Kind, RankLog, NO_LEVEL, NO_MSG_SEQ, NO_PEER, NO_TAG,

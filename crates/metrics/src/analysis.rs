@@ -22,12 +22,14 @@
 //!   gap classified bandwidth-, latency-, or launch-bound.
 //! - **Outliers**: MAD-based straggler detection over span durations,
 //!   which is what surfaces fault-injected stalls.
+//! - **Verdict** (a failure dump's): the culprit rank and its last op,
+//!   plus ranks that straggled on a level or stormed the ARQ layer.
 //!
 //! Everything here is deterministic: same trace in, byte-identical
 //! report out (the analyze binary's determinism test pins this).
 
 use gmg_trace::TraceSummary;
-use gmg_trace::{Trace, TraceEvent, Track, LEVEL_NONE};
+use gmg_trace::{Kind, RankLog, Trace, TraceEvent, Track, LEVEL_NONE};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -195,6 +197,11 @@ pub struct Analysis {
     /// Empty when no [`MachineEnvelope`] was supplied.
     pub roofline: Vec<RooflineRow>,
     pub comm: Option<CommAttribution>,
+    pub waits: WaitAnalysis,
+    /// `(rank, events)` the trace's rings no longer held ([`Trace::lost`]).
+    pub lost: Vec<(usize, u64)>,
+    /// Set for a failure dump ([`Analysis::with_verdict`]).
+    pub verdict: Option<Verdict>,
 }
 
 // ---------------------------------------------------------------------------
@@ -650,7 +657,7 @@ pub struct WaitSample {
 }
 
 /// Every wait of a trace, classified.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WaitAnalysis {
     /// Per-level wait-state rows (`None` = outside any level scope),
     /// deterministic order.
@@ -803,6 +810,151 @@ impl WaitAnalysis {
 }
 
 // ---------------------------------------------------------------------------
+// Failure verdict
+// ---------------------------------------------------------------------------
+
+/// Fewest ranks whose compute times make a population to judge.
+const STRAGGLER_MIN_RANKS: usize = 3;
+/// Compute time per (rank, level) under which a level is never judged:
+/// jitter on trivially fast levels is not a straggler.
+const STRAGGLER_FLOOR_NS: f64 = 2e6;
+/// Retransmits one rank may record before they count as a storm
+/// (retransmits are routine under seeded loss; a storm is an order of
+/// magnitude above that rate).
+const ARQ_STORM_RETRANSMITS: usize = 200;
+
+/// The last operation a rank recorded — the span or instant that ends
+/// last (of two ending together, the enclosing one: a ring records a
+/// span when it ends) — named with the ring kind it was recorded as.
+fn last_op(trace: &Trace, rank: usize) -> String {
+    let kind = |e: &TraceEvent| match (e.track, e.op.name()) {
+        (Track::Compute, _) => "compute",
+        (Track::Comm, op @ ("send" | "arrive")) => op,
+        (Track::Comm, _) if is_wait(e) => "recv-wait",
+        (Track::Comm, _) => "comm",
+        (Track::Fault, op) if op.starts_with("arq:") || op.starts_with("frame:") => "arq",
+        (Track::Fault, _) => "control",
+    };
+    trace
+        .events
+        .iter()
+        .filter(|e| e.rank == rank)
+        .max_by_key(|e| (e.ts_ns + e.dur_ns, e.dur_ns))
+        .map(|e| format!("{} ({})", e.op.name(), kind(e)))
+        .unwrap_or_else(|| "(empty ring)".to_string())
+}
+
+/// The culprit rank: the first rank `killed`, else the peer everyone
+/// else spent the most late-sender time on, else whichever of the
+/// `nranks` stopped recording first.
+fn culprit(trace: &Trace, nranks: usize, killed: &[usize], waits: &WaitAnalysis) -> usize {
+    // An injected kill is definitive.
+    if let Some(&r) = killed.first() {
+        return r;
+    }
+    let mut blame: BTreeMap<usize, u64> = BTreeMap::new();
+    for s in &waits.samples {
+        if let (WaitClass::LateSender, Some(peer)) = (s.class, s.peer) {
+            *blame.entry(peer).or_default() += s.dur_ns;
+        }
+    }
+    if let Some((&r, _)) = blame.iter().max_by_key(|&(_, &ns)| ns) {
+        return r;
+    }
+    let mut last_end = vec![0; nranks];
+    for e in trace.events.iter().filter(|e| e.rank < nranks) {
+        last_end[e.rank] = last_end[e.rank].max(e.ts_ns + e.dur_ns);
+    }
+    (0..nranks).min_by_key(|&r| last_end[r]).unwrap_or(0)
+}
+
+/// A rank a post-hoc check singles out of a dump.
+#[derive(Clone, Debug, PartialEq)]
+struct Flag {
+    /// `"straggler"` or `"arq_storm"`.
+    kind: &'static str,
+    rank: usize,
+    /// The level a straggler is slow on.
+    level: Option<usize>,
+    /// Human-readable evidence.
+    detail: String,
+}
+
+/// Stragglers and retransmit storms in a dump's trace.
+///
+/// * **Straggler:** a rank whose compute time on a level — its compute
+///   spans less the receive waits ([`is_wait`]) inside them, which
+///   inherit the level of the op they wait in — sits above the robust MAD
+///   envelope of its peers ([`mad_outliers`], fed nanoseconds, the unit
+///   its σ floor of 1 is sized for). Needs [`STRAGGLER_MIN_RANKS`] ranks;
+///   levels where every rank is under [`STRAGGLER_FLOOR_NS`] are skipped.
+/// * **ARQ storm:** a rank that recorded more than
+///   [`ARQ_STORM_RETRANSMITS`] `arq:retransmit` events.
+fn stragglers_and_storms(trace: &Trace) -> Vec<Flag> {
+    let mut busy: BTreeMap<usize, BTreeMap<usize, f64>> = BTreeMap::new();
+    let mut retransmits: BTreeMap<usize, usize> = BTreeMap::new();
+    for e in &trace.events {
+        let sign = match e.track {
+            Track::Compute => 1.0,
+            _ if is_wait(e) => -1.0,
+            Track::Fault if e.op.name() == "arq:retransmit" => {
+                *retransmits.entry(e.rank).or_default() += 1;
+                continue;
+            }
+            _ => continue,
+        };
+        if e.level != LEVEL_NONE {
+            *busy.entry(e.level).or_default().entry(e.rank).or_default() += sign * e.dur_ns as f64;
+        }
+    }
+    let mut flags: Vec<Flag> = retransmits
+        .into_iter()
+        .filter(|&(_, n)| n > ARQ_STORM_RETRANSMITS)
+        .map(|(rank, n)| Flag {
+            kind: "arq_storm",
+            rank,
+            level: None,
+            detail: format!("{n} ARQ retransmits (threshold {ARQ_STORM_RETRANSMITS})"),
+        })
+        .collect();
+    for (level, per_rank) in busy {
+        let (ranks, ns): (Vec<usize>, Vec<f64>) = per_rank.into_iter().unzip();
+        if ranks.len() < STRAGGLER_MIN_RANKS || ns.iter().all(|&t| t < STRAGGLER_FLOOR_NS) {
+            continue;
+        }
+        let verdicts = mad_outliers(&ns, STRAGGLER_MIN_RANKS, STRAGGLER_FLOOR_NS);
+        for ((rank, t), v) in ranks.into_iter().zip(&ns).zip(verdicts) {
+            if v.flagged {
+                flags.push(Flag {
+                    kind: "straggler",
+                    rank,
+                    level: Some(level),
+                    detail: format!(
+                        "{:.1} ms compute vs median {:.1} ms (robust z {:.1})",
+                        t / 1e6,
+                        v.median / 1e6,
+                        v.score
+                    ),
+                });
+            }
+        }
+    }
+    flags
+}
+
+/// What a failure dump's analysis concludes: who failed, doing what,
+/// and which ranks straggled or stormed the ARQ layer on the way.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Verdict {
+    /// The culprit rank (`culprit`'s pick, or the one the caller knew).
+    pub culprit: usize,
+    /// The report's verdict section: the failure the dump records, the
+    /// culprit, its last op (`last_op`) and why it is to blame, and the
+    /// `stragglers_and_storms` flags.
+    section: String,
+}
+
+// ---------------------------------------------------------------------------
 // Load imbalance and utilization
 // ---------------------------------------------------------------------------
 
@@ -916,20 +1068,20 @@ const OUTLIER_MIN_SAMPLES: usize = 8;
 
 /// One sample's verdict from [`mad_outliers`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MadVerdict {
-    pub flagged: bool,
+struct MadVerdict {
+    flagged: bool,
     /// Robust z-score `(sample - median) / σ_MAD`.
-    pub score: f64,
-    pub median: f64,
-    pub threshold: f64,
+    score: f64,
+    median: f64,
+    threshold: f64,
 }
 
-/// The reusable robust-outlier core shared by [`outliers`] and the
-/// postmortem's straggler check: each sample is judged against
+/// The robust-outlier core shared by [`outliers`] and the verdict's
+/// straggler check ([`stragglers_and_storms`]): each sample is judged against
 /// `median + max(5·σ_MAD, 0.5·median, abs_floor)` where
 /// `σ_MAD = max(1.4826·MAD, 1)`. Returns one verdict per input sample
 /// (in input order); fewer than `min_samples` inputs flag nothing.
-pub fn mad_outliers(samples: &[f64], min_samples: usize, abs_floor: f64) -> Vec<MadVerdict> {
+fn mad_outliers(samples: &[f64], min_samples: usize, abs_floor: f64) -> Vec<MadVerdict> {
     let mut sorted: Vec<f64> = samples.iter().copied().filter(|v| v.is_finite()).collect();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
     if sorted.len() < min_samples.max(1) {
@@ -1131,34 +1283,29 @@ pub fn diff_summaries(a: &TraceSummary, b: &TraceSummary, threshold: f64) -> Vec
         .collect()
 }
 
-/// Testing/diagnostic utility: return a copy of `trace` in which every
-/// compute span named `op` has its duration scaled by `factor`, with all
-/// later events on the same rank shifted to keep per-rank timelines
-/// serial. Events nested inside a scaled span shift by the accumulated
+/// Testing/diagnostic utility: return a copy of the ring `logs`, each in
+/// start order, in which every compute op named `op` has its duration
+/// scaled by `factor`, with all later events on the same rank shifted to
+/// keep per-rank timelines serial. `analyze --inject-slowdown` applies it
+/// before a capture is saved, so the dump holds the slowed run. Events nested inside a scaled span shift by the accumulated
 /// offset at their start, so the transform is only faithful for ops
 /// without nested comm (the smoothers and residual kernels) — which is
 /// exactly what the `--inject-slowdown` diff check targets.
-pub fn scale_op(trace: &Trace, op: &str, factor: f64) -> Trace {
-    let ranks = trace.ranks();
-    let mut events: Vec<TraceEvent> = Vec::with_capacity(trace.events.len());
-    for r in ranks {
+pub fn scale_op(logs: &[RankLog], op: &str, factor: f64) -> Vec<RankLog> {
+    let mut logs = logs.to_vec();
+    for log in &mut logs {
+        log.events.sort_by_key(|e| (e.ts_ns, e.dur_ns));
         let mut shift: i64 = 0;
-        for e in trace.events.iter().filter(|e| e.rank == r) {
-            let mut ev = *e;
-            ev.ts_ns = (ev.ts_ns as i64 + shift).max(0) as u64;
-            if e.track == Track::Compute && e.op.name() == op {
+        for e in &mut log.events {
+            e.ts_ns = (e.ts_ns as i64 + shift).max(0) as u64;
+            if e.kind == Kind::Compute && e.op == op {
                 let new_dur = (e.dur_ns as f64 * factor).round() as u64;
                 shift += new_dur as i64 - e.dur_ns as i64;
-                ev.dur_ns = new_dur;
+                e.dur_ns = new_dur;
             }
-            events.push(ev);
         }
     }
-    events.sort_by_key(|e| (e.rank, e.ts_ns, e.dur_ns));
-    Trace {
-        events,
-        lost: trace.lost.clone(),
-    }
+    logs
 }
 
 // ---------------------------------------------------------------------------
@@ -1182,7 +1329,57 @@ impl Analysis {
             roofline: roofline_rows,
             comm,
             summary,
+            waits: classify_waits(trace),
+            lost: trace.lost.clone(),
+            verdict: None,
         }
+    }
+
+    /// Add the verdict on a failure dump of an `nranks`-rank world:
+    /// `failure` is what the dump records (its reason and detail), and a
+    /// culprit the caller already `known`s (e.g. the membership controller
+    /// SIGKILLed that rank itself) overrides the wait-state heuristics,
+    /// its cause quoted on the culprit line.
+    pub fn with_verdict(
+        mut self,
+        trace: &Trace,
+        nranks: usize,
+        failure: String,
+        known: Option<(usize, &str)>,
+    ) -> Analysis {
+        let killed = killed_ranks(trace);
+        let (culprit, cause) = match known {
+            Some((r, cause)) => (r, Some(cause)),
+            None => (culprit(trace, nranks, &killed, &self.waits), None),
+        };
+        let culprit_op = last_op(trace, culprit);
+        let mut md = format!(
+            "## Verdict — {failure}\n\n**Culprit: rank {culprit}**, last seen in `{culprit_op}`"
+        );
+        if killed.contains(&culprit) {
+            md.push_str(" — recorded an injected kill");
+        }
+        if let Some(cause) = cause {
+            md.push_str(&format!(" — {cause}"));
+        }
+        md.push_str(".\n\n### Stragglers and retransmit storms\n\n");
+        let flags = stragglers_and_storms(trace);
+        if flags.is_empty() {
+            md.push_str("none\n");
+        }
+        for f in &flags {
+            let level = f.level.map(|l| format!(" level {l}")).unwrap_or_default();
+            md.push_str(&format!(
+                "- {}: rank {}{level} — {}\n",
+                f.kind, f.rank, f.detail
+            ));
+        }
+        md.push('\n');
+        self.verdict = Some(Verdict {
+            culprit,
+            section: md,
+        });
+        self
     }
 
     /// Render the markdown analysis report. Deterministic: the same
@@ -1199,7 +1396,16 @@ impl Analysis {
             self.path.cycles.len(),
             self.path.coverage * 100.0
         );
+        for (rank, n) in &self.lost {
+            let _ = writeln!(
+                out,
+                "- rank {rank} lost {n} events: its ring window wrapped"
+            );
+        }
         out.push('\n');
+        if let Some(v) = &self.verdict {
+            out.push_str(&v.section);
+        }
 
         out.push_str("## Per-level op time fractions (Table II)\n\n");
         out.push_str("| level | op | time/rank (s) | fraction | invocations |\n");
@@ -1260,6 +1466,16 @@ impl Analysis {
             );
         }
         out.push('\n');
+
+        out.push_str("## Wait states\n\n");
+        out.push_str(&self.waits.render_table());
+        let _ = writeln!(
+            out,
+            "\nclassified: {:.1}% of {:.3} ms total wait · message edges: {}\n",
+            100.0 * self.waits.total.classified_fraction(),
+            self.waits.total.total_ns() as f64 / 1e6,
+            self.waits.joined,
+        );
 
         out.push_str("## Load imbalance\n\n");
         out.push_str("| level | op | mean/rank (s) | max (s) | factor | slowest rank |\n");
@@ -1421,7 +1637,7 @@ pub fn render_diff(rows: &[DiffRow], threshold: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmg_trace::{intern, Counters};
+    use gmg_trace::{intern, rebuild_trace, Counters, FlightEvent, NO_LEVEL, NO_PEER};
 
     fn ev(
         rank: usize,
@@ -1849,10 +2065,50 @@ mod tests {
         assert!(c.model_gbs < env().comm_beta_gbs);
     }
 
+    /// `trace`'s compute ops, sends and receives as the ring logs that
+    /// rebuild it (rank by rank, every message end on the comm track).
+    fn logs_of(trace: &Trace) -> Vec<RankLog> {
+        let mut logs: Vec<RankLog> = Vec::new();
+        for e in &trace.events {
+            let kind = match (e.track, e.op.name()) {
+                (Track::Compute, _) => Kind::Compute,
+                (_, "send") => Kind::Send,
+                _ => Kind::RecvWait,
+            };
+            let word = |v: Option<u64>, none| v.unwrap_or(none);
+            let ev = FlightEvent {
+                ts_ns: e.ts_ns,
+                dur_ns: e.dur_ns,
+                kind,
+                op: e.op.name(),
+                level: if e.level == LEVEL_NONE {
+                    NO_LEVEL
+                } else {
+                    e.level as u32
+                },
+                peer: word(e.peer.map(|p| p as u64), NO_PEER as u64) as u32,
+                tag: word(e.tag, gmg_trace::NO_TAG),
+                msg_seq: word(e.seq, gmg_trace::NO_MSG_SEQ),
+                ..FlightEvent::empty()
+            };
+            if logs.last().is_none_or(|l| l.rank != e.rank) {
+                logs.push(RankLog {
+                    rank: e.rank,
+                    ..RankLog::default()
+                });
+            }
+            let log = logs.last_mut().unwrap();
+            log.written += 1;
+            log.events.push(ev);
+        }
+        logs
+    }
+
     #[test]
     fn diff_flags_scaled_op_only() {
-        let trace = dependency_trace();
-        let slowed = scale_op(&trace, "smooth", 1.3);
+        let logs = logs_of(&dependency_trace());
+        let trace = rebuild_trace(&logs);
+        let slowed = rebuild_trace(&scale_op(&logs, "smooth", 1.3));
         let a = TraceSummary::from_trace(&trace);
         let b = TraceSummary::from_trace(&slowed);
         let rows = diff_summaries(&a, &b, 0.15);
@@ -1868,7 +2124,7 @@ mod tests {
         assert!(slowed.track_is_serial(0, Track::Compute));
         assert!(slowed.track_is_serial(1, Track::Compute));
         // No-op scaling is the identity.
-        assert_eq!(scale_op(&trace, "smooth", 1.0), trace);
+        assert_eq!(rebuild_trace(&scale_op(&logs, "smooth", 1.0)), trace);
         // And the diff report names the regression.
         let text = render_diff(&rows, 0.15);
         assert!(text.contains("**REGRESSED**"));
@@ -1884,12 +2140,16 @@ mod tests {
             "critical-path coverage",
             "Table II",
             "## Critical path",
+            "## Wait states",
+            "message edges: 1",
             "## Load imbalance",
             "## Rank utilization",
             "## Outliers",
         ] {
             assert!(text.contains(needle), "missing {needle:?}");
         }
+        // A capture carries no verdict.
+        assert!(!text.contains("Verdict"), "{text}");
         // Byte-identical on rerun.
         assert_eq!(
             text,
@@ -1905,5 +2165,104 @@ mod tests {
         assert!(a.utilization.is_empty());
         assert!(a.outliers.is_empty());
         assert!(!a.render().is_empty());
+    }
+
+    /// A lock-step 4-rank world over five cycles: every rank smooths
+    /// `ms[rank]` milliseconds on level 0, then waits inside a level-0
+    /// exchange until the slowest rank is done, then smooths 1 ms on
+    /// level 1; and it records `retransmits[rank]` ARQ retransmits.
+    /// Every rank's level-0 spans add up to the same time, so only the
+    /// waits inside them tell the slow rank apart.
+    fn world(ms: [u64; 4], retransmits: [usize; 4]) -> Trace {
+        let slowest = ms.iter().max().copied().unwrap_or(0);
+        let logs: Vec<RankLog> = (0..4)
+            .map(|r| {
+                let mut events = Vec::new();
+                let mut push = |kind, op, level, ts_ns, dur_ns, peer, msg_seq| {
+                    events.push(FlightEvent {
+                        ts_ns,
+                        dur_ns,
+                        kind,
+                        op,
+                        level,
+                        peer,
+                        msg_seq,
+                        ..FlightEvent::empty()
+                    })
+                };
+                let peer = ((r + 1) % 4) as u32;
+                let (smooth, wait) = (ms[r] * 200_000, (slowest - ms[r]) * 200_000);
+                let mut t = 0;
+                for cycle in 0..5 {
+                    push(Kind::Compute, "smooth", 0, t, smooth, NO_PEER, 0);
+                    t += smooth;
+                    push(Kind::RecvWait, "recv", 0, t, wait, peer, cycle);
+                    push(Kind::Compute, "exchange", 0, t, wait, NO_PEER, 0);
+                    t += wait;
+                    push(Kind::Compute, "smooth", 1, t, 200_000, NO_PEER, 0);
+                    t += 200_000;
+                }
+                for seq in 0..retransmits[r] as u64 {
+                    push(Kind::Arq, "arq:retransmit", NO_LEVEL, t + seq, 0, peer, seq);
+                }
+                RankLog {
+                    rank: r,
+                    written: events.len() as u64,
+                    events,
+                    ..RankLog::default()
+                }
+            })
+            .collect();
+        rebuild_trace(&logs)
+    }
+
+    /// A failure dump's report opens with the verdict: the culprit — here,
+    /// with no wait joined to a send, the rank that went silent first
+    /// (rank 1 still retransmits after the others stop) — or the one the
+    /// caller knew, its last op, and the flags.
+    #[test]
+    fn a_verdict_names_the_culprit_and_the_flags() {
+        let trace = world([50, 50, 500, 50], [0, 201, 0, 0]);
+        let render = |known| {
+            Analysis::from_trace(&trace, None)
+                .with_verdict(&trace, 4, "world-failure (test)".into(), known)
+                .render()
+        };
+        let md = render(None);
+        assert!(md.contains("## Verdict — world-failure (test)"), "{md}");
+        assert!(
+            md.contains("**Culprit: rank 0**, last seen in `smooth (compute)`."),
+            "{md}"
+        );
+        assert!(md.contains("- straggler: rank 2 level 0 — "), "{md}");
+        assert!(
+            md.contains("- arq_storm: rank 1 — 201 ARQ retransmits"),
+            "{md}"
+        );
+        let md = render(Some((1, "SIGKILLed")));
+        assert!(
+            md.contains("**Culprit: rank 1**, last seen in `arq:retransmit (arq)`"),
+            "{md}"
+        );
+        assert!(md.contains(" — SIGKILLed."), "{md}");
+    }
+
+    #[test]
+    fn a_clean_world_flags_nothing() {
+        assert_eq!(stragglers_and_storms(&world([50; 4], [10; 4])), vec![]);
+    }
+
+    #[test]
+    fn a_slow_rank_is_named_with_its_level() {
+        let flags = stragglers_and_storms(&world([50, 50, 500, 50], [0; 4]));
+        let named: Vec<_> = flags.iter().map(|f| (f.kind, f.rank, f.level)).collect();
+        assert_eq!(named, [("straggler", 2, Some(0))], "{flags:?}");
+    }
+
+    #[test]
+    fn a_storm_is_more_than_two_hundred_retransmits() {
+        let flags = stragglers_and_storms(&world([50; 4], [0, 201, 200, 0]));
+        let named: Vec<_> = flags.iter().map(|f| (f.kind, f.rank, f.level)).collect();
+        assert_eq!(named, [("arq_storm", 1, None)], "{flags:?}");
     }
 }

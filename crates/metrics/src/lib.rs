@@ -4,10 +4,11 @@
 //! per-V-cycle cross-rank critical path (any receive the trace joins to
 //! its send by wire sequence number is a wait, whatever op encloses it),
 //! the wait-state class of every receive over the same join, per-level
-//! load-imbalance factors, MAD-based straggler detection, and roofline
+//! load-imbalance factors, MAD-based straggler detection, roofline
 //! attribution against `gmg-machine` numbers (passed in as a plain
-//! [`analysis::MachineEnvelope`] so this crate stays leaf-level). The
-//! `gmg-bench` `analyze` binary renders all of it as a markdown report.
+//! [`analysis::MachineEnvelope`] so this crate stays leaf-level), and a
+//! failure dump's verdict. The `gmg-bench` `analyze` binary renders all
+//! of it as one markdown report.
 //!
 //! Like `gmg-trace`, this crate is deliberately free of external
 //! dependencies.

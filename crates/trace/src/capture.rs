@@ -119,15 +119,6 @@ impl Track {
         }
     }
 
-    pub fn from_tid(tid: u64) -> Option<Track> {
-        match tid {
-            0 => Some(Track::Compute),
-            1 => Some(Track::Comm),
-            2 => Some(Track::Fault),
-            _ => None,
-        }
-    }
-
     pub fn name(self) -> &'static str {
         match self {
             Track::Compute => "compute",
@@ -220,11 +211,17 @@ impl TraceScope {
         probe::cover(self.clone())
     }
 
-    /// The events recorded so far: each covered ring from the head the
-    /// capture took it at to its head now, a rank's rings as one log. A
-    /// window longer than its ring reports what it lost in
+    /// The events recorded so far as a [`Trace`] of [`TraceScope::logs`].
+    /// A window longer than its ring reports what it lost in
     /// [`Trace::lost`].
     pub fn snapshot(&self) -> Trace {
+        rebuild_trace(&self.logs())
+    }
+
+    /// The events recorded so far as ring logs, rank-ascending: each
+    /// covered ring from the head the capture took it at to its head now,
+    /// a rank's rings as one log. This is what a capture saves as a dump.
+    pub fn logs(&self) -> Vec<RankLog> {
         let mut logs: Vec<RankLog> = Vec::new();
         for (ring, from) in self
             .windows
@@ -249,7 +246,7 @@ impl TraceScope {
             }
         }
         logs.sort_by_key(|l| l.rank);
-        rebuild_trace(&logs)
+        logs
     }
 }
 

@@ -13,7 +13,8 @@ use std::path::PathBuf;
 /// Typed view of the observability variables.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// `GMG_TRACE`: write the run's Chrome trace here.
+    /// `GMG_TRACE`: the directory a harness saves its run's capture in,
+    /// as a flight dump with its Perfetto export `trace.json`.
     pub trace: Option<PathBuf>,
     /// `GMG_FLIGHT_DIR`: where crash dumps land (falls back to
     /// [`ObsConfig::results_dir`], then `results/`).
@@ -82,11 +83,11 @@ mod tests {
     #[test]
     fn set_values_are_honoured() {
         let c = parse(&[
-            ("GMG_TRACE", "/tmp/t.json"),
+            ("GMG_TRACE", "/tmp/solve"),
             ("GMG_FLIGHT_DIR", "/tmp/dumps"),
             ("GMG_RESULTS_DIR", "/tmp/results"),
         ]);
-        assert_eq!(c.trace, Some(PathBuf::from("/tmp/t.json")));
+        assert_eq!(c.trace, Some(PathBuf::from("/tmp/solve")));
         assert_eq!(c.dump_dir(), PathBuf::from("/tmp/dumps"));
     }
 

@@ -22,8 +22,9 @@
 //!   `{rank, level, op}` attribution and monotonic timestamps from one
 //!   process-wide epoch, and **counters** (bytes read/written, FLOPs,
 //!   stencil points, messages, message bytes).
-//! * [`chrome`] — a Chrome trace-event / Perfetto JSON exporter (and
-//!   parser, for round-trip testing). One Perfetto process per rank, with
+//! * [`chrome`] — a Chrome trace-event / Perfetto JSON exporter, and
+//!   only that: a run persists as a flight dump, which `gmg-flight`
+//!   writes and reads. One Perfetto process per rank, with
 //!   a dedicated `comm` thread track, so `RankWorld` send/recv intervals
 //!   render as a real timeline at <https://ui.perfetto.dev>, with an
 //!   arrow from each send to the `recv` it completed (the one
@@ -35,7 +36,7 @@
 //!   time fractions and achieved GStencil/s / GB/s *from a trace*, for
 //!   side-by-side comparison with the machine-model roofline.
 //! * [`json`] — the minimal self-contained JSON codec backing [`chrome`]
-//!   (this crate is deliberately dependency-free).
+//!   and the dumps (this crate is deliberately dependency-free).
 //!
 //! ## Capture model
 //!
