@@ -152,8 +152,8 @@ fn recovery_run(seed: u64, arq: &mut [ArqStats]) -> Json {
     let outcome = RankWorld::run_with_faults(nranks, &plan, move |mut ctx| {
         let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
         let rank = ctx.rank();
-        s.fault_hook = Some(Box::new(move |cycle, level| {
-            if cycle == at_cycle && rank == victim {
+        s.hook = Some(Box::new(move |cycle, phase, level| {
+            if cycle == at_cycle && phase == "cycle" && rank == victim {
                 // Scale the iterate by 1e9: a silent data corruption the
                 // transport layer cannot see.
                 let old = level.x.clone();
@@ -377,7 +377,7 @@ pub fn elastic_child(ctx: &mut gmg_comm::RankCtx, args: &str) -> String {
     if args.contains("paced") {
         // Stretch the solve so the controller's progress-triggered
         // SIGKILL lands mid-run instead of after the finish line.
-        s.phase_hook = Some(Box::new(|_cycle, _phase, _level| {
+        s.hook = Some(Box::new(|_cycle, _phase, _level| {
             std::thread::sleep(Duration::from_millis(8));
         }));
     }
@@ -734,8 +734,8 @@ mod tests {
             RankWorld::run_with_faults(decomp.num_ranks(), &plan, move |mut ctx| {
                 let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
                 let rank = ctx.rank();
-                s.fault_hook = Some(Box::new(move |cycle, level| {
-                    if cycle == 2 && rank == 3 {
+                s.hook = Some(Box::new(move |cycle, phase, level| {
+                    if cycle == 2 && phase == "cycle" && rank == 3 {
                         let old = level.x.clone();
                         level.x =
                             BrickedField::from_fn(level.layout.clone(), move |p| old.get(p) * 1e9);

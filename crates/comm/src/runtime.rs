@@ -391,31 +391,53 @@ impl RankCtx {
     /// Fallible max-reduction (elastic solvers recover from
     /// [`CommError::Parked`] instead of panicking).
     pub fn try_allreduce_max(&mut self, v: f64) -> Result<f64, CommError> {
-        self.allreduce(v, f64::max)
+        let mut v = [v];
+        self.allreduce(&mut v, &[f64::max])?;
+        Ok(v[0])
     }
 
     /// Fallible sum-reduction.
     pub fn try_allreduce_sum(&mut self, v: f64) -> Result<f64, CommError> {
-        self.allreduce(v, |a, b| a + b)
+        let mut v = [v];
+        self.allreduce(&mut v, &[|a, b| a + b])?;
+        Ok(v[0])
     }
 
-    fn allreduce(&mut self, v: f64, combine: impl Fn(f64, f64) -> f64) -> Result<f64, CommError> {
-        // Gather to rank 0, reduce, broadcast. O(P) but P is small here.
+    /// A max-reduction of `max` and a sum-reduction of `sum` in one
+    /// all-reduce (one message each way per rank), each folded exactly as
+    /// [`RankCtx::try_allreduce_max`] / [`RankCtx::try_allreduce_sum`] fold
+    /// it alone.
+    pub fn try_allreduce_max_sum(&mut self, max: f64, sum: f64) -> Result<(f64, f64), CommError> {
+        let mut v = [max, sum];
+        self.allreduce(&mut v, &[f64::max, |a, b| a + b])?;
+        Ok((v[0], v[1]))
+    }
+
+    /// All-reduce `v` in place, slot `i` folded with `combine[i]`.
+    fn allreduce(
+        &mut self,
+        v: &mut [f64],
+        combine: &[fn(f64, f64) -> f64],
+    ) -> Result<(), CommError> {
+        // Gather to rank 0, reduce in rank order, broadcast. O(P) but P is
+        // small here.
         let tag = COLLECTIVE_TAG;
         if self.rank == 0 {
-            let mut acc = v;
             for r in 1..self.nranks {
                 let m = self.recv_traced(r, tag, None)?;
-                acc = combine(acc, m[0]);
+                assert_eq!(m.len(), v.len(), "allreduce payload size mismatch");
+                for ((acc, f), x) in v.iter_mut().zip(combine).zip(m) {
+                    *acc = f(*acc, x);
+                }
             }
             for r in 1..self.nranks {
-                self.try_send(r, tag + 1, vec![acc])?;
+                self.try_send(r, tag + 1, v.to_vec())?;
             }
-            Ok(acc)
         } else {
-            self.try_send(0, tag, vec![v])?;
-            Ok(self.recv_traced(0, tag + 1, None)?[0])
+            self.try_send(0, tag, v.to_vec())?;
+            v.copy_from_slice(&self.recv_traced(0, tag + 1, None)?);
         }
+        Ok(())
     }
 
     /// Barrier: everyone waits until all ranks arrive.
@@ -917,6 +939,27 @@ mod tests {
         for (m, s) in out {
             assert_eq!(m, 4.0);
             assert_eq!(s, 5.0);
+        }
+    }
+
+    #[test]
+    fn two_slot_allreduce_folds_each_slot_as_the_one_slot_calls() {
+        // Each slot gives the bits its one-slot call gives; rank 2's NaN is
+        // dropped by the max and kept by the sum, as the one-slot calls
+        // treat it.
+        let out = RankWorld::run(4, |mut ctx| {
+            let r = (ctx.rank() + 1) as f64;
+            let (v, s) = (if r == 3.0 { f64::NAN } else { 0.1 * r }, 0.1 / r);
+            let pair = ctx.try_allreduce_max_sum(v, s).unwrap();
+            let apart = (ctx.allreduce_max(v), ctx.allreduce_sum(s));
+            let nan = ctx.try_allreduce_max_sum(v, v).unwrap();
+            (pair, apart, nan)
+        });
+        for (pair, apart, nan) in out {
+            assert_eq!(pair.0.to_bits(), apart.0.to_bits());
+            assert_eq!(pair.1.to_bits(), apart.1.to_bits());
+            assert_eq!(pair.0, 0.4);
+            assert!(nan.0 == 0.4 && nan.1.is_nan());
         }
     }
 

@@ -26,7 +26,7 @@ pub mod solver;
 pub mod timers;
 pub mod trace;
 
-pub use diagnostics::{GlobalNorms, HealthMonitor, LocalNorms, RecoveryPolicy, SolveHealth};
+pub use diagnostics::{HealthMonitor, RecoveryPolicy, SolveHealth};
 pub use level::Level;
 pub use problem::PoissonProblem;
 pub use rejoin::{RejoinStore, SolverCheckpoint};

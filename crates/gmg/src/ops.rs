@@ -1,10 +1,10 @@
 //! Distributed operator helpers: exchanges that track the
 //! communication-avoiding margin, and the global convergence check.
 
-use crate::diagnostics::LocalNorms;
 use crate::level::Level;
 use gmg_comm::runtime::{try_exchange_bricked, RankCtx};
 use gmg_comm::CommError;
+use gmg_stencil::exec_brick::residual_norms_bricked;
 
 /// Exchange the ghost bricks of `level.x` along the layout's halo
 /// directions (none on a level whose rank grid is 1 wide on every axis) and
@@ -42,7 +42,7 @@ pub fn try_exchange_b(
 }
 
 /// Global max-norm residual at `level` (Algorithm 1's `maxNormRes`):
-/// exchange, one read-only pass forming `b − A·x` in registers, and an
+/// exchange, one read-only pass forming `b − A·x` in registers, and one
 /// all-reduce across ranks. Writes no field.
 pub fn max_norm_residual(ctx: &mut RankCtx, level: &mut Level, tag_base: u64) -> f64 {
     match try_max_norm_residual(ctx, level, tag_base) {
@@ -51,23 +51,27 @@ pub fn max_norm_residual(ctx: &mut RankCtx, level: &mut Level, tag_base: u64) ->
     }
 }
 
-/// Fallible [`max_norm_residual`], also handing back this rank's residual
-/// moments from the same pass (the solver's non-finite guard reduces them
-/// later, keeping its all-reduces where they were).
+/// Fallible [`max_norm_residual`], also handing back the global `Σ r²`
+/// of the same pass, reduced in the same all-reduce. The max skips NaN
+/// (`f64::max(NaN, x) = x`); the sum propagates it and is infinite
+/// wherever the max is, so the solver's non-finite guard reads the sum.
 pub fn try_max_norm_residual(
     ctx: &mut RankCtx,
     level: &mut Level,
     tag_base: u64,
-) -> Result<(f64, LocalNorms), CommError> {
+) -> Result<(f64, f64), CommError> {
     try_exchange_x(ctx, level, tag_base)?;
-    let local = LocalNorms::of_residual(level);
-    Ok((ctx.try_allreduce_max(local.max_abs)?, local))
+    debug_assert!(level.margin >= 1, "x is stale in the ghost shell");
+    let (max, sum_sq) =
+        residual_norms_bricked(&level.x, &level.b, level.alpha, level.beta, level.owned);
+    ctx.try_allreduce_max_sum(max, sum_sq)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::PoissonProblem;
+    use crate::solver::{GmgSolver, SolverConfig};
     use gmg_brick::{BrickOrdering, BrickedField};
     use gmg_comm::runtime::RankWorld;
     use gmg_mesh::{Box3, Decomposition, Point3};
@@ -185,8 +189,8 @@ mod tests {
         // The read-only pass must report what the residual `b − A·x`, with
         // `A·x` from the DSL interpreter over the exchanged iterate, reports
         // — bit for bit the max that enters the history, to rounding the
-        // moments of the non-finite guard — at 1 and 8 ranks, without
-        // writing a field.
+        // sum of squares of the non-finite guard — at 1 and 8 ranks,
+        // without writing a field.
         use gmg_stencil::interp::run_stencil;
         use gmg_stencil::ops::apply_op_def;
         let n = 16;
@@ -204,27 +208,33 @@ mod tests {
                     let q = wrap(p);
                     ((q.x * 7 + q.y * 3 - q.z * 5) % 13) as f64 / 64.0
                 });
-                let (max, local) = try_max_norm_residual(&mut ctx, &mut l, 3).unwrap();
+                let (max, sum_sq) = try_max_norm_residual(&mut ctx, &mut l, 3).unwrap();
                 for scratch in [&l.r, &l.ax] {
                     assert!(scratch.as_slice().iter().all(|v| *v == 0.0));
                 }
                 let mut ax = BrickedField::new(l.layout.clone());
                 let coef = [l.alpha, l.beta];
                 run_stencil(&apply_op_def(), &[&l.x], &coef, &mut [&mut ax], l.owned);
-                let (mut ref_max, mut sum_sq, mut sum) = (0.0f64, 0.0, 0.0);
+                let (mut ref_max, mut ref_sq) = (0.0f64, 0.0);
                 l.owned.for_each(|p| {
                     let v = l.b.get(p) - ax.get(p);
-                    (ref_max, sum_sq, sum) = (ref_max.max(v.abs()), sum_sq + v * v, sum + v);
+                    (ref_max, ref_sq) = (ref_max.max(v.abs()), ref_sq + v * v);
                 });
-                assert_eq!(local.max_abs.to_bits(), ref_max.to_bits());
-                // The sums fold per x-lane, so they agree to rounding only.
-                assert!((local.sum_sq - sum_sq).abs() <= 1e-12 * sum_sq);
-                assert!((local.sum - sum).abs() <= 1e-12 * sum_sq.sqrt());
-                (max, ctx.allreduce_max(ref_max))
+                let local = residual_norms_bricked(&l.x, &l.b, l.alpha, l.beta, l.owned);
+                assert_eq!(local.0.to_bits(), ref_max.to_bits());
+                // The sum folds per x-lane, so it agrees to rounding only.
+                assert!((local.1 - ref_sq).abs() <= 1e-12 * ref_sq);
+                (
+                    max,
+                    sum_sq,
+                    ctx.allreduce_max(ref_max),
+                    ctx.allreduce_sum(ref_sq),
+                )
             });
-            for (max, ref_max) in out {
+            for (max, sum_sq, ref_max, ref_sq) in out {
                 assert!(max > 0.0);
                 assert_eq!(max.to_bits(), ref_max.to_bits(), "grid {grid:?}");
+                assert!((sum_sq - ref_sq).abs() <= 1e-12 * ref_sq, "grid {grid:?}");
             }
         }
     }
@@ -249,5 +259,23 @@ mod tests {
             assert_eq!(w[0], w[1]);
         }
         assert!(out[0] > 0.9 && out[0] <= 1.0);
+    }
+
+    #[test]
+    fn global_norms_of_initial_residual() {
+        let decomp = Decomposition::new(Box3::cube(16), Point3::splat(2));
+        let d = &decomp;
+        let out = RankWorld::run(8, move |mut ctx| {
+            let mut s = GmgSolver::new(d.clone(), ctx.rank(), SolverConfig::test_default());
+            // x = 0 → r = b.
+            try_max_norm_residual(&mut ctx, &mut s.levels[0], 999).unwrap()
+        });
+        for (max, sum_sq) in out {
+            // b is the unit separable sine: max ≈ 1 (cell-centered), L2 =
+            // (1/2)^{3/2} ≈ 0.354 for the product of sines.
+            let l2 = (sum_sq / 16f64.powi(3)).sqrt();
+            assert!(max > 0.9 && max <= 1.0);
+            assert!((l2 - 0.3536).abs() < 0.02, "L2 {l2}");
+        }
     }
 }

@@ -124,6 +124,7 @@ impl RhsTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solver::{GmgSolver, SolverConfig};
     use gmg_brick::{BrickLayout, BrickOrdering};
     use gmg_mesh::Decomposition;
 
@@ -157,6 +158,22 @@ mod tests {
         assert!(sum.abs() < 1e-10, "mean {sum}");
         assert!(max <= 1.0 + 1e-12);
         assert!(max > 0.9, "the mode should reach near ±1");
+    }
+
+    #[test]
+    fn solver_b_is_zero_mean_over_the_ranks() {
+        // The compatible right-hand side the periodic problem needs, as the
+        // solver stores it: level 0's `b` summed over every rank's owned
+        // cells of a 2×2×2 grid.
+        let d = Decomposition::new(Box3::cube(16), Point3::splat(2));
+        let sum: f64 = (0..d.num_ranks())
+            .map(|rank| {
+                let s = GmgSolver::new(d.clone(), rank, SolverConfig::test_default());
+                let l = &s.levels[0];
+                l.b.reduce(l.owned, 0.0, |_, v| v, |a, b| a + b)
+            })
+            .sum();
+        assert!(sum.abs() < 1e-10, "sum {sum}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The geometric multigrid solver: Algorithm 1 (solve loop) and
 //! Algorithm 2 (V-cycle) from the paper, distributed over the rank runtime.
 
-use crate::diagnostics::{HealthMonitor, LocalNorms, RecoveryPolicy, SolveHealth};
+use crate::diagnostics::{HealthMonitor, RecoveryPolicy, SolveHealth};
 use crate::level::{interpolation_increment, Level};
 use crate::ops::{try_exchange_b, try_exchange_x, try_max_norm_residual};
 use crate::problem::PoissonProblem;
@@ -132,10 +132,8 @@ impl SolveStats {
     }
 }
 
-/// See [`GmgSolver::fault_hook`].
-pub type FaultHook = Box<dyn FnMut(usize, &mut Level) + Send>;
-/// See [`GmgSolver::phase_hook`].
-pub type PhaseHook = Box<dyn FnMut(usize, &'static str, usize) + Send>;
+/// See [`GmgSolver::hook`].
+pub type Hook = Box<dyn FnMut(usize, &'static str, &mut Level) + Send>;
 
 /// One rank's multigrid solver state.
 pub struct GmgSolver {
@@ -143,19 +141,17 @@ pub struct GmgSolver {
     pub config: SolverConfig,
     pub levels: Vec<Level>,
     pub timers: OpTimer,
-    /// Deterministic fault hook for tests and chaos campaigns: called
-    /// after each V-cycle with `(cycle_index, finest_level)` so the
-    /// iterate can be corrupted without a comm layer in the loop.
-    pub fault_hook: Option<FaultHook>,
-    /// Phase hook for tests and chaos campaigns: called at each V-cycle
-    /// phase boundary with `(cycle_index, phase, level)` where `phase` is
-    /// one of `"smooth"`, `"restrict"`, `"coarse"`, `"prolong"`. The
-    /// rejoin battery uses this to make a rank die at an exact point in
-    /// the schedule.
-    pub phase_hook: Option<PhaseHook>,
+    /// Deterministic hook for tests and chaos campaigns, called with
+    /// `(cycle_index, phase, level)` at each V-cycle phase boundary
+    /// (`"smooth"`, `"restrict"`, `"coarse"`, `"prolong"`, with the level
+    /// entered) and once after each V-cycle (`"cycle"`, with the finest
+    /// level, before its convergence check). The fault tests corrupt the
+    /// iterate at `"cycle"` without a comm layer in the loop; the rejoin
+    /// battery makes a rank die at an exact point in the schedule.
+    pub hook: Option<Hook>,
     rank: usize,
     tag_counter: u64,
-    /// 1-based index of the cycle currently executing (feeds `phase_hook`).
+    /// 1-based index of the cycle currently executing (feeds `hook`).
     current_cycle: usize,
 }
 
@@ -217,8 +213,7 @@ impl GmgSolver {
             config,
             levels,
             timers: OpTimer::new(),
-            fault_hook: None,
-            phase_hook: None,
+            hook: None,
             rank,
             tag_counter: 0,
             current_cycle: 0,
@@ -288,9 +283,9 @@ impl GmgSolver {
     }
 
     /// The convergence check of Algorithm 1 on the finest level, under its
-    /// own `residualNorm` timer row: the global max-norm residual and this
-    /// rank's residual moments from the same read-only pass.
-    fn residual_check(&mut self, ctx: &mut RankCtx) -> Result<(f64, LocalNorms), CommError> {
+    /// own `residualNorm` timer row: the global max-norm residual and the
+    /// global `Σ r²` of the same read-only pass, in one all-reduce.
+    fn residual_check(&mut self, ctx: &mut RankCtx) -> Result<(f64, f64), CommError> {
         let tag = self.next_tag();
         let points = self.levels[0].owned.volume() as u64;
         let op = probe::op(0, "residualNorm").points(points, op_counters);
@@ -299,11 +294,11 @@ impl GmgSolver {
         Ok(out)
     }
 
-    /// Fire the phase hook (if any) at a V-cycle phase boundary.
+    /// Fire the hook (if any) at a phase boundary of the current cycle.
     fn phase_event(&mut self, phase: &'static str, level: usize) {
         let cycle = self.current_cycle;
-        if let Some(h) = self.phase_hook.as_mut() {
-            h(cycle, phase, level);
+        if let Some(h) = self.hook.as_mut() {
+            h(cycle, phase, &mut self.levels[level]);
         }
     }
 
@@ -609,17 +604,14 @@ impl GmgSolver {
             self.current_cycle = vcycles + 1;
             self.try_vcycle(ctx)?;
             vcycles += 1;
-            if let Some(hook) = self.fault_hook.as_mut() {
-                hook(vcycles, &mut self.levels[0]);
-            }
-            let (r, norms) = self.residual_check(ctx)?;
+            self.phase_event("cycle", 0);
+            let (r, sum_sq) = self.residual_check(ctx)?;
             history.push(r);
             // `max`-reductions silently drop NaN (`f64::max(NaN, x) = x`),
-            // so non-finite state is detected through the summing residual
-            // norms, which propagate it — and globally, so every rank
-            // reaches the same verdict.
-            let finite = r.is_finite() && norms.try_global(ctx)?.is_finite();
-            let verdict = if finite {
+            // so non-finite state is detected through the reduced `Σ r²`,
+            // which propagates it (and is infinite wherever the max is) —
+            // globally, so every rank reaches the same verdict.
+            let verdict = if sum_sq.is_finite() {
                 monitor.observe(r)
             } else {
                 SolveHealth::NonFinite
@@ -1002,8 +994,8 @@ mod tests {
             cfg.max_vcycles = 10;
             cfg.tolerance = 1e-12;
             let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
-            s.fault_hook = Some(Box::new(|cycle, level: &mut Level| {
-                if cycle == 2 {
+            s.hook = Some(Box::new(|cycle, phase, level: &mut Level| {
+                if cycle == 2 && phase == "cycle" {
                     let target = level.owned.lo;
                     corrupt_x(level, move |v, p| if p == target { f64::NAN } else { v });
                 }
@@ -1015,6 +1007,55 @@ mod tests {
         assert!(stats.health.is_diverged());
         assert!(!stats.converged);
         assert_eq!(stats.vcycles, 2, "must stop at the detection cycle");
+    }
+
+    /// A 2×1×1 solve under `policy` in which rank 1 alone poisons one cell
+    /// of its iterate with NaN after cycle 2.
+    fn solve_with_nan_on_rank_1(policy: RecoveryPolicy) -> Vec<SolveStats> {
+        let decomp = Decomposition::new(Box3::cube(16), Point3::new(2, 1, 1));
+        let d = &decomp;
+        RankWorld::run(2, move |mut ctx| {
+            let mut cfg = SolverConfig::test_default();
+            cfg.num_levels = 2;
+            cfg.recovery = policy;
+            let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
+            let rank = ctx.rank();
+            s.hook = Some(Box::new(move |cycle, phase, level: &mut Level| {
+                if cycle == 2 && phase == "cycle" && rank == 1 {
+                    let target = level.owned.lo;
+                    corrupt_x(level, move |v, p| if p == target { f64::NAN } else { v });
+                }
+            }));
+            s.solve(&mut ctx)
+        })
+    }
+
+    fn history_bits(stats: &SolveStats) -> Vec<u64> {
+        stats.residual_history.iter().map(|r| r.to_bits()).collect()
+    }
+
+    #[test]
+    fn nan_on_one_rank_aborts_every_rank_at_the_same_cycle() {
+        // Rank 0's cells are all finite: only the reduced Σ r² carries
+        // rank 1's NaN to it, and both ranks stop on it together.
+        let out = solve_with_nan_on_rank_1(RecoveryPolicy::Abort);
+        for stats in &out {
+            assert_eq!(stats.health, SolveHealth::NonFinite);
+            assert!(!stats.converged);
+            assert_eq!(stats.vcycles, 2, "must stop at the detection cycle");
+            assert_eq!(history_bits(stats), history_bits(&out[0]));
+        }
+    }
+
+    #[test]
+    fn nan_on_one_rank_rolls_every_rank_back_in_lockstep() {
+        let out = solve_with_nan_on_rank_1(RecoveryPolicy::Rollback);
+        for stats in &out {
+            assert!(stats.converged, "history {:?}", stats.residual_history);
+            assert_eq!(stats.health, SolveHealth::Healthy);
+            assert_eq!(stats.recoveries, 1);
+            assert_eq!(history_bits(stats), history_bits(&out[0]));
+        }
     }
 
     #[test]
@@ -1034,8 +1075,8 @@ mod tests {
                 cfg.max_vcycles = 30;
                 let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
                 let rank = ctx.rank();
-                s.fault_hook = Some(Box::new(move |cycle, level: &mut Level| {
-                    if cycle == 3 && rank == 0 {
+                s.hook = Some(Box::new(move |cycle, phase, level: &mut Level| {
+                    if cycle == 3 && phase == "cycle" && rank == 0 {
                         corrupt_x(level, |v, _| v * 1e9);
                     }
                 }));
@@ -1076,8 +1117,8 @@ mod tests {
             cfg.recovery = RecoveryPolicy::Rollback;
             let mut s = GmgSolver::new(d.clone(), ctx.rank(), cfg);
             let e0 = s.max_error_vs_discrete();
-            s.fault_hook = Some(Box::new(|cycle, level: &mut Level| {
-                if cycle >= 4 {
+            s.hook = Some(Box::new(|cycle, phase, level: &mut Level| {
+                if cycle >= 4 && phase == "cycle" {
                     corrupt_x(level, |v, _| v * -1e9);
                 }
             }));
@@ -1225,7 +1266,7 @@ mod battery {
             let victim: usize = victim.parse().unwrap();
             let phase = phase.to_string();
             if ctx.rank() == victim && !ctx.membership_rejoining() {
-                s.phase_hook = Some(Box::new(move |c, p, _level| {
+                s.hook = Some(Box::new(move |c, p, _level| {
                     if c == KILL_CYCLE && p == phase {
                         std::process::abort();
                     }

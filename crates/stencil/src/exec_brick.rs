@@ -78,19 +78,19 @@ pub(crate) fn apply_star7_bricked_on(
     );
 }
 
-/// `(max |v|, Σ v², Σ v)` of the residual `v = b − A·x` over `region`, in
+/// `(max |v|, Σ v²)` of the residual `v = b − A·x` over `region`, in
 /// one read-only pass: every row's `A·x` is reduced while still in
 /// registers, so neither `A·x` nor `v` is ever stored. `x` must be valid
 /// on `region.grow(1)`. Each brick folds its cells in a fixed order and
-/// the bricks fold in piece order; `max` skips NaN (`f64::max`), the sums
-/// propagate it.
+/// the bricks fold in piece order; `max` skips NaN (`f64::max`), the sum
+/// propagates it.
 pub fn residual_norms_bricked(
     x: &BrickedField,
     b: &BrickedField,
     alpha: f64,
     beta: f64,
     region: Box3,
-) -> (f64, f64, f64) {
+) -> (f64, f64) {
     residual_norms_on(Isa::detect(), x, b, alpha, beta, region)
 }
 
@@ -102,7 +102,7 @@ pub(crate) fn residual_norms_on(
     alpha: f64,
     beta: f64,
     region: Box3,
-) -> (f64, f64, f64) {
+) -> (f64, f64) {
     let layout = x.layout().clone();
     assert!(
         std::sync::Arc::ptr_eq(&layout, b.layout()),
@@ -132,16 +132,11 @@ pub(crate) fn residual_norms_on(
     )
 }
 
-const NORMS_ZERO: (f64, f64, f64) = (0.0, 0.0, 0.0);
+const NORMS_ZERO: (f64, f64) = (0.0, 0.0);
 
 #[inline(always)]
-fn norms_of(v: f64) -> (f64, f64, f64) {
-    (v.abs(), v * v, v)
-}
-
-#[inline(always)]
-fn fold_norms(a: (f64, f64, f64), b: (f64, f64, f64)) -> (f64, f64, f64) {
-    (a.0.max(b.0), a.1 + b.1, a.2 + b.2)
+fn fold_norms(a: (f64, f64), b: (f64, f64)) -> (f64, f64) {
+    (a.0.max(b.0), a.1 + b.1)
 }
 
 /// One const-dim brick of [`residual_norms_bricked`]: every x-lane of the
@@ -156,7 +151,7 @@ fn norms_brick<const B: usize>(
     alpha: f64,
     beta: f64,
     rb: &RowBounds,
-) -> (f64, f64, f64) {
+) -> (f64, f64) {
     let b = cube::<B>(b);
     if rb.x0 == 0 && rb.x1 == B {
         norms_rows::<B>(faces, b, alpha, beta, rb, &[true; B])
@@ -174,9 +169,9 @@ fn norms_rows<const B: usize>(
     beta: f64,
     rb: &RowBounds,
     covered: &[bool; B],
-) -> (f64, f64, f64) {
-    // The lanes' three partials as three arrays, so each is one vector.
-    let (mut max, mut sq, mut sum) = ([0.0f64; B], [0.0; B], [0.0; B]);
+) -> (f64, f64) {
+    // The lanes' two partials as two arrays, so each is one vector.
+    let (mut max, mut sq) = ([0.0f64; B], [0.0; B]);
     stream_rows::<B>(
         faces,
         alpha,
@@ -187,13 +182,11 @@ fn norms_rows<const B: usize>(
             let b = &b[z][y];
             for x in 0..B {
                 let v = if covered[x] { b[x] - ax[x] } else { 0.0 };
-                (max[x], sq[x], sum[x]) = fold_norms((max[x], sq[x], sum[x]), norms_of(v));
+                (max[x], sq[x]) = fold_norms((max[x], sq[x]), (v.abs(), v * v));
             }
         },
     );
-    (0..B).fold(NORMS_ZERO, |acc, x| {
-        fold_norms(acc, (max[x], sq[x], sum[x]))
-    })
+    (0..B).fold(NORMS_ZERO, |acc, x| fold_norms(acc, (max[x], sq[x])))
 }
 
 /// Pointwise update with one mutable field and two read fields (all
@@ -415,8 +408,9 @@ mod tests {
     fn residual_norms_match_the_stored_residual() {
         // Every brick shape, a region clipped on every side: the max must
         // equal the max over a stored `b − A·x`, with `A·x` from the DSL
-        // interpreter, bit for bit, the sums to rounding (they fold per
-        // x-lane); a NaN cell is skipped by the max and poisons the sums.
+        // interpreter, bit for bit, the sum of squares to rounding (it
+        // folds per x-lane); a NaN cell is skipped by the max and poisons
+        // the sum.
         // Every instruction-set tier the CPU reports gives the bits
         // `Isa::Baseline` gives.
         for bd in [1i64, 2, 4, 8] {
@@ -425,25 +419,24 @@ mod tests {
             let b = BrickedField::from_fn(x.layout().clone(), |p| idx_fn(p) * 0.5 - 3.0);
             let region = Box3::cube(n).grow(bd - 1).shrink(1);
             let ax = interp_apply(&x, region);
-            let (mut max, mut sq, mut sum) = (0.0f64, 0.0, 0.0);
+            let (mut max, mut sq) = (0.0f64, 0.0);
             region.for_each(|p| {
                 let v = b.get(p) - ax.get(p);
-                (max, sq, sum) = (max.max(v.abs()), sq + v * v, sum + v);
+                (max, sq) = (max.max(v.abs()), sq + v * v);
             });
             let norms = |x: &BrickedField, isa| {
-                let (max, sq, sum) = residual_norms_on(isa, x, &b, -6.0, 1.0, region);
-                [max.to_bits(), sq.to_bits(), sum.to_bits()]
+                let (max, sq) = residual_norms_on(isa, x, &b, -6.0, 1.0, region);
+                [max.to_bits(), sq.to_bits()]
             };
             let got = residual_norms_bricked(&x, &b, -6.0, 1.0, region);
             assert_eq!(got.0.to_bits(), max.to_bits(), "bd={bd}");
             assert!((got.1 - sq).abs() <= 1e-12 * sq, "bd={bd}");
-            assert!((got.2 - sum).abs() <= 1e-12 * sq.sqrt(), "bd={bd}");
             for isa in Isa::available() {
                 assert_eq!(norms(&x, isa), norms(&x, Isa::Baseline), "bd={bd} {isa:?}");
             }
             x.set(Point3::splat(bd), f64::NAN);
             let got = residual_norms_bricked(&x, &b, -6.0, 1.0, region);
-            assert!(got.0.is_finite() && got.1.is_nan() && got.2.is_nan());
+            assert!(got.0.is_finite() && got.1.is_nan());
             for isa in Isa::available() {
                 assert_eq!(
                     norms(&x, isa),

@@ -135,3 +135,48 @@ fn hpgmg_solver_vcycle_executes_the_exchange_every_smooth_schedule() {
         );
     }
 }
+
+#[test]
+fn gmg_solve_sends_the_walkers_exchanges_and_one_reduction_per_check() {
+    // A solve of V V-cycles runs V + 1 convergence checks. Each check
+    // exchanges the finest level and then sends exactly one all-reduce
+    // message from rank 0 (two ranks) — the cadence `gmg_scale`'s
+    // `allreduce_phase` prices. Nothing else in the solve sends.
+    let decomp = Decomposition::new(Box3::cube(32), Point3::new(2, 1, 1));
+    let d = &decomp;
+    let (out, trace) = gmg_repro::trace::capture(|| {
+        RankWorld::run(2, move |mut ctx| {
+            let mut s = GmgSolver::new(d.clone(), ctx.rank(), SolverConfig::test_default());
+            let stats = s.solve(&mut ctx);
+            let dirs: Vec<usize> = s.levels.iter().map(|l| l.layout.halo().len()).collect();
+            (stats.vcycles, s.shape(), dirs, s.levels[0].ghost_cells())
+        })
+    });
+    assert!(
+        trace.lost.is_empty(),
+        "capture window wrapped: {:?}",
+        trace.lost
+    );
+    let (cycles, shape, dirs, margin) = out[0].clone();
+    assert!(cycles >= 2, "{cycles} V-cycles");
+    // Every V-cycle starts where a check's exchange left the finest level.
+    let mut exchange_msgs = 0;
+    VcycleSchedule::new(shape)
+        .with_finest_margin(margin)
+        .vcycle(|step| {
+            if let VcycleStep::Exchange { level } = step {
+                exchange_msgs += dirs[level];
+            }
+        });
+    let sends = trace
+        .events
+        .iter()
+        .filter(|e| e.rank == 0 && e.op.name() == "send")
+        .count();
+    let checks = cycles + 1;
+    assert_eq!(
+        sends,
+        cycles * exchange_msgs + checks * (dirs[0] + 1),
+        "{cycles} V-cycles of {exchange_msgs} exchange messages, {checks} checks"
+    );
+}
